@@ -10,7 +10,9 @@
 //! SpMV, Jacobi apply, axpy/dot, SGS sweep and assembly) and an
 //! `"end_to_end"` section (assembly + fixed-work CG, the tentpole
 //! speedup metric), so later PRs have a perf trajectory to diff
-//! against.
+//! against. The `setup/*` rows time what a run pays once before its
+//! first step: the subdomain graph, the 16-way partition, the whole
+//! Multidep plan, the particle locator and an injection.
 //!
 //! Full (non-`--quick`) runs refuse to overwrite a committed
 //! `BENCH_hotpath.json` whose end-to-end numbers would regress by more
@@ -23,8 +25,11 @@ use std::hint::black_box;
 
 use cfpd_bench::{emit, emit_json, json_rows};
 use cfpd_core::BoundaryConditions;
-use cfpd_mesh::{generate_airway, AirwaySpec, Mesh, Vec3};
-use cfpd_partition::{bandwidth_under_perm, csr_bandwidth, rcm_perm};
+use cfpd_mesh::{generate_airway, AirwayMesh, AirwaySpec, Mesh, Vec3};
+use cfpd_particles::{inject_at_inlet, Locator, ParticleProps, ParticleSet};
+use cfpd_partition::{
+    bandwidth_under_perm, csr_bandwidth, local_element_graph, partition_kway, rcm_perm,
+};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_momentum, assemble_momentum_batched, assemble_poisson, axpy_dot_fused, cg, cg_fused,
@@ -248,6 +253,46 @@ fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPoo
     });
 }
 
+/// Per-run set-up on the default (`Multidep`, 16 subdomains) path.
+fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
+    let mesh = &airway.mesh;
+    let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+    let weights = mesh.cost_weights();
+    b.bench("setup/element-graph", || {
+        black_box(local_element_graph(mesh, &elems, &weights));
+    });
+    let graph = local_element_graph(mesh, &elems, &weights);
+    b.bench("setup/kway-16", || {
+        black_box(partition_kway(&graph, N_SUBDOMAINS, 4));
+    });
+    b.bench_batched(
+        "setup/plan-multidep",
+        || elems.clone(),
+        |elems| {
+            black_box(AssemblyPlan::new(mesh, elems, AssemblyStrategy::Multidep, N_SUBDOMAINS));
+        },
+    );
+    b.bench("setup/locator-build", || {
+        black_box(Locator::new(mesh).elem_size(0));
+    });
+    let locator = Locator::new(mesh);
+    b.bench("setup/inject-10k", || {
+        let mut set = ParticleSet::default();
+        let injected = inject_at_inlet(
+            &mut set,
+            &locator,
+            airway.inlet_center,
+            airway.inlet_direction,
+            airway.inlet_radius,
+            1.5,
+            ParticleProps::default(),
+            10_000,
+            42,
+        );
+        black_box((set, injected));
+    });
+}
+
 fn median_ns(rows: &[(String, BenchStats)], name: &str) -> f64 {
     rows.iter()
         .find(|(n, _)| n == name)
@@ -375,7 +420,7 @@ fn main() {
     };
 
     let airway = generate_airway(&spec).expect("airway mesh");
-    let mesh = airway.mesh;
+    let mesh = &airway.mesh;
     let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
     let pool = ThreadPool::new(workers);
     eprintln!(
@@ -397,12 +442,13 @@ fn main() {
 
     let name = if quick { "BENCH_hotpath_quick" } else { "BENCH_hotpath" };
     let mut b = Bench::with_config(name, config);
-    bench_assembly(&mut b, &mesh, &pool);
-    let (m_native, rhs_native) = pressure_system(&mesh, &pool);
+    bench_assembly(&mut b, mesh, &pool);
+    let (m_native, rhs_native) = pressure_system(mesh, &pool);
     bench_spmv_and_cg(&mut b, "native-order", &m_native, &rhs_native, &pool);
     let (m_rcm, rhs_rcm) = pressure_system(&mesh_rcm, &pool);
     bench_spmv_and_cg(&mut b, "rcm-order", &m_rcm, &rhs_rcm, &pool);
-    bench_phases(&mut b, &mesh, &m_native, &pool);
+    bench_phases(&mut b, mesh, &m_native, &pool);
+    bench_setup(&mut b, &airway);
 
     let e2e = end_to_end(b.rows());
     if !quick {

@@ -3,7 +3,7 @@
 //! profile (Table 1): matrix assembly → momentum solve (Solver1) →
 //! pressure solve (Solver2) → velocity correction → subgrid scale (SGS).
 
-use cfpd_mesh::{BoundaryKind, Mesh, Vec3};
+use cfpd_mesh::{BoundaryKind, Csr, Mesh, Vec3};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_momentum, assemble_momentum_batched, assemble_poisson, assemble_poisson_batched,
@@ -164,7 +164,29 @@ impl<'m> FluidSolver<'m> {
         layout: LayoutPlan,
     ) -> FluidSolver<'m> {
         let n2e = mesh.node_to_elements();
-        let matrix_u = CsrMatrix::from_mesh(mesh, &n2e);
+        FluidSolver::with_node_map(
+            mesh, &n2e, elems, strategy, n_subdomains, props, dt, inflow, tol, max_iters, layout,
+        )
+    }
+
+    /// [`FluidSolver::new_with_layout`] over the caller's
+    /// `mesh.node_to_elements()`, for a rank that already built it to
+    /// partition the mesh.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn with_node_map(
+        mesh: &'m Mesh,
+        n2e: &Csr,
+        elems: Vec<u32>,
+        strategy: AssemblyStrategy,
+        n_subdomains: usize,
+        props: FluidProps,
+        dt: f64,
+        inflow: Vec3,
+        tol: f64,
+        max_iters: usize,
+        layout: LayoutPlan,
+    ) -> FluidSolver<'m> {
+        let matrix_u = CsrMatrix::from_mesh(mesh, n2e);
         let matrix_p = matrix_u.clone();
         let n = mesh.num_nodes();
         // The momentum and Poisson matrices share one sparsity pattern,

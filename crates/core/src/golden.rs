@@ -45,8 +45,7 @@ fn hex(bits: u64) -> String {
 /// Run the simulation deterministically (1 thread per rank, DLB off) and
 /// serialize its logical trace.
 pub fn golden_trace(config: &SimulationConfig, n_ranks: usize) -> String {
-    let result = run_simulation(config, n_ranks, 1, false);
-    render_golden_doc(config, n_ranks, &result.logical, &result.census)
+    render_run_doc(config, n_ranks, &run_simulation(config, n_ranks, 1, false))
 }
 
 /// [`golden_trace`] but with the structured wall-clock trace switched
@@ -64,8 +63,7 @@ pub fn golden_trace_traced(
         1,
         &RunOptions { trace: true, ..Default::default() },
     );
-    let doc = render_golden_doc(config, n_ranks, &result.logical, &result.census);
-    (doc, result)
+    (render_run_doc(config, n_ranks, &result), result)
 }
 
 /// [`golden_trace`] but with the run *split in two*: execute up to step
@@ -102,13 +100,29 @@ pub fn golden_trace_split(config: &SimulationConfig, n_ranks: usize, split_after
         .cloned()
         .collect();
     logical.extend(part2.logical.iter().cloned());
-    render_golden_doc(config, n_ranks, &logical, &part2.census)
+    let mut out = render_golden_header_for(config, n_ranks, part2.elements, part2.nodes);
+    out.push_str(&render_golden_events(&logical));
+    out.push_str(&render_golden_summary(&part2.census));
+    out
+}
+
+/// The golden document of an executed run: [`render_golden_doc`] with
+/// the header's mesh size taken from the run, not from a second mesh
+/// generation.
+pub(crate) fn render_run_doc(
+    config: &SimulationConfig,
+    n_ranks: usize,
+    run: &SimulationResult,
+) -> String {
+    let mut out = render_golden_header_for(config, n_ranks, run.elements, run.nodes);
+    out.push_str(&render_golden_events(&run.logical));
+    out.push_str(&render_golden_summary(&run.census));
+    out
 }
 
 /// Serialize a logical event log + final census as the canonical golden
-/// document. Public so the scenario entry point ([`crate::scenario`])
-/// can render a document from an already-executed run without running
-/// it twice.
+/// document, for callers that hold no [`SimulationResult`] (the mesh
+/// is generated once more to size the header).
 ///
 /// The document is `header ++ event lines ++ summary`, and the three
 /// parts are exposed individually ([`render_golden_header`],
@@ -132,19 +146,28 @@ pub fn render_golden_doc(
 }
 
 /// The configuration-only header of the golden document (mesh + run
-/// lines). Independent of anything the run computes.
+/// lines). Independent of anything the run computes; generates the mesh
+/// to count it.
 pub fn render_golden_header(config: &SimulationConfig, n_ranks: usize) -> String {
-    let airway = generate_airway(&config.airway).expect("valid airway spec");
+    let mesh = generate_airway(&config.airway).expect("valid airway spec").mesh;
+    render_golden_header_for(config, n_ranks, mesh.num_elements(), mesh.num_nodes())
+}
 
+/// [`render_golden_header`] for a mesh already counted (a run reports
+/// its counts as `SimulationResult::{elements, nodes}`).
+pub fn render_golden_header_for(
+    config: &SimulationConfig,
+    n_ranks: usize,
+    elements: usize,
+    nodes: usize,
+) -> String {
     let mut out = String::new();
     let w = &mut out;
     writeln!(w, "cfpd golden trace v1").unwrap();
     writeln!(
         w,
-        "mesh generations={} elements={} nodes={}",
+        "mesh generations={} elements={elements} nodes={nodes}",
         config.airway.generations,
-        airway.mesh.num_elements(),
-        airway.mesh.num_nodes(),
     )
     .unwrap();
     // The layout marker is appended only when an optimization is on, so

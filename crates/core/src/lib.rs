@@ -29,7 +29,7 @@ pub use flowfield::potential_flow;
 pub use fluid::{BoundaryConditions, FluidSolver, FluidStepReport};
 pub use golden::{
     golden_config, golden_trace, golden_trace_split, golden_trace_traced, render_golden_doc,
-    render_golden_events, render_golden_header, render_golden_summary,
+    render_golden_events, render_golden_header, render_golden_header_for, render_golden_summary,
 };
 pub use scenario::{resolve_layout, run_scenario, Scenario, ScenarioOutcome};
 pub use simulation::{

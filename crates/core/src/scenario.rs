@@ -9,7 +9,7 @@
 //! *the same run* — the foundation of the differential golden matrix.
 
 use crate::config::SimulationConfig;
-use crate::golden::render_golden_doc;
+use crate::golden::render_run_doc;
 use crate::simulation::{run_simulation_opts, RunOptions, SimulationResult};
 use cfpd_solver::LayoutPlan;
 use cfpd_testkit::digest::digest_bytes;
@@ -57,7 +57,7 @@ pub struct ScenarioOutcome {
 /// differential matrix tests.
 pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
     let result = run_simulation_opts(&s.config, s.ranks, s.threads, &s.opts);
-    let doc = render_golden_doc(&s.config, s.ranks, &result.logical, &result.census);
+    let doc = render_run_doc(&s.config, s.ranks, &result);
     let digest = digest_bytes(doc.as_bytes());
     ScenarioOutcome { doc, digest, result }
 }

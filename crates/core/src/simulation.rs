@@ -100,6 +100,11 @@ pub struct SimulationResult {
     pub checkpoint: Option<Checkpoint>,
     /// Every fault the chaos layer injected (empty without a fault plan).
     pub faults: Vec<FaultEvent>,
+    /// Element count of the mesh the run generated (the golden
+    /// document's header prints it).
+    pub elements: usize,
+    /// Node count of that mesh.
+    pub nodes: usize,
 }
 
 /// One deterministic milestone of the simulation: what was computed,
@@ -494,6 +499,8 @@ pub fn run_simulation_fallible(
         logical,
         checkpoint,
         faults,
+        elements: airway.mesh.num_elements(),
+        nodes: airway.mesh.num_nodes(),
     })
 }
 
@@ -573,14 +580,24 @@ fn pop_record(rank: usize, phase: Phase, t_start: f64, t_end: f64) {
 }
 
 /// Partition all mesh elements into `n` cost-weighted parts; returns
-/// (my part's elements, element→owner map).
+/// (my part's elements, element→owner map). `n2e` is the mesh's
+/// `node_to_elements()` where the caller has it already; without one it
+/// is built here, and only if there is a graph to partition.
 fn partition_elements(
     mesh: &cfpd_mesh::Mesh,
+    n2e: Option<&cfpd_mesh::Csr>,
     n: usize,
     my_part: usize,
 ) -> (Vec<u32>, Vec<u32>) {
-    let n2e = mesh.node_to_elements();
-    let adj = mesh.element_adjacency(&n2e);
+    let ne = mesh.num_elements();
+    if n == 1 {
+        // The one part owns everything: no graph to build.
+        return ((0..ne as u32).collect(), vec![0; ne]);
+    }
+    let adj = match n2e {
+        Some(n2e) => mesh.element_adjacency(n2e),
+        None => mesh.element_adjacency(&mesh.node_to_elements()),
+    };
     let g = Graph::from_csr(&adj, mesh.cost_weights());
     let part = partition_kway(&g, n, 4);
     let members = part.part_members();
@@ -597,10 +614,12 @@ fn sync_rank(
     let mesh = &airway.mesh;
     let rank = comm.rank();
     let n = comm.size();
-    let (my_elems, owner) = partition_elements(mesh, n, rank);
+    let n2e = mesh.node_to_elements();
+    let (my_elems, owner) = partition_elements(mesh, Some(&n2e), n, rank);
 
-    let mut fs = FluidSolver::new_with_layout(
+    let mut fs = FluidSolver::with_node_map(
         mesh,
+        &n2e,
         my_elems,
         config.strategy,
         config.subdomains_per_rank,
@@ -613,8 +632,7 @@ fn sync_rank(
     );
     let locator = Locator::new(mesh);
 
-    let mut mine = ParticleSet::default();
-    let start_step = match &window.restore {
+    let (mut mine, start_step) = match &window.restore {
         Some(cp) => {
             cfpd_telemetry::count!("core.checkpoint_restores");
             // Resume: overwrite the persistent cross-step state (fields,
@@ -624,8 +642,7 @@ fn sync_rank(
             fs.velocity = rc.velocity.clone();
             fs.pressure = rc.pressure.clone();
             fs.sgs.values = rc.sgs.clone();
-            mine = rc.particles.clone();
-            cp.next_step
+            (rc.particles.clone(), cp.next_step)
         }
         None => {
             // Deterministic identical injection everywhere; keep only
@@ -642,21 +659,7 @@ fn sync_rank(
                 config.num_particles,
                 config.seed,
             );
-            for i in 0..all.len() {
-                if owner[all.elem[i] as usize] as usize == rank {
-                    push_particle(
-                        &mut mine,
-                        Migrant {
-                            pos: all.pos[i],
-                            vel: all.vel[i],
-                            acc: all.acc[i],
-                            elem: all.elem[i],
-                            props: all.props[i],
-                        },
-                    );
-                }
-            }
-            0
+            (keep_owned(all, &owner, rank, n), 0)
         }
     };
 
@@ -806,9 +809,11 @@ fn coupled_rank(
     let census;
 
     if is_fluid {
-        let (my_elems, _) = partition_elements(mesh, f, group.rank());
-        let mut fs = FluidSolver::new_with_layout(
+        let n2e = mesh.node_to_elements();
+        let (my_elems, _) = partition_elements(mesh, Some(&n2e), f, group.rank());
+        let mut fs = FluidSolver::with_node_map(
             mesh,
+            &n2e,
             my_elems,
             config.strategy,
             config.subdomains_per_rank,
@@ -853,7 +858,7 @@ fn coupled_rank(
         census = ParticleCensus::default();
     } else {
         // Particle code: owns all particles, partitioned among p ranks.
-        let (_, owner) = partition_elements(mesh, p, group.rank());
+        let (_, owner) = partition_elements(mesh, None, p, group.rank());
         let locator = Locator::new(mesh);
         let mut all = ParticleSet::default();
         inject_at_inlet(
@@ -867,21 +872,7 @@ fn coupled_rank(
             config.num_particles,
             config.seed,
         );
-        let mut mine = ParticleSet::default();
-        for i in 0..all.len() {
-            if owner[all.elem[i] as usize] as usize == group.rank() {
-                push_particle(
-                    &mut mine,
-                    Migrant {
-                        pos: all.pos[i],
-                        vel: all.vel[i],
-                        acc: all.acc[i],
-                        elem: all.elem[i],
-                        props: all.props[i],
-                    },
-                );
-            }
-        }
+        let mut mine = keep_owned(all, &owner, group.rank(), p);
         for step in 0..config.steps {
             // Blocking receive of this step's velocity — the DLB lending
             // point for idle particle ranks.
@@ -922,6 +913,31 @@ fn coupled_rank(
     }
     let total = t(epoch);
     finalize(comm, trace, census, total, logical, None)
+}
+
+/// The freshly injected particles of `all` that sit in elements part
+/// `my_part` of `parts` owns, in injection order.
+fn keep_owned(all: ParticleSet, owner: &[u32], my_part: usize, parts: usize) -> ParticleSet {
+    if parts == 1 {
+        // The one part owns everything: no second copy to build.
+        return all;
+    }
+    let mut mine = ParticleSet::default();
+    for i in 0..all.len() {
+        if owner[all.elem[i] as usize] as usize == my_part {
+            push_particle(
+                &mut mine,
+                Migrant {
+                    pos: all.pos[i],
+                    vel: all.vel[i],
+                    acc: all.acc[i],
+                    elem: all.elem[i],
+                    props: all.props[i],
+                },
+            );
+        }
+    }
+    mine
 }
 
 fn push_particle(set: &mut ParticleSet, m: Migrant) {

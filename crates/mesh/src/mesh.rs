@@ -8,7 +8,6 @@
 
 use crate::element::{BoundaryKind, ElementKind};
 use crate::geom::Vec3;
-use std::collections::HashMap;
 
 /// An unstructured hybrid mesh (tetrahedra, pyramids, prisms).
 #[derive(Debug, Clone, Default)]
@@ -33,6 +32,27 @@ pub struct Csr {
 }
 
 impl Csr {
+    /// Group `(row, value)` pairs by row with a stable counting sort:
+    /// row `r` of the result lists, in the order met, the values paired
+    /// with `r`. Every row index must be below `rows`.
+    pub fn group(rows: usize, pairs: impl Iterator<Item = (u32, u32)> + Clone) -> Csr {
+        let mut offsets = vec![0u32; rows + 1];
+        for (r, _) in pairs.clone() {
+            offsets[r as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut cursor = offsets.clone();
+        let mut targets = vec![0u32; offsets[rows] as usize];
+        for (r, value) in pairs {
+            let c = &mut cursor[r as usize];
+            targets[*c as usize] = value;
+            *c += 1;
+        }
+        Csr { offsets, targets }
+    }
+
     /// Neighbors of entry `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[u32] {
@@ -71,6 +91,19 @@ impl FaceNeighbors {
     #[inline]
     pub fn faces(&self, e: usize) -> &[Option<u32>] {
         &self.entries[self.offsets[e] as usize..self.offsets[e + 1] as usize]
+    }
+
+    /// Flat index of local face `f` of element `e`: the key of every
+    /// per-face side table laid out beside this one.
+    #[inline]
+    pub fn slot(&self, e: usize, f: usize) -> usize {
+        self.offsets[e] as usize + f
+    }
+
+    /// Total number of (element, face) slots.
+    #[inline]
+    pub fn num_slots(&self) -> usize {
+        self.entries.len()
     }
 }
 
@@ -169,25 +202,17 @@ impl Mesh {
 
     /// Node → incident elements map.
     pub fn node_to_elements(&self) -> Csr {
-        let n = self.num_nodes();
-        let mut counts = vec![0u32; n + 1];
-        for &v in &self.conn {
-            counts[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut targets = vec![0u32; self.conn.len()];
-        let mut cursor = offsets.clone();
-        for e in 0..self.num_elements() {
-            for &v in self.elem_nodes(e) {
-                let c = &mut cursor[v as usize];
-                targets[*c as usize] = e as u32;
-                *c += 1;
-            }
-        }
-        Csr { offsets, targets }
+        self.node_to_listed(0..self.num_elements() as u32)
+    }
+
+    /// Node → incident elements map restricted to the element ids
+    /// `elems` yields: row `v` holds, ascending, the positions in that
+    /// sequence of the elements touching node `v`.
+    pub fn node_to_listed(&self, elems: impl Iterator<Item = u32> + Clone) -> Csr {
+        let pairs = elems.enumerate().flat_map(|(at, e)| {
+            self.elem_nodes(e as usize).iter().map(move |&v| (v, at as u32))
+        });
+        Csr::group(self.num_nodes(), pairs)
     }
 
     /// Element ↔ element adjacency through **shared nodes** (deduplicated,
@@ -223,10 +248,6 @@ impl Mesh {
     /// Also validates mesh conformity: every interior face must be shared
     /// by exactly two elements.
     pub fn face_neighbors(&self) -> FaceNeighbors {
-        // Key: face nodes sorted ascending, padded with u32::MAX for
-        // triangles so quads and triangles never collide.
-        let mut map: HashMap<[u32; 4], (u32, u8)> =
-            HashMap::with_capacity(self.num_elements() * 4);
         let mut offsets = Vec::with_capacity(self.num_elements() + 1);
         offsets.push(0u32);
         let mut total = 0u32;
@@ -234,27 +255,47 @@ impl Mesh {
             total += self.kinds[e].num_faces() as u32;
             offsets.push(total);
         }
-        let mut entries: Vec<Option<u32>> = vec![None; total as usize];
+        // Per face slot: its nodes sorted ascending (padded with u32::MAX
+        // for triangles so quads and triangles never collide) and its
+        // element.
+        let mut keys: Vec<[u32; 4]> = Vec::with_capacity(total as usize);
+        let mut owner: Vec<u32> = Vec::with_capacity(total as usize);
         for e in 0..self.num_elements() {
             let nodes = self.elem_nodes(e);
-            for (f, face) in self.kinds[e].faces().iter().enumerate() {
+            for face in self.kinds[e].faces() {
                 let mut key = [u32::MAX; 4];
                 for (k, &li) in face.iter().enumerate() {
                     key[k] = nodes[li];
                 }
                 key[..face.len()].sort_unstable();
-                match map.remove(&key) {
-                    Some((e2, f2)) => {
-                        entries[offsets[e] as usize + f] = Some(e2);
-                        entries[offsets[e2 as usize] as usize + f2 as usize] = Some(e as u32);
-                    }
-                    None => {
-                        map.insert(key, (e as u32, f as u8));
-                    }
+                keys.push(key);
+                owner.push(e as u32);
+            }
+        }
+        // Slots grouped by their lowest node: the two sides of an interior
+        // face land in the same short bucket.
+        let by_node = Csr::group(
+            self.num_nodes(),
+            keys.iter().enumerate().map(|(slot, key)| (key[0], slot as u32)),
+        );
+        let mut entries: Vec<Option<u32>> = vec![None; total as usize];
+        for v in 0..by_node.len() {
+            let bucket = by_node.row(v);
+            for (i, &a) in bucket.iter().enumerate() {
+                if entries[a as usize].is_some() {
+                    continue;
+                }
+                // Whatever finds no partner is an exterior face: it
+                // stays None.
+                let partner = bucket[i + 1..].iter().find(|&&b| {
+                    entries[b as usize].is_none() && keys[b as usize] == keys[a as usize]
+                });
+                if let Some(&b) = partner {
+                    entries[a as usize] = Some(owner[b as usize]);
+                    entries[b as usize] = Some(owner[a as usize]);
                 }
             }
         }
-        // Whatever is left in `map` are exterior faces; they stay None.
         FaceNeighbors { offsets, entries }
     }
 
@@ -317,9 +358,14 @@ impl Mesh {
         }
     }
 
-    /// Boundary lookup: map from (element, local face) to boundary kind.
-    pub fn boundary_map(&self) -> HashMap<(u32, u8), BoundaryKind> {
-        self.boundary.iter().map(|&(e, f, k)| ((e, f), k)).collect()
+    /// Boundary kind of every face slot of `faces` (see
+    /// [`FaceNeighbors::slot`]); `None` for interior and untagged faces.
+    pub fn boundary_table(&self, faces: &FaceNeighbors) -> Vec<Option<BoundaryKind>> {
+        let mut table = vec![None; faces.num_slots()];
+        for &(e, f, kind) in &self.boundary {
+            table[faces.slot(e as usize, f as usize)] = Some(kind);
+        }
+        table
     }
 
     /// Check all element volumes are strictly positive; returns offending

@@ -3,7 +3,6 @@
 //! fallback for injection and lost particles.
 
 use cfpd_mesh::{BoundaryKind, FaceNeighbors, Mesh, Vec3};
-use std::collections::HashMap;
 
 /// Result of a walk from one element toward a point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,12 +17,49 @@ pub enum WalkResult {
     Lost,
 }
 
-/// Mesh locator: precomputed face neighbors, boundary classification and
-/// a uniform grid over element centroids for global lookups.
+/// The plane of one element face: its centroid and outward unit normal.
+#[derive(Debug, Clone, Copy)]
+struct FacePlane {
+    centroid: Vec3,
+    /// All-NaN for a degenerate face (Newell normal shorter than 1e-30):
+    /// every distance to it is NaN, no comparison with NaN holds, and
+    /// the face drops out of [`Locator::worst_face`] as it must.
+    normal: Vec3,
+}
+
+/// Plane of local face `face` (node indices into `nodes`) of an element.
+fn face_plane(coords: &[Vec3], nodes: &[u32], face: &[usize]) -> FacePlane {
+    // Face centroid and normal (Newell's method handles warped quads).
+    let mut c = Vec3::ZERO;
+    for &li in face.iter() {
+        c += coords[nodes[li] as usize];
+    }
+    c = c / face.len() as f64;
+    let mut n = Vec3::ZERO;
+    for k in 0..face.len() {
+        let a = coords[nodes[face[k]] as usize];
+        let b = coords[nodes[face[(k + 1) % face.len()]] as usize];
+        n += (a - c).cross(b - c);
+    }
+    let len = n.norm();
+    let normal = if len < 1e-30 { Vec3::new(f64::NAN, f64::NAN, f64::NAN) } else { n / len };
+    FacePlane { centroid: c, normal }
+}
+
+/// Mesh locator: precomputed face neighbors, face planes, boundary
+/// classification, element sizes and a uniform grid over element
+/// centroids for global lookups.
 pub struct Locator<'m> {
     mesh: &'m Mesh,
     face_neighbors: FaceNeighbors,
-    boundary: HashMap<(u32, u8), BoundaryKind>,
+    /// Per face slot of `face_neighbors`.
+    planes: Vec<FacePlane>,
+    /// Per face slot of `face_neighbors`.
+    boundary: Vec<Option<BoundaryKind>>,
+    /// Characteristic size (volume cube root) per element.
+    size: Vec<f64>,
+    /// Centroid per element.
+    centroids: Vec<Vec3>,
     // Uniform grid acceleration structure.
     grid_origin: Vec3,
     grid_cell: f64,
@@ -34,7 +70,18 @@ pub struct Locator<'m> {
 impl<'m> Locator<'m> {
     pub fn new(mesh: &'m Mesh) -> Locator<'m> {
         let face_neighbors = mesh.face_neighbors();
-        let boundary = mesh.boundary_map();
+        let boundary = mesh.boundary_table(&face_neighbors);
+        let mut planes = Vec::with_capacity(face_neighbors.num_slots());
+        let mut size = Vec::with_capacity(mesh.num_elements());
+        let mut centroids = Vec::with_capacity(mesh.num_elements());
+        for e in 0..mesh.num_elements() {
+            let nodes = mesh.elem_nodes(e);
+            for face in mesh.kinds[e].faces() {
+                planes.push(face_plane(&mesh.coords, nodes, face));
+            }
+            size.push(mesh.volume(e).abs().cbrt());
+            centroids.push(mesh.centroid(e));
+        }
         // Bounding box of all nodes.
         let mut lo = Vec3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
         let mut hi = Vec3::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
@@ -60,13 +107,16 @@ impl<'m> Locator<'m> {
             let iz = (((p.z - lo.z) / cell) as usize).min(dims[2] - 1);
             (iz * dims[1] + iy) * dims[0] + ix
         };
-        for e in 0..mesh.num_elements() {
-            cells[index(mesh.centroid(e))].push(e as u32);
+        for (e, &c) in centroids.iter().enumerate() {
+            cells[index(c)].push(e as u32);
         }
         Locator {
             mesh,
             face_neighbors,
+            planes,
             boundary,
+            size,
+            centroids,
             grid_origin: lo,
             grid_cell: cell,
             grid_dims: dims,
@@ -85,27 +135,11 @@ impl<'m> Locator<'m> {
     /// Largest signed distance of `p` beyond any face plane of `e`
     /// (negative = strictly inside) and the face index achieving it.
     fn worst_face(&self, e: usize, p: Vec3) -> (f64, usize) {
-        let nodes = self.mesh.elem_nodes(e);
-        let kind = self.mesh.kinds[e];
+        let first = self.face_neighbors.slot(e, 0);
+        let planes = &self.planes[first..first + self.face_neighbors.faces(e).len()];
         let mut worst = (f64::NEG_INFINITY, 0usize);
-        for (f, face) in kind.faces().iter().enumerate() {
-            // Face centroid and normal (Newell's method handles warped quads).
-            let mut c = Vec3::ZERO;
-            for &li in face.iter() {
-                c += self.mesh.coords[nodes[li] as usize];
-            }
-            c = c / face.len() as f64;
-            let mut n = Vec3::ZERO;
-            for k in 0..face.len() {
-                let a = self.mesh.coords[nodes[face[k]] as usize];
-                let b = self.mesh.coords[nodes[face[(k + 1) % face.len()]] as usize];
-                n += (a - c).cross(b - c);
-            }
-            let len = n.norm();
-            if len < 1e-30 {
-                continue;
-            }
-            let d = (p - c).dot(n / len);
+        for (f, plane) in planes.iter().enumerate() {
+            let d = (p - plane.centroid).dot(plane.normal);
             if d > worst.0 {
                 worst = (d, f);
             }
@@ -123,7 +157,7 @@ impl<'m> Locator<'m> {
         let mut prev = usize::MAX;
         for _ in 0..max_steps {
             let (violation, face) = self.worst_face(e, p);
-            let h = self.mesh.volume(e).abs().cbrt();
+            let h = self.size[e];
             if violation <= 1e-9 * h.max(1e-30) + 1e-15 {
                 return WalkResult::Inside(e as u32);
             }
@@ -141,10 +175,7 @@ impl<'m> Locator<'m> {
                     e = next as usize;
                 }
                 None => {
-                    let kind = self
-                        .boundary
-                        .get(&(e as u32, face as u8))
-                        .copied()
+                    let kind = self.boundary[self.face_neighbors.slot(e, face)]
                         .unwrap_or(BoundaryKind::Wall);
                     return WalkResult::ExitedBoundary(e as u32, kind);
                 }
@@ -160,7 +191,7 @@ impl<'m> Locator<'m> {
 
     /// Characteristic size (volume cube root) of element `e`.
     pub fn elem_size(&self, e: usize) -> f64 {
-        self.mesh.volume(e).abs().cbrt()
+        self.size[e]
     }
 
     /// Probe forward from `p` along unit direction `dir` in steps of
@@ -198,11 +229,11 @@ impl<'m> Locator<'m> {
                     }
                     let cell = &self.cells[((z as usize) * d[1] + y as usize) * d[0] + x as usize];
                     for &e in cell {
-                        let h = self.mesh.volume(e as usize).abs().cbrt();
+                        let h = self.size[e as usize];
                         if self.contains(e as usize, p, 1e-9 * h + 1e-15) {
                             return Some(e);
                         }
-                        let dist = self.mesh.centroid(e as usize).dist(p);
+                        let dist = self.centroids[e as usize].dist(p);
                         if best.is_none() || dist < best.unwrap().0 {
                             best = Some((dist, e));
                         }
@@ -315,10 +346,194 @@ impl<'m> Locator<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfpd_mesh::{generate_airway, AirwaySpec};
+    use cfpd_mesh::{generate_airway, AirwaySpec, MeshBuilder};
+    use cfpd_testkit::prop::{check, f64_range, usize_range, PropConfig};
+    use std::collections::HashMap;
 
     fn airway() -> cfpd_mesh::AirwayMesh {
         generate_airway(&AirwaySpec::small()).unwrap()
+    }
+
+    /// The locator this module replaced, kept as the oracle: every face
+    /// plane and element size is recomputed from the node coordinates
+    /// on every call, and boundary kinds come from a hash map. It shares
+    /// the face-neighbor table and the grid of the locator under test.
+    struct Oracle<'a> {
+        loc: &'a Locator<'a>,
+        boundary: HashMap<(u32, u8), BoundaryKind>,
+    }
+
+    impl<'a> Oracle<'a> {
+        fn new(loc: &'a Locator<'a>) -> Oracle<'a> {
+            let boundary = loc.mesh.boundary.iter().map(|&(e, f, k)| ((e, f), k)).collect();
+            Oracle { loc, boundary }
+        }
+
+        fn worst_face(&self, e: usize, p: Vec3) -> (f64, usize) {
+            let mesh = self.loc.mesh;
+            let nodes = mesh.elem_nodes(e);
+            let mut worst = (f64::NEG_INFINITY, 0usize);
+            for (f, face) in mesh.kinds[e].faces().iter().enumerate() {
+                let mut c = Vec3::ZERO;
+                for &li in face.iter() {
+                    c += mesh.coords[nodes[li] as usize];
+                }
+                c = c / face.len() as f64;
+                let mut n = Vec3::ZERO;
+                for k in 0..face.len() {
+                    let a = mesh.coords[nodes[face[k]] as usize];
+                    let b = mesh.coords[nodes[face[(k + 1) % face.len()]] as usize];
+                    n += (a - c).cross(b - c);
+                }
+                let len = n.norm();
+                if len < 1e-30 {
+                    continue;
+                }
+                let d = (p - c).dot(n / len);
+                if d > worst.0 {
+                    worst = (d, f);
+                }
+            }
+            worst
+        }
+
+        fn walk(&self, start: u32, p: Vec3, max_steps: usize) -> WalkResult {
+            let mesh = self.loc.mesh;
+            let mut e = start as usize;
+            let mut prev = usize::MAX;
+            for _ in 0..max_steps {
+                let (violation, face) = self.worst_face(e, p);
+                let h = mesh.volume(e).abs().cbrt();
+                if violation <= 1e-9 * h.max(1e-30) + 1e-15 {
+                    return WalkResult::Inside(e as u32);
+                }
+                match self.loc.face_neighbors.neighbor(e, face) {
+                    Some(next) => {
+                        if next as usize == prev {
+                            let va = self.worst_face(e, p).0;
+                            let vb = self.worst_face(prev, p).0;
+                            let best = if va <= vb { e } else { prev };
+                            return WalkResult::Inside(best as u32);
+                        }
+                        prev = e;
+                        e = next as usize;
+                    }
+                    None => {
+                        let kind = self
+                            .boundary
+                            .get(&(e as u32, face as u8))
+                            .copied()
+                            .unwrap_or(BoundaryKind::Wall);
+                        return WalkResult::ExitedBoundary(e as u32, kind);
+                    }
+                }
+            }
+            WalkResult::Lost
+        }
+
+        fn locate_global(&self, p: Vec3) -> Option<u32> {
+            let (loc, mesh) = (self.loc, self.loc.mesh);
+            let d = loc.grid_dims;
+            let at = |x: f64, o: f64, n: usize| (((x - o) / loc.grid_cell) as i64).clamp(0, n as i64 - 1);
+            let ix = at(p.x, loc.grid_origin.x, d[0]);
+            let iy = at(p.y, loc.grid_origin.y, d[1]);
+            let iz = at(p.z, loc.grid_origin.z, d[2]);
+            let mut best: Option<(f64, u32)> = None;
+            for dz in -1..=1i64 {
+                for dy in -1..=1i64 {
+                    for dx in -1..=1i64 {
+                        let (x, y, z) = (ix + dx, iy + dy, iz + dz);
+                        if x < 0 || y < 0 || z < 0
+                            || x >= d[0] as i64 || y >= d[1] as i64 || z >= d[2] as i64
+                        {
+                            continue;
+                        }
+                        let cell = &loc.cells[((z as usize) * d[1] + y as usize) * d[0] + x as usize];
+                        for &e in cell {
+                            let h = mesh.volume(e as usize).abs().cbrt();
+                            if self.worst_face(e as usize, p).0 <= 1e-9 * h + 1e-15 {
+                                return Some(e);
+                            }
+                            let dist = mesh.centroid(e as usize).dist(p);
+                            if best.is_none() || dist < best.unwrap().0 {
+                                best = Some((dist, e));
+                            }
+                        }
+                    }
+                }
+            }
+            match best.map(|(_, e)| self.walk(e, p, 64)) {
+                Some(WalkResult::Inside(found)) => Some(found),
+                _ => None,
+            }
+        }
+    }
+
+    fn same_bits(a: (f64, usize), b: (f64, usize)) -> bool {
+        a.0.to_bits() == b.0.to_bits() && a.1 == b.1
+    }
+
+    /// 12 000 random points, each within four element sizes of a random
+    /// element's centroid (inside it, in a neighbor, in a junction void
+    /// or beyond the wall), each walked to from another random element:
+    /// the cached face planes answer `worst_face`, `walk` and
+    /// `locate_global` exactly like the recomputing oracle.
+    #[test]
+    fn cached_planes_equal_the_recomputing_oracle() {
+        let am = airway();
+        let loc = Locator::new(&am.mesh);
+        let oracle = Oracle::new(&loc);
+        let ne = am.mesh.num_elements();
+        let offset = || f64_range(-4.0, 4.0);
+        let gen = (usize_range(0, ne), offset(), offset(), offset(), usize_range(0, ne));
+        let (inside, outside) = (std::cell::Cell::new(0usize), std::cell::Cell::new(0usize));
+        check("cached locator == oracle", PropConfig::cases(12_000), &gen, |&(near, x, y, z, from)| {
+            let p = am.mesh.centroid(near) + Vec3::new(x, y, z) * loc.elem_size(near);
+            for e in [near, from] {
+                assert!(same_bits(loc.worst_face(e, p), oracle.worst_face(e, p)));
+                assert_eq!(loc.walk(e as u32, p, 256), oracle.walk(e as u32, p, 256));
+            }
+            let found = loc.locate_global(p);
+            assert_eq!(found, oracle.locate_global(p));
+            let tally = if found.is_some() { &inside } else { &outside };
+            tally.set(tally.get() + 1);
+        });
+        assert!(
+            inside.get() > 2_000 && outside.get() > 2_000,
+            "lopsided sample: {} inside, {} outside",
+            inside.get(),
+            outside.get()
+        );
+    }
+
+    /// A sliver tet with two coincident nodes has two zero-area faces;
+    /// both the oracle (`len < 1e-30` → skip) and the cache (NaN normal)
+    /// must leave them out and agree on the rest.
+    #[test]
+    fn degenerate_faces_are_skipped_like_the_oracle() {
+        let mut b = MeshBuilder::new();
+        let n0 = b.add_node(Vec3::new(0.0, 0.0, 0.0));
+        let n1 = b.add_node(Vec3::new(1.0, 0.0, 0.0));
+        let n2 = b.add_node(Vec3::new(0.0, 1.0, 0.0));
+        let n3 = b.add_node(Vec3::new(0.0, 0.0, 1.0));
+        let twin = b.add_node(Vec3::new(0.0, 0.0, 1.0));
+        b.add_tet([n0, n1, n2, n3]);
+        b.add_tet([n0, n1, n3, twin]);
+        let mesh = b.finish();
+        let loc = Locator::new(&mesh);
+        let oracle = Oracle::new(&loc);
+        let first = loc.face_neighbors.slot(1, 0);
+        let skipped = loc.planes[first..first + 4].iter().filter(|pl| pl.normal.x.is_nan()).count();
+        assert_eq!(skipped, 2, "faces through both coincident nodes have no area");
+        let gen = (f64_range(-0.5, 1.5), f64_range(-0.5, 1.5), f64_range(-0.5, 1.5));
+        check("degenerate faces", PropConfig::cases(2_000), &gen, |&(x, y, z)| {
+            let p = Vec3::new(x, y, z);
+            for e in 0..2 {
+                assert!(same_bits(loc.worst_face(e, p), oracle.worst_face(e, p)));
+                assert_eq!(loc.walk(e as u32, p, 16), oracle.walk(e as u32, p, 16));
+            }
+            assert_eq!(loc.locate_global(p), oracle.locate_global(p));
+        });
     }
 
     #[test]

@@ -57,20 +57,22 @@ impl Graph {
             return 0;
         }
         let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(start as u32);
+        // Breadth-first order; `head` is the next vertex to expand.
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        order.push(start as u32);
         seen[start] = true;
-        let mut last = start as u32;
-        while let Some(v) = queue.pop_front() {
-            last = v;
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
             for &w in self.neighbors(v as usize) {
                 if !seen[w as usize] {
                     seen[w as usize] = true;
-                    queue.push_back(w);
+                    order.push(w);
                 }
             }
         }
-        last as usize
+        order[order.len() - 1] as usize
     }
 }
 

@@ -4,7 +4,7 @@
 //! into the OpenMP-task subdomains of the multidependences scheme).
 
 use crate::graph::Graph;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Result of a k-way partition: `parts[v]` is the part of vertex `v`.
 #[derive(Debug, Clone)]
@@ -69,14 +69,76 @@ impl Partition {
 pub fn partition_kway(g: &Graph, k: usize, refine_passes: usize) -> Partition {
     assert!(k >= 1, "k must be >= 1");
     let n = g.num_vertices();
-    let mut parts = vec![u32::MAX; n];
     if k == 1 || n == 0 {
         return Partition { parts: vec![0; n], num_parts: k };
     }
+    let mut part = Partition { parts: grow_parts(g, k), num_parts: k };
+    refine(g, &mut part, refine_passes);
+    part
+}
 
-    let total = g.total_weight();
-    let mut remaining = total;
+/// The frontier of one growing part: a max-priority queue on the number
+/// of neighbors already inside the part, first-in first-out among equal
+/// gains. One FIFO bucket per gain value makes push and pop constant
+/// time; a vertex is pushed again whenever its gain rises, and its
+/// stale lower-gain entries are skipped by the caller once it has been
+/// assigned.
+struct Frontier {
+    buckets: Vec<VecDeque<u32>>,
+    /// No bucket above this index holds an entry.
+    top: usize,
+}
+
+impl Frontier {
+    fn push(&mut self, gain: usize, v: u32) {
+        if gain >= self.buckets.len() {
+            self.buckets.resize_with(gain + 1, VecDeque::new);
+        }
+        self.buckets[gain].push_back(v);
+        self.top = self.top.max(gain);
+    }
+
+    fn pop(&mut self) -> Option<u32> {
+        loop {
+            if let Some(v) = self.buckets.get_mut(self.top)?.pop_front() {
+                return Some(v);
+            }
+            if self.top == 0 {
+                return None;
+            }
+            self.top -= 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        for b in self.buckets.iter_mut().take(self.top + 1) {
+            b.clear();
+        }
+        self.top = 0;
+    }
+}
+
+/// Lowest-numbered unassigned vertex at or after `*from`, which it
+/// advances: assignments are never undone, so the scan never restarts.
+fn next_free(parts: &[u32], from: &mut usize) -> Option<usize> {
+    while *from < parts.len() && parts[*from] != u32::MAX {
+        *from += 1;
+    }
+    (*from < parts.len()).then_some(*from)
+}
+
+/// Greedy graph growing: the initial assignment of every vertex of the
+/// simple undirected graph `g` to one of `k >= 2` parts.
+fn grow_parts(g: &Graph, k: usize) -> Vec<u32> {
+    let n = g.num_vertices();
+    let mut parts = vec![u32::MAX; n];
+    let mut remaining = g.total_weight();
     let mut seed = g.pseudo_peripheral(0);
+    let mut free = 0usize;
+    let mut frontier = Frontier { buckets: Vec::new(), top: 0 };
+    // `in_part[w]` counts the neighbors of `w` inside part `counted_for[w]`.
+    let mut in_part = vec![0u32; n];
+    let mut counted_for = vec![u32::MAX; n];
 
     for p in 0..k as u32 {
         let parts_left = k as u32 - p;
@@ -90,30 +152,26 @@ pub fn partition_kway(g: &Graph, k: usize, refine_passes: usize) -> Partition {
             }
             break;
         }
-        // Grow from `seed`: max-heap on number of neighbors already
-        // inside the part (ties broken by insertion order via a counter
-        // for determinism).
-        let mut heap: BinaryHeap<(i64, std::cmp::Reverse<u64>, u32)> = BinaryHeap::new();
-        let mut counter = 0u64;
         let mut grown = 0.0f64;
         if parts[seed] != u32::MAX {
             // Seed already taken (disconnected leftovers): pick any free.
-            seed = (0..n).find(|&v| parts[v] == u32::MAX).unwrap();
+            seed = next_free(&parts, &mut free).expect("earlier parts left a vertex to seed from");
         }
-        heap.push((0, std::cmp::Reverse(counter), seed as u32));
+        frontier.clear();
+        frontier.push(0, seed as u32);
         while grown < target {
             let v = loop {
-                match heap.pop() {
-                    Some((_, _, v)) if parts[v as usize] == u32::MAX => break Some(v),
+                match frontier.pop() {
+                    Some(v) if parts[v as usize] == u32::MAX => break Some(v as usize),
                     Some(_) => continue,
                     None => break None,
                 }
             };
             let v = match v {
-                Some(v) => v as usize,
+                Some(v) => v,
                 // Frontier exhausted (disconnected component): restart
                 // from any unassigned vertex.
-                None => match (0..n).find(|&v| parts[v] == u32::MAX) {
+                None => match next_free(&parts, &mut free) {
                     Some(v) => v,
                     None => break,
                 },
@@ -121,25 +179,25 @@ pub fn partition_kway(g: &Graph, k: usize, refine_passes: usize) -> Partition {
             parts[v] = p;
             grown += g.vwgt[v];
             for &w in g.neighbors(v) {
-                if parts[w as usize] == u32::MAX {
-                    let gain = g
-                        .neighbors(w as usize)
-                        .iter()
-                        .filter(|&&x| parts[x as usize] == p)
-                        .count() as i64;
-                    counter += 1;
-                    heap.push((gain, std::cmp::Reverse(counter), w));
+                let w = w as usize;
+                if parts[w] == u32::MAX {
+                    if counted_for[w] != p {
+                        counted_for[w] = p;
+                        in_part[w] = 0;
+                    }
+                    in_part[w] += 1;
+                    frontier.push(in_part[w] as usize, w as u32);
                 }
             }
         }
         remaining -= grown;
-        // Next seed: far from the just-grown region.
-        seed = g.pseudo_peripheral(seed);
+        if p + 2 < k as u32 {
+            // Next seed: far from the just-grown region (the last part
+            // is filled without one).
+            seed = g.pseudo_peripheral(seed);
+        }
     }
-
-    let mut part = Partition { parts, num_parts: k };
-    refine(g, &mut part, refine_passes);
-    part
+    parts
 }
 
 /// Greedy boundary refinement: move boundary vertices to the neighboring
@@ -154,6 +212,7 @@ fn refine(g: &Graph, part: &mut Partition, passes: usize) {
     let max_w = avg * (1.0 + TOL);
     let mut weights = part.part_weights(g);
 
+    let mut counts: Vec<(usize, usize)> = Vec::with_capacity(4);
     for _ in 0..passes {
         let mut moved = 0usize;
         for v in 0..n {
@@ -162,7 +221,7 @@ fn refine(g: &Graph, part: &mut Partition, passes: usize) {
             let mut best_part = pv;
             let mut here = 0usize;
             let mut best = 0usize;
-            let mut counts: Vec<(usize, usize)> = Vec::with_capacity(4);
+            counts.clear();
             for &w in g.neighbors(v) {
                 let pw = part.parts[w as usize] as usize;
                 if pw == pv {
@@ -174,7 +233,7 @@ fn refine(g: &Graph, part: &mut Partition, passes: usize) {
                     None => counts.push((pw, 1)),
                 }
             }
-            for (p, c) in counts {
+            for &(p, c) in &counts {
                 if c > best {
                     best = c;
                     best_part = p;
@@ -200,6 +259,194 @@ fn refine(g: &Graph, part: &mut Partition, passes: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfpd_testkit::prop::{check, Gen, PropConfig};
+    use cfpd_testkit::Rng;
+    use std::collections::BinaryHeap;
+
+    /// The growth loop [`grow_parts`] replaced, kept as the oracle: every
+    /// push recounts the in-part neighbors of the pushed vertex, and a
+    /// binary heap orders the frontier by (gain, insertion counter).
+    fn grow_parts_oracle(g: &Graph, k: usize) -> Vec<u32> {
+        let n = g.num_vertices();
+        let mut parts = vec![u32::MAX; n];
+        let mut remaining = g.total_weight();
+        let mut seed = g.pseudo_peripheral(0);
+        for p in 0..k as u32 {
+            let parts_left = k as u32 - p;
+            let target = remaining / parts_left as f64;
+            if p == k as u32 - 1 {
+                for v in 0..n {
+                    if parts[v] == u32::MAX {
+                        parts[v] = p;
+                    }
+                }
+                break;
+            }
+            let mut heap: BinaryHeap<(i64, std::cmp::Reverse<u64>, u32)> = BinaryHeap::new();
+            let mut counter = 0u64;
+            let mut grown = 0.0f64;
+            if parts[seed] != u32::MAX {
+                seed = (0..n).find(|&v| parts[v] == u32::MAX).unwrap();
+            }
+            heap.push((0, std::cmp::Reverse(counter), seed as u32));
+            while grown < target {
+                let v = loop {
+                    match heap.pop() {
+                        Some((_, _, v)) if parts[v as usize] == u32::MAX => break Some(v),
+                        Some(_) => continue,
+                        None => break None,
+                    }
+                };
+                let v = match v {
+                    Some(v) => v as usize,
+                    None => match (0..n).find(|&v| parts[v] == u32::MAX) {
+                        Some(v) => v,
+                        None => break,
+                    },
+                };
+                parts[v] = p;
+                grown += g.vwgt[v];
+                for &w in g.neighbors(v) {
+                    if parts[w as usize] == u32::MAX {
+                        let gain = g
+                            .neighbors(w as usize)
+                            .iter()
+                            .filter(|&&x| parts[x as usize] == p)
+                            .count() as i64;
+                        counter += 1;
+                        heap.push((gain, std::cmp::Reverse(counter), w));
+                    }
+                }
+            }
+            remaining -= grown;
+            seed = g.pseudo_peripheral(seed);
+        }
+        parts
+    }
+
+    /// Growth and the refined partition must equal the oracle's; where
+    /// the oracle gives up (mixed weights can let the early parts eat
+    /// every vertex, leaving a late part without a seed) so must we.
+    fn assert_same_as_oracle(g: &Graph, k: usize) {
+        let attempt = |grow: fn(&Graph, usize) -> Vec<u32>| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| grow(g, k))).ok()
+        };
+        let grown = attempt(grow_parts_oracle);
+        assert_eq!(attempt(grow_parts), grown, "growth differs at k = {k}");
+        let Some(parts) = grown else { return };
+        let mut want = Partition { parts, num_parts: k };
+        refine(g, &mut want, 4);
+        assert_eq!(partition_kway(g, k, 4).parts, want.parts, "partition differs at k = {k}");
+    }
+
+    /// A simple undirected graph as an edge list over `n` vertices with
+    /// a few distinct vertex weights, and a part count `2 <= k <= n`.
+    #[derive(Debug, Clone)]
+    struct Case {
+        n: usize,
+        edges: Vec<(u32, u32)>,
+        k: usize,
+    }
+
+    impl Case {
+        fn graph(&self) -> Graph {
+            let mut rows: Vec<Vec<u32>> = vec![Vec::new(); self.n];
+            for &(a, b) in &self.edges {
+                rows[a as usize].push(b);
+                rows[b as usize].push(a);
+            }
+            let mut xadj = vec![0u32];
+            let mut adjncy = Vec::new();
+            for row in &mut rows {
+                row.sort_unstable();
+                row.dedup();
+                adjncy.extend_from_slice(row);
+                xadj.push(adjncy.len() as u32);
+            }
+            let vwgt = (0..self.n).map(|v| [1.0, 1.5, 2.0][v % 3]).collect();
+            Graph { xadj, adjncy, vwgt }
+        }
+    }
+
+    /// Random graphs of `components` mutually unconnected blocks.
+    struct RandomGraphs {
+        components: usize,
+    }
+
+    impl Gen for RandomGraphs {
+        type Value = Case;
+
+        fn generate(&self, rng: &mut Rng) -> Case {
+            let mut n = 0usize;
+            let mut edges = Vec::new();
+            for _ in 0..self.components {
+                let size = rng.range_usize(2, 24);
+                let density = rng.range_f64(0.05, 0.6);
+                for a in 0..size {
+                    for b in a + 1..size {
+                        if rng.f64() < density {
+                            edges.push(((n + a) as u32, (n + b) as u32));
+                        }
+                    }
+                }
+                n += size;
+            }
+            Case { n, edges, k: rng.range_usize(2, n + 1) }
+        }
+
+        fn shrink(&self, value: &Case) -> Vec<Case> {
+            let mut out = Vec::new();
+            if value.k > 2 {
+                out.push(Case { k: value.k - 1, ..value.clone() });
+            }
+            let half = value.edges.len() / 2;
+            if half > 0 {
+                out.push(Case { edges: value.edges[..half].to_vec(), ..value.clone() });
+                out.push(Case { edges: value.edges[half..].to_vec(), ..value.clone() });
+            }
+            for i in 0..value.edges.len().min(16) {
+                let mut next = value.clone();
+                next.edges.remove(i);
+                out.push(next);
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn growth_equals_the_heap_oracle_on_random_graphs() {
+        for (name, components) in [("connected-ish", 1), ("disconnected", 3)] {
+            check(
+                &format!("bucket growth == heap oracle ({name})"),
+                PropConfig::cases(200),
+                &RandomGraphs { components },
+                |case| assert_same_as_oracle(&case.graph(), case.k),
+            );
+        }
+    }
+
+    #[test]
+    fn growth_equals_the_heap_oracle_on_the_airway_graph() {
+        use cfpd_mesh::{generate_airway, AirwaySpec};
+        let element_graph = |spec: &AirwaySpec, weighted: bool| {
+            let mesh = generate_airway(spec).unwrap().mesh;
+            let adj = mesh.element_adjacency(&mesh.node_to_elements());
+            if weighted {
+                Graph::from_csr(&adj, mesh.cost_weights())
+            } else {
+                Graph::from_csr_unit(&adj)
+            }
+        };
+        let g = element_graph(&AirwaySpec::small(), true);
+        assert_eq!(partition_kway(&g, 1, 4).parts, vec![0; g.num_vertices()]);
+        for k in [2, 3, 16] {
+            assert_same_as_oracle(&g, k);
+        }
+        // One part per vertex costs one seed search per vertex: a
+        // single-generation airway keeps that affordable.
+        let g = element_graph(&AirwaySpec { generations: 1, ..AirwaySpec::small() }, false);
+        assert_same_as_oracle(&g, g.num_vertices());
+    }
 
     /// Grid graph of `nx * ny` vertices (4-neighborhood).
     fn grid(nx: usize, ny: usize) -> Graph {

@@ -8,7 +8,7 @@
 
 use crate::graph::Graph;
 use crate::kway::{partition_kway, Partition};
-use cfpd_mesh::Mesh;
+use cfpd_mesh::{Csr, Mesh};
 
 /// A decomposition of a set of elements into subdomains plus the
 /// subdomain adjacency needed to build mutexinoutset dependences.
@@ -47,10 +47,10 @@ pub fn decompose_subdomains(
         };
     }
 
-    let g = local_element_graph(mesh, elems, weights);
-    // node -> local elements touching it (restricted node-to-elem map),
-    // needed again below for the subdomain adjacency.
-    let node_elems = restricted_node_map(mesh, elems);
+    // node -> local elements touching it; the subdomain adjacency below
+    // needs it again.
+    let node_elems = mesh.node_to_listed(elems.iter().copied());
+    let g = element_graph(mesh, elems, weights, &node_elems);
     let part: Partition = partition_kway(&g, n_sub, 4);
 
     // Members in global element ids.
@@ -62,41 +62,29 @@ pub fn decompose_subdomains(
         m.sort_unstable();
     }
 
-    // Subdomain adjacency: two subdomains sharing ≥ 1 node.
-    let mut adjacency_sets: Vec<std::collections::BTreeSet<u32>> =
-        vec![Default::default(); n_sub];
-    for locals in node_elems.values() {
-        for i in 0..locals.len() {
-            for j in i + 1..locals.len() {
-                let (pi, pj) = (part.parts[locals[i] as usize], part.parts[locals[j] as usize]);
-                if pi != pj {
-                    adjacency_sets[pi as usize].insert(pj);
-                    adjacency_sets[pj as usize].insert(pi);
-                }
-            }
+    // Subdomain adjacency: two subdomains sharing ≥ 1 node. Only nodes
+    // on a subdomain boundary see more than one part, so the ordered
+    // pair list stays tiny; sorted and deduplicated it lists every
+    // subdomain's neighbours in ascending order.
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let mut here: Vec<u32> = Vec::new();
+    for v in 0..node_elems.len() {
+        here.clear();
+        here.extend(node_elems.row(v).iter().map(|&l| part.parts[l as usize]));
+        here.sort_unstable();
+        here.dedup();
+        for &a in &here {
+            pairs.extend(here.iter().filter(|&&b| b != a).map(|&b| (a, b)));
         }
     }
-    let adjacency = adjacency_sets
-        .into_iter()
-        .map(|s| s.into_iter().collect())
-        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut adjacency = vec![Vec::new(); n_sub];
+    for (a, b) in pairs {
+        adjacency[a as usize].push(b);
+    }
 
     SubdomainDecomposition { members, adjacency }
-}
-
-/// Restricted node → local-element map: for each mesh node, the
-/// positions in `elems` of the listed elements touching it.
-fn restricted_node_map(
-    mesh: &Mesh,
-    elems: &[u32],
-) -> std::collections::HashMap<u32, Vec<u32>> {
-    let mut node_elems: std::collections::HashMap<u32, Vec<u32>> = std::collections::HashMap::new();
-    for (li, &e) in elems.iter().enumerate() {
-        for &v in mesh.elem_nodes(e as usize) {
-            node_elems.entry(v).or_default().push(li as u32);
-        }
-    }
-    node_elems
 }
 
 /// Build the element graph restricted to `elems` (local ids are
@@ -104,21 +92,31 @@ fn restricted_node_map(
 /// the graph both the coloring strategy and the subdomain decomposition
 /// operate on inside one MPI domain.
 pub fn local_element_graph(mesh: &Mesh, elems: &[u32], weights: &[f64]) -> Graph {
-    let node_elems = restricted_node_map(mesh, elems);
-    let n = elems.len();
-    let mut adj_sets: Vec<std::collections::BTreeSet<u32>> = vec![Default::default(); n];
-    for locals in node_elems.values() {
-        for i in 0..locals.len() {
-            for j in i + 1..locals.len() {
-                adj_sets[locals[i] as usize].insert(locals[j]);
-                adj_sets[locals[j] as usize].insert(locals[i]);
+    element_graph(mesh, elems, weights, &mesh.node_to_listed(elems.iter().copied()))
+}
+
+/// [`local_element_graph`] over the already built
+/// `mesh.node_to_listed(elems)`: each element gathers the distinct
+/// elements around its nodes, then sorts its own row.
+fn element_graph(mesh: &Mesh, elems: &[u32], weights: &[f64], node_elems: &Csr) -> Graph {
+    let mut xadj = Vec::with_capacity(elems.len() + 1);
+    xadj.push(0u32);
+    let mut adjncy: Vec<u32> = Vec::new();
+    // `mark[l] == li + 1` means l is already listed for li.
+    let mut mark = vec![0u32; elems.len()];
+    for (li, &e) in elems.iter().enumerate() {
+        let stamp = li as u32 + 1;
+        mark[li] = stamp;
+        let start = adjncy.len();
+        for &v in mesh.elem_nodes(e as usize) {
+            for &l in node_elems.row(v as usize) {
+                if mark[l as usize] != stamp {
+                    mark[l as usize] = stamp;
+                    adjncy.push(l);
+                }
             }
         }
-    }
-    let mut xadj = vec![0u32];
-    let mut adjncy = Vec::new();
-    for s in &adj_sets {
-        adjncy.extend(s.iter().copied());
+        adjncy[start..].sort_unstable();
         xadj.push(adjncy.len() as u32);
     }
     Graph { xadj, adjncy, vwgt: weights.to_vec() }
@@ -128,6 +126,102 @@ pub fn local_element_graph(mesh: &Mesh, elems: &[u32], weights: &[f64]) -> Graph
 mod tests {
     use super::*;
     use cfpd_mesh::{generate_airway, AirwaySpec};
+    use cfpd_testkit::prop::{check, Gen, PropConfig};
+    use cfpd_testkit::Rng;
+    use std::collections::{BTreeSet, HashMap};
+
+    /// The graph build this module replaced, kept as the oracle: a
+    /// hashed node → elements map and one ordered set per element.
+    fn local_element_graph_oracle(mesh: &Mesh, elems: &[u32], weights: &[f64]) -> Graph {
+        let mut node_elems: HashMap<u32, Vec<u32>> = HashMap::new();
+        for (li, &e) in elems.iter().enumerate() {
+            for &v in mesh.elem_nodes(e as usize) {
+                node_elems.entry(v).or_default().push(li as u32);
+            }
+        }
+        let mut adj_sets: Vec<BTreeSet<u32>> = vec![Default::default(); elems.len()];
+        for locals in node_elems.values() {
+            for i in 0..locals.len() {
+                for j in i + 1..locals.len() {
+                    adj_sets[locals[i] as usize].insert(locals[j]);
+                    adj_sets[locals[j] as usize].insert(locals[i]);
+                }
+            }
+        }
+        let mut xadj = vec![0u32];
+        let mut adjncy = Vec::new();
+        for s in &adj_sets {
+            adjncy.extend(s.iter().copied());
+            xadj.push(adjncy.len() as u32);
+        }
+        Graph { xadj, adjncy, vwgt: weights.to_vec() }
+    }
+
+    /// Distinct element ids out of `0..n` in random order, from empty
+    /// to nearly everything; shrinks by dropping elements.
+    struct ElementSubset {
+        n: usize,
+    }
+
+    impl Gen for ElementSubset {
+        type Value = Vec<u32>;
+
+        fn generate(&self, rng: &mut Rng) -> Vec<u32> {
+            let mut all: Vec<u32> = (0..self.n as u32).collect();
+            rng.shuffle(&mut all);
+            // A third of the cases are tiny (0, 1, 2 elements).
+            let len = if rng.bounded_u64(3) == 0 {
+                rng.range_usize(0, 3)
+            } else {
+                rng.range_usize(0, self.n + 1)
+            };
+            all.truncate(len);
+            if rng.bounded_u64(2) == 0 {
+                all.sort_unstable();
+            }
+            all
+        }
+
+        fn shrink(&self, value: &Vec<u32>) -> Vec<Vec<u32>> {
+            let half = value.len() / 2;
+            let mut out = Vec::new();
+            if half > 0 {
+                out.push(value[..half].to_vec());
+                out.push(value[half..].to_vec());
+            }
+            for i in 0..value.len().min(16) {
+                let mut next = value.clone();
+                next.remove(i);
+                out.push(next);
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn element_graph_equals_the_set_based_oracle() {
+        let (mesh, all, _) = demo();
+        let same = |elems: &[u32]| {
+            let weights: Vec<f64> =
+                elems.iter().map(|&e| mesh.kinds[e as usize].cost_weight()).collect();
+            let got = local_element_graph(&mesh, elems, &weights);
+            let want = local_element_graph_oracle(&mesh, elems, &weights);
+            assert_eq!(got.xadj, want.xadj);
+            assert_eq!(got.adjncy, want.adjncy);
+            assert_eq!(got.vwgt, want.vwgt);
+        };
+        same(&[]);
+        same(&all);
+        for e in (0..all.len() as u32).step_by(97) {
+            same(&[e]);
+        }
+        check(
+            "element graph == oracle on random subsets",
+            PropConfig::cases(48),
+            &ElementSubset { n: all.len() },
+            |elems| same(elems),
+        );
+    }
 
     fn demo() -> (cfpd_mesh::Mesh, Vec<u32>, Vec<f64>) {
         let am = generate_airway(&AirwaySpec::small()).unwrap();
@@ -157,6 +251,7 @@ mod tests {
         let (mesh, elems, weights) = demo();
         let d = decompose_subdomains(&mesh, &elems, &weights, 8);
         for (s, neigh) in d.adjacency.iter().enumerate() {
+            assert!(neigh.windows(2).all(|w| w[0] < w[1]), "adjacency of {s} not ascending");
             for &t in neigh {
                 assert_ne!(t as usize, s, "self adjacency");
                 assert!(

@@ -641,12 +641,7 @@ fn drive_segments(
         events_text.push_str(&seg.events_text);
 
         if seg.done {
-            return SegmentsOutcome::Cell(Ok(finish_cell_metrics(
-                cell,
-                &acc,
-                &events_text,
-                &seg.census,
-            )));
+            return SegmentsOutcome::Cell(Ok(finish_cell_metrics(cell, &acc, &events_text, &seg)));
         }
 
         // Segment boundary: pin the progress, then honour control flags.

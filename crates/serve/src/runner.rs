@@ -13,7 +13,7 @@ use crate::snap::CellAcc;
 use cfpd_campaign::{CellMetrics, WallMetrics};
 use cfpd_campaign::Cell;
 use cfpd_core::{
-    render_golden_events, render_golden_header, render_golden_summary, run_simulation_opts,
+    render_golden_events, render_golden_header_for, render_golden_summary, run_simulation_opts,
     Checkpoint, RunOptions, Scenario,
 };
 use cfpd_particles::ParticleCensus;
@@ -28,6 +28,9 @@ pub struct SegmentOut {
     pub logical: Vec<cfpd_core::LogicalEvent>,
     /// Census after the segment (only meaningful when `done`).
     pub census: ParticleCensus,
+    /// Element and node counts of the mesh the segment ran on.
+    pub elements: usize,
+    pub nodes: usize,
     /// The parked physics state (`None` when the cell finished).
     pub checkpoint: Option<Checkpoint>,
     pub done: bool,
@@ -59,6 +62,8 @@ pub fn run_segment(
         events_text: render_golden_events(&result.logical),
         logical: result.logical,
         census: result.census,
+        elements: result.elements,
+        nodes: result.nodes,
         done: stop_after.is_none(),
         checkpoint: result.checkpoint,
     }
@@ -66,6 +71,8 @@ pub fn run_segment(
 
 /// Stitch a finished cell back into [`CellMetrics`] — the same numbers
 /// `cfpd_campaign::cell_metrics` computes from an uninterrupted run.
+/// `last` is the cell's final segment: its census closes the document
+/// and its mesh counts head it.
 /// Wall-clock metrics are zeroed: a resumed cell's wall time spans
 /// daemon restarts and means nothing; the canonical report never
 /// renders them, so the JSON stays byte-identical.
@@ -73,15 +80,20 @@ pub fn finish_cell_metrics(
     cell: &Cell,
     acc: &CellAcc,
     events_text: &str,
-    census: &ParticleCensus,
+    last: &SegmentOut,
 ) -> CellMetrics {
     let doc = format!(
         "{}{}{}",
-        render_golden_header(&cell.scenario.config, cell.scenario.ranks),
+        render_golden_header_for(
+            &cell.scenario.config,
+            cell.scenario.ranks,
+            last.elements,
+            last.nodes,
+        ),
         events_text,
-        render_golden_summary(census),
+        render_golden_summary(&last.census),
     );
-    let c = census;
+    let c = &last.census;
     let total = c.active + c.deposited + c.escaped + c.lost;
     let deposited_frac = if total == 0 { 0.0 } else { c.deposited as f64 / total as f64 };
     CellMetrics {
@@ -135,20 +147,20 @@ steps = 3
         let mut acc = CellAcc::default();
         let mut events = String::new();
         let mut restore: Option<Arc<Checkpoint>> = None;
-        let mut census = None;
+        let mut last = None;
         for stop in [Some(1), Some(2), None] {
             let seg = run_segment(&cell.scenario, restore.take(), stop);
             acc.absorb(&seg.logical);
             events.push_str(&seg.events_text);
             if seg.done {
-                census = Some(seg.census);
+                last = Some(seg);
             } else {
                 let cp = seg.checkpoint.expect("parked segment yields a checkpoint");
                 let cp = Checkpoint::from_text(&cp.to_text()).expect("codec round-trip");
                 restore = Some(Arc::new(cp));
             }
         }
-        let got = finish_cell_metrics(cell, &acc, &events, &census.unwrap());
+        let got = finish_cell_metrics(cell, &acc, &events, &last.unwrap());
         assert_eq!(got.digest, want.digest, "stitched digest differs");
         assert_eq!(got.events, want.events);
         assert_eq!(got.iters_total, want.iters_total);

@@ -137,18 +137,23 @@ impl AssemblyPlan {
             AssemblyStrategy::Multidep => {
                 let n_sub = n_subdomains.max(1).min(plan.elems.len().max(1));
                 let d = decompose_subdomains(mesh, &plan.elems, &weights, n_sub);
-                // One mutex object per adjacency edge (s < t).
-                let mut edge_id = std::collections::HashMap::new();
+                // One mutex object per adjacency edge, numbered where its
+                // lower end lists it; the upper end looks the number up
+                // in the lower end's (ascending) neighbor list.
                 let mut next = 0usize;
                 let mut objs: Vec<Vec<usize>> = vec![Vec::new(); d.num_subdomains()];
                 for (s, neigh) in d.adjacency.iter().enumerate() {
                     for &t in neigh {
-                        let key = (s.min(t as usize), s.max(t as usize));
-                        let id = *edge_id.entry(key).or_insert_with(|| {
-                            let id = next;
+                        let t = t as usize;
+                        let id = if s < t {
                             next += 1;
-                            id
-                        });
+                            next - 1
+                        } else {
+                            let at = d.adjacency[t]
+                                .binary_search(&(s as u32))
+                                .expect("subdomain adjacency is symmetric");
+                            objs[t][at]
+                        };
                         objs[s].push(id);
                     }
                 }
@@ -567,6 +572,35 @@ mod tests {
         let (_, _, stats) = assemble_with(&f, AssemblyStrategy::Multidep);
         assert_eq!(stats.tasks, 24);
         assert_eq!(stats.atomic_adds, 0);
+    }
+
+    /// Plan builds hash nothing, so two builds of one mesh in one
+    /// process (where `RandomState` would differ) are equal, and every
+    /// mutex object links exactly the two ends of one adjacency edge.
+    #[test]
+    fn plan_builds_are_reproducible() {
+        let f = fixture();
+        let elems: Vec<u32> = (0..f.mesh.num_elements() as u32).collect();
+        let multidep =
+            || AssemblyPlan::new(&f.mesh, elems.clone(), AssemblyStrategy::Multidep, 16);
+        let (a, b) = (multidep(), multidep());
+        assert_eq!(a.subdomains, b.subdomains);
+        let (members, objs) = a.subdomains.as_ref().unwrap();
+        assert_eq!(members.len(), 16);
+        let mut ends: Vec<Vec<usize>> = Vec::new();
+        for (s, ids) in objs.iter().enumerate() {
+            for &id in ids {
+                ends.resize(ends.len().max(id + 1), Vec::new());
+                ends[id].push(s);
+            }
+        }
+        assert!(ends.iter().all(|e| e.len() == 2 && e[0] != e[1]), "{ends:?}");
+        ends.sort();
+        assert!(ends.windows(2).all(|w| w[0] != w[1]), "two objects on one edge: {ends:?}");
+
+        let coloring =
+            || AssemblyPlan::new(&f.mesh, elems.clone(), AssemblyStrategy::Coloring, 16);
+        assert_eq!(coloring().color_classes, coloring().color_classes);
     }
 
     #[test]

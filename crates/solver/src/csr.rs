@@ -87,21 +87,26 @@ impl CsrMatrix {
     /// of nodes sharing an element, plus the diagonal), values zeroed.
     pub fn from_mesh(mesh: &Mesh, node_to_elem: &Csr) -> CsrMatrix {
         let n = mesh.num_nodes();
-        let mut cols_per_row: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (row, cols) in cols_per_row.iter_mut().enumerate() {
-            // Neighbors = nodes of all elements touching this node.
-            for &e in node_to_elem.row(row) {
-                cols.extend_from_slice(mesh.elem_nodes(e as usize));
-            }
-            cols.push(row as u32);
-            cols.sort_unstable();
-            cols.dedup();
-        }
         let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0u32);
-        let mut col_idx = Vec::new();
-        for cols in &cols_per_row {
-            col_idx.extend_from_slice(cols);
+        let mut col_idx: Vec<u32> = Vec::new();
+        // `mark[col] == row + 1` means col is already listed for row.
+        let mut mark = vec![0u32; n];
+        for row in 0..n {
+            let stamp = row as u32 + 1;
+            let start = col_idx.len();
+            mark[row] = stamp;
+            col_idx.push(row as u32);
+            // Neighbors = nodes of all elements touching this node.
+            for &e in node_to_elem.row(row) {
+                for &col in mesh.elem_nodes(e as usize) {
+                    if mark[col as usize] != stamp {
+                        mark[col as usize] = stamp;
+                        col_idx.push(col);
+                    }
+                }
+            }
+            col_idx[start..].sort_unstable();
             row_ptr.push(col_idx.len() as u32);
         }
         let nnz = col_idx.len();

@@ -9,8 +9,10 @@
 //! the online POP rollup to 1e-9, and a zero structural delta between
 //! identical-seed runs.
 //!
-//! Telemetry state is process-global; tests touching it serialize on
-//! one mutex, mirroring `tests/telemetry_report.rs`.
+//! Telemetry state is process-global (the POP table takes postings from
+//! every simulation in the process while telemetry is enabled), so every
+//! test that runs a simulation serializes on one mutex, mirroring
+//! `tests/telemetry_report.rs`.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -23,6 +25,10 @@ use cfpd_trace::{
 };
 
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
+
+fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
+    TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const RANKS: usize = 2;
 const TOL: f64 = 1e-9;
@@ -112,6 +118,7 @@ fn json_exports_satisfy_the_in_repo_parser() {
 /// overlap.
 #[test]
 fn traced_run_worker_intervals_are_disjoint_and_bounded() {
+    let _guard = telemetry_lock();
     let r = traced_run();
     let tr = &r.trace;
     assert!(!tr.workers.is_empty(), "traced run records worker events");
@@ -138,6 +145,7 @@ fn traced_run_worker_intervals_are_disjoint_and_bounded() {
 /// and the wall clock.
 #[test]
 fn critical_path_respects_its_bounds() {
+    let _guard = telemetry_lock();
     let r = traced_run();
     let cp = critical_path(&r.trace);
     assert!(cp.length > 0.0);
@@ -164,7 +172,7 @@ fn critical_path_respects_its_bounds() {
 /// identical `(start, end)` pairs.
 #[test]
 fn lost_cycles_agrees_with_online_pop_rollup() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = telemetry_lock();
     cfpd_telemetry::set_enabled(true);
     cfpd_telemetry::reset();
     let r = traced_run();
@@ -198,6 +206,7 @@ fn lost_cycles_agrees_with_online_pop_rollup() {
 /// same ranks, same per-(rank, phase) event counts, same messages.
 #[test]
 fn identical_seed_runs_diff_to_zero() {
+    let _guard = telemetry_lock();
     let a = export_summary(&traced_run().trace);
     let b = export_summary(&traced_run().trace);
     let report = diff_summaries(&a, &b).expect("summaries parse");
@@ -213,6 +222,7 @@ fn identical_seed_runs_diff_to_zero() {
 /// traced run is bit-identical to an untraced one.
 #[test]
 fn tracing_leaves_the_physics_untouched() {
+    let _guard = telemetry_lock();
     let traced = traced_run();
     let plain = run_simulation_opts(&golden_config(), RANKS, 1, &RunOptions::default());
     assert_eq!(traced.logical, plain.logical, "tracing perturbed the logical log");
