@@ -1,5 +1,5 @@
 //! Locality hot-path benchmark: default vs `LayoutPlan`-optimized
-//! assembly, SpMV and pressure CG on the airway mesh, plus the RCM
+//! assembly, SpMV and pressure solve on the airway mesh, plus the RCM
 //! bandwidth reduction — the before/after evidence for DESIGN.md §9
 //! and the raw-speed pass of §14.
 //!
@@ -7,12 +7,14 @@
 //! machine-readable `results/BENCH_hotpath.json` (per-routine name,
 //! median ns, timed iterations, element count). The JSON additionally
 //! carries a `"phases"` section (per-phase default vs opt medians for
-//! SpMV, Jacobi apply, axpy/dot, SGS sweep and assembly) and an
-//! `"end_to_end"` section (assembly + fixed-work CG, the tentpole
-//! speedup metric), so later PRs have a perf trajectory to diff
-//! against. The `setup/*` rows time what a run pays once before its
-//! first step: the subdomain graph, the 16-way partition, the whole
-//! Multidep plan, the particle locator and an injection.
+//! SpMV, Jacobi apply, axpy/dot, SGS sweep and assembly), a `"solve"`
+//! section (iterations and time of the pressure solve to 1e-6: the
+//! Jacobi-CG reference against the production deflated CG) and an
+//! `"end_to_end"` section (assembly + that pressure solve on each
+//! layout), so later PRs have a perf trajectory to diff against. The
+//! `setup/*` rows time what a run pays once before its first step: the
+//! subdomain graph, the 16-way partition, the whole Multidep plan, the
+//! deflation structure, the particle locator and an injection.
 //!
 //! Full (non-`--quick`) runs refuse to overwrite a committed
 //! `BENCH_hotpath.json` whose end-to-end numbers would regress by more
@@ -32,18 +34,20 @@ use cfpd_partition::{
 };
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
-    assemble_momentum, assemble_momentum_batched, assemble_poisson, axpy_dot_fused, cg, cg_fused,
-    cg_fused_sell, cg_parallel, compute_sgs, AssemblyPlan, AssemblyStrategy, CsrMatrix,
+    assemble_divergence, assemble_momentum, assemble_momentum_batched, assemble_poisson,
+    axpy_dot_fused, cg, compute_sgs, AssemblyPlan, AssemblyStrategy, CsrMatrix, Deflation,
     FluidProps, MatFreeMomentum, RefElement, SellMatrix, SgsField,
 };
 use cfpd_testkit::bench::{Bench, BenchConfig, BenchStats};
 use cfpd_testkit::json;
 
 const N_SUBDOMAINS: usize = 16;
-/// Fixed CG iteration count: every solver variant does identical work
-/// per sample (Jacobi-CG at 1e-6 would need thousands of iterations on
-/// the figure mesh — a fixed-work solve is the comparable benchmark).
+/// Fixed iteration count of the `cg-serial/*` rows: the per-iteration
+/// cost of the reference CG on either ordering.
 const CG_ITERS: usize = 150;
+/// Tolerance of the `solve/*` rows, the one the benchmark workloads use.
+const SOLVE_TOL: f64 = 1e-6;
+const SOLVE_MAX_ITERS: usize = 20_000;
 /// Chunk count for the standalone axpy/dot phase benches (mirrors the
 /// fused CG's nnz-balanced splitting).
 const AXPY_CHUNKS: usize = 64;
@@ -52,22 +56,24 @@ fn synthetic_velocity(mesh: &Mesh) -> Vec<Vec3> {
     mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect()
 }
 
-/// Dirichlet-closed pressure Poisson system (the Solver2 workload).
-fn pressure_system(mesh: &Mesh, pool: &ThreadPool) -> (CsrMatrix, Vec<f64>) {
+/// Dirichlet-closed pressure Poisson system (the Solver2 workload) and
+/// its boundary node sets.
+fn pressure_system(mesh: &Mesh, pool: &ThreadPool) -> PressureSystem {
     let n2e = mesh.node_to_elements();
     let mut matrix = CsrMatrix::from_mesh(mesh, &n2e);
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
     let plan = AssemblyPlan::new(mesh, elems, AssemblyStrategy::Serial, 1);
     let refs = RefElement::all();
     let velocity = synthetic_velocity(mesh);
-    let mut rhs = vec![vec![0.0; mesh.num_nodes()]];
-    assemble_poisson(pool, &refs, mesh, &plan, &velocity, FluidProps::default(), 1e-4, &mut matrix, &mut rhs);
+    let mut rhs = vec![0.0; mesh.num_nodes()];
+    assemble_poisson(pool, &refs, mesh, &plan, &mut matrix);
+    assemble_divergence(pool, &refs, mesh, &plan, &velocity, FluidProps::default(), 1e-4, &mut rhs);
     let bc = BoundaryConditions::from_mesh(mesh);
     for &v in &bc.outlet_nodes {
         matrix.set_dirichlet_row(v as usize);
-        rhs[0][v as usize] = 0.0;
+        rhs[v as usize] = 0.0;
     }
-    (matrix, rhs.remove(0))
+    (matrix, rhs, bc)
 }
 
 fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
@@ -118,13 +124,7 @@ fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
     }
 }
 
-fn bench_spmv_and_cg(
-    b: &mut Bench,
-    label: &str,
-    matrix: &CsrMatrix,
-    rhs: &[f64],
-    pool: &ThreadPool,
-) {
+fn bench_spmv_and_cg(b: &mut Bench, label: &str, matrix: &CsrMatrix, rhs: &[f64]) {
     let n = matrix.n;
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     b.bench(&format!("spmv/{label}"), || {
@@ -132,35 +132,90 @@ fn bench_spmv_and_cg(
         matrix.spmv(black_box(&x), &mut y);
         black_box(y);
     });
-    let mut sell = SellMatrix::from_csr(matrix);
-    sell.update_values(&matrix.values);
+    let sell = SellMatrix::from_csr(matrix);
     b.bench(&format!("spmv-sell/{label}"), || {
         let mut y = vec![0.0; n];
         sell.spmv(black_box(&x), &mut y);
         black_box(y);
     });
-    for (solver, name) in [
-        ("serial", format!("cg-serial/{label}")),
-        ("parallel", format!("cg-parallel/{label}")),
-        ("fused", format!("cg-fused/{label}")),
-        ("sell", format!("cg-sell/{label}")),
-    ] {
-        b.bench_batched(
-            &name,
-            || vec![0.0; n],
-            |mut x| {
-                let stats = match solver {
-                    "serial" => cg(matrix, rhs, &mut x, 0.0, CG_ITERS),
-                    "parallel" => cg_parallel(matrix, rhs, &mut x, 0.0, CG_ITERS, pool),
-                    "fused" => cg_fused(matrix, rhs, &mut x, 0.0, CG_ITERS, pool),
-                    _ => cg_fused_sell(matrix, &sell, rhs, &mut x, 0.0, CG_ITERS, pool),
-                };
-                assert_eq!(stats.iterations, CG_ITERS, "{name} did unequal work");
-                assert!(stats.residual.is_finite());
-                black_box((x, stats.residual));
-            },
-        );
-    }
+    let name = format!("cg-serial/{label}");
+    b.bench_batched(
+        &name,
+        || vec![0.0; n],
+        |mut x| {
+            let stats = cg(matrix, rhs, &mut x, 0.0, CG_ITERS);
+            assert_eq!(stats.iterations, CG_ITERS, "{name} did unequal work");
+            assert!(stats.residual.is_finite());
+            black_box((x, stats.residual));
+        },
+    );
+}
+
+/// A Dirichlet-closed pressure system with its boundary node sets.
+type PressureSystem = (CsrMatrix, Vec<f64>, BoundaryConditions);
+
+/// Iteration counts of the `solve/*` rows (every sample of a row solves
+/// the same system from the same start, so each count is a constant).
+#[derive(Default)]
+struct SolveIters {
+    jacobi: usize,
+    deflated: usize,
+    deflated_csr: usize,
+}
+
+/// The pressure solve to [`SOLVE_TOL`]: Jacobi CG (the reference)
+/// against the production deflated CG on the RCM-ordered system, the
+/// deflated CG as the reference layout runs it (native order, CSR
+/// sweeps), and what building the deflation structure costs.
+fn bench_solve(
+    b: &mut Bench,
+    native: &PressureSystem,
+    rcm: &PressureSystem,
+    pool: &ThreadPool,
+) -> SolveIters {
+    let mut iters = SolveIters::default();
+    let (matrix, rhs, bc) = rcm;
+    let n = matrix.n;
+    b.bench_batched(
+        "solve/poisson-jacobi",
+        || vec![0.0; n],
+        |mut x| {
+            let stats = cg(matrix, rhs, &mut x, SOLVE_TOL, SOLVE_MAX_ITERS);
+            assert!(stats.converged, "Jacobi CG: {stats:?}");
+            iters.jacobi = stats.iterations;
+            black_box(x);
+        },
+    );
+    b.bench("setup/deflation-build", || {
+        black_box(Deflation::new(matrix, &bc.inlet_nodes, &bc.outlet_nodes).num_groups());
+    });
+    let sell = SellMatrix::from_csr(matrix);
+    let mut deflation = Deflation::new(matrix, &bc.inlet_nodes, &bc.outlet_nodes);
+    b.bench_batched(
+        "solve/poisson-deflated",
+        || vec![0.0; n],
+        |mut x| {
+            let stats =
+                deflation.solve(&sell, matrix, rhs, &mut x, SOLVE_TOL, SOLVE_MAX_ITERS, pool);
+            assert!(stats.converged, "deflated CG: {stats:?}");
+            iters.deflated = stats.iterations;
+            black_box(x);
+        },
+    );
+    let (matrix, rhs, bc) = native;
+    let mut deflation = Deflation::new(matrix, &bc.inlet_nodes, &bc.outlet_nodes);
+    b.bench_batched(
+        "solve/poisson-deflated-csr",
+        || vec![0.0; n],
+        |mut x| {
+            let stats =
+                deflation.solve(matrix, matrix, rhs, &mut x, SOLVE_TOL, SOLVE_MAX_ITERS, pool);
+            assert!(stats.converged, "deflated CG, native order: {stats:?}");
+            iters.deflated_csr = stats.iterations;
+            black_box(x);
+        },
+    );
+    iters
 }
 
 /// Standalone per-phase kernels outside a full CG run: Jacobi apply,
@@ -316,8 +371,10 @@ struct EndToEnd {
 
 fn end_to_end(rows: &[(String, BenchStats)]) -> EndToEnd {
     EndToEnd {
-        default_ns: median_ns(rows, "assembly/default") + median_ns(rows, "cg-serial/native-order"),
-        opt_ns: median_ns(rows, "assembly/batched-lanes") + median_ns(rows, "cg-sell/rcm-order"),
+        default_ns: median_ns(rows, "assembly/default")
+            + median_ns(rows, "solve/poisson-deflated-csr"),
+        opt_ns: median_ns(rows, "assembly/batched-lanes")
+            + median_ns(rows, "solve/poisson-deflated"),
     }
 }
 
@@ -373,6 +430,7 @@ fn trajectory_gate(e2e: &EndToEnd) {
 fn write_json(
     rows: &[(String, BenchStats)],
     e2e: &EndToEnd,
+    iters: &SolveIters,
     elements: usize,
     nodes: usize,
     bw_before: usize,
@@ -395,6 +453,18 @@ fn write_json(
         ));
     }
     body.push_str("  },\n");
+    body.push_str(&format!(
+        "  \"solve\": {{ \"tol\": {SOLVE_TOL:e}, \
+         \"jacobi\": {{ \"iterations\": {}, \"ns\": {:.0} }}, \
+         \"deflated\": {{ \"iterations\": {}, \"ns\": {:.0} }}, \
+         \"deflated_csr\": {{ \"iterations\": {}, \"ns\": {:.0} }} }},\n",
+        iters.jacobi,
+        median_ns(rows, "solve/poisson-jacobi"),
+        iters.deflated,
+        median_ns(rows, "solve/poisson-deflated"),
+        iters.deflated_csr,
+        median_ns(rows, "solve/poisson-deflated-csr"),
+    ));
     body.push_str(&format!(
         "  \"end_to_end\": {{ \"default_ns\": {:.0}, \"opt_ns\": {:.0}, \"speedup\": {:.2} }},\n",
         e2e.default_ns,
@@ -443,11 +513,12 @@ fn main() {
     let name = if quick { "BENCH_hotpath_quick" } else { "BENCH_hotpath" };
     let mut b = Bench::with_config(name, config);
     bench_assembly(&mut b, mesh, &pool);
-    let (m_native, rhs_native) = pressure_system(mesh, &pool);
-    bench_spmv_and_cg(&mut b, "native-order", &m_native, &rhs_native, &pool);
-    let (m_rcm, rhs_rcm) = pressure_system(&mesh_rcm, &pool);
-    bench_spmv_and_cg(&mut b, "rcm-order", &m_rcm, &rhs_rcm, &pool);
-    bench_phases(&mut b, mesh, &m_native, &pool);
+    let native = pressure_system(mesh, &pool);
+    bench_spmv_and_cg(&mut b, "native-order", &native.0, &native.1);
+    let rcm = pressure_system(&mesh_rcm, &pool);
+    bench_spmv_and_cg(&mut b, "rcm-order", &rcm.0, &rcm.1);
+    let iters = bench_solve(&mut b, &native, &rcm, &pool);
+    bench_phases(&mut b, mesh, &native.0, &pool);
     bench_setup(&mut b, &airway);
 
     let e2e = end_to_end(b.rows());
@@ -472,7 +543,17 @@ fn main() {
         ));
     }
     report.push_str(&format!(
-        "\nend-to-end (assembly + {CG_ITERS}-iter CG): {:.1} ms -> {:.1} ms ({:.2}x)\n",
+        "\npressure solve to {SOLVE_TOL:e} (rcm order): Jacobi CG {} iterations / {:.1} ms, \
+         deflated CG {} iterations / {:.1} ms; native order, CSR sweeps: {} iterations / {:.1} ms\n",
+        iters.jacobi,
+        median_ns(b.rows(), "solve/poisson-jacobi") / 1e6,
+        iters.deflated,
+        median_ns(b.rows(), "solve/poisson-deflated") / 1e6,
+        iters.deflated_csr,
+        median_ns(b.rows(), "solve/poisson-deflated-csr") / 1e6,
+    ));
+    report.push_str(&format!(
+        "\nend-to-end (assembly + pressure solve): {:.1} ms -> {:.1} ms ({:.2}x)\n",
         e2e.default_ns / 1e6,
         e2e.opt_ns / 1e6,
         e2e.default_ns / e2e.opt_ns
@@ -481,6 +562,7 @@ fn main() {
     write_json(
         b.rows(),
         &e2e,
+        &iters,
         mesh.num_elements(),
         mesh.num_nodes(),
         bw_before,

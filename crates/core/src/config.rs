@@ -45,7 +45,7 @@ pub struct SimulationConfig {
     /// RNG seed for the particle injection.
     pub seed: u64,
     /// Opt-in locality optimizations (RCM renumbering, kind-batched
-    /// assembly, fused solver kernels). Default: all off — the golden
+    /// assembly, SELL-shaped SpMV). Default: all off — the golden
     /// bit-identity path.
     pub layout: LayoutPlan,
 }

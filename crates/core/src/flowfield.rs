@@ -13,7 +13,7 @@
 
 use cfpd_mesh::{AirwayMesh, Vec3};
 use cfpd_runtime::ThreadPool;
-use cfpd_solver::{cg, AssemblyPlan, AssemblyStrategy, CsrMatrix, FluidProps, RefElement};
+use cfpd_solver::{cg, AssemblyPlan, AssemblyStrategy, CsrMatrix, RefElement};
 
 /// Solve the potential flow and return the nodal velocity field with
 /// mean inlet speed `inlet_speed` [m/s] (flow directed from inlet to
@@ -28,19 +28,8 @@ pub fn potential_flow(airway: &AirwayMesh, inlet_speed: f64) -> Vec<Vec3> {
     let plan = AssemblyPlan::new(mesh, elems, AssemblyStrategy::Serial, 1);
     let pool = ThreadPool::new(1);
     let refs = RefElement::all();
-    // Assemble the Laplacian (the Poisson kernel with zero velocity).
     let zero_vel = vec![Vec3::ZERO; n];
-    cfpd_solver::assemble_poisson(
-        &pool,
-        &refs,
-        mesh,
-        &plan,
-        &zero_vel,
-        FluidProps::default(),
-        1.0,
-        &mut lap,
-        &mut rhs,
-    );
+    cfpd_solver::assemble_poisson(&pool, &refs, mesh, &plan, &mut lap);
     // Dirichlet: φ = 1 at the inlet, φ = 0 at outlets; walls natural.
     let bc = crate::fluid::BoundaryConditions::from_mesh(mesh);
     for &v in &bc.inlet_nodes {

@@ -1,15 +1,16 @@
 //! The incompressible-flow stepper: a fractional-step (pressure
 //! projection) scheme whose phases map one-to-one onto the paper's
 //! profile (Table 1): matrix assembly → momentum solve (Solver1) →
-//! pressure solve (Solver2) → velocity correction → subgrid scale (SGS).
+//! pressure solve and velocity correction (Solver2) → subgrid scale
+//! (SGS).
 
 use cfpd_mesh::{BoundaryKind, Csr, Mesh, Vec3};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
-    assemble_momentum, assemble_momentum_batched, assemble_poisson, assemble_poisson_batched,
-    bicgstab, cg, cg_fused, cg_fused_sell, compute_sgs, AssemblyPlan, AssemblyStats,
-    AssemblyStrategy, CsrMatrix, FluidProps, LayoutPlan, MatFreeMomentum, RefElement, SellMatrix,
-    SgsField, SgsStats, SolveStats,
+    assemble_divergence, assemble_momentum, assemble_momentum_batched, assemble_poisson,
+    assemble_poisson_batched, assemble_pressure_gradient, bicgstab, compute_sgs, AssemblyPlan,
+    AssemblyStats, AssemblyStrategy, CsrMatrix, Deflation, FluidProps, LayoutPlan,
+    MatFreeMomentum, RefElement, SellMatrix, SgsField, SgsStats, SolveStats,
 };
 
 /// Boundary conditions extracted from the mesh's tagged exterior faces.
@@ -68,6 +69,8 @@ impl BoundaryConditions {
 pub struct FluidStepReport {
     pub t_assembly: f64,
     pub t_solver1: f64,
+    /// The whole projection: Poisson right-hand side, pressure solve and
+    /// velocity correction.
     pub t_solver2: f64,
     pub t_sgs: f64,
     pub assembly: Option<AssemblyStatsPair>,
@@ -95,7 +98,12 @@ pub struct FluidSolver<'m> {
     matrix_u: CsrMatrix,
     matrix_p: CsrMatrix,
     rhs_u: Vec<Vec<f64>>,
-    rhs_p: Vec<Vec<f64>>,
+    rhs_p: Vec<f64>,
+    /// Weak nodal pressure gradient of the correction, component `c` of
+    /// node `i` at `3 i + c` (one buffer, one cross-rank reduction).
+    grad_p: Vec<f64>,
+    /// The pressure the momentum step sees: none (see `step_reduced`).
+    zero_pressure: Vec<f64>,
     lumped_mass: Vec<f64>,
     pub bc: BoundaryConditions,
     pub inflow: Vec3,
@@ -107,6 +115,9 @@ pub struct FluidSolver<'m> {
     pub sgs: SgsField,
     gravity: Vec3,
     layout: LayoutPlan,
+    /// Coarse space of the pressure solve: structure built once from
+    /// the matrix pattern, values refreshed every solve.
+    deflation: Deflation,
     /// SELL-shaped mirror of the pressure matrix (`layout.sell_spmv`);
     /// structure built once, values regathered every step.
     sell: Option<SellMatrix>,
@@ -148,8 +159,8 @@ impl<'m> FluidSolver<'m> {
 
     /// [`FluidSolver::new`] with an explicit [`LayoutPlan`]: when
     /// `layout.batched_assembly` is set the plan carries a kind-batched
-    /// SoA schedule, and `layout.fused_solver` switches the pressure
-    /// solve to the fused deterministic parallel CG.
+    /// SoA schedule, and `layout.sell_spmv` feeds the pressure solve a
+    /// SELL-shaped copy of its matrix.
     #[allow(clippy::too_many_arguments)]
     pub fn new_with_layout(
         mesh: &'m Mesh,
@@ -202,6 +213,7 @@ impl<'m> FluidSolver<'m> {
         let matfree =
             layout.matrix_free.then(|| MatFreeMomentum::new(mesh, &matrix_u, &plan.elems));
         let bc = BoundaryConditions::from_mesh(mesh);
+        let deflation = Deflation::new(&matrix_p, &bc.inlet_nodes, &bc.outlet_nodes);
         let refs = RefElement::all();
 
         // Lumped mass over the full mesh (serial, once).
@@ -229,7 +241,9 @@ impl<'m> FluidSolver<'m> {
             matrix_u,
             matrix_p,
             rhs_u: vec![vec![0.0; n]; 3],
-            rhs_p: vec![vec![0.0; n]],
+            rhs_p: vec![0.0; n],
+            grad_p: vec![0.0; 3 * n],
+            zero_pressure: vec![0.0; n],
             lumped_mass: lumped,
             bc,
             inflow,
@@ -238,6 +252,7 @@ impl<'m> FluidSolver<'m> {
             sgs,
             gravity: Vec3::new(0.0, 0.0, -9.81),
             layout,
+            deflation,
             sell,
             matfree,
         }
@@ -291,7 +306,6 @@ impl<'m> FluidSolver<'m> {
         // junction overshoots (no PSPG damping), so the classical
         // splitting is the robust choice; the kernel-level pressure-
         // gradient hook remains available for stabilized discretizations.
-        let zero_pressure = vec![0.0; n];
         let stats_m = if let Some(mf) = self.matfree.as_mut() {
             // Assembly-lite: element integrals go to the flat per-element
             // store (no CSR scatter); only the RHS is scattered.
@@ -299,7 +313,7 @@ impl<'m> FluidSolver<'m> {
                 &self.refs,
                 self.mesh,
                 &self.velocity,
-                &zero_pressure,
+                &self.zero_pressure,
                 self.props,
                 self.dt,
                 self.gravity,
@@ -318,7 +332,7 @@ impl<'m> FluidSolver<'m> {
                 self.mesh,
                 &self.plan,
                 &self.velocity,
-                &zero_pressure,
+                &self.zero_pressure,
                 self.props,
                 self.dt,
                 self.gravity,
@@ -326,24 +340,15 @@ impl<'m> FluidSolver<'m> {
                 &mut self.rhs_u,
             )
         };
+        // The Poisson matrix only: its right-hand side needs u*, which
+        // Solver1 has yet to produce.
         self.matrix_p.clear();
-        self.rhs_p[0].iter_mut().for_each(|x| *x = 0.0);
         let assemble_p = if self.layout.batched_assembly {
             assemble_poisson_batched
         } else {
             assemble_poisson
         };
-        let stats_p = assemble_p(
-            pool,
-            &self.refs,
-            self.mesh,
-            &self.plan,
-            &self.velocity,
-            self.props,
-            self.dt,
-            &mut self.matrix_p,
-            &mut self.rhs_p,
-        );
+        let stats_p = assemble_p(pool, &self.refs, self.mesh, &self.plan, &mut self.matrix_p);
         // Combine element-partial sums across ranks before applying
         // boundary conditions. The matrix-free operator keeps local
         // matrices unassembled, so its momentum values take no part in
@@ -355,7 +360,6 @@ impl<'m> FluidSolver<'m> {
             reduce(r);
         }
         reduce(&mut self.matrix_p.values);
-        reduce(&mut self.rhs_p[0]);
         // Momentum Dirichlet rows: walls (0) and inlet (inflow).
         for &v in self.bc.wall_nodes.iter().chain(&self.bc.inlet_nodes) {
             if let Some(mf) = self.matfree.as_mut() {
@@ -375,7 +379,6 @@ impl<'m> FluidSolver<'m> {
         // Pressure Dirichlet at outlets.
         for &v in &self.bc.outlet_nodes {
             self.matrix_p.set_dirichlet_row(v as usize);
-            self.rhs_p[0][v as usize] = 0.0;
         }
         report.t_assembly = t0.elapsed().as_secs_f64();
         report.assembly = Some(AssemblyStatsPair { momentum: stats_m, poisson: stats_p });
@@ -406,97 +409,59 @@ impl<'m> FluidSolver<'m> {
         report.t_solver1 = t0.elapsed().as_secs_f64();
         report.solver1 = Some(s1);
 
-        // Poisson RHS uses u*, not u_n: recompute the divergence part.
-        // (The assembled rhs_p used u_n as an operator-splitting
-        // predictor; correct it with the actual intermediate velocity.)
+        // ---- Phase: Solver2 (projection: pressure by deflated CG, then
+        // the velocity correction) -------------------------------------
         let t0 = std::time::Instant::now();
-        self.rhs_p[0].iter_mut().for_each(|x| *x = 0.0);
-        {
-            let mut scratch = cfpd_solver::ElementScratch::default();
-            for &e in &self.plan.elems {
-                let e = e as usize;
-                let (kind, nn) = scratch.load(self.mesh, &ustar, e);
-                if let Some(lp) = cfpd_solver::kernels::poisson_kernel(
-                    &self.refs, &scratch, kind, nn, self.props, self.dt,
-                ) {
-                    for (k, &v) in self.mesh.elem_nodes(e).iter().enumerate() {
-                        self.rhs_p[0][v as usize] += lp.b[k];
-                    }
-                }
-            }
-            reduce(&mut self.rhs_p[0]);
-            for &v in &self.bc.outlet_nodes {
-                self.rhs_p[0][v as usize] = 0.0;
-            }
+        // Poisson right-hand side: the weak divergence of u*.
+        self.rhs_p.fill(0.0);
+        assemble_divergence(
+            pool,
+            &self.refs,
+            self.mesh,
+            &self.plan,
+            &ustar,
+            self.props,
+            self.dt,
+            &mut self.rhs_p,
+        );
+        reduce(&mut self.rhs_p);
+        for &v in &self.bc.outlet_nodes {
+            self.rhs_p[v as usize] = 0.0;
         }
-        // ---- Phase: Solver2 (pressure, CG) ----------------------------
-        let mut phi = std::mem::take(&mut self.pressure);
+        // One solver loop for both layouts; the layout only picks the
+        // storage the SpMV sweeps (a SELL mirror regathered from the
+        // post-Dirichlet values, or the CSR matrix itself).
+        let (a, b, x) = (&self.matrix_p, &self.rhs_p, &mut self.pressure);
         let s2 = if let Some(sell) = self.sell.as_mut() {
-            // Regather the post-Dirichlet values into the SELL mirror;
-            // the SELL-fed fused CG is bit-identical to `cg_fused`.
-            sell.update_values(&self.matrix_p.values);
-            cg_fused_sell(
-                &self.matrix_p,
-                sell,
-                &self.rhs_p[0],
-                &mut phi,
-                self.tol,
-                self.max_iters,
-                pool,
-            )
-        } else if self.layout.fused_solver {
-            cg_fused(&self.matrix_p, &self.rhs_p[0], &mut phi, self.tol, self.max_iters, pool)
+            sell.update_values(&a.values);
+            self.deflation.solve(&*sell, a, b, x, self.tol, self.max_iters, pool)
         } else {
-            cg(&self.matrix_p, &self.rhs_p[0], &mut phi, self.tol, self.max_iters)
+            self.deflation.solve(a, a, b, x, self.tol, self.max_iters, pool)
         };
-        self.pressure = phi.clone();
-        report.t_solver2 = t0.elapsed().as_secs_f64();
         report.solver2 = Some(s2);
 
-        // ---- Velocity correction: u = u* − (dt/ρ) ∇p ------------------
-        {
-            let mut grad = vec![Vec3::ZERO; n];
-            let mut scratch = cfpd_solver::ElementScratch::default();
-            for &e in &self.plan.elems {
-                let e = e as usize;
-                let (kind, nn) = scratch.load(self.mesh, &ustar, e);
-                let re = &self.refs[RefElement::index_of(kind)];
-                let nodes = self.mesh.elem_nodes(e);
-                for qp in &re.qps {
-                    if let Some(m) = cfpd_solver::map_qp(qp, &scratch.coords, nn) {
-                        let mut gp = Vec3::ZERO;
-                        for k in 0..nn {
-                            let pv = phi[nodes[k] as usize];
-                            gp += Vec3::new(m.grad[k][0], m.grad[k][1], m.grad[k][2]) * pv;
-                        }
-                        for k in 0..nn {
-                            grad[nodes[k] as usize] += gp * (m.n[k] * m.dvol);
-                        }
-                    }
-                }
-            }
-            // Sum gradient partials across ranks (flatten Vec3 -> f64).
-            let mut flat = vec![0.0f64; 3 * n];
-            for (i, g) in grad.iter().enumerate() {
-                flat[3 * i] = g.x;
-                flat[3 * i + 1] = g.y;
-                flat[3 * i + 2] = g.z;
-            }
-            reduce(&mut flat);
-            for (i, g) in grad.iter_mut().enumerate() {
-                *g = Vec3::new(flat[3 * i], flat[3 * i + 1], flat[3 * i + 2]);
-            }
-            let coef = self.dt / self.props.density;
-            for i in 0..n {
-                let ml = self.lumped_mass[i];
-                if ml > 0.0 {
-                    self.velocity[i] = ustar[i] - grad[i] * (coef / ml);
-                } else {
-                    self.velocity[i] = ustar[i];
-                }
-            }
-            self.apply_velocity_bcs();
+        // Velocity correction: u = u* − (dt/ρ) M_L⁻¹ ∫ N ∇p.
+        self.grad_p.fill(0.0);
+        assemble_pressure_gradient(
+            pool,
+            &self.refs,
+            self.mesh,
+            &self.plan,
+            &self.pressure,
+            &mut self.grad_p,
+        );
+        reduce(&mut self.grad_p);
+        let coef = self.dt / self.props.density;
+        for (i, g) in self.grad_p.chunks_exact(3).enumerate() {
+            let ml = self.lumped_mass[i];
+            self.velocity[i] = if ml > 0.0 {
+                ustar[i] - Vec3::new(g[0], g[1], g[2]) * (coef / ml)
+            } else {
+                ustar[i]
+            };
         }
+        self.apply_velocity_bcs();
+        report.t_solver2 = t0.elapsed().as_secs_f64();
 
         // ---- Phase: SGS ------------------------------------------------
         let t0 = std::time::Instant::now();
@@ -648,11 +613,7 @@ mod tests {
     fn raw_speed_switches_are_bit_identical() {
         let am = generate_airway(&AirwaySpec::small()).unwrap();
         let pool = ThreadPool::new(2);
-        let base = LayoutPlan {
-            batched_assembly: true,
-            fused_solver: true,
-            ..LayoutPlan::default()
-        };
+        let base = LayoutPlan { batched_assembly: true, ..LayoutPlan::default() };
         let fast = LayoutPlan {
             sell_spmv: true,
             lane_kernels: true,

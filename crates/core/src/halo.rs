@@ -396,7 +396,7 @@ pub fn assemble_and_solve_poisson(
     tol: f64,
     max_iters: usize,
 ) -> (Vec<u32>, Vec<f64>, crate::DistSolveStats) {
-    use cfpd_solver::kernels::poisson_kernel;
+    use cfpd_solver::kernels::{divergence_kernel, poisson_kernel};
     use cfpd_solver::{ElementScratch, RefElement};
 
     let halo = HaloMap::build(mesh, elem_owner, comm);
@@ -410,14 +410,16 @@ pub fn assemble_and_solve_poisson(
             continue;
         }
         let (kind, nn) = scratch.load(mesh, velocity, e);
-        if let Some(lp) = poisson_kernel(&refs, &scratch, kind, nn, props, dt) {
+        let lp = poisson_kernel(&refs, &scratch, kind, nn);
+        let div = divergence_kernel(&refs, &scratch, kind, props, dt);
+        if let (Some(lp), Some(div)) = (lp, div) {
             let nodes = mesh.elem_nodes(e);
             for i in 0..nn {
                 let li = halo.local(nodes[i]);
                 for j in 0..nn {
                     rows[li].push((nodes[j], lp.l[i][j]));
                 }
-                rhs[li] += lp.b[i];
+                rhs[li] += div[i];
             }
         }
     }
@@ -508,7 +510,7 @@ mod tests {
         let n2e = mesh.node_to_elements();
         let mut a_ser = cfpd_solver::CsrMatrix::from_mesh(mesh, &n2e);
         let n = mesh.num_nodes();
-        let mut rhs_ser = vec![vec![0.0; n]];
+        let mut rhs_ser = vec![0.0; n];
         let velocity: Vec<cfpd_mesh::Vec3> = mesh
             .coords
             .iter()
@@ -522,15 +524,16 @@ mod tests {
             1,
         );
         let pool = cfpd_runtime::ThreadPool::new(1);
-        cfpd_solver::assemble_poisson(
+        let refs = cfpd_solver::RefElement::all();
+        cfpd_solver::assemble_poisson(&pool, &refs, mesh, &plan, &mut a_ser);
+        cfpd_solver::assemble_divergence(
             &pool,
-            &cfpd_solver::RefElement::all(),
+            &refs,
             mesh,
             &plan,
             &velocity,
             cfpd_solver::FluidProps::default(),
             1e-3,
-            &mut a_ser,
             &mut rhs_ser,
         );
         // Dirichlet on outlet nodes.
@@ -549,10 +552,10 @@ mod tests {
         };
         for &v in &outlet {
             a_ser.set_dirichlet_row(v as usize);
-            rhs_ser[0][v as usize] = 0.0;
+            rhs_ser[v as usize] = 0.0;
         }
         let mut x_ser = vec![0.0; n];
-        let s = cfpd_solver::cg(&a_ser, &rhs_ser[0], &mut x_ser, 1e-10, 4000);
+        let s = cfpd_solver::cg(&a_ser, &rhs_ser, &mut x_ser, 1e-10, 4000);
         assert!(s.converged, "serial reference did not converge: {s:?}");
 
         // Distributed solve on 3 ranks.

@@ -14,7 +14,8 @@
 
 use crate::csr::{AtomicView, CsrMatrix, DisjointView};
 use crate::kernels::{
-    momentum_kernel, poisson_kernel, ElementScratch, FluidProps, LocalMomentum, LocalPoisson,
+    divergence_kernel, momentum_kernel, poisson_kernel, pressure_gradient_kernel, ElementScratch,
+    FluidProps, LocalMomentum, LocalPoisson,
 };
 use crate::shape::{RefElement, MAX_NODES};
 use cfpd_mesh::{Mesh, Vec3};
@@ -243,11 +244,7 @@ impl From<LocalMomentum> for LocalBlock {
 
 impl From<LocalPoisson> for LocalBlock {
     fn from(p: LocalPoisson) -> Self {
-        let mut b = [[0.0; 3]; MAX_NODES];
-        for i in 0..p.nn {
-            b[i][0] = p.b[i];
-        }
-        LocalBlock { nn: p.nn, a: p.l, b }
+        LocalBlock { nn: p.nn, a: p.l, b: [[0.0; 3]; MAX_NODES] }
     }
 }
 
@@ -432,9 +429,35 @@ pub fn assemble_momentum(
     )
 }
 
-/// Assemble the pressure-Poisson system (matrix + scalar RHS).
-#[allow(clippy::too_many_arguments)]
+/// Assemble the pressure-Poisson matrix (the Laplacian; its right-hand
+/// side is [`assemble_divergence`]'s).
 pub fn assemble_poisson(
+    pool: &ThreadPool,
+    refs: &[RefElement; 3],
+    mesh: &Mesh,
+    plan: &AssemblyPlan,
+    matrix: &mut CsrMatrix,
+) -> AssemblyStats {
+    assemble_generic(
+        pool,
+        mesh,
+        plan,
+        0,
+        |scratch, e| {
+            let (kind, nn) = scratch.load_coords(mesh, e);
+            poisson_kernel(refs, scratch, kind, nn).map(LocalBlock::from)
+        },
+        matrix,
+        &mut [],
+    )
+}
+
+/// Add the weak divergence right-hand side of the pressure-Poisson
+/// system, `(ρ/dt) ∫ ∇N_i · u`, of `plan.elems` into `rhs`. A plan built
+/// with batches runs the kind-batched (lane) schedule under the plan's
+/// strategy; otherwise this is one serial element loop.
+#[allow(clippy::too_many_arguments)]
+pub fn assemble_divergence(
     pool: &ThreadPool,
     refs: &[RefElement; 3],
     mesh: &Mesh,
@@ -442,21 +465,49 @@ pub fn assemble_poisson(
     velocity: &[Vec3],
     props: FluidProps,
     dt: f64,
-    matrix: &mut CsrMatrix,
-    rhs: &mut [Vec<f64>],
-) -> AssemblyStats {
-    assemble_generic(
-        pool,
-        mesh,
-        plan,
-        1,
-        |scratch, e| {
-            let (kind, nn) = scratch.load(mesh, velocity, e);
-            poisson_kernel(refs, scratch, kind, nn, props, dt).map(LocalBlock::from)
-        },
-        matrix,
-        rhs,
-    )
+    rhs: &mut [f64],
+) {
+    if plan.batch_schedule().is_some() {
+        return crate::batch::divergence_batched(pool, refs, mesh, plan, velocity, props, dt, rhs);
+    }
+    let mut scratch = ElementScratch::default();
+    for &e in &plan.elems {
+        let (kind, _) = scratch.load(mesh, velocity, e as usize);
+        let b = divergence_kernel(refs, &scratch, kind, props, dt).expect("degenerate element");
+        for (k, &v) in mesh.elem_nodes(e as usize).iter().enumerate() {
+            rhs[v as usize] += b[k];
+        }
+    }
+}
+
+/// Add the weak nodal pressure gradient `∫ N_i ∇p` of `plan.elems` into
+/// `grad` (component `c` of node `i` at `grad[3 i + c]`), scheduled like
+/// [`assemble_divergence`].
+pub fn assemble_pressure_gradient(
+    pool: &ThreadPool,
+    refs: &[RefElement; 3],
+    mesh: &Mesh,
+    plan: &AssemblyPlan,
+    pressure: &[f64],
+    grad: &mut [f64],
+) {
+    if plan.batch_schedule().is_some() {
+        return crate::batch::pressure_gradient_batched(pool, refs, mesh, plan, pressure, grad);
+    }
+    let mut scratch = ElementScratch::default();
+    for &e in &plan.elems {
+        let (kind, _) = scratch.load_coords(mesh, e as usize);
+        let nodes = mesh.elem_nodes(e as usize);
+        for (k, &v) in nodes.iter().enumerate() {
+            scratch.pres[k] = pressure[v as usize];
+        }
+        let g = pressure_gradient_kernel(refs, &scratch, kind).expect("degenerate element");
+        for (k, &v) in nodes.iter().enumerate() {
+            for c in 0..3 {
+                grad[3 * v as usize + c] += g[k][c];
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -608,21 +659,9 @@ mod tests {
         let f = fixture();
         let n2e = f.mesh.node_to_elements();
         let mut a = CsrMatrix::from_mesh(&f.mesh, &n2e);
-        let n = f.mesh.num_nodes();
-        let mut rhs = vec![vec![0.0; n]];
         let elems: Vec<u32> = (0..f.mesh.num_elements() as u32).collect();
         let plan = AssemblyPlan::new(&f.mesh, elems, AssemblyStrategy::Multidep, 16);
-        assemble_poisson(
-            &f.pool,
-            &f.refs,
-            &f.mesh,
-            &plan,
-            &f.velocity,
-            FluidProps::default(),
-            1e-4,
-            &mut a,
-            &mut rhs,
-        );
+        assemble_poisson(&f.pool, &f.refs, &f.mesh, &plan, &mut a);
         let pat = a.pattern();
         for row in 0..a.n {
             let lo = a.row_ptr[row] as usize;

@@ -23,9 +23,13 @@
 use crate::assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy};
 use crate::csr::{AtomicView, CsrMatrix, DisjointView};
 use crate::kernels::{
-    momentum_kernel_n, poisson_kernel_n, ElementScratch, FluidProps, LocalMomentum, LocalPoisson,
+    divergence_kernel_n, momentum_kernel_n, poisson_kernel_n, pressure_gradient_kernel_n,
+    ElementScratch, FluidProps, LocalMomentum, LocalPoisson,
 };
-use crate::lanes::{momentum_kernel_lanes, poisson_kernel_lanes, LaneScratch, LANES};
+use crate::lanes::{
+    divergence_kernel_lanes, momentum_kernel_lanes, poisson_kernel_lanes,
+    pressure_gradient_kernel_lanes, LaneScratch, LANES,
+};
 use crate::shape::RefElement;
 use cfpd_mesh::{ElementKind, Mesh, Vec3};
 use cfpd_runtime::{parallel_for, Dep, TaskGraph, ThreadPool};
@@ -168,17 +172,65 @@ impl ScatterSink for DisjointSink<'_> {
 }
 
 /// What one batched sweep computes per element; implemented by the
-/// momentum and Poisson contexts. `run` processes `range` of `batch`
-/// with a monomorphized kernel and scatters through `sink`.
+/// momentum, Poisson, divergence and pressure-gradient contexts. Both
+/// methods scatter through `sink` in element order, so a lane block
+/// lands its adds in the same sequence as the scalar loop.
 trait BatchCtx: Sync {
+    /// Right-hand-side vectors the sweep scatters into.
     const RHS_DIM: usize;
-    fn run<S: ScatterSink>(
+    /// Whether full blocks of [`LANES`] elements go through `run_lanes`.
+    fn lanes(&self) -> bool;
+    /// Element `b` of `batch` with the monomorphized scalar kernel.
+    fn run_one<const NN: usize, S: ScatterSink>(
         &self,
         batch: &KindBatch,
-        range: Range<usize>,
+        b: usize,
         scratch: &mut ElementScratch,
         sink: &S,
     );
+    /// Elements `b..b + LANES` of `batch` with the lane kernel.
+    fn run_lanes<const NN: usize, S: ScatterSink>(
+        &self,
+        batch: &KindBatch,
+        b: usize,
+        ls: &mut LaneScratch,
+        sink: &S,
+    );
+}
+
+fn run_n<C: BatchCtx, const NN: usize, S: ScatterSink>(
+    ctx: &C,
+    batch: &KindBatch,
+    range: Range<usize>,
+    scratch: &mut ElementScratch,
+    sink: &S,
+) {
+    let mut b = range.start;
+    if ctx.lanes() {
+        let mut ls = LaneScratch::default();
+        while b + LANES <= range.end {
+            ctx.run_lanes::<NN, S>(batch, b, &mut ls, sink);
+            b += LANES;
+        }
+    }
+    for bb in b..range.end {
+        ctx.run_one::<NN, S>(batch, bb, scratch, sink);
+    }
+}
+
+/// Process `range` of `batch` with kernels monomorphized over its kind.
+fn run_batch<C: BatchCtx, S: ScatterSink>(
+    ctx: &C,
+    batch: &KindBatch,
+    range: Range<usize>,
+    scratch: &mut ElementScratch,
+    sink: &S,
+) {
+    match batch.kind {
+        ElementKind::Tet4 => run_n::<C, 4, S>(ctx, batch, range, scratch, sink),
+        ElementKind::Pyr5 => run_n::<C, 5, S>(ctx, batch, range, scratch, sink),
+        ElementKind::Pri6 => run_n::<C, 6, S>(ctx, batch, range, scratch, sink),
+    }
 }
 
 struct MomentumCtx<'a> {
@@ -192,7 +244,13 @@ struct MomentumCtx<'a> {
     lanes: bool,
 }
 
-impl MomentumCtx<'_> {
+impl BatchCtx for MomentumCtx<'_> {
+    const RHS_DIM: usize = 3;
+
+    fn lanes(&self) -> bool {
+        self.lanes
+    }
+
     fn run_one<const NN: usize, S: ScatterSink>(
         &self,
         batch: &KindBatch,
@@ -218,72 +276,96 @@ impl MomentumCtx<'_> {
         }
     }
 
-    fn run_n<const NN: usize, S: ScatterSink>(
+    fn run_lanes<const NN: usize, S: ScatterSink>(
         &self,
         batch: &KindBatch,
-        range: Range<usize>,
-        scratch: &mut ElementScratch,
+        b: usize,
+        ls: &mut LaneScratch,
         sink: &S,
     ) {
-        let mut b = range.start;
-        if self.lanes {
-            let re = &self.refs[RefElement::index_of(batch.kind)];
-            let mut ls = LaneScratch::default();
-            while b + LANES <= range.end {
-                ls.load(
-                    self.coords,
-                    self.velocity,
-                    Some(self.pressure),
-                    &batch.gather,
-                    &batch.h,
-                    NN,
-                    b,
-                );
-                let lm = momentum_kernel_lanes::<NN>(re, &ls, self.props, self.dt, self.body_force)
-                    .expect("degenerate element");
-                // Scatter lane-by-lane in element order: the adds land
-                // in the same sequence as the scalar loop.
-                for l in 0..LANES {
-                    let bb = b + l;
-                    let nodes = &batch.gather[bb * NN..(bb + 1) * NN];
-                    let sc = &batch.scatter[bb * NN * NN..(bb + 1) * NN * NN];
-                    for i in 0..NN {
-                        for j in 0..NN {
-                            sink.add_matrix(sc[i * NN + j] as usize, lm.a[i][j][l]);
-                        }
-                        let gi = nodes[i] as usize;
-                        for c in 0..3 {
-                            sink.add_rhs(c, gi, lm.b[i][c][l]);
-                        }
-                    }
+        let re = &self.refs[RefElement::index_of(batch.kind)];
+        ls.load(
+            self.coords,
+            Some(self.velocity),
+            Some(self.pressure),
+            &batch.gather,
+            &batch.h,
+            NN,
+            b,
+        );
+        let lm = momentum_kernel_lanes::<NN>(re, ls, self.props, self.dt, self.body_force)
+            .expect("degenerate element");
+        for l in 0..LANES {
+            let bb = b + l;
+            let nodes = &batch.gather[bb * NN..(bb + 1) * NN];
+            let sc = &batch.scatter[bb * NN * NN..(bb + 1) * NN * NN];
+            for i in 0..NN {
+                for j in 0..NN {
+                    sink.add_matrix(sc[i * NN + j] as usize, lm.a[i][j][l]);
                 }
-                b += LANES;
+                let gi = nodes[i] as usize;
+                for c in 0..3 {
+                    sink.add_rhs(c, gi, lm.b[i][c][l]);
+                }
             }
-        }
-        for bb in b..range.end {
-            self.run_one::<NN, S>(batch, bb, scratch, sink);
-        }
-    }
-}
-
-impl BatchCtx for MomentumCtx<'_> {
-    const RHS_DIM: usize = 3;
-    fn run<S: ScatterSink>(
-        &self,
-        batch: &KindBatch,
-        range: Range<usize>,
-        scratch: &mut ElementScratch,
-        sink: &S,
-    ) {
-        match batch.kind {
-            ElementKind::Tet4 => self.run_n::<4, S>(batch, range, scratch, sink),
-            ElementKind::Pyr5 => self.run_n::<5, S>(batch, range, scratch, sink),
-            ElementKind::Pri6 => self.run_n::<6, S>(batch, range, scratch, sink),
         }
     }
 }
 
 struct PoissonCtx<'a> {
+    refs: &'a [RefElement; 3],
+    coords: &'a [Vec3],
+    lanes: bool,
+}
+
+impl BatchCtx for PoissonCtx<'_> {
+    const RHS_DIM: usize = 0;
+
+    fn lanes(&self) -> bool {
+        self.lanes
+    }
+
+    fn run_one<const NN: usize, S: ScatterSink>(
+        &self,
+        batch: &KindBatch,
+        b: usize,
+        scratch: &mut ElementScratch,
+        sink: &S,
+    ) {
+        let re = &self.refs[RefElement::index_of(batch.kind)];
+        scratch.load_gather_coords(self.coords, &batch.gather[b * NN..(b + 1) * NN]);
+        let lp: LocalPoisson = poisson_kernel_n::<NN>(re, scratch).expect("degenerate element");
+        let sc = &batch.scatter[b * NN * NN..(b + 1) * NN * NN];
+        for i in 0..NN {
+            for j in 0..NN {
+                sink.add_matrix(sc[i * NN + j] as usize, lp.l[i][j]);
+            }
+        }
+    }
+
+    fn run_lanes<const NN: usize, S: ScatterSink>(
+        &self,
+        batch: &KindBatch,
+        b: usize,
+        ls: &mut LaneScratch,
+        sink: &S,
+    ) {
+        let re = &self.refs[RefElement::index_of(batch.kind)];
+        ls.load(self.coords, None, None, &batch.gather, &batch.h, NN, b);
+        let lp = poisson_kernel_lanes::<NN>(re, ls).expect("degenerate element");
+        for l in 0..LANES {
+            let sc = &batch.scatter[(b + l) * NN * NN..(b + l + 1) * NN * NN];
+            for i in 0..NN {
+                for j in 0..NN {
+                    sink.add_matrix(sc[i * NN + j] as usize, lp.l[i][j][l]);
+                }
+            }
+        }
+    }
+}
+
+/// The Poisson right-hand side `(ρ/dt) ∫ ∇N_i · u`, one vector.
+struct DivergenceCtx<'a> {
     refs: &'a [RefElement; 3],
     coords: &'a [Vec3],
     velocity: &'a [Vec3],
@@ -292,7 +374,13 @@ struct PoissonCtx<'a> {
     lanes: bool,
 }
 
-impl PoissonCtx<'_> {
+impl BatchCtx for DivergenceCtx<'_> {
+    const RHS_DIM: usize = 1;
+
+    fn lanes(&self) -> bool {
+        self.lanes
+    }
+
     fn run_one<const NN: usize, S: ScatterSink>(
         &self,
         batch: &KindBatch,
@@ -303,65 +391,87 @@ impl PoissonCtx<'_> {
         let re = &self.refs[RefElement::index_of(batch.kind)];
         let nodes = &batch.gather[b * NN..(b + 1) * NN];
         scratch.load_gather(self.coords, self.velocity, nodes);
-        let lp: LocalPoisson =
-            poisson_kernel_n::<NN>(re, scratch, self.props, self.dt).expect("degenerate element");
-        let sc = &batch.scatter[b * NN * NN..(b + 1) * NN * NN];
+        let div = divergence_kernel_n::<NN>(re, scratch, self.props, self.dt)
+            .expect("degenerate element");
         for i in 0..NN {
-            for j in 0..NN {
-                sink.add_matrix(sc[i * NN + j] as usize, lp.l[i][j]);
-            }
-            sink.add_rhs(0, nodes[i] as usize, lp.b[i]);
+            sink.add_rhs(0, nodes[i] as usize, div[i]);
         }
     }
 
-    fn run_n<const NN: usize, S: ScatterSink>(
+    fn run_lanes<const NN: usize, S: ScatterSink>(
         &self,
         batch: &KindBatch,
-        range: Range<usize>,
-        scratch: &mut ElementScratch,
+        b: usize,
+        ls: &mut LaneScratch,
         sink: &S,
     ) {
-        let mut b = range.start;
-        if self.lanes {
-            let re = &self.refs[RefElement::index_of(batch.kind)];
-            let mut ls = LaneScratch::default();
-            while b + LANES <= range.end {
-                ls.load(self.coords, self.velocity, None, &batch.gather, &batch.h, NN, b);
-                let lp = poisson_kernel_lanes::<NN>(re, &ls, self.props, self.dt)
-                    .expect("degenerate element");
-                for l in 0..LANES {
-                    let bb = b + l;
-                    let nodes = &batch.gather[bb * NN..(bb + 1) * NN];
-                    let sc = &batch.scatter[bb * NN * NN..(bb + 1) * NN * NN];
-                    for i in 0..NN {
-                        for j in 0..NN {
-                            sink.add_matrix(sc[i * NN + j] as usize, lp.l[i][j][l]);
-                        }
-                        sink.add_rhs(0, nodes[i] as usize, lp.b[i][l]);
-                    }
-                }
-                b += LANES;
+        let re = &self.refs[RefElement::index_of(batch.kind)];
+        ls.load(self.coords, Some(self.velocity), None, &batch.gather, &batch.h, NN, b);
+        let div = divergence_kernel_lanes::<NN>(re, ls, self.props, self.dt)
+            .expect("degenerate element");
+        for l in 0..LANES {
+            let nodes = &batch.gather[(b + l) * NN..(b + l + 1) * NN];
+            for i in 0..NN {
+                sink.add_rhs(0, nodes[i] as usize, div[i][l]);
             }
-        }
-        for bb in b..range.end {
-            self.run_one::<NN, S>(batch, bb, scratch, sink);
         }
     }
 }
 
-impl BatchCtx for PoissonCtx<'_> {
+/// The weak nodal pressure gradient `∫ N_i ∇p`, scattered into one
+/// vector with component `c` of node `i` at `3 i + c`.
+struct PressureGradientCtx<'a> {
+    refs: &'a [RefElement; 3],
+    coords: &'a [Vec3],
+    pressure: &'a [f64],
+    lanes: bool,
+}
+
+impl BatchCtx for PressureGradientCtx<'_> {
     const RHS_DIM: usize = 1;
-    fn run<S: ScatterSink>(
+
+    fn lanes(&self) -> bool {
+        self.lanes
+    }
+
+    fn run_one<const NN: usize, S: ScatterSink>(
         &self,
         batch: &KindBatch,
-        range: Range<usize>,
+        b: usize,
         scratch: &mut ElementScratch,
         sink: &S,
     ) {
-        match batch.kind {
-            ElementKind::Tet4 => self.run_n::<4, S>(batch, range, scratch, sink),
-            ElementKind::Pyr5 => self.run_n::<5, S>(batch, range, scratch, sink),
-            ElementKind::Pri6 => self.run_n::<6, S>(batch, range, scratch, sink),
+        let re = &self.refs[RefElement::index_of(batch.kind)];
+        let nodes = &batch.gather[b * NN..(b + 1) * NN];
+        scratch.load_gather_coords(self.coords, nodes);
+        for (k, &v) in nodes.iter().enumerate() {
+            scratch.pres[k] = self.pressure[v as usize];
+        }
+        let g = pressure_gradient_kernel_n::<NN>(re, scratch).expect("degenerate element");
+        for i in 0..NN {
+            for c in 0..3 {
+                sink.add_rhs(0, 3 * nodes[i] as usize + c, g[i][c]);
+            }
+        }
+    }
+
+    fn run_lanes<const NN: usize, S: ScatterSink>(
+        &self,
+        batch: &KindBatch,
+        b: usize,
+        ls: &mut LaneScratch,
+        sink: &S,
+    ) {
+        let re = &self.refs[RefElement::index_of(batch.kind)];
+        ls.load(self.coords, None, Some(self.pressure), &batch.gather, &batch.h, NN, b);
+        let g = pressure_gradient_kernel_lanes::<NN>(re, ls).expect("degenerate element");
+        for l in 0..LANES {
+            let nodes = &batch.gather[(b + l) * NN..(b + l + 1) * NN];
+            for i in 0..NN {
+                for c in 0..3 {
+                    sink.add_rhs(0, 3 * nodes[i] as usize + c, g[i][c][l]);
+                }
+            }
         }
     }
 }
@@ -375,24 +485,23 @@ fn run_set<C: BatchCtx, S: ScatterSink>(
     sink: &S,
 ) {
     for batch in &set.batches {
-        ctx.run(batch, 0..batch.len(), scratch, sink);
+        run_batch(ctx, batch, 0..batch.len(), scratch, sink);
     }
 }
 
-/// Strategy-dispatched batched assembly (the counterpart of the
-/// unbatched `assemble_generic`, operating on the plan's
-/// [`BatchSchedule`]).
-fn assemble_batched<C: BatchCtx>(
+/// Strategy-dispatched batched sweep (the counterpart of the unbatched
+/// `assemble_generic`, operating on the plan's [`BatchSchedule`]) adding
+/// into the matrix `values` (empty for a right-hand-side-only context)
+/// and the `C::RHS_DIM` vectors of `rhs`.
+fn assemble_batched<C: BatchCtx, R: AsMut<[f64]>>(
     pool: &ThreadPool,
     mesh: &Mesh,
     plan: &AssemblyPlan,
     ctx: &C,
-    matrix: &mut CsrMatrix,
-    rhs: &mut [Vec<f64>],
+    values: &mut [f64],
+    rhs: &mut [R],
 ) -> AssemblyStats {
     assert_eq!(rhs.len(), C::RHS_DIM);
-    cfpd_telemetry::count!("solver.assemblies");
-    cfpd_telemetry::count!("solver.assembly_elements", plan.elems.len() as u64);
     let sched = plan
         .batch_schedule()
         .expect("plan built without batches; use AssemblyPlan::with_batches");
@@ -408,12 +517,11 @@ fn assemble_batched<C: BatchCtx>(
         ..Default::default()
     };
 
-    let (_pattern, values) = matrix.split_mut();
     match plan.strategy {
         AssemblyStrategy::Serial => {
             let sink = DisjointSink {
                 matrix: DisjointView::from_slice(values),
-                rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r)).collect(),
+                rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r.as_mut())).collect(),
             };
             let mut scratch = ElementScratch::default();
             for set in &sched.units {
@@ -423,13 +531,13 @@ fn assemble_batched<C: BatchCtx>(
         AssemblyStrategy::Atomics => {
             let sink = AtomicSink {
                 matrix: AtomicView::from_slice(values),
-                rhs: rhs.iter_mut().map(|r| AtomicView::from_slice(r)).collect(),
+                rhs: rhs.iter_mut().map(|r| AtomicView::from_slice(r.as_mut())).collect(),
             };
             for set in &sched.units {
                 for batch in &set.batches {
                     parallel_for(pool, 0..batch.len(), plan.atomics_grain(), |range| {
                         let mut scratch = ElementScratch::default();
-                        ctx.run(batch, range, &mut scratch, &sink);
+                        run_batch(ctx, batch, range, &mut scratch, &sink);
                     });
                 }
             }
@@ -443,14 +551,14 @@ fn assemble_batched<C: BatchCtx>(
         AssemblyStrategy::Coloring => {
             let sink = DisjointSink {
                 matrix: DisjointView::from_slice(values),
-                rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r)).collect(),
+                rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r.as_mut())).collect(),
             };
             // One unit per color class; classes stay barriers.
             for set in &sched.units {
                 for batch in &set.batches {
                     parallel_for(pool, 0..batch.len(), plan.atomics_grain(), |range| {
                         let mut scratch = ElementScratch::default();
-                        ctx.run(batch, range, &mut scratch, &sink);
+                        run_batch(ctx, batch, range, &mut scratch, &sink);
                     });
                 }
             }
@@ -458,7 +566,7 @@ fn assemble_batched<C: BatchCtx>(
         AssemblyStrategy::Multidep => {
             let sink = DisjointSink {
                 matrix: DisjointView::from_slice(values),
-                rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r)).collect(),
+                rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r.as_mut())).collect(),
             };
             let objs = plan.mutex_objs().expect("multidep plan");
             let mut graph = TaskGraph::new();
@@ -503,12 +611,31 @@ pub fn assemble_momentum_batched(
         body_force,
         lanes: plan.lane_kernels,
     };
-    assemble_batched(pool, mesh, plan, &ctx, matrix, rhs)
+    count_assembly(plan);
+    assemble_batched(pool, mesh, plan, &ctx, &mut matrix.values, rhs)
 }
 
 /// Batched counterpart of [`crate::assembly::assemble_poisson`].
-#[allow(clippy::too_many_arguments)]
 pub fn assemble_poisson_batched(
+    pool: &ThreadPool,
+    refs: &[RefElement; 3],
+    mesh: &Mesh,
+    plan: &AssemblyPlan,
+    matrix: &mut CsrMatrix,
+) -> AssemblyStats {
+    let ctx = PoissonCtx { refs, coords: &mesh.coords, lanes: plan.lane_kernels };
+    count_assembly(plan);
+    assemble_batched::<_, Vec<f64>>(pool, mesh, plan, &ctx, &mut matrix.values, &mut [])
+}
+
+fn count_assembly(plan: &AssemblyPlan) {
+    cfpd_telemetry::count!("solver.assemblies");
+    cfpd_telemetry::count!("solver.assembly_elements", plan.elems.len() as u64);
+}
+
+/// The batched schedule of [`crate::assembly::assemble_divergence`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn divergence_batched(
     pool: &ThreadPool,
     refs: &[RefElement; 3],
     mesh: &Mesh,
@@ -516,12 +643,32 @@ pub fn assemble_poisson_batched(
     velocity: &[Vec3],
     props: FluidProps,
     dt: f64,
-    matrix: &mut CsrMatrix,
-    rhs: &mut [Vec<f64>],
-) -> AssemblyStats {
+    rhs: &mut [f64],
+) {
+    let ctx = DivergenceCtx {
+        refs,
+        coords: &mesh.coords,
+        velocity,
+        props,
+        dt,
+        lanes: plan.lane_kernels,
+    };
+    assemble_batched(pool, mesh, plan, &ctx, &mut [], &mut [rhs]);
+}
+
+/// The batched schedule of
+/// [`crate::assembly::assemble_pressure_gradient`].
+pub(crate) fn pressure_gradient_batched(
+    pool: &ThreadPool,
+    refs: &[RefElement; 3],
+    mesh: &Mesh,
+    plan: &AssemblyPlan,
+    pressure: &[f64],
+    grad: &mut [f64],
+) {
     let ctx =
-        PoissonCtx { refs, coords: &mesh.coords, velocity, props, dt, lanes: plan.lane_kernels };
-    assemble_batched(pool, mesh, plan, &ctx, matrix, rhs)
+        PressureGradientCtx { refs, coords: &mesh.coords, pressure, lanes: plan.lane_kernels };
+    assemble_batched(pool, mesh, plan, &ctx, &mut [], &mut [grad]);
 }
 
 #[cfg(test)]
@@ -645,23 +792,17 @@ mod tests {
                 &mut rhs_u,
             );
             let mut a_p = template.clone();
-            let mut rhs_p = vec![vec![0.0; mesh.num_nodes()]];
-            assemble_poisson_batched(
-                &pool,
-                &refs,
-                mesh,
-                &plan,
-                &velocity,
-                FluidProps::default(),
-                1e-4,
-                &mut a_p,
-                &mut rhs_p,
-            );
-            (a_u, rhs_u, a_p, rhs_p)
+            assemble_poisson_batched(&pool, &refs, mesh, &plan, &mut a_p);
+            let mut rhs_p = vec![0.0; mesh.num_nodes()];
+            let props = FluidProps::default();
+            divergence_batched(&pool, &refs, mesh, &plan, &velocity, props, 1e-4, &mut rhs_p);
+            let mut grad = vec![0.0; 3 * mesh.num_nodes()];
+            pressure_gradient_batched(&pool, &refs, mesh, &plan, &pressure, &mut grad);
+            (a_u, rhs_u, a_p, rhs_p, grad)
         };
 
-        let (au_s, ru_s, ap_s, rp_s) = run(false);
-        let (au_l, ru_l, ap_l, rp_l) = run(true);
+        let (au_s, ru_s, ap_s, rp_s, g_s) = run(false);
+        let (au_l, ru_l, ap_l, rp_l, g_l) = run(true);
         for (k, (x, y)) in au_l.values.iter().zip(&au_s.values).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "momentum entry {k}: {x} vs {y}");
         }
@@ -673,8 +814,53 @@ mod tests {
         for (k, (x, y)) in ap_l.values.iter().zip(&ap_s.values).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "poisson entry {k}");
         }
-        for (i, (x, y)) in rp_l[0].iter().zip(&rp_s[0]).enumerate() {
+        for (i, (x, y)) in rp_l.iter().zip(&rp_s).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "poisson rhs[{i}]");
+        }
+        for (i, (x, y)) in g_l.iter().zip(&g_s).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "pressure gradient[{i}]");
+        }
+    }
+
+    /// The batched right-hand-side passes add the same per-element
+    /// values as the serial element loops, in a different order.
+    #[test]
+    fn batched_rhs_passes_match_the_serial_loops() {
+        use crate::assembly::{assemble_divergence, assemble_pressure_gradient};
+        let am = generate_airway(&AirwaySpec::small()).unwrap();
+        let mesh = &am.mesh;
+        let n2e = mesh.node_to_elements();
+        let template = CsrMatrix::from_mesh(mesh, &n2e);
+        let refs = RefElement::all();
+        let pool = ThreadPool::new(4);
+        let velocity: Vec<Vec3> =
+            mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
+        let pressure: Vec<f64> = mesh.coords.iter().map(|p| p.x * 3.0 - p.y).collect();
+        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+        let props = FluidProps::default();
+        let run = |plan: &AssemblyPlan| {
+            let mut rhs = vec![0.0; mesh.num_nodes()];
+            assemble_divergence(&pool, &refs, mesh, plan, &velocity, props, 1e-4, &mut rhs);
+            let mut grad = vec![0.0; 3 * mesh.num_nodes()];
+            assemble_pressure_gradient(&pool, &refs, mesh, plan, &pressure, &mut grad);
+            (rhs, grad)
+        };
+        let (rhs_ref, grad_ref) =
+            run(&AssemblyPlan::new(mesh, elems.clone(), AssemblyStrategy::Serial, 16));
+        let close = |x: f64, y: f64, scale: f64| (x - y).abs() <= 1e-10 * scale;
+        let rhs_scale = rhs_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let grad_scale = grad_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for strategy in AssemblyStrategy::ALL {
+            let mut plan =
+                AssemblyPlan::with_batches(mesh, elems.clone(), strategy, 16, &template);
+            plan.lane_kernels = true;
+            let (rhs, grad) = run(&plan);
+            for (i, (x, y)) in rhs.iter().zip(&rhs_ref).enumerate() {
+                assert!(close(*x, *y, rhs_scale), "{strategy:?} rhs[{i}]: {x} vs {y}");
+            }
+            for (i, (x, y)) in grad.iter().zip(&grad_ref).enumerate() {
+                assert!(close(*x, *y, grad_scale), "{strategy:?} grad[{i}]: {x} vs {y}");
+            }
         }
     }
 }

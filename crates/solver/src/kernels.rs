@@ -32,13 +32,12 @@ pub struct LocalMomentum {
     pub b: [[f64; 3]; MAX_NODES],
 }
 
-/// Local Laplacian matrix `L_ij = ∫ ∇N_i·∇N_j` and divergence RHS
-/// `b_i = ∫ ∇N_i · u` (weak pressure-Poisson right-hand side).
+/// Local Laplacian matrix `L_ij = ∫ ∇N_i·∇N_j` of the pressure-Poisson
+/// system (its right-hand side is [`divergence_kernel`]'s).
 #[derive(Debug, Clone)]
 pub struct LocalPoisson {
     pub nn: usize,
     pub l: [[f64; MAX_NODES]; MAX_NODES],
-    pub b: [f64; MAX_NODES],
 }
 
 /// Scratch holding per-element node data, reused across elements by one
@@ -62,6 +61,17 @@ impl Default for ElementScratch {
 }
 
 impl ElementScratch {
+    /// Load only the coordinates of element `e`, for kernels that read
+    /// no field (velocity and pressure slots keep what they held).
+    #[inline]
+    pub fn load_coords(&mut self, mesh: &Mesh, e: usize) -> (ElementKind, usize) {
+        let nodes = mesh.elem_nodes(e);
+        for (k, &v) in nodes.iter().enumerate() {
+            self.coords[k] = mesh.coords[v as usize];
+        }
+        (mesh.kinds[e], nodes.len())
+    }
+
     /// Load coordinates and velocities of element `e` (pressure zeroed).
     #[inline]
     pub fn load(&mut self, mesh: &Mesh, velocity: &[Vec3], e: usize) -> (ElementKind, usize) {
@@ -89,6 +99,14 @@ impl ElementScratch {
             self.pres[k] = pressure[v as usize];
         }
         (kind, nn)
+    }
+
+    /// [`ElementScratch::load_coords`] through a precomputed gather list.
+    #[inline]
+    pub fn load_gather_coords(&mut self, coords: &[Vec3], nodes: &[u32]) {
+        for (k, &v) in nodes.iter().enumerate() {
+            self.coords[k] = coords[v as usize];
+        }
     }
 
     /// Load coordinates and velocities through a precomputed gather
@@ -243,32 +261,23 @@ pub fn momentum_kernel_n<const NN: usize>(
     Some(out)
 }
 
-/// Pressure-Poisson element matrix (`∇N·∇N`) and weak divergence RHS
-/// `(ρ/dt) ∫ ∇N_i · u*`.
+/// Pressure-Poisson element matrix `∫ ∇N_i·∇N_j`.
 pub fn poisson_kernel(
     refs: &[RefElement; 3],
     scratch: &ElementScratch,
     kind: ElementKind,
     nn: usize,
-    props: FluidProps,
-    dt: f64,
 ) -> Option<LocalPoisson> {
     let re = &refs[RefElement::index_of(kind)];
-    let mut out = LocalPoisson { nn, l: [[0.0; MAX_NODES]; MAX_NODES], b: [0.0; MAX_NODES] };
-    let rho_dt = props.density / dt;
+    let mut out = LocalPoisson { nn, l: [[0.0; MAX_NODES]; MAX_NODES] };
     for qp in &re.qps {
         let m = map_qp(qp, &scratch.coords, nn)?;
-        let mut u = Vec3::ZERO;
-        for i in 0..nn {
-            u += scratch.vel[i] * m.n[i];
-        }
         for i in 0..nn {
             let gi = m.grad[i];
             for j in 0..nn {
                 let gj = m.grad[j];
                 out.l[i][j] += (gi[0] * gj[0] + gi[1] * gj[1] + gi[2] * gj[2]) * m.dvol;
             }
-            out.b[i] += rho_dt * (gi[0] * u.x + gi[1] * u.y + gi[2] * u.z) * m.dvol;
         }
     }
     Some(out)
@@ -279,10 +288,53 @@ pub fn poisson_kernel(
 pub fn poisson_kernel_n<const NN: usize>(
     re: &RefElement,
     scratch: &ElementScratch,
+) -> Option<LocalPoisson> {
+    let mut out = LocalPoisson { nn: NN, l: [[0.0; MAX_NODES]; MAX_NODES] };
+    for qp in &re.qps {
+        let m = map_qp(qp, &scratch.coords, NN)?;
+        for i in 0..NN {
+            let gi = m.grad[i];
+            for j in 0..NN {
+                let gj = m.grad[j];
+                out.l[i][j] += (gi[0] * gj[0] + gi[1] * gj[1] + gi[2] * gj[2]) * m.dvol;
+            }
+        }
+    }
+    Some(out)
+}
+
+/// Dispatch a node-count-monomorphized kernel on the element kind.
+macro_rules! by_kind {
+    ($kind:expr, $kernel:ident($($arg:expr),*)) => {
+        match $kind {
+            ElementKind::Tet4 => $kernel::<4>($($arg),*),
+            ElementKind::Pyr5 => $kernel::<5>($($arg),*),
+            ElementKind::Pri6 => $kernel::<6>($($arg),*),
+        }
+    };
+}
+
+/// Weak divergence right-hand side of the pressure-Poisson system,
+/// `b_i = (ρ/dt) ∫ ∇N_i · u`, from the velocity loaded in `scratch`.
+pub fn divergence_kernel(
+    refs: &[RefElement; 3],
+    scratch: &ElementScratch,
+    kind: ElementKind,
     props: FluidProps,
     dt: f64,
-) -> Option<LocalPoisson> {
-    let mut out = LocalPoisson { nn: NN, l: [[0.0; MAX_NODES]; MAX_NODES], b: [0.0; MAX_NODES] };
+) -> Option<[f64; MAX_NODES]> {
+    let re = &refs[RefElement::index_of(kind)];
+    by_kind!(kind, divergence_kernel_n(re, scratch, props, dt))
+}
+
+/// [`divergence_kernel`] for a compile-time node count.
+pub fn divergence_kernel_n<const NN: usize>(
+    re: &RefElement,
+    scratch: &ElementScratch,
+    props: FluidProps,
+    dt: f64,
+) -> Option<[f64; MAX_NODES]> {
+    let mut out = [0.0; MAX_NODES];
     let rho_dt = props.density / dt;
     for qp in &re.qps {
         let m = map_qp(qp, &scratch.coords, NN)?;
@@ -292,11 +344,43 @@ pub fn poisson_kernel_n<const NN: usize>(
         }
         for i in 0..NN {
             let gi = m.grad[i];
-            for j in 0..NN {
-                let gj = m.grad[j];
-                out.l[i][j] += (gi[0] * gj[0] + gi[1] * gj[1] + gi[2] * gj[2]) * m.dvol;
+            out[i] += rho_dt * (gi[0] * u.x + gi[1] * u.y + gi[2] * u.z) * m.dvol;
+        }
+    }
+    Some(out)
+}
+
+/// Weak nodal pressure gradient `g_i = ∫ N_i ∇p` (the projection step
+/// divides it by the lumped mass), from the pressure loaded in
+/// `scratch`.
+pub fn pressure_gradient_kernel(
+    refs: &[RefElement; 3],
+    scratch: &ElementScratch,
+    kind: ElementKind,
+) -> Option<[[f64; 3]; MAX_NODES]> {
+    let re = &refs[RefElement::index_of(kind)];
+    by_kind!(kind, pressure_gradient_kernel_n(re, scratch))
+}
+
+/// [`pressure_gradient_kernel`] for a compile-time node count.
+pub fn pressure_gradient_kernel_n<const NN: usize>(
+    re: &RefElement,
+    scratch: &ElementScratch,
+) -> Option<[[f64; 3]; MAX_NODES]> {
+    let mut out = [[0.0; 3]; MAX_NODES];
+    for qp in &re.qps {
+        let m = map_qp(qp, &scratch.coords, NN)?;
+        let mut gp = [0.0; 3];
+        for k in 0..NN {
+            for c in 0..3 {
+                gp[c] += m.grad[k][c] * scratch.pres[k];
             }
-            out.b[i] += rho_dt * (gi[0] * u.x + gi[1] * u.y + gi[2] * u.z) * m.dvol;
+        }
+        for i in 0..NN {
+            let w = m.n[i] * m.dvol;
+            for c in 0..3 {
+                out[i][c] += gp[c] * w;
+            }
         }
     }
     Some(out)
@@ -443,7 +527,7 @@ mod tests {
         let mut scratch = ElementScratch::default();
         let vel = vec![Vec3::ZERO; mesh.num_nodes()];
         let (kind, nn) = scratch.load(&mesh, &vel, 0);
-        let lp = poisson_kernel(&refs, &scratch, kind, nn, FluidProps::default(), 1.0).unwrap();
+        let lp = poisson_kernel(&refs, &scratch, kind, nn).unwrap();
         for i in 0..nn {
             let s: f64 = lp.l[i][..nn].iter().sum();
             assert!(s.abs() < 1e-12, "row {i} sums to {s}");
@@ -461,9 +545,27 @@ mod tests {
         let mut scratch = ElementScratch::default();
         let vel = vec![Vec3::new(1.0, 2.0, 3.0); mesh.num_nodes()];
         let (kind, nn) = scratch.load(&mesh, &vel, 0);
-        let lp = poisson_kernel(&refs, &scratch, kind, nn, FluidProps::default(), 1.0).unwrap();
-        let s: f64 = lp.b[..nn].iter().sum();
+        let b = divergence_kernel(&refs, &scratch, kind, FluidProps::default(), 1.0).unwrap();
+        let s: f64 = b[..nn].iter().sum();
         assert!(s.abs() < 1e-12, "sum {s}");
+    }
+
+    #[test]
+    fn pressure_gradient_of_a_linear_field_is_exact() {
+        // p = 2x − 3y + 5z has ∇p = (2, −3, 5) everywhere, so the weak
+        // nodal gradients sum to ∇p · |V|.
+        let mesh = unit_tet_mesh();
+        let refs = RefElement::all();
+        let mut scratch = ElementScratch::default();
+        let vel = vec![Vec3::ZERO; mesh.num_nodes()];
+        let pres: Vec<f64> =
+            mesh.coords.iter().map(|p| 2.0 * p.x - 3.0 * p.y + 5.0 * p.z).collect();
+        let (kind, nn) = scratch.load_with_pressure(&mesh, &vel, &pres, 0);
+        let g = pressure_gradient_kernel(&refs, &scratch, kind).unwrap();
+        for (c, want) in [2.0, -3.0, 5.0].into_iter().enumerate() {
+            let s: f64 = g[..nn].iter().map(|gi| gi[c]).sum();
+            assert!((s - want / 6.0).abs() < 1e-12, "component {c}: {s}");
+        }
     }
 
     #[test]

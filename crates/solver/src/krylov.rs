@@ -1,6 +1,7 @@
-//! Krylov solvers: Jacobi-preconditioned Conjugate Gradient (for the
-//! SPD continuity/pressure system — the paper's *Solver2*) and
-//! BiCGSTAB (for the nonsymmetric momentum system — *Solver1*).
+//! Krylov solvers: BiCGSTAB (for the nonsymmetric momentum system —
+//! the paper's *Solver1*) and the plain Jacobi-preconditioned Conjugate
+//! Gradient that serves as the reference for the deflated CG of the
+//! SPD continuity/pressure system (*Solver2*, [`crate::deflation`]).
 
 use crate::csr::CsrMatrix;
 
@@ -56,23 +57,12 @@ fn jacobi(diag: &[f64], r: &[f64], z: &mut [f64]) {
     }
 }
 
-/// Preconditioned CG on an SPD matrix. `x` holds the initial guess on
-/// entry and the solution on return.
+/// Jacobi-preconditioned CG on an SPD matrix. `x` holds the initial
+/// guess on entry and the solution on return. Serial and undeflated:
+/// the reference the production pressure solve
+/// ([`crate::deflation::Deflation::solve`]) is tested and benchmarked
+/// against.
 pub fn cg(a: &CsrMatrix, b: &[f64], x: &mut [f64], tol: f64, max_iters: usize) -> SolveStats {
-    cg_with_history(a, b, x, tol, max_iters, None)
-}
-
-/// [`cg`] that additionally records the relative residual observed at
-/// the top of every iteration (the convergence history), for comparing
-/// solver variants (e.g. the fused parallel CG) against this reference.
-pub fn cg_with_history(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iters: usize,
-    mut history: Option<&mut Vec<f64>>,
-) -> SolveStats {
     let n = a.n;
     let diag = a.diagonal();
     let mut r = vec![0.0; n];
@@ -88,9 +78,6 @@ pub fn cg_with_history(
     let mut ap = vec![0.0; n];
     for it in 0..max_iters {
         let res = norm(&r) / b_norm;
-        if let Some(h) = history.as_deref_mut() {
-            h.push(res);
-        }
         if res < tol {
             return SolveStats { iterations: it, residual: res, converged: true };
         }

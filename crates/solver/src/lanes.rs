@@ -58,11 +58,13 @@ impl Default for LaneScratch {
 impl LaneScratch {
     /// Gather node data for elements `first..first+LANES` of a batch
     /// (flattened `gather` list, `nn` nodes per element). Reads exactly
-    /// the values the scalar per-element gather reads.
+    /// the values the scalar per-element gather reads; a kernel that
+    /// reads no velocity passes `None` and the slots keep what they held.
+    #[allow(clippy::too_many_arguments)]
     pub fn load(
         &mut self,
         coords: &[Vec3],
-        velocity: &[Vec3],
+        velocity: Option<&[Vec3]>,
         pressure: Option<&[f64]>,
         gather: &[u32],
         h: &[f64],
@@ -76,10 +78,12 @@ impl LaneScratch {
                 self.coords[k][0][l] = c.x;
                 self.coords[k][1][l] = c.y;
                 self.coords[k][2][l] = c.z;
-                let u = velocity[v as usize];
-                self.vel[k][0][l] = u.x;
-                self.vel[k][1][l] = u.y;
-                self.vel[k][2][l] = u.z;
+                if let Some(velocity) = velocity {
+                    let u = velocity[v as usize];
+                    self.vel[k][0][l] = u.x;
+                    self.vel[k][1][l] = u.y;
+                    self.vel[k][2][l] = u.z;
+                }
                 self.pres[k][l] = match pressure {
                     Some(p) => p[v as usize],
                     None => 0.0,
@@ -97,11 +101,10 @@ pub struct LaneMomentum {
     pub b: [[Lane; 3]; MAX_NODES],
 }
 
-/// Local Poisson matrices/RHS of [`LANES`] elements.
+/// Local Poisson matrices of [`LANES`] elements.
 #[derive(Debug, Clone)]
 pub struct LanePoisson {
     pub l: [[Lane; MAX_NODES]; MAX_NODES],
-    pub b: [Lane; MAX_NODES],
 }
 
 /// Per-lane geometry at one quadrature point: `dvol` and physical
@@ -263,13 +266,34 @@ pub fn momentum_kernel_lanes<const NN: usize>(
 pub fn poisson_kernel_lanes<const NN: usize>(
     re: &RefElement,
     scratch: &LaneScratch,
+) -> Option<LanePoisson> {
+    let mut out = LanePoisson { l: [[[0.0; LANES]; MAX_NODES]; MAX_NODES] };
+    for qp in &re.qps {
+        let m = map_qp_lanes(qp, &scratch.coords, NN)?;
+        for i in 0..NN {
+            let gi = &m.grad[i];
+            for j in 0..NN {
+                let gj = &m.grad[j];
+                let lij = &mut out.l[i][j];
+                (F64x8::load(lij)
+                    + (gi[0] * gj[0] + gi[1] * gj[1] + gi[2] * gj[2]) * m.dvol)
+                    .store(lij);
+            }
+        }
+    }
+    Some(out)
+}
+
+/// [`crate::kernels::divergence_kernel_n`] over [`LANES`] elements;
+/// bit-identical per lane.
+pub fn divergence_kernel_lanes<const NN: usize>(
+    re: &RefElement,
+    scratch: &LaneScratch,
     props: FluidProps,
     dt: f64,
-) -> Option<LanePoisson> {
-    let mut out =
-        LanePoisson { l: [[[0.0; LANES]; MAX_NODES]; MAX_NODES], b: [[0.0; LANES]; MAX_NODES] };
-    let rho_dt = props.density / dt;
-    let v_rho_dt = F64x8::splat(rho_dt);
+) -> Option<[Lane; MAX_NODES]> {
+    let mut out = [[0.0; LANES]; MAX_NODES];
+    let v_rho_dt = F64x8::splat(props.density / dt);
     for qp in &re.qps {
         let m = map_qp_lanes(qp, &scratch.coords, NN)?;
         let mut u = [F64x8::zero(); 3];
@@ -281,14 +305,7 @@ pub fn poisson_kernel_lanes<const NN: usize>(
         }
         for i in 0..NN {
             let gi = &m.grad[i];
-            for j in 0..NN {
-                let gj = &m.grad[j];
-                let lij = &mut out.l[i][j];
-                (F64x8::load(lij)
-                    + (gi[0] * gj[0] + gi[1] * gj[1] + gi[2] * gj[2]) * m.dvol)
-                    .store(lij);
-            }
-            let bi = &mut out.b[i];
+            let bi = &mut out[i];
             (F64x8::load(bi)
                 + v_rho_dt * (gi[0] * u[0] + gi[1] * u[1] + gi[2] * u[2]) * m.dvol)
                 .store(bi);
@@ -297,10 +314,40 @@ pub fn poisson_kernel_lanes<const NN: usize>(
     Some(out)
 }
 
+/// [`crate::kernels::pressure_gradient_kernel_n`] over [`LANES`]
+/// elements; bit-identical per lane.
+pub fn pressure_gradient_kernel_lanes<const NN: usize>(
+    re: &RefElement,
+    scratch: &LaneScratch,
+) -> Option<[[Lane; 3]; MAX_NODES]> {
+    let mut out = [[[0.0; LANES]; 3]; MAX_NODES];
+    for qp in &re.qps {
+        let m = map_qp_lanes(qp, &scratch.coords, NN)?;
+        let mut gp = [F64x8::zero(); 3];
+        for k in 0..NN {
+            let pk = F64x8::load(&scratch.pres[k]);
+            for c in 0..3 {
+                gp[c] = gp[c] + m.grad[k][c] * pk;
+            }
+        }
+        for i in 0..NN {
+            let w = F64x8::splat(qp.n[i]) * m.dvol;
+            for c in 0..3 {
+                let gic = &mut out[i][c];
+                (F64x8::load(gic) + gp[c] * w).store(gic);
+            }
+        }
+    }
+    Some(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{momentum_kernel_n, poisson_kernel_n, ElementScratch};
+    use crate::kernels::{
+        divergence_kernel_n, momentum_kernel_n, poisson_kernel_n, pressure_gradient_kernel_n,
+        ElementScratch,
+    };
     use cfpd_testkit::prop::{self, PropConfig};
     use cfpd_testkit::rng::Rng;
 
@@ -407,7 +454,7 @@ mod tests {
     fn prop_poisson_lanes_bit_identical_to_scalar() {
         let refs = RefElement::all();
         prop::check(
-            "poisson lane kernel bit-identical per lane",
+            "poisson, divergence and gradient lane kernels bit-identical per lane",
             PropConfig::cases(40),
             &prop::usize_range(0, 1 << 30),
             |&seed| {
@@ -420,9 +467,13 @@ mod tests {
                 let props = FluidProps::default();
                 let dt = 1e-4;
                 let re = &refs[0];
-                let lp = poisson_kernel_lanes::<4>(re, &lanes, props, dt).unwrap();
+                let lp = poisson_kernel_lanes::<4>(re, &lanes).unwrap();
+                let lb = divergence_kernel_lanes::<4>(re, &lanes, props, dt).unwrap();
+                let lg = pressure_gradient_kernel_lanes::<4>(re, &lanes).unwrap();
                 for (l, (scalar, _)) in scalars.iter().enumerate() {
-                    let want = poisson_kernel_n::<4>(re, scalar, props, dt).unwrap();
+                    let want = poisson_kernel_n::<4>(re, scalar).unwrap();
+                    let want_b = divergence_kernel_n::<4>(re, scalar, props, dt).unwrap();
+                    let want_g = pressure_gradient_kernel_n::<4>(re, scalar).unwrap();
                     for i in 0..4 {
                         for j in 0..4 {
                             assert_eq!(
@@ -431,7 +482,14 @@ mod tests {
                                 "lane {l} l[{i}][{j}]"
                             );
                         }
-                        assert_eq!(lp.b[i][l].to_bits(), want.b[i].to_bits(), "lane {l} b[{i}]");
+                        assert_eq!(lb[i][l].to_bits(), want_b[i].to_bits(), "lane {l} b[{i}]");
+                        for c in 0..3 {
+                            assert_eq!(
+                                lg[i][c][l].to_bits(),
+                                want_g[i][c].to_bits(),
+                                "lane {l} g[{i}][{c}]"
+                            );
+                        }
                     }
                 }
             },

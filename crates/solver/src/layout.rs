@@ -2,9 +2,10 @@
 //!
 //! Independent switches form the locality-aware hot path: RCM node
 //! reordering (applied to the mesh before solvers are built),
-//! kind-batched SoA assembly, fused/nnz-balanced solver kernels,
-//! SELL-shaped SpMV, lane-SIMD element kernels, and kind-batched SGS
-//! sweeps. The default is **everything off**, and the default path's
+//! kind-batched SoA assembly, SELL-shaped SpMV, lane-SIMD element
+//! kernels, and kind-batched SGS sweeps. The pressure solve itself is
+//! not a switch: both layouts run the one deflated CG
+//! ([`crate::deflation`]). The default is **everything off**, and the default path's
 //! golden trace (`tests/golden/sync_small.golden`) must stay
 //! byte-identical whether or not this code is compiled in. The
 //! fully-enabled plan is pinned by its own golden
@@ -20,9 +21,6 @@ pub struct LayoutPlan {
     /// Group each parallel unit's elements by `ElementKind` into SoA
     /// batches with precomputed gather/scatter index lists.
     pub batched_assembly: bool,
-    /// Use the fused, nnz-balanced, deterministic parallel CG for the
-    /// pressure solve instead of the serial reference CG.
-    pub fused_solver: bool,
     /// Route the pressure-CG SpMV through a SELL-C-σ copy of the matrix
     /// (8 independent accumulator chains per chunk hide FP-add latency;
     /// bit-identical per row to the CSR SpMV).
@@ -54,7 +52,6 @@ impl LayoutPlan {
         LayoutPlan {
             rcm: true,
             batched_assembly: true,
-            fused_solver: true,
             sell_spmv: true,
             lane_kernels: true,
             batched_sgs: true,
@@ -103,7 +100,7 @@ mod tests {
     #[test]
     fn optimized_enables_everything() {
         let l = LayoutPlan::optimized();
-        assert!(l.rcm && l.batched_assembly && l.fused_solver);
+        assert!(l.rcm && l.batched_assembly);
         assert!(l.sell_spmv && l.lane_kernels && l.batched_sgs);
         assert!(!l.matrix_free, "matrix-free is opt-in, not part of `opt`");
         assert!(!l.is_default());

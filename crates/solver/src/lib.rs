@@ -6,9 +6,9 @@
 //! * **Matrix assembly** ([`assembly`]) — the racy scatter-add loop over
 //!   hybrid elements, parallelized with the paper's three strategies
 //!   (atomics / coloring / multidependences, Fig. 4);
-//! * **Solver1 / Solver2** ([`krylov`]) — BiCGSTAB for the momentum
-//!   system and CG for the pressure (continuity) system of a
-//!   fractional-step scheme;
+//! * **Solver1 / Solver2** ([`krylov`], [`deflation`]) — BiCGSTAB for
+//!   the momentum system and a deflated CG for the pressure (continuity)
+//!   system of a fractional-step scheme;
 //! * **SGS** ([`sgs`]) — the per-element subgrid-scale sweep with no
 //!   global writes (the phase used to isolate scheduling overhead);
 //! * [`csr`] — sparse storage with atomic and disjoint concurrent
@@ -17,11 +17,12 @@
 //! * **Locality hot path** ([`layout`] / [`batch`] / fused kernels in
 //!   [`parallel`]) — the opt-in `LayoutPlan`: RCM-renumbered meshes,
 //!   kind-batched SoA assembly with precomputed gather/scatter lists,
-//!   and a fused nnz-balanced deterministic parallel CG.
+//!   and SELL-shaped SpMV.
 
 pub mod assembly;
 pub mod batch;
 pub mod csr;
+pub mod deflation;
 pub mod kernels;
 pub mod krylov;
 pub mod lanes;
@@ -34,21 +35,20 @@ pub mod shape;
 pub mod simd;
 
 pub use assembly::{
-    assemble_momentum, assemble_poisson, AssemblyPlan, AssemblyStats, AssemblyStrategy,
+    assemble_divergence, assemble_momentum, assemble_poisson, assemble_pressure_gradient,
+    AssemblyPlan, AssemblyStats, AssemblyStrategy,
 };
 pub use batch::{
     assemble_momentum_batched, assemble_poisson_batched, BatchSchedule, BatchSet, KindBatch,
 };
 pub use csr::{AtomicView, CsrMatrix, CsrPattern, DisjointView};
 pub use kernels::{ElementScratch, FluidProps};
-pub use krylov::{bicgstab, cg, cg_with_history, LinearOperator, SolveStats};
+pub use deflation::Deflation;
+pub use krylov::{bicgstab, cg, LinearOperator, SolveStats};
 pub use lanes::{momentum_kernel_lanes, poisson_kernel_lanes, LaneScratch, LANES};
 pub use layout::LayoutPlan;
 pub use matfree::MatFreeMomentum;
-pub use parallel::{
-    axpy_dot_fused, cg_fused, cg_fused_history, cg_fused_sell, cg_parallel, dot_ranges,
-    spmv_dot_fused, spmv_sell_parallel_on,
-};
+pub use parallel::{axpy_dot_fused, spmv_sweep, ChunkedDot, SweepOperator};
 pub use sell::{SellMatrix, SELL_C, SELL_SIGMA};
 pub use sgs::{compute_sgs, SgsField, SgsStats};
 pub use shape::{map_qp, MappedQp, QuadPoint, RefElement, MAX_NODES, MAX_QP};

@@ -2,43 +2,35 @@
 //! parallelism for the solver phases (Alya's solvers run hybrid too;
 //! here they let borrowed DLB cores accelerate the Krylov iterations).
 //!
-//! Two chunking/fusion ideas live here:
-//!
 //! * **nnz-balanced row chunks** — [`CsrMatrix::row_chunks`] places
 //!   chunk boundaries by binary search on `row_ptr` so every chunk
 //!   carries about the same number of nonzeros, instead of the same
 //!   number of rows (airway matrices are skewed: boundary-layer nodes
 //!   have far denser rows than core nodes).
-//! * **fused kernels** — [`spmv_dot_fused`] and [`axpy_dot_fused`] do
-//!   the vector update *and* the reduction of the following dot product
-//!   in one parallel region, halving the number of passes over the
-//!   vectors per CG iteration. Partial sums are written to a
-//!   chunk-indexed slot array and summed in chunk order, so the result
-//!   depends only on the chunk decomposition — [`cg_fused`] uses a
-//!   *fixed* chunk count and is therefore bit-reproducible across pool
-//!   sizes.
+//! * **one SpMV interface for both storages** — [`SweepOperator`] lets
+//!   the pressure solve ([`crate::deflation`]) sweep a [`CsrMatrix`] by
+//!   row ranges or a [`SellMatrix`] by chunk ranges through the same
+//!   loop; every `y[row]` carries the same bits either way.
+//! * **chunk-ordered reductions** — [`ChunkedDot`] and
+//!   [`axpy_dot_fused`] write per-chunk partial sums to a chunk-indexed
+//!   slot array and sum the slots in chunk order, so a result depends
+//!   only on the chunk decomposition, never on the pool size.
 
 use crate::csr::CsrMatrix;
-use crate::krylov::SolveStats;
 use crate::sell::SellMatrix;
-use cfpd_runtime::{parallel_dot, parallel_for_ranges, ThreadPool};
+use cfpd_runtime::{parallel_for_ranges, ThreadPool};
 use std::cell::UnsafeCell;
 use std::ops::Range;
-
-/// Chunk count of the fused CG: fixed (not pool-derived) so the chunked
-/// reductions — and hence the whole solve — are bit-identical no matter
-/// how many executors DLB has lent us at the moment.
-const CG_FUSED_CHUNKS: usize = 64;
 
 /// Disjoint-write shared f64 slots: each index is written by exactly one
 /// chunk of a parallel region (output rows of an SpMV, per-chunk partial
 /// sums, or range-owned entries of an updated vector).
-struct SharedOut<'a>(&'a [UnsafeCell<f64>]);
+pub(crate) struct SharedOut<'a>(&'a [UnsafeCell<f64>]);
 // SAFETY: callers only touch indices their chunk owns (disjoint ranges).
 unsafe impl Sync for SharedOut<'_> {}
 
 impl<'a> SharedOut<'a> {
-    fn new(v: &'a mut [f64]) -> SharedOut<'a> {
+    pub(crate) fn new(v: &'a mut [f64]) -> SharedOut<'a> {
         SharedOut(unsafe {
             std::slice::from_raw_parts(v.as_mut_ptr() as *const UnsafeCell<f64>, v.len())
         })
@@ -48,7 +40,7 @@ impl<'a> SharedOut<'a> {
     /// `i` must be in bounds and owned by the calling chunk for the
     /// whole region.
     #[inline]
-    unsafe fn set(&self, i: usize, v: f64) {
+    pub(crate) unsafe fn set(&self, i: usize, v: f64) {
         unsafe { *self.0.get_unchecked(i).get() = v };
     }
 
@@ -56,7 +48,7 @@ impl<'a> SharedOut<'a> {
     /// As [`SharedOut::set`]: in bounds, and no other chunk may touch
     /// `i`.
     #[inline]
-    unsafe fn get(&self, i: usize) -> f64 {
+    pub(crate) unsafe fn get(&self, i: usize) -> f64 {
         unsafe { *self.0.get_unchecked(i).get() }
     }
 
@@ -74,112 +66,90 @@ impl CsrMatrix {
     pub fn row_chunks(&self, max_chunks: usize) -> Vec<Range<usize>> {
         cfpd_runtime::balanced_ranges(&self.row_ptr, max_chunks)
     }
-
-    /// y = A x with rows distributed over the pool's active executors,
-    /// chunked by nonzero count (not a fixed row grain).
-    pub fn spmv_parallel(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) {
-        let ranges = self.row_chunks(spmv_chunks(pool));
-        self.spmv_parallel_on(pool, &ranges, x, y);
-    }
-
-    /// y = A x over a precomputed row-chunk decomposition (compute the
-    /// chunks once per solve, not once per SpMV).
-    pub fn spmv_parallel_on(
-        &self,
-        pool: &ThreadPool,
-        ranges: &[Range<usize>],
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        let out = SharedOut::new(y);
-        let out_ref = &out;
-        parallel_for_ranges(pool, ranges, |_c, rows| {
-            for row in rows {
-                let lo = self.row_ptr[row] as usize;
-                let hi = self.row_ptr[row + 1] as usize;
-                let mut acc = 0.0;
-                for k in lo..hi {
-                    acc += self.values[k] * x[self.col_idx[k] as usize];
-                }
-                // SAFETY: each row belongs to exactly one chunk.
-                unsafe { out_ref.set(row, acc) };
-            }
-        });
-    }
 }
 
-/// Row-chunk count for stand-alone parallel SpMVs: a few chunks per
-/// executor for dynamic balance.
-fn spmv_chunks(pool: &ThreadPool) -> usize {
-    pool.max_workers().max(1) * 4
+/// A square matrix whose SpMV can be swept in disjoint pieces: rows of
+/// a [`CsrMatrix`], chunks of a [`SellMatrix`]. Both write every
+/// `y[row]` with the bits of [`CsrMatrix::spmv`], so a solver generic
+/// over this trait takes the same trajectory on either storage.
+pub trait SweepOperator: Sync {
+    /// Number of rows/columns.
+    fn size(&self) -> usize;
+
+    /// At most `max_ranges` contiguous ranges of sweep units (rows or
+    /// chunks) of ≈ equal work, covering the whole matrix.
+    fn sweep_ranges(&self, max_ranges: usize) -> Vec<Range<usize>>;
+
+    /// Write `(A x)[row]` for every row of the sweep units `units`.
+    ///
+    /// # Safety
+    /// `y` must be valid for writes at every row of `units`, and no
+    /// other thread may access those rows concurrently. Disjoint unit
+    /// ranges own disjoint rows.
+    unsafe fn apply_units(&self, units: Range<usize>, x: &[f64], y: *mut f64);
 }
 
-/// Fused y = A x and xᵀy (e.g. p·Ap of a CG iteration) in one parallel
-/// region. Per-chunk partial dots are summed in chunk order, so the
-/// returned value depends only on `ranges`, not on thread timing.
-pub fn spmv_dot_fused(
-    a: &CsrMatrix,
-    pool: &ThreadPool,
-    ranges: &[Range<usize>],
-    x: &[f64],
-    y: &mut [f64],
-) -> f64 {
-    assert_eq!(x.len(), a.n);
-    assert_eq!(y.len(), a.n);
-    let out = SharedOut::new(y);
-    let mut parts = vec![0.0; ranges.len()];
-    {
-        let parts_out = SharedOut::new(&mut parts);
-        let out_ref = &out;
-        let parts_ref = &parts_out;
-        parallel_for_ranges(pool, ranges, |c, rows| {
+impl SweepOperator for CsrMatrix {
+    fn size(&self) -> usize {
+        self.n
+    }
+
+    fn sweep_ranges(&self, max_ranges: usize) -> Vec<Range<usize>> {
+        self.row_chunks(max_ranges)
+    }
+
+    unsafe fn apply_units(&self, rows: Range<usize>, x: &[f64], y: *mut f64) {
+        for row in rows {
+            let lo = self.row_ptr[row] as usize;
+            let hi = self.row_ptr[row + 1] as usize;
             let mut acc = 0.0;
-            for row in rows {
-                let lo = a.row_ptr[row] as usize;
-                let hi = a.row_ptr[row + 1] as usize;
-                let mut rowv = 0.0;
-                for k in lo..hi {
-                    rowv += a.values[k] * x[a.col_idx[k] as usize];
-                }
-                // SAFETY: each row belongs to exactly one chunk.
-                unsafe { out_ref.set(row, rowv) };
-                acc += x[row] * rowv;
+            for k in lo..hi {
+                acc += self.values[k] * x[self.col_idx[k] as usize];
             }
-            // SAFETY: slot `c` belongs to this chunk alone.
-            unsafe { parts_ref.set(c, acc) };
-        });
+            // SAFETY: `row < n` and the caller owns it.
+            unsafe { *y.add(row) = acc };
+        }
     }
-    parts.iter().sum()
 }
 
-/// y = A x through the SELL-C-σ structure, SELL chunk ranges
-/// distributed over the pool. Each SELL chunk writes only its own rows,
-/// so disjoint chunk ranges are race-free; every `y[row]` is
-/// bit-identical to the CSR SpMV (see [`SellMatrix`]).
-pub fn spmv_sell_parallel_on(
-    sell: &SellMatrix,
+impl SweepOperator for SellMatrix {
+    fn size(&self) -> usize {
+        self.n
+    }
+
+    fn sweep_ranges(&self, max_ranges: usize) -> Vec<Range<usize>> {
+        self.chunk_ranges(max_ranges)
+    }
+
+    unsafe fn apply_units(&self, chunks: Range<usize>, x: &[f64], y: *mut f64) {
+        // SAFETY: each SELL chunk owns its rows; forwarded contract.
+        unsafe { self.spmv_chunk_range_ptr(chunks.start, chunks.end, x, y) };
+    }
+}
+
+/// y = A x with the sweep ranges `sweep` (from
+/// [`SweepOperator::sweep_ranges`] of `op`) distributed over the pool.
+pub fn spmv_sweep<A: SweepOperator>(
+    op: &A,
     pool: &ThreadPool,
-    sell_ranges: &[Range<usize>],
+    sweep: &[Range<usize>],
     x: &[f64],
     y: &mut [f64],
 ) {
-    assert_eq!(x.len(), sell.n);
-    assert_eq!(y.len(), sell.n);
+    assert_eq!(x.len(), op.size());
+    assert_eq!(y.len(), op.size());
     let out = SharedOut::new(y);
     let out_ref = &out;
-    parallel_for_ranges(pool, sell_ranges, |_c, chunks| {
-        // SAFETY: each SELL chunk owns its rows and chunk ranges are
-        // disjoint, so writes through the shared base pointer never
-        // alias across the region.
-        unsafe { sell.spmv_chunk_range_ptr(chunks.start, chunks.end, x, out_ref.as_mut_ptr()) };
+    parallel_for_ranges(pool, sweep, |_c, units| {
+        // SAFETY: the sweep ranges are disjoint, so each region body
+        // owns the rows of its units; `y` spans all `n` rows.
+        unsafe { op.apply_units(units, x, out_ref.as_mut_ptr()) };
     });
 }
 
-/// xᵀy over precomputed row ranges, per-range partials summed in range
-/// order — the exact reduction grouping of [`spmv_dot_fused`], split
-/// out so a SELL-computed `y` can feed the same deterministic dot.
+/// xᵀy over a fixed set of index ranges, per-range partials summed in
+/// range order, with the partial slots allocated once (a CG iteration
+/// calls [`ChunkedDot::dot`] without touching the allocator).
 ///
 /// Ranges are processed in groups of four, their accumulation chains
 /// interleaved in lock-step: each partial is still the plain serial
@@ -187,62 +157,81 @@ pub fn spmv_sell_parallel_on(
 /// loop), but four independent FP-add chains run at once, so the
 /// 4-cycle add latency that would otherwise bound a single chain is
 /// hidden.
-pub fn dot_ranges(pool: &ThreadPool, ranges: &[Range<usize>], x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    let mut parts = vec![0.0; ranges.len()];
-    let n_groups = ranges.len().div_ceil(4);
-    let groups: Vec<Range<usize>> =
-        (0..n_groups).map(|g| g * 4..ranges.len().min(g * 4 + 4)).collect();
-    {
-        let parts_out = SharedOut::new(&mut parts);
-        let parts_ref = &parts_out;
-        parallel_for_ranges(pool, &groups, |_g, group| {
-            let c0 = group.start;
-            if group.len() == 4 {
-                let (a0, b0) = (&x[ranges[c0].clone()], &y[ranges[c0].clone()]);
-                let (a1, b1) = (&x[ranges[c0 + 1].clone()], &y[ranges[c0 + 1].clone()]);
-                let (a2, b2) = (&x[ranges[c0 + 2].clone()], &y[ranges[c0 + 2].clone()]);
-                let (a3, b3) = (&x[ranges[c0 + 3].clone()], &y[ranges[c0 + 3].clone()]);
-                // Lock-step over the common prefix (the balanced ranges
-                // are near-equal, so this covers almost everything);
-                // re-sliced so the indexing is provably in-bounds.
-                let l = a0.len().min(a1.len()).min(a2.len()).min(a3.len());
-                let (c_a0, c_b0) = (&a0[..l], &b0[..l]);
-                let (c_a1, c_b1) = (&a1[..l], &b1[..l]);
-                let (c_a2, c_b2) = (&a2[..l], &b2[..l]);
-                let (c_a3, c_b3) = (&a3[..l], &b3[..l]);
-                let mut accs = [0.0f64; 4];
-                for k in 0..l {
-                    accs[0] += c_a0[k] * c_b0[k];
-                    accs[1] += c_a1[k] * c_b1[k];
-                    accs[2] += c_a2[k] * c_b2[k];
-                    accs[3] += c_a3[k] * c_b3[k];
-                }
-                // Per-range tails continue each chain past the prefix.
-                for (s, (a, b)) in
-                    [(a0, b0), (a1, b1), (a2, b2), (a3, b3)].into_iter().enumerate()
-                {
-                    let mut acc = accs[s];
-                    for k in l..a.len() {
-                        acc += a[k] * b[k];
-                    }
-                    // SAFETY: slot belongs to this group alone.
-                    unsafe { parts_ref.set(c0 + s, acc) };
-                }
-            } else {
-                for c in group {
-                    let (a, b) = (&x[ranges[c].clone()], &y[ranges[c].clone()]);
-                    let mut acc = 0.0;
-                    for k in 0..a.len() {
-                        acc += a[k] * b[k];
-                    }
-                    // SAFETY: slot `c` belongs to this group alone.
-                    unsafe { parts_ref.set(c, acc) };
-                }
-            }
-        });
+pub struct ChunkedDot {
+    ranges: Vec<Range<usize>>,
+    /// `ranges` indices, four at a time.
+    quads: Vec<Range<usize>>,
+    parts: Vec<f64>,
+}
+
+impl ChunkedDot {
+    pub fn new(ranges: Vec<Range<usize>>) -> ChunkedDot {
+        let quads = (0..ranges.len().div_ceil(4))
+            .map(|g| g * 4..ranges.len().min(g * 4 + 4))
+            .collect();
+        let parts = vec![0.0; ranges.len()];
+        ChunkedDot { ranges, quads, parts }
     }
-    parts.iter().sum()
+
+    /// The index ranges the partials are taken over.
+    pub fn ranges(&self) -> &[Range<usize>] {
+        &self.ranges
+    }
+
+    pub fn dot(&mut self, pool: &ThreadPool, x: &[f64], y: &[f64]) -> f64 {
+        assert_eq!(x.len(), y.len());
+        let ranges = &self.ranges;
+        {
+            let parts_out = SharedOut::new(&mut self.parts);
+            let parts_ref = &parts_out;
+            parallel_for_ranges(pool, &self.quads, |_g, quad| {
+                let c0 = quad.start;
+                if quad.len() == 4 {
+                    let (a0, b0) = (&x[ranges[c0].clone()], &y[ranges[c0].clone()]);
+                    let (a1, b1) = (&x[ranges[c0 + 1].clone()], &y[ranges[c0 + 1].clone()]);
+                    let (a2, b2) = (&x[ranges[c0 + 2].clone()], &y[ranges[c0 + 2].clone()]);
+                    let (a3, b3) = (&x[ranges[c0 + 3].clone()], &y[ranges[c0 + 3].clone()]);
+                    // Lock-step over the common prefix (the balanced ranges
+                    // are near-equal, so this covers almost everything);
+                    // re-sliced so the indexing is provably in-bounds.
+                    let l = a0.len().min(a1.len()).min(a2.len()).min(a3.len());
+                    let (c_a0, c_b0) = (&a0[..l], &b0[..l]);
+                    let (c_a1, c_b1) = (&a1[..l], &b1[..l]);
+                    let (c_a2, c_b2) = (&a2[..l], &b2[..l]);
+                    let (c_a3, c_b3) = (&a3[..l], &b3[..l]);
+                    let mut accs = [0.0f64; 4];
+                    for k in 0..l {
+                        accs[0] += c_a0[k] * c_b0[k];
+                        accs[1] += c_a1[k] * c_b1[k];
+                        accs[2] += c_a2[k] * c_b2[k];
+                        accs[3] += c_a3[k] * c_b3[k];
+                    }
+                    // Per-range tails continue each chain past the prefix.
+                    for (s, (a, b)) in
+                        [(a0, b0), (a1, b1), (a2, b2), (a3, b3)].into_iter().enumerate()
+                    {
+                        let mut acc = accs[s];
+                        for k in l..a.len() {
+                            acc += a[k] * b[k];
+                        }
+                        // SAFETY: slot belongs to this quad alone.
+                        unsafe { parts_ref.set(c0 + s, acc) };
+                    }
+                } else {
+                    for c in quad {
+                        let (a, b) = (&x[ranges[c].clone()], &y[ranges[c].clone()]);
+                        let mut acc = 0.0;
+                        for k in 0..a.len() {
+                            acc += a[k] * b[k];
+                        }
+                        // SAFETY: slot `c` belongs to this quad alone.
+                        unsafe { parts_ref.set(c, acc) };
+                    }
+                }
+            });
+        }
+        self.parts.iter().sum()
+    }
 }
 
 /// Fused y += α x and yᵀy in one parallel region; deterministic for a
@@ -276,277 +265,11 @@ pub fn axpy_dot_fused(
     parts.iter().sum()
 }
 
-/// Jacobi-preconditioned CG with pool-parallel SpMV and dot products —
-/// numerically equivalent to [`crate::krylov::cg`] up to FP reduction
-/// order (the dots use the pool's nondeterministic tree reduction; for
-/// a bit-reproducible parallel solve use [`cg_fused`]).
-pub fn cg_parallel(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iters: usize,
-    pool: &ThreadPool,
-) -> SolveStats {
-    let n = a.n;
-    let diag = a.diagonal();
-    let ranges = a.row_chunks(spmv_chunks(pool));
-    let mut r = vec![0.0; n];
-    a.spmv_parallel_on(pool, &ranges, x, &mut r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
-    }
-    let b_norm = parallel_dot(pool, b, b).sqrt().max(1e-300);
-    let jacobi = |r: &[f64], z: &mut [f64]| {
-        for i in 0..r.len() {
-            let d = diag[i];
-            z[i] = if d.abs() > 1e-300 { r[i] / d } else { r[i] };
-        }
-    };
-    let mut z = vec![0.0; n];
-    jacobi(&r, &mut z);
-    let mut p = z.clone();
-    let mut rz = parallel_dot(pool, &r, &z);
-    let mut ap = vec![0.0; n];
-    for it in 0..max_iters {
-        let res = parallel_dot(pool, &r, &r).sqrt() / b_norm;
-        if res < tol {
-            return SolveStats { iterations: it, residual: res, converged: true };
-        }
-        a.spmv_parallel_on(pool, &ranges, &p, &mut ap);
-        let pap = parallel_dot(pool, &p, &ap);
-        if pap.abs() < 1e-300 {
-            return SolveStats { iterations: it, residual: res, converged: false };
-        }
-        let alpha = rz / pap;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        jacobi(&r, &mut z);
-        let rz_new = parallel_dot(pool, &r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-    }
-    let res = parallel_dot(pool, &r, &r).sqrt() / b_norm;
-    SolveStats { iterations: max_iters, residual: res, converged: res < tol }
-}
-
-/// Fused, deterministic, Jacobi-preconditioned parallel CG: the same
-/// algorithm as [`crate::krylov::cg`] (same guards, same update order
-/// per element) restructured into three fused parallel regions per
-/// iteration instead of ~7 separate sweeps:
-///
-/// 1. `ap = A·p` fused with `p·Ap`,
-/// 2. `x += αp`, `r −= α·ap`, `z = D⁻¹r` fused with `r·z` and `r·r`,
-/// 3. `p = z + βp`.
-///
-/// All reductions sum chunk-indexed partials in chunk order over a
-/// fixed [`CG_FUSED_CHUNKS`]-way nnz-balanced decomposition, so the
-/// result is **bit-identical for any pool size** — residuals differ
-/// from the serial reference only by the reduction regrouping
-/// (documented tolerance: 1e-12 relative on the residual history).
-pub fn cg_fused(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iters: usize,
-    pool: &ThreadPool,
-) -> SolveStats {
-    cg_fused_inner(a, None, b, x, tol, max_iters, pool, None)
-}
-
-/// [`cg_fused`] with the SpMV routed through a [`SellMatrix`] built from
-/// (and value-synced with) `a`. Bit-identical to [`cg_fused`]: the SELL
-/// SpMV reproduces every `ap[row]` exactly, and `p·Ap` is reduced with
-/// [`dot_ranges`] over the *same* nnz-balanced row decomposition that
-/// [`spmv_dot_fused`] uses, so all scalars — and therefore the whole
-/// iteration trajectory — carry identical bits.
-pub fn cg_fused_sell(
-    a: &CsrMatrix,
-    sell: &SellMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iters: usize,
-    pool: &ThreadPool,
-) -> SolveStats {
-    cg_fused_inner(a, Some(sell), b, x, tol, max_iters, pool, None)
-}
-
-/// [`cg_fused`] recording the loop-top relative residual of every
-/// iteration (comparable entry-by-entry with
-/// [`crate::krylov::cg_with_history`]).
-#[allow(clippy::too_many_arguments)]
-pub fn cg_fused_history(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iters: usize,
-    pool: &ThreadPool,
-    history: &mut Vec<f64>,
-) -> SolveStats {
-    cg_fused_inner(a, None, b, x, tol, max_iters, pool, Some(history))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cg_fused_inner(
-    a: &CsrMatrix,
-    sell: Option<&SellMatrix>,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iters: usize,
-    pool: &ThreadPool,
-    mut history: Option<&mut Vec<f64>>,
-) -> SolveStats {
-    let n = a.n;
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
-    if let Some(s) = sell {
-        assert_eq!(s.n, n);
-    }
-    let diag = a.diagonal();
-    let ranges = a.row_chunks(CG_FUSED_CHUNKS);
-    let sell_ranges = sell.map(|s| s.chunk_ranges(CG_FUSED_CHUNKS));
-    // b_norm in serial order: bit-identical to the reference CG.
-    let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
-
-    let mut r = vec![0.0; n];
-    match (sell, &sell_ranges) {
-        (Some(s), Some(sr)) => spmv_sell_parallel_on(s, pool, sr, x, &mut r),
-        _ => a.spmv_parallel_on(pool, &ranges, x, &mut r),
-    }
-    let mut z = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    // Init region: r = b − Ax, z = D⁻¹r, p = z, with r·z and r·r.
-    let (mut rz, mut rr) = {
-        let rs = SharedOut::new(&mut r);
-        let zs = SharedOut::new(&mut z);
-        let ps = SharedOut::new(&mut p);
-        let mut rz_parts = vec![0.0; ranges.len()];
-        let mut rr_parts = vec![0.0; ranges.len()];
-        {
-            let rzp = SharedOut::new(&mut rz_parts);
-            let rrp = SharedOut::new(&mut rr_parts);
-            let (rs, zs, ps, rzp, rrp) = (&rs, &zs, &ps, &rzp, &rrp);
-            parallel_for_ranges(pool, &ranges, |c, range| {
-                let mut rz_acc = 0.0;
-                let mut rr_acc = 0.0;
-                for i in range {
-                    // SAFETY: chunk ranges are disjoint; `i` is ours.
-                    unsafe {
-                        let ri = b[i] - rs.get(i);
-                        rs.set(i, ri);
-                        let d = diag[i];
-                        let zi = if d.abs() > 1e-300 { ri / d } else { ri };
-                        zs.set(i, zi);
-                        ps.set(i, zi);
-                        rz_acc += ri * zi;
-                        rr_acc += ri * ri;
-                    }
-                }
-                // SAFETY: slot `c` belongs to this chunk alone.
-                unsafe {
-                    rzp.set(c, rz_acc);
-                    rrp.set(c, rr_acc);
-                }
-            });
-        }
-        (rz_parts.iter().sum::<f64>(), rr_parts.iter().sum::<f64>())
-    };
-
-    let mut ap = vec![0.0; n];
-    for it in 0..max_iters {
-        let res = rr.sqrt() / b_norm;
-        if let Some(h) = history.as_deref_mut() {
-            h.push(res);
-        }
-        if res < tol {
-            return SolveStats { iterations: it, residual: res, converged: true };
-        }
-        // Region 1: ap = A·p fused with p·Ap. The SELL path computes
-        // the same per-row bits and then reduces p·Ap over the same row
-        // ranges [`spmv_dot_fused`] groups by, so pap is bit-identical.
-        let pap = match (sell, &sell_ranges) {
-            (Some(s), Some(sr)) => {
-                spmv_sell_parallel_on(s, pool, sr, &p, &mut ap);
-                dot_ranges(pool, &ranges, &p, &ap)
-            }
-            _ => spmv_dot_fused(a, pool, &ranges, &p, &mut ap),
-        };
-        if pap.abs() < 1e-300 {
-            return SolveStats { iterations: it, residual: res, converged: false };
-        }
-        let alpha = rz / pap;
-        // Region 2: solution/residual update + preconditioner + dots.
-        let (rz_new, rr_new) = {
-            let xs = SharedOut::new(x);
-            let rs = SharedOut::new(&mut r);
-            let zs = SharedOut::new(&mut z);
-            let mut rz_parts = vec![0.0; ranges.len()];
-            let mut rr_parts = vec![0.0; ranges.len()];
-            {
-                let rzp = SharedOut::new(&mut rz_parts);
-                let rrp = SharedOut::new(&mut rr_parts);
-                let (xs, rs, zs, rzp, rrp) = (&xs, &rs, &zs, &rzp, &rrp);
-                let (p, ap) = (&p, &ap);
-                parallel_for_ranges(pool, &ranges, |c, range| {
-                    let mut rz_acc = 0.0;
-                    let mut rr_acc = 0.0;
-                    for i in range {
-                        // SAFETY: chunk ranges are disjoint; `i` is ours.
-                        unsafe {
-                            xs.set(i, xs.get(i) + alpha * p[i]);
-                            let ri = rs.get(i) - alpha * ap[i];
-                            rs.set(i, ri);
-                            let d = diag[i];
-                            let zi = if d.abs() > 1e-300 { ri / d } else { ri };
-                            zs.set(i, zi);
-                            rz_acc += ri * zi;
-                            rr_acc += ri * ri;
-                        }
-                    }
-                    // SAFETY: slot `c` belongs to this chunk alone.
-                    unsafe {
-                        rzp.set(c, rz_acc);
-                        rrp.set(c, rr_acc);
-                    }
-                });
-            }
-            (rz_parts.iter().sum::<f64>(), rr_parts.iter().sum::<f64>())
-        };
-        let beta = rz_new / rz;
-        rz = rz_new;
-        rr = rr_new;
-        // Region 3: p = z + βp.
-        {
-            let ps = SharedOut::new(&mut p);
-            let ps_ref = &ps;
-            let z = &z;
-            parallel_for_ranges(pool, &ranges, |_c, range| {
-                for i in range {
-                    // SAFETY: chunk ranges are disjoint; `i` is ours.
-                    unsafe { ps_ref.set(i, z[i] + beta * ps_ref.get(i)) };
-                }
-            });
-        }
-    }
-    let res = rr.sqrt() / b_norm;
-    SolveStats { iterations: max_iters, residual: res, converged: res < tol }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::krylov::{cg, cg_with_history};
 
-    fn poisson_1d(n: usize) -> CsrMatrix {
+    pub(crate) fn poisson_1d(n: usize) -> CsrMatrix {
         let mut row_ptr = vec![0u32];
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
@@ -567,16 +290,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_spmv_matches_serial() {
+    fn swept_spmv_is_bit_identical_on_both_storages() {
         let a = poisson_1d(500);
+        let sell = SellMatrix::from_csr(&a);
         let x: Vec<f64> = (0..500).map(|i| (i as f64 * 0.1).cos()).collect();
         let mut y_serial = vec![0.0; 500];
-        let mut y_par = vec![0.0; 500];
         a.spmv(&x, &mut y_serial);
         let pool = ThreadPool::new(4);
-        a.spmv_parallel(&pool, &x, &mut y_par);
+        let mut y_csr = vec![0.0; 500];
+        spmv_sweep(&a, &pool, &a.sweep_ranges(7), &x, &mut y_csr);
+        let mut y_sell = vec![0.0; 500];
+        spmv_sweep(&sell, &pool, &sell.sweep_ranges(7), &x, &mut y_sell);
         for i in 0..500 {
-            assert!((y_serial[i] - y_par[i]).abs() < 1e-14, "row {i}");
+            assert_eq!(y_csr[i].to_bits(), y_serial[i].to_bits(), "csr row {i}");
+            assert_eq!(y_sell[i].to_bits(), y_serial[i].to_bits(), "sell row {i}");
         }
     }
 
@@ -597,20 +324,24 @@ mod tests {
     }
 
     #[test]
-    fn fused_spmv_dot_matches_serial() {
-        let a = poisson_1d(300);
-        let x: Vec<f64> = (0..300).map(|i| (i as f64 * 0.07).sin()).collect();
-        let mut y_ref = vec![0.0; 300];
-        a.spmv(&x, &mut y_ref);
-        let want: f64 = x.iter().zip(&y_ref).map(|(u, v)| u * v).sum();
-        let pool = ThreadPool::new(4);
-        let ranges = a.row_chunks(16);
-        let mut y = vec![0.0; 300];
-        let got = spmv_dot_fused(&a, &pool, &ranges, &x, &mut y);
-        for i in 0..300 {
-            assert_eq!(y[i].to_bits(), y_ref[i].to_bits(), "row {i} not exact");
+    fn chunked_dot_is_the_chunk_ordered_sum_for_any_pool() {
+        let n = 1003;
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.07).sin()).collect();
+        let y: Vec<f64> = (0..n).map(|i| 0.5 - (i % 9) as f64 * 0.1).collect();
+        let prefix: Vec<u32> = (0..=n).map(|i| i as u32).collect();
+        // 7 ranges: one full quad and a 3-range tail.
+        let ranges = cfpd_runtime::balanced_ranges(&prefix, 7);
+        let want: f64 = ranges
+            .iter()
+            .map(|r| r.clone().map(|i| x[i] * y[i]).fold(0.0, |acc, v| acc + v))
+            .sum();
+        for workers in [1usize, 3] {
+            let pool = ThreadPool::new(workers);
+            let mut dots = ChunkedDot::new(ranges.clone());
+            assert_eq!(dots.dot(&pool, &x, &y).to_bits(), want.to_bits(), "{workers} workers");
+            // The slots are reused, not accumulated into.
+            assert_eq!(dots.dot(&pool, &x, &y).to_bits(), want.to_bits());
         }
-        assert!((got - want).abs() <= 1e-12 * want.abs().max(1.0));
     }
 
     #[test]
@@ -630,131 +361,5 @@ mod tests {
             assert_eq!(y[i].to_bits(), y_ref[i].to_bits(), "y[{i}] not exact");
         }
         assert!((got - want).abs() <= 1e-12 * want.abs().max(1.0));
-    }
-
-    #[test]
-    fn parallel_cg_matches_serial_solution() {
-        let n = 200;
-        let a = poisson_1d(n);
-        let x_true: Vec<f64> = (0..n).map(|i| ((i * 13) % 17) as f64).collect();
-        let mut b = vec![0.0; n];
-        a.spmv(&x_true, &mut b);
-        let pool = ThreadPool::new(4);
-        let mut x_par = vec![0.0; n];
-        let s_par = cg_parallel(&a, &b, &mut x_par, 1e-12, 2000, &pool);
-        let mut x_ser = vec![0.0; n];
-        let s_ser = cg(&a, &b, &mut x_ser, 1e-12, 2000);
-        assert!(s_par.converged && s_ser.converged);
-        for i in 0..n {
-            assert!((x_par[i] - x_true[i]).abs() < 1e-7, "x[{i}]");
-        }
-        // Similar iteration counts (identical math, different FP order).
-        assert!((s_par.iterations as i64 - s_ser.iterations as i64).abs() <= 3);
-    }
-
-    #[test]
-    fn parallel_cg_respects_shrunk_pool() {
-        // Works with a single active executor too (DLB revoked cores).
-        let a = poisson_1d(64);
-        let b = vec![1.0; 64];
-        let pool = ThreadPool::new(4);
-        pool.set_active(1);
-        let mut x = vec![0.0; 64];
-        let s = cg_parallel(&a, &b, &mut x, 1e-10, 500, &pool);
-        assert!(s.converged);
-    }
-
-    #[test]
-    fn fused_cg_tracks_serial_residual_history() {
-        let n = 64;
-        let a = poisson_1d(n);
-        let x_true: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
-        let mut b = vec![0.0; n];
-        a.spmv(&x_true, &mut b);
-        let pool = ThreadPool::new(4);
-        let mut x_f = vec![0.0; n];
-        let mut h_f = Vec::new();
-        let s_f = cg_fused_history(&a, &b, &mut x_f, 1e-10, 2000, &pool, &mut h_f);
-        let mut x_s = vec![0.0; n];
-        let mut h_s = Vec::new();
-        let s_s = cg_with_history(&a, &b, &mut x_s, 1e-10, 2000, Some(&mut h_s));
-        assert!(s_f.converged && s_s.converged);
-        assert_eq!(h_f.len(), h_s.len(), "iteration counts diverged");
-        // Reduction regrouping injects ~1 ulp per iteration, so the
-        // admissible divergence grows with the iteration index; past
-        // ~100 iterations the two finite-precision trajectories drift
-        // apart entirely (Lanczos sensitivity) while still converging
-        // to the same solution — the locality_layout integration test
-        // pins that behavior on the real airway pressure solve.
-        for (it, (f, s)) in h_f.iter().zip(&h_s).enumerate() {
-            assert!(
-                (f - s).abs() <= 1e-12 * (it + 1) as f64 * s.abs().max(1e-300),
-                "iter {it}: fused {f} vs serial {s}"
-            );
-        }
-        for i in 0..n {
-            assert!((x_f[i] - x_true[i]).abs() < 1e-6, "x[{i}]");
-        }
-    }
-
-    #[test]
-    fn fused_cg_bit_identical_across_pool_sizes() {
-        let n = 333;
-        let a = poisson_1d(n);
-        let b: Vec<f64> = (0..n).map(|i| ((i % 11) as f64 - 5.0) * 0.3).collect();
-        let mut runs = Vec::new();
-        for workers in [1usize, 4] {
-            let pool = ThreadPool::new(workers);
-            let mut x = vec![0.0; n];
-            let s = cg_fused(&a, &b, &mut x, 1e-11, 1000, &pool);
-            runs.push((x, s));
-        }
-        let (x1, s1) = &runs[0];
-        let (x4, s4) = &runs[1];
-        assert_eq!(s1.iterations, s4.iterations);
-        assert_eq!(s1.residual.to_bits(), s4.residual.to_bits());
-        for i in 0..n {
-            assert_eq!(x1[i].to_bits(), x4[i].to_bits(), "x[{i}] differs across pools");
-        }
-    }
-
-    #[test]
-    fn sell_cg_bit_identical_to_fused_cg() {
-        let n = 333;
-        let a = poisson_1d(n);
-        let sell = SellMatrix::from_csr(&a);
-        let b: Vec<f64> = (0..n).map(|i| ((i % 11) as f64 - 5.0) * 0.3).collect();
-        let pool = ThreadPool::new(4);
-        let mut x_csr = vec![0.0; n];
-        let s_csr = cg_fused(&a, &b, &mut x_csr, 1e-11, 1000, &pool);
-        let mut x_sell = vec![0.0; n];
-        let s_sell = cg_fused_sell(&a, &sell, &b, &mut x_sell, 1e-11, 1000, &pool);
-        assert_eq!(s_csr.iterations, s_sell.iterations);
-        assert_eq!(s_csr.residual.to_bits(), s_sell.residual.to_bits());
-        for i in 0..n {
-            assert_eq!(x_csr[i].to_bits(), x_sell[i].to_bits(), "x[{i}] differs sell vs csr");
-        }
-    }
-
-    #[test]
-    fn sell_cg_bit_identical_across_pool_sizes() {
-        let n = 257;
-        let a = poisson_1d(n);
-        let sell = SellMatrix::from_csr(&a);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
-        let mut runs = Vec::new();
-        for workers in [1usize, 4] {
-            let pool = ThreadPool::new(workers);
-            let mut x = vec![0.0; n];
-            let s = cg_fused_sell(&a, &sell, &b, &mut x, 1e-11, 1000, &pool);
-            runs.push((x, s));
-        }
-        let (x1, s1) = &runs[0];
-        let (x4, s4) = &runs[1];
-        assert_eq!(s1.iterations, s4.iterations);
-        assert_eq!(s1.residual.to_bits(), s4.residual.to_bits());
-        for i in 0..n {
-            assert_eq!(x1[i].to_bits(), x4[i].to_bits(), "x[{i}] differs across pools");
-        }
     }
 }

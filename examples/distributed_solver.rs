@@ -50,7 +50,7 @@ fn main() {
     // Serial reference.
     let x_serial = {
         let mut a = cfpd_solver::CsrMatrix::from_mesh(mesh, &n2e);
-        let mut rhs = vec![vec![0.0; mesh.num_nodes()]];
+        let mut rhs = vec![0.0; mesh.num_nodes()];
         let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
         let plan = cfpd_solver::AssemblyPlan::new(
             mesh,
@@ -59,23 +59,24 @@ fn main() {
             1,
         );
         let pool = cfpd_runtime::ThreadPool::new(1);
-        cfpd_solver::assemble_poisson(
+        let refs = cfpd_solver::RefElement::all();
+        cfpd_solver::assemble_poisson(&pool, &refs, mesh, &plan, &mut a);
+        cfpd_solver::assemble_divergence(
             &pool,
-            &cfpd_solver::RefElement::all(),
+            &refs,
             mesh,
             &plan,
             &velocity,
             cfpd_solver::FluidProps::default(),
             1e-3,
-            &mut a,
             &mut rhs,
         );
         for &v in outlet.iter() {
             a.set_dirichlet_row(v as usize);
-            rhs[0][v as usize] = 0.0;
+            rhs[v as usize] = 0.0;
         }
         let mut x = vec![0.0; mesh.num_nodes()];
-        let s = cfpd_solver::cg(&a, &rhs[0], &mut x, 1e-10, 5000);
+        let s = cfpd_solver::cg(&a, &rhs, &mut x, 1e-10, 5000);
         println!("serial CG: {} iterations, residual {:.2e}", s.iterations, s.residual);
         x
     };

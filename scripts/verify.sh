@@ -13,15 +13,17 @@
 #     golden byte-for-byte (the locality hot path is compiled in but
 #     must be invisible while disabled), and CFPD_LAYOUT=opt must match
 #     its own checked-in golden — and both byte-match again with
-#     CFPD_TELEMETRY=1, because telemetry summaries go to stderr only,
+#     CFPD_TELEMETRY=1, because telemetry summaries go to stderr only;
+#     no pressure solve of either run may take more than 40 iterations
+#     (deflation gives ~20, Jacobi CG 175: losing it silently is red),
 #   * a telemetry smoke: `cfpd report --json` must emit valid JSON
 #     carrying the POP rollup keys, and the overhead bench's --quick run
 #     must complete and emit its JSON,
 #   * a bench smoke: the hotpath benchmark's --quick run must complete
 #     and emit its JSON carrying the per-phase breakdown schema
-#     (phases.{spmv,jacobi,axpy_dot,sgs,assembly} + end_to_end) and the
-#     setup/* rows, with the Multidep plan build held to at most 5
-#     serial element passes (matfree/assemble),
+#     (phases.{spmv,jacobi,axpy_dot,sgs,assembly} + solve + end_to_end),
+#     the solve/* and setup/* rows, with the Multidep plan build held to
+#     at most 5 serial element passes (matfree/assemble),
 #   * a trace-pipeline smoke: `cfpd trace export` writes Paraver +
 #     Chrome + summary artifacts that validate against the in-repo
 #     RFC 8259 parser, `cfpd trace diff` of two identical-seed traced
@@ -81,6 +83,14 @@ timeout 120 "$cfpd" golden --ranks 2 | diff -q - tests/golden/sync_small.golden 
 CFPD_LAYOUT=opt timeout 120 "$cfpd" golden --ranks 2 | diff -q - tests/golden/sync_small_opt.golden \
     || { echo "FAIL: opt-layout golden drifted" >&2; exit 1; }
 
+echo "== deflation gate (Poisson iterations of both golden runs) =="
+worst=$( { timeout 120 "$cfpd" golden --ranks 2; CFPD_LAYOUT=opt timeout 120 "$cfpd" golden --ranks 2; } \
+    | sed -n 's/.* system=3 iters=\([0-9]*\) .*/\1/p' | sort -n | tail -1)
+if [ -z "$worst" ] || [ "$worst" -gt 40 ]; then
+    echo "FAIL: a pressure solve of the golden run took ${worst:-no} iterations (> 40): deflation lost" >&2
+    exit 1
+fi
+
 echo "== golden double-run under CFPD_TELEMETRY=1 (stderr-only contract) =="
 CFPD_TELEMETRY=1 timeout 120 "$cfpd" golden --ranks 2 2>/dev/null | diff -q - tests/golden/sync_small.golden \
     || { echo "FAIL: telemetry perturbed the default golden" >&2; exit 1; }
@@ -103,7 +113,7 @@ python3 -m json.tool results/BENCH_hotpath_quick.json >/dev/null \
     || { echo "FAIL: hotpath JSON invalid" >&2; exit 1; }
 # The per-phase schema the perf docs and the trajectory gate key on.
 for key in '"phases"' '"spmv"' '"jacobi"' '"axpy_dot"' '"sgs"' '"assembly"' \
-           '"end_to_end"' '"default_ns"' '"opt_ns"' '"speedup"'; do
+           '"solve"' '"iterations"' '"end_to_end"' '"default_ns"' '"opt_ns"' '"speedup"'; do
     grep -q "$key" results/BENCH_hotpath_quick.json \
         || { echo "FAIL: BENCH_hotpath_quick.json missing $key" >&2; exit 1; }
 done
@@ -119,7 +129,8 @@ import json, sys
 doc = json.load(open("results/BENCH_hotpath_quick.json"))
 rows = {r["name"]: r["median_ns"] for r in doc["rows"]}
 for name in ("setup/element-graph", "setup/kway-16", "setup/plan-multidep",
-             "setup/locator-build", "setup/inject-10k"):
+             "setup/locator-build", "setup/inject-10k", "setup/deflation-build",
+             "solve/poisson-jacobi", "solve/poisson-deflated"):
     if name not in rows:
         sys.exit(f"FAIL: hotpath bench has no {name} row")
 plan, serial_pass = rows["setup/plan-multidep"], rows["matfree/assemble"]

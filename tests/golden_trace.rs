@@ -78,7 +78,7 @@ fn goldens_are_byte_identical_with_flight_recorder_on() {
     cfpd_flight::set_enabled(false);
 }
 
-/// The locality-optimized path (RCM + batched assembly + fused CG) is
+/// The locality-optimized path (RCM + batched assembly + SELL SpMV) is
 /// deterministic too and pinned by its own golden file — the default
 /// golden above proves the optimization is invisible when disabled.
 #[test]
