@@ -73,17 +73,11 @@ pub struct FluidStepReport {
     /// velocity correction.
     pub t_solver2: f64,
     pub t_sgs: f64,
-    pub assembly: Option<AssemblyStatsPair>,
+    /// Statistics of the momentum assembly.
+    pub assembly: Option<AssemblyStats>,
     pub solver1: Option<[SolveStats; 3]>,
     pub solver2: Option<SolveStats>,
     pub sgs: Option<SgsStats>,
-}
-
-/// Assembly statistics of the momentum + Poisson assemblies.
-#[derive(Debug, Clone)]
-pub struct AssemblyStatsPair {
-    pub momentum: AssemblyStats,
-    pub poisson: AssemblyStats,
 }
 
 /// Single-address-space fluid solver over (a subset of) the mesh.
@@ -96,7 +90,13 @@ pub struct FluidSolver<'m> {
     tol: f64,
     max_iters: usize,
     matrix_u: CsrMatrix,
+    /// The pressure operator `∫∇N_i·∇N_j` with identity rows at the
+    /// outlets. It depends on the geometry alone, so the first step
+    /// assembles and reduces it and every later step reuses it, together
+    /// with its SELL mirror and the values loaded into `deflation`
+    /// (`pressure_operator_built`).
     matrix_p: CsrMatrix,
+    pressure_operator_built: bool,
     rhs_u: Vec<Vec<f64>>,
     rhs_p: Vec<f64>,
     /// Weak nodal pressure gradient of the correction, component `c` of
@@ -115,11 +115,12 @@ pub struct FluidSolver<'m> {
     pub sgs: SgsField,
     gravity: Vec3,
     layout: LayoutPlan,
-    /// Coarse space of the pressure solve: structure built once from
-    /// the matrix pattern, values refreshed every solve.
+    /// Coarse space of the pressure solve: structure built from the
+    /// matrix pattern, values loaded with the pressure operator.
     deflation: Deflation,
-    /// SELL-shaped mirror of the pressure matrix (`layout.sell_spmv`);
-    /// structure built once, values regathered every step.
+    /// SELL-shaped mirror of the pressure matrix (`layout.sell_spmv`):
+    /// structure built from the pattern, values gathered with the
+    /// pressure operator.
     sell: Option<SellMatrix>,
     /// Matrix-free momentum operator (`layout.matrix_free`). Covers
     /// only this solver's element list, so it is a single-address-space
@@ -240,6 +241,7 @@ impl<'m> FluidSolver<'m> {
             max_iters,
             matrix_u,
             matrix_p,
+            pressure_operator_built: false,
             rhs_u: vec![vec![0.0; n]; 3],
             rhs_p: vec![0.0; n],
             grad_p: vec![0.0; 3 * n],
@@ -272,6 +274,37 @@ impl<'m> FluidSolver<'m> {
         }
     }
 
+    /// Assemble the pressure operator, sum it across ranks, pin the
+    /// outlets and load its values into the SELL mirror and the
+    /// deflation. Needs the caller's `reduce`, hence not in the
+    /// constructor.
+    fn build_pressure_operator(&mut self, pool: &ThreadPool, reduce: &mut dyn FnMut(&mut [f64])) {
+        self.matrix_p.clear();
+        let assemble_p = if self.layout.batched_assembly {
+            assemble_poisson_batched
+        } else {
+            assemble_poisson
+        };
+        assemble_p(pool, &self.refs, self.mesh, &self.plan, &mut self.matrix_p);
+        reduce(&mut self.matrix_p.values);
+        for &v in &self.bc.outlet_nodes {
+            self.matrix_p.set_dirichlet_row(v as usize);
+        }
+        if let Some(sell) = self.sell.as_mut() {
+            sell.update_values(&self.matrix_p.values);
+        }
+        self.deflation.refresh(&self.matrix_p);
+        self.pressure_operator_built = true;
+    }
+
+    /// Make the next step assemble the pressure operator again: a
+    /// solver that does so before every step is the oracle the kept
+    /// operator is tested against.
+    #[cfg(test)]
+    fn forget_pressure_operator(&mut self) {
+        self.pressure_operator_built = false;
+    }
+
     /// Advance the flow by one time step, reporting per-phase timings.
     pub fn step(&mut self, pool: &ThreadPool) -> FluidStepReport {
         self.step_reduced(pool, &mut |_| {})
@@ -292,7 +325,8 @@ impl<'m> FluidSolver<'m> {
         let n = self.mesh.num_nodes();
         self.apply_velocity_bcs();
 
-        // ---- Phase: matrix assembly (momentum + Poisson patterns) ----
+        // ---- Phase: matrix assembly (momentum; on the first step also
+        // the pressure operator) ----------------------------------------
         let t0 = std::time::Instant::now();
         if self.matfree.is_none() {
             self.matrix_u.clear();
@@ -340,15 +374,6 @@ impl<'m> FluidSolver<'m> {
                 &mut self.rhs_u,
             )
         };
-        // The Poisson matrix only: its right-hand side needs u*, which
-        // Solver1 has yet to produce.
-        self.matrix_p.clear();
-        let assemble_p = if self.layout.batched_assembly {
-            assemble_poisson_batched
-        } else {
-            assemble_poisson
-        };
-        let stats_p = assemble_p(pool, &self.refs, self.mesh, &self.plan, &mut self.matrix_p);
         // Combine element-partial sums across ranks before applying
         // boundary conditions. The matrix-free operator keeps local
         // matrices unassembled, so its momentum values take no part in
@@ -359,7 +384,9 @@ impl<'m> FluidSolver<'m> {
         for r in &mut self.rhs_u {
             reduce(r);
         }
-        reduce(&mut self.matrix_p.values);
+        if !self.pressure_operator_built {
+            self.build_pressure_operator(pool, reduce);
+        }
         // Momentum Dirichlet rows: walls (0) and inlet (inflow).
         for &v in self.bc.wall_nodes.iter().chain(&self.bc.inlet_nodes) {
             if let Some(mf) = self.matfree.as_mut() {
@@ -376,12 +403,8 @@ impl<'m> FluidSolver<'m> {
                 self.rhs_u[c][v as usize] = *comp;
             }
         }
-        // Pressure Dirichlet at outlets.
-        for &v in &self.bc.outlet_nodes {
-            self.matrix_p.set_dirichlet_row(v as usize);
-        }
         report.t_assembly = t0.elapsed().as_secs_f64();
-        report.assembly = Some(AssemblyStatsPair { momentum: stats_m, poisson: stats_p });
+        report.assembly = Some(stats_m);
 
         // ---- Phase: Solver1 (momentum, BiCGSTAB per component) -------
         let t0 = std::time::Instant::now();
@@ -429,14 +452,12 @@ impl<'m> FluidSolver<'m> {
             self.rhs_p[v as usize] = 0.0;
         }
         // One solver loop for both layouts; the layout only picks the
-        // storage the SpMV sweeps (a SELL mirror regathered from the
-        // post-Dirichlet values, or the CSR matrix itself).
-        let (a, b, x) = (&self.matrix_p, &self.rhs_p, &mut self.pressure);
-        let s2 = if let Some(sell) = self.sell.as_mut() {
-            sell.update_values(&a.values);
-            self.deflation.solve(&*sell, a, b, x, self.tol, self.max_iters, pool)
-        } else {
-            self.deflation.solve(a, a, b, x, self.tol, self.max_iters, pool)
+        // storage the SpMV sweeps (the SELL mirror of the pressure
+        // operator, or the CSR matrix itself).
+        let (b, x) = (&self.rhs_p, &mut self.pressure);
+        let s2 = match &self.sell {
+            Some(sell) => self.deflation.solve(sell, b, x, self.tol, self.max_iters, pool),
+            None => self.deflation.solve(&self.matrix_p, b, x, self.tol, self.max_iters, pool),
         };
         report.solver2 = Some(s2);
 
@@ -639,6 +660,75 @@ mod tests {
         let sb =
             step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, matfree), &pool);
         assert_state_bits_equal(&sa, &sb, "matrix-free momentum");
+    }
+
+    /// Four steps on `ranks` ranks (rank `r` assembles every element
+    /// `e ≡ r (mod ranks)` and sums through an allreduce, like a sync
+    /// run); every rank's velocity, pressure and SGS bits after every
+    /// step. `reassemble` forgets the pressure operator before each
+    /// step, which is what every step did before it was kept.
+    fn stepped_states(ranks: usize, layout: LayoutPlan, reassemble: bool) -> Vec<Vec<Vec<u64>>> {
+        use cfpd_simmpi::{ReduceOp, Universe};
+        Universe::run(ranks, move |comm| {
+            let am = generate_airway(&AirwaySpec::small()).unwrap();
+            let elems = (0..am.mesh.num_elements() as u32)
+                .filter(|e| *e as usize % ranks == comm.rank())
+                .collect();
+            let mut fs = FluidSolver::new_with_layout(
+                &am.mesh,
+                elems,
+                AssemblyStrategy::Serial,
+                8,
+                FluidProps::default(),
+                1e-3,
+                Vec3::new(0.0, 0.0, -1.0),
+                1e-8,
+                2000,
+                layout,
+            );
+            let pool = ThreadPool::new(1);
+            (0..4)
+                .map(|_| {
+                    if reassemble {
+                        fs.forget_pressure_operator();
+                    }
+                    let report = fs.step_reduced(&pool, &mut |buf: &mut [f64]| {
+                        comm.allreduce_slice_f64(buf, ReduceOp::Sum)
+                    });
+                    assert!(report.solver2.unwrap().converged);
+                    let vectors = fs.velocity.iter().chain(&fs.sgs.values);
+                    vectors
+                        .flat_map(|v| [v.x, v.y, v.z])
+                        .chain(fs.pressure.iter().copied())
+                        .map(f64::to_bits)
+                        .collect()
+                })
+                .collect()
+        })
+    }
+
+    // The pressure operator is assembled by the first step and kept.
+    // Steps 2…N must carry the bits of a solver that assembles it before
+    // every step, on one rank and through the cross-rank reduction, on
+    // both layouts (CSR and SELL storage of the operator).
+    #[test]
+    fn kept_pressure_operator_matches_reassembling_every_step() {
+        for ranks in [1, 2] {
+            for layout in [LayoutPlan::default(), LayoutPlan::optimized()] {
+                let kept = stepped_states(ranks, layout, false);
+                let oracle = stepped_states(ranks, layout, true);
+                for (rank, (k, o)) in kept.iter().zip(&oracle).enumerate() {
+                    for (step, (ks, os)) in k.iter().zip(o).enumerate() {
+                        assert!(
+                            ks == os,
+                            "{ranks} ranks, layout {}: rank {rank} differs after step {step}",
+                            layout.label()
+                        );
+                    }
+                    assert_ne!(k[0], k[3], "the flow must move between steps");
+                }
+            }
+        }
     }
 
     #[test]

@@ -183,7 +183,7 @@ fn log_fluid_step(
     pressure: &[f64],
 ) {
     if let Some(a) = &report.assembly {
-        log.push(LogicalEvent::Assembly { step, rank, elements: a.momentum.elements });
+        log.push(LogicalEvent::Assembly { step, rank, elements: a.elements });
     }
     let mut solves: Vec<(u8, cfpd_solver::SolveStats)> = Vec::new();
     if let Some(s1) = &report.solver1 {

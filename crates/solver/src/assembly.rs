@@ -217,6 +217,16 @@ impl AssemblyPlan {
         self.batches.as_ref()
     }
 
+    /// Element ids per color (Coloring only).
+    pub(crate) fn color_classes(&self) -> Option<&[Vec<u32>]> {
+        self.color_classes.as_deref()
+    }
+
+    /// Element ids per subdomain (Multidep only).
+    pub(crate) fn subdomain_members(&self) -> Option<&[Vec<u32>]> {
+        self.subdomains.as_ref().map(|(members, _)| members.as_slice())
+    }
+
     /// Per-subdomain mutexinoutset object lists (Multidep only).
     pub(crate) fn mutex_objs(&self) -> Option<&Vec<Vec<usize>>> {
         self.subdomains.as_ref().map(|(_, objs)| objs)

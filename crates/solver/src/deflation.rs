@@ -25,8 +25,10 @@
 //!
 //! The structure (levels, groups, the pattern of `AW`, the envelope of
 //! `E`) is built once per solver from the matrix pattern, the way
-//! [`crate::sell::SellMatrix`] is; the values (`AW`, `E`, its factor)
-//! are refreshed at the top of every solve.
+//! [`crate::sell::SellMatrix`] is; the values (`AW`, `E`, its factor,
+//! the Jacobi diagonal) are loaded by [`Deflation::refresh`] whenever
+//! the matrix values change — once, for the constant pressure operator
+//! of a fixed mesh — and [`Deflation::solve`] only solves.
 //!
 //! **Determinism.** The SpMV and the fused vector updates reduce
 //! chunk-indexed partials in chunk order over a fixed
@@ -37,8 +39,8 @@
 //!
 //! **Fallback.** A coarse pivot that is not safely positive (a
 //! pure-Neumann component makes `E` singular) or an empty coarse space
-//! (no inlet) drops deflation for that solve: the loop runs as plain
-//! Jacobi CG and `solver.deflation_fallbacks` is bumped.
+//! (no inlet) drops deflation for those values: the loop runs as plain
+//! Jacobi CG and `solver.deflation_fallbacks` is bumped per refresh.
 
 use crate::csr::CsrMatrix;
 use crate::krylov::SolveStats;
@@ -89,6 +91,12 @@ pub struct Deflation {
     chol: Vec<f64>,
     /// Whether the last refresh produced a usable factor.
     active: bool,
+    /// Diagonal of the refreshed matrix (the Jacobi preconditioner);
+    /// empty until the first refresh.
+    diag: Vec<f64>,
+    /// nnz-balanced row chunks of the pattern: the fixed decomposition
+    /// of the dots and fused updates.
+    row_chunks: Vec<Range<usize>>,
     /// Coarse right-hand side / solution, plus the always-zero slot.
     coarse: Vec<f64>,
 }
@@ -235,6 +243,8 @@ impl Deflation {
             e_ptr,
             e_slot,
             active: false,
+            diag: Vec::new(),
+            row_chunks: pattern.row_chunks(CG_CHUNKS),
             coarse: vec![0.0; k + 1],
         }
     }
@@ -255,23 +265,21 @@ impl Deflation {
         (g < self.k).then_some(g)
     }
 
-    /// Solve `A x = b` to `‖r‖/‖b‖ < tol`. `x` holds the initial guess
-    /// on entry and the solution on return. `a` must have the pattern
-    /// this structure was built from, with identity rows at the `fixed`
-    /// nodes; `op` applies the same matrix — `a` itself, or a
-    /// [`crate::sell::SellMatrix`] mirror holding `a`'s current values.
-    #[allow(clippy::too_many_arguments)]
+    /// Solve `A x = b` to `‖r‖/‖b‖ < tol`, `A` being the matrix last
+    /// passed to [`Deflation::refresh`]. `x` holds the initial guess on
+    /// entry and the solution on return; `op` applies `A` — the matrix
+    /// itself, or a [`crate::sell::SellMatrix`] mirror holding its
+    /// values.
     pub fn solve<A: SweepOperator>(
         &mut self,
         op: &A,
-        a: &CsrMatrix,
         b: &[f64],
         x: &mut [f64],
         tol: f64,
         max_iters: usize,
         pool: &ThreadPool,
     ) -> SolveStats {
-        self.solve_observed(op, a, b, x, tol, max_iters, pool, &mut |_, _| {})
+        self.solve_observed(op, b, x, tol, max_iters, pool, &mut |_, _| {})
     }
 
     /// [`Deflation::solve`] calling `observe(iteration, r)` with the
@@ -280,7 +288,6 @@ impl Deflation {
     fn solve_observed<A: SweepOperator>(
         &mut self,
         op: &A,
-        a: &CsrMatrix,
         b: &[f64],
         x: &mut [f64],
         tol: f64,
@@ -289,15 +296,13 @@ impl Deflation {
         observe: &mut dyn FnMut(usize, &[f64]),
     ) -> SolveStats {
         let n = self.n;
-        assert_eq!(a.n, n);
+        assert_eq!(self.diag.len(), n, "Deflation::refresh must load the matrix before a solve");
         assert_eq!(op.size(), n);
         assert_eq!(b.len(), n);
         assert_eq!(x.len(), n);
-        self.refresh(a);
 
-        let diag = a.diagonal();
         let sweep = op.sweep_ranges(CG_CHUNKS);
-        let mut dots = ChunkedDot::new(a.row_chunks(CG_CHUNKS));
+        let mut dots = ChunkedDot::new(self.row_chunks.clone());
         let mut parts = [vec![0.0; dots.ranges().len()], vec![0.0; dots.ranges().len()]];
         // b_norm in serial order: bit-identical to the reference CG.
         let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
@@ -322,8 +327,18 @@ impl Deflation {
         }
         // r = b − Ax, z = D⁻¹r: the update sweep from r = b with α = 1
         // (p is still zero, so x stays).
-        let (mut rz, mut rr) =
-            update_fused(pool, dots.ranges(), &diag, 1.0, &p, &ap, x, &mut r, &mut z, &mut parts);
+        let (mut rz, mut rr) = update_fused(
+            pool,
+            dots.ranges(),
+            &self.diag,
+            1.0,
+            &p,
+            &ap,
+            x,
+            &mut r,
+            &mut z,
+            &mut parts,
+        );
         self.update_direction(pool, dots.ranges(), &z, 0.0, &mut p);
 
         for it in 0..max_iters {
@@ -345,7 +360,7 @@ impl Deflation {
             let (rz_new, rr_new) = update_fused(
                 pool,
                 dots.ranges(),
-                &diag,
+                &self.diag,
                 alpha,
                 &p,
                 &ap,
@@ -364,9 +379,14 @@ impl Deflation {
         SolveStats { iterations: max_iters, residual: res, converged: res < tol }
     }
 
-    /// Load the values of `a` into `AW` and `E` and factor `E`.
-    fn refresh(&mut self, a: &CsrMatrix) {
+    /// Load the values of `a` — `AW`, `E` and its factor, the Jacobi
+    /// diagonal — for the solves that follow. `a` must have the pattern
+    /// this structure was built from, with identity rows at the `fixed`
+    /// nodes. Call again whenever the values change.
+    pub fn refresh(&mut self, a: &CsrMatrix) {
+        assert_eq!(a.n, self.n);
         assert_eq!(a.nnz(), self.aw_slot.len(), "matrix does not have the deflation's pattern");
+        self.diag = a.diagonal();
         self.aw_val.fill(0.0);
         for (&s, &v) in self.aw_slot.iter().zip(&a.values) {
             if s != NONE {
@@ -641,11 +661,12 @@ mod tests {
                 let mut x: Vec<f64> = (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect();
                 let mut d = Deflation::new(&a, &[rng.range_usize(0, n) as u32], &[]);
                 assert!(d.num_groups() > 0);
+                d.refresh(&a);
                 let probe = d.clone();
                 let bound = 1e-12 * max_abs(&b).max(1.0) * n as f64;
                 let mut checked = 0;
                 let stats =
-                    d.solve_observed(&a, &a, &b, &mut x, 1e-10, 10 * n, &pool, &mut |it, r| {
+                    d.solve_observed(&a, &b, &mut x, 1e-10, 10 * n, &pool, &mut |it, r| {
                         let mut sums = vec![0.0; probe.k + 1];
                         for (i, ri) in r.iter().enumerate() {
                             sums[probe.group[i] as usize] += ri;
@@ -676,8 +697,9 @@ mod tests {
                 let mut x_ref = vec![0.0; n];
                 assert!(cg(&a, &b, &mut x_ref, 1e-12, 20 * n).converged);
                 let mut x = vec![0.0; n];
-                let stats =
-                    Deflation::new(&a, &seeds, &[]).solve(&a, &a, &b, &mut x, 1e-12, 20 * n, &pool);
+                let mut d = Deflation::new(&a, &seeds, &[]);
+                d.refresh(&a);
+                let stats = d.solve(&a, &b, &mut x, 1e-12, 20 * n, &pool);
                 assert!(stats.converged, "{stats:?}");
                 let scale = max_abs(&x_ref).max(1e-300);
                 for i in 0..n {
@@ -700,7 +722,8 @@ mod tests {
         let s_ref = cg(&a, &b, &mut x_ref, 1e-12, 5000);
         let mut x = vec![0.0; a.n];
         let mut d = Deflation::new(&a, &inlet, &outlet);
-        let s = d.solve(&a, &a, &b, &mut x, 1e-12, 5000, &pool);
+        d.refresh(&a);
+        let s = d.solve(&a, &b, &mut x, 1e-12, 5000, &pool);
         assert!(s_ref.converged && s.converged, "{s_ref:?} {s:?}");
         assert!(d.active);
         assert!(
@@ -775,11 +798,12 @@ mod tests {
         for workers in [1usize, 2, 4] {
             let pool = ThreadPool::new(workers);
             let mut d = Deflation::new(&a, &inlet, &outlet);
+            d.refresh(&a);
             let mut x = vec![0.0; a.n];
-            let s = d.solve(&a, &a, &b, &mut x, 1e-8, 2000, &pool);
+            let s = d.solve(&a, &b, &mut x, 1e-8, 2000, &pool);
             runs.push((x, s));
             let mut x = vec![0.0; a.n];
-            let s = d.solve(&sell, &a, &b, &mut x, 1e-8, 2000, &pool);
+            let s = d.solve(&sell, &b, &mut x, 1e-8, 2000, &pool);
             runs.push((x, s));
         }
         let (x_ref, s_ref) = &runs[0];
@@ -804,8 +828,9 @@ mod tests {
         b.iter_mut().for_each(|v| *v -= mean);
         let mut d = Deflation::new(&a, &[0], &[]);
         assert!(d.num_groups() > 1);
+        d.refresh(&a);
         let mut x = vec![0.0; n];
-        let s = d.solve(&a, &a, &b, &mut x, 1e-8, 50 * n, &pool);
+        let s = d.solve(&a, &b, &mut x, 1e-8, 50 * n, &pool);
         assert!(!d.active, "a singular E must drop the deflation");
         assert!(s.converged, "{s:?}");
 
@@ -813,8 +838,9 @@ mod tests {
         let a = random_laplacian(n, &mut Rng::new(8), true);
         let mut d = Deflation::new(&a, &[], &[]);
         assert_eq!(d.num_groups(), 0);
+        d.refresh(&a);
         let mut x = vec![0.0; n];
-        let s = d.solve(&a, &a, &b, &mut x, 1e-10, 50 * n, &pool);
+        let s = d.solve(&a, &b, &mut x, 1e-10, 50 * n, &pool);
         assert!(!d.active);
         assert!(s.converged, "{s:?}");
         let mut x_ref = vec![0.0; n];

@@ -18,10 +18,13 @@
 //! cannot change results: every local matrix/RHS entry is bit-identical
 //! to [`crate::kernels::momentum_kernel_n`] /
 //! [`crate::kernels::poisson_kernel_n`] — pinned by property tests.
+//! [`sgs_kernel_lanes`] carries the same contract through a
+//! data-dependent loop: a lane that has converged is frozen by a mask
+//! while its neighbours iterate on.
 
 use crate::kernels::FluidProps;
-use crate::shape::{QuadPoint, RefElement, MAX_NODES};
-use crate::simd::F64x8;
+use crate::shape::{QuadPoint, RefElement, MAX_NODES, MAX_QP};
+use crate::simd::{F64x8, Mask8};
 use cfpd_mesh::Vec3;
 
 /// Elements evaluated per kernel call: 8 doubles = one AVX-512 register
@@ -341,6 +344,120 @@ pub fn pressure_gradient_kernel_lanes<const NN: usize>(
     Some(out)
 }
 
+/// Subgrid velocities of [`LANES`] elements, `usg[qp][axis][lane]`.
+pub type LaneSgs = [[Lane; 3]; MAX_QP];
+
+/// Put one element's per-point subgrid velocities into lane `l`.
+#[inline]
+pub fn set_lane_sgs(sgs: &mut LaneSgs, l: usize, values: &[Vec3]) {
+    for (q, v) in values.iter().enumerate() {
+        sgs[q][0][l] = v.x;
+        sgs[q][1][l] = v.y;
+        sgs[q][2][l] = v.z;
+    }
+}
+
+/// Read lane `l` back into one element's per-point subgrid velocities.
+#[inline]
+pub fn get_lane_sgs(sgs: &LaneSgs, l: usize, values: &mut [Vec3]) {
+    for (q, v) in values.iter_mut().enumerate() {
+        *v = Vec3::new(sgs[q][0][l], sgs[q][1][l], sgs[q][2][l]);
+    }
+}
+
+#[inline(always)]
+fn norm(v: &[F64x8; 3]) -> F64x8 {
+    (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt()
+}
+
+/// [`crate::kernels::sgs_kernel_on`] over [`LANES`] elements: per lane
+/// the same values and the same iteration count, bit for bit.
+///
+/// The scalar fixed-point loop leaves as soon as its element has
+/// converged; here the eight loops run in lock-step under a per-lane
+/// "still iterating" mask. A lane that converges keeps the value it
+/// converged to (`select` discards what later iterations compute for
+/// it) and stops counting; the loop leaves when no lane is active or at
+/// `max_iters`, whichever the scalar loops would reach last.
+///
+/// Returns `None` when any lane has a non-invertible Jacobian at any
+/// point; `sgs` is then partly updated and must be discarded — the
+/// caller redoes the block with the scalar kernel, which skips such a
+/// point for its own element only.
+pub fn sgs_kernel_lanes<const NN: usize>(
+    re: &RefElement,
+    scratch: &LaneScratch,
+    props: FluidProps,
+    sgs: &mut LaneSgs,
+    max_iters: usize,
+    tol: f64,
+) -> Option<[usize; LANES]> {
+    let nu = props.viscosity / props.density;
+    let h = F64x8::load(&scratch.h);
+    // The viscous part of τ⁻¹ does not change over the iterations; the
+    // scalar kernel recomputes these same bits every time round.
+    let tau_inv_visc = F64x8::splat(4.0 * nu) / (h * h);
+    // Both the floor of τ⁻¹ and the guard of the relative tolerance.
+    let tiny = F64x8::splat(1e-30);
+    let v_tol = F64x8::splat(tol);
+    let mut iters = F64x8::splat(1.0);
+    for (q, qp) in re.qps.iter().enumerate() {
+        let m = map_qp_lanes(qp, &scratch.coords, NN)?;
+        // Resolved velocity and its gradient at the point (node order).
+        let mut u = [F64x8::zero(); 3];
+        let mut grad_u = [[F64x8::zero(); 3]; 3];
+        for i in 0..NN {
+            let ni = F64x8::splat(qp.n[i]);
+            let v = [
+                F64x8::load(&scratch.vel[i][0]),
+                F64x8::load(&scratch.vel[i][1]),
+                F64x8::load(&scratch.vel[i][2]),
+            ];
+            for c in 0..3 {
+                u[c] = u[c] + v[c] * ni;
+                for d in 0..3 {
+                    grad_u[d][c] = grad_u[d][c] + m.grad[i][c] * v[d];
+                }
+            }
+        }
+        let mut usg = [
+            F64x8::load(&sgs[q][0]),
+            F64x8::load(&sgs[q][1]),
+            F64x8::load(&sgs[q][2]),
+        ];
+        let mut active = Mask8::full();
+        let mut used = F64x8::zero();
+        for it in 0..max_iters {
+            used = active.select(F64x8::splat((it + 1) as f64), used);
+            let a = [u[0] + usg[0], u[1] + usg[1], u[2] + usg[2]];
+            let tau_inv = tau_inv_visc + F64x8::splat(2.0) * norm(&a) / h;
+            // `tau_inv.max(1e-30)`: a NaN compares false and takes the
+            // floor, as `f64::max` returns its non-NaN operand.
+            let tau = F64x8::splat(1.0) / tau_inv.gt(tiny).select(tau_inv, tiny);
+            let mut new = [F64x8::zero(); 3];
+            let mut step = [F64x8::zero(); 3];
+            for d in 0..3 {
+                let conv = a[0] * grad_u[d][0] + a[1] * grad_u[d][1] + a[2] * grad_u[d][2];
+                // A sign flip, not `0 − conv`: where the gradient
+                // vanishes the scalar kernel stores −0.0.
+                new[d] = -conv * tau;
+                step[d] = new[d] - usg[d];
+                usg[d] = active.select(new[d], usg[d]);
+            }
+            let converged = norm(&step).lt(v_tol * (norm(&new) + tiny));
+            active = active.and_not(converged);
+            if !active.any() {
+                break;
+            }
+        }
+        iters = used.gt(iters).select(used, iters);
+        for d in 0..3 {
+            usg[d].store(&mut sgs[q][d]);
+        }
+    }
+    Some(iters.to_array().map(|v| v as usize))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,46 +467,60 @@ mod tests {
     };
     use cfpd_testkit::prop::{self, PropConfig};
     use cfpd_testkit::rng::Rng;
+    use std::cell::Cell;
 
-    /// Random well-shaped tet: unit reference tet jittered per node.
-    fn random_tet(rng: &mut Rng) -> [Vec3; 4] {
-        let base = [
-            Vec3::new(0.0, 0.0, 0.0),
-            Vec3::new(1.0, 0.0, 0.0),
-            Vec3::new(0.0, 1.0, 0.0),
-            Vec3::new(0.0, 0.0, 1.0),
-        ];
-        base.map(|p| {
-            p + Vec3::new(
-                rng.range_f64(-0.2, 0.2),
-                rng.range_f64(-0.2, 0.2),
-                rng.range_f64(-0.2, 0.2),
-            )
-        })
+    /// Random well-shaped element: the reference nodes of the `nn`-node
+    /// kind, jittered per node.
+    fn random_element(rng: &mut Rng, nn: usize) -> Vec<Vec3> {
+        let base: &[[f64; 3]] = match nn {
+            4 => &[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            5 => &[
+                [-1.0, -1.0, -1.0],
+                [1.0, -1.0, -1.0],
+                [1.0, 1.0, -1.0],
+                [-1.0, 1.0, -1.0],
+                [0.0, 0.0, 1.0],
+            ],
+            _ => &[
+                [0.0, 0.0, 0.0],
+                [1.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0],
+                [0.0, 0.0, 1.0],
+                [1.0, 0.0, 1.0],
+                [0.0, 1.0, 1.0],
+            ],
+        };
+        base.iter()
+            .map(|p| {
+                Vec3::new(
+                    p[0] + rng.range_f64(-0.2, 0.2),
+                    p[1] + rng.range_f64(-0.2, 0.2),
+                    p[2] + rng.range_f64(-0.2, 0.2),
+                )
+            })
+            .collect()
     }
 
-    /// Fill lane `l` of the lane scratch and a matching scalar scratch.
-    fn fill_lane(
-        rng: &mut Rng,
+    fn random_vec(rng: &mut Rng, scale: f64) -> Vec3 {
+        Vec3::new(
+            rng.range_f64(-scale, scale),
+            rng.range_f64(-scale, scale),
+            rng.range_f64(-scale, scale),
+        )
+    }
+
+    /// Put one element into lane `l`; returns its scalar twin.
+    fn set_lane(
         lanes: &mut LaneScratch,
         l: usize,
-        still: bool,
-    ) -> (ElementScratch, f64) {
-        let coords = random_tet(rng);
+        coords: &[Vec3],
+        vel: &[Vec3],
+        pres: &[f64],
+        h: f64,
+    ) -> ElementScratch {
         let mut scalar = ElementScratch::default();
-        for (k, &c) in coords.iter().enumerate() {
-            // A few lanes get exactly-zero velocity to exercise the
-            // `speed > 1e-12` select.
-            let v = if still {
-                Vec3::ZERO
-            } else {
-                Vec3::new(
-                    rng.range_f64(-3.0, 3.0),
-                    rng.range_f64(-3.0, 3.0),
-                    rng.range_f64(-3.0, 3.0),
-                )
-            };
-            let p = rng.range_f64(-50.0, 50.0);
+        for k in 0..coords.len() {
+            let (c, v, p) = (coords[k], vel[k], pres[k]);
             scalar.coords[k] = c;
             scalar.vel[k] = v;
             scalar.pres[k] = p;
@@ -401,9 +532,25 @@ mod tests {
             lanes.vel[k][2][l] = v.z;
             lanes.pres[k][l] = p;
         }
-        let h = rng.range_f64(0.05, 0.5);
         lanes.h[l] = h;
-        (scalar, h)
+        scalar
+    }
+
+    /// Fill lane `l` of the lane scratch and a matching scalar scratch
+    /// with a random tet. A few lanes get exactly-zero velocity to
+    /// exercise the `speed > 1e-12` select.
+    fn fill_lane(
+        rng: &mut Rng,
+        lanes: &mut LaneScratch,
+        l: usize,
+        still: bool,
+    ) -> (ElementScratch, f64) {
+        let coords = random_element(rng, 4);
+        let vel: Vec<Vec3> =
+            (0..4).map(|_| if still { Vec3::ZERO } else { random_vec(rng, 3.0) }).collect();
+        let pres: Vec<f64> = (0..4).map(|_| rng.range_f64(-50.0, 50.0)).collect();
+        let h = rng.range_f64(0.05, 0.5);
+        (set_lane(lanes, l, &coords, &vel, &pres, h), h)
     }
 
     #[test]
@@ -494,5 +641,107 @@ mod tests {
                 }
             },
         );
+    }
+
+    /// What the scalar loops of one block did, so the property can show
+    /// it met every exit of the masked loop.
+    #[derive(Default)]
+    struct ExitsSeen {
+        first: Cell<bool>,
+        mid: Cell<bool>,
+        never: Cell<bool>,
+        fallback: Cell<bool>,
+    }
+
+    /// One block of eight `NN`-node elements whose scalar loops leave at
+    /// different iterations, through the lane kernel and through eight
+    /// scalar calls: values and iteration counts must agree on the bits.
+    fn sgs_block_matches_scalar<const NN: usize>(re: &RefElement, seed: u64, seen: &ExitsSeen) {
+        use crate::kernels::sgs_kernel_on;
+        let mut rng = Rng::new(seed);
+        let nq = re.qps.len();
+        let max_iters = rng.range_usize(0, 8);
+        let tol = [1e-2, 1e-6, 1e-10][rng.range_usize(0, 3)];
+        let degenerate = (rng.range_usize(0, 4) == 0).then(|| rng.range_usize(0, LANES));
+        let props = FluidProps::default();
+
+        let mut lanes = LaneScratch::default();
+        let mut lane_sgs: LaneSgs = [[[0.0; LANES]; 3]; MAX_QP];
+        let mut scalars = Vec::new();
+        for l in 0..LANES {
+            let mut coords = random_element(&mut rng, NN);
+            if degenerate == Some(l) {
+                // Flattened into a plane: the determinant is exactly 0.
+                coords.iter_mut().for_each(|c| c.z = 0.0);
+            }
+            let uniform = random_vec(&mut rng, 3.0);
+            let sheared: Vec<Vec3> = (0..NN).map(|_| random_vec(&mut rng, 3.0)).collect();
+            let warm: Vec<Vec3> = (0..nq).map(|_| random_vec(&mut rng, 0.5)).collect();
+            let (vel, h, start) = match l {
+                // Zero gradient, cold start: leaves at iteration 1 with
+                // −0.0 components.
+                0 => (vec![uniform; NN], 0.2, vec![Vec3::ZERO; nq]),
+                // Fluid at rest, warm start: decays to a signed zero.
+                1 => (vec![Vec3::ZERO; NN], 0.2, warm),
+                2 => (vec![Vec3::ZERO; NN], 0.2, vec![Vec3::new(-0.0, 0.0, -0.0); nq]),
+                // A NaN never compares converged and takes the τ⁻¹ floor.
+                3 => {
+                    let mut v = sheared;
+                    v[0].y = f64::NAN;
+                    (v, 0.2, warm)
+                }
+                // An element this long makes the fixed point expand.
+                4 => (sheared, 1e3, warm),
+                _ => (sheared, rng.range_f64(0.05, 0.5), warm),
+            };
+            let scalar = set_lane(&mut lanes, l, &coords, &vel, &[0.0; MAX_NODES][..NN], h);
+            set_lane_sgs(&mut lane_sgs, l, &start);
+            scalars.push((scalar, h, start));
+        }
+
+        let got = sgs_kernel_lanes::<NN>(re, &lanes, props, &mut lane_sgs, max_iters, tol);
+        if degenerate.is_some() {
+            assert!(got.is_none(), "a degenerate lane must send the block to the scalar kernel");
+            seen.fallback.set(true);
+            return;
+        }
+        let got = got.expect("no lane is degenerate");
+        for (l, (scalar, h, start)) in scalars.iter_mut().enumerate() {
+            let want = sgs_kernel_on(re, scalar, NN, props, *h, start, max_iters, tol);
+            assert_eq!(got[l], want, "lane {l}: iteration count");
+            seen.first.set(seen.first.get() || (want == 1 && max_iters > 1));
+            seen.mid.set(seen.mid.get() || (want > 1 && want < max_iters));
+            seen.never.set(seen.never.get() || (want == max_iters && l != 3 && max_iters > 1));
+            for (q, v) in start.iter().enumerate() {
+                for (c, w) in [v.x, v.y, v.z].into_iter().enumerate() {
+                    let g = lane_sgs[q][c][l];
+                    // NaN payloads are not part of the contract.
+                    assert!(
+                        g.to_bits() == w.to_bits() || (l == 3 && g.is_nan() && w.is_nan()),
+                        "lane {l} sgs[{q}][{c}]: {g:e} vs {w:e} (max_iters {max_iters}, tol {tol:e})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prop_sgs_lanes_bit_identical_to_scalar_in_values_and_iterations() {
+        let refs = RefElement::all();
+        let seen = ExitsSeen::default();
+        prop::check(
+            "sgs lane kernel: per-lane values and iteration counts",
+            PropConfig::cases(90),
+            &prop::usize_range(0, 1 << 30),
+            |&seed| match seed % 3 {
+                0 => sgs_block_matches_scalar::<4>(&refs[0], seed as u64, &seen),
+                1 => sgs_block_matches_scalar::<5>(&refs[1], seed as u64, &seen),
+                _ => sgs_block_matches_scalar::<6>(&refs[2], seed as u64, &seen),
+            },
+        );
+        assert!(seen.first.get(), "no lane left at iteration 1");
+        assert!(seen.mid.get(), "no lane left mid-loop");
+        assert!(seen.never.get(), "no lane ran into max_iters");
+        assert!(seen.fallback.get(), "no block had a degenerate lane");
     }
 }

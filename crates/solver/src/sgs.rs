@@ -5,12 +5,17 @@
 
 use crate::assembly::{AssemblyPlan, AssemblyStrategy};
 use crate::kernels::{sgs_kernel, sgs_kernel_on, ElementScratch, FluidProps};
-use crate::shape::RefElement;
+use crate::lanes::{
+    get_lane_sgs, set_lane_sgs, sgs_kernel_lanes, LaneScratch, LaneSgs, LANES,
+};
+use crate::shape::{RefElement, MAX_QP};
 use cfpd_mesh::{ElementKind, Mesh, Vec3};
 use cfpd_runtime::{
     balanced_ranges, parallel_for, parallel_for_ranges, prefix_weights, Dep, TaskGraph, ThreadPool,
 };
 use std::cell::UnsafeCell;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// One same-kind batch of the cached SGS sweep schedule: element ids,
 /// a flattened gather list (no `elem_nodes` dispatch in the hot loop),
@@ -23,6 +28,9 @@ pub struct SgsKindBatch {
     /// Flattened gather list: batch row `b` reads nodes
     /// `gather[b*nn .. (b+1)*nn]`.
     pub gather: Vec<u32>,
+    /// Characteristic element length per batch row ([`SgsField::h`] in
+    /// sweep order, so a lane block loads eight contiguous values).
+    pub h: Vec<f64>,
     /// Quadrature-point prefix weights over `elems` (for
     /// [`balanced_ranges`]).
     pub qp_prefix: Vec<u32>,
@@ -81,7 +89,8 @@ impl SgsField {
                     gather.extend_from_slice(mesh.elem_nodes(e as usize));
                     qp_prefix.push(qp_prefix.last().unwrap() + qpw);
                 }
-                batches.push(SgsKindBatch { kind, elems: members, gather, qp_prefix });
+                let h = members.iter().map(|&e| self.h[e as usize]).collect();
+                batches.push(SgsKindBatch { kind, elems: members, gather, h, qp_prefix });
             }
             self.batches = Some(batches);
         }
@@ -139,10 +148,36 @@ pub struct SgsStats {
     pub max_iterations: usize,
 }
 
+/// Iteration counts of one sweep. Each chunk or task counts its own
+/// elements privately and merges once; a sum and a maximum of integers
+/// do not depend on the order the chunks arrive in.
+#[derive(Default)]
+struct IterTally {
+    total: AtomicU64,
+    max: AtomicUsize,
+}
+
+impl IterTally {
+    fn merge(&self, (total, max): (u64, usize)) {
+        self.total.fetch_add(total, Ordering::Relaxed);
+        self.max.fetch_max(max, Ordering::Relaxed);
+    }
+
+    fn stats(&self, elements: usize) -> SgsStats {
+        SgsStats {
+            elements,
+            total_iterations: self.total.load(Ordering::Relaxed),
+            max_iterations: self.max.load(Ordering::Relaxed),
+        }
+    }
+}
+
 /// Run one SGS update sweep over `plan.elems` with the plan's strategy.
 /// All strategies are race-free here by construction (per-element
 /// storage) — exactly why the paper uses this phase to isolate the
-/// scheduling overhead of coloring/multidependences.
+/// scheduling overhead of coloring/multidependences. The schedules are
+/// the ones the plan built for assembly (color classes, subdomains and
+/// their mutex objects); nothing is rebuilt per sweep.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_sgs(
     pool: &ThreadPool,
@@ -155,35 +190,33 @@ pub fn compute_sgs(
     max_iters: usize,
     tol: f64,
 ) -> SgsStats {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     if plan.batched_sgs {
         return compute_sgs_batched(pool, refs, mesh, plan, velocity, props, field, max_iters, tol);
     }
-    let offsets = field.offsets.clone();
-    let h = field.h.clone();
-    let view = SgsView::new(&mut field.values);
-    let total_iters = AtomicU64::new(0);
-    let max_seen = AtomicUsize::new(0);
+    let SgsField { values, offsets, h, .. } = field;
+    let (offsets, h) = (&*offsets, &*h);
+    let view = SgsView::new(values);
+    let tally = IterTally::default();
 
-    let process = |scratch: &mut ElementScratch, e: usize| {
-        let (kind, nn) = scratch.load(mesh, velocity, e);
-        let lo = offsets[e] as usize;
-        let hi = offsets[e + 1] as usize;
-        // SAFETY: element ranges are disjoint; each element is processed
-        // by exactly one executor per sweep.
-        let slice = unsafe { view.range_mut(lo, hi) };
-        let iters = sgs_kernel(refs, scratch, kind, nn, props, h[e], slice, max_iters, tol);
-        total_iters.fetch_add(iters as u64, Ordering::Relaxed);
-        max_seen.fetch_max(iters, Ordering::Relaxed);
+    // One chunk, color-class slice or subdomain: elements in list order.
+    let sweep = |list: &[u32]| {
+        let mut scratch = ElementScratch::default();
+        let (mut total, mut max) = (0u64, 0usize);
+        for &e in list {
+            let e = e as usize;
+            let (kind, nn) = scratch.load(mesh, velocity, e);
+            // SAFETY: element ranges are disjoint; each element is
+            // processed by exactly one executor per sweep.
+            let slice = unsafe { view.range_mut(offsets[e] as usize, offsets[e + 1] as usize) };
+            let iters = sgs_kernel(refs, &scratch, kind, nn, props, h[e], slice, max_iters, tol);
+            total += iters as u64;
+            max = max.max(iters);
+        }
+        tally.merge((total, max));
     };
 
     match plan.strategy {
-        AssemblyStrategy::Serial => {
-            let mut scratch = ElementScratch::default();
-            for &e in &plan.elems {
-                process(&mut scratch, e as usize);
-            }
-        }
+        AssemblyStrategy::Serial => sweep(&plan.elems),
         AssemblyStrategy::Atomics => {
             // "Atomics" SGS is just a plain parallel loop — no shared
             // update exists, so no atomic is emitted (paper §4.3).
@@ -195,73 +228,120 @@ pub fn compute_sgs(
                 mesh.kinds[elems[k] as usize].num_quad_points() as u32
             });
             let ranges = balanced_ranges(&prefix, pool.max_workers().max(1) * 8);
-            parallel_for_ranges(pool, &ranges, |_c, range| {
-                let mut scratch = ElementScratch::default();
-                for k in range {
-                    process(&mut scratch, elems[k] as usize);
-                }
-            });
+            parallel_for_ranges(pool, &ranges, |_c, range| sweep(&elems[range]));
         }
         AssemblyStrategy::Coloring => {
             // Pointless for SGS but measured to expose its overhead.
-            let classes: Vec<Vec<u32>> = {
-                // Reuse the plan's classes if built for Coloring.
-                let weights: Vec<f64> =
-                    plan.elems.iter().map(|&e| mesh.kinds[e as usize].cost_weight()).collect();
-                let g = cfpd_partition::local_element_graph(mesh, &plan.elems, &weights);
-                cfpd_partition::greedy_coloring(&g)
-                    .color_classes()
-                    .into_iter()
-                    .map(|c| c.into_iter().map(|li| plan.elems[li as usize]).collect())
-                    .collect()
-            };
-            for class in &classes {
-                parallel_for(pool, 0..class.len(), 32, |range| {
-                    let mut scratch = ElementScratch::default();
-                    for k in range {
-                        process(&mut scratch, class[k] as usize);
-                    }
-                });
+            for class in plan.color_classes().expect("coloring plan") {
+                parallel_for(pool, 0..class.len(), 32, |range| sweep(&class[range]));
             }
         }
         AssemblyStrategy::Multidep => {
-            let weights: Vec<f64> =
-                plan.elems.iter().map(|&e| mesh.kinds[e as usize].cost_weight()).collect();
-            let n_sub = plan.num_subdomains().max(pool.max_workers() * 4);
-            let d = cfpd_partition::decompose_subdomains(mesh, &plan.elems, &weights, n_sub);
+            let members = plan.subdomain_members().expect("multidep plan");
+            let objs = plan.mutex_objs().expect("multidep plan");
             let mut graph = TaskGraph::new();
-            for (s, members) in d.members.iter().enumerate() {
-                let deps: Vec<Dep> =
-                    d.adjacency[s].iter().map(|&t| {
-                        let key = if (s as u32) < t { (s as u32, t) } else { (t, s as u32) };
-                        Dep::mutex((key.0 as usize) * d.members.len() + key.1 as usize)
-                    }).collect();
-                let process = &process;
-                graph.add_task(&deps, move || {
-                    let mut scratch = ElementScratch::default();
-                    for &e in members {
-                        process(&mut scratch, e as usize);
-                    }
-                });
+            for (members, objs) in members.iter().zip(objs) {
+                let deps: Vec<Dep> = objs.iter().map(|&o| Dep::mutex(o)).collect();
+                let sweep = &sweep;
+                graph.add_task(&deps, move || sweep(members));
             }
             graph.execute(pool);
         }
     }
+    tally.stats(plan.elems.len())
+}
 
-    SgsStats {
-        elements: plan.elems.len(),
-        total_iterations: total_iters.load(Ordering::Relaxed),
-        max_iterations: max_seen.load(Ordering::Relaxed),
+/// What one chunk of the kind-batched sweep needs besides its batch.
+struct BatchedSweep<'a> {
+    refs: &'a [RefElement; 3],
+    coords: &'a [Vec3],
+    velocity: &'a [Vec3],
+    props: FluidProps,
+    view: SgsView<'a>,
+    offsets: &'a [u32],
+    max_iters: usize,
+    tol: f64,
+    /// Full blocks of [`LANES`] rows go through the lane kernel.
+    lanes: bool,
+}
+
+impl BatchedSweep<'_> {
+    /// Storage of batch row `b`.
+    ///
+    /// # Safety
+    /// The caller must be the only one working on row `b` of `kb`.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn row_values(&self, kb: &SgsKindBatch, b: usize) -> &mut [Vec3] {
+        let e = kb.elems[b] as usize;
+        unsafe { self.view.range_mut(self.offsets[e] as usize, self.offsets[e + 1] as usize) }
+    }
+
+    /// Rows `range` of `kb`, whose kind has `NN` nodes: full blocks of
+    /// [`LANES`] through the lane kernel, the tail (and any block with a
+    /// degenerate element) through the scalar kernel — row by row the
+    /// same bits either way. Returns the rows' `(Σ, max)` iterations.
+    fn run<const NN: usize>(&self, kb: &SgsKindBatch, range: Range<usize>) -> (u64, usize) {
+        let re = &self.refs[RefElement::index_of(kb.kind)];
+        let mut scratch = ElementScratch::default();
+        let (mut total, mut max) = (0u64, 0usize);
+        let mut count = |iters: usize| {
+            total += iters as u64;
+            max = max.max(iters);
+        };
+        let mut scalar_row = |b: usize| {
+            scratch.load_gather(self.coords, self.velocity, &kb.gather[b * NN..(b + 1) * NN]);
+            // SAFETY: chunk ranges are disjoint and a row belongs to
+            // one chunk, so this executor alone works on row `b`.
+            let values = unsafe { self.row_values(kb, b) };
+            sgs_kernel_on(re, &scratch, NN, self.props, kb.h[b], values, self.max_iters, self.tol)
+        };
+        let mut b = range.start;
+        if self.lanes {
+            let mut ls = LaneScratch::default();
+            let mut usg: LaneSgs = [[[0.0; LANES]; 3]; MAX_QP];
+            while b + LANES <= range.end {
+                ls.load(self.coords, Some(self.velocity), None, &kb.gather, &kb.h, NN, b);
+                for l in 0..LANES {
+                    // SAFETY: as in `scalar_row`, for row `b + l`.
+                    set_lane_sgs(&mut usg, l, unsafe { self.row_values(kb, b + l) });
+                }
+                let block = sgs_kernel_lanes::<NN>(
+                    re,
+                    &ls,
+                    self.props,
+                    &mut usg,
+                    self.max_iters,
+                    self.tol,
+                );
+                match block {
+                    Some(iters) => {
+                        for l in 0..LANES {
+                            // SAFETY: as above.
+                            get_lane_sgs(&usg, l, unsafe { self.row_values(kb, b + l) });
+                            count(iters[l]);
+                        }
+                    }
+                    // Nothing was stored: the scalar kernel redoes the
+                    // block and skips the degenerate points itself.
+                    None => (b..b + LANES).for_each(|bb| count(scalar_row(bb))),
+                }
+                b += LANES;
+            }
+        }
+        (b..range.end).for_each(|bb| count(scalar_row(bb)));
+        (total, max)
     }
 }
 
 /// The kind-batched SGS sweep (`LayoutPlan::batched_sgs`): elements
 /// grouped by kind through the cached gather schedule, chunked by
 /// quadrature-point count. No per-element `elem_nodes` walk, no kind
-/// dispatch in the hot loop. Each element's update is independent and
-/// reads only the shared velocity field, so the regrouped sweep is
-/// bit-identical to every other strategy *and* to itself under any pool
-/// size (pinned by `batched_sgs_bit_identical_across_pool_sizes`).
+/// dispatch in the hot loop, and with `lane_kernels` eight elements per
+/// [`crate::simd::F64x8`] operation. Each element's update is
+/// independent and reads only the shared velocity field, so the
+/// regrouped sweep is bit-identical to every other strategy *and* to
+/// itself under any pool size (pinned by
+/// `batched_sgs_bit_identical_to_serial_for_any_pool_and_kernel`).
 #[allow(clippy::too_many_arguments)]
 fn compute_sgs_batched(
     pool: &ThreadPool,
@@ -274,43 +354,34 @@ fn compute_sgs_batched(
     max_iters: usize,
     tol: f64,
 ) -> SgsStats {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     field.ensure_batches(mesh, &plan.elems);
     // Destructure to borrow the schedule and the value storage
-    // simultaneously (the clone-free counterpart of the unbatched path).
-    let SgsField { values, offsets, h, batches } = field;
+    // simultaneously.
+    let SgsField { values, offsets, batches, .. } = field;
     let batches = batches.as_deref().expect("ensure_batches just built these");
-    let view = SgsView::new(values);
-    let total_iters = AtomicU64::new(0);
-    let max_seen = AtomicUsize::new(0);
+    let sweep = BatchedSweep {
+        refs,
+        coords: &mesh.coords,
+        velocity,
+        props,
+        view: SgsView::new(values),
+        offsets,
+        max_iters,
+        tol,
+        lanes: plan.lane_kernels,
+    };
+    let tally = IterTally::default();
     for kb in batches {
-        let nn = kb.kind.num_nodes();
-        let re = &refs[RefElement::index_of(kb.kind)];
         let ranges = balanced_ranges(&kb.qp_prefix, pool.max_workers().max(1) * 8);
-        let (view, offsets, h) = (&view, &*offsets, &*h);
-        let (total_iters, max_seen) = (&total_iters, &max_seen);
         parallel_for_ranges(pool, &ranges, |_c, range| {
-            let mut scratch = ElementScratch::default();
-            for b in range {
-                let e = kb.elems[b] as usize;
-                let nodes = &kb.gather[b * nn..(b + 1) * nn];
-                scratch.load_gather(&mesh.coords, velocity, nodes);
-                let lo = offsets[e] as usize;
-                let hi = offsets[e + 1] as usize;
-                // SAFETY: element ranges are disjoint; each element is
-                // processed by exactly one executor per sweep.
-                let slice = unsafe { view.range_mut(lo, hi) };
-                let iters = sgs_kernel_on(re, &scratch, nn, props, h[e], slice, max_iters, tol);
-                total_iters.fetch_add(iters as u64, Ordering::Relaxed);
-                max_seen.fetch_max(iters, Ordering::Relaxed);
-            }
+            tally.merge(match kb.kind {
+                ElementKind::Tet4 => sweep.run::<4>(kb, range),
+                ElementKind::Pyr5 => sweep.run::<5>(kb, range),
+                ElementKind::Pri6 => sweep.run::<6>(kb, range),
+            });
         });
     }
-    SgsStats {
-        elements: plan.elems.len(),
-        total_iterations: total_iters.load(Ordering::Relaxed),
-        max_iterations: max_seen.load(Ordering::Relaxed),
-    }
+    tally.stats(plan.elems.len())
 }
 
 #[cfg(test)]
@@ -382,12 +453,13 @@ mod tests {
         assert!(stats.max_iterations >= 1);
     }
 
-    fn run_batched(workers: usize) -> (SgsField, SgsStats) {
+    fn run_batched(workers: usize, lanes: bool) -> (SgsField, SgsStats) {
         let (mesh, refs, _, vel) = fixture();
         let pool = ThreadPool::new(workers);
         let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
         let mut plan = AssemblyPlan::new(&mesh, elems, AssemblyStrategy::Atomics, 16);
         plan.batched_sgs = true;
+        plan.lane_kernels = lanes;
         let mut field = SgsField::new(&mesh);
         let stats = compute_sgs(
             &pool,
@@ -403,29 +475,117 @@ mod tests {
         (field, stats)
     }
 
-    #[test]
-    fn batched_sgs_bit_identical_to_serial() {
-        let (reference, ref_stats) = run(AssemblyStrategy::Serial);
-        let (field, stats) = run_batched(4);
-        assert_eq!(stats.elements, ref_stats.elements);
-        assert_eq!(stats.total_iterations, ref_stats.total_iterations);
-        for (i, (a, b)) in field.values.iter().zip(&reference.values).enumerate() {
-            assert_eq!(a.x.to_bits(), b.x.to_bits(), "sgs[{i}].x");
-            assert_eq!(a.y.to_bits(), b.y.to_bits(), "sgs[{i}].y");
-            assert_eq!(a.z.to_bits(), b.z.to_bits(), "sgs[{i}].z");
+    fn assert_values_bit_equal(got: &[Vec3], want: &[Vec3], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.x.to_bits(), b.x.to_bits(), "{what}: sgs[{i}].x {} vs {}", a.x, b.x);
+            assert_eq!(a.y.to_bits(), b.y.to_bits(), "{what}: sgs[{i}].y {} vs {}", a.y, b.y);
+            assert_eq!(a.z.to_bits(), b.z.to_bits(), "{what}: sgs[{i}].z {} vs {}", a.z, b.z);
         }
     }
 
+    /// The batched sweep — scalar rows or lane blocks, any pool size —
+    /// gives every element the serial sweep's bits and the same
+    /// iteration statistics.
     #[test]
-    fn batched_sgs_bit_identical_across_pool_sizes() {
-        let (f1, s1) = run_batched(1);
-        let (f4, s4) = run_batched(4);
-        assert_eq!(s1.total_iterations, s4.total_iterations);
-        assert_eq!(s1.max_iterations, s4.max_iterations);
-        for (i, (a, b)) in f1.values.iter().zip(&f4.values).enumerate() {
-            assert_eq!(a.x.to_bits(), b.x.to_bits(), "sgs[{i}].x differs across pools");
-            assert_eq!(a.y.to_bits(), b.y.to_bits(), "sgs[{i}].y differs across pools");
-            assert_eq!(a.z.to_bits(), b.z.to_bits(), "sgs[{i}].z differs across pools");
+    fn batched_sgs_bit_identical_to_serial_for_any_pool_and_kernel() {
+        let (reference, ref_stats) = run(AssemblyStrategy::Serial);
+        assert!(ref_stats.max_iterations > 1, "fixture flow must iterate");
+        for lanes in [false, true] {
+            for workers in [1, 2, 4] {
+                let what = format!("lanes={lanes} workers={workers}");
+                let (field, stats) = run_batched(workers, lanes);
+                assert_eq!(stats.elements, ref_stats.elements, "{what}");
+                assert_eq!(stats.total_iterations, ref_stats.total_iterations, "{what}");
+                assert_eq!(stats.max_iterations, ref_stats.max_iterations, "{what}");
+                assert_values_bit_equal(&field.values, &reference.values, &what);
+            }
         }
+    }
+
+    fn warm_start(i: usize) -> Vec3 {
+        Vec3::new(0.01 * (i % 7) as f64, -0.02, 0.005 * (i % 3) as f64)
+    }
+
+    /// Rows `0..len` of the first batch through [`BatchedSweep::run`]
+    /// with lane blocks, against the scalar kernel row by row, on a mesh
+    /// the caller may have damaged. Returns the swept field.
+    fn check_lane_rows(mesh: &Mesh, vel: &[Vec3], len: usize) -> SgsField {
+        let refs = RefElement::all();
+        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+        let props = FluidProps::default();
+        let warm = |field: &mut SgsField| {
+            for (i, v) in field.values.iter_mut().enumerate() {
+                *v = warm_start(i);
+            }
+        };
+
+        let mut want = SgsField::new(mesh);
+        warm(&mut want);
+        want.ensure_batches(mesh, &elems);
+        let (mut want_total, mut want_max) = (0u64, 0usize);
+        let mut scratch = ElementScratch::default();
+        for &e in &want.batches.as_ref().unwrap()[0].elems[..len] {
+            let e = e as usize;
+            let (kind, nn) = scratch.load(mesh, vel, e);
+            let (lo, hi) = (want.offsets[e] as usize, want.offsets[e + 1] as usize);
+            let slice = &mut want.values[lo..hi];
+            let iters = sgs_kernel(&refs, &scratch, kind, nn, props, want.h[e], slice, 6, 1e-7);
+            want_total += iters as u64;
+            want_max = want_max.max(iters);
+        }
+
+        let mut got = SgsField::new(mesh);
+        warm(&mut got);
+        got.ensure_batches(mesh, &elems);
+        let SgsField { values, offsets, batches, .. } = &mut got;
+        let kb = &batches.as_ref().unwrap()[0];
+        assert_eq!(kb.kind, ElementKind::Tet4);
+        let sweep = BatchedSweep {
+            refs: &refs,
+            coords: &mesh.coords,
+            velocity: vel,
+            props,
+            view: SgsView::new(values),
+            offsets,
+            max_iters: 6,
+            tol: 1e-7,
+            lanes: true,
+        };
+        assert_eq!(sweep.run::<4>(kb, 0..len), (want_total, want_max), "len {len}");
+        assert_values_bit_equal(&got.values, &want.values, &format!("len {len}"));
+        got
+    }
+
+    /// Every tail shape: no block, one block, one block and a tail, two
+    /// blocks, two blocks and one row.
+    #[test]
+    fn lane_blocks_and_scalar_tails_agree_for_every_chunk_length() {
+        let (mesh, _, _, vel) = fixture();
+        for len in 1..=17 {
+            check_lane_rows(&mesh, &vel, len);
+        }
+    }
+
+    /// A block holding a degenerate element goes to the scalar kernel
+    /// whole: that element keeps its values (every point skipped), its
+    /// seven neighbours get what the scalar kernel gives them.
+    #[test]
+    fn block_with_a_degenerate_element_falls_back_to_scalar() {
+        let (mut mesh, _, _, vel) = fixture();
+        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+        let mut probe = SgsField::new(&mesh);
+        let rows = &probe.ensure_batches(&mesh, &elems)[0].elems;
+        let (flat, other) = (rows[3] as usize, rows[4] as usize);
+        // Collapse an edge of row 3: its Jacobian determinant is exactly
+        // zero at every point (the neighbours only change shape).
+        let nodes = mesh.elem_nodes(flat).to_vec();
+        mesh.coords[nodes[1] as usize] = mesh.coords[nodes[0] as usize];
+        let swept = check_lane_rows(&mesh, &vel, 16);
+        let lo = swept.offsets[flat] as usize;
+        for (q, v) in swept.elem(flat).iter().enumerate() {
+            assert_eq!(*v, warm_start(lo + q), "point {q} of the flat element moved");
+        }
+        assert_ne!(swept.elem(other)[0], warm_start(swept.offsets[other] as usize));
     }
 }

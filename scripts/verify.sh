@@ -23,7 +23,10 @@
 #     and emit its JSON carrying the per-phase breakdown schema
 #     (phases.{spmv,jacobi,axpy_dot,sgs,assembly} + solve + end_to_end),
 #     the solve/* and setup/* rows, with the Multidep plan build held to
-#     at most 5 serial element passes (matfree/assemble),
+#     at most 5 serial element passes (matfree/assemble) and the lane
+#     SGS sweep (sgs/batched-lanes, what the opt layout runs) below the
+#     scalar-batched one (sgs/batched): a lost lane path is a red build,
+#     not a silently 3x slower step,
 #   * a trace-pipeline smoke: `cfpd trace export` writes Paraver +
 #     Chrome + summary artifacts that validate against the in-repo
 #     RFC 8259 parser, `cfpd trace diff` of two identical-seed traced
@@ -130,12 +133,20 @@ doc = json.load(open("results/BENCH_hotpath_quick.json"))
 rows = {r["name"]: r["median_ns"] for r in doc["rows"]}
 for name in ("setup/element-graph", "setup/kway-16", "setup/plan-multidep",
              "setup/locator-build", "setup/inject-10k", "setup/deflation-build",
-             "solve/poisson-jacobi", "solve/poisson-deflated"):
+             "solve/poisson-jacobi", "solve/poisson-deflated",
+             "sgs/batched", "sgs/batched-lanes"):
     if name not in rows:
         sys.exit(f"FAIL: hotpath bench has no {name} row")
 plan, serial_pass = rows["setup/plan-multidep"], rows["matfree/assemble"]
 if plan > 5.0 * serial_pass:
     sys.exit(f"FAIL: setup/plan-multidep {plan:.0f} ns > 5 x matfree/assemble {serial_pass:.0f} ns")
+# Same schedule, same pool, eight elements per vector op against one:
+# the ratio reads 2.4-2.9 here, so "not below" means the lane path is gone.
+lanes, scalar = rows["sgs/batched-lanes"], rows["sgs/batched"]
+if lanes >= scalar:
+    sys.exit(f"FAIL: sgs/batched-lanes {lanes:.0f} ns is not below sgs/batched {scalar:.0f} ns")
+if doc["phases"]["sgs"]["opt_ns"] != round(lanes):
+    sys.exit("FAIL: phases.sgs.opt_ns does not report the sgs/batched-lanes row")
 PYEOF
 timeout 300 target/release/overhead --quick >/dev/null
 test -s results/BENCH_telemetry_overhead_quick.json \
