@@ -15,7 +15,12 @@
 //! `setup/*` rows time what a run pays once before its first step: the
 //! subdomain graph, the 16-way partition, the whole Multidep plan, the
 //! deflation structure and its values, the particle locator and an
-//! injection.
+//! injection — and, end to end on the optimized layout, `setup/prepare`
+//! (everything a run derives from its mesh, built once per
+//! `PrepareKey`) against `setup/instantiate` (the values-only solver
+//! every further run on that `Prepared` allocates). `serve/boundary`
+//! is one segment boundary of the daemon on this mesh's state:
+//! checkpoint text, snapshot, digest, atomic write.
 //!
 //! Full (non-`--quick`) runs refuse to overwrite a committed
 //! `BENCH_hotpath.json` whose end-to-end numbers would regress by more
@@ -27,17 +32,21 @@
 use std::hint::black_box;
 
 use cfpd_bench::{emit, emit_json, json_rows};
-use cfpd_core::BoundaryConditions;
+use cfpd_core::{
+    prepare, BoundaryConditions, Checkpoint, FluidSolver, PrepareKey, RankCheckpoint,
+    SimulationConfig,
+};
 use cfpd_mesh::{generate_airway, AirwayMesh, AirwaySpec, Mesh, Vec3};
 use cfpd_particles::{inject_at_inlet, Locator, ParticleProps, ParticleSet};
 use cfpd_partition::{
     bandwidth_under_perm, csr_bandwidth, local_element_graph, partition_kway, rcm_perm,
 };
 use cfpd_runtime::ThreadPool;
+use cfpd_serve::{CellAcc, CellSnapshot, PersistGate};
 use cfpd_solver::{
     assemble_divergence, assemble_momentum, assemble_momentum_batched, assemble_poisson,
     axpy_dot_fused, cg, compute_sgs, AssemblyPlan, AssemblyStrategy, CsrMatrix, Deflation,
-    FluidProps, MatFreeMomentum, RefElement, SellMatrix, SgsField,
+    FluidProps, LayoutPlan, MatFreeMomentum, RefElement, SellMatrix, SgsField,
 };
 use cfpd_testkit::bench::{Bench, BenchConfig, BenchStats};
 use cfpd_testkit::json;
@@ -349,6 +358,74 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
     });
 }
 
+/// Set-up as a run pays it: all of it once per `PrepareKey`, then a
+/// values-only solver per run — and what the daemon pays between two
+/// segments of such a run.
+fn bench_prepare_and_boundary(b: &mut Bench, spec: &AirwaySpec) {
+    let config = SimulationConfig {
+        airway: spec.clone(),
+        layout: LayoutPlan::optimized(),
+        ..Default::default()
+    };
+    let key = PrepareKey::of(&config, 1);
+    b.bench("setup/prepare", || {
+        black_box(prepare(&key).expect("valid spec").elements());
+    });
+    let prepared = prepare(&key).expect("valid spec");
+    let airway = prepared.airway();
+    let instantiate = || {
+        FluidSolver::on(
+            &airway.mesh,
+            std::sync::Arc::clone(prepared.fluid_structure(0)),
+            config.fluid,
+            config.dt,
+            airway.inlet_direction * config.inflow_speed,
+            config.solver_tol,
+            config.solver_max_iters,
+            None,
+        )
+    };
+    b.bench("setup/instantiate", || {
+        black_box(instantiate().velocity.len());
+    });
+
+    // The state a one-rank run of this mesh parks at a boundary (values
+    // are synthetic: the codec's cost does not depend on them).
+    let sgs_points = instantiate().sgs.values.len();
+    let wave = |i: usize| (i as f64 * 0.37).sin();
+    let cp = Checkpoint {
+        next_step: 1,
+        n_ranks: 1,
+        seed: config.seed,
+        config_digest: cfpd_core::config_digest(&config),
+        ranks: vec![RankCheckpoint {
+            rank: 0,
+            velocity: synthetic_velocity(&airway.mesh),
+            pressure: (0..prepared.nodes()).map(wave).collect(),
+            sgs: (0..sgs_points).map(|i| Vec3::new(wave(i), -wave(i), 0.5)).collect(),
+            particles: ParticleSet::default(),
+        }],
+    };
+    let dir = std::env::temp_dir().join(format!("cfpd-hotpath-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (path, gate) = (dir.join("cell.snap"), PersistGate::unlimited());
+    b.bench("serve/boundary", || {
+        let snap = CellSnapshot {
+            job: 1,
+            cell: 0,
+            attempt: 0,
+            next_step: cp.next_step,
+            acc: CellAcc::default(),
+            events_text: String::new(),
+            checkpoint_text: cp.to_text(),
+        };
+        let (digest, written) = snap.write_digest(&path, &gate);
+        assert!(written, "snapshot write failed");
+        black_box(digest);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn median_ns(rows: &[(String, BenchStats)], name: &str) -> f64 {
     rows.iter()
         .find(|(n, _)| n == name)
@@ -521,6 +598,7 @@ fn main() {
     let iters = bench_solve(&mut b, &native, &rcm, &pool);
     bench_phases(&mut b, mesh, &native.0, &pool);
     bench_setup(&mut b, &airway);
+    bench_prepare_and_boundary(&mut b, &spec);
 
     let e2e = end_to_end(b.rows());
     if !quick {

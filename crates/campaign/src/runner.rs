@@ -2,8 +2,11 @@
 //! in-process worker pool.
 //!
 //! Each worker claims cells from a shared atomic cursor and runs them
-//! through [`cfpd_core::run_scenario`] — the same entry point `cfpd
-//! golden` uses — so a campaign cell *is* a golden run. Results land in
+//! through [`cfpd_core::run_scenario_prepared`] — `cfpd golden`'s entry
+//! point behind its set-up — so a campaign cell *is* a golden run. The
+//! pool keeps the set-up of its most recent cells
+//! ([`cfpd_core::PrepareMemo`]), so cells that differ only in seed,
+//! policy or inflow are prepared once. Results land in
 //! a slot indexed by the cell's expansion index, which makes the
 //! aggregate report independent of completion order and therefore of
 //! the pool size: `jobs = 1`, `2` and `8` produce byte-identical
@@ -18,10 +21,10 @@
 use crate::aggregate::{cell_metrics, CampaignReport, CellFailure, CellMetrics};
 use crate::matrix::{expand, Cell};
 use crate::scenario::CampaignSpec;
-use cfpd_core::run_scenario;
+use cfpd_core::{run_scenario_prepared, PrepareMemo};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -35,9 +38,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run one cell, shielding the caller from panics.
-fn run_cell(cell: &Cell) -> Result<CellMetrics, CellFailure> {
-    match catch_unwind(AssertUnwindSafe(|| run_scenario(&cell.scenario))) {
-        Ok(out) => Ok(cell_metrics(cell, &out)),
+fn run_cell(cell: &Cell, memo: &PrepareMemo) -> Result<CellMetrics, CellFailure> {
+    let run = || {
+        let prepared = memo.get(&cell.scenario.prepare_key())?;
+        Ok(run_scenario_prepared(&prepared, &cell.scenario))
+    };
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(out)) => Ok(cell_metrics(cell, &out)),
+        Ok(Err(message)) => Err(CellFailure { id: cell.id.clone(), message }),
         Err(payload) => {
             Err(CellFailure { id: cell.id.clone(), message: panic_message(payload) })
         }
@@ -71,10 +79,11 @@ pub fn run_bounded<T: Send + 'static>(
 /// becomes a `failed(timeout: ...)` report row.
 fn run_cell_bounded(
     cell: &Cell,
+    memo: &Arc<PrepareMemo>,
     timeout: Option<Duration>,
 ) -> Result<CellMetrics, CellFailure> {
-    let owned = cell.clone();
-    match run_bounded(move || run_cell(&owned), timeout) {
+    let (owned, memo) = (cell.clone(), Arc::clone(memo));
+    match run_bounded(move || run_cell(&owned, &memo), timeout) {
         Some(result) => result,
         None => Err(CellFailure {
             id: cell.id.clone(),
@@ -103,11 +112,13 @@ pub fn run_cells_with(
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<CellMetrics, CellFailure>>>> =
         cells.iter().map(|_| Mutex::new(None)).collect();
+    // Owned by this call: a later campaign starts cold.
+    let memo = Arc::new(PrepareMemo::new());
 
     if jobs <= 1 && cell_timeout.is_none() {
         // Inline fast path: no worker threads for a serial campaign.
         for (cell, slot) in cells.iter().zip(&slots) {
-            *slot.lock().unwrap() = Some(run_cell(cell));
+            *slot.lock().unwrap() = Some(run_cell(cell, &memo));
         }
     } else {
         std::thread::scope(|scope| {
@@ -115,7 +126,7 @@ pub fn run_cells_with(
                 scope.spawn(|| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(cell) = cells.get(i) else { break };
-                    let result = run_cell_bounded(cell, cell_timeout);
+                    let result = run_cell_bounded(cell, &memo, cell_timeout);
                     *slots[i].lock().unwrap() = Some(result);
                 });
             }

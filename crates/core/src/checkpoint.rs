@@ -74,8 +74,20 @@ fn state_from_code(c: u8) -> Result<ParticleState, String> {
     })
 }
 
-fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// Append `prefix` and the space-separated 16-digit hex bit patterns of
+/// `vals`, then a newline: one codec line, written in place (a snapshot
+/// holds ~10⁵ of these; one `String` per value was most of its cost).
+fn push_hex_line(out: &mut Vec<u8>, prefix: &[u8], vals: &[f64]) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    out.extend_from_slice(prefix);
+    for (i, v) in vals.iter().enumerate() {
+        if i > 0 {
+            out.push(b' ');
+        }
+        let bits = v.to_bits();
+        out.extend((0..16).map(|d| DIGITS[(bits >> (60 - 4 * d)) as usize & 0xf]));
+    }
+    out.push(b'\n');
 }
 
 fn parse_f64(tok: &str) -> Result<f64, String> {
@@ -139,9 +151,19 @@ impl Checkpoint {
     /// Serialize to the canonical text form (hex `f64` bit patterns; see
     /// module docs). Line-oriented and diffable.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
+        use std::io::Write;
+        let size: usize = self
+            .ranks
+            .iter()
+            .map(|r| {
+                80 + 53 * (r.velocity.len() + r.sgs.len())
+                    + 19 * r.pressure.len()
+                    + 220 * r.particles.len()
+            })
+            .sum();
+        let mut out: Vec<u8> = Vec::with_capacity(128 + size);
         let w = &mut out;
+        // Writing to a `Vec<u8>` cannot fail.
         writeln!(w, "cfpd checkpoint v1").unwrap();
         writeln!(w, "digest {:016x}", self.digest()).unwrap();
         writeln!(
@@ -162,37 +184,38 @@ impl Checkpoint {
             )
             .unwrap();
             for v in &r.velocity {
-                writeln!(w, "V {} {} {}", hex(v.x), hex(v.y), hex(v.z)).unwrap();
+                push_hex_line(w, b"V ", &[v.x, v.y, v.z]);
             }
             for &p in &r.pressure {
-                writeln!(w, "P {}", hex(p)).unwrap();
+                push_hex_line(w, b"P ", &[p]);
             }
             for v in &r.sgs {
-                writeln!(w, "S {} {} {}", hex(v.x), hex(v.y), hex(v.z)).unwrap();
+                push_hex_line(w, b"S ", &[v.x, v.y, v.z]);
             }
             let p = &r.particles;
             for i in 0..p.len() {
-                writeln!(
+                write!(w, "Q {} {} ", p.elem[i], state_code(p.state[i])).unwrap();
+                let (pos, vel, acc) = (p.pos[i], p.vel[i], p.acc[i]);
+                push_hex_line(
                     w,
-                    "Q {} {} {} {} {} {} {} {} {} {} {} {} {}",
-                    p.elem[i],
-                    state_code(p.state[i]),
-                    hex(p.pos[i].x),
-                    hex(p.pos[i].y),
-                    hex(p.pos[i].z),
-                    hex(p.vel[i].x),
-                    hex(p.vel[i].y),
-                    hex(p.vel[i].z),
-                    hex(p.acc[i].x),
-                    hex(p.acc[i].y),
-                    hex(p.acc[i].z),
-                    hex(p.props[i].diameter),
-                    hex(p.props[i].density),
-                )
-                .unwrap();
+                    b"",
+                    &[
+                        pos.x,
+                        pos.y,
+                        pos.z,
+                        vel.x,
+                        vel.y,
+                        vel.z,
+                        acc.x,
+                        acc.y,
+                        acc.z,
+                        p.props[i].diameter,
+                        p.props[i].density,
+                    ],
+                );
             }
         }
-        out
+        String::from_utf8(out).expect("the codec writes ASCII")
     }
 
     /// Parse the text form, verifying the embedded digest.
@@ -407,6 +430,61 @@ mod tests {
         assert_eq!(back, cp);
         // Re-serializing the parsed checkpoint is byte-identical.
         assert_eq!(back.to_text(), text);
+    }
+
+    /// Format v1, byte for byte: the writer it was defined by rendered
+    /// one `format!` per value. Snapshots and WALs on disk were written
+    /// that way and must keep loading.
+    #[test]
+    fn text_is_what_the_v1_writer_wrote() {
+        let cp = sample();
+        let hex = |v: f64| format!("{:016x}", v.to_bits());
+        let vec3 = |tag: &str, v: &Vec3| format!("{tag} {} {} {}\n", hex(v.x), hex(v.y), hex(v.z));
+        let mut want = format!(
+            "cfpd checkpoint v1\ndigest {:016x}\nmeta next_step={} ranks={} seed={} config={:016x}\n",
+            cp.digest(),
+            cp.next_step,
+            cp.n_ranks,
+            cp.seed,
+            cp.config_digest
+        );
+        for r in &cp.ranks {
+            want += &format!(
+                "rank {} velocity={} pressure={} sgs={} particles={}\n",
+                r.rank,
+                r.velocity.len(),
+                r.pressure.len(),
+                r.sgs.len(),
+                r.particles.len()
+            );
+            want.extend(r.velocity.iter().map(|v| vec3("V", v)));
+            want.extend(r.pressure.iter().map(|&p| format!("P {}\n", hex(p))));
+            want.extend(r.sgs.iter().map(|v| vec3("S", v)));
+            let p = &r.particles;
+            for i in 0..p.len() {
+                let fields = [
+                    p.pos[i].x,
+                    p.pos[i].y,
+                    p.pos[i].z,
+                    p.vel[i].x,
+                    p.vel[i].y,
+                    p.vel[i].z,
+                    p.acc[i].x,
+                    p.acc[i].y,
+                    p.acc[i].z,
+                    p.props[i].diameter,
+                    p.props[i].density,
+                ];
+                let fields: Vec<String> = fields.iter().map(|&v| hex(v)).collect();
+                want += &format!(
+                    "Q {} {} {}\n",
+                    p.elem[i],
+                    state_code(p.state[i]),
+                    fields.join(" ")
+                );
+            }
+        }
+        assert_eq!(cp.to_text(), want);
     }
 
     #[test]

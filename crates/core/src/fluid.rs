@@ -9,9 +9,11 @@ use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_divergence, assemble_momentum, assemble_momentum_batched, assemble_poisson,
     assemble_poisson_batched, assemble_pressure_gradient, bicgstab, compute_sgs, AssemblyPlan,
-    AssemblyStats, AssemblyStrategy, CsrMatrix, Deflation, FluidProps, LayoutPlan,
-    MatFreeMomentum, RefElement, SellMatrix, SgsField, SgsStats, SolveStats,
+    AssemblyStats, AssemblyStrategy, CsrMatrix, Deflation, DeflationStructure, FluidProps,
+    LayoutPlan, MatFreeMomentum, RefElement, SellMatrix, SellStructure, SgsField, SgsLayout,
+    SgsStats, SolveStats,
 };
+use std::sync::Arc;
 
 /// Boundary conditions extracted from the mesh's tagged exterior faces.
 #[derive(Debug, Clone, Default)]
@@ -80,23 +82,129 @@ pub struct FluidStepReport {
     pub sgs: Option<SgsStats>,
 }
 
-/// Single-address-space fluid solver over (a subset of) the mesh.
+/// Everything a [`FluidSolver`] derives from the mesh, its element list,
+/// the strategy and the layout, and never changes afterwards: schedules,
+/// sparsity patterns, boundary sets, lumped mass. A solver holds it by
+/// `Arc`, so any number of solvers over the same inputs — the segments
+/// of a run, the cells of a campaign — share one.
+pub struct FluidStructure {
+    refs: [RefElement; 3],
+    layout: LayoutPlan,
+    /// Assembly schedule over this solver's elements (with the
+    /// kind-batched SoA schedule when `layout.batched_assembly`).
+    plan: AssemblyPlan,
+    /// The sparsity pattern the momentum and pressure matrices share.
+    n: usize,
+    row_ptr: Arc<[u32]>,
+    col_idx: Arc<[u32]>,
+    /// SELL shape of that pattern (`layout.sell_spmv`).
+    sell: Option<Arc<SellStructure>>,
+    /// Coarse space of the pressure solve.
+    deflation: Arc<DeflationStructure>,
+    bc: BoundaryConditions,
+    lumped_mass: Vec<f64>,
+    sgs: Arc<SgsLayout>,
+}
+
+impl FluidStructure {
+    /// Build the structure for a solver assembling `elems` of `mesh`;
+    /// `n2e` is `mesh.node_to_elements()`.
+    pub fn build(
+        mesh: &Mesh,
+        n2e: &Csr,
+        elems: Vec<u32>,
+        strategy: AssemblyStrategy,
+        n_subdomains: usize,
+        layout: LayoutPlan,
+    ) -> FluidStructure {
+        // The momentum and Poisson matrices share one sparsity pattern,
+        // so one batched schedule (built against it) serves both.
+        let pattern = CsrMatrix::from_mesh(mesh, n2e);
+        let mut plan = if layout.batched_assembly {
+            AssemblyPlan::with_batches(mesh, elems, strategy, n_subdomains, &pattern)
+        } else {
+            AssemblyPlan::new(mesh, elems, strategy, n_subdomains)
+        };
+        plan.lane_kernels = layout.lane_kernels;
+        plan.batched_sgs = layout.batched_sgs;
+        let sell = layout.sell_spmv.then(|| Arc::new(SellStructure::from_csr(&pattern)));
+        let bc = BoundaryConditions::from_mesh(mesh);
+        let deflation =
+            Arc::new(DeflationStructure::new(&pattern, &bc.inlet_nodes, &bc.outlet_nodes));
+        let refs = RefElement::all();
+
+        // Lumped mass over the full mesh (serial, once).
+        let n = mesh.num_nodes();
+        let mut lumped_mass = vec![0.0; n];
+        let mut scratch = cfpd_solver::ElementScratch::default();
+        let zero_vel = vec![Vec3::ZERO; n];
+        for e in 0..mesh.num_elements() {
+            let (kind, nn) = scratch.load(mesh, &zero_vel, e);
+            if let Some(lm) = cfpd_solver::kernels::lumped_mass_kernel(&refs, &scratch, kind, nn) {
+                for (k, &v) in mesh.elem_nodes(e).iter().enumerate() {
+                    lumped_mass[v as usize] += lm[k];
+                }
+            }
+        }
+
+        let sgs = SgsLayout::new(mesh);
+        if layout.batched_sgs {
+            sgs.batches(mesh, &plan.elems);
+        }
+        FluidStructure {
+            refs,
+            layout,
+            plan,
+            n,
+            row_ptr: pattern.row_ptr,
+            col_idx: pattern.col_idx,
+            sell,
+            deflation,
+            bc,
+            lumped_mass,
+            sgs: Arc::new(sgs),
+        }
+    }
+
+    /// A zero matrix on the shared pattern.
+    fn zero_matrix(&self) -> CsrMatrix {
+        CsrMatrix {
+            n: self.n,
+            row_ptr: Arc::clone(&self.row_ptr),
+            col_idx: Arc::clone(&self.col_idx),
+            values: vec![0.0; self.col_idx.len()],
+        }
+    }
+}
+
+/// The pressure operator `∫∇N_i·∇N_j`, summed over all ranks, with
+/// identity rows at the outlets — in the storage the layout's SpMV
+/// sweeps — and the deflation values loaded from it. It depends on the
+/// geometry alone: the first step of the first solver over a mesh
+/// assembles it, and every later step, of that solver or of any other
+/// given the same `Arc`, only reads it.
+pub struct PressureOperator {
+    matrix: PressureMatrix,
+    deflation: Deflation,
+}
+
+enum PressureMatrix {
+    Csr(CsrMatrix),
+    /// `layout.sell_spmv`.
+    Sell(SellMatrix),
+}
+
+/// Single-address-space fluid solver over (a subset of) the mesh: the
+/// shared [`FluidStructure`] plus the values this solver owns.
 pub struct FluidSolver<'m> {
     pub mesh: &'m Mesh,
-    refs: [RefElement; 3],
-    plan: AssemblyPlan,
+    s: Arc<FluidStructure>,
     props: FluidProps,
     dt: f64,
     tol: f64,
     max_iters: usize,
     matrix_u: CsrMatrix,
-    /// The pressure operator `∫∇N_i·∇N_j` with identity rows at the
-    /// outlets. It depends on the geometry alone, so the first step
-    /// assembles and reduces it and every later step reuses it, together
-    /// with its SELL mirror and the values loaded into `deflation`
-    /// (`pressure_operator_built`).
-    matrix_p: CsrMatrix,
-    pressure_operator_built: bool,
+    pressure_op: Option<Arc<PressureOperator>>,
     rhs_u: Vec<Vec<f64>>,
     rhs_p: Vec<f64>,
     /// Weak nodal pressure gradient of the correction, component `c` of
@@ -104,8 +212,6 @@ pub struct FluidSolver<'m> {
     grad_p: Vec<f64>,
     /// The pressure the momentum step sees: none (see `step_reduced`).
     zero_pressure: Vec<f64>,
-    lumped_mass: Vec<f64>,
-    pub bc: BoundaryConditions,
     pub inflow: Vec3,
     /// Nodal velocity (the field particles are advected by).
     pub velocity: Vec<Vec3>,
@@ -114,14 +220,6 @@ pub struct FluidSolver<'m> {
     /// Subgrid-scale storage.
     pub sgs: SgsField,
     gravity: Vec3,
-    layout: LayoutPlan,
-    /// Coarse space of the pressure solve: structure built from the
-    /// matrix pattern, values loaded with the pressure operator.
-    deflation: Deflation,
-    /// SELL-shaped mirror of the pressure matrix (`layout.sell_spmv`):
-    /// structure built from the pattern, values gathered with the
-    /// pressure operator.
-    sell: Option<SellMatrix>,
     /// Matrix-free momentum operator (`layout.matrix_free`). Covers
     /// only this solver's element list, so it is a single-address-space
     /// optimization: distributed (replicated-solve) runs must keep the
@@ -176,100 +274,76 @@ impl<'m> FluidSolver<'m> {
         layout: LayoutPlan,
     ) -> FluidSolver<'m> {
         let n2e = mesh.node_to_elements();
-        FluidSolver::with_node_map(
-            mesh, &n2e, elems, strategy, n_subdomains, props, dt, inflow, tol, max_iters, layout,
-        )
+        let s = FluidStructure::build(mesh, &n2e, elems, strategy, n_subdomains, layout);
+        FluidSolver::on(mesh, Arc::new(s), props, dt, inflow, tol, max_iters, None)
     }
 
-    /// [`FluidSolver::new_with_layout`] over the caller's
-    /// `mesh.node_to_elements()`, for a rank that already built it to
-    /// partition the mesh.
+    /// A solver over `mesh` on a structure built from it, with zero
+    /// fields. Allocates values only. With `pressure_op` (a solver's
+    /// [`FluidSolver::pressure_operator`] after its first step, on the
+    /// same mesh and rank set) no step assembles the operator; without,
+    /// the first one does.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_node_map(
+    pub fn on(
         mesh: &'m Mesh,
-        n2e: &Csr,
-        elems: Vec<u32>,
-        strategy: AssemblyStrategy,
-        n_subdomains: usize,
+        s: Arc<FluidStructure>,
         props: FluidProps,
         dt: f64,
         inflow: Vec3,
         tol: f64,
         max_iters: usize,
-        layout: LayoutPlan,
+        pressure_op: Option<Arc<PressureOperator>>,
     ) -> FluidSolver<'m> {
-        let matrix_u = CsrMatrix::from_mesh(mesh, n2e);
-        let matrix_p = matrix_u.clone();
         let n = mesh.num_nodes();
-        // The momentum and Poisson matrices share one sparsity pattern,
-        // so one batched schedule (built against matrix_u) serves both.
-        let mut plan = if layout.batched_assembly {
-            AssemblyPlan::with_batches(mesh, elems, strategy, n_subdomains, &matrix_u)
-        } else {
-            AssemblyPlan::new(mesh, elems, strategy, n_subdomains)
-        };
-        plan.lane_kernels = layout.lane_kernels;
-        plan.batched_sgs = layout.batched_sgs;
-        let sell = layout.sell_spmv.then(|| SellMatrix::from_csr(&matrix_p));
-        let matfree =
-            layout.matrix_free.then(|| MatFreeMomentum::new(mesh, &matrix_u, &plan.elems));
-        let bc = BoundaryConditions::from_mesh(mesh);
-        let deflation = Deflation::new(&matrix_p, &bc.inlet_nodes, &bc.outlet_nodes);
-        let refs = RefElement::all();
-
-        // Lumped mass over the full mesh (serial, once).
-        let mut lumped = vec![0.0; n];
-        let mut scratch = cfpd_solver::ElementScratch::default();
-        let zero_vel = vec![Vec3::ZERO; n];
-        for e in 0..mesh.num_elements() {
-            let (kind, nn) = scratch.load(mesh, &zero_vel, e);
-            if let Some(lm) = cfpd_solver::kernels::lumped_mass_kernel(&refs, &scratch, kind, nn) {
-                for (k, &v) in mesh.elem_nodes(e).iter().enumerate() {
-                    lumped[v as usize] += lm[k];
-                }
-            }
-        }
-
-        let sgs = SgsField::new(mesh);
+        assert_eq!(n, s.n, "structure of another mesh");
+        let matrix_u = s.zero_matrix();
+        let matfree = s
+            .layout
+            .matrix_free
+            .then(|| MatFreeMomentum::new(mesh, &matrix_u, &s.plan.elems));
         FluidSolver {
             mesh,
-            refs,
-            plan,
             props,
             dt,
             tol,
             max_iters,
             matrix_u,
-            matrix_p,
-            pressure_operator_built: false,
+            pressure_op,
             rhs_u: vec![vec![0.0; n]; 3],
             rhs_p: vec![0.0; n],
             grad_p: vec![0.0; 3 * n],
             zero_pressure: vec![0.0; n],
-            lumped_mass: lumped,
-            bc,
             inflow,
             velocity: vec![Vec3::ZERO; n],
             pressure: vec![0.0; n],
-            sgs,
+            sgs: SgsField::on(Arc::clone(&s.sgs)),
             gravity: Vec3::new(0.0, 0.0, -9.81),
-            layout,
-            deflation,
-            sell,
             matfree,
+            s,
         }
     }
 
     /// The assembly plan (for inspection: colors, subdomains, ...).
     pub fn plan(&self) -> &AssemblyPlan {
-        &self.plan
+        &self.s.plan
+    }
+
+    /// The boundary node sets of the mesh.
+    pub fn bc(&self) -> &BoundaryConditions {
+        &self.s.bc
+    }
+
+    /// The pressure operator: `None` until a step built it (or the
+    /// constructor was given one).
+    pub fn pressure_operator(&self) -> Option<&Arc<PressureOperator>> {
+        self.pressure_op.as_ref()
     }
 
     fn apply_velocity_bcs(&mut self) {
-        for &v in &self.bc.wall_nodes {
+        for &v in &self.s.bc.wall_nodes {
             self.velocity[v as usize] = Vec3::ZERO;
         }
-        for &v in &self.bc.inlet_nodes {
+        for &v in &self.s.bc.inlet_nodes {
             self.velocity[v as usize] = self.inflow;
         }
     }
@@ -278,23 +352,29 @@ impl<'m> FluidSolver<'m> {
     /// outlets and load its values into the SELL mirror and the
     /// deflation. Needs the caller's `reduce`, hence not in the
     /// constructor.
-    fn build_pressure_operator(&mut self, pool: &ThreadPool, reduce: &mut dyn FnMut(&mut [f64])) {
-        self.matrix_p.clear();
-        let assemble_p = if self.layout.batched_assembly {
-            assemble_poisson_batched
-        } else {
-            assemble_poisson
+    fn build_pressure_operator(
+        &self,
+        pool: &ThreadPool,
+        reduce: &mut dyn FnMut(&mut [f64]),
+    ) -> PressureOperator {
+        let s = &*self.s;
+        let mut matrix = s.zero_matrix();
+        let assemble_p =
+            if s.layout.batched_assembly { assemble_poisson_batched } else { assemble_poisson };
+        assemble_p(pool, &s.refs, self.mesh, &s.plan, &mut matrix);
+        reduce(&mut matrix.values);
+        for &v in &s.bc.outlet_nodes {
+            matrix.set_dirichlet_row(v as usize);
+        }
+        let mut deflation = Deflation::on(Arc::clone(&s.deflation));
+        deflation.refresh(&matrix);
+        let matrix = match &s.sell {
+            Some(shape) => {
+                PressureMatrix::Sell(SellMatrix::with_values(Arc::clone(shape), &matrix.values))
+            }
+            None => PressureMatrix::Csr(matrix),
         };
-        assemble_p(pool, &self.refs, self.mesh, &self.plan, &mut self.matrix_p);
-        reduce(&mut self.matrix_p.values);
-        for &v in &self.bc.outlet_nodes {
-            self.matrix_p.set_dirichlet_row(v as usize);
-        }
-        if let Some(sell) = self.sell.as_mut() {
-            sell.update_values(&self.matrix_p.values);
-        }
-        self.deflation.refresh(&self.matrix_p);
-        self.pressure_operator_built = true;
+        PressureOperator { matrix, deflation }
     }
 
     /// Make the next step assemble the pressure operator again: a
@@ -302,7 +382,7 @@ impl<'m> FluidSolver<'m> {
     /// operator is tested against.
     #[cfg(test)]
     fn forget_pressure_operator(&mut self) {
-        self.pressure_operator_built = false;
+        self.pressure_op = None;
     }
 
     /// Advance the flow by one time step, reporting per-phase timings.
@@ -324,6 +404,7 @@ impl<'m> FluidSolver<'m> {
         let mut report = FluidStepReport::default();
         let n = self.mesh.num_nodes();
         self.apply_velocity_bcs();
+        let s = Arc::clone(&self.s);
 
         // ---- Phase: matrix assembly (momentum; on the first step also
         // the pressure operator) ----------------------------------------
@@ -344,7 +425,7 @@ impl<'m> FluidSolver<'m> {
             // Assembly-lite: element integrals go to the flat per-element
             // store (no CSR scatter); only the RHS is scattered.
             mf.assemble(
-                &self.refs,
+                &s.refs,
                 self.mesh,
                 &self.velocity,
                 &self.zero_pressure,
@@ -353,18 +434,18 @@ impl<'m> FluidSolver<'m> {
                 self.gravity,
                 &mut self.rhs_u,
             );
-            AssemblyStats { elements: self.plan.elems.len(), ..AssemblyStats::default() }
+            AssemblyStats { elements: s.plan.elems.len(), ..AssemblyStats::default() }
         } else {
-            let assemble_m = if self.layout.batched_assembly {
+            let assemble_m = if s.layout.batched_assembly {
                 assemble_momentum_batched
             } else {
                 assemble_momentum
             };
             assemble_m(
                 pool,
-                &self.refs,
+                &s.refs,
                 self.mesh,
-                &self.plan,
+                &s.plan,
                 &self.velocity,
                 &self.zero_pressure,
                 self.props,
@@ -384,11 +465,11 @@ impl<'m> FluidSolver<'m> {
         for r in &mut self.rhs_u {
             reduce(r);
         }
-        if !self.pressure_operator_built {
-            self.build_pressure_operator(pool, reduce);
+        if self.pressure_op.is_none() {
+            self.pressure_op = Some(Arc::new(self.build_pressure_operator(pool, reduce)));
         }
         // Momentum Dirichlet rows: walls (0) and inlet (inflow).
-        for &v in self.bc.wall_nodes.iter().chain(&self.bc.inlet_nodes) {
+        for &v in s.bc.wall_nodes.iter().chain(&s.bc.inlet_nodes) {
             if let Some(mf) = self.matfree.as_mut() {
                 mf.set_dirichlet_row(v as usize);
             } else {
@@ -396,10 +477,10 @@ impl<'m> FluidSolver<'m> {
             }
         }
         for (c, comp) in [self.inflow.x, self.inflow.y, self.inflow.z].iter().enumerate() {
-            for &v in &self.bc.wall_nodes {
+            for &v in &s.bc.wall_nodes {
                 self.rhs_u[c][v as usize] = 0.0;
             }
-            for &v in &self.bc.inlet_nodes {
+            for &v in &s.bc.inlet_nodes {
                 self.rhs_u[c][v as usize] = *comp;
             }
         }
@@ -439,25 +520,26 @@ impl<'m> FluidSolver<'m> {
         self.rhs_p.fill(0.0);
         assemble_divergence(
             pool,
-            &self.refs,
+            &s.refs,
             self.mesh,
-            &self.plan,
+            &s.plan,
             &ustar,
             self.props,
             self.dt,
             &mut self.rhs_p,
         );
         reduce(&mut self.rhs_p);
-        for &v in &self.bc.outlet_nodes {
+        for &v in &s.bc.outlet_nodes {
             self.rhs_p[v as usize] = 0.0;
         }
         // One solver loop for both layouts; the layout only picks the
         // storage the SpMV sweeps (the SELL mirror of the pressure
         // operator, or the CSR matrix itself).
+        let op = self.pressure_op.as_deref().expect("built during assembly");
         let (b, x) = (&self.rhs_p, &mut self.pressure);
-        let s2 = match &self.sell {
-            Some(sell) => self.deflation.solve(sell, b, x, self.tol, self.max_iters, pool),
-            None => self.deflation.solve(&self.matrix_p, b, x, self.tol, self.max_iters, pool),
+        let s2 = match &op.matrix {
+            PressureMatrix::Sell(a) => op.deflation.solve(a, b, x, self.tol, self.max_iters, pool),
+            PressureMatrix::Csr(a) => op.deflation.solve(a, b, x, self.tol, self.max_iters, pool),
         };
         report.solver2 = Some(s2);
 
@@ -465,16 +547,16 @@ impl<'m> FluidSolver<'m> {
         self.grad_p.fill(0.0);
         assemble_pressure_gradient(
             pool,
-            &self.refs,
+            &s.refs,
             self.mesh,
-            &self.plan,
+            &s.plan,
             &self.pressure,
             &mut self.grad_p,
         );
         reduce(&mut self.grad_p);
         let coef = self.dt / self.props.density;
         for (i, g) in self.grad_p.chunks_exact(3).enumerate() {
-            let ml = self.lumped_mass[i];
+            let ml = s.lumped_mass[i];
             self.velocity[i] = if ml > 0.0 {
                 ustar[i] - Vec3::new(g[0], g[1], g[2]) * (coef / ml)
             } else {
@@ -488,9 +570,9 @@ impl<'m> FluidSolver<'m> {
         let t0 = std::time::Instant::now();
         let stats_sgs = compute_sgs(
             pool,
-            &self.refs,
+            &s.refs,
             self.mesh,
-            &self.plan,
+            &s.plan,
             &self.velocity,
             self.props,
             &mut self.sgs,
@@ -562,7 +644,7 @@ mod tests {
         assert!(fs.mean_speed() > 1e-4, "mean speed {}", fs.mean_speed());
         assert!(fs.max_speed() < 50.0, "max speed {} (instability?)", fs.max_speed());
         // Walls are no-slip.
-        for &v in fs.bc.wall_nodes.iter().take(50) {
+        for &v in fs.bc().wall_nodes.iter().take(50) {
             assert_eq!(fs.velocity[v as usize], Vec3::ZERO);
         }
         // Phase timings were measured.
@@ -644,6 +726,33 @@ mod tests {
         let sa = step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, base), &pool);
         let sb = step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, fast), &pool);
         assert_state_bits_equal(&sa, &sb, "sell+lanes+batched-sgs");
+    }
+
+    // What `prepare` relies on: a second solver on the first one's
+    // structure, handed its pressure operator, repeats a fresh solver's
+    // bits without assembling anything of its own.
+    #[test]
+    fn a_solver_on_shared_structure_and_operator_repeats_a_fresh_one() {
+        let am = generate_airway(&AirwaySpec::small()).unwrap();
+        let pool = ThreadPool::new(1);
+        for layout in [LayoutPlan::default(), LayoutPlan::optimized()] {
+            let mut first = solver_with_layout(&am.mesh, AssemblyStrategy::Multidep, layout);
+            let want = step_twice(&mut first, &pool);
+            let op = first.pressure_operator().expect("built by the first step");
+            let mut second = FluidSolver::on(
+                &am.mesh,
+                Arc::clone(&first.s),
+                FluidProps::default(),
+                1e-3,
+                Vec3::new(0.0, 0.0, -1.0),
+                1e-8,
+                2000,
+                Some(Arc::clone(op)),
+            );
+            let got = step_twice(&mut second, &pool);
+            assert_state_bits_equal(&got, &want, layout.label());
+            assert!(Arc::ptr_eq(second.pressure_operator().unwrap(), op), "loaded, not rebuilt");
+        }
     }
 
     // The matrix-free momentum path accumulates per row in serial

@@ -18,6 +18,8 @@ pub mod flowfield;
 pub mod fluid;
 pub mod golden;
 pub mod halo;
+pub mod prepare;
+pub mod result;
 pub mod scenario;
 pub mod simulation;
 pub mod workload;
@@ -26,15 +28,20 @@ pub use checkpoint::{config_digest, Checkpoint, RankCheckpoint};
 pub use cfpd_solver::LayoutPlan;
 pub use config::{ExecutionMode, SimulationConfig};
 pub use flowfield::potential_flow;
-pub use fluid::{BoundaryConditions, FluidSolver, FluidStepReport};
+pub use fluid::{
+    BoundaryConditions, FluidSolver, FluidStepReport, FluidStructure, PressureOperator,
+};
 pub use golden::{
     golden_config, golden_trace, golden_trace_split, golden_trace_traced, render_golden_doc,
     render_golden_events, render_golden_header, render_golden_header_for, render_golden_summary,
 };
-pub use scenario::{resolve_layout, run_scenario, Scenario, ScenarioOutcome};
+pub use prepare::{prepare, PrepareKey, PrepareMemo, Prepared};
+pub use scenario::{
+    resolve_layout, run_scenario, run_scenario_prepared, Scenario, ScenarioOutcome,
+};
 pub use simulation::{
-    run_simulation, run_simulation_fallible, run_simulation_opts, LogicalEvent, RunOptions,
-    SimulationResult,
+    rank_failures, run_prepared, run_simulation, run_simulation_fallible, run_simulation_opts,
+    LogicalEvent, RunOptions, SimulationResult,
 };
 pub use deposition::{deposition_map, DepositionMap, GenerationRow};
 pub use halo::{assemble_and_solve_poisson, dist_cg, DistMatrix, HaloMap};

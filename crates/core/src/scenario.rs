@@ -10,7 +10,9 @@
 
 use crate::config::SimulationConfig;
 use crate::golden::render_run_doc;
-use crate::simulation::{run_simulation_opts, RunOptions, SimulationResult};
+use crate::prepare::{prepare, PrepareKey, Prepared};
+use crate::simulation::{rank_failures, run_prepared, RunOptions, SimulationResult};
+use std::sync::Arc;
 use cfpd_solver::LayoutPlan;
 use cfpd_testkit::digest::digest_bytes;
 
@@ -36,6 +38,11 @@ impl Scenario {
     pub fn deterministic(config: SimulationConfig, ranks: usize) -> Scenario {
         Scenario { config, ranks, threads: 1, opts: RunOptions::default() }
     }
+
+    /// What of this scenario its set-up depends on.
+    pub fn prepare_key(&self) -> PrepareKey {
+        PrepareKey::of(&self.config, self.ranks)
+    }
 }
 
 /// What a scenario run produced: the canonical golden document, its
@@ -54,9 +61,19 @@ pub struct ScenarioOutcome {
 
 /// Run a scenario and render its golden document. This is the single
 /// shared code path behind `cfpd golden`, `cfpd campaign run` and the
-/// differential matrix tests.
+/// differential matrix tests. Panics (with the reason) when the run is
+/// refused or a rank fails.
 pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
-    let result = run_simulation_opts(&s.config, s.ranks, s.threads, &s.opts);
+    let prepared = prepare(&s.prepare_key()).unwrap_or_else(|e| panic!("{e}"));
+    run_scenario_prepared(&prepared, s)
+}
+
+/// [`run_scenario`] on a [`Prepared`] of the scenario's
+/// [`Scenario::prepare_key`], for callers that run several scenarios on
+/// one set-up (see [`crate::prepare::PrepareMemo`]).
+pub fn run_scenario_prepared(prepared: &Arc<Prepared>, s: &Scenario) -> ScenarioOutcome {
+    let result = run_prepared(prepared, &s.config, s.threads, &s.opts)
+        .unwrap_or_else(|fails| panic!("{}", rank_failures(&fails)));
     let doc = render_run_doc(&s.config, s.ranks, &result);
     let digest = digest_bytes(doc.as_bytes());
     ScenarioOutcome { doc, digest, result }

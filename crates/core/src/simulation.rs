@@ -1,28 +1,32 @@
-//! The distributed CFPD simulation on the virtual cluster: ranks as
+//! Running a prepared simulation on the virtual cluster: ranks as
 //! threads (`cfpd-simmpi`), partitioned assembly with replicated
 //! solves, distributed particle tracking with migration, per-phase
 //! tracing, both execution modes of Fig. 3, and optional DLB.
+//!
+//! A run is [`prepare`] followed by [`run_prepared`]: everything derived
+//! from the mesh lives in the [`Prepared`], and the rank functions here
+//! allocate and advance values only. What a run hands back is put
+//! together in [`crate::result`].
 
 use crate::checkpoint::{Checkpoint, RankCheckpoint};
 use crate::config::{ExecutionMode, SimulationConfig};
-use crate::fluid::FluidSolver;
-use cfpd_dlb::{DlbCluster, DlbPolicy, DlbStats, GrantPolicy, LendPolicy};
+use crate::fluid::{FluidSolver, PressureOperator};
+use crate::prepare::{prepare, PrepareKey, Prepared};
+use crate::result::{assemble, finalize, log_fluid_step, RankOut};
+pub use crate::result::{LogicalEvent, SimulationResult};
+use cfpd_dlb::{DlbCluster, DlbPolicy, GrantPolicy, LendPolicy};
 use cfpd_hetero::{ImbalancePredictor, PredictorConfig};
-use cfpd_mesh::{generate_airway, Vec3};
+use cfpd_mesh::Vec3;
 use cfpd_particles::{
     inject_at_inlet, step_particles, Locator, ParticleCensus, ParticleProps, ParticleSet,
     ParticleState,
 };
-use cfpd_partition::{partition_kway, Graph};
 use cfpd_runtime::ThreadPool;
 use cfpd_simmpi::{
-    ChaosHooks, Comm, FaultConfig, FaultEvent, FaultEventKind, FaultPlan, MpiHooks, ProfileHooks,
-    RankProfile, ReduceOp, TraceHooks, Universe,
+    ChaosHooks, Comm, FaultConfig, FaultPlan, MpiHooks, ProfileHooks, RankProfile, ReduceOp,
+    TraceHooks, Universe,
 };
-use cfpd_testkit::digest::{digest_f64s, Digest};
-use cfpd_trace::{
-    carve_states, phase_breakdown, ChaosKind, DlbMarkKind, Phase, PhaseRow, Trace, WorkerState,
-};
+use cfpd_trace::{ChaosKind, Phase, Trace};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,134 +82,6 @@ pub struct RunOptions {
     pub hetero: Option<RankProfile>,
 }
 
-/// Result of a simulation run.
-#[derive(Debug)]
-pub struct SimulationResult {
-    /// Wall-clock per-rank phase trace (gathered at rank 0).
-    pub trace: Trace,
-    /// Table 1 style per-phase load balance / time share.
-    pub breakdown: Vec<PhaseRow>,
-    /// Final particle census (summed over ranks).
-    pub census: ParticleCensus,
-    /// Total wall time of the timed region.
-    pub total_time: f64,
-    /// DLB statistics when DLB was enabled.
-    pub dlb: Option<DlbStats>,
-    /// Wall-clock-free per-rank event log (gathered at rank 0, sorted by
-    /// `(step, rank)`). Unlike `trace`, this is bit-reproducible across
-    /// runs for a fixed config with `threads_per_rank == 1` and DLB off —
-    /// the substrate of the golden-trace regression suite.
-    pub logical: Vec<LogicalEvent>,
-    /// Checkpoint captured at `RunOptions::checkpoint_at`, if requested.
-    pub checkpoint: Option<Checkpoint>,
-    /// Every fault the chaos layer injected (empty without a fault plan).
-    pub faults: Vec<FaultEvent>,
-    /// Element count of the mesh the run generated (the golden
-    /// document's header prints it).
-    pub elements: usize,
-    /// Node count of that mesh.
-    pub nodes: usize,
-}
-
-/// One deterministic milestone of the simulation: what was computed,
-/// never how long it took. Floating-point payloads are carried as raw
-/// bit patterns (`f64::to_bits`) so equality means bit-identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogicalEvent {
-    /// Matrix assembly on one rank (momentum + Poisson share elements).
-    Assembly { step: usize, rank: usize, elements: usize },
-    /// One linear solve: `system` 0..=2 are the momentum components,
-    /// 3 is the pressure Poisson system.
-    Solve {
-        step: usize,
-        rank: usize,
-        system: u8,
-        iterations: usize,
-        residual_bits: u64,
-        converged: bool,
-    },
-    /// FNV-1a digests of the full velocity / pressure fields after the
-    /// fluid step (replicated solves: identical on every rank).
-    FieldDigest { step: usize, rank: usize, velocity: u64, pressure: u64 },
-    /// Particle migration: `(dest, count)` per non-empty send plus the
-    /// total received, in rank order.
-    Exchange { step: usize, rank: usize, sent: Vec<(usize, usize)>, received: usize },
-    /// Post-step particle census of this rank's subdomain.
-    Particles {
-        step: usize,
-        rank: usize,
-        active: usize,
-        deposited: usize,
-        escaped: usize,
-        lost: usize,
-    },
-}
-
-impl LogicalEvent {
-    pub fn step(&self) -> usize {
-        match self {
-            LogicalEvent::Assembly { step, .. }
-            | LogicalEvent::Solve { step, .. }
-            | LogicalEvent::FieldDigest { step, .. }
-            | LogicalEvent::Exchange { step, .. }
-            | LogicalEvent::Particles { step, .. } => *step,
-        }
-    }
-
-    pub fn rank(&self) -> usize {
-        match self {
-            LogicalEvent::Assembly { rank, .. }
-            | LogicalEvent::Solve { rank, .. }
-            | LogicalEvent::FieldDigest { rank, .. }
-            | LogicalEvent::Exchange { rank, .. }
-            | LogicalEvent::Particles { rank, .. } => *rank,
-        }
-    }
-}
-
-/// Digest the velocity (component-wise) and pressure fields.
-fn field_digests(velocity: &[Vec3], pressure: &[f64]) -> (u64, u64) {
-    let mut dv = Digest::new();
-    for v in velocity {
-        dv.update_f64(v.x).update_f64(v.y).update_f64(v.z);
-    }
-    (dv.finish(), digest_f64s(pressure))
-}
-
-/// Append the fluid-step events (assembly, 4 solves, field digests) for
-/// one rank-step to `log`.
-fn log_fluid_step(
-    log: &mut Vec<LogicalEvent>,
-    step: usize,
-    rank: usize,
-    report: &crate::fluid::FluidStepReport,
-    velocity: &[Vec3],
-    pressure: &[f64],
-) {
-    if let Some(a) = &report.assembly {
-        log.push(LogicalEvent::Assembly { step, rank, elements: a.elements });
-    }
-    let mut solves: Vec<(u8, cfpd_solver::SolveStats)> = Vec::new();
-    if let Some(s1) = &report.solver1 {
-        solves.extend(s1.iter().enumerate().map(|(i, s)| (i as u8, *s)));
-    }
-    if let Some(s2) = &report.solver2 {
-        solves.push((3, *s2));
-    }
-    for (system, s) in solves {
-        log.push(LogicalEvent::Solve {
-            step,
-            rank,
-            system,
-            iterations: s.iterations,
-            residual_bits: s.residual.to_bits(),
-            converged: s.converged,
-        });
-    }
-    let (dv, dp) = field_digests(velocity, pressure);
-    log.push(LogicalEvent::FieldDigest { step, rank, velocity: dv, pressure: dp });
-}
-
 /// Particle payload migrated between ranks when a particle crosses into
 /// another rank's subdomain.
 #[derive(Debug, Clone)]
@@ -244,29 +120,52 @@ pub fn run_simulation_opts(
     threads_per_rank: usize,
     opts: &RunOptions,
 ) -> SimulationResult {
-    match run_simulation_fallible(config, n_ranks, threads_per_rank, opts) {
-        Ok(r) => r,
-        Err(fails) => {
-            let msgs: Vec<String> =
-                fails.iter().map(|(r, m)| format!("rank {r}: {m}")).collect();
-            panic!("simulation failed on {} rank(s):\n{}", msgs.len(), msgs.join("\n"))
-        }
-    }
+    run_simulation_fallible(config, n_ranks, threads_per_rank, opts)
+        .unwrap_or_else(|fails| panic!("{}", rank_failures(&fails)))
+}
+
+/// The message [`run_simulation_opts`] panics with: every failed rank's
+/// own message.
+pub fn rank_failures(fails: &[(usize, String)]) -> String {
+    let msgs: Vec<String> = fails.iter().map(|(r, m)| format!("rank {r}: {m}")).collect();
+    format!("simulation failed on {} rank(s):\n{}", msgs.len(), msgs.join("\n"))
 }
 
 /// Run the simulation, surviving rank failures: returns `Err` with one
 /// `(rank, message)` entry per failed rank (crash unwinds, deadlock
-/// reports, panics) instead of propagating the panic. The chaos
-/// subcommand's storm mode relies on this to print a structured
-/// deadlock report and exit instead of hanging or aborting.
+/// reports, panics) instead of propagating the panic — and a single
+/// `(0, message)` entry for a run refused before any rank started (an
+/// invalid airway spec, a checkpoint that does not belong to this run).
+/// The chaos subcommand's storm mode relies on this to print a
+/// structured deadlock report and exit instead of hanging or aborting.
 pub fn run_simulation_fallible(
     config: &SimulationConfig,
     n_ranks: usize,
     threads_per_rank: usize,
     opts: &RunOptions,
 ) -> Result<SimulationResult, Vec<(usize, String)>> {
-    let n_ranks = config.total_ranks(n_ranks);
-    assert!(n_ranks >= 1);
+    assert!(config.total_ranks(n_ranks) >= 1);
+    let prepared = prepare(&PrepareKey::of(config, n_ranks)).map_err(|e| vec![(0, e)])?;
+    run_prepared(&prepared, config, threads_per_rank, opts)
+}
+
+/// [`run_simulation_fallible`] on a [`Prepared`] the caller built (or
+/// kept) for this run's [`PrepareKey`]: allocates the run's values,
+/// runs its steps, and leaves `prepared` as it found it — except for
+/// publishing the pressure operator if this is the first run to
+/// assemble it.
+pub fn run_prepared(
+    prepared: &Arc<Prepared>,
+    config: &SimulationConfig,
+    threads_per_rank: usize,
+    opts: &RunOptions,
+) -> Result<SimulationResult, Vec<(usize, String)>> {
+    let n_ranks = prepared.ranks();
+    assert_eq!(
+        PrepareKey::of(config, n_ranks).digest(),
+        prepared.key_digest(),
+        "run_prepared: the Prepared was built for another key"
+    );
     if opts.checkpoint_at.is_some() || opts.restore.is_some() || opts.stop_after.is_some() {
         assert_eq!(
             config.mode,
@@ -282,23 +181,9 @@ pub fn run_simulation_fallible(
     let stop_after = opts.stop_after.filter(|&s| s < config.steps);
     if let Some(cp) = &opts.restore {
         if let Err(e) = cp.validate_for(config, n_ranks) {
-            panic!("refusing to restore checkpoint: {e}");
+            return Err(vec![(0, format!("refusing to restore checkpoint: {e}"))]);
         }
     }
-
-    // Shared immutable setup (every rank would compute the identical
-    // mesh; do it once).
-    let mut airway = generate_airway(&config.airway).expect("valid airway spec");
-    if config.layout.rcm {
-        // Locality layout: renumber nodes with reverse Cuthill–McKee
-        // before anything derives data from node ids (CSR patterns,
-        // partitions, boundary sets), so every downstream structure
-        // sees the bandwidth-reduced ordering.
-        let adj = airway.mesh.node_adjacency();
-        let perm = cfpd_partition::rcm_perm(&adj);
-        airway.mesh.renumber_nodes(&perm);
-    }
-    let airway = Arc::new(airway);
     let config = Arc::new(config.clone());
 
     // The shared run clock: every trace record — phase intervals, wait
@@ -394,10 +279,13 @@ pub fn run_simulation_fallible(
             None
         };
 
-    let am = Arc::clone(&airway);
     let cfg = Arc::clone(&config);
     let pools2 = pools.clone();
     let window = StepWindow {
+        prepared: Arc::clone(prepared),
+        // Decided once for all ranks: assembling the operator is a
+        // collective, so either every rank of this run does it or none.
+        pressure_op: prepared.pressure_op.get().cloned(),
         checkpoint_at: opts.checkpoint_at,
         stop_after,
         restore: opts.restore.clone(),
@@ -408,7 +296,7 @@ pub fn run_simulation_fallible(
     };
 
     let results = Universe::run_fallible(n_ranks, hooks, move |comm| {
-        rank_main(&cfg, &am, &pools2[comm.rank()], comm, &window)
+        rank_main(&cfg, &pools2[comm.rank()], comm, &window)
     });
 
     let mut oks = Vec::new();
@@ -423,9 +311,8 @@ pub fn run_simulation_fallible(
         return Err(fails);
     }
 
-    let out = oks.remove(0);
-    let RankOut { mut trace, census, total, logical, checkpoint: cp_ranks } = out;
-    let checkpoint = cp_ranks.map(|ranks| Checkpoint {
+    let mut out = oks.swap_remove(0);
+    let checkpoint = out.checkpoint.take().map(|ranks| Checkpoint {
         next_step: opts
             .checkpoint_at
             .or(stop_after)
@@ -435,78 +322,24 @@ pub fn run_simulation_fallible(
         config_digest: crate::checkpoint::config_digest(&config),
         ranks,
     });
-
-    // Overlay the injected-fault log on the wall-clock trace.
-    let faults = chaos.as_ref().map(|c| c.events()).unwrap_or_default();
-    for f in &faults {
-        let kind = match f.kind {
-            FaultEventKind::Timeout => ChaosKind::TimeoutFired,
-            _ => ChaosKind::FaultInjected,
-        };
-        if f.rank < trace.num_ranks {
-            trace.record_chaos(f.rank, f.t, kind);
-        }
-    }
-
-    // DLB transitions become first-class trace events (the lend/borrow
-    // arrows of the paper's Fig. 8), so `render_timeline` shows cores
-    // migrating between co-resident ranks.
-    if opts.dlb {
-        use cfpd_dlb::DlbEventKind;
-        for (_, e) in cluster.all_events() {
-            let (kind, cores) = match e.kind {
-                DlbEventKind::Lend { cores } => (DlbMarkKind::Lend, cores),
-                DlbEventKind::Borrow { cores, .. } => (DlbMarkKind::Borrow, cores),
-                DlbEventKind::Reclaim { cores } => (DlbMarkKind::Reclaim, cores),
-                DlbEventKind::Revoke { cores, .. } => (DlbMarkKind::Revoke, cores),
-                DlbEventKind::LeaseExpired { cores } => (DlbMarkKind::LeaseExpired, cores),
-                DlbEventKind::Crashed { cores } => (DlbMarkKind::Crashed, cores),
-                DlbEventKind::PreLend { cores } => (DlbMarkKind::PreLend, cores),
-            };
-            if e.rank < trace.num_ranks {
-                trace.record_dlb(e.rank, e.t, kind, cores);
-            }
-        }
-    }
-
-    // Assemble the worker-level trace: wait and message records from
-    // the tracer hooks, worker-0 state intervals carved from the phase
-    // timeline around the waits, and worker ≥ 1 Useful intervals from
-    // the pools' region logs. All share `run_epoch`.
-    if let Some(tr) = &tracer {
-        let waits = tr.drain_waits();
-        let carved = carve_states(trace.num_ranks, &trace.events, &waits);
-        trace.workers.extend(carved);
-        for (rank, pool) in pools.iter().enumerate() {
-            for (worker, t0, t1) in pool.worker_trace_drain() {
-                trace.record_worker(rank, worker, WorkerState::Useful, t0, t1);
-            }
-        }
-        for (src, dst, tag, bytes, t_send, t_recv) in tr.drain_msgs() {
-            if src < trace.num_ranks && dst < trace.num_ranks {
-                trace.record_msg(src, dst, tag, bytes, t_send, t_recv);
-            }
-        }
-    }
-
-    let breakdown = phase_breakdown(&trace);
-    Ok(SimulationResult {
-        trace,
-        breakdown,
-        census,
-        total_time: total,
-        dlb: if opts.dlb { Some(cluster.total_stats()) } else { None },
-        logical,
+    Ok(assemble(
+        out,
         checkpoint,
-        faults,
-        elements: airway.mesh.num_elements(),
-        nodes: airway.mesh.num_nodes(),
-    })
+        (prepared.elements(), prepared.nodes()),
+        chaos.as_ref().map(|c| c.events()).unwrap_or_default(),
+        opts.dlb.then_some(&*cluster),
+        tracer.as_deref().map(|t| (t, pools.as_slice())),
+    ))
 }
 
-/// Checkpoint/restart window threaded into each rank's main loop.
+/// What every rank of a run shares: the prepared set-up and the
+/// checkpoint/restart window threaded into each rank's main loop.
 #[derive(Clone)]
 struct StepWindow {
+    prepared: Arc<Prepared>,
+    /// The pressure operator an earlier run on `prepared` published;
+    /// `None` makes this run's first step assemble (and publish) it.
+    pressure_op: Option<Arc<PressureOperator>>,
     checkpoint_at: Option<usize>,
     stop_after: Option<usize>,
     restore: Option<Arc<Checkpoint>>,
@@ -524,31 +357,64 @@ struct StepWindow {
     profiled: Option<Arc<ProfileHooks>>,
 }
 
-/// Per-rank result; only rank 0's value is meaningful (others return
-/// empty).
-struct RankOut {
-    trace: Trace,
-    census: ParticleCensus,
-    total: f64,
-    logical: Vec<LogicalEvent>,
-    /// Gathered per-rank checkpoints (rank 0, when capture was asked).
-    checkpoint: Option<Vec<RankCheckpoint>>,
-}
-
 /// Per-rank entry point.
 fn rank_main(
     config: &SimulationConfig,
-    airway: &cfpd_mesh::AirwayMesh,
     pool: &ThreadPool,
     comm: Comm,
     window: &StepWindow,
 ) -> RankOut {
     match config.mode {
-        ExecutionMode::Synchronous => sync_rank(config, airway, pool, comm, window),
+        ExecutionMode::Synchronous => sync_rank(config, pool, comm, window),
         ExecutionMode::Coupled { fluid, particles } => {
-            coupled_rank(config, airway, pool, comm, fluid, particles, window.epoch)
+            coupled_rank(config, pool, comm, fluid, particles, window)
         }
     }
+}
+
+/// The values-only solver of fluid rank `rank` over the prepared
+/// structure.
+fn fluid_solver<'p>(
+    config: &SimulationConfig,
+    prepared: &'p Prepared,
+    rank: usize,
+    pressure_op: Option<Arc<PressureOperator>>,
+) -> FluidSolver<'p> {
+    FluidSolver::on(
+        &prepared.airway.mesh,
+        Arc::clone(&prepared.fluid[rank]),
+        config.fluid,
+        config.dt,
+        prepared.airway.inlet_direction * config.inflow_speed,
+        config.solver_tol,
+        config.solver_max_iters,
+        pressure_op,
+    )
+}
+
+/// Inject the run's particles (deterministic, identical on every
+/// particle rank) and keep those whose element part `my_part` owns.
+fn inject_owned(
+    config: &SimulationConfig,
+    prepared: &Prepared,
+    locator: &Locator,
+    my_part: usize,
+    parts: usize,
+) -> ParticleSet {
+    let airway = &prepared.airway;
+    let mut all = ParticleSet::default();
+    inject_at_inlet(
+        &mut all,
+        locator,
+        airway.inlet_center,
+        airway.inlet_direction,
+        airway.inlet_radius,
+        config.inflow_speed,
+        config.particle,
+        config.num_particles,
+        config.seed,
+    );
+    keep_owned(all, &prepared.owner, my_part, parts)
 }
 
 /// Telemetry mirror of a wall-clock phase attribution: feed the *same*
@@ -579,58 +445,31 @@ fn pop_record(rank: usize, phase: Phase, t_start: f64, t_end: f64) {
     );
 }
 
-/// Partition all mesh elements into `n` cost-weighted parts; returns
-/// (my part's elements, element→owner map). `n2e` is the mesh's
-/// `node_to_elements()` where the caller has it already; without one it
-/// is built here, and only if there is a graph to partition.
-fn partition_elements(
-    mesh: &cfpd_mesh::Mesh,
-    n2e: Option<&cfpd_mesh::Csr>,
-    n: usize,
-    my_part: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    let ne = mesh.num_elements();
-    if n == 1 {
-        // The one part owns everything: no graph to build.
-        return ((0..ne as u32).collect(), vec![0; ne]);
+/// After a fluid step: hand the pressure operator to the runs that come
+/// after this one. Every rank holds the same reduced operator; rank 0
+/// of the fluid group speaks for all, and only the first run on a
+/// `Prepared` finds the slot empty.
+fn publish_pressure_operator(prepared: &Prepared, fs: &FluidSolver, fluid_rank: usize) {
+    if fluid_rank == 0 && prepared.pressure_op.get().is_none() {
+        if let Some(op) = fs.pressure_operator() {
+            // A concurrent run on the same `Prepared` may have won.
+            let _ = prepared.pressure_op.set(Arc::clone(op));
+        }
     }
-    let adj = match n2e {
-        Some(n2e) => mesh.element_adjacency(n2e),
-        None => mesh.element_adjacency(&mesh.node_to_elements()),
-    };
-    let g = Graph::from_csr(&adj, mesh.cost_weights());
-    let part = partition_kway(&g, n, 4);
-    let members = part.part_members();
-    (members[my_part].clone(), part.parts)
 }
 
 fn sync_rank(
     config: &SimulationConfig,
-    airway: &cfpd_mesh::AirwayMesh,
     pool: &ThreadPool,
     comm: Comm,
     window: &StepWindow,
 ) -> RankOut {
-    let mesh = &airway.mesh;
+    let prepared = &*window.prepared;
+    let owner = &prepared.owner;
     let rank = comm.rank();
     let n = comm.size();
-    let n2e = mesh.node_to_elements();
-    let (my_elems, owner) = partition_elements(mesh, Some(&n2e), n, rank);
-
-    let mut fs = FluidSolver::with_node_map(
-        mesh,
-        &n2e,
-        my_elems,
-        config.strategy,
-        config.subdomains_per_rank,
-        config.fluid,
-        config.dt,
-        airway.inlet_direction * config.inflow_speed,
-        config.solver_tol,
-        config.solver_max_iters,
-        config.layout,
-    );
-    let locator = Locator::new(mesh);
+    let mut fs = fluid_solver(config, prepared, rank, window.pressure_op.clone());
+    let locator = prepared.locator();
 
     let (mut mine, start_step) = match &window.restore {
         Some(cp) => {
@@ -644,23 +483,7 @@ fn sync_rank(
             fs.sgs.values = rc.sgs.clone();
             (rc.particles.clone(), cp.next_step)
         }
-        None => {
-            // Deterministic identical injection everywhere; keep only
-            // mine.
-            let mut all = ParticleSet::default();
-            inject_at_inlet(
-                &mut all,
-                &locator,
-                airway.inlet_center,
-                airway.inlet_direction,
-                airway.inlet_radius,
-                config.inflow_speed,
-                config.particle,
-                config.num_particles,
-                config.seed,
-            );
-            (keep_owned(all, &owner, rank, n), 0)
-        }
+        None => (inject_owned(config, prepared, &locator, rank, n), 0),
     };
 
     let mut trace = Trace::new(n);
@@ -718,6 +541,7 @@ fn sync_rank(
         cfpd_telemetry::count!("core.rank_steps");
         cfpd_flight::record(cfpd_flight::EventKind::Step, rank as u32, 0, step as u64, 0);
         log_fluid_step(&mut logical, step, rank, &report, &fs.velocity, &fs.pressure);
+        publish_pressure_operator(prepared, &fs, rank);
 
         // ---- particle phase -------------------------------------------
         let tp = t(epoch);
@@ -731,7 +555,7 @@ fn sync_rank(
             config.dt,
         );
         // Migration: ship particles that crossed into foreign subdomains.
-        let outgoing = collect_migrants(&mut mine, &owner, rank);
+        let outgoing = collect_migrants(&mut mine, owner, rank);
         let (sent, received) = exchange_migrants(&comm, outgoing, &mut mine, None);
         let tp_end = t(epoch);
         trace.record(rank, Phase::Particles, tp, tp_end);
@@ -787,43 +611,27 @@ fn sync_rank(
     finalize(comm, trace, mine.census(), total, logical, captured)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn coupled_rank(
     config: &SimulationConfig,
-    airway: &cfpd_mesh::AirwayMesh,
     pool: &ThreadPool,
     comm: Comm,
     f: usize,
     p: usize,
-    shared_epoch: Option<Instant>,
+    window: &StepWindow,
 ) -> RankOut {
     assert_eq!(comm.size(), f + p, "coupled mode rank count");
-    let mesh = &airway.mesh;
+    let prepared = &*window.prepared;
     let world_rank = comm.rank();
     let is_fluid = world_rank < f;
     let group = comm.split(usize::from(!is_fluid), world_rank);
     let mut trace = Trace::new(comm.size());
     let mut logical = Vec::new();
-    let epoch = shared_epoch.unwrap_or_else(std::time::Instant::now);
+    let epoch = window.epoch.unwrap_or_else(std::time::Instant::now);
     let t = |epoch: std::time::Instant| epoch.elapsed().as_secs_f64();
     let census;
 
     if is_fluid {
-        let n2e = mesh.node_to_elements();
-        let (my_elems, _) = partition_elements(mesh, Some(&n2e), f, group.rank());
-        let mut fs = FluidSolver::with_node_map(
-            mesh,
-            &n2e,
-            my_elems,
-            config.strategy,
-            config.subdomains_per_rank,
-            config.fluid,
-            config.dt,
-            airway.inlet_direction * config.inflow_speed,
-            config.solver_tol,
-            config.solver_max_iters,
-            config.layout,
-        );
+        let mut fs = fluid_solver(config, prepared, group.rank(), window.pressure_op.clone());
         for step in 0..config.steps {
             let t0 = t(epoch);
             let report = fs.step_reduced(pool, &mut |buf: &mut [f64]| {
@@ -843,6 +651,7 @@ fn coupled_rank(
             cfpd_telemetry::count!("core.rank_steps");
             cfpd_flight::record(cfpd_flight::EventKind::Step, world_rank as u32, 0, step as u64, 0);
             log_fluid_step(&mut logical, step, world_rank, &report, &fs.velocity, &fs.pressure);
+            publish_pressure_operator(prepared, &fs, group.rank());
             // Fluid group root ships the velocity field to every particle
             // rank (Fig. 3's "send velocity"), then continues.
             let tc = t(epoch);
@@ -858,21 +667,9 @@ fn coupled_rank(
         census = ParticleCensus::default();
     } else {
         // Particle code: owns all particles, partitioned among p ranks.
-        let (_, owner) = partition_elements(mesh, None, p, group.rank());
-        let locator = Locator::new(mesh);
-        let mut all = ParticleSet::default();
-        inject_at_inlet(
-            &mut all,
-            &locator,
-            airway.inlet_center,
-            airway.inlet_direction,
-            airway.inlet_radius,
-            config.inflow_speed,
-            config.particle,
-            config.num_particles,
-            config.seed,
-        );
-        let mut mine = keep_owned(all, &owner, group.rank(), p);
+        let owner = &prepared.owner;
+        let locator = prepared.locator();
+        let mut mine = inject_owned(config, prepared, &locator, group.rank(), p);
         for step in 0..config.steps {
             // Blocking receive of this step's velocity — the DLB lending
             // point for idle particle ranks.
@@ -891,7 +688,7 @@ fn coupled_rank(
                 Vec3::new(0.0, 0.0, -9.81),
                 config.dt,
             );
-            let outgoing = collect_migrants(&mut mine, &owner, group.rank());
+            let outgoing = collect_migrants(&mut mine, owner, group.rank());
             let (sent, received) = exchange_migrants(&group, outgoing, &mut mine, Some(f));
             let tp_end = t(epoch);
             trace.record(world_rank, Phase::Particles, tp, tp_end);
@@ -1020,74 +817,11 @@ fn exchange_migrants(
     (sent, received)
 }
 
-/// Gather traces, censuses, logical event logs and (when capture was
-/// requested) per-rank checkpoints at world rank 0.
-fn finalize(
-    comm: Comm,
-    trace: Trace,
-    census: ParticleCensus,
-    total: f64,
-    logical: Vec<LogicalEvent>,
-    captured: Option<RankCheckpoint>,
-) -> RankOut {
-    let events: Vec<(usize, u8, f64, f64)> = trace
-        .events
-        .iter()
-        .map(|e| {
-            let pid = Phase::ALL.iter().position(|&p| p == e.phase).unwrap() as u8;
-            (e.rank, pid, e.t_start, e.t_end)
-        })
-        .collect();
-    let chaos_events: Vec<(usize, f64)> =
-        trace.chaos.iter().map(|c| (c.rank, c.t)).collect();
-    let gathered = comm.gather(0, events);
-    let chaos_gathered = comm.gather(0, chaos_events);
-    let censuses = comm.gather(0, (census.active, census.deposited, census.escaped, census.lost));
-    let totals = comm.gather(0, total);
-    let logs = comm.gather(0, logical);
-    let cps = comm.gather(0, captured);
-    if comm.rank() == 0 {
-        let mut merged = Trace::new(comm.size());
-        for ev in gathered.unwrap().into_iter().flatten() {
-            merged.record(ev.0, Phase::ALL[ev.1 as usize], ev.2, ev.3);
-        }
-        // The only rank-local chaos markers are checkpoint captures;
-        // fault/timeout markers come from the ChaosHooks log upstream.
-        for (r, t) in chaos_gathered.unwrap().into_iter().flatten() {
-            merged.record_chaos(r, t, cfpd_trace::ChaosKind::CheckpointWritten);
-        }
-        let mut c = ParticleCensus::default();
-        for (a, d, e, l) in censuses.unwrap() {
-            c.active += a;
-            c.deposited += d;
-            c.escaped += e;
-            c.lost += l;
-        }
-        let t = totals.unwrap().into_iter().fold(0.0f64, f64::max);
-        let mut log: Vec<LogicalEvent> = logs.unwrap().into_iter().flatten().collect();
-        // Stable sort: per-rank recording order is preserved within a
-        // (step, rank) group.
-        log.sort_by_key(|e| (e.step(), e.rank()));
-        let mut ranks: Vec<RankCheckpoint> =
-            cps.unwrap().into_iter().flatten().collect();
-        ranks.sort_by_key(|rc| rc.rank);
-        let checkpoint = if ranks.len() == comm.size() { Some(ranks) } else { None };
-        RankOut { trace: merged, census: c, total: t, logical: log, checkpoint }
-    } else {
-        RankOut {
-            trace: Trace::new(0),
-            census: ParticleCensus::default(),
-            total: 0.0,
-            logical: Vec::new(),
-            checkpoint: None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cfpd_mesh::AirwaySpec;
+    use cfpd_trace::{DlbMarkKind, WorkerState};
 
     fn tiny_config() -> SimulationConfig {
         SimulationConfig {
@@ -1391,3 +1125,4 @@ mod tests {
         assert!(r.trace.dlb.is_empty());
     }
 }
+

@@ -19,7 +19,7 @@ pub use forces::{
     buoyancy_force, drag_force, ganser_cd, gravity_force, particle_reynolds,
     stokes_terminal_velocity, total_force, ParticleProps,
 };
-pub use locator::{Locator, WalkResult};
+pub use locator::{Locator, LocatorGeometry, WalkResult};
 pub use physics::{saffman_lift, DispersionRng, TransportModel};
 pub use tracker::{
     inject_at_inlet, particles_per_owner, step_particles, step_particles_with, ParticleCensus,

@@ -3,6 +3,7 @@
 //! fallback for injection and lost particles.
 
 use cfpd_mesh::{BoundaryKind, FaceNeighbors, Mesh, Vec3};
+use std::sync::Arc;
 
 /// Result of a walk from one element toward a point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,11 +47,11 @@ fn face_plane(coords: &[Vec3], nodes: &[u32], face: &[usize]) -> FacePlane {
     FacePlane { centroid: c, normal }
 }
 
-/// Mesh locator: precomputed face neighbors, face planes, boundary
-/// classification, element sizes and a uniform grid over element
-/// centroids for global lookups.
-pub struct Locator<'m> {
-    mesh: &'m Mesh,
+/// What a [`Locator`] precomputes from a mesh: face neighbors, face
+/// planes, boundary classification, element sizes and a uniform grid
+/// over element centroids for global lookups. Owns no reference to the
+/// mesh, so one geometry serves every locator over it.
+pub struct LocatorGeometry {
     face_neighbors: FaceNeighbors,
     /// Per face slot of `face_neighbors`.
     planes: Vec<FacePlane>,
@@ -67,8 +68,14 @@ pub struct Locator<'m> {
     cells: Vec<Vec<u32>>,
 }
 
-impl<'m> Locator<'m> {
-    pub fn new(mesh: &'m Mesh) -> Locator<'m> {
+/// Mesh locator: a mesh and its [`LocatorGeometry`].
+pub struct Locator<'m> {
+    mesh: &'m Mesh,
+    g: Arc<LocatorGeometry>,
+}
+
+impl LocatorGeometry {
+    pub fn new(mesh: &Mesh) -> LocatorGeometry {
         let face_neighbors = mesh.face_neighbors();
         let boundary = mesh.boundary_table(&face_neighbors);
         let mut planes = Vec::with_capacity(face_neighbors.num_slots());
@@ -110,8 +117,7 @@ impl<'m> Locator<'m> {
         for (e, &c) in centroids.iter().enumerate() {
             cells[index(c)].push(e as u32);
         }
-        Locator {
-            mesh,
+        LocatorGeometry {
             face_neighbors,
             planes,
             boundary,
@@ -122,6 +128,18 @@ impl<'m> Locator<'m> {
             grid_dims: dims,
             cells,
         }
+    }
+}
+
+impl<'m> Locator<'m> {
+    pub fn new(mesh: &'m Mesh) -> Locator<'m> {
+        Locator::with_geometry(mesh, Arc::new(LocatorGeometry::new(mesh)))
+    }
+
+    /// A locator over `mesh` on a geometry built from that mesh.
+    pub fn with_geometry(mesh: &'m Mesh, g: Arc<LocatorGeometry>) -> Locator<'m> {
+        assert_eq!(g.size.len(), mesh.num_elements(), "geometry of another mesh");
+        Locator { mesh, g }
     }
 
     /// Face-plane containment test: `p` is inside a convex element if it
@@ -135,8 +153,8 @@ impl<'m> Locator<'m> {
     /// Largest signed distance of `p` beyond any face plane of `e`
     /// (negative = strictly inside) and the face index achieving it.
     fn worst_face(&self, e: usize, p: Vec3) -> (f64, usize) {
-        let first = self.face_neighbors.slot(e, 0);
-        let planes = &self.planes[first..first + self.face_neighbors.faces(e).len()];
+        let first = self.g.face_neighbors.slot(e, 0);
+        let planes = &self.g.planes[first..first + self.g.face_neighbors.faces(e).len()];
         let mut worst = (f64::NEG_INFINITY, 0usize);
         for (f, plane) in planes.iter().enumerate() {
             let d = (p - plane.centroid).dot(plane.normal);
@@ -157,11 +175,11 @@ impl<'m> Locator<'m> {
         let mut prev = usize::MAX;
         for _ in 0..max_steps {
             let (violation, face) = self.worst_face(e, p);
-            let h = self.size[e];
+            let h = self.g.size[e];
             if violation <= 1e-9 * h.max(1e-30) + 1e-15 {
                 return WalkResult::Inside(e as u32);
             }
-            match self.face_neighbors.neighbor(e, face) {
+            match self.g.face_neighbors.neighbor(e, face) {
                 Some(next) => {
                     if next as usize == prev {
                         // Ping-pong between two elements (point near a
@@ -175,7 +193,7 @@ impl<'m> Locator<'m> {
                     e = next as usize;
                 }
                 None => {
-                    let kind = self.boundary[self.face_neighbors.slot(e, face)]
+                    let kind = self.g.boundary[self.g.face_neighbors.slot(e, face)]
                         .unwrap_or(BoundaryKind::Wall);
                     return WalkResult::ExitedBoundary(e as u32, kind);
                 }
@@ -191,7 +209,7 @@ impl<'m> Locator<'m> {
 
     /// Characteristic size (volume cube root) of element `e`.
     pub fn elem_size(&self, e: usize) -> f64 {
-        self.size[e]
+        self.g.size[e]
     }
 
     /// Probe forward from `p` along unit direction `dir` in steps of
@@ -213,10 +231,10 @@ impl<'m> Locator<'m> {
     pub fn locate_global(&self, p: Vec3) -> Option<u32> {
         // Search the cell of p and its neighbors, nearest-centroid first,
         // then walk from the best candidate.
-        let d = self.grid_dims;
-        let ix = (((p.x - self.grid_origin.x) / self.grid_cell) as i64).clamp(0, d[0] as i64 - 1);
-        let iy = (((p.y - self.grid_origin.y) / self.grid_cell) as i64).clamp(0, d[1] as i64 - 1);
-        let iz = (((p.z - self.grid_origin.z) / self.grid_cell) as i64).clamp(0, d[2] as i64 - 1);
+        let d = self.g.grid_dims;
+        let ix = (((p.x - self.g.grid_origin.x) / self.g.grid_cell) as i64).clamp(0, d[0] as i64 - 1);
+        let iy = (((p.y - self.g.grid_origin.y) / self.g.grid_cell) as i64).clamp(0, d[1] as i64 - 1);
+        let iz = (((p.z - self.g.grid_origin.z) / self.g.grid_cell) as i64).clamp(0, d[2] as i64 - 1);
         let mut best: Option<(f64, u32)> = None;
         for dz in -1..=1i64 {
             for dy in -1..=1i64 {
@@ -227,13 +245,13 @@ impl<'m> Locator<'m> {
                     {
                         continue;
                     }
-                    let cell = &self.cells[((z as usize) * d[1] + y as usize) * d[0] + x as usize];
+                    let cell = &self.g.cells[((z as usize) * d[1] + y as usize) * d[0] + x as usize];
                     for &e in cell {
-                        let h = self.size[e as usize];
+                        let h = self.g.size[e as usize];
                         if self.contains(e as usize, p, 1e-9 * h + 1e-15) {
                             return Some(e);
                         }
-                        let dist = self.centroids[e as usize].dist(p);
+                        let dist = self.g.centroids[e as usize].dist(p);
                         if best.is_none() || dist < best.unwrap().0 {
                             best = Some((dist, e));
                         }
@@ -407,7 +425,7 @@ mod tests {
                 if violation <= 1e-9 * h.max(1e-30) + 1e-15 {
                     return WalkResult::Inside(e as u32);
                 }
-                match self.loc.face_neighbors.neighbor(e, face) {
+                match self.loc.g.face_neighbors.neighbor(e, face) {
                     Some(next) => {
                         if next as usize == prev {
                             let va = self.worst_face(e, p).0;
@@ -433,11 +451,11 @@ mod tests {
 
         fn locate_global(&self, p: Vec3) -> Option<u32> {
             let (loc, mesh) = (self.loc, self.loc.mesh);
-            let d = loc.grid_dims;
-            let at = |x: f64, o: f64, n: usize| (((x - o) / loc.grid_cell) as i64).clamp(0, n as i64 - 1);
-            let ix = at(p.x, loc.grid_origin.x, d[0]);
-            let iy = at(p.y, loc.grid_origin.y, d[1]);
-            let iz = at(p.z, loc.grid_origin.z, d[2]);
+            let d = loc.g.grid_dims;
+            let at = |x: f64, o: f64, n: usize| (((x - o) / loc.g.grid_cell) as i64).clamp(0, n as i64 - 1);
+            let ix = at(p.x, loc.g.grid_origin.x, d[0]);
+            let iy = at(p.y, loc.g.grid_origin.y, d[1]);
+            let iz = at(p.z, loc.g.grid_origin.z, d[2]);
             let mut best: Option<(f64, u32)> = None;
             for dz in -1..=1i64 {
                 for dy in -1..=1i64 {
@@ -448,7 +466,7 @@ mod tests {
                         {
                             continue;
                         }
-                        let cell = &loc.cells[((z as usize) * d[1] + y as usize) * d[0] + x as usize];
+                        let cell = &loc.g.cells[((z as usize) * d[1] + y as usize) * d[0] + x as usize];
                         for &e in cell {
                             let h = mesh.volume(e as usize).abs().cbrt();
                             if self.worst_face(e as usize, p).0 <= 1e-9 * h + 1e-15 {
@@ -522,8 +540,8 @@ mod tests {
         let mesh = b.finish();
         let loc = Locator::new(&mesh);
         let oracle = Oracle::new(&loc);
-        let first = loc.face_neighbors.slot(1, 0);
-        let skipped = loc.planes[first..first + 4].iter().filter(|pl| pl.normal.x.is_nan()).count();
+        let first = loc.g.face_neighbors.slot(1, 0);
+        let skipped = loc.g.planes[first..first + 4].iter().filter(|pl| pl.normal.x.is_nan()).count();
         assert_eq!(skipped, 2, "faces through both coincident nodes have no area");
         let gen = (f64_range(-0.5, 1.5), f64_range(-0.5, 1.5), f64_range(-0.5, 1.5));
         check("degenerate faces", PropConfig::cases(2_000), &gen, |&(x, y, z)| {

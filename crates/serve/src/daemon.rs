@@ -33,7 +33,7 @@ use cfpd_campaign::{
     expand, run_bounded, run_cells_with, CampaignSpec, Cell, CellFailure, CellMetrics,
     WallMetrics,
 };
-use cfpd_core::Checkpoint;
+use cfpd_core::{Checkpoint, PrepareMemo};
 use cfpd_telemetry::JsonWriter;
 use cfpd_testkit::{digest_bytes, SplitMix64};
 use std::net::TcpListener;
@@ -105,6 +105,9 @@ struct Shared {
     feed: EventFeed,
     /// Rolling per-phase medians across completed cells.
     watchdog: Mutex<Watchdog>,
+    /// Set-up of the most recently served cells. Owned by this daemon:
+    /// a restarted one starts cold and rebuilds from the specs.
+    memo: PrepareMemo,
 }
 
 /// A running daemon. [`Daemon::join`] blocks until shutdown (drain or
@@ -146,6 +149,7 @@ impl Daemon {
             drain: AtomicBool::new(false),
             kill: AtomicBool::new(false),
             feed: EventFeed::new(1024),
+            memo: PrepareMemo::new(),
         });
 
         let mut threads = Vec::new();
@@ -439,7 +443,7 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
         if sh.kill.load(Ordering::SeqCst) {
             return StopCause::Killed;
         }
-        let (cell, attempt, resume) = {
+        let (cell, attempt) = {
             let mut store = sh.store.lock().unwrap();
             let job = store.jobs.get_mut(&id).expect("running job exists");
 
@@ -476,15 +480,13 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
             if job.preempt_requested {
                 return park(sh, &mut store, id);
             }
-            // Clone (not take): a crash on the attempt's first segment
-            // must not lose the parked state the retry resumes from.
-            (job.cells[job.cur_cell].clone(), job.attempt, job.resume.clone())
+            (job.cells[job.cur_cell].clone(), job.attempt)
         };
 
         let cell_t0 = Instant::now();
         let fault = sh.cfg.fault.decide(id, cell.index as u64, attempt);
         let outcome = if checkpointable(&cell.scenario) {
-            match drive_segments(sh, id, &cell, attempt, resume, fault) {
+            match drive_segments(sh, id, &cell, attempt, fault) {
                 SegmentsOutcome::Cell(result) => result,
                 SegmentsOutcome::Stopped(cause) => return cause,
             }
@@ -581,22 +583,33 @@ enum SegmentsOutcome {
     Stopped(StopCause),
 }
 
-/// Run a checkpointable cell as a segment chain, persisting a snapshot
-/// at every boundary and honouring preempt/drain/cancel/kill between
-/// segments.
+/// Run a checkpointable cell as a segment chain on one shared set-up,
+/// persisting a snapshot at every boundary and honouring
+/// preempt/drain/cancel/kill between segments.
+///
+/// The cell's progress (`job.resume`) lives in the store, not here: a
+/// failed or parked attempt leaves it where the next one finds it, and a
+/// boundary borrows the accumulator and the event text out of it only
+/// while it extends them.
 fn drive_segments(
     sh: &Shared,
     id: u64,
     cell: &Cell,
     attempt: u32,
-    resume: Option<ResumePoint>,
     fault: CellFault,
 ) -> SegmentsOutcome {
     let steps = cell.scenario.config.steps;
     let interval = sh.cfg.ckpt_interval.max(1);
-    let (mut acc, mut events_text, mut restore, mut next_step) = match resume {
-        Some(r) => (r.acc, r.events_text, Some(r.checkpoint), r.next_step),
-        None => (CellAcc::default(), String::new(), None, 0),
+    let prepared = match sh.memo.get(&cell.scenario.prepare_key()) {
+        Ok(p) => p,
+        Err(reason) => return SegmentsOutcome::Cell(Err(reason)),
+    };
+    let (mut next_step, mut restore) = {
+        let store = sh.store.lock().unwrap();
+        match &store.jobs[&id].resume {
+            Some(r) => (r.next_step, Some(Arc::clone(&r.checkpoint))),
+            None => (0, None),
+        }
     };
     let mut fault = fault; // consumed by the first segment of the attempt
 
@@ -613,12 +626,12 @@ fn drive_segments(
 
         let until = next_step + interval;
         let stop_after = if until >= steps { None } else { Some(until) };
-        let scenario = cell.scenario.clone();
+        let (seg_prepared, scenario) = (Arc::clone(&prepared), cell.scenario.clone());
         let seg_restore = restore.take();
         let seg = run_bounded(
             move || {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                    run_segment(&scenario, seg_restore, stop_after)
+                    run_segment(&seg_prepared, &scenario, seg_restore, stop_after)
                 }))
             },
             sh.cfg.cell_timeout,
@@ -634,14 +647,29 @@ fn drive_segments(
             Some(Err(payload)) => {
                 return SegmentsOutcome::Cell(Err(panic_message(payload)))
             }
-            Some(Ok(seg)) => seg,
+            Some(Ok(Err(reason))) => return SegmentsOutcome::Cell(Err(reason)),
+            Some(Ok(Ok(seg))) => seg,
         };
 
+        let boundary_t0 = Instant::now();
+        let (mut acc, mut events_text) = {
+            let mut store = sh.store.lock().unwrap();
+            match store.jobs.get_mut(&id).unwrap().resume.as_mut() {
+                Some(r) => (std::mem::take(&mut r.acc), std::mem::take(&mut r.events_text)),
+                None => (CellAcc::default(), String::new()),
+            }
+        };
         acc.absorb(&seg.logical);
         events_text.push_str(&seg.events_text);
 
         if seg.done {
-            return SegmentsOutcome::Cell(Ok(finish_cell_metrics(cell, &acc, &events_text, &seg)));
+            return SegmentsOutcome::Cell(Ok(finish_cell_metrics(
+                cell,
+                &prepared,
+                &acc,
+                &events_text,
+                &seg.census,
+            )));
         }
 
         // Segment boundary: pin the progress, then honour control flags.
@@ -652,18 +680,20 @@ fn drive_segments(
             cell: cell.index,
             attempt,
             next_step,
-            acc: acc.clone(),
-            events_text: events_text.clone(),
+            acc,
+            events_text,
             checkpoint_text: cp.to_text(),
         };
-        let snap_digest = snap.digest();
-        snap.write(&wal::snap_path(&sh.cfg.data_dir, id, cell.index), &sh.gate);
+        let (snap_digest, _) =
+            snap.write_digest(&wal::snap_path(&sh.cfg.data_dir, id, cell.index), &sh.gate);
         sh.wal.append(&WalRecord::Ckpt {
             job: id,
             cell: cell.index,
             step: next_step,
             snap_digest,
         });
+        cfpd_telemetry::observe!("serve.boundary_us", boundary_t0.elapsed().as_micros() as u64);
+        let CellSnapshot { acc, events_text, .. } = snap;
         let cp = Arc::new(cp);
 
         {
@@ -672,8 +702,8 @@ fn drive_segments(
             job.resume = Some(ResumePoint {
                 next_step,
                 checkpoint: Arc::clone(&cp),
-                acc: acc.clone(),
-                events_text: events_text.clone(),
+                acc,
+                events_text,
             });
             if sh.kill.load(Ordering::SeqCst) {
                 return SegmentsOutcome::Stopped(StopCause::Killed);

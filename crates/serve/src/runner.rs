@@ -13,8 +13,8 @@ use crate::snap::CellAcc;
 use cfpd_campaign::{CellMetrics, WallMetrics};
 use cfpd_campaign::Cell;
 use cfpd_core::{
-    render_golden_events, render_golden_header_for, render_golden_summary, run_simulation_opts,
-    Checkpoint, RunOptions, Scenario,
+    rank_failures, render_golden_events, render_golden_header_for, render_golden_summary,
+    run_prepared, Checkpoint, Prepared, RunOptions, Scenario,
 };
 use cfpd_particles::ParticleCensus;
 use cfpd_testkit::digest_bytes;
@@ -28,9 +28,6 @@ pub struct SegmentOut {
     pub logical: Vec<cfpd_core::LogicalEvent>,
     /// Census after the segment (only meaningful when `done`).
     pub census: ParticleCensus,
-    /// Element and node counts of the mesh the segment ran on.
-    pub elements: usize,
-    pub nodes: usize,
     /// The parked physics state (`None` when the cell finished).
     pub checkpoint: Option<Checkpoint>,
     pub done: bool,
@@ -49,51 +46,54 @@ pub fn checkpointable(s: &Scenario) -> bool {
 
 /// Run steps `[restore.next_step, stop_after)` of the scenario (from
 /// step 0 when `restore` is `None`; to completion when `stop_after`
-/// is `None` or `>= steps`).
+/// is `None` or `>= steps`) on `prepared`, the set-up of the scenario's
+/// `prepare_key()` that all segments of the cell share. `Err` carries
+/// the reason a run was refused or every failed rank's message.
 pub fn run_segment(
+    prepared: &Arc<Prepared>,
     s: &Scenario,
     restore: Option<Arc<Checkpoint>>,
     stop_after: Option<usize>,
-) -> SegmentOut {
+) -> Result<SegmentOut, String> {
     let stop_after = stop_after.filter(|&k| k < s.config.steps);
     let opts = RunOptions { restore, stop_after, ..s.opts.clone() };
-    let result = run_simulation_opts(&s.config, s.ranks, s.threads, &opts);
-    SegmentOut {
+    let result = run_prepared(prepared, &s.config, s.threads, &opts)
+        .map_err(|fails| rank_failures(&fails))?;
+    Ok(SegmentOut {
         events_text: render_golden_events(&result.logical),
         logical: result.logical,
         census: result.census,
-        elements: result.elements,
-        nodes: result.nodes,
         done: stop_after.is_none(),
         checkpoint: result.checkpoint,
-    }
+    })
 }
 
 /// Stitch a finished cell back into [`CellMetrics`] — the same numbers
 /// `cfpd_campaign::cell_metrics` computes from an uninterrupted run.
-/// `last` is the cell's final segment: its census closes the document
-/// and its mesh counts head it.
+/// `census` is the one of the cell's final segment and closes the
+/// document; the mesh counts that head it are `prepared`'s.
 /// Wall-clock metrics are zeroed: a resumed cell's wall time spans
 /// daemon restarts and means nothing; the canonical report never
 /// renders them, so the JSON stays byte-identical.
 pub fn finish_cell_metrics(
     cell: &Cell,
+    prepared: &Prepared,
     acc: &CellAcc,
     events_text: &str,
-    last: &SegmentOut,
+    census: &ParticleCensus,
 ) -> CellMetrics {
     let doc = format!(
         "{}{}{}",
         render_golden_header_for(
             &cell.scenario.config,
             cell.scenario.ranks,
-            last.elements,
-            last.nodes,
+            prepared.elements(),
+            prepared.nodes(),
         ),
         events_text,
-        render_golden_summary(&last.census),
+        render_golden_summary(census),
     );
-    let c = &last.census;
+    let c = census;
     let total = c.active + c.deposited + c.escaped + c.lost;
     let deposited_frac = if total == 0 { 0.0 } else { c.deposited as f64 / total as f64 };
     CellMetrics {
@@ -119,7 +119,7 @@ pub fn finish_cell_metrics(
 mod tests {
     use super::*;
     use cfpd_campaign::{cell_metrics, expand, CampaignSpec};
-    use cfpd_core::run_scenario;
+    use cfpd_core::{prepare, run_scenario};
 
     const TINY: &str = "\
 [campaign]
@@ -144,12 +144,13 @@ steps = 3
 
         // Segment chain with a boundary after every step, snapshots
         // round-tripped through text like the daemon does.
+        let prepared = prepare(&cell.scenario.prepare_key()).unwrap();
         let mut acc = CellAcc::default();
         let mut events = String::new();
         let mut restore: Option<Arc<Checkpoint>> = None;
         let mut last = None;
         for stop in [Some(1), Some(2), None] {
-            let seg = run_segment(&cell.scenario, restore.take(), stop);
+            let seg = run_segment(&prepared, &cell.scenario, restore.take(), stop).unwrap();
             acc.absorb(&seg.logical);
             events.push_str(&seg.events_text);
             if seg.done {
@@ -160,7 +161,7 @@ steps = 3
                 restore = Some(Arc::new(cp));
             }
         }
-        let got = finish_cell_metrics(cell, &acc, &events, &last.unwrap());
+        let got = finish_cell_metrics(cell, &prepared, &acc, &events, &last.unwrap().census);
         assert_eq!(got.digest, want.digest, "stitched digest differs");
         assert_eq!(got.events, want.events);
         assert_eq!(got.iters_total, want.iters_total);

@@ -112,16 +112,28 @@ pub struct CellSnapshot {
 }
 
 impl CellSnapshot {
+    /// The one place the snapshot text is produced: header, then the
+    /// body written once into a buffer sized for it, then the body's
+    /// digest patched into the header.
     pub fn to_text(&self) -> String {
-        let mut body = String::new();
+        const DIGEST_HEX: usize = 16;
+        let mut out = String::with_capacity(
+            SNAP_MAGIC.len() + 256 + self.events_text.len() + self.checkpoint_text.len(),
+        );
+        out.push_str(SNAP_MAGIC);
+        out.push_str("\ndigest ");
+        let digest_at = out.len();
+        out.push_str("0000000000000000\n");
+        let body_at = out.len();
+        // Writing to a `String` cannot fail.
         writeln!(
-            body,
+            out,
             "meta job={} cell={} attempt={} next_step={}",
             self.job, self.cell, self.attempt, self.next_step
         )
         .unwrap();
         writeln!(
-            body,
+            out,
             "acc events={} iters={} itersp={} elems={}",
             self.acc.events,
             self.acc.iters_total,
@@ -129,11 +141,13 @@ impl CellSnapshot {
             self.acc.render_elems(),
         )
         .unwrap();
-        writeln!(body, "events {}", self.events_text.lines().count()).unwrap();
-        body.push_str(&self.events_text);
-        writeln!(body, "checkpoint {}", self.checkpoint_text.lines().count()).unwrap();
-        body.push_str(&self.checkpoint_text);
-        format!("{SNAP_MAGIC}\ndigest {:016x}\n{body}", digest_bytes(body.as_bytes()))
+        writeln!(out, "events {}", self.events_text.lines().count()).unwrap();
+        out.push_str(&self.events_text);
+        writeln!(out, "checkpoint {}", self.checkpoint_text.lines().count()).unwrap();
+        out.push_str(&self.checkpoint_text);
+        let digest = format!("{:016x}", digest_bytes(&out.as_bytes()[body_at..]));
+        out.replace_range(digest_at..digest_at + DIGEST_HEX, &digest);
+        out
     }
 
     /// Digest of the serialized snapshot — what the WAL `ckpt` record
@@ -237,18 +251,28 @@ impl CellSnapshot {
     /// Atomic, gated write (tmp+rename). `false` means the persistence
     /// gate froze — the simulated crash ate this snapshot.
     pub fn write(&self, path: &Path, gate: &PersistGate) -> bool {
-        if !gate.admit() {
-            return false;
-        }
-        let tmp = path.with_extension("snap.tmp");
-        let ok = std::fs::write(&tmp, self.to_text())
-            .and_then(|_| std::fs::rename(&tmp, path))
-            .is_ok();
-        if ok {
-            cfpd_telemetry::count!("serve.checkpoints");
-        }
-        ok
+        write_text(&self.to_text(), path, gate)
     }
+
+    /// [`CellSnapshot::digest`] and [`CellSnapshot::write`] of one
+    /// serialization: the text is built once, digested, and those bytes
+    /// are written. Returns `(digest, written)`.
+    pub fn write_digest(&self, path: &Path, gate: &PersistGate) -> (u64, bool) {
+        let text = self.to_text();
+        (digest_bytes(text.as_bytes()), write_text(&text, path, gate))
+    }
+}
+
+fn write_text(text: &str, path: &Path, gate: &PersistGate) -> bool {
+    if !gate.admit() {
+        return false;
+    }
+    let tmp = path.with_extension("snap.tmp");
+    let ok = std::fs::write(&tmp, text).and_then(|_| std::fs::rename(&tmp, path)).is_ok();
+    if ok {
+        cfpd_telemetry::count!("serve.checkpoints");
+    }
+    ok
 }
 
 #[cfg(test)]
@@ -291,6 +315,34 @@ mod tests {
         assert_eq!(back.acc.iters_poisson, 17);
         assert_eq!(back.acc.elems, vec![(0, 120), (1, 100)]);
         assert!((back.acc.lb_assembly() - (220.0 / 240.0)).abs() < 1e-12);
+    }
+
+    /// Format v1, byte for byte, and one serialization serving text,
+    /// digest and file alike.
+    #[test]
+    fn text_is_what_the_v1_writer_wrote_and_is_written_once() {
+        let s = sample();
+        let body = format!(
+            "meta job=3 cell=1 attempt=2 next_step=4\n\
+             acc events=3 iters=17 itersp=17 elems=0:120,1:100\n\
+             events 2\n{}checkpoint 2\n{}",
+            s.events_text, s.checkpoint_text
+        );
+        let want =
+            format!("{SNAP_MAGIC}\ndigest {:016x}\n{body}", digest_bytes(body.as_bytes()));
+        assert_eq!(s.to_text(), want);
+        assert_eq!(s.digest(), digest_bytes(want.as_bytes()));
+
+        let dir = std::env::temp_dir().join(format!("cfpd-snap-once-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cell.snap");
+        let (digest, written) = s.write_digest(&path, &PersistGate::unlimited());
+        assert!(written);
+        assert_eq!(digest, s.digest());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
+        // A frozen gate eats the file, not the digest the WAL would pin.
+        assert_eq!(s.write_digest(&path, &PersistGate::kill_after(0)), (digest, false));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

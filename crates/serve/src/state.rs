@@ -78,7 +78,10 @@ pub struct Job {
     pub attempt: u32,
     /// Total retries across all cells (for /metrics and status).
     pub retries: u64,
-    /// In-memory resume point of the current cell, if parked.
+    /// Progress of the current cell as of its last segment boundary
+    /// (`None` before the first): where a parked, retried or recovered
+    /// attempt resumes. The worker borrows `acc` and `events_text` out of
+    /// it while it extends them at a boundary; nothing else is copied.
     pub resume: Option<ResumePoint>,
     /// Step a crash-recovered job resumed from (status visibility: the
     /// resilience suite asserts no step-0 recomputation happened).

@@ -5,13 +5,15 @@
 use cfpd_mesh::{Csr, Mesh};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// Square CSR matrix over mesh nodes.
+/// Square CSR matrix over mesh nodes. The sparsity pattern is shared
+/// by `Arc`: a clone owns its values only.
 #[derive(Debug, Clone)]
 pub struct CsrMatrix {
     pub n: usize,
-    pub row_ptr: Vec<u32>,
-    pub col_idx: Vec<u32>,
+    pub row_ptr: Arc<[u32]>,
+    pub col_idx: Arc<[u32]>,
     pub values: Vec<f64>,
 }
 
@@ -110,7 +112,7 @@ impl CsrMatrix {
             row_ptr.push(col_idx.len() as u32);
         }
         let nnz = col_idx.len();
-        CsrMatrix { n, row_ptr, col_idx, values: vec![0.0; nnz] }
+        CsrMatrix { n, row_ptr: row_ptr.into(), col_idx: col_idx.into(), values: vec![0.0; nnz] }
     }
 
     /// Number of stored entries.
@@ -274,8 +276,8 @@ mod tests {
         // 2x2 matrix [[2, 1], [0, 3]] acting on [1, 2].
         let mut a = CsrMatrix {
             n: 2,
-            row_ptr: vec![0, 2, 3],
-            col_idx: vec![0, 1, 1],
+            row_ptr: vec![0, 2, 3].into(),
+            col_idx: vec![0, 1, 1].into(),
             values: vec![0.0; 3],
         };
         a.add(0, 0, 2.0);
@@ -291,8 +293,8 @@ mod tests {
     fn atomic_view_concurrent_adds_do_not_lose_updates() {
         let mut a = CsrMatrix {
             n: 1,
-            row_ptr: vec![0, 1],
-            col_idx: vec![0],
+            row_ptr: vec![0, 1].into(),
+            col_idx: vec![0].into(),
             values: vec![0.0],
         };
         let view = a.atomic_view();
@@ -311,8 +313,8 @@ mod tests {
     fn disjoint_view_parallel_disjoint_writes() {
         let mut a = CsrMatrix {
             n: 4,
-            row_ptr: vec![0, 1, 2, 3, 4],
-            col_idx: vec![0, 1, 2, 3],
+            row_ptr: vec![0, 1, 2, 3, 4].into(),
+            col_idx: vec![0, 1, 2, 3].into(),
             values: vec![0.0; 4],
         };
         let view = a.disjoint_view();
@@ -332,8 +334,8 @@ mod tests {
     fn dirichlet_row() {
         let mut a = CsrMatrix {
             n: 2,
-            row_ptr: vec![0, 2, 4],
-            col_idx: vec![0, 1, 0, 1],
+            row_ptr: vec![0, 2, 4].into(),
+            col_idx: vec![0, 1, 0, 1].into(),
             values: vec![5.0, 6.0, 7.0, 8.0],
         };
         a.set_dirichlet_row(0);
@@ -345,8 +347,8 @@ mod tests {
     fn missing_entry_panics() {
         let a = CsrMatrix {
             n: 2,
-            row_ptr: vec![0, 1, 2],
-            col_idx: vec![0, 1],
+            row_ptr: vec![0, 1, 2].into(),
+            col_idx: vec![0, 1].into(),
             values: vec![0.0; 2],
         };
         a.entry_index(0, 1);

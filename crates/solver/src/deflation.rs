@@ -47,6 +47,7 @@ use crate::krylov::SolveStats;
 use crate::parallel::{spmv_sweep, ChunkedDot, SharedOut, SweepOperator};
 use cfpd_runtime::{balanced_ranges, parallel_for_ranges, ThreadPool};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Chunk count of every parallel region of the solve: fixed (not
 /// pool-derived) so the chunked reductions — and hence the whole solve —
@@ -60,10 +61,11 @@ const NONE: u32 = u32::MAX;
 /// factor of the diagonal; a singular `E` leaves rounding noise.
 const PIVOT_FLOOR: f64 = 1e-12;
 
-/// The coarse space of the pressure solve and its factored coarse
-/// matrix. See the module docs.
-#[derive(Debug, Clone)]
-pub struct Deflation {
+/// The coarse space of one sparsity pattern: groups, the pattern of
+/// `AW`, the envelope of `E` and the fixed chunking of the solve. Built
+/// once per pattern and shared by every [`Deflation`] on it.
+#[derive(Debug)]
+pub struct DeflationStructure {
     n: usize,
     /// Number of groups.
     k: usize,
@@ -74,7 +76,6 @@ pub struct Deflation {
     /// `aw_ptr[g]..aw_ptr[g+1]`, rows ascending.
     aw_ptr: Vec<u32>,
     aw_row: Vec<u32>,
-    aw_val: Vec<f64>,
     /// Entry-balanced group ranges for the parallel `(AW)ᵀz`.
     aw_ranges: Vec<Range<usize>>,
     /// For each entry of the source CSR pattern, the `AW` entry it adds
@@ -87,6 +88,18 @@ pub struct Deflation {
     /// For each `AW` entry, the skyline entry it adds into ([`NONE`]:
     /// strict upper triangle, or row in no group).
     e_slot: Vec<u32>,
+    /// nnz-balanced row chunks of the pattern: the fixed decomposition
+    /// of the dots and fused updates.
+    row_chunks: Vec<Range<usize>>,
+}
+
+/// The coarse space of the pressure solve and its factored coarse
+/// matrix: a shared [`DeflationStructure`] plus the values one
+/// [`Deflation::refresh`] loaded. See the module docs.
+#[derive(Debug, Clone)]
+pub struct Deflation {
+    s: Arc<DeflationStructure>,
+    aw_val: Vec<f64>,
     /// `E`, overwritten by its Cholesky factor.
     chol: Vec<f64>,
     /// Whether the last refresh produced a usable factor.
@@ -94,19 +107,14 @@ pub struct Deflation {
     /// Diagonal of the refreshed matrix (the Jacobi preconditioner);
     /// empty until the first refresh.
     diag: Vec<f64>,
-    /// nnz-balanced row chunks of the pattern: the fixed decomposition
-    /// of the dots and fused updates.
-    row_chunks: Vec<Range<usize>>,
-    /// Coarse right-hand side / solution, plus the always-zero slot.
-    coarse: Vec<f64>,
 }
 
-impl Deflation {
+impl DeflationStructure {
     /// Build the coarse space for matrices with `pattern`'s sparsity:
     /// BFS levels from `seeds` (the inlet nodes) over the pattern graph,
     /// never entering `fixed` (the Dirichlet nodes, whose rows the
     /// caller keeps as identity rows).
-    pub fn new(pattern: &CsrMatrix, seeds: &[u32], fixed: &[u32]) -> Deflation {
+    pub fn new(pattern: &CsrMatrix, seeds: &[u32], fixed: &[u32]) -> DeflationStructure {
         let n = pattern.n;
         let row = |v: usize| {
             &pattern.col_idx[pattern.row_ptr[v] as usize..pattern.row_ptr[v + 1] as usize]
@@ -229,29 +237,42 @@ impl Deflation {
             }
         }
 
-        Deflation {
+        DeflationStructure {
             n,
             k,
             group,
             aw_ranges: balanced_ranges(&aw_ptr, CG_CHUNKS),
-            aw_val: vec![0.0; aw_row.len()],
             aw_ptr,
             aw_row,
             aw_slot,
-            chol: vec![0.0; e_ptr[k] as usize],
             e_first,
             e_ptr,
             e_slot,
+            row_chunks: pattern.row_chunks(CG_CHUNKS),
+        }
+    }
+}
+
+impl Deflation {
+    /// [`DeflationStructure::new`] with no values loaded yet.
+    pub fn new(pattern: &CsrMatrix, seeds: &[u32], fixed: &[u32]) -> Deflation {
+        Deflation::on(Arc::new(DeflationStructure::new(pattern, seeds, fixed)))
+    }
+
+    /// A deflation on an existing structure, with no values loaded yet.
+    pub fn on(s: Arc<DeflationStructure>) -> Deflation {
+        Deflation {
+            aw_val: vec![0.0; s.aw_row.len()],
+            chol: vec![0.0; s.e_ptr[s.k] as usize],
             active: false,
             diag: Vec::new(),
-            row_chunks: pattern.row_chunks(CG_CHUNKS),
-            coarse: vec![0.0; k + 1],
+            s,
         }
     }
 
     /// Number of groups (columns of `W`).
     pub fn num_groups(&self) -> usize {
-        self.k
+        self.s.k
     }
 
     /// Stored entries of the skyline of `E`.
@@ -261,8 +282,8 @@ impl Deflation {
 
     /// Group of node `v`, `None` for Dirichlet and unreached nodes.
     pub fn group_of(&self, v: usize) -> Option<usize> {
-        let g = self.group[v] as usize;
-        (g < self.k).then_some(g)
+        let g = self.s.group[v] as usize;
+        (g < self.s.k).then_some(g)
     }
 
     /// Solve `A x = b` to `‖r‖/‖b‖ < tol`, `A` being the matrix last
@@ -271,7 +292,7 @@ impl Deflation {
     /// itself, or a [`crate::sell::SellMatrix`] mirror holding its
     /// values.
     pub fn solve<A: SweepOperator>(
-        &mut self,
+        &self,
         op: &A,
         b: &[f64],
         x: &mut [f64],
@@ -286,7 +307,7 @@ impl Deflation {
     /// residual vector at the top of every iteration.
     #[allow(clippy::too_many_arguments)]
     fn solve_observed<A: SweepOperator>(
-        &mut self,
+        &self,
         op: &A,
         b: &[f64],
         x: &mut [f64],
@@ -295,14 +316,17 @@ impl Deflation {
         pool: &ThreadPool,
         observe: &mut dyn FnMut(usize, &[f64]),
     ) -> SolveStats {
-        let n = self.n;
+        let n = self.s.n;
         assert_eq!(self.diag.len(), n, "Deflation::refresh must load the matrix before a solve");
         assert_eq!(op.size(), n);
         assert_eq!(b.len(), n);
         assert_eq!(x.len(), n);
 
         let sweep = op.sweep_ranges(CG_CHUNKS);
-        let mut dots = ChunkedDot::new(self.row_chunks.clone());
+        let mut dots = ChunkedDot::new(self.s.row_chunks.clone());
+        // Coarse right-hand side / solution, plus the always-zero slot
+        // of the nodes in no group.
+        let mut coarse = vec![0.0; self.s.k + 1];
         let mut parts = [vec![0.0; dots.ranges().len()], vec![0.0; dots.ranges().len()]];
         // b_norm in serial order: bit-identical to the reference CG.
         let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
@@ -318,10 +342,10 @@ impl Deflation {
             for i in 0..n {
                 z[i] = b[i] - ap[i];
             }
-            self.restrict(&z);
-            self.coarse_solve();
-            for (xi, &g) in x.iter_mut().zip(&self.group) {
-                *xi += self.coarse[g as usize];
+            self.restrict(&z, &mut coarse);
+            self.coarse_solve(&mut coarse);
+            for (xi, &g) in x.iter_mut().zip(&self.s.group) {
+                *xi += coarse[g as usize];
             }
             spmv_sweep(op, pool, &sweep, x, &mut ap);
         }
@@ -339,7 +363,7 @@ impl Deflation {
             &mut z,
             &mut parts,
         );
-        self.update_direction(pool, dots.ranges(), &z, 0.0, &mut p);
+        self.update_direction(pool, dots.ranges(), &z, 0.0, &mut p, &mut coarse);
 
         for it in 0..max_iters {
             let res = rr.sqrt() / b_norm;
@@ -373,7 +397,7 @@ impl Deflation {
             rz = rz_new;
             rr = rr_new;
             // Regions 3 and 4: μ = E⁻¹(AW)ᵀz, p = z + βp − Wμ.
-            self.update_direction(pool, dots.ranges(), &z, beta, &mut p);
+            self.update_direction(pool, dots.ranges(), &z, beta, &mut p, &mut coarse);
         }
         let res = rr.sqrt() / b_norm;
         SolveStats { iterations: max_iters, residual: res, converged: res < tol }
@@ -384,22 +408,22 @@ impl Deflation {
     /// this structure was built from, with identity rows at the `fixed`
     /// nodes. Call again whenever the values change.
     pub fn refresh(&mut self, a: &CsrMatrix) {
-        assert_eq!(a.n, self.n);
-        assert_eq!(a.nnz(), self.aw_slot.len(), "matrix does not have the deflation's pattern");
+        assert_eq!(a.n, self.s.n);
+        assert_eq!(a.nnz(), self.s.aw_slot.len(), "matrix does not have the deflation's pattern");
         self.diag = a.diagonal();
         self.aw_val.fill(0.0);
-        for (&s, &v) in self.aw_slot.iter().zip(&a.values) {
+        for (&s, &v) in self.s.aw_slot.iter().zip(&a.values) {
             if s != NONE {
                 self.aw_val[s as usize] += v;
             }
         }
         self.chol.fill(0.0);
-        for (&s, &v) in self.e_slot.iter().zip(&self.aw_val) {
+        for (&s, &v) in self.s.e_slot.iter().zip(&self.aw_val) {
             if s != NONE {
                 self.chol[s as usize] += v;
             }
         }
-        self.active = self.k > 0 && self.factor();
+        self.active = self.s.k > 0 && self.factor();
         if !self.active {
             cfpd_telemetry::count!("solver.deflation_fallbacks");
         }
@@ -408,8 +432,8 @@ impl Deflation {
     /// In-place skyline Cholesky `E = LLᵀ`, row by row; fill stays
     /// inside the envelope. False when a pivot is not safely positive.
     fn factor(&mut self) -> bool {
-        let (first, ptr, l) = (&self.e_first, &self.e_ptr, &mut self.chol);
-        for i in 0..self.k {
+        let (first, ptr, l) = (&self.s.e_first, &self.s.e_ptr, &mut self.chol);
+        for i in 0..self.s.k {
             let (fi, ri) = (first[i] as usize, ptr[i] as usize);
             let e_ii = l[ri + i - fi];
             for j in fi..i {
@@ -432,10 +456,10 @@ impl Deflation {
         true
     }
 
-    /// `coarse[..k] = E⁻¹ coarse[..k]` by forward and back substitution.
-    fn coarse_solve(&mut self) {
-        let (first, ptr, l, v) = (&self.e_first, &self.e_ptr, &self.chol, &mut self.coarse);
-        for i in 0..self.k {
+    /// `v[..k] = E⁻¹ v[..k]` by forward and back substitution.
+    fn coarse_solve(&self, v: &mut [f64]) {
+        let (first, ptr, l) = (&self.s.e_first, &self.s.e_ptr, &self.chol);
+        for i in 0..self.s.k {
             let (fi, ri) = (first[i] as usize, ptr[i] as usize);
             let mut s = v[i];
             for j in fi..i {
@@ -443,7 +467,7 @@ impl Deflation {
             }
             v[i] = s / l[ri + i - fi];
         }
-        for i in (0..self.k).rev() {
+        for i in (0..self.s.k).rev() {
             let (fi, ri) = (first[i] as usize, ptr[i] as usize);
             v[i] /= l[ri + i - fi];
             for j in fi..i {
@@ -453,28 +477,29 @@ impl Deflation {
     }
 
     /// `coarse[..k] = Wᵀv`: group sums, nodes ascending.
-    fn restrict(&mut self, v: &[f64]) {
-        self.coarse.fill(0.0);
+    fn restrict(&self, v: &[f64], coarse: &mut [f64]) {
+        coarse.fill(0.0);
         for (i, &vi) in v.iter().enumerate() {
-            self.coarse[self.group[i] as usize] += vi;
+            coarse[self.s.group[i] as usize] += vi;
         }
-        self.coarse[self.k] = 0.0;
+        coarse[self.s.k] = 0.0;
     }
 
     /// `p = z + βp − W E⁻¹ (AW)ᵀz` (plain `z + βp` without deflation).
     fn update_direction(
-        &mut self,
+        &self,
         pool: &ThreadPool,
         ranges: &[Range<usize>],
         z: &[f64],
         beta: f64,
         p: &mut [f64],
+        coarse: &mut [f64],
     ) {
         if self.active {
             {
-                let out = SharedOut::new(&mut self.coarse);
-                let (out, ptr, rows, vals) = (&out, &self.aw_ptr, &self.aw_row, &self.aw_val);
-                parallel_for_ranges(pool, &self.aw_ranges, |_c, groups| {
+                let out = SharedOut::new(coarse);
+                let (out, ptr, rows, vals) = (&out, &self.s.aw_ptr, &self.s.aw_row, &self.aw_val);
+                parallel_for_ranges(pool, &self.s.aw_ranges, |_c, groups| {
                     for g in groups {
                         let (lo, hi) = (ptr[g] as usize, ptr[g + 1] as usize);
                         let mut acc = 0.0;
@@ -487,11 +512,11 @@ impl Deflation {
                     }
                 });
             }
-            self.coarse_solve();
+            self.coarse_solve(coarse);
         }
         // Without deflation `coarse` is all zeros and this is z + βp.
         let ps = SharedOut::new(p);
-        let (ps, mu, group) = (&ps, &self.coarse, &self.group);
+        let (ps, mu, group) = (&ps, &*coarse, &self.s.group);
         parallel_for_ranges(pool, ranges, |_c, range| {
             for i in range {
                 // SAFETY: chunk ranges are disjoint; `i` is ours.
@@ -593,7 +618,7 @@ mod tests {
             }
             row_ptr.push(col_idx.len() as u32);
         }
-        CsrMatrix { n, row_ptr, col_idx, values }
+        CsrMatrix { n, row_ptr: row_ptr.into(), col_idx: col_idx.into(), values }
     }
 
     fn boundary_nodes(mesh: &Mesh, which: BoundaryKind) -> Vec<u32> {
@@ -667,11 +692,11 @@ mod tests {
                 let mut checked = 0;
                 let stats =
                     d.solve_observed(&a, &b, &mut x, 1e-10, 10 * n, &pool, &mut |it, r| {
-                        let mut sums = vec![0.0; probe.k + 1];
+                        let mut sums = vec![0.0; probe.s.k + 1];
                         for (i, ri) in r.iter().enumerate() {
-                            sums[probe.group[i] as usize] += ri;
+                            sums[probe.s.group[i] as usize] += ri;
                         }
-                        let worst = max_abs(&sums[..probe.k]);
+                        let worst = max_abs(&sums[..probe.s.k]);
                         assert!(worst <= bound, "iteration {it}: |Wᵀr| = {worst:e} > {bound:e}");
                         checked += 1;
                     });
@@ -781,7 +806,7 @@ mod tests {
                     row_ptr.push(col_idx.len() as u32);
                 }
                 let values = vec![0.0; col_idx.len()];
-                let permuted = CsrMatrix { n: a.n, row_ptr, col_idx, values };
+                let permuted = CsrMatrix { n: a.n, row_ptr: row_ptr.into(), col_idx: col_idx.into(), values };
                 let map =
                     |nodes: &[u32]| nodes.iter().map(|&v| perm[v as usize]).collect::<Vec<_>>();
                 let d = Deflation::new(&permuted, &map(&inlet), &map(&outlet));

@@ -207,7 +207,7 @@ mod tests {
             }
             row_ptr.push(col_idx.len() as u32);
         }
-        CsrMatrix { n, row_ptr, col_idx, values }
+        CsrMatrix { n, row_ptr: row_ptr.into(), col_idx: col_idx.into(), values }
     }
 
     /// Nonsymmetric convection-diffusion-like tridiagonal matrix.

@@ -43,12 +43,12 @@ pub use batch::{
 };
 pub use csr::{AtomicView, CsrMatrix, CsrPattern, DisjointView};
 pub use kernels::{ElementScratch, FluidProps};
-pub use deflation::Deflation;
+pub use deflation::{Deflation, DeflationStructure};
 pub use krylov::{bicgstab, cg, LinearOperator, SolveStats};
 pub use lanes::{momentum_kernel_lanes, poisson_kernel_lanes, LaneScratch, LANES};
 pub use layout::LayoutPlan;
 pub use matfree::MatFreeMomentum;
 pub use parallel::{axpy_dot_fused, spmv_sweep, ChunkedDot, SweepOperator};
-pub use sell::{SellMatrix, SELL_C, SELL_SIGMA};
-pub use sgs::{compute_sgs, SgsField, SgsStats};
+pub use sell::{SellMatrix, SellStructure, SELL_C, SELL_SIGMA};
+pub use sgs::{compute_sgs, SgsField, SgsLayout, SgsStats};
 pub use shape::{map_qp, MappedQp, QuadPoint, RefElement, MAX_NODES, MAX_QP};

@@ -47,8 +47,8 @@ pub struct MatFreeMomentum {
     /// Flat local matrices, refilled by `assemble`.
     local: Vec<f64>,
     /// CSR pattern mirror: the row dot walks columns in this order.
-    row_ptr: Vec<u32>,
-    col_idx: Vec<u32>,
+    row_ptr: std::sync::Arc<[u32]>,
+    col_idx: std::sync::Arc<[u32]>,
     /// Per-row contribution lists, ordered by element position (= serial
     /// assembly order): flat index into `local` and slot within the row.
     apply_ptr: Vec<u32>,

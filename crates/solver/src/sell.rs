@@ -25,6 +25,7 @@
 //! computes which row — each row's own arithmetic is untouched.
 
 use crate::csr::CsrMatrix;
+use std::sync::Arc;
 
 /// Chunk height: number of rows (= independent accumulator chains)
 /// processed together. 8 doubles = one AVX-512 register / two NEON-ish
@@ -36,13 +37,13 @@ pub const SELL_C: usize = 8;
 /// large enough to homogenize chunk row lengths.
 pub const SELL_SIGMA: usize = 64;
 
-/// A [`CsrMatrix`] re-shaped into SELL-C-σ form. The structure (built
-/// once per sparsity pattern) is separated from the values, which are
-/// refreshed from the source CSR with [`SellMatrix::update_values`]
-/// whenever the matrix is re-assembled.
-#[derive(Debug, Clone)]
-pub struct SellMatrix {
-    pub n: usize,
+/// The SELL-C-σ shape of one sparsity pattern: which row sits in which
+/// slot, the chunk layout, the column indices and the gather map into
+/// the source CSR value array. Built once per pattern and shared by
+/// every [`SellMatrix`] on it.
+#[derive(Debug)]
+pub struct SellStructure {
+    n: usize,
     /// Row stored in each slot (`chunk * SELL_C + lane`); `u32::MAX`
     /// marks an empty tail slot.
     rows: Vec<u32>,
@@ -57,14 +58,23 @@ pub struct SellMatrix {
     cols: Vec<u32>,
     /// Gather map into the source CSR value array (same layout).
     src: Vec<u32>,
-    /// Values (same layout as `cols`).
+}
+
+/// A [`CsrMatrix`] re-shaped into SELL-C-σ form: a shared
+/// [`SellStructure`] plus this matrix's own values, which are refreshed
+/// from the source CSR with [`SellMatrix::update_values`] whenever the
+/// matrix is re-assembled.
+#[derive(Debug, Clone)]
+pub struct SellMatrix {
+    pub n: usize,
+    s: Arc<SellStructure>,
+    /// Values (same layout as the structure's `cols`).
     vals: Vec<f64>,
 }
 
-impl SellMatrix {
-    /// Shape the sparsity pattern of `a` into SELL-C-σ and load its
-    /// current values.
-    pub fn from_csr(a: &CsrMatrix) -> SellMatrix {
+impl SellStructure {
+    /// Shape the sparsity pattern of `a` into SELL-C-σ.
+    pub fn from_csr(a: &CsrMatrix) -> SellStructure {
         let n = a.n;
         let n_chunks = n.div_ceil(SELL_C);
         // σ-sort: within each window, order rows by descending length
@@ -114,16 +124,29 @@ impl SellMatrix {
             }
             chunk_ptr.push(cols.len() as u32);
         }
-        let vals = vec![0.0; src.len()];
-        let mut sell = SellMatrix { n, rows, chunk_ptr, chunk_common, slot_len, cols, src, vals };
-        sell.update_values(&a.values);
-        sell
+        SellStructure { n, rows, chunk_ptr, chunk_common, slot_len, cols, src }
+    }
+}
+
+impl SellMatrix {
+    /// Shape the sparsity pattern of `a` into SELL-C-σ and load its
+    /// current values.
+    pub fn from_csr(a: &CsrMatrix) -> SellMatrix {
+        SellMatrix::with_values(Arc::new(SellStructure::from_csr(a)), &a.values)
+    }
+
+    /// A matrix on an existing structure holding `csr_values`, the value
+    /// array of a CSR matrix with the pattern the structure was shaped
+    /// from.
+    pub fn with_values(s: Arc<SellStructure>, csr_values: &[f64]) -> SellMatrix {
+        let vals = s.src.iter().map(|&e| csr_values[e as usize]).collect();
+        SellMatrix { n: s.n, s, vals }
     }
 
     /// Refresh the values from the source CSR value array (one gather
     /// pass; the pattern must be the one this structure was built from).
     pub fn update_values(&mut self, csr_values: &[f64]) {
-        for (v, &s) in self.vals.iter_mut().zip(&self.src) {
+        for (v, &s) in self.vals.iter_mut().zip(&self.s.src) {
             *v = csr_values[s as usize];
         }
     }
@@ -131,13 +154,13 @@ impl SellMatrix {
     /// Number of chunks.
     #[inline]
     pub fn num_chunks(&self) -> usize {
-        self.chunk_common.len()
+        self.s.chunk_common.len()
     }
 
     /// Stored entries (== the source CSR nnz: no padding entries).
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.cols.len()
+        self.s.cols.len()
     }
 
     /// y = A x over the chunk range `lo..hi` (each chunk writes only
@@ -166,11 +189,11 @@ impl SellMatrix {
         // pipeline the SELL_C independent chains (or the compiler
         // vectorize them) — the whole point of the layout.
         let vals = self.vals.as_ptr();
-        let cols = self.cols.as_ptr();
+        let cols = self.s.cols.as_ptr();
         let xp = x.as_ptr();
         for c in lo..hi {
-            let base = self.chunk_ptr[c] as usize;
-            let common = self.chunk_common[c] as usize;
+            let base = self.s.chunk_ptr[c] as usize;
+            let common = self.s.chunk_common[c] as usize;
             let mut acc = [0.0f64; SELL_C];
             // Common part: SELL_C independent chains, column-major.
             // SAFETY (both paths): `base + k * SELL_C + l <
@@ -210,11 +233,11 @@ impl SellMatrix {
             // Per-lane remainders, then the row writes.
             let mut off = base + common * SELL_C;
             for (l, &a0) in acc.iter().enumerate() {
-                let row = self.rows[c * SELL_C + l];
+                let row = self.s.rows[c * SELL_C + l];
                 if row == u32::MAX {
                     continue;
                 }
-                let extra = self.slot_len[c * SELL_C + l] as usize - common;
+                let extra = self.s.slot_len[c * SELL_C + l] as usize - common;
                 let mut a = a0;
                 for _ in 0..extra {
                     // SAFETY: as above — remainder entries of chunk `c`.
@@ -239,7 +262,7 @@ impl SellMatrix {
     /// Entry-balanced contiguous chunk ranges for parallel sweeps (the
     /// SELL analogue of [`CsrMatrix::row_chunks`]).
     pub fn chunk_ranges(&self, max_ranges: usize) -> Vec<std::ops::Range<usize>> {
-        cfpd_runtime::balanced_ranges(&self.chunk_ptr, max_ranges)
+        cfpd_runtime::balanced_ranges(&self.s.chunk_ptr, max_ranges)
     }
 }
 
@@ -284,7 +307,7 @@ mod tests {
             }
             row_ptr.push(col_idx.len() as u32);
         }
-        CsrMatrix { n, row_ptr, col_idx, values }
+        CsrMatrix { n, row_ptr: row_ptr.into(), col_idx: col_idx.into(), values }
     }
 
     #[test]
@@ -294,7 +317,7 @@ mod tests {
         assert_eq!(s.nnz(), a.nnz(), "SELL must store exactly the CSR entries");
         // Every row appears exactly once among the slots.
         let mut seen = vec![false; a.n];
-        for &r in &s.rows {
+        for &r in &s.s.rows {
             if r != u32::MAX {
                 assert!(!seen[r as usize], "row {r} stored twice");
                 seen[r as usize] = true;

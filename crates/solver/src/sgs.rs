@@ -16,6 +16,7 @@ use cfpd_runtime::{
 use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// One same-kind batch of the cached SGS sweep schedule: element ids,
 /// a flattened gather list (no `elem_nodes` dispatch in the hot loop),
@@ -36,22 +37,22 @@ pub struct SgsKindBatch {
     pub qp_prefix: Vec<u32>,
 }
 
-/// Per-element, per-quadrature-point subgrid velocity storage.
+/// Where each element's subgrid velocities live and how a sweep visits
+/// them: the part of an [`SgsField`] that depends on the mesh alone.
+/// Built once per mesh and shared by every field on it.
 #[derive(Debug)]
-pub struct SgsField {
-    /// Flattened per-qp subgrid velocities.
-    pub values: Vec<Vec3>,
+pub struct SgsLayout {
     /// CSR offsets: element `e` owns `values[offsets[e]..offsets[e+1]]`.
     pub offsets: Vec<u32>,
     /// Characteristic element length (cbrt of volume), cached.
     pub h: Vec<f64>,
-    /// Kind-batched sweep schedule, built lazily by
-    /// [`SgsField::ensure_batches`] (the `batched_sgs` layout path).
-    batches: Option<Vec<SgsKindBatch>>,
+    /// Kind-batched sweep schedule, built on first use by
+    /// [`SgsLayout::batches`] (the `batched_sgs` layout path).
+    batches: OnceLock<Vec<SgsKindBatch>>,
 }
 
-impl SgsField {
-    pub fn new(mesh: &Mesh) -> SgsField {
+impl SgsLayout {
+    pub fn new(mesh: &Mesh) -> SgsLayout {
         let ne = mesh.num_elements();
         let mut offsets = Vec::with_capacity(ne + 1);
         offsets.push(0u32);
@@ -61,15 +62,15 @@ impl SgsField {
             offsets.push(total);
         }
         let h = (0..ne).map(|e| mesh.volume(e).abs().cbrt()).collect();
-        SgsField { values: vec![Vec3::ZERO; total as usize], offsets, h, batches: None }
+        SgsLayout { offsets, h, batches: OnceLock::new() }
     }
 
     /// Build (once) and return the kind-batched sweep schedule over
     /// `elems`. Elements are grouped `Tet4 → Pyr5 → Pri6`, stable
     /// within each kind; SGS elements are mutually independent, so the
     /// regrouped sweep computes bit-identical per-element results.
-    pub fn ensure_batches(&mut self, mesh: &Mesh, elems: &[u32]) -> &[SgsKindBatch] {
-        if self.batches.is_none() {
+    pub fn batches(&self, mesh: &Mesh, elems: &[u32]) -> &[SgsKindBatch] {
+        self.batches.get_or_init(|| {
             let mut batches = Vec::new();
             for kind in [ElementKind::Tet4, ElementKind::Pyr5, ElementKind::Pri6] {
                 let members: Vec<u32> = elems
@@ -92,14 +93,33 @@ impl SgsField {
                 let h = members.iter().map(|&e| self.h[e as usize]).collect();
                 batches.push(SgsKindBatch { kind, elems: members, gather, h, qp_prefix });
             }
-            self.batches = Some(batches);
-        }
-        self.batches.as_deref().unwrap()
+            batches
+        })
+    }
+}
+
+/// Per-element, per-quadrature-point subgrid velocity storage.
+#[derive(Debug)]
+pub struct SgsField {
+    /// Flattened per-qp subgrid velocities.
+    pub values: Vec<Vec3>,
+    pub layout: Arc<SgsLayout>,
+}
+
+impl SgsField {
+    pub fn new(mesh: &Mesh) -> SgsField {
+        SgsField::on(Arc::new(SgsLayout::new(mesh)))
+    }
+
+    /// A zero field on an existing layout.
+    pub fn on(layout: Arc<SgsLayout>) -> SgsField {
+        let total = *layout.offsets.last().expect("offsets hold at least the leading 0");
+        SgsField { values: vec![Vec3::ZERO; total as usize], layout }
     }
 
     /// Subgrid velocities of element `e`.
     pub fn elem(&self, e: usize) -> &[Vec3] {
-        &self.values[self.offsets[e] as usize..self.offsets[e + 1] as usize]
+        &self.values[self.layout.offsets[e] as usize..self.layout.offsets[e + 1] as usize]
     }
 
     /// Mean subgrid-velocity magnitude (diagnostic).
@@ -193,8 +213,8 @@ pub fn compute_sgs(
     if plan.batched_sgs {
         return compute_sgs_batched(pool, refs, mesh, plan, velocity, props, field, max_iters, tol);
     }
-    let SgsField { values, offsets, h, .. } = field;
-    let (offsets, h) = (&*offsets, &*h);
+    let SgsField { values, layout } = field;
+    let (offsets, h) = (&layout.offsets, &layout.h);
     let view = SgsView::new(values);
     let tally = IterTally::default();
 
@@ -354,18 +374,17 @@ fn compute_sgs_batched(
     max_iters: usize,
     tol: f64,
 ) -> SgsStats {
-    field.ensure_batches(mesh, &plan.elems);
     // Destructure to borrow the schedule and the value storage
     // simultaneously.
-    let SgsField { values, offsets, batches, .. } = field;
-    let batches = batches.as_deref().expect("ensure_batches just built these");
+    let SgsField { values, layout } = field;
+    let batches = layout.batches(mesh, &plan.elems);
     let sweep = BatchedSweep {
         refs,
         coords: &mesh.coords,
         velocity,
         props,
         view: SgsView::new(values),
-        offsets,
+        offsets: &layout.offsets,
         max_iters,
         tol,
         lanes: plan.lane_kernels,
@@ -435,7 +454,7 @@ mod tests {
         for s in [AssemblyStrategy::Atomics, AssemblyStrategy::Coloring, AssemblyStrategy::Multidep]
         {
             let (field, stats) = run(s);
-            assert_eq!(stats.elements, reference.offsets.len() - 1);
+            assert_eq!(stats.elements, reference.layout.offsets.len() - 1);
             for (i, (a, b)) in field.values.iter().zip(&reference.values).enumerate() {
                 assert!(
                     (*a - *b).norm() < 1e-12,
@@ -522,24 +541,23 @@ mod tests {
 
         let mut want = SgsField::new(mesh);
         warm(&mut want);
-        want.ensure_batches(mesh, &elems);
+        let layout = Arc::clone(&want.layout);
         let (mut want_total, mut want_max) = (0u64, 0usize);
         let mut scratch = ElementScratch::default();
-        for &e in &want.batches.as_ref().unwrap()[0].elems[..len] {
+        for &e in &layout.batches(mesh, &elems)[0].elems[..len] {
             let e = e as usize;
             let (kind, nn) = scratch.load(mesh, vel, e);
-            let (lo, hi) = (want.offsets[e] as usize, want.offsets[e + 1] as usize);
+            let (lo, hi) = (layout.offsets[e] as usize, layout.offsets[e + 1] as usize);
             let slice = &mut want.values[lo..hi];
-            let iters = sgs_kernel(&refs, &scratch, kind, nn, props, want.h[e], slice, 6, 1e-7);
+            let iters = sgs_kernel(&refs, &scratch, kind, nn, props, layout.h[e], slice, 6, 1e-7);
             want_total += iters as u64;
             want_max = want_max.max(iters);
         }
 
         let mut got = SgsField::new(mesh);
         warm(&mut got);
-        got.ensure_batches(mesh, &elems);
-        let SgsField { values, offsets, batches, .. } = &mut got;
-        let kb = &batches.as_ref().unwrap()[0];
+        let SgsField { values, layout } = &mut got;
+        let kb = &layout.batches(mesh, &elems)[0];
         assert_eq!(kb.kind, ElementKind::Tet4);
         let sweep = BatchedSweep {
             refs: &refs,
@@ -547,7 +565,7 @@ mod tests {
             velocity: vel,
             props,
             view: SgsView::new(values),
-            offsets,
+            offsets: &layout.offsets,
             max_iters: 6,
             tol: 1e-7,
             lanes: true,
@@ -574,18 +592,18 @@ mod tests {
     fn block_with_a_degenerate_element_falls_back_to_scalar() {
         let (mut mesh, _, _, vel) = fixture();
         let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let mut probe = SgsField::new(&mesh);
-        let rows = &probe.ensure_batches(&mesh, &elems)[0].elems;
+        let probe = SgsLayout::new(&mesh);
+        let rows = &probe.batches(&mesh, &elems)[0].elems;
         let (flat, other) = (rows[3] as usize, rows[4] as usize);
         // Collapse an edge of row 3: its Jacobian determinant is exactly
         // zero at every point (the neighbours only change shape).
         let nodes = mesh.elem_nodes(flat).to_vec();
         mesh.coords[nodes[1] as usize] = mesh.coords[nodes[0] as usize];
         let swept = check_lane_rows(&mesh, &vel, 16);
-        let lo = swept.offsets[flat] as usize;
+        let lo = swept.layout.offsets[flat] as usize;
         for (q, v) in swept.elem(flat).iter().enumerate() {
             assert_eq!(*v, warm_start(lo + q), "point {q} of the flat element moved");
         }
-        assert_ne!(swept.elem(other)[0], warm_start(swept.offsets[other] as usize));
+        assert_ne!(swept.elem(other)[0], warm_start(swept.layout.offsets[other] as usize));
     }
 }

@@ -47,7 +47,10 @@
 #   * a serve smoke: `cfpd serve run` on an ephemeral port accepts the
 #     tiny campaign over HTTP, the served result is byte-identical to
 #     the direct `campaign run --json` output, `/metrics` passes the
-#     strict Prometheus lint, and `serve drain` checkpoints and exits 0,
+#     strict Prometheus lint, a 2-seed x 3-step job on one mesh costs
+#     exactly 1 set-up for its 6 segments (counted on `/metrics`, so
+#     immune to host noise) and still serves the direct run's bytes,
+#     and `serve drain` checkpoints and exits 0,
 #   * an observability smoke: the goldens and the tiny campaign stay
 #     byte-identical with the flight recorder on (CFPD_FLIGHT=1 —
 #     recording is timing-only by contract), `cfpd flight dump |
@@ -253,6 +256,44 @@ cmp -s "$tracedir/serve-result.json" "$tracedir/tiny-a.json" \
     || { echo "FAIL: served result differs from the direct campaign run" >&2; exit 1; }
 "$cfpd" serve metrics --addr "$addr" --lint > /dev/null \
     || { echo "FAIL: /metrics failed the strict Prometheus lint" >&2; exit 1; }
+# Set up once per mesh, not once per segment: two cells that differ in
+# seed only, three one-step segments each, on a mesh no earlier job of
+# this daemon used — one prepare build, one memo hit, four boundaries.
+cat > "$tracedir/reuse.campaign" <<'CAMPAIGN'
+[campaign]
+name = reuse
+[scenario]
+ranks = 1
+generations = 0
+particles = 20
+steps = 3
+[matrix]
+seed = 1, 2
+CAMPAIGN
+metric() { "$cfpd" serve metrics --addr "$addr" | awk -v m="$1" '$1 == m { print $2 }'; }
+builds0=$(metric cfpd_core_prepare_builds); hits0=$(metric cfpd_core_prepare_hits)
+bounds0=$(metric cfpd_serve_boundary_us_count)
+"$cfpd" serve submit "$tracedir/reuse.campaign" --addr "$addr" > "$tracedir/reuse-submit.json"
+job=$(grep -o '"job":[0-9]*' "$tracedir/reuse-submit.json" | head -1 | cut -d: -f2)
+done_seen=""
+for _ in $(seq 1 600); do
+    if "$cfpd" serve status "$job" --addr "$addr" | grep -q '"state":"done"'; then
+        done_seen=1; break
+    fi
+    sleep 0.1
+done
+[ -n "$done_seen" ] || { echo "FAIL: served reuse campaign never reached done" >&2; exit 1; }
+builds=$(( $(metric cfpd_core_prepare_builds) - builds0 ))
+hits=$(( $(metric cfpd_core_prepare_hits) - ${hits0:-0} ))
+bounds=$(( $(metric cfpd_serve_boundary_us_count) - ${bounds0:-0} ))
+if [ "$builds" -ne 1 ] || [ "$hits" -ne 1 ] || [ "$bounds" -ne 4 ]; then
+    echo "FAIL: 2 cells x 3 segments cost $builds prepare builds, $hits memo hits, $bounds boundaries (want 1, 1, 4)" >&2
+    exit 1
+fi
+"$cfpd" serve result "$job" --addr "$addr" > "$tracedir/reuse-served.json"
+timeout 300 "$cfpd" campaign run "$tracedir/reuse.campaign" --json > "$tracedir/reuse-direct.json"
+cmp -s "$tracedir/reuse-served.json" "$tracedir/reuse-direct.json" \
+    || { echo "FAIL: served reuse campaign differs from the direct run" >&2; exit 1; }
 "$cfpd" serve drain --addr "$addr" > /dev/null
 wait "$serve_pid" || { echo "FAIL: serve daemon did not drain cleanly" >&2; exit 1; }
 grep -q "cfpd-serve drained" "$tracedir/serve.log" \

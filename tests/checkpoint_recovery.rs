@@ -11,7 +11,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cfpd_core::{golden_config, run_simulation_opts, Checkpoint, RunOptions, SimulationConfig};
+use cfpd_core::{
+    golden_config, run_simulation_fallible, run_simulation_opts, Checkpoint, RunOptions,
+    SimulationConfig,
+};
 
 const RANKS: usize = 2;
 
@@ -144,6 +147,25 @@ fn wrong_step_and_wrong_config_restarts_are_errors() {
 
     // The genuine article still validates.
     cp.validate_for(&config, RANKS).expect("good checkpoint validates");
+
+    // The fallible entry point keeps its promise for each of them: a
+    // refused restore is an `Err` with the validator's reason, not a
+    // panic (and so is a mesh the generator rejects).
+    let refused = |config: &SimulationConfig, ranks: usize, cp: &Checkpoint| {
+        let opts = RunOptions { restore: Some(Arc::new(cp.clone())), ..Default::default() };
+        let fails = run_simulation_fallible(config, ranks, 1, &opts).expect_err("refused");
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].1.contains("refusing to restore checkpoint"), "{fails:?}");
+        fails[0].1.clone()
+    };
+    assert!(refused(&config, RANKS, &wrong_step).contains("beyond"));
+    assert!(refused(&config, RANKS + 1, &cp).contains("ranks"));
+    assert!(refused(&other, RANKS, &cp).contains("config digest"));
+    let mut bad_mesh = config.clone();
+    bad_mesh.airway.trachea_radius = -1.0;
+    let fails =
+        run_simulation_fallible(&bad_mesh, RANKS, 1, &RunOptions::default()).expect_err("refused");
+    assert!(fails[0].1.contains("invalid airway spec"), "{fails:?}");
 }
 
 /// The recovery story end to end: the newest checkpoint file is

@@ -89,7 +89,9 @@ fn served_results_are_byte_identical_to_direct_runs() {
 /// a job; at every cut, kill the daemon and restart from the leftovers.
 /// Every restart must converge to the same bytes, and at least one cut
 /// must resume mid-cell from a snapshot (proving the no-recomputation
-/// path runs, not just queued-from-scratch recovery).
+/// path runs, not just queued-from-scratch recovery). The revived
+/// daemon is a new `Daemon`, so it resumes on a set-up it builds itself:
+/// nothing a checkpoint needs lives in the dead daemon's `PrepareMemo`.
 #[test]
 fn kill_and_restart_converges_from_every_persistence_cut() {
     let text = campaign_text("killer", 4);
@@ -160,6 +162,51 @@ fn kill_and_restart_converges_from_every_persistence_cut() {
         "no cut in the sweep resumed from a mid-cell snapshot; the \
          no-recomputation path was never exercised"
     );
+}
+
+/// `tests/fixtures/serve_parent_snapshot` is the data directory a daemon
+/// of commit 0c24dc6 (the last one that set up every segment from
+/// scratch and serialized a boundary three times) left behind when its
+/// persistence froze right after the first `ckpt` record of a 12-step
+/// cell. The current writers reproduce its bytes, and a current daemon
+/// resumes it mid-cell to the bytes of a direct run.
+#[test]
+fn a_snapshot_written_by_the_previous_format_writers_still_resumes() {
+    use cfpd_core::Checkpoint;
+    use cfpd_serve::CellSnapshot;
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/serve_parent_snapshot");
+    let dir = tmp_dir("parent-fixture");
+    std::fs::create_dir_all(&dir).unwrap();
+    for name in ["wal.log", "job-1.campaign", "job-1-cell-0.snap"] {
+        std::fs::copy(fixture.join(name), dir.join(name)).unwrap();
+    }
+
+    // Format v1, byte for byte, at both levels of the file.
+    let on_disk = std::fs::read_to_string(dir.join("job-1-cell-0.snap")).unwrap();
+    let snap = CellSnapshot::from_text(&on_disk).expect("old snapshot parses");
+    assert_eq!(snap.to_text(), on_disk);
+    let cp = Checkpoint::from_text(&snap.checkpoint_text).expect("old checkpoint parses");
+    assert_eq!(cp.to_text(), snap.checkpoint_text);
+
+    let text = std::fs::read_to_string(dir.join("job-1.campaign")).unwrap();
+    let revived = Daemon::start(ServeConfig {
+        data_dir: dir.clone(),
+        workers: 1,
+        http_threads: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    let addr = revived.addr().to_string();
+    let (code, status) = get(&addr, "/jobs/1");
+    assert_eq!(code, 200, "{status}");
+    let resumed = cfpd_testkit::parse_json(&status)
+        .ok()
+        .and_then(|v| v.get("resumed_step").and_then(|s| s.as_u64()));
+    assert_eq!(resumed, Some(1), "must resume from the pinned snapshot: {status}");
+    assert_eq!(result_of(&addr, 1), direct_json(&text));
+    revived.kill();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Mirror of the checkpoint codec's corruption sweep, for the WAL:
@@ -467,6 +514,8 @@ fn metrics_lint_clean_with_supervisor_series() {
         "cfpd_serve_wal_appends",
         "cfpd_serve_queue_depth",
         "cfpd_serve_state_done",
+        "cfpd_core_prepare_builds",
+        "cfpd_serve_boundary_us_count",
     ] {
         assert!(metrics.contains(series), "missing {series}");
     }
