@@ -20,7 +20,11 @@
 //! `PrepareKey`) against `setup/instantiate` (the values-only solver
 //! every further run on that `Prepared` allocates). `serve/boundary`
 //! is one segment boundary of the daemon on this mesh's state:
-//! checkpoint text, snapshot, digest, atomic write.
+//! checkpoint text, snapshot, digest, atomic write. `solver1/*` is the
+//! momentum solve of a developed flow — three scalar solves (the oracle)
+//! against the block solve — and `spmm3/*` one of its three-column
+//! sweeps; `assembly/serial-pass` is the one-thread yardstick the set-up
+//! gate of `scripts/verify.sh` divides by.
 //!
 //! Full (non-`--quick`) runs refuse to overwrite a committed
 //! `BENCH_hotpath.json` whose end-to-end numbers would regress by more
@@ -33,7 +37,7 @@ use std::hint::black_box;
 
 use cfpd_bench::{emit, emit_json, json_rows};
 use cfpd_core::{
-    prepare, BoundaryConditions, Checkpoint, FluidSolver, PrepareKey, RankCheckpoint,
+    prepare, BoundaryConditions, Checkpoint, FluidSolver, PrepareKey, Prepared, RankCheckpoint,
     SimulationConfig,
 };
 use cfpd_mesh::{generate_airway, AirwayMesh, AirwaySpec, Mesh, Vec3};
@@ -45,11 +49,16 @@ use cfpd_runtime::ThreadPool;
 use cfpd_serve::{CellAcc, CellSnapshot, PersistGate};
 use cfpd_solver::{
     assemble_divergence, assemble_momentum, assemble_momentum_batched, assemble_poisson,
-    axpy_dot_fused, cg, compute_sgs, AssemblyPlan, AssemblyStrategy, CsrMatrix, Deflation,
-    FluidProps, LayoutPlan, MatFreeMomentum, RefElement, SellMatrix, SgsField,
+    axpy_dot_fused, bicgstab3, cg, compute_sgs, spmm3_sweep, AssemblyPlan, AssemblyStrategy,
+    Bicgstab3Workspace, CsrMatrix, Deflation, FluidProps, LayoutPlan, RefElement, SellMatrix,
+    SgsField, SolveStats, SweepOperator,
 };
 use cfpd_testkit::bench::{Bench, BenchConfig, BenchStats};
 use cfpd_testkit::json;
+
+/// The scalar BiCGSTAB the block solve replaced (see the file's header).
+#[path = "../../../solver/src/krylov_oracle.rs"]
+mod krylov_oracle;
 
 const N_SUBDOMAINS: usize = 16;
 /// Fixed iteration count of the `cg-serial/*` rows: the per-iteration
@@ -101,14 +110,25 @@ fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
         N_SUBDOMAINS,
         &template,
     );
-    let mut plan_lanes =
-        AssemblyPlan::with_batches(mesh, elems, AssemblyStrategy::Multidep, N_SUBDOMAINS, &template);
+    let mut plan_lanes = AssemblyPlan::with_batches(
+        mesh,
+        elems.clone(),
+        AssemblyStrategy::Multidep,
+        N_SUBDOMAINS,
+        &template,
+    );
     plan_lanes.lane_kernels = true;
+    // One serial element pass — scalar kernels, scattered on one thread:
+    // the yardstick the set-up rows are held against in
+    // `scripts/verify.sh` (host load moves one-thread rows together).
+    let plan_serial = AssemblyPlan::new(mesh, elems, AssemblyStrategy::Serial, 1);
+    let one_thread = ThreadPool::new(1);
 
-    for (label, plan, batched) in [
-        ("assembly/default", &plan_default, false),
-        ("assembly/batched", &plan_batched, true),
-        ("assembly/batched-lanes", &plan_lanes, true),
+    for (label, plan, batched, pool) in [
+        ("assembly/default", &plan_default, false, pool),
+        ("assembly/batched", &plan_batched, true, pool),
+        ("assembly/batched-lanes", &plan_lanes, true, pool),
+        ("assembly/serial-pass", &plan_serial, false, &one_thread),
     ] {
         let f = if batched { assemble_momentum_batched } else { assemble_momentum };
         b.bench_batched(
@@ -231,8 +251,8 @@ fn bench_solve(
 }
 
 /// Standalone per-phase kernels outside a full CG run: Jacobi apply,
-/// axpy/dot (split vs fused), the SGS sweep (default, kind-batched,
-/// kind-batched in lane blocks) and the matrix-free momentum pipeline.
+/// axpy/dot (split vs fused) and the SGS sweep (default, kind-batched,
+/// kind-batched in lane blocks).
 fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPool) {
     let n = matrix.n;
     let diag = matrix.diagonal();
@@ -296,26 +316,6 @@ fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPoo
             black_box(stats.elements);
         });
     }
-
-    // Matrix-free momentum: assemble-lite (no CSR scatter) + apply.
-    let n2e = mesh.node_to_elements();
-    let pattern = CsrMatrix::from_mesh(mesh, &n2e);
-    let mut mf = MatFreeMomentum::new(mesh, &pattern, &elems);
-    let zero_p = vec![0.0; n];
-    b.bench("matfree/assemble", || {
-        let mut rhs = vec![vec![0.0; n]; 3];
-        mf.assemble(
-            &refs, mesh, &velocity, &zero_p, FluidProps::default(), 1e-4,
-            Vec3::new(0.0, 0.0, -9.81), &mut rhs,
-        );
-        black_box(rhs.len());
-    });
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-    b.bench("matfree/apply", || {
-        let mut y = vec![0.0; n];
-        mf.apply(black_box(&x), &mut y);
-        black_box(y);
-    });
 }
 
 /// Per-run set-up on the default (`Multidep`, 16 subdomains) path.
@@ -358,6 +358,22 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
     });
 }
 
+/// The values-only solver a one-rank run of `config` allocates on its
+/// `Prepared`.
+fn instantiate<'p>(prepared: &'p Prepared, config: &SimulationConfig) -> FluidSolver<'p> {
+    let airway = prepared.airway();
+    FluidSolver::on(
+        &airway.mesh,
+        std::sync::Arc::clone(prepared.fluid_structure(0)),
+        config.fluid,
+        config.dt,
+        airway.inlet_direction * config.inflow_speed,
+        config.solver_tol,
+        config.solver_max_iters,
+        None,
+    )
+}
+
 /// Set-up as a run pays it: all of it once per `PrepareKey`, then a
 /// values-only solver per run — and what the daemon pays between two
 /// segments of such a run.
@@ -373,18 +389,7 @@ fn bench_prepare_and_boundary(b: &mut Bench, spec: &AirwaySpec) {
     });
     let prepared = prepare(&key).expect("valid spec");
     let airway = prepared.airway();
-    let instantiate = || {
-        FluidSolver::on(
-            &airway.mesh,
-            std::sync::Arc::clone(prepared.fluid_structure(0)),
-            config.fluid,
-            config.dt,
-            airway.inlet_direction * config.inflow_speed,
-            config.solver_tol,
-            config.solver_max_iters,
-            None,
-        )
-    };
+    let instantiate = || instantiate(&prepared, &config);
     b.bench("setup/instantiate", || {
         black_box(instantiate().velocity.len());
     });
@@ -424,6 +429,87 @@ fn bench_prepare_and_boundary(b: &mut Bench, spec: &AirwaySpec) {
         black_box(digest);
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Solver1 as a step runs it, on one thread like the benchmark
+/// workloads: the momentum system of the fifth step of a flow developing
+/// from rest on the optimized layout (by then the three components need
+/// different iteration counts), solved from that step's initial guess —
+/// by three scalar solves on the CSR matrix (`solver1/scalar-x3`, the
+/// oracle: what every step ran before) and by the block solve on the
+/// SELL mirror, value refresh included (`solver1/block`). `spmm3/*` is
+/// one three-column sweep of that matrix on either storage, to be read
+/// against three `spmv*/rcm-order` sweeps.
+fn bench_solver1(b: &mut Bench, spec: &AirwaySpec) {
+    let config = SimulationConfig {
+        airway: spec.clone(),
+        layout: LayoutPlan::optimized(),
+        solver_tol: SOLVE_TOL,
+        solver_max_iters: SOLVE_MAX_ITERS,
+        ..Default::default()
+    };
+    let prepared = prepare(&PrepareKey::of(&config, 1)).expect("valid spec");
+    let pool = ThreadPool::new(1);
+    let mut fs = instantiate(&prepared, &config);
+    for _ in 0..4 {
+        fs.step(&pool);
+    }
+    let start = fs.velocity.clone();
+    fs.step(&pool);
+    let (matrix, rhs) = fs.momentum_system();
+    let n = matrix.n;
+    let mut sell = SellMatrix::from_csr(matrix);
+
+    let x3: Vec<f64> = (0..3 * n).map(|k| (k as f64 * 0.37).sin()).collect();
+    for (label, op) in [("spmm3/csr", matrix as &dyn SweepOperator), ("spmm3/sell", &sell)] {
+        let sweep = op.sweep_ranges(64);
+        b.bench(label, || {
+            let mut y = vec![0.0; 3 * n];
+            spmm3_sweep(op, &pool, &sweep, black_box(&x3), &mut y);
+            black_box(y);
+        });
+    }
+
+    let mut scalar = [SolveStats { iterations: 0, residual: 0.0, converged: false }; 3];
+    b.bench_batched(
+        "solver1/scalar-x3",
+        || [0, 1, 2].map(|c| start.iter().map(|v| [v.x, v.y, v.z][c]).collect::<Vec<f64>>()),
+        |mut x| {
+            for c in 0..3 {
+                scalar[c] = krylov_oracle::bicgstab(
+                    matrix,
+                    &rhs[c],
+                    &mut x[c],
+                    SOLVE_TOL,
+                    SOLVE_MAX_ITERS,
+                );
+            }
+            black_box(x);
+        },
+    );
+    let diag = matrix.diagonal();
+    let mut ws = Bicgstab3Workspace::new(n);
+    let mut block = scalar;
+    b.bench_batched(
+        "solver1/block",
+        || start.iter().flat_map(|v| [v.x, v.y, v.z]).collect::<Vec<f64>>(),
+        |mut x| {
+            sell.update_values(&matrix.values);
+            block = bicgstab3(
+                &sell,
+                &diag,
+                [&rhs[0], &rhs[1], &rhs[2]],
+                &mut x,
+                SOLVE_TOL,
+                SOLVE_MAX_ITERS,
+                &pool,
+                &mut ws,
+            );
+            black_box(x);
+        },
+    );
+    assert!(scalar.iter().all(|s| s.converged), "solver1/scalar-x3: {scalar:?}");
+    assert_eq!(block, scalar, "the block solve left its oracle");
 }
 
 fn median_ns(rows: &[(String, BenchStats)], name: &str) -> f64 {
@@ -599,6 +685,7 @@ fn main() {
     bench_phases(&mut b, mesh, &native.0, &pool);
     bench_setup(&mut b, &airway);
     bench_prepare_and_boundary(&mut b, &spec);
+    bench_solver1(&mut b, &spec);
 
     let e2e = end_to_end(b.rows());
     if !quick {

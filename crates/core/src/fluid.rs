@@ -8,12 +8,18 @@ use cfpd_mesh::{BoundaryKind, Csr, Mesh, Vec3};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_divergence, assemble_momentum, assemble_momentum_batched, assemble_poisson,
-    assemble_poisson_batched, assemble_pressure_gradient, bicgstab, compute_sgs, AssemblyPlan,
-    AssemblyStats, AssemblyStrategy, CsrMatrix, Deflation, DeflationStructure, FluidProps,
-    LayoutPlan, MatFreeMomentum, RefElement, SellMatrix, SellStructure, SgsField, SgsLayout,
-    SgsStats, SolveStats,
+    assemble_poisson_batched, assemble_pressure_gradient, bicgstab3, compute_sgs, AssemblyPlan,
+    AssemblyStats, AssemblyStrategy, Bicgstab3Workspace, CsrMatrix, Deflation,
+    DeflationStructure, FluidProps, LayoutPlan, RefElement, SellMatrix, SellStructure, SgsField,
+    SgsLayout, SgsStats, SolveStats, SweepOperator,
 };
 use std::sync::Arc;
+
+/// The scalar BiCGSTAB, for the test stepper that still solves the three
+/// velocity components one by one (see the file's own header).
+#[cfg(test)]
+#[path = "../../solver/src/krylov_oracle.rs"]
+mod krylov_oracle;
 
 /// Boundary conditions extracted from the mesh's tagged exterior faces.
 #[derive(Debug, Clone, Default)]
@@ -97,6 +103,8 @@ pub struct FluidStructure {
     n: usize,
     row_ptr: Arc<[u32]>,
     col_idx: Arc<[u32]>,
+    /// Where each row's diagonal entry sits in the value array.
+    diag_pos: Vec<u32>,
     /// SELL shape of that pattern (`layout.sell_spmv`).
     sell: Option<Arc<SellStructure>>,
     /// Coarse space of the pressure solve.
@@ -128,6 +136,7 @@ impl FluidStructure {
         plan.lane_kernels = layout.lane_kernels;
         plan.batched_sgs = layout.batched_sgs;
         let sell = layout.sell_spmv.then(|| Arc::new(SellStructure::from_csr(&pattern)));
+        let diag_pos = (0..pattern.n).map(|i| pattern.entry_index(i, i) as u32).collect();
         let bc = BoundaryConditions::from_mesh(mesh);
         let deflation =
             Arc::new(DeflationStructure::new(&pattern, &bc.inlet_nodes, &bc.outlet_nodes));
@@ -158,6 +167,7 @@ impl FluidStructure {
             n,
             row_ptr: pattern.row_ptr,
             col_idx: pattern.col_idx,
+            diag_pos,
             sell,
             deflation,
             bc,
@@ -204,8 +214,20 @@ pub struct FluidSolver<'m> {
     tol: f64,
     max_iters: usize,
     matrix_u: CsrMatrix,
+    /// SELL mirror of `matrix_u` (`layout.sell_spmv`), on the structure
+    /// the pressure operator's mirror uses; refreshed every step.
+    sell_u: Option<SellMatrix>,
+    /// Diagonal of `matrix_u` (Solver1's Jacobi preconditioner).
+    diag_u: Vec<f64>,
     pressure_op: Option<Arc<PressureOperator>>,
     rhs_u: Vec<Vec<f64>>,
+    /// Solver1's unknowns, component `c` of node `i` at `3 i + c`: the
+    /// velocity on entry, the intermediate velocity u* on return.
+    ustar: Vec<f64>,
+    solver1: Bicgstab3Workspace,
+    /// Solve the three components one by one with the scalar oracle.
+    #[cfg(test)]
+    scalar_solver1: bool,
     rhs_p: Vec<f64>,
     /// Weak nodal pressure gradient of the correction, component `c` of
     /// node `i` at `3 i + c` (one buffer, one cross-rank reduction).
@@ -220,11 +242,6 @@ pub struct FluidSolver<'m> {
     /// Subgrid-scale storage.
     pub sgs: SgsField,
     gravity: Vec3,
-    /// Matrix-free momentum operator (`layout.matrix_free`). Covers
-    /// only this solver's element list, so it is a single-address-space
-    /// optimization: distributed (replicated-solve) runs must keep the
-    /// assembled matrix for the cross-rank value reduction.
-    matfree: Option<MatFreeMomentum>,
 }
 
 impl<'m> FluidSolver<'m> {
@@ -258,8 +275,8 @@ impl<'m> FluidSolver<'m> {
 
     /// [`FluidSolver::new`] with an explicit [`LayoutPlan`]: when
     /// `layout.batched_assembly` is set the plan carries a kind-batched
-    /// SoA schedule, and `layout.sell_spmv` feeds the pressure solve a
-    /// SELL-shaped copy of its matrix.
+    /// SoA schedule, and `layout.sell_spmv` feeds both Krylov solves
+    /// SELL-shaped copies of their matrices.
     #[allow(clippy::too_many_arguments)]
     pub fn new_with_layout(
         mesh: &'m Mesh,
@@ -297,10 +314,8 @@ impl<'m> FluidSolver<'m> {
         let n = mesh.num_nodes();
         assert_eq!(n, s.n, "structure of another mesh");
         let matrix_u = s.zero_matrix();
-        let matfree = s
-            .layout
-            .matrix_free
-            .then(|| MatFreeMomentum::new(mesh, &matrix_u, &s.plan.elems));
+        let sell_u =
+            s.sell.as_ref().map(|shape| SellMatrix::with_values(Arc::clone(shape), &matrix_u.values));
         FluidSolver {
             mesh,
             props,
@@ -308,8 +323,14 @@ impl<'m> FluidSolver<'m> {
             tol,
             max_iters,
             matrix_u,
+            sell_u,
+            diag_u: vec![0.0; n],
             pressure_op,
             rhs_u: vec![vec![0.0; n]; 3],
+            ustar: vec![0.0; 3 * n],
+            solver1: Bicgstab3Workspace::new(n),
+            #[cfg(test)]
+            scalar_solver1: false,
             rhs_p: vec![0.0; n],
             grad_p: vec![0.0; 3 * n],
             zero_pressure: vec![0.0; n],
@@ -318,7 +339,6 @@ impl<'m> FluidSolver<'m> {
             pressure: vec![0.0; n],
             sgs: SgsField::on(Arc::clone(&s.sgs)),
             gravity: Vec3::new(0.0, 0.0, -9.81),
-            matfree,
             s,
         }
     }
@@ -331,6 +351,13 @@ impl<'m> FluidSolver<'m> {
     /// The boundary node sets of the mesh.
     pub fn bc(&self) -> &BoundaryConditions {
         &self.s.bc
+    }
+
+    /// The momentum system the last step assembled and solved: the
+    /// matrix with its Dirichlet rows and the three right-hand sides
+    /// (for inspection and benches).
+    pub fn momentum_system(&self) -> (&CsrMatrix, &[Vec<f64>]) {
+        (&self.matrix_u, &self.rhs_u)
     }
 
     /// The pressure operator: `None` until a step built it (or the
@@ -385,6 +412,68 @@ impl<'m> FluidSolver<'m> {
         self.pressure_op = None;
     }
 
+    /// Solver1: `velocity` ← u*, the solution of the momentum system
+    /// assembled in `matrix_u` / `rhs_u`, starting from `velocity`. One
+    /// block solve for the three components on both layouts; the layout
+    /// only picks the storage the sweeps read (the SELL mirror, loaded
+    /// from this step's values here, or the CSR matrix itself).
+    fn solve_momentum(&mut self, pool: &ThreadPool) -> [SolveStats; 3] {
+        #[cfg(test)]
+        if self.scalar_solver1 {
+            return self.solve_momentum_scalar();
+        }
+        let values = &self.matrix_u.values;
+        for (d, &at) in self.diag_u.iter_mut().zip(&self.s.diag_pos) {
+            *d = values[at as usize];
+        }
+        let a: &dyn SweepOperator = match &mut self.sell_u {
+            Some(sell) => {
+                sell.update_values(values);
+                sell
+            }
+            None => &self.matrix_u,
+        };
+        for (x, v) in self.ustar.chunks_exact_mut(3).zip(&self.velocity) {
+            x.copy_from_slice(&[v.x, v.y, v.z]);
+        }
+        let stats = bicgstab3(
+            a,
+            &self.diag_u,
+            [&self.rhs_u[0], &self.rhs_u[1], &self.rhs_u[2]],
+            &mut self.ustar,
+            self.tol,
+            self.max_iters,
+            pool,
+            &mut self.solver1,
+        );
+        for (v, x) in self.velocity.iter_mut().zip(self.ustar.chunks_exact(3)) {
+            *v = Vec3::new(x[0], x[1], x[2]);
+        }
+        stats
+    }
+
+    /// What [`FluidSolver::solve_momentum`] replaced: three scalar
+    /// solves on the CSR matrix, one per component — the oracle the
+    /// block solve is compared with.
+    #[cfg(test)]
+    fn solve_momentum_scalar(&mut self) -> [SolveStats; 3] {
+        let mut columns: [Vec<f64>; 3] =
+            std::array::from_fn(|c| self.velocity.iter().map(|v| [v.x, v.y, v.z][c]).collect());
+        let stats = std::array::from_fn(|c| {
+            krylov_oracle::bicgstab(
+                &self.matrix_u,
+                &self.rhs_u[c],
+                &mut columns[c],
+                self.tol,
+                self.max_iters,
+            )
+        });
+        for (i, v) in self.velocity.iter_mut().enumerate() {
+            *v = Vec3::new(columns[0][i], columns[1][i], columns[2][i]);
+        }
+        stats
+    }
+
     /// Advance the flow by one time step, reporting per-phase timings.
     pub fn step(&mut self, pool: &ThreadPool) -> FluidStepReport {
         self.step_reduced(pool, &mut |_| {})
@@ -402,16 +491,13 @@ impl<'m> FluidSolver<'m> {
         reduce: &mut dyn FnMut(&mut [f64]),
     ) -> FluidStepReport {
         let mut report = FluidStepReport::default();
-        let n = self.mesh.num_nodes();
         self.apply_velocity_bcs();
         let s = Arc::clone(&self.s);
 
         // ---- Phase: matrix assembly (momentum; on the first step also
         // the pressure operator) ----------------------------------------
         let t0 = std::time::Instant::now();
-        if self.matfree.is_none() {
-            self.matrix_u.clear();
-        }
+        self.matrix_u.clear();
         for r in &mut self.rhs_u {
             r.iter_mut().for_each(|x| *x = 0.0);
         }
@@ -421,47 +507,24 @@ impl<'m> FluidSolver<'m> {
         // junction overshoots (no PSPG damping), so the classical
         // splitting is the robust choice; the kernel-level pressure-
         // gradient hook remains available for stabilized discretizations.
-        let stats_m = if let Some(mf) = self.matfree.as_mut() {
-            // Assembly-lite: element integrals go to the flat per-element
-            // store (no CSR scatter); only the RHS is scattered.
-            mf.assemble(
-                &s.refs,
-                self.mesh,
-                &self.velocity,
-                &self.zero_pressure,
-                self.props,
-                self.dt,
-                self.gravity,
-                &mut self.rhs_u,
-            );
-            AssemblyStats { elements: s.plan.elems.len(), ..AssemblyStats::default() }
-        } else {
-            let assemble_m = if s.layout.batched_assembly {
-                assemble_momentum_batched
-            } else {
-                assemble_momentum
-            };
-            assemble_m(
-                pool,
-                &s.refs,
-                self.mesh,
-                &s.plan,
-                &self.velocity,
-                &self.zero_pressure,
-                self.props,
-                self.dt,
-                self.gravity,
-                &mut self.matrix_u,
-                &mut self.rhs_u,
-            )
-        };
+        let assemble_m =
+            if s.layout.batched_assembly { assemble_momentum_batched } else { assemble_momentum };
+        let stats_m = assemble_m(
+            pool,
+            &s.refs,
+            self.mesh,
+            &s.plan,
+            &self.velocity,
+            &self.zero_pressure,
+            self.props,
+            self.dt,
+            self.gravity,
+            &mut self.matrix_u,
+            &mut self.rhs_u,
+        );
         // Combine element-partial sums across ranks before applying
-        // boundary conditions. The matrix-free operator keeps local
-        // matrices unassembled, so its momentum values take no part in
-        // the reduction (single-address-space path — see field docs).
-        if self.matfree.is_none() {
-            reduce(&mut self.matrix_u.values);
-        }
+        // boundary conditions.
+        reduce(&mut self.matrix_u.values);
         for r in &mut self.rhs_u {
             reduce(r);
         }
@@ -470,11 +533,7 @@ impl<'m> FluidSolver<'m> {
         }
         // Momentum Dirichlet rows: walls (0) and inlet (inflow).
         for &v in s.bc.wall_nodes.iter().chain(&s.bc.inlet_nodes) {
-            if let Some(mf) = self.matfree.as_mut() {
-                mf.set_dirichlet_row(v as usize);
-            } else {
-                self.matrix_u.set_dirichlet_row(v as usize);
-            }
+            self.matrix_u.set_dirichlet_row(v as usize);
         }
         for (c, comp) in [self.inflow.x, self.inflow.y, self.inflow.z].iter().enumerate() {
             for &v in &s.bc.wall_nodes {
@@ -487,29 +546,10 @@ impl<'m> FluidSolver<'m> {
         report.t_assembly = t0.elapsed().as_secs_f64();
         report.assembly = Some(stats_m);
 
-        // ---- Phase: Solver1 (momentum, BiCGSTAB per component) -------
+        // ---- Phase: Solver1 (momentum: one BiCGSTAB over the three
+        // velocity components, which share the matrix) ------------------
         let t0 = std::time::Instant::now();
-        let mut ustar = vec![Vec3::ZERO; n];
-        let mut s1 = [SolveStats { iterations: 0, residual: 0.0, converged: true }; 3];
-        for c in 0..3 {
-            let mut x: Vec<f64> = self
-                .velocity
-                .iter()
-                .map(|v| [v.x, v.y, v.z][c])
-                .collect();
-            s1[c] = if let Some(mf) = self.matfree.as_ref() {
-                bicgstab(mf, &self.rhs_u[c], &mut x, self.tol, self.max_iters)
-            } else {
-                bicgstab(&self.matrix_u, &self.rhs_u[c], &mut x, self.tol, self.max_iters)
-            };
-            for (i, xi) in x.iter().enumerate() {
-                match c {
-                    0 => ustar[i].x = *xi,
-                    1 => ustar[i].y = *xi,
-                    _ => ustar[i].z = *xi,
-                }
-            }
-        }
+        let s1 = self.solve_momentum(pool);
         report.t_solver1 = t0.elapsed().as_secs_f64();
         report.solver1 = Some(s1);
 
@@ -523,7 +563,7 @@ impl<'m> FluidSolver<'m> {
             &s.refs,
             self.mesh,
             &s.plan,
-            &ustar,
+            &self.velocity,
             self.props,
             self.dt,
             &mut self.rhs_p,
@@ -543,7 +583,8 @@ impl<'m> FluidSolver<'m> {
         };
         report.solver2 = Some(s2);
 
-        // Velocity correction: u = u* − (dt/ρ) M_L⁻¹ ∫ N ∇p.
+        // Velocity correction: u = u* − (dt/ρ) M_L⁻¹ ∫ N ∇p, in place
+        // (`velocity` holds u* since Solver1).
         self.grad_p.fill(0.0);
         assemble_pressure_gradient(
             pool,
@@ -557,11 +598,9 @@ impl<'m> FluidSolver<'m> {
         let coef = self.dt / self.props.density;
         for (i, g) in self.grad_p.chunks_exact(3).enumerate() {
             let ml = s.lumped_mass[i];
-            self.velocity[i] = if ml > 0.0 {
-                ustar[i] - Vec3::new(g[0], g[1], g[2]) * (coef / ml)
-            } else {
-                ustar[i]
-            };
+            if ml > 0.0 {
+                self.velocity[i] -= Vec3::new(g[0], g[1], g[2]) * (coef / ml);
+            }
         }
         self.apply_velocity_bcs();
         report.t_solver2 = t0.elapsed().as_secs_f64();
@@ -726,6 +765,11 @@ mod tests {
         let sa = step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, base), &pool);
         let sb = step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, fast), &pool);
         assert_state_bits_equal(&sa, &sb, "sell+lanes+batched-sgs");
+        // Nor does the block momentum solve (SELL sweeps, two workers)
+        // against three scalar solves on the CSR matrix.
+        let mut scalar = solver_with_layout(&am.mesh, AssemblyStrategy::Serial, fast);
+        scalar.scalar_solver1 = true;
+        assert_state_bits_equal(&step_twice(&mut scalar, &pool), &sb, "scalar Solver1");
     }
 
     // What `prepare` relies on: a second solver on the first one's
@@ -755,28 +799,15 @@ mod tests {
         }
     }
 
-    // The matrix-free momentum path accumulates per row in serial
-    // assembly order, so against a serially-assembled reference the
-    // whole step is bit-identical.
-    #[test]
-    fn matfree_step_bit_identical_to_assembled_serial() {
-        let am = generate_airway(&AirwaySpec::small()).unwrap();
-        let pool = ThreadPool::new(2);
-        let assembled = LayoutPlan::default();
-        let matfree = LayoutPlan { matrix_free: true, ..LayoutPlan::default() };
-        let sa =
-            step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, assembled), &pool);
-        let sb =
-            step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, matfree), &pool);
-        assert_state_bits_equal(&sa, &sb, "matrix-free momentum");
-    }
-
-    /// Four steps on `ranks` ranks (rank `r` assembles every element
+    /// Five steps on `ranks` ranks (rank `r` assembles every element
     /// `e ≡ r (mod ranks)` and sums through an allreduce, like a sync
-    /// run); every rank's velocity, pressure and SGS bits after every
-    /// step. `reassemble` forgets the pressure operator before each
-    /// step, which is what every step did before it was kept.
-    fn stepped_states(ranks: usize, layout: LayoutPlan, reassemble: bool) -> Vec<Vec<Vec<u64>>> {
+    /// run); every rank's velocity, pressure and SGS bits and the
+    /// iteration counts and residual bits of its momentum solves after
+    /// every step. The `oracle` is what every step did before: it
+    /// forgets the pressure operator before each step (`Reassemble`), or
+    /// solves the three velocity components with the scalar BiCGSTAB
+    /// (`ScalarSolver1`).
+    fn stepped_states(ranks: usize, layout: LayoutPlan, oracle: Option<Oracle>) -> Vec<Vec<Vec<u64>>> {
         use cfpd_simmpi::{ReduceOp, Universe};
         Universe::run(ranks, move |comm| {
             let am = generate_airway(&AirwaySpec::small()).unwrap();
@@ -795,49 +826,79 @@ mod tests {
                 2000,
                 layout,
             );
+            fs.scalar_solver1 = oracle == Some(Oracle::ScalarSolver1);
             let pool = ThreadPool::new(1);
-            (0..4)
+            (0..5)
                 .map(|_| {
-                    if reassemble {
+                    if oracle == Some(Oracle::Reassemble) {
                         fs.forget_pressure_operator();
                     }
                     let report = fs.step_reduced(&pool, &mut |buf: &mut [f64]| {
                         comm.allreduce_slice_f64(buf, ReduceOp::Sum)
                     });
                     assert!(report.solver2.unwrap().converged);
+                    let solves = report.solver1.unwrap();
+                    assert!(solves.iter().all(|s| s.converged));
                     let vectors = fs.velocity.iter().chain(&fs.sgs.values);
                     vectors
                         .flat_map(|v| [v.x, v.y, v.z])
                         .chain(fs.pressure.iter().copied())
                         .map(f64::to_bits)
+                        .chain(solves.iter().flat_map(|s| [s.iterations as u64, s.residual.to_bits()]))
                         .collect()
                 })
                 .collect()
         })
     }
 
-    // The pressure operator is assembled by the first step and kept.
-    // Steps 2…N must carry the bits of a solver that assembles it before
-    // every step, on one rank and through the cross-rank reduction, on
-    // both layouts (CSR and SELL storage of the operator).
-    #[test]
-    fn kept_pressure_operator_matches_reassembling_every_step() {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Oracle {
+        Reassemble,
+        ScalarSolver1,
+    }
+
+    /// `stepped_states` with and without `oracle`, on one rank and
+    /// through the cross-rank reduction, on both layouts (CSR and SELL
+    /// storage of both matrices): every rank must carry the oracle's bits
+    /// after every step.
+    fn assert_steps_match(oracle: Oracle, what: &str) {
         for ranks in [1, 2] {
             for layout in [LayoutPlan::default(), LayoutPlan::optimized()] {
-                let kept = stepped_states(ranks, layout, false);
-                let oracle = stepped_states(ranks, layout, true);
-                for (rank, (k, o)) in kept.iter().zip(&oracle).enumerate() {
-                    for (step, (ks, os)) in k.iter().zip(o).enumerate() {
+                let got = stepped_states(ranks, layout, None);
+                let want = stepped_states(ranks, layout, Some(oracle));
+                for (rank, (g, w)) in got.iter().zip(&want).enumerate() {
+                    for (step, (gs, ws)) in g.iter().zip(w).enumerate() {
                         assert!(
-                            ks == os,
-                            "{ranks} ranks, layout {}: rank {rank} differs after step {step}",
+                            gs == ws,
+                            "{ranks} ranks, layout {}: rank {rank} differs from {what} after \
+                             step {step}",
                             layout.label()
                         );
                     }
-                    assert_ne!(k[0], k[3], "the flow must move between steps");
+                    assert_ne!(g[0], g[4], "the flow must move between steps");
+                    // By the last step the flow has developed: the three
+                    // components no longer need the same iteration count.
+                    let iterations = |c: usize| g[4][g[4].len() - 6 + 2 * c];
+                    assert!(iterations(0) != iterations(2) || iterations(1) != iterations(2));
                 }
             }
         }
+    }
+
+    // The pressure operator is assembled by the first step and kept.
+    // Steps 2…N must carry the bits of a solver that assembles it before
+    // every step.
+    #[test]
+    fn kept_pressure_operator_matches_reassembling_every_step() {
+        assert_steps_match(Oracle::Reassemble, "reassembling the pressure operator");
+    }
+
+    // The momentum system is one block solve. Every step must carry the
+    // bits — fields, iteration counts, residuals — of a solver that
+    // still runs three scalar solves on the CSR matrix.
+    #[test]
+    fn block_solver1_matches_three_scalar_solves() {
+        assert_steps_match(Oracle::ScalarSolver1, "three scalar momentum solves");
     }
 
     #[test]

@@ -84,16 +84,12 @@ pub fn run_scenario_prepared(prepared: &Arc<Prepared>, s: &Scenario) -> Scenario
 /// the one place the precedence is decided; `cfpd golden --layout` and
 /// the campaign DSL's `layout =` key both go through it.
 ///
-/// `flag` is the raw `--layout` value: `"opt"`, `"opt-matfree"`,
-/// `"default"`, or absent.
+/// `flag` is the raw `--layout` value: `"opt"`, `"default"`, or absent.
 pub fn resolve_layout(flag: Option<&str>) -> Result<LayoutPlan, String> {
     match flag {
         Some("opt") => Ok(LayoutPlan::optimized()),
-        Some("opt-matfree") => Ok(LayoutPlan { matrix_free: true, ..LayoutPlan::optimized() }),
         Some("default") => Ok(LayoutPlan::disabled()),
-        Some(other) => {
-            Err(format!("unknown layout {other:?} (expected: default, opt, opt-matfree)"))
-        }
+        Some(other) => Err(format!("unknown layout {other:?} (expected: default, opt)")),
         None => Ok(LayoutPlan::from_env()),
     }
 }

@@ -500,7 +500,7 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
                 let wall_s = cell_t0.elapsed().as_secs_f64();
                 let mut store = sh.store.lock().unwrap();
                 let cur = store.jobs[&id].cur_cell;
-                sh.wal.append(&WalRecord::CellDone {
+                let durable = sh.wal.append(&WalRecord::CellDone {
                     job: id,
                     cell: cur,
                     rec: rec_from_metrics(&metrics),
@@ -511,7 +511,12 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
                 job.attempt = 0;
                 job.resume = None;
                 let total = job.cells.len();
-                let _ = std::fs::remove_file(wal::snap_path(&sh.cfg.data_dir, id, cur));
+                // The snapshot goes only once the log says the cell is
+                // done: until then the last durable `ckpt` record points
+                // at it, and a restart resumes from it.
+                if durable {
+                    let _ = std::fs::remove_file(wal::snap_path(&sh.cfg.data_dir, id, cur));
+                }
                 sh.feed.post("cell_done", id, format!("cell {} of {total}", cur + 1));
                 drop(store);
                 observe_completion(sh, id, steps, wall_s);

@@ -52,7 +52,7 @@ use std::sync::Arc;
 /// Chunk count of every parallel region of the solve: fixed (not
 /// pool-derived) so the chunked reductions — and hence the whole solve —
 /// are bit-identical no matter how many executors DLB has lent us.
-const CG_CHUNKS: usize = 64;
+pub(crate) const CG_CHUNKS: usize = 64;
 
 const NONE: u32 = u32::MAX;
 

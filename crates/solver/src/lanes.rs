@@ -178,6 +178,34 @@ fn map_qp_lanes(qp: &QuadPoint, coords: &[[Lane; 3]; MAX_NODES], nn: usize) -> O
     Some(LaneQp { dvol, grad })
 }
 
+/// [`map_qp_lanes`] at one quadrature point after the other of a lane
+/// block. The map of an affine tet does not depend on the point: its
+/// reference gradients and its four weights are the same everywhere
+/// (pinned in [`crate::shape`]'s tests), so the geometry of the first
+/// point is, bit for bit, that of the other three and is kept for them.
+/// Prisms and pyramids are mapped point by point.
+struct MappedPoints<'a> {
+    coords: &'a [[Lane; 3]; MAX_NODES],
+    nn: usize,
+    kept: Option<LaneQp>,
+}
+
+impl<'a> MappedPoints<'a> {
+    fn new(coords: &'a [[Lane; 3]; MAX_NODES], nn: usize) -> MappedPoints<'a> {
+        MappedPoints { coords, nn, kept: None }
+    }
+
+    /// The geometry at `qp`, the next point of the rule; `None` as from
+    /// [`map_qp_lanes`].
+    #[inline(always)]
+    fn next(&mut self, qp: &QuadPoint) -> Option<&LaneQp> {
+        if self.kept.is_none() || self.nn != 4 {
+            self.kept = Some(map_qp_lanes(qp, self.coords, self.nn)?);
+        }
+        self.kept.as_ref()
+    }
+}
+
 /// [`crate::kernels::momentum_kernel_n`] over [`LANES`] elements;
 /// bit-identical per lane (see the module docs for the contract).
 pub fn momentum_kernel_lanes<const NN: usize>(
@@ -198,8 +226,9 @@ pub fn momentum_kernel_lanes<const NN: usize>(
         body_force.z * props.density,
     ];
     let v_rho_dt = F64x8::splat(rho_dt);
+    let mut points = MappedPoints::new(&scratch.coords, NN);
     for qp in &re.qps {
-        let m = map_qp_lanes(qp, &scratch.coords, NN)?;
+        let m = points.next(qp)?;
         // Convecting velocity at the point (node order, like scalar).
         let mut uc = [F64x8::zero(); 3];
         for i in 0..NN {
@@ -271,8 +300,9 @@ pub fn poisson_kernel_lanes<const NN: usize>(
     scratch: &LaneScratch,
 ) -> Option<LanePoisson> {
     let mut out = LanePoisson { l: [[[0.0; LANES]; MAX_NODES]; MAX_NODES] };
+    let mut points = MappedPoints::new(&scratch.coords, NN);
     for qp in &re.qps {
-        let m = map_qp_lanes(qp, &scratch.coords, NN)?;
+        let m = points.next(qp)?;
         for i in 0..NN {
             let gi = &m.grad[i];
             for j in 0..NN {
@@ -297,8 +327,9 @@ pub fn divergence_kernel_lanes<const NN: usize>(
 ) -> Option<[Lane; MAX_NODES]> {
     let mut out = [[0.0; LANES]; MAX_NODES];
     let v_rho_dt = F64x8::splat(props.density / dt);
+    let mut points = MappedPoints::new(&scratch.coords, NN);
     for qp in &re.qps {
-        let m = map_qp_lanes(qp, &scratch.coords, NN)?;
+        let m = points.next(qp)?;
         let mut u = [F64x8::zero(); 3];
         for i in 0..NN {
             let ni = F64x8::splat(qp.n[i]);
@@ -324,8 +355,9 @@ pub fn pressure_gradient_kernel_lanes<const NN: usize>(
     scratch: &LaneScratch,
 ) -> Option<[[Lane; 3]; MAX_NODES]> {
     let mut out = [[[0.0; LANES]; 3]; MAX_NODES];
+    let mut points = MappedPoints::new(&scratch.coords, NN);
     for qp in &re.qps {
-        let m = map_qp_lanes(qp, &scratch.coords, NN)?;
+        let m = points.next(qp)?;
         let mut gp = [F64x8::zero(); 3];
         for k in 0..NN {
             let pk = F64x8::load(&scratch.pres[k]);
@@ -401,8 +433,9 @@ pub fn sgs_kernel_lanes<const NN: usize>(
     let tiny = F64x8::splat(1e-30);
     let v_tol = F64x8::splat(tol);
     let mut iters = F64x8::splat(1.0);
+    let mut points = MappedPoints::new(&scratch.coords, NN);
     for (q, qp) in re.qps.iter().enumerate() {
-        let m = map_qp_lanes(qp, &scratch.coords, NN)?;
+        let m = points.next(qp)?;
         // Resolved velocity and its gradient at the point (node order).
         let mut u = [F64x8::zero(); 3];
         let mut grad_u = [[F64x8::zero(); 3]; 3];

@@ -13,7 +13,7 @@
 //! bit-identical, so the opt golden needs no rebless when one flips.
 
 /// Which locality optimizations a run enables. `Default` is all-off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct LayoutPlan {
     /// Renumber mesh nodes with reverse Cuthill–McKee before building
     /// matrices (shrinks CSR bandwidth → better SpMV/assembly locality).
@@ -21,9 +21,9 @@ pub struct LayoutPlan {
     /// Group each parallel unit's elements by `ElementKind` into SoA
     /// batches with precomputed gather/scatter index lists.
     pub batched_assembly: bool,
-    /// Route the pressure-CG SpMV through a SELL-C-σ copy of the matrix
-    /// (8 independent accumulator chains per chunk hide FP-add latency;
-    /// bit-identical per row to the CSR SpMV).
+    /// Route the SpMV of both Krylov solves through SELL-C-σ copies of
+    /// their matrices (8 independent accumulator chains per chunk hide
+    /// FP-add latency; bit-identical per row to the CSR SpMV).
     pub sell_spmv: bool,
     /// Evaluate element kernels 8 elements at a time over lane-SoA
     /// scratch (per-lane op sequence identical to the scalar kernels, so
@@ -32,11 +32,26 @@ pub struct LayoutPlan {
     /// Run the SGS sweep over cached per-kind element batches instead of
     /// re-gathering per element each sweep.
     pub batched_sgs: bool,
-    /// Solve the momentum system matrix-free: keep per-element local
-    /// matrices and apply them row-wise on the fly instead of scattering
-    /// into a global CSR (0 ULP vs the assembled apply). Opt-in via
-    /// `CFPD_LAYOUT=opt-matfree`; not part of [`LayoutPlan::optimized`].
-    pub matrix_free: bool,
+}
+
+/// The `Debug` rendering of a configuration is a durable format:
+/// `cfpd_core::config_digest` and `PrepareKey::digest` hash it, and every
+/// checkpoint on disk carries that digest and is refused under another.
+/// It therefore still shows, always off and where the derive put it, the
+/// `matrix_free` switch this struct had until the matrix-free momentum
+/// path was deleted — a snapshot written before that still resumes
+/// (`tests/fixtures/serve_parent_snapshot`).
+impl std::fmt::Debug for LayoutPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LayoutPlan")
+            .field("rcm", &self.rcm)
+            .field("batched_assembly", &self.batched_assembly)
+            .field("sell_spmv", &self.sell_spmv)
+            .field("lane_kernels", &self.lane_kernels)
+            .field("batched_sgs", &self.batched_sgs)
+            .field("matrix_free", &false)
+            .finish()
+    }
 }
 
 impl LayoutPlan {
@@ -45,9 +60,7 @@ impl LayoutPlan {
         LayoutPlan::default()
     }
 
-    /// All always-faster locality optimizations on (`matrix_free` stays
-    /// off: it trades apply speed for skipping matrix materialisation,
-    /// which is a workload-dependent win).
+    /// Every locality optimization on.
     pub fn optimized() -> LayoutPlan {
         LayoutPlan {
             rcm: true,
@@ -55,18 +68,15 @@ impl LayoutPlan {
             sell_spmv: true,
             lane_kernels: true,
             batched_sgs: true,
-            matrix_free: false,
         }
     }
 
     /// Resolve from the `CFPD_LAYOUT` environment variable: `opt`
-    /// enables the standard optimized plan, `opt-matfree` additionally
-    /// solves the momentum system matrix-free, anything else (or unset)
-    /// is the default.
+    /// enables the optimized plan, anything else (or unset) is the
+    /// default.
     pub fn from_env() -> LayoutPlan {
         match std::env::var("CFPD_LAYOUT").as_deref() {
             Ok("opt") => LayoutPlan::optimized(),
-            Ok("opt-matfree") => LayoutPlan { matrix_free: true, ..LayoutPlan::optimized() },
             _ => LayoutPlan::disabled(),
         }
     }
@@ -98,11 +108,19 @@ mod tests {
     }
 
     #[test]
+    fn debug_rendering_keeps_the_slot_checkpoint_digests_were_taken_over() {
+        assert_eq!(
+            format!("{:?}", LayoutPlan { sell_spmv: true, ..LayoutPlan::default() }),
+            "LayoutPlan { rcm: false, batched_assembly: false, sell_spmv: true, \
+             lane_kernels: false, batched_sgs: false, matrix_free: false }"
+        );
+    }
+
+    #[test]
     fn optimized_enables_everything() {
         let l = LayoutPlan::optimized();
         assert!(l.rcm && l.batched_assembly);
         assert!(l.sell_spmv && l.lane_kernels && l.batched_sgs);
-        assert!(!l.matrix_free, "matrix-free is opt-in, not part of `opt`");
         assert!(!l.is_default());
         assert_eq!(l.label(), "opt");
     }

@@ -6,9 +6,9 @@
 //! * **Matrix assembly** ([`assembly`]) — the racy scatter-add loop over
 //!   hybrid elements, parallelized with the paper's three strategies
 //!   (atomics / coloring / multidependences, Fig. 4);
-//! * **Solver1 / Solver2** ([`krylov`], [`deflation`]) — BiCGSTAB for
-//!   the momentum system and a deflated CG for the pressure (continuity)
-//!   system of a fractional-step scheme;
+//! * **Solver1 / Solver2** ([`krylov`], [`deflation`]) — a three-column
+//!   block BiCGSTAB for the momentum system and a deflated CG for the
+//!   pressure (continuity) system of a fractional-step scheme;
 //! * **SGS** ([`sgs`]) — the per-element subgrid-scale sweep with no
 //!   global writes (the phase used to isolate scheduling overhead);
 //! * [`csr`] — sparse storage with atomic and disjoint concurrent
@@ -27,7 +27,6 @@ pub mod kernels;
 pub mod krylov;
 pub mod lanes;
 pub mod layout;
-pub mod matfree;
 pub mod parallel;
 pub mod sell;
 pub mod sgs;
@@ -44,11 +43,10 @@ pub use batch::{
 pub use csr::{AtomicView, CsrMatrix, CsrPattern, DisjointView};
 pub use kernels::{ElementScratch, FluidProps};
 pub use deflation::{Deflation, DeflationStructure};
-pub use krylov::{bicgstab, cg, LinearOperator, SolveStats};
+pub use krylov::{bicgstab3, cg, Bicgstab3Workspace, SolveStats};
 pub use lanes::{momentum_kernel_lanes, poisson_kernel_lanes, LaneScratch, LANES};
 pub use layout::LayoutPlan;
-pub use matfree::MatFreeMomentum;
-pub use parallel::{axpy_dot_fused, spmv_sweep, ChunkedDot, SweepOperator};
+pub use parallel::{axpy_dot_fused, spmm3_sweep, spmv_sweep, ChunkedDot, SweepOperator};
 pub use sell::{SellMatrix, SellStructure, SELL_C, SELL_SIGMA};
 pub use sgs::{compute_sgs, SgsField, SgsLayout, SgsStats};
 pub use shape::{map_qp, MappedQp, QuadPoint, RefElement, MAX_NODES, MAX_QP};

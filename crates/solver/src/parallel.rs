@@ -87,6 +87,17 @@ pub trait SweepOperator: Sync {
     /// other thread may access those rows concurrently. Disjoint unit
     /// ranges own disjoint rows.
     unsafe fn apply_units(&self, units: Range<usize>, x: &[f64], y: *mut f64);
+
+    /// Write `(A X)[row][c]` to `y[3 row + c]` for every row of `units`
+    /// and the three interleaved columns `X[j][c] = x[3 j + c]`: the
+    /// matrix entries are read once for all three. Per row and column
+    /// the bits of [`CsrMatrix::spmv`] on that column alone.
+    ///
+    /// # Safety
+    /// `y` must be valid for writes at `3 row .. 3 row + 3` for every
+    /// row of `units`, and no other thread may access those entries
+    /// concurrently. Disjoint unit ranges own disjoint rows.
+    unsafe fn spmm3_units(&self, units: Range<usize>, x: &[f64], y: *mut f64);
 }
 
 impl SweepOperator for CsrMatrix {
@@ -110,6 +121,23 @@ impl SweepOperator for CsrMatrix {
             unsafe { *y.add(row) = acc };
         }
     }
+
+    unsafe fn spmm3_units(&self, rows: Range<usize>, x: &[f64], y: *mut f64) {
+        for row in rows {
+            let lo = self.row_ptr[row] as usize;
+            let hi = self.row_ptr[row + 1] as usize;
+            let mut acc = [0.0f64; 3];
+            for k in lo..hi {
+                let v = self.values[k];
+                let xj = &x[3 * self.col_idx[k] as usize..][..3];
+                acc[0] += v * xj[0];
+                acc[1] += v * xj[1];
+                acc[2] += v * xj[2];
+            }
+            // SAFETY: `row < n` and the caller owns its three entries.
+            unsafe { y.add(3 * row).copy_from_nonoverlapping(acc.as_ptr(), 3) };
+        }
+    }
 }
 
 impl SweepOperator for SellMatrix {
@@ -125,6 +153,11 @@ impl SweepOperator for SellMatrix {
         // SAFETY: each SELL chunk owns its rows; forwarded contract.
         unsafe { self.spmv_chunk_range_ptr(chunks.start, chunks.end, x, y) };
     }
+
+    unsafe fn spmm3_units(&self, chunks: Range<usize>, x: &[f64], y: *mut f64) {
+        // SAFETY: each SELL chunk owns its rows; forwarded contract.
+        unsafe { self.spmm3_chunk_range_ptr(chunks.start, chunks.end, x, y) };
+    }
 }
 
 /// y = A x with the sweep ranges `sweep` (from
@@ -138,12 +171,35 @@ pub fn spmv_sweep<A: SweepOperator>(
 ) {
     assert_eq!(x.len(), op.size());
     assert_eq!(y.len(), op.size());
+    cfpd_telemetry::count!("solver.spmv_calls");
     let out = SharedOut::new(y);
     let out_ref = &out;
     parallel_for_ranges(pool, sweep, |_c, units| {
         // SAFETY: the sweep ranges are disjoint, so each region body
         // owns the rows of its units; `y` spans all `n` rows.
         unsafe { op.apply_units(units, x, out_ref.as_mut_ptr()) };
+    });
+}
+
+/// `Y = A X` for three interleaved columns (`x[3 j + c]`, `y[3 i + c]`)
+/// with the sweep ranges `sweep` of `op` distributed over the pool: one
+/// pass over the matrix where three [`spmv_sweep`] calls make three.
+pub fn spmm3_sweep<A: SweepOperator + ?Sized>(
+    op: &A,
+    pool: &ThreadPool,
+    sweep: &[Range<usize>],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    assert_eq!(x.len(), 3 * op.size());
+    assert_eq!(y.len(), 3 * op.size());
+    cfpd_telemetry::count!("solver.spmm3_calls");
+    let out = SharedOut::new(y);
+    let out_ref = &out;
+    parallel_for_ranges(pool, sweep, |_c, units| {
+        // SAFETY: the sweep ranges are disjoint, so each region body
+        // owns the entries of its units' rows; `y` spans all `3 n`.
+        unsafe { op.spmm3_units(units, x, out_ref.as_mut_ptr()) };
     });
 }
 

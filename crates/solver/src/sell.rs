@@ -251,6 +251,58 @@ impl SellMatrix {
         }
     }
 
+    /// `Y = A X` for three interleaved columns (`x[3 j + c]` is entry
+    /// `j` of column `c`, and so is `y`) over the chunk range `lo..hi`:
+    /// one index load and one value load per stored entry serve all
+    /// three columns, whose entries of `x` sit side by side.
+    ///
+    /// Per row and column the accumulation is the one of
+    /// [`SellMatrix::spmv_chunk_range_ptr`] on that column alone, so
+    /// `y[3 row + c]` carries the bits of [`CsrMatrix::spmv`].
+    ///
+    /// # Safety
+    /// `y` must be valid for writes at `3 row .. 3 row + 3` for every
+    /// row of chunks `lo..hi`, and no other thread may access those
+    /// entries concurrently.
+    pub unsafe fn spmm3_chunk_range_ptr(&self, lo: usize, hi: usize, x: &[f64], y: *mut f64) {
+        // The raw reads below go up to `x[3 (n - 1) + 2]`.
+        assert_eq!(x.len(), 3 * self.n);
+        let vals = self.vals.as_ptr();
+        let cols = self.s.cols.as_ptr();
+        let xp = x.as_ptr();
+        for c in lo..hi {
+            let base = self.s.chunk_ptr[c] as usize;
+            let common = self.s.chunk_common[c] as usize;
+            // Common part: SELL_C independent rows, column-major.
+            let mut acc = [RowSums3::zero(); SELL_C];
+            for k in 0..common {
+                let off = base + k * SELL_C;
+                for (l, a) in acc.iter_mut().enumerate() {
+                    // SAFETY: `off + l < chunk_ptr[c + 1] <= nnz` for
+                    // `k < common`; every `cols` entry is `< n`, so its
+                    // three entries of `x` exist by the assertion above.
+                    unsafe { a.add(*vals.add(off + l), xp.add(3 * *cols.add(off + l) as usize)) };
+                }
+            }
+            // Per-lane remainders, then the row writes.
+            let mut off = base + common * SELL_C;
+            for (l, a) in acc.iter_mut().enumerate() {
+                let row = self.s.rows[c * SELL_C + l];
+                if row == u32::MAX {
+                    continue;
+                }
+                let extra = self.s.slot_len[c * SELL_C + l] as usize - common;
+                for _ in 0..extra {
+                    // SAFETY: as above — remainder entries of chunk `c`.
+                    unsafe { a.add(*vals.add(off), xp.add(3 * *cols.add(off) as usize)) };
+                    off += 1;
+                }
+                // SAFETY: the caller owns `y[3 row .. 3 row + 3]`.
+                unsafe { a.store(y.add(3 * row as usize)) };
+            }
+        }
+    }
+
     /// y = A x (serial, whole matrix).
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
@@ -263,6 +315,77 @@ impl SellMatrix {
     /// SELL analogue of [`CsrMatrix::row_chunks`]).
     pub fn chunk_ranges(&self, max_ranges: usize) -> Vec<std::ops::Range<usize>> {
         cfpd_runtime::balanced_ranges(&self.s.chunk_ptr, max_ranges)
+    }
+}
+
+/// The running sums of one row over three interleaved columns. Every
+/// step is `sum[c] += v * x[c]` with a separate IEEE multiply and add,
+/// the scalar row loop's operations on each column.
+///
+/// With AVX-512VL the three sums share one 256-bit register, so an
+/// entry costs one (masked, three-element) load of `x`, one multiply and
+/// one add for all three columns; [`SELL_C`] rows in flight hide the add
+/// latency. LLVM does not form these from the array version below.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f", target_feature = "avx512vl"))]
+#[derive(Clone, Copy)]
+struct RowSums3(core::arch::x86_64::__m256d);
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f", target_feature = "avx512vl"))]
+impl RowSums3 {
+    /// Lanes 0..3 hold the columns; lane 3 is never loaded or stored.
+    const COLUMNS: u8 = 0b0111;
+
+    #[inline(always)]
+    fn zero() -> RowSums3 {
+        // SAFETY (every `unsafe` of this impl): avx512f and avx512vl are
+        // statically enabled in this cfg; masked-out lanes touch no memory.
+        RowSums3(unsafe { core::arch::x86_64::_mm256_setzero_pd() })
+    }
+
+    /// # Safety
+    /// `x` must be valid for reads of three `f64`.
+    #[inline(always)]
+    unsafe fn add(&mut self, v: f64, x: *const f64) {
+        use core::arch::x86_64::*;
+        unsafe {
+            let xv = _mm256_maskz_loadu_pd(Self::COLUMNS, x);
+            self.0 = _mm256_add_pd(self.0, _mm256_mul_pd(_mm256_set1_pd(v), xv));
+        }
+    }
+
+    /// # Safety
+    /// `y` must be valid for writes of three `f64`.
+    #[inline(always)]
+    unsafe fn store(self, y: *mut f64) {
+        unsafe { core::arch::x86_64::_mm256_mask_storeu_pd(y, Self::COLUMNS, self.0) };
+    }
+}
+
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f", target_feature = "avx512vl")))]
+#[derive(Clone, Copy)]
+struct RowSums3([f64; 3]);
+
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f", target_feature = "avx512vl")))]
+impl RowSums3 {
+    #[inline(always)]
+    fn zero() -> RowSums3 {
+        RowSums3([0.0; 3])
+    }
+
+    /// # Safety
+    /// `x` must be valid for reads of three `f64`.
+    #[inline(always)]
+    unsafe fn add(&mut self, v: f64, x: *const f64) {
+        for (c, sum) in self.0.iter_mut().enumerate() {
+            *sum += v * unsafe { *x.add(c) };
+        }
+    }
+
+    /// # Safety
+    /// `y` must be valid for writes of three `f64`.
+    #[inline(always)]
+    unsafe fn store(self, y: *mut f64) {
+        unsafe { y.copy_from_nonoverlapping(self.0.as_ptr(), 3) };
     }
 }
 
@@ -346,35 +469,65 @@ mod tests {
         }
     }
 
+    // SpMV on the SELL shape, and the three-column sweep on both
+    // storages, against `CsrMatrix::spmv` per row (and column): random
+    // shapes with empty rows, chunks with empty tail slots (`n` is rarely
+    // a multiple of 8) and signed zeros, whose row sums a padded
+    // accumulation would flip.
     #[test]
     fn prop_sell_spmv_bit_identical_per_row() {
+        use crate::parallel::{spmm3_sweep, SweepOperator};
+        let pool = cfpd_runtime::ThreadPool::new(2);
         prop::check(
-            "sell spmv bit-identical per row",
+            "sell spmv and spmm3 bit-identical per row",
             PropConfig::cases(60),
             &prop::usize_range(0, 1 << 30),
             |&seed| {
                 let mut rng = Rng::new(seed as u64);
                 let a = random_csr(&mut rng);
                 let s = SellMatrix::from_csr(&a);
-                let x: Vec<f64> = (0..a.n)
-                    .map(|_| match rng.range_usize(0, 6) {
-                        0 => 0.0,
-                        1 => -0.0,
-                        _ => rng.range_f64(-5.0, 5.0),
-                    })
-                    .collect();
-                let mut y_csr = vec![0.0; a.n];
+                let mut signed_zeros_and_values = || -> Vec<f64> {
+                    (0..a.n)
+                        .map(|_| match rng.range_usize(0, 6) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.range_f64(-5.0, 5.0),
+                        })
+                        .collect()
+                };
+                let columns: [Vec<f64>; 3] = std::array::from_fn(|_| signed_zeros_and_values());
+                let mut want = [vec![0.0; a.n], vec![0.0; a.n], vec![0.0; a.n]];
+                for (x, y) in columns.iter().zip(&mut want) {
+                    a.spmv(x, y);
+                }
+
                 let mut y_sell = vec![0.0; a.n];
-                a.spmv(&x, &mut y_csr);
-                s.spmv(&x, &mut y_sell);
+                s.spmv(&columns[0], &mut y_sell);
                 for r in 0..a.n {
                     assert_eq!(
                         y_sell[r].to_bits(),
-                        y_csr[r].to_bits(),
+                        want[0][r].to_bits(),
                         "row {r}: sell {:?} != csr {:?}",
                         y_sell[r],
-                        y_csr[r]
+                        want[0][r]
                     );
+                }
+
+                let x3: Vec<f64> = (0..3 * a.n).map(|k| columns[k % 3][k / 3]).collect();
+                for (storage, op) in [("csr", &a as &dyn SweepOperator), ("sell", &s)] {
+                    // Stale output must be overwritten, not added to.
+                    let mut y3 = vec![f64::NAN; 3 * a.n];
+                    spmm3_sweep(op, &pool, &op.sweep_ranges(5), &x3, &mut y3);
+                    for (k, y) in y3.iter().enumerate() {
+                        assert_eq!(
+                            y.to_bits(),
+                            want[k % 3][k / 3].to_bits(),
+                            "{storage} spmm3 row {} column {}: {y:?} != {:?}",
+                            k / 3,
+                            k % 3,
+                            want[k % 3][k / 3]
+                        );
+                    }
                 }
             },
         );

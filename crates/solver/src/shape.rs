@@ -260,6 +260,27 @@ mod tests {
         approx(pyr.qps.iter().map(|q| q.weight).sum(), 8.0, 1e-12);
     }
 
+    /// The tet is affine: every point of its rule carries the same
+    /// reference gradients and the same weight, so its map onto a
+    /// physical element is one map (`lanes::MappedPoints` computes it
+    /// once). No point of the prism or pyramid rule repeats another's
+    /// gradients. A quadrature change that breaks either half must fail
+    /// here, not move physics silently.
+    #[test]
+    fn only_the_tet_maps_every_point_alike() {
+        let bits = |q: &QuadPoint| -> Vec<u64> {
+            q.dn.as_flattened().iter().chain([&q.weight]).map(|v| v.to_bits()).collect()
+        };
+        let same = |a: &QuadPoint, b: &QuadPoint| bits(a) == bits(b);
+        for re in RefElement::all() {
+            for (i, a) in re.qps.iter().enumerate() {
+                for b in &re.qps[i + 1..] {
+                    assert_eq!(same(a, b), re.kind == ElementKind::Tet4, "{:?}", re.kind);
+                }
+            }
+        }
+    }
+
     /// Integrating 1 over physical elements gives their volume.
     #[test]
     fn integrates_element_volume() {

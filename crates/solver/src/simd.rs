@@ -81,6 +81,21 @@ mod avx512 {
             self.store(&mut out);
             out
         }
+        /// Every lane three times in a row, over three vectors: lane
+        /// `l` of vector `j` is lane `(8 j + l) / 3` of `self` — one
+        /// value per node spread over that node's three interleaved
+        /// components.
+        #[inline(always)]
+        pub fn triple(self) -> [F64x8; 3] {
+            unsafe {
+                [
+                    _mm512_setr_epi64(0, 0, 0, 1, 1, 1, 2, 2),
+                    _mm512_setr_epi64(2, 3, 3, 3, 4, 4, 4, 5),
+                    _mm512_setr_epi64(5, 5, 6, 6, 6, 7, 7, 7),
+                ]
+                .map(|lanes| F64x8(_mm512_permutexvar_pd(lanes, self.0)))
+            }
+        }
     }
 
     impl Mask8 {
@@ -190,6 +205,14 @@ mod portable {
         pub fn to_array(self) -> [f64; 8] {
             self.0
         }
+        /// Every lane three times in a row, over three vectors: lane
+        /// `l` of vector `j` is lane `(8 j + l) / 3` of `self` — one
+        /// value per node spread over that node's three interleaved
+        /// components.
+        #[inline(always)]
+        pub fn triple(self) -> [F64x8; 3] {
+            from_fn(|j| F64x8(from_fn(|l| self.0[(8 * j + l) / 3])))
+        }
     }
 
     impl Mask8 {
@@ -287,6 +310,9 @@ mod tests {
                     assert_eq!(stored.map(f64::to_bits), a.map(f64::to_bits), "load/store");
                     assert_eq!(bits(F64x8::splat(a[0])), [a[0].to_bits(); 8], "splat");
                     assert_eq!(bits(F64x8::zero()), [0; 8], "zero");
+                    let tripled: Vec<u64> = va.triple().into_iter().flat_map(bits).collect();
+                    let want: Vec<u64> = (0..24).map(|k| a[k / 3].to_bits()).collect();
+                    assert_eq!(tripled, want, "triple {a:?}");
 
                     let (gt, lt) = (va.gt(vb), va.lt(vb));
                     let pick = |m: Mask8| bits(m.select(va, vb));

@@ -22,11 +22,13 @@
 #   * a bench smoke: the hotpath benchmark's --quick run must complete
 #     and emit its JSON carrying the per-phase breakdown schema
 #     (phases.{spmv,jacobi,axpy_dot,sgs,assembly} + solve + end_to_end),
-#     the solve/* and setup/* rows, with the Multidep plan build held to
-#     at most 5 serial element passes (matfree/assemble) and the lane
-#     SGS sweep (sgs/batched-lanes, what the opt layout runs) below the
-#     scalar-batched one (sgs/batched): a lost lane path is a red build,
-#     not a silently 3x slower step,
+#     the solve/*, setup/*, spmm3/* and solver1/* rows, with the Multidep
+#     plan build held to at most 5 serial element passes
+#     (assembly/serial-pass), the lane SGS sweep (sgs/batched-lanes, what
+#     the opt layout runs) below the scalar-batched one (sgs/batched) and
+#     the block momentum solve (solver1/block) below the three scalar
+#     solves it replaced (solver1/scalar-x3): a lost lane or block path
+#     is a red build, not a silently slower step,
 #   * a trace-pipeline smoke: `cfpd trace export` writes Paraver +
 #     Chrome + summary artifacts that validate against the in-repo
 #     RFC 8259 parser, `cfpd trace diff` of two identical-seed traced
@@ -124,12 +126,12 @@ for key in '"phases"' '"spmv"' '"jacobi"' '"axpy_dot"' '"sgs"' '"assembly"' \
         || { echo "FAIL: BENCH_hotpath_quick.json missing $key" >&2; exit 1; }
 done
 # Set-up stays linear: building the Multidep plan may cost at most 5
-# serial element passes (`matfree/assemble`: one local matrix per
-# element, no pool). Both rows run on one thread, so host load moves
-# them together: the ratio reads 1.8-2.8 (8-12 before the set-up
-# rewrite). ISSUE 13 named `assembly/batched-lanes` x 15; that row runs
-# on the 2-worker pool and the ratio against it swung 5.6-19 for one
-# binary on this host.
+# serial element passes (`assembly/serial-pass`: every element's scalar
+# momentum kernel and scatter on a one-thread pool). Both rows run on
+# one thread, so host load moves them together: the ratio reads 1.2-2.3
+# (8-12 before the set-up rewrite). ISSUE 13 named
+# `assembly/batched-lanes` x 15; that row runs on the 2-worker pool and
+# the ratio against it swung 5.6-19 for one binary on this host.
 python3 - <<'PYEOF'
 import json, sys
 doc = json.load(open("results/BENCH_hotpath_quick.json"))
@@ -137,12 +139,13 @@ rows = {r["name"]: r["median_ns"] for r in doc["rows"]}
 for name in ("setup/element-graph", "setup/kway-16", "setup/plan-multidep",
              "setup/locator-build", "setup/inject-10k", "setup/deflation-build",
              "solve/poisson-jacobi", "solve/poisson-deflated",
-             "sgs/batched", "sgs/batched-lanes"):
+             "sgs/batched", "sgs/batched-lanes", "assembly/serial-pass",
+             "spmm3/csr", "spmm3/sell", "solver1/scalar-x3", "solver1/block"):
     if name not in rows:
         sys.exit(f"FAIL: hotpath bench has no {name} row")
-plan, serial_pass = rows["setup/plan-multidep"], rows["matfree/assemble"]
+plan, serial_pass = rows["setup/plan-multidep"], rows["assembly/serial-pass"]
 if plan > 5.0 * serial_pass:
-    sys.exit(f"FAIL: setup/plan-multidep {plan:.0f} ns > 5 x matfree/assemble {serial_pass:.0f} ns")
+    sys.exit(f"FAIL: setup/plan-multidep {plan:.0f} ns > 5 x assembly/serial-pass {serial_pass:.0f} ns")
 # Same schedule, same pool, eight elements per vector op against one:
 # the ratio reads 2.4-2.9 here, so "not below" means the lane path is gone.
 lanes, scalar = rows["sgs/batched-lanes"], rows["sgs/batched"]
@@ -150,6 +153,12 @@ if lanes >= scalar:
     sys.exit(f"FAIL: sgs/batched-lanes {lanes:.0f} ns is not below sgs/batched {scalar:.0f} ns")
 if doc["phases"]["sgs"]["opt_ns"] != round(lanes):
     sys.exit("FAIL: phases.sgs.opt_ns does not report the sgs/batched-lanes row")
+# Same system, same start, same thread: 11 three-column sweeps against
+# 27 SpMVs; the ratio reads 0.40-0.51 here, so "not below" means the
+# block solve has lost what it is there for.
+block, scalar = rows["solver1/block"], rows["solver1/scalar-x3"]
+if block >= scalar:
+    sys.exit(f"FAIL: solver1/block {block:.0f} ns is not below solver1/scalar-x3 {scalar:.0f} ns")
 PYEOF
 timeout 300 target/release/overhead --quick >/dev/null
 test -s results/BENCH_telemetry_overhead_quick.json \

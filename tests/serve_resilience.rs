@@ -164,6 +164,72 @@ fn kill_and_restart_converges_from_every_persistence_cut() {
     );
 }
 
+/// A daemon whose persistence froze is still running, and must not undo
+/// what is durable. Freeze exactly between the last `ckpt` record of a
+/// cell and its `celldone`: the append is refused, so the snapshot that
+/// `ckpt` points to has to outlive the cell finishing in memory — a
+/// restart resumes from it, to the bytes of a direct run.
+#[test]
+fn a_frozen_daemon_keeps_the_snapshot_its_last_ckpt_points_to() {
+    let steps = 4;
+    let text = campaign_text("frozen-tail", steps);
+    let expected = direct_json(&text);
+    let mut met = false;
+
+    for cut in 0..16u64 {
+        let dir = tmp_dir(&format!("frozen-tail-{cut}"));
+        let frozen = Daemon::start(ServeConfig {
+            data_dir: dir.clone(),
+            workers: 1,
+            http_threads: 1,
+            fault: ServeFaultPlan { freeze_wal_after: Some(cut), ..Default::default() },
+            ..Default::default()
+        })
+        .unwrap();
+        let addr = frozen.addr().to_string();
+        let job = submit(&addr, &text);
+        // Let the job finish in memory, frozen gate or not: the removal
+        // under test happens after the refused append.
+        assert!(poll_terminal(&addr, job).contains("\"done\""));
+        let was_frozen = frozen.gate_frozen();
+        frozen.kill();
+
+        let wal = std::fs::read_to_string(dir.join("wal.log")).unwrap_or_default();
+        let last = wal.lines().last().unwrap_or_default();
+        let at_the_cut = was_frozen
+            && last.contains(&format!(" ckpt job={job} cell=0 step={} ", steps - 1))
+            && !wal.contains(" celldone ");
+        if at_the_cut {
+            met = true;
+            assert!(
+                dir.join(format!("job-{job}-cell-0.snap")).exists(),
+                "the frozen daemon removed the snapshot its last ckpt record points to"
+            );
+            let revived = Daemon::start(ServeConfig {
+                data_dir: dir.clone(),
+                workers: 1,
+                http_threads: 1,
+                ..Default::default()
+            })
+            .unwrap();
+            let addr = revived.addr().to_string();
+            let (code, status) = get(&addr, &format!("/jobs/{job}"));
+            assert_eq!(code, 200, "{status}");
+            let resumed = cfpd_testkit::parse_json(&status)
+                .ok()
+                .and_then(|v| v.get("resumed_step").and_then(|s| s.as_u64()));
+            assert_eq!(resumed, Some(steps as u64 - 1), "must resume, not recompute: {status}");
+            assert_eq!(result_of(&addr, job), expected);
+            revived.kill();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        if met {
+            break;
+        }
+    }
+    assert!(met, "no cut fell between the last ckpt record and celldone");
+}
+
 /// `tests/fixtures/serve_parent_snapshot` is the data directory a daemon
 /// of commit 0c24dc6 (the last one that set up every segment from
 /// scratch and serialized a boundary three times) left behind when its
