@@ -1,7 +1,9 @@
-//! Locality hot-path benchmark: default vs `LayoutPlan`-optimized
-//! assembly, SpMV and pressure solve on the airway mesh, plus the RCM
-//! bandwidth reduction — the before/after evidence for DESIGN.md §9
-//! and the raw-speed pass of §14.
+//! Hot-path benchmark: what the two layouts run — assembly, SpMV and
+//! pressure solve on the airway mesh in either order — next to the
+//! oracles of `cfpd_solver::oracle` and the serial references those
+//! paths are held against, plus the RCM bandwidth reduction: the
+//! evidence for DESIGN.md §9 and the raw-speed pass of §14. It prints
+//! what production runs and what it is compared with, nothing else.
 //!
 //! Writes the usual text table to `results/BENCH_hotpath.txt` and a
 //! machine-readable `results/BENCH_hotpath.json` (per-routine name,
@@ -9,9 +11,10 @@
 //! carries a `"phases"` section (per-phase default vs opt medians for
 //! SpMV, Jacobi apply, axpy/dot, SGS sweep and assembly), a `"solve"`
 //! section (iterations and time of the pressure solve to 1e-6: the
-//! Jacobi-CG reference against the production deflated CG) and an
-//! `"end_to_end"` section (assembly + that pressure solve on each
-//! layout), so later PRs have a perf trajectory to diff against. The
+//! Jacobi-CG reference against the production deflated CG in either
+//! node order) and an `"end_to_end"` section (assembly + that pressure
+//! solve on each layout), so later PRs have a perf trajectory to diff
+//! against. The
 //! `setup/*` rows time what a run pays once before its first step: the
 //! subdomain graph, the 16-way partition, the whole Multidep plan, the
 //! deflation structure and its values, the particle locator and an
@@ -22,9 +25,11 @@
 //! is one segment boundary of the daemon on this mesh's state:
 //! checkpoint text, snapshot, digest, atomic write. `solver1/*` is the
 //! momentum solve of a developed flow — three scalar solves (the oracle)
-//! against the block solve — and `spmm3/*` one of its three-column
-//! sweeps; `assembly/serial-pass` is the one-thread yardstick the set-up
-//! gate of `scripts/verify.sh` divides by.
+//! against the block solve — and `spmm3/sell` one of its three-column
+//! sweeps; `sgs/default` is the oracle sweep (the plan's strategy, one
+//! element at a time) against the lane sweep every run does
+//! (`sgs/batched-lanes`); `assembly/serial-pass` is the one-thread
+//! yardstick the set-up gate of `scripts/verify.sh` divides by.
 //!
 //! Full (non-`--quick`) runs refuse to overwrite a committed
 //! `BENCH_hotpath.json` whose end-to-end numbers would regress by more
@@ -48,22 +53,14 @@ use cfpd_partition::{
 use cfpd_runtime::ThreadPool;
 use cfpd_serve::{CellAcc, CellSnapshot, PersistGate};
 use cfpd_solver::{
-    assemble_divergence, assemble_momentum, assemble_momentum_batched, assemble_poisson,
-    axpy_dot_fused, bicgstab3, cg, compute_sgs, spmm3_sweep, AssemblyPlan, AssemblyStrategy,
-    Bicgstab3Workspace, CsrMatrix, Deflation, FluidProps, LayoutPlan, RefElement, SellMatrix,
-    SgsField, SolveStats, SweepOperator,
+    assemble_divergence, assemble_momentum, assemble_poisson, axpy_dot_fused, bicgstab3, cg,
+    compute_sgs, oracle, spmm3_sweep, AssemblyPlan, AssemblyStrategy, Bicgstab3Workspace,
+    CsrMatrix, Deflation, FluidProps, LayoutPlan, RefElement, SellMatrix, SgsField, SolveStats,
 };
 use cfpd_testkit::bench::{Bench, BenchConfig, BenchStats};
 use cfpd_testkit::json;
 
-/// The scalar BiCGSTAB the block solve replaced (see the file's header).
-#[path = "../../../solver/src/krylov_oracle.rs"]
-mod krylov_oracle;
-
 const N_SUBDOMAINS: usize = 16;
-/// Fixed iteration count of the `cg-serial/*` rows: the per-iteration
-/// cost of the reference CG on either ordering.
-const CG_ITERS: usize = 150;
 /// Tolerance of the `solve/*` rows, the one the benchmark workloads use.
 const SOLVE_TOL: f64 = 1e-6;
 const SOLVE_MAX_ITERS: usize = 20_000;
@@ -103,39 +100,29 @@ fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
     let zero_p = vec![0.0; mesh.num_nodes()];
     let plan_default = AssemblyPlan::new(mesh, elems.clone(), AssemblyStrategy::Multidep, N_SUBDOMAINS);
-    let plan_batched = AssemblyPlan::with_batches(
+    let plan_lanes = AssemblyPlan::with_batches(
         mesh,
         elems.clone(),
         AssemblyStrategy::Multidep,
         N_SUBDOMAINS,
         &template,
     );
-    let mut plan_lanes = AssemblyPlan::with_batches(
-        mesh,
-        elems.clone(),
-        AssemblyStrategy::Multidep,
-        N_SUBDOMAINS,
-        &template,
-    );
-    plan_lanes.lane_kernels = true;
     // One serial element pass — scalar kernels, scattered on one thread:
     // the yardstick the set-up rows are held against in
     // `scripts/verify.sh` (host load moves one-thread rows together).
     let plan_serial = AssemblyPlan::new(mesh, elems, AssemblyStrategy::Serial, 1);
     let one_thread = ThreadPool::new(1);
 
-    for (label, plan, batched, pool) in [
-        ("assembly/default", &plan_default, false, pool),
-        ("assembly/batched", &plan_batched, true, pool),
-        ("assembly/batched-lanes", &plan_lanes, true, pool),
-        ("assembly/serial-pass", &plan_serial, false, &one_thread),
+    for (label, plan, pool) in [
+        ("assembly/default", &plan_default, pool),
+        ("assembly/batched-lanes", &plan_lanes, pool),
+        ("assembly/serial-pass", &plan_serial, &one_thread),
     ] {
-        let f = if batched { assemble_momentum_batched } else { assemble_momentum };
         b.bench_batched(
             label,
             || (template.clone(), vec![vec![0.0; mesh.num_nodes()]; 3]),
             |(mut a, mut rhs)| {
-                let stats = f(
+                let stats = assemble_momentum(
                     pool,
                     &refs,
                     mesh,
@@ -154,7 +141,9 @@ fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
     }
 }
 
-fn bench_spmv_and_cg(b: &mut Bench, label: &str, matrix: &CsrMatrix, rhs: &[f64]) {
+/// One SpMV in the CSR storage (serial: the reference every sweep is
+/// bit-compared with) and in the SELL mirror the solves sweep.
+fn bench_spmv(b: &mut Bench, label: &str, matrix: &CsrMatrix) {
     let n = matrix.n;
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     b.bench(&format!("spmv/{label}"), || {
@@ -168,17 +157,6 @@ fn bench_spmv_and_cg(b: &mut Bench, label: &str, matrix: &CsrMatrix, rhs: &[f64]
         sell.spmv(black_box(&x), &mut y);
         black_box(y);
     });
-    let name = format!("cg-serial/{label}");
-    b.bench_batched(
-        &name,
-        || vec![0.0; n],
-        |mut x| {
-            let stats = cg(matrix, rhs, &mut x, 0.0, CG_ITERS);
-            assert_eq!(stats.iterations, CG_ITERS, "{name} did unequal work");
-            assert!(stats.residual.is_finite());
-            black_box((x, stats.residual));
-        },
-    );
 }
 
 /// A Dirichlet-closed pressure system with its boundary node sets.
@@ -190,13 +168,13 @@ type PressureSystem = (CsrMatrix, Vec<f64>, BoundaryConditions);
 struct SolveIters {
     jacobi: usize,
     deflated: usize,
-    deflated_csr: usize,
+    deflated_native: usize,
 }
 
 /// The pressure solve to [`SOLVE_TOL`]: Jacobi CG (the reference)
-/// against the production deflated CG on the RCM-ordered system, the
-/// deflated CG as the reference layout runs it (native order, CSR
-/// sweeps), and what building the deflation structure costs.
+/// against the production deflated CG on the RCM-ordered system (the
+/// fast layout) and on the native order (the reference layout) — SELL
+/// sweeps on both — and what building the deflation structure costs.
 fn bench_solve(
     b: &mut Bench,
     native: &PressureSystem,
@@ -235,15 +213,16 @@ fn bench_solve(
         },
     );
     let (matrix, rhs, bc) = native;
+    let sell = SellMatrix::from_csr(matrix);
     let mut deflation = Deflation::new(matrix, &bc.inlet_nodes, &bc.outlet_nodes);
     deflation.refresh(matrix);
     b.bench_batched(
-        "solve/poisson-deflated-csr",
+        "solve/poisson-deflated-native",
         || vec![0.0; n],
         |mut x| {
-            let stats = deflation.solve(matrix, rhs, &mut x, SOLVE_TOL, SOLVE_MAX_ITERS, pool);
+            let stats = deflation.solve(&sell, rhs, &mut x, SOLVE_TOL, SOLVE_MAX_ITERS, pool);
             assert!(stats.converged, "deflated CG, native order: {stats:?}");
-            iters.deflated_csr = stats.iterations;
+            iters.deflated_native = stats.iterations;
             black_box(x);
         },
     );
@@ -251,8 +230,9 @@ fn bench_solve(
 }
 
 /// Standalone per-phase kernels outside a full CG run: Jacobi apply,
-/// axpy/dot (split vs fused) and the SGS sweep (default, kind-batched,
-/// kind-batched in lane blocks).
+/// axpy/dot (split vs fused) and the SGS sweep (the scalar oracle under
+/// the plan's strategy against the kind-batched lane sweep every run
+/// does).
 fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPool) {
     let n = matrix.n;
     let diag = matrix.diagonal();
@@ -293,29 +273,22 @@ fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPoo
         },
     );
 
-    // SGS sweep: the plan's element-loop schedule, the kind-batched
-    // schedule with the scalar kernel, and the same with lane blocks
-    // (what `LayoutPlan::optimized` runs).
     let refs = RefElement::all();
     let velocity = synthetic_velocity(mesh);
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-    for (label, batched, lanes) in [
-        ("sgs/default", false, false),
-        ("sgs/batched", true, false),
-        ("sgs/batched-lanes", true, true),
-    ] {
-        let mut plan =
-            AssemblyPlan::new(mesh, elems.clone(), AssemblyStrategy::Multidep, N_SUBDOMAINS);
-        plan.batched_sgs = batched;
-        plan.lane_kernels = lanes;
-        let mut field = SgsField::new(mesh);
-        b.bench(label, || {
-            let stats = compute_sgs(
-                pool, &refs, mesh, &plan, &velocity, FluidProps::default(), &mut field, 5, 1e-6,
-            );
-            black_box(stats.elements);
-        });
-    }
+    let plan = AssemblyPlan::new(mesh, elems, AssemblyStrategy::Multidep, N_SUBDOMAINS);
+    let props = FluidProps::default();
+    let mut field = SgsField::new(mesh, &plan.elems);
+    b.bench("sgs/default", || {
+        let stats =
+            oracle::compute_sgs(pool, &refs, mesh, &plan, &velocity, props, &mut field, 5, 1e-6);
+        black_box(stats.elements);
+    });
+    let mut field = SgsField::new(mesh, &plan.elems);
+    b.bench("sgs/batched-lanes", || {
+        let stats = compute_sgs(pool, &refs, mesh, &velocity, props, &mut field, 5, 1e-6);
+        black_box(stats.elements);
+    });
 }
 
 /// Per-run set-up on the default (`Multidep`, 16 subdomains) path.
@@ -437,9 +410,9 @@ fn bench_prepare_and_boundary(b: &mut Bench, spec: &AirwaySpec) {
 /// different iteration counts), solved from that step's initial guess —
 /// by three scalar solves on the CSR matrix (`solver1/scalar-x3`, the
 /// oracle: what every step ran before) and by the block solve on the
-/// SELL mirror, value refresh included (`solver1/block`). `spmm3/*` is
-/// one three-column sweep of that matrix on either storage, to be read
-/// against three `spmv*/rcm-order` sweeps.
+/// SELL mirror, value refresh included (`solver1/block`). `spmm3/sell`
+/// is one three-column sweep of that matrix, to be read against three
+/// `spmv-sell/rcm-order` sweeps.
 fn bench_solver1(b: &mut Bench, spec: &AirwaySpec) {
     let config = SimulationConfig {
         airway: spec.clone(),
@@ -461,14 +434,12 @@ fn bench_solver1(b: &mut Bench, spec: &AirwaySpec) {
     let mut sell = SellMatrix::from_csr(matrix);
 
     let x3: Vec<f64> = (0..3 * n).map(|k| (k as f64 * 0.37).sin()).collect();
-    for (label, op) in [("spmm3/csr", matrix as &dyn SweepOperator), ("spmm3/sell", &sell)] {
-        let sweep = op.sweep_ranges(64);
-        b.bench(label, || {
-            let mut y = vec![0.0; 3 * n];
-            spmm3_sweep(op, &pool, &sweep, black_box(&x3), &mut y);
-            black_box(y);
-        });
-    }
+    let sweep = sell.chunk_ranges(64);
+    b.bench("spmm3/sell", || {
+        let mut y = vec![0.0; 3 * n];
+        spmm3_sweep(&sell, &pool, &sweep, black_box(&x3), &mut y);
+        black_box(y);
+    });
 
     let mut scalar = [SolveStats { iterations: 0, residual: 0.0, converged: false }; 3];
     b.bench_batched(
@@ -476,13 +447,8 @@ fn bench_solver1(b: &mut Bench, spec: &AirwaySpec) {
         || [0, 1, 2].map(|c| start.iter().map(|v| [v.x, v.y, v.z][c]).collect::<Vec<f64>>()),
         |mut x| {
             for c in 0..3 {
-                scalar[c] = krylov_oracle::bicgstab(
-                    matrix,
-                    &rhs[c],
-                    &mut x[c],
-                    SOLVE_TOL,
-                    SOLVE_MAX_ITERS,
-                );
+                scalar[c] =
+                    oracle::bicgstab(matrix, &rhs[c], &mut x[c], SOLVE_TOL, SOLVE_MAX_ITERS);
             }
             black_box(x);
         },
@@ -536,7 +502,7 @@ struct EndToEnd {
 fn end_to_end(rows: &[(String, BenchStats)]) -> EndToEnd {
     EndToEnd {
         default_ns: median_ns(rows, "assembly/default")
-            + median_ns(rows, "solve/poisson-deflated-csr"),
+            + median_ns(rows, "solve/poisson-deflated-native"),
         opt_ns: median_ns(rows, "assembly/batched-lanes")
             + median_ns(rows, "solve/poisson-deflated"),
     }
@@ -621,13 +587,13 @@ fn write_json(
         "  \"solve\": {{ \"tol\": {SOLVE_TOL:e}, \
          \"jacobi\": {{ \"iterations\": {}, \"ns\": {:.0} }}, \
          \"deflated\": {{ \"iterations\": {}, \"ns\": {:.0} }}, \
-         \"deflated_csr\": {{ \"iterations\": {}, \"ns\": {:.0} }} }},\n",
+         \"deflated_native\": {{ \"iterations\": {}, \"ns\": {:.0} }} }},\n",
         iters.jacobi,
         median_ns(rows, "solve/poisson-jacobi"),
         iters.deflated,
         median_ns(rows, "solve/poisson-deflated"),
-        iters.deflated_csr,
-        median_ns(rows, "solve/poisson-deflated-csr"),
+        iters.deflated_native,
+        median_ns(rows, "solve/poisson-deflated-native"),
     ));
     body.push_str(&format!(
         "  \"end_to_end\": {{ \"default_ns\": {:.0}, \"opt_ns\": {:.0}, \"speedup\": {:.2} }},\n",
@@ -678,9 +644,9 @@ fn main() {
     let mut b = Bench::with_config(name, config);
     bench_assembly(&mut b, mesh, &pool);
     let native = pressure_system(mesh, &pool);
-    bench_spmv_and_cg(&mut b, "native-order", &native.0, &native.1);
+    bench_spmv(&mut b, "native-order", &native.0);
     let rcm = pressure_system(&mesh_rcm, &pool);
-    bench_spmv_and_cg(&mut b, "rcm-order", &rcm.0, &rcm.1);
+    bench_spmv(&mut b, "rcm-order", &rcm.0);
     let iters = bench_solve(&mut b, &native, &rcm, &pool);
     bench_phases(&mut b, mesh, &native.0, &pool);
     bench_setup(&mut b, &airway);
@@ -710,13 +676,13 @@ fn main() {
     }
     report.push_str(&format!(
         "\npressure solve to {SOLVE_TOL:e} (rcm order): Jacobi CG {} iterations / {:.1} ms, \
-         deflated CG {} iterations / {:.1} ms; native order, CSR sweeps: {} iterations / {:.1} ms\n",
+         deflated CG {} iterations / {:.1} ms; native order: {} iterations / {:.1} ms\n",
         iters.jacobi,
         median_ns(b.rows(), "solve/poisson-jacobi") / 1e6,
         iters.deflated,
         median_ns(b.rows(), "solve/poisson-deflated") / 1e6,
-        iters.deflated_csr,
-        median_ns(b.rows(), "solve/poisson-deflated-csr") / 1e6,
+        iters.deflated_native,
+        median_ns(b.rows(), "solve/poisson-deflated-native") / 1e6,
     ));
     report.push_str(&format!(
         "\nend-to-end (assembly + pressure solve): {:.1} ms -> {:.1} ms ({:.2}x)\n",

@@ -7,7 +7,7 @@
 
 use crate::dsl::{self, DslError, RawDoc, RawPair};
 use cfpd_core::{ExecutionMode, RunOptions, Scenario, SimulationConfig};
-use cfpd_solver::AssemblyStrategy;
+use cfpd_solver::{AssemblyStrategy, LayoutPlan};
 
 /// Every scenario key the DSL understands, in documentation order.
 pub const SCENARIO_KEYS: &[&str] = &[
@@ -137,10 +137,8 @@ impl CellSettings {
                 }
             }
             "layout" => {
-                // One precedence helper for flag/DSL vs CFPD_LAYOUT env:
-                // an explicit value always beats the environment.
-                self.config.layout = cfpd_core::resolve_layout(Some(pair.value.as_str()))
-                    .map_err(|e| DslError::at(pair.line, e))?;
+                self.config.layout =
+                    LayoutPlan::parse(&pair.value).map_err(|e| DslError::at(pair.line, e))?
             }
             "dlb" => self.dlb = parse_switch(pair)?,
             "trace" => self.trace = parse_switch(pair)?,
@@ -392,7 +390,6 @@ impl CampaignSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfpd_solver::LayoutPlan;
 
     fn pair(key: &str, value: &str) -> RawPair {
         RawPair { key: key.into(), value: value.into(), line: 1 }
@@ -418,6 +415,22 @@ mod tests {
         assert_eq!(s.config.mode, ExecutionMode::Coupled { fluid: 2, particles: 1 });
         assert_eq!(s.config.layout, LayoutPlan::optimized());
         assert!(s.dlb);
+    }
+
+    // Nothing but the `layout` key picks a cell's layout: both names map
+    // onto their plan, anything else is an error at the pair's line.
+    #[test]
+    fn explicit_layout_flag_is_authoritative() {
+        let mut s = CellSettings::default();
+        assert_eq!(s.config.layout, LayoutPlan::disabled());
+        s.apply(&pair("layout", "opt")).unwrap();
+        assert_eq!(s.config.layout, LayoutPlan::optimized());
+        s.apply(&pair("layout", "default")).unwrap();
+        assert_eq!(s.config.layout, LayoutPlan::disabled());
+        let p = RawPair { key: "layout".into(), value: "fast".into(), line: 17 };
+        let err = s.apply(&p).unwrap_err();
+        assert_eq!(err.line, 17);
+        assert!(err.message.contains("\"fast\"") && err.message.contains("default, opt"), "{err}");
     }
 
     #[test]

@@ -7,19 +7,12 @@
 use cfpd_mesh::{BoundaryKind, Csr, Mesh, Vec3};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
-    assemble_divergence, assemble_momentum, assemble_momentum_batched, assemble_poisson,
-    assemble_poisson_batched, assemble_pressure_gradient, bicgstab3, compute_sgs, AssemblyPlan,
-    AssemblyStats, AssemblyStrategy, Bicgstab3Workspace, CsrMatrix, Deflation,
-    DeflationStructure, FluidProps, LayoutPlan, RefElement, SellMatrix, SellStructure, SgsField,
-    SgsLayout, SgsStats, SolveStats, SweepOperator,
+    assemble_divergence, assemble_momentum, assemble_poisson, assemble_pressure_gradient,
+    bicgstab3, compute_sgs, AssemblyPlan, AssemblyStats, AssemblyStrategy, Bicgstab3Workspace,
+    CsrMatrix, Deflation, DeflationStructure, FluidProps, LayoutPlan, RefElement, SellMatrix,
+    SellStructure, SgsField, SgsLayout, SgsStats, SolveStats,
 };
 use std::sync::Arc;
-
-/// The scalar BiCGSTAB, for the test stepper that still solves the three
-/// velocity components one by one (see the file's own header).
-#[cfg(test)]
-#[path = "../../solver/src/krylov_oracle.rs"]
-mod krylov_oracle;
 
 /// Boundary conditions extracted from the mesh's tagged exterior faces.
 #[derive(Debug, Clone, Default)]
@@ -95,9 +88,8 @@ pub struct FluidStepReport {
 /// of a run, the cells of a campaign — share one.
 pub struct FluidStructure {
     refs: [RefElement; 3],
-    layout: LayoutPlan,
     /// Assembly schedule over this solver's elements (with the
-    /// kind-batched SoA schedule when `layout.batched_assembly`).
+    /// kind-batched SoA schedule on the fast layout).
     plan: AssemblyPlan,
     /// The sparsity pattern the momentum and pressure matrices share.
     n: usize,
@@ -105,8 +97,8 @@ pub struct FluidStructure {
     col_idx: Arc<[u32]>,
     /// Where each row's diagonal entry sits in the value array.
     diag_pos: Vec<u32>,
-    /// SELL shape of that pattern (`layout.sell_spmv`).
-    sell: Option<Arc<SellStructure>>,
+    /// SELL shape of that pattern, which both Krylov solves sweep.
+    sell: Arc<SellStructure>,
     /// Coarse space of the pressure solve.
     deflation: Arc<DeflationStructure>,
     bc: BoundaryConditions,
@@ -128,14 +120,16 @@ impl FluidStructure {
         // The momentum and Poisson matrices share one sparsity pattern,
         // so one batched schedule (built against it) serves both.
         let pattern = CsrMatrix::from_mesh(mesh, n2e);
-        let mut plan = if layout.batched_assembly {
-            AssemblyPlan::with_batches(mesh, elems, strategy, n_subdomains, &pattern)
-        } else {
+        // The one place a solver reads the layout (its node order is
+        // already in `mesh`): the reference layout sums each unit's
+        // elements in list order, the fast one grouped by kind. Nothing
+        // downstream asks again — the plan says which.
+        let plan = if layout.is_default() {
             AssemblyPlan::new(mesh, elems, strategy, n_subdomains)
+        } else {
+            AssemblyPlan::with_batches(mesh, elems, strategy, n_subdomains, &pattern)
         };
-        plan.lane_kernels = layout.lane_kernels;
-        plan.batched_sgs = layout.batched_sgs;
-        let sell = layout.sell_spmv.then(|| Arc::new(SellStructure::from_csr(&pattern)));
+        let sell = Arc::new(SellStructure::from_csr(&pattern));
         let diag_pos = (0..pattern.n).map(|i| pattern.entry_index(i, i) as u32).collect();
         let bc = BoundaryConditions::from_mesh(mesh);
         let deflation =
@@ -156,13 +150,9 @@ impl FluidStructure {
             }
         }
 
-        let sgs = SgsLayout::new(mesh);
-        if layout.batched_sgs {
-            sgs.batches(mesh, &plan.elems);
-        }
+        let sgs = SgsLayout::new(mesh, &plan.elems);
         FluidStructure {
             refs,
-            layout,
             plan,
             n,
             row_ptr: pattern.row_ptr,
@@ -188,20 +178,14 @@ impl FluidStructure {
 }
 
 /// The pressure operator `∫∇N_i·∇N_j`, summed over all ranks, with
-/// identity rows at the outlets — in the storage the layout's SpMV
-/// sweeps — and the deflation values loaded from it. It depends on the
+/// identity rows at the outlets — in the SELL storage the solve sweeps —
+/// and the deflation values loaded from it. It depends on the
 /// geometry alone: the first step of the first solver over a mesh
 /// assembles it, and every later step, of that solver or of any other
 /// given the same `Arc`, only reads it.
 pub struct PressureOperator {
-    matrix: PressureMatrix,
+    matrix: SellMatrix,
     deflation: Deflation,
-}
-
-enum PressureMatrix {
-    Csr(CsrMatrix),
-    /// `layout.sell_spmv`.
-    Sell(SellMatrix),
 }
 
 /// Single-address-space fluid solver over (a subset of) the mesh: the
@@ -214,9 +198,9 @@ pub struct FluidSolver<'m> {
     tol: f64,
     max_iters: usize,
     matrix_u: CsrMatrix,
-    /// SELL mirror of `matrix_u` (`layout.sell_spmv`), on the structure
-    /// the pressure operator's mirror uses; refreshed every step.
-    sell_u: Option<SellMatrix>,
+    /// SELL mirror of `matrix_u`, on the structure the pressure
+    /// operator's mirror uses; refreshed every step.
+    sell_u: SellMatrix,
     /// Diagonal of `matrix_u` (Solver1's Jacobi preconditioner).
     diag_u: Vec<f64>,
     pressure_op: Option<Arc<PressureOperator>>,
@@ -228,6 +212,9 @@ pub struct FluidSolver<'m> {
     /// Solve the three components one by one with the scalar oracle.
     #[cfg(test)]
     scalar_solver1: bool,
+    /// Sweep the SGS with the strategy-following scalar oracle.
+    #[cfg(test)]
+    scalar_sgs: bool,
     rhs_p: Vec<f64>,
     /// Weak nodal pressure gradient of the correction, component `c` of
     /// node `i` at `3 i + c` (one buffer, one cross-rank reduction).
@@ -273,10 +260,9 @@ impl<'m> FluidSolver<'m> {
         )
     }
 
-    /// [`FluidSolver::new`] with an explicit [`LayoutPlan`]: when
-    /// `layout.batched_assembly` is set the plan carries a kind-batched
-    /// SoA schedule, and `layout.sell_spmv` feeds both Krylov solves
-    /// SELL-shaped copies of their matrices.
+    /// [`FluidSolver::new`] with an explicit [`LayoutPlan`]: on the fast
+    /// layout the plan carries a kind-batched SoA schedule. The node
+    /// order is whatever `mesh` carries (`prepare` renumbers it first).
     #[allow(clippy::too_many_arguments)]
     pub fn new_with_layout(
         mesh: &'m Mesh,
@@ -314,8 +300,7 @@ impl<'m> FluidSolver<'m> {
         let n = mesh.num_nodes();
         assert_eq!(n, s.n, "structure of another mesh");
         let matrix_u = s.zero_matrix();
-        let sell_u =
-            s.sell.as_ref().map(|shape| SellMatrix::with_values(Arc::clone(shape), &matrix_u.values));
+        let sell_u = SellMatrix::with_values(Arc::clone(&s.sell), &matrix_u.values);
         FluidSolver {
             mesh,
             props,
@@ -331,6 +316,8 @@ impl<'m> FluidSolver<'m> {
             solver1: Bicgstab3Workspace::new(n),
             #[cfg(test)]
             scalar_solver1: false,
+            #[cfg(test)]
+            scalar_sgs: false,
             rhs_p: vec![0.0; n],
             grad_p: vec![0.0; 3 * n],
             zero_pressure: vec![0.0; n],
@@ -386,21 +373,14 @@ impl<'m> FluidSolver<'m> {
     ) -> PressureOperator {
         let s = &*self.s;
         let mut matrix = s.zero_matrix();
-        let assemble_p =
-            if s.layout.batched_assembly { assemble_poisson_batched } else { assemble_poisson };
-        assemble_p(pool, &s.refs, self.mesh, &s.plan, &mut matrix);
+        assemble_poisson(pool, &s.refs, self.mesh, &s.plan, &mut matrix);
         reduce(&mut matrix.values);
         for &v in &s.bc.outlet_nodes {
             matrix.set_dirichlet_row(v as usize);
         }
         let mut deflation = Deflation::on(Arc::clone(&s.deflation));
         deflation.refresh(&matrix);
-        let matrix = match &s.sell {
-            Some(shape) => {
-                PressureMatrix::Sell(SellMatrix::with_values(Arc::clone(shape), &matrix.values))
-            }
-            None => PressureMatrix::Csr(matrix),
-        };
+        let matrix = SellMatrix::with_values(Arc::clone(&s.sell), &matrix.values);
         PressureOperator { matrix, deflation }
     }
 
@@ -414,9 +394,8 @@ impl<'m> FluidSolver<'m> {
 
     /// Solver1: `velocity` ← u*, the solution of the momentum system
     /// assembled in `matrix_u` / `rhs_u`, starting from `velocity`. One
-    /// block solve for the three components on both layouts; the layout
-    /// only picks the storage the sweeps read (the SELL mirror, loaded
-    /// from this step's values here, or the CSR matrix itself).
+    /// block solve for the three components, sweeping the SELL mirror,
+    /// which is loaded from this step's values here.
     fn solve_momentum(&mut self, pool: &ThreadPool) -> [SolveStats; 3] {
         #[cfg(test)]
         if self.scalar_solver1 {
@@ -426,18 +405,12 @@ impl<'m> FluidSolver<'m> {
         for (d, &at) in self.diag_u.iter_mut().zip(&self.s.diag_pos) {
             *d = values[at as usize];
         }
-        let a: &dyn SweepOperator = match &mut self.sell_u {
-            Some(sell) => {
-                sell.update_values(values);
-                sell
-            }
-            None => &self.matrix_u,
-        };
+        self.sell_u.update_values(values);
         for (x, v) in self.ustar.chunks_exact_mut(3).zip(&self.velocity) {
             x.copy_from_slice(&[v.x, v.y, v.z]);
         }
         let stats = bicgstab3(
-            a,
+            &self.sell_u,
             &self.diag_u,
             [&self.rhs_u[0], &self.rhs_u[1], &self.rhs_u[2]],
             &mut self.ustar,
@@ -460,7 +433,7 @@ impl<'m> FluidSolver<'m> {
         let mut columns: [Vec<f64>; 3] =
             std::array::from_fn(|c| self.velocity.iter().map(|v| [v.x, v.y, v.z][c]).collect());
         let stats = std::array::from_fn(|c| {
-            krylov_oracle::bicgstab(
+            cfpd_solver::oracle::bicgstab(
                 &self.matrix_u,
                 &self.rhs_u[c],
                 &mut columns[c],
@@ -472,6 +445,36 @@ impl<'m> FluidSolver<'m> {
             *v = Vec3::new(columns[0][i], columns[1][i], columns[2][i]);
         }
         stats
+    }
+
+    /// The SGS phase: one sweep over this solver's elements.
+    fn sweep_sgs(&mut self, pool: &ThreadPool) -> SgsStats {
+        let (max_iters, tol) = (5, 1e-6);
+        let s = &*self.s;
+        #[cfg(test)]
+        if self.scalar_sgs {
+            return cfpd_solver::oracle::compute_sgs(
+                pool,
+                &s.refs,
+                self.mesh,
+                &s.plan,
+                &self.velocity,
+                self.props,
+                &mut self.sgs,
+                max_iters,
+                tol,
+            );
+        }
+        compute_sgs(
+            pool,
+            &s.refs,
+            self.mesh,
+            &self.velocity,
+            self.props,
+            &mut self.sgs,
+            max_iters,
+            tol,
+        )
     }
 
     /// Advance the flow by one time step, reporting per-phase timings.
@@ -507,9 +510,7 @@ impl<'m> FluidSolver<'m> {
         // junction overshoots (no PSPG damping), so the classical
         // splitting is the robust choice; the kernel-level pressure-
         // gradient hook remains available for stabilized discretizations.
-        let assemble_m =
-            if s.layout.batched_assembly { assemble_momentum_batched } else { assemble_momentum };
-        let stats_m = assemble_m(
+        let stats_m = assemble_momentum(
             pool,
             &s.refs,
             self.mesh,
@@ -572,15 +573,15 @@ impl<'m> FluidSolver<'m> {
         for &v in &s.bc.outlet_nodes {
             self.rhs_p[v as usize] = 0.0;
         }
-        // One solver loop for both layouts; the layout only picks the
-        // storage the SpMV sweeps (the SELL mirror of the pressure
-        // operator, or the CSR matrix itself).
         let op = self.pressure_op.as_deref().expect("built during assembly");
-        let (b, x) = (&self.rhs_p, &mut self.pressure);
-        let s2 = match &op.matrix {
-            PressureMatrix::Sell(a) => op.deflation.solve(a, b, x, self.tol, self.max_iters, pool),
-            PressureMatrix::Csr(a) => op.deflation.solve(a, b, x, self.tol, self.max_iters, pool),
-        };
+        let s2 = op.deflation.solve(
+            &op.matrix,
+            &self.rhs_p,
+            &mut self.pressure,
+            self.tol,
+            self.max_iters,
+            pool,
+        );
         report.solver2 = Some(s2);
 
         // Velocity correction: u = u* − (dt/ρ) M_L⁻¹ ∫ N ∇p, in place
@@ -607,17 +608,7 @@ impl<'m> FluidSolver<'m> {
 
         // ---- Phase: SGS ------------------------------------------------
         let t0 = std::time::Instant::now();
-        let stats_sgs = compute_sgs(
-            pool,
-            &s.refs,
-            self.mesh,
-            &s.plan,
-            &self.velocity,
-            self.props,
-            &mut self.sgs,
-            5,
-            1e-6,
-        );
+        let stats_sgs = self.sweep_sgs(pool);
         report.t_sgs = t0.elapsed().as_secs_f64();
         report.sgs = Some(stats_sgs);
 
@@ -747,29 +738,21 @@ mod tests {
         }
     }
 
-    // The raw-speed switches (SELL SpMV, lane kernels, batched SGS)
-    // must not move a single bit of the flow state relative to the
-    // committed opt pipeline — this is what keeps the opt golden valid
-    // without a rebless.
+    // SELL sweeps, lane kernels and the batched SGS sweep are not
+    // switches any more; what is left to compare a step with are the
+    // scalar oracles they replaced. Here: the block momentum solve on
+    // two workers against three scalar solves on the CSR matrix
+    // (`assert_steps_match` covers both layouts, the cross-rank
+    // reduction and the SGS oracle).
     #[test]
     fn raw_speed_switches_are_bit_identical() {
         let am = generate_airway(&AirwaySpec::small()).unwrap();
         let pool = ThreadPool::new(2);
-        let base = LayoutPlan { batched_assembly: true, ..LayoutPlan::default() };
-        let fast = LayoutPlan {
-            sell_spmv: true,
-            lane_kernels: true,
-            batched_sgs: true,
-            ..base
-        };
-        let sa = step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, base), &pool);
-        let sb = step_twice(&mut solver_with_layout(&am.mesh, AssemblyStrategy::Serial, fast), &pool);
-        assert_state_bits_equal(&sa, &sb, "sell+lanes+batched-sgs");
-        // Nor does the block momentum solve (SELL sweeps, two workers)
-        // against three scalar solves on the CSR matrix.
-        let mut scalar = solver_with_layout(&am.mesh, AssemblyStrategy::Serial, fast);
+        let solver = || solver_with_layout(&am.mesh, AssemblyStrategy::Serial, LayoutPlan::optimized());
+        let want = step_twice(&mut solver(), &pool);
+        let mut scalar = solver();
         scalar.scalar_solver1 = true;
-        assert_state_bits_equal(&step_twice(&mut scalar, &pool), &sb, "scalar Solver1");
+        assert_state_bits_equal(&step_twice(&mut scalar, &pool), &want, "scalar Solver1");
     }
 
     // What `prepare` relies on: a second solver on the first one's
@@ -804,9 +787,10 @@ mod tests {
     /// run); every rank's velocity, pressure and SGS bits and the
     /// iteration counts and residual bits of its momentum solves after
     /// every step. The `oracle` is what every step did before: it
-    /// forgets the pressure operator before each step (`Reassemble`), or
+    /// forgets the pressure operator before each step (`Reassemble`),
     /// solves the three velocity components with the scalar BiCGSTAB
-    /// (`ScalarSolver1`).
+    /// (`ScalarSolver1`), or sweeps the SGS element by element under the
+    /// plan's strategy (`ScalarSgs`).
     fn stepped_states(ranks: usize, layout: LayoutPlan, oracle: Option<Oracle>) -> Vec<Vec<Vec<u64>>> {
         use cfpd_simmpi::{ReduceOp, Universe};
         Universe::run(ranks, move |comm| {
@@ -827,6 +811,7 @@ mod tests {
                 layout,
             );
             fs.scalar_solver1 = oracle == Some(Oracle::ScalarSolver1);
+            fs.scalar_sgs = oracle == Some(Oracle::ScalarSgs);
             let pool = ThreadPool::new(1);
             (0..5)
                 .map(|_| {
@@ -855,12 +840,12 @@ mod tests {
     enum Oracle {
         Reassemble,
         ScalarSolver1,
+        ScalarSgs,
     }
 
     /// `stepped_states` with and without `oracle`, on one rank and
-    /// through the cross-rank reduction, on both layouts (CSR and SELL
-    /// storage of both matrices): every rank must carry the oracle's bits
-    /// after every step.
+    /// through the cross-rank reduction, on both layouts: every rank must
+    /// carry the oracle's bits after every step.
     fn assert_steps_match(oracle: Oracle, what: &str) {
         for ranks in [1, 2] {
             for layout in [LayoutPlan::default(), LayoutPlan::optimized()] {
@@ -899,6 +884,14 @@ mod tests {
     #[test]
     fn block_solver1_matches_three_scalar_solves() {
         assert_steps_match(Oracle::ScalarSolver1, "three scalar momentum solves");
+    }
+
+    // The SGS phase is the kind-batched lane sweep on both layouts. Every
+    // step must carry the SGS bits of a solver that sweeps element by
+    // element with the scalar kernel.
+    #[test]
+    fn lane_sgs_matches_the_scalar_element_sweep() {
+        assert_steps_match(Oracle::ScalarSgs, "the scalar SGS sweep");
     }
 
     #[test]

@@ -17,7 +17,6 @@ pub mod deposition;
 pub mod flowfield;
 pub mod fluid;
 pub mod golden;
-pub mod halo;
 pub mod prepare;
 pub mod result;
 pub mod scenario;
@@ -36,23 +35,10 @@ pub use golden::{
     render_golden_events, render_golden_header, render_golden_header_for, render_golden_summary,
 };
 pub use prepare::{prepare, PrepareKey, PrepareMemo, Prepared};
-pub use scenario::{
-    resolve_layout, run_scenario, run_scenario_prepared, Scenario, ScenarioOutcome,
-};
+pub use scenario::{run_scenario, run_scenario_prepared, Scenario, ScenarioOutcome};
 pub use simulation::{
     rank_failures, run_prepared, run_simulation, run_simulation_fallible, run_simulation_opts,
     LogicalEvent, RunOptions, SimulationResult,
 };
 pub use deposition::{deposition_map, DepositionMap, GenerationRow};
-pub use halo::{assemble_and_solve_poisson, dist_cg, DistMatrix, HaloMap};
 pub use workload::{measure_workload, PhaseCostModel, WorkloadProfile};
-
-/// Convergence report of a distributed solve (mirrors
-/// [`cfpd_solver::SolveStats`], kept separate to avoid exposing the
-/// solver crate's struct in this crate's public API surface).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DistSolveStats {
-    pub iterations: usize,
-    pub residual: f64,
-    pub converged: bool,
-}

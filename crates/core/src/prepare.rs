@@ -286,6 +286,24 @@ mod tests {
         assert_eq!(PrepareKey::of(&c, 2).digest(), PrepareKey::of(&c, 5).digest());
     }
 
+    // `LayoutPlan`'s `Debug` rendering is part of two durable formats:
+    // every checkpoint carries `config_digest` and is refused under
+    // another, and a `Prepared` is found again by its key digest. These
+    // are the values of the golden configuration on either layout as the
+    // snapshots on disk carry them (the reference pair also through
+    // `tests/fixtures/serve_parent_snapshot`); a change to that rendering
+    // moves all four.
+    #[test]
+    fn digests_of_both_layouts_are_the_ones_on_disk() {
+        use crate::checkpoint::config_digest;
+        let reference = crate::golden::golden_config();
+        let fast = SimulationConfig { layout: LayoutPlan::optimized(), ..reference.clone() };
+        assert_eq!(config_digest(&reference), 0x4bc2799f74ef0f5c);
+        assert_eq!(config_digest(&fast), 0x58a213d4dc7a2839);
+        assert_eq!(PrepareKey::of(&reference, 2).digest(), 0xc2f4c2785266a222);
+        assert_eq!(PrepareKey::of(&fast, 2).digest(), 0x1000280474f09759);
+    }
+
     #[test]
     fn memo_keeps_the_two_most_recently_used() {
         let memo = PrepareMemo::new();

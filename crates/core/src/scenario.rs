@@ -13,7 +13,6 @@ use crate::golden::render_run_doc;
 use crate::prepare::{prepare, PrepareKey, Prepared};
 use crate::simulation::{rank_failures, run_prepared, RunOptions, SimulationResult};
 use std::sync::Arc;
-use cfpd_solver::LayoutPlan;
 use cfpd_testkit::digest::digest_bytes;
 
 /// A fully-resolved run request: configuration plus run shape. This is
@@ -79,21 +78,6 @@ pub fn run_scenario_prepared(prepared: &Arc<Prepared>, s: &Scenario) -> Scenario
     ScenarioOutcome { doc, digest, result }
 }
 
-/// Resolve the effective [`LayoutPlan`] from an explicit flag value and
-/// the `CFPD_LAYOUT` environment variable, **flag beats env**. This is
-/// the one place the precedence is decided; `cfpd golden --layout` and
-/// the campaign DSL's `layout =` key both go through it.
-///
-/// `flag` is the raw `--layout` value: `"opt"`, `"default"`, or absent.
-pub fn resolve_layout(flag: Option<&str>) -> Result<LayoutPlan, String> {
-    match flag {
-        Some("opt") => Ok(LayoutPlan::optimized()),
-        Some("default") => Ok(LayoutPlan::disabled()),
-        Some(other) => Err(format!("unknown layout {other:?} (expected: default, opt)")),
-        None => Ok(LayoutPlan::from_env()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,12 +92,5 @@ mod tests {
         let out = run_scenario(&Scenario::deterministic(cfg.clone(), 2));
         assert_eq!(out.doc, golden_trace(&cfg, 2));
         assert_eq!(out.digest, digest_bytes(out.doc.as_bytes()));
-    }
-
-    #[test]
-    fn explicit_layout_flag_is_authoritative() {
-        assert_eq!(resolve_layout(Some("opt")).unwrap(), LayoutPlan::optimized());
-        assert_eq!(resolve_layout(Some("default")).unwrap(), LayoutPlan::disabled());
-        assert!(resolve_layout(Some("fast")).is_err());
     }
 }

@@ -24,9 +24,9 @@
 use cfpd_campaign::{expand, full_matrix_size, run_campaign_with, CampaignSpec};
 use cfpd_serve::{http_call, lint_prometheus, Daemon, ServeConfig, ServeFaultPlan};
 use cfpd_core::{
-    golden_config, golden_trace_traced, measure_workload, resolve_layout, run_scenario,
-    run_simulation, run_simulation_fallible, run_simulation_opts, ExecutionMode, RunOptions,
-    Scenario, SimulationConfig, PhaseCostModel,
+    golden_config, golden_trace_traced, measure_workload, run_scenario, run_simulation,
+    run_simulation_fallible, run_simulation_opts, ExecutionMode, LayoutPlan, RunOptions, Scenario,
+    SimulationConfig, PhaseCostModel,
 };
 use cfpd_mesh::{generate_airway, AirwaySpec};
 use cfpd_simmpi::FaultConfig;
@@ -832,17 +832,17 @@ fn cmd_run(flags: &Flags) {
 
 /// Print the deterministic golden trace of the canonical small run:
 /// byte-identical output on every invocation with the same flags.
-/// `--layout opt` (or `CFPD_LAYOUT=opt`) runs the locality-optimized
-/// path, which is pinned by its own golden file.
+/// `--layout opt` runs the fast layout, which is pinned by its own
+/// golden file; without the flag the run uses the reference layout.
 fn cmd_golden(flags: &Flags) {
     let ranks = flags.usize_or("--ranks", 2);
     let mut config = golden_config();
-    // One resolution point for flag vs CFPD_LAYOUT (flag beats env) —
-    // shared with the campaign DSL's `layout =` key.
-    config.layout = resolve_layout(flags.get("--layout")).unwrap_or_else(|e| {
-        eprintln!("--layout: {e}");
-        std::process::exit(2);
-    });
+    if let Some(name) = flags.get("--layout") {
+        config.layout = LayoutPlan::parse(name).unwrap_or_else(|e| {
+            eprintln!("--layout: {e}");
+            std::process::exit(2);
+        });
+    }
     match flags.get("--trace") {
         // Traced run: stdout stays byte-identical to the untraced golden
         // (tracing never touches the logical log); the structured trace

@@ -69,17 +69,11 @@ pub struct AssemblyPlan {
     subdomains: Option<(Vec<Vec<u32>>, Vec<Vec<usize>>)>,
     /// Grain for the atomics parallel loop.
     grain: usize,
-    /// Kind-batched SoA schedule (opt-in `LayoutPlan`): one batch set
-    /// per parallel unit of the strategy.
+    /// Kind-batched SoA schedule, one batch set per parallel unit of the
+    /// strategy. With it the four `assemble_*` entry points sum each
+    /// unit's elements grouped by kind (the fast layout's order); without
+    /// it in the unit's list order (the reference layout's).
     batches: Option<crate::batch::BatchSchedule>,
-    /// Evaluate batched element kernels [`crate::lanes::LANES`] elements
-    /// at a time over lane-SoA scratch (bit-identical per element; see
-    /// [`crate::lanes`]). Only consulted by the batched paths.
-    pub lane_kernels: bool,
-    /// Run SGS sweeps through the kind-batched cached-gather schedule
-    /// instead of the per-element strategy loop (bit-identical — SGS
-    /// elements are mutually independent).
-    pub batched_sgs: bool,
 }
 
 /// Counters describing one assembly execution, consumed by the
@@ -118,8 +112,6 @@ impl AssemblyPlan {
             subdomains: None,
             grain: 32,
             batches: None,
-            lane_kernels: false,
-            batched_sgs: false,
             elems,
         };
         match strategy {
@@ -166,9 +158,9 @@ impl AssemblyPlan {
 
     /// [`AssemblyPlan::new`] plus a kind-batched SoA schedule built
     /// against `pattern`'s sparsity (gather lists, precomputed scatter
-    /// indices, cached element lengths) — the opt-in `LayoutPlan`
-    /// batched-assembly path. The momentum and Poisson matrices of a
-    /// mesh share one pattern, so one schedule serves both systems.
+    /// indices, cached element lengths) — the element-sum order of the
+    /// fast layout ([`crate::layout`]). The momentum and Poisson matrices
+    /// of a mesh share one pattern, so one schedule serves both systems.
     pub fn with_batches(
         mesh: &Mesh,
         elems: Vec<u32>,
@@ -259,8 +251,11 @@ impl From<LocalPoisson> for LocalBlock {
 }
 
 /// Generic strategy-dispatched assembly of a scalar CSR matrix plus up
-/// to 3 RHS component vectors. `compute` produces the local block of one
-/// element (given a per-executor scratch).
+/// to 3 RHS component vectors, in the list order of each strategy unit:
+/// the summation order `tests/golden/sync_small.golden` pins, which is
+/// why these loops stay beside the kind-batched ones of
+/// [`crate::batch`]. `compute` produces the local block of one element
+/// (given a per-executor scratch).
 fn assemble_generic<K>(
     pool: &ThreadPool,
     mesh: &Mesh,
@@ -274,8 +269,6 @@ where
     K: Fn(&mut ElementScratch, usize) -> Option<LocalBlock> + Sync,
 {
     assert!(rhs_dim <= 3 && rhs.len() == rhs_dim);
-    cfpd_telemetry::count!("solver.assemblies");
-    cfpd_telemetry::count!("solver.assembly_elements", plan.elems.len() as u64);
     let mut stats = AssemblyStats {
         elements: plan.elems.len(),
         weighted_ops: plan
@@ -407,8 +400,15 @@ where
     stats
 }
 
+fn count_assembly(plan: &AssemblyPlan) {
+    cfpd_telemetry::count!("solver.assemblies");
+    cfpd_telemetry::count!("solver.assembly_elements", plan.elems.len() as u64);
+}
+
 /// Assemble the momentum system (matrix + 3-component RHS) over
-/// `plan.elems` using the plan's strategy.
+/// `plan.elems` using the plan's strategy. A plan built with batches
+/// runs the kind-batched (lane) schedule under that strategy; otherwise
+/// every strategy unit is one element loop in list order.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_momentum(
     pool: &ThreadPool,
@@ -423,6 +423,12 @@ pub fn assemble_momentum(
     matrix: &mut CsrMatrix,
     rhs: &mut [Vec<f64>],
 ) -> AssemblyStats {
+    count_assembly(plan);
+    if plan.batch_schedule().is_some() {
+        return crate::batch::momentum_batched(
+            pool, refs, mesh, plan, velocity, pressure, props, dt, body_force, matrix, rhs,
+        );
+    }
     assemble_generic(
         pool,
         mesh,
@@ -440,7 +446,8 @@ pub fn assemble_momentum(
 }
 
 /// Assemble the pressure-Poisson matrix (the Laplacian; its right-hand
-/// side is [`assemble_divergence`]'s).
+/// side is [`assemble_divergence`]'s), scheduled like
+/// [`assemble_momentum`].
 pub fn assemble_poisson(
     pool: &ThreadPool,
     refs: &[RefElement; 3],
@@ -448,6 +455,10 @@ pub fn assemble_poisson(
     plan: &AssemblyPlan,
     matrix: &mut CsrMatrix,
 ) -> AssemblyStats {
+    count_assembly(plan);
+    if plan.batch_schedule().is_some() {
+        return crate::batch::poisson_batched(pool, refs, mesh, plan, matrix);
+    }
     assemble_generic(
         pool,
         mesh,
@@ -465,7 +476,8 @@ pub fn assemble_poisson(
 /// Add the weak divergence right-hand side of the pressure-Poisson
 /// system, `(ρ/dt) ∫ ∇N_i · u`, of `plan.elems` into `rhs`. A plan built
 /// with batches runs the kind-batched (lane) schedule under the plan's
-/// strategy; otherwise this is one serial element loop.
+/// strategy; otherwise this is one serial element loop in list order
+/// (again the reference layout's summation order).
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_divergence(
     pool: &ThreadPool,

@@ -1,7 +1,8 @@
-//! Kind-batched SoA assembly: the opt-in locality path for the matrix
-//! assembly phase.
+//! Kind-batched SoA assembly: the element loops of the fast layout
+//! ([`crate::layout`]), run by the `assemble_*` entry points of
+//! [`crate::assembly`] whenever the plan carries a [`BatchSchedule`].
 //!
-//! The default assembly loop dispatches on `ElementKind` per element
+//! The unbatched assembly loop dispatches on `ElementKind` per element
 //! and binary-searches the CSR pattern for every scatter-add. Batching
 //! groups each parallel unit's elements by kind into contiguous batches
 //! with three precomputed SoA side arrays:
@@ -12,13 +13,16 @@
 //! * `h`       — cached characteristic element lengths (no per-element
 //!   volume computation in the hot loop).
 //!
-//! Inside a batch the quadrature kernels are monomorphized over the
-//! node count ([`crate::kernels::momentum_kernel_n`]), so the inner
-//! loops have compile-time trip counts and no per-element branch. The
+//! Inside a batch every full block of [`LANES`] elements goes through
+//! the lane kernels ([`crate::lanes`]) and the tail through kernels
+//! monomorphized over the node count
+//! ([`crate::kernels::momentum_kernel_n`]), so the inner loops have
+//! compile-time trip counts and no per-element branch. The
 //! floating-point sequence per element is identical to the dynamic
 //! kernels — local matrices are bit-identical; only the order elements
-//! are visited (grouped by kind) differs, which the strategy-equivalence
-//! tolerance already covers.
+//! are visited (grouped by kind) differs, which regroups the sums of
+//! shared rows: the one thing the fast layout's own golden pins and the
+//! strategy-equivalence tolerance covers.
 
 use crate::assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy};
 use crate::csr::{AtomicView, CsrMatrix, DisjointView};
@@ -178,8 +182,6 @@ impl ScatterSink for DisjointSink<'_> {
 trait BatchCtx: Sync {
     /// Right-hand-side vectors the sweep scatters into.
     const RHS_DIM: usize;
-    /// Whether full blocks of [`LANES`] elements go through `run_lanes`.
-    fn lanes(&self) -> bool;
     /// Element `b` of `batch` with the monomorphized scalar kernel.
     fn run_one<const NN: usize, S: ScatterSink>(
         &self,
@@ -206,12 +208,10 @@ fn run_n<C: BatchCtx, const NN: usize, S: ScatterSink>(
     sink: &S,
 ) {
     let mut b = range.start;
-    if ctx.lanes() {
-        let mut ls = LaneScratch::default();
-        while b + LANES <= range.end {
-            ctx.run_lanes::<NN, S>(batch, b, &mut ls, sink);
-            b += LANES;
-        }
+    let mut ls = LaneScratch::default();
+    while b + LANES <= range.end {
+        ctx.run_lanes::<NN, S>(batch, b, &mut ls, sink);
+        b += LANES;
     }
     for bb in b..range.end {
         ctx.run_one::<NN, S>(batch, bb, scratch, sink);
@@ -241,15 +241,10 @@ struct MomentumCtx<'a> {
     props: FluidProps,
     dt: f64,
     body_force: Vec3,
-    lanes: bool,
 }
 
 impl BatchCtx for MomentumCtx<'_> {
     const RHS_DIM: usize = 3;
-
-    fn lanes(&self) -> bool {
-        self.lanes
-    }
 
     fn run_one<const NN: usize, S: ScatterSink>(
         &self,
@@ -315,15 +310,10 @@ impl BatchCtx for MomentumCtx<'_> {
 struct PoissonCtx<'a> {
     refs: &'a [RefElement; 3],
     coords: &'a [Vec3],
-    lanes: bool,
 }
 
 impl BatchCtx for PoissonCtx<'_> {
     const RHS_DIM: usize = 0;
-
-    fn lanes(&self) -> bool {
-        self.lanes
-    }
 
     fn run_one<const NN: usize, S: ScatterSink>(
         &self,
@@ -371,15 +361,10 @@ struct DivergenceCtx<'a> {
     velocity: &'a [Vec3],
     props: FluidProps,
     dt: f64,
-    lanes: bool,
 }
 
 impl BatchCtx for DivergenceCtx<'_> {
     const RHS_DIM: usize = 1;
-
-    fn lanes(&self) -> bool {
-        self.lanes
-    }
 
     fn run_one<const NN: usize, S: ScatterSink>(
         &self,
@@ -424,15 +409,10 @@ struct PressureGradientCtx<'a> {
     refs: &'a [RefElement; 3],
     coords: &'a [Vec3],
     pressure: &'a [f64],
-    lanes: bool,
 }
 
 impl BatchCtx for PressureGradientCtx<'_> {
     const RHS_DIM: usize = 1;
-
-    fn lanes(&self) -> bool {
-        self.lanes
-    }
 
     fn run_one<const NN: usize, S: ScatterSink>(
         &self,
@@ -502,9 +482,7 @@ fn assemble_batched<C: BatchCtx, R: AsMut<[f64]>>(
     rhs: &mut [R],
 ) -> AssemblyStats {
     assert_eq!(rhs.len(), C::RHS_DIM);
-    let sched = plan
-        .batch_schedule()
-        .expect("plan built without batches; use AssemblyPlan::with_batches");
+    let sched = plan.batch_schedule().expect("the assemble_* entry points checked");
     let mut stats = AssemblyStats {
         elements: plan.elems.len(),
         weighted_ops: plan
@@ -585,10 +563,9 @@ fn assemble_batched<C: BatchCtx, R: AsMut<[f64]>>(
     stats
 }
 
-/// Batched counterpart of [`crate::assembly::assemble_momentum`]; the
-/// plan must have been built with [`AssemblyPlan::with_batches`].
+/// The batched schedule of [`crate::assembly::assemble_momentum`].
 #[allow(clippy::too_many_arguments)]
-pub fn assemble_momentum_batched(
+pub(crate) fn momentum_batched(
     pool: &ThreadPool,
     refs: &[RefElement; 3],
     mesh: &Mesh,
@@ -601,36 +578,21 @@ pub fn assemble_momentum_batched(
     matrix: &mut CsrMatrix,
     rhs: &mut [Vec<f64>],
 ) -> AssemblyStats {
-    let ctx = MomentumCtx {
-        refs,
-        coords: &mesh.coords,
-        velocity,
-        pressure,
-        props,
-        dt,
-        body_force,
-        lanes: plan.lane_kernels,
-    };
-    count_assembly(plan);
+    let ctx =
+        MomentumCtx { refs, coords: &mesh.coords, velocity, pressure, props, dt, body_force };
     assemble_batched(pool, mesh, plan, &ctx, &mut matrix.values, rhs)
 }
 
-/// Batched counterpart of [`crate::assembly::assemble_poisson`].
-pub fn assemble_poisson_batched(
+/// The batched schedule of [`crate::assembly::assemble_poisson`].
+pub(crate) fn poisson_batched(
     pool: &ThreadPool,
     refs: &[RefElement; 3],
     mesh: &Mesh,
     plan: &AssemblyPlan,
     matrix: &mut CsrMatrix,
 ) -> AssemblyStats {
-    let ctx = PoissonCtx { refs, coords: &mesh.coords, lanes: plan.lane_kernels };
-    count_assembly(plan);
+    let ctx = PoissonCtx { refs, coords: &mesh.coords };
     assemble_batched::<_, Vec<f64>>(pool, mesh, plan, &ctx, &mut matrix.values, &mut [])
-}
-
-fn count_assembly(plan: &AssemblyPlan) {
-    cfpd_telemetry::count!("solver.assemblies");
-    cfpd_telemetry::count!("solver.assembly_elements", plan.elems.len() as u64);
 }
 
 /// The batched schedule of [`crate::assembly::assemble_divergence`].
@@ -645,14 +607,7 @@ pub(crate) fn divergence_batched(
     dt: f64,
     rhs: &mut [f64],
 ) {
-    let ctx = DivergenceCtx {
-        refs,
-        coords: &mesh.coords,
-        velocity,
-        props,
-        dt,
-        lanes: plan.lane_kernels,
-    };
+    let ctx = DivergenceCtx { refs, coords: &mesh.coords, velocity, props, dt };
     assemble_batched(pool, mesh, plan, &ctx, &mut [], &mut [rhs]);
 }
 
@@ -666,8 +621,7 @@ pub(crate) fn pressure_gradient_batched(
     pressure: &[f64],
     grad: &mut [f64],
 ) {
-    let ctx =
-        PressureGradientCtx { refs, coords: &mesh.coords, pressure, lanes: plan.lane_kernels };
+    let ctx = PressureGradientCtx { refs, coords: &mesh.coords, pressure };
     assemble_batched(pool, mesh, plan, &ctx, &mut [], &mut [grad]);
 }
 
@@ -718,8 +672,7 @@ mod tests {
             };
             let mut a = template.clone();
             let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
-            let f = if batched { assemble_momentum_batched } else { assemble_momentum };
-            f(
+            assemble_momentum(
                 &pool,
                 &refs,
                 mesh,
@@ -751,9 +704,29 @@ mod tests {
         }
     }
 
-    /// Serial batched assembly with lane kernels must be *bit-identical*
-    /// to serial batched assembly with scalar kernels: same per-element
-    /// bits (lane-kernel property tests) scattered in the same order.
+    /// The plan's batches swept in order with the scalar kernel alone:
+    /// what [`run_n`] would do if no block ever went through the lanes.
+    fn scalar_sweep<C: BatchCtx>(ctx: &C, plan: &AssemblyPlan, values: &mut [f64], rhs: &mut [Vec<f64>]) {
+        let sink = DisjointSink {
+            matrix: DisjointView::from_slice(values),
+            rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r)).collect(),
+        };
+        let mut scratch = ElementScratch::default();
+        for batch in plan.batch_schedule().unwrap().units.iter().flat_map(|set| &set.batches) {
+            for b in 0..batch.len() {
+                match batch.kind {
+                    ElementKind::Tet4 => ctx.run_one::<4, _>(batch, b, &mut scratch, &sink),
+                    ElementKind::Pyr5 => ctx.run_one::<5, _>(batch, b, &mut scratch, &sink),
+                    ElementKind::Pri6 => ctx.run_one::<6, _>(batch, b, &mut scratch, &sink),
+                }
+            }
+        }
+    }
+
+    /// Serial batched assembly — lane blocks and scalar tails — must be
+    /// *bit-identical* to the same batches through the scalar kernel
+    /// alone: same per-element bits (lane-kernel property tests)
+    /// scattered in the same order.
     #[test]
     fn lane_batched_assembly_bit_identical_to_scalar_batched() {
         let am = generate_airway(&AirwaySpec::small()).unwrap();
@@ -766,60 +739,42 @@ mod tests {
             mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
         let pressure: Vec<f64> = mesh.coords.iter().map(|p| p.x * 3.0 - p.y).collect();
         let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+        let plan = AssemblyPlan::with_batches(mesh, elems, AssemblyStrategy::Serial, 16, &template);
+        let (n, nnz, props) = (mesh.num_nodes(), template.nnz(), FluidProps::default());
+        let coords = &mesh.coords[..];
 
-        let run = |lanes: bool| {
-            let mut plan = AssemblyPlan::with_batches(
-                mesh,
-                elems.clone(),
-                AssemblyStrategy::Serial,
-                16,
-                &template,
-            );
-            plan.lane_kernels = lanes;
-            let mut a_u = template.clone();
-            let mut rhs_u = vec![vec![0.0; mesh.num_nodes()]; 3];
-            assemble_momentum_batched(
-                &pool,
-                &refs,
-                mesh,
-                &plan,
-                &velocity,
-                &pressure,
-                FluidProps::default(),
-                1e-4,
-                Vec3::new(0.0, 0.0, -9.81),
-                &mut a_u,
-                &mut rhs_u,
-            );
-            let mut a_p = template.clone();
-            assemble_poisson_batched(&pool, &refs, mesh, &plan, &mut a_p);
-            let mut rhs_p = vec![0.0; mesh.num_nodes()];
-            let props = FluidProps::default();
-            divergence_batched(&pool, &refs, mesh, &plan, &velocity, props, 1e-4, &mut rhs_p);
-            let mut grad = vec![0.0; 3 * mesh.num_nodes()];
-            pressure_gradient_batched(&pool, &refs, mesh, &plan, &pressure, &mut grad);
-            (a_u, rhs_u, a_p, rhs_p, grad)
-        };
-
-        let (au_s, ru_s, ap_s, rp_s, g_s) = run(false);
-        let (au_l, ru_l, ap_l, rp_l, g_l) = run(true);
-        for (k, (x, y)) in au_l.values.iter().zip(&au_s.values).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "momentum entry {k}: {x} vs {y}");
-        }
-        for c in 0..3 {
-            for (i, (x, y)) in ru_l[c].iter().zip(&ru_s[c]).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "momentum rhs[{c}][{i}]");
+        /// Both sweeps of one context; `rhs_len` entries per vector.
+        fn check<C: BatchCtx>(
+            what: &str,
+            ctx: &C,
+            (pool, mesh, plan): (&ThreadPool, &Mesh, &AssemblyPlan),
+            nnz: usize,
+            rhs_len: usize,
+        ) {
+            let fresh = || (vec![0.0; nnz], vec![vec![0.0; rhs_len]; C::RHS_DIM]);
+            let (mut a_lanes, mut rhs_lanes) = fresh();
+            assemble_batched(pool, mesh, plan, ctx, &mut a_lanes, &mut rhs_lanes);
+            let (mut a_scalar, mut rhs_scalar) = fresh();
+            scalar_sweep(ctx, plan, &mut a_scalar, &mut rhs_scalar);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a_lanes), bits(&a_scalar), "{what}: matrix");
+            for (c, (l, s)) in rhs_lanes.iter().zip(&rhs_scalar).enumerate() {
+                assert_eq!(bits(l), bits(s), "{what}: rhs {c}");
             }
+            assert!(a_lanes.iter().chain(rhs_lanes.iter().flatten()).any(|v| *v != 0.0), "{what}");
         }
-        for (k, (x, y)) in ap_l.values.iter().zip(&ap_s.values).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "poisson entry {k}");
-        }
-        for (i, (x, y)) in rp_l.iter().zip(&rp_s).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "poisson rhs[{i}]");
-        }
-        for (i, (x, y)) in g_l.iter().zip(&g_s).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "pressure gradient[{i}]");
-        }
+
+        let on = (&pool, mesh, &plan);
+        let body_force = Vec3::new(0.0, 0.0, -9.81);
+        let velocity = &velocity[..];
+        let pressure = &pressure[..];
+        let momentum =
+            MomentumCtx { refs: &refs, coords, velocity, pressure, props, dt: 1e-4, body_force };
+        check("momentum", &momentum, on, nnz, n);
+        check("poisson", &PoissonCtx { refs: &refs, coords }, on, nnz, n);
+        let divergence = DivergenceCtx { refs: &refs, coords, velocity, props, dt: 1e-4 };
+        check("divergence", &divergence, on, 0, n);
+        check("pressure gradient", &PressureGradientCtx { refs: &refs, coords, pressure }, on, 0, 3 * n);
     }
 
     /// The batched right-hand-side passes add the same per-element
@@ -851,9 +806,7 @@ mod tests {
         let rhs_scale = rhs_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         let grad_scale = grad_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         for strategy in AssemblyStrategy::ALL {
-            let mut plan =
-                AssemblyPlan::with_batches(mesh, elems.clone(), strategy, 16, &template);
-            plan.lane_kernels = true;
+            let plan = AssemblyPlan::with_batches(mesh, elems.clone(), strategy, 16, &template);
             let (rhs, grad) = run(&plan);
             for (i, (x, y)) in rhs.iter().zip(&rhs_ref).enumerate() {
                 assert!(close(*x, *y, rhs_scale), "{strategy:?} rhs[{i}]: {x} vs {y}");

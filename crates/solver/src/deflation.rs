@@ -44,7 +44,8 @@
 
 use crate::csr::CsrMatrix;
 use crate::krylov::SolveStats;
-use crate::parallel::{spmv_sweep, ChunkedDot, SharedOut, SweepOperator};
+use crate::parallel::{spmv_sweep, ChunkedDot, SharedOut};
+use crate::sell::SellMatrix;
 use cfpd_runtime::{balanced_ranges, parallel_for_ranges, ThreadPool};
 use std::ops::Range;
 use std::sync::Arc;
@@ -288,12 +289,11 @@ impl Deflation {
 
     /// Solve `A x = b` to `‖r‖/‖b‖ < tol`, `A` being the matrix last
     /// passed to [`Deflation::refresh`]. `x` holds the initial guess on
-    /// entry and the solution on return; `op` applies `A` — the matrix
-    /// itself, or a [`crate::sell::SellMatrix`] mirror holding its
-    /// values.
-    pub fn solve<A: SweepOperator>(
+    /// entry and the solution on return; `op` is the [`SellMatrix`]
+    /// mirror holding `A`'s values, which the sweeps read.
+    pub fn solve(
         &self,
-        op: &A,
+        op: &SellMatrix,
         b: &[f64],
         x: &mut [f64],
         tol: f64,
@@ -306,9 +306,9 @@ impl Deflation {
     /// [`Deflation::solve`] calling `observe(iteration, r)` with the
     /// residual vector at the top of every iteration.
     #[allow(clippy::too_many_arguments)]
-    fn solve_observed<A: SweepOperator>(
+    fn solve_observed(
         &self,
-        op: &A,
+        op: &SellMatrix,
         b: &[f64],
         x: &mut [f64],
         tol: f64,
@@ -318,11 +318,11 @@ impl Deflation {
     ) -> SolveStats {
         let n = self.s.n;
         assert_eq!(self.diag.len(), n, "Deflation::refresh must load the matrix before a solve");
-        assert_eq!(op.size(), n);
+        assert_eq!(op.n, n);
         assert_eq!(b.len(), n);
         assert_eq!(x.len(), n);
 
-        let sweep = op.sweep_ranges(CG_CHUNKS);
+        let sweep = op.chunk_ranges(CG_CHUNKS);
         let mut dots = ChunkedDot::new(self.s.row_chunks.clone());
         // Coarse right-hand side / solution, plus the always-zero slot
         // of the nodes in no group.
@@ -578,7 +578,6 @@ mod tests {
     use crate::assembly::{assemble_divergence, assemble_poisson, AssemblyPlan, AssemblyStrategy};
     use crate::kernels::FluidProps;
     use crate::krylov::cg;
-    use crate::sell::SellMatrix;
     use crate::shape::RefElement;
     use cfpd_mesh::{generate_airway, AirwaySpec, BoundaryKind, Mesh, Vec3};
     use cfpd_testkit::prop::{self, PropConfig};
@@ -690,8 +689,9 @@ mod tests {
                 let probe = d.clone();
                 let bound = 1e-12 * max_abs(&b).max(1.0) * n as f64;
                 let mut checked = 0;
+                let sell = SellMatrix::from_csr(&a);
                 let stats =
-                    d.solve_observed(&a, &b, &mut x, 1e-10, 10 * n, &pool, &mut |it, r| {
+                    d.solve_observed(&sell, &b, &mut x, 1e-10, 10 * n, &pool, &mut |it, r| {
                         let mut sums = vec![0.0; probe.s.k + 1];
                         for (i, ri) in r.iter().enumerate() {
                             sums[probe.s.group[i] as usize] += ri;
@@ -724,7 +724,8 @@ mod tests {
                 let mut x = vec![0.0; n];
                 let mut d = Deflation::new(&a, &seeds, &[]);
                 d.refresh(&a);
-                let stats = d.solve(&a, &b, &mut x, 1e-12, 20 * n, &pool);
+                let stats =
+                    d.solve(&SellMatrix::from_csr(&a), &b, &mut x, 1e-12, 20 * n, &pool);
                 assert!(stats.converged, "{stats:?}");
                 let scale = max_abs(&x_ref).max(1e-300);
                 for i in 0..n {
@@ -748,7 +749,7 @@ mod tests {
         let mut x = vec![0.0; a.n];
         let mut d = Deflation::new(&a, &inlet, &outlet);
         d.refresh(&a);
-        let s = d.solve(&a, &b, &mut x, 1e-12, 5000, &pool);
+        let s = d.solve(&SellMatrix::from_csr(&a), &b, &mut x, 1e-12, 5000, &pool);
         assert!(s_ref.converged && s.converged, "{s_ref:?} {s:?}");
         assert!(d.active);
         assert!(
@@ -815,6 +816,9 @@ mod tests {
         );
     }
 
+    // One storage since the CSR sweep path went: the SELL mirror, whose
+    // rows carry the bits of the CSR matrix's serial SpMV
+    // (`prop_sell_spmv_bit_identical_per_row`).
     #[test]
     fn bit_identical_across_pool_sizes_and_storages() {
         let (a, b, inlet, outlet) = airway_system();
@@ -824,9 +828,6 @@ mod tests {
             let pool = ThreadPool::new(workers);
             let mut d = Deflation::new(&a, &inlet, &outlet);
             d.refresh(&a);
-            let mut x = vec![0.0; a.n];
-            let s = d.solve(&a, &b, &mut x, 1e-8, 2000, &pool);
-            runs.push((x, s));
             let mut x = vec![0.0; a.n];
             let s = d.solve(&sell, &b, &mut x, 1e-8, 2000, &pool);
             runs.push((x, s));
@@ -855,7 +856,7 @@ mod tests {
         assert!(d.num_groups() > 1);
         d.refresh(&a);
         let mut x = vec![0.0; n];
-        let s = d.solve(&a, &b, &mut x, 1e-8, 50 * n, &pool);
+        let s = d.solve(&SellMatrix::from_csr(&a), &b, &mut x, 1e-8, 50 * n, &pool);
         assert!(!d.active, "a singular E must drop the deflation");
         assert!(s.converged, "{s:?}");
 
@@ -865,7 +866,7 @@ mod tests {
         assert_eq!(d.num_groups(), 0);
         d.refresh(&a);
         let mut x = vec![0.0; n];
-        let s = d.solve(&a, &b, &mut x, 1e-10, 50 * n, &pool);
+        let s = d.solve(&SellMatrix::from_csr(&a), &b, &mut x, 1e-10, 50 * n, &pool);
         assert!(!d.active);
         assert!(s.converged, "{s:?}");
         let mut x_ref = vec![0.0; n];

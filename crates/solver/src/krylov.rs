@@ -6,15 +6,10 @@
 
 use crate::csr::CsrMatrix;
 use crate::deflation::CG_CHUNKS;
-use crate::parallel::{spmm3_sweep, SweepOperator};
+use crate::parallel::spmm3_sweep;
+use crate::sell::SellMatrix;
 use crate::simd::{F64x8, Mask8};
 use cfpd_runtime::ThreadPool;
-
-#[cfg(test)]
-#[path = "krylov_oracle.rs"]
-mod oracle;
-#[cfg(test)]
-pub(crate) use oracle::bicgstab;
 
 /// Result of an iterative solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -383,9 +378,9 @@ impl Columns {
 /// that reads the matrix once ([`spmm3_sweep`], over the pool), every
 /// vector update one pass over interleaved blocks.
 ///
-/// `b[c]` is the right-hand side of column `c`, `diag` the matrix
-/// diagonal, `x` the interleaved unknowns (`x[3 i + c]`): the initial
-/// guesses on entry, the solutions on return.
+/// `a` is the SELL mirror of the matrix, `b[c]` the right-hand side of
+/// column `c`, `diag` the matrix diagonal, `x` the interleaved unknowns
+/// (`x[3 i + c]`): the initial guesses on entry, the solutions on return.
 ///
 /// **Each column is its own scalar solve, to the bit.** The columns
 /// share sweeps and passes and nothing else: each has its own `ρ`, `α`,
@@ -395,11 +390,12 @@ impl Columns {
 /// `α p̂` only), `ω = 0`, the `max_iters` cap. A column that has left is
 /// masked out of the `x` update while the others iterate on, and the
 /// loop ends when the last one leaves. `x`, iteration count, residual
-/// and flag of column `c` are those of the scalar solver on `b[c]`
-/// alone, on either storage and for any pool size.
+/// and flag of column `c` are those of the scalar solver
+/// ([`crate::oracle::bicgstab`]) on the CSR matrix and `b[c]` alone, for
+/// any pool size.
 #[allow(clippy::too_many_arguments)]
-pub fn bicgstab3<A: SweepOperator + ?Sized>(
-    a: &A,
+pub fn bicgstab3(
+    a: &SellMatrix,
     diag: &[f64],
     b: [&[f64]; 3],
     x: &mut [f64],
@@ -408,13 +404,13 @@ pub fn bicgstab3<A: SweepOperator + ?Sized>(
     pool: &ThreadPool,
     ws: &mut Bicgstab3Workspace,
 ) -> [SolveStats; 3] {
-    let n = a.size();
+    let n = a.n;
     assert_eq!(diag.len(), n);
     assert!(b.iter().all(|col| col.len() == n));
     assert_eq!(x.len(), 3 * n);
     assert_eq!(ws.r.len(), 3 * n, "workspace of another size");
 
-    let sweep = a.sweep_ranges(CG_CHUNKS);
+    let sweep = a.chunk_ranges(CG_CHUNKS);
     spmm3_sweep(a, pool, &sweep, x, &mut ws.r);
     let (bb, mut rr) = ws.start(b);
     // r₀ = r, so r₀·r is r·r term by term.
@@ -509,6 +505,7 @@ pub fn bicgstab3<A: SweepOperator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::bicgstab;
 
     /// 1D Poisson matrix (tridiagonal 2,-1) of size n.
     fn poisson_1d(n: usize) -> CsrMatrix {
@@ -613,7 +610,6 @@ mod tests {
         assert!(stats.converged);
     }
 
-    use crate::sell::SellMatrix;
     use cfpd_testkit::prop::{self, PropConfig};
     use cfpd_testkit::rng::Rng;
     use std::cell::Cell;
@@ -727,9 +723,9 @@ mod tests {
 
     // Every column of the block solve against the scalar solve of that
     // column alone — `x`, iteration count, residual, flag, on the bits —
-    // for random matrices, both storages and three pool sizes, on a
-    // workspace an earlier solve left full of NaN, with the three columns
-    // of a case drawn from every way out of the iteration.
+    // for random matrices and three pool sizes, on a workspace an earlier
+    // solve left full of NaN, with the three columns of a case drawn from
+    // every way out of the iteration.
     #[test]
     fn prop_bicgstab3_matches_three_scalar_solves() {
         let pools = [ThreadPool::new(1), ThreadPool::new(2), ThreadPool::new(4)];
@@ -759,31 +755,27 @@ mod tests {
 
                 let b = [&cols[0].0[..], &cols[1].0[..], &cols[2].0[..]];
                 let mut ws = Bicgstab3Workspace::new(n);
-                for (storage, op) in [("csr", &a as &dyn SweepOperator), ("sell", &sell)] {
-                    for pool in &pools {
-                        ws.poison();
-                        let mut x: Vec<f64> =
-                            (0..3 * n).map(|k| cols[k % 3].1[k / 3]).collect();
-                        let got = bicgstab3(op, &diag, b, &mut x, tol, max_iters, pool, &mut ws);
-                        let what =
-                            format!("{storage}, {} workers, {exits:?}, cap {max_iters}", pool.max_workers());
-                        for c in 0..3 {
-                            assert_eq!(got[c].iterations, want[c].iterations, "{what}: column {c}");
-                            assert_eq!(got[c].converged, want[c].converged, "{what}: column {c}");
+                for pool in &pools {
+                    ws.poison();
+                    let mut x: Vec<f64> = (0..3 * n).map(|k| cols[k % 3].1[k / 3]).collect();
+                    let got = bicgstab3(&sell, &diag, b, &mut x, tol, max_iters, pool, &mut ws);
+                    let what = format!("{} workers, {exits:?}, cap {max_iters}", pool.max_workers());
+                    for c in 0..3 {
+                        assert_eq!(got[c].iterations, want[c].iterations, "{what}: column {c}");
+                        assert_eq!(got[c].converged, want[c].converged, "{what}: column {c}");
+                        assert_eq!(
+                            got[c].residual.to_bits(),
+                            want[c].residual.to_bits(),
+                            "{what}: column {c} residual {:e} vs {:e}",
+                            got[c].residual,
+                            want[c].residual
+                        );
+                        for i in 0..n {
                             assert_eq!(
-                                got[c].residual.to_bits(),
-                                want[c].residual.to_bits(),
-                                "{what}: column {c} residual {:e} vs {:e}",
-                                got[c].residual,
-                                want[c].residual
+                                x[3 * i + c].to_bits(),
+                                want_x[c][i].to_bits(),
+                                "{what}: x[{i}] of column {c}"
                             );
-                            for i in 0..n {
-                                assert_eq!(
-                                    x[3 * i + c].to_bits(),
-                                    want_x[c][i].to_bits(),
-                                    "{what}: x[{i}] of column {c}"
-                                );
-                            }
                         }
                     }
                 }

@@ -1,92 +1,82 @@
-//! The opt-in locality layout plan.
+//! The two layouts a run can use, and the only two.
 //!
-//! Independent switches form the locality-aware hot path: RCM node
-//! reordering (applied to the mesh before solvers are built),
-//! kind-batched SoA assembly, SELL-shaped SpMV, lane-SIMD element
-//! kernels, and kind-batched SGS sweeps. The pressure solve itself is
-//! not a switch: both layouts run the one deflated CG
-//! ([`crate::deflation`]). The default is **everything off**, and the default path's
-//! golden trace (`tests/golden/sync_small.golden`) must stay
-//! byte-identical whether or not this code is compiled in. The
-//! fully-enabled plan is pinned by its own golden
-//! (`tests/golden/sync_small_opt.golden`); every switch is individually
-//! bit-identical, so the opt golden needs no rebless when one flips.
+//! A layout fixes two *orders* — nothing else about a run depends on it:
+//!
+//! * **node order** — the mesh generator's native numbering, or reverse
+//!   Cuthill–McKee (applied to the mesh before anything derives data
+//!   from node ids);
+//! * **element-sum order** — each shared matrix row and right-hand-side
+//!   entry sums its element contributions in the strategy unit's list
+//!   order, or grouped by element kind within each unit
+//!   ([`crate::batch`]).
+//!
+//! Both regroup floating-point sums, so each layout has its own golden:
+//! `tests/golden/sync_small.golden` pins the reference layout
+//! ([`LayoutPlan::disabled`]: native order, list order) and
+//! `tests/golden/sync_small_opt.golden` the fast one
+//! ([`LayoutPlan::optimized`]: RCM, kind-grouped). Everything that is
+//! bit-identical either way — SELL sweeps in both Krylov solves, lane
+//! kernels in every batch block, the kind-batched lane SGS sweep — runs
+//! on both and is not a choice.
 
-/// Which locality optimizations a run enables. `Default` is all-off.
+/// Which of the two layouts a run uses. `Default` is the reference.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct LayoutPlan {
-    /// Renumber mesh nodes with reverse Cuthill–McKee before building
-    /// matrices (shrinks CSR bandwidth → better SpMV/assembly locality).
+    /// The whole state: RCM node order and kind-grouped element sums
+    /// when set, native order and list-order sums when not.
     pub rcm: bool,
-    /// Group each parallel unit's elements by `ElementKind` into SoA
-    /// batches with precomputed gather/scatter index lists.
-    pub batched_assembly: bool,
-    /// Route the SpMV of both Krylov solves through SELL-C-σ copies of
-    /// their matrices (8 independent accumulator chains per chunk hide
-    /// FP-add latency; bit-identical per row to the CSR SpMV).
-    pub sell_spmv: bool,
-    /// Evaluate element kernels 8 elements at a time over lane-SoA
-    /// scratch (per-lane op sequence identical to the scalar kernels, so
-    /// every local matrix entry carries identical bits).
-    pub lane_kernels: bool,
-    /// Run the SGS sweep over cached per-kind element batches instead of
-    /// re-gathering per element each sweep.
-    pub batched_sgs: bool,
 }
 
 /// The `Debug` rendering of a configuration is a durable format:
 /// `cfpd_core::config_digest` and `PrepareKey::digest` hash it, and every
 /// checkpoint on disk carries that digest and is refused under another.
-/// It therefore still shows, always off and where the derive put it, the
-/// `matrix_free` switch this struct had until the matrix-free momentum
-/// path was deleted — a snapshot written before that still resumes
+/// It therefore still shows, where the derive put them, the five
+/// switches this struct had while the layouts were a lattice (all equal
+/// to the one state on the two points of it that were ever written to
+/// disk) and the `matrix_free` switch of the deleted matrix-free path —
+/// a snapshot written before either change still resumes
 /// (`tests/fixtures/serve_parent_snapshot`).
 impl std::fmt::Debug for LayoutPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LayoutPlan")
             .field("rcm", &self.rcm)
-            .field("batched_assembly", &self.batched_assembly)
-            .field("sell_spmv", &self.sell_spmv)
-            .field("lane_kernels", &self.lane_kernels)
-            .field("batched_sgs", &self.batched_sgs)
+            .field("batched_assembly", &self.rcm)
+            .field("sell_spmv", &self.rcm)
+            .field("lane_kernels", &self.rcm)
+            .field("batched_sgs", &self.rcm)
             .field("matrix_free", &false)
             .finish()
     }
 }
 
 impl LayoutPlan {
-    /// The default path: no layout optimization anywhere.
+    /// The reference layout: native node order, list-order element sums.
     pub fn disabled() -> LayoutPlan {
-        LayoutPlan::default()
+        LayoutPlan { rcm: false }
     }
 
-    /// Every locality optimization on.
+    /// The fast layout: RCM node order, kind-grouped element sums.
     pub fn optimized() -> LayoutPlan {
-        LayoutPlan {
-            rcm: true,
-            batched_assembly: true,
-            sell_spmv: true,
-            lane_kernels: true,
-            batched_sgs: true,
+        LayoutPlan { rcm: true }
+    }
+
+    /// The layout a user names: `"default"` or `"opt"` (the values of
+    /// `cfpd golden --layout` and of the campaign DSL's `layout` key).
+    pub fn parse(name: &str) -> Result<LayoutPlan, String> {
+        match name {
+            "default" => Ok(LayoutPlan::disabled()),
+            "opt" => Ok(LayoutPlan::optimized()),
+            other => Err(format!("unknown layout {other:?} (expected: default, opt)")),
         }
     }
 
-    /// Resolve from the `CFPD_LAYOUT` environment variable: `opt`
-    /// enables the optimized plan, anything else (or unset) is the
-    /// default.
-    pub fn from_env() -> LayoutPlan {
-        match std::env::var("CFPD_LAYOUT").as_deref() {
-            Ok("opt") => LayoutPlan::optimized(),
-            _ => LayoutPlan::disabled(),
-        }
-    }
-
-    /// True when no optimization is enabled (the bit-identity path).
+    /// True for the reference layout.
     pub fn is_default(&self) -> bool {
         *self == LayoutPlan::disabled()
     }
 
-    /// Short label for trace headers and bench rows.
+    /// Short label for trace headers and bench rows; [`LayoutPlan::parse`]
+    /// reads it back.
     pub fn label(&self) -> &'static str {
         if self.is_default() {
             "default"
@@ -107,21 +97,40 @@ mod tests {
         assert_eq!(LayoutPlan::disabled().label(), "default");
     }
 
+    // The digests every checkpoint carries are taken over these two
+    // strings (`cfpd-core` pins the digests themselves by value).
     #[test]
     fn debug_rendering_keeps_the_slot_checkpoint_digests_were_taken_over() {
         assert_eq!(
-            format!("{:?}", LayoutPlan { sell_spmv: true, ..LayoutPlan::default() }),
-            "LayoutPlan { rcm: false, batched_assembly: false, sell_spmv: true, \
+            format!("{:?}", LayoutPlan::disabled()),
+            "LayoutPlan { rcm: false, batched_assembly: false, sell_spmv: false, \
              lane_kernels: false, batched_sgs: false, matrix_free: false }"
+        );
+        assert_eq!(
+            format!("{:?}", LayoutPlan::optimized()),
+            "LayoutPlan { rcm: true, batched_assembly: true, sell_spmv: true, \
+             lane_kernels: true, batched_sgs: true, matrix_free: false }"
         );
     }
 
+    // No `..` in the literal: a second field is a compile error here,
+    // which is where its author learns what it costs — four times the
+    // configurations to pin, and a new digest for every snapshot on disk.
     #[test]
     fn optimized_enables_everything() {
         let l = LayoutPlan::optimized();
-        assert!(l.rcm && l.batched_assembly);
-        assert!(l.sell_spmv && l.lane_kernels && l.batched_sgs);
+        assert_eq!(l, LayoutPlan { rcm: true });
         assert!(!l.is_default());
         assert_eq!(l.label(), "opt");
+    }
+
+    #[test]
+    fn parse_reads_the_two_labels_and_nothing_else() {
+        for l in [LayoutPlan::disabled(), LayoutPlan::optimized()] {
+            assert_eq!(LayoutPlan::parse(l.label()), Ok(l));
+        }
+        let err = LayoutPlan::parse("fast").unwrap_err();
+        assert!(err.contains("\"fast\"") && err.contains("default, opt"), "{err}");
+        assert!(LayoutPlan::parse("").is_err());
     }
 }

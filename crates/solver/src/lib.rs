@@ -10,14 +10,17 @@
 //!   block BiCGSTAB for the momentum system and a deflated CG for the
 //!   pressure (continuity) system of a fractional-step scheme;
 //! * **SGS** ([`sgs`]) — the per-element subgrid-scale sweep with no
-//!   global writes (the phase used to isolate scheduling overhead);
+//!   global writes (the phase the paper uses to isolate scheduling
+//!   overhead), run in kind-grouped lane blocks;
 //! * [`csr`] — sparse storage with atomic and disjoint concurrent
 //!   scatter views; [`shape`] / [`kernels`] — isoparametric elements and
 //!   the local integrals;
-//! * **Locality hot path** ([`layout`] / [`batch`] / fused kernels in
-//!   [`parallel`]) — the opt-in `LayoutPlan`: RCM-renumbered meshes,
-//!   kind-batched SoA assembly with precomputed gather/scatter lists,
-//!   and SELL-shaped SpMV.
+//! * **Layouts** ([`layout`]) — the two orders a run can fix: native
+//!   node order with list-order element sums, or RCM with kind-batched
+//!   SoA assembly ([`batch`]). SELL-shaped sweeps ([`sell`],
+//!   [`parallel`]) and lane kernels ([`lanes`]) run on both;
+//! * [`oracle`] — the scalar reference implementations the bit-identity
+//!   tests and the `hotpath` bench compare against; no run reaches them.
 
 pub mod assembly;
 pub mod batch;
@@ -27,6 +30,7 @@ pub mod kernels;
 pub mod krylov;
 pub mod lanes;
 pub mod layout;
+pub mod oracle;
 pub mod parallel;
 pub mod sell;
 pub mod sgs;
@@ -37,16 +41,14 @@ pub use assembly::{
     assemble_divergence, assemble_momentum, assemble_poisson, assemble_pressure_gradient,
     AssemblyPlan, AssemblyStats, AssemblyStrategy,
 };
-pub use batch::{
-    assemble_momentum_batched, assemble_poisson_batched, BatchSchedule, BatchSet, KindBatch,
-};
+pub use batch::{BatchSchedule, BatchSet, KindBatch};
 pub use csr::{AtomicView, CsrMatrix, CsrPattern, DisjointView};
 pub use kernels::{ElementScratch, FluidProps};
 pub use deflation::{Deflation, DeflationStructure};
 pub use krylov::{bicgstab3, cg, Bicgstab3Workspace, SolveStats};
 pub use lanes::{momentum_kernel_lanes, poisson_kernel_lanes, LaneScratch, LANES};
 pub use layout::LayoutPlan;
-pub use parallel::{axpy_dot_fused, spmm3_sweep, spmv_sweep, ChunkedDot, SweepOperator};
+pub use parallel::{axpy_dot_fused, spmm3_sweep, spmv_sweep, ChunkedDot};
 pub use sell::{SellMatrix, SellStructure, SELL_C, SELL_SIGMA};
 pub use sgs::{compute_sgs, SgsField, SgsLayout, SgsStats};
 pub use shape::{map_qp, MappedQp, QuadPoint, RefElement, MAX_NODES, MAX_QP};

@@ -7,10 +7,10 @@
 //!   carries about the same number of nonzeros, instead of the same
 //!   number of rows (airway matrices are skewed: boundary-layer nodes
 //!   have far denser rows than core nodes).
-//! * **one SpMV interface for both storages** — [`SweepOperator`] lets
-//!   the pressure solve ([`crate::deflation`]) sweep a [`CsrMatrix`] by
-//!   row ranges or a [`SellMatrix`] by chunk ranges through the same
-//!   loop; every `y[row]` carries the same bits either way.
+//! * **pool-distributed SELL sweeps** — [`spmv_sweep`] and
+//!   [`spmm3_sweep`] hand contiguous chunk ranges of a [`SellMatrix`] to
+//!   the pool; every `y[row]` carries the bits of the serial
+//!   [`CsrMatrix::spmv`] on the matrix the mirror was loaded from.
 //! * **chunk-ordered reductions** — [`ChunkedDot`] and
 //!   [`axpy_dot_fused`] write per-chunk partial sums to a chunk-indexed
 //!   slot array and sum the slots in chunk order, so a result depends
@@ -68,138 +68,47 @@ impl CsrMatrix {
     }
 }
 
-/// A square matrix whose SpMV can be swept in disjoint pieces: rows of
-/// a [`CsrMatrix`], chunks of a [`SellMatrix`]. Both write every
-/// `y[row]` with the bits of [`CsrMatrix::spmv`], so a solver generic
-/// over this trait takes the same trajectory on either storage.
-pub trait SweepOperator: Sync {
-    /// Number of rows/columns.
-    fn size(&self) -> usize;
-
-    /// At most `max_ranges` contiguous ranges of sweep units (rows or
-    /// chunks) of ≈ equal work, covering the whole matrix.
-    fn sweep_ranges(&self, max_ranges: usize) -> Vec<Range<usize>>;
-
-    /// Write `(A x)[row]` for every row of the sweep units `units`.
-    ///
-    /// # Safety
-    /// `y` must be valid for writes at every row of `units`, and no
-    /// other thread may access those rows concurrently. Disjoint unit
-    /// ranges own disjoint rows.
-    unsafe fn apply_units(&self, units: Range<usize>, x: &[f64], y: *mut f64);
-
-    /// Write `(A X)[row][c]` to `y[3 row + c]` for every row of `units`
-    /// and the three interleaved columns `X[j][c] = x[3 j + c]`: the
-    /// matrix entries are read once for all three. Per row and column
-    /// the bits of [`CsrMatrix::spmv`] on that column alone.
-    ///
-    /// # Safety
-    /// `y` must be valid for writes at `3 row .. 3 row + 3` for every
-    /// row of `units`, and no other thread may access those entries
-    /// concurrently. Disjoint unit ranges own disjoint rows.
-    unsafe fn spmm3_units(&self, units: Range<usize>, x: &[f64], y: *mut f64);
-}
-
-impl SweepOperator for CsrMatrix {
-    fn size(&self) -> usize {
-        self.n
-    }
-
-    fn sweep_ranges(&self, max_ranges: usize) -> Vec<Range<usize>> {
-        self.row_chunks(max_ranges)
-    }
-
-    unsafe fn apply_units(&self, rows: Range<usize>, x: &[f64], y: *mut f64) {
-        for row in rows {
-            let lo = self.row_ptr[row] as usize;
-            let hi = self.row_ptr[row + 1] as usize;
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            // SAFETY: `row < n` and the caller owns it.
-            unsafe { *y.add(row) = acc };
-        }
-    }
-
-    unsafe fn spmm3_units(&self, rows: Range<usize>, x: &[f64], y: *mut f64) {
-        for row in rows {
-            let lo = self.row_ptr[row] as usize;
-            let hi = self.row_ptr[row + 1] as usize;
-            let mut acc = [0.0f64; 3];
-            for k in lo..hi {
-                let v = self.values[k];
-                let xj = &x[3 * self.col_idx[k] as usize..][..3];
-                acc[0] += v * xj[0];
-                acc[1] += v * xj[1];
-                acc[2] += v * xj[2];
-            }
-            // SAFETY: `row < n` and the caller owns its three entries.
-            unsafe { y.add(3 * row).copy_from_nonoverlapping(acc.as_ptr(), 3) };
-        }
-    }
-}
-
-impl SweepOperator for SellMatrix {
-    fn size(&self) -> usize {
-        self.n
-    }
-
-    fn sweep_ranges(&self, max_ranges: usize) -> Vec<Range<usize>> {
-        self.chunk_ranges(max_ranges)
-    }
-
-    unsafe fn apply_units(&self, chunks: Range<usize>, x: &[f64], y: *mut f64) {
-        // SAFETY: each SELL chunk owns its rows; forwarded contract.
-        unsafe { self.spmv_chunk_range_ptr(chunks.start, chunks.end, x, y) };
-    }
-
-    unsafe fn spmm3_units(&self, chunks: Range<usize>, x: &[f64], y: *mut f64) {
-        // SAFETY: each SELL chunk owns its rows; forwarded contract.
-        unsafe { self.spmm3_chunk_range_ptr(chunks.start, chunks.end, x, y) };
-    }
-}
-
-/// y = A x with the sweep ranges `sweep` (from
-/// [`SweepOperator::sweep_ranges`] of `op`) distributed over the pool.
-pub fn spmv_sweep<A: SweepOperator>(
-    op: &A,
+/// y = A x with the chunk ranges `sweep` (from
+/// [`SellMatrix::chunk_ranges`] of `a`) distributed over the pool.
+pub fn spmv_sweep(
+    a: &SellMatrix,
     pool: &ThreadPool,
     sweep: &[Range<usize>],
     x: &[f64],
     y: &mut [f64],
 ) {
-    assert_eq!(x.len(), op.size());
-    assert_eq!(y.len(), op.size());
+    assert_eq!(x.len(), a.n);
+    assert_eq!(y.len(), a.n);
     cfpd_telemetry::count!("solver.spmv_calls");
     let out = SharedOut::new(y);
     let out_ref = &out;
-    parallel_for_ranges(pool, sweep, |_c, units| {
-        // SAFETY: the sweep ranges are disjoint, so each region body
-        // owns the rows of its units; `y` spans all `n` rows.
-        unsafe { op.apply_units(units, x, out_ref.as_mut_ptr()) };
+    parallel_for_ranges(pool, sweep, |_c, chunks| {
+        // SAFETY: the chunk ranges are disjoint and each SELL chunk owns
+        // its rows, so each region body owns the rows it writes; `y`
+        // spans all `n` rows.
+        unsafe { a.spmv_chunk_range_ptr(chunks.start, chunks.end, x, out_ref.as_mut_ptr()) };
     });
 }
 
 /// `Y = A X` for three interleaved columns (`x[3 j + c]`, `y[3 i + c]`)
-/// with the sweep ranges `sweep` of `op` distributed over the pool: one
+/// with the chunk ranges `sweep` of `a` distributed over the pool: one
 /// pass over the matrix where three [`spmv_sweep`] calls make three.
-pub fn spmm3_sweep<A: SweepOperator + ?Sized>(
-    op: &A,
+pub fn spmm3_sweep(
+    a: &SellMatrix,
     pool: &ThreadPool,
     sweep: &[Range<usize>],
     x: &[f64],
     y: &mut [f64],
 ) {
-    assert_eq!(x.len(), 3 * op.size());
-    assert_eq!(y.len(), 3 * op.size());
+    assert_eq!(x.len(), 3 * a.n);
+    assert_eq!(y.len(), 3 * a.n);
     cfpd_telemetry::count!("solver.spmm3_calls");
     let out = SharedOut::new(y);
     let out_ref = &out;
-    parallel_for_ranges(pool, sweep, |_c, units| {
-        // SAFETY: the sweep ranges are disjoint, so each region body
-        // owns the entries of its units' rows; `y` spans all `3 n`.
-        unsafe { op.spmm3_units(units, x, out_ref.as_mut_ptr()) };
+    parallel_for_ranges(pool, sweep, |_c, chunks| {
+        // SAFETY: as in `spmv_sweep`, for the three entries of each row;
+        // `y` spans all `3 n`.
+        unsafe { a.spmm3_chunk_range_ptr(chunks.start, chunks.end, x, out_ref.as_mut_ptr()) };
     });
 }
 
@@ -345,6 +254,8 @@ pub(crate) mod tests {
         CsrMatrix { n, row_ptr: row_ptr.into(), col_idx: col_idx.into(), values }
     }
 
+    // The pool-swept SELL mirror against the serial SpMV of the CSR
+    // matrix it was loaded from.
     #[test]
     fn swept_spmv_is_bit_identical_on_both_storages() {
         let a = poisson_1d(500);
@@ -353,12 +264,9 @@ pub(crate) mod tests {
         let mut y_serial = vec![0.0; 500];
         a.spmv(&x, &mut y_serial);
         let pool = ThreadPool::new(4);
-        let mut y_csr = vec![0.0; 500];
-        spmv_sweep(&a, &pool, &a.sweep_ranges(7), &x, &mut y_csr);
         let mut y_sell = vec![0.0; 500];
-        spmv_sweep(&sell, &pool, &sell.sweep_ranges(7), &x, &mut y_sell);
+        spmv_sweep(&sell, &pool, &sell.chunk_ranges(7), &x, &mut y_sell);
         for i in 0..500 {
-            assert_eq!(y_csr[i].to_bits(), y_serial[i].to_bits(), "csr row {i}");
             assert_eq!(y_sell[i].to_bits(), y_serial[i].to_bits(), "sell row {i}");
         }
     }

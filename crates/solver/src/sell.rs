@@ -469,14 +469,13 @@ mod tests {
         }
     }
 
-    // SpMV on the SELL shape, and the three-column sweep on both
-    // storages, against `CsrMatrix::spmv` per row (and column): random
-    // shapes with empty rows, chunks with empty tail slots (`n` is rarely
-    // a multiple of 8) and signed zeros, whose row sums a padded
-    // accumulation would flip.
+    // SpMV and the three-column sweep on the SELL shape against
+    // `CsrMatrix::spmv` per row (and column): random shapes with empty
+    // rows, chunks with empty tail slots (`n` is rarely a multiple of 8)
+    // and signed zeros, whose row sums a padded accumulation would flip.
     #[test]
     fn prop_sell_spmv_bit_identical_per_row() {
-        use crate::parallel::{spmm3_sweep, SweepOperator};
+        use crate::parallel::spmm3_sweep;
         let pool = cfpd_runtime::ThreadPool::new(2);
         prop::check(
             "sell spmv and spmm3 bit-identical per row",
@@ -514,20 +513,18 @@ mod tests {
                 }
 
                 let x3: Vec<f64> = (0..3 * a.n).map(|k| columns[k % 3][k / 3]).collect();
-                for (storage, op) in [("csr", &a as &dyn SweepOperator), ("sell", &s)] {
-                    // Stale output must be overwritten, not added to.
-                    let mut y3 = vec![f64::NAN; 3 * a.n];
-                    spmm3_sweep(op, &pool, &op.sweep_ranges(5), &x3, &mut y3);
-                    for (k, y) in y3.iter().enumerate() {
-                        assert_eq!(
-                            y.to_bits(),
-                            want[k % 3][k / 3].to_bits(),
-                            "{storage} spmm3 row {} column {}: {y:?} != {:?}",
-                            k / 3,
-                            k % 3,
-                            want[k % 3][k / 3]
-                        );
-                    }
+                // Stale output must be overwritten, not added to.
+                let mut y3 = vec![f64::NAN; 3 * a.n];
+                spmm3_sweep(&s, &pool, &s.chunk_ranges(5), &x3, &mut y3);
+                for (k, y) in y3.iter().enumerate() {
+                    assert_eq!(
+                        y.to_bits(),
+                        want[k % 3][k / 3].to_bits(),
+                        "spmm3 row {} column {}: {y:?} != {:?}",
+                        k / 3,
+                        k % 3,
+                        want[k % 3][k / 3]
+                    );
                 }
             },
         );

@@ -1,24 +1,25 @@
 //! The subgrid-scale (SGS) phase driver: a per-element loop with **no
 //! global scatter** — the paper uses it to measure the pure scheduling
 //! overhead of coloring and multidependences when no race protection is
-//! needed at all (§4.3, Fig. 7).
+//! needed at all (§4.3, Fig. 7; that strategy-following sweep is
+//! [`crate::oracle::compute_sgs`]). Because the elements are mutually
+//! independent, the order they are visited in moves no bit, and every
+//! run sweeps them grouped by kind, eight per [`crate::simd::F64x8`]
+//! operation.
 
-use crate::assembly::{AssemblyPlan, AssemblyStrategy};
-use crate::kernels::{sgs_kernel, sgs_kernel_on, ElementScratch, FluidProps};
+use crate::kernels::{sgs_kernel_on, ElementScratch, FluidProps};
 use crate::lanes::{
     get_lane_sgs, set_lane_sgs, sgs_kernel_lanes, LaneScratch, LaneSgs, LANES,
 };
 use crate::shape::{RefElement, MAX_QP};
 use cfpd_mesh::{ElementKind, Mesh, Vec3};
-use cfpd_runtime::{
-    balanced_ranges, parallel_for, parallel_for_ranges, prefix_weights, Dep, TaskGraph, ThreadPool,
-};
+use cfpd_runtime::{balanced_ranges, parallel_for_ranges, ThreadPool};
 use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// One same-kind batch of the cached SGS sweep schedule: element ids,
+/// One same-kind batch of the SGS sweep schedule: element ids,
 /// a flattened gather list (no `elem_nodes` dispatch in the hot loop),
 /// and a quadrature-count prefix for work-balanced chunking.
 #[derive(Debug)]
@@ -38,21 +39,23 @@ pub struct SgsKindBatch {
 }
 
 /// Where each element's subgrid velocities live and how a sweep visits
-/// them: the part of an [`SgsField`] that depends on the mesh alone.
-/// Built once per mesh and shared by every field on it.
+/// the elements it was built for: the part of an [`SgsField`] that
+/// depends on the mesh and the element list alone. Built once per
+/// solver structure and shared by every field on it.
 #[derive(Debug)]
 pub struct SgsLayout {
     /// CSR offsets: element `e` owns `values[offsets[e]..offsets[e+1]]`.
     pub offsets: Vec<u32>,
     /// Characteristic element length (cbrt of volume), cached.
     pub h: Vec<f64>,
-    /// Kind-batched sweep schedule, built on first use by
-    /// [`SgsLayout::batches`] (the `batched_sgs` layout path).
-    batches: OnceLock<Vec<SgsKindBatch>>,
+    /// The sweep schedule: the layout's elements grouped
+    /// `Tet4 → Pyr5 → Pri6`, stable within each kind.
+    batches: Vec<SgsKindBatch>,
 }
 
 impl SgsLayout {
-    pub fn new(mesh: &Mesh) -> SgsLayout {
+    /// Storage for every element of `mesh`, swept over `elems`.
+    pub fn new(mesh: &Mesh, elems: &[u32]) -> SgsLayout {
         let ne = mesh.num_elements();
         let mut offsets = Vec::with_capacity(ne + 1);
         offsets.push(0u32);
@@ -61,40 +64,36 @@ impl SgsLayout {
             total += mesh.kinds[e].num_quad_points() as u32;
             offsets.push(total);
         }
-        let h = (0..ne).map(|e| mesh.volume(e).abs().cbrt()).collect();
-        SgsLayout { offsets, h, batches: OnceLock::new() }
+        let h: Vec<f64> = (0..ne).map(|e| mesh.volume(e).abs().cbrt()).collect();
+
+        let mut batches = Vec::new();
+        for kind in [ElementKind::Tet4, ElementKind::Pyr5, ElementKind::Pri6] {
+            let members: Vec<u32> = elems
+                .iter()
+                .copied()
+                .filter(|&e| mesh.kinds[e as usize] == kind)
+                .collect();
+            if members.is_empty() {
+                continue;
+            }
+            let nn = kind.num_nodes();
+            let qpw = kind.num_quad_points() as u32;
+            let mut gather = Vec::with_capacity(nn * members.len());
+            let mut qp_prefix = Vec::with_capacity(members.len() + 1);
+            qp_prefix.push(0u32);
+            for &e in &members {
+                gather.extend_from_slice(mesh.elem_nodes(e as usize));
+                qp_prefix.push(qp_prefix.last().unwrap() + qpw);
+            }
+            let batch_h = members.iter().map(|&e| h[e as usize]).collect();
+            batches.push(SgsKindBatch { kind, elems: members, gather, h: batch_h, qp_prefix });
+        }
+        SgsLayout { offsets, h, batches }
     }
 
-    /// Build (once) and return the kind-batched sweep schedule over
-    /// `elems`. Elements are grouped `Tet4 → Pyr5 → Pri6`, stable
-    /// within each kind; SGS elements are mutually independent, so the
-    /// regrouped sweep computes bit-identical per-element results.
-    pub fn batches(&self, mesh: &Mesh, elems: &[u32]) -> &[SgsKindBatch] {
-        self.batches.get_or_init(|| {
-            let mut batches = Vec::new();
-            for kind in [ElementKind::Tet4, ElementKind::Pyr5, ElementKind::Pri6] {
-                let members: Vec<u32> = elems
-                    .iter()
-                    .copied()
-                    .filter(|&e| mesh.kinds[e as usize] == kind)
-                    .collect();
-                if members.is_empty() {
-                    continue;
-                }
-                let nn = kind.num_nodes();
-                let qpw = kind.num_quad_points() as u32;
-                let mut gather = Vec::with_capacity(nn * members.len());
-                let mut qp_prefix = Vec::with_capacity(members.len() + 1);
-                qp_prefix.push(0u32);
-                for &e in &members {
-                    gather.extend_from_slice(mesh.elem_nodes(e as usize));
-                    qp_prefix.push(qp_prefix.last().unwrap() + qpw);
-                }
-                let h = members.iter().map(|&e| self.h[e as usize]).collect();
-                batches.push(SgsKindBatch { kind, elems: members, gather, h, qp_prefix });
-            }
-            batches
-        })
+    /// The sweep schedule.
+    pub fn batches(&self) -> &[SgsKindBatch] {
+        &self.batches
     }
 }
 
@@ -107,8 +106,9 @@ pub struct SgsField {
 }
 
 impl SgsField {
-    pub fn new(mesh: &Mesh) -> SgsField {
-        SgsField::on(Arc::new(SgsLayout::new(mesh)))
+    /// A zero field over `mesh` whose sweeps visit `elems`.
+    pub fn new(mesh: &Mesh, elems: &[u32]) -> SgsField {
+        SgsField::on(Arc::new(SgsLayout::new(mesh, elems)))
     }
 
     /// A zero field on an existing layout.
@@ -133,7 +133,7 @@ impl SgsField {
 
 /// Shared view over the SGS storage allowing each element's slice to be
 /// written by the thread processing that element.
-struct SgsView<'a> {
+pub(crate) struct SgsView<'a> {
     values: &'a [UnsafeCell<Vec3>],
 }
 // SAFETY: every element's range is written by exactly one task/iteration
@@ -141,7 +141,7 @@ struct SgsView<'a> {
 unsafe impl Sync for SgsView<'_> {}
 
 impl<'a> SgsView<'a> {
-    fn new(values: &'a mut [Vec3]) -> SgsView<'a> {
+    pub(crate) fn new(values: &'a mut [Vec3]) -> SgsView<'a> {
         let ptr = values.as_mut_ptr() as *const UnsafeCell<Vec3>;
         // SAFETY: identical layout; exclusivity per element range.
         SgsView { values: unsafe { std::slice::from_raw_parts(ptr, values.len()) } }
@@ -151,7 +151,7 @@ impl<'a> SgsView<'a> {
     /// The caller must be the only accessor of `lo..hi` for the duration
     /// of the borrow.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [Vec3] {
+    pub(crate) unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [Vec3] {
         unsafe {
             std::slice::from_raw_parts_mut(self.values[lo].get(), hi - lo)
         }
@@ -172,103 +172,24 @@ pub struct SgsStats {
 /// elements privately and merges once; a sum and a maximum of integers
 /// do not depend on the order the chunks arrive in.
 #[derive(Default)]
-struct IterTally {
+pub(crate) struct IterTally {
     total: AtomicU64,
     max: AtomicUsize,
 }
 
 impl IterTally {
-    fn merge(&self, (total, max): (u64, usize)) {
+    pub(crate) fn merge(&self, (total, max): (u64, usize)) {
         self.total.fetch_add(total, Ordering::Relaxed);
         self.max.fetch_max(max, Ordering::Relaxed);
     }
 
-    fn stats(&self, elements: usize) -> SgsStats {
+    pub(crate) fn stats(&self, elements: usize) -> SgsStats {
         SgsStats {
             elements,
             total_iterations: self.total.load(Ordering::Relaxed),
             max_iterations: self.max.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Run one SGS update sweep over `plan.elems` with the plan's strategy.
-/// All strategies are race-free here by construction (per-element
-/// storage) — exactly why the paper uses this phase to isolate the
-/// scheduling overhead of coloring/multidependences. The schedules are
-/// the ones the plan built for assembly (color classes, subdomains and
-/// their mutex objects); nothing is rebuilt per sweep.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_sgs(
-    pool: &ThreadPool,
-    refs: &[RefElement; 3],
-    mesh: &Mesh,
-    plan: &AssemblyPlan,
-    velocity: &[Vec3],
-    props: FluidProps,
-    field: &mut SgsField,
-    max_iters: usize,
-    tol: f64,
-) -> SgsStats {
-    if plan.batched_sgs {
-        return compute_sgs_batched(pool, refs, mesh, plan, velocity, props, field, max_iters, tol);
-    }
-    let SgsField { values, layout } = field;
-    let (offsets, h) = (&layout.offsets, &layout.h);
-    let view = SgsView::new(values);
-    let tally = IterTally::default();
-
-    // One chunk, color-class slice or subdomain: elements in list order.
-    let sweep = |list: &[u32]| {
-        let mut scratch = ElementScratch::default();
-        let (mut total, mut max) = (0u64, 0usize);
-        for &e in list {
-            let e = e as usize;
-            let (kind, nn) = scratch.load(mesh, velocity, e);
-            // SAFETY: element ranges are disjoint; each element is
-            // processed by exactly one executor per sweep.
-            let slice = unsafe { view.range_mut(offsets[e] as usize, offsets[e + 1] as usize) };
-            let iters = sgs_kernel(refs, &scratch, kind, nn, props, h[e], slice, max_iters, tol);
-            total += iters as u64;
-            max = max.max(iters);
-        }
-        tally.merge((total, max));
-    };
-
-    match plan.strategy {
-        AssemblyStrategy::Serial => sweep(&plan.elems),
-        AssemblyStrategy::Atomics => {
-            // "Atomics" SGS is just a plain parallel loop — no shared
-            // update exists, so no atomic is emitted (paper §4.3).
-            // Chunked by quadrature-point count, not element count:
-            // boundary-layer prisms carry more qps (and more inner
-            // iterations) than core tets.
-            let elems = &plan.elems;
-            let prefix = prefix_weights(elems.len(), |k| {
-                mesh.kinds[elems[k] as usize].num_quad_points() as u32
-            });
-            let ranges = balanced_ranges(&prefix, pool.max_workers().max(1) * 8);
-            parallel_for_ranges(pool, &ranges, |_c, range| sweep(&elems[range]));
-        }
-        AssemblyStrategy::Coloring => {
-            // Pointless for SGS but measured to expose its overhead.
-            for class in plan.color_classes().expect("coloring plan") {
-                parallel_for(pool, 0..class.len(), 32, |range| sweep(&class[range]));
-            }
-        }
-        AssemblyStrategy::Multidep => {
-            let members = plan.subdomain_members().expect("multidep plan");
-            let objs = plan.mutex_objs().expect("multidep plan");
-            let mut graph = TaskGraph::new();
-            for (members, objs) in members.iter().zip(objs) {
-                let deps: Vec<Dep> = objs.iter().map(|&o| Dep::mutex(o)).collect();
-                let sweep = &sweep;
-                graph.add_task(&deps, move || sweep(members));
-            }
-            graph.execute(pool);
-        }
-    }
-    tally.stats(plan.elems.len())
 }
 
 /// What one chunk of the kind-batched sweep needs besides its batch.
@@ -281,8 +202,6 @@ struct BatchedSweep<'a> {
     offsets: &'a [u32],
     max_iters: usize,
     tol: f64,
-    /// Full blocks of [`LANES`] rows go through the lane kernel.
-    lanes: bool,
 }
 
 impl BatchedSweep<'_> {
@@ -316,58 +235,49 @@ impl BatchedSweep<'_> {
             sgs_kernel_on(re, &scratch, NN, self.props, kb.h[b], values, self.max_iters, self.tol)
         };
         let mut b = range.start;
-        if self.lanes {
-            let mut ls = LaneScratch::default();
-            let mut usg: LaneSgs = [[[0.0; LANES]; 3]; MAX_QP];
-            while b + LANES <= range.end {
-                ls.load(self.coords, Some(self.velocity), None, &kb.gather, &kb.h, NN, b);
-                for l in 0..LANES {
-                    // SAFETY: as in `scalar_row`, for row `b + l`.
-                    set_lane_sgs(&mut usg, l, unsafe { self.row_values(kb, b + l) });
-                }
-                let block = sgs_kernel_lanes::<NN>(
-                    re,
-                    &ls,
-                    self.props,
-                    &mut usg,
-                    self.max_iters,
-                    self.tol,
-                );
-                match block {
-                    Some(iters) => {
-                        for l in 0..LANES {
-                            // SAFETY: as above.
-                            get_lane_sgs(&usg, l, unsafe { self.row_values(kb, b + l) });
-                            count(iters[l]);
-                        }
-                    }
-                    // Nothing was stored: the scalar kernel redoes the
-                    // block and skips the degenerate points itself.
-                    None => (b..b + LANES).for_each(|bb| count(scalar_row(bb))),
-                }
-                b += LANES;
+        let mut ls = LaneScratch::default();
+        let mut usg: LaneSgs = [[[0.0; LANES]; 3]; MAX_QP];
+        while b + LANES <= range.end {
+            ls.load(self.coords, Some(self.velocity), None, &kb.gather, &kb.h, NN, b);
+            for l in 0..LANES {
+                // SAFETY: as in `scalar_row`, for row `b + l`.
+                set_lane_sgs(&mut usg, l, unsafe { self.row_values(kb, b + l) });
             }
+            let block =
+                sgs_kernel_lanes::<NN>(re, &ls, self.props, &mut usg, self.max_iters, self.tol);
+            match block {
+                Some(iters) => {
+                    for l in 0..LANES {
+                        // SAFETY: as above.
+                        get_lane_sgs(&usg, l, unsafe { self.row_values(kb, b + l) });
+                        count(iters[l]);
+                    }
+                }
+                // Nothing was stored: the scalar kernel redoes the
+                // block and skips the degenerate points itself.
+                None => (b..b + LANES).for_each(|bb| count(scalar_row(bb))),
+            }
+            b += LANES;
         }
         (b..range.end).for_each(|bb| count(scalar_row(bb)));
         (total, max)
     }
 }
 
-/// The kind-batched SGS sweep (`LayoutPlan::batched_sgs`): elements
-/// grouped by kind through the cached gather schedule, chunked by
-/// quadrature-point count. No per-element `elem_nodes` walk, no kind
-/// dispatch in the hot loop, and with `lane_kernels` eight elements per
-/// [`crate::simd::F64x8`] operation. Each element's update is
-/// independent and reads only the shared velocity field, so the
-/// regrouped sweep is bit-identical to every other strategy *and* to
-/// itself under any pool size (pinned by
+/// Run one SGS update sweep over the elements `field`'s layout was built
+/// for: grouped by kind through the layout's gather schedule, chunked by
+/// quadrature-point count, eight elements per [`crate::simd::F64x8`]
+/// operation. No per-element `elem_nodes` walk and no kind dispatch in
+/// the hot loop. Each element's update is independent and reads only the
+/// shared velocity field, so the sweep gives every element the bits of
+/// the strategy-following scalar sweep ([`crate::oracle::compute_sgs`])
+/// under any pool size (pinned by
 /// `batched_sgs_bit_identical_to_serial_for_any_pool_and_kernel`).
 #[allow(clippy::too_many_arguments)]
-fn compute_sgs_batched(
+pub fn compute_sgs(
     pool: &ThreadPool,
     refs: &[RefElement; 3],
     mesh: &Mesh,
-    plan: &AssemblyPlan,
     velocity: &[Vec3],
     props: FluidProps,
     field: &mut SgsField,
@@ -377,7 +287,6 @@ fn compute_sgs_batched(
     // Destructure to borrow the schedule and the value storage
     // simultaneously.
     let SgsField { values, layout } = field;
-    let batches = layout.batches(mesh, &plan.elems);
     let sweep = BatchedSweep {
         refs,
         coords: &mesh.coords,
@@ -387,10 +296,9 @@ fn compute_sgs_batched(
         offsets: &layout.offsets,
         max_iters,
         tol,
-        lanes: plan.lane_kernels,
     };
     let tally = IterTally::default();
-    for kb in batches {
+    for kb in layout.batches() {
         let ranges = balanced_ranges(&kb.qp_prefix, pool.max_workers().max(1) * 8);
         parallel_for_ranges(pool, &ranges, |_c, range| {
             tally.merge(match kb.kind {
@@ -400,12 +308,15 @@ fn compute_sgs_batched(
             });
         });
     }
-    tally.stats(plan.elems.len())
+    tally.stats(layout.batches().iter().map(|kb| kb.elems.len()).sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assembly::{AssemblyPlan, AssemblyStrategy};
+    use crate::kernels::sgs_kernel;
+    use crate::oracle;
     use cfpd_mesh::{generate_airway, AirwaySpec};
 
     fn fixture() -> (Mesh, [RefElement; 3], ThreadPool, Vec<Vec3>) {
@@ -419,12 +330,16 @@ mod tests {
         (am.mesh, RefElement::all(), ThreadPool::new(4), vel)
     }
 
+    fn all_elems(mesh: &Mesh) -> Vec<u32> {
+        (0..mesh.num_elements() as u32).collect()
+    }
+
+    /// The strategy-following scalar sweep, the oracle.
     fn run(strategy: AssemblyStrategy) -> (SgsField, SgsStats) {
         let (mesh, refs, pool, vel) = fixture();
-        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let plan = AssemblyPlan::new(&mesh, elems, strategy, 16);
-        let mut field = SgsField::new(&mesh);
-        let stats = compute_sgs(
+        let plan = AssemblyPlan::new(&mesh, all_elems(&mesh), strategy, 16);
+        let mut field = SgsField::new(&mesh, &plan.elems);
+        let stats = oracle::compute_sgs(
             &pool,
             &refs,
             &mesh,
@@ -441,7 +356,7 @@ mod tests {
     #[test]
     fn sgs_storage_sized_by_quadrature() {
         let (mesh, ..) = fixture();
-        let field = SgsField::new(&mesh);
+        let field = SgsField::new(&mesh, &all_elems(&mesh));
         let expected: usize = (0..mesh.num_elements())
             .map(|e| mesh.kinds[e].num_quad_points())
             .sum();
@@ -466,31 +381,19 @@ mod tests {
 
     #[test]
     fn rotational_flow_produces_nonzero_sgs() {
-        let (field, stats) = run(AssemblyStrategy::Atomics);
+        let (field, stats) = run_batched(2);
         assert!(field.mean_norm() > 0.0);
         assert!(stats.total_iterations as usize >= stats.elements);
         assert!(stats.max_iterations >= 1);
     }
 
-    fn run_batched(workers: usize, lanes: bool) -> (SgsField, SgsStats) {
+    /// The production sweep.
+    fn run_batched(workers: usize) -> (SgsField, SgsStats) {
         let (mesh, refs, _, vel) = fixture();
         let pool = ThreadPool::new(workers);
-        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let mut plan = AssemblyPlan::new(&mesh, elems, AssemblyStrategy::Atomics, 16);
-        plan.batched_sgs = true;
-        plan.lane_kernels = lanes;
-        let mut field = SgsField::new(&mesh);
-        let stats = compute_sgs(
-            &pool,
-            &refs,
-            &mesh,
-            &plan,
-            &vel,
-            FluidProps::default(),
-            &mut field,
-            10,
-            1e-8,
-        );
+        let mut field = SgsField::new(&mesh, &all_elems(&mesh));
+        let props = FluidProps::default();
+        let stats = compute_sgs(&pool, &refs, &mesh, &vel, props, &mut field, 10, 1e-8);
         (field, stats)
     }
 
@@ -503,22 +406,36 @@ mod tests {
         }
     }
 
-    /// The batched sweep — scalar rows or lane blocks, any pool size —
-    /// gives every element the serial sweep's bits and the same
+    /// The batched sweep — lane blocks and scalar tails, any pool size —
+    /// gives every element the serial oracle sweep's bits and the same
     /// iteration statistics.
     #[test]
     fn batched_sgs_bit_identical_to_serial_for_any_pool_and_kernel() {
         let (reference, ref_stats) = run(AssemblyStrategy::Serial);
         assert!(ref_stats.max_iterations > 1, "fixture flow must iterate");
-        for lanes in [false, true] {
-            for workers in [1, 2, 4] {
-                let what = format!("lanes={lanes} workers={workers}");
-                let (field, stats) = run_batched(workers, lanes);
-                assert_eq!(stats.elements, ref_stats.elements, "{what}");
-                assert_eq!(stats.total_iterations, ref_stats.total_iterations, "{what}");
-                assert_eq!(stats.max_iterations, ref_stats.max_iterations, "{what}");
-                assert_values_bit_equal(&field.values, &reference.values, &what);
-            }
+        for workers in [1, 2, 4] {
+            let what = format!("workers={workers}");
+            let (field, stats) = run_batched(workers);
+            assert_eq!(stats.elements, ref_stats.elements, "{what}");
+            assert_eq!(stats.total_iterations, ref_stats.total_iterations, "{what}");
+            assert_eq!(stats.max_iterations, ref_stats.max_iterations, "{what}");
+            assert_values_bit_equal(&field.values, &reference.values, &what);
+        }
+    }
+
+    /// A layout sweeps the elements it was built for and no others: two
+    /// layouts on one mesh with different lists do not see each other's.
+    #[test]
+    fn a_layout_sweeps_its_own_element_list() {
+        let (mesh, refs, pool, vel) = fixture();
+        let (even, odd): (Vec<u32>, Vec<u32>) = all_elems(&mesh).iter().partition(|&&e| e % 2 == 0);
+        let props = FluidProps::default();
+        for (mine, other) in [(&even, &odd), (&odd, &even)] {
+            let mut field = SgsField::new(&mesh, mine);
+            let stats = compute_sgs(&pool, &refs, &mesh, &vel, props, &mut field, 10, 1e-8);
+            assert_eq!(stats.elements, mine.len());
+            assert!(mine.iter().any(|&e| field.elem(e as usize).iter().any(|v| *v != Vec3::ZERO)));
+            assert!(other.iter().all(|&e| field.elem(e as usize).iter().all(|v| *v == Vec3::ZERO)));
         }
     }
 
@@ -531,7 +448,7 @@ mod tests {
     /// the caller may have damaged. Returns the swept field.
     fn check_lane_rows(mesh: &Mesh, vel: &[Vec3], len: usize) -> SgsField {
         let refs = RefElement::all();
-        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+        let elems = all_elems(mesh);
         let props = FluidProps::default();
         let warm = |field: &mut SgsField| {
             for (i, v) in field.values.iter_mut().enumerate() {
@@ -539,12 +456,12 @@ mod tests {
             }
         };
 
-        let mut want = SgsField::new(mesh);
+        let mut want = SgsField::new(mesh, &elems);
         warm(&mut want);
         let layout = Arc::clone(&want.layout);
         let (mut want_total, mut want_max) = (0u64, 0usize);
         let mut scratch = ElementScratch::default();
-        for &e in &layout.batches(mesh, &elems)[0].elems[..len] {
+        for &e in &layout.batches()[0].elems[..len] {
             let e = e as usize;
             let (kind, nn) = scratch.load(mesh, vel, e);
             let (lo, hi) = (layout.offsets[e] as usize, layout.offsets[e + 1] as usize);
@@ -554,10 +471,10 @@ mod tests {
             want_max = want_max.max(iters);
         }
 
-        let mut got = SgsField::new(mesh);
+        let mut got = SgsField::new(mesh, &elems);
         warm(&mut got);
         let SgsField { values, layout } = &mut got;
-        let kb = &layout.batches(mesh, &elems)[0];
+        let kb = &layout.batches()[0];
         assert_eq!(kb.kind, ElementKind::Tet4);
         let sweep = BatchedSweep {
             refs: &refs,
@@ -568,7 +485,6 @@ mod tests {
             offsets: &layout.offsets,
             max_iters: 6,
             tol: 1e-7,
-            lanes: true,
         };
         assert_eq!(sweep.run::<4>(kb, 0..len), (want_total, want_max), "len {len}");
         assert_values_bit_equal(&got.values, &want.values, &format!("len {len}"));
@@ -591,9 +507,8 @@ mod tests {
     #[test]
     fn block_with_a_degenerate_element_falls_back_to_scalar() {
         let (mut mesh, _, _, vel) = fixture();
-        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let probe = SgsLayout::new(&mesh);
-        let rows = &probe.batches(&mesh, &elems)[0].elems;
+        let probe = SgsLayout::new(&mesh, &all_elems(&mesh));
+        let rows = &probe.batches()[0].elems;
         let (flat, other) = (rows[3] as usize, rows[4] as usize);
         // Collapse an edge of row 3: its Jacobian determinant is exactly
         // zero at every point (the neighbours only change shape).

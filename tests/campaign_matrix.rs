@@ -2,8 +2,8 @@
 //! the matrix expander, the differential golden matrix (every campaign
 //! cell digest-matches its single-run `cfpd golden` counterpart), the
 //! concurrency-determinism contract (pool sizes 1/2/8 produce
-//! byte-identical aggregate reports), and the flag-beats-env layout
-//! precedence regression.
+//! byte-identical aggregate reports), and the layout-by-name contract
+//! of the DSL key and the `cfpd golden --layout` flag.
 //!
 //! The blessed aggregate report of `examples/campaigns/small.campaign`
 //! lives at `tests/golden/campaign_small.golden`. Regenerate after an
@@ -12,9 +12,7 @@
 
 use cfpd_campaign::dsl::{self, RawDoc, RawPair, RawSection};
 use cfpd_campaign::{expand, full_matrix_size, run_cells, CampaignSpec, CellMetrics};
-use cfpd_core::{
-    golden_config, resolve_layout, run_scenario, ExecutionMode, LayoutPlan, Scenario,
-};
+use cfpd_core::{golden_config, run_scenario, ExecutionMode, LayoutPlan, Scenario};
 use cfpd_testkit::digest::digest_bytes;
 use cfpd_testkit::prop::{check, usize_range, Gen, PropConfig};
 use cfpd_testkit::rng::Rng;
@@ -399,46 +397,50 @@ dlb = off, on
 }
 
 // ---------------------------------------------------------------------
-// Layout precedence (satellite: flag beats CFPD_LAYOUT, one helper)
+// Layout by name (the DSL key and the CLI flag; nothing else picks one)
 // ---------------------------------------------------------------------
 
-/// `--layout` / the DSL `layout =` key and `CFPD_LAYOUT` are resolved
-/// by the single `cfpd_core::resolve_layout` helper, flag beats env.
-/// This test is the only one in the binary that mutates the variable.
+/// A layout is chosen by naming it — `default` or `opt`, through the
+/// pure `LayoutPlan::parse` — in a campaign's `layout` key or with
+/// `cfpd golden --layout`; the process environment plays no part, so
+/// this test reads and writes none of it.
 #[test]
-fn explicit_layout_beats_cfpd_layout_env() {
-    // In-process: the helper itself, and the DSL key going through it.
-    std::env::set_var("CFPD_LAYOUT", "opt");
-    assert_eq!(resolve_layout(Some("default")).unwrap(), LayoutPlan::disabled());
-    assert_eq!(resolve_layout(Some("opt")).unwrap(), LayoutPlan::optimized());
-    assert_eq!(resolve_layout(None).unwrap(), LayoutPlan::optimized());
+fn layouts_are_chosen_by_name_in_the_dsl_and_on_the_command_line() {
+    assert_eq!(LayoutPlan::parse("default"), Ok(LayoutPlan::disabled()));
+    assert_eq!(LayoutPlan::parse("opt"), Ok(LayoutPlan::optimized()));
+    assert!(LayoutPlan::parse("fast").is_err());
 
-    let spec = CampaignSpec::from_text(
-        "[campaign]\nname = env\n\n[scenario]\nlayout = default\n",
-    )
-    .unwrap();
-    let cells = expand(&spec).unwrap();
-    assert_eq!(
-        cells[0].scenario.config.layout,
-        LayoutPlan::disabled(),
-        "DSL layout key must beat CFPD_LAYOUT"
-    );
-    std::env::remove_var("CFPD_LAYOUT");
-    assert_eq!(resolve_layout(None).unwrap(), LayoutPlan::disabled());
+    // The DSL key goes through it; a bad name is an error at its line.
+    let doc = |name: &str| format!("[campaign]\nname = named\n\n[scenario]\nlayout = {name}\n");
+    for (name, layout) in [("default", LayoutPlan::disabled()), ("opt", LayoutPlan::optimized())] {
+        let cells = expand(&CampaignSpec::from_text(&doc(name)).unwrap()).unwrap();
+        assert_eq!(cells[0].scenario.config.layout, layout, "layout = {name}");
+    }
+    let err = CampaignSpec::from_text(&doc("fast")).unwrap_err();
+    assert_eq!(err.line, 5, "{err}");
+    assert!(err.message.contains("\"fast\""), "{err}");
 
-    // End to end: `cfpd golden --layout default` under CFPD_LAYOUT=opt
-    // must produce the *default* golden document.
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cfpd"))
-        .args(["golden", "--ranks", "2", "--layout", "default"])
-        .env("CFPD_LAYOUT", "opt")
-        .output()
-        .expect("spawn cfpd");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let expected = std::fs::read(repo_path("tests/golden/sync_small.golden")).unwrap();
-    assert_eq!(
-        out.stdout, expected,
-        "--layout default must beat CFPD_LAYOUT=opt end to end"
-    );
+    // End to end: each name produces its own golden document, no name
+    // the reference one, and an unknown name is a usage error.
+    let golden = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_cfpd"))
+            .args(["golden", "--ranks", "2"])
+            .args(args)
+            .output()
+            .expect("spawn cfpd")
+    };
+    for (args, file) in [
+        (&["--layout", "default"][..], "tests/golden/sync_small.golden"),
+        (&["--layout", "opt"][..], "tests/golden/sync_small_opt.golden"),
+        (&[][..], "tests/golden/sync_small.golden"),
+    ] {
+        let out = golden(args);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(out.stdout == std::fs::read(repo_path(file)).unwrap(), "{args:?} is not {file}");
+    }
+    let out = golden(&["--layout", "fast"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown layout"));
 }
 
 // ---------------------------------------------------------------------

@@ -1,82 +1,12 @@
-//! Invariant tests for the two machineries that move state between
-//! ranks: the halo exchange (send/recv symmetry across the whole
-//! communicator) and LeWI lending (core-count conservation under
-//! arbitrary lend/reclaim scripts).
+//! Invariant tests for LeWI lending: core-count conservation under
+//! arbitrary lend/reclaim scripts. (Test target `lewi_invariants`; the
+//! file keeps the path it had while it also held the halo-exchange
+//! test, so the ids of the two tests below do not move.)
 
-use cfpd_core::halo::HaloMap;
 use cfpd_dlb::{DlbNode, GrantPolicy, LendPolicy};
-use cfpd_mesh::{generate_airway, AirwaySpec};
-use cfpd_partition::{partition_kway, Graph};
 use cfpd_runtime::ThreadPool;
-use cfpd_simmpi::Universe;
 use cfpd_testkit::rng::Rng;
 use std::sync::Arc;
-
-fn partitioned_airway(parts: usize) -> (Arc<cfpd_mesh::AirwayMesh>, Arc<Vec<u32>>) {
-    let am = generate_airway(&AirwaySpec::small()).unwrap();
-    let n2e = am.mesh.node_to_elements();
-    let adj = am.mesh.element_adjacency(&n2e);
-    let g = Graph::from_csr_unit(&adj);
-    let part = partition_kway(&g, parts, 3);
-    (Arc::new(am), Arc::new(part.parts))
-}
-
-/// Halo symmetry: whatever rank `a` sends to rank `b` is exactly what
-/// rank `b` expects to receive from rank `a` — the same global node
-/// ids, in the same order. A violation would silently scramble ghost
-/// values in every halo exchange.
-#[test]
-fn halo_send_recv_lists_are_symmetric() {
-    const RANKS: usize = 3;
-    let (am, owner) = partitioned_airway(RANKS);
-    let am2 = Arc::clone(&am);
-    let ow2 = Arc::clone(&owner);
-    let results = Universe::run(RANKS, move |comm| {
-        let halo = HaloMap::build(&am2.mesh, &ow2, &comm);
-        (halo.send_globals(), halo.recv_globals())
-    });
-
-    let find = |lists: &[(usize, Vec<u32>)], peer: usize| -> Option<Vec<u32>> {
-        lists.iter().find(|(r, _)| *r == peer).map(|(_, g)| g.clone())
-    };
-    let mut checked_pairs = 0usize;
-    for a in 0..RANKS {
-        for b in 0..RANKS {
-            if a == b {
-                continue;
-            }
-            let a_sends = find(&results[a].0, b);
-            let b_recvs = find(&results[b].1, a);
-            assert_eq!(
-                a_sends, b_recvs,
-                "rank {a} -> {b}: send list and peer recv list disagree"
-            );
-            if a_sends.is_some() {
-                checked_pairs += 1;
-            }
-        }
-    }
-    // A 3-way partition of a connected mesh must actually have halos.
-    assert!(checked_pairs >= 2, "no halo traffic to verify");
-
-    // Each send list consists of nodes the sender owns; each recv list
-    // of nodes the receiver ghosts.
-    let am3 = Arc::clone(&am);
-    let ow3 = Arc::clone(&owner);
-    Universe::run(RANKS, move |comm| {
-        let halo = HaloMap::build(&am3.mesh, &ow3, &comm);
-        let owned: std::collections::HashSet<u32> = halo.owned.iter().copied().collect();
-        let ghosts: std::collections::HashSet<u32> = halo.ghosts.iter().copied().collect();
-        for (peer, globals) in halo.send_globals() {
-            assert_ne!(peer, comm.rank());
-            assert!(globals.iter().all(|g| owned.contains(g)), "sending non-owned node");
-        }
-        for (peer, globals) in halo.recv_globals() {
-            assert_ne!(peer, comm.rank());
-            assert!(globals.iter().all(|g| ghosts.contains(g)), "receiving non-ghost node");
-        }
-    });
-}
 
 /// LeWI conservation under a randomized lend/reclaim script:
 /// * no rank's pool ever drops below one active executor,

@@ -1,6 +1,7 @@
-//! Locality-layout acceptance tests: the opt-in hot path (RCM node
-//! reordering, kind-batched SoA assembly, SELL-swept pressure solve)
-//! must be provably profitable and numerically pinned.
+//! Locality-layout acceptance tests: what the fast layout changes (RCM
+//! node order, kind-batched SoA assembly) and what both layouts run
+//! (the SELL-swept deflated pressure solve) must be provably profitable
+//! and numerically pinned.
 //!
 //! * RCM: the permutation is a bijection, never increases CSR
 //!   bandwidth on randomized airway/tube meshes, and measurably shrinks
@@ -17,7 +18,7 @@ use cfpd_partition::{bandwidth_under_perm, csr_bandwidth, invert_perm, rcm_perm}
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_divergence, assemble_poisson, cg, kernels, AssemblyPlan, AssemblyStrategy, CsrMatrix,
-    Deflation, ElementScratch, FluidProps, RefElement,
+    Deflation, ElementScratch, FluidProps, RefElement, SellMatrix,
 };
 use cfpd_testkit::prop::{check, f64_range, map, usize_range, Gen, PropConfig};
 
@@ -241,7 +242,8 @@ fn deflated_pressure_is_no_further_from_a_tight_reference_than_jacobi_cg() {
     let mut deflated = vec![0.0; n];
     let mut deflation = Deflation::new(&matrix, &bc.inlet_nodes, &bc.outlet_nodes);
     deflation.refresh(&matrix);
-    let s_deflated = deflation.solve(&matrix, &rhs, &mut deflated, 1e-6, 20_000, &pool);
+    let sell = SellMatrix::from_csr(&matrix);
+    let s_deflated = deflation.solve(&sell, &rhs, &mut deflated, 1e-6, 20_000, &pool);
     assert!(s_jacobi.converged && s_deflated.converged);
     assert!(s_deflated.iterations < s_jacobi.iterations);
     let error = |x: &[f64]| {

@@ -8,7 +8,7 @@ use cfpd_mesh::{generate_airway, AirwaySpec, TubeParams, Vec3};
 use cfpd_partition::{decompose_subdomains, greedy_coloring, local_element_graph, Graph};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
-    assemble_momentum, assemble_momentum_batched, AssemblyPlan, AssemblyStrategy, CsrMatrix,
+    assemble_momentum, AssemblyPlan, AssemblyStrategy, CsrMatrix,
     FluidProps, RefElement,
 };
 use cfpd_testkit::prop::{check, f64_range, map, usize_range, Gen, PropConfig};
@@ -93,7 +93,7 @@ fn strategies_assemble_identical_matrices() {
     );
 }
 
-/// The kind-batched SoA assembly (opt-in `LayoutPlan` path) agrees with
+/// The kind-batched SoA assembly (the fast layout's order) agrees with
 /// the serial unbatched reference under all four strategies on random
 /// meshes — batching regroups the element summation order (by kind /
 /// per unit) but must not change the assembled system beyond FP
@@ -125,8 +125,7 @@ fn batched_assembly_matches_reference_under_all_strategies() {
                 };
                 let mut a = template.clone();
                 let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
-                let f = if batched { assemble_momentum_batched } else { assemble_momentum };
-                f(
+                assemble_momentum(
                     &pool,
                     &refs,
                     mesh,
