@@ -17,16 +17,18 @@
 
 use crate::matrix::Cell;
 use crate::scenario::Budget;
-use cfpd_core::{LogicalEvent, ScenarioOutcome};
+use cfpd_core::{LogicalEvent, ParticleCensus, ScenarioOutcome};
 use cfpd_telemetry::JsonWriter;
 use cfpd_testkit::{parse_json, JsonValue};
 use std::fmt::Write as _;
 
-/// Deterministic metrics of one cell (see the determinism contract).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellMetrics {
-    pub id: String,
-    pub axes: Vec<(String, String)>,
+/// The canonical numbers of one finished cell — everything the
+/// canonical report renders besides the cell's id and axes. One struct
+/// for the campaign report and for the `celldone` record `cfpd serve`
+/// logs, so a replayed daemon reconstructs byte-identical results
+/// without re-running work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CanonMetrics {
     /// FNV-1a digest of the cell's golden document.
     pub digest: u64,
     /// Logical event count.
@@ -42,13 +44,23 @@ pub struct CellMetrics {
     /// per-rank step-0 element counts (1.0 when a mode has a single
     /// assembling rank).
     pub lb_assembly_bits: u64,
+}
+
+/// Deterministic metrics of one cell (see the determinism contract).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellMetrics {
+    pub id: String,
+    pub axes: Vec<(String, String)>,
+    pub canon: CanonMetrics,
     /// Non-canonical wall-clock metrics (never rendered canonically).
     pub wall: WallMetrics,
 }
 
 /// Wall-clock metrics of one cell — the POP-style rollup of the run's
-/// own phase trace. Excluded from the canonical report by design.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// own phase trace. Excluded from the canonical report by design; all
+/// zero for a served cell, whose wall time spans segments, retries and
+/// daemon restarts and means nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WallMetrics {
     pub total_time: f64,
     pub parallel_efficiency: f64,
@@ -56,39 +68,74 @@ pub struct WallMetrics {
     pub comm_efficiency: f64,
 }
 
+/// The fold behind [`CanonMetrics`]: a running accumulator over a cell's
+/// logical events. A direct run absorbs them all at once; `cfpd serve`
+/// absorbs segment by segment and snapshots the accumulator in between.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CellAcc {
+    pub events: u64,
+    pub iters_total: u64,
+    pub iters_poisson: u64,
+    /// Per-rank step-0 assembly element counts, in arrival order (only
+    /// the first segment contributes).
+    pub elems: Vec<(usize, u64)>,
+}
+
+impl CellAcc {
+    /// Fold one run's (or one segment's) events in.
+    pub fn absorb(&mut self, logical: &[LogicalEvent]) {
+        self.events += logical.len() as u64;
+        for e in logical {
+            match e {
+                LogicalEvent::Solve { system, iterations, .. } => {
+                    self.iters_total += *iterations as u64;
+                    if *system == 3 {
+                        self.iters_poisson += *iterations as u64;
+                    }
+                }
+                LogicalEvent::Assembly { step: 0, rank, elements } => {
+                    self.elems.push((*rank, *elements as u64));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Assembly load balance over logical work units (element counts):
+    /// L = mean/max, the paper's eq. 9 with deterministic inputs.
+    pub fn lb_assembly(&self) -> f64 {
+        if self.elems.is_empty() {
+            1.0
+        } else {
+            let sum: u64 = self.elems.iter().map(|(_, e)| e).sum();
+            let max = self.elems.iter().map(|(_, e)| *e).max().unwrap_or(1).max(1);
+            sum as f64 / (self.elems.len() as f64 * max as f64)
+        }
+    }
+
+    /// Close the fold: `digest` is the finished cell's document digest,
+    /// `census` the one that document ends with.
+    pub fn finish(&self, digest: u64, census: &ParticleCensus) -> CanonMetrics {
+        let c = census;
+        let total = c.active + c.deposited + c.escaped + c.lost;
+        let deposited_frac = if total == 0 { 0.0 } else { c.deposited as f64 / total as f64 };
+        CanonMetrics {
+            digest,
+            events: self.events,
+            iters_total: self.iters_total,
+            iters_poisson: self.iters_poisson,
+            census: [c.active as u64, c.deposited as u64, c.escaped as u64, c.lost as u64],
+            deposited_frac_bits: deposited_frac.to_bits(),
+            lb_assembly_bits: self.lb_assembly().to_bits(),
+        }
+    }
+}
+
 /// Extract [`CellMetrics`] from a finished run.
 pub fn cell_metrics(cell: &Cell, out: &ScenarioOutcome) -> CellMetrics {
     let r = &out.result;
-    let mut iters_total = 0u64;
-    let mut iters_poisson = 0u64;
-    let mut elems_per_rank: Vec<(usize, u64)> = Vec::new();
-    for e in &r.logical {
-        match e {
-            LogicalEvent::Solve { system, iterations, .. } => {
-                iters_total += *iterations as u64;
-                if *system == 3 {
-                    iters_poisson += *iterations as u64;
-                }
-            }
-            LogicalEvent::Assembly { step: 0, rank, elements } => {
-                elems_per_rank.push((*rank, *elements as u64));
-            }
-            _ => {}
-        }
-    }
-    // Assembly load balance over logical work units (element counts):
-    // L = mean/max, the paper's eq. 9 with deterministic inputs.
-    let lb_assembly = if elems_per_rank.is_empty() {
-        1.0
-    } else {
-        let sum: u64 = elems_per_rank.iter().map(|(_, e)| e).sum();
-        let max = elems_per_rank.iter().map(|(_, e)| *e).max().unwrap_or(1).max(1);
-        sum as f64 / (elems_per_rank.len() as f64 * max as f64)
-    };
-    let c = r.census;
-    let total = c.active + c.deposited + c.escaped + c.lost;
-    let deposited_frac =
-        if total == 0 { 0.0 } else { c.deposited as f64 / total as f64 };
+    let mut acc = CellAcc::default();
+    acc.absorb(&r.logical);
 
     // Wall-clock POP rollup of this run's own phase trace (the same
     // computation `cfpd report` cross-checks against cfpd-trace).
@@ -110,13 +157,7 @@ pub fn cell_metrics(cell: &Cell, out: &ScenarioOutcome) -> CellMetrics {
     CellMetrics {
         id: cell.id.clone(),
         axes: cell.axes.clone(),
-        digest: out.digest,
-        events: r.logical.len() as u64,
-        iters_total,
-        iters_poisson,
-        census: [c.active as u64, c.deposited as u64, c.escaped as u64, c.lost as u64],
-        deposited_frac_bits: deposited_frac.to_bits(),
-        lb_assembly_bits: lb_assembly.to_bits(),
+        canon: acc.finish(out.digest, &r.census),
         wall: WallMetrics {
             total_time: r.total_time,
             parallel_efficiency: ts.parallel_efficiency,
@@ -167,19 +208,20 @@ impl CampaignReport {
                         w.key(k).string(v);
                     }
                     w.end_object();
-                    w.key("digest").string(&hex(m.digest));
-                    w.key("events").u64(m.events);
-                    w.key("iters_total").u64(m.iters_total);
-                    w.key("iters_poisson").u64(m.iters_poisson);
+                    let c = &m.canon;
+                    w.key("digest").string(&hex(c.digest));
+                    w.key("events").u64(c.events);
+                    w.key("iters_total").u64(c.iters_total);
+                    w.key("iters_poisson").u64(c.iters_poisson);
                     w.key("census").begin_object();
                     for (name, v) in
-                        ["active", "deposited", "escaped", "lost"].iter().zip(m.census)
+                        ["active", "deposited", "escaped", "lost"].iter().zip(c.census)
                     {
                         w.key(name).u64(v);
                     }
                     w.end_object();
-                    w.key("deposited_frac").string(&hex(m.deposited_frac_bits));
-                    w.key("lb_assembly").string(&hex(m.lb_assembly_bits));
+                    w.key("deposited_frac").string(&hex(c.deposited_frac_bits));
+                    w.key("lb_assembly").string(&hex(c.lb_assembly_bits));
                 }
                 Err(f) => {
                     w.key("id").string(&f.id);
@@ -225,18 +267,19 @@ impl CampaignReport {
         for cell in &self.cells {
             match cell {
                 Ok(m) => {
+                    let c = &m.canon;
                     writeln!(
                         out,
                         "{:<id_w$}  {:<16}  {:>6}  {:>6}  {:>24}  {:>10.6}",
                         m.id,
-                        hex(m.digest),
-                        m.events,
-                        m.iters_total,
+                        hex(c.digest),
+                        c.events,
+                        c.iters_total,
                         format!(
                             "{}/{}/{}/{}",
-                            m.census[0], m.census[1], m.census[2], m.census[3]
+                            c.census[0], c.census[1], c.census[2], c.census[3]
                         ),
-                        f64::from_bits(m.lb_assembly_bits),
+                        f64::from_bits(c.lb_assembly_bits),
                     )
                     .unwrap();
                 }

@@ -42,7 +42,8 @@ pub mod runner;
 pub mod scenario;
 
 pub use aggregate::{
-    cell_metrics, compare, CampaignReport, CellFailure, CellMetrics, DeltaReport, WallMetrics,
+    cell_metrics, compare, CampaignReport, CanonMetrics, CellAcc, CellFailure, CellMetrics,
+    DeltaReport, WallMetrics,
 };
 pub use dsl::{parse, render, DslError, RawDoc, RawPair, RawSection};
 pub use matrix::{expand, full_matrix_size, Cell};

@@ -22,20 +22,11 @@ use crate::aggregate::{cell_metrics, CampaignReport, CellFailure, CellMetrics};
 use crate::matrix::{expand, Cell};
 use crate::scenario::CampaignSpec;
 use cfpd_core::{run_scenario_prepared, PrepareMemo};
+use cfpd_testkit::panic_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
 
 /// Run one cell, shielding the caller from panics.
 fn run_cell(cell: &Cell, memo: &PrepareMemo) -> Result<CellMetrics, CellFailure> {

@@ -24,6 +24,7 @@ pub mod simulation;
 pub mod workload;
 
 pub use checkpoint::{config_digest, Checkpoint, RankCheckpoint};
+pub use cfpd_particles::ParticleCensus;
 pub use cfpd_solver::LayoutPlan;
 pub use config::{ExecutionMode, SimulationConfig};
 pub use flowfield::potential_flow;

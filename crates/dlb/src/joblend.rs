@@ -10,29 +10,9 @@
 //! caller (the serve scheduler) holds its own lock and drives the
 //! transitions — but it enforces the conservation invariant
 //! (`held + free == total`, no job holds two slots) and keeps the
-//! event log + stats that make preemption observable and testable.
+//! stats that make preemption observable and testable.
 
 use std::collections::BTreeSet;
-
-/// What happened to a slot, in LeWI vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobLendEventKind {
-    /// A job took a free slot to start (or resume after a lend).
-    Acquire,
-    /// A preempted job voluntarily returned its slot.
-    Lend,
-    /// A previously preempted job re-acquired a slot.
-    Reclaim,
-    /// A terminal job (done/failed/cancelled) released its slot.
-    Release,
-}
-
-/// One slot transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobLendEvent {
-    pub kind: JobLendEventKind,
-    pub job: u64,
-}
 
 /// Aggregate lending statistics (mirrors [`crate::lewi::DlbStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,18 +32,12 @@ pub struct JobArbiter {
     total: usize,
     held: BTreeSet<u64>,
     stats: JobLendStats,
-    events: Vec<JobLendEvent>,
 }
 
 impl JobArbiter {
     pub fn new(slots: usize) -> JobArbiter {
         assert!(slots >= 1, "a node needs at least one job slot");
-        JobArbiter {
-            total: slots,
-            held: BTreeSet::new(),
-            stats: JobLendStats::default(),
-            events: Vec::new(),
-        }
+        JobArbiter { total: slots, held: BTreeSet::new(), stats: JobLendStats::default() }
     }
 
     pub fn total(&self) -> usize {
@@ -87,7 +61,6 @@ impl JobArbiter {
         self.held.insert(job);
         self.stats.acquires += 1;
         self.stats.peak_held = self.stats.peak_held.max(self.held.len());
-        self.events.push(JobLendEvent { kind: JobLendEventKind::Acquire, job });
         cfpd_telemetry::count!("dlb.job_acquires");
         true
     }
@@ -96,7 +69,6 @@ impl JobArbiter {
     pub fn lend(&mut self, job: u64) {
         assert!(self.held.remove(&job), "job {job} lent a slot it does not hold");
         self.stats.lends += 1;
-        self.events.push(JobLendEvent { kind: JobLendEventKind::Lend, job });
         cfpd_telemetry::count!("dlb.job_lends");
     }
 
@@ -110,7 +82,6 @@ impl JobArbiter {
         self.held.insert(job);
         self.stats.reclaims += 1;
         self.stats.peak_held = self.stats.peak_held.max(self.held.len());
-        self.events.push(JobLendEvent { kind: JobLendEventKind::Reclaim, job });
         cfpd_telemetry::count!("dlb.job_reclaims");
         true
     }
@@ -119,7 +90,6 @@ impl JobArbiter {
     pub fn release(&mut self, job: u64) {
         assert!(self.held.remove(&job), "job {job} released a slot it does not hold");
         self.stats.releases += 1;
-        self.events.push(JobLendEvent { kind: JobLendEventKind::Release, job });
     }
 
     /// `(held, total)` — the conservation invariant is
@@ -132,10 +102,6 @@ impl JobArbiter {
 
     pub fn stats(&self) -> JobLendStats {
         self.stats
-    }
-
-    pub fn events(&self) -> &[JobLendEvent] {
-        &self.events
     }
 }
 
@@ -159,7 +125,6 @@ mod tests {
         assert_eq!((s.acquires, s.lends, s.reclaims, s.releases), (2, 1, 1, 2));
         assert_eq!(s.peak_held, 1);
         assert_eq!(a.conservation(), (0, 1));
-        assert_eq!(a.events().len(), 6);
     }
 
     #[test]

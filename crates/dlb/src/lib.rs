@@ -15,5 +15,5 @@ pub mod joblend;
 pub mod lewi;
 
 pub use cluster::DlbCluster;
-pub use joblend::{JobArbiter, JobLendEvent, JobLendEventKind, JobLendStats};
+pub use joblend::{JobArbiter, JobLendStats};
 pub use lewi::{DlbEvent, DlbEventKind, DlbNode, DlbPolicy, DlbStats, GrantPolicy, LendPolicy};

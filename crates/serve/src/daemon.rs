@@ -4,10 +4,13 @@
 //!
 //! ## Crash safety
 //!
-//! Every state transition is WAL-appended *before* the in-memory store
-//! mutates; segment boundaries persist a snapshot file *before* its
-//! `ckpt` record. A daemon killed at any instant therefore restarts
-//! into a consistent prefix: completed cells keep their recorded
+//! Every state transition is one WAL record, and `commit` is the only
+//! code that makes one: it appends the record *before* the in-memory
+//! store mutates, then hands it to [`Store::apply`] — the function a
+//! restart replays the log through, so the live store and the replayed
+//! one cannot disagree. Segment boundaries persist a snapshot file
+//! *before* its `ckpt` record. A daemon killed at any instant therefore
+//! restarts into a consistent prefix: completed cells keep their recorded
 //! metrics, the in-flight cell resumes from its last pinned snapshot
 //! (bit-identically — no step is recomputed), and at worst the
 //! not-yet-pinned segment since the last boundary is re-run from that
@@ -24,22 +27,19 @@
 use crate::fault::CellFault;
 use crate::feed::EventFeed;
 use crate::runner::{checkpointable, finish_cell_metrics, run_segment};
-use crate::snap::{CellAcc, CellSnapshot};
+use crate::snap::CellSnapshot;
 use crate::state::{Job, JobState, ResumePoint, Store};
-use crate::wal::{self, CellDoneRec, PersistGate, Wal, WalRecord};
+use crate::wal::{self, PersistGate, Wal, WalRecord};
 use crate::watchdog::Watchdog;
 use crate::{http, ServeFaultPlan};
-use cfpd_campaign::{
-    expand, run_bounded, run_cells_with, CampaignSpec, Cell, CellFailure, CellMetrics,
-    WallMetrics,
-};
+use cfpd_campaign::{expand, run_bounded, CampaignSpec, CanonMetrics, Cell, CellAcc};
 use cfpd_core::{Checkpoint, PrepareMemo};
 use cfpd_telemetry::JsonWriter;
-use cfpd_testkit::{digest_bytes, SplitMix64};
+use cfpd_testkit::{digest_bytes, panic_message, SplitMix64};
 use std::net::TcpListener;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Daemon configuration. The defaults suit the test suite (ephemeral
@@ -55,8 +55,8 @@ pub struct ServeConfig {
     /// Steps per segment of a checkpointable cell — the
     /// recovery-granularity vs snapshot-overhead dial.
     pub ckpt_interval: usize,
-    /// Wall-clock budget per segment (checkpointable cells) or per cell
-    /// (atomic cells); a stuck cell fails with `timeout: ...`.
+    /// Wall-clock budget per segment (a cell that cannot be checkpointed
+    /// is one segment); a stuck cell fails with `timeout: ...`.
     pub cell_timeout: Option<Duration>,
     /// Retries per cell after the first attempt.
     pub retry_max: u32,
@@ -110,6 +110,12 @@ struct Shared {
     memo: PrepareMemo,
 }
 
+impl Shared {
+    fn store(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().expect("no thread panicked while holding the store")
+    }
+}
+
 /// A running daemon. [`Daemon::join`] blocks until shutdown (drain or
 /// kill); [`Daemon::kill`] is the abrupt path the resilience tests use.
 pub struct Daemon {
@@ -131,7 +137,7 @@ impl Daemon {
         let wal_path = cfg.data_dir.join("wal.log");
         let replayed = wal::replay(&wal_path);
         let mut store = Store::new(cfg.workers);
-        recover(&mut store, &cfg, &replayed.records);
+        recover(&mut store, &cfg.data_dir, &replayed.records);
         let wal = Wal::open(&wal_path, &replayed.valid_text, replayed.next_seq, Arc::clone(&gate))?;
 
         let listener = TcpListener::bind(&cfg.addr)?;
@@ -194,89 +200,48 @@ impl Daemon {
 }
 
 // ---------------------------------------------------------------------
-// Recovery
+// The one writer, live and replayed
 
-/// Rebuild the store from the WAL's valid prefix. Pure function of the
-/// records plus the spec/snapshot files they pin.
-fn recover(store: &mut Store, cfg: &ServeConfig, records: &[WalRecord]) {
-    use std::collections::BTreeMap;
-    // job -> pinned (cell, step, snap_digest) of the latest checkpoint.
-    let mut pinned: BTreeMap<u64, (usize, usize, u64)> = BTreeMap::new();
+/// The only way the live daemon changes a job's durable state: log the
+/// record, [`Store::apply`] it, announce it. `false` means the
+/// persistence gate is frozen and the record is not on disk — the
+/// daemon carries on in memory, but must not undo anything the last
+/// durable record still points to.
+fn commit(sh: &Shared, store: &mut Store, rec: WalRecord) -> bool {
+    let durable = sh.wal.append(&rec);
+    store.apply(&rec);
+    let cells = store.jobs.get(&rec.job_id()).map_or(0, |j| j.cells.len());
+    sh.feed.announce(&rec, cells);
+    durable
+}
 
+/// Rebuild the store from the WAL's valid prefix: the same
+/// [`Store::apply`] over every record, then every job that did not end
+/// goes back on the queue. Pure function of the records plus the
+/// spec/snapshot files they pin.
+fn recover(store: &mut Store, dir: &Path, records: &[WalRecord]) {
     for rec in records {
-        match rec {
-            WalRecord::Submit { job, name: _, spec_digest } => {
-                store.next_id = store.next_id.max(job + 1);
-                let path = wal::spec_path(&cfg.data_dir, *job);
-                let Ok(text) = std::fs::read_to_string(&path) else { continue };
-                if digest_bytes(text.as_bytes()) != *spec_digest {
-                    continue; // spec torn by the crash; drop the job
-                }
-                let Ok(spec) = CampaignSpec::from_text(&text) else { continue };
-                let Ok(cells) = expand(&spec) else { continue };
-                store.register_job(Job::new(*job, spec, cells));
+        if let WalRecord::Submit { job, spec_digest, .. } = rec {
+            // A spec torn by the crash drops the job.
+            let spec = std::fs::read_to_string(wal::spec_path(dir, *job))
+                .ok()
+                .filter(|text| digest_bytes(text.as_bytes()) == *spec_digest)
+                .and_then(|text| parse_spec(&text).ok());
+            if let Some((name, cells)) = spec {
+                store.admit(Job::new(*job, name, cells));
             }
-            WalRecord::Start { job, cell, attempt } => {
-                if let Some(j) = store.jobs.get_mut(job) {
-                    j.cur_cell = *cell;
-                    j.attempt = *attempt;
-                }
-            }
-            WalRecord::Ckpt { job, cell, step, snap_digest } => {
-                pinned.insert(*job, (*cell, *step, *snap_digest));
-            }
-            WalRecord::CellDone { job, cell, rec } => {
-                if let Some(j) = store.jobs.get_mut(job) {
-                    if let Some(c) = j.cells.get(*cell) {
-                        let m = metrics_from_rec(c, rec);
-                        if let Some(slot) = j.cells_done.get_mut(*cell) {
-                            *slot = Some(Ok(m));
-                        }
-                        j.cur_cell = cell + 1;
-                        j.attempt = 0;
-                    }
-                    pinned.remove(job);
-                }
-            }
-            WalRecord::CellFail { job, cell, reason } => {
-                if let Some(j) = store.jobs.get_mut(job) {
-                    let id = j.cells.get(*cell).map(|c| c.id.clone()).unwrap_or_default();
-                    if let Some(slot) = j.cells_done.get_mut(*cell) {
-                        *slot = Some(Err(CellFailure { id, message: reason.clone() }));
-                    }
-                    j.cur_cell = cell + 1;
-                    j.attempt = 0;
-                    pinned.remove(job);
-                }
-            }
-            WalRecord::Retry { job, attempt, .. } => {
-                if let Some(j) = store.jobs.get_mut(job) {
-                    j.attempt = *attempt;
-                    j.retries += 1;
-                }
-            }
-            WalRecord::Preempt { .. } => {}
-            WalRecord::Done { job } => store.set_state(*job, JobState::Done),
-            WalRecord::Fail { job, reason } => {
-                store.set_state(*job, JobState::Failed(reason.clone()))
-            }
-            WalRecord::Cancel { job } => store.set_state(*job, JobState::Cancelled),
         }
+        store.apply(rec);
     }
 
     // Re-queue every surviving non-terminal job, resuming from its
     // pinned snapshot when the file verifies against the WAL.
-    let ids: Vec<u64> = store.jobs.keys().copied().collect();
-    for id in ids {
+    let live: Vec<u64> =
+        store.jobs.values().filter(|j| !j.state().is_terminal()).map(|j| j.id).collect();
+    for id in live {
         let job = &store.jobs[&id];
-        if job.state.is_terminal() {
-            continue;
-        }
-        let resume = pinned.get(&id).and_then(|&(cell, _step, snap_digest)| {
-            if cell != job.cur_cell {
-                return None;
-            }
-            let text = std::fs::read_to_string(wal::snap_path(&cfg.data_dir, id, cell)).ok()?;
+        let resume = job.pinned_snapshot().and_then(|snap_digest| {
+            let text = std::fs::read_to_string(wal::snap_path(dir, id, job.cur_cell())).ok()?;
             if digest_bytes(text.as_bytes()) != snap_digest {
                 return None; // snapshot torn by the crash: restart the cell
             }
@@ -289,52 +254,19 @@ fn recover(store: &mut Store, cfg: &ServeConfig, records: &[WalRecord]) {
                 events_text: snap.events_text,
             })
         });
-        let state = match &resume {
-            Some(r) => {
-                let step = r.next_step;
-                let j = store.jobs.get_mut(&id).unwrap();
-                j.resume = resume;
-                j.recovered_resume_step = Some(step);
-                JobState::Checkpointed
-            }
-            None => JobState::Queued,
-        };
-        store.set_state(id, state);
+        store.requeue(id, resume);
         enqueue(store, id);
     }
 }
 
-/// Rebuild [`CellMetrics`] from a `celldone` record (wall metrics are
-/// zeroed — they are non-canonical and never rendered in the report).
-fn metrics_from_rec(cell: &Cell, rec: &CellDoneRec) -> CellMetrics {
-    CellMetrics {
-        id: cell.id.clone(),
-        axes: cell.axes.clone(),
-        digest: rec.digest,
-        events: rec.events,
-        iters_total: rec.iters_total,
-        iters_poisson: rec.iters_poisson,
-        census: rec.census,
-        deposited_frac_bits: rec.deposited_frac_bits,
-        lb_assembly_bits: rec.lb_assembly_bits,
-        wall: WallMetrics {
-            total_time: 0.0,
-            parallel_efficiency: 0.0,
-            load_balance: 0.0,
-            comm_efficiency: 0.0,
-        },
-    }
-}
-
-fn rec_from_metrics(m: &CellMetrics) -> CellDoneRec {
-    CellDoneRec {
-        digest: m.digest,
-        events: m.events,
-        iters_total: m.iters_total,
-        iters_poisson: m.iters_poisson,
-        census: m.census,
-        deposited_frac_bits: m.deposited_frac_bits,
-        lb_assembly_bits: m.lb_assembly_bits,
+/// A campaign text as a job's name and cells, for admission and for
+/// replay alike.
+fn parse_spec(text: &str) -> Result<(String, Vec<Cell>), String> {
+    let spec = CampaignSpec::from_text(text).map_err(|e| format!("bad campaign spec: {e}"))?;
+    match expand(&spec) {
+        Ok(cells) if !cells.is_empty() => Ok((spec.name, cells)),
+        Ok(_) => Err("campaign expands to zero cells".to_string()),
+        Err(e) => Err(format!("bad campaign spec: {e}")),
     }
 }
 
@@ -354,7 +286,7 @@ fn dequeue_at(store: &mut Store, idx: usize) {
 fn worker_loop(sh: &Shared) {
     loop {
         let claimed = {
-            let mut store = sh.store.lock().unwrap();
+            let mut store = sh.store();
             loop {
                 if sh.kill.load(Ordering::SeqCst) || sh.drain.load(Ordering::SeqCst) {
                     break None;
@@ -365,7 +297,7 @@ fn worker_loop(sh: &Shared) {
                 let (s, _) = sh
                     .cv
                     .wait_timeout(store, Duration::from_millis(50))
-                    .unwrap();
+                    .expect("no thread panicked while holding the store");
                 store = s;
             }
         };
@@ -383,13 +315,9 @@ fn try_dispatch(sh: &Shared, store: &mut Store) -> Option<u64> {
     let mut idx = 0;
     while idx < store.queue.len() {
         let id = store.queue[idx];
-        let Some(job) = store.jobs.get(&id) else {
-            dequeue_at(store, idx);
-            continue;
-        };
-        let took = match job.state {
-            JobState::Queued => store.arbiter.try_acquire(id),
-            JobState::Checkpointed => store.arbiter.try_reclaim(id),
+        let took = match store.jobs.get(&id).map(Job::state) {
+            Some(JobState::Queued) => store.arbiter.try_acquire(id),
+            Some(JobState::Checkpointed) => store.arbiter.try_reclaim(id),
             _ => {
                 dequeue_at(store, idx);
                 continue;
@@ -397,18 +325,9 @@ fn try_dispatch(sh: &Shared, store: &mut Store) -> Option<u64> {
         };
         if took {
             dequeue_at(store, idx);
-            let job = store.jobs.get(&id).unwrap();
-            sh.wal.append(&WalRecord::Start {
-                job: id,
-                cell: job.cur_cell,
-                attempt: job.attempt,
-            });
-            sh.feed.post(
-                "started",
-                id,
-                format!("cell {} attempt {}", job.cur_cell, job.attempt),
-            );
-            store.set_state(id, JobState::Running);
+            let job = &store.jobs[&id];
+            let (cell, attempt) = (job.cur_cell(), job.attempt());
+            commit(sh, store, WalRecord::Start { job: id, cell, attempt });
             return Some(id);
         }
         idx += 1;
@@ -426,14 +345,11 @@ enum StopCause {
 /// Drive one job until it finishes, parks, or the daemon dies.
 /// The worker owns the job's slot for the duration.
 fn run_job(sh: &Shared, id: u64) {
-    let cause = drive(sh, id);
-    let mut store = sh.store.lock().unwrap();
-    match cause {
-        StopCause::Finished => store.arbiter.release(id),
+    match drive(sh, id) {
+        StopCause::Finished => sh.store().arbiter.release(id),
         StopCause::Parked => {} // slot already lent under the store lock
         StopCause::Killed => {} // abrupt death: bookkeeping is moot
     }
-    drop(store);
     sh.cv.notify_all();
 }
 
@@ -444,85 +360,51 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
             return StopCause::Killed;
         }
         let (cell, attempt) = {
-            let mut store = sh.store.lock().unwrap();
-            let job = store.jobs.get_mut(&id).expect("running job exists");
+            let mut store = sh.store();
+            let job = &store.jobs[&id];
 
             if job.cancel_requested {
-                sh.wal.append(&WalRecord::Cancel { job: id });
-                store.set_state(id, JobState::Cancelled);
-                cfpd_telemetry::count!("serve.jobs_cancelled");
-                sh.feed.post("cancelled", id, "cancel honoured between cells");
+                commit(sh, &mut store, WalRecord::Cancel { job: id });
                 return StopCause::Finished;
             }
-            if let Some(deadline) = sh.cfg.job_deadline {
-                if store.jobs[&id].admitted.elapsed() > deadline {
-                    let reason = format!(
-                        "deadline: job exceeded its {:.3}s budget",
-                        deadline.as_secs_f64()
-                    );
-                    sh.wal.append(&WalRecord::Fail { job: id, reason: reason.clone() });
-                    store.set_state(id, JobState::Failed(reason.clone()));
-                    cfpd_telemetry::count!("serve.jobs_failed");
-                    sh.feed.post("failed", id, reason);
-                    drop(store);
-                    dump_flight(sh, id, "deadline kill");
-                    return StopCause::Finished;
-                }
-            }
-            let job = store.jobs.get_mut(&id).unwrap();
-            if job.cur_cell >= job.cells.len() {
-                sh.wal.append(&WalRecord::Done { job: id });
-                store.set_state(id, JobState::Done);
-                cfpd_telemetry::count!("serve.jobs_done");
-                sh.feed.post("done", id, "all cells complete");
+            if let Some(deadline) = sh.cfg.job_deadline.filter(|d| job.admitted.elapsed() > *d) {
+                let reason = format!(
+                    "deadline: job exceeded its {:.3}s budget",
+                    deadline.as_secs_f64()
+                );
+                commit(sh, &mut store, WalRecord::Fail { job: id, reason });
+                drop(store);
+                dump_flight(sh, id, "deadline kill");
                 return StopCause::Finished;
             }
+            let Some(cell) = job.cells.get(job.cur_cell()) else {
+                commit(sh, &mut store, WalRecord::Done { job: id });
+                return StopCause::Finished;
+            };
             if job.preempt_requested {
                 return park(sh, &mut store, id);
             }
-            (job.cells[job.cur_cell].clone(), job.attempt)
+            (cell.clone(), job.attempt())
         };
 
         let cell_t0 = Instant::now();
         let fault = sh.cfg.fault.decide(id, cell.index as u64, attempt);
-        let outcome = if checkpointable(&cell.scenario) {
-            match drive_segments(sh, id, &cell, attempt, fault) {
-                SegmentsOutcome::Cell(result) => result,
-                SegmentsOutcome::Stopped(cause) => return cause,
-            }
-        } else {
-            run_atomic_cell(sh, &cell, fault)
-        };
-
-        match outcome {
-            Ok(metrics) => {
+        match drive_segments(sh, id, &cell, attempt, fault) {
+            SegmentsOutcome::Stopped(cause) => return cause,
+            SegmentsOutcome::Cell(Ok(rec)) => {
                 let steps = cell.scenario.config.steps as u64;
                 let wall_s = cell_t0.elapsed().as_secs_f64();
-                let mut store = sh.store.lock().unwrap();
-                let cur = store.jobs[&id].cur_cell;
-                let durable = sh.wal.append(&WalRecord::CellDone {
-                    job: id,
-                    cell: cur,
-                    rec: rec_from_metrics(&metrics),
-                });
-                let job = store.jobs.get_mut(&id).unwrap();
-                job.cells_done[cur] = Some(Ok(metrics));
-                job.cur_cell += 1;
-                job.attempt = 0;
-                job.resume = None;
-                let total = job.cells.len();
+                let done = WalRecord::CellDone { job: id, cell: cell.index, rec };
                 // The snapshot goes only once the log says the cell is
                 // done: until then the last durable `ckpt` record points
                 // at it, and a restart resumes from it.
-                if durable {
-                    let _ = std::fs::remove_file(wal::snap_path(&sh.cfg.data_dir, id, cur));
+                if commit(sh, &mut sh.store(), done) {
+                    let _ = std::fs::remove_file(wal::snap_path(&sh.cfg.data_dir, id, cell.index));
                 }
-                sh.feed.post("cell_done", id, format!("cell {} of {total}", cur + 1));
-                drop(store);
                 observe_completion(sh, id, steps, wall_s);
             }
-            Err(reason) => {
-                if let Some(cause) = handle_attempt_failure(sh, id, reason) {
+            SegmentsOutcome::Cell(Err(reason)) => {
+                if let Some(cause) = handle_attempt_failure(sh, id, cell.index, reason) {
                     return cause;
                 }
             }
@@ -530,15 +412,13 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
     }
 }
 
-/// Park a running job on its checkpoint (preemption or drain): lend the
-/// slot, requeue, log. Caller holds the store lock.
+/// Park a running job on its checkpoint (preemption or drain): log it,
+/// lend the slot, requeue. Caller holds the store lock.
 fn park(sh: &Shared, store: &mut Store, id: u64) -> StopCause {
-    let job = store.jobs.get_mut(&id).unwrap();
-    let cell = job.cur_cell;
-    let was_preempt = job.preempt_requested;
-    job.preempt_requested = false;
-    sh.wal.append(&WalRecord::Preempt { job: id, cell });
-    store.set_state(id, JobState::Checkpointed);
+    let job = store.jobs.get_mut(&id).expect("running job exists");
+    let cell = job.cur_cell();
+    let was_preempt = std::mem::take(&mut job.preempt_requested);
+    commit(sh, store, WalRecord::Preempt { job: id, cell });
     store.arbiter.lend(id);
     enqueue(store, id);
     if was_preempt {
@@ -583,14 +463,16 @@ fn dump_flight(sh: &Shared, id: u64, cause: &str) {
 
 enum SegmentsOutcome {
     /// The cell concluded (successfully or with a failed attempt).
-    Cell(Result<CellMetrics, String>),
+    Cell(Result<CanonMetrics, String>),
     /// The job parked or the daemon died mid-cell.
     Stopped(StopCause),
 }
 
-/// Run a checkpointable cell as a segment chain on one shared set-up,
-/// persisting a snapshot at every boundary and honouring
-/// preempt/drain/cancel/kill between segments.
+/// Run a cell as a segment chain on one shared set-up, persisting a
+/// snapshot at every boundary and honouring preempt/drain/cancel/kill
+/// between segments. A cell that is not [`checkpointable`] is the chain
+/// of one segment, with no boundary: same set-up, same budget, same
+/// panic isolation, just nothing to park on.
 ///
 /// The cell's progress (`job.resume`) lives in the store, not here: a
 /// failed or parked attempt leaves it where the next one finds it, and a
@@ -601,22 +483,19 @@ fn drive_segments(
     id: u64,
     cell: &Cell,
     attempt: u32,
-    fault: CellFault,
+    mut fault: CellFault, // consumed by the first segment of the attempt
 ) -> SegmentsOutcome {
     let steps = cell.scenario.config.steps;
-    let interval = sh.cfg.ckpt_interval.max(1);
+    let interval =
+        if checkpointable(&cell.scenario) { sh.cfg.ckpt_interval.max(1) } else { steps };
     let prepared = match sh.memo.get(&cell.scenario.prepare_key()) {
         Ok(p) => p,
         Err(reason) => return SegmentsOutcome::Cell(Err(reason)),
     };
-    let (mut next_step, mut restore) = {
-        let store = sh.store.lock().unwrap();
-        match &store.jobs[&id].resume {
-            Some(r) => (r.next_step, Some(Arc::clone(&r.checkpoint))),
-            None => (0, None),
-        }
+    let (mut next_step, mut restore) = match &sh.store().jobs[&id].resume {
+        Some(r) => (r.next_step, Some(Arc::clone(&r.checkpoint))),
+        None => (0, None),
     };
-    let mut fault = fault; // consumed by the first segment of the attempt
 
     loop {
         match std::mem::replace(&mut fault, CellFault::None) {
@@ -625,7 +504,7 @@ fn drive_segments(
                     "injected: seeded worker crash".to_string()
                 ));
             }
-            CellFault::Stall => std::thread::sleep(Duration::from_millis(sh.cfg.stall_ms())),
+            CellFault::Stall => std::thread::sleep(Duration::from_millis(sh.cfg.fault.stall_ms)),
             CellFault::None => {}
         }
 
@@ -658,8 +537,8 @@ fn drive_segments(
 
         let boundary_t0 = Instant::now();
         let (mut acc, mut events_text) = {
-            let mut store = sh.store.lock().unwrap();
-            match store.jobs.get_mut(&id).unwrap().resume.as_mut() {
+            let mut store = sh.store();
+            match store.jobs.get_mut(&id).and_then(|j| j.resume.as_mut()) {
                 Some(r) => (std::mem::take(&mut r.acc), std::mem::take(&mut r.events_text)),
                 None => (CellAcc::default(), String::new()),
             }
@@ -678,6 +557,8 @@ fn drive_segments(
         }
 
         // Segment boundary: pin the progress, then honour control flags.
+        // The snapshot file goes first and outside the store lock; its
+        // `ckpt` record, which only then may point at it, under it.
         let cp = seg.checkpoint.expect("parked segment yields a checkpoint");
         next_step = cp.next_step;
         let snap = CellSnapshot {
@@ -691,19 +572,15 @@ fn drive_segments(
         };
         let (snap_digest, _) =
             snap.write_digest(&wal::snap_path(&sh.cfg.data_dir, id, cell.index), &sh.gate);
-        sh.wal.append(&WalRecord::Ckpt {
-            job: id,
-            cell: cell.index,
-            step: next_step,
-            snap_digest,
-        });
-        cfpd_telemetry::observe!("serve.boundary_us", boundary_t0.elapsed().as_micros() as u64);
         let CellSnapshot { acc, events_text, .. } = snap;
         let cp = Arc::new(cp);
 
         {
-            let mut store = sh.store.lock().unwrap();
-            let job = store.jobs.get_mut(&id).unwrap();
+            let mut store = sh.store();
+            let pin = WalRecord::Ckpt { job: id, cell: cell.index, step: next_step, snap_digest };
+            commit(sh, &mut store, pin);
+            cfpd_telemetry::observe!("serve.boundary_us", boundary_t0.elapsed().as_micros() as u64);
+            let job = store.jobs.get_mut(&id).expect("running job exists");
             job.resume = Some(ResumePoint {
                 next_step,
                 checkpoint: Arc::clone(&cp),
@@ -714,13 +591,9 @@ fn drive_segments(
                 return SegmentsOutcome::Stopped(StopCause::Killed);
             }
             if job.cancel_requested {
-                sh.wal.append(&WalRecord::Cancel { job: id });
-                store.set_state(id, JobState::Cancelled);
-                cfpd_telemetry::count!("serve.jobs_cancelled");
-                sh.feed.post("cancelled", id, "cancel honoured at segment boundary");
+                commit(sh, &mut store, WalRecord::Cancel { job: id });
                 return SegmentsOutcome::Stopped(StopCause::Finished);
             }
-            let job = store.jobs.get_mut(&id).unwrap();
             if job.preempt_requested || sh.drain.load(Ordering::SeqCst) {
                 return SegmentsOutcome::Stopped(park(sh, &mut store, id));
             }
@@ -729,97 +602,31 @@ fn drive_segments(
     }
 }
 
-/// Run a non-checkpointable cell in one shot through the campaign
-/// pool's own bounded runner (same timeout semantics, same failure
-/// text) — supervised and retried, but not preemptible mid-cell.
-fn run_atomic_cell(
-    sh: &Shared,
-    cell: &Cell,
-    fault: CellFault,
-) -> Result<CellMetrics, String> {
-    match fault {
-        CellFault::Crash => return Err("injected: seeded worker crash".to_string()),
-        CellFault::Stall => std::thread::sleep(Duration::from_millis(sh.cfg.stall_ms())),
-        CellFault::None => {}
+/// Book a failed attempt of cell `cell`: retry with seeded exponential
+/// backoff while budget remains, otherwise record the cell as failed
+/// and move on. `Some(cause)` ends the worker's ownership of the job.
+fn handle_attempt_failure(sh: &Shared, id: u64, cell: usize, reason: String) -> Option<StopCause> {
+    let mut store = sh.store();
+    let attempt = store.jobs[&id].attempt().saturating_add(1);
+    if attempt > sh.cfg.retry_max {
+        commit(sh, &mut store, WalRecord::CellFail { job: id, cell, reason });
+        drop(store);
+        dump_flight(sh, id, "cell failed terminally");
+        return None;
     }
-    let report = run_cells_with(
-        "serve-cell",
-        std::slice::from_ref(cell),
-        1,
-        sh.cfg.cell_timeout,
-    );
-    match report.cells.into_iter().next().expect("one cell in, one result out") {
-        Ok(m) => Ok(m),
-        Err(f) => Err(f.message),
-    }
-}
-
-impl ServeConfig {
-    fn stall_ms(&self) -> u64 {
-        self.fault.stall_ms
-    }
-}
-
-/// Book a failed attempt: retry with seeded exponential backoff while
-/// budget remains, otherwise record the cell as failed and move on.
-/// `Some(cause)` ends the worker's ownership of the job.
-fn handle_attempt_failure(sh: &Shared, id: u64, reason: String) -> Option<StopCause> {
-    let backoff_ms;
-    {
-        let mut store = sh.store.lock().unwrap();
-        let job = store.jobs.get_mut(&id).unwrap();
-        let cur = job.cur_cell;
-        job.attempt += 1;
-        job.retries += 1;
-        let attempt = job.attempt;
-        if attempt > sh.cfg.retry_max {
-            sh.wal.append(&WalRecord::CellFail { job: id, cell: cur, reason: reason.clone() });
-            let job = store.jobs.get_mut(&id).unwrap();
-            let cell_id = job.cells[cur].id.clone();
-            job.cells_done[cur] = Some(Err(CellFailure { id: cell_id, message: reason.clone() }));
-            job.cur_cell += 1;
-            job.attempt = 0;
-            job.resume = None;
-            sh.feed.post("cell_failed", id, reason);
-            drop(store);
-            dump_flight(sh, id, "cell failed terminally");
-            return None;
-        }
-        // Exponential backoff with seeded jitter, capped — deterministic
-        // for a fixed (seed, job, attempt), so sweeps replay exactly.
-        let base = sh.cfg.backoff_base_ms << (attempt - 1).min(16);
-        let jitter = SplitMix64::new(sh.cfg.fault.seed ^ id ^ attempt as u64).next_u64()
-            % sh.cfg.backoff_base_ms.max(1);
-        backoff_ms = base.min(250) + jitter;
-        sh.wal.append(&WalRecord::Retry {
-            job: id,
-            cell: cur,
-            attempt,
-            backoff_ms,
-            reason: reason.clone(),
-        });
-        cfpd_telemetry::count!("serve.retries");
-        sh.feed.post(
-            "retried",
-            id,
-            format!("cell {cur} attempt {attempt} after {backoff_ms}ms: {reason}"),
-        );
-    }
+    // Exponential backoff with seeded jitter, capped — deterministic
+    // for a fixed (seed, job, attempt), so sweeps replay exactly.
+    let base = sh.cfg.backoff_base_ms << (attempt - 1).min(16);
+    let jitter = SplitMix64::new(sh.cfg.fault.seed ^ id ^ attempt as u64).next_u64()
+        % sh.cfg.backoff_base_ms.max(1);
+    let backoff_ms = base.min(250) + jitter;
+    commit(sh, &mut store, WalRecord::Retry { job: id, cell, attempt, backoff_ms, reason });
+    drop(store);
     if sh.kill.load(Ordering::SeqCst) {
         return Some(StopCause::Killed);
     }
     std::thread::sleep(Duration::from_millis(backoff_ms));
     None
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -905,7 +712,7 @@ fn progress(sh: &Shared, id: &str) -> http::Response {
     let Ok(id) = id.parse::<u64>() else {
         return http::Response::error(400, "job id is not a number");
     };
-    let store = sh.store.lock().unwrap();
+    let store = sh.store();
     let Some(job) = store.jobs.get(&id) else {
         return http::Response::error(404, "no such job");
     };
@@ -914,7 +721,7 @@ fn progress(sh: &Shared, id: &str) -> http::Response {
     let remaining = job.remaining_steps() as u64;
     let steps_done = steps_total.saturating_sub(remaining);
     let elapsed_s = job.admitted.elapsed().as_secs_f64();
-    let terminal = job.state.is_terminal();
+    let terminal = job.state().is_terminal();
     // Measured rate first (this job's own, then the daemon's rolling
     // median across completed cells), perfmodel prior as cold-start.
     let rate = if steps_done > 0 && elapsed_s > 0.0 {
@@ -932,13 +739,13 @@ fn progress(sh: &Shared, id: &str) -> http::Response {
     w.begin_object();
     w.key("job").u64(job.id);
     w.key("name").string(&job.name);
-    w.key("state").string(job.state.label());
-    w.key("cell").u64(job.cur_cell as u64);
+    w.key("state").string(job.state().label());
+    w.key("cell").u64(job.cur_cell() as u64);
     w.key("cells").u64(job.cells.len() as u64);
     w.key("cells_done").u64(job.cells_finished() as u64);
     w.key("cells_failed").u64(job.cells_failed() as u64);
-    w.key("attempt").u64(job.attempt as u64);
-    w.key("retries").u64(job.retries);
+    w.key("attempt").u64(job.attempt() as u64);
+    w.key("retries").u64(job.retries());
     w.key("steps_total").u64(steps_total);
     w.key("steps_done").u64(steps_done);
     w.key("elapsed_s").f64(elapsed_s);
@@ -985,17 +792,12 @@ fn submit(sh: &Shared, body: &str) -> http::Response {
         resp.headers.push(("retry-after".to_string(), "5".to_string()));
         return resp;
     }
-    let spec = match CampaignSpec::from_text(body) {
-        Ok(s) => s,
-        Err(e) => return http::Response::error(400, &format!("bad campaign spec: {e}")),
-    };
-    let cells = match expand(&spec) {
-        Ok(c) if !c.is_empty() => c,
-        Ok(_) => return http::Response::error(400, "campaign expands to zero cells"),
-        Err(e) => return http::Response::error(400, &format!("bad campaign spec: {e}")),
+    let (name, cells) = match parse_spec(body) {
+        Ok(parsed) => parsed,
+        Err(e) => return http::Response::error(400, &e),
     };
 
-    let mut store = sh.store.lock().unwrap();
+    let mut store = sh.store();
     if store.live_jobs() >= sh.cfg.queue_cap {
         cfpd_telemetry::count!("serve.jobs_shed");
         sh.feed.post("shed", 0, "admission queue full");
@@ -1003,23 +805,17 @@ fn submit(sh: &Shared, body: &str) -> http::Response {
         resp.headers.push(("retry-after".to_string(), "1".to_string()));
         return resp;
     }
-    let id = store.next_id;
-    store.next_id += 1;
+    let id = store.next_id();
     // Spec file first, then the WAL record pinning its digest: a crash
     // between the two leaves an orphan file, never a dangling record.
     if sh.gate.admit() {
         let _ = std::fs::write(wal::spec_path(&sh.cfg.data_dir, id), body);
     }
-    sh.wal.append(&WalRecord::Submit {
-        job: id,
-        name: spec.name.clone(),
-        spec_digest: digest_bytes(body.as_bytes()),
-    });
-    sh.feed.post("admitted", id, format!("{} ({} cells)", spec.name, cells.len()));
-    store.register_job(Job::new(id, spec, cells));
+    store.admit(Job::new(id, name.clone(), cells));
+    let spec_digest = digest_bytes(body.as_bytes());
+    commit(sh, &mut store, WalRecord::Submit { job: id, name, spec_digest });
     enqueue(&mut store, id);
     maybe_preempt(&mut store);
-    cfpd_telemetry::count!("serve.jobs_submitted");
     drop(store);
     sh.cv.notify_all();
 
@@ -1042,13 +838,13 @@ fn maybe_preempt(store: &mut Store) {
         .queue
         .iter()
         .filter_map(|id| store.jobs.get(id))
-        .filter(|j| matches!(j.state, JobState::Queued | JobState::Checkpointed))
+        .filter(|j| matches!(j.state(), JobState::Queued | JobState::Checkpointed))
         .map(|j| j.remaining_steps())
         .min();
     let victim = store
         .jobs
         .values()
-        .filter(|j| j.state == JobState::Running && !j.preempt_requested)
+        .filter(|j| *j.state() == JobState::Running && !j.preempt_requested)
         .max_by_key(|j| j.remaining_steps())
         .map(|j| j.id);
     if let (Some(cand_rem), Some(victim_id)) = (cand, victim) {
@@ -1067,8 +863,7 @@ fn with_job(
     let Ok(id) = id.parse::<u64>() else {
         return http::Response::error(400, "job id is not a number");
     };
-    let store = sh.store.lock().unwrap();
-    match store.jobs.get(&id) {
+    match sh.store().jobs.get(&id) {
         Some(job) => f(job),
         None => http::Response::error(404, "no such job"),
     }
@@ -1079,16 +874,16 @@ fn status_json(job: &Job) -> http::Response {
     w.begin_object();
     w.key("job").u64(job.id);
     w.key("name").string(&job.name);
-    w.key("state").string(job.state.label());
-    if let JobState::Failed(reason) = &job.state {
+    w.key("state").string(job.state().label());
+    if let JobState::Failed(reason) = job.state() {
         w.key("error").string(reason);
     }
-    w.key("cell").u64(job.cur_cell as u64);
+    w.key("cell").u64(job.cur_cell() as u64);
     w.key("cells").u64(job.cells.len() as u64);
     w.key("cells_done").u64(job.cells_finished() as u64);
     w.key("cells_failed").u64(job.cells_failed() as u64);
-    w.key("attempt").u64(job.attempt as u64);
-    w.key("retries").u64(job.retries);
+    w.key("attempt").u64(job.attempt() as u64);
+    w.key("retries").u64(job.retries());
     if let Some(step) = job.recovered_resume_step {
         w.key("resumed_step").u64(step as u64);
     }
@@ -1097,7 +892,7 @@ fn status_json(job: &Job) -> http::Response {
 }
 
 fn result_json(job: &Job) -> http::Response {
-    match &job.state {
+    match job.state() {
         JobState::Done => http::Response::json(200, job.report().render_json()),
         JobState::Failed(reason) => {
             http::Response::error(409, &format!("job failed: {reason}"))
@@ -1111,12 +906,12 @@ fn cancel(sh: &Shared, id: &str) -> http::Response {
     let Ok(id) = id.parse::<u64>() else {
         return http::Response::error(400, "job id is not a number");
     };
-    let mut store = sh.store.lock().unwrap();
+    let mut store = sh.store();
     let Some(job) = store.jobs.get_mut(&id) else {
         return http::Response::error(404, "no such job");
     };
-    let (status, state) = match job.state {
-        _ if job.state.is_terminal() => {
+    let (status, state) = match job.state() {
+        state if state.is_terminal() => {
             return http::Response::error(409, "job is already terminal")
         }
         JobState::Running => {
@@ -1126,10 +921,7 @@ fn cancel(sh: &Shared, id: &str) -> http::Response {
             (202, "cancelling")
         }
         _ => {
-            sh.wal.append(&WalRecord::Cancel { job: id });
-            store.set_state(id, JobState::Cancelled);
-            cfpd_telemetry::count!("serve.jobs_cancelled");
-            sh.feed.post("cancelled", id, "cancelled before running");
+            commit(sh, &mut store, WalRecord::Cancel { job: id });
             (200, "cancelled")
         }
     };

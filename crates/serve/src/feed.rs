@@ -7,6 +7,7 @@
 //! a condvar with a bounded timeout well under the HTTP client's read
 //! timeout, so a long-poll always answers.
 
+use crate::wal::WalRecord;
 use cfpd_telemetry::JsonWriter;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -60,6 +61,45 @@ impl EventFeed {
         }
         drop(g);
         self.cv.notify_all();
+    }
+
+    /// What the live daemon tells the world about a record it committed:
+    /// the lifecycle event and the `/metrics` counter that are a function
+    /// of the record (`cells` is the size of its job's matrix). `ckpt`
+    /// and `preempt` announce nothing here — a boundary is a histogram
+    /// sample, and a park is a preemption only when it was not a drain.
+    pub fn announce(&self, rec: &WalRecord, cells: usize) {
+        let (kind, detail) = match rec {
+            WalRecord::Submit { name, .. } => {
+                cfpd_telemetry::count!("serve.jobs_submitted");
+                ("admitted", format!("{name} ({cells} cells)"))
+            }
+            WalRecord::Start { cell, attempt, .. } => {
+                ("started", format!("cell {cell} attempt {attempt}"))
+            }
+            WalRecord::Ckpt { .. } | WalRecord::Preempt { .. } => return,
+            WalRecord::CellDone { cell, .. } => {
+                ("cell_done", format!("cell {} of {cells}", cell + 1))
+            }
+            WalRecord::CellFail { reason, .. } => ("cell_failed", reason.clone()),
+            WalRecord::Retry { cell, attempt, backoff_ms, reason, .. } => {
+                cfpd_telemetry::count!("serve.retries");
+                ("retried", format!("cell {cell} attempt {attempt} after {backoff_ms}ms: {reason}"))
+            }
+            WalRecord::Done { .. } => {
+                cfpd_telemetry::count!("serve.jobs_done");
+                ("done", "all cells complete".to_string())
+            }
+            WalRecord::Fail { reason, .. } => {
+                cfpd_telemetry::count!("serve.jobs_failed");
+                ("failed", reason.clone())
+            }
+            WalRecord::Cancel { .. } => {
+                cfpd_telemetry::count!("serve.jobs_cancelled");
+                ("cancelled", "cancel honoured".to_string())
+            }
+        };
+        self.post(kind, rec.job_id(), detail);
     }
 
     /// Events with `seq > since`, waiting up to `wait` for the first

@@ -12,6 +12,13 @@ pub const MAX_REQUEST_LINE: usize = 8 * 1024;
 pub const MAX_HEADERS: usize = 64;
 pub const MAX_BODY: usize = 4 * 1024 * 1024;
 
+/// Read and write timeout of every accepted connection. Without it a
+/// peer that connects and sends nothing pins an accept thread in
+/// `read_line` for good: `http_threads` idle sockets would take the
+/// whole daemon off the air and keep [`crate::Daemon::kill`] from
+/// joining.
+pub const IO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(3);
+
 /// A parsed request: method, path, raw body.
 #[derive(Debug)]
 pub struct Request {
@@ -70,9 +77,15 @@ fn status_text(code: u16) -> &'static str {
     }
 }
 
-/// Read one request off the stream, enforcing the size caps. Errors are
-/// protocol violations the caller answers with 400 (or drops).
+/// Read one request off an accepted stream, enforcing the size caps and
+/// [`IO_TIMEOUT`] (which stays set for the response). Errors are
+/// protocol violations or an expired timeout; the caller answers 400
+/// and closes.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+    stream
+        .set_read_timeout(Some(IO_TIMEOUT))
+        .and_then(|_| stream.set_write_timeout(Some(IO_TIMEOUT)))
+        .map_err(|e| format!("socket timeout: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     read_limited_line(&mut reader, &mut line)?;
@@ -164,18 +177,7 @@ pub fn http_call(
     path: &str,
     body: &str,
 ) -> std::io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-
-    let mut raw = String::new();
-    BufReader::new(stream).read_to_string(&mut raw)?;
+    let raw = http_call_raw(addr, method, path, body)?;
     let status = raw
         .split_whitespace()
         .nth(1)
@@ -190,8 +192,8 @@ pub fn http_call(
     Ok((status, body))
 }
 
-/// Extract a response header's value from a raw client exchange; the
-/// overload tests use it to read `Retry-After`.
+/// [`http_call`]'s exchange, unparsed: status line, headers and body as
+/// the daemon sent them (the overload tests read `Retry-After` off it).
 pub fn http_call_raw(
     addr: &str,
     method: &str,

@@ -15,7 +15,9 @@
 //!   the uninterrupted run's, pinned against
 //!   `tests/golden/campaign_small.golden`);
 //! * [`state`] + [`daemon`] — the supervisor: job state machine
-//!   (submitted → running → checkpointed → done/failed/cancelled),
+//!   (submitted → running → checkpointed → done/failed/cancelled) whose
+//!   one writer, `Store::apply(&WalRecord)`, serves the live daemon and
+//!   WAL replay alike,
 //!   deadline budgets, bounded seeded exponential-backoff retry,
 //!   checkpoint-backed **preemption** (pause a long job to admit a
 //!   short one — `cfpd_dlb::JobArbiter` extends LeWI lending from
@@ -51,6 +53,7 @@ pub use fault::{CellFault, ServeFaultPlan};
 pub use feed::{EventFeed, FeedEvent};
 pub use http::{http_call, Request, Response};
 pub use prom::lint_prometheus;
-pub use snap::{CellAcc, CellSnapshot};
+pub use cfpd_campaign::CellAcc;
+pub use snap::CellSnapshot;
 pub use state::{Job, JobState};
 pub use wal::{PersistGate, Wal, WalRecord};

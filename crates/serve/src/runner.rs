@@ -9,9 +9,7 @@
 //! renders events segment-independently); this module is just careful
 //! bookkeeping on top.
 
-use crate::snap::CellAcc;
-use cfpd_campaign::{CellMetrics, WallMetrics};
-use cfpd_campaign::Cell;
+use cfpd_campaign::{CanonMetrics, Cell, CellAcc};
 use cfpd_core::{
     rank_failures, render_golden_events, render_golden_header_for, render_golden_summary,
     run_prepared, Checkpoint, Prepared, RunOptions, Scenario,
@@ -33,10 +31,10 @@ pub struct SegmentOut {
     pub done: bool,
 }
 
-/// Can this scenario run as a resumable segment chain? Mirrors the
+/// Can this scenario be cut into resumable segments? Mirrors the
 /// core's checkpoint preconditions: synchronous mode, single-threaded
-/// ranks, no DLB, no chaos. Anything else runs atomically (still
-/// supervised and retried, just not preempted mid-flight).
+/// ranks, no DLB, no chaos. Anything else is the chain of one segment:
+/// still supervised and retried, just not preempted mid-flight.
 pub fn checkpointable(s: &Scenario) -> bool {
     s.config.mode == cfpd_core::ExecutionMode::Synchronous
         && s.threads == 1
@@ -68,20 +66,18 @@ pub fn run_segment(
     })
 }
 
-/// Stitch a finished cell back into [`CellMetrics`] — the same numbers
-/// `cfpd_campaign::cell_metrics` computes from an uninterrupted run.
-/// `census` is the one of the cell's final segment and closes the
-/// document; the mesh counts that head it are `prepared`'s.
-/// Wall-clock metrics are zeroed: a resumed cell's wall time spans
-/// daemon restarts and means nothing; the canonical report never
-/// renders them, so the JSON stays byte-identical.
+/// Stitch a finished cell back into its canonical metrics — the same
+/// numbers `cfpd_campaign::cell_metrics` computes from an uninterrupted
+/// run, through the same fold. `census` is the one of the cell's final
+/// segment and closes the document; the mesh counts that head it are
+/// `prepared`'s.
 pub fn finish_cell_metrics(
     cell: &Cell,
     prepared: &Prepared,
     acc: &CellAcc,
     events_text: &str,
     census: &ParticleCensus,
-) -> CellMetrics {
+) -> CanonMetrics {
     let doc = format!(
         "{}{}{}",
         render_golden_header_for(
@@ -93,26 +89,7 @@ pub fn finish_cell_metrics(
         events_text,
         render_golden_summary(census),
     );
-    let c = census;
-    let total = c.active + c.deposited + c.escaped + c.lost;
-    let deposited_frac = if total == 0 { 0.0 } else { c.deposited as f64 / total as f64 };
-    CellMetrics {
-        id: cell.id.clone(),
-        axes: cell.axes.clone(),
-        digest: digest_bytes(doc.as_bytes()),
-        events: acc.events,
-        iters_total: acc.iters_total,
-        iters_poisson: acc.iters_poisson,
-        census: [c.active as u64, c.deposited as u64, c.escaped as u64, c.lost as u64],
-        deposited_frac_bits: deposited_frac.to_bits(),
-        lb_assembly_bits: acc.lb_assembly().to_bits(),
-        wall: WallMetrics {
-            total_time: 0.0,
-            parallel_efficiency: 0.0,
-            load_balance: 0.0,
-            comm_efficiency: 0.0,
-        },
-    }
+    acc.finish(digest_bytes(doc.as_bytes()), census)
 }
 
 #[cfg(test)]
@@ -162,12 +139,6 @@ steps = 3
             }
         }
         let got = finish_cell_metrics(cell, &prepared, &acc, &events, &last.unwrap().census);
-        assert_eq!(got.digest, want.digest, "stitched digest differs");
-        assert_eq!(got.events, want.events);
-        assert_eq!(got.iters_total, want.iters_total);
-        assert_eq!(got.iters_poisson, want.iters_poisson);
-        assert_eq!(got.census, want.census);
-        assert_eq!(got.deposited_frac_bits, want.deposited_frac_bits);
-        assert_eq!(got.lb_assembly_bits, want.lb_assembly_bits);
+        assert_eq!(got, want.canon);
     }
 }

@@ -16,84 +16,13 @@
 //! counts are bounded by the input size (hostile length prefixes are
 //! rejected before allocation, mirroring `Checkpoint::from_text`).
 
-use crate::wal::PersistGate;
-use cfpd_core::LogicalEvent;
+use crate::wal::{KeyValues, PersistGate};
+use cfpd_campaign::CellAcc;
 use cfpd_testkit::digest_bytes;
 use std::fmt::Write as _;
 use std::path::Path;
 
 pub const SNAP_MAGIC: &str = "cfpd serve snapshot v1";
-
-/// Running deterministic-metrics accumulator over a cell's logical
-/// events — the same quantities `cfpd_campaign::cell_metrics` derives
-/// from a complete run, accumulated segment by segment.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CellAcc {
-    pub events: u64,
-    pub iters_total: u64,
-    pub iters_poisson: u64,
-    /// Per-rank step-0 assembly element counts (only the first segment
-    /// contributes; kept in arrival order like the aggregator).
-    pub elems: Vec<(usize, u64)>,
-}
-
-impl CellAcc {
-    /// Fold one segment's events in.
-    pub fn absorb(&mut self, logical: &[LogicalEvent]) {
-        self.events += logical.len() as u64;
-        for e in logical {
-            match e {
-                LogicalEvent::Solve { system, iterations, .. } => {
-                    self.iters_total += *iterations as u64;
-                    if *system == 3 {
-                        self.iters_poisson += *iterations as u64;
-                    }
-                }
-                LogicalEvent::Assembly { step: 0, rank, elements } => {
-                    self.elems.push((*rank, *elements as u64));
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Assembly load balance L = mean/max — `cell_metrics`' formula.
-    pub fn lb_assembly(&self) -> f64 {
-        if self.elems.is_empty() {
-            1.0
-        } else {
-            let sum: u64 = self.elems.iter().map(|(_, e)| e).sum();
-            let max = self.elems.iter().map(|(_, e)| *e).max().unwrap_or(1).max(1);
-            sum as f64 / (self.elems.len() as f64 * max as f64)
-        }
-    }
-
-    fn render_elems(&self) -> String {
-        if self.elems.is_empty() {
-            return "-".to_string();
-        }
-        self.elems
-            .iter()
-            .map(|(r, e)| format!("{r}:{e}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-
-    fn parse_elems(s: &str) -> Result<Vec<(usize, u64)>, String> {
-        if s == "-" {
-            return Ok(Vec::new());
-        }
-        s.split(',')
-            .map(|tok| {
-                let (r, e) = tok.split_once(':').ok_or_else(|| format!("bad elem {tok:?}"))?;
-                Ok((
-                    r.parse().map_err(|_| format!("bad rank in {tok:?}"))?,
-                    e.parse().map_err(|_| format!("bad count in {tok:?}"))?,
-                ))
-            })
-            .collect()
-    }
-}
 
 /// A cell parked mid-flight: accumulator + partial event text + the
 /// physics checkpoint, all digest-guarded in one file.
@@ -138,7 +67,7 @@ impl CellSnapshot {
             self.acc.events,
             self.acc.iters_total,
             self.acc.iters_poisson,
-            self.acc.render_elems(),
+            render_elems(&self.acc.elems),
         )
         .unwrap();
         writeln!(out, "events {}", self.events_text.lines().count()).unwrap();
@@ -188,42 +117,27 @@ impl CellSnapshot {
             return Err(format!("snapshot digest mismatch: stated {stated:016x}, actual {actual:016x}"));
         }
 
-        let meta = lines.next().ok_or("missing meta line")?;
-        let mut kv = std::collections::BTreeMap::new();
-        for tok in meta.strip_prefix("meta ").ok_or("bad meta line")?.split(' ') {
-            let (k, v) = tok.split_once('=').ok_or_else(|| format!("bad meta token {tok:?}"))?;
-            kv.insert(k, v);
-        }
-        let meta_int = |k: &str| -> Result<u64, String> {
-            kv.get(k)
-                .ok_or_else(|| format!("meta missing {k}="))?
-                .parse()
-                .map_err(|e| format!("bad meta {k}: {e}"))
+        let mut key_values = |name: &'static str| -> Result<KeyValues, String> {
+            let line = lines.next().ok_or_else(|| format!("missing {name} line"))?;
+            let tokens = line
+                .strip_prefix(name)
+                .and_then(|r| r.strip_prefix(' '))
+                .ok_or_else(|| format!("bad {name} line"))?;
+            KeyValues::parse(name, tokens)
         };
+        let meta = key_values("meta")?;
         let (job, cell, attempt, next_step) = (
-            meta_int("job")?,
-            meta_int("cell")? as usize,
-            meta_int("attempt")? as u32,
-            meta_int("next_step")? as usize,
+            meta.int("job")?,
+            meta.int("cell")? as usize,
+            meta.int("attempt")? as u32,
+            meta.int("next_step")? as usize,
         );
-
-        let acc_line = lines.next().ok_or("missing acc line")?;
-        let mut akv = std::collections::BTreeMap::new();
-        for tok in acc_line.strip_prefix("acc ").ok_or("bad acc line")?.split(' ') {
-            let (k, v) = tok.split_once('=').ok_or_else(|| format!("bad acc token {tok:?}"))?;
-            akv.insert(k, v);
-        }
-        let acc_int = |k: &str| -> Result<u64, String> {
-            akv.get(k)
-                .ok_or_else(|| format!("acc missing {k}="))?
-                .parse()
-                .map_err(|e| format!("bad acc {k}: {e}"))
-        };
+        let acc = key_values("acc")?;
         let acc = CellAcc {
-            events: acc_int("events")?,
-            iters_total: acc_int("iters")?,
-            iters_poisson: acc_int("itersp")?,
-            elems: CellAcc::parse_elems(akv.get("elems").ok_or("acc missing elems=")?)?,
+            events: acc.int("events")?,
+            iters_total: acc.int("iters")?,
+            iters_poisson: acc.int("itersp")?,
+            elems: parse_elems(acc.get("elems")?)?,
         };
 
         let mut read_section = |name: &str| -> Result<String, String> {
@@ -263,6 +177,28 @@ impl CellSnapshot {
     }
 }
 
+fn render_elems(elems: &[(usize, u64)]) -> String {
+    if elems.is_empty() {
+        return "-".to_string();
+    }
+    elems.iter().map(|(r, e)| format!("{r}:{e}")).collect::<Vec<_>>().join(",")
+}
+
+fn parse_elems(s: &str) -> Result<Vec<(usize, u64)>, String> {
+    if s == "-" {
+        return Ok(Vec::new());
+    }
+    s.split(',')
+        .map(|tok| {
+            let (r, e) = tok.split_once(':').ok_or_else(|| format!("bad elem {tok:?}"))?;
+            Ok((
+                r.parse().map_err(|_| format!("bad rank in {tok:?}"))?,
+                e.parse().map_err(|_| format!("bad count in {tok:?}"))?,
+            ))
+        })
+        .collect()
+}
+
 fn write_text(text: &str, path: &Path, gate: &PersistGate) -> bool {
     if !gate.admit() {
         return false;
@@ -278,6 +214,7 @@ fn write_text(text: &str, path: &Path, gate: &PersistGate) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfpd_core::LogicalEvent;
 
     fn sample() -> CellSnapshot {
         let mut acc = CellAcc::default();

@@ -1,15 +1,32 @@
 //! Supervisor state: jobs, their state machine, and the shared store
 //! the worker pool and HTTP handlers operate on.
 //!
-//! The in-memory store is a *cache* of the WAL — every transition is
-//! logged before (or atomically with) the in-memory update, and daemon
-//! restart reconstructs the store purely from the WAL's valid prefix
-//! plus the snapshot files it pins. Nothing here is authoritative.
+//! The in-memory store is a *cache* of the WAL, and [`Store::apply`] is
+//! what keeps that true: it is the only code that moves a job's durable
+//! fields, the fields are private to this module so nothing else can,
+//! and both the live daemon (append a record, then apply it) and a
+//! restart (apply every record of the WAL's valid prefix) go through it.
+//! Nothing here is authoritative, and nothing here does I/O.
+//!
+//! What each record kind moves is the arms of `apply`, one each
+//! (tabulated in DESIGN.md §13, "The record is the transition").
+//!
+//! The WAL is disk input: a record for an unknown job, for a terminal
+//! job, or for another cell than the job's current one is ignored, so
+//! no sequence of records can panic `apply`, revert a terminal state or
+//! finish a cell twice.
+//!
+//! Everything else a [`Job`] or the [`Store`] holds is *scheduling*
+//! state, which dies with the process and is rebuilt, not replayed:
+//! who owns a worker slot ([`Store::arbiter`]) and who waits for one
+//! ([`Store::queue`]), the request flags, and [`Job::resume`] — the
+//! in-memory copy of what the pinned snapshot file holds.
 
-use crate::snap::CellAcc;
-use cfpd_campaign::{CampaignReport, CampaignSpec, Cell, CellFailure, CellMetrics};
+use crate::wal::WalRecord;
+use cfpd_campaign::{CampaignReport, Cell, CellAcc, CellFailure, CellMetrics, WallMetrics};
 use cfpd_core::Checkpoint;
 use cfpd_dlb::JobArbiter;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -61,27 +78,34 @@ pub struct ResumePoint {
     pub events_text: String,
 }
 
-/// One admitted job.
+/// One admitted job. The private fields are the durable ones: only
+/// [`Store::apply`] writes them (and [`Store::requeue`] the state).
 #[derive(Debug)]
 pub struct Job {
     pub id: u64,
     pub name: String,
-    pub spec: CampaignSpec,
     /// Expanded matrix, in expansion order.
     pub cells: Vec<Cell>,
-    pub state: JobState,
+    state: JobState,
     /// Finished cells by expansion index (`None` = not finished yet).
-    pub cells_done: Vec<Option<Result<CellMetrics, CellFailure>>>,
+    /// Cells finish in order: exactly the first `cur_cell` are `Some`.
+    cells_done: Vec<Option<Result<CellMetrics, CellFailure>>>,
     /// Index of the first unfinished cell.
-    pub cur_cell: usize,
+    cur_cell: usize,
     /// Attempt counter of the current cell (0-based).
-    pub attempt: u32,
+    attempt: u32,
     /// Total retries across all cells (for /metrics and status).
-    pub retries: u64,
+    retries: u64,
+    /// Digest of the current cell's snapshot file as of its last `ckpt`
+    /// record (`None` before the first): what a restart verifies the
+    /// file against before resuming from it.
+    pinned: Option<u64>,
     /// Progress of the current cell as of its last segment boundary
     /// (`None` before the first): where a parked, retried or recovered
-    /// attempt resumes. The worker borrows `acc` and `events_text` out of
-    /// it while it extends them at a boundary; nothing else is copied.
+    /// attempt resumes. The worker attaches it after committing `ckpt`
+    /// and borrows `acc` and `events_text` out of it while it extends
+    /// them at a boundary; a restart attaches it from the pinned file;
+    /// `apply` only ever drops it, with the pin, when the cell concludes.
     pub resume: Option<ResumePoint>,
     /// Step a crash-recovered job resumed from (status visibility: the
     /// resilience suite asserts no step-0 recomputation happened).
@@ -91,31 +115,49 @@ pub struct Job {
     /// When the job was admitted (this daemon incarnation) — deadlines
     /// are wall-clock budgets from here.
     pub admitted: Instant,
-    /// Completion order stamp (the preemption test asserts a short job
-    /// admitted *after* a long one finishes *before* it).
-    pub finish_seq: Option<u64>,
 }
 
 impl Job {
-    pub fn new(id: u64, spec: CampaignSpec, cells: Vec<Cell>) -> Job {
+    pub fn new(id: u64, name: String, cells: Vec<Cell>) -> Job {
         let n = cells.len();
         Job {
             id,
-            name: spec.name.clone(),
-            spec,
+            name,
             cells,
             state: JobState::Queued,
             cells_done: (0..n).map(|_| None).collect(),
             cur_cell: 0,
             attempt: 0,
             retries: 0,
+            pinned: None,
             resume: None,
             recovered_resume_step: None,
             preempt_requested: false,
             cancel_requested: false,
             admitted: Instant::now(),
-            finish_seq: None,
         }
+    }
+
+    pub fn state(&self) -> &JobState {
+        &self.state
+    }
+
+    pub fn cur_cell(&self) -> usize {
+        self.cur_cell
+    }
+
+    pub fn attempt(&self) -> u32 {
+        self.attempt
+    }
+
+    pub fn retries(&self) -> u64 {
+        self.retries
+    }
+
+    /// Digest the current cell's snapshot file must have to be resumed
+    /// from (`None`: no boundary of this cell is on record).
+    pub fn pinned_snapshot(&self) -> Option<u64> {
+        self.pinned
     }
 
     /// Remaining work estimate in simulation steps — the preemption
@@ -162,6 +204,26 @@ impl Job {
                 .collect(),
         }
     }
+
+    /// Transition the state, keeping the per-state gauges exact.
+    fn set_state(&mut self, state: JobState) {
+        if cfpd_telemetry::enabled() {
+            cfpd_telemetry::gauge(state_gauge(self.state.label())).add_unchecked(-1);
+            cfpd_telemetry::gauge(state_gauge(state.label())).add_unchecked(1);
+        }
+        self.state = state;
+    }
+
+    /// The current cell (if one is left) concluded with `outcome`: on to
+    /// the next one.
+    fn conclude_cell(&mut self, outcome: impl FnOnce(&Cell) -> Result<CellMetrics, CellFailure>) {
+        let Some(cell) = self.cells.get(self.cur_cell) else { return };
+        self.cells_done[self.cur_cell] = Some(outcome(cell));
+        self.cur_cell += 1;
+        self.attempt = 0;
+        self.pinned = None;
+        self.resume = None;
+    }
 }
 
 /// Everything the daemon's mutex guards.
@@ -170,11 +232,11 @@ pub struct Store {
     /// Dispatch order: job ids waiting for a worker slot (queued and
     /// checkpointed jobs both wait here).
     pub queue: VecDeque<u64>,
-    pub next_id: u64,
+    next_id: u64,
     /// LeWI, lifted from ranks to jobs: a preempted job *lends* its
-    /// worker slot; dispatch *reclaims* it when the job resumes.
+    /// worker slot; dispatch *reclaims* it when the job resumes. Slot
+    /// ownership dies with the process, so no record moves it.
     pub arbiter: JobArbiter,
-    finish_counter: u64,
 }
 
 impl Store {
@@ -184,8 +246,12 @@ impl Store {
             queue: VecDeque::new(),
             next_id: 1,
             arbiter: JobArbiter::new(worker_slots),
-            finish_counter: 0,
         }
+    }
+
+    /// The id the next admitted job gets.
+    pub fn next_id(&self) -> u64 {
+        self.next_id
     }
 
     /// Count of jobs occupying admission capacity (all non-terminal).
@@ -193,28 +259,83 @@ impl Store {
         self.jobs.values().filter(|j| !j.state.is_terminal()).count()
     }
 
-    /// Transition a job's state, keeping the per-state gauges exact.
-    pub fn set_state(&mut self, id: u64, state: JobState) {
-        let Some(job) = self.jobs.get_mut(&id) else { return };
-        if cfpd_telemetry::enabled() {
-            cfpd_telemetry::gauge(state_gauge(job.state.label())).add_unchecked(-1);
-            cfpd_telemetry::gauge(state_gauge(state.label())).add_unchecked(1);
+    /// Register a freshly built job, for the `submit` record that names
+    /// it: the live daemon builds it from the request body it parsed, a
+    /// restart from the digest-checked spec file. A taken id is refused.
+    pub fn admit(&mut self, job: Job) {
+        if let Entry::Vacant(slot) = self.jobs.entry(job.id) {
+            if cfpd_telemetry::enabled() {
+                cfpd_telemetry::gauge(state_gauge(job.state.label())).add_unchecked(1);
+            }
+            slot.insert(job);
         }
-        if state.is_terminal() && job.finish_seq.is_none() {
-            self.finish_counter += 1;
-            job.finish_seq = Some(self.finish_counter);
-        }
-        job.state = state;
     }
 
-    /// Register a freshly created job's gauge (+1 its initial state).
-    pub fn register_job(&mut self, job: Job) -> u64 {
-        let id = job.id;
-        if cfpd_telemetry::enabled() {
-            cfpd_telemetry::gauge(state_gauge(job.state.label())).add_unchecked(1);
+    /// The transition `rec` stands for — the one writer of a job's
+    /// durable fields, for replay and for the live daemon alike.
+    pub fn apply(&mut self, rec: &WalRecord) {
+        if let WalRecord::Submit { job, .. } = rec {
+            // The id is spent even when a torn spec file dropped the job.
+            self.next_id = self.next_id.max(job.saturating_add(1));
         }
-        self.jobs.insert(id, job);
-        id
+        let Some(job) = self.jobs.get_mut(&rec.job_id()) else { return };
+        if job.state.is_terminal() {
+            return;
+        }
+        let cur = job.cur_cell;
+        match rec {
+            // A record that names a cell names the current one.
+            WalRecord::Start { cell, .. }
+            | WalRecord::Ckpt { cell, .. }
+            | WalRecord::CellDone { cell, .. }
+            | WalRecord::CellFail { cell, .. }
+            | WalRecord::Retry { cell, .. }
+            | WalRecord::Preempt { cell, .. }
+                if *cell != cur => {}
+            WalRecord::Submit { .. } => {}
+            WalRecord::Start { attempt, .. } => {
+                job.attempt = *attempt;
+                job.set_state(JobState::Running);
+            }
+            WalRecord::Ckpt { snap_digest, .. } => job.pinned = Some(*snap_digest),
+            // Wall metrics stay zero: they are non-canonical and the
+            // report never renders them.
+            WalRecord::CellDone { rec, .. } => job.conclude_cell(|c| {
+                Ok(CellMetrics {
+                    id: c.id.clone(),
+                    axes: c.axes.clone(),
+                    canon: *rec,
+                    wall: WallMetrics::default(),
+                })
+            }),
+            WalRecord::CellFail { reason, .. } => job.conclude_cell(|c| {
+                Err(CellFailure { id: c.id.clone(), message: reason.clone() })
+            }),
+            WalRecord::Retry { attempt, .. } => {
+                job.attempt = *attempt;
+                job.retries += 1;
+            }
+            WalRecord::Preempt { .. } => job.set_state(JobState::Checkpointed),
+            // Only a job whose every cell has finished has a report.
+            WalRecord::Done { .. } if cur < job.cells.len() => {}
+            WalRecord::Done { .. } => job.set_state(JobState::Done),
+            WalRecord::Fail { reason, .. } => job.set_state(JobState::Failed(reason.clone())),
+            WalRecord::Cancel { .. } => job.set_state(JobState::Cancelled),
+        }
+    }
+
+    /// Restart's second pass, for one job that survived replay without
+    /// reaching a terminal state: it waits for a slot again — parked on
+    /// `resume`, its pinned snapshot, when the file verified; from the
+    /// start of its current cell otherwise.
+    pub fn requeue(&mut self, id: u64, resume: Option<ResumePoint>) {
+        let Some(job) = self.jobs.get_mut(&id) else { return };
+        if job.state.is_terminal() {
+            return;
+        }
+        job.recovered_resume_step = resume.as_ref().map(|r| r.next_step);
+        job.set_state(if resume.is_some() { JobState::Checkpointed } else { JobState::Queued });
+        job.resume = resume;
     }
 }
 
@@ -234,21 +355,37 @@ fn state_gauge(label: &str) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfpd_campaign::expand;
+    use cfpd_campaign::{expand, CampaignSpec, CanonMetrics};
+    use cfpd_testkit::prop::{self, PropConfig};
 
-    fn job(id: u64, steps: usize) -> Job {
+    /// A job of `cells` cells (one per seed) of `steps` steps each.
+    fn job(id: u64, steps: usize, cells: usize) -> Job {
+        let seeds: Vec<String> = (1..=cells).map(|s| s.to_string()).collect();
         let text = format!(
             "[campaign]\nname = j{id}\n[scenario]\nranks = 2\ngenerations = 1\n\
-             particles = 40\nsteps = {steps}\n"
+             particles = 40\nsteps = {steps}\n[matrix]\nseed = {}\n",
+            seeds.join(", ")
         );
         let spec = CampaignSpec::from_text(&text).unwrap();
         let cells = expand(&spec).unwrap();
-        Job::new(id, spec, cells)
+        Job::new(id, spec.name, cells)
+    }
+
+    fn canon(digest: u64) -> CanonMetrics {
+        CanonMetrics {
+            digest,
+            events: 3,
+            iters_total: 40,
+            iters_poisson: 20,
+            census: [40, 0, 0, 0],
+            deposited_frac_bits: 0,
+            lb_assembly_bits: 1.0f64.to_bits(),
+        }
     }
 
     #[test]
     fn remaining_steps_accounts_for_resume_progress() {
-        let mut j = job(1, 10);
+        let mut j = job(1, 10, 1);
         assert_eq!(j.remaining_steps(), 10);
         j.resume = Some(ResumePoint {
             next_step: 7,
@@ -267,18 +404,130 @@ mod tests {
         assert_eq!(j.remaining_steps(), 0);
     }
 
+    /// One life of a two-cell job, record by record: the module's table.
     #[test]
-    fn terminal_transitions_stamp_a_finish_order() {
+    fn apply_walks_the_transition_table() {
         let mut store = Store::new(1);
-        let a = store.register_job(job(1, 2));
-        let b = store.register_job(job(2, 2));
-        store.set_state(b, JobState::Done);
-        store.set_state(a, JobState::Cancelled);
-        assert_eq!(store.jobs[&b].finish_seq, Some(1));
-        assert_eq!(store.jobs[&a].finish_seq, Some(2));
-        assert_eq!(store.live_jobs(), 0);
-        // Re-entering a terminal state must not re-stamp.
-        store.set_state(b, JobState::Done);
-        assert_eq!(store.jobs[&b].finish_seq, Some(1));
+        store.admit(job(7, 2, 2));
+        let mut apply = |rec: WalRecord| {
+            store.apply(&rec);
+            let j = &store.jobs[&7];
+            (j.state().clone(), j.cur_cell(), j.attempt(), j.retries(), j.pinned_snapshot())
+        };
+        let reason = || "injected".to_string();
+
+        apply(WalRecord::Submit { job: 7, name: "j7".into(), spec_digest: 0 });
+        assert_eq!(
+            apply(WalRecord::Start { job: 7, cell: 0, attempt: 0 }),
+            (JobState::Running, 0, 0, 0, None)
+        );
+        assert_eq!(
+            apply(WalRecord::Ckpt { job: 7, cell: 0, step: 1, snap_digest: 0xabc }),
+            (JobState::Running, 0, 0, 0, Some(0xabc))
+        );
+        // A failed attempt that is retried counts; the pin survives it.
+        let retry = WalRecord::Retry { job: 7, cell: 0, attempt: 1, backoff_ms: 5, reason: reason() };
+        assert_eq!(apply(retry), (JobState::Running, 0, 1, 1, Some(0xabc)));
+        assert_eq!(
+            apply(WalRecord::Preempt { job: 7, cell: 0 }),
+            (JobState::Checkpointed, 0, 1, 1, Some(0xabc))
+        );
+        apply(WalRecord::Start { job: 7, cell: 0, attempt: 1 });
+        assert_eq!(
+            apply(WalRecord::CellDone { job: 7, cell: 0, rec: canon(0x11) }),
+            (JobState::Running, 1, 0, 1, None)
+        );
+        // The attempt that exhausts the budget is a failed cell, not a retry.
+        assert_eq!(
+            apply(WalRecord::CellFail { job: 7, cell: 1, reason: reason() }),
+            (JobState::Running, 2, 0, 1, None)
+        );
+        assert_eq!(apply(WalRecord::Done { job: 7 }).0, JobState::Done);
+
+        assert_eq!(store.next_id(), 8);
+        let j = &store.jobs[&7];
+        assert_eq!((j.cells_finished(), j.cells_failed()), (2, 1));
+        let report = j.report();
+        let first = report.cells[0].as_ref().expect("cell 0 finished");
+        assert_eq!((first.id.as_str(), first.canon), (j.cells[0].id.as_str(), canon(0x11)));
+        assert_eq!(report.cells[1].as_ref().unwrap_err().message, "injected");
+    }
+
+    /// The WAL is disk input. Arbitrary record sequences — unknown jobs,
+    /// cell indexes past the matrix, `celldone` twice, `start` after
+    /// `done`, `retry` with `attempt = u32::MAX`, a second `submit` of a
+    /// taken id — replay without panic, never revert a terminal state,
+    /// never finish more cells than the job has, and never finish a cell
+    /// with a record that names another.
+    #[test]
+    fn apply_never_panics_on_hostile_records() {
+        // (kind, job, cell, attempt selector); jobs 1 and 2 exist.
+        let record = (
+            prop::usize_range(0, 10),
+            prop::usize_range(0, 4),
+            prop::usize_range(0, 5),
+            prop::usize_range(0, 3),
+        );
+        prop::check(
+            "hostile record sequences",
+            PropConfig::cases(200),
+            &prop::vec_of(record, 24),
+            |script| {
+                let mut store = Store::new(1);
+                store.admit(job(1, 2, 2));
+                store.admit(job(2, 2, 3));
+                for &(kind, id, cell, attempt) in script {
+                    let id = id as u64;
+                    let attempt = [0, 1, u32::MAX][attempt];
+                    let reason = "hostile".to_string();
+                    let rec = match kind {
+                        0 => {
+                            store.admit(job(id, 2, 1));
+                            WalRecord::Submit { job: id, name: "again".into(), spec_digest: 0 }
+                        }
+                        1 => WalRecord::Start { job: id, cell, attempt },
+                        2 => WalRecord::Ckpt { job: id, cell, step: cell, snap_digest: 7 },
+                        3 => WalRecord::CellDone { job: id, cell, rec: canon(cell as u64) },
+                        4 => WalRecord::CellFail { job: id, cell, reason },
+                        5 => WalRecord::Retry { job: id, cell, attempt, backoff_ms: 1, reason },
+                        6 => WalRecord::Preempt { job: id, cell },
+                        7 => WalRecord::Done { job: id },
+                        8 => WalRecord::Fail { job: id, reason },
+                        _ => WalRecord::Cancel { job: id },
+                    };
+                    let before: Vec<(u64, JobState, usize)> = store
+                        .jobs
+                        .values()
+                        .map(|j| (j.id, j.state().clone(), j.cells.len()))
+                        .collect();
+                    store.apply(&rec);
+                    for (id, state, cells) in before {
+                        let j = &store.jobs[&id];
+                        assert_eq!(j.cells.len(), cells, "job {id} was replaced by {rec:?}");
+                        if state.is_terminal() {
+                            assert_eq!(*j.state(), state, "{rec:?} reverted a terminal state");
+                        }
+                        assert!(j.cells_finished() <= j.cells.len());
+                        assert_eq!(j.cells_finished(), j.cur_cell(), "cells finish in order");
+                        for (i, done) in j.cells_done.iter().enumerate() {
+                            if let Some(Ok(m)) = done {
+                                assert_eq!(m.canon.digest, i as u64, "cell {i} took {rec:?}");
+                            }
+                        }
+                    }
+                }
+                // What a restart does next, and what a client may ask for.
+                let ids: Vec<u64> = store.jobs.keys().copied().collect();
+                for id in ids {
+                    let was = store.jobs[&id].state().clone();
+                    store.requeue(id, None);
+                    let j = &store.jobs[&id];
+                    assert_eq!(*j.state() == was, was.is_terminal() || was == JobState::Queued);
+                    if *j.state() == JobState::Done {
+                        assert_eq!(j.report().cells.len(), j.cells.len());
+                    }
+                }
+            },
+        );
     }
 }

@@ -23,7 +23,9 @@
 //! leaves behind. The crash-recovery sweep drives restarts through
 //! every cut point without ever killing the test process.
 
+use cfpd_campaign::CanonMetrics;
 use cfpd_testkit::digest_bytes;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -32,22 +34,8 @@ use std::sync::{Arc, Mutex};
 
 pub const WAL_MAGIC: &str = "cfpd serve wal v1";
 
-/// Canonical metrics payload of a completed cell — everything the
-/// canonical campaign report renders per cell, so a replayed daemon
-/// reconstructs byte-identical results without re-running work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellDoneRec {
-    pub digest: u64,
-    pub events: u64,
-    pub iters_total: u64,
-    pub iters_poisson: u64,
-    /// active / deposited / escaped / lost.
-    pub census: [u64; 4],
-    pub deposited_frac_bits: u64,
-    pub lb_assembly_bits: u64,
-}
-
-/// One supervisor state transition.
+/// One supervisor state transition. What each kind does to a job is
+/// written once, in [`crate::state::Store::apply`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// Job admitted; its spec text lives in `job-<id>.campaign` (written
@@ -58,8 +46,9 @@ pub enum WalRecord {
     /// Segment boundary: snapshot `job-<id>-cell-<cell>.snap` persisted
     /// (digest `snap_digest`), next unexecuted step is `step`.
     Ckpt { job: u64, cell: usize, step: usize, snap_digest: u64 },
-    /// Cell finished; canonical metrics inline.
-    CellDone { job: u64, cell: usize, rec: CellDoneRec },
+    /// Cell finished; canonical metrics inline, so a replayed daemon
+    /// rebuilds the cell's report entry without re-running it.
+    CellDone { job: u64, cell: usize, rec: CanonMetrics },
     /// Cell failed terminally (retries exhausted / timeout).
     CellFail { job: u64, cell: usize, reason: String },
     /// Attempt failed; retrying after `backoff_ms`.
@@ -193,74 +182,91 @@ impl WalRecord {
 
     /// Parse a record body.
     pub fn parse_body(body: &str) -> Result<WalRecord, String> {
-        let mut toks = body.split(' ');
-        let kind = toks.next().ok_or("empty record body")?;
-        let mut kv = std::collections::BTreeMap::new();
-        for tok in toks {
-            let (k, v) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("token {tok:?} is not key=value"))?;
-            kv.insert(k, v);
-        }
-        let get = |k: &str| -> Result<&str, String> {
-            kv.get(k).copied().ok_or_else(|| format!("{kind}: missing {k}="))
-        };
-        let int = |k: &str| -> Result<u64, String> {
-            get(k)?.parse::<u64>().map_err(|e| format!("{kind}: bad {k}: {e}"))
-        };
-        let hex = |k: &str| -> Result<u64, String> {
-            u64::from_str_radix(get(k)?, 16).map_err(|e| format!("{kind}: bad {k}: {e}"))
-        };
+        let (kind, tokens) = body.split_once(' ').unwrap_or((body, ""));
+        let kv = KeyValues::parse(kind, tokens)?;
         Ok(match kind {
             "submit" => WalRecord::Submit {
-                job: int("job")?,
-                name: dec(get("name")?)?,
-                spec_digest: hex("spec")?,
+                job: kv.int("job")?,
+                name: dec(kv.get("name")?)?,
+                spec_digest: kv.hex("spec")?,
             },
             "start" => WalRecord::Start {
-                job: int("job")?,
-                cell: int("cell")? as usize,
-                attempt: int("attempt")? as u32,
+                job: kv.int("job")?,
+                cell: kv.int("cell")? as usize,
+                attempt: kv.int("attempt")? as u32,
             },
             "ckpt" => WalRecord::Ckpt {
-                job: int("job")?,
-                cell: int("cell")? as usize,
-                step: int("step")? as usize,
-                snap_digest: hex("snap")?,
+                job: kv.int("job")?,
+                cell: kv.int("cell")? as usize,
+                step: kv.int("step")? as usize,
+                snap_digest: kv.hex("snap")?,
             },
             "celldone" => WalRecord::CellDone {
-                job: int("job")?,
-                cell: int("cell")? as usize,
-                rec: CellDoneRec {
-                    digest: hex("digest")?,
-                    events: int("events")?,
-                    iters_total: int("iters")?,
-                    iters_poisson: int("itersp")?,
-                    census: [int("ca")?, int("cd")?, int("ce")?, int("cl")?],
-                    deposited_frac_bits: hex("dfrac")?,
-                    lb_assembly_bits: hex("lb")?,
+                job: kv.int("job")?,
+                cell: kv.int("cell")? as usize,
+                rec: CanonMetrics {
+                    digest: kv.hex("digest")?,
+                    events: kv.int("events")?,
+                    iters_total: kv.int("iters")?,
+                    iters_poisson: kv.int("itersp")?,
+                    census: [kv.int("ca")?, kv.int("cd")?, kv.int("ce")?, kv.int("cl")?],
+                    deposited_frac_bits: kv.hex("dfrac")?,
+                    lb_assembly_bits: kv.hex("lb")?,
                 },
             },
             "cellfail" => WalRecord::CellFail {
-                job: int("job")?,
-                cell: int("cell")? as usize,
-                reason: dec(get("reason")?)?,
+                job: kv.int("job")?,
+                cell: kv.int("cell")? as usize,
+                reason: dec(kv.get("reason")?)?,
             },
             "retry" => WalRecord::Retry {
-                job: int("job")?,
-                cell: int("cell")? as usize,
-                attempt: int("attempt")? as u32,
-                backoff_ms: int("backoff_ms")?,
-                reason: dec(get("reason")?)?,
+                job: kv.int("job")?,
+                cell: kv.int("cell")? as usize,
+                attempt: kv.int("attempt")? as u32,
+                backoff_ms: kv.int("backoff_ms")?,
+                reason: dec(kv.get("reason")?)?,
             },
             "preempt" => {
-                WalRecord::Preempt { job: int("job")?, cell: int("cell")? as usize }
+                WalRecord::Preempt { job: kv.int("job")?, cell: kv.int("cell")? as usize }
             }
-            "done" => WalRecord::Done { job: int("job")? },
-            "fail" => WalRecord::Fail { job: int("job")?, reason: dec(get("reason")?)? },
-            "cancel" => WalRecord::Cancel { job: int("job")? },
+            "done" => WalRecord::Done { job: kv.int("job")? },
+            "fail" => WalRecord::Fail { job: kv.int("job")?, reason: dec(kv.get("reason")?)? },
+            "cancel" => WalRecord::Cancel { job: kv.int("job")? },
             other => return Err(format!("unknown record kind {other:?}")),
         })
+    }
+}
+
+/// The `key=value` tokens of one space-delimited line: a WAL record
+/// body, a snapshot's `meta` or `acc` line. `what` names the line in
+/// error texts.
+pub(crate) struct KeyValues<'a> {
+    what: &'a str,
+    kv: BTreeMap<&'a str, &'a str>,
+}
+
+impl<'a> KeyValues<'a> {
+    pub(crate) fn parse(what: &'a str, tokens: &'a str) -> Result<KeyValues<'a>, String> {
+        let mut kv = BTreeMap::new();
+        for tok in tokens.split(' ') {
+            let (k, v) = tok
+                .split_once('=')
+                .ok_or_else(|| format!("{what}: token {tok:?} is not key=value"))?;
+            kv.insert(k, v);
+        }
+        Ok(KeyValues { what, kv })
+    }
+
+    pub(crate) fn get(&self, k: &str) -> Result<&'a str, String> {
+        self.kv.get(k).copied().ok_or_else(|| format!("{}: missing {k}=", self.what))
+    }
+
+    pub(crate) fn int(&self, k: &str) -> Result<u64, String> {
+        self.get(k)?.parse().map_err(|e| format!("{}: bad {k}: {e}", self.what))
+    }
+
+    pub(crate) fn hex(&self, k: &str) -> Result<u64, String> {
+        u64::from_str_radix(self.get(k)?, 16).map_err(|e| format!("{}: bad {k}: {e}", self.what))
     }
 }
 
@@ -466,7 +472,7 @@ mod tests {
             WalRecord::CellDone {
                 job: 1,
                 cell: 0,
-                rec: CellDoneRec {
+                rec: CanonMetrics {
                     digest: 0x1122,
                     events: 30,
                     iters_total: 400,

@@ -41,5 +41,5 @@ pub mod sync;
 pub use bench::{Bench, BenchConfig, BenchStats};
 pub use digest::{digest_bytes, digest_f64s, Digest};
 pub use json::{parse as parse_json, JsonError, JsonValue};
-pub use prop::{check, f64_range, map, usize_range, vec_of, Gen, PropConfig};
+pub use prop::{check, f64_range, map, panic_message, usize_range, vec_of, Gen, PropConfig};
 pub use rng::{Rng, SplitMix64};

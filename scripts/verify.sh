@@ -47,11 +47,17 @@
 #     schema with predictive PE >= reactive PE on every profile,
 #   * a serve smoke: `cfpd serve run` on an ephemeral port accepts the
 #     tiny campaign over HTTP, the served result is byte-identical to
-#     the direct `campaign run --json` output, `/metrics` passes the
-#     strict Prometheus lint, a 2-seed x 3-step job on one mesh costs
-#     exactly 1 set-up for its 6 segments (counted on `/metrics`, so
-#     immune to host noise) and still serves the direct run's bytes,
-#     and `serve drain` checkpoints and exits 0,
+#     the direct `campaign run --json` output and cost exactly 2 set-ups
+#     and 1 memo hit (its `dlb = on` cell, which cannot be checkpointed,
+#     is a segment chain of one on the set-up of its `dlb = off`
+#     sibling), `/metrics` passes the strict Prometheus lint, a 2-seed x
+#     3-step job on one mesh costs exactly 1 set-up for its 6 segments
+#     (all counted on `/metrics`, so immune to host noise) and still
+#     serves the direct run's bytes, `serve drain` checkpoints and exits
+#     0, and a daemon restarted on the same data directory answers
+#     `serve status` of both jobs with the bytes the first one printed
+#     (replay and the live daemon write state through one function) and
+#     `serve result` with the direct run's,
 #   * an observability smoke: the goldens and the tiny campaign stay
 #     byte-identical with the flight recorder on (CFPD_FLIGHT=1 —
 #     recording is timing-only by contract), `cfpd flight dump |
@@ -240,19 +246,23 @@ for name, row in doc["profiles"].items():
         sys.exit(f"{name}: predictive {row['predictive']['pe']} < reactive {row['reactive']['pe']}")
 PYEOF
 
-echo "== serve smoke (daemon lifecycle: submit, poll, result, metrics, drain) =="
+echo "== serve smoke (daemon lifecycle: submit, poll, result, metrics, drain, replay) =="
+# Set $addr to what the daemon of pid $2 says it listens on in its log $1.
+listening_addr() {
+    addr=""
+    for _ in $(seq 1 200); do
+        addr=$(sed -n 's/^cfpd-serve listening on //p' "$1")
+        [ -n "$addr" ] && return
+        kill -0 "$2" 2>/dev/null || { cat "$1"; echo "FAIL: serve daemon died on startup" >&2; exit 1; }
+        sleep 0.05
+    done
+    echo "FAIL: serve daemon never reported its address" >&2; exit 1
+}
 servedir="$tracedir/serve-data"
 timeout 300 "$cfpd" serve run --addr 127.0.0.1:0 --data "$servedir" \
     > "$tracedir/serve.log" 2>&1 &
 serve_pid=$!
-addr=""
-for _ in $(seq 1 200); do
-    addr=$(sed -n 's/^cfpd-serve listening on //p' "$tracedir/serve.log")
-    [ -n "$addr" ] && break
-    kill -0 "$serve_pid" 2>/dev/null || { cat "$tracedir/serve.log"; echo "FAIL: serve daemon died on startup" >&2; exit 1; }
-    sleep 0.05
-done
-[ -n "$addr" ] || { echo "FAIL: serve daemon never reported its address" >&2; exit 1; }
+listening_addr "$tracedir/serve.log" "$serve_pid"
 "$cfpd" serve submit examples/campaigns/tiny.campaign --addr "$addr" > "$tracedir/serve-submit.json"
 job=$(grep -o '"job":[0-9]*' "$tracedir/serve-submit.json" | head -1 | cut -d: -f2)
 [ -n "$job" ] || { echo "FAIL: serve submit returned no job id" >&2; exit 1; }
@@ -269,6 +279,16 @@ cmp -s "$tracedir/serve-result.json" "$tracedir/tiny-a.json" \
     || { echo "FAIL: served result differs from the direct campaign run" >&2; exit 1; }
 "$cfpd" serve metrics --addr "$addr" --lint > /dev/null \
     || { echo "FAIL: /metrics failed the strict Prometheus lint" >&2; exit 1; }
+metric() { "$cfpd" serve metrics --addr "$addr" | awk -v m="$1" '$1 == m { print $2 }'; }
+# One cell driver, one memo: tiny's default/off and default/on cells
+# share a set-up although only the first can be checkpointed; opt/off is
+# the second build.
+builds=$(metric cfpd_core_prepare_builds); hits=$(metric cfpd_core_prepare_hits)
+if [ "${builds:-0}" -ne 2 ] || [ "${hits:-0}" -ne 1 ]; then
+    echo "FAIL: the tiny campaign cost ${builds:-0} prepare builds and ${hits:-0} memo hits on a fresh daemon (want 2, 1)" >&2
+    exit 1
+fi
+tiny_job=$job
 # Set up once per mesh, not once per segment: two cells that differ in
 # seed only, three one-step segments each, on a mesh no earlier job of
 # this daemon used — one prepare build, one memo hit, four boundaries.
@@ -283,8 +303,7 @@ steps = 3
 [matrix]
 seed = 1, 2
 CAMPAIGN
-metric() { "$cfpd" serve metrics --addr "$addr" | awk -v m="$1" '$1 == m { print $2 }'; }
-builds0=$(metric cfpd_core_prepare_builds); hits0=$(metric cfpd_core_prepare_hits)
+builds0=$builds; hits0=$hits
 bounds0=$(metric cfpd_serve_boundary_us_count)
 "$cfpd" serve submit "$tracedir/reuse.campaign" --addr "$addr" > "$tracedir/reuse-submit.json"
 job=$(grep -o '"job":[0-9]*' "$tracedir/reuse-submit.json" | head -1 | cut -d: -f2)
@@ -307,10 +326,29 @@ fi
 timeout 300 "$cfpd" campaign run "$tracedir/reuse.campaign" --json > "$tracedir/reuse-direct.json"
 cmp -s "$tracedir/reuse-served.json" "$tracedir/reuse-direct.json" \
     || { echo "FAIL: served reuse campaign differs from the direct run" >&2; exit 1; }
+for j in "$tiny_job" "$job"; do
+    "$cfpd" serve status "$j" --addr "$addr" > "$tracedir/serve-status-$j.live"
+done
 "$cfpd" serve drain --addr "$addr" > /dev/null
 wait "$serve_pid" || { echo "FAIL: serve daemon did not drain cleanly" >&2; exit 1; }
 grep -q "cfpd-serve drained" "$tracedir/serve.log" \
     || { echo "FAIL: drain did not complete" >&2; exit 1; }
+# Replay is the live daemon's own transition function: a daemon
+# restarted from the WAL says of both jobs what the first one said.
+timeout 300 "$cfpd" serve run --addr 127.0.0.1:0 --data "$servedir" \
+    > "$tracedir/serve-replay.log" 2>&1 &
+serve_pid=$!
+listening_addr "$tracedir/serve-replay.log" "$serve_pid"
+for j in "$tiny_job" "$job"; do
+    "$cfpd" serve status "$j" --addr "$addr" | cmp -s - "$tracedir/serve-status-$j.live" \
+        || { echo "FAIL: job $j reads differently on a daemon restarted from its WAL" >&2; exit 1; }
+done
+"$cfpd" serve result "$tiny_job" --addr "$addr" | cmp -s - "$tracedir/tiny-a.json" \
+    || { echo "FAIL: replayed result differs from the direct campaign run" >&2; exit 1; }
+"$cfpd" serve result "$job" --addr "$addr" | cmp -s - "$tracedir/reuse-direct.json" \
+    || { echo "FAIL: replayed reuse result differs from the direct run" >&2; exit 1; }
+"$cfpd" serve drain --addr "$addr" > /dev/null
+wait "$serve_pid" || { echo "FAIL: restarted serve daemon did not drain cleanly" >&2; exit 1; }
 
 echo "== observability smoke (flight recorder + watchdog + baseline diff) =="
 # Recording is timing-only by contract: both goldens and the campaign
@@ -338,14 +376,7 @@ timeout 300 "$cfpd" serve run --addr 127.0.0.1:0 --data "$flightdir" \
     --deadline 0.3 --fault-stall-first 1 --fault-stall-ms 800 \
     > "$tracedir/serve-flight.log" 2>&1 &
 flight_pid=$!
-addr=""
-for _ in $(seq 1 200); do
-    addr=$(sed -n 's/^cfpd-serve listening on //p' "$tracedir/serve-flight.log")
-    [ -n "$addr" ] && break
-    kill -0 "$flight_pid" 2>/dev/null || { cat "$tracedir/serve-flight.log"; echo "FAIL: flight-smoke daemon died on startup" >&2; exit 1; }
-    sleep 0.05
-done
-[ -n "$addr" ] || { echo "FAIL: flight-smoke daemon never reported its address" >&2; exit 1; }
+listening_addr "$tracedir/serve-flight.log" "$flight_pid"
 "$cfpd" serve submit examples/campaigns/tiny.campaign --addr "$addr" >/dev/null
 failed_seen=""
 for _ in $(seq 1 200); do

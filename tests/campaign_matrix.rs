@@ -11,7 +11,7 @@
 //! `CFPD_BLESS=1 cargo test -p cfpd-campaign --test campaign_matrix`
 
 use cfpd_campaign::dsl::{self, RawDoc, RawPair, RawSection};
-use cfpd_campaign::{expand, full_matrix_size, run_cells, CampaignSpec, CellMetrics};
+use cfpd_campaign::{expand, full_matrix_size, run_cells, CampaignSpec, CanonMetrics, CellMetrics};
 use cfpd_core::{golden_config, run_scenario, ExecutionMode, LayoutPlan, Scenario};
 use cfpd_testkit::digest::digest_bytes;
 use cfpd_testkit::prop::{check, usize_range, Gen, PropConfig};
@@ -240,11 +240,12 @@ fn prop_expansion_count_is_product_minus_excludes() {
 // Differential golden matrix + blessed campaign report
 // ---------------------------------------------------------------------
 
-fn metrics_of<'a>(cells: &'a [Result<CellMetrics, cfpd_campaign::CellFailure>], id: &str) -> &'a CellMetrics {
+fn metrics_of<'a>(cells: &'a [Result<CellMetrics, cfpd_campaign::CellFailure>], id: &str) -> &'a CanonMetrics {
     cells
         .iter()
         .filter_map(|c| c.as_ref().ok())
         .find(|m| m.id == id)
+        .map(|m| &m.canon)
         .unwrap_or_else(|| panic!("no cell {id:?}"))
 }
 
@@ -323,7 +324,7 @@ fn differential_golden_matrix_pins_the_full_small_campaign() {
         if m.id.ends_with("dlb=on") {
             let sibling = m.id.replace("dlb=on", "dlb=off");
             assert_eq!(
-                m.digest,
+                m.canon.digest,
                 metrics_of(&report.cells, &sibling).digest,
                 "dlb=on changed the physics of {sibling}"
             );

@@ -102,7 +102,7 @@ fn segmented_cells_interleaved_on_one_memo_stitch_to_the_uninterrupted_digests()
         .map(|ranks| {
             let cells = cells(ranks);
             let want =
-                cells.iter().map(|c| cell_metrics(c, &run_scenario(&c.scenario)).digest).collect();
+                cells.iter().map(|c| cell_metrics(c, &run_scenario(&c.scenario)).canon.digest).collect();
             (cells, want)
         })
         .collect();

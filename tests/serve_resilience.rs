@@ -12,7 +12,7 @@ use cfpd_campaign::{run_campaign, CampaignSpec};
 use cfpd_serve::http::{http_call, http_call_raw};
 use cfpd_serve::{lint_prometheus, Daemon, ServeConfig, ServeFaultPlan};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn campaign_text(name: &str, steps: usize) -> String {
     format!(
@@ -56,6 +56,18 @@ fn poll_terminal(addr: &str, job: u64) -> String {
         std::thread::sleep(Duration::from_millis(10));
     }
     panic!("job {job} never reached a terminal state");
+}
+
+/// Poll a job until its status names `state`; returns that status body.
+fn wait_for_state(addr: &str, job: u64, state: &str) -> String {
+    for _ in 0..5000 {
+        let (_, body) = get(addr, &format!("/jobs/{job}"));
+        if body.contains(&format!("\"state\":\"{state}\"")) {
+            return body;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    panic!("job {job} never became {state}");
 }
 
 fn result_of(addr: &str, job: u64) -> String {
@@ -622,5 +634,195 @@ fn drain_parks_running_jobs_and_a_restart_finishes_them() {
     assert_eq!(code, 200, "{status}");
     assert_eq!(result_of(&addr, job), direct_json(&text));
     revived.kill();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `GET /jobs/:id` of a job that ran under `live`, on that daemon once
+/// the job is terminal and on a fault-free daemon restarted from its
+/// data directory.
+fn live_and_replayed_status(tag: &str, live: ServeConfig, text: &str) -> (String, String) {
+    let dir = tmp_dir(tag);
+    let daemon = Daemon::start(ServeConfig { data_dir: dir.clone(), workers: 1, ..live }).unwrap();
+    let addr = daemon.addr().to_string();
+    let job = submit(&addr, text);
+    let live = poll_terminal(&addr, job);
+    daemon.kill();
+
+    let revived =
+        Daemon::start(ServeConfig { data_dir: dir.clone(), ..Default::default() }).unwrap();
+    let (code, replayed) = get(&revived.addr().to_string(), &format!("/jobs/{job}"));
+    assert_eq!(code, 200, "{replayed}");
+    revived.kill();
+    let _ = std::fs::remove_dir_all(&dir);
+    (live, replayed)
+}
+
+/// One `Store::apply` writes a job's state for the daemon that runs it
+/// and for the daemon that replays its WAL, so the two answer `GET
+/// /jobs/:id` with the same bytes — whatever the job went through.
+#[test]
+fn status_is_the_same_live_and_replayed() {
+    let crashing = |crash_first_attempts, retry_max| ServeConfig {
+        retry_max,
+        backoff_base_ms: 1,
+        fault: ServeFaultPlan { crash_first_attempts, ..Default::default() },
+        ..Default::default()
+    };
+    let two_cells = format!("{}[matrix]\nseed = 1, 2\n", campaign_text("twice", 2));
+    let overdue = ServeConfig { job_deadline: Some(Duration::ZERO), ..Default::default() };
+    for (tag, live, text, expect) in [
+        ("same-clean", ServeConfig::default(), two_cells.as_str(), "\"retries\":0"),
+        // Every cell crashes once and is retried once.
+        ("same-retried", crashing(1, 2), two_cells.as_str(), "\"retries\":2"),
+        // A cell that always crashes: one retry, then the attempt that
+        // exhausts the budget — which fails the cell and is no retry.
+        ("same-exhausted", crashing(10, 1), &campaign_text("doomed", 2), "\"retries\":1"),
+        ("same-deadline", overdue, &campaign_text("late", 2), "\"state\":\"failed\""),
+    ] {
+        let (live, replayed) = live_and_replayed_status(tag, live, text);
+        assert!(live.contains(expect), "{tag}: {live}");
+        assert_eq!(live, replayed, "{tag}: a restart changed the job's status");
+    }
+
+    // Cancelled while queued, behind a job that holds the only slot.
+    let dir = tmp_dir("same-cancelled");
+    let cfg = || ServeConfig { data_dir: dir.clone(), workers: 1, ..Default::default() };
+    let daemon = Daemon::start(cfg()).unwrap();
+    let addr = daemon.addr().to_string();
+    let holder = submit(&addr, &campaign_text("holder", 300));
+    wait_for_state(&addr, holder, "running");
+    let queued = submit(&addr, &campaign_text("waiting", 300));
+    let (code, body) = http_call(&addr, "DELETE", &format!("/jobs/{queued}"), "").unwrap();
+    assert_eq!(code, 200, "queued job cancels immediately: {body}");
+    let live = wait_for_state(&addr, queued, "cancelled");
+    daemon.kill();
+    let revived = Daemon::start(cfg()).unwrap();
+    let (_, replayed) = get(&revived.addr().to_string(), &format!("/jobs/{queued}"));
+    revived.kill();
+    assert_eq!(live, replayed, "a restart changed the cancelled job's status");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Parked mid-cell. Two slots run `first` and `victim`; `short` is
+    // small enough to preempt the larger of them, `victim`, which parks
+    // on a snapshot. The restarted daemon has one slot, which `first`
+    // takes, so `victim` is still parked when it is asked about: the
+    // same status, plus the step the snapshot resumes from.
+    let dir = tmp_dir("same-parked");
+    let daemon =
+        Daemon::start(ServeConfig { data_dir: dir.clone(), workers: 2, ..Default::default() })
+            .unwrap();
+    let addr = daemon.addr().to_string();
+    let first = submit(&addr, &campaign_text("first", 300));
+    let victim = submit(&addr, &campaign_text("victim", 1000));
+    wait_for_state(&addr, first, "running");
+    wait_for_state(&addr, victim, "running");
+    submit(&addr, &campaign_text("short", 100));
+    let live = wait_for_state(&addr, victim, "checkpointed");
+    daemon.kill();
+    let revived =
+        Daemon::start(ServeConfig { data_dir: dir.clone(), workers: 1, ..Default::default() })
+            .unwrap();
+    let (_, replayed) = get(&revived.addr().to_string(), &format!("/jobs/{victim}"));
+    revived.kill();
+    let resumed = cfpd_testkit::parse_json(&replayed)
+        .ok()
+        .and_then(|v| v.get("resumed_step").and_then(|s| s.as_u64()))
+        .unwrap_or_else(|| panic!("the parked job must resume from its snapshot: {replayed}"));
+    assert_eq!(
+        live,
+        replayed.replace(&format!(",\"resumed_step\":{resumed}"), ""),
+        "a restart changed the parked job's status"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon of its own process, so that `/metrics` counts its work and
+/// not that of the tests running beside this one.
+struct ServedProcess {
+    child: std::process::Child,
+    addr: String,
+}
+
+impl ServedProcess {
+    fn start(dir: &std::path::Path) -> ServedProcess {
+        use std::io::BufRead;
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_cfpd"))
+            .args(["serve", "run", "--addr", "127.0.0.1:0", "--data"])
+            .arg(dir)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn cfpd serve run");
+        let mut line = String::new();
+        std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut line)
+            .expect("the daemon's first line");
+        let addr = line.trim().strip_prefix("cfpd-serve listening on ").map(String::from);
+        let addr = addr.unwrap_or_else(|| panic!("unexpected first line {line:?}"));
+        ServedProcess { child, addr }
+    }
+}
+
+impl Drop for ServedProcess {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// A cell that cannot be checkpointed (`dlb = on`) is a segment chain of
+/// one segment on the daemon's own `PrepareMemo`: next to a `dlb = off`
+/// cell of the same mesh it costs a memo hit, not a second set-up.
+#[test]
+fn an_atomic_cell_shares_the_daemons_set_up() {
+    let text = format!("{}[matrix]\ndlb = off, on\n", campaign_text("shared-set-up", 2));
+    let dir = tmp_dir("shared-set-up");
+    let daemon = ServedProcess::start(&dir);
+    let job = submit(&daemon.addr, &text);
+    assert_eq!(result_of(&daemon.addr, job), direct_json(&text));
+    let (_, metrics) = get(&daemon.addr, "/metrics");
+    let counter = |name: &str| {
+        let value = metrics.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+        value.map_or(0, |v| v.parse::<u64>().expect("a counter value"))
+    };
+    assert_eq!(
+        (counter("cfpd_core_prepare_builds"), counter("cfpd_core_prepare_hits")),
+        (1, 1),
+        "two cells on one mesh: one set-up built, one found"
+    );
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A peer that connects and sends nothing holds an accept thread only
+/// until the socket's timeout: with every accept thread so taken, the
+/// next request is answered once the first of them expires, and `kill`
+/// still joins.
+#[test]
+fn idle_connections_cannot_pin_the_accept_pool() {
+    use cfpd_serve::http::IO_TIMEOUT;
+    use std::net::TcpStream;
+    let dir = tmp_dir("idle");
+    let cfg = ServeConfig { data_dir: dir.clone(), ..Default::default() };
+    let idle_peers = |addr: &str| -> Vec<TcpStream> {
+        (0..cfg.http_threads).map(|_| TcpStream::connect(addr).expect("connect")).collect()
+    };
+    let daemon = Daemon::start(cfg.clone()).unwrap();
+    let addr = daemon.addr().to_string();
+    let patience = IO_TIMEOUT + Duration::from_secs(1);
+
+    // The listen queue is first in, first out: both idle peers are
+    // accepted before the request that follows them.
+    let idle = idle_peers(&addr);
+    let t0 = Instant::now();
+    let (code, body) = get(&addr, "/healthz");
+    assert_eq!((code, body.as_str()), (200, "ok\n"));
+    assert!(t0.elapsed() <= patience, "/healthz took {:?}", t0.elapsed());
+
+    let idle_again = idle_peers(&addr);
+    std::thread::sleep(Duration::from_millis(50)); // let the accept threads take them
+    let t0 = Instant::now();
+    daemon.kill();
+    assert!(t0.elapsed() <= patience, "kill took {:?}", t0.elapsed());
+    drop((idle, idle_again));
     let _ = std::fs::remove_dir_all(&dir);
 }
