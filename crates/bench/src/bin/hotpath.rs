@@ -28,8 +28,11 @@
 //! against the block solve — and `spmm3/sell` one of its three-column
 //! sweeps; `sgs/default` is the oracle sweep (the plan's strategy, one
 //! element at a time) against the lane sweep every run does
-//! (`sgs/batched-lanes`); `assembly/serial-pass` is the one-thread
-//! yardstick the set-up gate of `scripts/verify.sh` divides by.
+//! (`sgs/batched-lanes`); `particles/step-oracle` is one transport step
+//! of the injected particles through the scalar sweep
+//! (`cfpd_particles::oracle`) against the lane-block sweep every run
+//! does (`particles/step-lanes`); `assembly/serial-pass` is the
+//! one-thread yardstick the set-up gate of `scripts/verify.sh` divides by.
 //!
 //! Full (non-`--quick`) runs refuse to overwrite a committed
 //! `BENCH_hotpath.json` whose end-to-end numbers would regress by more
@@ -46,7 +49,10 @@ use cfpd_core::{
     SimulationConfig,
 };
 use cfpd_mesh::{generate_airway, AirwayMesh, AirwaySpec, Mesh, Vec3};
-use cfpd_particles::{inject_at_inlet, Locator, ParticleProps, ParticleSet};
+use cfpd_particles::{
+    inject_at_inlet, step_particles_with, DispersionRng, Locator, ParticleProps, ParticleSet,
+    TransportModel,
+};
 use cfpd_partition::{
     bandwidth_under_perm, csr_bandwidth, local_element_graph, partition_kway, rcm_perm,
 };
@@ -314,7 +320,7 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
         black_box(Locator::new(mesh).elem_size(0));
     });
     let locator = Locator::new(mesh);
-    b.bench("setup/inject-10k", || {
+    let inject = || {
         let mut set = ParticleSet::default();
         let injected = inject_at_inlet(
             &mut set,
@@ -327,8 +333,42 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
             10_000,
             42,
         );
-        black_box((set, injected));
+        (set, injected)
+    };
+    b.bench("setup/inject-10k", || {
+        black_box(inject());
     });
+
+    // One transport step of those particles through a field that varies
+    // with position (so no two particles share a Reynolds number): the
+    // scalar sweep (the oracle: what every step ran before) against the
+    // lane-block sweep every run does. Same particles, same thread.
+    let (set, _) = inject();
+    let velocity = synthetic_velocity(mesh);
+    let (air, gravity, dt) = (FluidProps::default(), Vec3::new(0.0, 0.0, -9.81), 1e-4);
+    let model = TransportModel::paper_baseline();
+    for (label, scalar) in [("particles/step-oracle", true), ("particles/step-lanes", false)] {
+        let sweep =
+            if scalar { cfpd_particles::oracle::step_particles_with } else { step_particles_with };
+        b.bench_batched(
+            label,
+            || (set.clone(), DispersionRng::new(0)),
+            |(mut set, mut rng)| {
+                let stats = sweep(
+                    &mut set,
+                    &locator,
+                    &velocity,
+                    air.density,
+                    air.viscosity,
+                    gravity,
+                    dt,
+                    &model,
+                    &mut rng,
+                );
+                black_box((set, stats.moved));
+            },
+        );
+    }
 }
 
 /// The values-only solver a one-rank run of `config` allocates on its

@@ -12,6 +12,7 @@
 
 pub mod forces;
 pub mod locator;
+pub mod oracle;
 pub mod physics;
 pub mod tracker;
 

@@ -150,13 +150,17 @@ impl<'m> Locator<'m> {
         self.max_face_violation(e, p) <= eps
     }
 
+    /// The face planes of element `e`, in local face order.
+    fn planes(&self, e: usize) -> &[FacePlane] {
+        let first = self.g.face_neighbors.slot(e, 0);
+        &self.g.planes[first..first + self.g.face_neighbors.faces(e).len()]
+    }
+
     /// Largest signed distance of `p` beyond any face plane of `e`
     /// (negative = strictly inside) and the face index achieving it.
     fn worst_face(&self, e: usize, p: Vec3) -> (f64, usize) {
-        let first = self.g.face_neighbors.slot(e, 0);
-        let planes = &self.g.planes[first..first + self.g.face_neighbors.faces(e).len()];
         let mut worst = (f64::NEG_INFINITY, 0usize);
-        for (f, plane) in planes.iter().enumerate() {
+        for (f, plane) in self.planes(e).iter().enumerate() {
             let d = (p - plane.centroid).dot(plane.normal);
             if d > worst.0 {
                 worst = (d, f);
@@ -226,46 +230,56 @@ impl<'m> Locator<'m> {
         None
     }
 
+    /// The elements binned in the grid cell of `p` and its up to 26
+    /// neighbors, cell by cell in z, y, x order and in element order
+    /// within a cell — the scan order of [`Locator::locate_global`].
+    fn candidates(&self, p: Vec3) -> impl Iterator<Item = u32> + '_ {
+        let g = &*self.g;
+        let d = g.grid_dims;
+        let around = |x: f64, origin: f64, n: usize| {
+            let i = (((x - origin) / g.grid_cell) as i64).clamp(0, n as i64 - 1) as usize;
+            i.saturating_sub(1)..(i + 2).min(n)
+        };
+        let xs = around(p.x, g.grid_origin.x, d[0]);
+        let ys = around(p.y, g.grid_origin.y, d[1]);
+        around(p.z, g.grid_origin.z, d[2])
+            .flat_map(move |z| ys.clone().map(move |y| z * d[1] + y))
+            .flat_map(move |zy| xs.clone().map(move |x| &g.cells[zy * d[0] + x]))
+            .flatten()
+            .copied()
+    }
+
     /// Global search via the uniform grid (used at injection and to
-    /// recover lost particles). Returns the containing element, if any.
+    /// recover lost particles). Returns the containing element, if any:
+    /// the **first in scan order** ([`Locator::candidates`]) that
+    /// contains `p`. Where elements overlap geometrically — the junction
+    /// cones of the airway mesh do (DESIGN.md §7) — that order decides
+    /// which one a particle lands in, so it is part of the result.
     pub fn locate_global(&self, p: Vec3) -> Option<u32> {
-        // Search the cell of p and its neighbors, nearest-centroid first,
-        // then walk from the best candidate.
-        let d = self.g.grid_dims;
-        let ix = (((p.x - self.g.grid_origin.x) / self.g.grid_cell) as i64).clamp(0, d[0] as i64 - 1);
-        let iy = (((p.y - self.g.grid_origin.y) / self.g.grid_cell) as i64).clamp(0, d[1] as i64 - 1);
-        let iz = (((p.z - self.g.grid_origin.z) / self.g.grid_cell) as i64).clamp(0, d[2] as i64 - 1);
+        // Pass 1, all an injection ever runs: leave a candidate at its
+        // first violated face. "No face distance above eps" is
+        // `contains` exactly — both skip the NaN planes of degenerate
+        // faces — without the distances of the faces after the verdict.
+        let inside = |&e: &u32| {
+            let eps = 1e-9 * self.g.size[e as usize] + 1e-15;
+            !self.planes(e as usize).iter().any(|pl| (p - pl.centroid).dot(pl.normal) > eps)
+        };
+        if let Some(e) = self.candidates(p).find(inside) {
+            return Some(e);
+        }
+        // Pass 2, on a miss: walk from the nearest candidate centroid
+        // (the first of equally near ones).
         let mut best: Option<(f64, u32)> = None;
-        for dz in -1..=1i64 {
-            for dy in -1..=1i64 {
-                for dx in -1..=1i64 {
-                    let (x, y, z) = (ix + dx, iy + dy, iz + dz);
-                    if x < 0 || y < 0 || z < 0
-                        || x >= d[0] as i64 || y >= d[1] as i64 || z >= d[2] as i64
-                    {
-                        continue;
-                    }
-                    let cell = &self.g.cells[((z as usize) * d[1] + y as usize) * d[0] + x as usize];
-                    for &e in cell {
-                        let h = self.g.size[e as usize];
-                        if self.contains(e as usize, p, 1e-9 * h + 1e-15) {
-                            return Some(e);
-                        }
-                        let dist = self.g.centroids[e as usize].dist(p);
-                        if best.is_none() || dist < best.unwrap().0 {
-                            best = Some((dist, e));
-                        }
-                    }
-                }
+        for e in self.candidates(p) {
+            let dist = self.g.centroids[e as usize].dist(p);
+            if best.is_none() || dist < best.unwrap().0 {
+                best = Some((dist, e));
             }
         }
-        // Walk from the nearest candidate centroid.
-        if let Some((_, e)) = best {
-            if let WalkResult::Inside(found) = self.walk(e, p, 64) {
-                return Some(found);
-            }
+        match best.map(|(_, e)| self.walk(e, p, 64)) {
+            Some(WalkResult::Inside(found)) => Some(found),
+            _ => None,
         }
-        None
     }
 
     /// Least-squares linear reconstruction of the gradient of a nodal
@@ -552,6 +566,35 @@ mod tests {
             }
             assert_eq!(loc.locate_global(p), oracle.locate_global(p));
         });
+    }
+
+    /// The junction cones of the airway mesh overlap geometrically
+    /// (DESIGN.md §7): a point well inside two elements belongs to the
+    /// one `locate_global` scans first, whichever centroid is nearer —
+    /// the answer of the recomputing oracle, and part of the contract.
+    #[test]
+    fn overlapping_elements_resolve_to_the_first_in_scan_order() {
+        let am = airway();
+        let loc = Locator::new(&am.mesh);
+        let oracle = Oracle::new(&loc);
+        let ne = am.mesh.num_elements();
+        let well_inside = |e: usize, p: Vec3| loc.max_face_violation(e, p) < -0.05 * loc.elem_size(e);
+        let mut decided_by_order = 0;
+        for home in 0..ne {
+            let p = am.mesh.centroid(home);
+            let holders: Vec<u32> = loc.candidates(p).filter(|&e| well_inside(e as usize, p)).collect();
+            if holders.len() < 2 {
+                continue;
+            }
+            assert_eq!(loc.locate_global(p), Some(holders[0]), "centroid of {home} in {holders:?}");
+            assert_eq!(oracle.locate_global(p), Some(holders[0]));
+            let nearest = holders
+                .iter()
+                .copied()
+                .min_by(|&a, &b| loc.g.centroids[a as usize].dist(p).total_cmp(&loc.g.centroids[b as usize].dist(p)));
+            decided_by_order += usize::from(nearest != Some(holders[0]));
+        }
+        assert!(decided_by_order > 0, "no overlap where scan order and nearest centroid disagree");
     }
 
     #[test]

@@ -1,0 +1,143 @@
+//! The reference implementation the bit-identity test and the `hotpath`
+//! bin compare against; no run reaches it.
+//!
+//! [`step_particles_with`] is the transport sweep that
+//! [`crate::tracker::step_particles_with`] replaced: one particle at a
+//! time through interpolation, the Newmark/Picard drag solve and
+//! relocation, every intermediate a scalar — the exact arithmetic, RNG
+//! draw order and relocation decisions every lane of the block sweep
+//! must reproduce.
+//!
+//! It is `pub`, not `#[cfg(test)]`, for the reason `cfpd_solver::oracle`
+//! is: the `particles/step-oracle` row of the `hotpath` bin sits in
+//! another crate, and test-only items do not cross crate boundaries.
+
+use crate::locator::{Locator, WalkResult};
+use crate::physics::{DispersionRng, TransportModel};
+use crate::tracker::{
+    ParticleSet, ParticleState, StepStats, NEWMARK_BETA, NEWMARK_GAMMA, NEWMARK_PICARD,
+};
+use cfpd_mesh::{BoundaryKind, Vec3};
+
+/// Advance all active particles of `set` by `dt`, one at a time.
+#[allow(clippy::too_many_arguments)]
+pub fn step_particles_with(
+    set: &mut ParticleSet,
+    locator: &Locator,
+    fluid_velocity: &[Vec3],
+    fluid_density: f64,
+    fluid_viscosity: f64,
+    gravity: Vec3,
+    dt: f64,
+    model: &TransportModel,
+    rng: &mut DispersionRng,
+) -> StepStats {
+    let mut stats = StepStats::default();
+    for i in 0..set.len() {
+        if set.state[i] != ParticleState::Active {
+            continue;
+        }
+        let props = set.props[i];
+        let mass = props.mass();
+        let e = set.elem[i] as usize;
+        let mut uf = locator.interpolate(e, set.pos[i], fluid_velocity);
+        if let Some(intensity) = model.turbulence_intensity {
+            uf += crate::physics::turbulent_fluctuation(uf, intensity, rng.gaussian3());
+        }
+
+        let (x0, v0, a0) = (set.pos[i], set.vel[i], set.acc[i]);
+        let mut f_body = crate::forces::gravity_force(props, gravity)
+            + crate::forces::buoyancy_force(props, fluid_density, gravity);
+        if model.saffman_lift {
+            let omega = locator.vorticity(e, fluid_velocity);
+            f_body +=
+                crate::physics::saffman_lift(fluid_density, fluid_viscosity, props, uf - v0, omega);
+        }
+        if let Some(temperature) = model.brownian_temperature {
+            f_body += crate::physics::brownian_force(
+                fluid_density,
+                fluid_viscosity,
+                props,
+                temperature,
+                dt,
+                rng.gaussian3(),
+            );
+        }
+        let mut v1 = v0;
+        let mut k = 0.0;
+        for _ in 0..NEWMARK_PICARD {
+            let rel_speed = (uf - v1).norm();
+            let re = crate::forces::particle_reynolds(
+                fluid_density,
+                fluid_viscosity,
+                props.diameter,
+                rel_speed,
+            );
+            k = std::f64::consts::PI / 8.0
+                * fluid_viscosity
+                * props.diameter
+                * crate::forces::ganser_cd(re)
+                * re;
+            let c = dt * NEWMARK_GAMMA / mass;
+            v1 = (v0 + a0 * (dt * (1.0 - NEWMARK_GAMMA)) + (uf * k + f_body) * c)
+                / (1.0 + c * k);
+        }
+        let a1 = ((uf - v1) * k + f_body) / mass;
+        let x1 = x0 + v0 * dt + (a0 * (0.5 - NEWMARK_BETA) + a1 * NEWMARK_BETA) * (dt * dt);
+        set.pos[i] = x1;
+        set.vel[i] = v1;
+        set.acc[i] = a1;
+        stats.moved += 1;
+
+        // Relocate.
+        match locator.walk(set.elem[i], x1, 256) {
+            WalkResult::Inside(ne) => set.elem[i] = ne,
+            WalkResult::ExitedBoundary(last, kind) => {
+                set.elem[i] = last;
+                match kind {
+                    BoundaryKind::Wall => {
+                        let global = locator.locate_global(x1);
+                        let relocated = global.or_else(|| {
+                            let speed = v1.norm();
+                            if speed > 1e-12 {
+                                let h = locator.elem_size(last as usize);
+                                locator.locate_forward(x1, v1 / speed, h)
+                            } else {
+                                None
+                            }
+                        });
+                        match relocated {
+                            Some(ne) => {
+                                set.elem[i] = ne;
+                                if global.is_some() {
+                                    stats.relocated += 1;
+                                } else {
+                                    stats.hopped += 1;
+                                }
+                            }
+                            None => {
+                                set.state[i] = ParticleState::Deposited;
+                                stats.deposited += 1;
+                            }
+                        }
+                    }
+                    BoundaryKind::Outlet | BoundaryKind::Inlet => {
+                        set.state[i] = ParticleState::Escaped;
+                        stats.escaped += 1;
+                    }
+                }
+            }
+            WalkResult::Lost => match locator.locate_global(x1) {
+                Some(ne) => {
+                    set.elem[i] = ne;
+                    stats.relocated += 1;
+                }
+                None => {
+                    set.state[i] = ParticleState::Lost;
+                    stats.lost += 1;
+                }
+            },
+        }
+    }
+    stats
+}

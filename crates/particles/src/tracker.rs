@@ -9,8 +9,12 @@
 
 use crate::forces::ParticleProps;
 use crate::locator::{Locator, WalkResult};
+use crate::physics::{DispersionRng, TransportModel};
 use cfpd_mesh::{BoundaryKind, Vec3};
+use cfpd_solver::lanes::{Lane, LANES};
+use cfpd_solver::simd::F64x8;
 use cfpd_testkit::rng::Rng;
+use std::array::from_fn;
 
 /// Life-cycle state of a particle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +73,15 @@ impl ParticleSet {
         c
     }
 
+    fn reserve(&mut self, additional: usize) {
+        self.pos.reserve(additional);
+        self.vel.reserve(additional);
+        self.acc.reserve(additional);
+        self.elem.reserve(additional);
+        self.state.reserve(additional);
+        self.props.reserve(additional);
+    }
+
     fn push(&mut self, pos: Vec3, vel: Vec3, elem: u32, props: ParticleProps) {
         self.pos.push(pos);
         self.vel.push(vel);
@@ -102,6 +115,7 @@ pub fn inject_at_inlet(
     // elements rather than exactly on the inlet plane.
     let base = inlet_center + dir * (inlet_radius * 0.1);
     let mut injected = 0usize;
+    set.reserve(count);
     for _ in 0..count {
         // Uniform over the disc (sqrt radial distribution), shrunk to
         // 90 % of the radius to avoid the wall edge.
@@ -117,23 +131,27 @@ pub fn inject_at_inlet(
 }
 
 /// Per-step statistics of the transport sweep.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StepStats {
     pub moved: usize,
     pub deposited: usize,
     pub escaped: usize,
     pub lost: usize,
-    /// Total element-walk face crossings (a work measure).
-    pub walk_steps_estimate: usize,
+    /// Wall exits and lost walks that [`Locator::locate_global`] found an
+    /// element for (the junction cones overlap, DESIGN.md §7).
+    pub relocated: usize,
+    /// Wall exits rescued only by [`Locator::locate_forward`], the hop
+    /// across a junction void.
+    pub hopped: usize,
 }
 
 /// Newmark parameters (γ = 1/2, β = 1/4: the unconditionally stable
 /// average-acceleration variant; the paper uses Newmark with dt = 1e-4 s).
-const NEWMARK_GAMMA: f64 = 0.5;
-const NEWMARK_BETA: f64 = 0.25;
+pub(crate) const NEWMARK_GAMMA: f64 = 0.5;
+pub(crate) const NEWMARK_BETA: f64 = 0.25;
 /// Fixed-point iterations for the implicit acceleration (drag depends on
 /// the end-of-step velocity).
-const NEWMARK_PICARD: usize = 3;
+pub(crate) const NEWMARK_PICARD: usize = 3;
 
 /// Advance all active particles of `set` by `dt`.
 ///
@@ -149,7 +167,7 @@ pub fn step_particles(
     gravity: Vec3,
     dt: f64,
 ) -> StepStats {
-    let mut rng = crate::physics::DispersionRng::new(0);
+    let mut rng = DispersionRng::new(0);
     step_particles_with(
         set,
         locator,
@@ -158,14 +176,24 @@ pub fn step_particles(
         fluid_viscosity,
         gravity,
         dt,
-        &crate::physics::TransportModel::paper_baseline(),
+        &TransportModel::paper_baseline(),
         &mut rng,
     )
 }
 
 /// Like [`step_particles`] but with the extended force model
-/// ([`crate::physics::TransportModel`]): optional Saffman lift,
-/// Brownian motion and turbulent dispersion.
+/// ([`TransportModel`]): optional Saffman lift, Brownian motion and
+/// turbulent dispersion.
+///
+/// The set is walked in blocks of [`LANES`] active particles, in set
+/// order, each block through three stages: **gather** (per particle,
+/// scalar, in particle order — so the [`DispersionRng`] draws keep their
+/// order), **solve** (the Newmark/Picard drag solve, eight particles
+/// per [`F64x8`] operation, [`solve_block`]) and **relocate** (per
+/// particle, scalar, [`relocate`]). A particle reads the fluid field and
+/// its own columns only, never another particle, so solving seven
+/// particles ahead of the first one's relocation changes no value: the
+/// result is the scalar sweep's ([`crate::oracle`]) bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn step_particles_with(
     set: &mut ParticleSet,
@@ -175,131 +203,332 @@ pub fn step_particles_with(
     fluid_viscosity: f64,
     gravity: Vec3,
     dt: f64,
-    model: &crate::physics::TransportModel,
-    rng: &mut crate::physics::DispersionRng,
+    model: &TransportModel,
+    rng: &mut DispersionRng,
 ) -> StepStats {
-    let mut stats = StepStats::default();
-    for i in 0..set.len() {
-        if set.state[i] != ParticleState::Active {
+    let mut sweep = Sweep {
+        set,
+        locator,
+        fluid_velocity,
+        fluid_density,
+        fluid_viscosity,
+        gravity,
+        dt,
+        model,
+        rng,
+        species: None,
+        stats: StepStats::default(),
+    };
+    let mut block = [0usize; LANES];
+    let mut filled = 0;
+    for i in 0..sweep.set.len() {
+        // A block only ever changes the state of its own particles.
+        if sweep.set.state[i] != ParticleState::Active {
             continue;
         }
-        let props = set.props[i];
-        let mass = props.mass();
-        let e = set.elem[i] as usize;
-        let mut uf = locator.interpolate(e, set.pos[i], fluid_velocity);
-        if let Some(intensity) = model.turbulence_intensity {
-            uf += crate::physics::turbulent_fluctuation(uf, intensity, rng.gaussian3());
-        }
-
-        // Newmark-β with a *semi-implicit* drag solve: the drag force is
-        // linear in the end-of-step velocity given the drag coefficient
-        // k = (π/8) µ d C_D Re, so v₁ solves
-        //   v₁ (1 + dtγk/m) = v₀ + dt(1−γ)a₀ + (dtγ/m)(k u_f + F_body).
-        // Only k (a weak function of |u_f − v₁|) is Picard-iterated;
-        // this stays stable for dt far beyond the particle relaxation
-        // time τ = ρ_p d²/(18µ), where a naive explicit update diverges.
-        let (x0, v0, a0) = (set.pos[i], set.vel[i], set.acc[i]);
-        let mut f_body = crate::forces::gravity_force(props, gravity)
-            + crate::forces::buoyancy_force(props, fluid_density, gravity);
-        if model.saffman_lift {
-            let omega = locator.vorticity(e, fluid_velocity);
-            f_body +=
-                crate::physics::saffman_lift(fluid_density, fluid_viscosity, props, uf - v0, omega);
-        }
-        if let Some(temperature) = model.brownian_temperature {
-            f_body += crate::physics::brownian_force(
-                fluid_density,
-                fluid_viscosity,
-                props,
-                temperature,
-                dt,
-                rng.gaussian3(),
-            );
-        }
-        let mut v1 = v0;
-        let mut k = 0.0;
-        for _ in 0..NEWMARK_PICARD {
-            let rel_speed = (uf - v1).norm();
-            let re = crate::forces::particle_reynolds(
-                fluid_density,
-                fluid_viscosity,
-                props.diameter,
-                rel_speed,
-            );
-            k = std::f64::consts::PI / 8.0
-                * fluid_viscosity
-                * props.diameter
-                * crate::forces::ganser_cd(re)
-                * re;
-            let c = dt * NEWMARK_GAMMA / mass;
-            v1 = (v0 + a0 * (dt * (1.0 - NEWMARK_GAMMA)) + (uf * k + f_body) * c)
-                / (1.0 + c * k);
-        }
-        let a1 = ((uf - v1) * k + f_body) / mass;
-        let x1 = x0 + v0 * dt + (a0 * (0.5 - NEWMARK_BETA) + a1 * NEWMARK_BETA) * (dt * dt);
-        set.pos[i] = x1;
-        set.vel[i] = v1;
-        set.acc[i] = a1;
-        stats.moved += 1;
-
-        // Relocate.
-        match locator.walk(set.elem[i], x1, 256) {
-            WalkResult::Inside(ne) => {
-                stats.walk_steps_estimate += 1;
-                set.elem[i] = ne;
-            }
-            WalkResult::ExitedBoundary(last, kind) => {
-                set.elem[i] = last;
-                match kind {
-                    BoundaryKind::Wall => {
-                        // The walk crossed an exterior face tagged Wall —
-                        // but the junction fills of the airway mesh are
-                        // star-shaped cones that overlap geometrically
-                        // while sharing only the hub node topologically
-                        // (DESIGN.md §7), so "through a wall face" can
-                        // still be *inside* the overlapping neighbor
-                        // region. Only a position no element contains is
-                        // a true wall hit.
-                        let relocated = locator.locate_global(x1).or_else(|| {
-                            // Hop across the thin junction void along the
-                            // direction of motion (true wall hits keep
-                            // heading outside the mesh and still fail).
-                            let speed = v1.norm();
-                            if speed > 1e-12 {
-                                let h = locator.elem_size(last as usize);
-                                locator.locate_forward(x1, v1 / speed, h)
-                            } else {
-                                None
-                            }
-                        });
-                        match relocated {
-                            Some(ne) => set.elem[i] = ne,
-                            None => {
-                                set.state[i] = ParticleState::Deposited;
-                                stats.deposited += 1;
-                            }
-                        }
-                    }
-                    BoundaryKind::Outlet | BoundaryKind::Inlet => {
-                        set.state[i] = ParticleState::Escaped;
-                        stats.escaped += 1;
-                    }
-                }
-            }
-            WalkResult::Lost => match locator.locate_global(x1) {
-                Some(ne) => set.elem[i] = ne,
-                None => {
-                    set.state[i] = ParticleState::Lost;
-                    stats.lost += 1;
-                }
-            },
+        block[filled] = i;
+        filled += 1;
+        if filled == LANES {
+            sweep.advance(&block);
+            filled = 0;
         }
     }
+    if filled > 0 {
+        sweep.advance(&block[..filled]);
+    }
+    let stats = sweep.stats;
     cfpd_telemetry::count!("particles.steps");
     cfpd_telemetry::count!("particles.advected", stats.moved as u64);
     cfpd_telemetry::count!("particles.deposited", stats.deposited as u64);
     cfpd_telemetry::count!("particles.escaped", stats.escaped as u64);
+    cfpd_telemetry::count!("particles.lost", stats.lost as u64);
+    cfpd_telemetry::count!("particles.relocated", stats.relocated as u64);
+    cfpd_telemetry::count!("particles.hopped", stats.hopped as u64);
     stats
+}
+
+/// One vector quantity of a lane block: a stack array per component.
+type Lane3 = [Lane; 3];
+
+fn put3(a: &mut Lane3, l: usize, v: Vec3) {
+    a[0][l] = v.x;
+    a[1][l] = v.y;
+    a[2][l] = v.z;
+}
+
+fn at3(a: &Lane3, l: usize) -> Vec3 {
+    Vec3::new(a[0][l], a[1][l], a[2][l])
+}
+
+fn load3(a: &Lane3) -> [F64x8; 3] {
+    from_fn(|c| F64x8::load(&a[c]))
+}
+
+fn store3(v: [F64x8; 3]) -> Lane3 {
+    v.map(F64x8::to_array)
+}
+
+/// What the solve stage reads of one particle.
+#[derive(Clone, Copy)]
+struct LaneInputs {
+    /// Fluid velocity seen at the particle (turbulent fluctuation included).
+    uf: Vec3,
+    x0: Vec3,
+    v0: Vec3,
+    a0: Vec3,
+    /// Every force but drag.
+    f_body: Vec3,
+    mass: f64,
+    diameter: f64,
+}
+
+/// [`LaneInputs`] of a block, structure-of-lanes.
+#[derive(Default)]
+struct BlockInputs {
+    uf: Lane3,
+    x0: Lane3,
+    v0: Lane3,
+    a0: Lane3,
+    f_body: Lane3,
+    mass: Lane,
+    diameter: Lane,
+}
+
+impl BlockInputs {
+    fn set(&mut self, l: usize, p: &LaneInputs) {
+        put3(&mut self.uf, l, p.uf);
+        put3(&mut self.x0, l, p.x0);
+        put3(&mut self.v0, l, p.v0);
+        put3(&mut self.a0, l, p.a0);
+        put3(&mut self.f_body, l, p.f_body);
+        self.mass[l] = p.mass;
+        self.diameter[l] = p.diameter;
+    }
+}
+
+/// End-of-step position, velocity and acceleration of a block.
+struct BlockOutputs {
+    x1: Lane3,
+    v1: Lane3,
+    a1: Lane3,
+}
+
+/// Newmark-β with a *semi-implicit* drag solve, eight particles per
+/// operation: the drag force is linear in the end-of-step velocity given
+/// the drag coefficient k = (π/8) µ d C_D Re, so v₁ solves
+///   v₁ (1 + dtγk/m) = v₀ + dt(1−γ)a₀ + (dtγ/m)(k u_f + F_body).
+/// Only k (a weak function of |u_f − v₁|) is Picard-iterated; this stays
+/// stable for dt far beyond the particle relaxation time
+/// τ = ρ_p d²/(18µ), where a naive explicit update diverges.
+///
+/// Every lane evaluates the operation tree of the scalar source
+/// ([`crate::forces::particle_reynolds`], [`crate::forces::ganser_cd`],
+/// the `Vec3` expressions of [`crate::oracle`]) — same grouping, no
+/// fused multiply-add — which is what makes the block bit-identical to
+/// eight scalar solves. What one particle pays as a serially dependent
+/// sqrt → div → `pow` → div chain per iteration, a block pays once for
+/// eight.
+fn solve_block(inp: &BlockInputs, fluid_density: f64, fluid_viscosity: f64, dt: f64) -> BlockOutputs {
+    let s = F64x8::splat;
+    let (uf, x0, v0, a0) = (load3(&inp.uf), load3(&inp.x0), load3(&inp.v0), load3(&inp.a0));
+    let f_body = load3(&inp.f_body);
+    let (mass, diameter) = (F64x8::load(&inp.mass), F64x8::load(&inp.diameter));
+    let one = s(1.0);
+    let c = s(dt * NEWMARK_GAMMA) / mass;
+    let rho_d = s(fluid_density) * diameter;
+    let stokes = s(std::f64::consts::PI / 8.0 * fluid_viscosity) * diameter;
+    let explicit = s(dt * (1.0 - NEWMARK_GAMMA));
+    let mut v1 = v0;
+    let mut k = F64x8::zero();
+    for _ in 0..NEWMARK_PICARD {
+        let rel: [F64x8; 3] = from_fn(|j| uf[j] - v1[j]);
+        let rel_speed = (rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2]).sqrt();
+        let re = rho_d * rel_speed / s(fluid_viscosity);
+        // The clamp and the power leave the vector, as eight scalar calls:
+        // `f64::max` answers a NaN with its other operand, which no
+        // compare-and-select of `F64x8` does, and `powf` is libm's `pow`,
+        // the arithmetic the goldens pin. Eight independent `pow`s still
+        // overlap where one particle's chain could not.
+        let clamped = re.to_array().map(|r| r.max(1e-12));
+        let power = clamped.map(|r| r.powf(0.6567));
+        let (re_c, power) = (F64x8::load(&clamped), F64x8::load(&power));
+        let cd = s(24.0) / re_c * (one + s(0.1118) * power) + s(0.4305) / (one + s(3305.0) / re_c);
+        // With the un-clamped Re, like the scalar source.
+        k = stokes * cd * re;
+        let denominator = one + c * k;
+        v1 = from_fn(|j| (v0[j] + a0[j] * explicit + (uf[j] * k + f_body[j]) * c) / denominator);
+    }
+    let a1: [F64x8; 3] = from_fn(|j| ((uf[j] - v1[j]) * k + f_body[j]) / mass);
+    let x1 = from_fn(|j| {
+        x0[j] + v0[j] * s(dt) + (a0[j] * s(0.5 - NEWMARK_BETA) + a1[j] * s(NEWMARK_BETA)) * s(dt * dt)
+    });
+    BlockOutputs { x1: store3(x1), v1: store3(v1), a1: store3(a1) }
+}
+
+/// `props.mass()` and the gravity + buoyancy force of one species —
+/// three `powi` and four divisions a particle, computed once per run of
+/// bit-equal `props` instead.
+#[derive(Clone, Copy)]
+struct Species {
+    props: ParticleProps,
+    mass: f64,
+    f_body: Vec3,
+}
+
+/// The arguments of one [`step_particles_with`] call and what it
+/// accumulates.
+struct Sweep<'a, 'm> {
+    set: &'a mut ParticleSet,
+    locator: &'a Locator<'m>,
+    fluid_velocity: &'a [Vec3],
+    fluid_density: f64,
+    fluid_viscosity: f64,
+    gravity: Vec3,
+    dt: f64,
+    model: &'a TransportModel,
+    rng: &'a mut DispersionRng,
+    species: Option<Species>,
+    stats: StepStats,
+}
+
+impl Sweep<'_, '_> {
+    /// Gather, solve and relocate the active particles `block` (at most
+    /// [`LANES`], in set order).
+    fn advance(&mut self, block: &[usize]) {
+        let mut inputs = BlockInputs::default();
+        for (l, &i) in block.iter().enumerate() {
+            let lane = self.gather(i);
+            inputs.set(l, &lane);
+            // A short last block is padded with copies of its lane 0,
+            // whose results are dropped.
+            if l == 0 {
+                for idle in block.len()..LANES {
+                    inputs.set(idle, &lane);
+                }
+            }
+        }
+        let out = solve_block(&inputs, self.fluid_density, self.fluid_viscosity, self.dt);
+        for (l, &i) in block.iter().enumerate() {
+            self.set.pos[i] = at3(&out.x1, l);
+            self.set.vel[i] = at3(&out.v1, l);
+            self.set.acc[i] = at3(&out.a1, l);
+            relocate(self.set, i, self.locator, &mut self.stats);
+        }
+        self.stats.moved += block.len();
+    }
+
+    /// Everything the solve needs of particle `i`, in the order the
+    /// scalar sweep computes it: the stochastic terms draw from the RNG
+    /// per particle, turbulence before Brownian.
+    fn gather(&mut self, i: usize) -> LaneInputs {
+        let props = self.set.props[i];
+        let same = |s: &Species| {
+            s.props.diameter.to_bits() == props.diameter.to_bits()
+                && s.props.density.to_bits() == props.density.to_bits()
+        };
+        let species = match self.species {
+            Some(s) if same(&s) => s,
+            _ => *self.species.insert(Species {
+                props,
+                mass: props.mass(),
+                f_body: crate::forces::gravity_force(props, self.gravity)
+                    + crate::forces::buoyancy_force(props, self.fluid_density, self.gravity),
+            }),
+        };
+        let e = self.set.elem[i] as usize;
+        let (x0, v0, a0) = (self.set.pos[i], self.set.vel[i], self.set.acc[i]);
+        let mut uf = self.locator.interpolate(e, x0, self.fluid_velocity);
+        if let Some(intensity) = self.model.turbulence_intensity {
+            uf += crate::physics::turbulent_fluctuation(uf, intensity, self.rng.gaussian3());
+        }
+        let mut f_body = species.f_body;
+        if self.model.saffman_lift {
+            let omega = self.locator.vorticity(e, self.fluid_velocity);
+            f_body += crate::physics::saffman_lift(
+                self.fluid_density,
+                self.fluid_viscosity,
+                props,
+                uf - v0,
+                omega,
+            );
+        }
+        if let Some(temperature) = self.model.brownian_temperature {
+            f_body += crate::physics::brownian_force(
+                self.fluid_density,
+                self.fluid_viscosity,
+                props,
+                temperature,
+                self.dt,
+                self.rng.gaussian3(),
+            );
+        }
+        LaneInputs { uf, x0, v0, a0, f_body, mass: species.mass, diameter: props.diameter }
+    }
+}
+
+/// Find the element of particle `i` at its new position, or retire it:
+/// deposited on a wall, escaped through an outlet, lost.
+fn relocate(set: &mut ParticleSet, i: usize, locator: &Locator, stats: &mut StepStats) {
+    let (x1, v1) = (set.pos[i], set.vel[i]);
+    match locator.walk(set.elem[i], x1, 256) {
+        WalkResult::Inside(ne) => set.elem[i] = ne,
+        WalkResult::ExitedBoundary(last, kind) => {
+            set.elem[i] = last;
+            match kind {
+                BoundaryKind::Wall => {
+                    // The walk crossed an exterior face tagged Wall —
+                    // but the junction fills of the airway mesh are
+                    // star-shaped cones that overlap geometrically
+                    // while sharing only the hub node topologically
+                    // (DESIGN.md §7), so "through a wall face" can
+                    // still be *inside* the overlapping neighbor
+                    // region. Only a position no element contains is
+                    // a true wall hit.
+                    let global = locator.locate_global(x1);
+                    let relocated = global.or_else(|| {
+                        // Hop across the thin junction void along the
+                        // direction of motion (true wall hits keep
+                        // heading outside the mesh and still fail).
+                        let speed = v1.norm();
+                        if speed > 1e-12 {
+                            let h = locator.elem_size(last as usize);
+                            locator.locate_forward(x1, v1 / speed, h)
+                        } else {
+                            None
+                        }
+                    });
+                    match relocated {
+                        Some(ne) => {
+                            set.elem[i] = ne;
+                            if global.is_some() {
+                                stats.relocated += 1;
+                            } else {
+                                stats.hopped += 1;
+                            }
+                        }
+                        None => {
+                            set.state[i] = ParticleState::Deposited;
+                            stats.deposited += 1;
+                        }
+                    }
+                }
+                BoundaryKind::Outlet | BoundaryKind::Inlet => {
+                    set.state[i] = ParticleState::Escaped;
+                    stats.escaped += 1;
+                }
+            }
+        }
+        WalkResult::Lost => match locator.locate_global(x1) {
+            Some(ne) => {
+                set.elem[i] = ne;
+                stats.relocated += 1;
+            }
+            None => {
+                set.state[i] = ParticleState::Lost;
+                stats.lost += 1;
+            }
+        },
+    }
 }
 
 /// Count active particles per element owner — the per-rank particle load
@@ -318,7 +547,9 @@ pub fn particles_per_owner(set: &ParticleSet, elem_owner: &[u32], num_owners: us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfpd_mesh::{generate_airway, AirwaySpec};
+    use cfpd_mesh::{generate_airway, AirwaySpec, ElementKind};
+    use cfpd_testkit::prop::{check, usize_range, PropConfig};
+    use std::cell::Cell;
 
     const AIR_RHO: f64 = 1.14;
     const AIR_MU: f64 = 1.9e-5;
@@ -326,6 +557,137 @@ mod tests {
     fn setup() -> (cfpd_mesh::AirwayMesh, ParticleSet) {
         let am = generate_airway(&AirwaySpec::small()).unwrap();
         (am, ParticleSet::default())
+    }
+
+    fn bits(column: &[Vec3]) -> Vec<[u64; 3]> {
+        column.iter().map(|v| [v.x, v.y, v.z].map(f64::to_bits)).collect()
+    }
+
+    /// The block sweep against [`crate::oracle::step_particles_with`] on
+    /// a clone, after every step of a short run, on the bits: random
+    /// sets on the small airway whose active particles sit between holes
+    /// of retired ones (blocks straddle gaps; `n mod 8 != 0`, `n < 8`,
+    /// `n = 0` and all-inactive sets occur), of two or three species
+    /// interleaved at random — two of them one ulp of one field away
+    /// from a third, which the per-species cache must tell apart —
+    /// seeded in tets, pyramids and prisms, moving through fields and
+    /// time steps that take some of them across several elements, out
+    /// through walls into junction overlaps, over a void, onto a wall and
+    /// out of an outlet. Two particles are planted: one exactly on a mesh
+    /// node at exactly the fluid velocity there (`interpolate`'s
+    /// early return, and Re = 0: the one place the `1e-12` clamp decides
+    /// a bit) and one with a NaN velocity (`f64::max` semantics). Under
+    /// the extended model the run also pins the RNG draw order.
+    #[test]
+    fn lane_blocks_match_the_scalar_oracle_bit_for_bit() {
+        let (am, _) = setup();
+        let mesh = &am.mesh;
+        let loc = Locator::new(mesh);
+        let of_kind = |kind: ElementKind| -> Vec<usize> {
+            (0..mesh.num_elements()).filter(|&e| mesh.kinds[e] == kind).collect()
+        };
+        let by_kind = [ElementKind::Tet4, ElementKind::Pyr5, ElementKind::Pri6].map(of_kind);
+        assert!(by_kind.iter().all(|elems| !elems.is_empty()));
+        let base = ParticleProps::default();
+        let next = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let all_species = [
+            base,
+            ParticleProps { diameter: next(base.diameter), ..base },
+            ParticleProps { density: next(base.density), ..base },
+            ParticleProps { diameter: 50e-6, density: 2000.0 },
+        ];
+        let gravity = Vec3::new(0.0, 0.0, -9.81);
+        // Depositions, escapes, overlap rescues and forward hops seen.
+        let reached = Cell::new([0usize; 4]);
+        let (blocks_short, sets_idle) = (Cell::new(0usize), Cell::new(0usize));
+
+        check("lane blocks == scalar oracle", PropConfig::cases(96), &usize_range(0, 1 << 30), |&seed| {
+            let mut rng = Rng::new(seed as u64);
+            let n = match rng.range_usize(0, 8) {
+                0 => 0,
+                1 => rng.range_usize(1, 8),
+                _ => rng.range_usize(8, 80),
+            };
+            let dt = [1e-4, 1e-3, 1e-2][rng.range_usize(0, 3)];
+            let speed = [0.3, 3.0, 30.0][rng.range_usize(0, 3)];
+            let (kx, ky) = (rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0));
+            let field: Vec<Vec3> = mesh
+                .coords
+                .iter()
+                .map(|p| {
+                    Vec3::new(kx + (90.0 * p.z).sin(), ky + (70.0 * p.x).cos(), -1.0 + (50.0 * p.y).sin())
+                        * speed
+                })
+                .collect();
+            let mut species = all_species;
+            rng.shuffle(&mut species);
+            let species = &species[..rng.range_usize(2, 4)];
+            let all_idle = rng.range_usize(0, 12) == 0;
+
+            let mut set = ParticleSet::default();
+            for _ in 0..n {
+                let elems = &by_kind[rng.range_usize(0, 3)];
+                let e = elems[rng.range_usize(0, elems.len())];
+                let nodes = mesh.elem_nodes(e);
+                let weights: Vec<f64> = nodes.iter().map(|_| rng.range_f64(0.05, 1.0)).collect();
+                let total: f64 = weights.iter().sum();
+                let mut pos = Vec3::ZERO;
+                for (&v, w) in nodes.iter().zip(&weights) {
+                    pos += mesh.coords[v as usize] * (w / total);
+                }
+                let vel = field[nodes[0] as usize] * rng.range_f64(0.0, 2.0);
+                set.push(pos, vel, e as u32, species[rng.range_usize(0, species.len())]);
+                let i = set.len() - 1;
+                set.acc[i] = Vec3::new(rng.range_f64(-9.0, 9.0), rng.range_f64(-9.0, 9.0), 0.0);
+                set.state[i] = match rng.range_usize(0, if all_idle { 3 } else { 10 }) {
+                    0 => ParticleState::Deposited,
+                    1 => ParticleState::Escaped,
+                    2 => ParticleState::Lost,
+                    _ => ParticleState::Active,
+                };
+            }
+            if n >= 2 && !all_idle {
+                let (on_node, nan) = (rng.range_usize(0, n), rng.range_usize(0, n));
+                let v = mesh.elem_nodes(set.elem[on_node] as usize)[0] as usize;
+                set.pos[on_node] = mesh.coords[v];
+                set.vel[on_node] = field[v];
+                set.state[on_node] = ParticleState::Active;
+                set.vel[nan].y = f64::NAN;
+                set.state[nan] = ParticleState::Active;
+            }
+            let active = set.census().active;
+            blocks_short.set(blocks_short.get() + usize::from(active % LANES != 0));
+            sets_idle.set(sets_idle.get() + usize::from(active == 0));
+
+            for model in [TransportModel::paper_baseline(), TransportModel::extended()] {
+                let (mut lanes, mut scalar) = (set.clone(), set.clone());
+                let mut rng_lanes = DispersionRng::new(seed as u64);
+                let mut rng_scalar = DispersionRng::new(seed as u64);
+                for step in 0..5 {
+                    let got = step_particles_with(
+                        &mut lanes, &loc, &field, AIR_RHO, AIR_MU, gravity, dt, &model, &mut rng_lanes,
+                    );
+                    let want = crate::oracle::step_particles_with(
+                        &mut scalar, &loc, &field, AIR_RHO, AIR_MU, gravity, dt, &model, &mut rng_scalar,
+                    );
+                    let at = format!("step {step}, {model:?}");
+                    assert_eq!(got, want, "StepStats, {at}");
+                    assert_eq!(bits(&lanes.pos), bits(&scalar.pos), "pos, {at}");
+                    assert_eq!(bits(&lanes.vel), bits(&scalar.vel), "vel, {at}");
+                    assert_eq!(bits(&lanes.acc), bits(&scalar.acc), "acc, {at}");
+                    assert_eq!(lanes.elem, scalar.elem, "elem, {at}");
+                    assert_eq!(lanes.state, scalar.state, "state, {at}");
+                    let seen = [got.deposited, got.escaped, got.relocated, got.hopped];
+                    let mut sums = reached.get();
+                    sums.iter_mut().zip(seen).for_each(|(sum, n)| *sum += n);
+                    reached.set(sums);
+                }
+                assert_eq!(bits(&[rng_lanes.gaussian3()]), bits(&[rng_scalar.gaussian3()]), "RNG left apart");
+            }
+        });
+        // The sample reached what the doc comment names.
+        assert!(reached.get().iter().all(|&n| n > 0), "relocation paths not all reached: {:?}", reached.get());
+        assert!(blocks_short.get() > 0 && sets_idle.get() > 0, "no short block or no idle set");
     }
 
     #[test]

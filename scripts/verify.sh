@@ -21,13 +21,15 @@
 #   * a bench smoke: the hotpath benchmark's --quick run must complete
 #     and emit its JSON carrying the per-phase breakdown schema
 #     (phases.{spmv,jacobi,axpy_dot,sgs,assembly} + solve + end_to_end),
-#     the solve/*, setup/*, spmm3/sell and solver1/* rows, with the
-#     Multidep plan build held to at most 5 serial element passes
+#     the solve/*, setup/*, spmm3/sell, solver1/* and particles/* rows,
+#     with the Multidep plan build held to at most 5 serial element passes
 #     (assembly/serial-pass), the lane SGS sweep (sgs/batched-lanes, what
 #     every run does) below its scalar oracle (sgs/default) and the block
 #     momentum solve (solver1/block) below the three scalar solves it
-#     replaced (solver1/scalar-x3): a lost lane or block path is a red
-#     build, not a silently slower step,
+#     replaced (solver1/scalar-x3) and the lane-block particle sweep
+#     (particles/step-lanes) below its scalar oracle
+#     (particles/step-oracle): a lost lane or block path is a red build,
+#     not a silently slower step,
 #   * a trace-pipeline smoke: `cfpd trace export` writes Paraver +
 #     Chrome + summary artifacts that validate against the in-repo
 #     RFC 8259 parser, `cfpd trace diff` of two identical-seed traced
@@ -149,7 +151,8 @@ for name in ("setup/element-graph", "setup/kway-16", "setup/plan-multidep",
              "setup/locator-build", "setup/inject-10k", "setup/deflation-build",
              "solve/poisson-jacobi", "solve/poisson-deflated",
              "solve/poisson-deflated-native", "sgs/default", "sgs/batched-lanes",
-             "assembly/serial-pass", "spmm3/sell", "solver1/scalar-x3", "solver1/block"):
+             "assembly/serial-pass", "spmm3/sell", "solver1/scalar-x3", "solver1/block",
+             "particles/step-oracle", "particles/step-lanes"):
     if name not in rows:
         sys.exit(f"FAIL: hotpath bench has no {name} row")
 plan, serial_pass = rows["setup/plan-multidep"], rows["assembly/serial-pass"]
@@ -169,6 +172,12 @@ if doc["phases"]["sgs"]["opt_ns"] != round(lanes):
 block, scalar = rows["solver1/block"], rows["solver1/scalar-x3"]
 if block >= scalar:
     sys.exit(f"FAIL: solver1/block {block:.0f} ns is not below solver1/scalar-x3 {scalar:.0f} ns")
+# Same particles, same thread, eight Newmark/Picard drag solves per
+# vector op against one: the ratio reads 0.70-0.88 here (the low end on a
+# calm host), so "not below" means the lane sweep is gone.
+lanes, scalar = rows["particles/step-lanes"], rows["particles/step-oracle"]
+if lanes >= scalar:
+    sys.exit(f"FAIL: particles/step-lanes {lanes:.0f} ns is not below particles/step-oracle {scalar:.0f} ns")
 PYEOF
 timeout 300 target/release/overhead --quick >/dev/null
 test -s results/BENCH_telemetry_overhead_quick.json \
