@@ -48,11 +48,20 @@ pub struct Checkpoint {
     pub ranks: Vec<RankCheckpoint>,
 }
 
+/// Which bits a configuration computes, beyond what the configuration
+/// says: bumped by a change that moves them on purpose, so that a
+/// checkpoint cut before it is refused by digest (with
+/// [`Checkpoint::validate_for`]'s message) instead of being resumed into
+/// a document no uninterrupted run produces. Revision 2: shared rows are
+/// summed in colour-numbered subdomain order (PR 21).
+const SUMMATION_REVISION: u32 = 2;
+
 /// Digest the configuration a checkpoint belongs to. Hashing the full
 /// `Debug` rendering covers every knob (mesh spec, solver tolerances,
-/// strategy, mode) without enumerating fields here.
+/// strategy, mode) without enumerating fields here;
+/// [`SUMMATION_REVISION`] covers what no knob names.
 pub fn config_digest(config: &SimulationConfig) -> u64 {
-    digest_bytes(format!("{config:?}").as_bytes())
+    digest_bytes(format!("{config:?} summation_revision={SUMMATION_REVISION}").as_bytes())
 }
 
 fn state_code(s: ParticleState) -> u8 {
@@ -551,5 +560,20 @@ mod tests {
         assert!(cp.validate_for(&other, 2).unwrap_err().contains("config digest"));
         cp.next_step = config.steps + 1;
         assert!(cp.validate_for(&config, 2).unwrap_err().contains("beyond"));
+    }
+
+    /// Checkpoints cut before shared rows were summed in colour order
+    /// carry the digest of the `Debug` rendering alone (`4bc2799f74ef0f5c`
+    /// for the golden configuration, the value the old snapshot fixture
+    /// held). Their state continues another summation order, so they are
+    /// refused — an `Err` with both digests, not a panic.
+    #[test]
+    fn a_checkpoint_cut_before_the_summation_order_change_is_refused() {
+        let config = crate::golden::golden_config();
+        let mut cp = sample();
+        cp.config_digest = digest_bytes(format!("{config:?}").as_bytes());
+        assert_eq!(cp.config_digest, 0x4bc2799f74ef0f5c);
+        let err = cp.validate_for(&config, 2).unwrap_err();
+        assert!(err.contains("config digest 4bc2799f74ef0f5c does not match"), "{err}");
     }
 }

@@ -2,11 +2,17 @@
 //! log as a canonical text document that can be diffed byte-for-byte
 //! against a checked-in golden file.
 //!
-//! Determinism contract: with `threads_per_rank == 1` and DLB off, every
-//! rank's computation is sequential and all collectives reduce in fixed
-//! rank order, so the trace is bit-reproducible across runs and
-//! machines. All floating-point payloads are rendered as `f64::to_bits`
-//! hex — a byte-equal trace means bit-identical physics.
+//! Determinism contract: for any `threads_per_rank`, with DLB on or off,
+//! the trace is bit-reproducible across runs and machines. Collectives
+//! reduce in fixed rank order; inside a rank every pool sweep either
+//! writes rows no other executor touches or sums in an order fixed by
+//! its plan (chunk-indexed partials summed in chunk order, subdomain
+//! tasks ordered along every shared row), never by which executor ran
+//! what or by how many LeWI had granted at that instant. (`Atomics`
+//! assembly is the exception, on purpose: the non-deterministic baseline
+//! of the paper's Fig. 4/6, excluded from goldens.) All floating-point
+//! payloads are rendered as `f64::to_bits` hex — a byte-equal trace
+//! means bit-identical physics.
 //!
 //! Regenerate goldens after an *intended* physics change with
 //! `CFPD_BLESS=1 cargo test -p cfpd-serve --test golden_trace`.
@@ -42,8 +48,9 @@ fn hex(bits: u64) -> String {
     format!("{bits:016x}")
 }
 
-/// Run the simulation deterministically (1 thread per rank, DLB off) and
-/// serialize its logical trace.
+/// Run the simulation in its plainest shape (1 thread per rank, DLB off)
+/// and serialize its logical trace — the document any other shape of the
+/// same configuration renders too.
 pub fn golden_trace(config: &SimulationConfig, n_ranks: usize) -> String {
     render_run_doc(config, n_ranks, &run_simulation(config, n_ranks, 1, false))
 }

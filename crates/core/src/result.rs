@@ -32,8 +32,8 @@ pub struct SimulationResult {
     pub dlb: Option<DlbStats>,
     /// Wall-clock-free per-rank event log (gathered at rank 0, sorted by
     /// `(step, rank)`). Unlike `trace`, this is bit-reproducible across
-    /// runs for a fixed config with `threads_per_rank == 1` and DLB off —
-    /// the substrate of the golden-trace regression suite.
+    /// runs for a fixed config, at any thread count and with DLB on or
+    /// off — the substrate of the golden-trace regression suite.
     pub logical: Vec<LogicalEvent>,
     /// Checkpoint captured at `RunOptions::checkpoint_at`, if requested.
     pub checkpoint: Option<Checkpoint>,

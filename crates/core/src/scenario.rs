@@ -32,8 +32,9 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The deterministic default shape: `ranks` ranks, one thread each,
-    /// no DLB/chaos/trace — the golden bit-identity contract.
+    /// The plain default shape: `ranks` ranks, one thread each, no
+    /// DLB/chaos/trace. (Every shape is deterministic; this is the one
+    /// the golden files are cut with.)
     pub fn deterministic(config: SimulationConfig, ranks: usize) -> Scenario {
         Scenario { config, ranks, threads: 1, opts: RunOptions::default() }
     }

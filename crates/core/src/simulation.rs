@@ -196,13 +196,14 @@ pub fn run_prepared(
     // One virtual node: this container is one shared-memory machine, so
     // DLB may lend between any pair of ranks (the cfpd-perfmodel DES
     // models the paper's 2-node topology; here we exercise the real
-    // lending machinery).
+    // lending machinery). A blocked simmpi rank parks, it does not
+    // busy-wait, so it lends every core it owns.
     let cluster = Arc::new(if opts.dlb {
         if opts.trace {
             DlbCluster::new_block_with_epoch(
                 n_ranks,
                 1,
-                LendPolicy::default(),
+                LendPolicy::LendAll,
                 GrantPolicy::default(),
                 opts.lease,
                 run_epoch,
@@ -211,7 +212,7 @@ pub fn run_prepared(
             DlbCluster::new_block_with(
                 n_ranks,
                 1,
-                LendPolicy::default(),
+                LendPolicy::LendAll,
                 GrantPolicy::default(),
                 opts.lease,
             )

@@ -225,8 +225,9 @@ mod tests {
         c.register(2, Arc::new(ThreadPool::new(4)), 2);
         c.register(3, Arc::new(ThreadPool::new(4)), 2);
         c.on_block(0, BlockKind::Recv);
-        // Node 0's rank 1 grew; node 1 untouched.
-        assert_eq!(c.node(0).active_of(1), Some(3));
+        // Node 0's rank 1 grew by both of rank 0's cores (the default
+        // policy lends all); node 1 untouched.
+        assert_eq!(c.node(0).active_of(1), Some(4));
         assert_eq!(c.node(1).active_of(2), Some(2));
         assert_eq!(c.node(1).active_of(3), Some(2));
         c.on_unblock(0, BlockKind::Recv);

@@ -121,12 +121,25 @@ impl DlbPolicy {
 /// Lending behaviour when a rank blocks in MPI (DLB's `LEWI_KEEP_ONE_CPU`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LendPolicy {
-    /// Keep one core busy-waiting in the MPI call (DLB's default).
-    #[default]
+    /// Keep one core for an MPI library that busy-waits in its blocking
+    /// calls (DLB's default on real MPI). A rank that owns one core
+    /// never lends.
     KeepOne,
-    /// Lend every core; the blocking call parks on a borrowed slice.
-    /// Maximizes lending at the cost of slower unblock detection.
+    /// Lend every core. The default here: `cfpd-simmpi` parks a blocked
+    /// rank on a condvar, so nothing busy-waits and a kept core would
+    /// idle — and it is the only way a one-thread rank can lend at all.
+    #[default]
     LendAll,
+}
+
+impl LendPolicy {
+    /// Cores a blocked rank holds back from the node.
+    pub fn kept_cores(self) -> usize {
+        match self {
+            LendPolicy::KeepOne => 1,
+            LendPolicy::LendAll => 0,
+        }
+    }
 }
 
 /// How lent cores are distributed among busy ranks.
@@ -234,7 +247,7 @@ impl DlbNode {
         // A blocked rank has no use for borrowed cores either.
         let returned = slot.borrowed;
         slot.borrowed = 0;
-        let keep = if self.lend_policy == LendPolicy::KeepOne { 1 } else { 0 };
+        let keep = self.lend_policy.kept_cores();
         // Accumulate on top of anything already pre-lent (predictive
         // policy) so a pre-lent core is never minted a second time.
         let lent = slot.owned.saturating_sub(keep).saturating_sub(slot.lent_out);
@@ -604,9 +617,15 @@ mod tests {
         Arc::new(ThreadPool::new(max))
     }
 
+    /// The policy of an MPI that busy-waits (not the default here): the
+    /// tests that price a kept core name it.
+    fn keep_one() -> Arc<DlbNode> {
+        DlbNode::with_policies(LendPolicy::KeepOne, GrantPolicy::Even)
+    }
+
     #[test]
     fn lend_grows_the_busy_rank() {
-        let node = DlbNode::new();
+        let node = keep_one();
         node.register(0, pool(4), 2);
         node.register(1, pool(4), 2);
         assert_eq!(node.active_of(0), Some(2));
@@ -621,7 +640,7 @@ mod tests {
 
     #[test]
     fn redistribution_is_even() {
-        let node = DlbNode::new();
+        let node = keep_one();
         node.register(0, pool(8), 4);
         node.register(1, pool(8), 2);
         node.register(2, pool(8), 2);
@@ -634,7 +653,7 @@ mod tests {
 
     #[test]
     fn reclaim_revokes_from_borrowers() {
-        let node = DlbNode::new();
+        let node = keep_one();
         node.register(0, pool(8), 4);
         node.register(1, pool(8), 4);
         node.lend(0);
@@ -650,7 +669,7 @@ mod tests {
 
     #[test]
     fn blocked_borrower_returns_loans() {
-        let node = DlbNode::new();
+        let node = keep_one();
         node.register(0, pool(8), 3);
         node.register(1, pool(8), 3);
         node.register(2, pool(8), 2);
@@ -679,7 +698,7 @@ mod tests {
 
     #[test]
     fn double_lend_is_idempotent() {
-        let node = DlbNode::new();
+        let node = keep_one();
         node.register(0, pool(4), 2);
         node.register(1, pool(4), 2);
         node.lend(0);
@@ -804,7 +823,7 @@ mod tests {
 
     #[test]
     fn crash_of_a_blocked_rank_donates_only_the_kept_core() {
-        let node = DlbNode::new();
+        let node = keep_one();
         node.register(0, pool(8), 4);
         node.register(1, pool(8), 4);
         node.lend(0); // 3 lent, 1 kept
@@ -866,7 +885,7 @@ mod tests {
 
     #[test]
     fn blocking_after_pre_lend_never_mints_cores() {
-        let node = DlbNode::new();
+        let node = keep_one();
         node.register(0, pool(8), 4);
         node.register(1, pool(8), 4);
         assert_eq!(node.pre_lend(0, 2), 2);
@@ -896,7 +915,7 @@ mod tests {
 
     #[test]
     fn pre_lending_rank_receives_no_grants() {
-        let node = DlbNode::new();
+        let node = keep_one();
         node.register(0, pool(8), 4);
         node.register(1, pool(8), 4);
         node.register(2, pool(16), 4);
@@ -923,7 +942,7 @@ mod tests {
 
     #[test]
     fn event_log_records_lend_borrow_reclaim() {
-        let node = DlbNode::new();
+        let node = keep_one();
         node.register(0, pool(4), 2);
         node.register(1, pool(4), 2);
         node.lend(0);

@@ -9,23 +9,26 @@
 //! - **lend latency**: a reactive lend only lands a detection delay
 //!   *after* the fast rank blocks, so the straggler runs under-provisioned
 //!   in the meantime;
-//! - **keep-one busy-wait**: a blocked rank spins on one core, which is
-//!   therefore never lent.
+//! - **kept cores**: what a blocked rank holds back under the
+//!   [`LendPolicy`] in force — one busy-wait core under `KeepOne`, none
+//!   under `LendAll`, which is what production runs since a blocked
+//!   `cfpd-simmpi` rank parks.
 //!
 //! This emulator models both, in virtual time, with no randomness and no
 //! wall-clock reads — every run is bit-identical. Per step each rank
 //! owes `work_per_step / speed(rank)` core-seconds; rates follow the
 //! shared [`efficiency_curve`]. Under [`DlbPolicy::Reactive`] every rank
-//! starts on its owned cores and sheds `cores − 1` to same-node workers
-//! `lend_latency` after finishing. Under [`DlbPolicy::Predictive`] the
-//! [`ImbalancePredictor`] sets the step's starting allocation (its
+//! starts on its owned cores and sheds all but its kept cores to
+//! same-node workers `lend_latency` after finishing. Under
+//! [`DlbPolicy::Predictive`] the [`ImbalancePredictor`] sets the step's
+//! starting allocation (its
 //! water-fill, renormalized per node), then the same reactive machinery
 //! mops up whatever imbalance the model missed — and per-rank feedback
 //! drops a mispredicting rank back to the reactive start for a step.
 
 use crate::predictor::{ImbalancePredictor, PredictorConfig};
 use crate::profiles;
-use cfpd_dlb::DlbPolicy;
+use cfpd_dlb::{DlbPolicy, LendPolicy};
 use cfpd_perfmodel::{efficiency_curve, Platform};
 use cfpd_simmpi::RankProfile;
 
@@ -209,11 +212,13 @@ const EPS: f64 = 1e-9;
 /// Run one step from allocation `alloc`; returns per-rank finish times.
 ///
 /// Event loop in virtual time: the next event is either a rank
-/// finishing (it then keeps one busy-wait core and schedules a lend of
-/// the rest at `t + lend_latency`) or a scheduled lend landing (its
+/// finishing (it then holds back [`LendPolicy::kept_cores`] of the
+/// production policy and schedules a lend of the rest at
+/// `t + lend_latency`) or a scheduled lend landing (its
 /// cores are split equally among the node's still-working ranks; cores
 /// with no worker left to take them idle out).
 fn run_step(cfg: &EmulatorConfig, alloc: &[f64]) -> Vec<f64> {
+    let kept = LendPolicy::default().kept_cores() as f64;
     let n = cfg.ranks;
     let mut finish = vec![0.0f64; n];
     for node in 0..cfg.nodes {
@@ -255,11 +260,11 @@ fn run_step(cfg: &EmulatorConfig, alloc: &[f64]) -> Vec<f64> {
                 if work[i] <= EPS {
                     done[i] = true;
                     finish[members[i]] = t;
-                    let spare = (cores[i] - 1.0).max(0.0);
+                    let spare = (cores[i] - kept).max(0.0);
                     if spare > 0.0 {
                         lends.push((t + cfg.lend_latency, spare));
                     }
-                    cores[i] = 1.0; // keep-one busy-wait
+                    cores[i] = kept;
                 }
             }
             let mut arrived = 0.0f64;

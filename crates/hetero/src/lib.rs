@@ -16,7 +16,8 @@
 //!   EWMA fed by POP useful/wait telemetry, pre-lend planning, and a
 //!   per-rank reactive fallback when predictions miss.
 //! - [`emulator`] — a deterministic virtual-time step-loop emulator that
-//!   prices the two real LeWI costs (lend latency, keep-one busy-wait)
+//!   prices the two real LeWI costs (lend latency, cores a blocked rank
+//!   holds back under the lend policy in force)
 //!   and scores reactive vs predictive with POP metrics (PE = LB × CommE).
 
 pub mod emulator;

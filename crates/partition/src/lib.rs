@@ -12,7 +12,8 @@
 //!   refinement,
 //! * [`coloring`] — greedy largest-degree-first coloring,
 //! * [`subdomain`] — subdomain decomposition + node-sharing adjacency
-//!   (the "incompatibility" relation driving `mutexinoutset`),
+//!   (the "incompatibility" relation behind the multidependences) and
+//!   its colour numbering,
 //! * [`rcm`] — reverse Cuthill–McKee node reordering (CSR bandwidth
 //!   reduction for the locality-aware hot path).
 

@@ -2,16 +2,18 @@
 //!
 //! The paper partitions each MPI domain into subdomains with Metis and
 //! maps each subdomain to an OpenMP task; subdomains that *share at
-//! least one mesh node* are "incompatible" (their tasks are linked with
-//! `mutexinoutset` so they never run concurrently), while non-adjacent
-//! subdomains run in parallel without atomics.
+//! least one mesh node* are "incompatible" (the paper links their tasks
+//! with `mutexinoutset` so they never run concurrently; this solver
+//! orders them, see [`SubdomainDecomposition::colour_numbered`]), while
+//! non-adjacent subdomains run in parallel without atomics.
 
+use crate::coloring::greedy_coloring;
 use crate::graph::Graph;
 use crate::kway::{partition_kway, Partition};
 use cfpd_mesh::{Csr, Mesh};
 
 /// A decomposition of a set of elements into subdomains plus the
-/// subdomain adjacency needed to build mutexinoutset dependences.
+/// subdomain adjacency needed to build the dependences between them.
 #[derive(Debug, Clone)]
 pub struct SubdomainDecomposition {
     /// For each subdomain, the (global) element ids it owns, ascending.
@@ -24,6 +26,45 @@ pub struct SubdomainDecomposition {
 impl SubdomainDecomposition {
     pub fn num_subdomains(&self) -> usize {
         self.members.len()
+    }
+
+    /// The same decomposition with subdomains renumbered by (colour of a
+    /// greedy colouring of the adjacency graph, old index).
+    ///
+    /// The k-way partitioner numbers subdomains along the airway tree,
+    /// so "lower index first" chains almost all of them into one path.
+    /// After this renumbering no two subdomains of one colour are
+    /// adjacent, every adjacency edge runs from a lower to a higher
+    /// colour, and a lower-index-first orientation of the edges is a DAG
+    /// no deeper than the number of colours.
+    pub fn colour_numbered(self) -> SubdomainDecomposition {
+        let n = self.num_subdomains();
+        let mut xadj = vec![0u32];
+        for neigh in &self.adjacency {
+            xadj.push(xadj[xadj.len() - 1] + neigh.len() as u32);
+        }
+        let graph = Graph { xadj, adjncy: self.adjacency.concat(), vwgt: vec![1.0; n] };
+        let colours = greedy_coloring(&graph).colors;
+        // order[new] = old; the sort is stable, so old index breaks ties.
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&old| colours[old as usize]);
+        let mut new_of = vec![0u32; n];
+        for (new, &old) in order.iter().enumerate() {
+            new_of[old as usize] = new as u32;
+        }
+        let SubdomainDecomposition { mut members, adjacency } = self;
+        SubdomainDecomposition {
+            members: order.iter().map(|&old| std::mem::take(&mut members[old as usize])).collect(),
+            adjacency: order
+                .iter()
+                .map(|&old| {
+                    let mut neigh: Vec<u32> =
+                        adjacency[old as usize].iter().map(|&t| new_of[t as usize]).collect();
+                    neigh.sort_unstable();
+                    neigh
+                })
+                .collect(),
+        }
     }
 }
 
@@ -283,6 +324,45 @@ mod tests {
                 assert_eq!(shares, adj, "subdomains {s},{t}: shares={shares} adj={adj}");
             }
         }
+    }
+
+    /// Renumbering by colour permutes the subdomains and their adjacency
+    /// consistently, and leaves the lower-index-first DAG as shallow as
+    /// the colouring: on the airway tree the native numbering chains
+    /// most subdomains, the colour numbering at most a handful.
+    #[test]
+    fn colour_numbering_permutes_and_flattens() {
+        let (mesh, elems, weights) = demo();
+        let d = decompose_subdomains(&mesh, &elems, &weights, 16);
+        let c = d.clone().colour_numbered();
+        let sorted = |d: &SubdomainDecomposition| {
+            let mut m = d.members.clone();
+            m.sort();
+            m
+        };
+        assert_eq!(sorted(&d), sorted(&c));
+        for (s, neigh) in c.adjacency.iter().enumerate() {
+            assert!(neigh.windows(2).all(|w| w[0] < w[1]), "adjacency of {s} not ascending");
+            let old = d.members.iter().position(|m| *m == c.members[s]).unwrap();
+            let old_neigh: Vec<&Vec<u32>> =
+                d.adjacency[old].iter().map(|&t| &d.members[t as usize]).collect();
+            for &t in neigh {
+                assert!(old_neigh.contains(&&c.members[t as usize]), "{s} -> {t} is no old edge");
+            }
+            assert_eq!(neigh.len(), old_neigh.len());
+        }
+        // Depth (in tasks) of the lower-index-first DAG.
+        let depth = |d: &SubdomainDecomposition| {
+            let mut level = vec![1usize; d.num_subdomains()];
+            for t in 0..d.num_subdomains() {
+                for &s in d.adjacency[t].iter().filter(|&&s| (s as usize) < t) {
+                    level[t] = level[t].max(level[s as usize] + 1);
+                }
+            }
+            level.into_iter().max().unwrap()
+        };
+        assert!(depth(&d) >= 8, "native numbering is {} deep", depth(&d));
+        assert!(depth(&c) <= 4, "colour numbering is {} deep", depth(&c));
     }
 
     #[test]

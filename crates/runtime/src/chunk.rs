@@ -14,7 +14,6 @@
 
 use crate::pool::ThreadPool;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Split `0..prefix.len()-1` into at most `max_chunks` contiguous,
 /// non-empty ranges of approximately equal weight, where item `i`
@@ -63,9 +62,13 @@ pub fn prefix_weights<F: Fn(usize) -> u32>(n: usize, cost: F) -> Vec<u32> {
     prefix
 }
 
-/// Run `body` once per pre-computed chunk, distributed dynamically over
-/// the pool's active executors. The body receives the chunk index (for
-/// chunk-ordered deterministic reductions) and the index range.
+/// Run `body` once per pre-computed chunk, the chunk list split
+/// statically into one contiguous block per executor of the region
+/// (OpenMP `schedule(static)`): the chunk lists of the solver sweeps are
+/// fixed and weight-balanced, and executor `id` sweeping the same rows
+/// every time keeps them in the cache of the core that touched them
+/// last. The body receives the chunk index (for chunk-ordered
+/// deterministic reductions) and the index range.
 pub fn parallel_for_ranges<F>(pool: &ThreadPool, ranges: &[Range<usize>], body: F)
 where
     F: Fn(usize, Range<usize>) + Sync,
@@ -73,29 +76,25 @@ where
     if ranges.is_empty() {
         return;
     }
-    // With a single active executor the cursor loop would walk the
-    // chunks in index order on one worker anyway — run them inline on
-    // the calling thread instead and skip the region handoff entirely.
-    // Same chunks, same order: bit-identical to the parallel path.
-    if pool.active() <= 1 {
-        for (c, r) in ranges.iter().enumerate() {
+    let block = |id: usize, executors: usize| {
+        let (lo, hi) = (ranges.len() * id / executors, ranges.len() * (id + 1) / executors);
+        for (c, r) in ranges.iter().enumerate().take(hi).skip(lo) {
             body(c, r.clone());
         }
+    };
+    // With a single active executor skip the region hand-off entirely:
+    // same chunks, same order as the one block of a one-executor region.
+    if pool.active() <= 1 {
+        block(0, 1);
         return;
     }
-    let cursor = AtomicUsize::new(0);
-    pool.run_region(|_id| loop {
-        let c = cursor.fetch_add(1, Ordering::Relaxed);
-        if c >= ranges.len() {
-            break;
-        }
-        body(c, ranges[c].clone());
-    });
+    pool.run_region_with(block);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn covers_all_items_in_order() {

@@ -68,9 +68,8 @@ where
         return;
     }
     let n = end - start;
-    let workers = pool.active().max(1);
-    pool.run_region(|id| {
-        let per = n.div_ceil(workers);
+    pool.run_region_with(|id, executors| {
+        let per = n.div_ceil(executors);
         let lo = start + id * per;
         let hi = (lo + per).min(end);
         if lo < hi {

@@ -804,12 +804,13 @@ fn cmd_run(flags: &Flags) {
     if let Some(p) = &hetero {
         println!("hetero profile: {} (seed {})", p.name, p.seed);
     }
-    let r = run_simulation_opts(
-        &config,
+    let outcome = run_scenario(&Scenario {
+        config,
         ranks,
         threads,
-        &RunOptions { dlb, policy, hetero, ..Default::default() },
-    );
+        opts: RunOptions { dlb, policy, hetero, ..Default::default() },
+    });
+    let r = outcome.result;
     println!("{}", render_timeline(&r.trace, 120, 16));
     println!("phase breakdown:");
     for row in &r.breakdown {
@@ -827,6 +828,10 @@ fn cmd_run(flags: &Flags) {
             stats.lends, stats.grants, stats.reclaims, stats.pre_lends
         );
     }
+    // Digest of the run's golden document: equal for equal flags at any
+    // `--threads` and with or without `--dlb` (verify.sh compares two
+    // lending runs).
+    println!("document: {:016x}", outcome.digest);
     println!("total: {:.3}s", r.total_time);
 }
 

@@ -36,7 +36,7 @@ use crate::lanes::{
 };
 use crate::shape::RefElement;
 use cfpd_mesh::{ElementKind, Mesh, Vec3};
-use cfpd_runtime::{parallel_for, Dep, TaskGraph, ThreadPool};
+use cfpd_runtime::{parallel_for, TaskGraph, ThreadPool};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 
@@ -164,7 +164,7 @@ impl ScatterSink for DisjointSink<'_> {
     #[inline]
     fn add_matrix(&self, idx: usize, v: f64) {
         // SAFETY: the strategy schedule (serial order, color classes,
-        // or mutexinoutset exclusion) guarantees no concurrent access
+        // or ordered subdomain tasks) guarantees no concurrent access
         // to this entry — same contract as the unbatched path.
         unsafe { self.matrix.add_at(idx, v) };
     }
@@ -546,18 +546,15 @@ fn assemble_batched<C: BatchCtx, R: AsMut<[f64]>>(
                 matrix: DisjointView::from_slice(values),
                 rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r.as_mut())).collect(),
             };
-            let objs = plan.mutex_objs().expect("multidep plan");
             let mut graph = TaskGraph::new();
             for (s, set) in sched.units.iter().enumerate() {
-                let deps: Vec<Dep> = objs[s].iter().map(|&o| Dep::mutex(o)).collect();
                 let sink = &sink;
-                graph.add_task(&deps, move || {
+                graph.add_task(&plan.ordered_deps(s), move || {
                     let mut scratch = ElementScratch::default();
                     run_set(ctx, set, &mut scratch, sink);
                 });
             }
-            let exec = graph.execute(pool);
-            stats.mutex_retries = exec.mutex_retries;
+            graph.execute(pool);
         }
     }
     stats

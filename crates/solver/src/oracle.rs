@@ -177,7 +177,7 @@ pub fn compute_sgs(
         }
         AssemblyStrategy::Multidep => {
             let members = plan.subdomain_members().expect("multidep plan");
-            let objs = plan.mutex_objs().expect("multidep plan");
+            let objs = plan.edge_objs().expect("multidep plan");
             let mut graph = TaskGraph::new();
             for (members, objs) in members.iter().zip(objs) {
                 let deps: Vec<Dep> = objs.iter().map(|&o| Dep::mutex(o)).collect();

@@ -1,7 +1,7 @@
 //! Compare the three assembly parallelization strategies of the paper's
 //! Fig. 4 on the real host: Atomics (`omp atomic`), Coloring
-//! (Farhat–Crivelli) and Multidependences (`mutexinoutset` subdomain
-//! tasks), against the serial reference — verifying they assemble the
+//! (Farhat–Crivelli) and Multidependences (ordered subdomain tasks),
+//! against the serial reference — verifying they assemble the
 //! same system and measuring their real single-machine cost.
 //!
 //! ```sh

@@ -15,6 +15,11 @@
 #     CFPD_TELEMETRY=1, because telemetry summaries go to stderr only;
 #     no pressure solve of either run may take more than 40 iterations
 #     (deflation gives ~20, Jacobi CG 175: losing it silently is red),
+#   * a lending smoke: `cfpd run --coupled 1 1 --dlb` twice and once
+#     without `--dlb` — both lending runs must report grants > 0 on their
+#     `dlb:` line (the particle rank lends its only core while it blocks)
+#     and all three must print the same `document:` digest (a pool that
+#     LeWI resizes mid-sweep computes the bits of one that it does not),
 #   * a telemetry smoke: `cfpd report --json` must emit valid JSON
 #     carrying the POP rollup keys, and the overhead bench's --quick run
 #     must complete and emit its JSON,
@@ -74,7 +79,11 @@
 #   * a knob gate: nothing under crates/, scripts/, tests/ or examples/
 #     may name the layout environment variable this repo once read — a
 #     layout is chosen by name (`--layout`, the DSL `layout` key), never
-#     by the environment.
+#     by the environment,
+#   * an ordering gate: no sweep of crates/solver/src links subdomain
+#     tasks with `mutexinoutset` (either order) instead of an ordered
+#     edge; only the scalar SGS oracle, which adds into no shared row,
+#     may.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -115,6 +124,24 @@ CFPD_TELEMETRY=1 timeout 120 "$cfpd" golden --ranks 2 2>/dev/null | diff -q - te
     || { echo "FAIL: telemetry perturbed the default golden" >&2; exit 1; }
 CFPD_TELEMETRY=1 timeout 120 "$cfpd" golden --ranks 2 --layout opt 2>/dev/null | diff -q - tests/golden/sync_small_opt.golden \
     || { echo "FAIL: telemetry perturbed the opt golden" >&2; exit 1; }
+
+echo "== lending smoke (coupled 1+1: grants > 0, one document with and without DLB) =="
+lend_docs=""
+for dlb in --dlb --dlb ""; do
+    out=$(timeout 120 "$cfpd" run --coupled 1 1 $dlb)
+    if [ -n "$dlb" ]; then
+        grants=$(sed -n 's|^dlb: [0-9]* lends / \([0-9]*\) grants / .*|\1|p' <<<"$out")
+        if [ -z "$grants" ] || [ "$grants" -eq 0 ]; then
+            echo "FAIL: cfpd run --coupled 1 1 --dlb granted ${grants:-no} cores: LeWI lends nothing" >&2
+            exit 1
+        fi
+    fi
+    lend_docs+="$(grep '^document: ' <<<"$out")"$'\n'
+done
+if [ "$(sort -u <<<"$lend_docs" | grep -c '^document: ')" -ne 1 ]; then
+    echo "FAIL: lending moved the document: $lend_docs" >&2
+    exit 1
+fi
 
 echo "== telemetry smoke (cfpd report --json) =="
 report=$(timeout 120 "$cfpd" report --json)
@@ -429,6 +456,12 @@ echo "== knob gate (no layout environment variable) =="
 # The name is spelled in two pieces so that this file does not match.
 if grep -rn 'CFPD_''LAYOUT' crates scripts tests examples; then
     echo "FAIL: the layout environment variable is back: layouts are chosen by name" >&2
+    exit 1
+fi
+
+echo "== ordering gate (no mutexinoutset edge in a solver sweep) =="
+if grep -rn 'Dep::mutex' crates/solver/src | grep -v '^crates/solver/src/oracle.rs:'; then
+    echo "FAIL: a solver sweep links subdomain tasks with mutexinoutset: shared rows lose their fixed order" >&2
     exit 1
 fi
 

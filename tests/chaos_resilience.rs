@@ -137,9 +137,14 @@ fn lewi_conserves_cores_under_chaos_keepone_even() {
     }
 }
 
+/// `LendAll`, with the grant policy a run uses (the defaults of both
+/// enums: what `run_prepared` builds its arbiter from) and with the
+/// aggressive one.
 #[test]
 fn lewi_conserves_cores_under_chaos_lendall_neediest() {
+    assert_eq!(LendPolicy::default(), LendPolicy::LendAll);
     for seed in 0..12 {
+        lewi_chaos_script(LendPolicy::default(), GrantPolicy::default(), seed);
         lewi_chaos_script(LendPolicy::LendAll, GrantPolicy::Neediest, seed);
     }
 }

@@ -4,9 +4,11 @@
 //! repeated runs, both in-process and through the `cfpd golden` binary.
 //!
 //! Regenerate the golden after an *intended* physics change:
-//! `CFPD_BLESS=1 cargo test -p cfpd-campaign --test golden_trace`
+//! `CFPD_BLESS=1 cargo test -p cfpd-serve --test golden_trace`
 
-use cfpd_core::{golden_config, golden_trace, LayoutPlan};
+use cfpd_core::{
+    golden_config, golden_trace, run_scenario, ExecutionMode, LayoutPlan, RunOptions, Scenario,
+};
 use std::path::PathBuf;
 
 const GOLDEN_RANKS: usize = 2;
@@ -102,6 +104,47 @@ fn trace_is_reproducible_in_process() {
     let second = golden_trace(&cfg, GOLDEN_RANKS);
     assert!(!first.is_empty());
     assert_eq!(first, second, "same-process runs diverged");
+}
+
+/// The contract holds at more than one thread: two workers per rank
+/// (pools of four) render the document of one worker per rank, byte for
+/// byte, on both layouts — every sweep either writes disjoint rows or
+/// sums in an order fixed by its plan, never by who ran what.
+#[test]
+fn two_threads_per_rank_render_the_one_thread_document() {
+    for layout in [LayoutPlan::disabled(), LayoutPlan::optimized()] {
+        let mut cfg = golden_config();
+        cfg.layout = layout;
+        let one = golden_trace(&cfg, GOLDEN_RANKS);
+        let two = run_scenario(&Scenario {
+            threads: 2,
+            ..Scenario::deterministic(cfg, GOLDEN_RANKS)
+        });
+        assert_eq!(two.doc, one, "threads = 2 diverged from threads = 1 ({layout:?})");
+    }
+}
+
+/// … and under LeWI: in `coupled:1+1` with DLB on, the particle rank
+/// lends its only core whenever it blocks, so the fluid rank's pool
+/// grows and shrinks in the middle of its sweeps at times no two runs
+/// share. The document is the DLB-off one both times.
+#[test]
+fn a_pool_lewi_resizes_renders_the_same_document_every_run() {
+    let mut cfg = golden_config();
+    cfg.layout = LayoutPlan::optimized();
+    cfg.mode = ExecutionMode::Coupled { fluid: 1, particles: 1 };
+    let run = |dlb: bool| {
+        run_scenario(&Scenario {
+            opts: RunOptions { dlb, ..Default::default() },
+            ..Scenario::deterministic(cfg.clone(), GOLDEN_RANKS)
+        })
+    };
+    let off = run(false);
+    let (first, second) = (run(true), run(true));
+    assert_eq!(first.doc, second.doc, "two DLB runs diverged");
+    assert_eq!(first.doc, off.doc, "lending changed the physics");
+    let stats = first.result.dlb.expect("DLB was on");
+    assert!(stats.grants > 0, "the particle rank never lent its core: {stats:?}");
 }
 
 /// Determinism across processes: running the actual `cfpd` binary twice

@@ -65,13 +65,18 @@ fn lewi_lending_conserves_cores() {
     assert_eq!(stats.lends, stats.reclaims, "unbalanced transitions: {stats:?}");
 }
 
-/// The same conservation bound holds under LendAll + Neediest — the
-/// aggressive corner of the policy space.
+/// The same conservation bound holds under LendAll: with the default
+/// arbiter (`DlbNode::new()`: LendAll + Even, what every run uses) and
+/// with Neediest, the aggressive corner of the policy space.
 #[test]
 fn lewi_lend_all_neediest_conserves_cores() {
+    lend_all_conserves_cores(DlbNode::new());
+    lend_all_conserves_cores(DlbNode::with_policies(LendPolicy::LendAll, GrantPolicy::Neediest));
+}
+
+fn lend_all_conserves_cores(node: Arc<DlbNode>) {
     const OWNED: [usize; 3] = [4, 2, 1];
     let total_owned: usize = OWNED.iter().sum();
-    let node = DlbNode::with_policies(LendPolicy::LendAll, GrantPolicy::Neediest);
     for (rank, &owned) in OWNED.iter().enumerate() {
         node.register(rank, Arc::new(ThreadPool::new(total_owned)), owned);
     }

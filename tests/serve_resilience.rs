@@ -243,11 +243,14 @@ fn a_frozen_daemon_keeps_the_snapshot_its_last_ckpt_points_to() {
 }
 
 /// `tests/fixtures/serve_parent_snapshot` is the data directory a daemon
-/// of commit 0c24dc6 (the last one that set up every segment from
-/// scratch and serialized a boundary three times) left behind when its
-/// persistence froze right after the first `ckpt` record of a 12-step
-/// cell. The current writers reproduce its bytes, and a current daemon
-/// resumes it mid-cell to the bytes of a direct run.
+/// left behind when its persistence froze right after the first `ckpt`
+/// record of a 12-step cell: format v1 as the daemon of commit 0c24dc6
+/// defined it (the last one that set up every segment from scratch and
+/// serialized a boundary three times), re-cut by PR 21 because the
+/// checkpoint holds solver state and that PR moved the summation order
+/// (the fixture's README has the recipe; a pre-PR-21 snapshot is refused
+/// by its config digest). The current writers reproduce its bytes, and a
+/// current daemon resumes it mid-cell to the bytes of a direct run.
 #[test]
 fn a_snapshot_written_by_the_previous_format_writers_still_resumes() {
     use cfpd_core::Checkpoint;

@@ -1,7 +1,8 @@
 //! Property-based cross-crate tests: on randomized airway meshes, the
 //! three assembly strategies must produce the same matrix as the serial
-//! reference, colorings must be valid, and subdomain decompositions
-//! must partition the element set with correct adjacency. Runs on the
+//! reference (the order-fixed ones the very bits of their own
+//! one-worker run), colorings must be valid, and subdomain
+//! decompositions must partition the element set with correct adjacency. Runs on the
 //! in-repo `cfpd-testkit` property runner (no external dependencies).
 
 use cfpd_mesh::{generate_airway, AirwaySpec, TubeParams, Vec3};
@@ -38,8 +39,85 @@ fn arb_spec() -> impl Gen<Value = AirwaySpec> {
     })
 }
 
-/// The headline invariant of §3.1: parallelization must not change
-/// the assembled system.
+/// Momentum matrix and right-hand sides of one plan on `pool`.
+#[allow(clippy::too_many_arguments)]
+fn assemble(
+    pool: &ThreadPool,
+    mesh: &cfpd_mesh::Mesh,
+    template: &CsrMatrix,
+    velocity: &[Vec3],
+    strategy: AssemblyStrategy,
+    n_sub: usize,
+    batched: bool,
+) -> (Vec<f64>, Vec<Vec<f64>>) {
+    let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+    let plan = if batched {
+        AssemblyPlan::with_batches(mesh, elems, strategy, n_sub, template)
+    } else {
+        AssemblyPlan::new(mesh, elems, strategy, n_sub)
+    };
+    let mut a = template.clone();
+    let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
+    let zero_p = vec![0.0; mesh.num_nodes()];
+    assemble_momentum(
+        pool,
+        &RefElement::all(),
+        mesh,
+        &plan,
+        velocity,
+        &zero_p,
+        FluidProps::default(),
+        1e-4,
+        Vec3::new(0.0, 0.0, -9.81),
+        &mut a,
+        &mut rhs,
+    );
+    (a.values, rhs)
+}
+
+fn assert_close(what: &str, got: &[f64], want: &[f64]) {
+    for (i, (x, y)) in got.iter().zip(want).enumerate() {
+        let scale = x.abs().max(y.abs()).max(1.0);
+        assert!((x - y).abs() <= 1e-9 * scale, "{what} entry {i}: {x} vs {y}");
+    }
+}
+
+/// All four strategies on one random mesh, list-order or kind-batched
+/// sweeps, against the serial list-order reference.
+fn check_strategies(spec: &AirwaySpec, n_sub: usize, batched: bool) {
+    let airway = generate_airway(spec).unwrap();
+    let mesh = &airway.mesh;
+    let template = CsrMatrix::from_mesh(mesh, &mesh.node_to_elements());
+    let (four, one) = (ThreadPool::new(4), ThreadPool::new(1));
+    let velocity: Vec<Vec3> =
+        mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
+    let run = |pool: &ThreadPool, strategy, batched| {
+        assemble(pool, mesh, &template, &velocity, strategy, n_sub, batched)
+    };
+
+    let (vals_ref, rhs_ref) = run(&four, AssemblyStrategy::Serial, false);
+    for strategy in AssemblyStrategy::ALL {
+        let (vals, rhs) = run(&four, strategy, batched);
+        if strategy != AssemblyStrategy::Atomics {
+            let alone = run(&one, strategy, batched);
+            assert!(
+                vals == alone.0 && rhs == alone.1,
+                "{strategy:?}: four workers moved bits of one"
+            );
+        }
+        assert_close(&format!("{strategy:?}"), &vals, &vals_ref);
+        for c in 0..3 {
+            assert_close(&format!("{strategy:?} rhs[{c}]"), &rhs[c], &rhs_ref[c]);
+        }
+    }
+}
+
+/// The headline invariant of §3.1: parallelization must not change the
+/// assembled system. For the order-fixed strategies (`Serial`,
+/// `Coloring`, `Multidep`) that is literal — four workers assemble the
+/// bits one worker does. Across strategies, and for `Atomics` (the
+/// non-deterministic baseline of the paper's Fig. 4/6), sums are
+/// regrouped: `1e-9 × scale`.
 #[test]
 fn strategies_assemble_identical_matrices() {
     let gen = (arb_spec(), usize_range(4, 32));
@@ -47,57 +125,15 @@ fn strategies_assemble_identical_matrices() {
         "strategies_assemble_identical_matrices",
         PropConfig::cases(8),
         &gen,
-        |(spec, n_sub)| {
-            let airway = generate_airway(spec).unwrap();
-            let mesh = &airway.mesh;
-            let n2e = mesh.node_to_elements();
-            let template = CsrMatrix::from_mesh(mesh, &n2e);
-            let refs = RefElement::all();
-            let pool = ThreadPool::new(4);
-            let velocity: Vec<Vec3> =
-                mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
-            let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-
-            let mut results = Vec::new();
-            for strategy in AssemblyStrategy::ALL {
-                let plan = AssemblyPlan::new(mesh, elems.clone(), strategy, *n_sub);
-                let mut a = template.clone();
-                let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
-                let zero_p = vec![0.0; mesh.num_nodes()];
-                assemble_momentum(
-                    &pool,
-                    &refs,
-                    mesh,
-                    &plan,
-                    &velocity,
-                    &zero_p,
-                    FluidProps::default(),
-                    1e-4,
-                    Vec3::new(0.0, 0.0, -9.81),
-                    &mut a,
-                    &mut rhs,
-                );
-                results.push(a.values);
-            }
-            let reference = &results[0];
-            for (k, vals) in results.iter().enumerate().skip(1) {
-                for (i, (x, y)) in vals.iter().zip(reference).enumerate() {
-                    let scale = x.abs().max(y.abs()).max(1.0);
-                    assert!(
-                        (x - y).abs() <= 1e-9 * scale,
-                        "strategy {k} entry {i}: {x} vs {y}"
-                    );
-                }
-            }
-        },
+        |(spec, n_sub)| check_strategies(spec, *n_sub, false),
     );
 }
 
-/// The kind-batched SoA assembly (the fast layout's order) agrees with
-/// the serial unbatched reference under all four strategies on random
-/// meshes — batching regroups the element summation order (by kind /
-/// per unit) but must not change the assembled system beyond FP
-/// reassociation.
+/// The kind-batched SoA assembly (the fast layout's order) under all
+/// four strategies on random meshes: batching regroups the element
+/// summation order (by kind, per unit), so against the serial unbatched
+/// reference it agrees up to FP reassociation — and against its own
+/// one-worker run bit for bit, like the list-order sweeps.
 #[test]
 fn batched_assembly_matches_reference_under_all_strategies() {
     let gen = (arb_spec(), usize_range(4, 32));
@@ -105,63 +141,7 @@ fn batched_assembly_matches_reference_under_all_strategies() {
         "batched_assembly_matches_reference_under_all_strategies",
         PropConfig::cases(6),
         &gen,
-        |(spec, n_sub)| {
-            let airway = generate_airway(spec).unwrap();
-            let mesh = &airway.mesh;
-            let n2e = mesh.node_to_elements();
-            let template = CsrMatrix::from_mesh(mesh, &n2e);
-            let refs = RefElement::all();
-            let pool = ThreadPool::new(4);
-            let velocity: Vec<Vec3> =
-                mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
-            let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-            let zero_p = vec![0.0; mesh.num_nodes()];
-
-            let assemble = |batched: bool, strategy: AssemblyStrategy| {
-                let plan = if batched {
-                    AssemblyPlan::with_batches(mesh, elems.clone(), strategy, *n_sub, &template)
-                } else {
-                    AssemblyPlan::new(mesh, elems.clone(), strategy, *n_sub)
-                };
-                let mut a = template.clone();
-                let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
-                assemble_momentum(
-                    &pool,
-                    &refs,
-                    mesh,
-                    &plan,
-                    &velocity,
-                    &zero_p,
-                    FluidProps::default(),
-                    1e-4,
-                    Vec3::new(0.0, 0.0, -9.81),
-                    &mut a,
-                    &mut rhs,
-                );
-                (a.values, rhs)
-            };
-
-            let (vals_ref, rhs_ref) = assemble(false, AssemblyStrategy::Serial);
-            for strategy in AssemblyStrategy::ALL {
-                let (vals, rhs) = assemble(true, strategy);
-                for (i, (x, y)) in vals.iter().zip(&vals_ref).enumerate() {
-                    let scale = x.abs().max(y.abs()).max(1.0);
-                    assert!(
-                        (x - y).abs() <= 1e-9 * scale,
-                        "batched {strategy:?} entry {i}: {x} vs {y}"
-                    );
-                }
-                for c in 0..3 {
-                    for (i, (x, y)) in rhs[c].iter().zip(&rhs_ref[c]).enumerate() {
-                        let scale = x.abs().max(y.abs()).max(1.0);
-                        assert!(
-                            (x - y).abs() <= 1e-9 * scale,
-                            "batched {strategy:?} rhs[{c}][{i}]: {x} vs {y}"
-                        );
-                    }
-                }
-            }
-        },
+        |(spec, n_sub)| check_strategies(spec, *n_sub, true),
     );
 }
 
