@@ -23,7 +23,9 @@
 //! `PrepareKey`) against `setup/instantiate` (the values-only solver
 //! every further run on that `Prepared` allocates). `serve/boundary`
 //! is one segment boundary of the daemon on this mesh's state:
-//! checkpoint text, snapshot, digest, atomic write. `solver1/*` is the
+//! checkpoint text, snapshot, digest, atomic write — and `serve/restore`
+//! what a restarted daemon does with that file: read, verify against
+//! the pinned digest, decode snapshot and checkpoint. `solver1/*` is the
 //! momentum solve of a developed flow — three scalar solves (the oracle)
 //! against the block solve — and `spmm3/sell` one of its three-column
 //! sweeps; `sgs/default` is the oracle sweep (the plan's strategy, one
@@ -427,6 +429,7 @@ fn bench_prepare_and_boundary(b: &mut Bench, spec: &AirwaySpec) {
     let dir = std::env::temp_dir().join(format!("cfpd-hotpath-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let (path, gate) = (dir.join("cell.snap"), PersistGate::unlimited());
+    let mut pin = 0;
     b.bench("serve/boundary", || {
         let snap = CellSnapshot {
             job: 1,
@@ -439,7 +442,14 @@ fn bench_prepare_and_boundary(b: &mut Bench, spec: &AirwaySpec) {
         };
         let (digest, written) = snap.write_digest(&path, &gate);
         assert!(written, "snapshot write failed");
-        black_box(digest);
+        pin = digest;
+    });
+    // What a restarted daemon does with that file and the digest its WAL
+    // pins: read, verify against the pin, decode both levels.
+    b.bench("serve/restore", || {
+        let text = std::fs::read_to_string(&path).expect("snapshot file");
+        let snap = CellSnapshot::from_pinned_text(&text, pin).expect("pinned snapshot");
+        black_box(Checkpoint::from_text(&snap.checkpoint_text).expect("checkpoint").next_step);
     });
     let _ = std::fs::remove_dir_all(&dir);
 }

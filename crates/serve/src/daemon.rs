@@ -240,23 +240,42 @@ fn recover(store: &mut Store, dir: &Path, records: &[WalRecord]) {
         store.jobs.values().filter(|j| !j.state().is_terminal()).map(|j| j.id).collect();
     for id in live {
         let job = &store.jobs[&id];
-        let resume = job.pinned_snapshot().and_then(|snap_digest| {
-            let text = std::fs::read_to_string(wal::snap_path(dir, id, job.cur_cell())).ok()?;
-            if digest_bytes(text.as_bytes()) != snap_digest {
-                return None; // snapshot torn by the crash: restart the cell
+        let resume = job.pinned_snapshot().and_then(|pin| {
+            let cell = job.cells.get(job.cur_cell())?;
+            let path = wal::snap_path(dir, id, cell.index);
+            let restored = std::fs::read_to_string(&path)
+                .map_err(|e| format!("unreadable: {e}"))
+                .and_then(|text| resume_point(&text, pin, cell));
+            if let Err(reason) = &restored {
+                // Whatever the reason, the cell restarts from step 0:
+                // that costs recompute, never correctness.
+                eprintln!(
+                    "cfpd-serve: job {id} restarts cell {}: {} refused: {reason}",
+                    cell.index,
+                    path.display()
+                );
+                cfpd_telemetry::count!("serve.snapshots_refused");
             }
-            let snap = CellSnapshot::from_text(&text).ok()?;
-            let cp = Checkpoint::from_text(&snap.checkpoint_text).ok()?;
-            Some(ResumePoint {
-                next_step: snap.next_step,
-                checkpoint: Arc::new(cp),
-                acc: snap.acc,
-                events_text: snap.events_text,
-            })
+            restored.ok()
         });
         store.requeue(id, resume);
         enqueue(store, id);
     }
+}
+
+/// The progress a pinned snapshot file holds, if the file is the one
+/// the WAL pins (`pin`), whole, in this build's format, and cut from
+/// `cell`'s configuration at this build's summation revision.
+fn resume_point(text: &str, pin: u64, cell: &Cell) -> Result<ResumePoint, String> {
+    let snap = CellSnapshot::from_pinned_text(text, pin)?;
+    let cp = Checkpoint::from_text(&snap.checkpoint_text)?;
+    cp.validate_for(&cell.scenario.config, cell.scenario.ranks)?;
+    Ok(ResumePoint {
+        next_step: snap.next_step,
+        checkpoint: Arc::new(cp),
+        acc: snap.acc,
+        events_text: snap.events_text,
+    })
 }
 
 /// A campaign text as a job's name and cells, for admission and for

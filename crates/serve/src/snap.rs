@@ -11,18 +11,24 @@
 //! document byte-equal to the uninterrupted run's — same digest, same
 //! canonical report.
 //!
-//! The file format follows the checkpoint codec: versioned magic, a
-//! whole-body digest line, then line-counted sections whose declared
-//! counts are bounded by the input size (hostile length prefixes are
-//! rejected before allocation, mirroring `Checkpoint::from_text`).
+//! The file format (`cfpd serve snapshot v2`) follows the checkpoint
+//! codec: versioned magic, a digest line, then line-counted sections
+//! whose declared counts are bounded by the input size (hostile length
+//! prefixes are rejected before allocation, mirroring
+//! `Checkpoint::from_text`). The digest line holds the one word-wide
+//! digest of everything below it, computed once when the text is
+//! produced: it is the file's self-check *and* the value the WAL `ckpt`
+//! record pins, so a boundary reads the parked state once and recovery
+//! reads the file once.
 
 use crate::wal::{KeyValues, PersistGate};
 use cfpd_campaign::CellAcc;
-use cfpd_testkit::digest_bytes;
+use cfpd_core::checkpoint::{bounded_count, count_lines, hex16, split_lines, Cursor};
+use cfpd_testkit::digest_wide;
 use std::fmt::Write as _;
 use std::path::Path;
 
-pub const SNAP_MAGIC: &str = "cfpd serve snapshot v1";
+pub const SNAP_MAGIC: &str = "cfpd serve snapshot v2";
 
 /// A cell parked mid-flight: accumulator + partial event text + the
 /// physics checkpoint, all digest-guarded in one file.
@@ -43,8 +49,8 @@ pub struct CellSnapshot {
 impl CellSnapshot {
     /// The one place the snapshot text is produced: header, then the
     /// body written once into a buffer sized for it, then the body's
-    /// digest patched into the header.
-    pub fn to_text(&self) -> String {
+    /// digest patched into the header. Returns the text and that digest.
+    fn render(&self) -> (String, u64) {
         const DIGEST_HEX: usize = 16;
         let mut out = String::with_capacity(
             SNAP_MAGIC.len() + 256 + self.events_text.len() + self.checkpoint_text.len(),
@@ -70,56 +76,53 @@ impl CellSnapshot {
             render_elems(&self.acc.elems),
         )
         .unwrap();
-        writeln!(out, "events {}", self.events_text.lines().count()).unwrap();
+        writeln!(out, "events {}", count_lines(&self.events_text)).unwrap();
         out.push_str(&self.events_text);
-        writeln!(out, "checkpoint {}", self.checkpoint_text.lines().count()).unwrap();
+        writeln!(out, "checkpoint {}", count_lines(&self.checkpoint_text)).unwrap();
         out.push_str(&self.checkpoint_text);
-        let digest = format!("{:016x}", digest_bytes(&out.as_bytes()[body_at..]));
-        out.replace_range(digest_at..digest_at + DIGEST_HEX, &digest);
-        out
+        let digest = digest_wide(&out.as_bytes()[body_at..]);
+        out.replace_range(digest_at..digest_at + DIGEST_HEX, &format!("{digest:016x}"));
+        (out, digest)
     }
 
-    /// Digest of the serialized snapshot — what the WAL `ckpt` record
-    /// pins, so replay can detect a snapshot file the crash tore.
-    pub fn digest(&self) -> u64 {
-        digest_bytes(self.to_text().as_bytes())
+    pub fn to_text(&self) -> String {
+        self.render().0
     }
 
     pub fn from_text(text: &str) -> Result<CellSnapshot, String> {
-        let total_lines = text.lines().count();
-        let bounded = |n: usize, what: &str| -> Result<usize, String> {
-            if n > total_lines {
-                Err(format!(
-                    "declared {what} count {n} exceeds the {total_lines} lines of input \
-                     (corrupt or hostile length prefix)"
-                ))
-            } else {
-                Ok(n)
-            }
-        };
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(SNAP_MAGIC) => {}
-            other => return Err(format!("bad snapshot magic: {other:?}")),
+        Self::decode(text, None)
+    }
+
+    /// [`CellSnapshot::from_text`] of the file a WAL `ckpt` record pins:
+    /// the digest the header states must be `pin` — the file is the one
+    /// the record was written for — and the body must have it — the file
+    /// is whole. One pass over the text serves both.
+    pub fn from_pinned_text(text: &str, pin: u64) -> Result<CellSnapshot, String> {
+        Self::decode(text, Some(pin))
+    }
+
+    fn decode(text: &str, pin: Option<u64>) -> Result<CellSnapshot, String> {
+        let mut cur = Cursor { rest: text };
+        let magic = cur.until('\n', "magic line")?;
+        if magic != SNAP_MAGIC {
+            return Err(format!("unsupported snapshot format {magic:?}: want {SNAP_MAGIC:?}"));
         }
-        let digest_line = lines.next().ok_or("missing digest line")?;
+        let digest_line = cur.until('\n', "digest line")?;
         let stated = digest_line
             .strip_prefix("digest ")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .and_then(|h| hex16(h.as_bytes()))
             .ok_or_else(|| format!("bad digest line {digest_line:?}"))?;
-        let body_at = text
-            .find("\ndigest ")
-            .and_then(|i| text[i + 1..].find('\n').map(|j| i + 1 + j + 1))
-            .ok_or("cannot locate snapshot body")?;
-        let body = &text[body_at..];
-        let actual = digest_bytes(body.as_bytes());
+        if let Some(pin) = pin.filter(|&pin| pin != stated) {
+            return Err(format!("snapshot states digest {stated:016x}, the WAL pins {pin:016x}"));
+        }
+        let actual = digest_wide(cur.rest.as_bytes());
         if stated != actual {
             return Err(format!("snapshot digest mismatch: stated {stated:016x}, actual {actual:016x}"));
         }
 
         let mut key_values = |name: &'static str| -> Result<KeyValues, String> {
-            let line = lines.next().ok_or_else(|| format!("missing {name} line"))?;
-            let tokens = line
+            let tokens = cur
+                .until('\n', name)?
                 .strip_prefix(name)
                 .and_then(|r| r.strip_prefix(' '))
                 .ok_or_else(|| format!("bad {name} line"))?;
@@ -140,41 +143,43 @@ impl CellSnapshot {
             elems: parse_elems(acc.get("elems")?)?,
         };
 
-        let mut read_section = |name: &str| -> Result<String, String> {
-            let header = lines.next().ok_or_else(|| format!("missing {name} section"))?;
-            let n: usize = header
-                .strip_prefix(name)
-                .and_then(|r| r.strip_prefix(' '))
-                .and_then(|r| r.parse().ok())
-                .ok_or_else(|| format!("bad {name} section header {header:?}"))?;
-            let n = bounded(n, name)?;
-            let mut out = String::new();
-            for i in 0..n {
-                let line =
-                    lines.next().ok_or_else(|| format!("{name} section truncated at line {i}"))?;
-                out.push_str(line);
-                out.push('\n');
-            }
-            Ok(out)
-        };
-        let events_text = read_section("events")?;
-        let checkpoint_text = read_section("checkpoint")?;
+        let events_text = take_section(&mut cur, "events")?.to_string();
+        let checkpoint_text = take_section(&mut cur, "checkpoint")?.to_string();
+        if !cur.rest.is_empty() {
+            return Err(format!("{} bytes after the checkpoint section", cur.rest.len()));
+        }
         Ok(CellSnapshot { job, cell, attempt, next_step, acc, events_text, checkpoint_text })
     }
 
     /// Atomic, gated write (tmp+rename). `false` means the persistence
     /// gate froze — the simulated crash ate this snapshot.
     pub fn write(&self, path: &Path, gate: &PersistGate) -> bool {
-        write_text(&self.to_text(), path, gate)
+        self.write_digest(path, gate).1
     }
 
-    /// [`CellSnapshot::digest`] and [`CellSnapshot::write`] of one
-    /// serialization: the text is built once, digested, and those bytes
-    /// are written. Returns `(digest, written)`.
+    /// [`CellSnapshot::write`], returning with it the digest the file's
+    /// header states — what the WAL `ckpt` record pins, so replay can
+    /// tell a snapshot the crash tore or a later boundary replaced.
+    /// Returns `(digest, written)`.
     pub fn write_digest(&self, path: &Path, gate: &PersistGate) -> (u64, bool) {
-        let text = self.to_text();
-        (digest_bytes(text.as_bytes()), write_text(&text, path, gate))
+        let (text, digest) = self.render();
+        (digest, write_text(&text, path, gate))
     }
+}
+
+/// A section — `"{name} {n}"`, then `n` lines — sliced out of the text
+/// where it lies.
+fn take_section<'a>(cur: &mut Cursor<'a>, name: &str) -> Result<&'a str, String> {
+    let header = cur.until('\n', name)?;
+    let n: usize = header
+        .strip_prefix(name)
+        .and_then(|r| r.strip_prefix(' '))
+        .and_then(|r| r.parse().ok())
+        .ok_or_else(|| format!("bad {name} section header {header:?}"))?;
+    let (section, rest) = split_lines(cur.rest, bounded_count(n, cur.rest.len(), name)?)
+        .ok_or_else(|| format!("{name} section truncated: fewer than {n} lines"))?;
+    cur.rest = rest;
+    Ok(section)
 }
 
 fn render_elems(elems: &[(usize, u64)]) -> String {
@@ -237,7 +242,7 @@ mod tests {
             next_step: 4,
             acc,
             events_text: "step 0 rank 0 assembly elements=120\nstep 0 rank 1 x\n".into(),
-            checkpoint_text: "cfpd checkpoint v1\nfake body line\n".into(),
+            checkpoint_text: "cfpd checkpoint v2\nfake body line\n".into(),
         }
     }
 
@@ -254,10 +259,11 @@ mod tests {
         assert!((back.acc.lb_assembly() - (220.0 / 240.0)).abs() < 1e-12);
     }
 
-    /// Format v1, byte for byte, and one serialization serving text,
-    /// digest and file alike.
+    /// Format v2, byte for byte, and one serialization, one digest: what
+    /// the header states is what `write_digest` returns for the WAL pin
+    /// is what `from_pinned_text` accepts.
     #[test]
-    fn text_is_what_the_v1_writer_wrote_and_is_written_once() {
+    fn text_is_format_v2_byte_for_byte_and_is_written_once() {
         let s = sample();
         let body = format!(
             "meta job=3 cell=1 attempt=2 next_step=4\n\
@@ -265,21 +271,33 @@ mod tests {
              events 2\n{}checkpoint 2\n{}",
             s.events_text, s.checkpoint_text
         );
-        let want =
-            format!("{SNAP_MAGIC}\ndigest {:016x}\n{body}", digest_bytes(body.as_bytes()));
+        let stated = digest_wide(body.as_bytes());
+        assert_eq!(stated, 0x5b06178d90b30342, "the digest is part of the format");
+        let want = format!("{SNAP_MAGIC}\ndigest {stated:016x}\n{body}");
+        assert_eq!(SNAP_MAGIC, "cfpd serve snapshot v2");
         assert_eq!(s.to_text(), want);
-        assert_eq!(s.digest(), digest_bytes(want.as_bytes()));
 
         let dir = std::env::temp_dir().join(format!("cfpd-snap-once-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cell.snap");
-        let (digest, written) = s.write_digest(&path, &PersistGate::unlimited());
-        assert!(written);
-        assert_eq!(digest, s.digest());
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
+        assert_eq!(s.write_digest(&path, &PersistGate::unlimited()), (stated, true));
+        let on_disk = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(on_disk, want);
+        assert_eq!(CellSnapshot::from_pinned_text(&on_disk, stated).unwrap(), s);
+        let err = CellSnapshot::from_pinned_text(&on_disk, stated ^ 1).unwrap_err();
+        assert!(err.contains("the WAL pins"), "{err}");
         // A frozen gate eats the file, not the digest the WAL would pin.
-        assert_eq!(s.write_digest(&path, &PersistGate::kill_after(0)), (digest, false));
+        assert_eq!(s.write_digest(&path, &PersistGate::kill_after(0)), (stated, false));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// No v1 reader survives: the magic line refuses the file, by name.
+    #[test]
+    fn a_v1_file_is_refused_by_name() {
+        let v1 = sample().to_text().replacen("v2", "v1", 1);
+        let err = CellSnapshot::from_text(&v1).unwrap_err();
+        assert!(err.contains("unsupported snapshot format"), "{err}");
+        assert!(err.contains("cfpd serve snapshot v1"), "{err}");
     }
 
     #[test]
@@ -298,10 +316,10 @@ mod tests {
             .replace("events 2", "events 99999999999999");
         let hostile = format!(
             "{SNAP_MAGIC}\ndigest {:016x}\n{hostile_body}",
-            digest_bytes(hostile_body.as_bytes())
+            digest_wide(hostile_body.as_bytes())
         );
         assert!(CellSnapshot::from_text(&hostile).unwrap_err().contains("exceeds"));
-        assert!(CellSnapshot::from_text("junk\n").unwrap_err().contains("magic"));
+        assert!(CellSnapshot::from_text("junk\n").unwrap_err().contains("unsupported snapshot format"));
     }
 
     #[test]

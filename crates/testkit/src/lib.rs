@@ -22,7 +22,8 @@
 //!   `std::thread::scope` directly.
 //! * [`digest`] — FNV-1a digests over raw `f64` bit patterns, the
 //!   primitive of the golden-trace regression suite (bit-identical
-//!   physics gate).
+//!   physics gate), and the word-wide digest that guards bulk state
+//!   (checkpoints, snapshots).
 //! * [`json`] — a strict RFC 8259 parser, the read-side counterpart of
 //!   `cfpd-telemetry`'s `JsonWriter`, so tests and `verify.sh` validate
 //!   emitted Chrome-trace / report JSON structurally.
@@ -39,7 +40,7 @@ pub mod rng;
 pub mod sync;
 
 pub use bench::{Bench, BenchConfig, BenchStats};
-pub use digest::{digest_bytes, digest_f64s, Digest};
+pub use digest::{digest_bytes, digest_f64s, digest_wide, Digest};
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use prop::{check, f64_range, map, panic_message, usize_range, vec_of, Gen, PropConfig};
 pub use rng::{Rng, SplitMix64};

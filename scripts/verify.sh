@@ -26,7 +26,8 @@
 #   * a bench smoke: the hotpath benchmark's --quick run must complete
 #     and emit its JSON carrying the per-phase breakdown schema
 #     (phases.{spmv,jacobi,axpy_dot,sgs,assembly} + solve + end_to_end),
-#     the solve/*, setup/*, spmm3/sell, solver1/* and particles/* rows,
+#     the solve/*, setup/*, spmm3/sell, solver1/*, particles/* and
+#     serve/{boundary,restore} rows,
 #     with the Multidep plan build held to at most 5 serial element passes
 #     (assembly/serial-pass), the lane SGS sweep (sgs/batched-lanes, what
 #     every run does) below its scalar oracle (sgs/default) and the block
@@ -65,6 +66,12 @@
 #     `serve status` of both jobs with the bytes the first one printed
 #     (replay and the live daemon write state through one function) and
 #     `serve result` with the direct run's,
+#   * a fixture-freshness check: the data directory this build's daemon
+#     leaves when it is killed right after the first `ckpt` record of
+#     tests/fixtures/serve_parent_snapshot/job-1.campaign
+#     (scripts/cut_snapshot_fixture.sh) is byte-equal to the checked-in
+#     wal.log and snapshot — a format, digest or summation change that
+#     forgets to re-cut the fixture fails here, not at the next restart,
 #   * an observability smoke: the goldens and the tiny campaign stay
 #     byte-identical with the flight recorder on (CFPD_FLIGHT=1 —
 #     recording is timing-only by contract), `cfpd flight dump |
@@ -179,7 +186,8 @@ for name in ("setup/element-graph", "setup/kway-16", "setup/plan-multidep",
              "solve/poisson-jacobi", "solve/poisson-deflated",
              "solve/poisson-deflated-native", "sgs/default", "sgs/batched-lanes",
              "assembly/serial-pass", "spmm3/sell", "solver1/scalar-x3", "solver1/block",
-             "particles/step-oracle", "particles/step-lanes"):
+             "particles/step-oracle", "particles/step-lanes",
+             "serve/boundary", "serve/restore"):
     if name not in rows:
         sys.exit(f"FAIL: hotpath bench has no {name} row")
 plan, serial_pass = rows["setup/plan-multidep"], rows["assembly/serial-pass"]
@@ -385,6 +393,13 @@ done
     || { echo "FAIL: replayed reuse result differs from the direct run" >&2; exit 1; }
 "$cfpd" serve drain --addr "$addr" > /dev/null
 wait "$serve_pid" || { echo "FAIL: restarted serve daemon did not drain cleanly" >&2; exit 1; }
+
+echo "== fixture freshness (the checked-in snapshot is what this build cuts) =="
+scripts/cut_snapshot_fixture.sh "$tracedir/fixture"
+for f in wal.log job-1-cell-0.snap; do
+    cmp -s "$tracedir/fixture/$f" "tests/fixtures/serve_parent_snapshot/$f" \
+        || { echo "FAIL: this build cuts another $f than tests/fixtures/serve_parent_snapshot holds: re-cut it (its README says how)" >&2; exit 1; }
+done
 
 echo "== observability smoke (flight recorder + watchdog + baseline diff) =="
 # Recording is timing-only by contract: both goldens and the campaign

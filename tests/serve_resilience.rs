@@ -244,16 +244,16 @@ fn a_frozen_daemon_keeps_the_snapshot_its_last_ckpt_points_to() {
 
 /// `tests/fixtures/serve_parent_snapshot` is the data directory a daemon
 /// left behind when its persistence froze right after the first `ckpt`
-/// record of a 12-step cell: format v1 as the daemon of commit 0c24dc6
-/// defined it (the last one that set up every segment from scratch and
-/// serialized a boundary three times), re-cut by PR 21 because the
-/// checkpoint holds solver state and that PR moved the summation order
-/// (the fixture's README has the recipe; a pre-PR-21 snapshot is refused
-/// by its config digest). The current writers reproduce its bytes, and a
-/// current daemon resumes it mid-cell to the bytes of a direct run.
+/// record of a 12-step cell: snapshot and checkpoint in format v2, cut by
+/// the daemon of the PR that defined it (`scripts/cut_snapshot_fixture.sh`;
+/// the fixture's README says what invalidates it). The current writers
+/// reproduce its bytes, the digest its header states is the one its WAL
+/// pins, and a current daemon resumes it mid-cell to the bytes of a
+/// direct run.
 #[test]
 fn a_snapshot_written_by_the_previous_format_writers_still_resumes() {
     use cfpd_core::Checkpoint;
+    use cfpd_serve::wal::{replay, WalRecord};
     use cfpd_serve::CellSnapshot;
     let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/fixtures/serve_parent_snapshot");
@@ -263,11 +263,15 @@ fn a_snapshot_written_by_the_previous_format_writers_still_resumes() {
         std::fs::copy(fixture.join(name), dir.join(name)).unwrap();
     }
 
-    // Format v1, byte for byte, at both levels of the file.
+    // Format v2, byte for byte, at both levels of the file.
     let on_disk = std::fs::read_to_string(dir.join("job-1-cell-0.snap")).unwrap();
-    let snap = CellSnapshot::from_text(&on_disk).expect("old snapshot parses");
+    let pin = match replay(&dir.join("wal.log")).records.last() {
+        Some(WalRecord::Ckpt { snap_digest, .. }) => *snap_digest,
+        other => panic!("the fixture's WAL ends in {other:?}, not in a ckpt record"),
+    };
+    let snap = CellSnapshot::from_pinned_text(&on_disk, pin).expect("checked-in snapshot parses");
     assert_eq!(snap.to_text(), on_disk);
-    let cp = Checkpoint::from_text(&snap.checkpoint_text).expect("old checkpoint parses");
+    let cp = Checkpoint::from_text(&snap.checkpoint_text).expect("checked-in checkpoint parses");
     assert_eq!(cp.to_text(), snap.checkpoint_text);
 
     let text = std::fs::read_to_string(dir.join("job-1.campaign")).unwrap();
