@@ -16,7 +16,8 @@
 //! solve on each layout), so later PRs have a perf trajectory to diff
 //! against. The
 //! `setup/*` rows time what a run pays once before its first step: the
-//! subdomain graph, the 16-way partition, the whole Multidep plan, the
+//! subdomain graph, the 16-way partition (and, of it, one seed search
+//! and the refinement), the whole Multidep plan, the
 //! deflation structure and its values, the particle locator and an
 //! injection — and, end to end on the optimized layout, `setup/prepare`
 //! (everything a run derives from its mesh, built once per
@@ -56,7 +57,8 @@ use cfpd_particles::{
     TransportModel,
 };
 use cfpd_partition::{
-    bandwidth_under_perm, csr_bandwidth, local_element_graph, partition_kway, rcm_perm,
+    bandwidth_under_perm, csr_bandwidth, kway, local_element_graph, partition_kway_covered,
+    rcm_perm, NodeCliques,
 };
 use cfpd_runtime::ThreadPool;
 use cfpd_serve::{CellAcc, CellSnapshot, PersistGate};
@@ -308,9 +310,25 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
         black_box(local_element_graph(mesh, &elems, &weights));
     });
     let graph = local_element_graph(mesh, &elems, &weights);
-    b.bench("setup/kway-16", || {
-        black_box(partition_kway(&graph, N_SUBDOMAINS, 4));
+    // The partition as `decompose_subdomains` runs it, and its two
+    // stages that are not growth: one seed search (there are
+    // `N_SUBDOMAINS - 1`) and the refinement of the grown parts.
+    let n2e = mesh.node_to_elements();
+    let cover = NodeCliques::of_mesh(mesh, &n2e);
+    b.bench("setup/seed-search", || {
+        black_box(cover.pseudo_peripheral(0));
     });
+    b.bench("setup/kway-16", || {
+        black_box(partition_kway_covered(&graph, &cover, N_SUBDOMAINS, 4));
+    });
+    let grown = kway::grow_kway_covered(&graph, &cover, N_SUBDOMAINS);
+    b.bench_batched(
+        "setup/refine",
+        || grown.clone(),
+        |grown| {
+            black_box(grown.refine(&graph, 4));
+        },
+    );
     b.bench_batched(
         "setup/plan-multidep",
         || elems.clone(),

@@ -30,37 +30,24 @@ impl BoundaryConditions {
     /// over wall on shared rim nodes (so the inflow profile is applied
     /// on the whole inlet disc).
     pub fn from_mesh(mesh: &Mesh) -> BoundaryConditions {
-        use std::collections::BTreeSet;
-        let mut inlet = BTreeSet::new();
-        let mut wall = BTreeSet::new();
-        let mut outlet = BTreeSet::new();
+        let (mut inlet, mut wall, mut outlet) = (Vec::new(), Vec::new(), Vec::new());
         for &(e, f, kind) in &mesh.boundary {
             let nodes = mesh.elem_nodes(e as usize);
             let face = mesh.kinds[e as usize].faces()[f as usize];
-            for &li in face.iter() {
-                let v = nodes[li];
-                match kind {
-                    BoundaryKind::Inlet => {
-                        inlet.insert(v);
-                    }
-                    BoundaryKind::Wall => {
-                        wall.insert(v);
-                    }
-                    BoundaryKind::Outlet => {
-                        outlet.insert(v);
-                    }
-                }
-            }
+            let set = match kind {
+                BoundaryKind::Inlet => &mut inlet,
+                BoundaryKind::Wall => &mut wall,
+                BoundaryKind::Outlet => &mut outlet,
+            };
+            set.extend(face.iter().map(|&li| nodes[li]));
+        }
+        for set in [&mut inlet, &mut wall, &mut outlet] {
+            set.sort_unstable();
+            set.dedup();
         }
         // Rim nodes belong to both; give the inlet precedence.
-        for v in &inlet {
-            wall.remove(v);
-        }
-        BoundaryConditions {
-            inlet_nodes: inlet.into_iter().collect(),
-            wall_nodes: wall.into_iter().collect(),
-            outlet_nodes: outlet.into_iter().collect(),
-        }
+        wall.retain(|v| inlet.binary_search(v).is_err());
+        BoundaryConditions { inlet_nodes: inlet, wall_nodes: wall, outlet_nodes: outlet }
     }
 }
 
@@ -81,16 +68,12 @@ pub struct FluidStepReport {
     pub sgs: Option<SgsStats>,
 }
 
-/// Everything a [`FluidSolver`] derives from the mesh, its element list,
-/// the strategy and the layout, and never changes afterwards: schedules,
-/// sparsity patterns, boundary sets, lumped mass. A solver holds it by
-/// `Arc`, so any number of solvers over the same inputs — the segments
-/// of a run, the cells of a campaign — share one.
-pub struct FluidStructure {
+/// What a [`FluidStructure`] derives from the mesh alone — sparsity
+/// pattern, boundary sets, coarse space, lumped mass — and therefore the
+/// same for every rank and every strategy: `prepare` builds one and all
+/// its fluid ranks hold it.
+pub struct MeshStructure {
     refs: [RefElement; 3],
-    /// Assembly schedule over this solver's elements (with the
-    /// kind-batched SoA schedule on the fast layout).
-    plan: AssemblyPlan,
     /// The sparsity pattern the momentum and pressure matrices share.
     n: usize,
     row_ptr: Arc<[u32]>,
@@ -102,7 +85,67 @@ pub struct FluidStructure {
     /// Coarse space of the pressure solve.
     deflation: Arc<DeflationStructure>,
     bc: BoundaryConditions,
+    /// Lumped mass over the whole mesh.
     lumped_mass: Vec<f64>,
+}
+
+impl MeshStructure {
+    /// `pattern` is `CsrMatrix::from_mesh(mesh, ..)`; its values are not
+    /// read.
+    pub fn build(mesh: &Mesh, pattern: &CsrMatrix) -> MeshStructure {
+        let sell = Arc::new(SellStructure::from_csr(pattern));
+        let diag_pos = (0..pattern.n).map(|i| pattern.entry_index(i, i) as u32).collect();
+        let bc = BoundaryConditions::from_mesh(mesh);
+        let deflation =
+            Arc::new(DeflationStructure::new(pattern, &bc.inlet_nodes, &bc.outlet_nodes));
+        let refs = RefElement::all();
+
+        let n = mesh.num_nodes();
+        let mut lumped_mass = vec![0.0; n];
+        let mut scratch = cfpd_solver::ElementScratch::default();
+        for e in 0..mesh.num_elements() {
+            let (kind, nn) = scratch.load_coords(mesh, e);
+            if let Some(lm) = cfpd_solver::kernels::lumped_mass_kernel(&refs, &scratch, kind, nn) {
+                for (k, &v) in mesh.elem_nodes(e).iter().enumerate() {
+                    lumped_mass[v as usize] += lm[k];
+                }
+            }
+        }
+        MeshStructure {
+            refs,
+            n,
+            row_ptr: Arc::clone(&pattern.row_ptr),
+            col_idx: Arc::clone(&pattern.col_idx),
+            diag_pos,
+            sell,
+            deflation,
+            bc,
+            lumped_mass,
+        }
+    }
+
+    /// A zero matrix on the shared pattern.
+    fn zero_matrix(&self) -> CsrMatrix {
+        CsrMatrix {
+            n: self.n,
+            row_ptr: Arc::clone(&self.row_ptr),
+            col_idx: Arc::clone(&self.col_idx),
+            values: vec![0.0; self.col_idx.len()],
+        }
+    }
+}
+
+/// Everything a [`FluidSolver`] derives from the mesh, its element list,
+/// the strategy and the layout, and never changes afterwards: what the
+/// mesh alone decides ([`MeshStructure`]) and, over this solver's
+/// elements, the assembly schedule and the SGS layout. A solver holds it
+/// by `Arc`, so any number of solvers over the same inputs — the
+/// segments of a run, the cells of a campaign — share one.
+pub struct FluidStructure {
+    mesh: Arc<MeshStructure>,
+    /// Assembly schedule over this solver's elements (with the
+    /// kind-batched SoA schedule on the fast layout).
+    plan: AssemblyPlan,
     sgs: Arc<SgsLayout>,
 }
 
@@ -117,9 +160,32 @@ impl FluidStructure {
         n_subdomains: usize,
         layout: LayoutPlan,
     ) -> FluidStructure {
+        let pattern = CsrMatrix::from_mesh(mesh, n2e);
+        let own = Schedule::build(mesh, &pattern, elems, strategy, n_subdomains, layout);
+        own.on(Arc::new(MeshStructure::build(mesh, &pattern)))
+    }
+}
+
+/// The per-solver half of a [`FluidStructure`]: `prepare` builds one per
+/// fluid rank, side by side, and joins each with the one
+/// [`MeshStructure`].
+pub(crate) struct Schedule {
+    plan: AssemblyPlan,
+    sgs: Arc<SgsLayout>,
+}
+
+impl Schedule {
+    /// `pattern` is `CsrMatrix::from_mesh(mesh, ..)`.
+    pub(crate) fn build(
+        mesh: &Mesh,
+        pattern: &CsrMatrix,
+        elems: Vec<u32>,
+        strategy: AssemblyStrategy,
+        n_subdomains: usize,
+        layout: LayoutPlan,
+    ) -> Schedule {
         // The momentum and Poisson matrices share one sparsity pattern,
         // so one batched schedule (built against it) serves both.
-        let pattern = CsrMatrix::from_mesh(mesh, n2e);
         // The one place a solver reads the layout (its node order is
         // already in `mesh`): the reference layout sums each unit's
         // elements in list order, the fast one grouped by kind. Nothing
@@ -127,53 +193,14 @@ impl FluidStructure {
         let plan = if layout.is_default() {
             AssemblyPlan::new(mesh, elems, strategy, n_subdomains)
         } else {
-            AssemblyPlan::with_batches(mesh, elems, strategy, n_subdomains, &pattern)
+            AssemblyPlan::with_batches(mesh, elems, strategy, n_subdomains, pattern)
         };
-        let sell = Arc::new(SellStructure::from_csr(&pattern));
-        let diag_pos = (0..pattern.n).map(|i| pattern.entry_index(i, i) as u32).collect();
-        let bc = BoundaryConditions::from_mesh(mesh);
-        let deflation =
-            Arc::new(DeflationStructure::new(&pattern, &bc.inlet_nodes, &bc.outlet_nodes));
-        let refs = RefElement::all();
-
-        // Lumped mass over the full mesh (serial, once).
-        let n = mesh.num_nodes();
-        let mut lumped_mass = vec![0.0; n];
-        let mut scratch = cfpd_solver::ElementScratch::default();
-        let zero_vel = vec![Vec3::ZERO; n];
-        for e in 0..mesh.num_elements() {
-            let (kind, nn) = scratch.load(mesh, &zero_vel, e);
-            if let Some(lm) = cfpd_solver::kernels::lumped_mass_kernel(&refs, &scratch, kind, nn) {
-                for (k, &v) in mesh.elem_nodes(e).iter().enumerate() {
-                    lumped_mass[v as usize] += lm[k];
-                }
-            }
-        }
-
-        let sgs = SgsLayout::new(mesh, &plan.elems);
-        FluidStructure {
-            refs,
-            plan,
-            n,
-            row_ptr: pattern.row_ptr,
-            col_idx: pattern.col_idx,
-            diag_pos,
-            sell,
-            deflation,
-            bc,
-            lumped_mass,
-            sgs: Arc::new(sgs),
-        }
+        let sgs = Arc::new(SgsLayout::new(mesh, &plan.elems));
+        Schedule { plan, sgs }
     }
 
-    /// A zero matrix on the shared pattern.
-    fn zero_matrix(&self) -> CsrMatrix {
-        CsrMatrix {
-            n: self.n,
-            row_ptr: Arc::clone(&self.row_ptr),
-            col_idx: Arc::clone(&self.col_idx),
-            values: vec![0.0; self.col_idx.len()],
-        }
+    pub(crate) fn on(self, mesh: Arc<MeshStructure>) -> FluidStructure {
+        FluidStructure { mesh, plan: self.plan, sgs: self.sgs }
     }
 }
 
@@ -298,9 +325,9 @@ impl<'m> FluidSolver<'m> {
         pressure_op: Option<Arc<PressureOperator>>,
     ) -> FluidSolver<'m> {
         let n = mesh.num_nodes();
-        assert_eq!(n, s.n, "structure of another mesh");
-        let matrix_u = s.zero_matrix();
-        let sell_u = SellMatrix::with_values(Arc::clone(&s.sell), &matrix_u.values);
+        assert_eq!(n, s.mesh.n, "structure of another mesh");
+        let matrix_u = s.mesh.zero_matrix();
+        let sell_u = SellMatrix::with_values(Arc::clone(&s.mesh.sell), &matrix_u.values);
         FluidSolver {
             mesh,
             props,
@@ -337,7 +364,7 @@ impl<'m> FluidSolver<'m> {
 
     /// The boundary node sets of the mesh.
     pub fn bc(&self) -> &BoundaryConditions {
-        &self.s.bc
+        &self.s.mesh.bc
     }
 
     /// The momentum system the last step assembled and solved: the
@@ -354,10 +381,10 @@ impl<'m> FluidSolver<'m> {
     }
 
     fn apply_velocity_bcs(&mut self) {
-        for &v in &self.s.bc.wall_nodes {
+        for &v in &self.s.mesh.bc.wall_nodes {
             self.velocity[v as usize] = Vec3::ZERO;
         }
-        for &v in &self.s.bc.inlet_nodes {
+        for &v in &self.s.mesh.bc.inlet_nodes {
             self.velocity[v as usize] = self.inflow;
         }
     }
@@ -371,16 +398,16 @@ impl<'m> FluidSolver<'m> {
         pool: &ThreadPool,
         reduce: &mut dyn FnMut(&mut [f64]),
     ) -> PressureOperator {
-        let s = &*self.s;
-        let mut matrix = s.zero_matrix();
-        assemble_poisson(pool, &s.refs, self.mesh, &s.plan, &mut matrix);
+        let (s, m) = (&*self.s, &*self.s.mesh);
+        let mut matrix = m.zero_matrix();
+        assemble_poisson(pool, &m.refs, self.mesh, &s.plan, &mut matrix);
         reduce(&mut matrix.values);
-        for &v in &s.bc.outlet_nodes {
+        for &v in &m.bc.outlet_nodes {
             matrix.set_dirichlet_row(v as usize);
         }
-        let mut deflation = Deflation::on(Arc::clone(&s.deflation));
+        let mut deflation = Deflation::on(Arc::clone(&m.deflation));
         deflation.refresh(&matrix);
-        let matrix = SellMatrix::with_values(Arc::clone(&s.sell), &matrix.values);
+        let matrix = SellMatrix::with_values(Arc::clone(&m.sell), &matrix.values);
         PressureOperator { matrix, deflation }
     }
 
@@ -402,7 +429,7 @@ impl<'m> FluidSolver<'m> {
             return self.solve_momentum_scalar();
         }
         let values = &self.matrix_u.values;
-        for (d, &at) in self.diag_u.iter_mut().zip(&self.s.diag_pos) {
+        for (d, &at) in self.diag_u.iter_mut().zip(&self.s.mesh.diag_pos) {
             *d = values[at as usize];
         }
         self.sell_u.update_values(values);
@@ -455,7 +482,7 @@ impl<'m> FluidSolver<'m> {
         if self.scalar_sgs {
             return cfpd_solver::oracle::compute_sgs(
                 pool,
-                &s.refs,
+                &s.mesh.refs,
                 self.mesh,
                 &s.plan,
                 &self.velocity,
@@ -467,7 +494,7 @@ impl<'m> FluidSolver<'m> {
         }
         compute_sgs(
             pool,
-            &s.refs,
+            &s.mesh.refs,
             self.mesh,
             &self.velocity,
             self.props,
@@ -496,6 +523,7 @@ impl<'m> FluidSolver<'m> {
         let mut report = FluidStepReport::default();
         self.apply_velocity_bcs();
         let s = Arc::clone(&self.s);
+        let m = &*s.mesh;
 
         // ---- Phase: matrix assembly (momentum; on the first step also
         // the pressure operator) ----------------------------------------
@@ -512,7 +540,7 @@ impl<'m> FluidSolver<'m> {
         // gradient hook remains available for stabilized discretizations.
         let stats_m = assemble_momentum(
             pool,
-            &s.refs,
+            &m.refs,
             self.mesh,
             &s.plan,
             &self.velocity,
@@ -533,14 +561,14 @@ impl<'m> FluidSolver<'m> {
             self.pressure_op = Some(Arc::new(self.build_pressure_operator(pool, reduce)));
         }
         // Momentum Dirichlet rows: walls (0) and inlet (inflow).
-        for &v in s.bc.wall_nodes.iter().chain(&s.bc.inlet_nodes) {
+        for &v in m.bc.wall_nodes.iter().chain(&m.bc.inlet_nodes) {
             self.matrix_u.set_dirichlet_row(v as usize);
         }
         for (c, comp) in [self.inflow.x, self.inflow.y, self.inflow.z].iter().enumerate() {
-            for &v in &s.bc.wall_nodes {
+            for &v in &m.bc.wall_nodes {
                 self.rhs_u[c][v as usize] = 0.0;
             }
-            for &v in &s.bc.inlet_nodes {
+            for &v in &m.bc.inlet_nodes {
                 self.rhs_u[c][v as usize] = *comp;
             }
         }
@@ -561,7 +589,7 @@ impl<'m> FluidSolver<'m> {
         self.rhs_p.fill(0.0);
         assemble_divergence(
             pool,
-            &s.refs,
+            &m.refs,
             self.mesh,
             &s.plan,
             &self.velocity,
@@ -570,7 +598,7 @@ impl<'m> FluidSolver<'m> {
             &mut self.rhs_p,
         );
         reduce(&mut self.rhs_p);
-        for &v in &s.bc.outlet_nodes {
+        for &v in &m.bc.outlet_nodes {
             self.rhs_p[v as usize] = 0.0;
         }
         let op = self.pressure_op.as_deref().expect("built during assembly");
@@ -589,7 +617,7 @@ impl<'m> FluidSolver<'m> {
         self.grad_p.fill(0.0);
         assemble_pressure_gradient(
             pool,
-            &s.refs,
+            &m.refs,
             self.mesh,
             &s.plan,
             &self.pressure,
@@ -598,7 +626,7 @@ impl<'m> FluidSolver<'m> {
         reduce(&mut self.grad_p);
         let coef = self.dt / self.props.density;
         for (i, g) in self.grad_p.chunks_exact(3).enumerate() {
-            let ml = s.lumped_mass[i];
+            let ml = m.lumped_mass[i];
             if ml > 0.0 {
                 self.velocity[i] -= Vec3::new(g[0], g[1], g[2]) * (coef / ml);
             }

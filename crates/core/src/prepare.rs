@@ -13,11 +13,11 @@
 //! pay for one set-up per distinct key ([`PrepareMemo`]).
 
 use crate::config::{ExecutionMode, SimulationConfig};
-use crate::fluid::{FluidStructure, PressureOperator};
+use crate::fluid::{FluidStructure, MeshStructure, PressureOperator, Schedule};
 use cfpd_mesh::{generate_airway, AirwayMesh, AirwaySpec, Csr, Mesh};
 use cfpd_particles::{Locator, LocatorGeometry};
-use cfpd_partition::{partition_kway, Graph};
-use cfpd_solver::{AssemblyStrategy, LayoutPlan};
+use cfpd_partition::{partition_kway_covered, Graph, NodeCliques};
+use cfpd_solver::{AssemblyStrategy, CsrMatrix, LayoutPlan};
 use cfpd_testkit::digest::digest_bytes;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -127,59 +127,80 @@ fn partition(mesh: &Mesh, n2e: &Csr, n: usize) -> (Vec<Vec<u32>>, Vec<u32>) {
         return (vec![(0..ne as u32).collect()], vec![0; ne]);
     }
     let g = Graph::from_csr(&mesh.element_adjacency(n2e), mesh.cost_weights());
-    let part = partition_kway(&g, n, 4);
+    let part = partition_kway_covered(&g, &NodeCliques::of_mesh(mesh, n2e), n, 4);
     (part.part_members(), part.parts)
 }
 
+/// `$body`, its wall time observed in the histogram
+/// `core.prepare_us.$stage` (microseconds; threads that work side by
+/// side each record their own). A histogram because it is a timing:
+/// `cfpd report --baseline` compares counters.
+macro_rules! stage {
+    ($stage:literal, $body:expr) => {{
+        let t0 = std::time::Instant::now();
+        let value = $body;
+        cfpd_telemetry::observe!(
+            concat!("core.prepare_us.", $stage),
+            t0.elapsed().as_micros() as u64
+        );
+        value
+    }};
+}
+
 /// Build everything a run on `key` needs before its first step. The
-/// locator and the fluid ranks' structures are built side by side on
-/// scoped threads, like the rank threads of a run would.
+/// locator and the fluid ranks' assembly schedules are built side by
+/// side on scoped threads, like the rank threads of a run would; what
+/// the mesh alone decides ([`MeshStructure`]) is built once, by the
+/// calling thread after its own schedule, and shared by every rank.
 pub fn prepare(key: &PrepareKey) -> Result<Arc<Prepared>, String> {
     let (fluid_parts, particle_parts) = key.parts();
     if fluid_parts == 0 || particle_parts == 0 {
         return Err(format!("a run needs fluid and particle ranks, got {:?}", key.mode));
     }
     cfpd_telemetry::count!("core.prepare_builds");
-    let mut airway =
-        generate_airway(&key.airway).map_err(|e| format!("invalid airway spec: {e}"))?;
-    if key.layout.rcm {
-        // Locality layout: renumber nodes with reverse Cuthill–McKee
-        // before anything derives data from node ids (CSR patterns,
-        // partitions, boundary sets), so every downstream structure
-        // sees the bandwidth-reduced ordering.
-        let perm = cfpd_partition::rcm_perm(&airway.mesh.node_adjacency());
-        airway.mesh.renumber_nodes(&perm);
-    }
+    let mut airway = stage!("mesh", generate_airway(&key.airway))
+        .map_err(|e| format!("invalid airway spec: {e}"))?;
+    stage!("rcm", {
+        if key.layout.rcm {
+            // Locality layout: renumber nodes with reverse Cuthill–McKee
+            // before anything derives data from node ids (CSR patterns,
+            // partitions, boundary sets), so every downstream structure
+            // sees the bandwidth-reduced ordering.
+            let perm = cfpd_partition::rcm_perm(&airway.mesh.node_adjacency());
+            airway.mesh.renumber_nodes(&perm);
+        }
+    });
     let mesh = &airway.mesh;
-    let n2e = mesh.node_to_elements();
-    let (members, fluid_owner) = partition(mesh, &n2e, fluid_parts);
-    let owner = if particle_parts == fluid_parts {
-        fluid_owner
-    } else {
-        partition(mesh, &n2e, particle_parts).1
-    };
+    let (n2e, members, owner) = stage!("partition", {
+        let n2e = mesh.node_to_elements();
+        let (members, fluid_owner) = partition(mesh, &n2e, fluid_parts);
+        let owner = if particle_parts == fluid_parts {
+            fluid_owner
+        } else {
+            partition(mesh, &n2e, particle_parts).1
+        };
+        (n2e, members, owner)
+    });
 
-    let structure = |elems: Vec<u32>| {
-        Arc::new(FluidStructure::build(
-            mesh,
-            &n2e,
-            elems,
-            key.strategy,
-            key.subdomains_per_rank,
-            key.layout,
-        ))
+    let pattern = stage!("structure", CsrMatrix::from_mesh(mesh, &n2e));
+    let (strategy, n_subdomains) = (key.strategy, key.subdomains_per_rank);
+    let schedule = |elems: Vec<u32>| {
+        stage!("plan", Schedule::build(mesh, &pattern, elems, strategy, n_subdomains, key.layout))
     };
     let (locator, fluid) = std::thread::scope(|scope| {
-        let locator = scope.spawn(|| Arc::new(LocatorGeometry::new(mesh)));
+        fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+            handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+        }
+        let locator = scope.spawn(|| stage!("locator", Arc::new(LocatorGeometry::new(mesh))));
         let mut members = members.into_iter();
         let first = members.next().expect("at least one fluid part");
-        let rest: Vec<_> =
-            members.map(|elems| scope.spawn(|| structure(elems))).collect();
-        let mut fluid = vec![structure(first)];
-        for handle in rest {
-            fluid.push(handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-        (locator.join().unwrap_or_else(|p| std::panic::resume_unwind(p)), fluid)
+        let rest: Vec<_> = members.map(|elems| scope.spawn(|| schedule(elems))).collect();
+        let mut schedules = vec![schedule(first)];
+        let shared = stage!("structure", Arc::new(MeshStructure::build(mesh, &pattern)));
+        schedules.extend(rest.into_iter().map(join));
+        let fluid: Vec<Arc<FluidStructure>> =
+            schedules.into_iter().map(|own| Arc::new(own.on(Arc::clone(&shared)))).collect();
+        (join(locator), fluid)
     });
 
     Ok(Arc::new(Prepared {

@@ -13,7 +13,7 @@
 
 use cfpd_mesh::{AirwayMesh, Vec3};
 use cfpd_particles::{inject_at_inlet, particles_per_owner, step_particles, Locator, ParticleSet};
-use cfpd_partition::{partition_kway, Graph, Partition};
+use cfpd_partition::{partition_kway_covered, Graph, NodeCliques, Partition};
 use cfpd_solver::FluidProps;
 
 /// Relative phase cost constants, expressed as total-work shares
@@ -113,7 +113,8 @@ pub fn measure_workload(
     // organic source of the assembly/SGS imbalance of Table 1 (L ≈ 0.6):
     // boundary-layer-rich subdomains cost ~3× more per element.
     let g = Graph::from_csr_unit(&adj);
-    let part: Partition = partition_kway(&g, num_ranks, 4);
+    let part: Partition =
+        partition_kway_covered(&g, &NodeCliques::of_mesh(mesh, &n2e), num_ranks, 4);
 
     // Evaluated cost per element: quadrature weight × indirect-access
     // irregularity (see PhaseCostModel::irregularity_kappa).

@@ -216,29 +216,69 @@ impl Mesh {
     }
 
     /// Element ↔ element adjacency through **shared nodes** (deduplicated,
-    /// no self-loops). Two elements sharing at least one node may race
-    /// when scatter-adding into the global matrix — this graph drives
-    /// mesh coloring and the multidependences task incompatibilities.
+    /// ascending, no self-loops). Two elements sharing at least one node
+    /// may race when scatter-adding into the global matrix — this graph
+    /// drives mesh coloring and the multidependences task
+    /// incompatibilities.
     pub fn element_adjacency(&self, node_to_elem: &Csr) -> Csr {
-        let ne = self.num_elements();
-        let mut offsets = Vec::with_capacity(ne + 1);
-        let mut targets = Vec::new();
+        self.listed_adjacency(0..self.num_elements() as u32, node_to_elem)
+    }
+
+    /// [`Mesh::element_adjacency`] among the elements `elems` yields,
+    /// named by their positions in that sequence; `node_to_listed` is
+    /// [`Mesh::node_to_listed`] of the same sequence.
+    ///
+    /// A row is the union of the (ascending) rows of its element's
+    /// nodes. Mesh generators number neighbouring elements closely, so
+    /// that union usually spans a few hundred ids: it is collected as a
+    /// bit set over the span and read back in order, with no sort. A row
+    /// whose span has more words than the rows have entries is gathered
+    /// and sorted instead.
+    pub fn listed_adjacency(
+        &self,
+        elems: impl ExactSizeIterator<Item = u32>,
+        node_to_listed: &Csr,
+    ) -> Csr {
+        let mut offsets = Vec::with_capacity(elems.len() + 1);
         offsets.push(0u32);
-        // `mark[e2] == e as u32 + 1` means e2 already recorded for e.
-        let mut mark = vec![0u32; ne];
-        for e in 0..ne {
-            let stamp = e as u32 + 1;
-            for &v in self.elem_nodes(e) {
-                for &e2 in node_to_elem.row(v as usize) {
-                    if e2 as usize != e && mark[e2 as usize] != stamp {
-                        mark[e2 as usize] = stamp;
-                        targets.push(e2);
+        let mut targets: Vec<u32> = Vec::new();
+        let mut bits = vec![0u64; elems.len() / 64 + 1];
+        let mut gathered: Vec<u32> = Vec::new();
+        for (at, e) in elems.enumerate() {
+            let at = at as u32;
+            let rows =
+                || self.elem_nodes(e as usize).iter().map(|&v| node_to_listed.row(v as usize));
+            // Every row holds `at`, so none is empty.
+            let (mut lo, mut hi, mut entries) = (at, at, 0usize);
+            for row in rows() {
+                lo = lo.min(row[0]);
+                hi = hi.max(row[row.len() - 1]);
+                entries += row.len();
+            }
+            let (first, last) = ((lo >> 6) as usize, (hi >> 6) as usize);
+            if last - first < entries {
+                for row in rows() {
+                    for &x in row {
+                        bits[(x >> 6) as usize] |= 1u64 << (x & 63);
                     }
                 }
+                bits[(at >> 6) as usize] &= !(1u64 << (at & 63));
+                for (w, word) in bits[first..=last].iter_mut().enumerate() {
+                    let mut word = std::mem::take(word);
+                    while word != 0 {
+                        targets.push(((first + w) as u32) << 6 | word.trailing_zeros());
+                        word &= word - 1;
+                    }
+                }
+            } else {
+                gathered.clear();
+                for row in rows() {
+                    gathered.extend(row.iter().filter(|&&x| x != at));
+                }
+                gathered.sort_unstable();
+                gathered.dedup();
+                targets.extend_from_slice(&gathered);
             }
-            // Sort each row for deterministic downstream iteration.
-            let start = *offsets.last().unwrap() as usize;
-            targets[start..].sort_unstable();
             offsets.push(targets.len() as u32);
         }
         Csr { offsets, targets }

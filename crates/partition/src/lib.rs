@@ -7,7 +7,8 @@
 //! of the three assembly parallelization strategies. This crate
 //! implements all three from scratch:
 //!
-//! * [`graph`] — CSR weighted graphs,
+//! * [`graph`] — CSR weighted graphs, and a mesh's element graph as a
+//!   cover of node cliques,
 //! * [`kway`] — greedy graph-growing k-way partitioning with boundary
 //!   refinement,
 //! * [`coloring`] — greedy largest-degree-first coloring,
@@ -25,8 +26,8 @@ pub mod rcm;
 pub mod subdomain;
 
 pub use coloring::{greedy_coloring, Coloring};
-pub use graph::Graph;
-pub use kway::{partition_kway, Partition};
+pub use graph::{Graph, NodeCliques};
+pub use kway::{partition_kway, partition_kway_covered, Partition};
 pub use rcb::partition_rcb;
 pub use rcm::{bandwidth_under_perm, csr_bandwidth, invert_perm, rcm_order, rcm_perm};
 pub use subdomain::{decompose_subdomains, local_element_graph, SubdomainDecomposition};

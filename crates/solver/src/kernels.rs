@@ -2,7 +2,7 @@
 //! element during the paper's *matrix assembly* phase, and the
 //! per-element subgrid-scale (SGS) update of the VMS stabilization.
 
-use crate::shape::{map_qp, MappedQp, RefElement, MAX_NODES};
+use crate::shape::{map_qp, map_qp_dvol, MappedQp, RefElement, MAX_NODES};
 use cfpd_mesh::{ElementKind, Mesh, Vec3};
 
 /// Physical constants of the fluid (air at body temperature by default,
@@ -396,9 +396,9 @@ pub fn lumped_mass_kernel(
     let re = &refs[RefElement::index_of(kind)];
     let mut out = [0.0; MAX_NODES];
     for qp in &re.qps {
-        let m = map_qp(qp, &scratch.coords, nn)?;
+        let dvol = map_qp_dvol(qp, &scratch.coords, nn)?;
         for i in 0..nn {
-            out[i] += m.n[i] * m.dvol;
+            out[i] += qp.n[i] * dvol;
         }
     }
     Some(out)

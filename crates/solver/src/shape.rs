@@ -173,11 +173,10 @@ pub struct MappedQp {
     pub grad: [[f64; 3]; MAX_NODES],
 }
 
-/// Map one reference quadrature point onto a physical element given its
-/// node coordinates. Returns `None` for a non-invertible Jacobian
-/// (degenerate element) — callers treat that as a mesh error.
-pub fn map_qp(qp: &QuadPoint, coords: &[Vec3], num_nodes: usize) -> Option<MappedQp> {
-    // J[r][c] = sum_i dN_i/dxi_r * coord_i[c]
+/// The Jacobian `J[r][c] = Σ_i dN_i/dξ_r · x_i[c]` of the element map at
+/// one quadrature point, and its determinant.
+#[inline(always)]
+fn jacobian(qp: &QuadPoint, coords: &[Vec3], num_nodes: usize) -> ([[f64; 3]; 3], f64) {
     let mut j = [[0.0f64; 3]; 3];
     for i in 0..num_nodes {
         let c = coords[i];
@@ -190,6 +189,24 @@ pub fn map_qp(qp: &QuadPoint, coords: &[Vec3], num_nodes: usize) -> Option<Mappe
     let det = j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1])
         - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
         + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0]);
+    (j, det)
+}
+
+/// The `dvol` of [`map_qp`] (same bits, same `None`), for kernels that
+/// read no gradient: no inverse, no gradient map.
+pub fn map_qp_dvol(qp: &QuadPoint, coords: &[Vec3], num_nodes: usize) -> Option<f64> {
+    let (_, det) = jacobian(qp, coords, num_nodes);
+    if det.abs() < 1e-30 {
+        return None;
+    }
+    Some(qp.weight * det.abs())
+}
+
+/// Map one reference quadrature point onto a physical element given its
+/// node coordinates. Returns `None` for a non-invertible Jacobian
+/// (degenerate element) — callers treat that as a mesh error.
+pub fn map_qp(qp: &QuadPoint, coords: &[Vec3], num_nodes: usize) -> Option<MappedQp> {
+    let (j, det) = jacobian(qp, coords, num_nodes);
     if det.abs() < 1e-30 {
         return None;
     }
@@ -230,6 +247,29 @@ mod tests {
 
     fn approx(a: f64, b: f64, eps: f64) {
         assert!((a - b).abs() < eps, "{a} != {b}");
+    }
+
+    /// `map_qp_dvol` is `map_qp`'s `dvol` bit for bit on every element of
+    /// the airway, and refuses the same degenerate element.
+    #[test]
+    fn dvol_alone_equals_the_full_map() {
+        let mesh = cfpd_mesh::generate_airway(&cfpd_mesh::AirwaySpec::small()).unwrap().mesh;
+        let refs = RefElement::all();
+        let mut coords = [Vec3::ZERO; MAX_NODES];
+        for e in 0..mesh.num_elements() {
+            let nodes = mesh.elem_nodes(e);
+            for (k, &v) in nodes.iter().enumerate() {
+                coords[k] = mesh.coords[v as usize];
+            }
+            for qp in &refs[RefElement::index_of(mesh.kinds[e])].qps {
+                let full = map_qp(qp, &coords, nodes.len()).expect("valid element").dvol;
+                let alone = map_qp_dvol(qp, &coords, nodes.len()).expect("valid element");
+                assert_eq!(alone.to_bits(), full.to_bits(), "element {e}");
+            }
+        }
+        let flat = [Vec3::ZERO; MAX_NODES];
+        let qp = &refs[0].qps[0];
+        assert!(map_qp(qp, &flat, 4).is_none() && map_qp_dvol(qp, &flat, 4).is_none());
     }
 
     /// Partition of unity and zero gradient sum at every quadrature

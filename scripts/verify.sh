@@ -26,9 +26,9 @@
 #   * a bench smoke: the hotpath benchmark's --quick run must complete
 #     and emit its JSON carrying the per-phase breakdown schema
 #     (phases.{spmv,jacobi,axpy_dot,sgs,assembly} + solve + end_to_end),
-#     the solve/*, setup/*, spmm3/sell, solver1/*, particles/* and
-#     serve/{boundary,restore} rows,
-#     with the Multidep plan build held to at most 5 serial element passes
+#     the solve/*, setup/* (seed-search and refine among them),
+#     spmm3/sell, solver1/*, particles/* and serve/{boundary,restore} rows,
+#     with the Multidep plan build held to at most 2.5 serial element passes
 #     (assembly/serial-pass), the lane SGS sweep (sgs/batched-lanes, what
 #     every run does) below its scalar oracle (sgs/default) and the block
 #     momentum solve (solver1/block) below the three scalar solves it
@@ -170,18 +170,21 @@ for key in '"phases"' '"spmv"' '"jacobi"' '"axpy_dot"' '"sgs"' '"assembly"' \
     grep -q "$key" results/BENCH_hotpath_quick.json \
         || { echo "FAIL: BENCH_hotpath_quick.json missing $key" >&2; exit 1; }
 done
-# Set-up stays linear: building the Multidep plan may cost at most 5
+# Set-up stays linear: building the Multidep plan may cost at most 2.5
 # serial element passes (`assembly/serial-pass`: every element's scalar
 # momentum kernel and scatter on a one-thread pool). Both rows run on
-# one thread, so host load moves them together: the ratio reads 1.2-2.3
-# (8-12 before the set-up rewrite). ISSUE 13 named
-# `assembly/batched-lanes` x 15; that row runs on the 2-worker pool and
-# the ratio against it swung 5.6-19 for one binary on this host.
+# one thread, so host load moves them together: the ratio reads 0.7-1.1
+# here and 1.08 in the full artifact (1.2-2.3 and 2.05 while every
+# seed search walked the explicit element graph, 8-12 before the set-up
+# rewrite of PR 13). ISSUE 13 named `assembly/batched-lanes` x 15; that
+# row runs on the 2-worker pool and the ratio against it swung 5.6-19
+# for one binary on this host.
 python3 - <<'PYEOF'
 import json, sys
 doc = json.load(open("results/BENCH_hotpath_quick.json"))
 rows = {r["name"]: r["median_ns"] for r in doc["rows"]}
-for name in ("setup/element-graph", "setup/kway-16", "setup/plan-multidep",
+for name in ("setup/element-graph", "setup/seed-search", "setup/kway-16", "setup/refine",
+             "setup/plan-multidep",
              "setup/locator-build", "setup/inject-10k", "setup/deflation-build",
              "solve/poisson-jacobi", "solve/poisson-deflated",
              "solve/poisson-deflated-native", "sgs/default", "sgs/batched-lanes",
@@ -191,8 +194,8 @@ for name in ("setup/element-graph", "setup/kway-16", "setup/plan-multidep",
     if name not in rows:
         sys.exit(f"FAIL: hotpath bench has no {name} row")
 plan, serial_pass = rows["setup/plan-multidep"], rows["assembly/serial-pass"]
-if plan > 5.0 * serial_pass:
-    sys.exit(f"FAIL: setup/plan-multidep {plan:.0f} ns > 5 x assembly/serial-pass {serial_pass:.0f} ns")
+if plan > 2.5 * serial_pass:
+    sys.exit(f"FAIL: setup/plan-multidep {plan:.0f} ns > 2.5 x assembly/serial-pass {serial_pass:.0f} ns")
 # Same elements, same pool, eight per vector op against one through the
 # oracle's strategy schedule: the ratio reads about 3 here (7.8 against
 # 23.4 ms in the full artifact), so "not below" means the lane path is gone.

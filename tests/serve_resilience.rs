@@ -600,6 +600,12 @@ fn metrics_lint_clean_with_supervisor_series() {
         "cfpd_serve_queue_depth",
         "cfpd_serve_state_done",
         "cfpd_core_prepare_builds",
+        "cfpd_core_prepare_us_mesh",
+        "cfpd_core_prepare_us_rcm",
+        "cfpd_core_prepare_us_partition",
+        "cfpd_core_prepare_us_plan",
+        "cfpd_core_prepare_us_structure",
+        "cfpd_core_prepare_us_locator",
         "cfpd_serve_boundary_us_count",
     ] {
         assert!(metrics.contains(series), "missing {series}");
