@@ -10,7 +10,8 @@ use cfpd_mesh::{generate_airway, AirwaySpec, Vec3};
 use cfpd_partition::{greedy_coloring, partition_kway, Graph};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
-    assemble_momentum, cg, AssemblyPlan, AssemblyStrategy, CsrMatrix, FluidProps, RefElement,
+    assemble_momentum, cg, AssemblyPlan, AssemblyStrategy, CsrMatrix, ElementOrder, FluidProps,
+    RefElement,
 };
 use cfpd_testkit::bench::{Bench, BenchConfig};
 
@@ -25,7 +26,8 @@ fn bench_assembly_strategies(b: &mut Bench) {
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
 
     for strategy in AssemblyStrategy::ALL {
-        let plan = AssemblyPlan::new(mesh, elems.clone(), strategy, 16);
+        let plan =
+            AssemblyPlan::new(mesh, elems.clone(), strategy, 16, &matrix, ElementOrder::List);
         b.bench_batched(
             &format!("assembly/{}", strategy.label()),
             || (matrix.clone(), vec![vec![0.0; mesh.num_nodes()]; 3]),

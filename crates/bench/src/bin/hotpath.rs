@@ -65,7 +65,8 @@ use cfpd_serve::{CellAcc, CellSnapshot, PersistGate};
 use cfpd_solver::{
     assemble_divergence, assemble_momentum, assemble_poisson, axpy_dot_fused, bicgstab3, cg,
     compute_sgs, oracle, spmm3_sweep, AssemblyPlan, AssemblyStrategy, Bicgstab3Workspace,
-    CsrMatrix, Deflation, FluidProps, LayoutPlan, RefElement, SellMatrix, SgsField, SolveStats,
+    CsrMatrix, Deflation, ElementOrder, FluidProps, LayoutPlan, RefElement, SellMatrix, SgsField,
+    SolveStats,
 };
 use cfpd_testkit::bench::{Bench, BenchConfig, BenchStats};
 use cfpd_testkit::json;
@@ -88,7 +89,8 @@ fn pressure_system(mesh: &Mesh, pool: &ThreadPool) -> PressureSystem {
     let n2e = mesh.node_to_elements();
     let mut matrix = CsrMatrix::from_mesh(mesh, &n2e);
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-    let plan = AssemblyPlan::new(mesh, elems, AssemblyStrategy::Serial, 1);
+    let plan =
+        AssemblyPlan::new(mesh, elems, AssemblyStrategy::Serial, 1, &matrix, ElementOrder::List);
     let refs = RefElement::all();
     let velocity = synthetic_velocity(mesh);
     let mut rhs = vec![0.0; mesh.num_nodes()];
@@ -109,30 +111,39 @@ fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
     let velocity = synthetic_velocity(mesh);
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
     let zero_p = vec![0.0; mesh.num_nodes()];
-    let plan_default = AssemblyPlan::new(mesh, elems.clone(), AssemblyStrategy::Multidep, N_SUBDOMAINS);
-    let plan_lanes = AssemblyPlan::with_batches(
+    let multidep = |order| {
+        let strategy = AssemblyStrategy::Multidep;
+        AssemblyPlan::new(mesh, elems.clone(), strategy, N_SUBDOMAINS, &template, order)
+    };
+    let plan_default = multidep(ElementOrder::List);
+    let plan_lanes = multidep(ElementOrder::KindGrouped);
+    // One serial element pass — the oracle's scalar kernels, scattered on
+    // one thread: the yardstick the set-up rows are held against in
+    // `scripts/verify.sh` (host load moves one-thread rows together).
+    let plan_serial = AssemblyPlan::new(
         mesh,
         elems.clone(),
-        AssemblyStrategy::Multidep,
-        N_SUBDOMAINS,
+        AssemblyStrategy::Serial,
+        1,
         &template,
+        ElementOrder::List,
     );
-    // One serial element pass — scalar kernels, scattered on one thread:
-    // the yardstick the set-up rows are held against in
-    // `scripts/verify.sh` (host load moves one-thread rows together).
-    let plan_serial = AssemblyPlan::new(mesh, elems, AssemblyStrategy::Serial, 1);
     let one_thread = ThreadPool::new(1);
 
-    for (label, plan, pool) in [
-        ("assembly/default", &plan_default, pool),
-        ("assembly/batched-lanes", &plan_lanes, pool),
-        ("assembly/serial-pass", &plan_serial, &one_thread),
+    // What a run does on either layout, then the element-at-a-time loops
+    // the reference layout ran before (`cfpd_solver::oracle`).
+    for (label, plan, pool, scalar) in [
+        ("assembly/default", &plan_default, pool, false),
+        ("assembly/batched-lanes", &plan_lanes, pool, false),
+        ("assembly/oracle", &plan_default, pool, true),
+        ("assembly/serial-pass", &plan_serial, &one_thread, true),
     ] {
+        let sweep = if scalar { oracle::assemble_momentum } else { assemble_momentum };
         b.bench_batched(
             label,
             || (template.clone(), vec![vec![0.0; mesh.num_nodes()]; 3]),
             |(mut a, mut rhs)| {
-                let stats = assemble_momentum(
+                let stats = sweep(
                     pool,
                     &refs,
                     mesh,
@@ -286,7 +297,14 @@ fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPoo
     let refs = RefElement::all();
     let velocity = synthetic_velocity(mesh);
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-    let plan = AssemblyPlan::new(mesh, elems, AssemblyStrategy::Multidep, N_SUBDOMAINS);
+    let plan = AssemblyPlan::new(
+        mesh,
+        elems,
+        AssemblyStrategy::Multidep,
+        N_SUBDOMAINS,
+        matrix,
+        ElementOrder::List,
+    );
     let props = FluidProps::default();
     let mut field = SgsField::new(mesh, &plan.elems);
     b.bench("sgs/default", || {
@@ -329,11 +347,19 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
             black_box(grown.refine(&graph, 4));
         },
     );
+    let pattern = CsrMatrix::from_mesh(mesh, &n2e);
     b.bench_batched(
         "setup/plan-multidep",
         || elems.clone(),
         |elems| {
-            black_box(AssemblyPlan::new(mesh, elems, AssemblyStrategy::Multidep, N_SUBDOMAINS));
+            black_box(AssemblyPlan::new(
+                mesh,
+                elems,
+                AssemblyStrategy::Multidep,
+                N_SUBDOMAINS,
+                &pattern,
+                ElementOrder::List,
+            ));
         },
     );
     b.bench("setup/locator-build", || {

@@ -13,7 +13,7 @@
 
 use cfpd_mesh::{AirwayMesh, Vec3};
 use cfpd_runtime::ThreadPool;
-use cfpd_solver::{cg, AssemblyPlan, AssemblyStrategy, CsrMatrix, RefElement};
+use cfpd_solver::{cg, AssemblyPlan, AssemblyStrategy, CsrMatrix, ElementOrder, RefElement};
 
 /// Solve the potential flow and return the nodal velocity field with
 /// mean inlet speed `inlet_speed` [m/s] (flow directed from inlet to
@@ -25,7 +25,8 @@ pub fn potential_flow(airway: &AirwayMesh, inlet_speed: f64) -> Vec<Vec3> {
     let mut lap = CsrMatrix::from_mesh(mesh, &n2e);
     let mut rhs = vec![vec![0.0; n]];
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-    let plan = AssemblyPlan::new(mesh, elems, AssemblyStrategy::Serial, 1);
+    let plan =
+        AssemblyPlan::new(mesh, elems, AssemblyStrategy::Serial, 1, &lap, ElementOrder::List);
     let pool = ThreadPool::new(1);
     let refs = RefElement::all();
     let zero_vel = vec![Vec3::ZERO; n];

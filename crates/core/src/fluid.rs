@@ -9,9 +9,11 @@ use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_divergence, assemble_momentum, assemble_poisson, assemble_pressure_gradient,
     bicgstab3, compute_sgs, AssemblyPlan, AssemblyStats, AssemblyStrategy, Bicgstab3Workspace,
-    CsrMatrix, Deflation, DeflationStructure, FluidProps, LayoutPlan, RefElement, SellMatrix,
-    SellStructure, SgsField, SgsLayout, SgsStats, SolveStats,
+    CsrMatrix, Deflation, DeflationStructure, ElementOrder, FluidProps, LayoutPlan, RefElement,
+    SellMatrix, SellStructure, SgsField, SgsLayout, SgsStats, SolveStats,
 };
+#[cfg(test)]
+use cfpd_solver::oracle;
 use std::sync::Arc;
 
 /// Boundary conditions extracted from the mesh's tagged exterior faces.
@@ -143,8 +145,8 @@ impl MeshStructure {
 /// segments of a run, the cells of a campaign — share one.
 pub struct FluidStructure {
     mesh: Arc<MeshStructure>,
-    /// Assembly schedule over this solver's elements (with the
-    /// kind-batched SoA schedule on the fast layout).
+    /// Assembly schedule over this solver's elements, its batches cut in
+    /// the layout's element order.
     plan: AssemblyPlan,
     sgs: Arc<SgsLayout>,
 }
@@ -184,17 +186,13 @@ impl Schedule {
         n_subdomains: usize,
         layout: LayoutPlan,
     ) -> Schedule {
-        // The momentum and Poisson matrices share one sparsity pattern,
-        // so one batched schedule (built against it) serves both.
         // The one place a solver reads the layout (its node order is
-        // already in `mesh`): the reference layout sums each unit's
-        // elements in list order, the fast one grouped by kind. Nothing
-        // downstream asks again — the plan says which.
-        let plan = if layout.is_default() {
-            AssemblyPlan::new(mesh, elems, strategy, n_subdomains)
-        } else {
-            AssemblyPlan::with_batches(mesh, elems, strategy, n_subdomains, pattern)
-        };
+        // already in `mesh`): the reference layout cuts each unit's
+        // batches in list order, the fast one grouped by kind. Nothing
+        // downstream asks again — the plan's schedule is in that order.
+        let order =
+            if layout.is_default() { ElementOrder::List } else { ElementOrder::KindGrouped };
+        let plan = AssemblyPlan::new(mesh, elems, strategy, n_subdomains, pattern, order);
         let sgs = Arc::new(SgsLayout::new(mesh, &plan.elems));
         Schedule { plan, sgs }
     }
@@ -242,6 +240,9 @@ pub struct FluidSolver<'m> {
     /// Sweep the SGS with the strategy-following scalar oracle.
     #[cfg(test)]
     scalar_sgs: bool,
+    /// Assemble with the element-at-a-time oracle loops.
+    #[cfg(test)]
+    scalar_assembly: bool,
     rhs_p: Vec<f64>,
     /// Weak nodal pressure gradient of the correction, component `c` of
     /// node `i` at `3 i + c` (one buffer, one cross-rank reduction).
@@ -287,9 +288,9 @@ impl<'m> FluidSolver<'m> {
         )
     }
 
-    /// [`FluidSolver::new`] with an explicit [`LayoutPlan`]: on the fast
-    /// layout the plan carries a kind-batched SoA schedule. The node
-    /// order is whatever `mesh` carries (`prepare` renumbers it first).
+    /// [`FluidSolver::new`] with an explicit [`LayoutPlan`], which here
+    /// decides the element order of the plan's batches. The node order is
+    /// whatever `mesh` carries (`prepare` renumbers it first).
     #[allow(clippy::too_many_arguments)]
     pub fn new_with_layout(
         mesh: &'m Mesh,
@@ -345,6 +346,8 @@ impl<'m> FluidSolver<'m> {
             scalar_solver1: false,
             #[cfg(test)]
             scalar_sgs: false,
+            #[cfg(test)]
+            scalar_assembly: false,
             rhs_p: vec![0.0; n],
             grad_p: vec![0.0; 3 * n],
             zero_pressure: vec![0.0; n],
@@ -400,6 +403,9 @@ impl<'m> FluidSolver<'m> {
     ) -> PressureOperator {
         let (s, m) = (&*self.s, &*self.s.mesh);
         let mut matrix = m.zero_matrix();
+        #[cfg(test)]
+        let assemble_poisson =
+            if self.scalar_assembly { oracle::assemble_poisson } else { assemble_poisson };
         assemble_poisson(pool, &m.refs, self.mesh, &s.plan, &mut matrix);
         reduce(&mut matrix.values);
         for &v in &m.bc.outlet_nodes {
@@ -460,7 +466,7 @@ impl<'m> FluidSolver<'m> {
         let mut columns: [Vec<f64>; 3] =
             std::array::from_fn(|c| self.velocity.iter().map(|v| [v.x, v.y, v.z][c]).collect());
         let stats = std::array::from_fn(|c| {
-            cfpd_solver::oracle::bicgstab(
+            oracle::bicgstab(
                 &self.matrix_u,
                 &self.rhs_u[c],
                 &mut columns[c],
@@ -480,7 +486,7 @@ impl<'m> FluidSolver<'m> {
         let s = &*self.s;
         #[cfg(test)]
         if self.scalar_sgs {
-            return cfpd_solver::oracle::compute_sgs(
+            return oracle::compute_sgs(
                 pool,
                 &s.mesh.refs,
                 self.mesh,
@@ -524,6 +530,20 @@ impl<'m> FluidSolver<'m> {
         self.apply_velocity_bcs();
         let s = Arc::clone(&self.s);
         let m = &*s.mesh;
+        // A test can have the step assemble through the loops the batch
+        // engine replaced: the names below then mean the oracle's.
+        #[cfg(test)]
+        let assemble_momentum =
+            if self.scalar_assembly { oracle::assemble_momentum } else { assemble_momentum };
+        #[cfg(test)]
+        let assemble_divergence =
+            if self.scalar_assembly { oracle::assemble_divergence } else { assemble_divergence };
+        #[cfg(test)]
+        let assemble_pressure_gradient = if self.scalar_assembly {
+            oracle::assemble_pressure_gradient
+        } else {
+            assemble_pressure_gradient
+        };
 
         // ---- Phase: matrix assembly (momentum; on the first step also
         // the pressure operator) ----------------------------------------
@@ -817,9 +837,16 @@ mod tests {
     /// every step. The `oracle` is what every step did before: it
     /// forgets the pressure operator before each step (`Reassemble`),
     /// solves the three velocity components with the scalar BiCGSTAB
-    /// (`ScalarSolver1`), or sweeps the SGS element by element under the
-    /// plan's strategy (`ScalarSgs`).
-    fn stepped_states(ranks: usize, layout: LayoutPlan, oracle: Option<Oracle>) -> Vec<Vec<Vec<u64>>> {
+    /// (`ScalarSolver1`), sweeps the SGS element by element under the
+    /// plan's strategy (`ScalarSgs`), or assembles element by element in
+    /// list order (`ScalarAssembly`, on `Multidep` subdomains as a run
+    /// has them: what the reference layout did before the batch engine).
+    fn stepped_states(
+        ranks: usize,
+        strategy: AssemblyStrategy,
+        layout: LayoutPlan,
+        oracle: Option<Oracle>,
+    ) -> Vec<Vec<Vec<u64>>> {
         use cfpd_simmpi::{ReduceOp, Universe};
         Universe::run(ranks, move |comm| {
             let am = generate_airway(&AirwaySpec::small()).unwrap();
@@ -829,7 +856,7 @@ mod tests {
             let mut fs = FluidSolver::new_with_layout(
                 &am.mesh,
                 elems,
-                AssemblyStrategy::Serial,
+                strategy,
                 8,
                 FluidProps::default(),
                 1e-3,
@@ -840,6 +867,7 @@ mod tests {
             );
             fs.scalar_solver1 = oracle == Some(Oracle::ScalarSolver1);
             fs.scalar_sgs = oracle == Some(Oracle::ScalarSgs);
+            fs.scalar_assembly = oracle == Some(Oracle::ScalarAssembly);
             let pool = ThreadPool::new(1);
             (0..5)
                 .map(|_| {
@@ -869,16 +897,23 @@ mod tests {
         Reassemble,
         ScalarSolver1,
         ScalarSgs,
+        ScalarAssembly,
     }
 
     /// `stepped_states` with and without `oracle`, on one rank and
-    /// through the cross-rank reduction, on both layouts: every rank must
-    /// carry the oracle's bits after every step.
+    /// through the cross-rank reduction, on both layouts (the list-order
+    /// assembly oracle: on the layout that sums in list order): every
+    /// rank must carry the oracle's bits after every step.
     fn assert_steps_match(oracle: Oracle, what: &str) {
+        let both = [LayoutPlan::disabled(), LayoutPlan::optimized()];
+        let (strategy, layouts) = match oracle {
+            Oracle::ScalarAssembly => (AssemblyStrategy::Multidep, &both[..1]),
+            _ => (AssemblyStrategy::Serial, &both[..]),
+        };
         for ranks in [1, 2] {
-            for layout in [LayoutPlan::default(), LayoutPlan::optimized()] {
-                let got = stepped_states(ranks, layout, None);
-                let want = stepped_states(ranks, layout, Some(oracle));
+            for &layout in layouts {
+                let got = stepped_states(ranks, strategy, layout, None);
+                let want = stepped_states(ranks, strategy, layout, Some(oracle));
                 for (rank, (g, w)) in got.iter().zip(&want).enumerate() {
                     for (step, (gs, ws)) in g.iter().zip(w).enumerate() {
                         assert!(
@@ -920,6 +955,15 @@ mod tests {
     #[test]
     fn lane_sgs_matches_the_scalar_element_sweep() {
         assert_steps_match(Oracle::ScalarSgs, "the scalar SGS sweep");
+    }
+
+    // The reference layout assembles through the batch engine with its
+    // batches cut in list order. Every step must carry the bits of a
+    // solver that still walks its subdomains one element at a time and
+    // its two right-hand-side loops serially.
+    #[test]
+    fn list_order_batches_match_the_element_at_a_time_assembly() {
+        assert_steps_match(Oracle::ScalarAssembly, "element-at-a-time assembly");
     }
 
     #[test]

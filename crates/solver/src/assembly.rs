@@ -22,17 +22,21 @@
 //!
 //! Across strategies the matrices agree up to floating-point summation
 //! order (verified by the strategy-equivalence tests).
+//!
+//! A strategy decides *who* sums which elements and what orders the
+//! units; the sweep inside a unit is always the batch engine's
+//! ([`crate::batch`]: same-kind batches, lane blocks, precomputed scatter
+//! indices). An [`AssemblyPlan`] therefore carries its
+//! [`BatchSchedule`], cut in the [`ElementOrder`] it was built with, and
+//! the four `assemble_*` entry points have nothing to choose. The
+//! element-at-a-time loops this replaced are the reference the tests
+//! hold it to (`crate::oracle::assemble_momentum` and siblings).
 
-use crate::csr::{AtomicView, CsrMatrix, DisjointView};
-use crate::kernels::{
-    divergence_kernel, momentum_kernel, poisson_kernel, pressure_gradient_kernel, ElementScratch,
-    FluidProps, LocalMomentum, LocalPoisson,
-};
-use crate::shape::{RefElement, MAX_NODES};
-use cfpd_mesh::{Mesh, Vec3};
+use crate::batch::{BatchSchedule, ElementOrder};
+use crate::csr::CsrMatrix;
+use cfpd_mesh::Mesh;
 use cfpd_partition::{decompose_subdomains, greedy_coloring, local_element_graph};
-use cfpd_runtime::{parallel_for, Dep, TaskGraph, ThreadPool};
-use std::sync::atomic::Ordering;
+use cfpd_runtime::Dep;
 
 /// Which parallelization to use for a racy element loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,11 +85,11 @@ pub struct AssemblyPlan {
     subdomains: Option<(Vec<Vec<u32>>, Vec<Vec<usize>>)>,
     /// Grain for the atomics parallel loop.
     grain: usize,
-    /// Kind-batched SoA schedule, one batch set per parallel unit of the
-    /// strategy. With it the four `assemble_*` entry points sum each
-    /// unit's elements grouped by kind (the fast layout's order); without
-    /// it in the unit's list order (the reference layout's).
-    batches: Option<crate::batch::BatchSchedule>,
+    /// Quadrature-weighted work of `elems` (Tet4 ≡ 1).
+    weighted_ops: f64,
+    /// What the four `assemble_*` sweeps walk: one batch set per
+    /// parallel unit of the strategy, in the plan's element order.
+    batches: BatchSchedule,
 }
 
 /// Counters describing one assembly execution, consumed by the
@@ -104,43 +108,43 @@ pub struct AssemblyStats {
 }
 
 impl AssemblyPlan {
-    /// Build a plan for `elems` of `mesh` under `strategy`.
-    /// `n_subdomains` controls the Multidep decomposition (ignored by
-    /// the other strategies); a good default is several times the
-    /// executor count.
+    /// Build a plan for `elems` of `mesh` under `strategy`, its units
+    /// summed in `order`. `n_subdomains` controls the Multidep
+    /// decomposition (ignored by the other strategies); a good default is
+    /// several times the executor count. `pattern` is the sparsity the
+    /// assembled matrices have (`CsrMatrix::from_mesh`): gather lists,
+    /// scatter indices and element lengths are precomputed against it.
     pub fn new(
         mesh: &Mesh,
         elems: Vec<u32>,
         strategy: AssemblyStrategy,
         n_subdomains: usize,
+        pattern: &CsrMatrix,
+        order: ElementOrder,
     ) -> AssemblyPlan {
         let weights: Vec<f64> =
             elems.iter().map(|&e| mesh.kinds[e as usize].cost_weight()).collect();
-        let mut plan = AssemblyPlan {
-            strategy,
-            color_classes: None,
-            subdomains: None,
-            grain: 32,
-            batches: None,
-            elems,
-        };
+        let (mut color_classes, mut subdomains) = (None, None);
         match strategy {
             AssemblyStrategy::Serial | AssemblyStrategy::Atomics => {}
             AssemblyStrategy::Coloring => {
-                let g = local_element_graph(mesh, &plan.elems, &weights);
+                let g = local_element_graph(mesh, &elems, &weights);
                 let coloring = greedy_coloring(&g);
                 // Map local ids back to global element ids.
-                let classes = coloring
+                let classes: Vec<Vec<u32>> = coloring
                     .color_classes()
                     .into_iter()
-                    .map(|class| class.into_iter().map(|li| plan.elems[li as usize]).collect())
+                    .map(|class| class.into_iter().map(|li| elems[li as usize]).collect())
                     .collect();
-                plan.color_classes = Some(classes);
+                debug_assert!(
+                    classes.iter().all(|class| shares_no_node(mesh, class)),
+                    "two elements of one colour share a node"
+                );
+                color_classes = Some(classes);
             }
             AssemblyStrategy::Multidep => {
-                let n_sub = n_subdomains.max(1).min(plan.elems.len().max(1));
-                let d =
-                    decompose_subdomains(mesh, &plan.elems, &weights, n_sub).colour_numbered();
+                let n_sub = n_subdomains.max(1).min(elems.len().max(1));
+                let d = decompose_subdomains(mesh, &elems, &weights, n_sub).colour_numbered();
                 // One object per adjacency edge, numbered where its
                 // lower end lists it; the upper end looks the number up
                 // in the lower end's (ascending) neighbor list.
@@ -161,47 +165,24 @@ impl AssemblyPlan {
                         objs[s].push(id);
                     }
                 }
-                plan.subdomains = Some((d.members, objs));
+                subdomains = Some((d.members, objs));
             }
         }
-        plan
-    }
-
-    /// [`AssemblyPlan::new`] plus a kind-batched SoA schedule built
-    /// against `pattern`'s sparsity (gather lists, precomputed scatter
-    /// indices, cached element lengths) — the element-sum order of the
-    /// fast layout ([`crate::layout`]). The momentum and Poisson matrices
-    /// of a mesh share one pattern, so one schedule serves both systems.
-    pub fn with_batches(
-        mesh: &Mesh,
-        elems: Vec<u32>,
-        strategy: AssemblyStrategy,
-        n_subdomains: usize,
-        pattern: &CsrMatrix,
-    ) -> AssemblyPlan {
-        let mut plan = AssemblyPlan::new(mesh, elems, strategy, n_subdomains);
-        let units: Vec<crate::batch::BatchSet> = match strategy {
-            AssemblyStrategy::Serial | AssemblyStrategy::Atomics => {
-                vec![crate::batch::BatchSet::build(mesh, pattern, &plan.elems)]
-            }
-            AssemblyStrategy::Coloring => plan
-                .color_classes
-                .as_ref()
-                .expect("coloring plan")
-                .iter()
-                .map(|class| crate::batch::BatchSet::build(mesh, pattern, class))
-                .collect(),
-            AssemblyStrategy::Multidep => plan
-                .subdomains
-                .as_ref()
-                .expect("multidep plan")
-                .0
-                .iter()
-                .map(|members| crate::batch::BatchSet::build(mesh, pattern, members))
-                .collect(),
+        let unit_lists: Vec<&[u32]> = match (&color_classes, &subdomains) {
+            (Some(classes), _) => classes.iter().map(Vec::as_slice).collect(),
+            (_, Some((members, _))) => members.iter().map(Vec::as_slice).collect(),
+            _ => vec![&elems],
         };
-        plan.batches = Some(crate::batch::BatchSchedule { units });
-        plan
+        let batches = BatchSchedule::build(mesh, pattern, strategy, &elems, &unit_lists, order);
+        AssemblyPlan {
+            strategy,
+            color_classes,
+            subdomains,
+            grain: 32,
+            weighted_ops: weights.iter().sum(),
+            batches,
+            elems,
+        }
     }
 
     /// Number of colors (0 unless Coloring).
@@ -214,10 +195,20 @@ impl AssemblyPlan {
         self.subdomains.as_ref().map_or(0, |(m, _)| m.len())
     }
 
-    /// The batched schedule, if this plan was built with
-    /// [`AssemblyPlan::with_batches`].
-    pub fn batch_schedule(&self) -> Option<&crate::batch::BatchSchedule> {
-        self.batches.as_ref()
+    /// The schedule the four `assemble_*` sweeps walk.
+    pub fn batch_schedule(&self) -> &BatchSchedule {
+        &self.batches
+    }
+
+    /// What every sweep of this plan reports before it has run.
+    pub(crate) fn stats(&self) -> AssemblyStats {
+        AssemblyStats {
+            elements: self.elems.len(),
+            weighted_ops: self.weighted_ops,
+            colors: self.num_colors(),
+            tasks: self.num_subdomains(),
+            atomic_adds: 0,
+        }
     }
 
     /// Element ids per color (Coloring only).
@@ -249,371 +240,123 @@ impl AssemblyPlan {
     }
 }
 
-/// A local contribution ready to scatter: `nn` nodes, dense block `a`,
-/// and `rhs_dim` right-hand-side components per node.
-struct LocalBlock {
-    nn: usize,
-    a: [[f64; MAX_NODES]; MAX_NODES],
-    b: [[f64; 3]; MAX_NODES],
-}
-
-impl From<LocalMomentum> for LocalBlock {
-    fn from(m: LocalMomentum) -> Self {
-        LocalBlock { nn: m.nn, a: m.a, b: m.b }
-    }
-}
-
-impl From<LocalPoisson> for LocalBlock {
-    fn from(p: LocalPoisson) -> Self {
-        LocalBlock { nn: p.nn, a: p.l, b: [[0.0; 3]; MAX_NODES] }
-    }
-}
-
-/// Generic strategy-dispatched assembly of a scalar CSR matrix plus up
-/// to 3 RHS component vectors, in the list order of each strategy unit:
-/// the summation order `tests/golden/sync_small.golden` pins, which is
-/// why these loops stay beside the kind-batched ones of
-/// [`crate::batch`]. `compute` produces the local block of one element
-/// (given a per-executor scratch).
-fn assemble_generic<K>(
-    pool: &ThreadPool,
-    mesh: &Mesh,
-    plan: &AssemblyPlan,
-    rhs_dim: usize,
-    compute: K,
-    matrix: &mut CsrMatrix,
-    rhs: &mut [Vec<f64>],
-) -> AssemblyStats
-where
-    K: Fn(&mut ElementScratch, usize) -> Option<LocalBlock> + Sync,
-{
-    assert!(rhs_dim <= 3 && rhs.len() == rhs_dim);
-    let mut stats = AssemblyStats {
-        elements: plan.elems.len(),
-        weighted_ops: plan
-            .elems
-            .iter()
-            .map(|&e| mesh.kinds[e as usize].cost_weight())
-            .sum(),
-        colors: plan.num_colors(),
-        tasks: plan.num_subdomains(),
-        ..Default::default()
-    };
-
-    let (pattern, values) = matrix.split_mut();
-    match plan.strategy {
-        AssemblyStrategy::Serial => {
-            let mut scratch = ElementScratch::default();
-            for &e in &plan.elems {
-                let e = e as usize;
-                let lb = compute(&mut scratch, e).expect("degenerate element");
-                let nodes = mesh.elem_nodes(e);
-                for i in 0..lb.nn {
-                    let gi = nodes[i] as usize;
-                    for j in 0..lb.nn {
-                        let idx = pattern.entry_index(gi, nodes[j] as usize);
-                        values[idx] += lb.a[i][j];
-                    }
-                    for (c, r) in rhs.iter_mut().enumerate() {
-                        r[gi] += lb.b[i][c];
-                    }
-                }
-            }
-        }
-        AssemblyStrategy::Atomics => {
-            let av = AtomicView::from_slice(values);
-            let rvs: Vec<AtomicView> =
-                rhs.iter_mut().map(|r| AtomicView::from_slice(r)).collect();
-            let elems = &plan.elems;
-            parallel_for(pool, 0..elems.len(), plan.grain, |range| {
-                let mut scratch = ElementScratch::default();
-                for k in range {
-                    let e = elems[k] as usize;
-                    let lb = compute(&mut scratch, e).expect("degenerate element");
-                    let nodes = mesh.elem_nodes(e);
-                    for i in 0..lb.nn {
-                        let gi = nodes[i] as usize;
-                        for j in 0..lb.nn {
-                            let idx = pattern.entry_index(gi, nodes[j] as usize);
-                            av.add_at(idx, lb.a[i][j]);
-                        }
-                        for (c, rv) in rvs.iter().enumerate() {
-                            rv.add_at(gi, lb.b[i][c]);
-                        }
-                    }
-                }
-            });
-            stats.atomic_adds = av.atomic_ops.load(Ordering::Relaxed)
-                + rvs.iter().map(|r| r.atomic_ops.load(Ordering::Relaxed)).sum::<usize>();
-        }
-        AssemblyStrategy::Coloring => {
-            let dv = DisjointView::from_slice(values);
-            let rvs: Vec<DisjointView> =
-                rhs.iter_mut().map(|r| DisjointView::from_slice(r)).collect();
-            let classes = plan.color_classes.as_ref().expect("coloring plan");
-            for class in classes {
-                parallel_for(pool, 0..class.len(), plan.grain, |range| {
-                    let mut scratch = ElementScratch::default();
-                    for k in range {
-                        let e = class[k] as usize;
-                        let lb = compute(&mut scratch, e).expect("degenerate element");
-                        let nodes = mesh.elem_nodes(e);
-                        for i in 0..lb.nn {
-                            let gi = nodes[i] as usize;
-                            for j in 0..lb.nn {
-                                let idx = pattern.entry_index(gi, nodes[j] as usize);
-                                // SAFETY: same-color elements share no
-                                // node, so concurrent writes are disjoint.
-                                unsafe { dv.add_at(idx, lb.a[i][j]) };
-                            }
-                            for (c, rv) in rvs.iter().enumerate() {
-                                // SAFETY: as above (row index is a node
-                                // of this element).
-                                unsafe { rv.add_at(gi, lb.b[i][c]) };
-                            }
-                        }
-                    }
-                });
-            }
-        }
-        AssemblyStrategy::Multidep => {
-            let dv = DisjointView::from_slice(values);
-            let rvs: Vec<DisjointView> =
-                rhs.iter_mut().map(|r| DisjointView::from_slice(r)).collect();
-            let members = plan.subdomain_members().expect("multidep plan");
-            let mut graph = TaskGraph::new();
-            for (s, elems) in members.iter().enumerate() {
-                let dv = &dv;
-                let rvs = &rvs;
-                let compute = &compute;
-                graph.add_task(&plan.ordered_deps(s), move || {
-                    let mut scratch = ElementScratch::default();
-                    for &e in elems {
-                        let e = e as usize;
-                        let lb = compute(&mut scratch, e).expect("degenerate element");
-                        let nodes = mesh.elem_nodes(e);
-                        for i in 0..lb.nn {
-                            let gi = nodes[i] as usize;
-                            for j in 0..lb.nn {
-                                let idx = pattern.entry_index(gi, nodes[j] as usize);
-                                // SAFETY: adjacent subdomains are ordered
-                                // by a dependence; non-adjacent ones
-                                // share no node.
-                                unsafe { dv.add_at(idx, lb.a[i][j]) };
-                            }
-                            for (c, rv) in rvs.iter().enumerate() {
-                                // SAFETY: as above.
-                                unsafe { rv.add_at(gi, lb.b[i][c]) };
-                            }
-                        }
-                    }
-                });
-            }
-            graph.execute(pool);
-        }
-    }
-    stats
-}
-
-fn count_assembly(plan: &AssemblyPlan) {
-    cfpd_telemetry::count!("solver.assemblies");
-    cfpd_telemetry::count!("solver.assembly_elements", plan.elems.len() as u64);
-}
-
-/// Assemble the momentum system (matrix + 3-component RHS) over
-/// `plan.elems` using the plan's strategy. A plan built with batches
-/// runs the kind-batched (lane) schedule under that strategy; otherwise
-/// every strategy unit is one element loop in list order.
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_momentum(
-    pool: &ThreadPool,
-    refs: &[RefElement; 3],
-    mesh: &Mesh,
-    plan: &AssemblyPlan,
-    velocity: &[Vec3],
-    pressure: &[f64],
-    props: FluidProps,
-    dt: f64,
-    body_force: Vec3,
-    matrix: &mut CsrMatrix,
-    rhs: &mut [Vec<f64>],
-) -> AssemblyStats {
-    count_assembly(plan);
-    if plan.batch_schedule().is_some() {
-        return crate::batch::momentum_batched(
-            pool, refs, mesh, plan, velocity, pressure, props, dt, body_force, matrix, rhs,
-        );
-    }
-    assemble_generic(
-        pool,
-        mesh,
-        plan,
-        3,
-        |scratch, e| {
-            let (kind, nn) = scratch.load_with_pressure(mesh, velocity, pressure, e);
-            let h = mesh.volume(e).abs().cbrt();
-            momentum_kernel(refs, scratch, kind, nn, props, dt, h, body_force)
-                .map(LocalBlock::from)
-        },
-        matrix,
-        rhs,
-    )
-}
-
-/// Assemble the pressure-Poisson matrix (the Laplacian; its right-hand
-/// side is [`assemble_divergence`]'s), scheduled like
-/// [`assemble_momentum`].
-pub fn assemble_poisson(
-    pool: &ThreadPool,
-    refs: &[RefElement; 3],
-    mesh: &Mesh,
-    plan: &AssemblyPlan,
-    matrix: &mut CsrMatrix,
-) -> AssemblyStats {
-    count_assembly(plan);
-    if plan.batch_schedule().is_some() {
-        return crate::batch::poisson_batched(pool, refs, mesh, plan, matrix);
-    }
-    assemble_generic(
-        pool,
-        mesh,
-        plan,
-        0,
-        |scratch, e| {
-            let (kind, nn) = scratch.load_coords(mesh, e);
-            poisson_kernel(refs, scratch, kind, nn).map(LocalBlock::from)
-        },
-        matrix,
-        &mut [],
-    )
-}
-
-/// Add the weak divergence right-hand side of the pressure-Poisson
-/// system, `(ρ/dt) ∫ ∇N_i · u`, of `plan.elems` into `rhs`. A plan built
-/// with batches runs the kind-batched (lane) schedule under the plan's
-/// strategy; otherwise this is one serial element loop in list order
-/// (again the reference layout's summation order).
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_divergence(
-    pool: &ThreadPool,
-    refs: &[RefElement; 3],
-    mesh: &Mesh,
-    plan: &AssemblyPlan,
-    velocity: &[Vec3],
-    props: FluidProps,
-    dt: f64,
-    rhs: &mut [f64],
-) {
-    if plan.batch_schedule().is_some() {
-        return crate::batch::divergence_batched(pool, refs, mesh, plan, velocity, props, dt, rhs);
-    }
-    let mut scratch = ElementScratch::default();
-    for &e in &plan.elems {
-        let (kind, _) = scratch.load(mesh, velocity, e as usize);
-        let b = divergence_kernel(refs, &scratch, kind, props, dt).expect("degenerate element");
-        for (k, &v) in mesh.elem_nodes(e as usize).iter().enumerate() {
-            rhs[v as usize] += b[k];
-        }
-    }
-}
-
-/// Add the weak nodal pressure gradient `∫ N_i ∇p` of `plan.elems` into
-/// `grad` (component `c` of node `i` at `grad[3 i + c]`), scheduled like
-/// [`assemble_divergence`].
-pub fn assemble_pressure_gradient(
-    pool: &ThreadPool,
-    refs: &[RefElement; 3],
-    mesh: &Mesh,
-    plan: &AssemblyPlan,
-    pressure: &[f64],
-    grad: &mut [f64],
-) {
-    if plan.batch_schedule().is_some() {
-        return crate::batch::pressure_gradient_batched(pool, refs, mesh, plan, pressure, grad);
-    }
-    let mut scratch = ElementScratch::default();
-    for &e in &plan.elems {
-        let (kind, _) = scratch.load_coords(mesh, e as usize);
-        let nodes = mesh.elem_nodes(e as usize);
-        for (k, &v) in nodes.iter().enumerate() {
-            scratch.pres[k] = pressure[v as usize];
-        }
-        let g = pressure_gradient_kernel(refs, &scratch, kind).expect("degenerate element");
-        for (k, &v) in nodes.iter().enumerate() {
-            for c in 0..3 {
-                grad[3 * v as usize + c] += g[k][c];
-            }
-        }
-    }
+/// No node of `mesh` belongs to two elements of `class`.
+fn shares_no_node(mesh: &Mesh, class: &[u32]) -> bool {
+    let mut nodes: Vec<u32> =
+        class.iter().flat_map(|&e| mesh.elem_nodes(e as usize)).copied().collect();
+    nodes.sort_unstable();
+    nodes.windows(2).all(|w| w[0] != w[1])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfpd_mesh::{generate_airway, AirwaySpec};
+    use crate::batch::{
+        assemble_divergence, assemble_momentum, assemble_poisson, assemble_pressure_gradient,
+    };
+    use crate::kernels::FluidProps;
+    use crate::oracle;
+    use crate::shape::RefElement;
+    use cfpd_mesh::{generate_airway, AirwaySpec, ElementKind, Vec3};
+    use cfpd_runtime::ThreadPool;
+    use cfpd_testkit::prop::{check, usize_range, PropConfig};
+    use cfpd_testkit::Rng;
 
     struct Fixture {
         mesh: Mesh,
+        pattern: CsrMatrix,
         refs: [RefElement; 3],
         pool: ThreadPool,
         velocity: Vec<Vec3>,
     }
 
-    fn fixture() -> Fixture {
-        let am = generate_airway(&AirwaySpec::small()).unwrap();
+    fn fixture_of(generations: usize) -> Fixture {
+        let am = generate_airway(&AirwaySpec { generations, ..AirwaySpec::small() }).unwrap();
         let velocity = am
             .mesh
             .coords
             .iter()
             .map(|p| Vec3::new(p.z * 2.0, p.x, -p.y * 0.5))
             .collect();
-        Fixture { mesh: am.mesh, refs: RefElement::all(), pool: ThreadPool::new(4), velocity }
-    }
-
-    /// Everything the four `assemble_*` sweeps of one plan add up on
-    /// `pool`: momentum matrix values, its three right-hand sides, the
-    /// divergence vector and the pressure-gradient vector.
-    type Assembled = (Vec<f64>, Vec<Vec<f64>>, Vec<f64>, Vec<f64>);
-
-    fn plan_for(f: &Fixture, strategy: AssemblyStrategy, batched: bool) -> AssemblyPlan {
-        let elems: Vec<u32> = (0..f.mesh.num_elements() as u32).collect();
-        if batched {
-            let pattern = CsrMatrix::from_mesh(&f.mesh, &f.mesh.node_to_elements());
-            AssemblyPlan::with_batches(&f.mesh, elems, strategy, 24, &pattern)
-        } else {
-            AssemblyPlan::new(&f.mesh, elems, strategy, 24)
+        let pattern = CsrMatrix::from_mesh(&am.mesh, &am.mesh.node_to_elements());
+        Fixture {
+            mesh: am.mesh,
+            pattern,
+            refs: RefElement::all(),
+            pool: ThreadPool::new(4),
+            velocity,
         }
     }
 
-    fn assemble_all(f: &Fixture, plan: &AssemblyPlan, pool: &ThreadPool) -> (Assembled, AssemblyStats) {
-        let n2e = f.mesh.node_to_elements();
-        let mut a = CsrMatrix::from_mesh(&f.mesh, &n2e);
-        let n = f.mesh.num_nodes();
-        let mut rhs = vec![vec![0.0; n]; 3];
-        let pressure: Vec<f64> = f.mesh.coords.iter().map(|p| p.x - 2.0 * p.z).collect();
-        let (props, dt) = (FluidProps::default(), 1e-4);
-        let stats = assemble_momentum(
-            pool,
-            &f.refs,
-            &f.mesh,
-            plan,
-            &f.velocity,
-            &pressure,
-            props,
-            dt,
-            Vec3::new(0.0, 0.0, -9.81),
-            &mut a,
-            &mut rhs,
-        );
-        let mut div = vec![0.0; n];
-        assemble_divergence(pool, &f.refs, &f.mesh, plan, &f.velocity, props, dt, &mut div);
-        let mut grad = vec![0.0; 3 * n];
-        assemble_pressure_gradient(pool, &f.refs, &f.mesh, plan, &pressure, &mut grad);
-        ((a.values, rhs, div, grad), stats)
+    fn fixture() -> Fixture {
+        fixture_of(AirwaySpec::small().generations)
     }
 
-    fn assemble_with(f: &Fixture, strategy: AssemblyStrategy) -> (Assembled, AssemblyStats) {
-        assemble_all(f, &plan_for(f, strategy, false), &f.pool)
+    /// Everything the sweeps of one plan add up, one vector each.
+    const ASSEMBLED: [&str; 7] = [
+        "momentum matrix",
+        "momentum rhs x",
+        "momentum rhs y",
+        "momentum rhs z",
+        "Poisson matrix",
+        "divergence",
+        "pressure gradient",
+    ];
+
+    fn all_elems(f: &Fixture) -> Vec<u32> {
+        (0..f.mesh.num_elements() as u32).collect()
+    }
+
+    fn plan_of(
+        f: &Fixture,
+        elems: Vec<u32>,
+        strategy: AssemblyStrategy,
+        order: ElementOrder,
+    ) -> AssemblyPlan {
+        AssemblyPlan::new(&f.mesh, elems, strategy, 24, &f.pattern, order)
+    }
+
+    fn plan_for(f: &Fixture, strategy: AssemblyStrategy, order: ElementOrder) -> AssemblyPlan {
+        plan_of(f, all_elems(f), strategy, order)
+    }
+
+    /// The [`ASSEMBLED`] vectors of `plan` on `pool`: through the batch
+    /// engine, or through the element-at-a-time loops it replaced.
+    fn assemble_all(
+        f: &Fixture,
+        plan: &AssemblyPlan,
+        pool: &ThreadPool,
+        through_oracle: bool,
+    ) -> (Vec<Vec<f64>>, AssemblyStats) {
+        let (mut a, mut l) = (f.pattern.clone(), f.pattern.clone());
+        let n = f.mesh.num_nodes();
+        let mut rhs = vec![vec![0.0; n]; 3];
+        let (mut div, mut grad) = (vec![0.0; n], vec![0.0; 3 * n]);
+        let pressure: Vec<f64> = f.mesh.coords.iter().map(|p| p.x - 2.0 * p.z).collect();
+        let (props, dt) = (FluidProps::default(), 1e-4);
+        let gravity = Vec3::new(0.0, 0.0, -9.81);
+        let (refs, mesh, u) = (&f.refs, &f.mesh, &f.velocity[..]);
+        let stats = if through_oracle {
+            oracle::assemble_poisson(pool, refs, mesh, plan, &mut l);
+            oracle::assemble_divergence(pool, refs, mesh, plan, u, props, dt, &mut div);
+            oracle::assemble_pressure_gradient(pool, refs, mesh, plan, &pressure, &mut grad);
+            oracle::assemble_momentum(
+                pool, refs, mesh, plan, u, &pressure, props, dt, gravity, &mut a, &mut rhs,
+            )
+        } else {
+            assemble_poisson(pool, refs, mesh, plan, &mut l);
+            assemble_divergence(pool, refs, mesh, plan, u, props, dt, &mut div);
+            assemble_pressure_gradient(pool, refs, mesh, plan, &pressure, &mut grad);
+            assemble_momentum(
+                pool, refs, mesh, plan, u, &pressure, props, dt, gravity, &mut a, &mut rhs,
+            )
+        };
+        let [x, y, z]: [Vec<f64>; 3] = rhs.try_into().unwrap();
+        (vec![a.values, x, y, z, l.values, div, grad], stats)
+    }
+
+    fn assemble_with(f: &Fixture, strategy: AssemblyStrategy) -> (Vec<Vec<f64>>, AssemblyStats) {
+        assemble_all(f, &plan_for(f, strategy, ElementOrder::List), &f.pool, false)
     }
 
     fn assert_close(what: &str, a: &[f64], b: &[f64], tol: f64) {
@@ -632,7 +375,8 @@ mod tests {
     fn all_strategies_assemble_identically() {
         let f = fixture();
         let one = ThreadPool::new(1);
-        let ((a_ref, rhs_ref, ..), _) = assemble_with(&f, AssemblyStrategy::Serial);
+        let serial = plan_for(&f, AssemblyStrategy::Serial, ElementOrder::List);
+        let (want, _) = assemble_all(&f, &serial, &one, true);
         for strategy in [
             AssemblyStrategy::Atomics,
             AssemblyStrategy::Coloring,
@@ -640,37 +384,133 @@ mod tests {
         ] {
             let (got, _) = assemble_with(&f, strategy);
             if strategy != AssemblyStrategy::Atomics {
-                let (alone, _) = assemble_all(&f, &plan_for(&f, strategy, false), &one);
+                let plan = plan_for(&f, strategy, ElementOrder::List);
+                let (alone, _) = assemble_all(&f, &plan, &one, false);
                 assert!(got == alone, "{strategy:?}: four workers moved bits of one");
             }
-            assert_close(&format!("{strategy:?} matrix"), &got.0, &a_ref, 1e-9);
-            for c in 0..3 {
-                assert_close(&format!("{strategy:?} rhs[{c}]"), &got.1[c], &rhs_ref[c], 1e-9);
+            for (what, (g, w)) in ASSEMBLED.iter().zip(got.iter().zip(&want)) {
+                assert_close(&format!("{strategy:?} {what}"), g, w, 1e-9);
             }
         }
     }
 
-    /// Momentum matrix and right-hand sides, divergence and pressure
-    /// gradient are `==` for 1, 2 and 4 workers under both order-fixed
-    /// strategies, on the list-order sweeps and on the kind-batched ones
-    /// (the only ones that run the two vector passes in parallel).
+    /// Every sweep is `==` for 1, 2 and 4 workers under both order-fixed
+    /// strategies, in list order and grouped by kind (the order that runs
+    /// the two vector passes in parallel).
     #[test]
     fn order_fixed_strategies_are_bit_identical_for_any_pool() {
         let f = fixture();
         for strategy in [AssemblyStrategy::Coloring, AssemblyStrategy::Multidep] {
-            for batched in [false, true] {
-                let plan = plan_for(&f, strategy, batched);
-                let (want, _) = assemble_all(&f, &plan, &ThreadPool::new(1));
-                assert!(want.2.iter().any(|&v| v != 0.0) && want.3.iter().any(|&v| v != 0.0));
+            for order in [ElementOrder::List, ElementOrder::KindGrouped] {
+                let plan = plan_for(&f, strategy, order);
+                let (want, _) = assemble_all(&f, &plan, &ThreadPool::new(1), false);
+                assert!(want.iter().all(|v| v.iter().any(|&x| x != 0.0)));
                 for workers in [2, 4] {
-                    let (got, _) = assemble_all(&f, &plan, &ThreadPool::new(workers));
-                    assert!(
-                        got == want,
-                        "{strategy:?} batched={batched}: {workers} workers moved bits"
-                    );
+                    let (got, _) = assemble_all(&f, &plan, &ThreadPool::new(workers), false);
+                    assert!(got == want, "{strategy:?} {order:?}: {workers} workers moved bits");
                 }
             }
         }
+    }
+
+    /// Element lists a plan can be handed, all of them sub-lists or
+    /// reorderings of the mesh's own: the generator's order, same-kind
+    /// runs of 1 … 20 elements, no two neighbours of one kind, every
+    /// other element (a rank's share of a round-robin split) and a random
+    /// half in random order.
+    fn element_list(f: &Fixture, shape: usize, rng: &mut Rng) -> Vec<u32> {
+        let all = all_elems(f);
+        let of_kind = |kind: ElementKind| -> Vec<u32> {
+            all.iter().copied().filter(|&e| f.mesh.kinds[e as usize] == kind).collect()
+        };
+        let mut kinds = [ElementKind::Tet4, ElementKind::Pyr5, ElementKind::Pri6]
+            .map(|k| of_kind(k).into_iter());
+        match shape {
+            0 => all,
+            1 => {
+                let mut list = Vec::new();
+                while list.len() < all.len() {
+                    let run = rng.range_usize(1, 21);
+                    list.extend(kinds[rng.range_usize(0, 3)].by_ref().take(run));
+                }
+                list
+            }
+            2 => {
+                let shortest = kinds.iter().map(|k| k.len()).min().unwrap();
+                assert!(shortest > 0, "the airway has all three kinds");
+                (0..3 * shortest).map(|i| kinds[i % 3].next().unwrap()).collect()
+            }
+            3 => {
+                let parity = rng.range_usize(0, 2) as u32;
+                all.into_iter().filter(|e| e % 2 == parity).collect()
+            }
+            _ => {
+                let mut list = all;
+                rng.shuffle(&mut list);
+                list.truncate(list.len() / 2);
+                list
+            }
+        }
+    }
+
+    /// What the reference layout rests on: a plan in list order adds up,
+    /// through lane blocks and scalar tails, the very bits of the
+    /// element-at-a-time loops it replaced — every sweep, every order-fixed
+    /// strategy, any worker count, whatever the list looks like. `Atomics`
+    /// regroups and agrees to rounding.
+    #[test]
+    fn list_order_batches_sum_the_bits_of_the_element_loops() {
+        let fixtures = [fixture_of(1), fixture_of(2)];
+        let pools = [1, 2, 4].map(ThreadPool::new);
+        let gen = (usize_range(0, 2), usize_range(0, 5), usize_range(0, 1 << 16));
+        check(
+            "list_order_batches_sum_the_bits_of_the_element_loops",
+            PropConfig::cases(10),
+            &gen,
+            |&(mesh, shape, seed)| {
+                let f = &fixtures[mesh];
+                let list = element_list(f, shape, &mut Rng::new(seed as u64));
+                for strategy in AssemblyStrategy::ALL {
+                    let plan = plan_of(f, list.clone(), strategy, ElementOrder::List);
+                    let (want, _) = assemble_all(f, &plan, &pools[0], true);
+                    assert!(want.iter().all(|v| v.iter().any(|&x| x != 0.0)));
+                    for pool in &pools {
+                        let (got, _) = assemble_all(f, &plan, pool, false);
+                        for (what, (g, w)) in ASSEMBLED.iter().zip(got.iter().zip(&want)) {
+                            if strategy == AssemblyStrategy::Atomics {
+                                assert_close(what, g, w, 1e-9);
+                            } else {
+                                let workers = pool.max_workers();
+                                assert!(g == w, "{strategy:?}, {workers} workers: {what} moved");
+                            }
+                        }
+                    }
+                }
+            },
+        );
+    }
+
+    /// Why colour classes may stay grouped by kind on the reference
+    /// layout: no two elements of a class share a node, so a class adds
+    /// into every entry at most once and any in-class order sums the
+    /// same bits.
+    #[test]
+    fn a_colour_class_sums_the_same_bits_in_either_order() {
+        let f = fixture();
+        let coloring = plan_for(&f, AssemblyStrategy::Coloring, ElementOrder::List);
+        let one = ThreadPool::new(1);
+        let mut mixed = 0;
+        for class in coloring.color_classes().unwrap() {
+            assert!(shares_no_node(&f.mesh, class));
+            let sums = |order| {
+                let plan = plan_of(&f, class.clone(), AssemblyStrategy::Serial, order);
+                assemble_all(&f, &plan, &one, false).0
+            };
+            assert!(sums(ElementOrder::List) == sums(ElementOrder::KindGrouped));
+            let kind = |e: &u32| f.mesh.kinds[*e as usize].num_nodes();
+            mixed += class.windows(2).any(|w| kind(&w[0]) > kind(&w[1])) as usize;
+        }
+        assert!(mixed > 0, "no class whose two orders differ: the test compares nothing");
     }
 
     /// The ordered Multidep DAG leaves the pool something to do: its
@@ -684,7 +524,9 @@ mod tests {
             let spec = AirwaySpec { generations, ..AirwaySpec::small() };
             let mesh = generate_airway(&spec).unwrap().mesh;
             let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-            let plan = AssemblyPlan::new(&mesh, elems, AssemblyStrategy::Multidep, 16);
+            let pattern = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+            let (strategy, order) = (AssemblyStrategy::Multidep, ElementOrder::List);
+            let plan = AssemblyPlan::new(&mesh, elems, strategy, 16, &pattern, order);
             let (members, objs) = plan.subdomains.as_ref().unwrap();
             let cost: Vec<f64> = members
                 .iter()
@@ -741,6 +583,8 @@ mod tests {
         let (_, stats) = assemble_with(&f, AssemblyStrategy::Multidep);
         assert_eq!(stats.tasks, 24);
         assert_eq!(stats.atomic_adds, 0);
+        let weights: f64 = f.mesh.kinds.iter().map(|k| k.cost_weight()).sum();
+        assert_eq!((stats.elements, stats.weighted_ops), (f.mesh.num_elements(), weights));
     }
 
     /// Plan builds hash nothing, so two builds of one mesh in one
@@ -750,8 +594,10 @@ mod tests {
     fn plan_builds_are_reproducible() {
         let f = fixture();
         let elems: Vec<u32> = (0..f.mesh.num_elements() as u32).collect();
-        let multidep =
-            || AssemblyPlan::new(&f.mesh, elems.clone(), AssemblyStrategy::Multidep, 16);
+        let plan = |strategy| {
+            AssemblyPlan::new(&f.mesh, elems.clone(), strategy, 16, &f.pattern, ElementOrder::List)
+        };
+        let multidep = || plan(AssemblyStrategy::Multidep);
         let (a, b) = (multidep(), multidep());
         assert_eq!(a.subdomains, b.subdomains);
         let (members, objs) = a.subdomains.as_ref().unwrap();
@@ -767,18 +613,15 @@ mod tests {
         ends.sort();
         assert!(ends.windows(2).all(|w| w[0] != w[1]), "two objects on one edge: {ends:?}");
 
-        let coloring =
-            || AssemblyPlan::new(&f.mesh, elems.clone(), AssemblyStrategy::Coloring, 16);
+        let coloring = || plan(AssemblyStrategy::Coloring);
         assert_eq!(coloring().color_classes, coloring().color_classes);
     }
 
     #[test]
     fn poisson_matrix_is_symmetric() {
         let f = fixture();
-        let n2e = f.mesh.node_to_elements();
-        let mut a = CsrMatrix::from_mesh(&f.mesh, &n2e);
-        let elems: Vec<u32> = (0..f.mesh.num_elements() as u32).collect();
-        let plan = AssemblyPlan::new(&f.mesh, elems, AssemblyStrategy::Multidep, 16);
+        let plan = plan_for(&f, AssemblyStrategy::Multidep, ElementOrder::List);
+        let mut a = f.pattern.clone();
         assemble_poisson(&f.pool, &f.refs, &f.mesh, &plan, &mut a);
         let pat = a.pattern();
         for row in 0..a.n {
@@ -801,33 +644,16 @@ mod tests {
         // Assembling half the elements (one MPI domain) works and only
         // touches rows of nodes in that half.
         let f = fixture();
-        let n2e = f.mesh.node_to_elements();
-        let mut a = CsrMatrix::from_mesh(&f.mesh, &n2e);
-        let n = f.mesh.num_nodes();
-        let mut rhs = vec![vec![0.0; n]; 3];
         let half: Vec<u32> = (0..(f.mesh.num_elements() / 2) as u32).collect();
         let touched: std::collections::HashSet<u32> = half
             .iter()
             .flat_map(|&e| f.mesh.elem_nodes(e as usize).iter().copied())
             .collect();
-        let plan = AssemblyPlan::new(&f.mesh, half, AssemblyStrategy::Coloring, 8);
-        let zero_p = vec![0.0; f.mesh.num_nodes()];
-        assemble_momentum(
-            &f.pool,
-            &f.refs,
-            &f.mesh,
-            &plan,
-            &f.velocity,
-            &zero_p,
-            FluidProps::default(),
-            1e-4,
-            Vec3::ZERO,
-            &mut a,
-            &mut rhs,
-        );
-        for node in 0..n as u32 {
+        let plan = plan_of(&f, half, AssemblyStrategy::Coloring, ElementOrder::List);
+        let (sums, _) = assemble_all(&f, &plan, &f.pool, false);
+        for node in 0..f.mesh.num_nodes() as u32 {
             if !touched.contains(&node) {
-                assert_eq!(rhs[0][node as usize], 0.0, "untouched node {node} has rhs");
+                assert_eq!(sums[1][node as usize], 0.0, "untouched node {node} has rhs");
             }
         }
     }

@@ -1,28 +1,34 @@
-//! Kind-batched SoA assembly: the element loops of the fast layout
-//! ([`crate::layout`]), run by the `assemble_*` entry points of
-//! [`crate::assembly`] whenever the plan carries a [`BatchSchedule`].
+//! The one assembly engine: every element sweep of a run — momentum,
+//! Poisson, divergence, pressure gradient, under any strategy and on
+//! either layout — walks a [`BatchSchedule`] of same-kind batches.
 //!
-//! The unbatched assembly loop dispatches on `ElementKind` per element
-//! and binary-searches the CSR pattern for every scatter-add. Batching
-//! groups each parallel unit's elements by kind into contiguous batches
-//! with three precomputed SoA side arrays:
+//! Each parallel unit of the strategy (the whole list, a colour class, a
+//! subdomain) is a [`BatchSet`]: its elements in sweep order, cut into
+//! maximal same-kind runs, with three precomputed SoA side arrays shared
+//! by all runs of the set:
 //!
-//! * `gather`  — `nn × len` node ids (the gather list),
-//! * `scatter` — `nn² × len` flat CSR value indices (no pattern search
-//!   in the hot loop),
+//! * `gather`  — `nn` node ids per element (the gather list),
+//! * `scatter` — `nn²` flat CSR value indices per element (no pattern
+//!   search in the hot loop),
 //! * `h`       — cached characteristic element lengths (no per-element
 //!   volume computation in the hot loop).
 //!
-//! Inside a batch every full block of [`LANES`] elements goes through
-//! the lane kernels ([`crate::lanes`]) and the tail through kernels
+//! Inside a run every full block of [`LANES`] elements goes through the
+//! lane kernels ([`crate::lanes`]) and the tail through kernels
 //! monomorphized over the node count
 //! ([`crate::kernels::momentum_kernel_n`]), so the inner loops have
-//! compile-time trip counts and no per-element branch. The
-//! floating-point sequence per element is identical to the dynamic
-//! kernels — local matrices are bit-identical; only the order elements
-//! are visited (grouped by kind) differs, which regroups the sums of
-//! shared rows: the one thing the fast layout's own golden pins and the
-//! strategy-equivalence tolerance covers.
+//! compile-time trip counts and no per-element branch. Per element the
+//! floating-point sequence is that of the dynamically dispatched scalar
+//! kernels ([`crate::oracle`]) — local matrices are bit-identical — and a
+//! lane block scatters its eight elements one after the other, so a set
+//! adds into every shared row in exactly its sweep order.
+//!
+//! That order is the only thing a layout chooses ([`ElementOrder`]): the
+//! unit's list order (the generator lists elements in same-kind runs that
+//! are multiples of eight, so 97–100 % of an airway still go eight
+//! abreast) or grouped by kind. Batching itself moves no bit; grouping
+//! regroups the sums of shared rows, which is why each order has its own
+//! golden.
 
 use crate::assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy};
 use crate::csr::{AtomicView, CsrMatrix, DisjointView};
@@ -38,25 +44,40 @@ use crate::shape::RefElement;
 use cfpd_mesh::{ElementKind, Mesh, Vec3};
 use cfpd_runtime::{parallel_for, TaskGraph, ThreadPool};
 use std::ops::Range;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// One contiguous same-kind batch of elements with its SoA side arrays.
-#[derive(Debug, Clone)]
-pub struct KindBatch {
-    pub kind: ElementKind,
-    /// Global element ids, in the original unit order.
-    pub elems: Vec<u32>,
-    /// Flattened gather list: element `b` reads nodes
-    /// `gather[b*nn .. (b+1)*nn]`.
-    pub gather: Vec<u32>,
-    /// Flattened scatter list: element `b`'s (i,j) entry adds into CSR
-    /// value index `scatter[b*nn*nn + i*nn + j]`.
-    pub scatter: Vec<u32>,
-    /// Characteristic element length `|V|^(1/3)` per element.
-    pub h: Vec<f64>,
+/// The order in which a plan sums the elements of each strategy unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ElementOrder {
+    /// The unit's list order, and the two right-hand-side sweeps walk the
+    /// plan's whole element list on the caller's thread whatever the
+    /// strategy: what `tests/golden/sync_small.golden` pins.
+    List,
+    /// Grouped by kind (`Tet4 → Pyr5 → Pri6`, list order within a kind),
+    /// all four sweeps on the strategy's units: what
+    /// `tests/golden/sync_small_opt.golden` pins.
+    KindGrouped,
 }
 
-impl KindBatch {
+/// One maximal same-kind run of a [`BatchSet`]: a view into the set's
+/// arenas.
+#[derive(Debug, Clone, Copy)]
+pub struct KindBatch<'a> {
+    pub kind: ElementKind,
+    /// Global element ids, in sweep order.
+    pub elems: &'a [u32],
+    /// Flattened gather list: element `b` reads nodes
+    /// `gather[b*nn .. (b+1)*nn]`.
+    pub gather: &'a [u32],
+    /// Flattened scatter list: element `b`'s (i,j) entry adds into CSR
+    /// value index `scatter[b*nn*nn + i*nn + j]`. Empty in a set built
+    /// without a pattern (right-hand-side sweeps only).
+    pub scatter: &'a [u32],
+    /// Characteristic element length `|V|^(1/3)` per element.
+    pub h: &'a [f64],
+}
+
+impl KindBatch<'_> {
     /// Nodes per element of this batch.
     #[inline]
     pub fn nn(&self) -> usize {
@@ -75,61 +96,159 @@ impl KindBatch {
     }
 }
 
-/// The batches of one parallel unit (full list, color class, or
-/// subdomain), grouped by kind in `Tet4 → Pyr5 → Pri6` order.
+/// Where one same-kind run starts in its set's arenas.
+#[derive(Debug, Clone, Copy)]
+struct KindRun {
+    kind: ElementKind,
+    /// Index of the run's first element in `elems` / `h`, and how many.
+    first: usize,
+    len: usize,
+    gather_at: usize,
+    scatter_at: usize,
+}
+
+/// The elements of one parallel unit (full list, colour class, or
+/// subdomain) in sweep order, cut into maximal same-kind runs over one
+/// gather / scatter / `h` arena (a five-generation airway in list order
+/// has 2 287 runs of ≈ 20 elements: one allocation per array, not per
+/// run).
 #[derive(Debug, Clone, Default)]
 pub struct BatchSet {
-    pub batches: Vec<KindBatch>,
+    elems: Vec<u32>,
+    gather: Vec<u32>,
+    scatter: Vec<u32>,
+    h: Vec<f64>,
+    runs: Vec<KindRun>,
 }
 
 impl BatchSet {
-    /// Group `elems` by kind (stable: original relative order kept
-    /// within each batch) and precompute gather/scatter/h.
-    pub fn build(mesh: &Mesh, pattern: &CsrMatrix, elems: &[u32]) -> BatchSet {
-        let mut batches = Vec::new();
-        for kind in [ElementKind::Tet4, ElementKind::Pyr5, ElementKind::Pri6] {
-            let members: Vec<u32> = elems
-                .iter()
-                .copied()
-                .filter(|&e| mesh.kinds[e as usize] == kind)
-                .collect();
-            if members.is_empty() {
-                continue;
+    /// Put `elems` in `order` and precompute gather, `h` and — against
+    /// `pattern`, when the set is to scatter into a matrix — the CSR
+    /// value indices. One batch per maximal same-kind run: any number in
+    /// list order, at most three when grouped by kind.
+    pub fn build(
+        mesh: &Mesh,
+        pattern: Option<&CsrMatrix>,
+        elems: &[u32],
+        order: ElementOrder,
+    ) -> BatchSet {
+        let mut set = BatchSet { elems: elems.to_vec(), ..Default::default() };
+        if order == ElementOrder::KindGrouped {
+            // Stable: list order survives within a kind.
+            set.elems.sort_by_key(|&e| RefElement::index_of(mesh.kinds[e as usize]));
+        }
+        let nodes_of = |e: &u32| mesh.kinds[*e as usize].num_nodes();
+        set.gather.reserve_exact(elems.iter().map(nodes_of).sum());
+        if pattern.is_some() {
+            set.scatter.reserve_exact(elems.iter().map(|e| nodes_of(e) * nodes_of(e)).sum());
+        }
+        set.h.reserve_exact(elems.len());
+        for (at, &e) in set.elems.iter().enumerate() {
+            let (e, kind) = (e as usize, mesh.kinds[e as usize]);
+            if set.runs.last().is_none_or(|run| run.kind != kind) {
+                set.runs.push(KindRun {
+                    kind,
+                    first: at,
+                    len: 0,
+                    gather_at: set.gather.len(),
+                    scatter_at: set.scatter.len(),
+                });
             }
-            let nn = kind.num_nodes();
-            let mut gather = Vec::with_capacity(nn * members.len());
-            let mut scatter = Vec::with_capacity(nn * nn * members.len());
-            let mut h = Vec::with_capacity(members.len());
-            for &e in &members {
-                let nodes = mesh.elem_nodes(e as usize);
-                debug_assert_eq!(nodes.len(), nn);
-                gather.extend_from_slice(nodes);
-                for i in 0..nn {
-                    for j in 0..nn {
-                        scatter.push(
-                            pattern.entry_index(nodes[i] as usize, nodes[j] as usize) as u32,
-                        );
+            set.runs.last_mut().expect("pushed above").len += 1;
+            let nodes = mesh.elem_nodes(e);
+            debug_assert_eq!(nodes.len(), kind.num_nodes());
+            set.gather.extend_from_slice(nodes);
+            if let Some(pattern) = pattern {
+                for &i in nodes {
+                    for &j in nodes {
+                        set.scatter.push(pattern.entry_index(i as usize, j as usize) as u32);
                     }
                 }
-                h.push(mesh.volume(e as usize).abs().cbrt());
             }
-            batches.push(KindBatch { kind, elems: members, gather, scatter, h });
+            set.h.push(mesh.volume(e).abs().cbrt());
         }
-        BatchSet { batches }
+        set
+    }
+
+    /// The set's same-kind batches, in sweep order.
+    pub fn batches(&self) -> impl Iterator<Item = KindBatch<'_>> {
+        self.runs.iter().map(|run| {
+            let (nn, elems) = (run.kind.num_nodes(), run.first..run.first + run.len);
+            // A set built without a pattern has no scatter list at all.
+            let scatter_len = if self.scatter.is_empty() { 0 } else { run.len * nn * nn };
+            KindBatch {
+                kind: run.kind,
+                elems: &self.elems[elems.clone()],
+                gather: &self.gather[run.gather_at..run.gather_at + run.len * nn],
+                scatter: &self.scatter[run.scatter_at..run.scatter_at + scatter_len],
+                h: &self.h[elems],
+            }
+        })
     }
 
     /// Total elements across all batches.
     pub fn num_elements(&self) -> usize {
-        self.batches.iter().map(KindBatch::len).sum()
+        self.elems.len()
     }
 }
 
 /// Batched schedule of a plan: one [`BatchSet`] per parallel unit of
 /// the strategy (Serial/Atomics: one; Coloring: per class; Multidep:
-/// per subdomain).
-#[derive(Debug, Clone, Default)]
+/// per subdomain), in the plan's [`ElementOrder`].
+#[derive(Debug, Clone)]
 pub struct BatchSchedule {
     pub units: Vec<BatchSet>,
+    /// In list order under a strategy whose units are not the whole list:
+    /// the plan's elements as one set (gather and `h`, no scatter
+    /// indices), which the two right-hand-side sweeps walk on the
+    /// caller's thread. `None` when they run on `units`.
+    rhs_list: Option<BatchSet>,
+}
+
+impl BatchSchedule {
+    /// The schedule of a plan over `elems` whose strategy sweeps
+    /// `unit_lists` (against `pattern`'s sparsity: the momentum and
+    /// Poisson matrices of a mesh share one pattern, so one schedule
+    /// serves both systems).
+    pub(crate) fn build(
+        mesh: &Mesh,
+        pattern: &CsrMatrix,
+        strategy: AssemblyStrategy,
+        elems: &[u32],
+        unit_lists: &[&[u32]],
+        order: ElementOrder,
+    ) -> BatchSchedule {
+        // Same-colour elements share no node (`AssemblyPlan::new` checks),
+        // so a colour class adds into every entry at most once and sums
+        // the same bits in any in-class order; `Atomics` promises no
+        // order. Both stay kind-grouped: three parallel regions per unit,
+        // not one per 20-element run.
+        let unit_order = match strategy {
+            AssemblyStrategy::Atomics | AssemblyStrategy::Coloring => ElementOrder::KindGrouped,
+            AssemblyStrategy::Serial | AssemblyStrategy::Multidep => order,
+        };
+        let units = unit_lists
+            .iter()
+            .map(|list| BatchSet::build(mesh, Some(pattern), list, unit_order))
+            .collect();
+        // The serial strategy's one unit already is the whole list.
+        let rhs_list = (order == ElementOrder::List && strategy != AssemblyStrategy::Serial)
+            .then(|| BatchSet::build(mesh, None, elems, ElementOrder::List));
+        BatchSchedule { units, rhs_list }
+    }
+}
+
+/// Strategy and units of a plan's momentum and Poisson sweeps.
+fn matrix_sweep(plan: &AssemblyPlan) -> (AssemblyStrategy, &[BatchSet]) {
+    (plan.strategy, &plan.batch_schedule().units)
+}
+
+/// Strategy and units of a plan's divergence and pressure-gradient sweeps.
+fn rhs_sweep(plan: &AssemblyPlan) -> (AssemblyStrategy, &[BatchSet]) {
+    match &plan.batch_schedule().rhs_list {
+        Some(set) => (AssemblyStrategy::Serial, std::slice::from_ref(set)),
+        None => matrix_sweep(plan),
+    }
 }
 
 /// Scatter discipline of one batched assembly (atomic vs. plain adds
@@ -141,7 +260,7 @@ trait ScatterSink: Sync {
 
 struct AtomicSink<'a> {
     matrix: AtomicView<'a>,
-    rhs: Vec<AtomicView<'a>>,
+    rhs: [AtomicView<'a>; 3],
 }
 
 impl ScatterSink for AtomicSink<'_> {
@@ -157,7 +276,16 @@ impl ScatterSink for AtomicSink<'_> {
 
 struct DisjointSink<'a> {
     matrix: DisjointView<'a>,
-    rhs: Vec<DisjointView<'a>>,
+    rhs: [DisjointView<'a>; 3],
+}
+
+impl<'a> DisjointSink<'a> {
+    fn over<R: AsMut<[f64]>>(values: &'a mut [f64], rhs: &'a mut [R]) -> Self {
+        DisjointSink {
+            matrix: DisjointView::from_slice(values),
+            rhs: rhs_views(rhs, DisjointView::from_slice),
+        }
+    }
 }
 
 impl ScatterSink for DisjointSink<'_> {
@@ -200,32 +328,42 @@ trait BatchCtx: Sync {
     );
 }
 
+/// Kernel inputs of one executor, reused from batch to batch.
+#[derive(Default)]
+struct Scratch {
+    one: ElementScratch,
+    lanes: LaneScratch,
+}
+
+/// Full lane blocks of `range`, then its tail one element at a time;
+/// returns how many elements went through the lane kernel.
 fn run_n<C: BatchCtx, const NN: usize, S: ScatterSink>(
     ctx: &C,
     batch: &KindBatch,
     range: Range<usize>,
-    scratch: &mut ElementScratch,
+    scratch: &mut Scratch,
     sink: &S,
-) {
+) -> usize {
     let mut b = range.start;
-    let mut ls = LaneScratch::default();
     while b + LANES <= range.end {
-        ctx.run_lanes::<NN, S>(batch, b, &mut ls, sink);
+        ctx.run_lanes::<NN, S>(batch, b, &mut scratch.lanes, sink);
         b += LANES;
     }
     for bb in b..range.end {
-        ctx.run_one::<NN, S>(batch, bb, scratch, sink);
+        ctx.run_one::<NN, S>(batch, bb, &mut scratch.one, sink);
     }
+    b - range.start
 }
 
-/// Process `range` of `batch` with kernels monomorphized over its kind.
+/// Process `range` of `batch` with kernels monomorphized over its kind;
+/// returns [`run_n`]'s count.
 fn run_batch<C: BatchCtx, S: ScatterSink>(
     ctx: &C,
     batch: &KindBatch,
     range: Range<usize>,
-    scratch: &mut ElementScratch,
+    scratch: &mut Scratch,
     sink: &S,
-) {
+) -> usize {
     match batch.kind {
         ElementKind::Tet4 => run_n::<C, 4, S>(ctx, batch, range, scratch, sink),
         ElementKind::Pyr5 => run_n::<C, 5, S>(ctx, batch, range, scratch, sink),
@@ -283,8 +421,8 @@ impl BatchCtx for MomentumCtx<'_> {
             self.coords,
             Some(self.velocity),
             Some(self.pressure),
-            &batch.gather,
-            &batch.h,
+            batch.gather,
+            batch.h,
             NN,
             b,
         );
@@ -341,7 +479,7 @@ impl BatchCtx for PoissonCtx<'_> {
         sink: &S,
     ) {
         let re = &self.refs[RefElement::index_of(batch.kind)];
-        ls.load(self.coords, None, None, &batch.gather, &batch.h, NN, b);
+        ls.load(self.coords, None, None, batch.gather, batch.h, NN, b);
         let lp = poisson_kernel_lanes::<NN>(re, ls).expect("degenerate element");
         for l in 0..LANES {
             let sc = &batch.scatter[(b + l) * NN * NN..(b + l + 1) * NN * NN];
@@ -391,7 +529,7 @@ impl BatchCtx for DivergenceCtx<'_> {
         sink: &S,
     ) {
         let re = &self.refs[RefElement::index_of(batch.kind)];
-        ls.load(self.coords, Some(self.velocity), None, &batch.gather, &batch.h, NN, b);
+        ls.load(self.coords, Some(self.velocity), None, batch.gather, batch.h, NN, b);
         let div = divergence_kernel_lanes::<NN>(re, ls, self.props, self.dt)
             .expect("degenerate element");
         for l in 0..LANES {
@@ -443,7 +581,7 @@ impl BatchCtx for PressureGradientCtx<'_> {
         sink: &S,
     ) {
         let re = &self.refs[RefElement::index_of(batch.kind)];
-        ls.load(self.coords, None, Some(self.pressure), &batch.gather, &batch.h, NN, b);
+        ls.load(self.coords, None, Some(self.pressure), batch.gather, batch.h, NN, b);
         let g = pressure_gradient_kernel_lanes::<NN>(re, ls).expect("degenerate element");
         for l in 0..LANES {
             let nodes = &batch.gather[(b + l) * NN..(b + l + 1) * NN];
@@ -456,69 +594,52 @@ impl BatchCtx for PressureGradientCtx<'_> {
     }
 }
 
-/// Run a whole batch set serially through `sink` (one task / one color
-/// worker / the serial strategy).
-fn run_set<C: BatchCtx, S: ScatterSink>(
-    ctx: &C,
-    set: &BatchSet,
-    scratch: &mut ElementScratch,
-    sink: &S,
-) {
-    for batch in &set.batches {
-        run_batch(ctx, batch, 0..batch.len(), scratch, sink);
-    }
+/// Run a whole batch set on the calling thread (one task, or the serial
+/// strategy); returns how many of its elements went through lane blocks.
+fn run_set<C: BatchCtx, S: ScatterSink>(ctx: &C, set: &BatchSet, sink: &S) -> usize {
+    let mut scratch = Scratch::default();
+    set.batches().map(|batch| run_batch(ctx, &batch, 0..batch.len(), &mut scratch, sink)).sum()
 }
 
-/// Strategy-dispatched batched sweep (the counterpart of the unbatched
-/// `assemble_generic`, operating on the plan's [`BatchSchedule`]) adding
-/// into the matrix `values` (empty for a right-hand-side-only context)
-/// and the `C::RHS_DIM` vectors of `rhs`.
-fn assemble_batched<C: BatchCtx, R: AsMut<[f64]>>(
+/// One view per right-hand-side slot of a sink; the slots a context does
+/// not scatter into view nothing.
+fn rhs_views<'a, R: AsMut<[f64]>, V>(
+    rhs: &'a mut [R],
+    view: impl Fn(&'a mut [f64]) -> V,
+) -> [V; 3] {
+    let mut rhs = rhs.iter_mut();
+    std::array::from_fn(|_| view(rhs.next().map_or(&mut [], |r| r.as_mut())))
+}
+
+/// The strategy-dispatched element sweep behind the four `assemble_*`
+/// entry points: adds `ctx`'s element contributions over `units` (the
+/// plan's [`matrix_sweep`] or [`rhs_sweep`]) into the matrix `values`
+/// (empty for a right-hand-side-only context) and the `C::RHS_DIM`
+/// vectors of `rhs`.
+fn sweep<C: BatchCtx, R: AsMut<[f64]>>(
     pool: &ThreadPool,
-    mesh: &Mesh,
     plan: &AssemblyPlan,
+    (strategy, units): (AssemblyStrategy, &[BatchSet]),
     ctx: &C,
     values: &mut [f64],
     rhs: &mut [R],
 ) -> AssemblyStats {
     assert_eq!(rhs.len(), C::RHS_DIM);
-    let sched = plan.batch_schedule().expect("the assemble_* entry points checked");
-    let mut stats = AssemblyStats {
-        elements: plan.elems.len(),
-        weighted_ops: plan
-            .elems
-            .iter()
-            .map(|&e| mesh.kinds[e as usize].cost_weight())
-            .sum(),
-        colors: plan.num_colors(),
-        tasks: plan.num_subdomains(),
-        ..Default::default()
-    };
+    let mut stats = plan.stats();
+    // Elements that went eight abreast, summed once per task or chunk.
+    let lanes = AtomicUsize::new(0);
 
-    match plan.strategy {
+    match strategy {
         AssemblyStrategy::Serial => {
-            let sink = DisjointSink {
-                matrix: DisjointView::from_slice(values),
-                rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r.as_mut())).collect(),
-            };
-            let mut scratch = ElementScratch::default();
-            for set in &sched.units {
-                run_set(ctx, set, &mut scratch, &sink);
-            }
+            let sink = DisjointSink::over(values, rhs);
+            lanes.store(units.iter().map(|set| run_set(ctx, set, &sink)).sum(), Ordering::Relaxed);
         }
         AssemblyStrategy::Atomics => {
             let sink = AtomicSink {
                 matrix: AtomicView::from_slice(values),
-                rhs: rhs.iter_mut().map(|r| AtomicView::from_slice(r.as_mut())).collect(),
+                rhs: rhs_views(rhs, AtomicView::from_slice),
             };
-            for set in &sched.units {
-                for batch in &set.batches {
-                    parallel_for(pool, 0..batch.len(), plan.atomics_grain(), |range| {
-                        let mut scratch = ElementScratch::default();
-                        run_batch(ctx, batch, range, &mut scratch, &sink);
-                    });
-                }
-            }
+            run_chunked(pool, plan, units, ctx, &sink, &lanes);
             stats.atomic_adds = sink.matrix.atomic_ops.load(Ordering::Relaxed)
                 + sink
                     .rhs
@@ -526,43 +647,56 @@ fn assemble_batched<C: BatchCtx, R: AsMut<[f64]>>(
                     .map(|r| r.atomic_ops.load(Ordering::Relaxed))
                     .sum::<usize>();
         }
+        // One unit per color class; classes stay barriers.
         AssemblyStrategy::Coloring => {
-            let sink = DisjointSink {
-                matrix: DisjointView::from_slice(values),
-                rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r.as_mut())).collect(),
-            };
-            // One unit per color class; classes stay barriers.
-            for set in &sched.units {
-                for batch in &set.batches {
-                    parallel_for(pool, 0..batch.len(), plan.atomics_grain(), |range| {
-                        let mut scratch = ElementScratch::default();
-                        run_batch(ctx, batch, range, &mut scratch, &sink);
-                    });
-                }
-            }
+            run_chunked(pool, plan, units, ctx, &DisjointSink::over(values, rhs), &lanes)
         }
         AssemblyStrategy::Multidep => {
-            let sink = DisjointSink {
-                matrix: DisjointView::from_slice(values),
-                rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r.as_mut())).collect(),
-            };
+            let sink = DisjointSink::over(values, rhs);
             let mut graph = TaskGraph::new();
-            for (s, set) in sched.units.iter().enumerate() {
-                let sink = &sink;
+            for (s, set) in units.iter().enumerate() {
+                let (sink, lanes) = (&sink, &lanes);
                 graph.add_task(&plan.ordered_deps(s), move || {
-                    let mut scratch = ElementScratch::default();
-                    run_set(ctx, set, &mut scratch, sink);
+                    lanes.fetch_add(run_set(ctx, set, sink), Ordering::Relaxed);
                 });
             }
             graph.execute(pool);
         }
     }
+    let swept: usize = units.iter().map(BatchSet::num_elements).sum();
+    let lanes = lanes.into_inner();
+    cfpd_telemetry::count!("solver.lane_elements", lanes as u64);
+    cfpd_telemetry::count!("solver.tail_elements", (swept - lanes) as u64);
     stats
 }
 
-/// The batched schedule of [`crate::assembly::assemble_momentum`].
+/// Every batch of every unit as one parallel loop over its elements
+/// (the Atomics and Coloring strategies).
+fn run_chunked<C: BatchCtx, S: ScatterSink>(
+    pool: &ThreadPool,
+    plan: &AssemblyPlan,
+    units: &[BatchSet],
+    ctx: &C,
+    sink: &S,
+    lanes: &AtomicUsize,
+) {
+    for batch in units.iter().flat_map(BatchSet::batches) {
+        parallel_for(pool, 0..batch.len(), plan.atomics_grain(), |range| {
+            let mut scratch = Scratch::default();
+            lanes.fetch_add(run_batch(ctx, &batch, range, &mut scratch, sink), Ordering::Relaxed);
+        });
+    }
+}
+
+fn count_assembly(plan: &AssemblyPlan) {
+    cfpd_telemetry::count!("solver.assemblies");
+    cfpd_telemetry::count!("solver.assembly_elements", plan.elems.len() as u64);
+}
+
+/// Assemble the momentum system (matrix + 3-component RHS) over
+/// `plan.elems`, on the plan's strategy units in the plan's order.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn momentum_batched(
+pub fn assemble_momentum(
     pool: &ThreadPool,
     refs: &[RefElement; 3],
     mesh: &Mesh,
@@ -575,26 +709,33 @@ pub(crate) fn momentum_batched(
     matrix: &mut CsrMatrix,
     rhs: &mut [Vec<f64>],
 ) -> AssemblyStats {
+    count_assembly(plan);
     let ctx =
         MomentumCtx { refs, coords: &mesh.coords, velocity, pressure, props, dt, body_force };
-    assemble_batched(pool, mesh, plan, &ctx, &mut matrix.values, rhs)
+    sweep(pool, plan, matrix_sweep(plan), &ctx, &mut matrix.values, rhs)
 }
 
-/// The batched schedule of [`crate::assembly::assemble_poisson`].
-pub(crate) fn poisson_batched(
+/// Assemble the pressure-Poisson matrix (the Laplacian; its right-hand
+/// side is [`assemble_divergence`]'s), scheduled like
+/// [`assemble_momentum`].
+pub fn assemble_poisson(
     pool: &ThreadPool,
     refs: &[RefElement; 3],
     mesh: &Mesh,
     plan: &AssemblyPlan,
     matrix: &mut CsrMatrix,
 ) -> AssemblyStats {
+    count_assembly(plan);
     let ctx = PoissonCtx { refs, coords: &mesh.coords };
-    assemble_batched::<_, Vec<f64>>(pool, mesh, plan, &ctx, &mut matrix.values, &mut [])
+    sweep::<_, Vec<f64>>(pool, plan, matrix_sweep(plan), &ctx, &mut matrix.values, &mut [])
 }
 
-/// The batched schedule of [`crate::assembly::assemble_divergence`].
+/// Add the weak divergence right-hand side of the pressure-Poisson
+/// system, `(ρ/dt) ∫ ∇N_i · u`, of `plan.elems` into `rhs`: on the
+/// strategy's units when the plan groups by kind, over the whole list on
+/// the caller's thread when it sums in list order ([`ElementOrder`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn divergence_batched(
+pub fn assemble_divergence(
     pool: &ThreadPool,
     refs: &[RefElement; 3],
     mesh: &Mesh,
@@ -605,12 +746,13 @@ pub(crate) fn divergence_batched(
     rhs: &mut [f64],
 ) {
     let ctx = DivergenceCtx { refs, coords: &mesh.coords, velocity, props, dt };
-    assemble_batched(pool, mesh, plan, &ctx, &mut [], &mut [rhs]);
+    sweep(pool, plan, rhs_sweep(plan), &ctx, &mut [], &mut [rhs]);
 }
 
-/// The batched schedule of
-/// [`crate::assembly::assemble_pressure_gradient`].
-pub(crate) fn pressure_gradient_batched(
+/// Add the weak nodal pressure gradient `∫ N_i ∇p` of `plan.elems` into
+/// `grad` (component `c` of node `i` at `grad[3 i + c]`), scheduled like
+/// [`assemble_divergence`].
+pub fn assemble_pressure_gradient(
     pool: &ThreadPool,
     refs: &[RefElement; 3],
     mesh: &Mesh,
@@ -619,62 +761,120 @@ pub(crate) fn pressure_gradient_batched(
     grad: &mut [f64],
 ) {
     let ctx = PressureGradientCtx { refs, coords: &mesh.coords, pressure };
-    assemble_batched(pool, mesh, plan, &ctx, &mut [], &mut [grad]);
+    sweep(pool, plan, rhs_sweep(plan), &ctx, &mut [], &mut [grad]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly::assemble_momentum;
+    use crate::oracle;
     use cfpd_mesh::{generate_airway, AirwaySpec};
 
+    /// Either order cuts the list into maximal same-kind runs whose side
+    /// arrays are what the mesh and the pattern say, element by element.
     #[test]
     fn batch_sets_partition_the_element_list() {
         let am = generate_airway(&AirwaySpec::small()).unwrap();
         let mesh = &am.mesh;
-        let n2e = mesh.node_to_elements();
-        let pattern = CsrMatrix::from_mesh(mesh, &n2e);
-        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let set = BatchSet::build(mesh, &pattern, &elems);
-        assert_eq!(set.num_elements(), elems.len());
-        let mut seen: Vec<u32> = set.batches.iter().flat_map(|b| b.elems.clone()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, elems);
-        for batch in &set.batches {
-            assert_eq!(batch.gather.len(), batch.nn() * batch.len());
-            assert_eq!(batch.scatter.len(), batch.nn() * batch.nn() * batch.len());
-            assert_eq!(batch.h.len(), batch.len());
-            assert!(batch.elems.iter().all(|&e| mesh.kinds[e as usize] == batch.kind));
+        let pattern = CsrMatrix::from_mesh(mesh, &mesh.node_to_elements());
+        let elems: Vec<u32> = (0..mesh.num_elements() as u32).rev().collect();
+        let mut grouped = elems.clone();
+        grouped.sort_by_key(|&e| mesh.kinds[e as usize].num_nodes());
+        for (order, want) in [(ElementOrder::List, &elems), (ElementOrder::KindGrouped, &grouped)] {
+            for pattern in [Some(&pattern), None] {
+                let set = BatchSet::build(mesh, pattern, &elems, order);
+                let batches: Vec<KindBatch> = set.batches().collect();
+                assert_eq!(batches.iter().map(KindBatch::len).sum::<usize>(), elems.len());
+                assert!(batches.windows(2).all(|w| w[0].kind != w[1].kind), "runs are maximal");
+                if order == ElementOrder::KindGrouped {
+                    assert_eq!(batches.len(), 3);
+                } else {
+                    assert!(batches.len() > 3);
+                }
+                let mut at = 0;
+                for batch in &batches {
+                    assert!(!batch.is_empty());
+                    assert_eq!(batch.elems, &want[at..at + batch.len()]);
+                    at += batch.len();
+                    let nn = batch.nn();
+                    for (b, &e) in batch.elems.iter().enumerate() {
+                        let nodes = mesh.elem_nodes(e as usize);
+                        assert_eq!(mesh.kinds[e as usize], batch.kind);
+                        assert_eq!(&batch.gather[b * nn..(b + 1) * nn], nodes);
+                        assert_eq!(batch.h[b], mesh.volume(e as usize).abs().cbrt());
+                        if let Some(pattern) = pattern {
+                            let sc = &batch.scatter[b * nn * nn..(b + 1) * nn * nn];
+                            for (k, &idx) in sc.iter().enumerate() {
+                                let (i, j) = (nodes[k / nn] as usize, nodes[k % nn] as usize);
+                                assert_eq!(idx as usize, pattern.entry_index(i, j));
+                            }
+                        }
+                    }
+                    assert_eq!(batch.scatter.len(), pattern.map_or(0, |_| nn * nn * batch.len()));
+                }
+            }
         }
     }
 
+    /// Aim 4's number, from the schedule itself: the generator lists
+    /// elements in same-kind runs of multiples of eight, so cut into 16
+    /// subdomains the golden mesh still goes ≥ 97 % eight abreast in list
+    /// order — and a plan counts what its sweeps will report.
+    #[test]
+    fn list_order_keeps_the_airway_in_lane_blocks() {
+        let spec = AirwaySpec { generations: 2, ..AirwaySpec::small() };
+        let mesh = generate_airway(&spec).unwrap().mesh;
+        let pattern = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+        let whole = BatchSet::build(&mesh, None, &elems, ElementOrder::List);
+        assert!(whole.batches().all(|b| b.len() % LANES == 0), "generator runs are whole blocks");
+        let strategy = AssemblyStrategy::Multidep;
+        let plan = AssemblyPlan::new(&mesh, elems, strategy, 16, &pattern, ElementOrder::List);
+        let units = &plan.batch_schedule().units;
+        let in_lanes: usize =
+            units.iter().flat_map(BatchSet::batches).map(|b| b.len() / LANES * LANES).sum();
+        let share = in_lanes as f64 / mesh.num_elements() as f64;
+        assert!(share >= 0.97, "{share:.3} of the elements in full lane blocks");
+    }
+
+    struct Fixture {
+        mesh: Mesh,
+        template: CsrMatrix,
+        velocity: Vec<Vec3>,
+        pressure: Vec<f64>,
+    }
+
+    fn fixture() -> Fixture {
+        let mesh = generate_airway(&AirwaySpec::small()).unwrap().mesh;
+        let template = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+        let velocity = mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
+        let pressure = mesh.coords.iter().map(|p| p.x * 3.0 - p.y).collect();
+        Fixture { mesh, template, velocity, pressure }
+    }
+
+    fn plan(f: &Fixture, strategy: AssemblyStrategy, order: ElementOrder) -> AssemblyPlan {
+        let elems: Vec<u32> = (0..f.mesh.num_elements() as u32).collect();
+        AssemblyPlan::new(&f.mesh, elems, strategy, 16, &f.template, order)
+    }
+
+    /// Grouped by kind, every strategy sums what the serial element loop
+    /// sums, regrouped.
     #[test]
     fn batched_momentum_matches_unbatched_serial() {
-        let am = generate_airway(&AirwaySpec::small()).unwrap();
-        let mesh = &am.mesh;
-        let n2e = mesh.node_to_elements();
-        let template = CsrMatrix::from_mesh(mesh, &n2e);
-        let refs = RefElement::all();
-        let pool = ThreadPool::new(4);
-        let velocity: Vec<Vec3> =
-            mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
-        let zero_p = vec![0.0; mesh.num_nodes()];
-        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-
-        let assemble = |batched: bool, strategy: AssemblyStrategy| {
-            let plan = if batched {
-                AssemblyPlan::with_batches(mesh, elems.clone(), strategy, 16, &template)
-            } else {
-                AssemblyPlan::new(mesh, elems.clone(), strategy, 16)
-            };
-            let mut a = template.clone();
-            let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
-            assemble_momentum(
+        let f = fixture();
+        let (refs, pool) = (RefElement::all(), ThreadPool::new(4));
+        let zero_p = vec![0.0; f.mesh.num_nodes()];
+        let assemble = |strategy, order, through_oracle: bool| {
+            let plan = plan(&f, strategy, order);
+            let mut a = f.template.clone();
+            let mut rhs = vec![vec![0.0; f.mesh.num_nodes()]; 3];
+            let sweep = if through_oracle { oracle::assemble_momentum } else { assemble_momentum };
+            sweep(
                 &pool,
                 &refs,
-                mesh,
+                &f.mesh,
                 &plan,
-                &velocity,
+                &f.velocity,
                 &zero_p,
                 FluidProps::default(),
                 1e-4,
@@ -685,9 +885,9 @@ mod tests {
             (a, rhs)
         };
 
-        let (a_ref, rhs_ref) = assemble(false, AssemblyStrategy::Serial);
+        let (a_ref, rhs_ref) = assemble(AssemblyStrategy::Serial, ElementOrder::List, true);
         for strategy in AssemblyStrategy::ALL {
-            let (a, rhs) = assemble(true, strategy);
+            let (a, rhs) = assemble(strategy, ElementOrder::KindGrouped, false);
             for (k, (x, y)) in a.values.iter().zip(&a_ref.values).enumerate() {
                 let scale = x.abs().max(y.abs()).max(1.0);
                 assert!((x - y).abs() <= 1e-9 * scale, "{strategy:?} entry {k}: {x} vs {y}");
@@ -703,18 +903,20 @@ mod tests {
 
     /// The plan's batches swept in order with the scalar kernel alone:
     /// what [`run_n`] would do if no block ever went through the lanes.
-    fn scalar_sweep<C: BatchCtx>(ctx: &C, plan: &AssemblyPlan, values: &mut [f64], rhs: &mut [Vec<f64>]) {
-        let sink = DisjointSink {
-            matrix: DisjointView::from_slice(values),
-            rhs: rhs.iter_mut().map(|r| DisjointView::from_slice(r)).collect(),
-        };
+    fn scalar_sweep<C: BatchCtx>(
+        ctx: &C,
+        plan: &AssemblyPlan,
+        values: &mut [f64],
+        rhs: &mut [Vec<f64>],
+    ) {
+        let sink = DisjointSink::over(values, rhs);
         let mut scratch = ElementScratch::default();
-        for batch in plan.batch_schedule().unwrap().units.iter().flat_map(|set| &set.batches) {
+        for batch in plan.batch_schedule().units.iter().flat_map(BatchSet::batches) {
             for b in 0..batch.len() {
                 match batch.kind {
-                    ElementKind::Tet4 => ctx.run_one::<4, _>(batch, b, &mut scratch, &sink),
-                    ElementKind::Pyr5 => ctx.run_one::<5, _>(batch, b, &mut scratch, &sink),
-                    ElementKind::Pri6 => ctx.run_one::<6, _>(batch, b, &mut scratch, &sink),
+                    ElementKind::Tet4 => ctx.run_one::<4, _>(&batch, b, &mut scratch, &sink),
+                    ElementKind::Pyr5 => ctx.run_one::<5, _>(&batch, b, &mut scratch, &sink),
+                    ElementKind::Pri6 => ctx.run_one::<6, _>(&batch, b, &mut scratch, &sink),
                 }
             }
         }
@@ -723,34 +925,25 @@ mod tests {
     /// Serial batched assembly — lane blocks and scalar tails — must be
     /// *bit-identical* to the same batches through the scalar kernel
     /// alone: same per-element bits (lane-kernel property tests)
-    /// scattered in the same order.
+    /// scattered in the same order. In either order.
     #[test]
     fn lane_batched_assembly_bit_identical_to_scalar_batched() {
-        let am = generate_airway(&AirwaySpec::small()).unwrap();
-        let mesh = &am.mesh;
-        let n2e = mesh.node_to_elements();
-        let template = CsrMatrix::from_mesh(mesh, &n2e);
-        let refs = RefElement::all();
-        let pool = ThreadPool::new(2);
-        let velocity: Vec<Vec3> =
-            mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
-        let pressure: Vec<f64> = mesh.coords.iter().map(|p| p.x * 3.0 - p.y).collect();
-        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let plan = AssemblyPlan::with_batches(mesh, elems, AssemblyStrategy::Serial, 16, &template);
-        let (n, nnz, props) = (mesh.num_nodes(), template.nnz(), FluidProps::default());
-        let coords = &mesh.coords[..];
+        let f = fixture();
+        let (refs, pool) = (RefElement::all(), ThreadPool::new(2));
+        let (n, nnz, props) = (f.mesh.num_nodes(), f.template.nnz(), FluidProps::default());
+        let (coords, velocity, pressure) = (&f.mesh.coords[..], &f.velocity[..], &f.pressure[..]);
 
         /// Both sweeps of one context; `rhs_len` entries per vector.
         fn check<C: BatchCtx>(
             what: &str,
             ctx: &C,
-            (pool, mesh, plan): (&ThreadPool, &Mesh, &AssemblyPlan),
+            (pool, plan): (&ThreadPool, &AssemblyPlan),
             nnz: usize,
             rhs_len: usize,
         ) {
             let fresh = || (vec![0.0; nnz], vec![vec![0.0; rhs_len]; C::RHS_DIM]);
             let (mut a_lanes, mut rhs_lanes) = fresh();
-            assemble_batched(pool, mesh, plan, ctx, &mut a_lanes, &mut rhs_lanes);
+            sweep(pool, plan, matrix_sweep(plan), ctx, &mut a_lanes, &mut rhs_lanes);
             let (mut a_scalar, mut rhs_scalar) = fresh();
             scalar_sweep(ctx, plan, &mut a_scalar, &mut rhs_scalar);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -761,50 +954,42 @@ mod tests {
             assert!(a_lanes.iter().chain(rhs_lanes.iter().flatten()).any(|v| *v != 0.0), "{what}");
         }
 
-        let on = (&pool, mesh, &plan);
-        let body_force = Vec3::new(0.0, 0.0, -9.81);
-        let velocity = &velocity[..];
-        let pressure = &pressure[..];
-        let momentum =
-            MomentumCtx { refs: &refs, coords, velocity, pressure, props, dt: 1e-4, body_force };
-        check("momentum", &momentum, on, nnz, n);
-        check("poisson", &PoissonCtx { refs: &refs, coords }, on, nnz, n);
-        let divergence = DivergenceCtx { refs: &refs, coords, velocity, props, dt: 1e-4 };
-        check("divergence", &divergence, on, 0, n);
-        check("pressure gradient", &PressureGradientCtx { refs: &refs, coords, pressure }, on, 0, 3 * n);
+        for order in [ElementOrder::List, ElementOrder::KindGrouped] {
+            let plan = plan(&f, AssemblyStrategy::Serial, order);
+            let on = (&pool, &plan);
+            let body_force = Vec3::new(0.0, 0.0, -9.81);
+            let dt = 1e-4;
+            let momentum = MomentumCtx { refs: &refs, coords, velocity, pressure, props, dt, body_force };
+            check("momentum", &momentum, on, nnz, n);
+            check("poisson", &PoissonCtx { refs: &refs, coords }, on, nnz, n);
+            let divergence = DivergenceCtx { refs: &refs, coords, velocity, props, dt };
+            check("divergence", &divergence, on, 0, n);
+            let gradient = PressureGradientCtx { refs: &refs, coords, pressure };
+            check("pressure gradient", &gradient, on, 0, 3 * n);
+        }
     }
 
-    /// The batched right-hand-side passes add the same per-element
-    /// values as the serial element loops, in a different order.
+    /// Grouped by kind, the right-hand-side passes add the same
+    /// per-element values as the serial element loops, in a different
+    /// order.
     #[test]
     fn batched_rhs_passes_match_the_serial_loops() {
-        use crate::assembly::{assemble_divergence, assemble_pressure_gradient};
-        let am = generate_airway(&AirwaySpec::small()).unwrap();
-        let mesh = &am.mesh;
-        let n2e = mesh.node_to_elements();
-        let template = CsrMatrix::from_mesh(mesh, &n2e);
-        let refs = RefElement::all();
-        let pool = ThreadPool::new(4);
-        let velocity: Vec<Vec3> =
-            mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
-        let pressure: Vec<f64> = mesh.coords.iter().map(|p| p.x * 3.0 - p.y).collect();
-        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let props = FluidProps::default();
-        let run = |plan: &AssemblyPlan| {
-            let mut rhs = vec![0.0; mesh.num_nodes()];
-            assemble_divergence(&pool, &refs, mesh, plan, &velocity, props, 1e-4, &mut rhs);
-            let mut grad = vec![0.0; 3 * mesh.num_nodes()];
-            assemble_pressure_gradient(&pool, &refs, mesh, plan, &pressure, &mut grad);
-            (rhs, grad)
-        };
-        let (rhs_ref, grad_ref) =
-            run(&AssemblyPlan::new(mesh, elems.clone(), AssemblyStrategy::Serial, 16));
+        let f = fixture();
+        let (refs, pool, props) = (RefElement::all(), ThreadPool::new(4), FluidProps::default());
+        let n = f.mesh.num_nodes();
+        let serial = plan(&f, AssemblyStrategy::Serial, ElementOrder::List);
+        let (mut rhs_ref, mut grad_ref) = (vec![0.0; n], vec![0.0; 3 * n]);
+        let (mesh, u, p) = (&f.mesh, &f.velocity[..], &f.pressure[..]);
+        oracle::assemble_divergence(&pool, &refs, mesh, &serial, u, props, 1e-4, &mut rhs_ref);
+        oracle::assemble_pressure_gradient(&pool, &refs, mesh, &serial, p, &mut grad_ref);
         let close = |x: f64, y: f64, scale: f64| (x - y).abs() <= 1e-10 * scale;
         let rhs_scale = rhs_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         let grad_scale = grad_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         for strategy in AssemblyStrategy::ALL {
-            let plan = AssemblyPlan::with_batches(mesh, elems.clone(), strategy, 16, &template);
-            let (rhs, grad) = run(&plan);
+            let plan = plan(&f, strategy, ElementOrder::KindGrouped);
+            let (mut rhs, mut grad) = (vec![0.0; n], vec![0.0; 3 * n]);
+            assemble_divergence(&pool, &refs, mesh, &plan, u, props, 1e-4, &mut rhs);
+            assemble_pressure_gradient(&pool, &refs, mesh, &plan, p, &mut grad);
             for (i, (x, y)) in rhs.iter().zip(&rhs_ref).enumerate() {
                 assert!(close(*x, *y, rhs_scale), "{strategy:?} rhs[{i}]: {x} vs {y}");
             }

@@ -575,7 +575,8 @@ fn update_fused(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly::{assemble_divergence, assemble_poisson, AssemblyPlan, AssemblyStrategy};
+    use crate::assembly::{AssemblyPlan, AssemblyStrategy};
+    use crate::batch::{assemble_divergence, assemble_poisson, ElementOrder};
     use crate::kernels::FluidProps;
     use crate::krylov::cg;
     use crate::shape::RefElement;
@@ -638,7 +639,8 @@ mod tests {
         let n2e = mesh.node_to_elements();
         let mut a = CsrMatrix::from_mesh(&mesh, &n2e);
         let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let plan = AssemblyPlan::new(&mesh, elems, AssemblyStrategy::Serial, 1);
+        let plan =
+            AssemblyPlan::new(&mesh, elems, AssemblyStrategy::Serial, 1, &a, ElementOrder::List);
         let (refs, pool) = (RefElement::all(), ThreadPool::new(1));
         let velocity: Vec<Vec3> =
             mesh.coords.iter().map(|p| Vec3::new(p.y, -p.z, 0.4 - p.x)).collect();

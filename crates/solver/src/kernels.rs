@@ -33,7 +33,7 @@ pub struct LocalMomentum {
 }
 
 /// Local Laplacian matrix `L_ij = ∫ ∇N_i·∇N_j` of the pressure-Poisson
-/// system (its right-hand side is [`divergence_kernel`]'s).
+/// system (its right-hand side is [`divergence_kernel_n`]'s).
 #[derive(Debug, Clone)]
 pub struct LocalPoisson {
     pub nn: usize,
@@ -147,69 +147,13 @@ impl ElementScratch {
 ///
 /// `h_elem` is the characteristic element length (cbrt of volume);
 /// `body_force` a constant volumetric force.
-#[allow(clippy::too_many_arguments)]
-pub fn momentum_kernel(
-    refs: &[RefElement; 3],
-    scratch: &ElementScratch,
-    kind: ElementKind,
-    nn: usize,
-    props: FluidProps,
-    dt: f64,
-    h_elem: f64,
-    body_force: Vec3,
-) -> Option<LocalMomentum> {
-    let re = &refs[RefElement::index_of(kind)];
-    let mut out = LocalMomentum { nn, a: [[0.0; MAX_NODES]; MAX_NODES], b: [[0.0; 3]; MAX_NODES] };
-    let rho_dt = props.density / dt;
-    for qp in &re.qps {
-        let m: MappedQp = map_qp(qp, &scratch.coords, nn)?;
-        // Convecting velocity and old velocity at the point.
-        let mut uc = Vec3::ZERO;
-        for i in 0..nn {
-            uc += scratch.vel[i] * m.n[i];
-        }
-        let speed = uc.norm();
-        let (su_coef, udir) = if speed > 1e-12 {
-            (0.5 * props.density * speed * h_elem, uc / speed)
-        } else {
-            (0.0, Vec3::ZERO)
-        };
-        for i in 0..nn {
-            let ni = m.n[i];
-            let gi = m.grad[i];
-            let gi_s = udir.x * gi[0] + udir.y * gi[1] + udir.z * gi[2];
-            for j in 0..nn {
-                let gj = m.grad[j];
-                let mass = rho_dt * ni * m.n[j];
-                let diff = props.viscosity * (gi[0] * gj[0] + gi[1] * gj[1] + gi[2] * gj[2]);
-                let conv =
-                    props.density * ni * (uc.x * gj[0] + uc.y * gj[1] + uc.z * gj[2]);
-                let gj_s = udir.x * gj[0] + udir.y * gj[1] + udir.z * gj[2];
-                let su = su_coef * gi_s * gj_s;
-                out.a[i][j] += (mass + diff + conv + su) * m.dvol;
-            }
-            // RHS: (ρ/dt) u_n + ρ f − ∇p^n (incremental projection:
-            // the momentum step sees the previous pressure, the Poisson
-            // step then solves only for the increment).
-            let mut gp = Vec3::ZERO;
-            for k in 0..nn {
-                gp += Vec3::new(m.grad[k][0], m.grad[k][1], m.grad[k][2]) * scratch.pres[k];
-            }
-            let rhs = (uc * rho_dt + body_force * props.density - gp) * (ni * m.dvol);
-            out.b[i][0] += rhs.x;
-            out.b[i][1] += rhs.y;
-            out.b[i][2] += rhs.z;
-        }
-    }
-    Some(out)
-}
-
-/// [`momentum_kernel`] monomorphized over the node count: the inner
-/// quadrature loops run over the compile-time constant `NN`, so the
-/// compiler unrolls them and the per-element `ElementKind` branch
-/// disappears from the batch inner loop. The floating-point operation
-/// sequence is identical to the dynamic-`nn` kernel, so the local
-/// matrices are **bit-identical** (asserted by the batching tests).
+///
+/// Monomorphized over the node count: the inner quadrature loops run
+/// over the compile-time constant `NN`, so the compiler unrolls them and
+/// no `ElementKind` branch sits in the batch inner loop. The
+/// floating-point operation sequence is that of the dynamic-`nn`
+/// [`crate::oracle::momentum_kernel`], so the local matrices are
+/// **bit-identical** (asserted by the batching tests).
 #[allow(clippy::too_many_arguments)]
 pub fn momentum_kernel_n<const NN: usize>(
     re: &RefElement,
@@ -261,30 +205,8 @@ pub fn momentum_kernel_n<const NN: usize>(
     Some(out)
 }
 
-/// Pressure-Poisson element matrix `∫ ∇N_i·∇N_j`.
-pub fn poisson_kernel(
-    refs: &[RefElement; 3],
-    scratch: &ElementScratch,
-    kind: ElementKind,
-    nn: usize,
-) -> Option<LocalPoisson> {
-    let re = &refs[RefElement::index_of(kind)];
-    let mut out = LocalPoisson { nn, l: [[0.0; MAX_NODES]; MAX_NODES] };
-    for qp in &re.qps {
-        let m = map_qp(qp, &scratch.coords, nn)?;
-        for i in 0..nn {
-            let gi = m.grad[i];
-            for j in 0..nn {
-                let gj = m.grad[j];
-                out.l[i][j] += (gi[0] * gj[0] + gi[1] * gj[1] + gi[2] * gj[2]) * m.dvol;
-            }
-        }
-    }
-    Some(out)
-}
-
-/// [`poisson_kernel`] monomorphized over the node count; bit-identical
-/// output (see [`momentum_kernel_n`]).
+/// Pressure-Poisson element matrix `∫ ∇N_i·∇N_j`, monomorphized over the
+/// node count like [`momentum_kernel_n`].
 pub fn poisson_kernel_n<const NN: usize>(
     re: &RefElement,
     scratch: &ElementScratch,
@@ -303,31 +225,8 @@ pub fn poisson_kernel_n<const NN: usize>(
     Some(out)
 }
 
-/// Dispatch a node-count-monomorphized kernel on the element kind.
-macro_rules! by_kind {
-    ($kind:expr, $kernel:ident($($arg:expr),*)) => {
-        match $kind {
-            ElementKind::Tet4 => $kernel::<4>($($arg),*),
-            ElementKind::Pyr5 => $kernel::<5>($($arg),*),
-            ElementKind::Pri6 => $kernel::<6>($($arg),*),
-        }
-    };
-}
-
 /// Weak divergence right-hand side of the pressure-Poisson system,
 /// `b_i = (ρ/dt) ∫ ∇N_i · u`, from the velocity loaded in `scratch`.
-pub fn divergence_kernel(
-    refs: &[RefElement; 3],
-    scratch: &ElementScratch,
-    kind: ElementKind,
-    props: FluidProps,
-    dt: f64,
-) -> Option<[f64; MAX_NODES]> {
-    let re = &refs[RefElement::index_of(kind)];
-    by_kind!(kind, divergence_kernel_n(re, scratch, props, dt))
-}
-
-/// [`divergence_kernel`] for a compile-time node count.
 pub fn divergence_kernel_n<const NN: usize>(
     re: &RefElement,
     scratch: &ElementScratch,
@@ -353,16 +252,6 @@ pub fn divergence_kernel_n<const NN: usize>(
 /// Weak nodal pressure gradient `g_i = ∫ N_i ∇p` (the projection step
 /// divides it by the lumped mass), from the pressure loaded in
 /// `scratch`.
-pub fn pressure_gradient_kernel(
-    refs: &[RefElement; 3],
-    scratch: &ElementScratch,
-    kind: ElementKind,
-) -> Option<[[f64; 3]; MAX_NODES]> {
-    let re = &refs[RefElement::index_of(kind)];
-    by_kind!(kind, pressure_gradient_kernel_n(re, scratch))
-}
-
-/// [`pressure_gradient_kernel`] for a compile-time node count.
 pub fn pressure_gradient_kernel_n<const NN: usize>(
     re: &RefElement,
     scratch: &ElementScratch,
@@ -412,26 +301,9 @@ pub fn lumped_mass_kernel(
 /// storage — the paper's point that SGS needs *no* atomics (§4.3).
 ///
 /// Returns the number of inner iterations used (a per-element cost that
-/// varies with the local flow — an organic imbalance source).
-#[allow(clippy::too_many_arguments)]
-pub fn sgs_kernel(
-    refs: &[RefElement; 3],
-    scratch: &ElementScratch,
-    kind: ElementKind,
-    nn: usize,
-    props: FluidProps,
-    h_elem: f64,
-    sgs: &mut [Vec3],
-    max_iters: usize,
-    tol: f64,
-) -> usize {
-    let re = &refs[RefElement::index_of(kind)];
-    sgs_kernel_on(re, scratch, nn, props, h_elem, sgs, max_iters, tol)
-}
-
-/// [`sgs_kernel`] with the reference element resolved by the caller
-/// (the kind-batched SGS sweep hoists the dispatch out of its hot
-/// loop). Identical floating-point sequence.
+/// varies with the local flow — an organic imbalance source). The
+/// reference element is resolved by the caller (the kind-batched SGS
+/// sweep hoists the dispatch out of its hot loop).
 #[allow(clippy::too_many_arguments)]
 pub fn sgs_kernel_on(
     re: &RefElement,
@@ -490,6 +362,9 @@ pub fn sgs_kernel_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{
+        divergence_kernel, momentum_kernel, poisson_kernel, pressure_gradient_kernel, sgs_kernel,
+    };
     use cfpd_mesh::MeshBuilder;
 
     fn unit_tet_mesh() -> Mesh {

@@ -8,16 +8,19 @@
 //! * **element-sum order** — each shared matrix row and right-hand-side
 //!   entry sums its element contributions in the strategy unit's list
 //!   order, or grouped by element kind within each unit
-//!   ([`crate::batch`]).
+//!   ([`crate::batch::ElementOrder`]: the order a plan's batches are cut
+//!   in, and the only thing the assembly knows of a layout).
 //!
 //! Both regroup floating-point sums, so each layout has its own golden:
 //! `tests/golden/sync_small.golden` pins the reference layout
 //! ([`LayoutPlan::disabled`]: native order, list order) and
 //! `tests/golden/sync_small_opt.golden` the fast one
 //! ([`LayoutPlan::optimized`]: RCM, kind-grouped). Everything that is
-//! bit-identical either way — SELL sweeps in both Krylov solves, lane
-//! kernels in every batch block, the kind-batched lane SGS sweep — runs
-//! on both and is not a choice.
+//! bit-identical either way — the batch engine itself (same-kind
+//! batches, lane kernels in every full block of eight, precomputed
+//! scatter indices), SELL sweeps in both Krylov solves, the kind-batched
+//! lane SGS sweep — runs on both and is not a choice: batching moves no
+//! bit, only grouping by kind does.
 
 /// Which of the two layouts a run uses. `Default` is the reference.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]

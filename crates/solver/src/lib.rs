@@ -15,12 +15,17 @@
 //! * [`csr`] — sparse storage with atomic and disjoint concurrent
 //!   scatter views; [`shape`] / [`kernels`] — isoparametric elements and
 //!   the local integrals;
+//! * [`batch`] — the one engine behind every element sweep: same-kind
+//!   batches over precomputed gather / scatter arenas, lane kernels
+//!   ([`lanes`]) in every full block of eight;
 //! * **Layouts** ([`layout`]) — the two orders a run can fix: native
-//!   node order with list-order element sums, or RCM with kind-batched
-//!   SoA assembly ([`batch`]). SELL-shaped sweeps ([`sell`],
-//!   [`parallel`]) and lane kernels ([`lanes`]) run on both;
+//!   node order with list-order element sums, or RCM with kind-grouped
+//!   ones. The engine, SELL-shaped sweeps ([`sell`], [`parallel`]) and
+//!   lane kernels run on both;
 //! * [`oracle`] — the scalar reference implementations the bit-identity
-//!   tests and the `hotpath` bench compare against; no run reaches them.
+//!   tests and the `hotpath` bench compare against (the element-at-a-time
+//!   assembly loops and their dynamically dispatched kernels among
+//!   them); no run reaches them.
 
 pub mod assembly;
 pub mod batch;
@@ -37,11 +42,11 @@ pub mod sgs;
 pub mod shape;
 pub mod simd;
 
-pub use assembly::{
+pub use assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy};
+pub use batch::{
     assemble_divergence, assemble_momentum, assemble_poisson, assemble_pressure_gradient,
-    AssemblyPlan, AssemblyStats, AssemblyStrategy,
+    BatchSchedule, BatchSet, ElementOrder, KindBatch,
 };
-pub use batch::{BatchSchedule, BatchSet, KindBatch};
 pub use csr::{AtomicView, CsrMatrix, CsrPattern, DisjointView};
 pub use kernels::{ElementScratch, FluidProps};
 pub use deflation::{Deflation, DeflationStructure};

@@ -8,22 +8,37 @@
 //! * [`compute_sgs`] — the SGS sweep that [`crate::sgs::compute_sgs`]
 //!   replaced: the plan's strategy schedule, one element at a time
 //!   through the dynamically dispatched scalar kernel.
+//! * [`assemble_momentum`], [`assemble_poisson`], [`assemble_divergence`],
+//!   [`assemble_pressure_gradient`] — the element loops the batch engine
+//!   ([`crate::batch`]) replaced on the reference layout: every strategy
+//!   unit in list order, one element at a time, a CSR binary search per
+//!   scatter-add, and the two right-hand-side loops serial over the whole
+//!   list. A plan in [`crate::batch::ElementOrder::List`] must add up
+//!   their bits.
+//! * the kernels those loops call ([`momentum_kernel`], [`poisson_kernel`],
+//!   [`divergence_kernel`], [`pressure_gradient_kernel`], [`sgs_kernel`]):
+//!   kind and node count read per element at run time.
 //!
 //! They are `pub`, not `#[cfg(test)]`, because their users sit in three
 //! crates (this one's property tests, `cfpd-core`'s oracle steppers, the
-//! `hotpath` rows `solver1/scalar-x3` and `sgs/default`) and test-only
-//! items do not cross crate boundaries.
+//! `hotpath` rows `solver1/scalar-x3`, `sgs/default`, `assembly/oracle`
+//! and `assembly/serial-pass`) and test-only items do not cross crate
+//! boundaries.
 
-use crate::assembly::{AssemblyPlan, AssemblyStrategy};
-use crate::csr::CsrMatrix;
-use crate::kernels::{sgs_kernel, ElementScratch, FluidProps};
+use crate::assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy};
+use crate::csr::{AtomicView, CsrMatrix, DisjointView};
+use crate::kernels::{
+    divergence_kernel_n, pressure_gradient_kernel_n, sgs_kernel_on, ElementScratch, FluidProps,
+    LocalMomentum, LocalPoisson,
+};
 use crate::krylov::SolveStats;
 use crate::sgs::{IterTally, SgsField, SgsStats, SgsView};
-use crate::shape::RefElement;
-use cfpd_mesh::{Mesh, Vec3};
+use crate::shape::{map_qp, MappedQp, RefElement, MAX_NODES};
+use cfpd_mesh::{ElementKind, Mesh, Vec3};
 use cfpd_runtime::{
     balanced_ranges, parallel_for, parallel_for_ranges, prefix_weights, Dep, TaskGraph, ThreadPool,
 };
+use std::sync::atomic::Ordering;
 
 #[inline]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -188,4 +203,403 @@ pub fn compute_sgs(
         }
     }
     tally.stats(plan.elems.len())
+}
+
+/// [`crate::kernels::momentum_kernel_n`] with the kind and node count
+/// read per element at run time: the source the monomorphized and lane
+/// kernels mirror operation for operation.
+#[allow(clippy::too_many_arguments)]
+pub fn momentum_kernel(
+    refs: &[RefElement; 3],
+    scratch: &ElementScratch,
+    kind: ElementKind,
+    nn: usize,
+    props: FluidProps,
+    dt: f64,
+    h_elem: f64,
+    body_force: Vec3,
+) -> Option<LocalMomentum> {
+    let re = &refs[RefElement::index_of(kind)];
+    let mut out = LocalMomentum { nn, a: [[0.0; MAX_NODES]; MAX_NODES], b: [[0.0; 3]; MAX_NODES] };
+    let rho_dt = props.density / dt;
+    for qp in &re.qps {
+        let m: MappedQp = map_qp(qp, &scratch.coords, nn)?;
+        // Convecting velocity and old velocity at the point.
+        let mut uc = Vec3::ZERO;
+        for i in 0..nn {
+            uc += scratch.vel[i] * m.n[i];
+        }
+        let speed = uc.norm();
+        let (su_coef, udir) = if speed > 1e-12 {
+            (0.5 * props.density * speed * h_elem, uc / speed)
+        } else {
+            (0.0, Vec3::ZERO)
+        };
+        for i in 0..nn {
+            let ni = m.n[i];
+            let gi = m.grad[i];
+            let gi_s = udir.x * gi[0] + udir.y * gi[1] + udir.z * gi[2];
+            for j in 0..nn {
+                let gj = m.grad[j];
+                let mass = rho_dt * ni * m.n[j];
+                let diff = props.viscosity * (gi[0] * gj[0] + gi[1] * gj[1] + gi[2] * gj[2]);
+                let conv =
+                    props.density * ni * (uc.x * gj[0] + uc.y * gj[1] + uc.z * gj[2]);
+                let gj_s = udir.x * gj[0] + udir.y * gj[1] + udir.z * gj[2];
+                let su = su_coef * gi_s * gj_s;
+                out.a[i][j] += (mass + diff + conv + su) * m.dvol;
+            }
+            // RHS: (ρ/dt) u_n + ρ f − ∇p^n (incremental projection:
+            // the momentum step sees the previous pressure, the Poisson
+            // step then solves only for the increment).
+            let mut gp = Vec3::ZERO;
+            for k in 0..nn {
+                gp += Vec3::new(m.grad[k][0], m.grad[k][1], m.grad[k][2]) * scratch.pres[k];
+            }
+            let rhs = (uc * rho_dt + body_force * props.density - gp) * (ni * m.dvol);
+            out.b[i][0] += rhs.x;
+            out.b[i][1] += rhs.y;
+            out.b[i][2] += rhs.z;
+        }
+    }
+    Some(out)
+}
+
+
+/// [`crate::kernels::poisson_kernel_n`] for a run-time node count.
+pub fn poisson_kernel(
+    refs: &[RefElement; 3],
+    scratch: &ElementScratch,
+    kind: ElementKind,
+    nn: usize,
+) -> Option<LocalPoisson> {
+    let re = &refs[RefElement::index_of(kind)];
+    let mut out = LocalPoisson { nn, l: [[0.0; MAX_NODES]; MAX_NODES] };
+    for qp in &re.qps {
+        let m = map_qp(qp, &scratch.coords, nn)?;
+        for i in 0..nn {
+            let gi = m.grad[i];
+            for j in 0..nn {
+                let gj = m.grad[j];
+                out.l[i][j] += (gi[0] * gj[0] + gi[1] * gj[1] + gi[2] * gj[2]) * m.dvol;
+            }
+        }
+    }
+    Some(out)
+}
+
+
+/// Dispatch a node-count-monomorphized kernel on the element kind.
+macro_rules! by_kind {
+    ($kind:expr, $kernel:ident($($arg:expr),*)) => {
+        match $kind {
+            ElementKind::Tet4 => $kernel::<4>($($arg),*),
+            ElementKind::Pyr5 => $kernel::<5>($($arg),*),
+            ElementKind::Pri6 => $kernel::<6>($($arg),*),
+        }
+    };
+}
+
+
+/// [`divergence_kernel_n`] dispatched on the element kind.
+pub fn divergence_kernel(
+    refs: &[RefElement; 3],
+    scratch: &ElementScratch,
+    kind: ElementKind,
+    props: FluidProps,
+    dt: f64,
+) -> Option<[f64; MAX_NODES]> {
+    let re = &refs[RefElement::index_of(kind)];
+    by_kind!(kind, divergence_kernel_n(re, scratch, props, dt))
+}
+
+
+/// [`pressure_gradient_kernel_n`] dispatched on the element kind.
+pub fn pressure_gradient_kernel(
+    refs: &[RefElement; 3],
+    scratch: &ElementScratch,
+    kind: ElementKind,
+) -> Option<[[f64; 3]; MAX_NODES]> {
+    let re = &refs[RefElement::index_of(kind)];
+    by_kind!(kind, pressure_gradient_kernel_n(re, scratch))
+}
+
+
+/// [`sgs_kernel_on`] with the reference element looked up per element.
+#[allow(clippy::too_many_arguments)]
+pub fn sgs_kernel(
+    refs: &[RefElement; 3],
+    scratch: &ElementScratch,
+    kind: ElementKind,
+    nn: usize,
+    props: FluidProps,
+    h_elem: f64,
+    sgs: &mut [Vec3],
+    max_iters: usize,
+    tol: f64,
+) -> usize {
+    let re = &refs[RefElement::index_of(kind)];
+    sgs_kernel_on(re, scratch, nn, props, h_elem, sgs, max_iters, tol)
+}
+
+/// A local contribution ready to scatter: `nn` nodes, dense block `a`,
+/// and `rhs_dim` right-hand-side components per node.
+struct LocalBlock {
+    nn: usize,
+    a: [[f64; MAX_NODES]; MAX_NODES],
+    b: [[f64; 3]; MAX_NODES],
+}
+
+impl From<LocalMomentum> for LocalBlock {
+    fn from(m: LocalMomentum) -> Self {
+        LocalBlock { nn: m.nn, a: m.a, b: m.b }
+    }
+}
+
+impl From<LocalPoisson> for LocalBlock {
+    fn from(p: LocalPoisson) -> Self {
+        LocalBlock { nn: p.nn, a: p.l, b: [[0.0; 3]; MAX_NODES] }
+    }
+}
+
+/// Generic strategy-dispatched assembly of a scalar CSR matrix plus up
+/// to 3 RHS component vectors, in the list order of each strategy unit:
+/// the summation order `tests/golden/sync_small.golden` pins. `compute`
+/// produces the local block of one element (given a per-executor
+/// scratch).
+fn assemble_generic<K>(
+    pool: &ThreadPool,
+    mesh: &Mesh,
+    plan: &AssemblyPlan,
+    rhs_dim: usize,
+    compute: K,
+    matrix: &mut CsrMatrix,
+    rhs: &mut [Vec<f64>],
+) -> AssemblyStats
+where
+    K: Fn(&mut ElementScratch, usize) -> Option<LocalBlock> + Sync,
+{
+    assert!(rhs_dim <= 3 && rhs.len() == rhs_dim);
+    let mut stats = plan.stats();
+
+    let (pattern, values) = matrix.split_mut();
+    match plan.strategy {
+        AssemblyStrategy::Serial => {
+            let mut scratch = ElementScratch::default();
+            for &e in &plan.elems {
+                let e = e as usize;
+                let lb = compute(&mut scratch, e).expect("degenerate element");
+                let nodes = mesh.elem_nodes(e);
+                for i in 0..lb.nn {
+                    let gi = nodes[i] as usize;
+                    for j in 0..lb.nn {
+                        let idx = pattern.entry_index(gi, nodes[j] as usize);
+                        values[idx] += lb.a[i][j];
+                    }
+                    for (c, r) in rhs.iter_mut().enumerate() {
+                        r[gi] += lb.b[i][c];
+                    }
+                }
+            }
+        }
+        AssemblyStrategy::Atomics => {
+            let av = AtomicView::from_slice(values);
+            let rvs: Vec<AtomicView> =
+                rhs.iter_mut().map(|r| AtomicView::from_slice(r)).collect();
+            let elems = &plan.elems;
+            parallel_for(pool, 0..elems.len(), plan.atomics_grain(), |range| {
+                let mut scratch = ElementScratch::default();
+                for k in range {
+                    let e = elems[k] as usize;
+                    let lb = compute(&mut scratch, e).expect("degenerate element");
+                    let nodes = mesh.elem_nodes(e);
+                    for i in 0..lb.nn {
+                        let gi = nodes[i] as usize;
+                        for j in 0..lb.nn {
+                            let idx = pattern.entry_index(gi, nodes[j] as usize);
+                            av.add_at(idx, lb.a[i][j]);
+                        }
+                        for (c, rv) in rvs.iter().enumerate() {
+                            rv.add_at(gi, lb.b[i][c]);
+                        }
+                    }
+                }
+            });
+            stats.atomic_adds = av.atomic_ops.load(Ordering::Relaxed)
+                + rvs.iter().map(|r| r.atomic_ops.load(Ordering::Relaxed)).sum::<usize>();
+        }
+        AssemblyStrategy::Coloring => {
+            let dv = DisjointView::from_slice(values);
+            let rvs: Vec<DisjointView> =
+                rhs.iter_mut().map(|r| DisjointView::from_slice(r)).collect();
+            let classes = plan.color_classes().expect("coloring plan");
+            for class in classes {
+                parallel_for(pool, 0..class.len(), plan.atomics_grain(), |range| {
+                    let mut scratch = ElementScratch::default();
+                    for k in range {
+                        let e = class[k] as usize;
+                        let lb = compute(&mut scratch, e).expect("degenerate element");
+                        let nodes = mesh.elem_nodes(e);
+                        for i in 0..lb.nn {
+                            let gi = nodes[i] as usize;
+                            for j in 0..lb.nn {
+                                let idx = pattern.entry_index(gi, nodes[j] as usize);
+                                // SAFETY: same-color elements share no
+                                // node, so concurrent writes are disjoint.
+                                unsafe { dv.add_at(idx, lb.a[i][j]) };
+                            }
+                            for (c, rv) in rvs.iter().enumerate() {
+                                // SAFETY: as above (row index is a node
+                                // of this element).
+                                unsafe { rv.add_at(gi, lb.b[i][c]) };
+                            }
+                        }
+                    }
+                });
+            }
+        }
+        AssemblyStrategy::Multidep => {
+            let dv = DisjointView::from_slice(values);
+            let rvs: Vec<DisjointView> =
+                rhs.iter_mut().map(|r| DisjointView::from_slice(r)).collect();
+            let members = plan.subdomain_members().expect("multidep plan");
+            let mut graph = TaskGraph::new();
+            for (s, elems) in members.iter().enumerate() {
+                let dv = &dv;
+                let rvs = &rvs;
+                let compute = &compute;
+                graph.add_task(&plan.ordered_deps(s), move || {
+                    let mut scratch = ElementScratch::default();
+                    for &e in elems {
+                        let e = e as usize;
+                        let lb = compute(&mut scratch, e).expect("degenerate element");
+                        let nodes = mesh.elem_nodes(e);
+                        for i in 0..lb.nn {
+                            let gi = nodes[i] as usize;
+                            for j in 0..lb.nn {
+                                let idx = pattern.entry_index(gi, nodes[j] as usize);
+                                // SAFETY: adjacent subdomains are ordered
+                                // by a dependence; non-adjacent ones
+                                // share no node.
+                                unsafe { dv.add_at(idx, lb.a[i][j]) };
+                            }
+                            for (c, rv) in rvs.iter().enumerate() {
+                                // SAFETY: as above.
+                                unsafe { rv.add_at(gi, lb.b[i][c]) };
+                            }
+                        }
+                    }
+                });
+            }
+            graph.execute(pool);
+        }
+    }
+    stats
+}
+
+/// The momentum system (matrix + 3-component RHS) over `plan.elems`
+/// under the plan's strategy, every strategy unit one element loop in
+/// list order (whatever order the plan's batches are cut in).
+#[allow(clippy::too_many_arguments)]
+pub fn assemble_momentum(
+    pool: &ThreadPool,
+    refs: &[RefElement; 3],
+    mesh: &Mesh,
+    plan: &AssemblyPlan,
+    velocity: &[Vec3],
+    pressure: &[f64],
+    props: FluidProps,
+    dt: f64,
+    body_force: Vec3,
+    matrix: &mut CsrMatrix,
+    rhs: &mut [Vec<f64>],
+) -> AssemblyStats {
+    assemble_generic(
+        pool,
+        mesh,
+        plan,
+        3,
+        |scratch, e| {
+            let (kind, nn) = scratch.load_with_pressure(mesh, velocity, pressure, e);
+            let h = mesh.volume(e).abs().cbrt();
+            momentum_kernel(refs, scratch, kind, nn, props, dt, h, body_force)
+                .map(LocalBlock::from)
+        },
+        matrix,
+        rhs,
+    )
+}
+
+/// The pressure-Poisson matrix, scheduled like [`assemble_momentum`].
+pub fn assemble_poisson(
+    pool: &ThreadPool,
+    refs: &[RefElement; 3],
+    mesh: &Mesh,
+    plan: &AssemblyPlan,
+    matrix: &mut CsrMatrix,
+) -> AssemblyStats {
+    assemble_generic(
+        pool,
+        mesh,
+        plan,
+        0,
+        |scratch, e| {
+            let (kind, nn) = scratch.load_coords(mesh, e);
+            poisson_kernel(refs, scratch, kind, nn).map(LocalBlock::from)
+        },
+        matrix,
+        &mut [],
+    )
+}
+
+/// Add the weak divergence right-hand side of the pressure-Poisson
+/// system of `plan.elems` into `rhs`: one serial element loop in list
+/// order, whatever the strategy (`_pool` is there for the signature of
+/// the sweep this is compared with).
+#[allow(clippy::too_many_arguments)]
+pub fn assemble_divergence(
+    _pool: &ThreadPool,
+    refs: &[RefElement; 3],
+    mesh: &Mesh,
+    plan: &AssemblyPlan,
+    velocity: &[Vec3],
+    props: FluidProps,
+    dt: f64,
+    rhs: &mut [f64],
+) {
+    let mut scratch = ElementScratch::default();
+    for &e in &plan.elems {
+        let (kind, _) = scratch.load(mesh, velocity, e as usize);
+        let b = divergence_kernel(refs, &scratch, kind, props, dt).expect("degenerate element");
+        for (k, &v) in mesh.elem_nodes(e as usize).iter().enumerate() {
+            rhs[v as usize] += b[k];
+        }
+    }
+}
+
+/// Add the weak nodal pressure gradient of `plan.elems` into `grad`
+/// (component `c` of node `i` at `grad[3 i + c]`), like
+/// [`assemble_divergence`].
+pub fn assemble_pressure_gradient(
+    _pool: &ThreadPool,
+    refs: &[RefElement; 3],
+    mesh: &Mesh,
+    plan: &AssemblyPlan,
+    pressure: &[f64],
+    grad: &mut [f64],
+) {
+    let mut scratch = ElementScratch::default();
+    for &e in &plan.elems {
+        let (kind, _) = scratch.load_coords(mesh, e as usize);
+        let nodes = mesh.elem_nodes(e as usize);
+        for (k, &v) in nodes.iter().enumerate() {
+            scratch.pres[k] = pressure[v as usize];
+        }
+        let g = pressure_gradient_kernel(refs, &scratch, kind).expect("degenerate element");
+        for (k, &v) in nodes.iter().enumerate() {
+            for c in 0..3 {
+                grad[3 * v as usize + c] += g[k][c];
+            }
+        }
+    }
 }

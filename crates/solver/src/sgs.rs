@@ -315,7 +315,7 @@ pub fn compute_sgs(
 mod tests {
     use super::*;
     use crate::assembly::{AssemblyPlan, AssemblyStrategy};
-    use crate::kernels::sgs_kernel;
+    use crate::oracle::sgs_kernel;
     use crate::oracle;
     use cfpd_mesh::{generate_airway, AirwaySpec};
 
@@ -337,7 +337,9 @@ mod tests {
     /// The strategy-following scalar sweep, the oracle.
     fn run(strategy: AssemblyStrategy) -> (SgsField, SgsStats) {
         let (mesh, refs, pool, vel) = fixture();
-        let plan = AssemblyPlan::new(&mesh, all_elems(&mesh), strategy, 16);
+        let pattern = crate::csr::CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+        let order = crate::batch::ElementOrder::List;
+        let plan = AssemblyPlan::new(&mesh, all_elems(&mesh), strategy, 16, &pattern, order);
         let mut field = SgsField::new(&mesh, &plan.elems);
         let stats = oracle::compute_sgs(
             &pool,

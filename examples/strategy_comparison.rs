@@ -11,7 +11,8 @@
 use cfpd_mesh::{generate_airway, AirwaySpec, Vec3};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
-    assemble_momentum, AssemblyPlan, AssemblyStrategy, CsrMatrix, FluidProps, RefElement,
+    assemble_momentum, AssemblyPlan, AssemblyStrategy, CsrMatrix, ElementOrder, FluidProps,
+    RefElement,
 };
 
 fn main() {
@@ -39,7 +40,8 @@ fn main() {
 
     let mut reference: Option<Vec<f64>> = None;
     for strategy in AssemblyStrategy::ALL {
-        let plan = AssemblyPlan::new(mesh, elems.clone(), strategy, 24);
+        let plan =
+            AssemblyPlan::new(mesh, elems.clone(), strategy, 24, &template, ElementOrder::List);
         let mut a = template.clone();
         let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
         let t0 = std::time::Instant::now();

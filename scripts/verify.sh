@@ -29,7 +29,11 @@
 #     the solve/*, setup/* (seed-search and refine among them),
 #     spmm3/sell, solver1/*, particles/* and serve/{boundary,restore} rows,
 #     with the Multidep plan build held to at most 2.5 serial element passes
-#     (assembly/serial-pass), the lane SGS sweep (sgs/batched-lanes, what
+#     (assembly/serial-pass, the scalar oracle pass), the reference
+#     layout's assembly (assembly/default: the batch engine in list order)
+#     within 2x of the fast layout's (assembly/batched-lanes) — both go
+#     eight abreast, so more means list order fell back to scalar — the
+#     lane SGS sweep (sgs/batched-lanes, what
 #     every run does) below its scalar oracle (sgs/default) and the block
 #     momentum solve (solver1/block) below the three scalar solves it
 #     replaced (solver1/scalar-x3) and the lane-block particle sweep
@@ -90,7 +94,10 @@
 #   * an ordering gate: no sweep of crates/solver/src links subdomain
 #     tasks with `mutexinoutset` (either order) instead of an ordered
 #     edge; only the scalar SGS oracle, which adds into no shared row,
-#     may.
+#     may,
+#   * a one-engine gate: the element-at-a-time assembly loop
+#     (`assemble_generic`) is named nowhere under crates/*/src but in
+#     cfpd_solver::oracle, which no run reaches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -173,10 +180,11 @@ done
 # Set-up stays linear: building the Multidep plan may cost at most 2.5
 # serial element passes (`assembly/serial-pass`: every element's scalar
 # momentum kernel and scatter on a one-thread pool). Both rows run on
-# one thread, so host load moves them together: the ratio reads 0.7-1.1
-# here and 1.08 in the full artifact (1.2-2.3 and 2.05 while every
-# seed search walked the explicit element graph, 8-12 before the set-up
-# rewrite of PR 13). ISSUE 13 named `assembly/batched-lanes` x 15; that
+# one thread, so host load moves them together: the ratio reads 1.1-1.6
+# here and in the full artifact since a plan also builds its batch
+# schedule (PR 24; 0.7-1.1 and 1.08 for the bare plan before, 1.2-2.3
+# and 2.05 while every seed search walked the explicit element graph,
+# 8-12 before the set-up rewrite of PR 13). ISSUE 13 named `assembly/batched-lanes` x 15; that
 # row runs on the 2-worker pool and the ratio against it swung 5.6-19
 # for one binary on this host.
 python3 - <<'PYEOF'
@@ -188,6 +196,7 @@ for name in ("setup/element-graph", "setup/seed-search", "setup/kway-16", "setup
              "setup/locator-build", "setup/inject-10k", "setup/deflation-build",
              "solve/poisson-jacobi", "solve/poisson-deflated",
              "solve/poisson-deflated-native", "sgs/default", "sgs/batched-lanes",
+             "assembly/default", "assembly/batched-lanes", "assembly/oracle",
              "assembly/serial-pass", "spmm3/sell", "solver1/scalar-x3", "solver1/block",
              "particles/step-oracle", "particles/step-lanes",
              "serve/boundary", "serve/restore"):
@@ -196,6 +205,15 @@ for name in ("setup/element-graph", "setup/seed-search", "setup/kway-16", "setup
 plan, serial_pass = rows["setup/plan-multidep"], rows["assembly/serial-pass"]
 if plan > 2.5 * serial_pass:
     sys.exit(f"FAIL: setup/plan-multidep {plan:.0f} ns > 2.5 x assembly/serial-pass {serial_pass:.0f} ns")
+# Same elements, same subdomains, same pool, the same lane kernels: the
+# reference layout cuts its batches in list order (runs of ~20 elements,
+# a scalar tail per run), the fast one grouped by kind. The ratio reads
+# 0.9-1.1 here and in full runs (the two rows swing together with the
+# host); the element-at-a-time loop it replaced (assembly/oracle) reads
+# 4-6.
+default, lanes = rows["assembly/default"], rows["assembly/batched-lanes"]
+if default > 2 * lanes:
+    sys.exit(f"FAIL: assembly/default {default:.0f} ns > 2 x assembly/batched-lanes {lanes:.0f} ns")
 # Same elements, same pool, eight per vector op against one through the
 # oracle's strategy schedule: the ratio reads about 3 here (7.8 against
 # 23.4 ms in the full artifact), so "not below" means the lane path is gone.
@@ -480,6 +498,12 @@ fi
 echo "== ordering gate (no mutexinoutset edge in a solver sweep) =="
 if grep -rn 'Dep::mutex' crates/solver/src | grep -v '^crates/solver/src/oracle.rs:'; then
     echo "FAIL: a solver sweep links subdomain tasks with mutexinoutset: shared rows lose their fixed order" >&2
+    exit 1
+fi
+
+echo "== one-engine gate (assemble_generic lives in the oracle only) =="
+if grep -rn 'assemble_generic' crates/*/src | grep -v '^crates/solver/src/oracle.rs:'; then
+    echo "FAIL: the element-at-a-time assembly loop is named outside cfpd_solver::oracle" >&2
     exit 1
 fi
 

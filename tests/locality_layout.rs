@@ -17,8 +17,8 @@ use cfpd_mesh::{generate_airway, AirwaySpec, TubeParams, Vec3};
 use cfpd_partition::{bandwidth_under_perm, csr_bandwidth, invert_perm, rcm_perm};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
-    assemble_divergence, assemble_poisson, cg, kernels, AssemblyPlan, AssemblyStrategy, CsrMatrix,
-    Deflation, ElementScratch, FluidProps, RefElement, SellMatrix,
+    assemble_divergence, assemble_poisson, cg, kernels, oracle, AssemblyPlan, AssemblyStrategy,
+    CsrMatrix, Deflation, ElementOrder, ElementScratch, FluidProps, RefElement, SellMatrix,
 };
 use cfpd_testkit::prop::{check, f64_range, map, usize_range, Gen, PropConfig};
 
@@ -132,9 +132,9 @@ fn batch_kernels_bit_identical_per_element() {
         kinds_seen.insert(format!("{kind:?}"));
         let (_, nn) = dyn_scratch.load_with_pressure(&mesh, &velocity, &pressure, e);
         let h = mesh.volume(e).abs().cbrt();
-        let dm = kernels::momentum_kernel(&refs, &dyn_scratch, kind, nn, props, dt, h, gravity)
+        let dm = oracle::momentum_kernel(&refs, &dyn_scratch, kind, nn, props, dt, h, gravity)
             .unwrap();
-        let dp = kernels::poisson_kernel(&refs, &dyn_scratch, kind, nn).unwrap();
+        let dp = oracle::poisson_kernel(&refs, &dyn_scratch, kind, nn).unwrap();
 
         let nodes = mesh.elem_nodes(e);
         batch_scratch.load_gather_with_pressure(&mesh.coords, &velocity, &pressure, nodes);
@@ -221,7 +221,8 @@ fn deflated_pressure_is_no_further_from_a_tight_reference_than_jacobi_cg() {
     let mut matrix = CsrMatrix::from_mesh(&mesh, &n2e);
     let n = mesh.num_nodes();
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-    let plan = AssemblyPlan::new(&mesh, elems, AssemblyStrategy::Serial, 1);
+    let plan =
+        AssemblyPlan::new(&mesh, elems, AssemblyStrategy::Serial, 1, &matrix, ElementOrder::List);
     let refs = RefElement::all();
     let pool = ThreadPool::new(2);
     let velocity: Vec<Vec3> =

@@ -152,15 +152,19 @@ fn observability_plane_end_to_end() {
     }
     assert!(failed, "deadline never fired");
 
-    // The dump is written right after the Fail transition; give it a beat.
+    // The daemon writes the dump after it has announced the Fail (the
+    // dump mirrors that record, so it cannot come first) and not
+    // atomically. Wait here, on the condition — a dump that
+    // digest-verifies — with the budget the loop above has: 2 s was once
+    // too short on a 2-core host busy with a build.
     let dump_path = wal::flight_path(&dir, 1);
     let mut text = String::new();
-    for _ in 0..200 {
-        if let Ok(t) = std::fs::read_to_string(&dump_path) {
-            text = t;
+    for _ in 0..600 {
+        text = std::fs::read_to_string(&dump_path).unwrap_or_default();
+        if cfpd_flight::parse_dump(&text).is_ok() {
             break;
         }
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(20));
     }
     assert!(!text.is_empty(), "no flight dump at {}", dump_path.display());
     let dump = cfpd_flight::parse_dump(&text).expect("dump must digest-verify");

@@ -9,7 +9,7 @@ use cfpd_runtime::{
 use cfpd_simmpi::{ReduceOp, Universe};
 use cfpd_solver::{
     assemble_divergence, assemble_momentum, assemble_pressure_gradient, AssemblyPlan,
-    AssemblyStrategy, CsrMatrix, FluidProps, RefElement,
+    AssemblyStrategy, CsrMatrix, ElementOrder, FluidProps, RefElement,
 };
 use cfpd_testkit::prop::{check, usize_range, vec_of, PropConfig};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -175,7 +175,10 @@ fn assembly_is_bit_identical_under_random_lend_reclaim_scripts() {
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
     let plans: Vec<AssemblyPlan> = [AssemblyStrategy::Multidep, AssemblyStrategy::Coloring]
         .into_iter()
-        .map(|strategy| AssemblyPlan::with_batches(&mesh, elems.clone(), strategy, 64, &template))
+        .map(|strategy| {
+            let order = ElementOrder::KindGrouped;
+            AssemblyPlan::new(&mesh, elems.clone(), strategy, 64, &template, order)
+        })
         .collect();
     let assemble = |pool: &ThreadPool, plan: &AssemblyPlan| {
         let (props, dt) = (FluidProps::default(), 1e-4);

@@ -9,8 +9,8 @@ use cfpd_mesh::{generate_airway, AirwaySpec, TubeParams, Vec3};
 use cfpd_partition::{decompose_subdomains, greedy_coloring, local_element_graph, Graph};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
-    assemble_momentum, AssemblyPlan, AssemblyStrategy, CsrMatrix,
-    FluidProps, RefElement,
+    assemble_momentum, oracle, AssemblyPlan, AssemblyStrategy, CsrMatrix, ElementOrder, FluidProps,
+    RefElement,
 };
 use cfpd_testkit::prop::{check, f64_range, map, usize_range, Gen, PropConfig};
 
@@ -39,7 +39,8 @@ fn arb_spec() -> impl Gen<Value = AirwaySpec> {
     })
 }
 
-/// Momentum matrix and right-hand sides of one plan on `pool`.
+/// Momentum matrix and right-hand sides of one plan on `pool`, in
+/// `order` — or, with none, through the element-at-a-time oracle loops.
 #[allow(clippy::too_many_arguments)]
 fn assemble(
     pool: &ThreadPool,
@@ -48,18 +49,16 @@ fn assemble(
     velocity: &[Vec3],
     strategy: AssemblyStrategy,
     n_sub: usize,
-    batched: bool,
+    order: Option<ElementOrder>,
 ) -> (Vec<f64>, Vec<Vec<f64>>) {
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-    let plan = if batched {
-        AssemblyPlan::with_batches(mesh, elems, strategy, n_sub, template)
-    } else {
-        AssemblyPlan::new(mesh, elems, strategy, n_sub)
-    };
+    let cut = order.unwrap_or(ElementOrder::List);
+    let plan = AssemblyPlan::new(mesh, elems, strategy, n_sub, template, cut);
     let mut a = template.clone();
     let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
     let zero_p = vec![0.0; mesh.num_nodes()];
-    assemble_momentum(
+    let sweep = if order.is_some() { assemble_momentum } else { oracle::assemble_momentum };
+    sweep(
         pool,
         &RefElement::all(),
         mesh,
@@ -82,24 +81,24 @@ fn assert_close(what: &str, got: &[f64], want: &[f64]) {
     }
 }
 
-/// All four strategies on one random mesh, list-order or kind-batched
-/// sweeps, against the serial list-order reference.
-fn check_strategies(spec: &AirwaySpec, n_sub: usize, batched: bool) {
+/// All four strategies on one random mesh, batches cut in `order`,
+/// against the serial element-at-a-time oracle.
+fn check_strategies(spec: &AirwaySpec, n_sub: usize, order: ElementOrder) {
     let airway = generate_airway(spec).unwrap();
     let mesh = &airway.mesh;
     let template = CsrMatrix::from_mesh(mesh, &mesh.node_to_elements());
     let (four, one) = (ThreadPool::new(4), ThreadPool::new(1));
     let velocity: Vec<Vec3> =
         mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
-    let run = |pool: &ThreadPool, strategy, batched| {
-        assemble(pool, mesh, &template, &velocity, strategy, n_sub, batched)
+    let run = |pool: &ThreadPool, strategy, order| {
+        assemble(pool, mesh, &template, &velocity, strategy, n_sub, order)
     };
 
-    let (vals_ref, rhs_ref) = run(&four, AssemblyStrategy::Serial, false);
+    let (vals_ref, rhs_ref) = run(&four, AssemblyStrategy::Serial, None);
     for strategy in AssemblyStrategy::ALL {
-        let (vals, rhs) = run(&four, strategy, batched);
+        let (vals, rhs) = run(&four, strategy, Some(order));
         if strategy != AssemblyStrategy::Atomics {
-            let alone = run(&one, strategy, batched);
+            let alone = run(&one, strategy, Some(order));
             assert!(
                 vals == alone.0 && rhs == alone.1,
                 "{strategy:?}: four workers moved bits of one"
@@ -125,15 +124,15 @@ fn strategies_assemble_identical_matrices() {
         "strategies_assemble_identical_matrices",
         PropConfig::cases(8),
         &gen,
-        |(spec, n_sub)| check_strategies(spec, *n_sub, false),
+        |(spec, n_sub)| check_strategies(spec, *n_sub, ElementOrder::List),
     );
 }
 
-/// The kind-batched SoA assembly (the fast layout's order) under all
-/// four strategies on random meshes: batching regroups the element
-/// summation order (by kind, per unit), so against the serial unbatched
-/// reference it agrees up to FP reassociation — and against its own
-/// one-worker run bit for bit, like the list-order sweeps.
+/// The kind-grouped order (the fast layout's) under all four strategies
+/// on random meshes: grouping regroups the element summation order (by
+/// kind, per unit), so against the serial list-order oracle it agrees up
+/// to FP reassociation — and against its own one-worker run bit for bit,
+/// like the list-order sweeps.
 #[test]
 fn batched_assembly_matches_reference_under_all_strategies() {
     let gen = (arb_spec(), usize_range(4, 32));
@@ -141,7 +140,7 @@ fn batched_assembly_matches_reference_under_all_strategies() {
         "batched_assembly_matches_reference_under_all_strategies",
         PropConfig::cases(6),
         &gen,
-        |(spec, n_sub)| check_strategies(spec, *n_sub, true),
+        |(spec, n_sub)| check_strategies(spec, *n_sub, ElementOrder::KindGrouped),
     );
 }
 
