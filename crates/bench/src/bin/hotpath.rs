@@ -365,20 +365,14 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
     b.bench("setup/locator-build", || {
         black_box(Locator::new(mesh).elem_size(0));
     });
+    // One locator for every sample: the inlet cells' lazy candidate lists are
+    // built in the first sample, not the median (`particles_serial` pays them cold).
     let locator = Locator::new(mesh);
+    let (center, dir, radius) = (airway.inlet_center, airway.inlet_direction, airway.inlet_radius);
     let inject = || {
         let mut set = ParticleSet::default();
-        let injected = inject_at_inlet(
-            &mut set,
-            &locator,
-            airway.inlet_center,
-            airway.inlet_direction,
-            airway.inlet_radius,
-            1.5,
-            ParticleProps::default(),
-            10_000,
-            42,
-        );
+        let injected =
+            inject_at_inlet(&mut set, &locator, center, dir, radius, 1.5, ParticleProps::default(), 10_000, 42);
         (set, injected)
     };
     b.bench("setup/inject-10k", || {

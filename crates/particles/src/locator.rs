@@ -3,7 +3,12 @@
 //! fallback for injection and lost particles.
 
 use cfpd_mesh::{BoundaryKind, FaceNeighbors, Mesh, Vec3};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Sub-boxes per grid-cell edge: [`Locator::locate_global`] scans the
+/// candidate list of one of a cell's `K³` sub-boxes.
+const K: usize = 4;
+const SUB_BOXES: usize = K * K * K;
 
 /// Result of a walk from one element toward a point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,17 +36,9 @@ struct FacePlane {
 /// Plane of local face `face` (node indices into `nodes`) of an element.
 fn face_plane(coords: &[Vec3], nodes: &[u32], face: &[usize]) -> FacePlane {
     // Face centroid and normal (Newell's method handles warped quads).
-    let mut c = Vec3::ZERO;
-    for &li in face.iter() {
-        c += coords[nodes[li] as usize];
-    }
-    c = c / face.len() as f64;
-    let mut n = Vec3::ZERO;
-    for k in 0..face.len() {
-        let a = coords[nodes[face[k]] as usize];
-        let b = coords[nodes[face[(k + 1) % face.len()]] as usize];
-        n += (a - c).cross(b - c);
-    }
+    let at = |k: usize| coords[nodes[face[k]] as usize];
+    let c = (0..face.len()).fold(Vec3::ZERO, |c, k| c + at(k)) / face.len() as f64;
+    let n = (0..face.len()).fold(Vec3::ZERO, |n, k| n + (at(k) - c).cross(at((k + 1) % face.len()) - c));
     let len = n.norm();
     let normal = if len < 1e-30 { Vec3::new(f64::NAN, f64::NAN, f64::NAN) } else { n / len };
     FacePlane { centroid: c, normal }
@@ -65,7 +62,14 @@ pub struct LocatorGeometry {
     grid_origin: Vec3,
     grid_cell: f64,
     grid_dims: [usize; 3],
-    cells: Vec<Vec<u32>>,
+    /// The elements binned by centroid: cell `c` holds
+    /// `cell_ids[cell_offsets[c]..cell_offsets[c + 1]]`, in element order.
+    cell_offsets: Vec<u32>,
+    cell_ids: Vec<u32>,
+    /// Per cell, the candidate lists of its sub-boxes
+    /// ([`LocatorGeometry::sub_box_lists`]), built by the first query
+    /// that lands in the cell, on whichever thread asks.
+    sub_box_lists: Vec<OnceLock<Box<[u32]>>>,
 }
 
 /// Mesh locator: a mesh and its [`LocatorGeometry`].
@@ -102,22 +106,9 @@ impl LocatorGeometry {
         let extent = hi - lo;
         let vol = (extent.x * extent.y * extent.z).max(1e-30);
         let cell = (vol / target_cells).cbrt().max(1e-9);
-        let dims = [
-            ((extent.x / cell).ceil() as usize).max(1),
-            ((extent.y / cell).ceil() as usize).max(1),
-            ((extent.z / cell).ceil() as usize).max(1),
-        ];
-        let mut cells = vec![Vec::new(); dims[0] * dims[1] * dims[2]];
-        let index = |p: Vec3| -> usize {
-            let ix = (((p.x - lo.x) / cell) as usize).min(dims[0] - 1);
-            let iy = (((p.y - lo.y) / cell) as usize).min(dims[1] - 1);
-            let iz = (((p.z - lo.z) / cell) as usize).min(dims[2] - 1);
-            (iz * dims[1] + iy) * dims[0] + ix
-        };
-        for (e, &c) in centroids.iter().enumerate() {
-            cells[index(c)].push(e as u32);
-        }
-        LocatorGeometry {
+        let dims = [extent.x, extent.y, extent.z].map(|x| ((x / cell).ceil() as usize).max(1));
+        let num_cells = dims[0] * dims[1] * dims[2];
+        let mut g = LocatorGeometry {
             face_neighbors,
             planes,
             boundary,
@@ -126,8 +117,127 @@ impl LocatorGeometry {
             grid_origin: lo,
             grid_cell: cell,
             grid_dims: dims,
-            cells,
+            cell_offsets: vec![0; num_cells + 1],
+            cell_ids: vec![0; mesh.num_elements()],
+            sub_box_lists: (0..num_cells).map(|_| OnceLock::new()).collect(),
+        };
+        // A counting sort keeps element order within a cell.
+        let bins: Vec<usize> = g.centroids.iter().map(|&c| g.linear(g.cell_of(c).0)).collect();
+        for &b in &bins {
+            g.cell_offsets[b + 1] += 1;
         }
+        for b in 0..num_cells {
+            g.cell_offsets[b + 1] += g.cell_offsets[b];
+        }
+        let mut next = g.cell_offsets.clone();
+        for (e, &b) in bins.iter().enumerate() {
+            g.cell_ids[next[b] as usize] = e as u32;
+            next[b] += 1;
+        }
+        g
+    }
+
+    /// The grid cell of `p`, clamped to the grid, and the sub-box of the
+    /// cell that `p` falls in (`0..SUB_BOXES`, x fastest) — the one index
+    /// arithmetic of the grid. The cell is `⌊(x − origin) / cell⌋` clamped
+    /// (`⌊4t⌋ div 4 = ⌊t⌋`, and 4t is exact); `as usize` saturates, so
+    /// negative and NaN coordinates land in cell 0.
+    fn cell_of(&self, p: Vec3) -> ([usize; 3], usize) {
+        let (o, mut cell, mut sub) = (self.grid_origin, [0; 3], 0);
+        for (a, x) in [(2, p.z - o.z), (1, p.y - o.y), (0, p.x - o.x)] {
+            let fine = ((x / self.grid_cell * K as f64) as usize).min(K * self.grid_dims[a] - 1);
+            (cell[a], sub) = (fine / K, sub * K + fine % K);
+        }
+        (cell, sub)
+    }
+
+    fn linear(&self, cell: [usize; 3]) -> usize {
+        (cell[2] * self.grid_dims[1] + cell[1]) * self.grid_dims[0] + cell[0]
+    }
+
+    /// The elements binned in cell `c`.
+    fn cell(&self, c: usize) -> &[u32] {
+        &self.cell_ids[self.cell_offsets[c] as usize..self.cell_offsets[c + 1] as usize]
+    }
+
+    /// The elements binned in `cell` and its up to 26 neighbors, cell by
+    /// cell in z, y, x order and in element order within a cell — the
+    /// scan order of [`Locator::locate_global`].
+    fn candidates(&self, cell: [usize; 3]) -> impl Iterator<Item = u32> + '_ {
+        let d = self.grid_dims;
+        let around = |a: usize| cell[a].saturating_sub(1)..(cell[a] + 2).min(d[a]);
+        let (xs, ys) = (around(0), around(1));
+        around(2)
+            .flat_map(move |z| ys.clone().map(move |y| z * d[1] + y))
+            .flat_map(move |zy| xs.clone().map(move |x| self.cell(zy * d[0] + x)))
+            .flatten()
+            .copied()
+    }
+
+    /// The face planes of element `e`, in local face order.
+    fn planes(&self, e: usize) -> &[FacePlane] {
+        let first = self.face_neighbors.slot(e, 0);
+        &self.planes[first..first + self.face_neighbors.faces(e).len()]
+    }
+
+    /// Whether a face distance of `e` at `at(normal)` exceeds `1e-9·h +
+    /// 1e-15` — at `|_| p`, exactly `!contains` (NaN planes exceed nothing).
+    fn beyond_a_face(&self, e: usize, at: impl Fn(Vec3) -> Vec3) -> bool {
+        let eps = 1e-9 * self.size[e] + 1e-15;
+        self.planes(e).iter().any(|pl| (at(pl.normal) - pl.centroid).dot(pl.normal) > eps)
+    }
+
+    /// Sub-box `sub` of `cell`, `[low, high]` per axis, inflated by
+    /// `1e-6` cell on every side (more than the rounding of
+    /// [`LocatorGeometry::cell_of`] and of these bounds while coordinates
+    /// stay within 10⁹ cells of zero) and unbounded where `cell_of` clamps.
+    fn sub_box(&self, cell: [usize; 3], sub: usize) -> [[f64; 2]; 3] {
+        let (o, h) = ([self.grid_origin.x, self.grid_origin.y, self.grid_origin.z], self.grid_cell);
+        std::array::from_fn(|a| {
+            let fine = cell[a] * K + sub / K.pow(a as u32) % K;
+            let at = |f: usize, slack: f64| o[a] + f as f64 / K as f64 * h + slack * h;
+            let lo = if fine == 0 { f64::NEG_INFINITY } else { at(fine, -1e-6) };
+            let hi = if fine + 1 == K * self.grid_dims[a] { f64::INFINITY } else { at(fine + 1, 1e-6) };
+            [lo, hi]
+        })
+    }
+
+    /// The candidate lists of the sub-boxes of `cell` in one arena (list
+    /// `s` is `arena[arena[s]..arena[s + 1]]`): the scan of
+    /// [`LocatorGeometry::candidates`] minus every element with a face
+    /// distance above its tolerance at the box corner that minimises it
+    /// (per axis the low bound where `n ≥ 0`, else the high one). The
+    /// computed `(p − c)·n` is subtractions, multiplications by
+    /// fixed-sign constants and additions, each monotone under IEEE
+    /// rounding, so no finite point of the box reads less than that
+    /// corner: a dropped element fails pass 1 all over the box, and the
+    /// list's first hit is the scan's. An infinite corner (`−∞` or NaN) or
+    /// a degenerate face (NaN) never drops anything.
+    fn sub_box_lists(&self, cell: [usize; 3]) -> Box<[u32]> {
+        let around: Vec<u32> = self.candidates(cell).collect();
+        let mut arena = vec![(SUB_BOXES + 1) as u32; SUB_BOXES + 1]; // list 0 starts after the offsets
+        for s in 0..SUB_BOXES {
+            let b = self.sub_box(cell, s);
+            let side = |n: f64| usize::from(n < 0.0);
+            let corner = |n: Vec3| Vec3::new(b[0][side(n.x)], b[1][side(n.y)], b[2][side(n.z)]);
+            arena.extend(around.iter().filter(|&&e| !self.beyond_a_face(e as usize, corner)));
+            arena[s + 1] = arena.len() as u32;
+        }
+        cfpd_telemetry::count!("particles.locator_cells_built");
+        arena.into_boxed_slice()
+    }
+
+    /// The candidate list of the sub-box of `cell` that holds `p`, or
+    /// `None` when `p` is not finite or (rounding beyond the inflation)
+    /// not inside that box — then the caller scans the whole
+    /// neighbourhood, so the list is never trusted outside its box.
+    fn sub_box_candidates(&self, cell: [usize; 3], sub: usize, p: Vec3) -> Option<&[u32]> {
+        let (b, x) = (self.sub_box(cell, sub), [p.x, p.y, p.z]);
+        if !(0..3).all(|a| x[a].is_finite() && b[a][0] <= x[a] && x[a] <= b[a][1]) {
+            return None;
+        }
+        let arena = self.sub_box_lists[self.linear(cell)].get_or_init(|| self.sub_box_lists(cell));
+        Some(&arena[arena[sub] as usize..arena[sub + 1] as usize])
     }
 }
 
@@ -147,30 +257,20 @@ impl<'m> Locator<'m> {
     /// face centroid with outward normal; tolerance `eps` relative to
     /// the element size).
     pub fn contains(&self, e: usize, p: Vec3, eps: f64) -> bool {
-        self.max_face_violation(e, p) <= eps
-    }
-
-    /// The face planes of element `e`, in local face order.
-    fn planes(&self, e: usize) -> &[FacePlane] {
-        let first = self.g.face_neighbors.slot(e, 0);
-        &self.g.planes[first..first + self.g.face_neighbors.faces(e).len()]
+        self.worst_face(e, p).0 <= eps
     }
 
     /// Largest signed distance of `p` beyond any face plane of `e`
     /// (negative = strictly inside) and the face index achieving it.
     fn worst_face(&self, e: usize, p: Vec3) -> (f64, usize) {
         let mut worst = (f64::NEG_INFINITY, 0usize);
-        for (f, plane) in self.planes(e).iter().enumerate() {
+        for (f, plane) in self.g.planes(e).iter().enumerate() {
             let d = (p - plane.centroid).dot(plane.normal);
             if d > worst.0 {
                 worst = (d, f);
             }
         }
         worst
-    }
-
-    fn max_face_violation(&self, e: usize, p: Vec3) -> f64 {
-        self.worst_face(e, p).0
     }
 
     /// Walk from `start` toward `p`, crossing at most `max_steps` faces.
@@ -188,9 +288,7 @@ impl<'m> Locator<'m> {
                     if next as usize == prev {
                         // Ping-pong between two elements (point near a
                         // warped shared face): accept the closer one.
-                        let va = self.max_face_violation(e, p);
-                        let vb = self.max_face_violation(prev, p);
-                        let best = if va <= vb { e } else { prev };
+                        let best = if violation <= self.worst_face(prev, p).0 { e } else { prev };
                         return WalkResult::Inside(best as u32);
                     }
                     prev = e;
@@ -230,53 +328,33 @@ impl<'m> Locator<'m> {
         None
     }
 
-    /// The elements binned in the grid cell of `p` and its up to 26
-    /// neighbors, cell by cell in z, y, x order and in element order
-    /// within a cell — the scan order of [`Locator::locate_global`].
-    fn candidates(&self, p: Vec3) -> impl Iterator<Item = u32> + '_ {
-        let g = &*self.g;
-        let d = g.grid_dims;
-        let around = |x: f64, origin: f64, n: usize| {
-            let i = (((x - origin) / g.grid_cell) as i64).clamp(0, n as i64 - 1) as usize;
-            i.saturating_sub(1)..(i + 2).min(n)
-        };
-        let xs = around(p.x, g.grid_origin.x, d[0]);
-        let ys = around(p.y, g.grid_origin.y, d[1]);
-        around(p.z, g.grid_origin.z, d[2])
-            .flat_map(move |z| ys.clone().map(move |y| z * d[1] + y))
-            .flat_map(move |zy| xs.clone().map(move |x| &g.cells[zy * d[0] + x]))
-            .flatten()
-            .copied()
-    }
-
     /// Global search via the uniform grid (used at injection and to
     /// recover lost particles). Returns the containing element, if any:
-    /// the **first in scan order** ([`Locator::candidates`]) that
+    /// the **first in scan order** ([`LocatorGeometry::candidates`]) that
     /// contains `p`. Where elements overlap geometrically — the junction
     /// cones of the airway mesh do (DESIGN.md §7) — that order decides
     /// which one a particle lands in, so it is part of the result.
     pub fn locate_global(&self, p: Vec3) -> Option<u32> {
-        // Pass 1, all an injection ever runs: leave a candidate at its
-        // first violated face. "No face distance above eps" is
-        // `contains` exactly — both skip the NaN planes of degenerate
-        // faces — without the distances of the faces after the verdict.
-        let inside = |&e: &u32| {
-            let eps = 1e-9 * self.g.size[e as usize] + 1e-15;
-            !self.planes(e as usize).iter().any(|pl| (p - pl.centroid).dot(pl.normal) > eps)
+        let g = &*self.g;
+        let (cell, sub) = g.cell_of(p);
+        // Pass 1, all an injection ever runs: the first candidate with no
+        // face distance above eps, each left at its first violated face,
+        // over the sub-box's list — a subsequence of the scan that drops
+        // only elements failing this test everywhere in the box.
+        let inside = |&&e: &&u32| !g.beyond_a_face(e as usize, |_| p);
+        let found = match g.sub_box_candidates(cell, sub, p) {
+            Some(list) => list.iter().find(inside).copied(),
+            None => g.candidates(cell).find(|e| inside(&e)),
         };
-        if let Some(e) = self.candidates(p).find(inside) {
-            return Some(e);
+        if found.is_some() {
+            return found;
         }
-        // Pass 2, on a miss: walk from the nearest candidate centroid
-        // (the first of equally near ones).
-        let mut best: Option<(f64, u32)> = None;
-        for e in self.candidates(p) {
-            let dist = self.g.centroids[e as usize].dist(p);
-            if best.is_none() || dist < best.unwrap().0 {
-                best = Some((dist, e));
-            }
-        }
-        match best.map(|(_, e)| self.walk(e, p, 64)) {
+        // Pass 2, on a miss: walk from the nearest centroid of the whole
+        // neighbourhood (the first of equally near ones).
+        let nearest = g.candidates(cell)
+            .map(|e| (g.centroids[e as usize].dist(p), e))
+            .reduce(|best, next| if next.0 < best.0 { next } else { best });
+        match nearest.map(|(_, e)| self.walk(e, p, 64)) {
             Some(WalkResult::Inside(found)) => Some(found),
             _ => None,
         }
@@ -295,57 +373,26 @@ impl<'m> Locator<'m> {
             mean += field[v as usize];
         }
         mean = mean / nodes.len() as f64;
-        // Normal equations A g_c = b_c with A = Σ dx dxᵀ.
-        let mut a = [[0.0f64; 3]; 3];
-        let mut b = [[0.0f64; 3]; 3]; // b[c][*]
+        // Normal equations A g_c = b_c with A = Σ dx dxᵀ (rows `a`) and
+        // b_c = Σ dx df_c (`b[c]`).
+        let (mut a, mut b) = ([Vec3::ZERO; 3], [Vec3::ZERO; 3]);
         for &v in nodes {
             let dx = self.mesh.coords[v as usize] - centroid;
             let df = field[v as usize] - mean;
-            let dxa = [dx.x, dx.y, dx.z];
-            let dfa = [df.x, df.y, df.z];
-            for r in 0..3 {
-                for c in 0..3 {
-                    a[r][c] += dxa[r] * dxa[c];
-                }
-                for c in 0..3 {
-                    b[c][r] += dxa[r] * dfa[c];
-                }
+            for (sum, d) in a.iter_mut().zip([dx.x, dx.y, dx.z]).chain(b.iter_mut().zip([df.x, df.y, df.z])) {
+                *sum += dx * d;
             }
         }
-        // Invert A (3x3, SPD up to degeneracy; fall back to zero).
-        let det = a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]);
+        // Invert A (3x3, SPD up to degeneracy; fall back to zero): its
+        // adjugate's columns are the cross products of its rows.
+        let adj = [a[1].cross(a[2]), a[2].cross(a[0]), a[0].cross(a[1])];
+        let det = a[0].dot(adj[0]);
         if det.abs() < 1e-30 {
             return [Vec3::ZERO; 3];
         }
         let inv_det = 1.0 / det;
-        let inv = [
-            [
-                (a[1][1] * a[2][2] - a[1][2] * a[2][1]) * inv_det,
-                (a[0][2] * a[2][1] - a[0][1] * a[2][2]) * inv_det,
-                (a[0][1] * a[1][2] - a[0][2] * a[1][1]) * inv_det,
-            ],
-            [
-                (a[1][2] * a[2][0] - a[1][0] * a[2][2]) * inv_det,
-                (a[0][0] * a[2][2] - a[0][2] * a[2][0]) * inv_det,
-                (a[0][2] * a[1][0] - a[0][0] * a[1][2]) * inv_det,
-            ],
-            [
-                (a[1][0] * a[2][1] - a[1][1] * a[2][0]) * inv_det,
-                (a[0][1] * a[2][0] - a[0][0] * a[2][1]) * inv_det,
-                (a[0][0] * a[1][1] - a[0][1] * a[1][0]) * inv_det,
-            ],
-        ];
-        let mut out = [Vec3::ZERO; 3];
-        for c in 0..3 {
-            out[c] = Vec3::new(
-                inv[0][0] * b[c][0] + inv[0][1] * b[c][1] + inv[0][2] * b[c][2],
-                inv[1][0] * b[c][0] + inv[1][1] * b[c][1] + inv[1][2] * b[c][2],
-                inv[2][0] * b[c][0] + inv[2][1] * b[c][1] + inv[2][2] * b[c][2],
-            );
-        }
-        out
+        let inv = adj.map(|col| col * inv_det);
+        b.map(|bc| inv[0] * bc.x + inv[1] * bc.y + inv[2] * bc.z)
     }
 
     /// Vorticity ω = ∇ × u of a nodal velocity field at element `e`.
@@ -463,38 +510,28 @@ mod tests {
             WalkResult::Lost
         }
 
+        /// The full 27-cell scan, in z, y, x and in-cell order, with the
+        /// index arithmetic of the grid before sub-boxes: the first
+        /// element containing `p`, else a walk from the nearest centroid.
         fn locate_global(&self, p: Vec3) -> Option<u32> {
-            let (loc, mesh) = (self.loc, self.loc.mesh);
-            let d = loc.g.grid_dims;
-            let at = |x: f64, o: f64, n: usize| (((x - o) / loc.g.grid_cell) as i64).clamp(0, n as i64 - 1);
-            let ix = at(p.x, loc.g.grid_origin.x, d[0]);
-            let iy = at(p.y, loc.g.grid_origin.y, d[1]);
-            let iz = at(p.z, loc.g.grid_origin.z, d[2]);
-            let mut best: Option<(f64, u32)> = None;
-            for dz in -1..=1i64 {
-                for dy in -1..=1i64 {
-                    for dx in -1..=1i64 {
-                        let (x, y, z) = (ix + dx, iy + dy, iz + dz);
-                        if x < 0 || y < 0 || z < 0
-                            || x >= d[0] as i64 || y >= d[1] as i64 || z >= d[2] as i64
-                        {
-                            continue;
-                        }
-                        let cell = &loc.g.cells[((z as usize) * d[1] + y as usize) * d[0] + x as usize];
-                        for &e in cell {
-                            let h = mesh.volume(e as usize).abs().cbrt();
-                            if self.worst_face(e as usize, p).0 <= 1e-9 * h + 1e-15 {
-                                return Some(e);
-                            }
-                            let dist = mesh.centroid(e as usize).dist(p);
-                            if best.is_none() || dist < best.unwrap().0 {
-                                best = Some((dist, e));
-                            }
-                        }
+            let (g, mesh) = (&self.loc.g, self.loc.mesh);
+            let n = g.grid_dims.map(|n| n as i64);
+            let at = |x: f64, o: f64, n: i64| (((x - o) / g.grid_cell) as i64).clamp(0, n - 1);
+            let c = [at(p.x, g.grid_origin.x, n[0]), at(p.y, g.grid_origin.y, n[1]), at(p.z, g.grid_origin.z, n[2])];
+            let mut scan = Vec::new();
+            for z in (c[2] - 1..=c[2] + 1).filter(|z| (0..n[2]).contains(z)) {
+                for y in (c[1] - 1..=c[1] + 1).filter(|y| (0..n[1]).contains(y)) {
+                    for x in (c[0] - 1..=c[0] + 1).filter(|x| (0..n[0]).contains(x)) {
+                        scan.extend_from_slice(g.cell(((z * n[1] + y) * n[0] + x) as usize));
                     }
                 }
             }
-            match best.map(|(_, e)| self.walk(e, p, 64)) {
+            let h = |e: u32| mesh.volume(e as usize).abs().cbrt();
+            if let Some(&e) = scan.iter().find(|&&e| self.worst_face(e as usize, p).0 <= 1e-9 * h(e) + 1e-15) {
+                return Some(e);
+            }
+            let nearest = scan.into_iter().map(|e| (mesh.centroid(e as usize).dist(p), e));
+            match nearest.reduce(|best, next| if next.0 < best.0 { next } else { best }).map(|(_, e)| self.walk(e, p, 64)) {
                 Some(WalkResult::Inside(found)) => Some(found),
                 _ => None,
             }
@@ -505,42 +542,81 @@ mod tests {
         a.0.to_bits() == b.0.to_bits() && a.1 == b.1
     }
 
-    /// 12 000 random points, each within four element sizes of a random
-    /// element's centroid (inside it, in a neighbor, in a junction void
-    /// or beyond the wall), each walked to from another random element:
-    /// the cached face planes answer `worst_face`, `walk` and
-    /// `locate_global` exactly like the recomputing oracle.
+    /// 16 000 random points where the cached face planes or the pruned
+    /// scan could go wrong, each walked to from another random element
+    /// and located globally: within four element sizes of a random
+    /// element's centroid (inside it, in a neighbor, in a junction void or
+    /// beyond the wall); a centroid snapped onto the sub-box and cell
+    /// boundaries of one to three axes, or one ulp off them; up to two
+    /// cells beyond one of the grid's six sides; with a ±∞ or NaN
+    /// coordinate. Before them, 2 000 points over the inlet disc drawn as
+    /// `inject_at_inlet` draws them. `worst_face`, `walk` and
+    /// `locate_global` answer exactly like the recomputing oracle and its
+    /// full 27-cell scan, and every sub-box list built on the way is a
+    /// subsequence of that scan.
     #[test]
     fn cached_planes_equal_the_recomputing_oracle() {
         let am = airway();
         let loc = Locator::new(&am.mesh);
         let oracle = Oracle::new(&loc);
-        let ne = am.mesh.num_elements();
+        let (g, ne) = (&*loc.g, am.mesh.num_elements());
+        for p in crate::tracker::inlet_points(am.inlet_center, am.inlet_direction, am.inlet_radius, 11).take(2_000) {
+            assert_eq!(loc.locate_global(p), oracle.locate_global(p), "inlet point {p:?}");
+        }
+        let (o, h) = ([g.grid_origin.x, g.grid_origin.y, g.grid_origin.z], g.grid_cell);
         let offset = || f64_range(-4.0, 4.0);
-        let gen = (usize_range(0, ne), offset(), offset(), offset(), usize_range(0, ne));
-        let (inside, outside) = (std::cell::Cell::new(0usize), std::cell::Cell::new(0usize));
-        check("cached locator == oracle", PropConfig::cases(12_000), &gen, |&(near, x, y, z, from)| {
-            let p = am.mesh.centroid(near) + Vec3::new(x, y, z) * loc.elem_size(near);
+        let gen = (usize_range(0, ne), offset(), offset(), offset(), usize_range(0, ne), usize_range(0, 7), usize_range(0, 21));
+        let tally = [(); 3].map(|_| std::cell::Cell::new(0usize));
+        check("cached locator == oracle", PropConfig::cases(16_000), &gen, |&(near, x, y, z, from, kind, pick)| {
+            let c = am.mesh.centroid(near);
+            let mut q = [c.x, c.y, c.z];
+            match kind {
+                4 => {
+                    for a in (0..3).filter(|a| (pick % 7 + 1) >> a & 1 == 1) {
+                        let on = o[a] + ((q[a] - o[a]) / h * K as f64).round() / K as f64 * h;
+                        q[a] = [on.next_down(), on, on.next_up()][pick / 7];
+                    }
+                }
+                5 => {
+                    let (a, out) = (pick % 3, x.abs() / 2.0 * h);
+                    q[a] = if pick / 3 % 2 == 0 { o[a] - out } else { o[a] + g.grid_dims[a] as f64 * h + out };
+                }
+                6 => q[pick % 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][pick / 7],
+                _ => q = [c.x + x * loc.elem_size(near), c.y + y * loc.elem_size(near), c.z + z * loc.elem_size(near)],
+            }
+            let p = Vec3::new(q[0], q[1], q[2]);
             for e in [near, from] {
                 assert!(same_bits(loc.worst_face(e, p), oracle.worst_face(e, p)));
                 assert_eq!(loc.walk(e as u32, p, 256), oracle.walk(e as u32, p, 256));
             }
             let found = loc.locate_global(p);
             assert_eq!(found, oracle.locate_global(p));
-            let tally = if found.is_some() { &inside } else { &outside };
-            tally.set(tally.get() + 1);
+            if let Some(i) = match kind { 0..=3 => Some(usize::from(found.is_some())), 4 => found.map(|_| 2), _ => None } {
+                tally[i].set(tally[i].get() + 1);
+            }
         });
-        assert!(
-            inside.get() > 2_000 && outside.get() > 2_000,
-            "lopsided sample: {} inside, {} outside",
-            inside.get(),
-            outside.get()
-        );
+        let [outside, inside, on_boundaries] = tally.map(|t| t.get());
+        assert!(inside > 2_000 && outside > 2_000, "lopsided sample: {inside} inside, {outside} outside");
+        assert!(on_boundaries > 1_000, "only {on_boundaries} boundary points inside the mesh");
+        // Every list the sample built is a subsequence of its cell's scan,
+        // and together they keep under a quarter of it.
+        let ([nx, ny, _], (mut kept, mut scanned)) = (g.grid_dims, (0, 0));
+        for (c, arena) in g.sub_box_lists.iter().enumerate().filter_map(|(c, l)| Some((c, l.get()?))) {
+            let around: Vec<u32> = g.candidates([c % nx, c / nx % ny, c / (nx * ny)]).collect();
+            for w in arena[..=SUB_BOXES].windows(2) {
+                let mut rest = around.iter();
+                assert!(arena[w[0] as usize..w[1] as usize].iter().all(|e| rest.any(|a| a == e)), "cell {c}");
+                (kept, scanned) = (kept + (w[1] - w[0]) as usize, scanned + around.len());
+            }
+        }
+        assert!(kept * 4 < scanned && scanned > 100_000, "lists keep {kept} of {scanned} candidates");
     }
 
     /// A sliver tet with two coincident nodes has two zero-area faces;
     /// both the oracle (`len < 1e-30` → skip) and the cache (NaN normal)
-    /// must leave them out and agree on the rest.
+    /// must leave them out and agree on the rest — also through the
+    /// pruned scan, and at ±∞ and NaN coordinates, where the sliver's
+    /// axis-aligned faces (zero normal components) make a distance NaN.
     #[test]
     fn degenerate_faces_are_skipped_like_the_oracle() {
         let mut b = MeshBuilder::new();
@@ -557,15 +633,47 @@ mod tests {
         let first = loc.g.face_neighbors.slot(1, 0);
         let skipped = loc.g.planes[first..first + 4].iter().filter(|pl| pl.normal.x.is_nan()).count();
         assert_eq!(skipped, 2, "faces through both coincident nodes have no area");
-        let gen = (f64_range(-0.5, 1.5), f64_range(-0.5, 1.5), f64_range(-0.5, 1.5));
-        check("degenerate faces", PropConfig::cases(2_000), &gen, |&(x, y, z)| {
-            let p = Vec3::new(x, y, z);
+        let gen = (f64_range(-0.5, 1.5), f64_range(-0.5, 1.5), f64_range(-0.5, 1.5), usize_range(0, 18));
+        check("degenerate faces", PropConfig::cases(2_000), &gen, |&(x, y, z, odd)| {
+            let mut p = [x, y, z];
+            if let Some(v) = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN].get(odd / 3) {
+                p[odd % 3] = *v;
+            }
+            let p = Vec3::new(p[0], p[1], p[2]);
             for e in 0..2 {
                 assert!(same_bits(loc.worst_face(e, p), oracle.worst_face(e, p)));
                 assert_eq!(loc.walk(e as u32, p, 16), oracle.walk(e as u32, p, 16));
             }
             assert_eq!(loc.locate_global(p), oracle.locate_global(p));
         });
+        // The queries went through the pruned path, and it pruned.
+        let lists = loc.g.sub_box_lists[0].get().expect("the one cell was built");
+        assert!(lists.len() < SUB_BOXES + 1 + 2 * SUB_BOXES, "no sub-box dropped an element");
+    }
+
+    /// Two threads inject 10 000 particles each through one fresh
+    /// geometry, released together, racing to build its cells: both get the
+    /// positions and elements of a serial injection through the oracle.
+    #[test]
+    fn concurrent_injections_through_one_geometry_match_the_oracle() {
+        let am = airway();
+        let geometry = Arc::new(LocatorGeometry::new(&am.mesh));
+        let (center, dir, radius) = (am.inlet_center, am.inlet_direction, am.inlet_radius);
+        let start = std::sync::Barrier::new(2);
+        let inject = || {
+            let (loc, mut set) = (Locator::with_geometry(&am.mesh, geometry.clone()), crate::ParticleSet::default());
+            start.wait();
+            crate::inject_at_inlet(&mut set, &loc, center, dir, radius, 1.0, Default::default(), 10_000, 42);
+            (set.pos, set.elem)
+        };
+        let sets = std::thread::scope(|s| [s.spawn(inject), s.spawn(inject)].map(|t| t.join().unwrap()));
+        let loc = Locator::new(&am.mesh);
+        let oracle = Oracle::new(&loc);
+        let serial: (Vec<Vec3>, Vec<u32>) = crate::tracker::inlet_points(center, dir, radius, 42)
+            .take(10_000)
+            .filter_map(|p| Some((p, oracle.locate_global(p)?)))
+            .unzip();
+        assert_eq!(sets, [serial.clone(), serial]);
     }
 
     /// The junction cones of the airway mesh overlap geometrically
@@ -578,11 +686,11 @@ mod tests {
         let loc = Locator::new(&am.mesh);
         let oracle = Oracle::new(&loc);
         let ne = am.mesh.num_elements();
-        let well_inside = |e: usize, p: Vec3| loc.max_face_violation(e, p) < -0.05 * loc.elem_size(e);
+        let well_inside = |e: usize, p: Vec3| loc.worst_face(e, p).0 < -0.05 * loc.elem_size(e);
         let mut decided_by_order = 0;
         for home in 0..ne {
             let p = am.mesh.centroid(home);
-            let holders: Vec<u32> = loc.candidates(p).filter(|&e| well_inside(e as usize, p)).collect();
+            let holders: Vec<u32> = loc.g.candidates(loc.g.cell_of(p).0).filter(|&e| well_inside(e as usize, p)).collect();
             if holders.len() < 2 {
                 continue;
             }

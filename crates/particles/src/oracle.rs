@@ -3,21 +3,21 @@
 //!
 //! [`step_particles_with`] is the transport sweep that
 //! [`crate::tracker::step_particles_with`] replaced: one particle at a
-//! time through interpolation, the Newmark/Picard drag solve and
-//! relocation, every intermediate a scalar — the exact arithmetic, RNG
-//! draw order and relocation decisions every lane of the block sweep
-//! must reproduce.
+//! time through interpolation and the Newmark/Picard drag solve, every
+//! intermediate a scalar — the exact arithmetic and RNG draw order every
+//! lane of the block sweep must reproduce. Relocation is scalar on both
+//! sides, so both call the tracker's own `relocate`.
 //!
 //! It is `pub`, not `#[cfg(test)]`, for the reason `cfpd_solver::oracle`
 //! is: the `particles/step-oracle` row of the `hotpath` bin sits in
 //! another crate, and test-only items do not cross crate boundaries.
 
-use crate::locator::{Locator, WalkResult};
+use crate::locator::Locator;
 use crate::physics::{DispersionRng, TransportModel};
 use crate::tracker::{
-    ParticleSet, ParticleState, StepStats, NEWMARK_BETA, NEWMARK_GAMMA, NEWMARK_PICARD,
+    relocate, ParticleSet, ParticleState, StepStats, NEWMARK_BETA, NEWMARK_GAMMA, NEWMARK_PICARD,
 };
-use cfpd_mesh::{BoundaryKind, Vec3};
+use cfpd_mesh::Vec3;
 
 /// Advance all active particles of `set` by `dt`, one at a time.
 #[allow(clippy::too_many_arguments)]
@@ -88,56 +88,7 @@ pub fn step_particles_with(
         set.vel[i] = v1;
         set.acc[i] = a1;
         stats.moved += 1;
-
-        // Relocate.
-        match locator.walk(set.elem[i], x1, 256) {
-            WalkResult::Inside(ne) => set.elem[i] = ne,
-            WalkResult::ExitedBoundary(last, kind) => {
-                set.elem[i] = last;
-                match kind {
-                    BoundaryKind::Wall => {
-                        let global = locator.locate_global(x1);
-                        let relocated = global.or_else(|| {
-                            let speed = v1.norm();
-                            if speed > 1e-12 {
-                                let h = locator.elem_size(last as usize);
-                                locator.locate_forward(x1, v1 / speed, h)
-                            } else {
-                                None
-                            }
-                        });
-                        match relocated {
-                            Some(ne) => {
-                                set.elem[i] = ne;
-                                if global.is_some() {
-                                    stats.relocated += 1;
-                                } else {
-                                    stats.hopped += 1;
-                                }
-                            }
-                            None => {
-                                set.state[i] = ParticleState::Deposited;
-                                stats.deposited += 1;
-                            }
-                        }
-                    }
-                    BoundaryKind::Outlet | BoundaryKind::Inlet => {
-                        set.state[i] = ParticleState::Escaped;
-                        stats.escaped += 1;
-                    }
-                }
-            }
-            WalkResult::Lost => match locator.locate_global(x1) {
-                Some(ne) => {
-                    set.elem[i] = ne;
-                    stats.relocated += 1;
-                }
-                None => {
-                    set.state[i] = ParticleState::Lost;
-                    stats.lost += 1;
-                }
-            },
-        }
+        relocate(set, i, locator, &mut stats);
     }
     stats
 }

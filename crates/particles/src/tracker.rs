@@ -107,27 +107,34 @@ pub fn inject_at_inlet(
     count: usize,
     seed: u64,
 ) -> usize {
-    let mut rng = Rng::new(seed);
     let dir = inlet_direction.normalized();
-    let u = dir.any_orthogonal();
-    let v = dir.cross(u);
-    // Offset slightly inside the mesh so injection points land in
-    // elements rather than exactly on the inlet plane.
-    let base = inlet_center + dir * (inlet_radius * 0.1);
     let mut injected = 0usize;
     set.reserve(count);
-    for _ in 0..count {
-        // Uniform over the disc (sqrt radial distribution), shrunk to
-        // 90 % of the radius to avoid the wall edge.
-        let r = inlet_radius * 0.9 * rng.f64().sqrt();
-        let a = rng.f64() * std::f64::consts::TAU;
-        let p = base + u * (r * a.cos()) + v * (r * a.sin());
+    for p in inlet_points(inlet_center, inlet_direction, inlet_radius, seed).take(count) {
         if let Some(e) = locator.locate_global(p) {
             set.push(p, dir * initial_speed, e, props);
             injected += 1;
         }
     }
     injected
+}
+
+/// The points [`inject_at_inlet`] tries, in order.
+pub(crate) fn inlet_points(center: Vec3, direction: Vec3, radius: f64, seed: u64) -> impl Iterator<Item = Vec3> {
+    let mut rng = Rng::new(seed);
+    let dir = direction.normalized();
+    let u = dir.any_orthogonal();
+    let v = dir.cross(u);
+    // Offset slightly inside the mesh so injection points land in
+    // elements rather than exactly on the inlet plane.
+    let base = center + dir * (radius * 0.1);
+    std::iter::repeat_with(move || {
+        // Uniform over the disc (sqrt radial distribution), shrunk to
+        // 90 % of the radius to avoid the wall edge.
+        let r = radius * 0.9 * rng.f64().sqrt();
+        let a = rng.f64() * std::f64::consts::TAU;
+        base + u * (r * a.cos()) + v * (r * a.sin())
+    })
 }
 
 /// Per-step statistics of the transport sweep.
@@ -468,7 +475,7 @@ impl Sweep<'_, '_> {
 
 /// Find the element of particle `i` at its new position, or retire it:
 /// deposited on a wall, escaped through an outlet, lost.
-fn relocate(set: &mut ParticleSet, i: usize, locator: &Locator, stats: &mut StepStats) {
+pub(crate) fn relocate(set: &mut ParticleSet, i: usize, locator: &Locator, stats: &mut StepStats) {
     let (x1, v1) = (set.pos[i], set.vel[i]);
     match locator.walk(set.elem[i], x1, 256) {
         WalkResult::Inside(ne) => set.elem[i] = ne,
@@ -554,9 +561,17 @@ mod tests {
     const AIR_RHO: f64 = 1.14;
     const AIR_MU: f64 = 1.9e-5;
 
-    fn setup() -> (cfpd_mesh::AirwayMesh, ParticleSet) {
-        let am = generate_airway(&AirwaySpec::small()).unwrap();
-        (am, ParticleSet::default())
+    fn airway() -> cfpd_mesh::AirwayMesh {
+        generate_airway(&AirwaySpec::small()).unwrap()
+    }
+
+    /// A locator over `am` and `count` particles of `props` injected at
+    /// `speed` through its inlet.
+    fn inject(am: &cfpd_mesh::AirwayMesh, speed: f64, props: ParticleProps, count: usize, seed: u64) -> (Locator<'_>, ParticleSet) {
+        let (loc, mut set) = (Locator::new(&am.mesh), ParticleSet::default());
+        let n = inject_at_inlet(&mut set, &loc, am.inlet_center, am.inlet_direction, am.inlet_radius, speed, props, count, seed);
+        assert_eq!(n, set.len(), "injected count");
+        (loc, set)
     }
 
     fn bits(column: &[Vec3]) -> Vec<[u64; 3]> {
@@ -580,7 +595,7 @@ mod tests {
     /// the extended model the run also pins the RNG draw order.
     #[test]
     fn lane_blocks_match_the_scalar_oracle_bit_for_bit() {
-        let (am, _) = setup();
+        let am = airway();
         let mesh = &am.mesh;
         let loc = Locator::new(mesh);
         let of_kind = |kind: ElementKind| -> Vec<usize> {
@@ -692,19 +707,9 @@ mod tests {
 
     #[test]
     fn injection_places_particles_in_elements() {
-        let (am, mut set) = setup();
-        let loc = Locator::new(&am.mesh);
-        let n = inject_at_inlet(
-            &mut set,
-            &loc,
-            am.inlet_center,
-            am.inlet_direction,
-            am.inlet_radius,
-            1.0,
-            ParticleProps::default(),
-            200,
-            42,
-        );
+        let am = airway();
+        let (_, set) = inject(&am, 1.0, ParticleProps::default(), 200, 42);
+        let n = set.len();
         assert!(n >= 190, "only {n}/200 injected");
         assert_eq!(set.census().active, n);
         // All in valid elements near the inlet.
@@ -715,37 +720,11 @@ mod tests {
     }
 
     #[test]
-    fn injection_is_deterministic_per_seed() {
-        let (am, _) = setup();
-        let loc = Locator::new(&am.mesh);
-        let mut a = ParticleSet::default();
-        let mut b = ParticleSet::default();
-        let props = ParticleProps::default();
-        inject_at_inlet(&mut a, &loc, am.inlet_center, am.inlet_direction, am.inlet_radius, 1.0, props, 50, 7);
-        inject_at_inlet(&mut b, &loc, am.inlet_center, am.inlet_direction, am.inlet_radius, 1.0, props, 50, 7);
-        assert_eq!(a.pos.len(), b.pos.len());
-        for (p, q) in a.pos.iter().zip(&b.pos) {
-            assert_eq!(p, q);
-        }
-    }
-
-    #[test]
     fn injection_concentrates_in_few_elements() {
         // The cause of the paper's particle imbalance: at injection all
         // particles sit in a tiny fraction of the mesh.
-        let (am, mut set) = setup();
-        let loc = Locator::new(&am.mesh);
-        inject_at_inlet(
-            &mut set,
-            &loc,
-            am.inlet_center,
-            am.inlet_direction,
-            am.inlet_radius,
-            1.0,
-            ParticleProps::default(),
-            300,
-            1,
-        );
+        let am = airway();
+        let (_, set) = inject(&am, 1.0, ParticleProps::default(), 300, 1);
         let distinct: std::collections::HashSet<u32> = set.elem.iter().copied().collect();
         assert!(
             distinct.len() * 20 < am.mesh.num_elements(),
@@ -757,19 +736,8 @@ mod tests {
 
     #[test]
     fn particles_follow_downward_flow() {
-        let (am, mut set) = setup();
-        let loc = Locator::new(&am.mesh);
-        inject_at_inlet(
-            &mut set,
-            &loc,
-            am.inlet_center,
-            am.inlet_direction,
-            am.inlet_radius,
-            0.5,
-            ParticleProps::default(),
-            100,
-            3,
-        );
+        let am = airway();
+        let (loc, mut set) = inject(&am, 0.5, ParticleProps::default(), 100, 3);
         // Uniform downward flow (rapid inhalation along -z).
         let flow = vec![Vec3::new(0.0, 0.0, -2.0); am.mesh.num_nodes()];
         let g = Vec3::new(0.0, 0.0, -9.81);
@@ -786,20 +754,9 @@ mod tests {
 
     #[test]
     fn crossflow_deposits_particles_on_walls() {
-        let (am, mut set) = setup();
-        let loc = Locator::new(&am.mesh);
-        inject_at_inlet(
-            &mut set,
-            &loc,
-            am.inlet_center,
-            am.inlet_direction,
-            am.inlet_radius,
-            0.1,
-            // Large, heavy particles in a strong sideways flow deposit fast.
-            ParticleProps { diameter: 50e-6, density: 2000.0 },
-            100,
-            9,
-        );
+        let am = airway();
+        // Large, heavy particles in a strong sideways flow deposit fast.
+        let (loc, mut set) = inject(&am, 0.1, ParticleProps { diameter: 50e-6, density: 2000.0 }, 100, 9);
         let flow = vec![Vec3::new(3.0, 0.0, -0.2); am.mesh.num_nodes()];
         let g = Vec3::new(0.0, 0.0, -9.81);
         for _ in 0..200 {
@@ -811,19 +768,8 @@ mod tests {
 
     #[test]
     fn particles_per_owner_counts() {
-        let (am, mut set) = setup();
-        let loc = Locator::new(&am.mesh);
-        inject_at_inlet(
-            &mut set,
-            &loc,
-            am.inlet_center,
-            am.inlet_direction,
-            am.inlet_radius,
-            1.0,
-            ParticleProps::default(),
-            100,
-            5,
-        );
+        let am = airway();
+        let (_, set) = inject(&am, 1.0, ParticleProps::default(), 100, 5);
         // Two owners: split elements in half.
         let half = am.mesh.num_elements() / 2;
         let owner: Vec<u32> = (0..am.mesh.num_elements())
@@ -837,7 +783,7 @@ mod tests {
     fn still_fluid_settling_matches_terminal_velocity() {
         // One particle in still air inside the trachea settles at the
         // Stokes terminal velocity (integration + forces together).
-        let (am, mut set) = setup();
+        let (am, mut set) = (airway(), ParticleSet::default());
         let loc = Locator::new(&am.mesh);
         let props = ParticleProps::default();
         let start = am.inlet_center + am.inlet_direction * 0.02;

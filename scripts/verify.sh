@@ -205,6 +205,13 @@ for name in ("setup/element-graph", "setup/seed-search", "setup/kway-16", "setup
 plan, serial_pass = rows["setup/plan-multidep"], rows["assembly/serial-pass"]
 if plan > 2.5 * serial_pass:
     sys.exit(f"FAIL: setup/plan-multidep {plan:.0f} ns > 2.5 x assembly/serial-pass {serial_pass:.0f} ns")
+# Injection scans the candidate list of one sub-box of a grid cell, not
+# the cell's whole 27-cell neighbourhood (PR 26): 10 000 injections read
+# 1.5-1.6 x one locator build here (4.4 x with the full scan). Both rows
+# run on one thread; "above 2.5" means the sub-box lists are gone.
+inject, build = rows["setup/inject-10k"], rows["setup/locator-build"]
+if inject > 2.5 * build:
+    sys.exit(f"FAIL: setup/inject-10k {inject:.0f} ns > 2.5 x setup/locator-build {build:.0f} ns")
 # Same elements, same subdomains, same pool, the same lane kernels: the
 # reference layout cuts its batches in list order (runs of ~20 elements,
 # a scalar tail per run), the fast one grouped by kind. The ratio reads
