@@ -17,9 +17,9 @@
 //! against. The
 //! `setup/*` rows time what a run pays once before its first step: the
 //! subdomain graph, the 16-way partition (and, of it, one seed search
-//! and the refinement), the whole Multidep plan, the
-//! deflation structure and its values, the particle locator and an
-//! injection — and, end to end on the optimized layout, `setup/prepare`
+//! and the refinement), the whole Multidep plan, the serial plan (the
+//! batch schedule with no partition in front), the deflation structure
+//! and its values, the particle locator and an injection — and, end to end on the optimized layout, `setup/prepare`
 //! (everything a run derives from its mesh, built once per
 //! `PrepareKey`) against `setup/instantiate` (the values-only solver
 //! every further run on that `Prepared` allocates). `serve/boundary`
@@ -360,6 +360,16 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
                 &pattern,
                 ElementOrder::List,
             ));
+        },
+    );
+    // The batch schedule with no partition in front: one set of every
+    // element, its gather, `h` and scatter indices.
+    b.bench_batched(
+        "setup/plan-serial",
+        || elems.clone(),
+        |elems| {
+            let (strategy, order) = (AssemblyStrategy::Serial, ElementOrder::KindGrouped);
+            black_box(AssemblyPlan::new(mesh, elems, strategy, 1, &pattern, order));
         },
     );
     b.bench("setup/locator-build", || {

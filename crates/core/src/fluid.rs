@@ -162,8 +162,8 @@ impl FluidStructure {
         n_subdomains: usize,
         layout: LayoutPlan,
     ) -> FluidStructure {
-        let pattern = CsrMatrix::from_mesh(mesh, n2e);
-        let own = Schedule::build(mesh, &pattern, elems, strategy, n_subdomains, layout);
+        let (pattern, sizes) = (CsrMatrix::from_mesh(mesh, n2e), mesh.element_sizes().into());
+        let own = Schedule::build(mesh, &pattern, &sizes, elems, strategy, n_subdomains, layout);
         own.on(Arc::new(MeshStructure::build(mesh, &pattern)))
     }
 }
@@ -177,10 +177,12 @@ pub(crate) struct Schedule {
 }
 
 impl Schedule {
-    /// `pattern` is `CsrMatrix::from_mesh(mesh, ..)`.
+    /// `pattern` is `CsrMatrix::from_mesh(mesh, ..)` and `sizes`
+    /// `mesh.element_sizes()`, which the plan and the SGS layout share.
     pub(crate) fn build(
         mesh: &Mesh,
         pattern: &CsrMatrix,
+        sizes: &Arc<[f64]>,
         elems: Vec<u32>,
         strategy: AssemblyStrategy,
         n_subdomains: usize,
@@ -192,8 +194,9 @@ impl Schedule {
         // downstream asks again — the plan's schedule is in that order.
         let order =
             if layout.is_default() { ElementOrder::List } else { ElementOrder::KindGrouped };
-        let plan = AssemblyPlan::new(mesh, elems, strategy, n_subdomains, pattern, order);
-        let sgs = Arc::new(SgsLayout::new(mesh, &plan.elems));
+        let plan =
+            AssemblyPlan::with_sizes(mesh, elems, strategy, n_subdomains, pattern, order, sizes);
+        let sgs = Arc::new(SgsLayout::new(mesh, &plan.elems, Arc::clone(sizes)));
         Schedule { plan, sgs }
     }
 

@@ -182,16 +182,21 @@ pub fn prepare(key: &PrepareKey) -> Result<Arc<Prepared>, String> {
         (n2e, members, owner)
     });
 
-    let pattern = stage!("structure", CsrMatrix::from_mesh(mesh, &n2e));
-    let (strategy, n_subdomains) = (key.strategy, key.subdomains_per_rank);
+    // The mesh tables every rank's plan, SGS layout and the locator read.
+    let (pattern, sizes): (_, Arc<[f64]>) =
+        stage!("structure", (CsrMatrix::from_mesh(mesh, &n2e), mesh.element_sizes().into()));
+    let (strategy, n_sub) = (key.strategy, key.subdomains_per_rank);
     let schedule = |elems: Vec<u32>| {
-        stage!("plan", Schedule::build(mesh, &pattern, elems, strategy, n_subdomains, key.layout))
+        stage!("plan", Schedule::build(mesh, &pattern, &sizes, elems, strategy, n_sub, key.layout))
     };
     let (locator, fluid) = std::thread::scope(|scope| {
         fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
             handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
         }
-        let locator = scope.spawn(|| stage!("locator", Arc::new(LocatorGeometry::new(mesh))));
+        let locator = scope.spawn(|| {
+            let faces = Arc::clone(&airway.face_neighbors);
+            stage!("locator", Arc::new(LocatorGeometry::new(mesh, faces, Arc::clone(&sizes))))
+        });
         let mut members = members.into_iter();
         let first = members.next().expect("at least one fluid part");
         let rest: Vec<_> = members.map(|elems| scope.spawn(|| schedule(elems))).collect();
@@ -322,6 +327,19 @@ mod tests {
         assert_eq!(config_digest(&fast), 0x3cf71078816169b9);
         assert_eq!(PrepareKey::of(&reference, 2).digest(), 0xc2f4c2785266a222);
         assert_eq!(PrepareKey::of(&fast, 2).digest(), 0x1000280474f09759);
+    }
+
+    /// The face table the generator keeps, which the locator is built on,
+    /// is the one the RCM-renumbered mesh gives: it names elements only.
+    #[test]
+    fn the_generators_face_table_survives_rcm() {
+        for generations in [2, 4] {
+            let c = SimulationConfig { layout: LayoutPlan::optimized(), ..config(generations) };
+            let prepared = prepare(&PrepareKey::of(&c, 1)).unwrap();
+            let airway = prepared.airway();
+            assert_ne!(airway.mesh.conn, generate_airway(&c.airway).unwrap().mesh.conn);
+            assert_eq!(*airway.face_neighbors, airway.mesh.face_neighbors());
+        }
     }
 
     #[test]

@@ -78,16 +78,6 @@ impl DlbCluster {
         }
     }
 
-    /// Explicit rank→node mapping.
-    pub fn new_with_map(node_of_rank: Vec<usize>) -> DlbCluster {
-        let num_nodes = node_of_rank.iter().copied().max().map_or(1, |m| m + 1);
-        DlbCluster {
-            nodes: (0..num_nodes).map(|_| DlbNode::new()).collect(),
-            node_of_rank,
-            enabled: true,
-        }
-    }
-
     /// A disabled cluster: hooks become no-ops (the "original" runs in
     /// the paper's figures). Keeping the same object shape lets callers
     /// toggle DLB without restructuring.
@@ -95,10 +85,6 @@ impl DlbCluster {
         let mut c = Self::new_block(num_ranks, num_nodes);
         c.enabled = false;
         c
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     pub fn num_nodes(&self) -> usize {

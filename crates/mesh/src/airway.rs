@@ -16,9 +16,9 @@
 use crate::builder::MeshBuilder;
 use crate::element::BoundaryKind;
 use crate::geom::{Frame, Vec3};
-use crate::mesh::Mesh;
+use crate::mesh::{FaceNeighbors, Mesh};
 use crate::tube::{fill_cap_to_hub, mesh_tube, CapFaces, TubeParams};
-use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Errors from airway generation parameter validation.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,14 +172,16 @@ pub struct AirwayMesh {
     /// carry their parent tube's generation). Enables per-generation
     /// deposition maps.
     pub elem_generation: Vec<u16>,
+    /// The mesh's face-neighbor table, built once to classify the
+    /// boundary. Element-indexed, so a node renumbering leaves it valid.
+    pub face_neighbors: Arc<FaceNeighbors>,
 }
 
 /// Generate the airway tree mesh from `spec`.
 pub fn generate_airway(spec: &AirwaySpec) -> Result<AirwayMesh, MeshError> {
     spec.validate()?;
     let mut b = MeshBuilder::new();
-    let mut inlet_nodes: HashSet<u32> = HashSet::new();
-    let mut outlet_nodes: HashSet<u32> = HashSet::new();
+    let (mut inlet_nodes, mut outlet_nodes) = (Vec::new(), Vec::new());
     let mut num_tubes = 0usize;
     let mut num_junctions = 0usize;
     let mut gen_ranges: Vec<(std::ops::Range<u32>, u16)> = Vec::new();
@@ -223,7 +225,7 @@ pub fn generate_airway(spec: &AirwaySpec) -> Result<AirwayMesh, MeshError> {
     }
 
     let mut mesh = b.finish();
-    classify_boundary(&mut mesh, &inlet_nodes, &outlet_nodes);
+    let face_neighbors = Arc::new(classify_boundary(&mut mesh, &inlet_nodes, &outlet_nodes));
     let mut elem_generation = vec![0u16; mesh.num_elements()];
     for (range, g) in gen_ranges {
         for e in range {
@@ -239,6 +241,7 @@ pub fn generate_airway(spec: &AirwaySpec) -> Result<AirwayMesh, MeshError> {
         num_junctions,
         elem_generation,
         mesh,
+        face_neighbors,
     })
 }
 
@@ -253,7 +256,7 @@ fn branch_children(
     parent_end_radius: f64,
     parent_length: f64,
     parent_generation: usize,
-    outlet_nodes: &mut HashSet<u32>,
+    outlet_nodes: &mut Vec<u32>,
     num_tubes: &mut usize,
     num_junctions: &mut usize,
     gen_ranges: &mut Vec<(std::ops::Range<u32>, u16)>,
@@ -317,20 +320,24 @@ fn branch_children(
 }
 
 /// Classify every exterior face as Inlet, Outlet or Wall based on the
-/// node sets recorded during generation, and store them on the mesh.
-fn classify_boundary(mesh: &mut Mesh, inlet: &HashSet<u32>, outlet: &HashSet<u32>) {
+/// node sets recorded during generation, and store them on the mesh;
+/// returns the face-neighbor table that says which faces are exterior.
+fn classify_boundary(mesh: &mut Mesh, inlet: &[u32], outlet: &[u32]) -> FaceNeighbors {
+    const INLET: u8 = 1;
+    const OUTLET: u8 = 2;
+    let mut flags = vec![0u8; mesh.num_nodes()];
+    for (nodes, flag) in [(inlet, INLET), (outlet, OUTLET)] {
+        nodes.iter().for_each(|&v| flags[v as usize] |= flag);
+    }
     let fns = mesh.face_neighbors();
     let mut boundary = Vec::new();
     for e in 0..mesh.num_elements() {
-        let nodes = mesh.elem_nodes(e).to_vec();
-        for (f, nb) in fns.faces(e).iter().enumerate() {
-            if nb.is_some() {
-                continue;
-            }
-            let face = mesh.kinds[e].faces()[f];
-            let kind = if face.iter().all(|&li| inlet.contains(&nodes[li])) {
+        let (nodes, faces) = (mesh.elem_nodes(e), mesh.kinds[e].faces());
+        for (f, _) in fns.faces(e).iter().enumerate().filter(|(_, nb)| nb.is_none()) {
+            let all = |flag: u8| faces[f].iter().all(|&li| flags[nodes[li] as usize] & flag != 0);
+            let kind = if all(INLET) {
                 BoundaryKind::Inlet
-            } else if face.iter().all(|&li| outlet.contains(&nodes[li])) {
+            } else if all(OUTLET) {
                 BoundaryKind::Outlet
             } else {
                 BoundaryKind::Wall
@@ -339,11 +346,13 @@ fn classify_boundary(mesh: &mut Mesh, inlet: &HashSet<u32>, outlet: &HashSet<u32
         }
     }
     mesh.boundary = boundary;
+    fns
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn small_airway_generates() {

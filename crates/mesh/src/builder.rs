@@ -1,6 +1,6 @@
 //! Incremental mesh construction with orientation fixing.
 
-use crate::element::{BoundaryKind, ElementKind};
+use crate::element::ElementKind;
 use crate::geom::Vec3;
 use crate::mesh::Mesh;
 
@@ -13,7 +13,6 @@ pub struct MeshBuilder {
     kinds: Vec<ElementKind>,
     offsets: Vec<u32>,
     conn: Vec<u32>,
-    boundary: Vec<(u32, u8, BoundaryKind)>,
 }
 
 impl MeshBuilder {
@@ -83,11 +82,6 @@ impl MeshBuilder {
         (self.kinds.len() - 1) as u32
     }
 
-    /// Tag an exterior face of element `e` with a boundary kind.
-    pub fn tag_boundary(&mut self, e: u32, local_face: u8, kind: BoundaryKind) {
-        self.boundary.push((e, local_face, kind));
-    }
-
     /// Finalize into an immutable [`Mesh`].
     pub fn finish(self) -> Mesh {
         Mesh {
@@ -95,7 +89,7 @@ impl MeshBuilder {
             kinds: self.kinds,
             offsets: self.offsets,
             conn: self.conn,
-            boundary: self.boundary,
+            boundary: Vec::new(),
         }
     }
 }

@@ -29,7 +29,6 @@ pub mod builder;
 pub mod element;
 pub mod geom;
 pub mod mesh;
-pub mod quality;
 pub mod tube;
 pub mod vtk;
 
@@ -38,6 +37,5 @@ pub use builder::MeshBuilder;
 pub use element::{BoundaryKind, ElementKind};
 pub use geom::{Frame, Vec3};
 pub use mesh::{Csr, FaceNeighbors, Mesh, MeshStats};
-pub use quality::{element_quality, quality_report, ElementQuality, QualityReport};
 pub use tube::TubeParams;
 pub use vtk::{to_vtk, write_vtk};

@@ -74,7 +74,7 @@ impl Csr {
 /// Per-element face neighbor table: `neighbors[e][f]` is `Some(e')` if
 /// local face `f` of element `e` is shared with element `e'`, `None` if
 /// it is an exterior face. Faces are indexed per [`ElementKind::faces`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaceNeighbors {
     offsets: Vec<u32>,
     entries: Vec<Option<u32>>,
@@ -171,6 +171,12 @@ impl Mesh {
                     + tet_vol(p(2), p(3), p(4), p(5))
             }
         }
+    }
+
+    /// Characteristic length `|V|^(1/3)` of every element: the one table
+    /// the assembly schedule, the SGS sweep and the particle locator read.
+    pub fn element_sizes(&self) -> Vec<f64> {
+        (0..self.num_elements()).map(|e| self.volume(e).abs().cbrt()).collect()
     }
 
     /// Element mix and volume statistics.

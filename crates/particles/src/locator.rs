@@ -44,18 +44,18 @@ fn face_plane(coords: &[Vec3], nodes: &[u32], face: &[usize]) -> FacePlane {
     FacePlane { centroid: c, normal }
 }
 
-/// What a [`Locator`] precomputes from a mesh: face neighbors, face
-/// planes, boundary classification, element sizes and a uniform grid
-/// over element centroids for global lookups. Owns no reference to the
+/// What a [`Locator`] knows of a mesh: face neighbors and element sizes
+/// (tables it shares), face planes, boundary classification and a uniform
+/// grid over element centroids for global lookups. Owns no reference to the
 /// mesh, so one geometry serves every locator over it.
 pub struct LocatorGeometry {
-    face_neighbors: FaceNeighbors,
+    face_neighbors: Arc<FaceNeighbors>,
     /// Per face slot of `face_neighbors`.
     planes: Vec<FacePlane>,
     /// Per face slot of `face_neighbors`.
     boundary: Vec<Option<BoundaryKind>>,
     /// Characteristic size (volume cube root) per element.
-    size: Vec<f64>,
+    size: Arc<[f64]>,
     /// Centroid per element.
     centroids: Vec<Vec3>,
     // Uniform grid acceleration structure.
@@ -79,18 +79,18 @@ pub struct Locator<'m> {
 }
 
 impl LocatorGeometry {
-    pub fn new(mesh: &Mesh) -> LocatorGeometry {
-        let face_neighbors = mesh.face_neighbors();
+    /// The geometry of `mesh` on two tables built elsewhere and shared:
+    /// its face neighbors (`mesh.face_neighbors()`) and its element sizes
+    /// (`mesh.element_sizes()`).
+    pub fn new(mesh: &Mesh, face_neighbors: Arc<FaceNeighbors>, size: Arc<[f64]>) -> Self {
         let boundary = mesh.boundary_table(&face_neighbors);
         let mut planes = Vec::with_capacity(face_neighbors.num_slots());
-        let mut size = Vec::with_capacity(mesh.num_elements());
         let mut centroids = Vec::with_capacity(mesh.num_elements());
         for e in 0..mesh.num_elements() {
             let nodes = mesh.elem_nodes(e);
             for face in mesh.kinds[e].faces() {
                 planes.push(face_plane(&mesh.coords, nodes, face));
             }
-            size.push(mesh.volume(e).abs().cbrt());
             centroids.push(mesh.centroid(e));
         }
         // Bounding box of all nodes.
@@ -242,8 +242,10 @@ impl LocatorGeometry {
 }
 
 impl<'m> Locator<'m> {
+    /// A locator on a geometry of its own, both tables built here.
     pub fn new(mesh: &'m Mesh) -> Locator<'m> {
-        Locator::with_geometry(mesh, Arc::new(LocatorGeometry::new(mesh)))
+        let (faces, sizes) = (Arc::new(mesh.face_neighbors()), mesh.element_sizes().into());
+        Locator::with_geometry(mesh, Arc::new(LocatorGeometry::new(mesh, faces, sizes)))
     }
 
     /// A locator over `mesh` on a geometry built from that mesh.
@@ -657,7 +659,7 @@ mod tests {
     #[test]
     fn concurrent_injections_through_one_geometry_match_the_oracle() {
         let am = airway();
-        let geometry = Arc::new(LocatorGeometry::new(&am.mesh));
+        let geometry = Arc::clone(&Locator::new(&am.mesh).g);
         let (center, dir, radius) = (am.inlet_center, am.inlet_direction, am.inlet_radius);
         let start = std::sync::Barrier::new(2);
         let inject = || {
@@ -674,6 +676,30 @@ mod tests {
             .filter_map(|p| Some((p, oracle.locate_global(p)?)))
             .unzip();
         assert_eq!(sets, [serial.clone(), serial]);
+    }
+
+    /// A geometry on the generator's face table and the shared size table
+    /// is, field by field, the one `Locator::new` builds from the mesh
+    /// alone — after a node renumbering too: both tables are
+    /// element-indexed.
+    #[test]
+    fn a_geometry_on_shared_tables_equals_the_one_built_alone() {
+        let mut am = generate_airway(&AirwaySpec { generations: 3, ..AirwaySpec::small() }).unwrap();
+        let n = am.mesh.num_nodes() as u32;
+        am.mesh.renumber_nodes(&(0..n).rev().collect::<Vec<u32>>());
+        let sizes: Arc<[f64]> = am.mesh.element_sizes().into();
+        let shared = LocatorGeometry::new(&am.mesh, Arc::clone(&am.face_neighbors), sizes);
+        let alone = Locator::new(&am.mesh);
+        let g = &*alone.g;
+        let bits = |v: &Vec3| [v.x, v.y, v.z].map(f64::to_bits);
+        let plane_bits = |p: &[FacePlane]| p.iter().map(|p| (bits(&p.centroid), bits(&p.normal))).collect::<Vec<_>>();
+        assert_eq!(shared.face_neighbors, g.face_neighbors);
+        assert_eq!(plane_bits(&shared.planes), plane_bits(&g.planes));
+        assert_eq!(shared.boundary, g.boundary);
+        assert_eq!(shared.size.iter().map(|h| h.to_bits()).collect::<Vec<_>>(), g.size.iter().map(|h| h.to_bits()).collect::<Vec<_>>());
+        assert_eq!(shared.centroids.iter().map(bits).collect::<Vec<_>>(), g.centroids.iter().map(bits).collect::<Vec<_>>());
+        assert_eq!((bits(&shared.grid_origin), shared.grid_cell.to_bits(), shared.grid_dims), (bits(&g.grid_origin), g.grid_cell.to_bits(), g.grid_dims));
+        assert_eq!((&shared.cell_offsets, &shared.cell_ids), (&g.cell_offsets, &g.cell_ids));
     }
 
     /// The junction cones of the airway mesh overlap geometrically

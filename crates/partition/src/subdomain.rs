@@ -21,6 +21,10 @@ pub struct SubdomainDecomposition {
     /// For each subdomain, the subdomains sharing ≥ 1 mesh node with it
     /// (excluding itself), ascending.
     pub adjacency: Vec<Vec<u32>>,
+    /// Node → positions in the decomposed element list of the elements
+    /// touching it (`mesh.node_to_listed(elems)`), which the
+    /// decomposition builds and a caller may reuse.
+    pub node_elems: Csr,
 }
 
 impl SubdomainDecomposition {
@@ -52,8 +56,9 @@ impl SubdomainDecomposition {
         for (new, &old) in order.iter().enumerate() {
             new_of[old as usize] = new as u32;
         }
-        let SubdomainDecomposition { mut members, adjacency } = self;
+        let SubdomainDecomposition { mut members, adjacency, node_elems } = self;
         SubdomainDecomposition {
+            node_elems,
             members: order.iter().map(|&old| std::mem::take(&mut members[old as usize])).collect(),
             adjacency: order
                 .iter()
@@ -81,16 +86,17 @@ pub fn decompose_subdomains(
     n_sub: usize,
 ) -> SubdomainDecomposition {
     assert_eq!(elems.len(), weights.len());
+    // node -> local elements touching it: the graph's rows, the seed
+    // searches' cover and the subdomain adjacency below all read it.
+    let node_elems = mesh.node_to_listed(elems.iter().copied());
     if elems.is_empty() {
         return SubdomainDecomposition {
             members: vec![Vec::new(); n_sub],
             adjacency: vec![Vec::new(); n_sub],
+            node_elems,
         };
     }
 
-    // node -> local elements touching it: the graph's rows, the seed
-    // searches' cover and the subdomain adjacency below all read it.
-    let node_elems = mesh.node_to_listed(elems.iter().copied());
     let g = element_graph(mesh, elems, weights, &node_elems);
     let cover = NodeCliques::of_listed(mesh, elems, &node_elems);
     let part: Partition = partition_kway_covered(&g, &cover, n_sub, 4);
@@ -126,7 +132,7 @@ pub fn decompose_subdomains(
         adjacency[a as usize].push(b);
     }
 
-    SubdomainDecomposition { members, adjacency }
+    SubdomainDecomposition { members, adjacency, node_elems }
 }
 
 /// Build the element graph restricted to `elems` (local ids are

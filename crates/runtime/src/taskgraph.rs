@@ -109,10 +109,6 @@ impl<'scope> TaskGraph<'scope> {
         }
     }
 
-    pub fn num_tasks(&self) -> usize {
-        self.funcs.len()
-    }
-
     /// Add a task with the given dependence list (computed at runtime —
     /// the "iterator over dependences" of OpenMP 5.0). Tasks are ordered
     /// by insertion ("program order") for the In/Out/InOut rules.

@@ -585,18 +585,6 @@ impl Comm {
         buf[0]
     }
 
-    /// All-reduce a scalar with a deadline.
-    pub fn allreduce_f64_timeout(
-        &self,
-        value: f64,
-        op: ReduceOp,
-        timeout: Duration,
-    ) -> Result<f64, CommError> {
-        let mut buf = [value];
-        self.allreduce_slice_f64_timeout(&mut buf, op, timeout)?;
-        Ok(buf[0])
-    }
-
     /// All-reduce a slice in place (every rank ends with the reduction).
     pub fn allreduce_slice_f64(&self, values: &mut [f64], op: ReduceOp) {
         if let Err(e) = self.allreduce_inner(values, op, Instant::now() + DEADLOCK_TIMEOUT) {

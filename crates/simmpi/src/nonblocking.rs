@@ -8,7 +8,6 @@
 //! classic forgotten-wait bug).
 
 use crate::comm::Comm;
-use crate::hooks::BlockKind;
 use std::sync::mpsc;
 
 /// A pending nonblocking operation producing a `T`.
@@ -131,11 +130,6 @@ impl Comm {
             }
         }
         out.into_iter().map(Option::unwrap).collect()
-    }
-
-    /// Hook kind used by nonblocking helpers (exposed for tests).
-    pub fn block_kind_recv() -> BlockKind {
-        BlockKind::Recv
     }
 }
 

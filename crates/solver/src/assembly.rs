@@ -122,9 +122,24 @@ impl AssemblyPlan {
         pattern: &CsrMatrix,
         order: ElementOrder,
     ) -> AssemblyPlan {
+        let sizes = mesh.element_sizes();
+        AssemblyPlan::with_sizes(mesh, elems, strategy, n_subdomains, pattern, order, &sizes)
+    }
+
+    /// [`AssemblyPlan::new`] reading the element lengths from `sizes`
+    /// ([`Mesh::element_sizes`]), a table built once per mesh.
+    pub fn with_sizes(
+        mesh: &Mesh,
+        elems: Vec<u32>,
+        strategy: AssemblyStrategy,
+        n_subdomains: usize,
+        pattern: &CsrMatrix,
+        order: ElementOrder,
+        sizes: &[f64],
+    ) -> AssemblyPlan {
         let weights: Vec<f64> =
             elems.iter().map(|&e| mesh.kinds[e as usize].cost_weight()).collect();
-        let (mut color_classes, mut subdomains) = (None, None);
+        let (mut color_classes, mut subdomains, mut node_elems) = (None, None, None);
         match strategy {
             AssemblyStrategy::Serial | AssemblyStrategy::Atomics => {}
             AssemblyStrategy::Coloring => {
@@ -166,14 +181,17 @@ impl AssemblyPlan {
                     }
                 }
                 subdomains = Some((d.members, objs));
+                node_elems = Some(d.node_elems);
             }
         }
-        let unit_lists: Vec<&[u32]> = match (&color_classes, &subdomains) {
+        let n2l = node_elems.unwrap_or_else(|| mesh.node_to_listed(elems.iter().copied()));
+        let units: Vec<&[u32]> = match (&color_classes, &subdomains) {
             (Some(classes), _) => classes.iter().map(Vec::as_slice).collect(),
             (_, Some((members, _))) => members.iter().map(Vec::as_slice).collect(),
             _ => vec![&elems],
         };
-        let batches = BatchSchedule::build(mesh, pattern, strategy, &elems, &unit_lists, order);
+        let batches =
+            BatchSchedule::build(mesh, sizes, pattern, strategy, &elems, &n2l, &units, order);
         AssemblyPlan {
             strategy,
             color_classes,

@@ -41,7 +41,7 @@ use crate::lanes::{
     pressure_gradient_kernel_lanes, LaneScratch, LANES,
 };
 use crate::shape::RefElement;
-use cfpd_mesh::{ElementKind, Mesh, Vec3};
+use cfpd_mesh::{Csr, ElementKind, Mesh, Vec3};
 use cfpd_runtime::{parallel_for, TaskGraph, ThreadPool};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -122,27 +122,27 @@ pub struct BatchSet {
 }
 
 impl BatchSet {
-    /// Put `elems` in `order` and precompute gather, `h` and — against
-    /// `pattern`, when the set is to scatter into a matrix — the CSR
-    /// value indices. One batch per maximal same-kind run: any number in
-    /// list order, at most three when grouped by kind.
-    pub fn build(
+    /// Put `elems` in `order` and lay out the set: its runs, its gather
+    /// list, `h` read from `sizes` ([`Mesh::element_sizes`]) and — when
+    /// the set is to scatter into a matrix — `nn²` zeroed CSR value
+    /// indices per element, which [`fill_scatter`] writes. One batch per
+    /// maximal same-kind run: any number in list order, at most three when
+    /// grouped by kind.
+    pub(crate) fn cut(
         mesh: &Mesh,
-        pattern: Option<&CsrMatrix>,
-        elems: &[u32],
+        sizes: &[f64],
+        list: &[u32],
         order: ElementOrder,
-    ) -> BatchSet {
-        let mut set = BatchSet { elems: elems.to_vec(), ..Default::default() };
+        scatter: bool,
+    ) -> Self {
+        let mut set = BatchSet { elems: list.to_vec(), ..Default::default() };
         if order == ElementOrder::KindGrouped {
             // Stable: list order survives within a kind.
             set.elems.sort_by_key(|&e| RefElement::index_of(mesh.kinds[e as usize]));
         }
-        let nodes_of = |e: &u32| mesh.kinds[*e as usize].num_nodes();
-        set.gather.reserve_exact(elems.iter().map(nodes_of).sum());
-        if pattern.is_some() {
-            set.scatter.reserve_exact(elems.iter().map(|e| nodes_of(e) * nodes_of(e)).sum());
-        }
-        set.h.reserve_exact(elems.len());
+        set.gather.reserve_exact(list.iter().map(|&e| mesh.kinds[e as usize].num_nodes()).sum());
+        set.h.reserve_exact(list.len());
+        let mut scatter_len = 0;
         for (at, &e) in set.elems.iter().enumerate() {
             let (e, kind) = (e as usize, mesh.kinds[e as usize]);
             if set.runs.last().is_none_or(|run| run.kind != kind) {
@@ -151,22 +151,15 @@ impl BatchSet {
                     first: at,
                     len: 0,
                     gather_at: set.gather.len(),
-                    scatter_at: set.scatter.len(),
+                    scatter_at: scatter_len,
                 });
             }
             set.runs.last_mut().expect("pushed above").len += 1;
-            let nodes = mesh.elem_nodes(e);
-            debug_assert_eq!(nodes.len(), kind.num_nodes());
-            set.gather.extend_from_slice(nodes);
-            if let Some(pattern) = pattern {
-                for &i in nodes {
-                    for &j in nodes {
-                        set.scatter.push(pattern.entry_index(i as usize, j as usize) as u32);
-                    }
-                }
-            }
-            set.h.push(mesh.volume(e).abs().cbrt());
+            set.gather.extend_from_slice(mesh.elem_nodes(e));
+            set.h.push(sizes[e]);
+            scatter_len += usize::from(scatter) * kind.num_nodes().pow(2);
         }
+        set.scatter = vec![0; scatter_len];
         set
     }
 
@@ -209,12 +202,16 @@ impl BatchSchedule {
     /// The schedule of a plan over `elems` whose strategy sweeps
     /// `unit_lists` (against `pattern`'s sparsity: the momentum and
     /// Poisson matrices of a mesh share one pattern, so one schedule
-    /// serves both systems).
+    /// serves both systems). `sizes` is [`Mesh::element_sizes`] and
+    /// `node_elems` is `mesh.node_to_listed(elems)`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn build(
         mesh: &Mesh,
+        sizes: &[f64],
         pattern: &CsrMatrix,
         strategy: AssemblyStrategy,
         elems: &[u32],
+        node_elems: &Csr,
         unit_lists: &[&[u32]],
         order: ElementOrder,
     ) -> BatchSchedule {
@@ -227,14 +224,63 @@ impl BatchSchedule {
             AssemblyStrategy::Atomics | AssemblyStrategy::Coloring => ElementOrder::KindGrouped,
             AssemblyStrategy::Serial | AssemblyStrategy::Multidep => order,
         };
-        let units = unit_lists
-            .iter()
-            .map(|list| BatchSet::build(mesh, Some(pattern), list, unit_order))
-            .collect();
+        let cut = |list: &&[u32]| BatchSet::cut(mesh, sizes, list, unit_order, true);
+        let mut units: Vec<BatchSet> = unit_lists.iter().map(cut).collect();
+        fill_scatter(mesh, pattern, elems, node_elems, &mut units);
         // The serial strategy's one unit already is the whole list.
         let rhs_list = (order == ElementOrder::List && strategy != AssemblyStrategy::Serial)
-            .then(|| BatchSet::build(mesh, None, elems, ElementOrder::List));
+            .then(|| BatchSet::cut(mesh, sizes, elems, ElementOrder::List, false));
         BatchSchedule { units, rhs_list }
+    }
+}
+
+/// Write the scatter indices of `sets`, which together hold each element
+/// of `elems` once, in one pass over the pattern rows of the nodes those
+/// elements touch (`node_elems` is `mesh.node_to_listed(elems)`): a row's
+/// column positions are stamped into a node-indexed scratch, and every
+/// element incident to the row copies its row of `nn` slots from there —
+/// no search of the pattern per index.
+fn fill_scatter(
+    mesh: &Mesh,
+    pattern: &CsrMatrix,
+    elems: &[u32],
+    node_elems: &Csr,
+    sets: &mut [BatchSet],
+) {
+    // Element → its set and where its `nn²` slots start in that set's arena.
+    let mut slots = vec![(0u32, 0u32); mesh.num_elements()];
+    for (s, set) in sets.iter().enumerate() {
+        for run in &set.runs {
+            let nn2 = run.kind.num_nodes().pow(2);
+            for (b, &e) in set.elems[run.first..run.first + run.len].iter().enumerate() {
+                slots[e as usize] = (s as u32, (run.scatter_at + b * nn2) as u32);
+            }
+        }
+    }
+    let mut at_col = vec![0u32; pattern.n];
+    for row in 0..node_elems.len() {
+        let incident = node_elems.row(row);
+        if incident.is_empty() {
+            continue;
+        }
+        for k in pattern.row_ptr[row] as usize..pattern.row_ptr[row + 1] as usize {
+            at_col[pattern.col_idx[k] as usize] = k as u32;
+        }
+        for &l in incident {
+            let e = elems[l as usize] as usize;
+            let (nodes, (s, first)) = (mesh.elem_nodes(e), slots[e]);
+            let nn = nodes.len();
+            let block = &mut sets[s as usize].scatter[first as usize..][..nn * nn];
+            for (li, out) in block.chunks_exact_mut(nn).enumerate() {
+                if nodes[li] as usize != row {
+                    continue;
+                }
+                for (slot, &v) in out.iter_mut().zip(nodes) {
+                    *slot = at_col[v as usize];
+                    debug_assert_eq!(pattern.col_idx[*slot as usize], v, "({row},{v}) unlisted");
+                }
+            }
+        }
     }
 }
 
@@ -771,18 +817,19 @@ mod tests {
     use cfpd_mesh::{generate_airway, AirwaySpec};
 
     /// Either order cuts the list into maximal same-kind runs whose side
-    /// arrays are what the mesh and the pattern say, element by element.
+    /// arrays are what the mesh says, element by element, with room for
+    /// `nn²` scatter indices per element when asked.
     #[test]
     fn batch_sets_partition_the_element_list() {
         let am = generate_airway(&AirwaySpec::small()).unwrap();
         let mesh = &am.mesh;
-        let pattern = CsrMatrix::from_mesh(mesh, &mesh.node_to_elements());
+        let sizes = mesh.element_sizes();
         let elems: Vec<u32> = (0..mesh.num_elements() as u32).rev().collect();
         let mut grouped = elems.clone();
         grouped.sort_by_key(|&e| mesh.kinds[e as usize].num_nodes());
         for (order, want) in [(ElementOrder::List, &elems), (ElementOrder::KindGrouped, &grouped)] {
-            for pattern in [Some(&pattern), None] {
-                let set = BatchSet::build(mesh, pattern, &elems, order);
+            for scatter in [true, false] {
+                let set = BatchSet::cut(mesh, &sizes, &elems, order, scatter);
                 let batches: Vec<KindBatch> = set.batches().collect();
                 assert_eq!(batches.iter().map(KindBatch::len).sum::<usize>(), elems.len());
                 assert!(batches.windows(2).all(|w| w[0].kind != w[1].kind), "runs are maximal");
@@ -802,15 +849,53 @@ mod tests {
                         assert_eq!(mesh.kinds[e as usize], batch.kind);
                         assert_eq!(&batch.gather[b * nn..(b + 1) * nn], nodes);
                         assert_eq!(batch.h[b], mesh.volume(e as usize).abs().cbrt());
-                        if let Some(pattern) = pattern {
+                    }
+                    assert_eq!(batch.scatter.len(), usize::from(scatter) * nn * nn * batch.len());
+                }
+            }
+        }
+    }
+
+    /// The one pass over the pattern rows writes, for every element of
+    /// every unit, the value index a search of the pattern finds: under
+    /// all four strategies, in either order, on 2 and 4 generations, over
+    /// the whole mesh and over a rank's half of it. The shared size table
+    /// is `|V|^(1/3)` bit for bit.
+    #[test]
+    fn one_pass_scatter_equals_the_pattern_search() {
+        for generations in [2, 4] {
+            let spec = AirwaySpec { generations, ..AirwaySpec::small() };
+            let mesh = generate_airway(&spec).unwrap().mesh;
+            let sizes = mesh.element_sizes();
+            for (e, h) in sizes.iter().enumerate() {
+                assert_eq!(h.to_bits(), mesh.volume(e).abs().cbrt().to_bits(), "element {e}");
+            }
+            let pattern = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+            let all: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+            for elems in [&all[..], &all[all.len() / 2..]] {
+                for (strategy, order) in AssemblyStrategy::ALL
+                    .into_iter()
+                    .flat_map(|s| [(s, ElementOrder::List), (s, ElementOrder::KindGrouped)])
+                {
+                    let list = elems.to_vec();
+                    let plan = AssemblyPlan::with_sizes(
+                        &mesh, list, strategy, 16, &pattern, order, &sizes,
+                    );
+                    let mut swept = 0;
+                    for batch in plan.batch_schedule().units.iter().flat_map(BatchSet::batches) {
+                        let nn = batch.nn();
+                        for (b, &e) in batch.elems.iter().enumerate() {
+                            let nodes = mesh.elem_nodes(e as usize);
                             let sc = &batch.scatter[b * nn * nn..(b + 1) * nn * nn];
                             for (k, &idx) in sc.iter().enumerate() {
                                 let (i, j) = (nodes[k / nn] as usize, nodes[k % nn] as usize);
-                                assert_eq!(idx as usize, pattern.entry_index(i, j));
+                                let want = pattern.entry_index(i, j);
+                                assert_eq!(idx as usize, want, "{strategy:?} {order:?}");
                             }
                         }
+                        swept += batch.len();
                     }
-                    assert_eq!(batch.scatter.len(), pattern.map_or(0, |_| nn * nn * batch.len()));
+                    assert_eq!(swept, elems.len(), "{strategy:?} {order:?}");
                 }
             }
         }
@@ -826,7 +911,7 @@ mod tests {
         let mesh = generate_airway(&spec).unwrap().mesh;
         let pattern = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
         let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let whole = BatchSet::build(&mesh, None, &elems, ElementOrder::List);
+        let whole = BatchSet::cut(&mesh, &mesh.element_sizes(), &elems, ElementOrder::List, false);
         assert!(whole.batches().all(|b| b.len() % LANES == 0), "generator runs are whole blocks");
         let strategy = AssemblyStrategy::Multidep;
         let plan = AssemblyPlan::new(&mesh, elems, strategy, 16, &pattern, ElementOrder::List);

@@ -124,12 +124,7 @@ impl CsrMatrix {
     /// Flat index of entry (row, col); panics if not in the pattern.
     #[inline]
     pub fn entry_index(&self, row: usize, col: usize) -> usize {
-        let lo = self.row_ptr[row] as usize;
-        let hi = self.row_ptr[row + 1] as usize;
-        let cols = &self.col_idx[lo..hi];
-        lo + cols
-            .binary_search(&(col as u32))
-            .unwrap_or_else(|_| panic!("entry ({row},{col}) not in sparsity pattern"))
+        self.pattern().entry_index(row, col)
     }
 
     /// Add `v` to entry (row, col) — serial scatter.

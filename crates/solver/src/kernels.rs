@@ -275,7 +275,9 @@ pub fn pressure_gradient_kernel_n<const NN: usize>(
     Some(out)
 }
 
-/// Lumped mass (row-sum) contributions of one element.
+/// Lumped mass (row-sum) contributions of one element. An affine tet
+/// maps every point of its rule alike (pinned in [`crate::shape`]'s
+/// tests), so its first point's `dvol` serves all four.
 pub fn lumped_mass_kernel(
     refs: &[RefElement; 3],
     scratch: &ElementScratch,
@@ -284,8 +286,11 @@ pub fn lumped_mass_kernel(
 ) -> Option<[f64; MAX_NODES]> {
     let re = &refs[RefElement::index_of(kind)];
     let mut out = [0.0; MAX_NODES];
-    for qp in &re.qps {
-        let dvol = map_qp_dvol(qp, &scratch.coords, nn)?;
+    let mut dvol = 0.0;
+    for (q, qp) in re.qps.iter().enumerate() {
+        if q == 0 || kind != ElementKind::Tet4 {
+            dvol = map_qp_dvol(qp, &scratch.coords, nn)?;
+        }
         for i in 0..nn {
             out[i] += qp.n[i] * dvol;
         }
@@ -453,6 +458,28 @@ mod tests {
         let lm = lumped_mass_kernel(&refs, &scratch, kind, nn).unwrap();
         let s: f64 = lm[..nn].iter().sum();
         assert!((s - 1.0 / 6.0).abs() < 1e-12);
+    }
+
+    /// Mapping a tet once gives, bit for bit, the lumped mass of mapping
+    /// it at every point, on every element of the 2- and 4-generation
+    /// airways.
+    #[test]
+    fn lumped_mass_maps_a_tet_once_with_the_same_bits() {
+        let (refs, mut scratch) = (RefElement::all(), ElementScratch::default());
+        for generations in [2, 4] {
+            let spec = cfpd_mesh::AirwaySpec { generations, ..cfpd_mesh::AirwaySpec::small() };
+            let mesh = cfpd_mesh::generate_airway(&spec).unwrap().mesh;
+            for e in 0..mesh.num_elements() {
+                let (kind, nn) = scratch.load_coords(&mesh, e);
+                let mut per_point = [0.0; MAX_NODES];
+                for qp in &refs[RefElement::index_of(kind)].qps {
+                    let dvol = map_qp_dvol(qp, &scratch.coords, nn).unwrap();
+                    (0..nn).for_each(|i| per_point[i] += qp.n[i] * dvol);
+                }
+                let got = lumped_mass_kernel(&refs, &scratch, kind, nn).unwrap();
+                assert_eq!(got.map(f64::to_bits), per_point.map(f64::to_bits), "element {e}");
+            }
+        }
     }
 
     #[test]

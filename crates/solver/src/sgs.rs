@@ -7,6 +7,7 @@
 //! run sweeps them grouped by kind, eight per [`crate::simd::F64x8`]
 //! operation.
 
+use crate::batch::{BatchSet, ElementOrder, KindBatch};
 use crate::kernels::{sgs_kernel_on, ElementScratch, FluidProps};
 use crate::lanes::{
     get_lane_sgs, set_lane_sgs, sgs_kernel_lanes, LaneScratch, LaneSgs, LANES,
@@ -19,25 +20,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// One same-kind batch of the SGS sweep schedule: element ids,
-/// a flattened gather list (no `elem_nodes` dispatch in the hot loop),
-/// and a quadrature-count prefix for work-balanced chunking.
-#[derive(Debug)]
-pub struct SgsKindBatch {
-    pub kind: ElementKind,
-    /// Global element ids, in sweep order.
-    pub elems: Vec<u32>,
-    /// Flattened gather list: batch row `b` reads nodes
-    /// `gather[b*nn .. (b+1)*nn]`.
-    pub gather: Vec<u32>,
-    /// Characteristic element length per batch row ([`SgsField::h`] in
-    /// sweep order, so a lane block loads eight contiguous values).
-    pub h: Vec<f64>,
-    /// Quadrature-point prefix weights over `elems` (for
-    /// [`balanced_ranges`]).
-    pub qp_prefix: Vec<u32>,
-}
-
 /// Where each element's subgrid velocities live and how a sweep visits
 /// the elements it was built for: the part of an [`SgsField`] that
 /// depends on the mesh and the element list alone. Built once per
@@ -46,16 +28,20 @@ pub struct SgsKindBatch {
 pub struct SgsLayout {
     /// CSR offsets: element `e` owns `values[offsets[e]..offsets[e+1]]`.
     pub offsets: Vec<u32>,
-    /// Characteristic element length (cbrt of volume), cached.
-    pub h: Vec<f64>,
+    /// Characteristic element length ([`Mesh::element_sizes`]), shared.
+    pub h: Arc<[f64]>,
     /// The sweep schedule: the layout's elements grouped
-    /// `Tet4 → Pyr5 → Pri6`, stable within each kind.
-    batches: Vec<SgsKindBatch>,
+    /// `Tet4 → Pyr5 → Pri6`, stable within each kind, with gather lists
+    /// and `h` in sweep order — and per kind batch its quadrature-point
+    /// prefix, which [`balanced_ranges`] chunks by.
+    set: BatchSet,
+    qp_prefix: Vec<Vec<u32>>,
 }
 
 impl SgsLayout {
-    /// Storage for every element of `mesh`, swept over `elems`.
-    pub fn new(mesh: &Mesh, elems: &[u32]) -> SgsLayout {
+    /// Storage for every element of `mesh`, swept over `elems`; `h` is
+    /// `mesh.element_sizes()`.
+    pub fn new(mesh: &Mesh, elems: &[u32], h: Arc<[f64]>) -> SgsLayout {
         let ne = mesh.num_elements();
         let mut offsets = Vec::with_capacity(ne + 1);
         offsets.push(0u32);
@@ -64,36 +50,17 @@ impl SgsLayout {
             total += mesh.kinds[e].num_quad_points() as u32;
             offsets.push(total);
         }
-        let h: Vec<f64> = (0..ne).map(|e| mesh.volume(e).abs().cbrt()).collect();
-
-        let mut batches = Vec::new();
-        for kind in [ElementKind::Tet4, ElementKind::Pyr5, ElementKind::Pri6] {
-            let members: Vec<u32> = elems
-                .iter()
-                .copied()
-                .filter(|&e| mesh.kinds[e as usize] == kind)
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let nn = kind.num_nodes();
-            let qpw = kind.num_quad_points() as u32;
-            let mut gather = Vec::with_capacity(nn * members.len());
-            let mut qp_prefix = Vec::with_capacity(members.len() + 1);
-            qp_prefix.push(0u32);
-            for &e in &members {
-                gather.extend_from_slice(mesh.elem_nodes(e as usize));
-                qp_prefix.push(qp_prefix.last().unwrap() + qpw);
-            }
-            let batch_h = members.iter().map(|&e| h[e as usize]).collect();
-            batches.push(SgsKindBatch { kind, elems: members, gather, h: batch_h, qp_prefix });
-        }
-        SgsLayout { offsets, h, batches }
+        let set = BatchSet::cut(mesh, &h, elems, ElementOrder::KindGrouped, false);
+        let qp_prefix = set
+            .batches()
+            .map(|kb| (0..=kb.len() as u32).map(|b| b * kb.kind.num_quad_points() as u32).collect())
+            .collect();
+        SgsLayout { offsets, h, set, qp_prefix }
     }
 
-    /// The sweep schedule.
-    pub fn batches(&self) -> &[SgsKindBatch] {
-        &self.batches
+    /// The sweep schedule: each kind batch with its quadrature-point prefix.
+    pub fn batches(&self) -> impl Iterator<Item = (KindBatch<'_>, &[u32])> {
+        self.set.batches().zip(self.qp_prefix.iter().map(Vec::as_slice))
     }
 }
 
@@ -108,7 +75,7 @@ pub struct SgsField {
 impl SgsField {
     /// A zero field over `mesh` whose sweeps visit `elems`.
     pub fn new(mesh: &Mesh, elems: &[u32]) -> SgsField {
-        SgsField::on(Arc::new(SgsLayout::new(mesh, elems)))
+        SgsField::on(Arc::new(SgsLayout::new(mesh, elems, mesh.element_sizes().into())))
     }
 
     /// A zero field on an existing layout.
@@ -210,7 +177,7 @@ impl BatchedSweep<'_> {
     /// # Safety
     /// The caller must be the only one working on row `b` of `kb`.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn row_values(&self, kb: &SgsKindBatch, b: usize) -> &mut [Vec3] {
+    unsafe fn row_values(&self, kb: &KindBatch, b: usize) -> &mut [Vec3] {
         let e = kb.elems[b] as usize;
         unsafe { self.view.range_mut(self.offsets[e] as usize, self.offsets[e + 1] as usize) }
     }
@@ -219,7 +186,7 @@ impl BatchedSweep<'_> {
     /// [`LANES`] through the lane kernel, the tail (and any block with a
     /// degenerate element) through the scalar kernel — row by row the
     /// same bits either way. Returns the rows' `(Σ, max)` iterations.
-    fn run<const NN: usize>(&self, kb: &SgsKindBatch, range: Range<usize>) -> (u64, usize) {
+    fn run<const NN: usize>(&self, kb: &KindBatch, range: Range<usize>) -> (u64, usize) {
         let re = &self.refs[RefElement::index_of(kb.kind)];
         let mut scratch = ElementScratch::default();
         let (mut total, mut max) = (0u64, 0usize);
@@ -238,7 +205,7 @@ impl BatchedSweep<'_> {
         let mut ls = LaneScratch::default();
         let mut usg: LaneSgs = [[[0.0; LANES]; 3]; MAX_QP];
         while b + LANES <= range.end {
-            ls.load(self.coords, Some(self.velocity), None, &kb.gather, &kb.h, NN, b);
+            ls.load(self.coords, Some(self.velocity), None, kb.gather, kb.h, NN, b);
             for l in 0..LANES {
                 // SAFETY: as in `scalar_row`, for row `b + l`.
                 set_lane_sgs(&mut usg, l, unsafe { self.row_values(kb, b + l) });
@@ -298,17 +265,17 @@ pub fn compute_sgs(
         tol,
     };
     let tally = IterTally::default();
-    for kb in layout.batches() {
-        let ranges = balanced_ranges(&kb.qp_prefix, pool.max_workers().max(1) * 8);
+    for (kb, qp_prefix) in layout.batches() {
+        let ranges = balanced_ranges(qp_prefix, pool.max_workers().max(1) * 8);
         parallel_for_ranges(pool, &ranges, |_c, range| {
             tally.merge(match kb.kind {
-                ElementKind::Tet4 => sweep.run::<4>(kb, range),
-                ElementKind::Pyr5 => sweep.run::<5>(kb, range),
-                ElementKind::Pri6 => sweep.run::<6>(kb, range),
+                ElementKind::Tet4 => sweep.run::<4>(&kb, range),
+                ElementKind::Pyr5 => sweep.run::<5>(&kb, range),
+                ElementKind::Pri6 => sweep.run::<6>(&kb, range),
             });
         });
     }
-    tally.stats(layout.batches().iter().map(|kb| kb.elems.len()).sum())
+    tally.stats(layout.set.num_elements())
 }
 
 #[cfg(test)]
@@ -463,7 +430,7 @@ mod tests {
         let layout = Arc::clone(&want.layout);
         let (mut want_total, mut want_max) = (0u64, 0usize);
         let mut scratch = ElementScratch::default();
-        for &e in &layout.batches()[0].elems[..len] {
+        for &e in &layout.batches().next().unwrap().0.elems[..len] {
             let e = e as usize;
             let (kind, nn) = scratch.load(mesh, vel, e);
             let (lo, hi) = (layout.offsets[e] as usize, layout.offsets[e + 1] as usize);
@@ -476,7 +443,7 @@ mod tests {
         let mut got = SgsField::new(mesh, &elems);
         warm(&mut got);
         let SgsField { values, layout } = &mut got;
-        let kb = &layout.batches()[0];
+        let (kb, _) = layout.batches().next().unwrap();
         assert_eq!(kb.kind, ElementKind::Tet4);
         let sweep = BatchedSweep {
             refs: &refs,
@@ -488,7 +455,7 @@ mod tests {
             max_iters: 6,
             tol: 1e-7,
         };
-        assert_eq!(sweep.run::<4>(kb, 0..len), (want_total, want_max), "len {len}");
+        assert_eq!(sweep.run::<4>(&kb, 0..len), (want_total, want_max), "len {len}");
         assert_values_bit_equal(&got.values, &want.values, &format!("len {len}"));
         got
     }
@@ -509,8 +476,8 @@ mod tests {
     #[test]
     fn block_with_a_degenerate_element_falls_back_to_scalar() {
         let (mut mesh, _, _, vel) = fixture();
-        let probe = SgsLayout::new(&mesh, &all_elems(&mesh));
-        let rows = &probe.batches()[0].elems;
+        let probe = SgsField::new(&mesh, &all_elems(&mesh)).layout;
+        let rows = probe.batches().next().unwrap().0.elems;
         let (flat, other) = (rows[3] as usize, rows[4] as usize);
         // Collapse an edge of row 3: its Jacobian determinant is exactly
         // zero at every point (the neighbours only change shape).

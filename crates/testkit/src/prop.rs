@@ -51,10 +51,6 @@ impl PropConfig {
         PropConfig { cases, seed: 0x5EED_CF9D, max_shrinks: 400 }
     }
 
-    pub fn with_seed(mut self, seed: u64) -> PropConfig {
-        self.seed = seed;
-        self
-    }
 }
 
 /// The message of a caught panic (`catch_unwind`'s `Err` payload).

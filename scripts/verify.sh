@@ -29,7 +29,8 @@
 #     the solve/*, setup/* (seed-search and refine among them),
 #     spmm3/sell, solver1/*, particles/* and serve/{boundary,restore} rows,
 #     with the Multidep plan build held to at most 2.5 serial element passes
-#     (assembly/serial-pass, the scalar oracle pass), the reference
+#     (assembly/serial-pass, the scalar oracle pass) and the serial plan
+#     (the batch schedule alone) to 0.17 of one, the reference
 #     layout's assembly (assembly/default: the batch engine in list order)
 #     within 2x of the fast layout's (assembly/batched-lanes) — both go
 #     eight abreast, so more means list order fell back to scalar — the
@@ -192,7 +193,7 @@ import json, sys
 doc = json.load(open("results/BENCH_hotpath_quick.json"))
 rows = {r["name"]: r["median_ns"] for r in doc["rows"]}
 for name in ("setup/element-graph", "setup/seed-search", "setup/kway-16", "setup/refine",
-             "setup/plan-multidep",
+             "setup/plan-multidep", "setup/plan-serial",
              "setup/locator-build", "setup/inject-10k", "setup/deflation-build",
              "solve/poisson-jacobi", "solve/poisson-deflated",
              "solve/poisson-deflated-native", "sgs/default", "sgs/batched-lanes",
@@ -205,6 +206,14 @@ for name in ("setup/element-graph", "setup/seed-search", "setup/kway-16", "setup
 plan, serial_pass = rows["setup/plan-multidep"], rows["assembly/serial-pass"]
 if plan > 2.5 * serial_pass:
     sys.exit(f"FAIL: setup/plan-multidep {plan:.0f} ns > 2.5 x assembly/serial-pass {serial_pass:.0f} ns")
+# The batch schedule alone (a serial plan: no partition) cuts its sets
+# and writes every scatter index in one pass over the pattern rows:
+# five quick runs a side read 0.111-0.128 x assembly/serial-pass against
+# 0.210-0.227 with a binary search per index. Both rows run on one thread;
+# the bound sits between the two sides.
+plan = rows["setup/plan-serial"]
+if plan > 0.17 * serial_pass:
+    sys.exit(f"FAIL: setup/plan-serial {plan:.0f} ns > 0.17 x assembly/serial-pass {serial_pass:.0f} ns")
 # Injection scans the candidate list of one sub-box of a grid cell, not
 # the cell's whole 27-cell neighbourhood (PR 26): 10 000 injections read
 # 1.5-1.6 x one locator build here (4.4 x with the full scan). Both rows
