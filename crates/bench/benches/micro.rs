@@ -32,14 +32,12 @@ fn bench_assembly_strategies(b: &mut Bench) {
             &format!("assembly/{}", strategy.label()),
             || (matrix.clone(), vec![vec![0.0; mesh.num_nodes()]; 3]),
             |(mut a, mut rhs)| {
-                let zero_p = vec![0.0; mesh.num_nodes()];
                 let stats = assemble_momentum(
                     &pool,
                     &refs,
                     mesh,
                     &plan,
                     &velocity,
-                    &zero_p,
                     FluidProps::default(),
                     1e-4,
                     Vec3::new(0.0, 0.0, -9.81),

@@ -31,7 +31,8 @@
 //! against the block solve — and `spmm3/sell` one of its three-column
 //! sweeps; `sgs/default` is the oracle sweep (the plan's strategy, one
 //! element at a time) against the lane sweep every run does
-//! (`sgs/batched-lanes`); `particles/step-oracle` is one transport step
+//! (`sgs/batched-lanes`, on the same converged field, and `sgs/iterating`,
+//! on a field that has to iterate); `particles/step-oracle` is one transport step
 //! of the injected particles through the scalar sweep
 //! (`cfpd_particles::oracle`) against the lane-block sweep every run
 //! does (`particles/step-lanes`); `assembly/serial-pass` is the
@@ -110,7 +111,6 @@ fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
     let refs = RefElement::all();
     let velocity = synthetic_velocity(mesh);
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-    let zero_p = vec![0.0; mesh.num_nodes()];
     let multidep = |order| {
         let strategy = AssemblyStrategy::Multidep;
         AssemblyPlan::new(mesh, elems.clone(), strategy, N_SUBDOMAINS, &template, order)
@@ -149,7 +149,6 @@ fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
                     mesh,
                     plan,
                     &velocity,
-                    &zero_p,
                     FluidProps::default(),
                     1e-4,
                     Vec3::new(0.0, 0.0, -9.81),
@@ -316,6 +315,17 @@ fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPoo
     b.bench("sgs/batched-lanes", || {
         let stats = compute_sgs(pool, &refs, mesh, &velocity, props, &mut field, 5, 1e-6);
         black_box(stats.elements);
+    });
+    // The same sweep on a field that has to iterate, as a step's does:
+    // each sample sweeps with the other of two velocity fields, starting
+    // from what the previous sample converged to.
+    let other: Vec<Vec3> = mesh.coords.iter().map(|p| Vec3::new(p.y, 0.5 * p.z, -p.x)).collect();
+    let mut sample = 0;
+    b.bench("sgs/iterating", || {
+        let velocity = if sample % 2 == 0 { &other } else { &velocity };
+        sample += 1;
+        let stats = compute_sgs(pool, &refs, mesh, velocity, props, &mut field, 5, 1e-6);
+        black_box(stats.total_iterations);
     });
 }
 

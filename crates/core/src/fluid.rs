@@ -250,8 +250,6 @@ pub struct FluidSolver<'m> {
     /// Weak nodal pressure gradient of the correction, component `c` of
     /// node `i` at `3 i + c` (one buffer, one cross-rank reduction).
     grad_p: Vec<f64>,
-    /// The pressure the momentum step sees: none (see `step_reduced`).
-    zero_pressure: Vec<f64>,
     pub inflow: Vec3,
     /// Nodal velocity (the field particles are advected by).
     pub velocity: Vec<Vec3>,
@@ -353,7 +351,6 @@ impl<'m> FluidSolver<'m> {
             scalar_assembly: false,
             rhs_p: vec![0.0; n],
             grad_p: vec![0.0; 3 * n],
-            zero_pressure: vec![0.0; n],
             inflow,
             velocity: vec![Vec3::ZERO; n],
             pressure: vec![0.0; n],
@@ -559,15 +556,14 @@ impl<'m> FluidSolver<'m> {
         // pressure and the Poisson step recovers the full field. On this
         // equal-order discretization the incremental variant amplifies
         // junction overshoots (no PSPG damping), so the classical
-        // splitting is the robust choice; the kernel-level pressure-
-        // gradient hook remains available for stabilized discretizations.
+        // splitting is the robust choice: the momentum kernels take no
+        // pressure.
         let stats_m = assemble_momentum(
             pool,
             &m.refs,
             self.mesh,
             &s.plan,
             &self.velocity,
-            &self.zero_pressure,
             self.props,
             self.dt,
             self.gravity,

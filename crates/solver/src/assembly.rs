@@ -359,14 +359,14 @@ mod tests {
             oracle::assemble_divergence(pool, refs, mesh, plan, u, props, dt, &mut div);
             oracle::assemble_pressure_gradient(pool, refs, mesh, plan, &pressure, &mut grad);
             oracle::assemble_momentum(
-                pool, refs, mesh, plan, u, &pressure, props, dt, gravity, &mut a, &mut rhs,
+                pool, refs, mesh, plan, u, props, dt, gravity, &mut a, &mut rhs,
             )
         } else {
             assemble_poisson(pool, refs, mesh, plan, &mut l);
             assemble_divergence(pool, refs, mesh, plan, u, props, dt, &mut div);
             assemble_pressure_gradient(pool, refs, mesh, plan, &pressure, &mut grad);
             assemble_momentum(
-                pool, refs, mesh, plan, u, &pressure, props, dt, gravity, &mut a, &mut rhs,
+                pool, refs, mesh, plan, u, props, dt, gravity, &mut a, &mut rhs,
             )
         };
         let [x, y, z]: [Vec<f64>; 3] = rhs.try_into().unwrap();

@@ -421,7 +421,6 @@ struct MomentumCtx<'a> {
     refs: &'a [RefElement; 3],
     coords: &'a [Vec3],
     velocity: &'a [Vec3],
-    pressure: &'a [f64],
     props: FluidProps,
     dt: f64,
     body_force: Vec3,
@@ -439,7 +438,7 @@ impl BatchCtx for MomentumCtx<'_> {
     ) {
         let re = &self.refs[RefElement::index_of(batch.kind)];
         let nodes = &batch.gather[b * NN..(b + 1) * NN];
-        scratch.load_gather_with_pressure(self.coords, self.velocity, self.pressure, nodes);
+        scratch.load_gather(self.coords, self.velocity, nodes);
         let lm: LocalMomentum =
             momentum_kernel_n::<NN>(re, scratch, self.props, self.dt, batch.h[b], self.body_force)
                 .expect("degenerate element");
@@ -463,15 +462,7 @@ impl BatchCtx for MomentumCtx<'_> {
         sink: &S,
     ) {
         let re = &self.refs[RefElement::index_of(batch.kind)];
-        ls.load(
-            self.coords,
-            Some(self.velocity),
-            Some(self.pressure),
-            batch.gather,
-            batch.h,
-            NN,
-            b,
-        );
+        ls.load(self.coords, Some(self.velocity), None, batch.gather, batch.h, NN, b);
         let lm = momentum_kernel_lanes::<NN>(re, ls, self.props, self.dt, self.body_force)
             .expect("degenerate element");
         for l in 0..LANES {
@@ -748,7 +739,6 @@ pub fn assemble_momentum(
     mesh: &Mesh,
     plan: &AssemblyPlan,
     velocity: &[Vec3],
-    pressure: &[f64],
     props: FluidProps,
     dt: f64,
     body_force: Vec3,
@@ -756,8 +746,7 @@ pub fn assemble_momentum(
     rhs: &mut [Vec<f64>],
 ) -> AssemblyStats {
     count_assembly(plan);
-    let ctx =
-        MomentumCtx { refs, coords: &mesh.coords, velocity, pressure, props, dt, body_force };
+    let ctx = MomentumCtx { refs, coords: &mesh.coords, velocity, props, dt, body_force };
     sweep(pool, plan, matrix_sweep(plan), &ctx, &mut matrix.values, rhs)
 }
 
@@ -948,7 +937,6 @@ mod tests {
     fn batched_momentum_matches_unbatched_serial() {
         let f = fixture();
         let (refs, pool) = (RefElement::all(), ThreadPool::new(4));
-        let zero_p = vec![0.0; f.mesh.num_nodes()];
         let assemble = |strategy, order, through_oracle: bool| {
             let plan = plan(&f, strategy, order);
             let mut a = f.template.clone();
@@ -960,7 +948,6 @@ mod tests {
                 &f.mesh,
                 &plan,
                 &f.velocity,
-                &zero_p,
                 FluidProps::default(),
                 1e-4,
                 Vec3::new(0.0, 0.0, -9.81),
@@ -1044,7 +1031,7 @@ mod tests {
             let on = (&pool, &plan);
             let body_force = Vec3::new(0.0, 0.0, -9.81);
             let dt = 1e-4;
-            let momentum = MomentumCtx { refs: &refs, coords, velocity, pressure, props, dt, body_force };
+            let momentum = MomentumCtx { refs: &refs, coords, velocity, props, dt, body_force };
             check("momentum", &momentum, on, nnz, n);
             check("poisson", &PoissonCtx { refs: &refs, coords }, on, nnz, n);
             let divergence = DivergenceCtx { refs: &refs, coords, velocity, props, dt };

@@ -24,7 +24,8 @@ impl Default for FluidProps {
 
 /// Local output of the momentum kernel for one element: the matrix
 /// `A_ij = ∫ (ρ/dt) N_i N_j + µ ∇N_i·∇N_j + ρ N_i (u·∇N_j)` and the
-/// RHS `b_i = ∫ (ρ/dt) N_i u_n + ρ N_i f` per velocity component.
+/// RHS `b_i = ∫ (ρ/dt) N_i u_n + ρ N_i f` per velocity component (no
+/// pressure term: the splitting is non-incremental).
 #[derive(Debug, Clone)]
 pub struct LocalMomentum {
     pub nn: usize,
@@ -46,7 +47,7 @@ pub struct LocalPoisson {
 pub struct ElementScratch {
     pub coords: [Vec3; MAX_NODES],
     pub vel: [Vec3; MAX_NODES],
-    /// Nodal pressure of the previous step (incremental projection).
+    /// Nodal pressure (read by the pressure-gradient kernel only).
     pub pres: [f64; MAX_NODES],
 }
 
@@ -72,33 +73,13 @@ impl ElementScratch {
         (mesh.kinds[e], nodes.len())
     }
 
-    /// Load coordinates and velocities of element `e` (pressure zeroed).
+    /// Load coordinates and velocities of element `e` (the pressure
+    /// slots keep what they held).
     #[inline]
     pub fn load(&mut self, mesh: &Mesh, velocity: &[Vec3], e: usize) -> (ElementKind, usize) {
-        let kind = mesh.kinds[e];
         let nodes = mesh.elem_nodes(e);
-        for (k, &v) in nodes.iter().enumerate() {
-            self.coords[k] = mesh.coords[v as usize];
-            self.vel[k] = velocity[v as usize];
-            self.pres[k] = 0.0;
-        }
-        (kind, nodes.len())
-    }
-
-    /// Load coordinates, velocities and nodal pressure of element `e`.
-    #[inline]
-    pub fn load_with_pressure(
-        &mut self,
-        mesh: &Mesh,
-        velocity: &[Vec3],
-        pressure: &[f64],
-        e: usize,
-    ) -> (ElementKind, usize) {
-        let (kind, nn) = self.load(mesh, velocity, e);
-        for (k, &v) in mesh.elem_nodes(e).iter().enumerate() {
-            self.pres[k] = pressure[v as usize];
-        }
-        (kind, nn)
+        self.load_gather(&mesh.coords, velocity, nodes);
+        (mesh.kinds[e], nodes.len())
     }
 
     /// [`ElementScratch::load_coords`] through a precomputed gather list.
@@ -118,22 +99,6 @@ impl ElementScratch {
         for (k, &v) in nodes.iter().enumerate() {
             self.coords[k] = coords[v as usize];
             self.vel[k] = velocity[v as usize];
-            self.pres[k] = 0.0;
-        }
-    }
-
-    /// [`ElementScratch::load_gather`] plus nodal pressure.
-    #[inline]
-    pub fn load_gather_with_pressure(
-        &mut self,
-        coords: &[Vec3],
-        velocity: &[Vec3],
-        pressure: &[f64],
-        nodes: &[u32],
-    ) {
-        self.load_gather(coords, velocity, nodes);
-        for (k, &v) in nodes.iter().enumerate() {
-            self.pres[k] = pressure[v as usize];
         }
     }
 }
@@ -192,11 +157,7 @@ pub fn momentum_kernel_n<const NN: usize>(
                 let su = su_coef * gi_s * gj_s;
                 out.a[i][j] += (mass + diff + conv + su) * m.dvol;
             }
-            let mut gp = Vec3::ZERO;
-            for k in 0..NN {
-                gp += Vec3::new(m.grad[k][0], m.grad[k][1], m.grad[k][2]) * scratch.pres[k];
-            }
-            let rhs = (uc * rho_dt + body_force * props.density - gp) * (ni * m.dvol);
+            let rhs = (uc * rho_dt + body_force * props.density) * (ni * m.dvol);
             out.b[i][0] += rhs.x;
             out.b[i][1] += rhs.y;
             out.b[i][2] += rhs.z;
@@ -353,11 +314,10 @@ pub fn sgs_kernel_on(
             let new = -conv * tau;
             let delta = (new - usg).norm();
             usg = new;
+            iters_used = iters_used.max(it + 1);
             if delta < tol * (usg.norm() + 1e-30) {
-                iters_used = iters_used.max(it + 1);
                 break;
             }
-            iters_used = iters_used.max(it + 1);
         }
         sgs[q] = usg;
     }
@@ -437,10 +397,11 @@ mod tests {
         let mesh = unit_tet_mesh();
         let refs = RefElement::all();
         let mut scratch = ElementScratch::default();
-        let vel = vec![Vec3::ZERO; mesh.num_nodes()];
-        let pres: Vec<f64> =
-            mesh.coords.iter().map(|p| 2.0 * p.x - 3.0 * p.y + 5.0 * p.z).collect();
-        let (kind, nn) = scratch.load_with_pressure(&mesh, &vel, &pres, 0);
+        let (kind, nn) = scratch.load_coords(&mesh, 0);
+        for k in 0..nn {
+            let p = scratch.coords[k];
+            scratch.pres[k] = 2.0 * p.x - 3.0 * p.y + 5.0 * p.z;
+        }
         let g = pressure_gradient_kernel(&refs, &scratch, kind).unwrap();
         for (c, want) in [2.0, -3.0, 5.0].into_iter().enumerate() {
             let s: f64 = g[..nn].iter().map(|gi| gi[c]).sum();

@@ -62,7 +62,8 @@ impl LaneScratch {
     /// Gather node data for elements `first..first+LANES` of a batch
     /// (flattened `gather` list, `nn` nodes per element). Reads exactly
     /// the values the scalar per-element gather reads; a kernel that
-    /// reads no velocity passes `None` and the slots keep what they held.
+    /// reads no velocity or no pressure passes `None` and those slots
+    /// keep what they held.
     #[allow(clippy::too_many_arguments)]
     pub fn load(
         &mut self,
@@ -87,10 +88,9 @@ impl LaneScratch {
                     self.vel[k][1][l] = u.y;
                     self.vel[k][2][l] = u.z;
                 }
-                self.pres[k][l] = match pressure {
-                    Some(p) => p[v as usize],
-                    None => 0.0,
-                };
+                if let Some(pressure) = pressure {
+                    self.pres[k][l] = pressure[v as usize];
+                }
             }
             self.h[l] = h[first + l];
         }
@@ -253,16 +253,6 @@ pub fn momentum_kernel_lanes<const NN: usize>(
             moving.select(uc[1] / speed, F64x8::zero()),
             moving.select(uc[2] / speed, F64x8::zero()),
         ];
-        // Pressure gradient at the point. The scalar kernel recomputes
-        // this identical sum inside its `i` loop; computing it once per
-        // quadrature point yields the same bits.
-        let mut gp = [F64x8::zero(); 3];
-        for k in 0..NN {
-            let pk = F64x8::load(&scratch.pres[k]);
-            for c in 0..3 {
-                gp[c] = gp[c] + m.grad[k][c] * pk;
-            }
-        }
         let v_visc = F64x8::splat(props.viscosity);
         for i in 0..NN {
             let ni = qp.n[i];
@@ -284,9 +274,7 @@ pub fn momentum_kernel_lanes<const NN: usize>(
             for c in 0..3 {
                 let t = F64x8::splat(ni) * m.dvol;
                 let bic = &mut out.b[i][c];
-                (F64x8::load(bic)
-                    + (uc[c] * v_rho_dt + F64x8::splat(bf[c]) - gp[c]) * t)
-                    .store(bic);
+                (F64x8::load(bic) + (uc[c] * v_rho_dt + F64x8::splat(bf[c])) * t).store(bic);
             }
         }
     }
@@ -405,17 +393,22 @@ fn norm(v: &[F64x8; 3]) -> F64x8 {
 /// [`crate::kernels::sgs_kernel_on`] over [`LANES`] elements: per lane
 /// the same values and the same iteration count, bit for bit.
 ///
-/// The scalar fixed-point loop leaves as soon as its element has
-/// converged; here the eight loops run in lock-step under a per-lane
-/// "still iterating" mask. A lane that converges keeps the value it
-/// converged to (`select` discards what later iterations compute for
-/// it) and stops counting; the loop leaves when no lane is active or at
-/// `max_iters`, whichever the scalar loops would reach last.
+/// Two passes. The first maps every quadrature point of the block and
+/// builds its resolved velocity `u` and gradient `∇u`; `∇u` does not
+/// read the point's shape values, so a tet, whose map is one for all
+/// four points, builds it once. The second is one fixed-point loop over
+/// every (point, lane) under a per-point "still iterating" mask: the
+/// points' chains of sqrt and division are independent, so they overlap
+/// instead of each waiting for the previous point's loop to leave. A
+/// lane that converges at a point keeps the value it converged to
+/// (`select` discards what later iterations compute for it) and stops
+/// counting there; the loop leaves when no (point, lane) is active or
+/// at `max_iters`, whichever the scalar loops would reach last.
 ///
-/// Returns `None` when any lane has a non-invertible Jacobian at any
-/// point; `sgs` is then partly updated and must be discarded — the
-/// caller redoes the block with the scalar kernel, which skips such a
-/// point for its own element only.
+/// Returns `None`, with `sgs` untouched, when any lane has a
+/// non-invertible Jacobian at any point — the caller redoes the block
+/// with the scalar kernel, which skips such a point for its own element
+/// only.
 pub fn sgs_kernel_lanes<const NN: usize>(
     re: &RefElement,
     scratch: &LaneScratch,
@@ -424,6 +417,29 @@ pub fn sgs_kernel_lanes<const NN: usize>(
     max_iters: usize,
     tol: f64,
 ) -> Option<[usize; LANES]> {
+    let nq = re.qps.len();
+    let grad_of = |q: usize| if NN == 4 { 0 } else { q };
+    let vel: [[F64x8; 3]; NN] =
+        std::array::from_fn(|i| std::array::from_fn(|c| F64x8::load(&scratch.vel[i][c])));
+    // Resolved velocity and its gradient at each point (node order).
+    let mut u = [[F64x8::zero(); 3]; MAX_QP];
+    let mut grad_u = [[[F64x8::zero(); 3]; 3]; MAX_QP];
+    let mut points = MappedPoints::new(&scratch.coords, NN);
+    for (q, qp) in re.qps.iter().enumerate() {
+        let m = points.next(qp)?;
+        for i in 0..NN {
+            let ni = F64x8::splat(qp.n[i]);
+            for c in 0..3 {
+                u[q][c] = u[q][c] + vel[i][c] * ni;
+                if grad_of(q) == q {
+                    for d in 0..3 {
+                        grad_u[q][d][c] = grad_u[q][d][c] + m.grad[i][c] * vel[i][d];
+                    }
+                }
+            }
+        }
+    }
+
     let nu = props.viscosity / props.density;
     let h = F64x8::load(&scratch.h);
     // The viscous part of τ⁻¹ does not change over the iterations; the
@@ -432,37 +448,20 @@ pub fn sgs_kernel_lanes<const NN: usize>(
     // Both the floor of τ⁻¹ and the guard of the relative tolerance.
     let tiny = F64x8::splat(1e-30);
     let v_tol = F64x8::splat(tol);
-    let mut iters = F64x8::splat(1.0);
-    let mut points = MappedPoints::new(&scratch.coords, NN);
-    for (q, qp) in re.qps.iter().enumerate() {
-        let m = points.next(qp)?;
-        // Resolved velocity and its gradient at the point (node order).
-        let mut u = [F64x8::zero(); 3];
-        let mut grad_u = [[F64x8::zero(); 3]; 3];
-        for i in 0..NN {
-            let ni = F64x8::splat(qp.n[i]);
-            let v = [
-                F64x8::load(&scratch.vel[i][0]),
-                F64x8::load(&scratch.vel[i][1]),
-                F64x8::load(&scratch.vel[i][2]),
-            ];
-            for c in 0..3 {
-                u[c] = u[c] + v[c] * ni;
-                for d in 0..3 {
-                    grad_u[d][c] = grad_u[d][c] + m.grad[i][c] * v[d];
-                }
+    let mut usg: [[F64x8; 3]; MAX_QP] =
+        std::array::from_fn(|q| std::array::from_fn(|d| F64x8::load(&sgs[q][d])));
+    let mut active = [Mask8::full(); MAX_QP];
+    let mut used = [F64x8::zero(); MAX_QP];
+    for it in 0..max_iters {
+        let count = F64x8::splat((it + 1) as f64);
+        let mut any = false;
+        for q in 0..nq {
+            if !active[q].any() {
+                continue;
             }
-        }
-        let mut usg = [
-            F64x8::load(&sgs[q][0]),
-            F64x8::load(&sgs[q][1]),
-            F64x8::load(&sgs[q][2]),
-        ];
-        let mut active = Mask8::full();
-        let mut used = F64x8::zero();
-        for it in 0..max_iters {
-            used = active.select(F64x8::splat((it + 1) as f64), used);
-            let a = [u[0] + usg[0], u[1] + usg[1], u[2] + usg[2]];
+            let (usg, active, grad_u) = (&mut usg[q], &mut active[q], &grad_u[grad_of(q)]);
+            used[q] = active.select(count, used[q]);
+            let a = [u[q][0] + usg[0], u[q][1] + usg[1], u[q][2] + usg[2]];
             let tau_inv = tau_inv_visc + F64x8::splat(2.0) * norm(&a) / h;
             // `tau_inv.max(1e-30)`: a NaN compares false and takes the
             // floor, as `f64::max` returns its non-NaN operand.
@@ -478,14 +477,18 @@ pub fn sgs_kernel_lanes<const NN: usize>(
                 usg[d] = active.select(new[d], usg[d]);
             }
             let converged = norm(&step).lt(v_tol * (norm(&new) + tiny));
-            active = active.and_not(converged);
-            if !active.any() {
-                break;
-            }
+            *active = active.and_not(converged);
+            any |= active.any();
         }
-        iters = used.gt(iters).select(used, iters);
+        if !any {
+            break;
+        }
+    }
+    let mut iters = F64x8::splat(1.0);
+    for q in 0..nq {
+        iters = used[q].gt(iters).select(used[q], iters);
         for d in 0..3 {
-            usg[d].store(&mut sgs[q][d]);
+            usg[q][d].store(&mut sgs[q][d]);
         }
     }
     Some(iters.to_array().map(|v| v as usize))

@@ -249,14 +249,9 @@ pub fn momentum_kernel(
                 let su = su_coef * gi_s * gj_s;
                 out.a[i][j] += (mass + diff + conv + su) * m.dvol;
             }
-            // RHS: (ρ/dt) u_n + ρ f − ∇p^n (incremental projection:
-            // the momentum step sees the previous pressure, the Poisson
-            // step then solves only for the increment).
-            let mut gp = Vec3::ZERO;
-            for k in 0..nn {
-                gp += Vec3::new(m.grad[k][0], m.grad[k][1], m.grad[k][2]) * scratch.pres[k];
-            }
-            let rhs = (uc * rho_dt + body_force * props.density - gp) * (ni * m.dvol);
+            // RHS: (ρ/dt) u_n + ρ f (non-incremental splitting: the
+            // momentum step sees no pressure).
+            let rhs = (uc * rho_dt + body_force * props.density) * (ni * m.dvol);
             out.b[i][0] += rhs.x;
             out.b[i][1] += rhs.y;
             out.b[i][2] += rhs.z;
@@ -264,7 +259,6 @@ pub fn momentum_kernel(
     }
     Some(out)
 }
-
 
 /// [`crate::kernels::poisson_kernel_n`] for a run-time node count.
 pub fn poisson_kernel(
@@ -288,7 +282,6 @@ pub fn poisson_kernel(
     Some(out)
 }
 
-
 /// Dispatch a node-count-monomorphized kernel on the element kind.
 macro_rules! by_kind {
     ($kind:expr, $kernel:ident($($arg:expr),*)) => {
@@ -299,7 +292,6 @@ macro_rules! by_kind {
         }
     };
 }
-
 
 /// [`divergence_kernel_n`] dispatched on the element kind.
 pub fn divergence_kernel(
@@ -313,7 +305,6 @@ pub fn divergence_kernel(
     by_kind!(kind, divergence_kernel_n(re, scratch, props, dt))
 }
 
-
 /// [`pressure_gradient_kernel_n`] dispatched on the element kind.
 pub fn pressure_gradient_kernel(
     refs: &[RefElement; 3],
@@ -323,7 +314,6 @@ pub fn pressure_gradient_kernel(
     let re = &refs[RefElement::index_of(kind)];
     by_kind!(kind, pressure_gradient_kernel_n(re, scratch))
 }
-
 
 /// [`sgs_kernel_on`] with the reference element looked up per element.
 #[allow(clippy::too_many_arguments)]
@@ -507,7 +497,6 @@ pub fn assemble_momentum(
     mesh: &Mesh,
     plan: &AssemblyPlan,
     velocity: &[Vec3],
-    pressure: &[f64],
     props: FluidProps,
     dt: f64,
     body_force: Vec3,
@@ -520,7 +509,7 @@ pub fn assemble_momentum(
         plan,
         3,
         |scratch, e| {
-            let (kind, nn) = scratch.load_with_pressure(mesh, velocity, pressure, e);
+            let (kind, nn) = scratch.load(mesh, velocity, e);
             let h = mesh.volume(e).abs().cbrt();
             momentum_kernel(refs, scratch, kind, nn, props, dt, h, body_force)
                 .map(LocalBlock::from)

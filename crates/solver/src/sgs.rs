@@ -88,14 +88,6 @@ impl SgsField {
     pub fn elem(&self, e: usize) -> &[Vec3] {
         &self.values[self.layout.offsets[e] as usize..self.layout.offsets[e + 1] as usize]
     }
-
-    /// Mean subgrid-velocity magnitude (diagnostic).
-    pub fn mean_norm(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().map(|v| v.norm()).sum::<f64>() / self.values.len() as f64
-    }
 }
 
 /// Shared view over the SGS storage allowing each element's slice to be
@@ -351,7 +343,7 @@ mod tests {
     #[test]
     fn rotational_flow_produces_nonzero_sgs() {
         let (field, stats) = run_batched(2);
-        assert!(field.mean_norm() > 0.0);
+        assert!(field.values.iter().any(|v| *v != Vec3::ZERO));
         assert!(stats.total_iterations as usize >= stats.elements);
         assert!(stats.max_iterations >= 1);
     }
@@ -412,82 +404,146 @@ mod tests {
         Vec3::new(0.01 * (i % 7) as f64, -0.02, 0.005 * (i % 3) as f64)
     }
 
-    /// Rows `0..len` of the first batch through [`BatchedSweep::run`]
-    /// with lane blocks, against the scalar kernel row by row, on a mesh
-    /// the caller may have damaged. Returns the swept field.
-    fn check_lane_rows(mesh: &Mesh, vel: &[Vec3], len: usize) -> SgsField {
-        let refs = RefElement::all();
-        let elems = all_elems(mesh);
-        let props = FluidProps::default();
-        let warm = |field: &mut SgsField| {
-            for (i, v) in field.values.iter_mut().enumerate() {
-                *v = warm_start(i);
-            }
-        };
+    fn warm(mesh: &Mesh) -> Vec<Vec3> {
+        (0..SgsField::new(mesh, &[]).values.len()).map(warm_start).collect()
+    }
 
-        let mut want = SgsField::new(mesh, &elems);
-        warm(&mut want);
+    /// The batch of `NN`-node elements of `layout`.
+    fn batch_of<const NN: usize>(layout: &SgsLayout) -> KindBatch<'_> {
+        layout.batches().map(|(kb, _)| kb).find(|kb| kb.nn() == NN).expect("every kind")
+    }
+
+    /// Rows `0..len` of the `NN`-node batch through [`BatchedSweep::run`]
+    /// with lane blocks, from the storage `start`, against the scalar
+    /// kernel row by row, on a mesh the caller may have damaged: the
+    /// bits, the `(Σ, max)` iterations, and the per-lane counts of each
+    /// full block straight from [`sgs_kernel_lanes`] — which leaves the
+    /// storage of a block it refuses untouched. Returns the swept field.
+    fn check_lane_rows<const NN: usize>(
+        mesh: &Mesh,
+        vel: &[Vec3],
+        len: usize,
+        start: &[Vec3],
+    ) -> SgsField {
+        let (refs, props, max_iters, tol) = (RefElement::all(), FluidProps::default(), 6, 1e-7);
+        let mut want = SgsField::new(mesh, &all_elems(mesh));
+        want.values.copy_from_slice(start);
         let layout = Arc::clone(&want.layout);
-        let (mut want_total, mut want_max) = (0u64, 0usize);
+        let at = |e: u32| layout.offsets[e as usize] as usize..layout.offsets[e as usize + 1] as usize;
+        let kb = batch_of::<NN>(&layout);
         let mut scratch = ElementScratch::default();
-        for &e in &layout.batches().next().unwrap().0.elems[..len] {
-            let e = e as usize;
-            let (kind, nn) = scratch.load(mesh, vel, e);
-            let (lo, hi) = (layout.offsets[e] as usize, layout.offsets[e + 1] as usize);
-            let slice = &mut want.values[lo..hi];
-            let iters = sgs_kernel(&refs, &scratch, kind, nn, props, layout.h[e], slice, 6, 1e-7);
-            want_total += iters as u64;
-            want_max = want_max.max(iters);
+        let counts: Vec<usize> = (kb.elems[..len].iter())
+            .map(|&e| {
+                let ((kind, nn), h) = (scratch.load(mesh, vel, e as usize), layout.h[e as usize]);
+                let values = &mut want.values[at(e)];
+                sgs_kernel(&refs, &scratch, kind, nn, props, h, values, max_iters, tol)
+            })
+            .collect();
+
+        let (re, mut ls) = (&refs[RefElement::index_of(kb.kind)], LaneScratch::default());
+        for b in (0..len / LANES).map(|k| k * LANES) {
+            ls.load(&mesh.coords, Some(vel), None, kb.gather, kb.h, NN, b);
+            let mut usg: LaneSgs = [[[0.0; LANES]; 3]; MAX_QP];
+            (0..LANES).for_each(|l| set_lane_sgs(&mut usg, l, &start[at(kb.elems[b + l])]));
+            let before = usg;
+            match sgs_kernel_lanes::<NN>(re, &ls, props, &mut usg, max_iters, tol) {
+                Some(iters) => assert_eq!(iters[..], counts[b..b + LANES], "block {b}"),
+                None => assert_eq!(usg, before, "block {b}: a refused block was written"),
+            }
         }
 
-        let mut got = SgsField::new(mesh, &elems);
-        warm(&mut got);
-        let SgsField { values, layout } = &mut got;
-        let (kb, _) = layout.batches().next().unwrap();
-        assert_eq!(kb.kind, ElementKind::Tet4);
+        let mut got = SgsField { values: start.to_vec(), layout: Arc::clone(&layout) };
         let sweep = BatchedSweep {
             refs: &refs,
             coords: &mesh.coords,
             velocity: vel,
             props,
-            view: SgsView::new(values),
+            view: SgsView::new(&mut got.values),
             offsets: &layout.offsets,
-            max_iters: 6,
-            tol: 1e-7,
+            max_iters,
+            tol,
         };
-        assert_eq!(sweep.run::<4>(&kb, 0..len), (want_total, want_max), "len {len}");
-        assert_values_bit_equal(&got.values, &want.values, &format!("len {len}"));
+        let total = counts.iter().map(|&c| c as u64).sum();
+        let what = format!("{NN} nodes, len {len}");
+        assert_eq!(sweep.run::<NN>(&kb, 0..len), (total, *counts.iter().max().unwrap()), "{what}");
+        assert_values_bit_equal(&got.values, &want.values, &what);
         got
     }
 
-    /// Every tail shape: no block, one block, one block and a tail, two
-    /// blocks, two blocks and one row.
+    /// Every tail shape of every kind: no block, one block, one block and
+    /// a tail, two blocks, two blocks and one row.
     #[test]
     fn lane_blocks_and_scalar_tails_agree_for_every_chunk_length() {
         let (mesh, _, _, vel) = fixture();
+        let start = warm(&mesh);
         for len in 1..=17 {
-            check_lane_rows(&mesh, &vel, len);
+            check_lane_rows::<4>(&mesh, &vel, len, &start);
+            check_lane_rows::<5>(&mesh, &vel, len, &start);
+            check_lane_rows::<6>(&mesh, &vel, len, &start);
         }
+    }
+
+    /// Blocks whose points leave the fixed-point loop at different
+    /// iterations: every other storage point starts at the value a sweep
+    /// converged to far below the tolerance, the rest cold. The scalar
+    /// kernel on one point alone says when that point leaves.
+    #[test]
+    fn points_of_a_block_converging_at_different_iterations_agree() {
+        let (mesh, refs, pool, vel) = fixture();
+        let props = FluidProps::default();
+        let mut converged = SgsField::new(&mesh, &all_elems(&mesh));
+        compute_sgs(&pool, &refs, &mesh, &vel, props, &mut converged, 50, 1e-12);
+        let start: Vec<Vec3> = (converged.values.iter().enumerate())
+            .map(|(i, v)| if i % 2 == 0 { *v } else { Vec3::ZERO })
+            .collect();
+        let layout = &converged.layout;
+        let mut scratch = ElementScratch::default();
+        for e in [batch_of::<4>(layout), batch_of::<5>(layout), batch_of::<6>(layout)]
+            .map(|kb| kb.elems[0] as usize)
+        {
+            let (kind, nn) = scratch.load(&mesh, &vel, e);
+            let (lo, h) = (layout.offsets[e] as usize, layout.h[e]);
+            let leaves: Vec<usize> = (refs[RefElement::index_of(kind)].qps.iter().enumerate())
+                .map(|(q, qp)| {
+                    let one = RefElement { kind, qps: vec![*qp] };
+                    sgs_kernel_on(&one, &scratch, nn, props, h, &mut [start[lo + q]], 6, 1e-7)
+                })
+                .collect();
+            assert!(leaves.iter().min() < leaves.iter().max(), "{kind:?}: {leaves:?}");
+        }
+        check_lane_rows::<4>(&mesh, &vel, 16, &start);
+        check_lane_rows::<5>(&mesh, &vel, 16, &start);
+        check_lane_rows::<6>(&mesh, &vel, 16, &start);
     }
 
     /// A block holding a degenerate element goes to the scalar kernel
     /// whole: that element keeps its values (every point skipped), its
-    /// seven neighbours get what the scalar kernel gives them.
+    /// seven neighbours get what the scalar kernel gives them. On a tet
+    /// block and on a prism block.
     #[test]
     fn block_with_a_degenerate_element_falls_back_to_scalar() {
-        let (mut mesh, _, _, vel) = fixture();
-        let probe = SgsField::new(&mesh, &all_elems(&mesh)).layout;
-        let rows = probe.batches().next().unwrap().0.elems;
-        let (flat, other) = (rows[3] as usize, rows[4] as usize);
-        // Collapse an edge of row 3: its Jacobian determinant is exactly
-        // zero at every point (the neighbours only change shape).
-        let nodes = mesh.elem_nodes(flat).to_vec();
-        mesh.coords[nodes[1] as usize] = mesh.coords[nodes[0] as usize];
-        let swept = check_lane_rows(&mesh, &vel, 16);
-        let lo = swept.layout.offsets[flat] as usize;
-        for (q, v) in swept.elem(flat).iter().enumerate() {
-            assert_eq!(*v, warm_start(lo + q), "point {q} of the flat element moved");
+        fn check<const NN: usize>() {
+            let (mut mesh, _, _, vel) = fixture();
+            let probe = SgsField::new(&mesh, &all_elems(&mesh)).layout;
+            let rows = batch_of::<NN>(&probe).elems;
+            let (flat, other) = (rows[3] as usize, rows[4] as usize);
+            // Collapse the edge 0–1 of row 3 (and of a prism its top twin
+            // 3–4): the Jacobian's first row sums pairs of exact opposites,
+            // so its determinant is exactly zero at every point (the
+            // neighbours only change shape).
+            let nodes = mesh.elem_nodes(flat).to_vec();
+            let edges: &[(usize, usize)] = if NN == 6 { &[(1, 0), (4, 3)] } else { &[(1, 0)] };
+            for &(to, from) in edges {
+                mesh.coords[nodes[to] as usize] = mesh.coords[nodes[from] as usize];
+            }
+            let swept = check_lane_rows::<NN>(&mesh, &vel, 16, &warm(&mesh));
+            let lo = swept.layout.offsets[flat] as usize;
+            for (q, v) in swept.elem(flat).iter().enumerate() {
+                assert_eq!(*v, warm_start(lo + q), "point {q} of the flat element moved");
+            }
+            assert_ne!(swept.elem(other)[0], warm_start(swept.layout.offsets[other] as usize));
         }
-        assert_ne!(swept.elem(other)[0], warm_start(swept.layout.offsets[other] as usize));
+        check::<4>();
+        check::<6>();
     }
 }

@@ -45,14 +45,12 @@ fn main() {
         let mut a = template.clone();
         let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
         let t0 = std::time::Instant::now();
-        let zero_p = vec![0.0; mesh.num_nodes()];
         let stats = assemble_momentum(
             &pool,
             &refs,
             mesh,
             &plan,
             &velocity,
-            &zero_p,
             FluidProps::default(),
             1e-4,
             Vec3::new(0.0, 0.0, -9.81),

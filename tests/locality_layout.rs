@@ -122,7 +122,6 @@ fn batch_kernels_bit_identical_per_element() {
     let gravity = Vec3::new(0.0, 0.0, -9.81);
     let velocity: Vec<Vec3> =
         mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
-    let pressure: Vec<f64> = mesh.coords.iter().map(|p| p.z * 101.0).collect();
 
     let mut kinds_seen = std::collections::BTreeSet::new();
     let mut dyn_scratch = ElementScratch::default();
@@ -130,14 +129,14 @@ fn batch_kernels_bit_identical_per_element() {
     for e in 0..mesh.num_elements() {
         let kind = mesh.kinds[e];
         kinds_seen.insert(format!("{kind:?}"));
-        let (_, nn) = dyn_scratch.load_with_pressure(&mesh, &velocity, &pressure, e);
+        let (_, nn) = dyn_scratch.load(&mesh, &velocity, e);
         let h = mesh.volume(e).abs().cbrt();
         let dm = oracle::momentum_kernel(&refs, &dyn_scratch, kind, nn, props, dt, h, gravity)
             .unwrap();
         let dp = oracle::poisson_kernel(&refs, &dyn_scratch, kind, nn).unwrap();
 
         let nodes = mesh.elem_nodes(e);
-        batch_scratch.load_gather_with_pressure(&mesh.coords, &velocity, &pressure, nodes);
+        batch_scratch.load_gather(&mesh.coords, &velocity, nodes);
         let re = &refs[RefElement::index_of(kind)];
         let (bm, bp) = match nn {
             4 => (

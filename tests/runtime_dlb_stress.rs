@@ -190,7 +190,6 @@ fn assembly_is_bit_identical_under_random_lend_reclaim_scripts() {
             &mesh,
             plan,
             &velocity,
-            &pressure,
             props,
             dt,
             Vec3::new(0.0, 0.0, -9.81),

@@ -56,7 +56,6 @@ fn assemble(
     let plan = AssemblyPlan::new(mesh, elems, strategy, n_sub, template, cut);
     let mut a = template.clone();
     let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
-    let zero_p = vec![0.0; mesh.num_nodes()];
     let sweep = if order.is_some() { assemble_momentum } else { oracle::assemble_momentum };
     sweep(
         pool,
@@ -64,7 +63,6 @@ fn assemble(
         mesh,
         &plan,
         velocity,
-        &zero_p,
         FluidProps::default(),
         1e-4,
         Vec3::new(0.0, 0.0, -9.81),
