@@ -67,9 +67,7 @@ impl ElementScratch {
     #[inline]
     pub fn load_coords(&mut self, mesh: &Mesh, e: usize) -> (ElementKind, usize) {
         let nodes = mesh.elem_nodes(e);
-        for (k, &v) in nodes.iter().enumerate() {
-            self.coords[k] = mesh.coords[v as usize];
-        }
+        self.load_gather_coords(&mesh.coords, nodes);
         (mesh.kinds[e], nodes.len())
     }
 

@@ -195,14 +195,16 @@ impl<'a> MappedPoints<'a> {
         MappedPoints { coords, nn, kept: None }
     }
 
-    /// The geometry at `qp`, the next point of the rule; `None` as from
-    /// [`map_qp_lanes`].
+    /// The geometry at `qp`, the next point of the rule, and whether it
+    /// was mapped anew rather than kept from the previous point; `None`
+    /// as from [`map_qp_lanes`].
     #[inline(always)]
-    fn next(&mut self, qp: &QuadPoint) -> Option<&LaneQp> {
-        if self.kept.is_none() || self.nn != 4 {
+    fn next(&mut self, qp: &QuadPoint) -> Option<(&LaneQp, bool)> {
+        let fresh = self.kept.is_none() || self.nn != 4;
+        if fresh {
             self.kept = Some(map_qp_lanes(qp, self.coords, self.nn)?);
         }
-        self.kept.as_ref()
+        self.kept.as_ref().map(|m| (m, fresh))
     }
 }
 
@@ -228,7 +230,7 @@ pub fn momentum_kernel_lanes<const NN: usize>(
     let v_rho_dt = F64x8::splat(rho_dt);
     let mut points = MappedPoints::new(&scratch.coords, NN);
     for qp in &re.qps {
-        let m = points.next(qp)?;
+        let (m, _) = points.next(qp)?;
         // Convecting velocity at the point (node order, like scalar).
         let mut uc = [F64x8::zero(); 3];
         for i in 0..NN {
@@ -290,7 +292,7 @@ pub fn poisson_kernel_lanes<const NN: usize>(
     let mut out = LanePoisson { l: [[[0.0; LANES]; MAX_NODES]; MAX_NODES] };
     let mut points = MappedPoints::new(&scratch.coords, NN);
     for qp in &re.qps {
-        let m = points.next(qp)?;
+        let (m, _) = points.next(qp)?;
         for i in 0..NN {
             let gi = &m.grad[i];
             for j in 0..NN {
@@ -317,7 +319,7 @@ pub fn divergence_kernel_lanes<const NN: usize>(
     let v_rho_dt = F64x8::splat(props.density / dt);
     let mut points = MappedPoints::new(&scratch.coords, NN);
     for qp in &re.qps {
-        let m = points.next(qp)?;
+        let (m, _) = points.next(qp)?;
         let mut u = [F64x8::zero(); 3];
         for i in 0..NN {
             let ni = F64x8::splat(qp.n[i]);
@@ -345,7 +347,7 @@ pub fn pressure_gradient_kernel_lanes<const NN: usize>(
     let mut out = [[[0.0; LANES]; 3]; MAX_NODES];
     let mut points = MappedPoints::new(&scratch.coords, NN);
     for qp in &re.qps {
-        let m = points.next(qp)?;
+        let (m, _) = points.next(qp)?;
         let mut gp = [F64x8::zero(); 3];
         for k in 0..NN {
             let pk = F64x8::load(&scratch.pres[k]);
@@ -418,20 +420,23 @@ pub fn sgs_kernel_lanes<const NN: usize>(
     tol: f64,
 ) -> Option<[usize; LANES]> {
     let nq = re.qps.len();
-    let grad_of = |q: usize| if NN == 4 { 0 } else { q };
     let vel: [[F64x8; 3]; NN] =
         std::array::from_fn(|i| std::array::from_fn(|c| F64x8::load(&scratch.vel[i][c])));
-    // Resolved velocity and its gradient at each point (node order).
+    // Resolved velocity and its gradient at each point (node order); a
+    // kept map keeps the previous point's gradient too.
     let mut u = [[F64x8::zero(); 3]; MAX_QP];
     let mut grad_u = [[[F64x8::zero(); 3]; 3]; MAX_QP];
     let mut points = MappedPoints::new(&scratch.coords, NN);
     for (q, qp) in re.qps.iter().enumerate() {
-        let m = points.next(qp)?;
+        let (m, fresh) = points.next(qp)?;
+        if !fresh {
+            grad_u[q] = grad_u[q - 1];
+        }
         for i in 0..NN {
             let ni = F64x8::splat(qp.n[i]);
             for c in 0..3 {
                 u[q][c] = u[q][c] + vel[i][c] * ni;
-                if grad_of(q) == q {
+                if fresh {
                     for d in 0..3 {
                         grad_u[q][d][c] = grad_u[q][d][c] + m.grad[i][c] * vel[i][d];
                     }
@@ -459,7 +464,7 @@ pub fn sgs_kernel_lanes<const NN: usize>(
             if !active[q].any() {
                 continue;
             }
-            let (usg, active, grad_u) = (&mut usg[q], &mut active[q], &grad_u[grad_of(q)]);
+            let (usg, active, grad_u) = (&mut usg[q], &mut active[q], &grad_u[q]);
             used[q] = active.select(count, used[q]);
             let a = [u[q][0] + usg[0], u[q][1] + usg[1], u[q][2] + usg[2]];
             let tau_inv = tau_inv_visc + F64x8::splat(2.0) * norm(&a) / h;

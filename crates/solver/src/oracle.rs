@@ -260,6 +260,7 @@ pub fn momentum_kernel(
     Some(out)
 }
 
+
 /// [`crate::kernels::poisson_kernel_n`] for a run-time node count.
 pub fn poisson_kernel(
     refs: &[RefElement; 3],
@@ -282,6 +283,7 @@ pub fn poisson_kernel(
     Some(out)
 }
 
+
 /// Dispatch a node-count-monomorphized kernel on the element kind.
 macro_rules! by_kind {
     ($kind:expr, $kernel:ident($($arg:expr),*)) => {
@@ -292,6 +294,7 @@ macro_rules! by_kind {
         }
     };
 }
+
 
 /// [`divergence_kernel_n`] dispatched on the element kind.
 pub fn divergence_kernel(
@@ -305,6 +308,7 @@ pub fn divergence_kernel(
     by_kind!(kind, divergence_kernel_n(re, scratch, props, dt))
 }
 
+
 /// [`pressure_gradient_kernel_n`] dispatched on the element kind.
 pub fn pressure_gradient_kernel(
     refs: &[RefElement; 3],
@@ -314,6 +318,7 @@ pub fn pressure_gradient_kernel(
     let re = &refs[RefElement::index_of(kind)];
     by_kind!(kind, pressure_gradient_kernel_n(re, scratch))
 }
+
 
 /// [`sgs_kernel_on`] with the reference element looked up per element.
 #[allow(clippy::too_many_arguments)]

@@ -232,16 +232,18 @@ default, lanes = rows["assembly/default"], rows["assembly/batched-lanes"]
 if default > 2 * lanes:
     sys.exit(f"FAIL: assembly/default {default:.0f} ns > 2 x assembly/batched-lanes {lanes:.0f} ns")
 # Same elements, same pool, eight per vector op against one through the
-# oracle's strategy schedule: the ratio reads about 3 here (7.8 against
-# 23.4 ms in the full artifact), so "not below" means the lane path is gone.
+# oracle's strategy schedule: the ratio reads about 4 here (2.6 against
+# 16.2 ms in the full artifact), so "not below" means the lane path is gone.
 lanes, scalar = rows["sgs/batched-lanes"], rows["sgs/default"]
 if lanes >= scalar:
     sys.exit(f"FAIL: sgs/batched-lanes {lanes:.0f} ns is not below sgs/default {scalar:.0f} ns")
 if doc["phases"]["sgs"]["opt_ns"] != round(lanes):
     sys.exit("FAIL: phases.sgs.opt_ns does not report the sgs/batched-lanes row")
 # The lane sweep on a field that iterates ~4 times per element, as a step's
-# does, against the oracle's one iteration per point: 0.39 here with the
-# two-pass kernel, so "not below" means the lane sweep lost its overlap.
+# does, against the oracle's one iteration per point: 0.39-0.42 here (0.45-0.47
+# with one fixed-point loop per point), so "not below" means the iterating
+# sweep fell back to scalar. Against sgs/batched-lanes it reads 1.61-1.86
+# (1.79-2.16 with a loop per point): too close on this mesh for a gate.
 iterating = rows["sgs/iterating"]
 if iterating >= scalar:
     sys.exit(f"FAIL: sgs/iterating {iterating:.0f} ns is not below sgs/default {scalar:.0f} ns")
