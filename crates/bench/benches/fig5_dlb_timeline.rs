@@ -73,9 +73,6 @@ fn main() {
             DlbEventKind::Crashed { cores } => {
                 format!("rank crashed, allotment donated permanently ({cores})")
             }
-            DlbEventKind::PreLend { cores } => {
-                format!("predicted surplus, pre-lent {cores} core(s) before blocking")
-            }
         };
         lines.push(format!("{:>10.3}  {:>5}  {}", e.t * 1e3, e.rank, desc));
     }

@@ -6,7 +6,7 @@
 //! point behind its set-up — so a campaign cell *is* a golden run. The
 //! pool keeps the set-up of its most recent cells
 //! ([`cfpd_core::PrepareMemo`]), so cells that differ only in seed,
-//! policy or inflow are prepared once. Results land in
+//! DLB or inflow are prepared once. Results land in
 //! a slot indexed by the cell's expansion index, which makes the
 //! aggregate report independent of completion order and therefore of
 //! the pool size: `jobs = 1`, `2` and `8` produce byte-identical

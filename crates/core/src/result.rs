@@ -257,7 +257,6 @@ pub(crate) fn assemble(
             DlbEventKind::Revoke { cores, .. } => (DlbMarkKind::Revoke, cores),
             DlbEventKind::LeaseExpired { cores } => (DlbMarkKind::LeaseExpired, cores),
             DlbEventKind::Crashed { cores } => (DlbMarkKind::Crashed, cores),
-            DlbEventKind::PreLend { cores } => (DlbMarkKind::PreLend, cores),
         };
         if e.rank < trace.num_ranks {
             trace.record_dlb(e.rank, e.t, kind, cores);

@@ -14,8 +14,7 @@ use crate::fluid::{FluidSolver, PressureOperator};
 use crate::prepare::{prepare, PrepareKey, Prepared};
 use crate::result::{assemble, finalize, log_fluid_step, RankOut};
 pub use crate::result::{LogicalEvent, SimulationResult};
-use cfpd_dlb::{DlbCluster, DlbPolicy, GrantPolicy, LendPolicy};
-use cfpd_hetero::{ImbalancePredictor, PredictorConfig};
+use cfpd_dlb::{DlbCluster, GrantPolicy, LendPolicy};
 use cfpd_mesh::Vec3;
 use cfpd_particles::{
     inject_at_inlet, step_particles, Locator, ParticleCensus, ParticleProps, ParticleSet,
@@ -67,12 +66,6 @@ pub struct RunOptions {
     /// untraced runs take exactly the pre-existing code paths, so both
     /// golden documents stay byte-identical.
     pub trace: bool,
-    /// How DLB moves cores: reactive LeWI (the default, lend at the
-    /// blocking call) or model-driven predictive pre-lending (an
-    /// [`ImbalancePredictor`] forecasts the next step's imbalance and
-    /// sheds surplus cores *before* the barrier, falling back to
-    /// reactive when its forecasts miss). Only meaningful with `dlb`.
-    pub policy: DlbPolicy,
     /// Deterministic per-rank speed/skew profile emulating a
     /// heterogeneous cluster (e.g. MareNostrum4-class next to
     /// ThunderX-class nodes). Injected into the PMPI hook chain exactly
@@ -241,15 +234,9 @@ pub fn run_prepared(
         Some(c) => Arc::clone(c) as _,
         None => base,
     };
-    let profiled: Option<Arc<ProfileHooks>> = match &opts.hetero {
-        Some(p) if !p.is_uniform() => {
-            Some(ProfileHooks::new(n_ranks, p.clone(), Arc::clone(&mid)))
-        }
-        _ => None,
-    };
-    let mid: Arc<dyn MpiHooks> = match &profiled {
-        Some(p) => Arc::clone(p) as _,
-        None => mid,
+    let mid: Arc<dyn MpiHooks> = match &opts.hetero {
+        Some(p) if !p.is_uniform() => ProfileHooks::new(n_ranks, p.clone(), mid) as _,
+        _ => mid,
     };
     let tracer: Option<Arc<TraceHooks>> = if opts.trace {
         Some(Arc::new(TraceHooks::new(n_ranks, run_epoch, Arc::clone(&mid))))
@@ -260,25 +247,6 @@ pub fn run_prepared(
         Some(t) => Arc::clone(t) as _,
         None => mid,
     };
-
-    // The predictive policy closes observe → model → act: calibrate the
-    // demand model from the speed profile (uniform when none), then let
-    // each rank pre-lend its forecast surplus before blocking.
-    let predictor: Option<Arc<ImbalancePredictor>> =
-        if opts.dlb && opts.policy == DlbPolicy::Predictive {
-            let speeds = match &opts.hetero {
-                Some(p) => cfpd_hetero::speeds(p, n_ranks),
-                None => vec![1.0],
-            };
-            Some(Arc::new(ImbalancePredictor::calibrated(
-                n_ranks,
-                threads_per_rank.max(1),
-                &speeds,
-                PredictorConfig::default(),
-            )))
-        } else {
-            None
-        };
 
     let cfg = Arc::clone(&config);
     let pools2 = pools.clone();
@@ -291,9 +259,6 @@ pub fn run_prepared(
         stop_after,
         restore: opts.restore.clone(),
         epoch: if opts.trace { Some(run_epoch) } else { None },
-        predictor,
-        cluster: Arc::clone(&cluster),
-        profiled: profiled.clone(),
     };
 
     let results = Universe::run_fallible(n_ranks, hooks, move |comm| {
@@ -347,15 +312,6 @@ struct StepWindow {
     /// Shared run clock for traced runs; `None` keeps the pre-existing
     /// per-rank epoch (and byte-identical untraced output).
     epoch: Option<Instant>,
-    /// Imbalance model driving `DlbPolicy::Predictive`; `None` keeps
-    /// the step loop on the untouched reactive path.
-    predictor: Option<Arc<ImbalancePredictor>>,
-    /// The arbiter, reachable from inside the step loop for pre-lends.
-    cluster: Arc<DlbCluster>,
-    /// Heterogeneity hooks, consulted for per-rank injected-stall time
-    /// so the predictor's demand model sees the emulated slowness as
-    /// compute (the stalls *stand in* for slower compute).
-    profiled: Option<Arc<ProfileHooks>>,
 }
 
 /// Per-rank entry point.
@@ -505,9 +461,6 @@ fn sync_rank(
         }
     };
 
-    // Injected hetero stall micros already folded into the predictor's
-    // demand observations (cumulative counter, differenced per step).
-    let mut injected_seen = 0u64;
     for step in start_step..config.steps {
         // Segment stop: capture the pre-step state (exactly like a
         // checkpoint at this boundary) and end the run without
@@ -572,36 +525,7 @@ fn sync_rank(
             lost: c.lost,
         });
 
-        match &window.predictor {
-            None => comm.barrier(),
-            Some(p) => {
-                // Act *before* blocking: shed the cores the model says
-                // this rank won't need next step. A partially granted
-                // pre-lend re-scores the forecast against the cores
-                // actually kept, so feedback judges the model fairly.
-                let owned = p.owned();
-                let want = p.plan(rank);
-                if want > 0 {
-                    let got = window.cluster.pre_lend(rank, want);
-                    if got != want {
-                        p.note_allocation(rank, (owned - got) as f64);
-                    }
-                }
-                let tb = t(epoch);
-                comm.barrier();
-                let waited = t(epoch) - tb;
-                // Observe: this step's useful seconds. Injected hetero
-                // stalls stand in for slower compute, so they count.
-                let mut useful = (cursor - t0) + (tp_end - tp);
-                if let Some(ph) = &window.profiled {
-                    let inj = ph.injected_micros(rank);
-                    useful += (inj - injected_seen) as f64 * 1e-6;
-                    injected_seen = inj;
-                }
-                p.observe(rank, useful, owned as f64);
-                p.feedback(rank, waited);
-            }
-        }
+        comm.barrier();
     }
     // `checkpoint_at == steps` means "capture the final state".
     if window.checkpoint_at == Some(config.steps) {
@@ -1049,7 +973,6 @@ mod tests {
             &RunOptions { trace: true, dlb: true, ..Default::default() },
         );
         assert!(!r.trace.dlb.is_empty(), "DLB run must surface lend/reclaim marks");
-        use cfpd_trace::DlbMarkKind;
         assert!(r.trace.dlb.iter().any(|m| m.kind == DlbMarkKind::Lend));
         assert!(r.trace.dlb.iter().any(|m| m.kind == DlbMarkKind::Reclaim));
     }
@@ -1069,52 +992,6 @@ mod tests {
         // untouched, so both golden documents stay byte-identical.
         assert_eq!(clean.logical, skewed.logical);
         assert_eq!(clean.census, skewed.census);
-    }
-
-    #[test]
-    fn predictive_policy_pre_lends_before_blocking() {
-        let cfg = tiny_config();
-        let profile = cfpd_hetero::profile_by_name("mn4_thunder", 11).unwrap();
-        let r = run_simulation_opts(
-            &cfg,
-            2,
-            2,
-            &RunOptions {
-                dlb: true,
-                trace: true,
-                policy: DlbPolicy::Predictive,
-                hetero: Some(profile),
-                ..Default::default()
-            },
-        );
-        let stats = r.dlb.expect("dlb stats");
-        assert!(stats.pre_lends > 0, "calibrated fast rank must pre-lend: {stats:?}");
-        let marks: Vec<_> =
-            r.trace.dlb.iter().filter(|m| m.kind == DlbMarkKind::PreLend).collect();
-        assert!(!marks.is_empty(), "pre-lends must surface as trace marks");
-        // Acting before blocking: each rank's first pre-lend mark must
-        // be followed by MPI-wait activity (the barrier it fronts).
-        // Compare against wait *ends*: carve_states coalesces adjacent
-        // waits and drops zero-width ones, so a wait's recorded start
-        // may legitimately precede the mark.
-        for rank in 0..2 {
-            let Some(first) = marks.iter().filter(|m| m.rank == rank).map(|m| m.t).next()
-            else {
-                continue;
-            };
-            assert!(
-                r.trace
-                    .workers
-                    .iter()
-                    .any(|w| w.rank == rank
-                        && w.state == WorkerState::MpiWait
-                        && w.t_end >= first),
-                "no blocking call after first pre-lend at t={first} on rank {rank}"
-            );
-        }
-        // The run still completes with conservation intact: every lend
-        // and pre-lend was reclaimed or returned.
-        assert_eq!(stats.lends, stats.reclaims);
     }
 
     #[test]

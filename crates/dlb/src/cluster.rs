@@ -123,7 +123,6 @@ impl DlbCluster {
         for n in &self.nodes {
             let s = n.stats();
             total.lends += s.lends;
-            total.pre_lends += s.pre_lends;
             total.reclaims += s.reclaims;
             total.grants += s.grants;
             total.revokes += s.revokes;
@@ -132,17 +131,6 @@ impl DlbCluster {
             total.crashes += s.crashes;
         }
         total
-    }
-
-    /// Predictively lend up to `want` of `rank`'s cores on its node
-    /// ahead of an anticipated blocking call (see
-    /// [`DlbNode::pre_lend`]). Returns the cores actually lent.
-    pub fn pre_lend(&self, rank: usize, want: usize) -> usize {
-        if self.enabled && rank < self.node_of_rank.len() {
-            self.nodes[self.node_of_rank[rank]].pre_lend(rank, want)
-        } else {
-            0
-        }
     }
 
     /// Declare a rank crashed on its node (fail-silent degradation).

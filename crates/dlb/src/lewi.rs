@@ -26,9 +26,6 @@ use std::time::{Duration, Instant};
 pub enum DlbEventKind {
     /// Rank blocked and lent `cores` to the node.
     Lend { cores: usize },
-    /// Rank lent `cores` *ahead* of an anticipated blocking call
-    /// (predictive policy); it keeps computing on a reduced allotment.
-    PreLend { cores: usize },
     /// Rank was granted `cores` extra cores (its pool grew to `active`).
     Borrow { cores: usize, active: usize },
     /// Rank unblocked and reclaimed its cores.
@@ -78,44 +75,12 @@ struct NodeState {
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct DlbStats {
     pub lends: usize,
-    pub pre_lends: usize,
     pub reclaims: usize,
     pub grants: usize,
     pub revokes: usize,
     pub cores_lent_total: usize,
     pub lease_expiries: usize,
     pub crashes: usize,
-}
-
-/// Which lending discipline drives the DLB hook chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DlbPolicy {
-    /// LeWI: lend reactively when a rank blocks in MPI.
-    #[default]
-    Reactive,
-    /// Model-driven: a predictor pre-lends anticipated surplus cores
-    /// *before* the blocking call ([`DlbNode::pre_lend`]), with the
-    /// reactive machinery still active underneath as the
-    /// conservation-preserving fallback.
-    Predictive,
-}
-
-impl DlbPolicy {
-    /// Parse a policy name as used by campaign specs and the CLI.
-    pub fn parse(s: &str) -> Option<DlbPolicy> {
-        match s {
-            "reactive" | "lewi" => Some(DlbPolicy::Reactive),
-            "predictive" => Some(DlbPolicy::Predictive),
-            _ => None,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            DlbPolicy::Reactive => "reactive",
-            DlbPolicy::Predictive => "predictive",
-        }
-    }
 }
 
 /// Lending behaviour when a rank blocks in MPI (DLB's `LEWI_KEEP_ONE_CPU`).
@@ -248,10 +213,8 @@ impl DlbNode {
         let returned = slot.borrowed;
         slot.borrowed = 0;
         let keep = self.lend_policy.kept_cores();
-        // Accumulate on top of anything already pre-lent (predictive
-        // policy) so a pre-lent core is never minted a second time.
-        let lent = slot.owned.saturating_sub(keep).saturating_sub(slot.lent_out);
-        slot.lent_out += lent;
+        let lent = slot.owned.saturating_sub(keep);
+        slot.lent_out = lent;
         slot.pool.set_active(keep.max(1));
         st.free_lent += lent + returned;
         drop(st);
@@ -279,15 +242,13 @@ impl DlbNode {
             Some(s) => s,
             None => return,
         };
-        if slot.crashed || (!slot.blocked && slot.lent_out == 0) {
+        if slot.crashed || !slot.blocked {
             return;
         }
         slot.blocked = false;
         slot.blocked_since = None;
         // Take back exactly what was lent — including a kept core a
-        // lease sweep donated mid-block, or cores pre-lent by the
-        // predictive policy on a rank that never blocked — so no core
-        // is ever minted.
+        // lease sweep donated mid-block — so no core is ever minted.
         let mut need = slot.lent_out;
         let reclaimed = need;
         slot.lent_out = 0;
@@ -349,67 +310,6 @@ impl DlbNode {
             reclaimed as u64,
             0,
         );
-    }
-
-    /// Predictively lend up to `want` cores *ahead* of an anticipated
-    /// blocking call (`DlbPolicy::Predictive`). Unlike [`DlbNode::lend`]
-    /// the rank stays runnable: it is not marked blocked, keeps at least
-    /// one core, and continues computing on the reduced allotment while
-    /// peers borrow the surplus. The cores are taken back by the same
-    /// [`DlbNode::reclaim`] that ends a reactive lend, so conservation
-    /// holds through mispredictions too. Returns the cores actually
-    /// lent.
-    pub fn pre_lend(&self, rank: usize, want: usize) -> usize {
-        if want == 0 {
-            return 0;
-        }
-        let mut st = self.state.lock();
-        let slot = match st.ranks.get_mut(&rank) {
-            Some(s) => s,
-            None => return 0,
-        };
-        if slot.blocked || slot.crashed {
-            return 0; // already lending reactively (or out of the game)
-        }
-        // A rank about to shed cores has no use for borrowed ones.
-        let returned = slot.borrowed;
-        slot.borrowed = 0;
-        let headroom = slot.owned.saturating_sub(slot.lent_out).saturating_sub(1);
-        let cores = want.min(headroom);
-        if cores == 0 && returned == 0 {
-            return 0;
-        }
-        slot.lent_out += cores;
-        slot.pool.set_active(slot.owned - slot.lent_out);
-        st.free_lent += cores + returned;
-        drop(st);
-        if cores > 0 {
-            {
-                let mut ev = self.events.lock();
-                ev.push(DlbEvent {
-                    t: self.now(),
-                    rank,
-                    kind: DlbEventKind::PreLend { cores },
-                });
-            }
-            {
-                let mut s = self.stats.lock();
-                s.pre_lends += 1;
-                s.cores_lent_total += cores;
-            }
-            cfpd_telemetry::count!("dlb.pre_lends");
-            cfpd_telemetry::count!("dlb.cores_lent_total", cores as u64);
-            cfpd_telemetry::gauge_add!("dlb.cores_lent_out", cores as i64);
-            cfpd_flight::record(
-                cfpd_flight::EventKind::DlbPreLend,
-                rank as u32,
-                rank as u32,
-                cores as u64,
-                0,
-            );
-        }
-        self.redistribute();
-        cores
     }
 
     /// Declare a rank crashed (fail-silent): everything it still holds
@@ -525,13 +425,10 @@ impl DlbNode {
         if st.free_lent == 0 {
             return;
         }
-        // A pre-lending rank (`lent_out > 0` while unblocked) never
-        // receives grants: it just shed cores on purpose, and handing
-        // them straight back would undo the prediction.
         let busy: Vec<usize> = st
             .ranks
             .iter()
-            .filter(|(_, s)| !s.blocked && s.lent_out == 0)
+            .filter(|(_, s)| !s.blocked)
             .map(|(&r, _)| r)
             .collect();
         if busy.is_empty() {
@@ -839,105 +736,6 @@ mod tests {
             })
             .sum();
         assert_eq!(crashed_cores, 1);
-    }
-
-    #[test]
-    fn pre_lend_sheds_cores_without_blocking() {
-        let node = DlbNode::new();
-        node.register(0, pool(8), 4);
-        node.register(1, pool(8), 4);
-        assert_eq!(node.pre_lend(0, 2), 2);
-        // Rank 0 keeps computing on 2 cores; rank 1 borrows the surplus.
-        assert_eq!(node.active_of(0), Some(2));
-        assert_eq!(node.active_of(1), Some(6));
-        assert_conserved(&node);
-        // The prediction was wrong (the rank never blocked): reclaim
-        // still recovers everything.
-        node.reclaim(0);
-        assert_eq!(node.active_of(0), Some(4));
-        assert_eq!(node.active_of(1), Some(4));
-        assert_conserved(&node);
-        let stats = node.stats();
-        assert_eq!(stats.pre_lends, 1);
-        assert_eq!(stats.reclaims, 1);
-        assert!(node
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, DlbEventKind::PreLend { cores: 2 })));
-    }
-
-    #[test]
-    fn pre_lend_keeps_at_least_one_core() {
-        let node = DlbNode::new();
-        node.register(0, pool(8), 4);
-        node.register(1, pool(8), 4);
-        // Asking for more than the headroom caps at owned - 1.
-        assert_eq!(node.pre_lend(0, 99), 3);
-        assert_eq!(node.active_of(0), Some(1));
-        assert_conserved(&node);
-        // Nothing left to pre-lend.
-        assert_eq!(node.pre_lend(0, 1), 0);
-        assert_conserved(&node);
-        node.reclaim(0);
-        assert_eq!(node.active_of(0), Some(4));
-        assert_conserved(&node);
-    }
-
-    #[test]
-    fn blocking_after_pre_lend_never_mints_cores() {
-        let node = keep_one();
-        node.register(0, pool(8), 4);
-        node.register(1, pool(8), 4);
-        assert_eq!(node.pre_lend(0, 2), 2);
-        assert_conserved(&node);
-        // The predicted blocking call arrives: the reactive lend tops up
-        // only the remaining headroom (keep-one over what is pre-lent).
-        node.lend(0);
-        assert_eq!(node.active_of(0), Some(1));
-        assert_eq!(node.active_of(1), Some(7));
-        assert_conserved(&node);
-        node.reclaim(0);
-        assert_eq!(node.active_of(0), Some(4));
-        assert_eq!(node.active_of(1), Some(4));
-        assert_conserved(&node);
-    }
-
-    #[test]
-    fn crash_after_pre_lend_stays_conserved() {
-        let node = DlbNode::new();
-        node.register(0, pool(8), 4);
-        node.register(1, pool(8), 4);
-        node.pre_lend(0, 2);
-        node.mark_crashed(0);
-        assert_eq!(node.active_of(1), Some(8));
-        assert_conserved(&node);
-    }
-
-    #[test]
-    fn pre_lending_rank_receives_no_grants() {
-        let node = keep_one();
-        node.register(0, pool(8), 4);
-        node.register(1, pool(8), 4);
-        node.register(2, pool(16), 4);
-        node.pre_lend(0, 2);
-        node.lend(1); // rank 1 blocks, lends 3
-        // All free cores land on rank 2; the pre-lender stays shrunk.
-        assert_eq!(node.active_of(0), Some(2));
-        assert_eq!(node.active_of(2), Some(4 + 2 + 3));
-        assert_conserved(&node);
-        node.reclaim(1);
-        node.reclaim(0);
-        assert_conserved(&node);
-    }
-
-    #[test]
-    fn dlb_policy_parses_by_name() {
-        assert_eq!(DlbPolicy::parse("reactive"), Some(DlbPolicy::Reactive));
-        assert_eq!(DlbPolicy::parse("lewi"), Some(DlbPolicy::Reactive));
-        assert_eq!(DlbPolicy::parse("predictive"), Some(DlbPolicy::Predictive));
-        assert_eq!(DlbPolicy::parse("nope"), None);
-        assert_eq!(DlbPolicy::default(), DlbPolicy::Reactive);
-        assert_eq!(DlbPolicy::Predictive.name(), "predictive");
     }
 
     #[test]

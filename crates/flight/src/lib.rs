@@ -2,7 +2,7 @@
 //!
 //! A fixed-capacity, sharded ring buffer of recent structured events:
 //! phase transitions, solver iteration heartbeats (with residuals), DLB
-//! lend/pre-lend marks, comm waits, fault injections, checkpoint and
+//! lend/reclaim marks, comm waits, fault injections, checkpoint and
 //! WAL marks. Hot paths call [`record`] unconditionally; when the
 //! recorder is disabled that is a single relaxed load and a branch
 //! (same contract as `cfpd_telemetry::enabled`), and when enabled the
@@ -63,8 +63,7 @@ pub enum EventKind {
     SolverIter = 2,
     /// LeWI lend: `code` = lender rank, `a` = cores lent.
     DlbLend = 3,
-    /// Predictive pre-lend: `code` = lender rank, `a` = cores.
-    DlbPreLend = 4,
+    // 4 was DlbPreLend, retired with the predictive policy: never reuse it.
     /// Reclaim: `code` = reclaiming rank, `a` = cores reclaimed.
     DlbReclaim = 5,
     /// Blocking communication wait: `code` = collective op id,
@@ -89,7 +88,6 @@ impl EventKind {
             EventKind::Phase => "phase",
             EventKind::SolverIter => "solver",
             EventKind::DlbLend => "lend",
-            EventKind::DlbPreLend => "prelend",
             EventKind::DlbReclaim => "reclaim",
             EventKind::CommWait => "wait",
             EventKind::Fault => "fault",
@@ -105,7 +103,6 @@ impl EventKind {
             "phase" => EventKind::Phase,
             "solver" => EventKind::SolverIter,
             "lend" => EventKind::DlbLend,
-            "prelend" => EventKind::DlbPreLend,
             "reclaim" => EventKind::DlbReclaim,
             "wait" => EventKind::CommWait,
             "fault" => EventKind::Fault,
@@ -122,7 +119,6 @@ impl EventKind {
             1 => EventKind::Phase,
             2 => EventKind::SolverIter,
             3 => EventKind::DlbLend,
-            4 => EventKind::DlbPreLend,
             5 => EventKind::DlbReclaim,
             6 => EventKind::CommWait,
             7 => EventKind::Fault,
@@ -178,9 +174,6 @@ impl FlightEvent {
             }
             EventKind::DlbLend => {
                 format!("dlb lend: rank {} lends {} cores", self.code, self.a)
-            }
-            EventKind::DlbPreLend => {
-                format!("dlb pre-lend: rank {} lends {} cores", self.code, self.a)
             }
             EventKind::DlbReclaim => {
                 format!("dlb reclaim: rank {} reclaims {} cores", self.code, self.a)
@@ -606,7 +599,6 @@ mod tests {
     fn describe_covers_every_kind() {
         for (kind, needle) in [
             (EventKind::DlbLend, "dlb lend"),
-            (EventKind::DlbPreLend, "dlb pre-lend"),
             (EventKind::DlbReclaim, "dlb reclaim"),
             (EventKind::CommWait, "comm wait"),
             (EventKind::Fault, "fault injected"),
@@ -617,6 +609,9 @@ mod tests {
             let e = FlightEvent { seq: 1, t_ns: 0, rank: 0, kind, code: 0, a: 0, b: 0 };
             assert!(e.describe().contains(needle), "{kind:?}");
             assert_eq!(EventKind::from_name(kind.name()), Some(kind));
+            assert_eq!(EventKind::from_u8(kind as u8), Some(kind));
         }
+        // Code 4 is retired: a dump that carries it decodes to nothing.
+        assert_eq!(EventKind::from_u8(4), None);
     }
 }

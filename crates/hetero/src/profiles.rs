@@ -50,11 +50,6 @@ pub fn profile_by_name(name: &str, seed: u64) -> Result<RankProfile, String> {
     }
 }
 
-/// Per-rank relative speeds of `profile` expanded over `ranks` ranks.
-pub fn speeds(profile: &RankProfile, ranks: usize) -> Vec<f64> {
-    (0..ranks).map(|r| profile.speed_of(r)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,7 +74,7 @@ mod tests {
     #[test]
     fn mixed_profile_alternates_classes() {
         let p = profile_by_name("mn4_thunder", 1).unwrap();
-        let s = speeds(&p, 4);
+        let s: Vec<f64> = (0..4).map(|r| p.speed_of(r)).collect();
         assert_eq!(s[0], 1.0);
         assert!(s[1] < 1.0);
         assert_eq!(s[0], s[2]);

@@ -4,7 +4,7 @@
 //! cfpd mesh     [--generations N] [--vtk FILE]      mesh stats / export
 //! cfpd run      [--ranks N] [--threads N] [--dlb] [--coupled F P]
 //!               [--particles N] [--steps N] [--strategy S]
-//!               [--hetero PROFILE] [--dlb-policy reactive|predictive]
+//!               [--hetero PROFILE]
 //! cfpd profile  [--ranks N] [--particles N]         Table-1-style profile
 //! cfpd golden   [--ranks N] [--layout opt]          deterministic trace
 //! cfpd chaos    [--seed S] [--ranks N] [--dlb] [--storm] [--json]
@@ -62,7 +62,7 @@ fn main() {
                  mesh     --generations N  --vtk FILE\n\
                  run      --ranks N  --threads N  --dlb  --coupled F P\n\
                  \x20        --particles N  --steps N  --strategy atomics|coloring|multidep|serial\n\
-                 \x20        --hetero uniform|mn4_thunder|thunder_tail  --dlb-policy reactive|predictive\n\
+                 \x20        --hetero uniform|mn4_thunder|thunder_tail\n\
                  profile  --ranks N  --particles N\n\
                  golden   --ranks N  --layout opt|default  --trace DIR\n\
                  chaos    --seed S  --ranks N  --dlb  --storm  --json  --trace DIR\n\
@@ -780,13 +780,6 @@ fn cmd_run(flags: &Flags) {
     let ranks = flags.usize_or("--ranks", 2);
     let threads = flags.usize_or("--threads", 1);
     let dlb = flags.has("--dlb");
-    let policy = match flags.get("--dlb-policy") {
-        Some(name) => cfpd_dlb::DlbPolicy::parse(name).unwrap_or_else(|| {
-            eprintln!("--dlb-policy: unknown policy {name:?} (expected: reactive, predictive)");
-            std::process::exit(2);
-        }),
-        None => cfpd_dlb::DlbPolicy::default(),
-    };
     let hetero = flags.get("--hetero").map(|name| {
         cfpd_hetero::profile_by_name(name, config.seed).unwrap_or_else(|e| {
             eprintln!("--hetero: {e}");
@@ -799,7 +792,7 @@ fn cmd_run(flags: &Flags) {
         config.total_ranks(ranks),
         threads,
         config.strategy,
-        if dlb { format!("on ({})", policy.name()) } else { "off".into() }
+        if dlb { "on" } else { "off" }
     );
     if let Some(p) = &hetero {
         println!("hetero profile: {} (seed {})", p.name, p.seed);
@@ -808,7 +801,7 @@ fn cmd_run(flags: &Flags) {
         config,
         ranks,
         threads,
-        opts: RunOptions { dlb, policy, hetero, ..Default::default() },
+        opts: RunOptions { dlb, hetero, ..Default::default() },
     });
     let r = outcome.result;
     println!("{}", render_timeline(&r.trace, 120, 16));
@@ -824,8 +817,8 @@ fn cmd_run(flags: &Flags) {
     println!("particles: {:?}", r.census);
     if let Some(stats) = r.dlb {
         println!(
-            "dlb: {} lends / {} grants / {} reclaims / {} pre-lends",
-            stats.lends, stats.grants, stats.reclaims, stats.pre_lends
+            "dlb: {} lends / {} grants / {} reclaims",
+            stats.lends, stats.grants, stats.reclaims
         );
     }
     // Digest of the run's golden document: equal for equal flags at any

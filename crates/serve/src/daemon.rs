@@ -222,13 +222,19 @@ fn commit(sh: &Shared, store: &mut Store, rec: WalRecord) -> bool {
 fn recover(store: &mut Store, dir: &Path, records: &[WalRecord]) {
     for rec in records {
         if let WalRecord::Submit { job, spec_digest, .. } = rec {
-            // A spec torn by the crash drops the job.
+            // A spec torn by the crash drops the job. One that verifies
+            // but this build no longer parses (a retired key) is dropped
+            // too, and says so.
             let spec = std::fs::read_to_string(wal::spec_path(dir, *job))
                 .ok()
-                .filter(|text| digest_bytes(text.as_bytes()) == *spec_digest)
-                .and_then(|text| parse_spec(&text).ok());
-            if let Some((name, cells)) = spec {
-                store.admit(Job::new(*job, name, cells));
+                .filter(|text| digest_bytes(text.as_bytes()) == *spec_digest);
+            match spec.map(|text| parse_spec(&text)) {
+                Some(Ok((name, cells))) => store.admit(Job::new(*job, name, cells)),
+                Some(Err(e)) => {
+                    eprintln!("cfpd-serve: job {job} dropped: spec refused: {e}");
+                    cfpd_telemetry::count!("serve.specs_refused");
+                }
+                None => {}
             }
         }
         store.apply(rec);

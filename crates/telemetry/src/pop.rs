@@ -147,11 +147,11 @@ pub fn phase(rank: usize, phase: PopPhase, t_start: f64, t_end: f64) {
 }
 
 /// Feedback tap: accumulated seconds attributed to `(rank, phase)` so
-/// far — the online per-(rank, phase) signal a predictive load balancer
-/// reads between steps without waiting for the end-of-run
-/// [`report`]. `None` for ranks beyond [`MAX_RANKS`]. Reads whatever
-/// has been recorded regardless of whether telemetry is currently
-/// enabled (recording itself is still gated).
+/// far — the online per-(rank, phase) signal, readable between steps
+/// without waiting for the end-of-run [`report`]. `None` for ranks
+/// beyond [`MAX_RANKS`]. Reads whatever has been recorded regardless of
+/// whether telemetry is currently enabled (recording itself is still
+/// gated).
 pub fn phase_seconds(rank: usize, phase: PopPhase) -> Option<f64> {
     if rank >= MAX_RANKS {
         return None;

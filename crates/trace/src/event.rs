@@ -205,9 +205,6 @@ pub struct MsgRecord {
 pub enum DlbMarkKind {
     /// Rank lent `cores` cores on entering a blocking call.
     Lend,
-    /// Rank pre-lent `cores` cores *ahead* of a predicted blocking call
-    /// (the predictive DLB policy); it kept computing on the rest.
-    PreLend,
     /// Rank borrowed `cores` lent cores.
     Borrow,
     /// Rank reclaimed its lent cores on resuming.
@@ -224,7 +221,6 @@ impl DlbMarkKind {
     pub fn name(self) -> &'static str {
         match self {
             DlbMarkKind::Lend => "lend",
-            DlbMarkKind::PreLend => "pre-lend",
             DlbMarkKind::Borrow => "borrow",
             DlbMarkKind::Reclaim => "reclaim",
             DlbMarkKind::Revoke => "revoke",
@@ -237,7 +233,6 @@ impl DlbMarkKind {
     pub fn tag(self) -> char {
         match self {
             DlbMarkKind::Lend => 'L',
-            DlbMarkKind::PreLend => 'P',
             DlbMarkKind::Borrow => 'G',
             DlbMarkKind::Reclaim => 'R',
             DlbMarkKind::Revoke => 'V',

@@ -46,19 +46,18 @@ fn state_value(state: WorkerState) -> u64 {
     WorkerState::ALL.iter().position(|s| *s == state).unwrap() as u64 + 1
 }
 
+/// DLB transitions in `.pcf` value order (`1 + index`).
+const DLB_KINDS: [DlbMarkKind; 6] = [
+    DlbMarkKind::Lend,
+    DlbMarkKind::Borrow,
+    DlbMarkKind::Reclaim,
+    DlbMarkKind::Revoke,
+    DlbMarkKind::LeaseExpired,
+    DlbMarkKind::Crashed,
+];
+
 fn dlb_value(kind: DlbMarkKind) -> u64 {
-    // PreLend is appended last so the numeric values of the original
-    // six kinds (and every blessed .prv golden) stay stable.
-    const ALL: [DlbMarkKind; 7] = [
-        DlbMarkKind::Lend,
-        DlbMarkKind::Borrow,
-        DlbMarkKind::Reclaim,
-        DlbMarkKind::Revoke,
-        DlbMarkKind::LeaseExpired,
-        DlbMarkKind::Crashed,
-        DlbMarkKind::PreLend,
-    ];
-    ALL.iter().position(|k| *k == kind).unwrap() as u64 + 1
+    DLB_KINDS.iter().position(|k| *k == kind).unwrap() as u64 + 1
 }
 
 /// Threads per rank implied by the trace (at least 1).
@@ -193,15 +192,7 @@ pub fn export_pcf() -> String {
 
     out.push_str(&format!("EVENT_TYPE\n0    {EV_DLB}    DLB transition\nVALUES\n"));
     out.push_str("0      End\n");
-    for k in [
-        DlbMarkKind::Lend,
-        DlbMarkKind::Borrow,
-        DlbMarkKind::Reclaim,
-        DlbMarkKind::Revoke,
-        DlbMarkKind::LeaseExpired,
-        DlbMarkKind::Crashed,
-        DlbMarkKind::PreLend,
-    ] {
+    for k in DLB_KINDS {
         out.push_str(&format!("{}      {}\n", dlb_value(k), k.name()));
     }
     out.push('\n');

