@@ -383,25 +383,37 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
     b.bench("setup/locator-build", || {
         black_box(Locator::new(mesh).elem_size(0));
     });
-    // One locator for every sample: the inlet cells' lazy candidate lists are
-    // built in the first sample, not the median (`particles_serial` pays them cold).
+    // One locator for every sample: the inlet's lazy candidate lists are
+    // built in the first sample, not the median.
     let locator = Locator::new(mesh);
     let (center, dir, radius) = (airway.inlet_center, airway.inlet_direction, airway.inlet_radius);
-    let inject = || {
+    let inject = |locator: &Locator| {
         let mut set = ParticleSet::default();
         let injected =
-            inject_at_inlet(&mut set, &locator, center, dir, radius, 1.5, ParticleProps::default(), 10_000, 42);
+            inject_at_inlet(&mut set, locator, center, dir, radius, 1.5, ParticleProps::default(), 10_000, 42);
         (set, injected)
     };
     b.bench("setup/inject-10k", || {
-        black_box(inject());
+        black_box(inject(&locator));
+    });
+    // Every sample on a geometry no query has touched, as `particles_serial`
+    // injects: it builds the lists its points land in. The geometry is
+    // built, and the last one dropped, outside the timed region.
+    let spent = std::cell::RefCell::new(None);
+    let fresh = || {
+        drop(spent.take());
+        Locator::new(mesh)
+    };
+    b.bench_batched("setup/inject-10k-cold", fresh, |cold| {
+        black_box(inject(&cold));
+        spent.replace(Some(cold));
     });
 
     // One transport step of those particles through a field that varies
     // with position (so no two particles share a Reynolds number): the
     // scalar sweep (the oracle: what every step ran before) against the
     // lane-block sweep every run does. Same particles, same thread.
-    let (set, _) = inject();
+    let (set, _) = inject(&locator);
     let velocity = synthetic_velocity(mesh);
     let (air, gravity, dt) = (FluidProps::default(), Vec3::new(0.0, 0.0, -9.81), 1e-4);
     let model = TransportModel::paper_baseline();

@@ -92,30 +92,19 @@ pub struct MeshStructure {
 }
 
 impl MeshStructure {
-    /// `pattern` is `CsrMatrix::from_mesh(mesh, ..)`; its values are not
-    /// read.
-    pub fn build(mesh: &Mesh, pattern: &CsrMatrix) -> MeshStructure {
+    /// `pattern` is `CsrMatrix::from_mesh(mesh, ..)`, whose values are not
+    /// read, and `sizes` `mesh.element_sizes()`.
+    pub fn build(mesh: &Mesh, pattern: &CsrMatrix, sizes: &[f64]) -> MeshStructure {
         let sell = Arc::new(SellStructure::from_csr(pattern));
         let diag_pos = (0..pattern.n).map(|i| pattern.entry_index(i, i) as u32).collect();
         let bc = BoundaryConditions::from_mesh(mesh);
         let deflation =
             Arc::new(DeflationStructure::new(pattern, &bc.inlet_nodes, &bc.outlet_nodes));
         let refs = RefElement::all();
-
-        let n = mesh.num_nodes();
-        let mut lumped_mass = vec![0.0; n];
-        let mut scratch = cfpd_solver::ElementScratch::default();
-        for e in 0..mesh.num_elements() {
-            let (kind, nn) = scratch.load_coords(mesh, e);
-            if let Some(lm) = cfpd_solver::kernels::lumped_mass_kernel(&refs, &scratch, kind, nn) {
-                for (k, &v) in mesh.elem_nodes(e).iter().enumerate() {
-                    lumped_mass[v as usize] += lm[k];
-                }
-            }
-        }
+        let lumped_mass = cfpd_solver::batch::lumped_mass(&refs, mesh, sizes);
         MeshStructure {
             refs,
-            n,
+            n: mesh.num_nodes(),
             row_ptr: Arc::clone(&pattern.row_ptr),
             col_idx: Arc::clone(&pattern.col_idx),
             diag_pos,
@@ -164,7 +153,7 @@ impl FluidStructure {
     ) -> FluidStructure {
         let (pattern, sizes) = (CsrMatrix::from_mesh(mesh, n2e), mesh.element_sizes().into());
         let own = Schedule::build(mesh, &pattern, &sizes, elems, strategy, n_subdomains, layout);
-        own.on(Arc::new(MeshStructure::build(mesh, &pattern)))
+        own.on(Arc::new(MeshStructure::build(mesh, &pattern, &sizes)))
     }
 }
 

@@ -131,6 +131,22 @@ fn partition(mesh: &Mesh, n2e: &Csr, n: usize) -> (Vec<Vec<u32>>, Vec<u32>) {
     (part.part_members(), part.parts)
 }
 
+/// Renumber the nodes of `mesh` — by reverse Cuthill–McKee when `rcm`
+/// holds (the locality layout), else by the identity — on node tables
+/// built once, before: RCM reads that adjacency, and the renumbered
+/// mesh's tables are these relabelled. Returns its node→element table
+/// (the same rows, moved), the adjacency from before and the
+/// permutation (`perm[old] = new`), which
+/// [`CsrMatrix::from_adjacency`] turns into its sparsity pattern.
+fn renumber(mesh: &mut Mesh, rcm: bool) -> (Csr, Csr, Vec<u32>) {
+    let n2e = mesh.node_to_elements();
+    let adj = mesh.node_adjacency_of(&n2e);
+    let n = mesh.num_nodes();
+    let perm: Vec<u32> = if rcm { cfpd_partition::rcm_perm(&adj) } else { (0..n as u32).collect() };
+    mesh.renumber_nodes(&perm);
+    (n2e.permute_rows(&perm), adj, perm)
+}
+
 /// `$body`, its wall time observed in the histogram
 /// `core.prepare_us.$stage` (microseconds; threads that work side by
 /// side each record their own). A histogram because it is a timing:
@@ -160,31 +176,26 @@ pub fn prepare(key: &PrepareKey) -> Result<Arc<Prepared>, String> {
     cfpd_telemetry::count!("core.prepare_builds");
     let mut airway = stage!("mesh", generate_airway(&key.airway))
         .map_err(|e| format!("invalid airway spec: {e}"))?;
-    stage!("rcm", {
-        if key.layout.rcm {
-            // Locality layout: renumber nodes with reverse Cuthill–McKee
-            // before anything derives data from node ids (CSR patterns,
-            // partitions, boundary sets), so every downstream structure
-            // sees the bandwidth-reduced ordering.
-            let perm = cfpd_partition::rcm_perm(&airway.mesh.node_adjacency());
-            airway.mesh.renumber_nodes(&perm);
-        }
-    });
+    // Before anything derives data from node ids (CSR patterns,
+    // partitions, boundary sets), so every downstream structure sees the
+    // final order.
+    let (n2e, adj, perm) = stage!("rcm", renumber(&mut airway.mesh, key.layout.rcm));
     let mesh = &airway.mesh;
-    let (n2e, members, owner) = stage!("partition", {
-        let n2e = mesh.node_to_elements();
+    let (members, owner) = stage!("partition", {
         let (members, fluid_owner) = partition(mesh, &n2e, fluid_parts);
         let owner = if particle_parts == fluid_parts {
             fluid_owner
         } else {
             partition(mesh, &n2e, particle_parts).1
         };
-        (n2e, members, owner)
+        (members, owner)
     });
 
     // The mesh tables every rank's plan, SGS layout and the locator read.
     let (pattern, sizes): (_, Arc<[f64]>) =
-        stage!("structure", (CsrMatrix::from_mesh(mesh, &n2e), mesh.element_sizes().into()));
+        stage!("structure", (CsrMatrix::from_adjacency(&adj, &perm), mesh.element_sizes().into()));
+    // Freed before the plans are built, which then reuse the memory.
+    drop((n2e, adj, perm));
     let (strategy, n_sub) = (key.strategy, key.subdomains_per_rank);
     let schedule = |elems: Vec<u32>| {
         stage!("plan", Schedule::build(mesh, &pattern, &sizes, elems, strategy, n_sub, key.layout))
@@ -201,7 +212,7 @@ pub fn prepare(key: &PrepareKey) -> Result<Arc<Prepared>, String> {
         let first = members.next().expect("at least one fluid part");
         let rest: Vec<_> = members.map(|elems| scope.spawn(|| schedule(elems))).collect();
         let mut schedules = vec![schedule(first)];
-        let shared = stage!("structure", Arc::new(MeshStructure::build(mesh, &pattern)));
+        let shared = stage!("structure", Arc::new(MeshStructure::build(mesh, &pattern, &sizes)));
         schedules.extend(rest.into_iter().map(join));
         let fluid: Vec<Arc<FluidStructure>> =
             schedules.into_iter().map(|own| Arc::new(own.on(Arc::clone(&shared)))).collect();
@@ -339,6 +350,29 @@ mod tests {
             let airway = prepared.airway();
             assert_ne!(airway.mesh.conn, generate_airway(&c.airway).unwrap().mesh.conn);
             assert_eq!(*airway.face_neighbors, airway.mesh.face_neighbors());
+        }
+    }
+
+    /// The node tables built once, before renumbering, are the renumbered
+    /// mesh's own: relabelled, the node→element table is its
+    /// `node_to_elements()` and the adjacency its `from_mesh` pattern —
+    /// with RCM and with the identity.
+    #[test]
+    fn node_tables_built_before_renumbering_are_the_renumbered_meshes() {
+        for generations in 0..=3 {
+            for rcm in [false, true] {
+                let mut mesh = generate_airway(&config(generations).airway).unwrap().mesh;
+                let (n2e, adj, perm) = renumber(&mut mesh, rcm);
+                let identity = perm.iter().enumerate().all(|(v, &p)| v == p as usize);
+                assert_eq!(identity, !rcm, "generations {generations}");
+                let at = format!("generations {generations}, rcm {rcm}");
+                let want = mesh.node_to_elements();
+                assert_eq!((&n2e.offsets, &n2e.targets), (&want.offsets, &want.targets), "{at}");
+                let got = CsrMatrix::from_adjacency(&adj, &perm);
+                let want = CsrMatrix::from_mesh(&mesh, &want);
+                assert_eq!((&got.row_ptr, &got.col_idx), (&want.row_ptr, &want.col_idx), "{at}");
+                assert_eq!(got.values.len(), want.nnz());
+            }
         }
     }
 

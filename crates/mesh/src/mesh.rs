@@ -69,6 +69,19 @@ impl Csr {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The rows moved by `perm` (`perm[old] = new`): row `perm[v]` of the
+    /// result is row `v`, its values untouched.
+    pub fn permute_rows(&self, perm: &[u32]) -> Csr {
+        let mut old = vec![0u32; perm.len()];
+        perm.iter().enumerate().for_each(|(v, &p)| old[p as usize] = v as u32);
+        let mut moved = Csr { offsets: vec![0], targets: Vec::with_capacity(self.targets.len()) };
+        for v in old {
+            moved.targets.extend_from_slice(self.row(v as usize));
+            moved.offsets.push(moved.targets.len() as u32);
+        }
+        moved
+    }
 }
 
 /// Per-element face neighbor table: `neighbors[e][f]` is `Some(e')` if
@@ -350,7 +363,11 @@ impl Mesh {
     /// pattern of the assembled FEM matrices, so its bandwidth is the
     /// CSR bandwidth the RCM reordering minimizes.
     pub fn node_adjacency(&self) -> Csr {
-        let n2e = self.node_to_elements();
+        self.node_adjacency_of(&self.node_to_elements())
+    }
+
+    /// [`Mesh::node_adjacency`] on `n2e`, which is `self.node_to_elements()`.
+    pub fn node_adjacency_of(&self, n2e: &Csr) -> Csr {
         let n = self.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::new();

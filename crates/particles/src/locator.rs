@@ -6,8 +6,9 @@ use cfpd_mesh::{BoundaryKind, FaceNeighbors, Mesh, Vec3};
 use std::sync::{Arc, OnceLock};
 
 /// Sub-boxes per grid-cell edge: [`Locator::locate_global`] scans the
-/// candidate list of one of a cell's `K³` sub-boxes.
-const K: usize = 4;
+/// candidate list of one of a cell's `K³` sub-boxes. A power of two, so
+/// that `K·t` is exact in [`LocatorGeometry::cell_of`].
+const K: usize = 8;
 const SUB_BOXES: usize = K * K * K;
 
 /// Result of a walk from one element toward a point.
@@ -67,9 +68,10 @@ pub struct LocatorGeometry {
     cell_offsets: Vec<u32>,
     cell_ids: Vec<u32>,
     /// Per cell, the candidate lists of its sub-boxes
-    /// ([`LocatorGeometry::sub_box_lists`]), built by the first query
-    /// that lands in the cell, on whichever thread asks.
-    sub_box_lists: Vec<OnceLock<Box<[u32]>>>,
+    /// ([`LocatorGeometry::sub_box_list`]): the array is allocated by the
+    /// first query that lands in the cell and each list built by the
+    /// first that lands in its sub-box, on whichever thread asks.
+    sub_box_lists: Vec<OnceLock<Box<[OnceLock<Box<[u32]>>]>>>,
 }
 
 /// Mesh locator: a mesh and its [`LocatorGeometry`].
@@ -140,7 +142,7 @@ impl LocatorGeometry {
     /// The grid cell of `p`, clamped to the grid, and the sub-box of the
     /// cell that `p` falls in (`0..SUB_BOXES`, x fastest) — the one index
     /// arithmetic of the grid. The cell is `⌊(x − origin) / cell⌋` clamped
-    /// (`⌊4t⌋ div 4 = ⌊t⌋`, and 4t is exact); `as usize` saturates, so
+    /// (`⌊Kt⌋ div K = ⌊t⌋`, and Kt is exact); `as usize` saturates, so
     /// negative and NaN coordinates land in cell 0.
     fn cell_of(&self, p: Vec3) -> ([usize; 3], usize) {
         let (o, mut cell, mut sub) = (self.grid_origin, [0; 3], 0);
@@ -202,8 +204,7 @@ impl LocatorGeometry {
         })
     }
 
-    /// The candidate lists of the sub-boxes of `cell` in one arena (list
-    /// `s` is `arena[arena[s]..arena[s + 1]]`): the scan of
+    /// The candidate list of sub-box `b` of `cell`: the scan of
     /// [`LocatorGeometry::candidates`] minus every element with a face
     /// distance above its tolerance at the box corner that minimises it
     /// (per axis the low bound where `n ≥ 0`, else the high one). The
@@ -213,18 +214,11 @@ impl LocatorGeometry {
     /// corner: a dropped element fails pass 1 all over the box, and the
     /// list's first hit is the scan's. An infinite corner (`−∞` or NaN) or
     /// a degenerate face (NaN) never drops anything.
-    fn sub_box_lists(&self, cell: [usize; 3]) -> Box<[u32]> {
-        let around: Vec<u32> = self.candidates(cell).collect();
-        let mut arena = vec![(SUB_BOXES + 1) as u32; SUB_BOXES + 1]; // list 0 starts after the offsets
-        for s in 0..SUB_BOXES {
-            let b = self.sub_box(cell, s);
-            let side = |n: f64| usize::from(n < 0.0);
-            let corner = |n: Vec3| Vec3::new(b[0][side(n.x)], b[1][side(n.y)], b[2][side(n.z)]);
-            arena.extend(around.iter().filter(|&&e| !self.beyond_a_face(e as usize, corner)));
-            arena[s + 1] = arena.len() as u32;
-        }
-        cfpd_telemetry::count!("particles.locator_cells_built");
-        arena.into_boxed_slice()
+    fn sub_box_list(&self, cell: [usize; 3], b: [[f64; 2]; 3]) -> Box<[u32]> {
+        let side = |n: f64| usize::from(n < 0.0);
+        let corner = |n: Vec3| Vec3::new(b[0][side(n.x)], b[1][side(n.y)], b[2][side(n.z)]);
+        cfpd_telemetry::count!("particles.locator_lists_built");
+        self.candidates(cell).filter(|&e| !self.beyond_a_face(e as usize, corner)).collect()
     }
 
     /// The candidate list of the sub-box of `cell` that holds `p`, or
@@ -236,8 +230,11 @@ impl LocatorGeometry {
         if !(0..3).all(|a| x[a].is_finite() && b[a][0] <= x[a] && x[a] <= b[a][1]) {
             return None;
         }
-        let arena = self.sub_box_lists[self.linear(cell)].get_or_init(|| self.sub_box_lists(cell));
-        Some(&arena[arena[sub] as usize..arena[sub + 1] as usize])
+        let lists = self.sub_box_lists[self.linear(cell)].get_or_init(|| {
+            cfpd_telemetry::count!("particles.locator_cells_built");
+            (0..SUB_BOXES).map(|_| OnceLock::new()).collect()
+        });
+        Some(lists[sub].get_or_init(|| self.sub_box_list(cell, b)))
     }
 }
 
@@ -548,14 +545,15 @@ mod tests {
     /// scan could go wrong, each walked to from another random element
     /// and located globally: within four element sizes of a random
     /// element's centroid (inside it, in a neighbor, in a junction void or
-    /// beyond the wall); a centroid snapped onto the sub-box and cell
-    /// boundaries of one to three axes, or one ulp off them; up to two
+    /// beyond the wall); a centroid snapped onto the sub-box boundaries,
+    /// or onto the cell faces alone, of one to three axes, or one ulp off
+    /// them; up to two
     /// cells beyond one of the grid's six sides; with a ±∞ or NaN
     /// coordinate. Before them, 2 000 points over the inlet disc drawn as
     /// `inject_at_inlet` draws them. `worst_face`, `walk` and
     /// `locate_global` answer exactly like the recomputing oracle and its
-    /// full 27-cell scan, and every sub-box list built on the way is a
-    /// subsequence of that scan.
+    /// full 27-cell scan, and every sub-box list built on the way (one per
+    /// sub-box a query landed in) is a subsequence of that scan.
     #[test]
     fn cached_planes_equal_the_recomputing_oracle() {
         let am = airway();
@@ -574,8 +572,9 @@ mod tests {
             let mut q = [c.x, c.y, c.z];
             match kind {
                 4 => {
+                    let per_cell = if near % 2 == 0 { K as f64 } else { 1.0 };
                     for a in (0..3).filter(|a| (pick % 7 + 1) >> a & 1 == 1) {
-                        let on = o[a] + ((q[a] - o[a]) / h * K as f64).round() / K as f64 * h;
+                        let on = o[a] + ((q[a] - o[a]) / h * per_cell).round() / per_cell * h;
                         q[a] = [on.next_down(), on, on.next_up()][pick / 7];
                     }
                 }
@@ -603,12 +602,13 @@ mod tests {
         // Every list the sample built is a subsequence of its cell's scan,
         // and together they keep under a quarter of it.
         let ([nx, ny, _], (mut kept, mut scanned)) = (g.grid_dims, (0, 0));
-        for (c, arena) in g.sub_box_lists.iter().enumerate().filter_map(|(c, l)| Some((c, l.get()?))) {
+        let touched = g.sub_box_lists.iter().enumerate().filter_map(|(c, l)| Some((c, l.get()?)));
+        for (c, lists) in touched {
             let around: Vec<u32> = g.candidates([c % nx, c / nx % ny, c / (nx * ny)]).collect();
-            for w in arena[..=SUB_BOXES].windows(2) {
+            for list in lists.iter().filter_map(OnceLock::get) {
                 let mut rest = around.iter();
-                assert!(arena[w[0] as usize..w[1] as usize].iter().all(|e| rest.any(|a| a == e)), "cell {c}");
-                (kept, scanned) = (kept + (w[1] - w[0]) as usize, scanned + around.len());
+                assert!(list.iter().all(|e| rest.any(|a| a == e)), "cell {c}");
+                (kept, scanned) = (kept + list.len(), scanned + around.len());
             }
         }
         assert!(kept * 4 < scanned && scanned > 100_000, "lists keep {kept} of {scanned} candidates");
@@ -648,9 +648,11 @@ mod tests {
             }
             assert_eq!(loc.locate_global(p), oracle.locate_global(p));
         });
-        // The queries went through the pruned path, and it pruned.
-        let lists = loc.g.sub_box_lists[0].get().expect("the one cell was built");
-        assert!(lists.len() < SUB_BOXES + 1 + 2 * SUB_BOXES, "no sub-box dropped an element");
+        // The queries went through the pruned path, and it pruned: some
+        // sub-box list of the one cell holds fewer than both elements.
+        let lists = loc.g.sub_box_lists[0].get().expect("the one cell was queried");
+        let pruned = lists.iter().filter_map(OnceLock::get).any(|l| l.len() < 2);
+        assert!(pruned, "no sub-box dropped an element");
     }
 
     /// Two threads inject 10 000 particles each through one fresh

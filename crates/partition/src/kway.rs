@@ -4,7 +4,6 @@
 //! into the OpenMP-task subdomains of the multidependences scheme).
 
 use crate::graph::{Graph, NodeCliques};
-use std::collections::VecDeque;
 
 /// Result of a k-way partition: `parts[v]` is the part of vertex `v`.
 #[derive(Debug, Clone)]
@@ -113,12 +112,12 @@ fn grow_seeded(g: &Graph, k: usize, far_from: impl Fn(usize) -> usize) -> Grown 
 
 /// The frontier of one growing part: a max-priority queue on the number
 /// of neighbors already inside the part, first-in first-out among equal
-/// gains. One FIFO bucket per gain value makes push and pop constant
-/// time; a vertex is pushed again whenever its gain rises, and its
-/// stale lower-gain entries are skipped by the caller once it has been
-/// assigned.
+/// gains. One FIFO bucket per gain value (its entries and the index of
+/// the next to pop) makes push and pop constant time; a vertex is pushed
+/// again whenever its gain rises, and its stale lower-gain entries are
+/// skipped by the caller once it has been assigned.
 struct Frontier {
-    buckets: Vec<VecDeque<u32>>,
+    buckets: Vec<(Vec<u32>, usize)>,
     /// No bucket above this index holds an entry.
     top: usize,
 }
@@ -126,17 +125,20 @@ struct Frontier {
 impl Frontier {
     fn push(&mut self, gain: usize, v: u32) {
         if gain >= self.buckets.len() {
-            self.buckets.resize_with(gain + 1, VecDeque::new);
+            self.buckets.resize_with(gain + 1, Default::default);
         }
-        self.buckets[gain].push_back(v);
+        self.buckets[gain].0.push(v);
         self.top = self.top.max(gain);
     }
 
     fn pop(&mut self) -> Option<u32> {
         loop {
-            if let Some(v) = self.buckets.get_mut(self.top)?.pop_front() {
+            let (bucket, head) = self.buckets.get_mut(self.top)?;
+            if let Some(&v) = bucket.get(*head) {
+                *head += 1;
                 return Some(v);
             }
+            (bucket.clear(), *head = 0);
             if self.top == 0 {
                 return None;
             }
@@ -145,8 +147,8 @@ impl Frontier {
     }
 
     fn clear(&mut self) {
-        for b in self.buckets.iter_mut().take(self.top + 1) {
-            b.clear();
+        for (bucket, head) in self.buckets.iter_mut().take(self.top + 1) {
+            (bucket.clear(), *head = 0);
         }
         self.top = 0;
     }
@@ -585,6 +587,13 @@ mod tests {
         assert_eq!(partition_kway(&g, 1, 4).parts, vec![0; g.num_vertices()]);
         for k in [2, 3, 16] {
             assert_same_as_oracle(&g, k);
+        }
+        // The production growth: seed walks over the node cliques.
+        let mesh = generate_airway(&AirwaySpec::small()).unwrap().mesh;
+        let n2e = mesh.node_to_elements();
+        for k in [2, 3, 16] {
+            let grown = grow_kway_covered(&g, &NodeCliques::of_mesh(&mesh, &n2e), k);
+            assert_eq!(grown.part.parts, grow_parts_oracle(&g, k), "covered growth, k = {k}");
         }
         // One part per vertex costs one seed search per vertex: a
         // single-generation airway keeps that affordable.

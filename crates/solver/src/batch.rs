@@ -33,12 +33,12 @@
 use crate::assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy};
 use crate::csr::{AtomicView, CsrMatrix, DisjointView};
 use crate::kernels::{
-    divergence_kernel_n, momentum_kernel_n, poisson_kernel_n, pressure_gradient_kernel_n,
-    ElementScratch, FluidProps, LocalMomentum, LocalPoisson,
+    divergence_kernel_n, lumped_mass_kernel, momentum_kernel_n, poisson_kernel_n,
+    pressure_gradient_kernel_n, ElementScratch, FluidProps, LocalMomentum, LocalPoisson,
 };
 use crate::lanes::{
-    divergence_kernel_lanes, momentum_kernel_lanes, poisson_kernel_lanes,
-    pressure_gradient_kernel_lanes, LaneScratch, LANES,
+    divergence_kernel_lanes, lumped_mass_kernel_lanes, momentum_kernel_lanes,
+    poisson_kernel_lanes, pressure_gradient_kernel_lanes, LaneScratch, LANES,
 };
 use crate::shape::RefElement;
 use cfpd_mesh::{Csr, ElementKind, Mesh, Vec3};
@@ -631,6 +631,72 @@ impl BatchCtx for PressureGradientCtx<'_> {
     }
 }
 
+/// The lumped (row-sum) mass `∫ N_i`, one vector. A degenerate element
+/// adds nothing, and a lane block holding one is redone element by
+/// element.
+struct LumpedMassCtx<'a> {
+    refs: &'a [RefElement; 3],
+    coords: &'a [Vec3],
+}
+
+impl BatchCtx for LumpedMassCtx<'_> {
+    const RHS_DIM: usize = 1;
+
+    fn run_one<const NN: usize, S: ScatterSink>(
+        &self,
+        batch: &KindBatch,
+        b: usize,
+        scratch: &mut ElementScratch,
+        sink: &S,
+    ) {
+        let nodes = &batch.gather[b * NN..(b + 1) * NN];
+        scratch.load_gather_coords(self.coords, nodes);
+        if let Some(lm) = lumped_mass_kernel(self.refs, scratch, batch.kind, NN) {
+            (0..NN).for_each(|i| sink.add_rhs(0, nodes[i] as usize, lm[i]));
+        }
+    }
+
+    fn run_lanes<const NN: usize, S: ScatterSink>(
+        &self,
+        batch: &KindBatch,
+        b: usize,
+        ls: &mut LaneScratch,
+        sink: &S,
+    ) {
+        let re = &self.refs[RefElement::index_of(batch.kind)];
+        ls.load(self.coords, None, None, batch.gather, batch.h, NN, b);
+        let Some(lm) = lumped_mass_kernel_lanes::<NN>(re, ls) else {
+            let mut one = ElementScratch::default();
+            return (b..b + LANES).for_each(|bb| self.run_one::<NN, S>(batch, bb, &mut one, sink));
+        };
+        for l in 0..LANES {
+            let nodes = &batch.gather[(b + l) * NN..(b + l + 1) * NN];
+            (0..NN).for_each(|i| sink.add_rhs(0, nodes[i] as usize, lm[i][l]));
+        }
+    }
+}
+
+/// The lumped mass of every node of `mesh` (`sizes` is
+/// [`Mesh::element_sizes`]): its elements in list order, lane blocks and
+/// scalar tails, each node summing its terms in element order. The mesh's
+/// own arrays are the batches: a same-kind run's stretch of `conn` is its
+/// gather list.
+pub fn lumped_mass(refs: &[RefElement; 3], mesh: &Mesh, sizes: &[f64]) -> Vec<f64> {
+    let all: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+    let mut mass = vec![0.0; mesh.num_nodes()];
+    let (ctx, mut scratch, mut rhs) =
+        (LumpedMassCtx { refs, coords: &mesh.coords }, Scratch::default(), [&mut mass]);
+    let sink = DisjointSink::over(&mut [], &mut rhs);
+    for run in all.chunk_by(|&a, &b| mesh.kinds[a as usize] == mesh.kinds[b as usize]) {
+        let (first, end) = (run[0] as usize, run[run.len() - 1] as usize + 1);
+        let gather = &mesh.conn[mesh.offsets[first] as usize..mesh.offsets[end] as usize];
+        let (kind, h) = (mesh.kinds[first], &sizes[first..end]);
+        let batch = KindBatch { kind, elems: run, gather, scatter: &[], h };
+        run_batch(&ctx, &batch, 0..run.len(), &mut scratch, &sink);
+    }
+    mass
+}
+
 /// Run a whole batch set on the calling thread (one task, or the serial
 /// strategy); returns how many of its elements went through lane blocks.
 fn run_set<C: BatchCtx, S: ScatterSink>(ctx: &C, set: &BatchSet, sink: &S) -> usize {
@@ -909,6 +975,63 @@ mod tests {
             units.iter().flat_map(BatchSet::batches).map(|b| b.len() / LANES * LANES).sum();
         let share = in_lanes as f64 / mesh.num_elements() as f64;
         assert!(share >= 0.97, "{share:.3} of the elements in full lane blocks");
+    }
+
+    /// The lane lumped mass is the scalar element loop's, bit for bit: on
+    /// the airway (all three kinds, in runs of whole lane blocks) and on
+    /// its elements relisted in runs of one to eleven, followed by a
+    /// pyramid and a tet run whose first lane block holds a degenerate tet
+    /// (two equal nodes).
+    #[test]
+    fn lane_lumped_mass_equals_the_scalar_loop() {
+        let refs = RefElement::all();
+        let scalar = |mesh: &Mesh| {
+            let (mut scratch, mut mass) = (ElementScratch::default(), vec![0.0; mesh.num_nodes()]);
+            for e in 0..mesh.num_elements() {
+                let (kind, nn) = scratch.load_coords(mesh, e);
+                if let Some(lm) = lumped_mass_kernel(&refs, &scratch, kind, nn) {
+                    for (k, &v) in mesh.elem_nodes(e).iter().enumerate() {
+                        mass[v as usize] += lm[k];
+                    }
+                }
+            }
+            mass
+        };
+        let airway = generate_airway(&AirwaySpec::small()).unwrap().mesh;
+        let listed = &airway.kinds;
+        let of_kind = |kind| (0..listed.len()).filter(move |&e| listed[e] == kind);
+        let kinds = [ElementKind::Tet4, ElementKind::Pyr5, ElementKind::Pri6];
+        let mut by_kind = kinds.map(|kind| of_kind(kind).collect::<Vec<_>>());
+        let (mut list, mut run) = (Vec::new(), 0);
+        while by_kind.iter().any(|k| !k.is_empty()) {
+            for kind in &mut by_kind {
+                run = run % 11 + 1;
+                list.extend(kind.drain(..run.min(kind.len())));
+            }
+        }
+        list.push(of_kind(ElementKind::Pyr5).next().unwrap());
+        let tets: Vec<usize> = of_kind(ElementKind::Tet4).take(10).collect();
+        let mut relisted = Mesh { offsets: vec![0], conn: Vec::new(), kinds: Vec::new(), ..airway.clone() };
+        for (at, &e) in list.iter().chain(&tets).enumerate() {
+            let mut nodes = airway.elem_nodes(e).to_vec();
+            if at == list.len() + 3 {
+                nodes[1] = nodes[0];
+            }
+            relisted.kinds.push(airway.kinds[e]);
+            relisted.conn.extend(nodes);
+            relisted.offsets.push(relisted.conn.len() as u32);
+        }
+        let ne = relisted.num_elements();
+        let mut degenerate = ElementScratch::default();
+        degenerate.load_coords(&relisted, ne - 7);
+        assert!(lumped_mass_kernel(&refs, &degenerate, ElementKind::Tet4, 4).is_none());
+        let all: Vec<u32> = (0..ne as u32).collect();
+        let set = BatchSet::cut(&relisted, &relisted.element_sizes(), &all, ElementOrder::List, false);
+        assert!(set.batches().any(|b| b.len() < LANES), "some runs are shorter than a block");
+        for mesh in [&airway, &relisted] {
+            let bits = |mass: Vec<f64>| mass.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(lumped_mass(&refs, mesh, &mesh.element_sizes())), bits(scalar(mesh)));
+        }
     }
 
     struct Fixture {

@@ -86,28 +86,26 @@ impl CsrPattern<'_> {
 
 impl CsrMatrix {
     /// Build the node-node sparsity pattern of a mesh (an entry per pair
-    /// of nodes sharing an element, plus the diagonal), values zeroed.
+    /// of nodes sharing an element, plus the diagonal), values zeroed;
+    /// `node_to_elem` is `mesh.node_to_elements()`.
     pub fn from_mesh(mesh: &Mesh, node_to_elem: &Csr) -> CsrMatrix {
-        let n = mesh.num_nodes();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0u32);
-        let mut col_idx: Vec<u32> = Vec::new();
-        // `mark[col] == row + 1` means col is already listed for row.
-        let mut mark = vec![0u32; n];
-        for row in 0..n {
-            let stamp = row as u32 + 1;
+        let identity: Vec<u32> = (0..mesh.num_nodes() as u32).collect();
+        CsrMatrix::from_adjacency(&mesh.node_adjacency_of(node_to_elem), &identity)
+    }
+
+    /// The pattern of [`CsrMatrix::from_mesh`] once the mesh's nodes are
+    /// renumbered by `perm` (`perm[old] = new`), from `adj`, its
+    /// [`Mesh::node_adjacency`] before: row `perm[v]` lists `perm[v]` and
+    /// `perm[w]` for every neighbour `w` of `v`, ascending.
+    pub fn from_adjacency(adj: &Csr, perm: &[u32]) -> CsrMatrix {
+        let n = perm.len();
+        let mut old = vec![0u32; n];
+        perm.iter().enumerate().for_each(|(v, &p)| old[p as usize] = v as u32);
+        let (mut row_ptr, mut col_idx) = (vec![0u32], Vec::with_capacity(adj.targets.len() + n));
+        for (row, &v) in old.iter().enumerate() {
             let start = col_idx.len();
-            mark[row] = stamp;
             col_idx.push(row as u32);
-            // Neighbors = nodes of all elements touching this node.
-            for &e in node_to_elem.row(row) {
-                for &col in mesh.elem_nodes(e as usize) {
-                    if mark[col as usize] != stamp {
-                        mark[col as usize] = stamp;
-                        col_idx.push(col);
-                    }
-                }
-            }
+            col_idx.extend(adj.row(v as usize).iter().map(|&w| perm[w as usize]));
             col_idx[start..].sort_unstable();
             row_ptr.push(col_idx.len() as u32);
         }
@@ -249,6 +247,32 @@ mod tests {
             let cols = &a.col_idx[lo..hi];
             assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {row} unsorted");
             assert!(cols.binary_search(&(row as u32)).is_ok(), "row {row} lacks diagonal");
+        }
+    }
+
+    /// Row `i` lists `i` and every node that shares an element with it:
+    /// the pattern a walk over the elements finds, whatever the node order.
+    #[test]
+    fn pattern_lists_exactly_the_nodes_sharing_an_element() {
+        use std::collections::BTreeSet;
+        let mut mesh = generate_airway(&AirwaySpec::small()).unwrap().mesh;
+        let n = mesh.num_nodes() as u32;
+        for reversed in [false, true] {
+            if reversed {
+                mesh.renumber_nodes(&(0..n).rev().collect::<Vec<u32>>());
+            }
+            let mut rows: Vec<BTreeSet<u32>> = (0..n).map(|i| [i].into()).collect();
+            for e in 0..mesh.num_elements() {
+                for &i in mesh.elem_nodes(e) {
+                    rows[i as usize].extend(mesh.elem_nodes(e));
+                }
+            }
+            let a = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+            for (i, row) in rows.iter().enumerate() {
+                let cols = &a.col_idx[a.row_ptr[i] as usize..a.row_ptr[i + 1] as usize];
+                assert!(cols.iter().eq(row.iter()), "row {i}, reversed {reversed}");
+            }
+            assert_eq!(a.values.len(), a.nnz());
         }
     }
 

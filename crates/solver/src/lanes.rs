@@ -366,6 +366,23 @@ pub fn pressure_gradient_kernel_lanes<const NN: usize>(
     Some(out)
 }
 
+/// [`crate::kernels::lumped_mass_kernel`] over [`LANES`] elements;
+/// bit-identical per lane.
+pub fn lumped_mass_kernel_lanes<const NN: usize>(
+    re: &RefElement,
+    scratch: &LaneScratch,
+) -> Option<[Lane; MAX_NODES]> {
+    let mut out = [[0.0; LANES]; MAX_NODES];
+    let mut points = MappedPoints::new(&scratch.coords, NN);
+    for qp in &re.qps {
+        let (m, _) = points.next(qp)?;
+        for i in 0..NN {
+            (F64x8::load(&out[i]) + F64x8::splat(qp.n[i]) * m.dvol).store(&mut out[i]);
+        }
+    }
+    Some(out)
+}
+
 /// Subgrid velocities of [`LANES`] elements, `usg[qp][axis][lane]`.
 pub type LaneSgs = [[Lane; 3]; MAX_QP];
 

@@ -146,35 +146,6 @@ pub fn phase(rank: usize, phase: PopPhase, t_start: f64, t_end: f64) {
     row.last_end.max(t_end);
 }
 
-/// Feedback tap: accumulated seconds attributed to `(rank, phase)` so
-/// far — the online per-(rank, phase) signal, readable between steps
-/// without waiting for the end-of-run [`report`]. `None` for ranks
-/// beyond [`MAX_RANKS`]. Reads whatever has been recorded regardless of
-/// whether telemetry is currently enabled (recording itself is still
-/// gated).
-pub fn phase_seconds(rank: usize, phase: PopPhase) -> Option<f64> {
-    if rank >= MAX_RANKS {
-        return None;
-    }
-    Some(table().rows[rank].0.phase_seconds[phase.index()].get())
-}
-
-/// Feedback tap companion to [`phase_seconds`]: `rank`'s accumulated
-/// useful (non-MPI) seconds across all phases.
-pub fn useful_seconds(rank: usize) -> Option<f64> {
-    if rank >= MAX_RANKS {
-        return None;
-    }
-    let row = &table().rows[rank].0;
-    let mut useful = 0.0;
-    for p in PopPhase::ALL {
-        if p != PopPhase::Mpi {
-            useful += row.phase_seconds[p.index()].get();
-        }
-    }
-    Some(useful)
-}
-
 /// Zero the table.
 pub fn reset() {
     let t = table();
@@ -305,27 +276,6 @@ mod tests {
         );
         reset();
         assert!(report().is_none());
-    }
-
-    #[test]
-    fn feedback_tap_reads_the_live_accumulators() {
-        let _g = crate::testutil::guard();
-        crate::set_enabled(true);
-        reset();
-        phase(0, PopPhase::Assembly, 0.0, 1.5);
-        phase(0, PopPhase::Mpi, 1.5, 2.0);
-        phase(1, PopPhase::Solver1, 0.0, 0.25);
-        crate::set_enabled(false);
-        assert!((phase_seconds(0, PopPhase::Assembly).unwrap() - 1.5).abs() < 1e-12);
-        assert!((phase_seconds(0, PopPhase::Mpi).unwrap() - 0.5).abs() < 1e-12);
-        assert_eq!(phase_seconds(2, PopPhase::Assembly), Some(0.0));
-        assert_eq!(phase_seconds(MAX_RANKS, PopPhase::Assembly), None);
-        // Useful excludes MPI.
-        assert!((useful_seconds(0).unwrap() - 1.5).abs() < 1e-12);
-        assert!((useful_seconds(1).unwrap() - 0.25).abs() < 1e-12);
-        assert_eq!(useful_seconds(MAX_RANKS + 1), None);
-        reset();
-        assert_eq!(useful_seconds(0), Some(0.0));
     }
 
     #[test]

@@ -196,7 +196,8 @@ doc = json.load(open("results/BENCH_hotpath_quick.json"))
 rows = {r["name"]: r["median_ns"] for r in doc["rows"]}
 for name in ("setup/element-graph", "setup/seed-search", "setup/kway-16", "setup/refine",
              "setup/plan-multidep", "setup/plan-serial",
-             "setup/locator-build", "setup/inject-10k", "setup/deflation-build",
+             "setup/locator-build", "setup/inject-10k", "setup/inject-10k-cold",
+             "setup/deflation-build",
              "solve/poisson-jacobi", "solve/poisson-deflated",
              "solve/poisson-deflated-native", "sgs/default", "sgs/batched-lanes", "sgs/iterating",
              "assembly/default", "assembly/batched-lanes", "assembly/oracle",
@@ -218,11 +219,19 @@ if plan > 0.17 * serial_pass:
     sys.exit(f"FAIL: setup/plan-serial {plan:.0f} ns > 0.17 x assembly/serial-pass {serial_pass:.0f} ns")
 # Injection scans the candidate list of one sub-box of a grid cell, not
 # the cell's whole 27-cell neighbourhood (PR 26): 10 000 injections read
-# 1.5-1.6 x one locator build here (4.4 x with the full scan). Both rows
-# run on one thread; "above 2.5" means the sub-box lists are gone.
+# 1.1-1.2 x one locator build here at 8^3 sub-boxes a cell (1.5-1.6 at 4^3,
+# 4.4 x with the full scan). Both rows run on one thread; "above 2.5"
+# means the sub-box lists are gone.
 inject, build = rows["setup/inject-10k"], rows["setup/locator-build"]
 if inject > 2.5 * build:
     sys.exit(f"FAIL: setup/inject-10k {inject:.0f} ns > 2.5 x setup/locator-build {build:.0f} ns")
+# The same injections on a geometry no query has touched build each list
+# their points land in, and only those: fourteen quick runs read 1.07-1.89 x
+# one locator build, and 3.0-4.7 with every list of a touched cell built
+# at once. "Above 2.5" means the lists are built eagerly again.
+cold = rows["setup/inject-10k-cold"]
+if cold > 2.5 * build:
+    sys.exit(f"FAIL: setup/inject-10k-cold {cold:.0f} ns > 2.5 x setup/locator-build {build:.0f} ns")
 # Same elements, same subdomains, same pool, the same lane kernels: the
 # reference layout cuts its batches in list order (runs of ~20 elements,
 # a scalar tail per run), the fast one grouped by kind. The ratio reads

@@ -121,3 +121,42 @@ fn more_particles_increase_particle_phase_share() {
         "10x particles must grow the particle-phase time: {big_times:?} vs {small_times:?}"
     );
 }
+
+/// The particle books balance at every step: summed over the ranks that
+/// track particles, active + deposited + escaped + lost is the number
+/// injected — in a 2-rank synchronous run, where particles migrate
+/// between the ranks, and in `coupled:1+1`; long enough steps that some
+/// deposit on the walls.
+#[test]
+fn particle_books_balance_at_every_step() {
+    use cfpd_core::LogicalEvent;
+    use cfpd_particles::{inject_at_inlet, Locator, ParticleSet};
+    let cfg = SimulationConfig { steps: 20, num_particles: 400, dt: 5e-3, ..tiny() };
+    let am = cfpd_mesh::generate_airway(&cfg.airway).unwrap();
+    let injected = inject_at_inlet(
+        &mut ParticleSet::default(),
+        &Locator::new(&am.mesh),
+        am.inlet_center,
+        am.inlet_direction,
+        am.inlet_radius,
+        cfg.inflow_speed,
+        cfg.particle,
+        cfg.num_particles,
+        cfg.seed,
+    );
+    assert!(injected > cfg.num_particles / 2, "{injected} injected");
+    let coupled = ExecutionMode::Coupled { fluid: 1, particles: 1 };
+    for (mode, ranks, trackers) in [(ExecutionMode::Synchronous, 2, 2), (coupled, 0, 1)] {
+        let r = run_simulation(&SimulationConfig { mode, ..cfg.clone() }, ranks, 1, false);
+        // Per step: the ranks that reported and what they hold.
+        let mut books = vec![(0, 0); cfg.steps];
+        for e in &r.logical {
+            if let LogicalEvent::Particles { step, active, deposited, escaped, lost, .. } = *e {
+                books[step].0 += 1;
+                books[step].1 += active + deposited + escaped + lost;
+            }
+        }
+        assert_eq!(books, vec![(trackers, injected); cfg.steps], "{mode:?}");
+        assert!(r.census.deposited > 0, "{mode:?}: the books hold more than active particles");
+    }
+}
