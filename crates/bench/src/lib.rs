@@ -215,14 +215,10 @@ pub fn dlb_figure(
     rows
 }
 
-/// Atomically write `body` to `path`: stage in a `.tmp` sibling, then
-/// rename over the target, so a reader (or a crash) never sees a
-/// half-written document and both copies of a pinned bench are always
-/// byte-identical or absent.
+/// Write `body` to `path` whole, so that both copies of a pinned bench
+/// are always byte-identical or absent.
 fn write_atomic(path: &std::path::Path, body: &[u8]) {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, body).expect("write staged json");
-    std::fs::rename(&tmp, path).expect("rename staged json over target");
+    cfpd_testkit::record::write_atomic(path, body).expect("write json via a staged rename");
     println!("[written to {}]", path.display());
 }
 

@@ -7,7 +7,8 @@
 //! survives the restart). The injection RNG only runs at step 0, so the
 //! seed in the header is documentation, not replayed state.
 //!
-//! The text codec (`cfpd checkpoint v2`) renders every `f64` as its
+//! The text codec (`cfpd checkpoint v2`, in `cfpd_testkit::record`'s
+//! grammar) renders every `f64` as its
 //! `to_bits` pattern in 16 lowercase hex digits and carries a word-wide
 //! digest of the structural content in the header; a checkpoint that
 //! round-trips through text restores *bit-identical* state, and a
@@ -20,6 +21,8 @@ use crate::config::SimulationConfig;
 use cfpd_mesh::Vec3;
 use cfpd_particles::{ParticleProps, ParticleSet, ParticleState};
 use cfpd_testkit::digest::{digest_bytes, Digest};
+use cfpd_testkit::record::{bounded_count, check_digest, digest_line, parse_int};
+use cfpd_testkit::record::{push_hex_line, Cursor};
 
 const MAGIC: &str = "cfpd checkpoint v2";
 
@@ -88,145 +91,6 @@ fn state_from_code(c: u8) -> Result<ParticleState, String> {
     })
 }
 
-/// Append `prefix` and the space-separated 16-digit hex bit patterns of
-/// `vals`, then a newline: one codec line, written in place (a snapshot
-/// holds ~10⁵ of these; one `String` per value was most of its cost).
-fn push_hex_line(out: &mut Vec<u8>, prefix: &[u8], vals: &[f64]) {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    out.extend_from_slice(prefix);
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(b' ');
-        }
-        let bits = v.to_bits();
-        out.extend((0..16).map(|d| DIGITS[(bits >> (60 - 4 * d)) as usize & 0xf]));
-    }
-    out.push(b'\n');
-}
-
-/// Sixteen lowercase hex digits as a `u64`; `None` for anything else
-/// (a sign, an upper-case digit, another width), so that what parses is
-/// what [`push_hex_line`] writes. No early exit: the loop stays
-/// branch-free, and a snapshot holds ~10⁵ of these.
-pub fn hex16(tok: &[u8]) -> Option<u64> {
-    let tok: &[u8; 16] = tok.try_into().ok()?;
-    let (mut bits, mut seen) = (0u64, 0u8);
-    for &b in tok {
-        let v = match b {
-            b'0'..=b'9' => b - b'0',
-            b'a'..=b'f' => b - b'a' + 10,
-            _ => 0xff,
-        };
-        seen |= v;
-        bits = bits << 4 | (v & 0xf) as u64;
-    }
-    (seen <= 0xf).then_some(bits)
-}
-
-/// Number of newline-terminated lines in `text`: newlines summed in `u8`
-/// lanes (255 at a time cannot overflow one), which compiles to vector
-/// compares — twelve times the speed of `filter().count()` on the 1.2 MB
-/// of a parked cell.
-pub fn count_lines(text: &str) -> usize {
-    let lanes = |c: &[u8]| c.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>() as usize;
-    text.as_bytes().chunks(255).map(lanes).sum()
-}
-
-/// `text` split after its `n`-th newline: the `n` lines and the rest.
-/// All of `text` — a snapshot's checkpoint section, the bulk of the file —
-/// is told by its count alone; anything less is walked line by line.
-pub fn split_lines(text: &str, n: usize) -> Option<(&str, &str)> {
-    if text.ends_with('\n') && count_lines(text) == n {
-        return Some((text, ""));
-    }
-    let end = match n {
-        0 => 0,
-        _ => text.match_indices('\n').nth(n - 1)?.0 + 1,
-    };
-    Some(text.split_at(end))
-}
-
-/// A count declared by codec text with `remaining` bytes left to back
-/// it: an entry is at least two bytes (one character and its newline),
-/// so a larger count is corrupt or hostile, and is refused before any
-/// entry is read.
-pub fn bounded_count(n: usize, remaining: usize, what: &str) -> Result<usize, String> {
-    if n > remaining / 2 {
-        return Err(format!(
-            "declared {what} count {n} exceeds what the {remaining} remaining bytes can hold \
-             (corrupt or hostile length prefix)"
-        ));
-    }
-    Ok(n)
-}
-
-/// Read position in codec text.
-pub struct Cursor<'a> {
-    pub rest: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    /// The text up to the next `sep`, which is consumed.
-    pub fn until(&mut self, sep: char, what: &str) -> Result<&'a str, String> {
-        let (tok, rest) =
-            self.rest.split_once(sep).ok_or_else(|| format!("truncated: missing {what}"))?;
-        self.rest = rest;
-        Ok(tok)
-    }
-
-    /// One [`push_hex_line`] line: `prefix`, then `N` values at fixed
-    /// offsets, single spaces between them and a newline after the last.
-    fn hex_line<const N: usize>(&mut self, prefix: &str) -> Result<[f64; N], String> {
-        let width = prefix.len() + 17 * N;
-        let bad = || format!("truncated or malformed {prefix:?} line of {N} values");
-        let line = self.rest.as_bytes().get(..width).ok_or_else(bad)?;
-        if !line.starts_with(prefix.as_bytes()) {
-            return Err(bad());
-        }
-        let mut vals = [0.0; N];
-        for (k, v) in vals.iter_mut().enumerate() {
-            let at = prefix.len() + 17 * k;
-            let sep = if k + 1 == N { b'\n' } else { b' ' };
-            match hex16(&line[at..at + 16]) {
-                Some(bits) if line[at + 16] == sep => *v = f64::from_bits(bits),
-                _ => return Err(bad()),
-            }
-        }
-        // Every byte of `line` was matched against ASCII.
-        self.rest = &self.rest[width..];
-        Ok(vals)
-    }
-}
-
-/// A decimal integer as the writer renders it: no sign, no leading zero.
-fn parse_int<T: std::str::FromStr>(tok: &str, what: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    if tok.starts_with('+') || (tok.len() > 1 && tok.starts_with('0')) {
-        return Err(format!("bad {what} {tok:?}: not in canonical form"));
-    }
-    tok.parse().map_err(|e| format!("bad {what} {tok:?}: {e}"))
-}
-
-/// The values of a header's `key=value` tokens: these keys in this
-/// order, single spaces between them, nothing after.
-fn fields<'a, const N: usize>(tokens: &'a str, keys: [&str; N]) -> Result<[&'a str; N], String> {
-    let mut toks = tokens.split(' ');
-    let mut vals = [""; N];
-    for (val, key) in vals.iter_mut().zip(keys) {
-        let tok = toks.next().ok_or_else(|| format!("missing field {key}"))?;
-        *val = tok
-            .strip_prefix(key)
-            .and_then(|r| r.strip_prefix('='))
-            .ok_or_else(|| format!("expected {key}=..., got {tok:?}"))?;
-    }
-    match toks.next() {
-        None => Ok(vals),
-        Some(extra) => Err(format!("unexpected {extra:?} after {}=", keys[N - 1])),
-    }
-}
-
 impl Checkpoint {
     /// Structural digest over every value the checkpoint carries, one
     /// [`Digest::update_word`] step per value.
@@ -275,25 +139,12 @@ impl Checkpoint {
         let mut out: Vec<u8> = Vec::with_capacity(128 + size);
         let w = &mut out;
         // Writing to a `Vec<u8>` cannot fail.
-        writeln!(w, "{MAGIC}").unwrap();
-        writeln!(w, "digest {:016x}", self.digest()).unwrap();
-        writeln!(
-            w,
-            "meta next_step={} ranks={} seed={} config={:016x}",
-            self.next_step, self.n_ranks, self.seed, self.config_digest,
-        )
-        .unwrap();
+        writeln!(w, "{MAGIC}\ndigest {:016x}", self.digest()).unwrap();
+        let (step, n, seed, cfg) = (self.next_step, self.n_ranks, self.seed, self.config_digest);
+        writeln!(w, "meta next_step={step} ranks={n} seed={seed} config={cfg:016x}").unwrap();
         for r in &self.ranks {
-            writeln!(
-                w,
-                "rank {} velocity={} pressure={} sgs={} particles={}",
-                r.rank,
-                r.velocity.len(),
-                r.pressure.len(),
-                r.sgs.len(),
-                r.particles.len(),
-            )
-            .unwrap();
+            let (v, p, s, q) = (r.velocity.len(), r.pressure.len(), r.sgs.len(), r.particles.len());
+            writeln!(w, "rank {} velocity={v} pressure={p} sgs={s} particles={q}", r.rank).unwrap();
             for v in &r.velocity {
                 push_hex_line(w, b"V ", &[v.x, v.y, v.z]);
             }
@@ -325,45 +176,23 @@ impl Checkpoint {
     /// lines are read at fixed offsets, nothing is pre-counted or copied.
     pub fn from_text(text: &str) -> Result<Checkpoint, String> {
         let mut cur = Cursor { rest: text };
-        let magic = cur.until('\n', "magic line")?;
-        if magic != MAGIC {
-            return Err(format!("unsupported checkpoint format {magic:?}: want {MAGIC:?}"));
-        }
-        let hex = |tok: &str, what: &str| {
-            hex16(tok.as_bytes()).ok_or_else(|| format!("bad {what} {tok:?}: want 16 hex digits"))
-        };
-        let digest_line = cur.until('\n', "digest line")?;
-        let stated = digest_line
-            .strip_prefix("digest ")
-            .ok_or_else(|| format!("expected digest line, got {digest_line:?}"))
-            .and_then(|tok| hex(tok, "digest"))?;
-        let meta = cur.until('\n', "meta line")?;
-        let [next_step, n_ranks, seed, config] = fields(
-            meta.strip_prefix("meta ").ok_or_else(|| format!("expected meta line, got {meta:?}"))?,
-            ["next_step", "ranks", "seed", "config"],
-        )?;
-        let next_step = parse_int(next_step, "next_step")?;
-        let n_ranks = bounded_count(parse_int(n_ranks, "ranks")?, cur.rest.len(), "rank")?;
-        let seed = parse_int(seed, "seed")?;
-        let config_digest = hex(config, "config digest")?;
+        cur.magic(MAGIC, "checkpoint")?;
+        let stated = digest_line(cur.until('\n', "digest line")?)?;
+        let mut meta = cur.fields("meta")?;
+        let next_step = meta.int("next_step")?;
+        let n_ranks = bounded_count(meta.int("ranks")?, cur.rest.len(), "rank")?;
+        let (seed, config_digest) = (meta.int("seed")?, meta.hex("config")?);
+        meta.end()?;
 
         let mut ranks = Vec::new();
         for _ in 0..n_ranks {
-            let header = cur.until('\n', "rank header")?;
-            let (rank, counts) = header
-                .strip_prefix("rank ")
-                .and_then(|r| r.split_once(' '))
-                .ok_or_else(|| format!("expected rank header, got {header:?}"))?;
-            let rank: usize = parse_int(rank, "rank id")?;
-            let [nv, np, ns, nq] = fields(counts, ["velocity", "pressure", "sgs", "particles"])?;
+            let mut header = cur.fields("rank")?;
+            let rank: usize = parse_int(header.word("rank id")?, "rank id")?;
             let left = cur.rest.len();
-            let count = |tok, what| bounded_count(parse_int(tok, what)?, left, what);
-            let (nv, np, ns, nq) = (
-                count(nv, "velocity")?,
-                count(np, "pressure")?,
-                count(ns, "sgs")?,
-                count(nq, "particle")?,
-            );
+            let mut count = |key| bounded_count(header.int(key)?, left, key);
+            let (nv, np, ns, nq) =
+                (count("velocity")?, count("pressure")?, count("sgs")?, count("particles")?);
+            header.end()?;
 
             let vec3 = |[x, y, z]: [f64; 3]| Vec3::new(x, y, z);
             let velocity: Vec<Vec3> =
@@ -392,12 +221,7 @@ impl Checkpoint {
         }
 
         let cp = Checkpoint { next_step, n_ranks, seed, config_digest, ranks };
-        let actual = cp.digest();
-        if actual != stated {
-            return Err(format!(
-                "checkpoint digest mismatch: header says {stated:016x}, content is {actual:016x}",
-            ));
-        }
+        check_digest("checkpoint", stated, cp.digest())?;
         Ok(cp)
     }
 
@@ -597,9 +421,9 @@ mod tests {
         assert!(err.contains("cfpd checkpoint v1"), "{err}");
     }
 
-    /// What parses is what the writer writes: every spelling
-    /// `from_str_radix`, `parse` and `split_whitespace` used to let
-    /// through (a digest guards values, not their spelling) is an error.
+    /// What parses is what the writer writes: a sign, a leading zero,
+    /// upper-case or short hex and a doubled or trailing space are errors
+    /// (a digest guards values, not their spelling).
     #[test]
     fn non_canonical_spellings_are_rejected() {
         let text = sample().to_text();
@@ -620,21 +444,6 @@ mod tests {
             assert_ne!(bad, text, "{canonical:?} must occur");
             assert!(Checkpoint::from_text(&bad).is_err(), "{variant:?} parsed");
         }
-    }
-
-    #[test]
-    fn lines_are_counted_and_split_at_newlines() {
-        let long: String = (0..3000).map(|i| format!("line {i}\n")).collect();
-        assert_eq!(count_lines(&long), 3000);
-        assert_eq!(count_lines("a\nb"), 1, "an unterminated tail is not a line");
-        for n in [0, 1, 2, 511, 512, 2999, 3000] {
-            let (head, tail) = split_lines(&long, n).unwrap();
-            assert_eq!((head.lines().count(), tail.lines().count()), (n, 3000 - n));
-            assert_eq!(format!("{head}{tail}"), long);
-        }
-        assert_eq!(split_lines(&long, 3001), None);
-        assert_eq!(split_lines("", 0), Some(("", "")));
-        assert_eq!(split_lines("no newline", 1), None);
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! suites pin this by running the goldens byte-identical with the
 //! recorder enabled.
 
+use cfpd_testkit::record::{self, parse_int};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -82,52 +83,33 @@ pub enum EventKind {
     Mark = 11,
 }
 
+/// Every kind with its name in the dump text: the one table that
+/// [`EventKind::name`], [`EventKind::from_name`] and the ring's decoder
+/// read.
+const KINDS: [(EventKind, &str); 10] = [
+    (EventKind::Phase, "phase"),
+    (EventKind::SolverIter, "solver"),
+    (EventKind::DlbLend, "lend"),
+    (EventKind::DlbReclaim, "reclaim"),
+    (EventKind::CommWait, "wait"),
+    (EventKind::Fault, "fault"),
+    (EventKind::Step, "step"),
+    (EventKind::Ckpt, "ckpt"),
+    (EventKind::Wal, "wal"),
+    (EventKind::Mark, "mark"),
+];
+
 impl EventKind {
     pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Phase => "phase",
-            EventKind::SolverIter => "solver",
-            EventKind::DlbLend => "lend",
-            EventKind::DlbReclaim => "reclaim",
-            EventKind::CommWait => "wait",
-            EventKind::Fault => "fault",
-            EventKind::Step => "step",
-            EventKind::Ckpt => "ckpt",
-            EventKind::Wal => "wal",
-            EventKind::Mark => "mark",
-        }
+        KINDS.iter().find(|(k, _)| *k == self).map_or("?", |(_, name)| name)
     }
 
     pub fn from_name(name: &str) -> Option<EventKind> {
-        Some(match name {
-            "phase" => EventKind::Phase,
-            "solver" => EventKind::SolverIter,
-            "lend" => EventKind::DlbLend,
-            "reclaim" => EventKind::DlbReclaim,
-            "wait" => EventKind::CommWait,
-            "fault" => EventKind::Fault,
-            "step" => EventKind::Step,
-            "ckpt" => EventKind::Ckpt,
-            "wal" => EventKind::Wal,
-            "mark" => EventKind::Mark,
-            _ => return None,
-        })
+        KINDS.iter().find(|(_, n)| *n == name).map(|(k, _)| *k)
     }
 
     fn from_u8(v: u8) -> Option<EventKind> {
-        Some(match v {
-            1 => EventKind::Phase,
-            2 => EventKind::SolverIter,
-            3 => EventKind::DlbLend,
-            5 => EventKind::DlbReclaim,
-            6 => EventKind::CommWait,
-            7 => EventKind::Fault,
-            8 => EventKind::Step,
-            9 => EventKind::Ckpt,
-            10 => EventKind::Wal,
-            11 => EventKind::Mark,
-            _ => return None,
-        })
+        KINDS.iter().find(|(k, _)| *k as u8 == v).map(|(k, _)| *k)
     }
 }
 
@@ -381,86 +363,49 @@ pub fn dump_text() -> String {
 /// Render an explicit event list as dump text (same format as
 /// [`dump_text`]; used by tests).
 pub fn render_dump(events: &[FlightEvent], dropped: u64) -> String {
-    let mut body = String::with_capacity(64 + events.len() * 64);
-    body.push_str(DUMP_MAGIC);
-    body.push('\n');
-    body.push_str(&format!(
-        "meta events={} dropped={} capacity={}\n",
-        events.len(),
-        dropped,
-        CAPACITY
-    ));
+    let n = events.len();
+    let mut body = format!("{DUMP_MAGIC}\nmeta events={n} dropped={dropped} capacity={CAPACITY}\n");
     for e in events {
-        body.push_str(&format!(
-            "e {} {} {} {} {} {:016x} {:016x}\n",
-            e.seq,
-            e.t_ns,
-            e.rank,
-            e.kind.name(),
-            e.code,
-            e.a,
-            e.b
-        ));
+        let (seq, t_ns, rank, kind, code) = (e.seq, e.t_ns, e.rank, e.kind.name(), e.code);
+        body += &format!("e {seq} {t_ns} {rank} {kind} {code} {:016x} {:016x}\n", e.a, e.b);
     }
     let digest = cfpd_testkit::digest_bytes(body.as_bytes());
-    body.push_str(&format!("digest {digest:016x}\n"));
-    body
+    body + &format!("digest {digest:016x}\n")
 }
 
-/// Parse and digest-verify a dump produced by [`dump_text`].
+/// Parse and digest-verify a dump produced by [`dump_text`], in
+/// `cfpd_testkit::record`'s grammar: the `meta` fields in their order,
+/// then exactly `events=` event lines, then the digest trailer.
 pub fn parse_dump(text: &str) -> Result<FlightDump, String> {
-    let trimmed = text.trim_end_matches('\n');
-    let (prefix, digest_line) = match trimmed.rfind('\n') {
-        Some(i) => (&text[..i + 1], &trimmed[i + 1..]),
-        None => return Err("flight dump: too short".into()),
-    };
-    let hex = digest_line
-        .strip_prefix("digest ")
-        .ok_or_else(|| "flight dump: missing digest trailer".to_string())?;
-    let want = u64::from_str_radix(hex.trim(), 16)
-        .map_err(|_| "flight dump: malformed digest trailer".to_string())?;
-    let got = cfpd_testkit::digest_bytes(prefix.as_bytes());
-    if got != want {
-        return Err(format!(
-            "flight dump: digest mismatch (file says {want:016x}, content is {got:016x})"
-        ));
-    }
-    let mut lines = prefix.lines();
-    if lines.next() != Some(DUMP_MAGIC) {
-        return Err("flight dump: bad magic line".into());
-    }
-    let meta = lines.next().ok_or_else(|| "flight dump: missing meta".to_string())?;
-    let mut dropped = 0u64;
-    let mut capacity = CAPACITY as u64;
-    for field in meta.strip_prefix("meta ").unwrap_or("").split_whitespace() {
-        if let Some(v) = field.strip_prefix("dropped=") {
-            dropped = v.parse().map_err(|_| "flight dump: bad meta".to_string())?;
-        } else if let Some(v) = field.strip_prefix("capacity=") {
-            capacity = v.parse().map_err(|_| "flight dump: bad meta".to_string())?;
-        }
-    }
-    let mut events = Vec::new();
-    for line in lines {
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        if parts.len() != 8 || parts[0] != "e" {
-            return Err(format!("flight dump: malformed event line: {line}"));
-        }
-        let kind = EventKind::from_name(parts[4])
-            .ok_or_else(|| format!("flight dump: unknown event kind {}", parts[4]))?;
-        let num = |s: &str| s.parse::<u64>().map_err(|_| format!("flight dump: bad number {s}"));
-        let hexnum =
-            |s: &str| u64::from_str_radix(s, 16).map_err(|_| format!("flight dump: bad hex {s}"));
-        events.push(FlightEvent {
-            seq: num(parts[1])?,
-            t_ns: num(parts[2])?,
-            rank: num(parts[3])? as u32,
-            kind,
-            code: num(parts[5])? as u32,
-            a: hexnum(parts[6])?,
-            b: hexnum(parts[7])?,
-        });
+    let (body, stated) = record::digest_trailer(text)?;
+    record::check_digest("flight dump", stated, cfpd_testkit::digest_bytes(body.as_bytes()))?;
+    let mut cur = record::Cursor { rest: body };
+    cur.magic(DUMP_MAGIC, "flight dump")?;
+    let mut meta = cur.fields("meta")?;
+    let n = record::bounded_count(meta.int("events")?, cur.rest.len(), "event")?;
+    let (dropped, capacity) = (meta.int("dropped")?, meta.int("capacity")?);
+    meta.end()?;
+    let events = (0..n).map(|_| parse_event(cur.fields("e")?)).collect::<Result<_, String>>()?;
+    if !cur.rest.is_empty() {
+        return Err(format!("more event lines than the {n} declared"));
     }
     Ok(FlightDump { events, dropped, capacity })
+}
+
+/// The `<seq> <t_ns> <rank> <kind> <code> <a> <b>` of an `e` line.
+fn parse_event(mut e: record::Fields) -> Result<FlightEvent, String> {
+    let kind = |k: &str| EventKind::from_name(k).ok_or_else(|| format!("unknown event kind {k:?}"));
+    let event = FlightEvent {
+        seq: parse_int(e.word("seq")?, "seq")?,
+        t_ns: parse_int(e.word("t_ns")?, "t_ns")?,
+        rank: parse_int(e.word("rank")?, "rank")?,
+        kind: kind(e.word("kind")?)?,
+        code: parse_int(e.word("code")?, "code")?,
+        a: record::parse_hex(e.word("a")?, "a")?,
+        b: record::parse_hex(e.word("b")?, "b")?,
+    };
+    e.end()?;
+    Ok(event)
 }
 
 /// Render the last `last_n` events as a relative-time timeline.

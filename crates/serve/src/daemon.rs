@@ -35,6 +35,7 @@ use crate::{http, ServeFaultPlan};
 use cfpd_campaign::{expand, run_bounded, CampaignSpec, CanonMetrics, Cell, CellAcc};
 use cfpd_core::{Checkpoint, PrepareMemo};
 use cfpd_telemetry::JsonWriter;
+use cfpd_testkit::record::{check_digest, write_atomic};
 use cfpd_testkit::{digest_bytes, panic_message, SplitMix64};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -222,19 +223,20 @@ fn commit(sh: &Shared, store: &mut Store, rec: WalRecord) -> bool {
 fn recover(store: &mut Store, dir: &Path, records: &[WalRecord]) {
     for rec in records {
         if let WalRecord::Submit { job, spec_digest, .. } = rec {
-            // A spec torn by the crash drops the job. One that verifies
-            // but this build no longer parses (a retired key) is dropped
-            // too, and says so.
+            // A spec that is gone, fails its digest or no longer parses
+            // in this build (a retired key) drops the job, and says so.
             let spec = std::fs::read_to_string(wal::spec_path(dir, *job))
-                .ok()
-                .filter(|text| digest_bytes(text.as_bytes()) == *spec_digest);
-            match spec.map(|text| parse_spec(&text)) {
-                Some(Ok((name, cells))) => store.admit(Job::new(*job, name, cells)),
-                Some(Err(e)) => {
+                .map_err(|e| format!("unreadable: {e}"))
+                .and_then(|text| {
+                    check_digest("spec", *spec_digest, digest_bytes(text.as_bytes()))?;
+                    parse_spec(&text)
+                });
+            match spec {
+                Ok((name, cells)) => store.admit(Job::new(*job, name, cells)),
+                Err(e) => {
                     eprintln!("cfpd-serve: job {job} dropped: spec refused: {e}");
                     cfpd_telemetry::count!("serve.specs_refused");
                 }
-                None => {}
             }
         }
         store.apply(rec);
@@ -480,7 +482,7 @@ fn dump_flight(sh: &Shared, id: u64, cause: &str) {
         return;
     }
     let path = wal::flight_path(&sh.cfg.data_dir, id);
-    if std::fs::write(&path, cfpd_flight::dump_text()).is_ok() {
+    if write_atomic(&path, cfpd_flight::dump_text().as_bytes()).is_ok() {
         cfpd_telemetry::count!("serve.flight_dumps");
         sh.feed.post("flight_dump", id, format!("{cause}; dump at {}", path.display()));
     }
@@ -832,9 +834,12 @@ fn submit(sh: &Shared, body: &str) -> http::Response {
     }
     let id = store.next_id();
     // Spec file first, then the WAL record pinning its digest: a crash
-    // between the two leaves an orphan file, never a dangling record.
+    // between the two leaves an orphan file, never a dangling record, and
+    // a spec the disk refuses admits nothing.
     if sh.gate.admit() {
-        let _ = std::fs::write(wal::spec_path(&sh.cfg.data_dir, id), body);
+        if let Err(e) = write_atomic(&wal::spec_path(&sh.cfg.data_dir, id), body.as_bytes()) {
+            return http::Response::error(500, &format!("spec file not written: {e}"));
+        }
     }
     store.admit(Job::new(id, name.clone(), cells));
     let spec_digest = digest_bytes(body.as_bytes());

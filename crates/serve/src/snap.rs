@@ -11,20 +11,20 @@
 //! document byte-equal to the uninterrupted run's — same digest, same
 //! canonical report.
 //!
-//! The file format (`cfpd serve snapshot v2`) follows the checkpoint
-//! codec: versioned magic, a digest line, then line-counted sections
-//! whose declared counts are bounded by the input size (hostile length
-//! prefixes are rejected before allocation, mirroring
-//! `Checkpoint::from_text`). The digest line holds the one word-wide
-//! digest of everything below it, computed once when the text is
-//! produced: it is the file's self-check *and* the value the WAL `ckpt`
-//! record pins, so a boundary reads the parked state once and recovery
-//! reads the file once.
+//! The file format (`cfpd serve snapshot v2`) is written in
+//! `cfpd_testkit::record`'s grammar: versioned magic, a digest line, the
+//! ordered `meta` and `acc` fields, then line-counted sections whose
+//! declared counts are bounded by the input size (hostile length
+//! prefixes are rejected before allocation). The digest line holds the
+//! one word-wide digest of everything below it, computed once when the
+//! text is produced: it is the file's self-check *and* the value the WAL
+//! `ckpt` record pins, so a boundary reads the parked state once and
+//! recovery reads the file once.
 
-use crate::wal::{KeyValues, PersistGate};
+use crate::wal::PersistGate;
 use cfpd_campaign::CellAcc;
-use cfpd_core::checkpoint::{bounded_count, count_lines, hex16, split_lines, Cursor};
 use cfpd_testkit::digest_wide;
+use cfpd_testkit::record::{check_digest, count_lines, digest_line, parse_int, write_atomic, Cursor};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -103,48 +103,27 @@ impl CellSnapshot {
 
     fn decode(text: &str, pin: Option<u64>) -> Result<CellSnapshot, String> {
         let mut cur = Cursor { rest: text };
-        let magic = cur.until('\n', "magic line")?;
-        if magic != SNAP_MAGIC {
-            return Err(format!("unsupported snapshot format {magic:?}: want {SNAP_MAGIC:?}"));
-        }
-        let digest_line = cur.until('\n', "digest line")?;
-        let stated = digest_line
-            .strip_prefix("digest ")
-            .and_then(|h| hex16(h.as_bytes()))
-            .ok_or_else(|| format!("bad digest line {digest_line:?}"))?;
+        cur.magic(SNAP_MAGIC, "snapshot")?;
+        let stated = digest_line(cur.until('\n', "digest line")?)?;
         if let Some(pin) = pin.filter(|&pin| pin != stated) {
             return Err(format!("snapshot states digest {stated:016x}, the WAL pins {pin:016x}"));
         }
-        let actual = digest_wide(cur.rest.as_bytes());
-        if stated != actual {
-            return Err(format!("snapshot digest mismatch: stated {stated:016x}, actual {actual:016x}"));
-        }
+        check_digest("snapshot", stated, digest_wide(cur.rest.as_bytes()))?;
 
-        let mut key_values = |name: &'static str| -> Result<KeyValues, String> {
-            let tokens = cur
-                .until('\n', name)?
-                .strip_prefix(name)
-                .and_then(|r| r.strip_prefix(' '))
-                .ok_or_else(|| format!("bad {name} line"))?;
-            KeyValues::parse(name, tokens)
-        };
-        let meta = key_values("meta")?;
-        let (job, cell, attempt, next_step) = (
-            meta.int("job")?,
-            meta.int("cell")? as usize,
-            meta.int("attempt")? as u32,
-            meta.int("next_step")? as usize,
-        );
-        let acc = key_values("acc")?;
+        let mut meta = cur.fields("meta")?;
+        let (job, cell) = (meta.int("job")?, meta.int("cell")?);
+        let (attempt, next_step) = (meta.int("attempt")?, meta.int("next_step")?);
+        meta.end()?;
+        let mut fields = cur.fields("acc")?;
         let acc = CellAcc {
-            events: acc.int("events")?,
-            iters_total: acc.int("iters")?,
-            iters_poisson: acc.int("itersp")?,
-            elems: parse_elems(acc.get("elems")?)?,
+            events: fields.int("events")?,
+            iters_total: fields.int("iters")?,
+            iters_poisson: fields.int("itersp")?,
+            elems: parse_elems(fields.get("elems")?)?,
         };
-
-        let events_text = take_section(&mut cur, "events")?.to_string();
-        let checkpoint_text = take_section(&mut cur, "checkpoint")?.to_string();
+        fields.end()?;
+        let events_text = cur.section("events")?.to_string();
+        let checkpoint_text = cur.section("checkpoint")?.to_string();
         if !cur.rest.is_empty() {
             return Err(format!("{} bytes after the checkpoint section", cur.rest.len()));
         }
@@ -163,23 +142,12 @@ impl CellSnapshot {
     /// Returns `(digest, written)`.
     pub fn write_digest(&self, path: &Path, gate: &PersistGate) -> (u64, bool) {
         let (text, digest) = self.render();
-        (digest, write_text(&text, path, gate))
+        let written = gate.admit() && write_atomic(path, text.as_bytes()).is_ok();
+        if written {
+            cfpd_telemetry::count!("serve.checkpoints");
+        }
+        (digest, written)
     }
-}
-
-/// A section — `"{name} {n}"`, then `n` lines — sliced out of the text
-/// where it lies.
-fn take_section<'a>(cur: &mut Cursor<'a>, name: &str) -> Result<&'a str, String> {
-    let header = cur.until('\n', name)?;
-    let n: usize = header
-        .strip_prefix(name)
-        .and_then(|r| r.strip_prefix(' '))
-        .and_then(|r| r.parse().ok())
-        .ok_or_else(|| format!("bad {name} section header {header:?}"))?;
-    let (section, rest) = split_lines(cur.rest, bounded_count(n, cur.rest.len(), name)?)
-        .ok_or_else(|| format!("{name} section truncated: fewer than {n} lines"))?;
-    cur.rest = rest;
-    Ok(section)
 }
 
 fn render_elems(elems: &[(usize, u64)]) -> String {
@@ -196,24 +164,9 @@ fn parse_elems(s: &str) -> Result<Vec<(usize, u64)>, String> {
     s.split(',')
         .map(|tok| {
             let (r, e) = tok.split_once(':').ok_or_else(|| format!("bad elem {tok:?}"))?;
-            Ok((
-                r.parse().map_err(|_| format!("bad rank in {tok:?}"))?,
-                e.parse().map_err(|_| format!("bad count in {tok:?}"))?,
-            ))
+            Ok((parse_int(r, "elem rank")?, parse_int(e, "elem count")?))
         })
         .collect()
-}
-
-fn write_text(text: &str, path: &Path, gate: &PersistGate) -> bool {
-    if !gate.admit() {
-        return false;
-    }
-    let tmp = path.with_extension("snap.tmp");
-    let ok = std::fs::write(&tmp, text).and_then(|_| std::fs::rename(&tmp, path)).is_ok();
-    if ok {
-        cfpd_telemetry::count!("serve.checkpoints");
-    }
-    ok
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! The digest-guarded write-ahead log behind the job supervisor.
 //!
-//! Same hex-text discipline as the checkpoint codec
-//! (`cfpd_core::checkpoint`): line-oriented, human-readable, every
-//! record carrying an FNV-1a digest so replay can trust exactly the
-//! valid prefix and ignore a torn or corrupted tail. Format:
+//! Written in `cfpd_testkit::record`'s grammar, as the checkpoint is:
+//! line-oriented, human-readable, every record carrying an FNV-1a digest
+//! so replay can trust exactly the valid prefix and ignore a torn or
+//! corrupted tail. Format:
 //!
 //! ```text
 //! cfpd serve wal v1
@@ -12,7 +12,8 @@
 //!
 //! `digest16` is `digest_bytes("{seq} {body}")`; `seq` starts at 1 and
 //! increments by one, so replay also detects spliced or reordered
-//! records. Free-form strings (names, failure reasons) are
+//! records. Bodies are `kind` and its `key=value` fields in a fixed
+//! order; free-form strings (names, failure reasons) are
 //! percent-encoded to keep the format strictly line- and
 //! space-delimited.
 //!
@@ -25,7 +26,8 @@
 
 use cfpd_campaign::CanonMetrics;
 use cfpd_testkit::digest_bytes;
-use std::collections::BTreeMap;
+use cfpd_testkit::record::{check_digest, dec, enc, fields, parse_hex, parse_int};
+use cfpd_testkit::record::{write_atomic, Cursor};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -58,49 +60,6 @@ pub enum WalRecord {
     Done { job: u64 },
     Fail { job: u64, reason: String },
     Cancel { job: u64 },
-}
-
-/// Percent-encode everything outside `[A-Za-z0-9._-]`.
-pub fn enc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'.' | b'_' | b'-' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02x}")),
-        }
-    }
-    if out.is_empty() {
-        out.push('-'); // keep the token grid intact for empty strings
-    }
-    out
-}
-
-/// Inverse of [`enc`].
-pub fn dec(s: &str) -> Result<String, String> {
-    if s == "-" {
-        return Ok(String::new());
-    }
-    let mut out = Vec::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hexpair = s
-                .get(i + 1..i + 3)
-                .ok_or_else(|| format!("truncated escape in {s:?}"))?;
-            out.push(
-                u8::from_str_radix(hexpair, 16)
-                    .map_err(|e| format!("bad escape %{hexpair}: {e}"))?,
-            );
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).map_err(|_| format!("decoded {s:?} is not UTF-8"))
 }
 
 impl WalRecord {
@@ -149,20 +108,15 @@ impl WalRecord {
             WalRecord::Ckpt { job, cell, step, snap_digest } => {
                 format!("ckpt job={job} cell={cell} step={step} snap={snap_digest:016x}")
             }
-            WalRecord::CellDone { job, cell, rec } => format!(
-                "celldone job={job} cell={cell} digest={:016x} events={} iters={} \
-                 itersp={} ca={} cd={} ce={} cl={} dfrac={:016x} lb={:016x}",
-                rec.digest,
-                rec.events,
-                rec.iters_total,
-                rec.iters_poisson,
-                rec.census[0],
-                rec.census[1],
-                rec.census[2],
-                rec.census[3],
-                rec.deposited_frac_bits,
-                rec.lb_assembly_bits,
-            ),
+            WalRecord::CellDone { job, cell, rec } => {
+                let [ca, cd, ce, cl] = rec.census;
+                let (events, iters, itersp) = (rec.events, rec.iters_total, rec.iters_poisson);
+                format!(
+                    "celldone job={job} cell={cell} digest={:016x} events={events} iters={iters} \
+                     itersp={itersp} ca={ca} cd={cd} ce={ce} cl={cl} dfrac={:016x} lb={:016x}",
+                    rec.digest, rec.deposited_frac_bits, rec.lb_assembly_bits,
+                )
+            }
             WalRecord::CellFail { job, cell, reason } => {
                 format!("cellfail job={job} cell={cell} reason={}", enc(reason))
             }
@@ -180,93 +134,60 @@ impl WalRecord {
         }
     }
 
-    /// Parse a record body.
+    /// Parse a record body: its kind, then that kind's fields in the
+    /// order [`WalRecord::render_body`] writes them.
     pub fn parse_body(body: &str) -> Result<WalRecord, String> {
-        let (kind, tokens) = body.split_once(' ').unwrap_or((body, ""));
-        let kv = KeyValues::parse(kind, tokens)?;
-        Ok(match kind {
+        let mut f = fields(body);
+        let rec = match f.word("record kind")? {
             "submit" => WalRecord::Submit {
-                job: kv.int("job")?,
-                name: dec(kv.get("name")?)?,
-                spec_digest: kv.hex("spec")?,
+                job: f.int("job")?,
+                name: dec(f.get("name")?)?,
+                spec_digest: f.hex("spec")?,
             },
             "start" => WalRecord::Start {
-                job: kv.int("job")?,
-                cell: kv.int("cell")? as usize,
-                attempt: kv.int("attempt")? as u32,
+                job: f.int("job")?,
+                cell: f.int("cell")?,
+                attempt: f.int("attempt")?,
             },
             "ckpt" => WalRecord::Ckpt {
-                job: kv.int("job")?,
-                cell: kv.int("cell")? as usize,
-                step: kv.int("step")? as usize,
-                snap_digest: kv.hex("snap")?,
+                job: f.int("job")?,
+                cell: f.int("cell")?,
+                step: f.int("step")?,
+                snap_digest: f.hex("snap")?,
             },
             "celldone" => WalRecord::CellDone {
-                job: kv.int("job")?,
-                cell: kv.int("cell")? as usize,
+                job: f.int("job")?,
+                cell: f.int("cell")?,
                 rec: CanonMetrics {
-                    digest: kv.hex("digest")?,
-                    events: kv.int("events")?,
-                    iters_total: kv.int("iters")?,
-                    iters_poisson: kv.int("itersp")?,
-                    census: [kv.int("ca")?, kv.int("cd")?, kv.int("ce")?, kv.int("cl")?],
-                    deposited_frac_bits: kv.hex("dfrac")?,
-                    lb_assembly_bits: kv.hex("lb")?,
+                    digest: f.hex("digest")?,
+                    events: f.int("events")?,
+                    iters_total: f.int("iters")?,
+                    iters_poisson: f.int("itersp")?,
+                    census: [f.int("ca")?, f.int("cd")?, f.int("ce")?, f.int("cl")?],
+                    deposited_frac_bits: f.hex("dfrac")?,
+                    lb_assembly_bits: f.hex("lb")?,
                 },
             },
             "cellfail" => WalRecord::CellFail {
-                job: kv.int("job")?,
-                cell: kv.int("cell")? as usize,
-                reason: dec(kv.get("reason")?)?,
+                job: f.int("job")?,
+                cell: f.int("cell")?,
+                reason: dec(f.get("reason")?)?,
             },
             "retry" => WalRecord::Retry {
-                job: kv.int("job")?,
-                cell: kv.int("cell")? as usize,
-                attempt: kv.int("attempt")? as u32,
-                backoff_ms: kv.int("backoff_ms")?,
-                reason: dec(kv.get("reason")?)?,
+                job: f.int("job")?,
+                cell: f.int("cell")?,
+                attempt: f.int("attempt")?,
+                backoff_ms: f.int("backoff_ms")?,
+                reason: dec(f.get("reason")?)?,
             },
-            "preempt" => {
-                WalRecord::Preempt { job: kv.int("job")?, cell: kv.int("cell")? as usize }
-            }
-            "done" => WalRecord::Done { job: kv.int("job")? },
-            "fail" => WalRecord::Fail { job: kv.int("job")?, reason: dec(kv.get("reason")?)? },
-            "cancel" => WalRecord::Cancel { job: kv.int("job")? },
+            "preempt" => WalRecord::Preempt { job: f.int("job")?, cell: f.int("cell")? },
+            "done" => WalRecord::Done { job: f.int("job")? },
+            "fail" => WalRecord::Fail { job: f.int("job")?, reason: dec(f.get("reason")?)? },
+            "cancel" => WalRecord::Cancel { job: f.int("job")? },
             other => return Err(format!("unknown record kind {other:?}")),
-        })
-    }
-}
-
-/// The `key=value` tokens of one space-delimited line: a WAL record
-/// body, a snapshot's `meta` or `acc` line. `what` names the line in
-/// error texts.
-pub(crate) struct KeyValues<'a> {
-    what: &'a str,
-    kv: BTreeMap<&'a str, &'a str>,
-}
-
-impl<'a> KeyValues<'a> {
-    pub(crate) fn parse(what: &'a str, tokens: &'a str) -> Result<KeyValues<'a>, String> {
-        let mut kv = BTreeMap::new();
-        for tok in tokens.split(' ') {
-            let (k, v) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("{what}: token {tok:?} is not key=value"))?;
-            kv.insert(k, v);
-        }
-        Ok(KeyValues { what, kv })
-    }
-
-    pub(crate) fn get(&self, k: &str) -> Result<&'a str, String> {
-        self.kv.get(k).copied().ok_or_else(|| format!("{}: missing {k}=", self.what))
-    }
-
-    pub(crate) fn int(&self, k: &str) -> Result<u64, String> {
-        self.get(k)?.parse().map_err(|e| format!("{}: bad {k}: {e}", self.what))
-    }
-
-    pub(crate) fn hex(&self, k: &str) -> Result<u64, String> {
-        u64::from_str_radix(self.get(k)?, 16).map_err(|e| format!("{}: bad {k}: {e}", self.what))
+        };
+        f.end()?;
+        Ok(rec)
     }
 }
 
@@ -338,9 +259,7 @@ impl Wal {
         next_seq: u64,
         gate: Arc<PersistGate>,
     ) -> std::io::Result<Wal> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, format!("{WAL_MAGIC}\n{valid_text}"))?;
-        std::fs::rename(&tmp, path)?;
+        write_atomic(path, format!("{WAL_MAGIC}\n{valid_text}").as_bytes())?;
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Wal { file: Mutex::new(file), seq: AtomicU64::new(next_seq), gate })
     }
@@ -393,49 +312,36 @@ pub struct Replay {
 /// log; a missing or wrong magic line discards everything.
 pub fn replay(path: &Path) -> Replay {
     let text = std::fs::read_to_string(path).unwrap_or_default();
-    let mut records = Vec::new();
-    let mut valid_text = String::new();
-    let mut expected_seq = 1u64;
-    let mut corrupt_tail = false;
-    let mut lines = text.lines();
-    match lines.next() {
-        None => {}
-        Some(WAL_MAGIC) => {
-            for line in lines {
-                match verify_line(line, expected_seq) {
-                    Ok(rec) => {
-                        records.push(rec);
-                        valid_text.push_str(line);
-                        valid_text.push('\n');
-                        expected_seq += 1;
-                    }
-                    Err(_) => {
-                        corrupt_tail = true;
-                        break;
-                    }
-                }
+    let mut cur = Cursor { rest: &text };
+    let mut corrupt_tail = !text.is_empty() && cur.magic(WAL_MAGIC, "WAL").is_err();
+    let (log, mut records) = (cur.rest, Vec::new());
+    while !corrupt_tail && !cur.rest.is_empty() {
+        let mut next = cur;
+        let line = next.until('\n', "record line");
+        match line.and_then(|line| verify_line(line, records.len() as u64 + 1)) {
+            Ok(rec) => {
+                records.push(rec);
+                cur = next;
             }
+            Err(_) => corrupt_tail = true,
         }
-        Some(_) => corrupt_tail = true,
     }
     cfpd_telemetry::count!("serve.wal_replayed", records.len() as u64);
-    Replay { records, valid_text, next_seq: expected_seq, corrupt_tail }
+    let valid_text = log[..log.len() - cur.rest.len()].to_string();
+    Replay { next_seq: records.len() as u64 + 1, records, valid_text, corrupt_tail }
 }
 
+/// One `r <seq> <digest16> <body>` line, verified: `seq` is the one
+/// expected and `digest16` is `digest_bytes("{seq} {body}")`.
 fn verify_line(line: &str, expected_seq: u64) -> Result<WalRecord, String> {
-    let rest = line.strip_prefix("r ").ok_or("not a record line")?;
-    let (seq_tok, rest) = rest.split_once(' ').ok_or("missing digest")?;
-    let (digest_tok, body) = rest.split_once(' ').ok_or("missing body")?;
-    let seq: u64 = seq_tok.parse().map_err(|_| "bad seq")?;
+    let mut cur = Cursor { rest: line.strip_prefix("r ").ok_or("not a record line")? };
+    let seq: u64 = parse_int(cur.until(' ', "digest")?, "seq")?;
     if seq != expected_seq {
         return Err(format!("sequence gap: expected {expected_seq}, found {seq}"));
     }
-    let stated = u64::from_str_radix(digest_tok, 16).map_err(|_| "bad digest")?;
-    let actual = digest_bytes(format!("{seq} {body}").as_bytes());
-    if stated != actual {
-        return Err("record digest mismatch".to_string());
-    }
-    WalRecord::parse_body(body)
+    let stated = parse_hex(cur.until(' ', "body")?, "digest")?;
+    check_digest("record", stated, digest_bytes(format!("{seq} {}", cur.rest).as_bytes()))?;
+    WalRecord::parse_body(cur.rest)
 }
 
 /// Spec file path for a job id.
@@ -496,15 +402,6 @@ mod tests {
             let body = rec.render_body();
             assert_eq!(WalRecord::parse_body(&body).expect(&body), rec, "{body}");
         }
-    }
-
-    #[test]
-    fn enc_dec_round_trips_hostile_strings() {
-        for s in ["", "plain", "with space", "näme\n=x%", "a=b c=d"] {
-            assert_eq!(dec(&enc(s)).unwrap(), s);
-        }
-        assert!(!enc("a b").contains(' '));
-        assert!(!enc("k=v").contains('='));
     }
 
     #[test]

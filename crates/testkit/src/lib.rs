@@ -24,6 +24,10 @@
 //!   primitive of the golden-trace regression suite (bit-identical
 //!   physics gate), and the word-wide digest that guards bulk state
 //!   (checkpoints, snapshots).
+//! * [`record`] — the one grammar of the digest-guarded text records
+//!   (checkpoint, snapshot, WAL, flight dump): magic and digest lines,
+//!   canonical integers and hex, ordered `key=value` fields, bounded
+//!   line-counted sections, percent-encoded strings, tmp + rename.
 //! * [`json`] — a strict RFC 8259 parser, the read-side counterpart of
 //!   `cfpd-telemetry`'s `JsonWriter`, so tests and `verify.sh` validate
 //!   emitted Chrome-trace / report JSON structurally.
@@ -36,6 +40,7 @@ pub mod bench;
 pub mod digest;
 pub mod json;
 pub mod prop;
+pub mod record;
 pub mod rng;
 pub mod sync;
 

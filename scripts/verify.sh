@@ -100,7 +100,11 @@
 #     cfpd_solver::oracle, which no run reaches,
 #   * a one-policy gate: reactive LeWI is the only way cores move, so
 #     the retired predictive policy's names appear nowhere under
-#     crates/, tests/ or examples/.
+#     crates/, tests/ or examples/,
+#   * a one-codec gate: the record grammar's primitives are defined in
+#     cfpd_testkit::record only, the lenient key=value map is gone, and
+#     no hand-rolled hex parse is back in the checkpoint, snapshot, WAL
+#     or flight-dump crates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -527,6 +531,22 @@ echo "== one-policy gate (reactive LeWI is the only way cores move) =="
 # The bracketed letters keep this script from matching itself.
 if grep -rnE 'Predic[t]ive|pre_len[d]|ImbalancePredic[t]or|DlbPolic[y]' crates tests examples; then
     echo "FAIL: a name of the retired predictive DLB policy is back" >&2
+    exit 1
+fi
+
+echo "== one-codec gate (every record format reads through cfpd_testkit::record) =="
+# The bracketed letters keep this script from matching itself.
+if grep -rnE '\bfn (hex16|count_lines|split_lines|bounded_count|enc|dec)\b|\bstruct Curso[r]\b' \
+        crates/*/src | grep -v '^crates/testkit/src/record.rs:'; then
+    echo "FAIL: a record-codec primitive is defined outside cfpd_testkit::record" >&2
+    exit 1
+fi
+if grep -rn 'KeyValue[s]' crates/*/src tests examples scripts benchmark/src; then
+    echo "FAIL: the lenient key=value map is back: fields are read in order" >&2
+    exit 1
+fi
+if grep -rn 'from_str_radi[x]' crates/core/src crates/serve/src crates/flight/src; then
+    echo "FAIL: a hand-rolled hex parse is back: use cfpd_testkit::record::hex16" >&2
     exit 1
 fi
 
