@@ -10,7 +10,6 @@
 //! `BENCH_hotpath.json`: `{ name, median_ns, iters, elements }`,
 //! where `median_ns` is per-op and `elements` is ops per sample).
 
-use cfpd_telemetry::pop::PopPhase;
 use cfpd_telemetry::{self as tel, Span};
 use cfpd_testkit::bench::{Bench, BenchConfig, BenchStats};
 
@@ -62,14 +61,6 @@ fn main() {
             std::hint::black_box(&s);
         }
     });
-
-    let pop_ops = ops / 10;
-    b.bench("pop_phase", || {
-        for i in 0..pop_ops {
-            let t = i as f64 * 1e-9;
-            tel::pop::phase(0, PopPhase::Solver1, t, t + 1e-9);
-        }
-    });
     tel::set_enabled(false);
     tel::reset();
 
@@ -107,7 +98,7 @@ fn main() {
 
 fn ops_for(name: &str, ops: usize) -> usize {
     match name {
-        "span_create_drop" | "pop_phase" | "flight_record" => ops / 10,
+        "span_create_drop" | "flight_record" => ops / 10,
         _ => ops,
     }
 }

@@ -137,22 +137,8 @@ pub fn cell_metrics(cell: &Cell, out: &ScenarioOutcome) -> CellMetrics {
     let mut acc = CellAcc::default();
     acc.absorb(&r.logical);
 
-    // Wall-clock POP rollup of this run's own phase trace (the same
-    // computation `cfpd report` cross-checks against cfpd-trace).
-    let ts = cfpd_trace::trace_stats(&r.trace);
-    let n = r.trace.num_ranks.max(1);
-    let mut useful = vec![0.0f64; n];
-    for e in &r.trace.events {
-        if e.phase != cfpd_trace::Phase::MpiComm {
-            useful[e.rank] += e.duration();
-        }
-    }
-    let max_useful = useful.iter().cloned().fold(0.0f64, f64::max);
-    let comm_e = if ts.wall_time > 0.0 && max_useful > 0.0 {
-        max_useful / ts.wall_time
-    } else {
-        1.0
-    };
+    // Wall-clock POP rollup of this run's own phase trace.
+    let pop = cfpd_trace::PopTotals::of(&r.trace).report();
 
     CellMetrics {
         id: cell.id.clone(),
@@ -160,9 +146,9 @@ pub fn cell_metrics(cell: &Cell, out: &ScenarioOutcome) -> CellMetrics {
         canon: acc.finish(out.digest, &r.census),
         wall: WallMetrics {
             total_time: r.total_time,
-            parallel_efficiency: ts.parallel_efficiency,
-            load_balance: cfpd_trace::load_balance(&useful),
-            comm_efficiency: comm_e,
+            parallel_efficiency: pop.parallel_efficiency,
+            load_balance: pop.load_balance,
+            comm_efficiency: pop.comm_efficiency,
         },
     }
 }

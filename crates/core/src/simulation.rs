@@ -192,24 +192,14 @@ pub fn run_prepared(
     // lending machinery). A blocked simmpi rank parks, it does not
     // busy-wait, so it lends every core it owns.
     let cluster = Arc::new(if opts.dlb {
-        if opts.trace {
-            DlbCluster::new_block_with_epoch(
-                n_ranks,
-                1,
-                LendPolicy::LendAll,
-                GrantPolicy::default(),
-                opts.lease,
-                run_epoch,
-            )
-        } else {
-            DlbCluster::new_block_with(
-                n_ranks,
-                1,
-                LendPolicy::LendAll,
-                GrantPolicy::default(),
-                opts.lease,
-            )
-        }
+        DlbCluster::new_block_with_epoch(
+            n_ranks,
+            1,
+            LendPolicy::LendAll,
+            GrantPolicy::default(),
+            opts.lease,
+            run_epoch,
+        )
     } else {
         DlbCluster::disabled(n_ranks, 1)
     });
@@ -374,29 +364,15 @@ fn inject_owned(
     keep_owned(all, &prepared.owner, my_part, parts)
 }
 
-/// Telemetry mirror of a wall-clock phase attribution: feed the *same*
-/// `(rank, phase, t_start, t_end)` f64 values to the online POP table
-/// that `Trace::record` logs, so the rollup and the post-hoc
-/// `cfpd_trace` analysis agree to floating-point reassociation error
-/// (well under the 1e-9 the regression test pins).
-#[inline]
-fn pop_record(rank: usize, phase: Phase, t_start: f64, t_end: f64) {
-    use cfpd_telemetry::pop::{self, PopPhase};
-    let p = match phase {
-        Phase::MpiComm => PopPhase::Mpi,
-        Phase::Assembly => PopPhase::Assembly,
-        Phase::Solver1 => PopPhase::Solver1,
-        Phase::Solver2 => PopPhase::Solver2,
-        Phase::Sgs => PopPhase::Sgs,
-        Phase::Particles => PopPhase::Particles,
-    };
-    pop::phase(rank, p, t_start, t_end);
-    // Flight-recorder mirror of the same attribution (timing-only: the
-    // recorder never feeds back into simulation state).
+/// Log a phase interval into the run's trace and mirror it into the
+/// flight recorder (timing-only: the recorder never feeds back into
+/// simulation state).
+fn record_phase(trace: &mut Trace, rank: usize, phase: Phase, t_start: f64, t_end: f64) {
+    trace.record(rank, phase, t_start, t_end);
     cfpd_flight::record(
         cfpd_flight::EventKind::Phase,
         rank as u32,
-        p.index() as u32,
+        phase.index() as u32,
         t_start.to_bits(),
         t_end.to_bits(),
     );
@@ -488,8 +464,7 @@ fn sync_rank(
             (Phase::Solver2, report.t_solver2),
             (Phase::Sgs, report.t_sgs),
         ] {
-            trace.record(rank, phase, cursor, cursor + dur);
-            pop_record(rank, phase, cursor, cursor + dur);
+            record_phase(&mut trace, rank, phase, cursor, cursor + dur);
             cursor += dur;
         }
         cfpd_telemetry::count!("core.rank_steps");
@@ -510,10 +485,9 @@ fn sync_rank(
         );
         // Migration: ship particles that crossed into foreign subdomains.
         let outgoing = collect_migrants(&mut mine, owner, rank);
-        let (sent, received) = exchange_migrants(&comm, outgoing, &mut mine, None);
+        let (sent, received) = exchange_migrants(&comm, outgoing, &mut mine);
         let tp_end = t(epoch);
-        trace.record(rank, Phase::Particles, tp, tp_end);
-        pop_record(rank, Phase::Particles, tp, tp_end);
+        record_phase(&mut trace, rank, Phase::Particles, tp, tp_end);
         logical.push(LogicalEvent::Exchange { step, rank, sent, received });
         let c = mine.census();
         logical.push(LogicalEvent::Particles {
@@ -569,8 +543,7 @@ fn coupled_rank(
                 (Phase::Solver2, report.t_solver2),
                 (Phase::Sgs, report.t_sgs),
             ] {
-                trace.record(world_rank, phase, cursor, cursor + dur);
-                pop_record(world_rank, phase, cursor, cursor + dur);
+                record_phase(&mut trace, world_rank, phase, cursor, cursor + dur);
                 cursor += dur;
             }
             cfpd_telemetry::count!("core.rank_steps");
@@ -586,8 +559,7 @@ fn coupled_rank(
                 }
             }
             let tc_end = t(epoch);
-            trace.record(world_rank, Phase::MpiComm, tc, tc_end);
-            pop_record(world_rank, Phase::MpiComm, tc, tc_end);
+            record_phase(&mut trace, world_rank, Phase::MpiComm, tc, tc_end);
         }
         census = ParticleCensus::default();
     } else {
@@ -601,8 +573,7 @@ fn coupled_rank(
             let tw = t(epoch);
             let velocity: Vec<Vec3> = comm.recv(0, TAG_VELOCITY);
             let tw_end = t(epoch);
-            trace.record(world_rank, Phase::MpiComm, tw, tw_end);
-            pop_record(world_rank, Phase::MpiComm, tw, tw_end);
+            record_phase(&mut trace, world_rank, Phase::MpiComm, tw, tw_end);
             let tp = t(epoch);
             step_particles(
                 &mut mine,
@@ -614,10 +585,9 @@ fn coupled_rank(
                 config.dt,
             );
             let outgoing = collect_migrants(&mut mine, owner, group.rank());
-            let (sent, received) = exchange_migrants(&group, outgoing, &mut mine, Some(f));
+            let (sent, received) = exchange_migrants(&group, outgoing, &mut mine);
             let tp_end = t(epoch);
-            trace.record(world_rank, Phase::Particles, tp, tp_end);
-            pop_record(world_rank, Phase::Particles, tp, tp_end);
+            record_phase(&mut trace, world_rank, Phase::Particles, tp, tp_end);
             cfpd_telemetry::count!("core.rank_steps");
             cfpd_flight::record(cfpd_flight::EventKind::Step, world_rank as u32, 0, step as u64, 0);
             logical.push(LogicalEvent::Exchange { step, rank: world_rank, sent, received });
@@ -706,14 +676,13 @@ fn collect_migrants(
 }
 
 /// All-to-all exchange of migrants within `comm` (part index == rank in
-/// `comm`; `_group_offset` documents the world offset in coupled mode).
+/// `comm`).
 /// Returns the non-empty `(dest, count)` sends in rank order and the
 /// total particle count received.
 fn exchange_migrants(
     comm: &Comm,
     mut outgoing: std::collections::HashMap<usize, Vec<Migrant>>,
     set: &mut ParticleSet,
-    _group_offset: Option<usize>,
 ) -> (Vec<(usize, usize)>, usize) {
     let n = comm.size();
     let me = comm.rank();

@@ -26,38 +26,20 @@ impl DlbCluster {
     /// of `num_ranks` ranks over them (ranks 0..r/n on node 0, etc. —
     /// the usual scheduler placement).
     pub fn new_block(num_ranks: usize, num_nodes: usize) -> DlbCluster {
-        Self::new_block_with(
+        Self::new_block_with_epoch(
             num_ranks,
             num_nodes,
             LendPolicy::default(),
             GrantPolicy::default(),
             None,
-        )
-    }
-
-    /// Block distribution with explicit LeWI policies and an optional
-    /// lending lease (see [`DlbNode::sweep_leases`]) — the resilient
-    /// configuration used by chaos runs.
-    pub fn new_block_with(
-        num_ranks: usize,
-        num_nodes: usize,
-        lend: LendPolicy,
-        grant: GrantPolicy,
-        lease: Option<Duration>,
-    ) -> DlbCluster {
-        Self::new_block_with_epoch(
-            num_ranks,
-            num_nodes,
-            lend,
-            grant,
-            lease,
             std::time::Instant::now(),
         )
     }
 
-    /// Like [`DlbCluster::new_block_with`] but timestamping DLB events
-    /// against an explicit epoch, so traced runs put lend/reclaim marks
-    /// on the same clock as phase and message records.
+    /// Block distribution with explicit LeWI policies and an optional
+    /// lending lease (see [`DlbNode::sweep_leases`]), timestamping DLB
+    /// events against `epoch` so traced runs put lend/reclaim marks on
+    /// the same clock as phase and message records.
     pub fn new_block_with_epoch(
         num_ranks: usize,
         num_nodes: usize,

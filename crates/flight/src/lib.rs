@@ -113,8 +113,8 @@ impl EventKind {
     }
 }
 
-/// POP phase names in `code` order for [`EventKind::Phase`] events —
-/// must match `cfpd_telemetry::PopPhase::ALL` order.
+/// Phase names in `code` order for [`EventKind::Phase`] events — the
+/// `cfpd_trace::Phase::ALL` index (and its `Phase::key` spelling).
 pub const PHASE_NAMES: [&str; 6] =
     ["mpi", "assembly", "solver1", "solver2", "sgs", "particles"];
 

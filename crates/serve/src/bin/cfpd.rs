@@ -33,7 +33,7 @@ use cfpd_simmpi::FaultConfig;
 use cfpd_solver::AssemblyStrategy;
 use cfpd_trace::{
     critical_path, diff_summaries, export_chrome, export_pcf, export_prv, export_row,
-    export_summary, lost_cycles, render_timeline, Trace,
+    export_summary, lost_cycles, render_timeline, Phase, PopTotals, Trace,
 };
 use std::path::{Path, PathBuf};
 
@@ -390,17 +390,11 @@ fn cmd_flight(args: &[String]) {
 /// Rebuild a [`cfpd_trace::Trace`] from a dump's phase events and run
 /// the critical-path analysis over it.
 fn analyze_flight_phases(events: &[cfpd_flight::FlightEvent]) {
-    const PHASES: [cfpd_trace::Phase; 6] = [
-        cfpd_trace::Phase::MpiComm,
-        cfpd_trace::Phase::Assembly,
-        cfpd_trace::Phase::Solver1,
-        cfpd_trace::Phase::Solver2,
-        cfpd_trace::Phase::Sgs,
-        cfpd_trace::Phase::Particles,
-    ];
     let phase_events: Vec<_> = events
         .iter()
-        .filter(|e| e.kind == cfpd_flight::EventKind::Phase && (e.code as usize) < PHASES.len())
+        .filter(|e| {
+            e.kind == cfpd_flight::EventKind::Phase && (e.code as usize) < Phase::ALL.len()
+        })
         .collect();
     if phase_events.is_empty() {
         println!("critical path: no phase events in the dump");
@@ -411,7 +405,7 @@ fn analyze_flight_phases(events: &[cfpd_flight::FlightEvent]) {
     for e in &phase_events {
         let (t0, t1) = (f64::from_bits(e.a), f64::from_bits(e.b));
         if t1 >= t0 && t0.is_finite() && t1.is_finite() {
-            trace.record(e.rank as usize, PHASES[e.code as usize], t0, t1);
+            trace.record(e.rank as usize, Phase::ALL[e.code as usize], t0, t1);
         }
     }
     let cp = critical_path(&trace);
@@ -581,25 +575,20 @@ fn trace_export(flags: &Flags) {
 }
 
 /// Critical-path and lost-cycles analysis of a freshly traced canonical
-/// run, cross-checked against the online POP rollup of the *same* run.
-/// Exits 1 if the post-hoc efficiencies drift more than 1e-9 from the
-/// online ones.
+/// run. Exits 1 if the critical path leaves its bounds (at least the
+/// busiest rank's useful time, at most the wall time).
 fn trace_analyze(flags: &Flags) {
     let ranks = flags.usize_or("--ranks", 2);
     let threads = flags.usize_or("--threads", 1);
     let dlb = flags.has("--dlb");
     let mut config = golden_config();
     config.strategy = strategy_of(flags);
-    cfpd_telemetry::set_enabled(true);
-    cfpd_telemetry::reset();
     let r = run_simulation_opts(
         &config,
         ranks,
         threads,
         &RunOptions { trace: true, dlb, ..Default::default() },
     );
-    cfpd_telemetry::set_enabled(false);
-    let snap = cfpd_telemetry::snapshot();
 
     let cp = critical_path(&r.trace);
     println!(
@@ -622,29 +611,12 @@ fn trace_analyze(flags: &Flags) {
         cp.wall,
         if sane { "ok" } else { "VIOLATED" },
     );
-
-    let lc = lost_cycles(&r.trace);
-    print!("{}", lc.render());
-
-    let verdict = match &snap.pop {
-        Some(pop) => {
-            let delta = (pop.parallel_efficiency - lc.parallel_efficiency)
-                .abs()
-                .max((pop.load_balance - lc.load_balance).abs())
-                .max((pop.comm_efficiency - lc.comm_efficiency).abs());
-            println!("pop crosscheck: max |delta| = {delta:.3e} (gate 1e-9)");
-            delta <= 1e-9
-        }
-        None => {
-            println!("pop crosscheck: no online rollup captured");
-            false
-        }
-    };
-    if !(verdict && sane) {
-        println!("VERDICT: DIVERGED");
+    print!("{}", lost_cycles(&r.trace).render());
+    if !sane {
+        println!("VERDICT: VIOLATED");
         std::process::exit(1);
     }
-    println!("VERDICT: post-hoc analysis agrees with the online POP rollup");
+    println!("VERDICT: critical path within its bounds");
 }
 
 /// Diff two trace summaries (dirs or `summary.json` paths); exit 0 on
@@ -673,10 +645,14 @@ fn trace_diff(a: &str, b: &str) {
 }
 
 /// End-of-run telemetry summary on stderr (never stdout: the golden
-/// files diff stdout byte-for-byte). No-op unless `CFPD_TELEMETRY=1`.
-fn telemetry_summary_to_stderr() {
+/// files diff stdout byte-for-byte), with the `[pop]` block of the run's
+/// own phase record when there is a run. No-op unless `CFPD_TELEMETRY=1`.
+fn telemetry_summary_to_stderr(trace: Option<&Trace>) {
     if cfpd_telemetry::enabled() {
         eprint!("{}", cfpd_telemetry::snapshot().render_table());
+        if let Some(trace) = trace {
+            eprint!("{}", PopTotals::of(trace).render_table());
+        }
     }
 }
 
@@ -826,6 +802,7 @@ fn cmd_run(flags: &Flags) {
     // lending runs).
     println!("document: {:016x}", outcome.digest);
     println!("total: {:.3}s", r.total_time);
+    telemetry_summary_to_stderr(Some(&r.trace));
 }
 
 /// Print the deterministic golden trace of the canonical small run:
@@ -841,7 +818,7 @@ fn cmd_golden(flags: &Flags) {
             std::process::exit(2);
         });
     }
-    match flags.get("--trace") {
+    let trace = match flags.get("--trace") {
         // Traced run: stdout stays byte-identical to the untraced golden
         // (tracing never touches the logical log); the structured trace
         // goes to `DIR` and the note to stderr.
@@ -851,10 +828,15 @@ fn cmd_golden(flags: &Flags) {
             print!("{doc}");
             write_trace_dir(&r.trace, &dir).expect("write trace dir");
             eprintln!("trace: wrote {}", dir.display());
+            r.trace
         }
-        None => print!("{}", run_scenario(&Scenario::deterministic(config, ranks)).doc),
-    }
-    telemetry_summary_to_stderr();
+        None => {
+            let outcome = run_scenario(&Scenario::deterministic(config, ranks));
+            print!("{}", outcome.doc);
+            outcome.result.trace
+        }
+    };
+    telemetry_summary_to_stderr(Some(&trace));
 }
 
 /// Run the canonical golden-config case under a seeded fault plan.
@@ -901,16 +883,16 @@ fn cmd_chaos(flags: &Flags) {
                         println!("--- rank {rank} ---\n{msg}");
                     }
                 }
-                telemetry_summary_to_stderr();
+                telemetry_summary_to_stderr(None);
                 std::process::exit(if saw_report { 3 } else { 4 });
             }
-            Ok(_) => {
+            Ok(r) => {
                 if json {
                     println!("{}", storm_json(seed, ranks, false, &[]));
                 } else {
                     println!("unexpected: storm run completed without a deadlock report");
                 }
-                telemetry_summary_to_stderr();
+                telemetry_summary_to_stderr(Some(&r.trace));
                 std::process::exit(4);
             }
         }
@@ -967,7 +949,7 @@ fn cmd_chaos(flags: &Flags) {
         w.key("verdict").string(if identical { "bit-identical" } else { "diverged" });
         w.end_object();
         println!("{}", w.finish());
-        telemetry_summary_to_stderr();
+        telemetry_summary_to_stderr(Some(&faulted.trace));
         std::process::exit(if identical { 0 } else { 1 });
     }
 
@@ -983,7 +965,7 @@ fn cmd_chaos(flags: &Flags) {
              final census match the fault-free run",
             clean.logical.len()
         );
-        telemetry_summary_to_stderr();
+        telemetry_summary_to_stderr(Some(&faulted.trace));
         std::process::exit(0);
     }
     if let Some((i, (a, b))) = clean
@@ -1004,7 +986,7 @@ fn cmd_chaos(flags: &Flags) {
         );
     }
     println!("VERDICT: DIVERGED — benign faults must never change the physics");
-    telemetry_summary_to_stderr();
+    telemetry_summary_to_stderr(Some(&faulted.trace));
     std::process::exit(1);
 }
 
@@ -1029,14 +1011,9 @@ fn storm_json(seed: u64, ranks: usize, deadlock: bool, fails: &[(usize, String)]
 }
 
 /// Run the canonical golden-config simulation with telemetry enabled
-/// and print the merged snapshot — counters, gauges, histograms and the
-/// online POP rollup — as a text table or (`--json`) one JSON document.
-///
-/// The output also carries a `trace_crosscheck` section computing the
-/// same POP metrics post hoc from the wall-clock `cfpd_trace` events of
-/// the very same run; the two agree to ~1e-16 (the regression suite
-/// pins 1e-9), which is the evidence the cheap online rollup can stand
-/// in for full tracing in production.
+/// and print the merged snapshot — counters, gauges, histograms — and
+/// the POP rollup of the run's own phase record, as a text table or
+/// (`--json`) one JSON document `{"telemetry":{...},"pop":{...}}`.
 fn cmd_report(flags: &Flags) {
     let ranks = flags.usize_or("--ranks", 2);
     let config = golden_config();
@@ -1056,34 +1033,11 @@ fn cmd_report(flags: &Flags) {
         eprintln!("trace: wrote {}", dir.display());
     }
 
-    // Post-hoc analysis of the same run, straight from cfpd-trace.
-    let ts = cfpd_trace::trace_stats(&r.trace);
-    let n = r.trace.num_ranks.max(1);
-    let mut useful = vec![0.0f64; n];
-    for e in &r.trace.events {
-        if e.phase != cfpd_trace::Phase::MpiComm {
-            useful[e.rank] += e.duration();
-        }
-    }
-    let lb = cfpd_trace::load_balance(&useful);
-    let max_useful = useful.iter().cloned().fold(0.0f64, f64::max);
-    let comm_e = if ts.wall_time > 0.0 && max_useful > 0.0 {
-        max_useful / ts.wall_time
-    } else {
-        1.0
-    };
-
+    let pop = PopTotals::of(&r.trace);
     let mut w = cfpd_telemetry::JsonWriter::new();
-    w.begin_object();
-    w.key("ranks").u64(n as u64);
-    w.key("wall_time_s").f64(ts.wall_time);
-    w.key("parallel_efficiency").f64(ts.parallel_efficiency);
-    w.key("load_balance").f64(lb);
-    w.key("comm_efficiency").f64(comm_e);
-    w.end_object();
+    pop.write_json(&mut w);
     // The snapshot renders itself; splice the two documents into one.
-    let doc =
-        format!(r#"{{"telemetry":{},"trace_crosscheck":{}}}"#, snap.render_json(), w.finish());
+    let doc = format!(r#"{{"telemetry":{},"pop":{}}}"#, snap.render_json(), w.finish());
 
     if let Some(baseline_path) = flags.get("--baseline") {
         let baseline = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
@@ -1106,21 +1060,7 @@ fn cmd_report(flags: &Flags) {
     if flags.has("--json") {
         println!("{doc}");
     } else {
-        print!("{}", snap.render_table());
-        println!("[trace crosscheck]");
-        println!("  wall_time_s         {:>12.6}", ts.wall_time);
-        println!("  parallel_efficiency {:>12.6}", ts.parallel_efficiency);
-        println!("  load_balance        {:>12.6}", lb);
-        println!("  comm_efficiency     {:>12.6}", comm_e);
-        if let Some(pop) = &snap.pop {
-            println!(
-                "  max |delta|         {:>12.3e}",
-                (pop.parallel_efficiency - ts.parallel_efficiency)
-                    .abs()
-                    .max((pop.load_balance - lb).abs())
-                    .max((pop.comm_efficiency - comm_e).abs())
-            );
-        }
+        print!("{}{}", snap.render_table(), pop.render_table());
     }
 }
 
@@ -1128,7 +1068,7 @@ fn cmd_report(flags: &Flags) {
 /// with per-metric policies (the campaign `DeltaReport` idiom applied
 /// to the telemetry snapshot):
 ///
-/// * POP / crosscheck **efficiencies** regress only when they *drop*
+/// * POP **efficiencies** regress only when they *drop*
 ///   more than `tol` relative to the baseline — higher is always fine;
 /// * **counters** regress when they move more than `tol` relative in
 ///   either direction (they are deterministic for the canonical case,
@@ -1175,20 +1115,9 @@ fn diff_report_docs(current: &str, baseline: &str, tol: f64) -> Result<(String, 
         let _ = writeln!(out, "{tag}  {name:<44}  {detail}");
     };
 
-    for (section, lower_is_worse) in [("telemetry", true), ("trace_crosscheck", true)] {
-        for metric in ["parallel_efficiency", "load_balance", "comm_efficiency"] {
-            let path: Vec<&str> = if section == "telemetry" {
-                vec!["telemetry", "pop", metric]
-            } else {
-                vec![section, metric]
-            };
-            row(
-                &format!("{section}.{metric}"),
-                path_f64(&cur, &path),
-                path_f64(&base, &path),
-                lower_is_worse,
-            );
-        }
+    for metric in ["parallel_efficiency", "load_balance", "comm_efficiency"] {
+        let path = ["pop", metric];
+        row(&format!("pop.{metric}"), path_f64(&cur, &path), path_f64(&base, &path), true);
     }
 
     // Counters: union of both sides, in current-then-baseline order.

@@ -37,6 +37,8 @@ use cfpd_core::{Checkpoint, PrepareMemo};
 use cfpd_telemetry::JsonWriter;
 use cfpd_testkit::record::{check_digest, write_atomic};
 use cfpd_testkit::{digest_bytes, panic_message, SplitMix64};
+use cfpd_trace::PopTotals;
+use std::collections::HashMap;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -106,6 +108,9 @@ struct Shared {
     feed: EventFeed,
     /// Rolling per-phase medians across completed cells.
     watchdog: Mutex<Watchdog>,
+    /// Per-job POP time totals of the segments this daemon ran. Memory
+    /// only: never in the WAL, a snapshot or the store. Leaf lock.
+    job_pop: Mutex<HashMap<u64, PopTotals>>,
     /// Set-up of the most recently served cells. Owned by this daemon:
     /// a restarted one starts cold and rebuilds from the specs.
     memo: PrepareMemo,
@@ -114,6 +119,10 @@ struct Shared {
 impl Shared {
     fn store(&self) -> MutexGuard<'_, Store> {
         self.store.lock().expect("no thread panicked while holding the store")
+    }
+
+    fn job_pop(&self) -> MutexGuard<'_, HashMap<u64, PopTotals>> {
+        self.job_pop.lock().expect("no thread panicked while holding the POP totals")
     }
 }
 
@@ -148,6 +157,7 @@ impl Daemon {
         let shared = Arc::new(Shared {
             workers_alive: AtomicUsize::new(cfg.workers),
             watchdog: Mutex::new(Watchdog::new(cfg.drift_factor)),
+            job_pop: Mutex::new(HashMap::new()),
             cfg,
             store: Mutex::new(store),
             cv: Condvar::new(),
@@ -386,7 +396,7 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
         if sh.kill.load(Ordering::SeqCst) {
             return StopCause::Killed;
         }
-        let (cell, attempt) = {
+        let (cell, attempt, first_step) = {
             let mut store = sh.store();
             let job = &store.jobs[&id];
 
@@ -411,15 +421,16 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
             if job.preempt_requested {
                 return park(sh, &mut store, id);
             }
-            (cell.clone(), job.attempt())
+            let first_step = job.resume.as_ref().map_or(0, |r| r.next_step);
+            (cell.clone(), job.attempt(), first_step)
         };
 
         let cell_t0 = Instant::now();
         let fault = sh.cfg.fault.decide(id, cell.index as u64, attempt);
         match drive_segments(sh, id, &cell, attempt, fault) {
             SegmentsOutcome::Stopped(cause) => return cause,
-            SegmentsOutcome::Cell(Ok(rec)) => {
-                let steps = cell.scenario.config.steps as u64;
+            SegmentsOutcome::Cell(Ok((rec, pop))) => {
+                let steps = (cell.scenario.config.steps - first_step) as u64;
                 let wall_s = cell_t0.elapsed().as_secs_f64();
                 let done = WalRecord::CellDone { job: id, cell: cell.index, rec };
                 // The snapshot goes only once the log says the cell is
@@ -428,7 +439,7 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
                 if commit(sh, &mut sh.store(), done) {
                     let _ = std::fs::remove_file(wal::snap_path(&sh.cfg.data_dir, id, cell.index));
                 }
-                observe_completion(sh, id, steps, wall_s);
+                observe_completion(sh, id, steps, wall_s, &pop);
             }
             SegmentsOutcome::Cell(Err(reason)) => {
                 if let Some(cause) = handle_attempt_failure(sh, id, cell.index, reason) {
@@ -456,10 +467,15 @@ fn park(sh: &Shared, store: &mut Store, id: u64) -> StopCause {
     StopCause::Parked
 }
 
-/// Feed a completed cell's timing to the regression watchdog and turn
-/// any drift it reports into feed warnings.
-fn observe_completion(sh: &Shared, id: u64, steps: u64, wall_s: f64) {
-    let warnings = sh.watchdog.lock().unwrap().observe_cell(steps, wall_s);
+/// Feed a completed cell's timing — `steps` steps in `wall_s` seconds,
+/// `pop` the totals of the segments that ran them — to the regression
+/// watchdog and turn any drift it reports into feed warnings.
+fn observe_completion(sh: &Shared, id: u64, steps: u64, wall_s: f64, pop: &PopTotals) {
+    let warnings = sh
+        .watchdog
+        .lock()
+        .expect("no thread panicked while holding the watchdog")
+        .observe_cell(steps, wall_s, &pop.phases);
     for w in warnings {
         cfpd_telemetry::count!("serve.drift_warnings");
         sh.feed.post(
@@ -489,8 +505,9 @@ fn dump_flight(sh: &Shared, id: u64, cause: &str) {
 }
 
 enum SegmentsOutcome {
-    /// The cell concluded (successfully or with a failed attempt).
-    Cell(Result<CanonMetrics, String>),
+    /// The cell concluded (successfully, with the POP totals of the
+    /// segments this call ran, or with a failed attempt).
+    Cell(Result<(CanonMetrics, PopTotals), String>),
     /// The job parked or the daemon died mid-cell.
     Stopped(StopCause),
 }
@@ -523,6 +540,7 @@ fn drive_segments(
         Some(r) => (r.next_step, Some(Arc::clone(&r.checkpoint))),
         None => (0, None),
     };
+    let mut cell_pop = PopTotals::default();
 
     loop {
         match std::mem::replace(&mut fault, CellFault::None) {
@@ -561,6 +579,8 @@ fn drive_segments(
             Some(Ok(Err(reason))) => return SegmentsOutcome::Cell(Err(reason)),
             Some(Ok(Ok(seg))) => seg,
         };
+        cell_pop.add(&seg.pop);
+        sh.job_pop().entry(id).or_default().add(&seg.pop);
 
         let boundary_t0 = Instant::now();
         let (mut acc, mut events_text) = {
@@ -574,13 +594,8 @@ fn drive_segments(
         events_text.push_str(&seg.events_text);
 
         if seg.done {
-            return SegmentsOutcome::Cell(Ok(finish_cell_metrics(
-                cell,
-                &prepared,
-                &acc,
-                &events_text,
-                &seg.census,
-            )));
+            let rec = finish_cell_metrics(cell, &prepared, &acc, &events_text, &seg.census);
+            return SegmentsOutcome::Cell(Ok((rec, cell_pop)));
         }
 
         // Segment boundary: pin the progress, then honour control flags.
@@ -731,10 +746,11 @@ fn events(sh: &Shared, query: &str) -> http::Response {
     http::Response::json(200, EventFeed::render_json(&evs, last, first))
 }
 
-/// `GET /jobs/:id/progress`: in-flight counters, live POP efficiencies
-/// (same formatter as the post-run report, so the numbers agree to the
-/// last ULP), and an ETA from observed step rates — seeded by the
-/// perfmodel demand curve until the first cell completes.
+/// `GET /jobs/:id/progress`: in-flight counters, the job's own POP
+/// rollup over the segments this daemon ran (the writer `cfpd report`
+/// uses; `{}` before the first segment), and an ETA from observed step
+/// rates — seeded by the perfmodel demand curve until the first cell
+/// completes.
 fn progress(sh: &Shared, id: &str) -> http::Response {
     let Ok(id) = id.parse::<u64>() else {
         return http::Response::error(400, "job id is not a number");
@@ -778,21 +794,10 @@ fn progress(sh: &Shared, id: &str) -> http::Response {
     w.key("elapsed_s").f64(elapsed_s);
     w.key("eta_s").f64(eta_s);
     w.key("pop");
-    match cfpd_telemetry::pop::report() {
+    match sh.job_pop().get(&id) {
+        Some(pop) => pop.write_json(&mut w),
         None => {
             w.begin_object().end_object();
-        }
-        Some(pop) => {
-            w.begin_object();
-            w.key("parallel_efficiency").f64(pop.parallel_efficiency);
-            w.key("load_balance").f64(pop.load_balance);
-            w.key("comm_efficiency").f64(pop.comm_efficiency);
-            w.key("per_phase_s").begin_object();
-            for (name, secs) in &pop.per_phase {
-                w.key(name).f64(*secs);
-            }
-            w.end_object();
-            w.end_object();
         }
     }
     w.end_object();

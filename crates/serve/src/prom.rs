@@ -298,35 +298,6 @@ cfpd_phase{phase=\"mpi\",rank=\"0\"} 0.25
     }
 
     #[test]
-    fn label_value_escaping_round_trips_through_the_renderer() {
-        use cfpd_telemetry::{PopReport, TelemetrySnapshot};
-        // A hostile phase name: quote, backslash and newline. The
-        // renderer must escape it such that the lint's escape-aware
-        // label splitter accepts the document.
-        let snap = TelemetrySnapshot {
-            counters: vec![],
-            gauges: vec![],
-            histograms: vec![],
-            pop: Some(PopReport {
-                ranks: 1,
-                wall_time: 1.0,
-                useful_time: 1.0,
-                mpi_time: 0.0,
-                parallel_efficiency: 1.0,
-                load_balance: 1.0,
-                comm_efficiency: 1.0,
-                per_rank_useful: vec![1.0],
-                per_phase: vec![("we\"ird\\ph\nase", 1.0), ("com,ma", 2.0)],
-                dropped: 0,
-            }),
-        };
-        let doc = snap.render_prometheus();
-        assert!(doc.contains(r#"phase="we\"ird\\ph\nase""#), "escaped form present:\n{doc}");
-        let n = lint_prometheus(&doc).expect("escaped hostile labels must lint clean");
-        assert!(n >= 9);
-    }
-
-    #[test]
     fn illegal_escapes_and_bare_quotes_in_label_values_are_rejected() {
         let doc = "# TYPE cfpd_x gauge\ncfpd_x{l=\"a\\tb\"} 1\n";
         let err = lint_prometheus(doc).unwrap_err();

@@ -16,6 +16,7 @@ use cfpd_core::{
 };
 use cfpd_particles::ParticleCensus;
 use cfpd_testkit::digest_bytes;
+use cfpd_trace::PopTotals;
 use std::sync::Arc;
 
 /// Outcome of one segment run.
@@ -29,6 +30,8 @@ pub struct SegmentOut {
     /// The parked physics state (`None` when the cell finished).
     pub checkpoint: Option<Checkpoint>,
     pub done: bool,
+    /// The segment's POP time totals, from its own phase record.
+    pub pop: PopTotals,
 }
 
 /// Can this scenario be cut into resumable segments? Mirrors the
@@ -58,6 +61,7 @@ pub fn run_segment(
     let result = run_prepared(prepared, &s.config, s.threads, &opts)
         .map_err(|fails| rank_failures(&fails))?;
     Ok(SegmentOut {
+        pop: PopTotals::of(&result.trace),
         events_text: render_golden_events(&result.logical),
         logical: result.logical,
         census: result.census,

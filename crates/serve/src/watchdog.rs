@@ -4,14 +4,14 @@
 //! phase exceeds its rolling baseline by a configurable factor — the
 //! serving-side analogue of the `BENCH_hotpath.json` trajectory gate.
 //!
-//! Attribution caveat: the POP table is daemon-global, so with several
-//! cells running concurrently a completion observes the *mixed* phase
-//! time accumulated since the previous completion. Rolling medians
-//! absorb that noise; the watchdog detects sustained drift, it does not
-//! bill individual cells.
+//! Each completion brings the cell's own per-phase seconds (the summed
+//! [`cfpd_trace::PopTotals`] of its segments), so concurrent cells never
+//! read each other's time.
 
-use cfpd_telemetry::pop::{self, PopPhase};
+use cfpd_trace::Phase;
 use std::collections::VecDeque;
+
+const PHASES: usize = Phase::ALL.len();
 
 /// Rolling window length per phase (completed cells).
 const WINDOW: usize = 32;
@@ -31,13 +31,11 @@ pub struct DriftWarning {
 pub struct Watchdog {
     /// Warn when a phase exceeds `factor ×` its rolling median.
     factor: f64,
-    /// Cumulative per-phase seconds at the previous completion.
-    prev_phase: [f64; PopPhase::ALL.len()],
     /// Rolling per-step phase seconds, newest at the back.
-    windows: [VecDeque<f64>; PopPhase::ALL.len()],
+    windows: [VecDeque<f64>; PHASES],
     /// Last exported per-mille drift (gauges are additive, so exporting
     /// a new absolute value means adding the difference).
-    exported: [i64; PopPhase::ALL.len()],
+    exported: [i64; PHASES],
     /// Rolling observed wall seconds per simulation step (ETA input).
     step_wall: VecDeque<f64>,
 }
@@ -46,32 +44,34 @@ impl Watchdog {
     pub fn new(factor: f64) -> Watchdog {
         Watchdog {
             factor: if factor.is_finite() && factor > 1.0 { factor } else { 3.0 },
-            prev_phase: [0.0; PopPhase::ALL.len()],
             windows: std::array::from_fn(|_| VecDeque::new()),
-            exported: [0; PopPhase::ALL.len()],
+            exported: [0; PHASES],
             step_wall: VecDeque::new(),
         }
     }
 
     /// Record a completed cell of `steps` steps that took `wall_s`
-    /// seconds, reading the live POP table for phase attribution.
-    /// Returns the phases that drifted past the factor.
-    pub fn observe_cell(&mut self, steps: u64, wall_s: f64) -> Vec<DriftWarning> {
+    /// seconds and spent `phase_s` seconds per phase ([`Phase::ALL`]
+    /// order, summed over ranks). Returns the phases that drifted past
+    /// the factor.
+    pub fn observe_cell(
+        &mut self,
+        steps: u64,
+        wall_s: f64,
+        phase_s: &[f64; PHASES],
+    ) -> Vec<DriftWarning> {
         if steps > 0 && wall_s.is_finite() && wall_s > 0.0 {
             self.step_wall.push_back(wall_s / steps as f64);
             while self.step_wall.len() > 2 * WINDOW {
                 self.step_wall.pop_front();
             }
         }
-        let Some(report) = pop::report() else { return Vec::new() };
         let mut warnings = Vec::new();
-        for (i, (name, cum)) in report.per_phase.iter().enumerate() {
-            let delta = (cum - self.prev_phase[i]).max(0.0);
-            self.prev_phase[i] = *cum;
-            if steps == 0 {
-                continue;
-            }
-            let per_step = delta / steps as f64;
+        if steps == 0 {
+            return warnings;
+        }
+        for (i, (phase, secs)) in Phase::ALL.iter().zip(phase_s).enumerate() {
+            let per_step = secs / steps as f64;
             let window = &mut self.windows[i];
             let median = median_of(window);
             window.push_back(per_step);
@@ -86,7 +86,7 @@ impl Watchdog {
             self.export_drift(i, drift);
             if drift > self.factor {
                 warnings.push(DriftWarning {
-                    phase: name,
+                    phase: phase.key(),
                     drift,
                     per_step_s: per_step,
                     median_s: median,
@@ -140,46 +140,32 @@ fn median_of(window: &VecDeque<f64>) -> Option<f64> {
 mod tests {
     use super::*;
 
-    /// These tests flip the process-global telemetry flag and POP
-    /// table; serialize them against each other.
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-        LOCK.get_or_init(|| std::sync::Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn steady_phases_never_warn_and_drift_warns_once_over_factor() {
-        let _g = guard();
-        cfpd_telemetry::set_enabled(true);
-        cfpd_telemetry::pop::reset();
         let mut wd = Watchdog::new(2.0);
+        let solver1 = |secs: f64| {
+            let mut phase_s = [0.0; PHASES];
+            phase_s[Phase::Solver1.index()] = secs;
+            phase_s
+        };
 
         // Five steady cells: 10 ms of solver1 per step.
-        let mut cum = 0.0;
         for _ in 0..5 {
-            cum += 0.02;
-            cfpd_telemetry::pop::phase(0, PopPhase::Solver1, cum - 0.02, cum);
-            assert!(wd.observe_cell(2, 0.05).is_empty());
+            assert!(wd.observe_cell(2, 0.05, &solver1(0.02)).is_empty());
         }
         // A 5× regression on the same phase.
-        cfpd_telemetry::pop::phase(0, PopPhase::Solver1, cum, cum + 0.1);
-        let warnings = wd.observe_cell(2, 0.3);
+        let warnings = wd.observe_cell(2, 0.3, &solver1(0.1));
         assert_eq!(warnings.len(), 1);
         assert_eq!(warnings[0].phase, "solver1");
         assert!(warnings[0].drift > 2.0, "drift {}", warnings[0].drift);
-        cfpd_telemetry::pop::reset();
-        cfpd_telemetry::set_enabled(false);
     }
 
     #[test]
     fn step_seconds_is_the_median_of_observed_rates() {
-        let _g = guard();
         let mut wd = Watchdog::new(3.0);
         assert_eq!(wd.step_seconds(), None);
         for (steps, wall) in [(2u64, 0.2), (2, 0.4), (2, 0.6)] {
-            wd.observe_cell(steps, wall);
+            wd.observe_cell(steps, wall, &[0.0; PHASES]);
         }
         assert!((wd.step_seconds().unwrap() - 0.2).abs() < 1e-12);
     }

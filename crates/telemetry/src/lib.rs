@@ -13,10 +13,7 @@
 //!   cacheline-padded atomics (relaxed increments, snapshot-on-read
 //!   merge in fixed shard order, so a read is bit-deterministic for a
 //!   given set of recorded values);
-//! * RAII [`Span`] timers and a per-(rank, phase) time table
-//!   ([`pop`]) feeding an **online POP-style rollup**: parallel
-//!   efficiency = load balance × communication efficiency, computed
-//!   from accumulated useful/MPI time — no event log;
+//! * RAII [`Span`] timers;
 //! * a [`TelemetrySnapshot`] with stable-ordered text-table and JSON
 //!   renderers (the JSON writer in [`json`] is dependency-free and
 //!   reused by `cfpd chaos --json`).
@@ -43,14 +40,12 @@
 
 pub mod json;
 pub mod metrics;
-pub mod pop;
 pub mod registry;
 pub mod render;
 pub mod span;
 
 pub use json::JsonWriter;
 pub use metrics::{Counter, Gauge, HistSnapshot, Histogram};
-pub use pop::{PopPhase, PopReport};
 pub use registry::{counter, gauge, histogram, reset, snapshot};
 pub use render::TelemetrySnapshot;
 pub use span::Span;

@@ -51,9 +51,9 @@ pub fn histogram(name: &str) -> &'static Histogram {
         .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
 }
 
-/// Zero every registered metric and the POP time table. Used by `cfpd
-/// report` (and tests) to scope a measurement to one run; concurrent
-/// recordings may survive a reset, so quiesce first for exact reads.
+/// Zero every registered metric. Used by `cfpd report` (and tests) to
+/// scope a measurement to one run; concurrent recordings may survive a
+/// reset, so quiesce first for exact reads.
 pub fn reset() {
     let r = registry();
     for c in r.counters.values() {
@@ -65,19 +65,16 @@ pub fn reset() {
     for h in r.histograms.values() {
         h.reset();
     }
-    drop(r);
-    crate::pop::reset();
 }
 
-/// Merge every registered metric (name order, fixed shard order) plus
-/// the POP rollup into a read-side snapshot.
+/// Merge every registered metric (name order, fixed shard order) into a
+/// read-side snapshot.
 pub fn snapshot() -> TelemetrySnapshot {
     let r = registry();
     TelemetrySnapshot {
         counters: r.counters.iter().map(|(n, c)| (n.clone(), c.value())).collect(),
         gauges: r.gauges.iter().map(|(n, g)| (n.clone(), g.value())).collect(),
         histograms: r.histograms.iter().map(|(n, h)| (n.clone(), h.merged())).collect(),
-        pop: crate::pop::report(),
     }
 }
 

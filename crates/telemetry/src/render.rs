@@ -1,17 +1,15 @@
 //! Read-side snapshot and its renderers.
 //!
 //! Both renderers are deterministic: metrics come from the registry in
-//! name order, histogram buckets in value order, POP phases in
-//! [`crate::PopPhase::ALL`] order. Two snapshots of identical recorded
-//! values render byte-identical documents.
+//! name order, histogram buckets in value order. Two snapshots of
+//! identical recorded values render byte-identical documents.
 
 use crate::json::JsonWriter;
 use crate::metrics::HistSnapshot;
-use crate::pop::PopReport;
 use std::fmt::Write as _;
 
-/// A merged view of every registered metric plus the POP rollup, as
-/// produced by [`crate::snapshot`].
+/// A merged view of every registered metric, as produced by
+/// [`crate::snapshot`].
 pub struct TelemetrySnapshot {
     /// `(name, merged value)` in name order.
     pub counters: Vec<(String, u64)>,
@@ -19,8 +17,6 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<(String, i64)>,
     /// `(name, merged view)` in name order.
     pub histograms: Vec<(String, HistSnapshot)>,
-    /// `None` when no phase time was attributed.
-    pub pop: Option<PopReport>,
 }
 
 impl TelemetrySnapshot {
@@ -29,29 +25,12 @@ impl TelemetrySnapshot {
         self.counters.iter().all(|(_, v)| *v == 0)
             && self.gauges.iter().all(|(_, v)| *v == 0)
             && self.histograms.iter().all(|(_, h)| h.count == 0)
-            && self.pop.is_none()
     }
 
     /// Fixed-width text table (zero-valued metrics are elided).
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str("== telemetry ==\n");
-        if let Some(pop) = &self.pop {
-            out.push_str("[pop]\n");
-            let _ = writeln!(out, "  ranks               {:>12}", pop.ranks);
-            let _ = writeln!(out, "  wall_time_s         {:>12.6}", pop.wall_time);
-            let _ = writeln!(out, "  useful_time_s       {:>12.6}", pop.useful_time);
-            let _ = writeln!(out, "  mpi_time_s          {:>12.6}", pop.mpi_time);
-            let _ = writeln!(out, "  parallel_efficiency {:>12.6}", pop.parallel_efficiency);
-            let _ = writeln!(out, "  load_balance        {:>12.6}", pop.load_balance);
-            let _ = writeln!(out, "  comm_efficiency     {:>12.6}", pop.comm_efficiency);
-            for (name, secs) in &pop.per_phase {
-                let _ = writeln!(out, "  phase.{:<13} {:>12.6}", name, secs);
-            }
-            if pop.dropped > 0 {
-                let _ = writeln!(out, "  dropped_spans       {:>12}", pop.dropped);
-            }
-        }
         let live_counters: Vec<_> =
             self.counters.iter().filter(|(_, v)| *v != 0).collect();
         if !live_counters.is_empty() {
@@ -90,34 +69,6 @@ impl TelemetrySnapshot {
     pub fn render_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("pop");
-        match &self.pop {
-            None => {
-                w.begin_object().end_object();
-            }
-            Some(pop) => {
-                w.begin_object();
-                w.key("ranks").u64(pop.ranks as u64);
-                w.key("wall_time_s").f64(pop.wall_time);
-                w.key("useful_time_s").f64(pop.useful_time);
-                w.key("mpi_time_s").f64(pop.mpi_time);
-                w.key("parallel_efficiency").f64(pop.parallel_efficiency);
-                w.key("load_balance").f64(pop.load_balance);
-                w.key("comm_efficiency").f64(pop.comm_efficiency);
-                w.key("per_rank_useful_s").begin_array();
-                for v in &pop.per_rank_useful {
-                    w.f64(*v);
-                }
-                w.end_array();
-                w.key("per_phase_s").begin_object();
-                for (name, secs) in &pop.per_phase {
-                    w.key(name).f64(*secs);
-                }
-                w.end_object();
-                w.key("dropped_spans").u64(pop.dropped);
-                w.end_object();
-            }
-        }
         w.key("counters").begin_object();
         for (name, v) in &self.counters {
             w.key(name).u64(*v);
@@ -202,47 +153,8 @@ impl TelemetrySnapshot {
             let _ = writeln!(w, "{n}_sum {}", h.sum);
             let _ = writeln!(w, "{n}_count {}", h.count);
         }
-        if let Some(pop) = &self.pop {
-            for (name, v) in [
-                ("cfpd_pop_ranks", pop.ranks as f64),
-                ("cfpd_pop_wall_time_seconds", pop.wall_time),
-                ("cfpd_pop_useful_time_seconds", pop.useful_time),
-                ("cfpd_pop_mpi_time_seconds", pop.mpi_time),
-                ("cfpd_pop_parallel_efficiency", pop.parallel_efficiency),
-                ("cfpd_pop_load_balance", pop.load_balance),
-                ("cfpd_pop_comm_efficiency", pop.comm_efficiency),
-            ] {
-                let _ = writeln!(w, "# TYPE {name} gauge");
-                let _ = writeln!(w, "{name} {v}");
-            }
-            let _ = writeln!(w, "# TYPE cfpd_pop_phase_seconds gauge");
-            for (phase, secs) in &pop.per_phase {
-                let _ = writeln!(
-                    w,
-                    "cfpd_pop_phase_seconds{{phase=\"{}\"}} {secs}",
-                    escape_label_value(phase)
-                );
-            }
-        }
         out
     }
-}
-
-/// Escape a Prometheus label value per the text exposition format:
-/// backslash, double quote and newline become `\\`, `\"` and `\n`.
-/// Applied to every label value the renderer emits, so hostile phase
-/// or label names cannot break the document structure.
-pub fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -261,18 +173,6 @@ mod tests {
                 "h.wait".into(),
                 HistSnapshot { count: 3, sum: 7, min: 1, max: 5, buckets },
             )],
-            pop: Some(PopReport {
-                ranks: 2,
-                wall_time: 3.0,
-                useful_time: 3.0,
-                mpi_time: 3.0,
-                parallel_efficiency: 0.5,
-                load_balance: 0.75,
-                comm_efficiency: 2.0 / 3.0,
-                per_rank_useful: vec![2.0, 1.0],
-                per_phase: vec![("mpi", 3.0), ("assembly", 2.0)],
-                dropped: 0,
-            }),
         }
     }
 
@@ -282,12 +182,9 @@ mod tests {
         assert_eq!(s.render_table(), s.render_table());
         assert_eq!(s.render_json(), s.render_json());
         let table = s.render_table();
-        assert!(table.contains("parallel_efficiency"));
         assert!(table.contains("a.count"));
         assert!(!table.contains("b.zero"), "zero counters elided from the table");
         let json = s.render_json();
-        assert!(json.contains(r#""parallel_efficiency":0.5"#));
-        assert!(json.contains(r#""load_balance":0.75"#));
         assert!(json.contains(r#""b.zero":0"#), "zero counters kept in JSON");
         assert!(json.contains(r#""lo":4,"hi":7,"count":1"#));
     }
@@ -307,8 +204,6 @@ mod tests {
         assert!(prom.contains("cfpd_h_wait_bucket{le=\"+Inf\"} 3\n"));
         assert!(prom.contains("cfpd_h_wait_sum 7\n"));
         assert!(prom.contains("cfpd_h_wait_count 3\n"));
-        assert!(prom.contains("cfpd_pop_parallel_efficiency 0.5\n"));
-        assert!(prom.contains("cfpd_pop_phase_seconds{phase=\"mpi\"} 3\n"));
         assert!(prom.ends_with('\n'));
     }
 
@@ -318,9 +213,8 @@ mod tests {
             counters: vec![("a".into(), 0)],
             gauges: vec![],
             histograms: vec![],
-            pop: None,
         };
         assert!(s.is_empty());
-        assert_eq!(s.render_json(), r#"{"pop":{},"counters":{"a":0},"gauges":{},"histograms":{}}"#);
+        assert_eq!(s.render_json(), r#"{"counters":{"a":0},"gauges":{},"histograms":{}}"#);
     }
 }

@@ -20,6 +20,7 @@
 //! chain is always available) and ≤ wall time.
 
 use crate::event::{worker_view, Phase, Trace, WorkerEvent, WorkerState};
+use crate::pop::{PopReport, PopTotals};
 
 /// One hop of the critical path (a maximal run of same-rank credit).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,8 +189,7 @@ pub struct LostCyclesRow {
 /// POP-style lost-cycles decomposition of a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LostCycles {
-    /// Wall time (end of last phase interval — the same clock the
-    /// online POP rollup uses).
+    /// Wall time (end of last phase interval, as in [`PopTotals`]).
     pub wall: f64,
     /// Per-(rank, phase) rows, rank-major, only phases that occur.
     pub rows: Vec<LostCyclesRow>,
@@ -201,32 +201,23 @@ pub struct LostCycles {
     /// Per-rank remainder `wall − useful − mpi_wait`: runtime overhead
     /// plus untraced idle time.
     pub overhead: Vec<f64>,
-    /// Parallel efficiency `Σuseful / (n·wall)`.
-    pub parallel_efficiency: f64,
-    /// Load balance `Σuseful / (n·max useful)`.
-    pub load_balance: f64,
-    /// Communication efficiency `max useful / wall`.
-    pub comm_efficiency: f64,
+    /// The headline efficiencies: the run's [`PopTotals::report`].
+    pub pop: PopReport,
 }
 
-/// Compute the lost-cycles decomposition. The headline efficiencies are
-/// derived from the phase intervals alone — the same `f64`s the online
-/// POP rollup was fed — so they agree with `cfpd_telemetry::pop` to
-/// floating-point reassociation error (pinned ≤ 1e-9 by the tests).
+/// Compute the lost-cycles decomposition. The headline efficiencies,
+/// the wall clock and the per-rank useful time are the run's
+/// [`PopTotals`]; the rows and the MPI-wait split come on top.
 pub fn lost_cycles(trace: &Trace) -> LostCycles {
-    let n = trace.num_ranks.max(1);
-    let wall = trace.events.iter().map(|e| e.t_end).fold(0.0, f64::max);
+    let totals = PopTotals::of(trace);
+    let n = totals.ranks();
+    let wall = totals.wall;
 
-    let mut useful = vec![0.0f64; n];
     let mut phase_time = vec![[0.0f64; Phase::ALL.len()]; n];
     let mut phase_seen = [false; Phase::ALL.len()];
     for e in &trace.events {
-        let p = Phase::ALL.iter().position(|x| *x == e.phase).unwrap();
-        phase_time[e.rank][p] += e.duration();
-        phase_seen[p] = true;
-        if e.phase != Phase::MpiComm {
-            useful[e.rank] += e.duration();
-        }
+        phase_time[e.rank][e.phase.index()] += e.duration();
+        phase_seen[e.phase.index()] = true;
     }
 
     let mut mpi_wait = vec![0.0f64; n];
@@ -251,28 +242,13 @@ pub fn lost_cycles(trace: &Trace) -> LostCycles {
             });
         }
     }
-    rows.sort_by(|a, b| (a.rank, a.phase).cmp(&(b.rank, b.phase)));
+    rows.sort_by_key(|a| (a.rank, a.phase));
 
     let overhead: Vec<f64> = (0..n)
-        .map(|r| (wall - useful[r] - mpi_wait[r]).max(0.0))
+        .map(|r| (wall - totals.useful[r] - mpi_wait[r]).max(0.0))
         .collect();
-    let useful_total: f64 = useful.iter().sum();
-    let max_useful = useful.iter().fold(0.0f64, |a, &b| a.max(b));
 
-    LostCycles {
-        wall,
-        rows,
-        useful,
-        mpi_wait,
-        overhead,
-        parallel_efficiency: if wall > 0.0 { useful_total / (n as f64 * wall) } else { 1.0 },
-        load_balance: if max_useful > 0.0 {
-            useful_total / (n as f64 * max_useful)
-        } else {
-            1.0
-        },
-        comm_efficiency: if wall > 0.0 { max_useful / wall } else { 1.0 },
-    }
+    LostCycles { wall, rows, pop: totals.report(), useful: totals.useful, mpi_wait, overhead }
 }
 
 impl LostCycles {
@@ -300,7 +276,10 @@ impl LostCycles {
         }
         out.push_str(&format!(
             "\nwall {:.6}s  PE {:.4}  LB {:.4}  CommE {:.4}\n",
-            self.wall, self.parallel_efficiency, self.load_balance, self.comm_efficiency
+            self.wall,
+            self.pop.parallel_efficiency,
+            self.pop.load_balance,
+            self.pop.comm_efficiency
         ));
         out
     }
@@ -374,23 +353,23 @@ mod tests {
         // Rank 1 lost 1s to imbalance in Assembly.
         let row = lc.rows.iter().find(|r| r.rank == 1).unwrap();
         assert!((row.imbalance - 1.0).abs() < 1e-12);
-        assert!((lc.parallel_efficiency - 5.0 / 6.0).abs() < 1e-12);
-        assert!((lc.load_balance - 5.0 / 6.0).abs() < 1e-12);
-        assert!((lc.comm_efficiency - 1.0).abs() < 1e-12);
+        assert!((lc.pop.parallel_efficiency - 5.0 / 6.0).abs() < 1e-12);
+        assert!((lc.pop.load_balance - 5.0 / 6.0).abs() < 1e-12);
+        assert!((lc.pop.comm_efficiency - 1.0).abs() < 1e-12);
         assert!(lc.render().contains("PE 0.8333"));
     }
 
     #[test]
     fn lost_cycles_matches_trace_stats_definitions() {
-        // PE here must equal trace_stats' parallel_efficiency (the POP
-        // rollup cross-check depends on shared definitions).
+        // PE here must equal trace_stats' parallel_efficiency: both
+        // read the one rollup.
         let mut t = Trace::new(2);
         t.record(0, Phase::Solver1, 0.0, 2.0);
         t.record(0, Phase::MpiComm, 2.0, 2.5);
         t.record(1, Phase::Solver1, 0.0, 2.5);
         let lc = lost_cycles(&t);
         let st = crate::stats::trace_stats(&t);
-        assert!((lc.parallel_efficiency - st.parallel_efficiency).abs() < 1e-15);
+        assert!((lc.pop.parallel_efficiency - st.parallel_efficiency).abs() < 1e-15);
         assert!((lc.wall - st.wall_time).abs() < 1e-15);
     }
 }

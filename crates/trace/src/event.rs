@@ -41,6 +41,16 @@ impl Phase {
         }
     }
 
+    /// Position in [`Phase::ALL`]; also the flight recorder's phase code.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Lower-case key of the POP rollup's per-phase seconds.
+    pub fn key(self) -> &'static str {
+        ["mpi", "assembly", "solver1", "solver2", "sgs", "particles"][self.index()]
+    }
+
     /// One-character tag for the ASCII timeline.
     pub fn tag(self) -> char {
         match self {

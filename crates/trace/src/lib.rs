@@ -5,7 +5,8 @@
 //! the scale of this reproduction: phase-interval event records per
 //! rank, per-(rank, worker) typed state events with point-to-point
 //! message records, the load-balance metric Lₙ of eq. 9, per-phase time
-//! breakdowns (Table 1), an ASCII timeline renderer (Fig. 2), CSV
+//! breakdowns (Table 1), the POP efficiency rollup of a run's phase
+//! record ([`pop`]), an ASCII timeline renderer (Fig. 2), CSV
 //! export, Paraver `.prv`/`.pcf`/`.row` and Chrome `trace_event` JSON
 //! exporters ([`export`]), a critical-path / lost-cycles analysis
 //! engine ([`analysis`]), and a deterministic trace diff ([`diff`]).
@@ -15,6 +16,7 @@ pub mod balance;
 pub mod diff;
 pub mod event;
 pub mod export;
+pub mod pop;
 pub mod render;
 pub mod stats;
 
@@ -26,5 +28,6 @@ pub use event::{
     Phase, Trace, TraceEvent, WorkerEvent, WorkerState,
 };
 pub use export::{export_chrome, export_pcf, export_prv, export_row, export_summary};
+pub use pop::{PopReport, PopTotals};
 pub use render::{render_timeline, render_timeline_ranks};
 pub use stats::{trace_stats, TraceStats};

@@ -2,7 +2,8 @@
 //! performance analyst reads off a Paraver view: parallel efficiency,
 //! communication fraction, per-rank useful duty cycle.
 
-use crate::event::{Phase, Trace};
+use crate::event::Trace;
+use crate::pop::PopTotals;
 
 /// Efficiency summary of a trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,33 +22,20 @@ pub struct TraceStats {
     pub duty_cycle: Vec<f64>,
 }
 
-/// Compute the efficiency summary.
-///
-/// The wall clock is the end of the last *phase* interval — worker-level
-/// events (which include the trailing barrier wait when tracing is on)
-/// are deliberately excluded so these numbers match the online POP
-/// rollup, which is fed the same phase intervals.
+/// Compute the efficiency summary from the run's [`PopTotals`] (phase
+/// intervals only, so the wall clock is the end of the last phase).
 pub fn trace_stats(trace: &Trace) -> TraceStats {
-    let wall = trace.events.iter().map(|e| e.t_end).fold(0.0, f64::max);
-    let n = trace.num_ranks.max(1);
-    let mut useful = vec![0.0f64; n];
-    let mut mpi = 0.0;
-    for e in &trace.events {
-        if e.phase == Phase::MpiComm {
-            mpi += e.duration();
-        } else {
-            useful[e.rank] += e.duration();
-        }
-    }
-    let useful_total: f64 = useful.iter().sum();
+    let t = PopTotals::of(trace);
+    let (wall, useful_total, mpi) = (t.wall, t.useful_time(), t.mpi_time());
     let busy = useful_total + mpi;
     TraceStats {
         wall_time: wall,
         useful_time: useful_total,
         mpi_time: mpi,
-        parallel_efficiency: if wall > 0.0 { useful_total / (n as f64 * wall) } else { 1.0 },
+        parallel_efficiency: t.report().parallel_efficiency,
         comm_fraction: if busy > 0.0 { mpi / busy } else { 0.0 },
-        duty_cycle: useful
+        duty_cycle: t
+            .useful
             .iter()
             .map(|&u| if wall > 0.0 { u / wall } else { 0.0 })
             .collect(),
@@ -69,6 +57,7 @@ impl TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Phase;
 
     #[test]
     fn perfectly_busy_trace_is_fully_efficient() {

@@ -874,3 +874,51 @@ fn idle_connections_cannot_pin_the_accept_pool() {
     drop((idle, idle_again));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `pop` object of a finished job's `/jobs/:id/progress`.
+fn progress_pop(addr: &str, job: u64) -> cfpd_testkit::JsonValue {
+    poll_terminal(addr, job);
+    let (code, body) = get(addr, &format!("/jobs/{job}/progress"));
+    assert_eq!(code, 200, "{body}");
+    let doc = cfpd_testkit::parse_json(&body).expect("progress is valid JSON");
+    doc.get("pop").cloned().unwrap_or_else(|| panic!("no pop in {body}"))
+}
+
+/// A job cut into one segment per step reads its efficiencies off the
+/// sum of its segments' phase records, walls summed with useful time:
+/// parallel efficiency stays in (0, 1] and equals LB x CommE.
+#[test]
+fn a_segmented_jobs_progress_efficiency_is_at_most_one() {
+    let dir = tmp_dir("pop-segments");
+    let cfg = ServeConfig { data_dir: dir.clone(), ckpt_interval: 1, ..Default::default() };
+    let daemon = Daemon::start(cfg).unwrap();
+    let addr = daemon.addr().to_string();
+    let job = submit(&addr, &campaign_text("pop-segments", 8));
+    let pop = progress_pop(&addr, job);
+    let f = |key: &str| pop.get(key).and_then(|v| v.as_f64()).unwrap_or_else(|| panic!("{key}"));
+    let (pe, lb, comm_e) = (f("parallel_efficiency"), f("load_balance"), f("comm_efficiency"));
+    for (name, v) in [("PE", pe), ("LB", lb), ("CommE", comm_e)] {
+        assert!(v > 0.0 && v <= 1.0, "{name} = {v} in {pop:?}");
+    }
+    assert!((pe - lb * comm_e).abs() <= 1e-9, "PE {pe} != LB {lb} x CommE {comm_e}");
+    daemon.kill();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each job's progress reports its own rollup: a second job running to
+/// completion on the same daemon leaves the first one's numbers as
+/// they were.
+#[test]
+fn a_finished_jobs_progress_pop_is_not_moved_by_the_next_job() {
+    let dir = tmp_dir("pop-own");
+    let daemon = Daemon::start(ServeConfig { data_dir: dir.clone(), ..Default::default() }).unwrap();
+    let addr = daemon.addr().to_string();
+    let first = submit(&addr, &campaign_text("pop-own-a", 2));
+    let before = progress_pop(&addr, first);
+    assert!(before.get("parallel_efficiency").is_some(), "{before:?}");
+    let second = submit(&addr, &campaign_text("pop-own-b", 3));
+    poll_terminal(&addr, second);
+    assert_eq!(progress_pop(&addr, first), before, "job {second} moved job {first}'s rollup");
+    daemon.kill();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -5,30 +5,17 @@
 //! `CFPD_BLESS=1 cargo test -p cfpd-core --test trace_pipeline`); live
 //! traced runs are checked for the structural invariants that make the
 //! formats meaningful — non-overlapping per-worker intervals inside
-//! [0, total_time], critical-path bounds, lost-cycles agreement with
-//! the online POP rollup to 1e-9, and a zero structural delta between
-//! identical-seed runs.
-//!
-//! Telemetry state is process-global (the POP table takes postings from
-//! every simulation in the process while telemetry is enabled), so every
-//! test that runs a simulation serializes on one mutex, mirroring
-//! `tests/telemetry_report.rs`.
+//! [0, total_time], critical-path bounds, and a zero structural delta
+//! between identical-seed runs.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use cfpd_core::{golden_config, run_simulation_opts, RunOptions, SimulationResult};
 use cfpd_testkit::parse_json;
 use cfpd_trace::{
     critical_path, diff_summaries, export_chrome, export_pcf, export_prv, export_row,
-    export_summary, lost_cycles, ChaosKind, DlbMarkKind, Phase, Trace, WorkerState,
+    export_summary, ChaosKind, DlbMarkKind, Phase, Trace, WorkerState,
 };
-
-static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
-
-fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
-    TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const RANKS: usize = 2;
 const TOL: f64 = 1e-9;
@@ -118,7 +105,6 @@ fn json_exports_satisfy_the_in_repo_parser() {
 /// overlap.
 #[test]
 fn traced_run_worker_intervals_are_disjoint_and_bounded() {
-    let _guard = telemetry_lock();
     let r = traced_run();
     let tr = &r.trace;
     assert!(!tr.workers.is_empty(), "traced run records worker events");
@@ -145,7 +131,6 @@ fn traced_run_worker_intervals_are_disjoint_and_bounded() {
 /// and the wall clock.
 #[test]
 fn critical_path_respects_its_bounds() {
-    let _guard = telemetry_lock();
     let r = traced_run();
     let cp = critical_path(&r.trace);
     assert!(cp.length > 0.0);
@@ -167,46 +152,10 @@ fn critical_path_respects_its_bounds() {
     assert!((sum - cp.length).abs() <= 1e-6, "segments {sum} vs length {}", cp.length);
 }
 
-/// The post-hoc lost-cycles decomposition of a traced run agrees with
-/// the online POP rollup of the very same run to 1e-9 — both consume
-/// identical `(start, end)` pairs.
-#[test]
-fn lost_cycles_agrees_with_online_pop_rollup() {
-    let _guard = telemetry_lock();
-    cfpd_telemetry::set_enabled(true);
-    cfpd_telemetry::reset();
-    let r = traced_run();
-    cfpd_telemetry::set_enabled(false);
-    let report = cfpd_telemetry::pop::report().expect("POP rollup captured");
-    cfpd_telemetry::reset();
-
-    let lc = lost_cycles(&r.trace);
-    assert!(
-        (lc.parallel_efficiency - report.parallel_efficiency).abs() <= TOL,
-        "PE: post-hoc {} vs online {}",
-        lc.parallel_efficiency,
-        report.parallel_efficiency
-    );
-    assert!(
-        (lc.load_balance - report.load_balance).abs() <= TOL,
-        "LB: post-hoc {} vs online {}",
-        lc.load_balance,
-        report.load_balance
-    );
-    assert!(
-        (lc.comm_efficiency - report.comm_efficiency).abs() <= TOL,
-        "CommE: post-hoc {} vs online {}",
-        lc.comm_efficiency,
-        report.comm_efficiency
-    );
-    assert!((lc.wall - report.wall_time).abs() <= TOL);
-}
-
 /// Two identical-seed traced runs produce a zero structural delta:
 /// same ranks, same per-(rank, phase) event counts, same messages.
 #[test]
 fn identical_seed_runs_diff_to_zero() {
-    let _guard = telemetry_lock();
     let a = export_summary(&traced_run().trace);
     let b = export_summary(&traced_run().trace);
     let report = diff_summaries(&a, &b).expect("summaries parse");
@@ -222,7 +171,6 @@ fn identical_seed_runs_diff_to_zero() {
 /// traced run is bit-identical to an untraced one.
 #[test]
 fn tracing_leaves_the_physics_untouched() {
-    let _guard = telemetry_lock();
     let traced = traced_run();
     let plain = run_simulation_opts(&golden_config(), RANKS, 1, &RunOptions::default());
     assert_eq!(traced.logical, plain.logical, "tracing perturbed the logical log");
