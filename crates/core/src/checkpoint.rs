@@ -1,10 +1,12 @@
-//! Step-granular checkpoint/restart for the synchronous simulation.
+//! Step-granular checkpoint/restart for the simulation.
 //!
 //! A [`Checkpoint`] captures, at a step boundary, *exactly* the state
 //! that persists across steps: the velocity and pressure fields, the
 //! SGS quadrature-point vectors, and the per-rank particle populations
 //! (full SoA, including deposited/escaped particles so the final census
-//! survives the restart). The injection RNG only runs at step 0, so the
+//! survives the restart). Each rank section carries what that rank
+//! holds: a coupled-mode fluid rank has no particles, a particle rank no
+//! fields. The injection RNG only runs at step 0, so the
 //! seed in the header is documentation, not replayed state.
 //!
 //! The text codec (`cfpd checkpoint v2`, in `cfpd_testkit::record`'s
@@ -226,8 +228,11 @@ impl Checkpoint {
     }
 
     /// Reject restoring under a configuration or universe shape other
-    /// than the one the checkpoint was taken with.
+    /// than the one the checkpoint was taken with. `n_ranks` counts as in
+    /// [`SimulationConfig::total_ranks`]: a coupled run has
+    /// `fluid + particles` ranks whatever it says.
     pub fn validate_for(&self, config: &SimulationConfig, n_ranks: usize) -> Result<(), String> {
+        let n_ranks = config.total_ranks(n_ranks);
         if self.n_ranks != n_ranks {
             return Err(format!(
                 "checkpoint has {} ranks, run has {n_ranks}",

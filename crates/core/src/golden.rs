@@ -73,12 +73,12 @@ pub fn golden_trace_traced(
     (render_run_doc(config, n_ranks, &result), result)
 }
 
-/// [`golden_trace`] but with the run *split in two*: execute up to step
-/// `split_after`, capture a checkpoint, round-trip it through the text
-/// codec, restore into a fresh universe, finish the run, and render the
-/// stitched logical log. Byte-equality with [`golden_trace`] is the
-/// checkpoint/restart acceptance gate: a restart is only correct if it
-/// is invisible in the golden file.
+/// [`golden_trace`] but with the run *split in two*: execute steps
+/// `[0, split_after)`, stop there with a checkpoint, round-trip it
+/// through the text codec, restore into a fresh universe, finish the
+/// run, and render the stitched logical log. Byte-equality with
+/// [`golden_trace`] is the checkpoint/restart acceptance gate: a restart
+/// is only correct if it is invisible in the golden file.
 pub fn golden_trace_split(config: &SimulationConfig, n_ranks: usize, split_after: usize) -> String {
     assert!(
         split_after > 0 && split_after < config.steps,
@@ -88,9 +88,9 @@ pub fn golden_trace_split(config: &SimulationConfig, n_ranks: usize, split_after
         config,
         n_ranks,
         1,
-        &RunOptions { checkpoint_at: Some(split_after), ..Default::default() },
+        &RunOptions { stop_after: Some(split_after), ..Default::default() },
     );
-    let cp = part1.checkpoint.expect("checkpoint captured at the split step");
+    let cp = part1.checkpoint.expect("a stopped run captures its state");
     // Round-trip through the text codec so the gate also covers the
     // serialization path, not just the in-memory snapshot.
     let cp = Checkpoint::from_text(&cp.to_text()).expect("checkpoint text round-trip");
@@ -100,13 +100,8 @@ pub fn golden_trace_split(config: &SimulationConfig, n_ranks: usize, split_after
         1,
         &RunOptions { restore: Some(Arc::new(cp)), ..Default::default() },
     );
-    let mut logical: Vec<LogicalEvent> = part1
-        .logical
-        .iter()
-        .filter(|e| e.step() < split_after)
-        .cloned()
-        .collect();
-    logical.extend(part2.logical.iter().cloned());
+    let mut logical = part1.logical;
+    logical.extend(part2.logical);
     let mut out = render_golden_header_for(config, n_ranks, part2.elements, part2.nodes);
     out.push_str(&render_golden_events(&logical));
     out.push_str(&render_golden_summary(&part2.census));

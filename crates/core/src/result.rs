@@ -35,7 +35,7 @@ pub struct SimulationResult {
     /// runs for a fixed config, at any thread count and with DLB on or
     /// off — the substrate of the golden-trace regression suite.
     pub logical: Vec<LogicalEvent>,
-    /// Checkpoint captured at `RunOptions::checkpoint_at`, if requested.
+    /// The state at `RunOptions::stop_after`, when the run stopped there.
     pub checkpoint: Option<Checkpoint>,
     /// Every fault the chaos layer injected (empty without a fault plan).
     pub faults: Vec<FaultEvent>,

@@ -17,8 +17,7 @@ pub use crate::result::{LogicalEvent, SimulationResult};
 use cfpd_dlb::{DlbCluster, GrantPolicy, LendPolicy};
 use cfpd_mesh::Vec3;
 use cfpd_particles::{
-    inject_at_inlet, step_particles, Locator, ParticleCensus, ParticleProps, ParticleSet,
-    ParticleState,
+    inject_at_inlet, step_particles, Locator, ParticleProps, ParticleSet, ParticleState,
 };
 use cfpd_runtime::ThreadPool;
 use cfpd_simmpi::{
@@ -30,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything beyond the basic `(ranks, threads, dlb)` knobs of a run:
-/// chaos injection, checkpoint capture and restart. The plain
+/// chaos injection, segment stop and restart. The plain
 /// [`run_simulation`] entry point is `RunOptions::default()` plus `dlb`.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
@@ -43,12 +42,8 @@ pub struct RunOptions {
     /// Seeded fault plan injected into the MPI fabric ([`ChaosHooks`]
     /// wraps the DLB hooks, so chaos and load balancing compose).
     pub fault: Option<FaultConfig>,
-    /// Capture a [`Checkpoint`] immediately before this step executes
-    /// (`Some(k)` with `k == steps` captures the final state).
-    /// Synchronous mode only.
-    pub checkpoint_at: Option<usize>,
     /// Resume from a previously captured checkpoint instead of injecting
-    /// particles at step 0. Synchronous mode only.
+    /// particles at step 0.
     pub restore: Option<Arc<Checkpoint>>,
     /// Stop the run at this step boundary: execute steps
     /// `[start, stop_after)` and capture a [`Checkpoint`] with
@@ -56,15 +51,13 @@ pub struct RunOptions {
     /// Composable with `restore`, so a run can be executed as a chain of
     /// segments whose concatenated logical event logs are byte-identical
     /// to the uninterrupted run (the substrate of `cfpd serve`'s
-    /// checkpoint-backed preemption). Mutually exclusive with
-    /// `checkpoint_at`; values `>= config.steps` are equivalent to
-    /// `None`. Synchronous mode only.
+    /// checkpoint-backed preemption). Values `>= config.steps` are
+    /// equivalent to `None`.
     pub stop_after: Option<usize>,
     /// Record the full structured trace: per-(rank, worker) state
     /// events, MPI wait intervals, point-to-point message records and
-    /// DLB transitions, all on one shared run clock. Off by default —
-    /// untraced runs take exactly the pre-existing code paths, so both
-    /// golden documents stay byte-identical.
+    /// DLB transitions, all on one shared run clock. Off by default;
+    /// the logical event log is the same either way.
     pub trace: bool,
     /// Deterministic per-rank speed/skew profile emulating a
     /// heterogeneous cluster (e.g. MareNostrum4-class next to
@@ -159,17 +152,6 @@ pub fn run_prepared(
         prepared.key_digest(),
         "run_prepared: the Prepared was built for another key"
     );
-    if opts.checkpoint_at.is_some() || opts.restore.is_some() || opts.stop_after.is_some() {
-        assert_eq!(
-            config.mode,
-            ExecutionMode::Synchronous,
-            "checkpoint/restart is only supported in synchronous mode"
-        );
-    }
-    assert!(
-        opts.checkpoint_at.is_none() || opts.stop_after.is_none(),
-        "checkpoint_at and stop_after are mutually exclusive"
-    );
     // A stop boundary at or past the end is just an ordinary full run.
     let stop_after = opts.stop_after.filter(|&s| s < config.steps);
     if let Some(cp) = &opts.restore {
@@ -182,8 +164,8 @@ pub fn run_prepared(
     // The shared run clock: every trace record — phase intervals, wait
     // intervals, message timestamps, DLB events, worker regions — is
     // measured against this one epoch when tracing, so happens-before
-    // edges are monotone across ranks. Untraced runs keep their
-    // per-rank epochs (the pre-existing behavior).
+    // edges are monotone across ranks. Untraced ranks time from their
+    // own start.
     let run_epoch = Instant::now();
 
     // One virtual node: this container is one shared-memory machine, so
@@ -245,7 +227,6 @@ pub fn run_prepared(
         // Decided once for all ranks: assembling the operator is a
         // collective, so either every rank of this run does it or none.
         pressure_op: prepared.pressure_op.get().cloned(),
-        checkpoint_at: opts.checkpoint_at,
         stop_after,
         restore: opts.restore.clone(),
         epoch: if opts.trace { Some(run_epoch) } else { None },
@@ -269,10 +250,7 @@ pub fn run_prepared(
 
     let mut out = oks.swap_remove(0);
     let checkpoint = out.checkpoint.take().map(|ranks| Checkpoint {
-        next_step: opts
-            .checkpoint_at
-            .or(stop_after)
-            .expect("capture implies checkpoint_at or stop_after"),
+        next_step: stop_after.expect("only a segment stop captures"),
         n_ranks,
         seed: config.seed,
         config_digest: crate::checkpoint::config_digest(&config),
@@ -289,34 +267,18 @@ pub fn run_prepared(
 }
 
 /// What every rank of a run shares: the prepared set-up and the
-/// checkpoint/restart window threaded into each rank's main loop.
+/// restore/stop window threaded into each rank's main loop.
 #[derive(Clone)]
 struct StepWindow {
     prepared: Arc<Prepared>,
     /// The pressure operator an earlier run on `prepared` published;
     /// `None` makes this run's first step assemble (and publish) it.
     pressure_op: Option<Arc<PressureOperator>>,
-    checkpoint_at: Option<usize>,
     stop_after: Option<usize>,
     restore: Option<Arc<Checkpoint>>,
-    /// Shared run clock for traced runs; `None` keeps the pre-existing
-    /// per-rank epoch (and byte-identical untraced output).
+    /// Shared run clock for traced runs; `None` times each rank from its
+    /// own start.
     epoch: Option<Instant>,
-}
-
-/// Per-rank entry point.
-fn rank_main(
-    config: &SimulationConfig,
-    pool: &ThreadPool,
-    comm: Comm,
-    window: &StepWindow,
-) -> RankOut {
-    match config.mode {
-        ExecutionMode::Synchronous => sync_rank(config, pool, comm, window),
-        ExecutionMode::Coupled { fluid, particles } => {
-            coupled_rank(config, pool, comm, fluid, particles, window)
-        }
-    }
 }
 
 /// The values-only solver of fluid rank `rank` over the prepared
@@ -391,17 +353,38 @@ fn publish_pressure_operator(prepared: &Prepared, fs: &FluidSolver, fluid_rank: 
     }
 }
 
-fn sync_rank(
+/// Per-rank entry point: the one step loop of both execution modes.
+///
+/// A rank's role decides which blocks of a step it runs. A synchronous
+/// rank solves the fluid and tracks its particles, both on `comm`, and
+/// ends the step in a barrier. In coupled mode (Fig. 3) a fluid rank
+/// solves on its group, whose root then sends the velocity to every
+/// particle rank; a particle rank receives it (its DLB lending point)
+/// and tracks on its group. Restore and capture follow the role: a rank
+/// restores and captures the fields if it solves the fluid, and its
+/// particles if it tracks them.
+fn rank_main(
     config: &SimulationConfig,
     pool: &ThreadPool,
     comm: Comm,
     window: &StepWindow,
 ) -> RankOut {
     let prepared = &*window.prepared;
-    let owner = &prepared.owner;
     let rank = comm.rank();
-    let n = comm.size();
-    let mut fs = fluid_solver(config, prepared, rank, window.pressure_op.clone());
+    // `particle_ranks` is `Some(f..f + p)` in coupled mode; `group` is
+    // then the communicator of this rank's side of the split.
+    let (particle_ranks, group) = match config.mode {
+        ExecutionMode::Synchronous => (None, None),
+        ExecutionMode::Coupled { fluid: f, particles: p } => {
+            assert_eq!(comm.size(), f + p, "coupled mode rank count");
+            (Some(f..f + p), Some(comm.split(usize::from(rank >= f), rank)))
+        }
+    };
+    let local = group.as_ref().unwrap_or(&comm);
+    let solves_fluid = particle_ranks.as_ref().is_none_or(|ps| rank < ps.start);
+    let tracks_particles = particle_ranks.as_ref().is_none_or(|ps| rank >= ps.start);
+    let mut fs = solves_fluid
+        .then(|| fluid_solver(config, prepared, local.rank(), window.pressure_op.clone()));
     let locator = prepared.locator();
 
     let (mut mine, start_step) = match &window.restore {
@@ -411,131 +394,51 @@ fn sync_rank(
             // SGS vectors, particle SoA) with the snapshot; the RNG only
             // runs at step-0 injection, so nothing else needs replaying.
             let rc = &cp.ranks[rank];
-            fs.velocity = rc.velocity.clone();
-            fs.pressure = rc.pressure.clone();
-            fs.sgs.values = rc.sgs.clone();
+            if let Some(fs) = &mut fs {
+                fs.velocity = rc.velocity.clone();
+                fs.pressure = rc.pressure.clone();
+                fs.sgs.values = rc.sgs.clone();
+            }
             (rc.particles.clone(), cp.next_step)
         }
-        None => (inject_owned(config, prepared, &locator, rank, n), 0),
+        None if tracks_particles => {
+            (inject_owned(config, prepared, &locator, local.rank(), local.size()), 0)
+        }
+        None => (ParticleSet::default(), 0),
     };
 
-    let mut trace = Trace::new(n);
-    let mut logical = Vec::new();
-    let mut captured: Option<RankCheckpoint> = None;
-    let epoch = window.epoch.unwrap_or_else(std::time::Instant::now);
-    let t = |epoch: std::time::Instant| epoch.elapsed().as_secs_f64();
-    let capture = |fs: &FluidSolver, mine: &ParticleSet, trace: &mut Trace, now: f64| {
-        trace.record_chaos(rank, now, ChaosKind::CheckpointWritten);
-        cfpd_telemetry::count!("core.checkpoints_written");
-        cfpd_flight::record(cfpd_flight::EventKind::Ckpt, rank as u32, 0, now.to_bits(), 0);
-        RankCheckpoint {
-            rank,
-            velocity: fs.velocity.clone(),
-            pressure: fs.pressure.clone(),
-            sgs: fs.sgs.values.clone(),
-            particles: mine.clone(),
-        }
-    };
-
-    for step in start_step..config.steps {
-        // Segment stop: capture the pre-step state (exactly like a
-        // checkpoint at this boundary) and end the run without
-        // executing the step. Every rank reaches this identically — the
-        // previous iteration's barrier synchronized the boundary.
-        if window.stop_after == Some(step) {
-            captured = Some(capture(&fs, &mine, &mut trace, t(epoch)));
-            break;
-        }
-        // A checkpoint captures the state *before* this step runs (i.e.
-        // at the step boundary the previous barrier just synchronized).
-        if window.checkpoint_at == Some(step) {
-            captured = Some(capture(&fs, &mine, &mut trace, t(epoch)));
-        }
-        // ---- fluid phases (assembly, solver1, solver2, sgs) ----------
-        let t0 = t(epoch);
-        let report = fs.step_reduced(pool, &mut |buf: &mut [f64]| {
-            comm.allreduce_slice_f64(buf, ReduceOp::Sum);
-        });
-        // Attribute the sub-phase times measured inside the step.
-        let mut cursor = t0;
-        for (phase, dur) in [
-            (Phase::Assembly, report.t_assembly),
-            (Phase::Solver1, report.t_solver1),
-            (Phase::Solver2, report.t_solver2),
-            (Phase::Sgs, report.t_sgs),
-        ] {
-            record_phase(&mut trace, rank, phase, cursor, cursor + dur);
-            cursor += dur;
-        }
-        cfpd_telemetry::count!("core.rank_steps");
-        cfpd_flight::record(cfpd_flight::EventKind::Step, rank as u32, 0, step as u64, 0);
-        log_fluid_step(&mut logical, step, rank, &report, &fs.velocity, &fs.pressure);
-        publish_pressure_operator(prepared, &fs, rank);
-
-        // ---- particle phase -------------------------------------------
-        let tp = t(epoch);
-        step_particles(
-            &mut mine,
-            &locator,
-            &fs.velocity,
-            config.fluid.density,
-            config.fluid.viscosity,
-            Vec3::new(0.0, 0.0, -9.81),
-            config.dt,
-        );
-        // Migration: ship particles that crossed into foreign subdomains.
-        let outgoing = collect_migrants(&mut mine, owner, rank);
-        let (sent, received) = exchange_migrants(&comm, outgoing, &mut mine);
-        let tp_end = t(epoch);
-        record_phase(&mut trace, rank, Phase::Particles, tp, tp_end);
-        logical.push(LogicalEvent::Exchange { step, rank, sent, received });
-        let c = mine.census();
-        logical.push(LogicalEvent::Particles {
-            step,
-            rank,
-            active: c.active,
-            deposited: c.deposited,
-            escaped: c.escaped,
-            lost: c.lost,
-        });
-
-        comm.barrier();
-    }
-    // `checkpoint_at == steps` means "capture the final state".
-    if window.checkpoint_at == Some(config.steps) {
-        captured = Some(capture(&fs, &mine, &mut trace, t(epoch)));
-    }
-    let total = t(epoch);
-
-    finalize(comm, trace, mine.census(), total, logical, captured)
-}
-
-fn coupled_rank(
-    config: &SimulationConfig,
-    pool: &ThreadPool,
-    comm: Comm,
-    f: usize,
-    p: usize,
-    window: &StepWindow,
-) -> RankOut {
-    assert_eq!(comm.size(), f + p, "coupled mode rank count");
-    let prepared = &*window.prepared;
-    let world_rank = comm.rank();
-    let is_fluid = world_rank < f;
-    let group = comm.split(usize::from(!is_fluid), world_rank);
     let mut trace = Trace::new(comm.size());
     let mut logical = Vec::new();
-    let epoch = window.epoch.unwrap_or_else(std::time::Instant::now);
-    let t = |epoch: std::time::Instant| epoch.elapsed().as_secs_f64();
-    let census;
+    let mut captured: Option<RankCheckpoint> = None;
+    let epoch = window.epoch.unwrap_or_else(Instant::now);
+    let t = |epoch: Instant| epoch.elapsed().as_secs_f64();
 
-    if is_fluid {
-        let mut fs = fluid_solver(config, prepared, group.rank(), window.pressure_op.clone());
-        for step in 0..config.steps {
+    for step in start_step..config.steps {
+        // Segment stop: capture the pre-step state and end the run
+        // without executing the step. Every rank stops at the same
+        // boundary with nothing in flight: the barrier closed the
+        // previous synchronous step, and every velocity a coupled fluid
+        // root sent has been received.
+        if window.stop_after == Some(step) {
+            let now = t(epoch);
+            trace.record_chaos(rank, now, ChaosKind::CheckpointWritten);
+            cfpd_telemetry::count!("core.checkpoints_written");
+            cfpd_flight::record(cfpd_flight::EventKind::Ckpt, rank as u32, 0, now.to_bits(), 0);
+            let (velocity, pressure, sgs) = match &fs {
+                Some(fs) => (fs.velocity.clone(), fs.pressure.clone(), fs.sgs.values.clone()),
+                None => Default::default(),
+            };
+            captured =
+                Some(RankCheckpoint { rank, velocity, pressure, sgs, particles: mine.clone() });
+            break;
+        }
+        // ---- fluid phases (assembly, solver1, solver2, sgs) ----------
+        if let Some(fs) = &mut fs {
             let t0 = t(epoch);
             let report = fs.step_reduced(pool, &mut |buf: &mut [f64]| {
-                group.allreduce_slice_f64(buf, ReduceOp::Sum);
+                local.allreduce_slice_f64(buf, ReduceOp::Sum);
             });
+            // Attribute the sub-phase times measured inside the step.
             let mut cursor = t0;
             for (phase, dur) in [
                 (Phase::Assembly, report.t_assembly),
@@ -543,68 +446,67 @@ fn coupled_rank(
                 (Phase::Solver2, report.t_solver2),
                 (Phase::Sgs, report.t_sgs),
             ] {
-                record_phase(&mut trace, world_rank, phase, cursor, cursor + dur);
+                record_phase(&mut trace, rank, phase, cursor, cursor + dur);
                 cursor += dur;
             }
-            cfpd_telemetry::count!("core.rank_steps");
-            cfpd_flight::record(cfpd_flight::EventKind::Step, world_rank as u32, 0, step as u64, 0);
-            log_fluid_step(&mut logical, step, world_rank, &report, &fs.velocity, &fs.pressure);
-            publish_pressure_operator(prepared, &fs, group.rank());
-            // Fluid group root ships the velocity field to every particle
-            // rank (Fig. 3's "send velocity"), then continues.
-            let tc = t(epoch);
-            if group.rank() == 0 {
-                for dest in f..f + p {
-                    comm.send(dest, TAG_VELOCITY, fs.velocity.clone());
-                }
-            }
-            let tc_end = t(epoch);
-            record_phase(&mut trace, world_rank, Phase::MpiComm, tc, tc_end);
+            log_fluid_step(&mut logical, step, rank, &report, &fs.velocity, &fs.pressure);
+            publish_pressure_operator(prepared, fs, local.rank());
         }
-        census = ParticleCensus::default();
-    } else {
-        // Particle code: owns all particles, partitioned among p ranks.
-        let owner = &prepared.owner;
-        let locator = prepared.locator();
-        let mut mine = inject_owned(config, prepared, &locator, group.rank(), p);
-        for step in 0..config.steps {
-            // Blocking receive of this step's velocity — the DLB lending
-            // point for idle particle ranks.
-            let tw = t(epoch);
-            let velocity: Vec<Vec3> = comm.recv(0, TAG_VELOCITY);
-            let tw_end = t(epoch);
-            record_phase(&mut trace, world_rank, Phase::MpiComm, tw, tw_end);
+        // ---- coupled velocity hand-off (Fig. 3's "send velocity") ----
+        let mut shipped: Option<Vec<Vec3>> = None;
+        if let Some(dests) = particle_ranks.clone() {
+            let tc = t(epoch);
+            match &fs {
+                Some(fs) if local.rank() == 0 => {
+                    for dest in dests {
+                        comm.send(dest, TAG_VELOCITY, fs.velocity.clone());
+                    }
+                }
+                Some(_) => {}
+                None => shipped = Some(comm.recv(0, TAG_VELOCITY)),
+            }
+            record_phase(&mut trace, rank, Phase::MpiComm, tc, t(epoch));
+        }
+        // ---- particle phase -------------------------------------------
+        if tracks_particles {
+            let velocity = match (&shipped, &fs) {
+                (Some(v), _) => v,
+                (None, Some(fs)) => &fs.velocity,
+                (None, None) => unreachable!("a rank without a solver is shipped its velocity"),
+            };
             let tp = t(epoch);
             step_particles(
                 &mut mine,
                 &locator,
-                &velocity,
+                velocity,
                 config.fluid.density,
                 config.fluid.viscosity,
                 Vec3::new(0.0, 0.0, -9.81),
                 config.dt,
             );
-            let outgoing = collect_migrants(&mut mine, owner, group.rank());
-            let (sent, received) = exchange_migrants(&group, outgoing, &mut mine);
-            let tp_end = t(epoch);
-            record_phase(&mut trace, world_rank, Phase::Particles, tp, tp_end);
-            cfpd_telemetry::count!("core.rank_steps");
-            cfpd_flight::record(cfpd_flight::EventKind::Step, world_rank as u32, 0, step as u64, 0);
-            logical.push(LogicalEvent::Exchange { step, rank: world_rank, sent, received });
+            // Migration: ship particles that crossed into foreign subdomains.
+            let outgoing = collect_migrants(&mut mine, &prepared.owner, local.rank());
+            let (sent, received) = exchange_migrants(local, outgoing, &mut mine);
+            record_phase(&mut trace, rank, Phase::Particles, tp, t(epoch));
+            logical.push(LogicalEvent::Exchange { step, rank, sent, received });
             let c = mine.census();
             logical.push(LogicalEvent::Particles {
                 step,
-                rank: world_rank,
+                rank,
                 active: c.active,
                 deposited: c.deposited,
                 escaped: c.escaped,
                 lost: c.lost,
             });
         }
-        census = mine.census();
+        cfpd_telemetry::count!("core.rank_steps");
+        cfpd_flight::record(cfpd_flight::EventKind::Step, rank as u32, 0, step as u64, 0);
+        if particle_ranks.is_none() {
+            comm.barrier();
+        }
     }
     let total = t(epoch);
-    finalize(comm, trace, census, total, logical, None)
+    finalize(comm, trace, mine.census(), total, logical, captured)
 }
 
 /// The freshly injected particles of `all` that sit in elements part
@@ -715,6 +617,7 @@ fn exchange_migrants(
 mod tests {
     use super::*;
     use cfpd_mesh::AirwaySpec;
+    use cfpd_particles::ParticleCensus;
     use cfpd_trace::{DlbMarkKind, WorkerState};
 
     fn tiny_config() -> SimulationConfig {
@@ -772,65 +675,41 @@ mod tests {
         assert!(c.active + c.deposited + c.escaped > 0);
     }
 
-    #[test]
-    fn checkpoint_restart_resumes_bit_identically() {
-        let cfg = tiny_config();
-        let full = run_simulation(&cfg, 2, 1, false);
-        let part1 = run_simulation_opts(
-            &cfg,
-            2,
-            1,
-            &RunOptions { checkpoint_at: Some(1), ..Default::default() },
-        );
-        let cp = part1.checkpoint.expect("checkpoint captured");
-        assert_eq!(cp.next_step, 1);
-        let cp = Checkpoint::from_text(&cp.to_text()).expect("round-trip");
-        let part2 = run_simulation_opts(
-            &cfg,
-            2,
-            1,
-            &RunOptions { restore: Some(Arc::new(cp)), ..Default::default() },
-        );
-        // Stitched event log == uninterrupted run's log, bit for bit.
-        let mut stitched: Vec<LogicalEvent> =
-            part1.logical.iter().filter(|e| e.step() < 1).cloned().collect();
-        stitched.extend(part2.logical.iter().cloned());
-        assert_eq!(stitched, full.logical);
-        assert_eq!(part2.census, full.census);
-    }
-
+    /// A run executed as a chain of one-step segments, each stopping at
+    /// the next boundary and handing its checkpoint (through the text
+    /// codec) to the next, stitches to the uninterrupted one-thread run:
+    /// synchronous, and coupled 1+1 with LeWI lending at two threads.
     #[test]
     fn stop_after_segments_stitch_bit_identically() {
-        let cfg = SimulationConfig { steps: 3, ..tiny_config() };
-        let full = run_simulation(&cfg, 2, 1, false);
-
-        // Run the same simulation as a chain of single-step segments,
-        // each stopping at the next boundary and handing its checkpoint
-        // (through the text codec) to the next segment.
-        let mut stitched: Vec<LogicalEvent> = Vec::new();
-        let mut restore: Option<Arc<Checkpoint>> = None;
-        let mut last = None;
-        for stop in [Some(1), Some(2), None] {
-            let seg = run_simulation_opts(
-                &cfg,
-                2,
-                1,
-                &RunOptions { restore: restore.take(), stop_after: stop, ..Default::default() },
-            );
-            stitched.extend(seg.logical.iter().cloned());
-            if let Some(cp) = &seg.checkpoint {
-                assert_eq!(cp.next_step, stop.unwrap());
-                let cp = Checkpoint::from_text(&cp.to_text()).expect("round-trip");
-                restore = Some(Arc::new(cp));
-            } else {
-                assert_eq!(stop, None, "every stopped segment must capture");
+        let sync = SimulationConfig { steps: 3, ..tiny_config() };
+        let coupled = SimulationConfig {
+            mode: ExecutionMode::Coupled { fluid: 1, particles: 1 },
+            ..sync.clone()
+        };
+        for (cfg, ranks, threads, dlb) in [(sync, 2, 1, false), (coupled, 0, 2, true)] {
+            let full = run_simulation(&cfg, ranks, 1, false);
+            let mut stitched: Vec<LogicalEvent> = Vec::new();
+            let mut from: Option<Arc<Checkpoint>> = None;
+            let mut last = None;
+            for stop_after in [Some(1), Some(2), None] {
+                let restore = from.take();
+                let opts = RunOptions { dlb, restore, stop_after, ..Default::default() };
+                let seg = run_simulation_opts(&cfg, ranks, threads, &opts);
+                stitched.extend(seg.logical.iter().cloned());
+                if let Some(cp) = &seg.checkpoint {
+                    assert_eq!(Some(cp.next_step), stop_after);
+                    let cp = Checkpoint::from_text(&cp.to_text()).expect("round-trip");
+                    from = Some(Arc::new(cp));
+                } else {
+                    assert_eq!(stop_after, None, "every stopped segment must capture");
+                }
+                last = Some(seg);
             }
-            last = Some(seg);
+            // Segments are contiguous step ranges, each internally sorted
+            // by (step, rank), so plain concatenation is the full log.
+            assert_eq!(stitched, full.logical, "{:?}", cfg.mode);
+            assert_eq!(last.unwrap().census, full.census, "{:?}", cfg.mode);
         }
-        // Segments are contiguous step ranges, each internally sorted by
-        // (step, rank), so plain concatenation is the full sorted log.
-        assert_eq!(stitched, full.logical);
-        assert_eq!(last.unwrap().census, full.census);
     }
 
     #[test]

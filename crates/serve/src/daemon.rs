@@ -26,7 +26,7 @@
 
 use crate::fault::CellFault;
 use crate::feed::EventFeed;
-use crate::runner::{checkpointable, finish_cell_metrics, run_segment};
+use crate::runner::{finish_cell_metrics, run_segment};
 use crate::snap::CellSnapshot;
 use crate::state::{Job, JobState, ResumePoint, Store};
 use crate::wal::{self, PersistGate, Wal, WalRecord};
@@ -55,11 +55,11 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission bound: live (non-terminal) jobs beyond this shed 503.
     pub queue_cap: usize,
-    /// Steps per segment of a checkpointable cell — the
-    /// recovery-granularity vs snapshot-overhead dial.
+    /// Steps per segment of a cell — the recovery-granularity vs
+    /// snapshot-overhead dial.
     pub ckpt_interval: usize,
-    /// Wall-clock budget per segment (a cell that cannot be checkpointed
-    /// is one segment); a stuck cell fails with `timeout: ...`.
+    /// Wall-clock budget per segment; a stuck cell fails with
+    /// `timeout: ...`.
     pub cell_timeout: Option<Duration>,
     /// Retries per cell after the first attempt.
     pub retry_max: u32,
@@ -514,9 +514,7 @@ enum SegmentsOutcome {
 
 /// Run a cell as a segment chain on one shared set-up, persisting a
 /// snapshot at every boundary and honouring preempt/drain/cancel/kill
-/// between segments. A cell that is not [`checkpointable`] is the chain
-/// of one segment, with no boundary: same set-up, same budget, same
-/// panic isolation, just nothing to park on.
+/// between segments.
 ///
 /// The cell's progress (`job.resume`) lives in the store, not here: a
 /// failed or parked attempt leaves it where the next one finds it, and a
@@ -530,8 +528,7 @@ fn drive_segments(
     mut fault: CellFault, // consumed by the first segment of the attempt
 ) -> SegmentsOutcome {
     let steps = cell.scenario.config.steps;
-    let interval =
-        if checkpointable(&cell.scenario) { sh.cfg.ckpt_interval.max(1) } else { steps };
+    let interval = sh.cfg.ckpt_interval.max(1);
     let prepared = match sh.memo.get(&cell.scenario.prepare_key()) {
         Ok(p) => p,
         Err(reason) => return SegmentsOutcome::Cell(Err(reason)),

@@ -34,17 +34,6 @@ pub struct SegmentOut {
     pub pop: PopTotals,
 }
 
-/// Can this scenario be cut into resumable segments? Mirrors the
-/// core's checkpoint preconditions: synchronous mode, no DLB, no chaos
-/// (any thread count: a document does not depend on it). Anything else
-/// is the chain of one segment: still supervised and retried, just not
-/// preempted mid-flight.
-pub fn checkpointable(s: &Scenario) -> bool {
-    s.config.mode == cfpd_core::ExecutionMode::Synchronous
-        && !s.opts.dlb
-        && s.opts.fault.is_none()
-}
-
 /// Run steps `[restore.next_step, stop_after)` of the scenario (from
 /// step 0 when `restore` is `None`; to completion when `stop_after`
 /// is `None` or `>= steps`) on `prepared`, the set-up of the scenario's
@@ -112,40 +101,45 @@ particles = 40
 steps = 3
 ";
 
-    /// Also at two threads per rank, which `checkpointable` admits now
-    /// that a document does not depend on the thread count: the
-    /// reference stays the one-thread uninterrupted run.
+    /// A synchronous cell and a coupled 1+1 cell with LeWI lending,
+    /// each also at two threads per rank: a document does not depend on
+    /// the thread count, so the reference stays the one-thread
+    /// uninterrupted run.
     #[test]
     fn segment_chain_matches_the_uninterrupted_run_bit_for_bit() {
-        let spec = CampaignSpec::from_text(TINY).unwrap();
-        let cells = expand(&spec).unwrap();
-        let want = cell_metrics(&cells[0], &run_scenario(&cells[0].scenario));
-        let prepared = prepare(&cells[0].scenario.prepare_key()).unwrap();
-
-        for threads in [1, 2] {
-            let mut cell = cells[0].clone();
-            cell.scenario.threads = threads;
-            assert!(checkpointable(&cell.scenario));
-            // Segment chain with a boundary after every step, snapshots
-            // round-tripped through text like the daemon does.
-            let mut acc = CellAcc::default();
-            let mut events = String::new();
-            let mut restore: Option<Arc<Checkpoint>> = None;
-            let mut last = None;
-            for stop in [Some(1), Some(2), None] {
-                let seg = run_segment(&prepared, &cell.scenario, restore.take(), stop).unwrap();
-                acc.absorb(&seg.logical);
-                events.push_str(&seg.events_text);
-                if seg.done {
-                    last = Some(seg);
-                } else {
-                    let cp = seg.checkpoint.expect("parked segment yields a checkpoint");
-                    let cp = Checkpoint::from_text(&cp.to_text()).expect("codec round-trip");
-                    restore = Some(Arc::new(cp));
-                }
+        let coupled = format!("{TINY}mode = coupled:1+1\ndlb = on\n");
+        for text in [TINY, coupled.as_str()] {
+            let cells = expand(&CampaignSpec::from_text(text).unwrap()).unwrap();
+            let want = cell_metrics(&cells[0], &run_scenario(&cells[0].scenario));
+            let prepared = prepare(&cells[0].scenario.prepare_key()).unwrap();
+            for threads in [1, 2] {
+                let mut cell = cells[0].clone();
+                cell.scenario.threads = threads;
+                let got = run_chain(&prepared, &cell);
+                assert_eq!(got, want.canon, "{text}threads = {threads}");
             }
-            let got = finish_cell_metrics(&cell, &prepared, &acc, &events, &last.unwrap().census);
-            assert_eq!(got, want.canon, "threads = {threads}");
         }
+    }
+
+    /// The cell as a segment chain with a boundary after every step,
+    /// snapshots round-tripped through text like the daemon does.
+    fn run_chain(prepared: &Arc<Prepared>, cell: &Cell) -> CanonMetrics {
+        let mut acc = CellAcc::default();
+        let mut events = String::new();
+        let mut restore: Option<Arc<Checkpoint>> = None;
+        let mut last = None;
+        for stop in [Some(1), Some(2), None] {
+            let seg = run_segment(prepared, &cell.scenario, restore.take(), stop).unwrap();
+            acc.absorb(&seg.logical);
+            events.push_str(&seg.events_text);
+            if seg.done {
+                last = Some(seg);
+            } else {
+                let cp = seg.checkpoint.expect("parked segment yields a checkpoint");
+                let cp = Checkpoint::from_text(&cp.to_text()).expect("codec round-trip");
+                restore = Some(Arc::new(cp));
+            }
+        }
+        finish_cell_metrics(cell, prepared, &acc, &events, &last.unwrap().census)
     }
 }

@@ -1,7 +1,7 @@
 //! Per-cell progress snapshots — what turns the daemon's segment loop
 //! into *bit-identical* resume.
 //!
-//! A checkpointable cell runs as a chain of `stop_after` segments (see
+//! Every cell runs as a chain of `stop_after` segments (see
 //! `cfpd_core::RunOptions`). At every boundary the worker persists a
 //! snapshot holding (a) the golden event text produced so far, (b) the
 //! metrics accumulator over those events, and (c) the full

@@ -61,10 +61,11 @@
 #     untouched with profiles disabled,
 #   * a serve smoke: `cfpd serve run` on an ephemeral port accepts the
 #     tiny campaign over HTTP, the served result is byte-identical to
-#     the direct `campaign run --json` output and cost exactly 2 set-ups
-#     and 1 memo hit (its `dlb = on` cell, which cannot be checkpointed,
-#     is a segment chain of one on the set-up of its `dlb = off`
-#     sibling), `/metrics` passes the strict Prometheus lint, a 2-seed x
+#     the direct `campaign run --json` output and cost exactly 2 set-ups,
+#     1 memo hit and 3 segment boundaries (every cell, its `dlb = on`
+#     one too, is a chain of one-step segments, and that cell runs on
+#     the set-up of its `dlb = off` sibling), `/metrics` passes the
+#     strict Prometheus lint, a 2-seed x
 #     3-step job on one mesh costs exactly 1 set-up for its 6 segments
 #     (all counted on `/metrics`, so immune to host noise) and still
 #     serves the direct run's bytes, `serve drain` checkpoints and exits
@@ -110,7 +111,11 @@
 #   * a one-rollup gate: POP efficiencies come from cfpd_trace::PopTotals
 #     over a run's own phase record, so the process-global POP table,
 #     its phase enum and the simulation's mirror into it are named
-#     nowhere under crates/, tests/ or examples/.
+#     nowhere under crates/, tests/ or examples/,
+#   * a one-cell-path gate: every cell checkpoints at step boundaries,
+#     so the daemon's predicate for cells that could not and the
+#     capture-but-keep-running run option are named nowhere under
+#     crates/, tests/ or examples/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -373,12 +378,13 @@ cmp -s "$tracedir/serve-result.json" "$tracedir/tiny-a.json" \
 "$cfpd" serve metrics --addr "$addr" --lint > /dev/null \
     || { echo "FAIL: /metrics failed the strict Prometheus lint" >&2; exit 1; }
 metric() { "$cfpd" serve metrics --addr "$addr" | awk -v m="$1" '$1 == m { print $2 }'; }
-# One cell driver, one memo: tiny's default/off and default/on cells
-# share a set-up although only the first can be checkpointed; opt/off is
-# the second build.
+# One cell path, one memo: tiny's default/off and default/on cells share
+# a set-up, opt/off is the second build, and each of the three 2-step
+# cells parks once at the default 1-step interval, the DLB one included.
 builds=$(metric cfpd_core_prepare_builds); hits=$(metric cfpd_core_prepare_hits)
-if [ "${builds:-0}" -ne 2 ] || [ "${hits:-0}" -ne 1 ]; then
-    echo "FAIL: the tiny campaign cost ${builds:-0} prepare builds and ${hits:-0} memo hits on a fresh daemon (want 2, 1)" >&2
+bounds=$(metric cfpd_serve_boundary_us_count)
+if [ "${builds:-0}" -ne 2 ] || [ "${hits:-0}" -ne 1 ] || [ "${bounds:-0}" -ne 3 ]; then
+    echo "FAIL: the tiny campaign cost ${builds:-0} prepare builds, ${hits:-0} memo hits and ${bounds:-0} boundaries on a fresh daemon (want 2, 1, 3)" >&2
     exit 1
 fi
 tiny_job=$job
@@ -562,6 +568,13 @@ echo "== one-rollup gate (POP numbers come from the run's own phase record) =="
 # The bracketed letters keep this script from matching itself.
 if grep -rnE 'cfpd_telemetry::po[p]|PopPhas[e]|pop_recor[d]' crates tests examples; then
     echo "FAIL: the process-global POP table or its mirror is back: use cfpd_trace::PopTotals" >&2
+    exit 1
+fi
+
+echo "== one-cell-path gate (every cell checkpoints at step boundaries) =="
+# The bracketed letters keep this script from matching itself.
+if grep -rnE 'checkpointabl[e]|checkpoint_a[t]' crates tests examples; then
+    echo "FAIL: a cell path that cannot checkpoint, or capture without stopping, is back" >&2
     exit 1
 fi
 

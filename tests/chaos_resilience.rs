@@ -194,7 +194,7 @@ fn checkpoint_codec_round_trips_through_the_real_simulation() {
         &cfg,
         2,
         1,
-        &RunOptions { checkpoint_at: Some(1), ..Default::default() },
+        &RunOptions { stop_after: Some(1), ..Default::default() },
     );
     let cp = r.checkpoint.expect("checkpoint captured");
     let text = cp.to_text();

@@ -29,7 +29,7 @@ fn capture_at(config: &SimulationConfig, step: usize) -> Checkpoint {
         config,
         RANKS,
         1,
-        &RunOptions { checkpoint_at: Some(step), ..Default::default() },
+        &RunOptions { stop_after: Some(step), ..Default::default() },
     );
     r.checkpoint.expect("checkpoint captured")
 }

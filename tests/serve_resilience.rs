@@ -101,19 +101,36 @@ fn served_results_are_byte_identical_to_direct_runs() {
 
 /// The tentpole: sweep the persistence cut point over the whole life of
 /// a job; at every cut, kill the daemon and restart from the leftovers.
-/// Every restart must converge to the same bytes, and at least one cut
-/// must resume mid-cell from a snapshot (proving the no-recomputation
-/// path runs, not just queued-from-scratch recovery). The revived
-/// daemon is a new `Daemon`, so it resumes on a set-up it builds itself:
-/// nothing a checkpoint needs lives in the dead daemon's `PrepareMemo`.
+/// Every restart must converge to the same bytes, and for each input at
+/// least one cut must resume mid-cell from a snapshot (proving the
+/// no-recomputation path runs, not just queued-from-scratch recovery).
+/// The inputs are a synchronous cell and the paper's own scenario, a
+/// coupled 2+1 cell with LeWI lending, whose snapshot holds 3 ranks
+/// while its `ranks` key says 2. The revived daemon is a new `Daemon`,
+/// so it resumes on a set-up it builds itself: nothing a checkpoint
+/// needs lives in the dead daemon's `PrepareMemo`.
 #[test]
 fn kill_and_restart_converges_from_every_persistence_cut() {
-    let text = campaign_text("killer", 4);
-    let expected = direct_json(&text);
+    let sync = campaign_text("killer", 4);
+    let coupled = format!("{}mode = coupled:2+1\ndlb = on\n", campaign_text("killer-coupled", 4));
+    for (tag, text) in [("sync", sync), ("coupled", coupled)] {
+        let resumed_from = kill_sweep(tag, &text);
+        assert!(
+            !resumed_from.is_empty(),
+            "{tag}: no cut in the sweep resumed from a mid-cell snapshot; the \
+             no-recomputation path was never exercised"
+        );
+    }
+}
+
+/// One kill-and-restart sweep over `text`; returns the steps the cuts
+/// that resumed mid-cell resumed from.
+fn kill_sweep(tag: &str, text: &str) -> Vec<usize> {
+    let expected = direct_json(text);
     let mut resumed_from: Vec<usize> = Vec::new();
 
     for cut in 0..12u64 {
-        let dir = tmp_dir(&format!("kill-{cut}"));
+        let dir = tmp_dir(&format!("kill-{tag}-{cut}"));
         let crashed = Daemon::start(ServeConfig {
             data_dir: dir.clone(),
             workers: 1,
@@ -123,7 +140,7 @@ fn kill_and_restart_converges_from_every_persistence_cut() {
         })
         .unwrap();
         let addr = crashed.addr().to_string();
-        let job = submit(&addr, &text);
+        let job = submit(&addr, text);
         // Run until the gate freezes (the simulated kill -9 instant) or
         // the job outruns the cut and finishes.
         for _ in 0..1500 {
@@ -151,7 +168,7 @@ fn kill_and_restart_converges_from_every_persistence_cut() {
         let job = if code == 404 {
             // The crash predated the WAL submit record: the job is
             // simply gone, which is lost-request, not corruption.
-            submit(&addr, &text)
+            submit(&addr, text)
         } else {
             assert_eq!(code, 200, "{status}");
             if let Some(v) = cfpd_testkit::parse_json(&status)
@@ -166,16 +183,12 @@ fn kill_and_restart_converges_from_every_persistence_cut() {
         assert_eq!(
             result_of(&addr, job),
             expected,
-            "cut {cut}: restart did not converge to the uninterrupted bytes"
+            "{tag} cut {cut}: restart did not converge to the uninterrupted bytes"
         );
         revived.kill();
         let _ = std::fs::remove_dir_all(&dir);
     }
-    assert!(
-        !resumed_from.is_empty(),
-        "no cut in the sweep resumed from a mid-cell snapshot; the \
-         no-recomputation path was never exercised"
-    );
+    resumed_from
 }
 
 /// A daemon whose persistence froze is still running, and must not undo
@@ -397,52 +410,57 @@ fn retry_exhaustion_fails_the_cell_not_the_daemon() {
 
 /// Checkpoint-backed preemption: on a one-slot node, a short job
 /// admitted behind a long one finishes first; the long job parks on a
-/// snapshot, resumes, and its bytes are unchanged.
+/// snapshot, resumes, and its bytes are unchanged. The long job is a
+/// synchronous cell, then a coupled 1+1 cell with LeWI lending.
 #[test]
 fn preemption_lets_a_short_job_jump_a_long_one_without_changing_bytes() {
-    let long_text = campaign_text("longjob", 30);
-    let short_text = campaign_text("shortjob", 1);
-    let dir = tmp_dir("preempt");
-    let daemon = Daemon::start(ServeConfig {
-        data_dir: dir.clone(),
-        workers: 1,
-        http_threads: 1,
-        ..Default::default()
-    })
-    .unwrap();
-    let addr = daemon.addr().to_string();
+    let sync = campaign_text("longjob", 30);
+    let coupled = format!("{}mode = coupled:1+1\ndlb = on\n", campaign_text("longjob-coupled", 30));
+    for (tag, long_text) in [("sync", sync), ("coupled", coupled)] {
+        let short_text = campaign_text("shortjob", 1);
+        let dir = tmp_dir(&format!("preempt-{tag}"));
+        let daemon = Daemon::start(ServeConfig {
+            data_dir: dir.clone(),
+            workers: 1,
+            http_threads: 1,
+            ..Default::default()
+        })
+        .unwrap();
+        let addr = daemon.addr().to_string();
 
-    let long_job = submit(&addr, &long_text);
-    // Wait until the long job actually holds the slot.
-    for _ in 0..500 {
-        let (_, body) = get(&addr, &format!("/jobs/{long_job}"));
-        if body.contains("\"running\"") {
-            break;
+        let long_job = submit(&addr, &long_text);
+        // Wait until the long job actually holds the slot.
+        for _ in 0..500 {
+            let (_, body) = get(&addr, &format!("/jobs/{long_job}"));
+            if body.contains("\"running\"") {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
         }
-        std::thread::sleep(Duration::from_millis(5));
+        let short_job = submit(&addr, &short_text);
+
+        // The short job must finish while the long one is still live.
+        let _short_result = result_of(&addr, short_job);
+        let (_, long_status) = get(&addr, &format!("/jobs/{long_job}"));
+        assert!(
+            !long_status.contains("\"done\""),
+            "{tag}: the long job should still be working when the short one finishes: \
+             {long_status}"
+        );
+
+        assert_eq!(
+            result_of(&addr, long_job),
+            direct_json(&long_text),
+            "{tag}: preemption must not change the long job's bytes"
+        );
+        let (_, metrics) = get(&addr, "/metrics");
+        assert!(
+            metrics.contains("cfpd_serve_preemptions"),
+            "preemption must be observable on /metrics"
+        );
+        daemon.kill();
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let short_job = submit(&addr, &short_text);
-
-    // The short job must finish while the long one is still live.
-    let _short_result = result_of(&addr, short_job);
-    let (_, long_status) = get(&addr, &format!("/jobs/{long_job}"));
-    assert!(
-        !long_status.contains("\"done\""),
-        "the long job should still be working when the short one finishes: {long_status}"
-    );
-
-    assert_eq!(
-        result_of(&addr, long_job),
-        direct_json(&long_text),
-        "preemption must not change the long job's bytes"
-    );
-    let (_, metrics) = get(&addr, "/metrics");
-    assert!(
-        metrics.contains("cfpd_serve_preemptions"),
-        "preemption must be observable on /metrics"
-    );
-    daemon.kill();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Overload sheds with 503 + Retry-After instead of queueing without
@@ -817,11 +835,11 @@ impl Drop for ServedProcess {
     }
 }
 
-/// A cell that cannot be checkpointed (`dlb = on`) is a segment chain of
-/// one segment on the daemon's own `PrepareMemo`: next to a `dlb = off`
-/// cell of the same mesh it costs a memo hit, not a second set-up.
+/// A `dlb = on` cell is a segment chain on the daemon's own
+/// `PrepareMemo`, like every cell: next to a `dlb = off` cell of the
+/// same mesh it costs a memo hit, not a second set-up.
 #[test]
-fn an_atomic_cell_shares_the_daemons_set_up() {
+fn a_dlb_cell_shares_the_daemons_set_up() {
     let text = format!("{}[matrix]\ndlb = off, on\n", campaign_text("shared-set-up", 2));
     let dir = tmp_dir("shared-set-up");
     let daemon = ServedProcess::start(&dir);
