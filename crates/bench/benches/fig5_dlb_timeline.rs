@@ -67,9 +67,6 @@ fn main() {
             DlbEventKind::Revoke { cores, active } => {
                 format!("loan revoked ({cores}) -> {active} active threads")
             }
-            DlbEventKind::LeaseExpired { cores } => {
-                format!("lease expired, kept core(s) donated ({cores})")
-            }
             DlbEventKind::Crashed { cores } => {
                 format!("rank crashed, allotment donated permanently ({cores})")
             }

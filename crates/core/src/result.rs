@@ -10,7 +10,7 @@ use cfpd_dlb::{DlbCluster, DlbEventKind, DlbStats};
 use cfpd_mesh::Vec3;
 use cfpd_particles::ParticleCensus;
 use cfpd_runtime::ThreadPool;
-use cfpd_simmpi::{Comm, FaultEvent, FaultEventKind, TraceHooks};
+use cfpd_simmpi::{Comm, FaultEvent, TraceHooks};
 use cfpd_testkit::digest::{digest_f64s, Digest};
 use cfpd_trace::{
     carve_states, phase_breakdown, ChaosKind, DlbMarkKind, Phase, PhaseRow, Trace, WorkerState,
@@ -237,12 +237,8 @@ pub(crate) fn assemble(
 
     // Overlay the injected-fault log on the wall-clock trace.
     for f in &faults {
-        let kind = match f.kind {
-            FaultEventKind::Timeout => ChaosKind::TimeoutFired,
-            _ => ChaosKind::FaultInjected,
-        };
         if f.rank < trace.num_ranks {
-            trace.record_chaos(f.rank, f.t, kind);
+            trace.record_chaos(f.rank, f.t, ChaosKind::FaultInjected);
         }
     }
 
@@ -255,7 +251,6 @@ pub(crate) fn assemble(
             DlbEventKind::Borrow { cores, .. } => (DlbMarkKind::Borrow, cores),
             DlbEventKind::Reclaim { cores } => (DlbMarkKind::Reclaim, cores),
             DlbEventKind::Revoke { cores, .. } => (DlbMarkKind::Revoke, cores),
-            DlbEventKind::LeaseExpired { cores } => (DlbMarkKind::LeaseExpired, cores),
             DlbEventKind::Crashed { cores } => (DlbMarkKind::Crashed, cores),
         };
         if e.rank < trace.num_ranks {

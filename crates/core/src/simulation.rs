@@ -14,7 +14,7 @@ use crate::fluid::{FluidSolver, PressureOperator};
 use crate::prepare::{prepare, PrepareKey, Prepared};
 use crate::result::{assemble, finalize, log_fluid_step, RankOut};
 pub use crate::result::{LogicalEvent, SimulationResult};
-use cfpd_dlb::{DlbCluster, GrantPolicy, LendPolicy};
+use cfpd_dlb::DlbCluster;
 use cfpd_mesh::Vec3;
 use cfpd_particles::{
     inject_at_inlet, step_particles, Locator, ParticleProps, ParticleSet, ParticleState,
@@ -26,7 +26,7 @@ use cfpd_simmpi::{
 };
 use cfpd_trace::{ChaosKind, Phase, Trace};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Everything beyond the basic `(ranks, threads, dlb)` knobs of a run:
 /// chaos injection, segment stop and restart. The plain
@@ -35,10 +35,6 @@ use std::time::{Duration, Instant};
 pub struct RunOptions {
     /// Enable the LeWI arbiter.
     pub dlb: bool,
-    /// Lending lease for DLB graceful degradation: a rank blocked longer
-    /// than this donates its kept core to the pool (see
-    /// `DlbNode::sweep_leases`). Only meaningful with `dlb`.
-    pub lease: Option<Duration>,
     /// Seeded fault plan injected into the MPI fabric ([`ChaosHooks`]
     /// wraps the DLB hooks, so chaos and load balancing compose).
     pub fault: Option<FaultConfig>,
@@ -162,10 +158,10 @@ pub fn run_prepared(
     let config = Arc::new(config.clone());
 
     // The shared run clock: every trace record — phase intervals, wait
-    // intervals, message timestamps, DLB events, worker regions — is
-    // measured against this one epoch when tracing, so happens-before
-    // edges are monotone across ranks. Untraced ranks time from their
-    // own start.
+    // intervals, message timestamps, DLB events, injected faults, worker
+    // regions — is measured against this one epoch when tracing, so
+    // happens-before edges are monotone across ranks. Untraced ranks
+    // time from their own start.
     let run_epoch = Instant::now();
 
     // One virtual node: this container is one shared-memory machine, so
@@ -174,14 +170,7 @@ pub fn run_prepared(
     // lending machinery). A blocked simmpi rank parks, it does not
     // busy-wait, so it lends every core it owns.
     let cluster = Arc::new(if opts.dlb {
-        DlbCluster::new_block_with_epoch(
-            n_ranks,
-            1,
-            LendPolicy::LendAll,
-            GrantPolicy::default(),
-            opts.lease,
-            run_epoch,
-        )
+        DlbCluster::new_block_with_epoch(n_ranks, 1, run_epoch)
     } else {
         DlbCluster::disabled(n_ranks, 1)
     });
@@ -201,7 +190,7 @@ pub fn run_prepared(
     let base: Arc<dyn MpiHooks> = Arc::clone(&cluster) as _;
     let chaos: Option<Arc<ChaosHooks>> = opts
         .fault
-        .map(|fc| ChaosHooks::new(n_ranks, FaultPlan::new(fc), Arc::clone(&base)));
+        .map(|fc| ChaosHooks::new(n_ranks, run_epoch, FaultPlan::new(fc), Arc::clone(&base)));
     let mid: Arc<dyn MpiHooks> = match &chaos {
         Some(c) => Arc::clone(c) as _,
         None => base,
@@ -731,17 +720,35 @@ mod tests {
     fn benign_chaos_leaves_the_logical_trace_bit_identical() {
         let cfg = tiny_config();
         let clean = run_simulation(&cfg, 2, 1, false);
-        let chaotic = run_simulation_opts(
-            &cfg,
-            2,
-            1,
-            &RunOptions { fault: Some(FaultConfig::benign(7)), ..Default::default() },
-        );
-        assert!(!chaotic.faults.is_empty(), "benign plan injected nothing");
-        assert_eq!(clean.logical, chaotic.logical);
-        assert_eq!(clean.census, chaotic.census);
-        // The wall-clock trace carries the fault markers.
-        assert!(!chaotic.trace.chaos.is_empty());
+        let mut stalls = 0;
+        for seed in [7, 8, 9] {
+            let chaotic = run_simulation_opts(
+                &cfg,
+                2,
+                1,
+                &RunOptions { fault: Some(FaultConfig::benign(seed)), trace: true, ..Default::default() },
+            );
+            assert!(!chaotic.faults.is_empty(), "benign plan injected nothing");
+            assert_eq!(clean.logical, chaotic.logical);
+            assert_eq!(clean.census, chaotic.census);
+            // The wall-clock trace carries the fault markers, on the run
+            // clock: a stall is injected inside a blocking call, so its
+            // marker lies inside an MPI wait of its rank's main thread.
+            assert!(!chaotic.trace.chaos.is_empty());
+            for f in &chaotic.faults {
+                if !matches!(f.kind, cfpd_simmpi::FaultEventKind::Stall { .. }) {
+                    continue;
+                }
+                stalls += 1;
+                let inside = chaotic.trace.workers.iter().any(|w| {
+                    (w.rank, w.worker, w.state) == (f.rank, 0, WorkerState::MpiWait)
+                        && w.t_start <= f.t
+                        && f.t <= w.t_end
+                });
+                assert!(inside, "seed {seed}: stall at {} s on rank {} is outside every wait", f.t, f.rank);
+            }
+        }
+        assert!(stalls > 0, "no stall injected over seeds 7..=9");
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! the paper runs on two nodes of each cluster, so the rank→node mapping
 //! matters for how much imbalance DLB can absorb.
 
-use crate::lewi::{DlbEvent, DlbNode, DlbStats, GrantPolicy, LendPolicy};
+use crate::lewi::{DlbEvent, DlbNode, DlbStats};
 use cfpd_runtime::ThreadPool;
 use cfpd_simmpi::{BlockKind, MpiHooks};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 /// DLB for a whole virtual cluster: one [`DlbNode`] per node plus the
 /// rank→node map. Implements [`MpiHooks`] so it can be passed directly
@@ -26,35 +26,18 @@ impl DlbCluster {
     /// of `num_ranks` ranks over them (ranks 0..r/n on node 0, etc. —
     /// the usual scheduler placement).
     pub fn new_block(num_ranks: usize, num_nodes: usize) -> DlbCluster {
-        Self::new_block_with_epoch(
-            num_ranks,
-            num_nodes,
-            LendPolicy::default(),
-            GrantPolicy::default(),
-            None,
-            std::time::Instant::now(),
-        )
+        Self::new_block_with_epoch(num_ranks, num_nodes, Instant::now())
     }
 
-    /// Block distribution with explicit LeWI policies and an optional
-    /// lending lease (see [`DlbNode::sweep_leases`]), timestamping DLB
-    /// events against `epoch` so traced runs put lend/reclaim marks on
-    /// the same clock as phase and message records.
-    pub fn new_block_with_epoch(
-        num_ranks: usize,
-        num_nodes: usize,
-        lend: LendPolicy,
-        grant: GrantPolicy,
-        lease: Option<Duration>,
-        epoch: std::time::Instant,
-    ) -> DlbCluster {
+    /// Block distribution timestamping DLB events against `epoch`, so
+    /// traced runs put lend/reclaim marks on the same clock as phase and
+    /// message records.
+    pub fn new_block_with_epoch(num_ranks: usize, num_nodes: usize, epoch: Instant) -> DlbCluster {
         assert!(num_nodes >= 1);
         let per = num_ranks.div_ceil(num_nodes);
         let node_of_rank = (0..num_ranks).map(|r| r / per).collect();
         DlbCluster {
-            nodes: (0..num_nodes)
-                .map(|_| DlbNode::with_lease_at(lend, grant, lease, epoch))
-                .collect(),
+            nodes: (0..num_nodes).map(|_| DlbNode::with_epoch(epoch)).collect(),
             node_of_rank,
             enabled: true,
         }
@@ -109,7 +92,6 @@ impl DlbCluster {
             total.grants += s.grants;
             total.revokes += s.revokes;
             total.cores_lent_total += s.cores_lent_total;
-            total.lease_expiries += s.lease_expiries;
             total.crashes += s.crashes;
         }
         total
@@ -120,14 +102,6 @@ impl DlbCluster {
         if self.enabled && rank < self.node_of_rank.len() {
             self.nodes[self.node_of_rank[rank]].mark_crashed(rank);
         }
-    }
-
-    /// Sweep lending leases on every node; returns total ranks swept.
-    pub fn sweep_leases(&self) -> usize {
-        if !self.enabled {
-            return 0;
-        }
-        self.nodes.iter().map(|n| n.sweep_leases()).sum()
     }
 }
 
@@ -142,12 +116,6 @@ impl MpiHooks for DlbCluster {
         if self.enabled && rank < self.node_of_rank.len() {
             self.nodes[self.node_of_rank[rank]].reclaim(rank);
         }
-    }
-
-    /// A timeout-carrying wait expired somewhere: a natural moment to
-    /// check whether any blocked peer has overstayed its lease.
-    fn on_timeout(&self, _rank: usize, _kind: BlockKind) {
-        self.sweep_leases();
     }
 
     /// The fabric declared a rank dead: degrade gracefully by donating
@@ -181,8 +149,8 @@ mod tests {
         c.register(2, Arc::new(ThreadPool::new(4)), 2);
         c.register(3, Arc::new(ThreadPool::new(4)), 2);
         c.on_block(0, BlockKind::Recv);
-        // Node 0's rank 1 grew by both of rank 0's cores (the default
-        // policy lends all); node 1 untouched.
+        // Node 0's rank 1 grew by both of rank 0's cores (a blocked
+        // rank lends all); node 1 untouched.
         assert_eq!(c.node(0).active_of(1), Some(4));
         assert_eq!(c.node(1).active_of(2), Some(2));
         assert_eq!(c.node(1).active_of(3), Some(2));

@@ -16,4 +16,4 @@ pub mod lewi;
 
 pub use cluster::DlbCluster;
 pub use joblend::{JobArbiter, JobLendStats};
-pub use lewi::{DlbEvent, DlbEventKind, DlbNode, DlbStats, GrantPolicy, LendPolicy};
+pub use lewi::{DlbEvent, DlbEventKind, DlbNode, DlbStats};

@@ -857,7 +857,6 @@ fn cmd_chaos(flags: &Flags) {
     let dlb = flags.has("--dlb");
     let json = flags.has("--json");
     let trace_dir = flags.get("--trace").map(PathBuf::from);
-    let lease = dlb.then(|| std::time::Duration::from_millis(50));
     let config = golden_config();
 
     if flags.has("--storm") {
@@ -867,7 +866,7 @@ fn cmd_chaos(flags: &Flags) {
         if !json {
             println!("chaos storm: seed {seed}, {ranks} ranks — message loss beyond the redelivery bound");
         }
-        let opts = RunOptions { dlb, lease, fault: Some(FaultConfig::storm(seed)), ..Default::default() };
+        let opts = RunOptions { dlb, fault: Some(FaultConfig::storm(seed)), ..Default::default() };
         match run_simulation_fallible(&config, ranks, 1, &opts) {
             Err(fails) => {
                 let saw_report =
@@ -908,7 +907,6 @@ fn cmd_chaos(flags: &Flags) {
     let clean = run_simulation(&config, ranks, 1, false);
     let opts = RunOptions {
         dlb,
-        lease,
         fault: Some(FaultConfig::benign(seed)),
         trace: trace_dir.is_some(),
         ..Default::default()
@@ -926,7 +924,6 @@ fn cmd_chaos(flags: &Flags) {
         ("reorders", count(|k| matches!(k, K::Reorder))),
         ("drops_redelivered", count(|k| matches!(k, K::DropRedeliver))),
         ("stalls", count(|k| matches!(k, K::Stall { .. }))),
-        ("timeouts_observed", count(|k| matches!(k, K::Timeout))),
     ];
 
     let events_match = clean.logical == faulted.logical;
@@ -954,8 +951,8 @@ fn cmd_chaos(flags: &Flags) {
     }
 
     println!(
-        "injected: {} delays, {} reorders, {} drops (all redelivered), {} stalls, {} timeouts observed",
-        injected[0].1, injected[1].1, injected[2].1, injected[3].1, injected[4].1,
+        "injected: {} delays, {} reorders, {} drops (all redelivered), {} stalls",
+        injected[0].1, injected[1].1, injected[2].1, injected[3].1,
     );
     println!("{}", render_timeline(&faulted.trace, 120, 16));
 

@@ -19,10 +19,8 @@
 //!   seeded fault plan ([`crate::fault`]);
 //! * blocking waits sleep in short poll slices, registering what they
 //!   wait on in the universe's [`UniverseDiag`]; a confirmed wedge
-//!   yields a structured [`DeadlockReport`] instead of a hang, and the
-//!   timeout-carrying variants (`recv_timeout`, `barrier_timeout`,
-//!   `allreduce_slice_f64_timeout`) surface a [`CommError`] the caller
-//!   can handle.
+//!   yields a structured [`DeadlockReport`] instead of a hang, and a
+//!   wait past [`DEADLOCK_TIMEOUT`] panics with what it waited for.
 
 use crate::diag::{DeadlockReport, UniverseDiag, WaitInfo};
 use crate::fault::FaultAction;
@@ -36,7 +34,8 @@ use std::time::{Duration, Instant};
 /// How long a blocking operation may wait before the universe declares a
 /// deadlock (tests rely on this to fail fast instead of hanging). The
 /// wait-registry detector usually fires far sooner; this is the
-/// backstop for waits it cannot see (helper threads).
+/// backstop for a wait it cannot call a deadlock (a peer that keeps
+/// running but never sends).
 pub const DEADLOCK_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Blocked ranks re-examine the world (deadline, deadlock verdict) at
@@ -88,12 +87,12 @@ fn record_wait(rank: usize, kind: BlockKind, tag: u64, ns: u64) {
 /// by the fault plan. [`crate::Universe::run_fallible`] classifies it.
 pub struct CrashUnwind(pub usize);
 
-/// Error of a timeout-carrying communication call.
+/// Why a blocking wait gave up; the caller panics with it.
 #[derive(Debug)]
-pub enum CommError {
-    /// The deadline expired with no matching message. `in_flight` lists
-    /// the `(src, tag)` pairs sitting unmatched in the inbox — the
-    /// "what arrived instead" half of the diagnostic.
+enum CommError {
+    /// The backstop deadline expired with no matching message.
+    /// `in_flight` lists the `(src, tag)` pairs sitting unmatched in the
+    /// inbox — the "what arrived instead" half of the diagnostic.
     Timeout {
         src: usize,
         tag: u64,
@@ -123,8 +122,6 @@ impl fmt::Display for CommError {
         }
     }
 }
-
-impl std::error::Error for CommError {}
 
 type Payload = Box<dyn Any + Send>;
 
@@ -233,10 +230,6 @@ pub struct Comm {
     state: Arc<CommState>,
     hooks: Arc<dyn MpiHooks>,
     diag: Arc<UniverseDiag>,
-    /// Set on handles cloned for helper threads (`irecv`): helpers must
-    /// not touch the rank's Running/Blocked registration — only the
-    /// main thread's state feeds the deadlock detector.
-    helper: bool,
 }
 
 /// Reduction operators for the `allreduce` family.
@@ -267,21 +260,7 @@ impl Comm {
         hooks: Arc<dyn MpiHooks>,
         diag: Arc<UniverseDiag>,
     ) -> Comm {
-        Comm { rank, size, global_rank, state, hooks, diag, helper: false }
-    }
-
-    /// Duplicate this handle (same communicator, same rank) — used by
-    /// nonblocking helpers that park in a receive on another thread.
-    pub(crate) fn clone_handle(&self) -> Comm {
-        Comm {
-            rank: self.rank,
-            size: self.size,
-            global_rank: self.global_rank,
-            state: Arc::clone(&self.state),
-            hooks: Arc::clone(&self.hooks),
-            diag: Arc::clone(&self.diag),
-            helper: true,
-        }
+        Comm { rank, size, global_rank, state, hooks, diag }
     }
 
     /// Standalone single-rank communicator (useful in unit tests of
@@ -420,9 +399,7 @@ impl Comm {
                     std::mem::size_of::<T>(),
                 );
                 if blocked {
-                    if !self.helper {
-                        self.diag.end_wait(self.global_rank);
-                    }
+                    self.diag.end_wait(self.global_rank);
                     self.hooks.on_unblock(self.global_rank, kind);
                     if cfpd_telemetry::enabled() {
                         let ns = u64::try_from(start.elapsed().as_nanos())
@@ -434,7 +411,7 @@ impl Comm {
                     panic!("rank {}: recv type mismatch from {src} tag {tag}", self.rank)
                 }));
             }
-            if !self.helper && self.diag.is_dead(self.global_rank) {
+            if self.diag.is_dead(self.global_rank) {
                 drop(queue);
                 std::panic::panic_any(CrashUnwind(self.global_rank));
             }
@@ -443,17 +420,15 @@ impl Comm {
             }
             if !blocked {
                 blocked = true;
-                if !self.helper {
-                    self.diag.begin_wait(
-                        self.global_rank,
-                        WaitInfo {
-                            kind,
-                            src: self.state.global_ranks[src],
-                            tag,
-                            comm_id: self.state.comm_id,
-                        },
-                    );
-                }
+                self.diag.begin_wait(
+                    self.global_rank,
+                    WaitInfo {
+                        kind,
+                        src: self.state.global_ranks[src],
+                        tag,
+                        comm_id: self.state.comm_id,
+                    },
+                );
                 self.hooks.on_block(self.global_rank, kind);
             }
             let timed_out = inbox.cv.wait_for(&mut queue, POLL_SLICE).timed_out();
@@ -463,23 +438,15 @@ impl Comm {
             let in_flight: Vec<(usize, u64)> =
                 queue.queue.iter().map(|m| (m.src, m.tag)).collect();
             drop(queue);
-            if !self.helper {
-                self.diag.note_in_flight(
-                    self.global_rank,
-                    in_flight
-                        .iter()
-                        .map(|&(s, t)| (self.state.global_ranks[s], t))
-                        .collect(),
-                );
-                if let Some(report) = self.diag.poll_deadlock() {
-                    return Err(CommError::Deadlock(report));
-                }
+            self.diag.note_in_flight(
+                self.global_rank,
+                in_flight.iter().map(|&(s, t)| (self.state.global_ranks[s], t)).collect(),
+            );
+            if let Some(report) = self.diag.poll_deadlock() {
+                return Err(CommError::Deadlock(report));
             }
             if Instant::now() >= deadline {
-                if !self.helper {
-                    self.diag.end_wait(self.global_rank);
-                }
-                self.hooks.on_timeout(self.global_rank, kind);
+                self.diag.end_wait(self.global_rank);
                 self.hooks.on_unblock(self.global_rank, kind);
                 cfpd_telemetry::count!("mpi.timeouts");
                 return Err(CommError::Timeout { src, tag, waited: start.elapsed(), in_flight });
@@ -503,65 +470,12 @@ impl Comm {
         }
     }
 
-    /// Receive with an explicit deadline: `Err(CommError::Timeout)`
-    /// after `timeout` with no match, `Err(CommError::Deadlock)` if the
-    /// universe wedges first.
-    pub fn recv_timeout<T: Send + 'static>(
-        &self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<T, CommError> {
-        self.recv_inner(src, tag, BlockKind::Recv, Instant::now() + timeout)
-    }
-
-    /// Non-blocking probe-and-consume: the next in-sequence message of
-    /// the stream if it has already arrived, `None` otherwise (including
-    /// when only out-of-sequence successors are here). Never blocks,
-    /// never fires block hooks (it still reports the delivery via
-    /// [`MpiHooks::on_msg_recv`] so traces see every message match).
-    pub fn try_recv<T: Send + 'static>(&self, src: usize, tag: u64) -> Option<T> {
-        assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        let mut queue = self.state.inboxes[self.rank].state.lock();
-        let pos = queue.match_pos(src, tag)?;
-        let msg = queue.take(pos);
-        drop(queue);
-        self.diag.bump_progress();
-        self.hooks.on_msg_recv(
-            self.state.comm_id,
-            self.state.global_ranks[src],
-            self.global_rank,
-            tag,
-            msg.seq,
-            std::mem::size_of::<T>(),
-        );
-        Some(*msg.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!("rank {}: recv type mismatch from {src} tag {tag}", self.rank)
-        }))
-    }
-
-    /// Internal receive for collective plumbing.
-    fn recv_coll<T: Send + 'static>(
-        &self,
-        src: usize,
-        tag: u64,
-        kind: BlockKind,
-        deadline: Instant,
-    ) -> Result<T, CommError> {
-        self.recv_inner(src, tag, kind, deadline)
-    }
-
     /// Barrier across all ranks of the communicator (dissemination over
     /// point-to-point messages; correctness over cleverness).
     pub fn barrier(&self) {
         if let Err(e) = self.barrier_inner(Instant::now() + DEADLOCK_TIMEOUT) {
             panic!("rank {}: barrier failed: {e}", self.rank);
         }
-    }
-
-    /// Barrier with a deadline shared across all rounds.
-    pub fn barrier_timeout(&self, timeout: Duration) -> Result<(), CommError> {
-        self.barrier_inner(Instant::now() + timeout)
     }
 
     fn barrier_inner(&self, deadline: Instant) -> Result<(), CommError> {
@@ -572,7 +486,7 @@ impl Comm {
             let dest = (self.rank + round) % self.size;
             let src = (self.rank + self.size - round) % self.size;
             self.send(dest, tag.wrapping_add(round as u64), ());
-            self.recv_coll::<()>(src, tag.wrapping_add(round as u64), BlockKind::Barrier, deadline)?;
+            self.recv_inner::<()>(src, tag.wrapping_add(round as u64), BlockKind::Barrier, deadline)?;
             round *= 2;
         }
         Ok(())
@@ -592,16 +506,6 @@ impl Comm {
         }
     }
 
-    /// All-reduce a slice with a deadline shared across both phases.
-    pub fn allreduce_slice_f64_timeout(
-        &self,
-        values: &mut [f64],
-        op: ReduceOp,
-        timeout: Duration,
-    ) -> Result<(), CommError> {
-        self.allreduce_inner(values, op, Instant::now() + timeout)
-    }
-
     fn allreduce_inner(
         &self,
         values: &mut [f64],
@@ -613,7 +517,7 @@ impl Comm {
         if self.rank == 0 {
             for src in 1..self.size {
                 let part: Vec<f64> =
-                    self.recv_coll(src, TAG, BlockKind::Collective, deadline)?;
+                    self.recv_inner(src, TAG, BlockKind::Collective, deadline)?;
                 assert_eq!(part.len(), values.len(), "allreduce length mismatch");
                 for (v, p) in values.iter_mut().zip(part) {
                     *v = op.apply(*v, p);
@@ -624,7 +528,7 @@ impl Comm {
             }
         } else {
             self.send(0, TAG, values.to_vec());
-            let result: Vec<f64> = self.recv_coll(0, TAG, BlockKind::Collective, deadline)?;
+            let result: Vec<f64> = self.recv_inner(0, TAG, BlockKind::Collective, deadline)?;
             values.copy_from_slice(&result);
         }
         Ok(())
@@ -768,44 +672,36 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_returns_none_then_some() {
-        Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                let _: () = comm.recv(1, 9);
-                comm.send(1, 3, 5u8);
-            } else {
-                assert_eq!(comm.try_recv::<u8>(0, 3), None);
-                comm.send(0, 9, ());
-                let mut got = None;
-                while got.is_none() {
-                    got = comm.try_recv::<u8>(0, 3);
-                }
-                assert_eq!(got, Some(5));
-            }
-        });
-    }
-
-    #[test]
     fn recv_timeout_reports_in_flight_tags() {
+        // The backstop path of the blocking core, with a short deadline
+        // in place of `DEADLOCK_TIMEOUT`: rank 0 keeps running (not in a
+        // wait), so the detector stays quiet and the deadline expires.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        static DONE: AtomicBool = AtomicBool::new(false);
+        DONE.store(false, Ordering::SeqCst);
         Universe::run(2, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 8, 1u8); // wrong tag on purpose
-                let _: () = comm.recv(1, 99);
+                while !DONE.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
             } else {
-                std::thread::sleep(Duration::from_millis(10));
-                let err = comm
-                    .recv_timeout::<u8>(0, 42, Duration::from_millis(120))
-                    .unwrap_err();
-                match err {
+                let deadline = Instant::now() + Duration::from_millis(120);
+                let err = comm.recv_inner::<u8>(0, 42, BlockKind::Recv, deadline).unwrap_err();
+                match &err {
                     CommError::Timeout { src, tag, in_flight, .. } => {
-                        assert_eq!((src, tag), (0, 42));
-                        assert_eq!(in_flight, vec![(0, 8)]);
+                        assert_eq!((*src, *tag), (0, 42));
+                        assert_eq!(in_flight, &vec![(0, 8)]);
                     }
                     other => panic!("expected timeout, got {other}"),
                 }
+                assert!(
+                    err.to_string().contains("expected tag 42 from rank 0, in-flight tags: [8 from 0]"),
+                    "{err}"
+                );
                 // The mis-tagged message is still consumable afterwards.
                 assert_eq!(comm.recv::<u8>(0, 8), 1);
-                comm.send(0, 99, ());
+                DONE.store(true, Ordering::SeqCst);
             }
         });
     }
@@ -901,10 +797,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "in-flight tags")]
+    #[should_panic(expected = "in-flight tags: [8 from 0]")]
     fn recv_never_sent_tag_fails_fast_with_diagnostic() {
-        // Satellite bugfix: a mistagged recv must fail with the
-        // "expected tag X from rank Y, in-flight tags: [...]" report,
+        // A mistagged recv must fail with the "expected tag X from rank
+        // Y, in-flight tags: [...]" report naming what arrived instead,
         // quickly (deadlock detector), not after a 60 s hang.
         let t0 = Instant::now();
         let result = std::panic::catch_unwind(|| {

@@ -216,8 +216,8 @@ impl FaultPlan {
     }
 }
 
-/// One injected fault, timestamped relative to hook creation — the
-/// record the trace layer renders as chaos markers.
+/// One injected fault, timestamped against the run epoch the hooks were
+/// given — the record the trace layer renders as chaos markers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     pub t: f64,
@@ -225,7 +225,7 @@ pub struct FaultEvent {
     pub kind: FaultEventKind,
 }
 
-/// What was injected (or observed, for timeouts).
+/// What was injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEventKind {
     Delay { ms: u64 },
@@ -234,7 +234,6 @@ pub enum FaultEventKind {
     DropLost,
     Stall { ms: u64 },
     Crash,
-    Timeout,
 }
 
 /// PMPI-style hooks that inject the [`FaultPlan`]'s schedule into the
@@ -254,12 +253,18 @@ pub struct ChaosHooks {
 
 impl ChaosHooks {
     /// Wrap `inner` with the fault schedule of `plan` for a universe of
-    /// `n_ranks` ranks.
-    pub fn new(n_ranks: usize, plan: FaultPlan, inner: Arc<dyn MpiHooks>) -> Arc<ChaosHooks> {
+    /// `n_ranks` ranks, stamping faults against `epoch` — the run clock
+    /// that phase, wait, message and DLB records share.
+    pub fn new(
+        n_ranks: usize,
+        epoch: Instant,
+        plan: FaultPlan,
+        inner: Arc<dyn MpiHooks>,
+    ) -> Arc<ChaosHooks> {
         Arc::new(ChaosHooks {
             plan,
             inner,
-            epoch: Instant::now(),
+            epoch,
             log: Mutex::new(Vec::new()),
             blocks: (0..n_ranks).map(|_| AtomicU64::new(0)).collect(),
             sends: (0..n_ranks).map(|_| AtomicU64::new(0)).collect(),
@@ -268,10 +273,8 @@ impl ChaosHooks {
     }
 
     fn record(&self, rank: usize, kind: FaultEventKind) {
-        if kind != FaultEventKind::Timeout {
-            cfpd_telemetry::count!("mpi.faults_injected");
-            cfpd_flight::record(cfpd_flight::EventKind::Fault, rank as u32, 0, 0, 0);
-        }
+        cfpd_telemetry::count!("mpi.faults_injected");
+        cfpd_flight::record(cfpd_flight::EventKind::Fault, rank as u32, 0, 0, 0);
         let t = self.epoch.elapsed().as_secs_f64();
         self.log.lock().push(FaultEvent { t, rank, kind });
     }
@@ -281,13 +284,9 @@ impl ChaosHooks {
         self.log.lock().clone()
     }
 
-    /// Number of injected faults (excluding observed timeouts).
+    /// Number of injected faults.
     pub fn fault_count(&self) -> usize {
-        self.log
-            .lock()
-            .iter()
-            .filter(|e| e.kind != FaultEventKind::Timeout)
-            .count()
+        self.log.lock().len()
     }
 
     pub fn plan(&self) -> &FaultPlan {
@@ -331,11 +330,6 @@ impl MpiHooks for ChaosHooks {
             FaultAction::SenderCrashed => {}
         }
         action
-    }
-
-    fn on_timeout(&self, rank: usize, kind: BlockKind) {
-        self.record(rank, FaultEventKind::Timeout);
-        self.inner.on_timeout(rank, kind);
     }
 
     fn on_rank_dead(&self, rank: usize) {
@@ -389,7 +383,7 @@ mod tests {
     #[test]
     fn chaos_hooks_log_and_forward() {
         let inner = Arc::new(crate::hooks::CountingHooks::default());
-        let chaos = ChaosHooks::new(2, FaultPlan::new(FaultConfig::benign(1)), Arc::clone(&inner) as _);
+        let chaos = ChaosHooks::new(2, Instant::now(), FaultPlan::new(FaultConfig::benign(1)), Arc::clone(&inner) as _);
         chaos.on_block(0, BlockKind::Recv);
         chaos.on_unblock(0, BlockKind::Recv);
         assert_eq!(inner.blocks.load(Ordering::SeqCst), 1);
@@ -406,7 +400,7 @@ mod tests {
             crash: Some(CrashSpec { rank: 1, after_sends: 3 }),
             ..FaultConfig::quiet(0)
         };
-        let chaos = ChaosHooks::new(2, FaultPlan::new(cfg), Arc::new(NoHooks) as _);
+        let chaos = ChaosHooks::new(2, Instant::now(), FaultPlan::new(cfg), Arc::new(NoHooks) as _);
         for seq in 0..3 {
             assert_eq!(chaos.on_send(0, 1, 0, 5, seq), FaultAction::Deliver);
         }

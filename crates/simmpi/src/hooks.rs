@@ -22,7 +22,7 @@ pub enum BlockKind {
 /// Interception interface. Implementations must be cheap and re-entrant:
 /// they are called from every rank thread on every blocking call.
 ///
-/// The `on_send` / `on_timeout` / `on_rank_dead` methods default to
+/// The `on_send` / `on_msg_recv` / `on_rank_dead` methods default to
 /// no-ops so existing hooks (DLB, counters) are unaffected; the chaos
 /// layer ([`crate::fault::ChaosHooks`]) overrides them to inject its
 /// seeded fault schedule and to route failure notifications.
@@ -59,8 +59,6 @@ pub trait MpiHooks: Send + Sync {
         _bytes: usize,
     ) {
     }
-    /// A timeout-carrying wait on rank `rank` expired without a match.
-    fn on_timeout(&self, _rank: usize, _kind: BlockKind) {}
     /// Rank `rank` was declared dead (fail-silent crash).
     fn on_rank_dead(&self, _rank: usize) {}
 }

@@ -4,7 +4,9 @@
 //! This crate substitutes a *virtual cluster*: each MPI rank is an OS
 //! thread, point-to-point messages are typed in-memory queues, and the
 //! MPI collectives used by the simulation (barrier, allreduce, bcast,
-//! gather, comm split) are implemented on top. Two properties of real
+//! gather, allgather, comm split) are implemented on top. There is one
+//! blocking path: every receive, collective or not, waits in the same
+//! loop, under the deadlock detector and a 60 s backstop. Two properties of real
 //! MPI that the paper's techniques depend on are preserved faithfully:
 //!
 //! 1. **Blocking semantics** — ranks genuinely park while waiting, and
@@ -20,15 +22,13 @@ pub mod comm;
 pub mod diag;
 pub mod fault;
 pub mod hooks;
-pub mod nonblocking;
 pub mod profile;
 pub mod tracer;
 pub mod universe;
 
-pub use comm::{Comm, CommError, CrashUnwind, ReduceOp, DEADLOCK_TIMEOUT};
+pub use comm::{Comm, CrashUnwind, ReduceOp, DEADLOCK_TIMEOUT};
 pub use diag::{DeadlockReport, RankState, RankWait, UniverseDiag, WaitInfo};
 pub use fault::{ChaosHooks, CrashSpec, FaultAction, FaultConfig, FaultEvent, FaultEventKind, FaultPlan};
-pub use nonblocking::Request;
 pub use hooks::{BlockKind, CountingHooks, MpiHooks, NoHooks};
 pub use profile::{ProfileHooks, RankProfile};
 pub use tracer::{MsgSpan, TraceHooks, WaitSpan};

@@ -159,10 +159,6 @@ impl MpiHooks for TraceHooks {
         self.inner.on_msg_recv(comm_id, src, dest, tag, seq, bytes);
     }
 
-    fn on_timeout(&self, rank: usize, kind: BlockKind) {
-        self.inner.on_timeout(rank, kind);
-    }
-
     fn on_rank_dead(&self, rank: usize) {
         self.inner.on_rank_dead(rank);
     }

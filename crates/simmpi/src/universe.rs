@@ -218,7 +218,8 @@ mod tests {
             crash: Some(CrashSpec { rank: 1, after_sends: 1 }),
             ..FaultConfig::quiet(0)
         };
-        let chaos = ChaosHooks::new(2, FaultPlan::new(cfg), Arc::new(NoHooks) as _);
+        let chaos =
+            ChaosHooks::new(2, std::time::Instant::now(), FaultPlan::new(cfg), Arc::new(NoHooks) as _);
         let out = Universe::run_fallible(2, chaos, |comm| {
             if comm.rank() == 1 {
                 comm.send(0, 1, 10u32); // delivered

@@ -65,14 +65,12 @@ impl Phase {
 }
 
 /// Chaos-layer incidents overlaid on the phase timeline: where the
-/// fault plan struck, where a timeout fired, where a checkpoint was
-/// written. Point events (no duration).
+/// fault plan struck, where a checkpoint was written. Point events (no
+/// duration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChaosKind {
     /// The fault plan injected a delay / reorder / drop / stall / crash.
     FaultInjected,
-    /// A timeout-carrying communication call expired.
-    TimeoutFired,
     /// A step-granular checkpoint was written.
     CheckpointWritten,
 }
@@ -82,7 +80,6 @@ impl ChaosKind {
     pub fn name(self) -> &'static str {
         match self {
             ChaosKind::FaultInjected => "fault",
-            ChaosKind::TimeoutFired => "timeout",
             ChaosKind::CheckpointWritten => "checkpoint",
         }
     }
@@ -91,7 +88,6 @@ impl ChaosKind {
     pub fn tag(self) -> char {
         match self {
             ChaosKind::FaultInjected => '!',
-            ChaosKind::TimeoutFired => 'T',
             ChaosKind::CheckpointWritten => 'C',
         }
     }
@@ -221,8 +217,6 @@ pub enum DlbMarkKind {
     Reclaim,
     /// Borrowed cores were revoked by the owner's reclaim.
     Revoke,
-    /// A lease on borrowed cores expired.
-    LeaseExpired,
     /// The rank was declared dead and its cores were seized.
     Crashed,
 }
@@ -234,7 +228,6 @@ impl DlbMarkKind {
             DlbMarkKind::Borrow => "borrow",
             DlbMarkKind::Reclaim => "reclaim",
             DlbMarkKind::Revoke => "revoke",
-            DlbMarkKind::LeaseExpired => "lease-expired",
             DlbMarkKind::Crashed => "crashed",
         }
     }
@@ -246,7 +239,6 @@ impl DlbMarkKind {
             DlbMarkKind::Borrow => 'G',
             DlbMarkKind::Reclaim => 'R',
             DlbMarkKind::Revoke => 'V',
-            DlbMarkKind::LeaseExpired => 'E',
             DlbMarkKind::Crashed => 'X',
         }
     }
@@ -313,7 +305,7 @@ impl Trace {
         self.events.push(TraceEvent { rank, phase, t_start, t_end });
     }
 
-    /// Record a chaos incident (fault injection, timeout, checkpoint).
+    /// Record a chaos incident (fault injection, checkpoint).
     pub fn record_chaos(&mut self, rank: usize, t: f64, kind: ChaosKind) {
         debug_assert!(rank < self.num_ranks);
         self.chaos.push(ChaosEvent { rank, t, kind });

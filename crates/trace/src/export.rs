@@ -47,12 +47,11 @@ fn state_value(state: WorkerState) -> u64 {
 }
 
 /// DLB transitions in `.pcf` value order (`1 + index`).
-const DLB_KINDS: [DlbMarkKind; 6] = [
+const DLB_KINDS: [DlbMarkKind; 5] = [
     DlbMarkKind::Lend,
     DlbMarkKind::Borrow,
     DlbMarkKind::Reclaim,
     DlbMarkKind::Revoke,
-    DlbMarkKind::LeaseExpired,
     DlbMarkKind::Crashed,
 ];
 
@@ -143,8 +142,7 @@ pub fn export_prv(trace: &Trace) -> String {
         let task = c.rank as u64 + 1;
         let value = match c.kind {
             crate::event::ChaosKind::FaultInjected => 1,
-            crate::event::ChaosKind::TimeoutFired => 2,
-            crate::event::ChaosKind::CheckpointWritten => 3,
+            crate::event::ChaosKind::CheckpointWritten => 2,
         };
         records.push((t, 2, format!("2:{cpu}:1:{task}:1:{t}:{EV_CHAOS}:{value}")));
     }
@@ -200,7 +198,7 @@ pub fn export_pcf() -> String {
     out.push_str(&format!("EVENT_TYPE\n0    {EV_DLB_CORES}    DLB cores moved\n\n"));
 
     out.push_str(&format!("EVENT_TYPE\n0    {EV_CHAOS}    Chaos incident\nVALUES\n"));
-    out.push_str("0      End\n1      fault\n2      timeout\n3      checkpoint\n");
+    out.push_str("0      End\n1      fault\n2      checkpoint\n");
     out
 }
 

@@ -28,12 +28,12 @@ pub fn render_timeline_ranks(trace: &Trace, width: usize, ranks: &[usize]) -> St
     let chaos_legend = if trace.chaos.is_empty() {
         ""
     } else {
-        " !=fault T=timeout C=checkpoint"
+        " !=fault C=checkpoint"
     };
     let dlb_legend = if trace.dlb.is_empty() {
         ""
     } else {
-        " L=lend G=borrow R=reclaim V=revoke E=lease-exp X=crash"
+        " L=lend G=borrow R=reclaim V=revoke X=crash"
     };
     out.push_str(&format!(
         "time -> total {:.4}s, {} ranks ({} shown), legend: A=assembly 1=solver1 2=solver2 S=sgs P=particles .=mpi{chaos_legend}{dlb_legend}\n",
@@ -132,13 +132,13 @@ mod tests {
         t.record(0, Phase::Assembly, 0.0, 10.0);
         t.record(1, Phase::Assembly, 0.0, 10.0);
         t.record_chaos(0, 5.0, ChaosKind::FaultInjected);
-        t.record_chaos(1, 2.0, ChaosKind::TimeoutFired);
+        t.record_chaos(1, 2.0, ChaosKind::FaultInjected);
         t.record_chaos(1, 9.0, ChaosKind::CheckpointWritten);
         let s = render_timeline(&t, 40, 10);
         assert!(s.contains("!=fault"), "legend extended: {s}");
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[1].contains('!'), "rank 0 fault marker: {}", lines[1]);
-        assert!(lines[2].contains('T') && lines[2].contains('C'), "{}", lines[2]);
+        assert!(lines[2].contains('!') && lines[2].contains('C'), "{}", lines[2]);
     }
 
     #[test]

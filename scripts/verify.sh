@@ -5,8 +5,9 @@
 #     workspace has zero external dependencies — any attempt to reach a
 #     registry is a regression),
 #   * the complete test suite (unit, property, invariant, golden-trace),
-#   * a chaos smoke: a seeded benign fault-injection run must stay
-#     bit-identical to the fault-free run (exit 0), and a fault storm
+#   * a chaos smoke: a seeded benign fault-injection run, with DLB off
+#     and on, must stay bit-identical to the fault-free run (exit 0),
+#     and a fault storm
 #     must terminate with a structured deadlock report (exit 3) instead
 #     of hanging — both under a hard wall-clock cap,
 #   * a golden double-run: the reference layout (`cfpd golden`) and the
@@ -101,9 +102,12 @@
 #   * a one-engine gate: the element-at-a-time assembly loop
 #     (`assemble_generic`) is named nowhere under crates/*/src but in
 #     cfpd_solver::oracle, which no run reaches,
-#   * a one-policy gate: reactive LeWI is the only way cores move, so
-#     the retired predictive policy's names appear nowhere under
-#     crates/, tests/ or examples/,
+#   * a one-policy gate: reactive LeWI is the only way cores move, and
+#     a blocked rank lends every core, so the retired predictive
+#     policy's names, the keep-one and neediest variants, the lending
+#     lease and the timeout hook and non-blocking calls of the virtual
+#     MPI appear nowhere under crates/, tests/ or examples/, and the
+#     virtual MPI defines no timeout-taking or non-blocking receive,
 #   * a one-codec gate: the record grammar's primitives are defined in
 #     cfpd_testkit::record only, the lenient key=value map is gone, and
 #     no hand-rolled hex parse is back in the checkpoint, snapshot, WAL
@@ -128,6 +132,7 @@ cargo test -q --offline
 echo "== chaos smoke (seeded fault injection) =="
 cfpd=target/release/cfpd
 timeout 120 "$cfpd" chaos --seed 7 >/dev/null
+timeout 120 "$cfpd" chaos --seed 7 --dlb >/dev/null
 rc=0
 timeout 120 "$cfpd" chaos --seed 7 --storm >/dev/null || rc=$?
 if [ "$rc" -ne 3 ]; then
@@ -545,6 +550,15 @@ echo "== one-policy gate (reactive LeWI is the only way cores move) =="
 # The bracketed letters keep this script from matching itself.
 if grep -rnE 'Predic[t]ive|pre_len[d]|ImbalancePredic[t]or|DlbPolic[y]' crates tests examples; then
     echo "FAIL: a name of the retired predictive DLB policy is back" >&2
+    exit 1
+fi
+if grep -rnE 'KeepOn[e]|Needies[t]|LendPolic[y]|GrantPolic[y]|sweep_leas[e]|on_timeou[t]|isen[d]|irec[v]' \
+        crates tests examples; then
+    echo "FAIL: a retired LeWI variant, the lending lease or a timeout/non-blocking MPI call is back" >&2
+    exit 1
+fi
+if grep -rnE 'fn (recv_timeou[t]|try_rec[v]|barrier_timeou[t])[<(]' crates/simmpi/src; then
+    echo "FAIL: the virtual MPI has one blocking path: no timeout-taking or non-blocking receive" >&2
     exit 1
 fi
 

@@ -4,14 +4,13 @@
 //! invisibility in the golden document.
 
 use cfpd_core::{golden_config, golden_trace, golden_trace_split, Checkpoint};
-use cfpd_dlb::{DlbNode, GrantPolicy, LendPolicy};
+use cfpd_dlb::DlbNode;
 use cfpd_runtime::ThreadPool;
 use cfpd_simmpi::{FaultConfig, FaultPlan};
 use cfpd_testkit::prop::{self, usize_range, PropConfig};
 use cfpd_testkit::rng::Rng;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Fault schedule determinism
@@ -64,18 +63,19 @@ fn fault_schedule_is_stateless_across_query_order() {
 }
 
 // ---------------------------------------------------------------------
-// LeWI conservation under chaos (stalls, crashes, lease sweeps)
+// LeWI conservation under chaos (stalls, crashes)
 // ---------------------------------------------------------------------
 
-/// Random stall/crash/sweep scripts against one DLB node: after every
+const RANKS: usize = 4;
+
+/// Random stall/crash scripts against one DLB node: after every
 /// operation the core-conservation invariant of `DlbNode::conservation`
 /// must hold — chaos may move cores, never mint or leak them.
-fn lewi_chaos_script(lend: LendPolicy, grant: GrantPolicy, seed: u64) {
-    const RANKS: usize = 4;
-    const OWNED: usize = 2;
-    let node = DlbNode::with_lease(lend, grant, Some(Duration::ZERO));
-    for r in 0..RANKS {
-        node.register(r, Arc::new(ThreadPool::new(2 * OWNED)), OWNED);
+fn lewi_chaos_script(owned: &[usize; RANKS], seed: u64) {
+    let total: usize = owned.iter().sum();
+    let node = DlbNode::new();
+    for (r, &o) in owned.iter().enumerate() {
+        node.register(r, Arc::new(ThreadPool::new(total)), o);
     }
     let mut rng = Rng::new(seed);
     // blocked[r] mirrors what the script has done; crashes are sticky.
@@ -83,7 +83,7 @@ fn lewi_chaos_script(lend: LendPolicy, grant: GrantPolicy, seed: u64) {
     let mut crashed = [false; RANKS];
     for op in 0..200 {
         let r = rng.range_usize(0, RANKS);
-        match rng.range_usize(0, 10) {
+        match rng.range_usize(0, 8) {
             // Stall entry: the rank blocks (lends).
             0..=3 => {
                 if !blocked[r] && !crashed[r] {
@@ -98,11 +98,6 @@ fn lewi_chaos_script(lend: LendPolicy, grant: GrantPolicy, seed: u64) {
                     blocked[r] = false;
                 }
             }
-            // Lease sweep (the on_timeout path). Zero-length lease: every
-            // blocked rank's kept core is donated immediately.
-            7..=8 => {
-                node.sweep_leases();
-            }
             // Fail-silent crash (rare; at most half the ranks so the
             // node keeps survivors).
             _ => {
@@ -116,7 +111,7 @@ fn lewi_chaos_script(lend: LendPolicy, grant: GrantPolicy, seed: u64) {
         let (have, want) = node.conservation();
         assert_eq!(
             have, want,
-            "core conservation broken after op {op} (seed {seed}, {lend:?}/{grant:?})"
+            "core conservation broken after op {op} (seed {seed})"
         );
     }
     // Recovery: every surviving blocked rank reclaims; conservation must
@@ -130,22 +125,20 @@ fn lewi_chaos_script(lend: LendPolicy, grant: GrantPolicy, seed: u64) {
     assert_eq!(have, want, "conservation broken at quiescence (seed {seed})");
 }
 
+/// Even allotment: every rank owns two cores.
 #[test]
 fn lewi_conserves_cores_under_chaos_keepone_even() {
     for seed in 0..12 {
-        lewi_chaos_script(LendPolicy::KeepOne, GrantPolicy::Even, seed);
+        lewi_chaos_script(&[2, 2, 2, 2], seed);
     }
 }
 
-/// `LendAll`, with the grant policy a run uses (the defaults of both
-/// enums: what `run_prepared` builds its arbiter from) and with the
-/// aggressive one.
+/// Uneven allotment: rank 0 owns half the node and ranks 2 and 3 one
+/// core each, so a blocked one-core rank lends its only core.
 #[test]
 fn lewi_conserves_cores_under_chaos_lendall_neediest() {
-    assert_eq!(LendPolicy::default(), LendPolicy::LendAll);
     for seed in 0..12 {
-        lewi_chaos_script(LendPolicy::default(), GrantPolicy::default(), seed);
-        lewi_chaos_script(LendPolicy::LendAll, GrantPolicy::Neediest, seed);
+        lewi_chaos_script(&[4, 2, 1, 1], seed);
     }
 }
 
