@@ -53,10 +53,7 @@ use cfpd_core::{
     SimulationConfig,
 };
 use cfpd_mesh::{generate_airway, AirwayMesh, AirwaySpec, Mesh, Vec3};
-use cfpd_particles::{
-    inject_at_inlet, step_particles_with, DispersionRng, Locator, ParticleProps, ParticleSet,
-    TransportModel,
-};
+use cfpd_particles::{inject_at_inlet, step_particles, Locator, ParticleProps, ParticleSet};
 use cfpd_partition::{
     bandwidth_under_perm, csr_bandwidth, kway, local_element_graph, partition_kway_covered,
     rcm_perm, NodeCliques,
@@ -416,28 +413,12 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
     let (set, _) = inject(&locator);
     let velocity = synthetic_velocity(mesh);
     let (air, gravity, dt) = (FluidProps::default(), Vec3::new(0.0, 0.0, -9.81), 1e-4);
-    let model = TransportModel::paper_baseline();
     for (label, scalar) in [("particles/step-oracle", true), ("particles/step-lanes", false)] {
-        let sweep =
-            if scalar { cfpd_particles::oracle::step_particles_with } else { step_particles_with };
-        b.bench_batched(
-            label,
-            || (set.clone(), DispersionRng::new(0)),
-            |(mut set, mut rng)| {
-                let stats = sweep(
-                    &mut set,
-                    &locator,
-                    &velocity,
-                    air.density,
-                    air.viscosity,
-                    gravity,
-                    dt,
-                    &model,
-                    &mut rng,
-                );
-                black_box((set, stats.moved));
-            },
-        );
+        let sweep = if scalar { cfpd_particles::oracle::step_particles } else { step_particles };
+        b.bench_batched(label, || set.clone(), |mut set| {
+            let stats = sweep(&mut set, &locator, &velocity, air.density, air.viscosity, gravity, dt);
+            black_box((set, stats.moved));
+        });
     }
 }
 

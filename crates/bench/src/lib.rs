@@ -238,24 +238,7 @@ pub fn emit_json(stem: &str, quick: bool, body: &str) {
             .join("../..")
             .join(format!("{stem}.json"));
         write_atomic(&root_path, body.as_bytes());
-
-        let unix_s = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let line = format!(
-            "{{\"bench\":\"{stem}\",\"unix_s\":{unix_s},\"digest\":\"{:016x}\",\"bytes\":{}}}\n",
-            cfpd_testkit::digest_bytes(body.as_bytes()),
-            body.len()
-        );
-        let log = dir.join("trajectory.jsonl");
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&log)
-            .and_then(|mut f| f.write_all(line.as_bytes()))
-            .expect("append trajectory line");
+        cfpd_testkit::bench::append_trajectory(&dir, stem, body).expect("append trajectory line");
     }
 }
 

@@ -47,5 +47,5 @@ pub use aggregate::{
 };
 pub use dsl::{parse, render, DslError, RawDoc, RawPair, RawSection};
 pub use matrix::{expand, full_matrix_size, Cell};
-pub use runner::{run_bounded, run_campaign, run_campaign_with, run_cells, run_cells_with};
+pub use runner::{run_bounded, run_campaign, run_campaign_with};
 pub use scenario::{Axis, Budget, CampaignSpec, CellSettings, SCENARIO_KEYS};

@@ -86,14 +86,10 @@ fn run_cell_bounded(
     }
 }
 
-/// Run every cell of `cells` over a pool of `jobs` workers; results in
-/// expansion order regardless of completion order.
-pub fn run_cells(name: &str, cells: &[Cell], jobs: usize) -> CampaignReport {
-    run_cells_with(name, cells, jobs, None)
-}
-
-/// [`run_cells`] with an optional per-cell wall-clock timeout.
-pub fn run_cells_with(
+/// Run every cell of `cells` over a pool of `jobs` workers, each under
+/// an optional wall-clock timeout; results in expansion order regardless
+/// of completion order.
+fn run_cells_with(
     name: &str,
     cells: &[Cell],
     jobs: usize,
@@ -170,8 +166,8 @@ layout = default, opt
     fn pool_sizes_produce_identical_reports() {
         let spec = CampaignSpec::from_text(TINY).unwrap();
         let cells = expand(&spec).unwrap();
-        let serial = run_cells(&spec.name, &cells, 1);
-        let wide = run_cells(&spec.name, &cells, 4);
+        let serial = run_cells_with(&spec.name, &cells, 1, None);
+        let wide = run_cells_with(&spec.name, &cells, 4, None);
         assert_eq!(serial.render_json(), wide.render_json());
         assert_eq!(serial.failures(), 0);
     }
@@ -180,7 +176,7 @@ layout = default, opt
     fn generous_timeout_changes_nothing() {
         let spec = CampaignSpec::from_text(TINY).unwrap();
         let cells = expand(&spec).unwrap();
-        let plain = run_cells(&spec.name, &cells, 2);
+        let plain = run_cells_with(&spec.name, &cells, 2, None);
         let budgeted =
             run_cells_with(&spec.name, &cells, 2, Some(Duration::from_secs(600)));
         assert_eq!(plain.render_json(), budgeted.render_json());

@@ -127,7 +127,7 @@ pub(crate) fn render_run_doc(
 /// is generated once more to size the header).
 ///
 /// The document is `header ++ event lines ++ summary`, and the three
-/// parts are exposed individually ([`render_golden_header`],
+/// parts are exposed individually ([`render_golden_header_for`],
 /// [`render_golden_events`], [`render_golden_summary`]) because the
 /// header depends only on the configuration, each event line depends
 /// only on events already executed, and the summary depends only on the
@@ -141,22 +141,16 @@ pub fn render_golden_doc(
     logical: &[LogicalEvent],
     census: &ParticleCensus,
 ) -> String {
-    let mut out = render_golden_header(config, n_ranks);
+    let mesh = generate_airway(&config.airway).expect("valid airway spec").mesh;
+    let mut out = render_golden_header_for(config, n_ranks, mesh.num_elements(), mesh.num_nodes());
     out.push_str(&render_golden_events(logical));
     out.push_str(&render_golden_summary(census));
     out
 }
 
 /// The configuration-only header of the golden document (mesh + run
-/// lines). Independent of anything the run computes; generates the mesh
-/// to count it.
-pub fn render_golden_header(config: &SimulationConfig, n_ranks: usize) -> String {
-    let mesh = generate_airway(&config.airway).expect("valid airway spec").mesh;
-    render_golden_header_for(config, n_ranks, mesh.num_elements(), mesh.num_nodes())
-}
-
-/// [`render_golden_header`] for a mesh already counted (a run reports
-/// its counts as `SimulationResult::{elements, nodes}`).
+/// lines) for a mesh of `elements` and `nodes` (a run reports its counts
+/// as `SimulationResult::{elements, nodes}`).
 pub fn render_golden_header_for(
     config: &SimulationConfig,
     n_ranks: usize,

@@ -33,7 +33,7 @@ pub use fluid::{
 };
 pub use golden::{
     golden_config, golden_trace, golden_trace_split, golden_trace_traced, render_golden_doc,
-    render_golden_events, render_golden_header, render_golden_header_for, render_golden_summary,
+    render_golden_events, render_golden_header_for, render_golden_summary,
 };
 pub use prepare::{prepare, PrepareKey, PrepareMemo, Prepared};
 pub use scenario::{run_scenario, run_scenario_prepared, Scenario, ScenarioOutcome};

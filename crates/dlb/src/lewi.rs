@@ -350,6 +350,7 @@ impl DlbNode {
     }
 
     /// Current active executor count of a registered rank's pool.
+    // pub for tests/halo_lewi_invariants.rs: core conservation is checked on every rank's pool.
     pub fn active_of(&self, rank: usize) -> Option<usize> {
         self.state.lock().ranks.get(&rank).map(|s| s.pool.active())
     }

@@ -92,23 +92,6 @@ impl AirwaySpec {
         }
     }
 
-    /// Paper-shaped mesh: 7 branch generations, finer cross-sections.
-    /// Still far below 17.7 M elements (see DESIGN.md on scale
-    /// substitution) but topologically equivalent.
-    pub fn paper_like() -> Self {
-        AirwaySpec {
-            generations: 7,
-            tube: TubeParams {
-                n_theta: 12,
-                n_bl_layers: 2,
-                n_core_rings: 2,
-                ..TubeParams::default()
-            },
-            axial_segments_per_radius: 2.0,
-            ..Default::default()
-        }
-    }
-
     /// Validate all parameters, returning a descriptive error for the
     /// first violation found.
     pub fn validate(&self) -> Result<(), MeshError> {

@@ -44,12 +44,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm (avoids the sqrt when only comparing).
-    #[inline]
-    pub fn norm2(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Unit vector in the same direction. Panics in debug builds on the
     /// zero vector; in release returns a NaN vector (callers must ensure
     /// non-degeneracy, which the mesh generator does by construction).
@@ -61,7 +55,7 @@ impl Vec3 {
     }
 
     /// Component-wise linear interpolation: `self + t * (o - self)`.
-    #[inline]
+    #[cfg(test)]
     pub fn lerp(self, o: Vec3, t: f64) -> Vec3 {
         self + (o - self) * t
     }

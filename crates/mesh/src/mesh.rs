@@ -433,6 +433,7 @@ impl Mesh {
 
     /// Check all element volumes are strictly positive; returns offending
     /// element indices (empty means valid).
+    #[cfg(test)]
     pub fn negative_volume_elements(&self) -> Vec<usize> {
         (0..self.num_elements())
             .filter(|&e| self.volume(e) <= 0.0)

@@ -13,7 +13,6 @@
 pub mod forces;
 pub mod locator;
 pub mod oracle;
-pub mod physics;
 pub mod tracker;
 
 pub use forces::{
@@ -21,8 +20,7 @@ pub use forces::{
     stokes_terminal_velocity, total_force, ParticleProps,
 };
 pub use locator::{Locator, LocatorGeometry, WalkResult};
-pub use physics::{saffman_lift, DispersionRng, TransportModel};
 pub use tracker::{
-    inject_at_inlet, particles_per_owner, step_particles, step_particles_with, ParticleCensus,
-    ParticleSet, ParticleState, StepStats,
+    inject_at_inlet, particles_per_owner, step_particles, ParticleCensus, ParticleSet,
+    ParticleState, StepStats,
 };

@@ -359,48 +359,6 @@ impl<'m> Locator<'m> {
         }
     }
 
-    /// Least-squares linear reconstruction of the gradient of a nodal
-    /// vector field over element `e`: returns `G[c]` = ∇(field_c) at the
-    /// element (constant per element). Used by the Saffman lift model
-    /// (needs the local vorticity) and by diagnostics.
-    pub fn gradient(&self, e: usize, field: &[Vec3]) -> [Vec3; 3] {
-        let nodes = self.mesh.elem_nodes(e);
-        let centroid = self.mesh.centroid(e);
-        // Mean field value.
-        let mut mean = Vec3::ZERO;
-        for &v in nodes {
-            mean += field[v as usize];
-        }
-        mean = mean / nodes.len() as f64;
-        // Normal equations A g_c = b_c with A = Σ dx dxᵀ (rows `a`) and
-        // b_c = Σ dx df_c (`b[c]`).
-        let (mut a, mut b) = ([Vec3::ZERO; 3], [Vec3::ZERO; 3]);
-        for &v in nodes {
-            let dx = self.mesh.coords[v as usize] - centroid;
-            let df = field[v as usize] - mean;
-            for (sum, d) in a.iter_mut().zip([dx.x, dx.y, dx.z]).chain(b.iter_mut().zip([df.x, df.y, df.z])) {
-                *sum += dx * d;
-            }
-        }
-        // Invert A (3x3, SPD up to degeneracy; fall back to zero): its
-        // adjugate's columns are the cross products of its rows.
-        let adj = [a[1].cross(a[2]), a[2].cross(a[0]), a[0].cross(a[1])];
-        let det = a[0].dot(adj[0]);
-        if det.abs() < 1e-30 {
-            return [Vec3::ZERO; 3];
-        }
-        let inv_det = 1.0 / det;
-        let inv = adj.map(|col| col * inv_det);
-        b.map(|bc| inv[0] * bc.x + inv[1] * bc.y + inv[2] * bc.z)
-    }
-
-    /// Vorticity ω = ∇ × u of a nodal velocity field at element `e`.
-    pub fn vorticity(&self, e: usize, field: &[Vec3]) -> Vec3 {
-        let g = self.gradient(e, field);
-        // g[c] = grad of component c; ω = (du_z/dy - du_y/dz, ...).
-        Vec3::new(g[2].y - g[1].z, g[0].z - g[2].x, g[1].x - g[0].y)
-    }
-
     /// Interpolate a nodal vector field at `p` inside element `e` using
     /// inverse-distance weights over the element nodes (a standard
     /// low-order interpolant for Lagrangian particle tracking).

@@ -1,27 +1,25 @@
 //! The reference implementation the bit-identity test and the `hotpath`
 //! bin compare against; no run reaches it.
 //!
-//! [`step_particles_with`] is the transport sweep that
-//! [`crate::tracker::step_particles_with`] replaced: one particle at a
-//! time through interpolation and the Newmark/Picard drag solve, every
-//! intermediate a scalar — the exact arithmetic and RNG draw order every
-//! lane of the block sweep must reproduce. Relocation is scalar on both
-//! sides, so both call the tracker's own `relocate`.
+//! [`step_particles`] is the transport sweep that
+//! [`crate::tracker::step_particles`] replaced: one particle at a time
+//! through interpolation and the Newmark/Picard drag solve, every
+//! intermediate a scalar — the exact arithmetic every lane of the block
+//! sweep must reproduce. Relocation is scalar on both sides, so both call
+//! the tracker's own `relocate`.
 //!
 //! It is `pub`, not `#[cfg(test)]`, for the reason `cfpd_solver::oracle`
 //! is: the `particles/step-oracle` row of the `hotpath` bin sits in
 //! another crate, and test-only items do not cross crate boundaries.
 
 use crate::locator::Locator;
-use crate::physics::{DispersionRng, TransportModel};
 use crate::tracker::{
     relocate, ParticleSet, ParticleState, StepStats, NEWMARK_BETA, NEWMARK_GAMMA, NEWMARK_PICARD,
 };
 use cfpd_mesh::Vec3;
 
 /// Advance all active particles of `set` by `dt`, one at a time.
-#[allow(clippy::too_many_arguments)]
-pub fn step_particles_with(
+pub fn step_particles(
     set: &mut ParticleSet,
     locator: &Locator,
     fluid_velocity: &[Vec3],
@@ -29,8 +27,6 @@ pub fn step_particles_with(
     fluid_viscosity: f64,
     gravity: Vec3,
     dt: f64,
-    model: &TransportModel,
-    rng: &mut DispersionRng,
 ) -> StepStats {
     let mut stats = StepStats::default();
     for i in 0..set.len() {
@@ -40,29 +36,11 @@ pub fn step_particles_with(
         let props = set.props[i];
         let mass = props.mass();
         let e = set.elem[i] as usize;
-        let mut uf = locator.interpolate(e, set.pos[i], fluid_velocity);
-        if let Some(intensity) = model.turbulence_intensity {
-            uf += crate::physics::turbulent_fluctuation(uf, intensity, rng.gaussian3());
-        }
+        let uf = locator.interpolate(e, set.pos[i], fluid_velocity);
 
         let (x0, v0, a0) = (set.pos[i], set.vel[i], set.acc[i]);
-        let mut f_body = crate::forces::gravity_force(props, gravity)
+        let f_body = crate::forces::gravity_force(props, gravity)
             + crate::forces::buoyancy_force(props, fluid_density, gravity);
-        if model.saffman_lift {
-            let omega = locator.vorticity(e, fluid_velocity);
-            f_body +=
-                crate::physics::saffman_lift(fluid_density, fluid_viscosity, props, uf - v0, omega);
-        }
-        if let Some(temperature) = model.brownian_temperature {
-            f_body += crate::physics::brownian_force(
-                fluid_density,
-                fluid_viscosity,
-                props,
-                temperature,
-                dt,
-                rng.gaussian3(),
-            );
-        }
         let mut v1 = v0;
         let mut k = 0.0;
         for _ in 0..NEWMARK_PICARD {

@@ -9,7 +9,6 @@
 
 use crate::forces::ParticleProps;
 use crate::locator::{Locator, WalkResult};
-use crate::physics::{DispersionRng, TransportModel};
 use cfpd_mesh::{BoundaryKind, Vec3};
 use cfpd_solver::lanes::{Lane, LANES};
 use cfpd_solver::simd::F64x8;
@@ -165,6 +164,16 @@ pub(crate) const NEWMARK_PICARD: usize = 3;
 /// `fluid_velocity` is the nodal fluid velocity field; `fluid_density`
 /// and `fluid_viscosity` the fluid properties; `gravity` the gravity
 /// acceleration vector.
+///
+/// The set is walked in blocks of [`LANES`] active particles, in set
+/// order, each block through three stages: **gather** (per particle,
+/// scalar, in particle order), **solve** (the Newmark/Picard drag solve,
+/// eight particles per [`F64x8`] operation, [`solve_block`]) and
+/// **relocate** (per particle, scalar, [`relocate`]). A particle reads
+/// the fluid field and its own columns only, never another particle, so
+/// solving seven particles ahead of the first one's relocation changes
+/// no value: the result is the scalar sweep's ([`crate::oracle`]) bit
+/// for bit.
 pub fn step_particles(
     set: &mut ParticleSet,
     locator: &Locator,
@@ -174,45 +183,6 @@ pub fn step_particles(
     gravity: Vec3,
     dt: f64,
 ) -> StepStats {
-    let mut rng = DispersionRng::new(0);
-    step_particles_with(
-        set,
-        locator,
-        fluid_velocity,
-        fluid_density,
-        fluid_viscosity,
-        gravity,
-        dt,
-        &TransportModel::paper_baseline(),
-        &mut rng,
-    )
-}
-
-/// Like [`step_particles`] but with the extended force model
-/// ([`TransportModel`]): optional Saffman lift, Brownian motion and
-/// turbulent dispersion.
-///
-/// The set is walked in blocks of [`LANES`] active particles, in set
-/// order, each block through three stages: **gather** (per particle,
-/// scalar, in particle order — so the [`DispersionRng`] draws keep their
-/// order), **solve** (the Newmark/Picard drag solve, eight particles
-/// per [`F64x8`] operation, [`solve_block`]) and **relocate** (per
-/// particle, scalar, [`relocate`]). A particle reads the fluid field and
-/// its own columns only, never another particle, so solving seven
-/// particles ahead of the first one's relocation changes no value: the
-/// result is the scalar sweep's ([`crate::oracle`]) bit for bit.
-#[allow(clippy::too_many_arguments)]
-pub fn step_particles_with(
-    set: &mut ParticleSet,
-    locator: &Locator,
-    fluid_velocity: &[Vec3],
-    fluid_density: f64,
-    fluid_viscosity: f64,
-    gravity: Vec3,
-    dt: f64,
-    model: &TransportModel,
-    rng: &mut DispersionRng,
-) -> StepStats {
     let mut sweep = Sweep {
         set,
         locator,
@@ -221,8 +191,6 @@ pub fn step_particles_with(
         fluid_viscosity,
         gravity,
         dt,
-        model,
-        rng,
         species: None,
         stats: StepStats::default(),
     };
@@ -278,7 +246,7 @@ fn store3(v: [F64x8; 3]) -> Lane3 {
 /// What the solve stage reads of one particle.
 #[derive(Clone, Copy)]
 struct LaneInputs {
-    /// Fluid velocity seen at the particle (turbulent fluctuation included).
+    /// Fluid velocity seen at the particle.
     uf: Vec3,
     x0: Vec3,
     v0: Vec3,
@@ -382,7 +350,7 @@ struct Species {
     f_body: Vec3,
 }
 
-/// The arguments of one [`step_particles_with`] call and what it
+/// The arguments of one [`step_particles`] call and what it
 /// accumulates.
 struct Sweep<'a, 'm> {
     set: &'a mut ParticleSet,
@@ -392,8 +360,6 @@ struct Sweep<'a, 'm> {
     fluid_viscosity: f64,
     gravity: Vec3,
     dt: f64,
-    model: &'a TransportModel,
-    rng: &'a mut DispersionRng,
     species: Option<Species>,
     stats: StepStats,
 }
@@ -424,9 +390,7 @@ impl Sweep<'_, '_> {
         self.stats.moved += block.len();
     }
 
-    /// Everything the solve needs of particle `i`, in the order the
-    /// scalar sweep computes it: the stochastic terms draw from the RNG
-    /// per particle, turbulence before Brownian.
+    /// Everything the solve needs of particle `i`.
     fn gather(&mut self, i: usize) -> LaneInputs {
         let props = self.set.props[i];
         let same = |s: &Species| {
@@ -444,32 +408,8 @@ impl Sweep<'_, '_> {
         };
         let e = self.set.elem[i] as usize;
         let (x0, v0, a0) = (self.set.pos[i], self.set.vel[i], self.set.acc[i]);
-        let mut uf = self.locator.interpolate(e, x0, self.fluid_velocity);
-        if let Some(intensity) = self.model.turbulence_intensity {
-            uf += crate::physics::turbulent_fluctuation(uf, intensity, self.rng.gaussian3());
-        }
-        let mut f_body = species.f_body;
-        if self.model.saffman_lift {
-            let omega = self.locator.vorticity(e, self.fluid_velocity);
-            f_body += crate::physics::saffman_lift(
-                self.fluid_density,
-                self.fluid_viscosity,
-                props,
-                uf - v0,
-                omega,
-            );
-        }
-        if let Some(temperature) = self.model.brownian_temperature {
-            f_body += crate::physics::brownian_force(
-                self.fluid_density,
-                self.fluid_viscosity,
-                props,
-                temperature,
-                self.dt,
-                self.rng.gaussian3(),
-            );
-        }
-        LaneInputs { uf, x0, v0, a0, f_body, mass: species.mass, diameter: props.diameter }
+        let uf = self.locator.interpolate(e, x0, self.fluid_velocity);
+        LaneInputs { uf, x0, v0, a0, f_body: species.f_body, mass: species.mass, diameter: props.diameter }
     }
 }
 
@@ -578,7 +518,7 @@ mod tests {
         column.iter().map(|v| [v.x, v.y, v.z].map(f64::to_bits)).collect()
     }
 
-    /// The block sweep against [`crate::oracle::step_particles_with`] on
+    /// The block sweep against [`crate::oracle::step_particles`] on
     /// a clone, after every step of a short run, on the bits: random
     /// sets on the small airway whose active particles sit between holes
     /// of retired ones (blocks straddle gaps; `n mod 8 != 0`, `n < 8`,
@@ -591,8 +531,7 @@ mod tests {
     /// out of an outlet. Two particles are planted: one exactly on a mesh
     /// node at exactly the fluid velocity there (`interpolate`'s
     /// early return, and Re = 0: the one place the `1e-12` clamp decides
-    /// a bit) and one with a NaN velocity (`f64::max` semantics). Under
-    /// the extended model the run also pins the RNG draw order.
+    /// a bit) and one with a NaN velocity (`f64::max` semantics).
     #[test]
     fn lane_blocks_match_the_scalar_oracle_bit_for_bit() {
         let am = airway();
@@ -674,30 +613,21 @@ mod tests {
             blocks_short.set(blocks_short.get() + usize::from(active % LANES != 0));
             sets_idle.set(sets_idle.get() + usize::from(active == 0));
 
-            for model in [TransportModel::paper_baseline(), TransportModel::extended()] {
-                let (mut lanes, mut scalar) = (set.clone(), set.clone());
-                let mut rng_lanes = DispersionRng::new(seed as u64);
-                let mut rng_scalar = DispersionRng::new(seed as u64);
-                for step in 0..5 {
-                    let got = step_particles_with(
-                        &mut lanes, &loc, &field, AIR_RHO, AIR_MU, gravity, dt, &model, &mut rng_lanes,
-                    );
-                    let want = crate::oracle::step_particles_with(
-                        &mut scalar, &loc, &field, AIR_RHO, AIR_MU, gravity, dt, &model, &mut rng_scalar,
-                    );
-                    let at = format!("step {step}, {model:?}");
-                    assert_eq!(got, want, "StepStats, {at}");
-                    assert_eq!(bits(&lanes.pos), bits(&scalar.pos), "pos, {at}");
-                    assert_eq!(bits(&lanes.vel), bits(&scalar.vel), "vel, {at}");
-                    assert_eq!(bits(&lanes.acc), bits(&scalar.acc), "acc, {at}");
-                    assert_eq!(lanes.elem, scalar.elem, "elem, {at}");
-                    assert_eq!(lanes.state, scalar.state, "state, {at}");
-                    let seen = [got.deposited, got.escaped, got.relocated, got.hopped];
-                    let mut sums = reached.get();
-                    sums.iter_mut().zip(seen).for_each(|(sum, n)| *sum += n);
-                    reached.set(sums);
-                }
-                assert_eq!(bits(&[rng_lanes.gaussian3()]), bits(&[rng_scalar.gaussian3()]), "RNG left apart");
+            let (mut lanes, mut scalar) = (set.clone(), set.clone());
+            for step in 0..5 {
+                let got = step_particles(&mut lanes, &loc, &field, AIR_RHO, AIR_MU, gravity, dt);
+                let want = crate::oracle::step_particles(&mut scalar, &loc, &field, AIR_RHO, AIR_MU, gravity, dt);
+                let at = format!("step {step}");
+                assert_eq!(got, want, "StepStats, {at}");
+                assert_eq!(bits(&lanes.pos), bits(&scalar.pos), "pos, {at}");
+                assert_eq!(bits(&lanes.vel), bits(&scalar.vel), "vel, {at}");
+                assert_eq!(bits(&lanes.acc), bits(&scalar.acc), "acc, {at}");
+                assert_eq!(lanes.elem, scalar.elem, "elem, {at}");
+                assert_eq!(lanes.state, scalar.state, "state, {at}");
+                let seen = [got.deposited, got.escaped, got.relocated, got.hopped];
+                let mut sums = reached.get();
+                sums.iter_mut().zip(seen).for_each(|(sum, n)| *sum += n);
+                reached.set(sums);
             }
         });
         // The sample reached what the doc comment names.

@@ -24,6 +24,7 @@ impl Coloring {
     }
 
     /// Verify no two adjacent vertices share a color.
+    #[cfg(test)]
     pub fn is_valid(&self, g: &Graph) -> bool {
         (0..g.num_vertices())
             .all(|v| g.neighbors(v).iter().all(|&w| self.colors[w as usize] != self.colors[v]))
@@ -33,6 +34,7 @@ impl Coloring {
     /// class — a proxy for the spatial-locality loss coloring causes
     /// (element ids are generated in spatial order, so large id jumps
     /// mean cache-unfriendly strides). A plain sequential sweep scores 1.
+    #[cfg(test)]
     pub fn mean_stride(&self) -> f64 {
         let classes = self.color_classes();
         let mut jumps = 0.0f64;

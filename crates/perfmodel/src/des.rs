@@ -263,15 +263,15 @@ pub fn simulate(programs: &[RankProgram], cfg: &DesConfig) -> DesResult {
     DesResult { total_time: now, trace, finish }
 }
 
-/// Convenience: a group barrier at `id` for `participants` ranks is
-/// `Post{id}` followed by `Wait{id, participants}`.
-pub fn barrier_segments(id: u32, participants: u32) -> [Segment; 2] {
-    [Segment::Post { id }, Segment::Wait { id, count: participants }]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A group barrier at `id` for `participants` ranks: `Post{id}`
+    /// followed by `Wait{id, participants}`.
+    fn barrier_segments(id: u32, participants: u32) -> [Segment; 2] {
+        [Segment::Post { id }, Segment::Wait { id, count: participants }]
+    }
 
     fn cfg(dlb: bool) -> DesConfig {
         DesConfig { core_speed: 1.0, dlb, efficiency_loss: 0.0 }

@@ -20,7 +20,7 @@ pub mod energy;
 pub mod platform;
 pub mod scenario;
 
-pub use des::{barrier_segments, simulate, DesConfig, DesResult, RankProgram, Segment};
+pub use des::{simulate, DesConfig, DesResult, RankProgram, Segment};
 pub use energy::{estimate_energy, EnergyReport, PowerModel};
-pub use platform::{busy_idle_split, efficiency_curve, Platform, WORK_PER_TET_INSTR};
+pub use platform::{efficiency_curve, Platform, WORK_PER_TET_INSTR};
 pub use scenario::{CoupledScenario, Mapping, PhaseSpec, Sensitivity, SyncScenario};

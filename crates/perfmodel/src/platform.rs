@@ -105,6 +105,7 @@ impl Platform {
     }
 
     /// Parallel efficiency of a `threads`-wide shared-memory region.
+    #[cfg(test)]
     pub fn thread_efficiency(&self, threads: f64) -> f64 {
         efficiency_curve(self.thread_efficiency_loss, threads)
     }
@@ -123,9 +124,8 @@ pub const WORK_PER_TET_INSTR: f64 = 2.0e4;
 /// The one shared speed-factor curve: parallel efficiency of a
 /// `threads`-wide shared-memory region losing `loss` per extra thread.
 ///
-/// Both the platform model ([`Platform::thread_efficiency`]) and the
-/// DES rate law (`DesConfig::rate`) consult this function — they used
-/// to carry private copies with subtly different clamping. Guarantees
+/// The DES rate law (`DesConfig::rate`) consults this function with a
+/// platform's `thread_efficiency_loss`. Guarantees
 /// (pinned by a property test): the result is in `(0, 1]`, is exactly
 /// `1.0` at or below one thread, and never increases with more threads.
 pub fn efficiency_curve(loss: f64, threads: f64) -> f64 {
@@ -135,7 +135,7 @@ pub fn efficiency_curve(loss: f64, threads: f64) -> f64 {
 /// The one shared busy/idle clamp: split `busy` core-seconds out of a
 /// `total` budget such that both parts are non-negative and sum to
 /// exactly `total` (the energy model's former ad-hoc clamping).
-pub fn busy_idle_split(busy: f64, total: f64) -> (f64, f64) {
+pub(crate) fn busy_idle_split(busy: f64, total: f64) -> (f64, f64) {
     let busy = busy.min(total).max(0.0);
     (busy, (total - busy).max(0.0))
 }

@@ -15,11 +15,9 @@
 pub mod chunk;
 pub mod parallel_for;
 pub mod pool;
-pub mod reduce;
 pub mod taskgraph;
 
 pub use chunk::{balanced_ranges, parallel_for_ranges, prefix_weights};
-pub use parallel_for::{parallel_for, parallel_for_with_tid};
-pub use reduce::{parallel_dot, parallel_for_static, parallel_reduce};
+pub use parallel_for::parallel_for;
 pub use pool::ThreadPool;
 pub use taskgraph::{Dep, DepKind, ExecStats, TaskGraph, TaskId};

@@ -32,30 +32,6 @@ where
     });
 }
 
-/// Like [`parallel_for`] but the body also receives the executor id —
-/// used for per-thread scratch buffers in the FEM kernels.
-pub fn parallel_for_with_tid<F>(pool: &ThreadPool, range: Range<usize>, grain: usize, body: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    let grain = grain.max(1);
-    let start = range.start;
-    let end = range.end;
-    if start >= end {
-        return;
-    }
-    let cursor = AtomicUsize::new(start);
-    pool.run_region(|id| loop {
-        let lo = cursor.fetch_add(grain, Ordering::Relaxed);
-        if lo >= end {
-            break;
-        }
-        let hi = (lo + grain).min(end);
-        cfpd_telemetry::count!("runtime.chunks");
-        body(id, lo..hi);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,11 +67,14 @@ mod tests {
 
     #[test]
     fn tid_in_active_range() {
+        // Chunks run on the active executors only.
         let pool = ThreadPool::new(4);
         pool.set_active(3);
-        parallel_for_with_tid(&pool, 0..1000, 16, |tid, _r| {
-            assert!(tid < 3);
+        let threads = std::sync::Mutex::new(std::collections::HashSet::new());
+        parallel_for(&pool, 0..1000, 16, |_r| {
+            threads.lock().unwrap().insert(std::thread::current().id());
         });
+        assert!((1..=3).contains(&threads.lock().unwrap().len()));
     }
 
     #[test]

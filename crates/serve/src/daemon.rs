@@ -188,6 +188,7 @@ impl Daemon {
     }
 
     /// Has the simulated-crash gate frozen persistence?
+    // pub for tests/serve_resilience.rs: a kill sweep waits for the frozen gate before killing.
     pub fn gate_frozen(&self) -> bool {
         self.shared.gate.frozen()
     }

@@ -24,7 +24,7 @@
 
 use crate::diag::{DeadlockReport, UniverseDiag, WaitInfo};
 use crate::fault::FaultAction;
-use crate::hooks::{BlockKind, MpiHooks, NoHooks};
+use crate::hooks::{BlockKind, MpiHooks};
 use cfpd_testkit::sync::{Condvar, Mutex};
 use std::any::Any;
 use std::fmt;
@@ -263,15 +263,15 @@ impl Comm {
         Comm { rank, size, global_rank, state, hooks, diag }
     }
 
-    /// Standalone single-rank communicator (useful in unit tests of
-    /// higher layers that need a `Comm` but no communication).
+    /// Standalone single-rank communicator.
+    #[cfg(test)]
     pub fn solo() -> Comm {
         Comm::new(
             0,
             1,
             0,
             CommState::new(vec![0], 0),
-            Arc::new(NoHooks),
+            Arc::new(crate::hooks::NoHooks),
             UniverseDiag::new(1),
         )
     }
@@ -571,6 +571,7 @@ impl Comm {
     }
 
     /// All-gather: every rank receives the vector of all ranks' values.
+    #[cfg(test)]
     pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
         let gathered = self.gather(0, value);
         self.bcast(0, gathered)

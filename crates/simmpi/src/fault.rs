@@ -285,6 +285,7 @@ impl ChaosHooks {
     }
 
     /// Number of injected faults.
+    #[cfg(test)]
     pub fn fault_count(&self) -> usize {
         self.log.lock().len()
     }

@@ -4,7 +4,7 @@
 //! This crate substitutes a *virtual cluster*: each MPI rank is an OS
 //! thread, point-to-point messages are typed in-memory queues, and the
 //! MPI collectives used by the simulation (barrier, allreduce, bcast,
-//! gather, allgather, comm split) are implemented on top. There is one
+//! gather, comm split) are implemented on top. There is one
 //! blocking path: every receive, collective or not, waits in the same
 //! loop, under the deadlock detector and a 60 s backstop. Two properties of real
 //! MPI that the paper's techniques depend on are preserved faithfully:

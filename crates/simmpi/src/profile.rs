@@ -143,6 +143,7 @@ impl ProfileHooks {
     }
 
     /// Total microseconds injected into `rank` so far.
+    #[cfg(test)]
     pub fn injected_micros(&self, rank: usize) -> u64 {
         self.injected_us.get(rank).map_or(0, |c| c.load(Ordering::Relaxed))
     }

@@ -161,11 +161,13 @@ impl CsrMatrix {
 
     /// Atomic concurrent-scatter view. Requires `&mut self`, so no other
     /// access can alias the values while the view lives.
+    #[cfg(test)]
     pub fn atomic_view(&mut self) -> AtomicView<'_> {
         AtomicView::from_slice(&mut self.values)
     }
 
     /// Plain concurrent-scatter view (no-conflict contract on callers).
+    #[cfg(test)]
     pub fn disjoint_view(&mut self) -> DisjointView<'_> {
         DisjointView::from_slice(&mut self.values)
     }

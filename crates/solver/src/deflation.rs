@@ -282,6 +282,7 @@ impl Deflation {
     }
 
     /// Group of node `v`, `None` for Dirichlet and unreached nodes.
+    #[cfg(test)]
     pub fn group_of(&self, v: usize) -> Option<usize> {
         let g = self.s.group[v] as usize;
         (g < self.s.k).then_some(g)

@@ -60,12 +60,6 @@ impl Counter {
         }
     }
 
-    /// Add 1, checking the global enabled flag first.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Add `n` without consulting the enabled flag (the recording
     /// macros check it once and call this).
     #[inline]
@@ -301,7 +295,7 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        c.inc();
+                        c.add(1);
                     }
                 });
             }
@@ -357,7 +351,7 @@ mod tests {
         crate::set_enabled(false);
         let c = Counter::new();
         let h = Histogram::new();
-        c.inc();
+        c.add(1);
         h.record(9);
         assert_eq!(c.value(), 0);
         assert_eq!(h.merged().count, 0);

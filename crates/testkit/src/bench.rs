@@ -53,6 +53,26 @@ impl BenchStats {
     }
 }
 
+/// Append one provenance line for the artifact `body` of `stem` to
+/// `trajectory.jsonl` in the results directory `dir`: when, its digest,
+/// its size.
+pub fn append_trajectory(dir: &Path, stem: &str, body: &str) -> std::io::Result<()> {
+    let unix_s = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0);
+    let line = format!(
+        "{{\"bench\":\"{stem}\",\"unix_s\":{unix_s},\"digest\":\"{:016x}\",\"bytes\":{}}}\n",
+        crate::digest_bytes(body.as_bytes()),
+        body.len()
+    );
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(dir.join("trajectory.jsonl"))
+        .and_then(|mut f| f.write_all(line.as_bytes()))
+}
+
 fn format_time(seconds: f64) -> String {
     if seconds >= 1.0 {
         format!("{seconds:.3} s")

@@ -28,6 +28,8 @@
 //!   (checkpoint, snapshot, WAL, flight dump): magic and digest lines,
 //!   canonical integers and hex, ordered `key=value` fields, bounded
 //!   line-counted sections, percent-encoded strings, tmp + rename.
+//! * [`loc`] — the size ledger: production code lines per crate by one
+//!   rule (`src/bin/loc.rs` writes it to `results/loc.json`).
 //! * [`json`] — a strict RFC 8259 parser, the read-side counterpart of
 //!   `cfpd-telemetry`'s `JsonWriter`, so tests and `verify.sh` validate
 //!   emitted Chrome-trace / report JSON structurally.
@@ -39,6 +41,7 @@
 pub mod bench;
 pub mod digest;
 pub mod json;
+pub mod loc;
 pub mod prop;
 pub mod record;
 pub mod rng;

@@ -371,21 +371,6 @@ impl Trace {
         }
         t
     }
-
-    /// CSV export: `rank,phase,t_start,t_end`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("rank,phase,t_start,t_end\n");
-        for e in &self.events {
-            out.push_str(&format!(
-                "{},{},{:.9},{:.9}\n",
-                e.rank,
-                e.phase.name(),
-                e.t_start,
-                e.t_end
-            ));
-        }
-        out
-    }
 }
 
 /// The per-(rank, worker) view of a trace: the recorded worker events
@@ -534,15 +519,6 @@ mod tests {
         assert_eq!(t.total_time(), 3.0);
         assert_eq!(t.per_rank_time(Phase::Assembly), vec![2.0, 1.0]);
         assert_eq!(t.per_rank_time(Phase::Particles), vec![0.0, 2.0]);
-    }
-
-    #[test]
-    fn csv_contains_all_events() {
-        let mut t = Trace::new(1);
-        t.record(0, Phase::Sgs, 0.5, 0.75);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("rank,phase"));
-        assert!(csv.contains("0,SGS,0.5"));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! rank, per-(rank, worker) typed state events with point-to-point
 //! message records, the load-balance metric Lₙ of eq. 9, per-phase time
 //! breakdowns (Table 1), the POP efficiency rollup of a run's phase
-//! record ([`pop`]), an ASCII timeline renderer (Fig. 2), CSV
-//! export, Paraver `.prv`/`.pcf`/`.row` and Chrome `trace_event` JSON
+//! record ([`pop`]), an ASCII timeline renderer (Fig. 2), Paraver
+//! `.prv`/`.pcf`/`.row`, Chrome `trace_event` JSON and text summary
 //! exporters ([`export`]), a critical-path / lost-cycles analysis
 //! engine ([`analysis`]), and a deterministic trace diff ([`diff`]).
 

@@ -119,7 +119,15 @@
 #   * a one-cell-path gate: every cell checkpoints at step boundaries,
 #     so the daemon's predicate for cells that could not and the
 #     capture-but-keep-running run option are named nowhere under
-#     crates/, tests/ or examples/.
+#     crates/, tests/ or examples/,
+#   * a reachability gate: the particle phase has one force model (drag,
+#     gravity, buoyancy) and one step, the runtime one loop family, so
+#     the extended force model, the second particle entry point, the
+#     loop primitives no sweep called and the pub items nothing named
+#     appear nowhere under crates/, tests/ or examples/,
+#   * a size ledger: the production code lines per crate (the rule of
+#     cfpd_testkit::loc) go to results/loc.json, with a provenance line
+#     appended to results/trajectory.jsonl.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -591,5 +599,23 @@ if grep -rnE 'checkpointabl[e]|checkpoint_a[t]' crates tests examples; then
     echo "FAIL: a cell path that cannot checkpoint, or capture without stopping, is back" >&2
     exit 1
 fi
+
+echo "== reachability gate (nothing a run cannot reach) =="
+# The bracketed letters keep this script from matching itself.
+if grep -rnE 'TransportMode[l]|DispersionRn[g]|saffman_lif[t]|brownian_forc[e]|turbulent_fluctuatio[n]|step_particles_wit[h]' \
+        crates tests examples; then
+    echo "FAIL: the extended particle force model or a second particle step is back" >&2
+    exit 1
+fi
+if grep -rnE 'parallel_reduc[e]|parallel_for_stati[c]|parallel_do[t]|parallel_for_with_ti[d]|paper_lik[e]|fn to_cs[v]' \
+        crates tests examples; then
+    echo "FAIL: a loop primitive no sweep calls or a pub item nothing names is back" >&2
+    exit 1
+fi
+
+echo "== size ledger (results/loc.json) =="
+target/release/loc --write . >/dev/null
+python3 -m json.tool results/loc.json >/dev/null \
+    || { echo "FAIL: results/loc.json is not valid JSON" >&2; exit 1; }
 
 echo "verify: OK"
