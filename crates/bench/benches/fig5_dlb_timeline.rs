@@ -9,20 +9,19 @@
 //! (`cfpd-runtime`), with the event log rendered as a timeline.
 
 use cfpd_bench::emit;
-use cfpd_dlb::{DlbCluster, DlbEventKind};
+use cfpd_dlb::{DlbEventKind, DlbNode};
 use cfpd_runtime::{parallel_for, ThreadPool};
 use cfpd_simmpi::Universe;
 use std::sync::Arc;
 
 fn main() {
-    let cluster = Arc::new(DlbCluster::new_block(2, 1));
+    let node = DlbNode::new();
     let pools: Vec<Arc<ThreadPool>> = (0..2).map(|_| Arc::new(ThreadPool::new(4))).collect();
-    cluster.register(0, Arc::clone(&pools[0]), 2);
-    cluster.register(1, Arc::clone(&pools[1]), 2);
+    node.register(0, Arc::clone(&pools[0]), 2);
+    node.register(1, Arc::clone(&pools[1]), 2);
 
     let pools2 = pools.clone();
-    let hooks: Arc<dyn cfpd_simmpi::MpiHooks> = Arc::clone(&cluster) as _;
-    Universe::run_with_hooks(2, hooks, move |comm| {
+    Universe::run_with_hooks(2, Arc::clone(&node) as _, move |comm| {
         let pool = &pools2[comm.rank()];
         if comm.rank() == 0 {
             // Lightly loaded rank: short compute, then blocks in recv —
@@ -57,7 +56,7 @@ fn main() {
     lines.push(String::new());
     lines.push(format!("{:>10}  {:>5}  {}", "t [ms]", "rank", "event"));
     lines.push("-".repeat(60));
-    for (_, e) in cluster.all_events() {
+    for e in node.events() {
         let desc = match e.kind {
             DlbEventKind::Lend { cores } => format!("blocked in MPI, lent {cores} core(s)"),
             DlbEventKind::Borrow { cores, active } => {
@@ -73,7 +72,7 @@ fn main() {
         };
         lines.push(format!("{:>10.3}  {:>5}  {}", e.t * 1e3, e.rank, desc));
     }
-    let stats = cluster.total_stats();
+    let stats = node.stats();
     lines.push(String::new());
     lines.push(format!(
         "totals: {} lends, {} grants, {} reclaims, {} revokes, {} core-loans",

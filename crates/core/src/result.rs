@@ -6,7 +6,7 @@
 
 use crate::checkpoint::{Checkpoint, RankCheckpoint};
 use crate::fluid::FluidStepReport;
-use cfpd_dlb::{DlbCluster, DlbEventKind, DlbStats};
+use cfpd_dlb::{DlbEventKind, DlbNode, DlbStats};
 use cfpd_mesh::Vec3;
 use cfpd_particles::ParticleCensus;
 use cfpd_runtime::ThreadPool;
@@ -222,7 +222,7 @@ pub(crate) fn finalize(
 
 /// Build the [`SimulationResult`] of a run from what rank 0 gathered
 /// (`out`) and what the run's hook chain recorded beside it: the
-/// injected faults, the arbiter's transitions (`cluster`, when DLB was
+/// injected faults, the arbiter's transitions (`dlb`, when DLB was
 /// on) and, for a traced run, the tracer's waits and messages plus the
 /// pools' worker regions.
 pub(crate) fn assemble(
@@ -230,7 +230,7 @@ pub(crate) fn assemble(
     checkpoint: Option<Checkpoint>,
     mesh_size: (usize, usize),
     faults: Vec<FaultEvent>,
-    cluster: Option<&DlbCluster>,
+    dlb: Option<&DlbNode>,
     traced: Option<(&TraceHooks, &[Arc<ThreadPool>])>,
 ) -> SimulationResult {
     let RankOut { mut trace, census, total, logical, checkpoint: _ } = out;
@@ -245,7 +245,7 @@ pub(crate) fn assemble(
     // DLB transitions become first-class trace events (the lend/borrow
     // arrows of the paper's Fig. 8), so `render_timeline` shows cores
     // migrating between co-resident ranks.
-    for (_, e) in cluster.map(|c| c.all_events()).unwrap_or_default() {
+    for e in dlb.map(DlbNode::events).unwrap_or_default() {
         let (kind, cores) = match e.kind {
             DlbEventKind::Lend { cores } => (DlbMarkKind::Lend, cores),
             DlbEventKind::Borrow { cores, .. } => (DlbMarkKind::Borrow, cores),
@@ -284,7 +284,7 @@ pub(crate) fn assemble(
         breakdown,
         census,
         total_time: total,
-        dlb: cluster.map(|c| c.total_stats()),
+        dlb: dlb.map(DlbNode::stats),
         logical,
         checkpoint,
         faults,

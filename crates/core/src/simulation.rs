@@ -14,15 +14,15 @@ use crate::fluid::{FluidSolver, PressureOperator};
 use crate::prepare::{prepare, PrepareKey, Prepared};
 use crate::result::{assemble, finalize, log_fluid_step, RankOut};
 pub use crate::result::{LogicalEvent, SimulationResult};
-use cfpd_dlb::DlbCluster;
+use cfpd_dlb::DlbNode;
 use cfpd_mesh::Vec3;
 use cfpd_particles::{
     inject_at_inlet, step_particles, Locator, ParticleProps, ParticleSet, ParticleState,
 };
 use cfpd_runtime::ThreadPool;
 use cfpd_simmpi::{
-    ChaosHooks, Comm, FaultConfig, FaultPlan, MpiHooks, ProfileHooks, RankProfile, ReduceOp,
-    TraceHooks, Universe,
+    ChaosHooks, Comm, FaultConfig, FaultPlan, MpiHooks, NoHooks, ProfileHooks, RankProfile,
+    ReduceOp, TraceHooks, Universe,
 };
 use cfpd_trace::{ChaosKind, Phase, Trace};
 use std::sync::Arc;
@@ -164,21 +164,21 @@ pub fn run_prepared(
     // time from their own start.
     let run_epoch = Instant::now();
 
-    // One virtual node: this container is one shared-memory machine, so
-    // DLB may lend between any pair of ranks (the cfpd-perfmodel DES
-    // models the paper's 2-node topology; here we exercise the real
-    // lending machinery). A blocked simmpi rank parks, it does not
-    // busy-wait, so it lends every core it owns.
-    let cluster = Arc::new(if opts.dlb {
-        DlbCluster::new_block_with_epoch(n_ranks, 1, run_epoch)
-    } else {
-        DlbCluster::disabled(n_ranks, 1)
-    });
-    let pools: Vec<Arc<ThreadPool>> = (0..n_ranks)
-        .map(|_| Arc::new(ThreadPool::new(threads_per_rank.max(1) * 2)))
-        .collect();
+    // One virtual node: this machine is one shared-memory node, so DLB
+    // may lend between any pair of ranks (the cfpd-perfmodel DES models
+    // the paper's 2-node topology; here we exercise the real lending
+    // machinery). A blocked simmpi rank parks, it does not busy-wait, so
+    // it lends every core it owns. Without DLB no arbiter exists and
+    // each pool runs its own allotment.
+    let dlb = opts.dlb.then(|| DlbNode::with_epoch(run_epoch));
+    let threads = threads_per_rank.max(1);
+    let pools: Vec<Arc<ThreadPool>> =
+        (0..n_ranks).map(|_| Arc::new(ThreadPool::new(threads * 2))).collect();
     for (r, pool) in pools.iter().enumerate() {
-        cluster.register(r, Arc::clone(pool), threads_per_rank.max(1));
+        match &dlb {
+            Some(node) => node.register(r, Arc::clone(pool), threads),
+            None => pool.set_active(threads),
+        }
         if opts.trace {
             pool.worker_trace_start(run_epoch);
         }
@@ -187,7 +187,10 @@ pub fn run_prepared(
     // The hook chain: tracer (outermost, when tracing) wraps the
     // heterogeneity profile (when one is given) wraps chaos (when a
     // fault plan is given) wraps DLB. Physics code sees none of them.
-    let base: Arc<dyn MpiHooks> = Arc::clone(&cluster) as _;
+    let base: Arc<dyn MpiHooks> = match &dlb {
+        Some(node) => Arc::clone(node) as _,
+        None => Arc::new(NoHooks),
+    };
     let chaos: Option<Arc<ChaosHooks>> = opts
         .fault
         .map(|fc| ChaosHooks::new(n_ranks, run_epoch, FaultPlan::new(fc), Arc::clone(&base)));
@@ -250,7 +253,7 @@ pub fn run_prepared(
         checkpoint,
         (prepared.elements(), prepared.nodes()),
         chaos.as_ref().map(|c| c.events()).unwrap_or_default(),
-        opts.dlb.then_some(&*cluster),
+        dlb.as_deref(),
         tracer.as_deref().map(|t| (t, pools.as_slice())),
     ))
 }
@@ -830,6 +833,28 @@ mod tests {
         assert!(!r.trace.dlb.is_empty(), "DLB run must surface lend/reclaim marks");
         assert!(r.trace.dlb.iter().any(|m| m.kind == DlbMarkKind::Lend));
         assert!(r.trace.dlb.iter().any(|m| m.kind == DlbMarkKind::Reclaim));
+    }
+
+    /// The arbiter's statistics are a fold over its one event log, and
+    /// that log is what the trace's DLB marks are: on a lending coupled
+    /// 1+1 run the two agree kind for kind and core for core.
+    #[test]
+    fn dlb_stats_are_the_census_of_the_runs_marks() {
+        let cfg = SimulationConfig {
+            mode: ExecutionMode::Coupled { fluid: 1, particles: 1 },
+            ..tiny_config()
+        };
+        let r = run_simulation(&cfg, 0, 2, true);
+        let stats = r.dlb.expect("dlb stats");
+        let marks = |kind: DlbMarkKind| r.trace.dlb.iter().filter(move |m| m.kind == kind);
+        assert!(stats.lends > 0 && stats.cores_lent_total > 0, "{stats:?}");
+        assert_eq!(stats.lends, marks(DlbMarkKind::Lend).count());
+        assert_eq!(stats.grants, marks(DlbMarkKind::Borrow).count());
+        assert_eq!(stats.reclaims, marks(DlbMarkKind::Reclaim).count());
+        assert_eq!(stats.revokes, marks(DlbMarkKind::Revoke).count());
+        assert_eq!(stats.crashes, marks(DlbMarkKind::Crashed).count());
+        let lent = marks(DlbMarkKind::Lend).chain(marks(DlbMarkKind::Crashed));
+        assert_eq!(stats.cores_lent_total, lent.map(|m| m.cores).sum::<usize>());
     }
 
     #[test]

@@ -9,21 +9,10 @@
 //! rescheduled it *reclaims*. The arbiter is pure bookkeeping — the
 //! caller (the serve scheduler) holds its own lock and drives the
 //! transitions — but it enforces the conservation invariant
-//! (`held + free == total`, no job holds two slots) and keeps the
-//! stats that make preemption observable and testable.
+//! (`held + free == total`, no job holds two slots) and counts every
+//! transition in the `dlb.job_*` telemetry counters.
 
 use std::collections::BTreeSet;
-
-/// Aggregate lending statistics (mirrors [`crate::lewi::DlbStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JobLendStats {
-    pub acquires: u64,
-    pub lends: u64,
-    pub reclaims: u64,
-    pub releases: u64,
-    /// High-water mark of simultaneously held slots.
-    pub peak_held: usize,
-}
 
 /// The slot arbiter. Not internally synchronized: wrap it in the
 /// scheduler's state lock.
@@ -31,25 +20,16 @@ pub struct JobLendStats {
 pub struct JobArbiter {
     total: usize,
     held: BTreeSet<u64>,
-    stats: JobLendStats,
 }
 
 impl JobArbiter {
     pub fn new(slots: usize) -> JobArbiter {
         assert!(slots >= 1, "a node needs at least one job slot");
-        JobArbiter { total: slots, held: BTreeSet::new(), stats: JobLendStats::default() }
-    }
-
-    pub fn total(&self) -> usize {
-        self.total
+        JobArbiter { total: slots, held: BTreeSet::new() }
     }
 
     pub fn free(&self) -> usize {
         self.total - self.held.len()
-    }
-
-    pub fn holds(&self, job: u64) -> bool {
-        self.held.contains(&job)
     }
 
     /// Take a free slot. `false` when the node is full (the caller
@@ -59,8 +39,6 @@ impl JobArbiter {
             return false;
         }
         self.held.insert(job);
-        self.stats.acquires += 1;
-        self.stats.peak_held = self.stats.peak_held.max(self.held.len());
         cfpd_telemetry::count!("dlb.job_acquires");
         true
     }
@@ -68,20 +46,17 @@ impl JobArbiter {
     /// A preempted job returns its slot so another job can run.
     pub fn lend(&mut self, job: u64) {
         assert!(self.held.remove(&job), "job {job} lent a slot it does not hold");
-        self.stats.lends += 1;
         cfpd_telemetry::count!("dlb.job_lends");
     }
 
     /// A previously preempted job re-acquires a slot to resume from its
-    /// checkpoint. Bookkept separately from [`Self::try_acquire`] so
-    /// preemption round trips are visible in the stats.
+    /// checkpoint. Counted apart from [`Self::try_acquire`] so
+    /// preemption round trips are visible in telemetry.
     pub fn try_reclaim(&mut self, job: u64) -> bool {
         if self.free() == 0 || self.held.contains(&job) {
             return false;
         }
         self.held.insert(job);
-        self.stats.reclaims += 1;
-        self.stats.peak_held = self.stats.peak_held.max(self.held.len());
         cfpd_telemetry::count!("dlb.job_reclaims");
         true
     }
@@ -89,19 +64,15 @@ impl JobArbiter {
     /// A terminal job gives its slot back for good.
     pub fn release(&mut self, job: u64) {
         assert!(self.held.remove(&job), "job {job} released a slot it does not hold");
-        self.stats.releases += 1;
     }
 
     /// `(held, total)` — the conservation invariant is
     /// `held + free() == total` with every holder distinct, which the
-    /// `BTreeSet` representation makes true by construction; exposed so
-    /// tests can assert it after arbitrary transition sequences.
-    pub fn conservation(&self) -> (usize, usize) {
+    /// `BTreeSet` representation makes true by construction; the tests
+    /// assert it after their transition sequences.
+    #[cfg(test)]
+    fn conservation(&self) -> (usize, usize) {
         (self.held.len(), self.total)
-    }
-
-    pub fn stats(&self) -> JobLendStats {
-        self.stats
     }
 }
 
@@ -118,13 +89,13 @@ mod tests {
         a.lend(1);
         assert!(a.try_acquire(2));
         a.release(2);
+        assert_eq!((a.free(), a.conservation()), (1, (0, 1)));
         // Job 1 resumes.
         assert!(a.try_reclaim(1));
+        assert_eq!((a.free(), a.conservation()), (0, (1, 1)));
+        assert!(!a.try_acquire(3), "a resumed job holds the only slot");
         a.release(1);
-        let s = a.stats();
-        assert_eq!((s.acquires, s.lends, s.reclaims, s.releases), (2, 1, 1, 2));
-        assert_eq!(s.peak_held, 1);
-        assert_eq!(a.conservation(), (0, 1));
+        assert_eq!((a.free(), a.conservation()), (1, (0, 1)));
     }
 
     #[test]
@@ -136,8 +107,12 @@ mod tests {
         assert!(a.try_acquire(8));
         let (held, total) = a.conservation();
         assert_eq!(held + a.free(), total);
-        assert_eq!(held, 2);
-        assert_eq!(a.stats().peak_held, 2);
+        assert_eq!((held, a.free()), (2, 1));
+        a.lend(7);
+        assert!(a.try_acquire(9));
+        assert!(a.try_reclaim(7));
+        assert!(!a.try_reclaim(10), "a full node refuses a reclaim");
+        assert_eq!((a.free(), a.conservation()), (0, (3, 3)));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! LeWI's core conservation (no core is ever minted).
 
 use cfpd_runtime::ThreadPool;
+use cfpd_simmpi::{BlockKind, MpiHooks};
 use cfpd_testkit::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -61,9 +62,67 @@ struct NodeState {
     ranks: BTreeMap<usize, RankSlot>,
     /// Cores currently lent to the node and not yet granted to anyone.
     free_lent: usize,
+    /// Every transition, in the order it happened: the node's only record.
+    events: Vec<DlbEvent>,
 }
 
-/// Aggregated LeWI statistics.
+impl NodeState {
+    /// Append one event and emit its telemetry and flight record.
+    fn log(&mut self, t: f64, rank: usize, kind: DlbEventKind) {
+        match kind {
+            DlbEventKind::Lend { cores } => {
+                cfpd_telemetry::count!("dlb.lends");
+                cfpd_telemetry::count!("dlb.cores_lent_total", cores as u64);
+                cfpd_telemetry::gauge_add!("dlb.cores_lent_out", cores as i64);
+                let r = rank as u32;
+                cfpd_flight::record(cfpd_flight::EventKind::DlbLend, r, r, cores as u64, 0);
+            }
+            DlbEventKind::Borrow { .. } => cfpd_telemetry::count!("dlb.grants"),
+            DlbEventKind::Reclaim { cores } => {
+                cfpd_telemetry::count!("dlb.reclaims");
+                cfpd_telemetry::gauge_add!("dlb.cores_lent_out", -(cores as i64));
+                let r = rank as u32;
+                cfpd_flight::record(cfpd_flight::EventKind::DlbReclaim, r, r, cores as u64, 0);
+            }
+            DlbEventKind::Revoke { .. } => cfpd_telemetry::count!("dlb.revokes"),
+            DlbEventKind::Crashed { cores } => {
+                cfpd_telemetry::count!("dlb.crashes");
+                cfpd_telemetry::count!("dlb.cores_lent_total", cores as u64);
+                cfpd_telemetry::gauge_add!("dlb.cores_lent_out", cores as i64);
+            }
+        }
+        self.events.push(DlbEvent { t, rank, kind });
+    }
+
+    /// Grant the free cores one at a time, round-robin over the busy
+    /// ranks. A rank saturated at its pool capacity absorbs nothing
+    /// (extra threads would be clamped and the cores wasted).
+    fn redistribute(&mut self, t: f64) {
+        let busy: Vec<usize> =
+            self.ranks.iter().filter(|(_, s)| !s.blocked).map(|(&r, _)| r).collect();
+        let mut granted_to: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut idx = 0usize;
+        while self.free_lent > 0 && !busy.is_empty() {
+            let has_room = |s: &RankSlot| s.owned + s.borrowed < s.pool.max_workers();
+            let pick = (0..busy.len())
+                .map(|k| (idx + k) % busy.len())
+                .find(|&i| has_room(&self.ranks[&busy[i]]));
+            let Some(i) = pick else { break };
+            idx = (i + 1) % busy.len();
+            self.ranks.get_mut(&busy[i]).unwrap().borrowed += 1;
+            *granted_to.entry(busy[i]).or_default() += 1;
+            self.free_lent -= 1;
+        }
+        for (r, cores) in granted_to {
+            let s = &self.ranks[&r];
+            let active = s.owned + s.borrowed;
+            s.pool.set_active(active);
+            self.log(t, r, DlbEventKind::Borrow { cores, active });
+        }
+    }
+}
+
+/// Aggregated LeWI statistics, folded from the event log.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct DlbStats {
     pub lends: usize,
@@ -74,11 +133,10 @@ pub struct DlbStats {
     pub crashes: usize,
 }
 
-/// Per-node DLB arbiter implementing LeWI.
+/// The LeWI arbiter of one node: every rank of a run registers with the
+/// one `DlbNode`, which is also the run's [`MpiHooks`] base.
 pub struct DlbNode {
     state: Mutex<NodeState>,
-    events: Mutex<Vec<DlbEvent>>,
-    stats: Mutex<DlbStats>,
     epoch: Instant,
 }
 
@@ -92,15 +150,9 @@ impl DlbNode {
     /// message records.
     pub fn with_epoch(epoch: Instant) -> Arc<DlbNode> {
         Arc::new(DlbNode {
-            state: Mutex::new(NodeState { ranks: BTreeMap::new(), free_lent: 0 }),
-            events: Mutex::new(Vec::new()),
-            stats: Mutex::new(DlbStats::default()),
+            state: Mutex::new(NodeState { ranks: BTreeMap::new(), free_lent: 0, events: Vec::new() }),
             epoch,
         })
-    }
-
-    fn now(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
     }
 
     /// Register a rank living on this node with its pool and the number
@@ -119,6 +171,7 @@ impl DlbNode {
     /// Rank entered a blocking MPI call: lend its cores and redistribute.
     pub fn lend(&self, rank: usize) {
         let mut st = self.state.lock();
+        let t = self.epoch.elapsed().as_secs_f64();
         let slot = match st.ranks.get_mut(&rank) {
             Some(s) => s,
             None => return, // unregistered rank (e.g. DLB off for it)
@@ -128,32 +181,19 @@ impl DlbNode {
         }
         slot.blocked = true;
         // A blocked rank has no use for borrowed cores either.
-        let returned = slot.borrowed;
-        slot.borrowed = 0;
+        let returned = std::mem::take(&mut slot.borrowed);
         let lent = slot.owned;
         slot.pool.set_active(1);
         st.free_lent += lent + returned;
-        drop(st);
-        {
-            let mut ev = self.events.lock();
-            ev.push(DlbEvent { t: self.now(), rank, kind: DlbEventKind::Lend { cores: lent } });
-        }
-        {
-            let mut s = self.stats.lock();
-            s.lends += 1;
-            s.cores_lent_total += lent;
-        }
-        cfpd_telemetry::count!("dlb.lends");
-        cfpd_telemetry::count!("dlb.cores_lent_total", lent as u64);
-        cfpd_telemetry::gauge_add!("dlb.cores_lent_out", lent as i64);
-        cfpd_flight::record(cfpd_flight::EventKind::DlbLend, rank as u32, rank as u32, lent as u64, 0);
-        self.redistribute();
+        st.log(t, rank, DlbEventKind::Lend { cores: lent });
+        st.redistribute(t);
     }
 
     /// Rank left its blocking call: reclaim owned cores, revoking
     /// borrowers if the free pool cannot cover them.
     pub fn reclaim(&self, rank: usize) {
         let mut st = self.state.lock();
+        let t = self.epoch.elapsed().as_secs_f64();
         let slot = match st.ranks.get_mut(&rank) {
             Some(s) => s,
             None => return,
@@ -163,65 +203,32 @@ impl DlbNode {
         }
         slot.blocked = false;
         let mut need = slot.owned;
-        let reclaimed = need;
         slot.pool.set_active(slot.owned); // a blocked rank borrows nothing
         let from_free = need.min(st.free_lent);
         st.free_lent -= from_free;
         need -= from_free;
         // Revoke from borrowers (largest borrowers first).
-        let mut revocations: Vec<(usize, usize, usize)> = Vec::new(); // (rank, revoke, new_active)
-        if need > 0 {
-            let mut borrowers: Vec<(usize, usize)> = st
-                .ranks
-                .iter()
-                .filter(|(_, s)| s.borrowed > 0)
-                .map(|(&r, s)| (r, s.borrowed))
-                .collect();
-            borrowers.sort_by_key(|&(r, b)| (std::cmp::Reverse(b), r));
-            for (r, _) in borrowers {
-                if need == 0 {
-                    break;
-                }
-                let s = st.ranks.get_mut(&r).unwrap();
-                let take = s.borrowed.min(need);
-                s.borrowed -= take;
-                need -= take;
-                let active = s.owned + s.borrowed;
-                s.pool.set_active(active);
-                revocations.push((r, take, active));
+        let mut borrowers: Vec<(usize, usize)> =
+            st.ranks.iter().filter(|(_, s)| s.borrowed > 0).map(|(&r, s)| (r, s.borrowed)).collect();
+        borrowers.sort_by_key(|&(r, b)| (std::cmp::Reverse(b), r));
+        let mut revocations = Vec::new(); // (rank, revoked, new active)
+        for (r, _) in borrowers {
+            if need == 0 {
+                break;
             }
+            let s = st.ranks.get_mut(&r).unwrap();
+            let take = s.borrowed.min(need);
+            s.borrowed -= take;
+            need -= take;
+            let active = s.owned + s.borrowed;
+            s.pool.set_active(active);
+            revocations.push((r, take, active));
         }
-        drop(st);
-        let t = self.now();
-        {
-            let mut ev = self.events.lock();
-            ev.push(DlbEvent {
-                t,
-                rank,
-                kind: DlbEventKind::Reclaim { cores: from_free + revocations.iter().map(|r| r.1).sum::<usize>() },
-            });
-            for (r, take, active) in &revocations {
-                ev.push(DlbEvent {
-                    t,
-                    rank: *r,
-                    kind: DlbEventKind::Revoke { cores: *take, active: *active },
-                });
-            }
+        let cores = from_free + revocations.iter().map(|r| r.1).sum::<usize>();
+        st.log(t, rank, DlbEventKind::Reclaim { cores });
+        for (r, cores, active) in revocations {
+            st.log(t, r, DlbEventKind::Revoke { cores, active });
         }
-        let mut s = self.stats.lock();
-        s.reclaims += 1;
-        s.revokes += revocations.len();
-        drop(s);
-        cfpd_telemetry::count!("dlb.reclaims");
-        cfpd_telemetry::count!("dlb.revokes", revocations.len() as u64);
-        cfpd_telemetry::gauge_add!("dlb.cores_lent_out", -(reclaimed as i64));
-        cfpd_flight::record(
-            cfpd_flight::EventKind::DlbReclaim,
-            rank as u32,
-            rank as u32,
-            reclaimed as u64,
-            0,
-        );
     }
 
     /// Declare a rank crashed (fail-silent): everything it still holds
@@ -231,6 +238,7 @@ impl DlbNode {
     /// at one worker (a pool cannot run with zero executors).
     pub fn mark_crashed(&self, rank: usize) {
         let mut st = self.state.lock();
+        let t = self.epoch.elapsed().as_secs_f64();
         let slot = match st.ranks.get_mut(&rank) {
             Some(s) => s,
             None => return,
@@ -247,30 +255,14 @@ impl DlbNode {
         slot.borrowed = 0;
         slot.pool.set_active(1);
         st.free_lent += donated;
-        drop(st);
-        {
-            let mut ev = self.events.lock();
-            ev.push(DlbEvent {
-                t: self.now(),
-                rank,
-                kind: DlbEventKind::Crashed { cores: donated },
-            });
-        }
-        {
-            let mut s = self.stats.lock();
-            s.crashes += 1;
-            s.cores_lent_total += donated;
-        }
-        cfpd_telemetry::count!("dlb.crashes");
-        cfpd_telemetry::count!("dlb.cores_lent_total", donated as u64);
-        cfpd_telemetry::gauge_add!("dlb.cores_lent_out", donated as i64);
-        self.redistribute();
+        st.log(t, rank, DlbEventKind::Crashed { cores: donated });
+        st.redistribute(t);
     }
 
-    /// Core-conservation check for tests: total active workers across
-    /// pools never exceed total owned cores plus the pool floor of each
-    /// blocked (or crashed) rank, and unaccounted free cores are
-    /// non-negative.
+    /// Core-conservation check: total active workers across pools plus
+    /// the free cores equal total owned cores plus the pool floor of
+    /// each blocked (or crashed) rank.
+    // pub for tests/chaos_resilience.rs: conservation is checked after every transition under chaos.
     pub fn conservation(&self) -> (usize, usize) {
         let st = self.state.lock();
         let total_owned: usize = st.ranks.values().map(|s| s.owned).sum();
@@ -287,72 +279,53 @@ impl DlbNode {
         (active + st.free_lent, budget)
     }
 
-    fn redistribute(&self) {
-        let mut st = self.state.lock();
-        if st.free_lent == 0 {
-            return;
-        }
-        let busy: Vec<usize> = st
-            .ranks
-            .iter()
-            .filter(|(_, s)| !s.blocked)
-            .map(|(&r, _)| r)
-            .collect();
-        if busy.is_empty() {
-            return;
-        }
-        let mut grants: Vec<(usize, usize, usize)> = Vec::new();
-        let mut free = st.free_lent;
-        // One core at a time, round-robin over busy ranks. A rank
-        // saturated at its pool capacity absorbs nothing (extra threads
-        // would be clamped and the cores wasted).
-        let mut idx = 0usize;
-        let mut granted_to: BTreeMap<usize, usize> = BTreeMap::new();
-        while free > 0 {
-            let has_room = |s: &RankSlot| s.owned + s.borrowed < s.pool.max_workers();
-            let pick = (0..busy.len())
-                .map(|k| (idx + k) % busy.len())
-                .find(|&i| has_room(&st.ranks[&busy[i]]));
-            let Some(i) = pick else { break };
-            let r = busy[i];
-            idx = (i + 1) % busy.len();
-            let slot = st.ranks.get_mut(&r).unwrap();
-            slot.borrowed += 1;
-            *granted_to.entry(r).or_default() += 1;
-            free -= 1;
-        }
-        st.free_lent = free;
-        for (&r, &n) in &granted_to {
-            let s = &st.ranks[&r];
-            let active = s.owned + s.borrowed;
-            s.pool.set_active(active);
-            grants.push((r, n, active));
-        }
-        drop(st);
-        let t = self.now();
-        let mut ev = self.events.lock();
-        for (r, n, active) in &grants {
-            ev.push(DlbEvent { t, rank: *r, kind: DlbEventKind::Borrow { cores: *n, active: *active } });
-        }
-        drop(ev);
-        self.stats.lock().grants += grants.len();
-        cfpd_telemetry::count!("dlb.grants", grants.len() as u64);
-    }
-
-    /// Snapshot of the event log.
+    /// Snapshot of the event log, in transition order (so in time order).
     pub fn events(&self) -> Vec<DlbEvent> {
-        self.events.lock().clone()
+        self.state.lock().events.clone()
     }
 
-    /// Aggregated statistics.
+    /// Aggregated statistics: a fold over the event log.
     pub fn stats(&self) -> DlbStats {
-        *self.stats.lock()
+        let mut s = DlbStats::default();
+        for e in &self.state.lock().events {
+            match e.kind {
+                DlbEventKind::Lend { cores } => {
+                    s.lends += 1;
+                    s.cores_lent_total += cores;
+                }
+                DlbEventKind::Borrow { .. } => s.grants += 1,
+                DlbEventKind::Reclaim { .. } => s.reclaims += 1,
+                DlbEventKind::Revoke { .. } => s.revokes += 1,
+                DlbEventKind::Crashed { cores } => {
+                    s.crashes += 1;
+                    s.cores_lent_total += cores;
+                }
+            }
+        }
+        s
     }
 
     /// Current active executor count of a registered rank's pool.
     // pub for tests/halo_lewi_invariants.rs: core conservation is checked on every rank's pool.
     pub fn active_of(&self, rank: usize) -> Option<usize> {
         self.state.lock().ranks.get(&rank).map(|s| s.pool.active())
+    }
+}
+
+/// The PMPI attachment: a rank lends on entering a blocking call,
+/// reclaims on leaving it, and donates its allotment when the fabric
+/// declares it dead. Simulation code never names DLB.
+impl MpiHooks for DlbNode {
+    fn on_block(&self, rank: usize, _kind: BlockKind) {
+        self.lend(rank);
+    }
+
+    fn on_unblock(&self, rank: usize, _kind: BlockKind) {
+        self.reclaim(rank);
+    }
+
+    fn on_rank_dead(&self, rank: usize) {
+        self.mark_crashed(rank);
     }
 }
 
@@ -521,6 +494,107 @@ mod tests {
             })
             .sum();
         assert_eq!(crashed_cores, 0);
+    }
+
+    /// Four threads drive their own ranks through lend/reclaim (one of
+    /// them lends twice, one crashes while blocked) at once: the log
+    /// comes out in time order, its fold equals what the script itself
+    /// tallied, and no core was minted or lost.
+    #[test]
+    fn concurrent_script_keeps_one_ordered_record() {
+        let node = DlbNode::new();
+        for rank in 0..4 {
+            node.register(rank, pool(8), rank + 1);
+        }
+        // Per thread: (effective lends, effective reclaims, cores lent).
+        let tallies: Vec<(usize, usize, usize)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|rank| {
+                    let node = &node;
+                    scope.spawn(move || {
+                        let (mut lends, mut reclaims) = (0, 0);
+                        for i in 0..200 {
+                            node.lend(rank);
+                            if rank == 1 {
+                                node.lend(rank); // nested block: ignored
+                            }
+                            if rank == 3 && i == 100 {
+                                node.mark_crashed(rank); // blocked: donates nothing more
+                            }
+                            if rank != 3 || i <= 100 {
+                                lends += 1;
+                            }
+                            node.reclaim(rank);
+                            if rank != 3 || i < 100 {
+                                reclaims += 1;
+                            }
+                            // Yield while running, so the others mostly
+                            // find this rank busy and grant it cores.
+                            std::thread::yield_now();
+                        }
+                        (lends, reclaims, lends * (rank + 1))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let events = node.events();
+        assert!(events.windows(2).all(|w| w[0].t <= w[1].t), "log out of time order");
+        let count = |f: fn(&DlbEventKind) -> bool| events.iter().filter(|e| f(&e.kind)).count();
+        let census = DlbStats {
+            lends: tallies.iter().map(|t| t.0).sum(),
+            reclaims: tallies.iter().map(|t| t.1).sum(),
+            grants: count(|k| matches!(k, DlbEventKind::Borrow { .. })),
+            revokes: count(|k| matches!(k, DlbEventKind::Revoke { .. })),
+            cores_lent_total: tallies.iter().map(|t| t.2).sum(),
+            crashes: 1,
+        };
+        assert_eq!(node.stats(), census);
+        assert!(census.grants > 0, "nobody borrowed in 800 lends");
+        assert_conserved(&node);
+        assert_eq!(node.active_of(3), Some(1), "a crashed rank keeps its floor worker only");
+    }
+
+    /// End-to-end through the PMPI hooks: an imbalanced 2-rank hybrid
+    /// run where DLB visibly grows the busy rank's pool while the other
+    /// blocks in recv — the Fig. 5 scenario.
+    #[test]
+    fn end_to_end_lending_during_mpi_block() {
+        use cfpd_runtime::parallel_for;
+        use cfpd_simmpi::Universe;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let node = DlbNode::new();
+        let pools: Vec<Arc<ThreadPool>> = (0..2).map(|_| pool(4)).collect();
+        node.register(0, Arc::clone(&pools[0]), 2);
+        node.register(1, Arc::clone(&pools[1]), 2);
+        let observed_active = Arc::new(AtomicUsize::new(0));
+
+        let pools2 = pools.clone();
+        let obs = Arc::clone(&observed_active);
+        Universe::run_with_hooks(2, Arc::clone(&node) as _, move |comm| {
+            let pool = &pools2[comm.rank()];
+            if comm.rank() == 0 {
+                // Lightly loaded: blocks waiting for rank 1.
+                let _: u8 = comm.recv(1, 0);
+            } else {
+                // Heavily loaded: work in parallel regions while rank 0
+                // blocks; record the largest pool we saw.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                for _ in 0..20 {
+                    parallel_for(pool, 0..1000, 100, |_r| {});
+                    obs.fetch_max(pool.active(), Ordering::SeqCst);
+                }
+                comm.send(0, 0, 1u8);
+            }
+        });
+        assert!(
+            observed_active.load(Ordering::SeqCst) >= 3,
+            "rank 1 should have borrowed rank 0's core while it blocked"
+        );
+        let stats = node.stats();
+        assert!(stats.lends >= 1);
+        assert!(stats.reclaims >= 1);
     }
 
     #[test]

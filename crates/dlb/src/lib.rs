@@ -5,15 +5,15 @@
 //! imbalance by moving cores between MPI processes co-located on a
 //! node. A rank entering a blocking MPI call lends its cores
 //! ([`lewi::DlbNode::lend`]); busy ranks' worker pools grow; on return
-//! the cores are reclaimed. Attachment is via the PMPI-style hooks of
-//! `cfpd-simmpi` ([`cluster::DlbCluster`] implements
-//! [`cfpd_simmpi::MpiHooks`]), so the simulation code never mentions
-//! DLB — the same "no source changes" property the paper highlights.
+//! the cores are reclaimed. A run has one arbiter, and its event log is
+//! the only record of what moved ([`lewi::DlbNode::stats`] folds it).
+//! Attachment is via the PMPI-style hooks of `cfpd-simmpi`
+//! ([`lewi::DlbNode`] implements [`cfpd_simmpi::MpiHooks`]), so the
+//! simulation code never mentions DLB — the same "no source changes"
+//! property the paper highlights.
 
-pub mod cluster;
 pub mod joblend;
 pub mod lewi;
 
-pub use cluster::DlbCluster;
-pub use joblend::{JobArbiter, JobLendStats};
+pub use joblend::JobArbiter;
 pub use lewi::{DlbEvent, DlbEventKind, DlbNode, DlbStats};

@@ -120,12 +120,7 @@ fn cmd_campaign(args: &[String]) {
     };
     let Some(file) = file else { return usage() };
     let spec = load_campaign(file);
-    let jobs = flags.get("--jobs").map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("--jobs: invalid count {v:?}");
-            std::process::exit(2);
-        })
-    });
+    let jobs: Option<usize> = flags.parsed("--jobs");
     let cell_timeout = parse_secs_flag(&flags, "--cell-timeout");
     match verb {
         "expand" => {
@@ -188,11 +183,7 @@ fn cmd_campaign(args: &[String]) {
 
 /// Parse a `--flag SECS` duration (fractional seconds allowed).
 fn parse_secs_flag(flags: &Flags, name: &str) -> Option<std::time::Duration> {
-    flags.get(name).map(|v| {
-        let secs: f64 = v.parse().unwrap_or_else(|_| {
-            eprintln!("{name}: invalid seconds {v:?}");
-            std::process::exit(2);
-        });
+    flags.parsed::<f64>(name).map(|secs| {
         if !(secs > 0.0) {
             eprintln!("{name}: seconds must be > 0");
             std::process::exit(2);
@@ -237,12 +228,7 @@ fn cmd_serve(args: &[String]) {
             crash_per_mille: flags.usize_or("--fault-crash-per-mille", 0) as u16,
             stall_first_attempts: flags.usize_or("--fault-stall-first", 0) as u32,
             stall_ms: flags.usize_or("--fault-stall-ms", 0) as u64,
-            freeze_wal_after: flags.get("--fault-freeze-wal-after").map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("--fault-freeze-wal-after: invalid count {v:?}");
-                    std::process::exit(2);
-                })
-            }),
+            freeze_wal_after: flags.parsed("--fault-freeze-wal-after"),
         };
         let cfg = ServeConfig {
             addr: flags.get("--addr").unwrap_or("127.0.0.1:0").to_string(),
@@ -672,13 +658,33 @@ impl Flags {
             .map(String::as_str)
     }
 
-    fn get2(&self, name: &str) -> Option<(&str, &str)> {
-        self.0.iter().position(|a| a == name).and_then(|i| {
-            match (self.0.get(i + 1), self.0.get(i + 2)) {
-                (Some(a), Some(b)) => Some((a.as_str(), b.as_str())),
-                _ => None,
+    /// The two values after `name`, parsed; exit 2 naming the flag when
+    /// either is missing or does not parse.
+    fn get2<T: std::str::FromStr>(&self, name: &str) -> Option<(T, T)> {
+        let i = self.0.iter().position(|a| a == name)?;
+        let parse = |k: usize| self.0.get(i + k).and_then(|v| v.parse().ok());
+        match (parse(1), parse(2)) {
+            (Some(a), Some(b)) => Some((a, b)),
+            _ => {
+                let given = self.0[i + 1..].iter().take(2).collect::<Vec<_>>();
+                eprintln!("{name}: expects two values, got {given:?}");
+                std::process::exit(2);
             }
-        })
+        }
+    }
+
+    /// The value after `name`, parsed; exit 2 naming the flag when it is
+    /// missing or does not parse.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let i = self.0.iter().position(|a| a == name)?;
+        let v = self.0.get(i + 1).map(String::as_str);
+        match v.map(str::parse) {
+            Some(Ok(x)) => Some(x),
+            _ => {
+                eprintln!("{name}: invalid value {:?}", v.unwrap_or(""));
+                std::process::exit(2);
+            }
+        }
     }
 
     fn has(&self, name: &str) -> bool {
@@ -686,11 +692,11 @@ impl Flags {
     }
 
     fn usize_or(&self, name: &str, default: usize) -> usize {
-        self.get(name).map(|v| v.parse().expect(name)).unwrap_or(default)
+        self.parsed(name).unwrap_or(default)
     }
 
     fn f64_or(&self, name: &str, default: f64) -> f64 {
-        self.get(name).map(|v| v.parse().expect(name)).unwrap_or(default)
+        self.parsed(name).unwrap_or(default)
     }
 }
 
@@ -739,10 +745,7 @@ fn cmd_mesh(flags: &Flags) {
 
 fn cmd_run(flags: &Flags) {
     let mode = match flags.get2("--coupled") {
-        Some((f, p)) => ExecutionMode::Coupled {
-            fluid: f.parse().expect("--coupled F"),
-            particles: p.parse().expect("--coupled P"),
-        },
+        Some((fluid, particles)) => ExecutionMode::Coupled { fluid, particles },
         None => ExecutionMode::Synchronous,
     };
     let config = SimulationConfig {
@@ -852,7 +855,7 @@ fn cmd_golden(flags: &Flags) {
 /// hang; exit 3 when the report is produced, 4 if the run unexpectedly
 /// completes or fails without diagnostics.
 fn cmd_chaos(flags: &Flags) {
-    let seed: u64 = flags.get("--seed").map(|v| v.parse().expect("--seed")).unwrap_or(7);
+    let seed: u64 = flags.parsed("--seed").unwrap_or(7);
     let ranks = flags.usize_or("--ranks", 2);
     let dlb = flags.has("--dlb");
     let json = flags.has("--json");

@@ -72,14 +72,15 @@ impl MpiHooks for NoHooks {
     fn on_unblock(&self, _rank: usize, _kind: BlockKind) {}
 }
 
-/// Hooks that count block/unblock events — useful in tests and for the
-/// communication statistics of the trace module.
+/// Hooks that count block/unblock events, for this crate's unit tests.
+#[cfg(test)]
 #[derive(Debug, Default)]
 pub struct CountingHooks {
     pub blocks: std::sync::atomic::AtomicUsize,
     pub unblocks: std::sync::atomic::AtomicUsize,
 }
 
+#[cfg(test)]
 impl MpiHooks for CountingHooks {
     fn on_block(&self, _rank: usize, _kind: BlockKind) {
         self.blocks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);

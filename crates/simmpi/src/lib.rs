@@ -29,7 +29,7 @@ pub mod universe;
 pub use comm::{Comm, CrashUnwind, ReduceOp, DEADLOCK_TIMEOUT};
 pub use diag::{DeadlockReport, RankState, RankWait, UniverseDiag, WaitInfo};
 pub use fault::{ChaosHooks, CrashSpec, FaultAction, FaultConfig, FaultEvent, FaultEventKind, FaultPlan};
-pub use hooks::{BlockKind, CountingHooks, MpiHooks, NoHooks};
+pub use hooks::{BlockKind, MpiHooks, NoHooks};
 pub use profile::{ProfileHooks, RankProfile};
 pub use tracer::{MsgSpan, TraceHooks, WaitSpan};
 pub use universe::Universe;

@@ -124,7 +124,10 @@
 #     gravity, buoyancy) and one step, the runtime one loop family, so
 #     the extended force model, the second particle entry point, the
 #     loop primitives no sweep called and the pub items nothing named
-#     appear nowhere under crates/, tests/ or examples/,
+#     appear nowhere under crates/, tests/ or examples/; nor do the
+#     multi-node DLB cluster and the statistics kept beside the
+#     arbiters' event logs (a run has one LeWI arbiter, whose log is
+#     its only record),
 #   * a size ledger: the production code lines per crate (the rule of
 #     cfpd_testkit::loc) go to results/loc.json, with a provenance line
 #     appended to results/trajectory.jsonl.
@@ -610,6 +613,10 @@ fi
 if grep -rnE 'parallel_reduc[e]|parallel_for_stati[c]|parallel_do[t]|parallel_for_with_ti[d]|paper_lik[e]|fn to_cs[v]' \
         crates tests examples; then
     echo "FAIL: a loop primitive no sweep calls or a pub item nothing names is back" >&2
+    exit 1
+fi
+if grep -rnE 'DlbCluste[r]|new_bloc[k]|total_stat[s]|all_event[s]|JobLendStat[s]' crates tests examples; then
+    echo "FAIL: a second DLB layer or record is back: a run has one DlbNode and its event log is the record" >&2
     exit 1
 fi
 

@@ -171,3 +171,28 @@ fn cfpd_golden_subcommand_is_byte_identical_across_runs() {
     let in_process = golden_trace(&golden_config(), GOLDEN_RANKS);
     assert_eq!(String::from_utf8(first).unwrap(), in_process);
 }
+
+/// A flag value that does not parse is a usage error like any other:
+/// exit 2 with a message naming the flag, before anything runs — not a
+/// panic, and not a silent fall-back to the default mode.
+#[test]
+fn cfpd_refuses_flag_values_that_do_not_parse() {
+    for (args, flag) in [
+        (&["run", "--ranks", "abc"][..], "--ranks"),
+        (&["run", "--steps"][..], "--steps"),
+        (&["run", "--coupled", "1"][..], "--coupled"),
+        (&["run", "--coupled", "1", "--dlb"][..], "--coupled"),
+        (&["chaos", "--seed", "x"][..], "--seed"),
+        (&["campaign", "run", "examples/campaigns/tiny.campaign", "--jobs", "-1"][..], "--jobs"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cfpd"))
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR").to_owned() + "/../..")
+            .output()
+            .expect("spawn cfpd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before refusing");
+    }
+}

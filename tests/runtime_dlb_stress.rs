@@ -1,7 +1,7 @@
 //! Stress and failure-injection tests of the runtime substrate stack:
 //! simmpi × runtime × dlb under concurrency.
 
-use cfpd_dlb::{DlbCluster, DlbNode};
+use cfpd_dlb::DlbNode;
 use cfpd_mesh::{generate_airway, AirwaySpec, Vec3};
 use cfpd_runtime::{
     balanced_ranges, parallel_for, parallel_for_ranges, prefix_weights, Dep, TaskGraph, ThreadPool,
@@ -251,24 +251,23 @@ fn assembly_is_bit_identical_under_random_lend_reclaim_scripts() {
 #[test]
 fn dlb_with_many_ranks_stays_consistent() {
     let n = 6;
-    let cluster = Arc::new(DlbCluster::new_block(n, 2));
+    let node = DlbNode::new();
     let pools: Vec<Arc<ThreadPool>> = (0..n).map(|_| Arc::new(ThreadPool::new(4))).collect();
     for (r, p) in pools.iter().enumerate() {
-        cluster.register(r, Arc::clone(p), 2);
+        node.register(r, Arc::clone(p), 2);
     }
-    let c2 = Arc::clone(&cluster);
-    let hooks: Arc<dyn cfpd_simmpi::MpiHooks> = Arc::clone(&cluster) as _;
-    Universe::run_with_hooks(n, hooks, move |comm| {
+    Universe::run_with_hooks(n, Arc::clone(&node) as _, |comm| {
         for _ in 0..10 {
             comm.barrier();
         }
-        let _ = &c2;
     });
     // After all barriers complete, every pool is back at its ownership.
     for r in 0..n {
-        let node = cluster.node_of(r);
-        assert_eq!(cluster.node(node).active_of(r), Some(2), "rank {r} not restored");
+        assert_eq!(node.active_of(r), Some(2), "rank {r} not restored");
     }
-    let stats = cluster.total_stats();
+    let (held, budget) = node.conservation();
+    assert_eq!(held, budget, "core conservation violated");
+    let stats = node.stats();
     assert_eq!(stats.lends, stats.reclaims, "unbalanced lend/reclaim");
+    assert!(stats.lends > 0, "{n} ranks in 10 barriers never blocked");
 }
