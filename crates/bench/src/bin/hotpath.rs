@@ -23,8 +23,9 @@
 //! (everything a run derives from its mesh, built once per
 //! `PrepareKey`) against `setup/instantiate` (the values-only solver
 //! every further run on that `Prepared` allocates). `serve/boundary`
-//! is one segment boundary of the daemon on this mesh's state:
-//! checkpoint text, snapshot, digest, atomic write — and `serve/restore`
+//! is one segment boundary of the daemon on this mesh's state, through
+//! the writer its workers call: checkpoint encoded into the snapshot
+//! buffer, digest, atomic write — and `serve/restore`
 //! what a restarted daemon does with that file: read, verify against
 //! the pinned digest, decode snapshot and checkpoint. `solver1/*` is the
 //! momentum solve of a developed flow — three scalar solves (the oracle)
@@ -59,7 +60,7 @@ use cfpd_partition::{
     rcm_perm, NodeCliques,
 };
 use cfpd_runtime::ThreadPool;
-use cfpd_serve::{CellAcc, CellSnapshot, PersistGate};
+use cfpd_serve::{CellAcc, CellSnapshot, CheckpointSection, PersistGate, SnapshotParts};
 use cfpd_solver::{
     assemble_divergence, assemble_momentum, assemble_poisson, axpy_dot_fused, bicgstab3, cg,
     compute_sgs, oracle, spmm3_sweep, AssemblyPlan, AssemblyStrategy, Bicgstab3Workspace,
@@ -478,18 +479,20 @@ fn bench_prepare_and_boundary(b: &mut Bench, spec: &AirwaySpec) {
     let dir = std::env::temp_dir().join(format!("cfpd-hotpath-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let (path, gate) = (dir.join("cell.snap"), PersistGate::unlimited());
-    let mut pin = 0;
+    // The writer a worker calls at a boundary, on the buffer it keeps
+    // across boundaries.
+    let (acc, mut buf, mut pin) = (CellAcc::default(), Vec::new(), 0);
     b.bench("serve/boundary", || {
-        let snap = CellSnapshot {
+        let snap = SnapshotParts {
             job: 1,
             cell: 0,
             attempt: 0,
             next_step: cp.next_step,
-            acc: CellAcc::default(),
-            events_text: String::new(),
-            checkpoint_text: cp.to_text(),
+            acc: &acc,
+            events_text: "",
+            checkpoint: CheckpointSection::Live(&cp),
         };
-        let (digest, written) = snap.write_digest(&path, &gate);
+        let (digest, written) = snap.write(&path, &gate, &mut buf);
         assert!(written, "snapshot write failed");
         pin = digest;
     });

@@ -128,7 +128,6 @@ impl Checkpoint {
     /// Serialize to the canonical text form (hex `f64` bit patterns; see
     /// module docs). Line-oriented and diffable.
     pub fn to_text(&self) -> String {
-        use std::io::Write;
         let size: usize = self
             .ranks
             .iter()
@@ -139,7 +138,15 @@ impl Checkpoint {
             })
             .sum();
         let mut out: Vec<u8> = Vec::with_capacity(128 + size);
-        let w = &mut out;
+        self.write_text(&mut out);
+        String::from_utf8(out).expect("the codec writes ASCII")
+    }
+
+    /// Append [`Checkpoint::to_text`] to `out`: the text encoded in place,
+    /// for a writer that embeds it in a larger record.
+    pub fn write_text(&self, out: &mut Vec<u8>) {
+        use std::io::Write;
+        let w = out;
         // Writing to a `Vec<u8>` cannot fail.
         writeln!(w, "{MAGIC}\ndigest {:016x}", self.digest()).unwrap();
         let (step, n, seed, cfg) = (self.next_step, self.n_ranks, self.seed, self.config_digest);
@@ -164,7 +171,16 @@ impl Checkpoint {
                 push_hex_line(w, b"", &vals);
             }
         }
-        String::from_utf8(out).expect("the codec writes ASCII")
+    }
+
+    /// The number of lines [`Checkpoint::to_text`] writes, from the
+    /// checkpoint's shape: magic, digest and meta, then per rank its
+    /// header and one line per value entry.
+    pub fn text_lines(&self) -> usize {
+        let rank = |r: &RankCheckpoint| {
+            1 + r.velocity.len() + r.pressure.len() + r.sgs.len() + r.particles.len()
+        };
+        3 + self.ranks.iter().map(rank).sum::<usize>()
     }
 
     /// Parse the text form, verifying the embedded digest.
@@ -306,6 +322,7 @@ mod tests {
         assert_eq!(back, cp);
         // Re-serializing the parsed checkpoint is byte-identical.
         assert_eq!(back.to_text(), text);
+        assert_eq!(cp.text_lines(), cfpd_testkit::record::count_lines(&text));
     }
 
     /// Format v2, byte for byte, against one `format!` per value, with

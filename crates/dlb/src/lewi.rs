@@ -190,7 +190,8 @@ impl DlbNode {
     }
 
     /// Rank left its blocking call: reclaim owned cores, revoking
-    /// borrowers if the free pool cannot cover them.
+    /// borrowers if the free pool cannot cover them. Lent cores still
+    /// free after that go to the busy ranks, this one included.
     pub fn reclaim(&self, rank: usize) {
         let mut st = self.state.lock();
         let t = self.epoch.elapsed().as_secs_f64();
@@ -229,6 +230,7 @@ impl DlbNode {
         for (r, cores, active) in revocations {
             st.log(t, r, DlbEventKind::Revoke { cores, active });
         }
+        st.redistribute(t);
     }
 
     /// Declare a rank crashed (fail-silent): everything it still holds
@@ -446,6 +448,28 @@ mod tests {
         node.reclaim(0);
         assert_eq!(node.active_of(0), Some(1));
         assert_eq!(node.active_of(1), Some(1));
+    }
+
+    /// Both one-core ranks block, then rank 0 returns: it reclaims its
+    /// own core from the free pool, and the one rank 1 lent, still free,
+    /// goes to it rather than idling until rank 1 returns.
+    #[test]
+    fn reclaim_hands_the_cores_left_free_to_busy_ranks() {
+        let node = DlbNode::new();
+        node.register(0, pool(2), 1);
+        node.register(1, pool(2), 1);
+        node.lend(1);
+        node.lend(0);
+        node.reclaim(0);
+        assert_eq!(node.active_of(0), Some(2));
+        assert_eq!(node.active_of(1), Some(1));
+        assert_conserved(&node);
+        let last = node.events().pop().expect("reclaim logged");
+        assert_eq!(last.rank, 0);
+        assert_eq!(last.kind, DlbEventKind::Borrow { cores: 1, active: 2 });
+        node.reclaim(1);
+        assert_eq!((node.active_of(0), node.active_of(1)), (Some(1), Some(1)));
+        assert_conserved(&node);
     }
 
     fn assert_conserved(node: &DlbNode) {

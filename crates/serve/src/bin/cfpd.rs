@@ -42,14 +42,19 @@ fn main() {
     cfpd_flight::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let flags = Flags::parse(&args[1.min(args.len())..]);
+    let flags = |known: &[&str]| Flags::parse(&args[1.min(args.len())..], known);
     match cmd {
-        "mesh" => cmd_mesh(&flags),
-        "run" => cmd_run(&flags),
-        "profile" => cmd_profile(&flags),
-        "golden" => cmd_golden(&flags),
-        "chaos" => cmd_chaos(&flags),
-        "report" => cmd_report(&flags),
+        "mesh" => cmd_mesh(&flags(&["--generations", "--vtk"])),
+        "run" => cmd_run(&flags(&[
+            "--ranks", "--threads", "--dlb", "--coupled", "--generations", "--particles",
+            "--steps", "--strategy", "--hetero",
+        ])),
+        "profile" => cmd_profile(&flags(&["--ranks", "--particles", "--generations"])),
+        "golden" => cmd_golden(&flags(&["--ranks", "--layout", "--trace"])),
+        "chaos" => cmd_chaos(&flags(&["--seed", "--ranks", "--dlb", "--storm", "--json", "--trace"])),
+        "report" => {
+            cmd_report(&flags(&["--ranks", "--json", "--trace", "--baseline", "--tolerance"]))
+        }
         "trace" => cmd_trace(&args),
         "campaign" => cmd_campaign(&args),
         "serve" => cmd_serve(&args),
@@ -108,7 +113,12 @@ fn load_campaign(path: &str) -> CampaignSpec {
 fn cmd_campaign(args: &[String]) {
     let verb = args.get(1).map(String::as_str).unwrap_or("help");
     let file = args.get(2).map(String::as_str);
-    let flags = Flags::parse(&args[3.min(args.len())..]);
+    let known: &[&str] = match verb {
+        "run" => &["--jobs", "--json", "--report", "--timing", "--cell-timeout"],
+        "report" => &["--baseline", "--jobs", "--cell-timeout"],
+        _ => &[],
+    };
+    let flags = Flags::parse(&args[3.min(args.len())..], known);
     let usage = || {
         eprintln!(
             "usage: cfpd campaign expand FILE\n\
@@ -218,7 +228,13 @@ fn cmd_serve(args: &[String]) {
     };
 
     if verb == "run" {
-        let flags = Flags::parse(&args[2.min(args.len())..]);
+        let known = [
+            "--addr", "--data", "--workers", "--queue-cap", "--ckpt-interval", "--cell-timeout",
+            "--retry-max", "--backoff-ms", "--deadline", "--http-threads", "--drift-factor",
+            "--fault-seed", "--fault-crash-first", "--fault-crash-per-mille",
+            "--fault-stall-first", "--fault-stall-ms", "--fault-freeze-wal-after",
+        ];
+        let flags = Flags::parse(&args[2.min(args.len())..], &known);
         // Seeded fault injection (off unless asked for): the same plan
         // the resilience suite drives in-process, exposed so a daemon
         // under external test can replay a chaos scenario from its seed.
@@ -257,7 +273,8 @@ fn cmd_serve(args: &[String]) {
     // Client verbs. Positional operand first, flags after.
     let operand = args.get(2).filter(|a| !a.starts_with("--")).map(String::as_str);
     let flag_start = if operand.is_some() { 3 } else { 2 };
-    let flags = Flags::parse(&args[flag_start.min(args.len())..]);
+    let known: &[&str] = if verb == "metrics" { &["--addr", "--lint"] } else { &["--addr"] };
+    let flags = Flags::parse(&args[flag_start.min(args.len())..], known);
     let Some(addr) = flags.get("--addr") else {
         eprintln!("serve {verb}: --addr HOST:PORT is required");
         return usage();
@@ -324,8 +341,8 @@ fn cmd_flight(args: &[String]) {
     let verb = args.get(1).map(String::as_str).unwrap_or("help");
     match verb {
         "dump" => {
-            let flags = Flags::parse(&args[2.min(args.len())..]);
-            let ranks = flags.usize_or("--ranks", 2);
+            let flags = Flags::parse(&args[2.min(args.len())..], &["--ranks", "--out"]);
+            let ranks = flags.count_or("--ranks", 2);
             cfpd_telemetry::set_enabled(true);
             cfpd_flight::set_enabled(true);
             cfpd_flight::reset();
@@ -347,7 +364,7 @@ fn cmd_flight(args: &[String]) {
                 eprintln!("usage: cfpd flight analyze FILE [--last N]");
                 std::process::exit(2);
             };
-            let flags = Flags::parse(&args[3.min(args.len())..]);
+            let flags = Flags::parse(&args[3.min(args.len())..], &["--last"]);
             let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
                 eprintln!("{file}: {e}");
                 std::process::exit(2);
@@ -414,7 +431,7 @@ fn cmd_watch(args: &[String]) {
         eprintln!("usage: cfpd watch JOB --addr HOST:PORT [--interval-ms MS]");
         std::process::exit(2);
     };
-    let flags = Flags::parse(&args[2.min(args.len())..]);
+    let flags = Flags::parse(&args[2.min(args.len())..], &["--addr", "--interval-ms"]);
     let Some(addr) = flags.get("--addr") else {
         eprintln!("watch: --addr HOST:PORT is required");
         std::process::exit(2);
@@ -505,10 +522,10 @@ fn write_trace_dir(trace: &Trace, dir: &Path) -> std::io::Result<()> {
 /// pipeline on the canonical golden-config case.
 fn cmd_trace(args: &[String]) {
     let verb = args.get(1).map(String::as_str).unwrap_or("help");
-    let flags = Flags::parse(&args[2.min(args.len())..]);
+    let flags = |known: &[&str]| Flags::parse(&args[2.min(args.len())..], known);
     match verb {
-        "export" => trace_export(&flags),
-        "analyze" => trace_analyze(&flags),
+        "export" => trace_export(&flags(&["--ranks", "--dlb", "--out"])),
+        "analyze" => trace_analyze(&flags(&["--ranks", "--threads", "--strategy", "--dlb"])),
         "diff" => match (args.get(2), args.get(3)) {
             (Some(a), Some(b)) => trace_diff(a, b),
             _ => {
@@ -531,7 +548,7 @@ fn cmd_trace(args: &[String]) {
 /// format, then re-parse the JSON artifacts with the in-repo RFC 8259
 /// parser as a self-check.
 fn trace_export(flags: &Flags) {
-    let ranks = flags.usize_or("--ranks", 2);
+    let ranks = flags.count_or("--ranks", 2);
     let dlb = flags.has("--dlb");
     let out = PathBuf::from(flags.get("--out").unwrap_or("trace_out"));
     let config = golden_config();
@@ -564,8 +581,8 @@ fn trace_export(flags: &Flags) {
 /// run. Exits 1 if the critical path leaves its bounds (at least the
 /// busiest rank's useful time, at most the wall time).
 fn trace_analyze(flags: &Flags) {
-    let ranks = flags.usize_or("--ranks", 2);
-    let threads = flags.usize_or("--threads", 1);
+    let ranks = flags.count_or("--ranks", 2);
+    let threads = flags.count_or("--threads", 1);
     let dlb = flags.has("--dlb");
     let mut config = golden_config();
     config.strategy = strategy_of(flags);
@@ -646,7 +663,13 @@ fn telemetry_summary_to_stderr(trace: Option<&Trace>) {
 struct Flags(Vec<String>);
 
 impl Flags {
-    fn parse(args: &[String]) -> Flags {
+    /// The flags of a verb that reads the flags `known`; exit 2 naming
+    /// any other `--` argument, before anything runs.
+    fn parse(args: &[String], known: &[&str]) -> Flags {
+        if let Some(unknown) = args.iter().find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
+            eprintln!("{unknown}: not a flag this verb reads [{}]", known.join(" "));
+            std::process::exit(2);
+        }
         Flags(args.to_vec())
     }
 
@@ -693,6 +716,17 @@ impl Flags {
 
     fn usize_or(&self, name: &str, default: usize) -> usize {
         self.parsed(name).unwrap_or(default)
+    }
+
+    /// [`Flags::usize_or`] of a count that cannot be zero (ranks,
+    /// threads); exit 2 naming the flag when it is.
+    fn count_or(&self, name: &str, default: usize) -> usize {
+        let n = self.usize_or(name, default);
+        if n == 0 {
+            eprintln!("{name}: must be at least 1");
+            std::process::exit(2);
+        }
+        n
     }
 
     fn f64_or(&self, name: &str, default: f64) -> f64 {
@@ -756,8 +790,8 @@ fn cmd_run(flags: &Flags) {
         mode,
         ..Default::default()
     };
-    let ranks = flags.usize_or("--ranks", 2);
-    let threads = flags.usize_or("--threads", 1);
+    let ranks = flags.count_or("--ranks", 2);
+    let threads = flags.count_or("--threads", 1);
     let dlb = flags.has("--dlb");
     let hetero = flags.get("--hetero").map(|name| {
         cfpd_hetero::profile_by_name(name, config.seed).unwrap_or_else(|e| {
@@ -813,7 +847,7 @@ fn cmd_run(flags: &Flags) {
 /// `--layout opt` runs the fast layout, which is pinned by its own
 /// golden file; without the flag the run uses the reference layout.
 fn cmd_golden(flags: &Flags) {
-    let ranks = flags.usize_or("--ranks", 2);
+    let ranks = flags.count_or("--ranks", 2);
     let mut config = golden_config();
     if let Some(name) = flags.get("--layout") {
         config.layout = LayoutPlan::parse(name).unwrap_or_else(|e| {
@@ -856,7 +890,7 @@ fn cmd_golden(flags: &Flags) {
 /// completes or fails without diagnostics.
 fn cmd_chaos(flags: &Flags) {
     let seed: u64 = flags.parsed("--seed").unwrap_or(7);
-    let ranks = flags.usize_or("--ranks", 2);
+    let ranks = flags.count_or("--ranks", 2);
     let dlb = flags.has("--dlb");
     let json = flags.has("--json");
     let trace_dir = flags.get("--trace").map(PathBuf::from);
@@ -1015,7 +1049,7 @@ fn storm_json(seed: u64, ranks: usize, deadlock: bool, fails: &[(usize, String)]
 /// the POP rollup of the run's own phase record, as a text table or
 /// (`--json`) one JSON document `{"telemetry":{...},"pop":{...}}`.
 fn cmd_report(flags: &Flags) {
-    let ranks = flags.usize_or("--ranks", 2);
+    let ranks = flags.count_or("--ranks", 2);
     let config = golden_config();
     let trace_dir = flags.get("--trace").map(PathBuf::from);
     cfpd_telemetry::set_enabled(true);
@@ -1156,7 +1190,7 @@ fn diff_report_docs(current: &str, baseline: &str, tol: f64) -> Result<(String, 
 }
 
 fn cmd_profile(flags: &Flags) {
-    let ranks = flags.usize_or("--ranks", 16);
+    let ranks = flags.count_or("--ranks", 16);
     let particles = flags.usize_or("--particles", 4000);
     let spec = AirwaySpec { generations: flags.usize_or("--generations", 3), ..AirwaySpec::default() };
     let airway = generate_airway(&spec).expect("valid spec");

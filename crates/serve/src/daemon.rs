@@ -27,7 +27,7 @@
 use crate::fault::CellFault;
 use crate::feed::EventFeed;
 use crate::runner::{finish_cell_metrics, run_segment};
-use crate::snap::CellSnapshot;
+use crate::snap::{CellSnapshot, CheckpointSection, SnapshotParts};
 use crate::state::{Job, JobState, ResumePoint, Store};
 use crate::wal::{self, PersistGate, Wal, WalRecord};
 use crate::watchdog::Watchdog;
@@ -39,7 +39,7 @@ use cfpd_testkit::record::{check_digest, write_atomic};
 use cfpd_testkit::{digest_bytes, panic_message, SplitMix64};
 use cfpd_trace::PopTotals;
 use std::collections::HashMap;
-use std::net::TcpListener;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -103,6 +103,10 @@ struct Shared {
     drain: AtomicBool,
     kill: AtomicBool,
     workers_alive: AtomicUsize,
+    /// Where a stop connects to wake the acceptors blocked in `accept()`:
+    /// the daemon's own address, loopback when it is bound to an
+    /// unspecified one.
+    wake_addr: SocketAddr,
     /// Supervisor event feed (`GET /events` long-polls it). Leaf lock:
     /// safe to post while holding the store mutex.
     feed: EventFeed,
@@ -151,11 +155,16 @@ impl Daemon {
         let wal = Wal::open(&wal_path, &replayed.valid_text, replayed.next_seq, Arc::clone(&gate))?;
 
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let wake_ip = match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
 
         let shared = Arc::new(Shared {
             workers_alive: AtomicUsize::new(cfg.workers),
+            wake_addr: SocketAddr::new(wake_ip, addr.port()),
             watchdog: Mutex::new(Watchdog::new(cfg.drift_factor)),
             job_pop: Mutex::new(HashMap::new()),
             cfg,
@@ -174,7 +183,7 @@ impl Daemon {
             let sh = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || worker_loop(&sh)));
         }
-        for _ in 0..shared.cfg.http_threads.max(1) {
+        for _ in 0..acceptors(&shared.cfg) {
             let sh = Arc::clone(&shared);
             let l = listener.try_clone()?;
             threads.push(std::thread::spawn(move || accept_loop(l, &sh)));
@@ -207,6 +216,7 @@ impl Daemon {
     pub fn kill(self) {
         self.shared.kill.store(true, Ordering::SeqCst);
         self.shared.cv.notify_all();
+        wake_acceptors(&self.shared);
         self.join();
     }
 }
@@ -322,6 +332,9 @@ fn dequeue_at(store: &mut Store, idx: usize) {
 // Worker pool
 
 fn worker_loop(sh: &Shared) {
+    // The snapshot text of every boundary this worker writes, kept
+    // across boundaries so that each renders into memory already mapped.
+    let mut snap_buf = Vec::new();
     loop {
         let claimed = {
             let mut store = sh.store();
@@ -340,11 +353,14 @@ fn worker_loop(sh: &Shared) {
             }
         };
         match claimed {
-            Some(id) => run_job(sh, id),
+            Some(id) => run_job(sh, id, &mut snap_buf),
             None => break,
         }
     }
-    sh.workers_alive.fetch_sub(1, Ordering::SeqCst);
+    let last = sh.workers_alive.fetch_sub(1, Ordering::SeqCst) == 1;
+    if last && sh.drain.load(Ordering::SeqCst) {
+        wake_acceptors(sh);
+    }
 }
 
 /// Scan the queue for a dispatchable job and take a slot for it.
@@ -382,8 +398,8 @@ enum StopCause {
 
 /// Drive one job until it finishes, parks, or the daemon dies.
 /// The worker owns the job's slot for the duration.
-fn run_job(sh: &Shared, id: u64) {
-    match drive(sh, id) {
+fn run_job(sh: &Shared, id: u64, snap_buf: &mut Vec<u8>) {
+    match drive(sh, id, snap_buf) {
         StopCause::Finished => sh.store().arbiter.release(id),
         StopCause::Parked => {} // slot already lent under the store lock
         StopCause::Killed => {} // abrupt death: bookkeeping is moot
@@ -391,7 +407,7 @@ fn run_job(sh: &Shared, id: u64) {
     sh.cv.notify_all();
 }
 
-fn drive(sh: &Shared, id: u64) -> StopCause {
+fn drive(sh: &Shared, id: u64, snap_buf: &mut Vec<u8>) -> StopCause {
     loop {
         // Claim the next cell (or conclude the job) under the lock.
         if sh.kill.load(Ordering::SeqCst) {
@@ -428,7 +444,7 @@ fn drive(sh: &Shared, id: u64) -> StopCause {
 
         let cell_t0 = Instant::now();
         let fault = sh.cfg.fault.decide(id, cell.index as u64, attempt);
-        match drive_segments(sh, id, &cell, attempt, fault) {
+        match drive_segments(sh, id, &cell, attempt, fault, snap_buf) {
             SegmentsOutcome::Stopped(cause) => return cause,
             SegmentsOutcome::Cell(Ok((rec, pop))) => {
                 let steps = (cell.scenario.config.steps - first_step) as u64;
@@ -527,6 +543,7 @@ fn drive_segments(
     cell: &Cell,
     attempt: u32,
     mut fault: CellFault, // consumed by the first segment of the attempt
+    snap_buf: &mut Vec<u8>,
 ) -> SegmentsOutcome {
     let steps = cell.scenario.config.steps;
     let interval = sh.cfg.ckpt_interval.max(1);
@@ -601,18 +618,17 @@ fn drive_segments(
         // `ckpt` record, which only then may point at it, under it.
         let cp = seg.checkpoint.expect("parked segment yields a checkpoint");
         next_step = cp.next_step;
-        let snap = CellSnapshot {
+        let snap = SnapshotParts {
             job: id,
             cell: cell.index,
             attempt,
             next_step,
-            acc,
-            events_text,
-            checkpoint_text: cp.to_text(),
+            acc: &acc,
+            events_text: &events_text,
+            checkpoint: CheckpointSection::Live(&cp),
         };
-        let (snap_digest, _) =
-            snap.write_digest(&wal::snap_path(&sh.cfg.data_dir, id, cell.index), &sh.gate);
-        let CellSnapshot { acc, events_text, .. } = snap;
+        let path = wal::snap_path(&sh.cfg.data_dir, id, cell.index);
+        let (snap_digest, _) = snap.write(&path, &sh.gate, snap_buf);
         let cp = Arc::new(cp);
 
         {
@@ -673,27 +689,40 @@ fn handle_attempt_failure(sh: &Shared, id: u64, cell: usize, reason: String) -> 
 // HTTP front end
 
 fn accept_loop(listener: TcpListener, sh: &Shared) {
-    loop {
-        if sh.kill.load(Ordering::SeqCst) {
+    for conn in listener.incoming() {
+        // A stop wakes every acceptor with one connection of its own
+        // (`wake_acceptors`): the first one taken after it is dropped unread.
+        if acceptors_stop(sh) {
             return;
         }
-        if sh.drain.load(Ordering::SeqCst) && sh.workers_alive.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                cfpd_telemetry::count!("serve.http_requests");
-                let resp = match http::read_request(&mut stream) {
-                    Ok(req) => route(sh, &req),
-                    Err(e) => http::Response::error(400, &e),
-                };
-                http::write_response(&mut stream, &resp);
-            }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
+        // An error is a peer that went away before it was taken.
+        let Ok(mut stream) = conn else { continue };
+        cfpd_telemetry::count!("serve.http_requests");
+        let resp = match http::read_request(&mut stream) {
+            Ok(req) => route(sh, &req),
+            Err(e) => http::Response::error(400, &e),
+        };
+        http::write_response(&mut stream, &resp);
+    }
+}
+
+/// The acceptors block in `accept()` until one of two events ends them:
+/// [`Daemon::kill`], or the last worker leaving a drain.
+fn acceptors_stop(sh: &Shared) -> bool {
+    sh.kill.load(Ordering::SeqCst)
+        || (sh.drain.load(Ordering::SeqCst) && sh.workers_alive.load(Ordering::SeqCst) == 0)
+}
+
+fn acceptors(cfg: &ServeConfig) -> usize {
+    cfg.http_threads.max(1)
+}
+
+/// Connect once per acceptor to the daemon's own address, after the
+/// flags that [`acceptors_stop`] reads are set: each acceptor takes at
+/// most one connection once they are, so every one of them wakes.
+fn wake_acceptors(sh: &Shared) {
+    for _ in 0..acceptors(&sh.cfg) {
+        let _ = TcpStream::connect_timeout(&sh.wake_addr, http::IO_TIMEOUT);
     }
 }
 
@@ -716,6 +745,10 @@ fn route(sh: &Shared, req: &http::Request) -> http::Response {
         ("POST", ["drain"]) => {
             sh.drain.store(true, Ordering::SeqCst);
             sh.cv.notify_all();
+            // With no worker left to leave the drain, this is its end.
+            if sh.workers_alive.load(Ordering::SeqCst) == 0 {
+                wake_acceptors(sh);
+            }
             http::Response::text(200, "draining\n")
         }
         ("POST", ["jobs"]) => submit(sh, &req.body),
@@ -1032,6 +1065,45 @@ steps = 2
         assert_eq!(code, 200);
         daemon.join();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A stop wakes the acceptors blocked in `accept()`: `kill` and a
+    /// drain each return with every thread joined, also while an idle
+    /// peer holds one acceptor in its read (until `http::IO_TIMEOUT`).
+    #[test]
+    fn kill_and_drain_wake_the_acceptors_blocked_in_accept() {
+        let case = |tag: &str, idle_peer: bool, drain: bool| {
+            let dir = tmp_dir(tag);
+            let daemon =
+                Daemon::start(ServeConfig { data_dir: dir.clone(), ..Default::default() })
+                    .unwrap();
+            let addr = daemon.addr().to_string();
+            let _peer = idle_peer.then(|| TcpStream::connect(&addr).unwrap());
+            // Both acceptors reach `accept()`; with the peer, one reads it.
+            std::thread::sleep(Duration::from_millis(100));
+            if drain {
+                let (code, _) = http_call(&addr, "POST", "/drain", "").unwrap();
+                assert_eq!(code, 200, "{tag}");
+            }
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                if drain {
+                    daemon.join();
+                } else {
+                    daemon.kill();
+                }
+                let _ = tx.send(());
+            });
+            let limit = Duration::from_secs(2) + if idle_peer { http::IO_TIMEOUT } else { Duration::ZERO };
+            assert!(rx.recv_timeout(limit).is_ok(), "{tag}: daemon threads not joined in {limit:?}");
+            let _ = std::fs::remove_dir_all(&dir);
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| case("stop-kill", false, false));
+            s.spawn(|| case("stop-drain", false, true));
+            s.spawn(|| case("stop-kill-idle", true, false));
+            s.spawn(|| case("stop-drain-idle", true, true));
+        });
     }
 
     #[test]

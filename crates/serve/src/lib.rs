@@ -54,6 +54,6 @@ pub use feed::{EventFeed, FeedEvent};
 pub use http::{http_call, Request, Response};
 pub use prom::lint_prometheus;
 pub use cfpd_campaign::CellAcc;
-pub use snap::CellSnapshot;
+pub use snap::{CellSnapshot, CheckpointSection, SnapshotParts};
 pub use state::{Job, JobState};
 pub use wal::{PersistGate, Wal, WalRecord};

@@ -19,13 +19,15 @@
 //! one word-wide digest of everything below it, computed once when the
 //! text is produced: it is the file's self-check *and* the value the WAL
 //! `ckpt` record pins, so a boundary reads the parked state once and
-//! recovery reads the file once.
+//! recovery reads the file once. [`SnapshotParts`] is the one writer: a
+//! boundary hands it the live checkpoint, which it encodes straight into
+//! the worker's buffer; a [`CellSnapshot`] hands it the checkpoint text.
 
 use crate::wal::PersistGate;
 use cfpd_campaign::CellAcc;
+use cfpd_core::Checkpoint;
 use cfpd_testkit::digest_wide;
 use cfpd_testkit::record::{check_digest, count_lines, digest_line, parse_int, write_atomic, Cursor};
-use std::fmt::Write as _;
 use std::path::Path;
 
 pub const SNAP_MAGIC: &str = "cfpd serve snapshot v2";
@@ -46,21 +48,43 @@ pub struct CellSnapshot {
     pub checkpoint_text: String,
 }
 
-impl CellSnapshot {
-    /// The one place the snapshot text is produced: header, then the
-    /// body written once into a buffer sized for it, then the body's
-    /// digest patched into the header. Returns the text and that digest.
-    fn render(&self) -> (String, u64) {
+/// The checkpoint section of a snapshot, in either form the writer takes.
+#[derive(Debug, Clone, Copy)]
+pub enum CheckpointSection<'a> {
+    /// [`Checkpoint::to_text`] already rendered: what recovery decodes
+    /// into a [`CellSnapshot`].
+    Text(&'a str),
+    /// The live checkpoint of a segment boundary, encoded straight into
+    /// the snapshot's buffer.
+    Live(&'a Checkpoint),
+}
+
+/// What a snapshot file holds, borrowed: the input of the one writer.
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotParts<'a> {
+    pub job: u64,
+    pub cell: usize,
+    pub attempt: u32,
+    pub next_step: usize,
+    pub acc: &'a CellAcc,
+    pub events_text: &'a str,
+    pub checkpoint: CheckpointSection<'a>,
+}
+
+impl SnapshotParts<'_> {
+    /// The one place the snapshot text is produced, in one pass over
+    /// `out` (cleared first): header, then the body written once, then
+    /// the body's digest patched into the header. Returns that digest.
+    fn render_into(&self, out: &mut Vec<u8>) -> u64 {
+        use std::io::Write;
         const DIGEST_HEX: usize = 16;
-        let mut out = String::with_capacity(
-            SNAP_MAGIC.len() + 256 + self.events_text.len() + self.checkpoint_text.len(),
-        );
-        out.push_str(SNAP_MAGIC);
-        out.push_str("\ndigest ");
+        out.clear();
+        out.extend_from_slice(SNAP_MAGIC.as_bytes());
+        out.extend_from_slice(b"\ndigest ");
         let digest_at = out.len();
-        out.push_str("0000000000000000\n");
+        out.extend_from_slice(b"0000000000000000\n");
         let body_at = out.len();
-        // Writing to a `String` cannot fail.
+        // Writing to a `Vec<u8>` cannot fail.
         writeln!(
             out,
             "meta job={} cell={} attempt={} next_step={}",
@@ -76,17 +100,57 @@ impl CellSnapshot {
             render_elems(&self.acc.elems),
         )
         .unwrap();
-        writeln!(out, "events {}", count_lines(&self.events_text)).unwrap();
-        out.push_str(&self.events_text);
-        writeln!(out, "checkpoint {}", count_lines(&self.checkpoint_text)).unwrap();
-        out.push_str(&self.checkpoint_text);
-        let digest = digest_wide(&out.as_bytes()[body_at..]);
-        out.replace_range(digest_at..digest_at + DIGEST_HEX, &format!("{digest:016x}"));
-        (out, digest)
+        writeln!(out, "events {}", count_lines(self.events_text)).unwrap();
+        out.extend_from_slice(self.events_text.as_bytes());
+        match self.checkpoint {
+            CheckpointSection::Text(text) => {
+                writeln!(out, "checkpoint {}", count_lines(text)).unwrap();
+                out.extend_from_slice(text.as_bytes());
+            }
+            CheckpointSection::Live(cp) => {
+                writeln!(out, "checkpoint {}", cp.text_lines()).unwrap();
+                cp.write_text(out);
+            }
+        }
+        let digest = digest_wide(&out[body_at..]);
+        out[digest_at..digest_at + DIGEST_HEX].copy_from_slice(format!("{digest:016x}").as_bytes());
+        digest
+    }
+
+    /// Render into `buf` and replace `path` by it, atomically and gated.
+    /// Returns the digest the file's header states — what the WAL `ckpt`
+    /// record pins, so replay can tell a snapshot the crash tore or a
+    /// later boundary replaced — and whether the file was written
+    /// (`false`: the persistence gate froze, the simulated crash ate it).
+    pub fn write(&self, path: &Path, gate: &PersistGate, buf: &mut Vec<u8>) -> (u64, bool) {
+        let digest = self.render_into(buf);
+        let written = gate.admit() && write_atomic(path, buf).is_ok();
+        if written {
+            cfpd_telemetry::count!("serve.checkpoints");
+        }
+        (digest, written)
+    }
+}
+
+impl CellSnapshot {
+    fn parts(&self) -> SnapshotParts<'_> {
+        SnapshotParts {
+            job: self.job,
+            cell: self.cell,
+            attempt: self.attempt,
+            next_step: self.next_step,
+            acc: &self.acc,
+            events_text: &self.events_text,
+            checkpoint: CheckpointSection::Text(&self.checkpoint_text),
+        }
     }
 
     pub fn to_text(&self) -> String {
-        self.render().0
+        let mut out = Vec::with_capacity(
+            SNAP_MAGIC.len() + 256 + self.events_text.len() + self.checkpoint_text.len(),
+        );
+        self.parts().render_into(&mut out);
+        String::from_utf8(out).expect("the codec writes UTF-8")
     }
 
     pub fn from_text(text: &str) -> Result<CellSnapshot, String> {
@@ -133,20 +197,7 @@ impl CellSnapshot {
     /// Atomic, gated write (tmp+rename). `false` means the persistence
     /// gate froze — the simulated crash ate this snapshot.
     pub fn write(&self, path: &Path, gate: &PersistGate) -> bool {
-        self.write_digest(path, gate).1
-    }
-
-    /// [`CellSnapshot::write`], returning with it the digest the file's
-    /// header states — what the WAL `ckpt` record pins, so replay can
-    /// tell a snapshot the crash tore or a later boundary replaced.
-    /// Returns `(digest, written)`.
-    pub fn write_digest(&self, path: &Path, gate: &PersistGate) -> (u64, bool) {
-        let (text, digest) = self.render();
-        let written = gate.admit() && write_atomic(path, text.as_bytes()).is_ok();
-        if written {
-            cfpd_telemetry::count!("serve.checkpoints");
-        }
-        (digest, written)
+        self.parts().write(path, gate, &mut Vec::new()).1
     }
 }
 
@@ -172,7 +223,11 @@ fn parse_elems(s: &str) -> Result<Vec<(usize, u64)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfpd_core::LogicalEvent;
+    use cfpd_core::{LogicalEvent, RankCheckpoint};
+    use cfpd_mesh::Vec3;
+    use cfpd_particles::{ParticleProps, ParticleSet, ParticleState};
+    use cfpd_testkit::prop::{check, Gen, PropConfig};
+    use cfpd_testkit::Rng;
 
     fn sample() -> CellSnapshot {
         let mut acc = CellAcc::default();
@@ -199,6 +254,93 @@ mod tests {
         }
     }
 
+    /// Checkpoints of every shape a boundary parks: synchronous ranks
+    /// (fields and particles) or coupled ones (fields or particles), any
+    /// section possibly empty, particles in every state, and values that
+    /// are arbitrary bit patterns (NaNs, infinities, `-0.0`) half the time.
+    struct Checkpoints;
+
+    impl Gen for Checkpoints {
+        type Value = Checkpoint;
+
+        fn generate(&self, rng: &mut Rng) -> Checkpoint {
+            let value = |rng: &mut Rng| match rng.bounded_u64(2) {
+                0 => f64::from_bits(rng.next_u64()),
+                _ => rng.range_f64(-2.0, 2.0),
+            };
+            let vec3 = |rng: &mut Rng| Vec3::new(value(rng), value(rng), value(rng));
+            let len = |rng: &mut Rng| match rng.bounded_u64(3) {
+                0 => 0,
+                _ => rng.range_usize(1, 40),
+            };
+            let n_ranks = rng.range_usize(1, 4);
+            let coupled_fluid = match rng.bounded_u64(2) {
+                0 => None,
+                _ => Some(rng.range_usize(0, n_ranks + 1)),
+            };
+            let states = [
+                ParticleState::Active,
+                ParticleState::Deposited,
+                ParticleState::Escaped,
+                ParticleState::Lost,
+            ];
+            let ranks = (0..n_ranks)
+                .map(|rank| {
+                    let (fields, particles) = match coupled_fluid {
+                        None => (true, true),
+                        Some(fluid) => (rank < fluid, rank >= fluid),
+                    };
+                    let (nodes, points) =
+                        if fields { (len(rng), len(rng)) } else { (0, 0) };
+                    let mut set = ParticleSet::default();
+                    for i in 0..if particles { len(rng) } else { 0 } {
+                        set.pos.push(vec3(rng));
+                        set.vel.push(vec3(rng));
+                        set.acc.push(vec3(rng));
+                        set.elem.push(rng.next_u64() as u32);
+                        set.state.push(states[(i + rng.range_usize(0, 4)) % 4]);
+                        set.props.push(ParticleProps { diameter: value(rng), density: value(rng) });
+                    }
+                    RankCheckpoint {
+                        rank,
+                        velocity: (0..nodes).map(|_| vec3(rng)).collect(),
+                        pressure: (0..nodes).map(|_| value(rng)).collect(),
+                        sgs: (0..points).map(|_| vec3(rng)).collect(),
+                        particles: set,
+                    }
+                })
+                .collect();
+            Checkpoint {
+                next_step: rng.range_usize(0, 1000),
+                n_ranks,
+                seed: rng.next_u64(),
+                config_digest: rng.next_u64(),
+                ranks,
+            }
+        }
+    }
+
+    /// The writer fed the live checkpoint writes the bytes it writes from
+    /// the checkpoint's text, and states the checkpoint's line count as
+    /// the text has it; the digest it returns is the one the file states.
+    #[test]
+    fn a_live_checkpoint_writes_the_bytes_of_its_text() {
+        let s = sample();
+        check("live == text snapshot", PropConfig::cases(200), &Checkpoints, |cp| {
+            let text = cp.to_text();
+            assert_eq!(cp.text_lines(), count_lines(&text));
+            let want = CellSnapshot { checkpoint_text: text.clone(), ..s.clone() }.to_text();
+            let mut buf = b"stale bytes of an earlier boundary".to_vec();
+            let parts = SnapshotParts { checkpoint: CheckpointSection::Live(cp), ..s.parts() };
+            let digest = parts.render_into(&mut buf);
+            assert!(buf == want.as_bytes(), "live rendering differs from the text one");
+            let back = CellSnapshot::from_pinned_text(&want, digest).expect("pinned snapshot");
+            // Bits, not `==`: a NaN value is not equal to itself.
+            let restored = Checkpoint::from_text(&back.checkpoint_text).expect("checkpoint");
+            assert!(restored.to_text() == text, "the checkpoint section does not restore");
+        });
+    }
+
     #[test]
     fn round_trips_bit_exactly() {
         let s = sample();
@@ -213,8 +355,8 @@ mod tests {
     }
 
     /// Format v2, byte for byte, and one serialization, one digest: what
-    /// the header states is what `write_digest` returns for the WAL pin
-    /// is what `from_pinned_text` accepts.
+    /// the header states is what the writer returns for the WAL pin is
+    /// what `from_pinned_text` accepts.
     #[test]
     fn text_is_format_v2_byte_for_byte_and_is_written_once() {
         let s = sample();
@@ -233,14 +375,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cfpd-snap-once-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cell.snap");
-        assert_eq!(s.write_digest(&path, &PersistGate::unlimited()), (stated, true));
+        assert_eq!(s.parts().write(&path, &PersistGate::unlimited(), &mut Vec::new()), (stated, true));
         let on_disk = std::fs::read_to_string(&path).unwrap();
         assert_eq!(on_disk, want);
         assert_eq!(CellSnapshot::from_pinned_text(&on_disk, stated).unwrap(), s);
         let err = CellSnapshot::from_pinned_text(&on_disk, stated ^ 1).unwrap_err();
         assert!(err.contains("the WAL pins"), "{err}");
         // A frozen gate eats the file, not the digest the WAL would pin.
-        assert_eq!(s.write_digest(&path, &PersistGate::kill_after(0)), (stated, false));
+        assert_eq!(s.parts().write(&path, &PersistGate::kill_after(0), &mut Vec::new()), (stated, false));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

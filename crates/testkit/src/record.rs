@@ -14,7 +14,26 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-const DIGITS: &[u8; 16] = b"0123456789abcdef";
+/// The sixteen lower-case hex digits of `bits`, most significant first,
+/// computed eight abreast in a word: each nibble spread to a byte of its
+/// own, then `'0'` added, and `'a' - '0' - 10` more where it is above 9.
+#[inline]
+fn hex_digits(bits: u64) -> [u8; 16] {
+    let spread = |half: u32| {
+        let x = half as u64;
+        let x = (x | x << 16) & 0x0000_ffff_0000_ffff;
+        let x = (x | x << 8) & 0x00ff_00ff_00ff_00ff;
+        (x | x << 4) & 0x0f0f_0f0f_0f0f_0f0f
+    };
+    let ascii = |n: u64| {
+        let above_nine = ((n + 0x0606_0606_0606_0606) >> 4) & 0x0101_0101_0101_0101;
+        n + 0x3030_3030_3030_3030 + above_nine * (b'a' - b'0' - 10) as u64
+    };
+    let mut out = [0; 16];
+    out[..8].copy_from_slice(&ascii(spread((bits >> 32) as u32)).to_be_bytes());
+    out[8..].copy_from_slice(&ascii(spread(bits as u32)).to_be_bytes());
+    out
+}
 
 #[inline]
 fn nibble(b: u8) -> Option<u8> {
@@ -35,8 +54,7 @@ pub fn push_hex_line(out: &mut Vec<u8>, prefix: &[u8], vals: &[f64]) {
         if i > 0 {
             out.push(b' ');
         }
-        let bits = v.to_bits();
-        out.extend((0..16).map(|d| DIGITS[(bits >> (60 - 4 * d)) as usize & 0xf]));
+        out.extend_from_slice(&hex_digits(v.to_bits()));
     }
     out.push(b'\n');
 }
@@ -334,6 +352,24 @@ mod tests {
             assert!(dec(bad).is_err(), "{bad:?} decoded");
         }
         assert_eq!(dec("a%2fb").unwrap(), "a/b");
+    }
+
+    /// The word-wide digit computation against one `format!` per value,
+    /// on every nibble value in every position and on random words.
+    #[test]
+    fn hex_lines_match_the_formatter() {
+        let mut words: Vec<u64> = (0..16u64).map(|n| n * 0x1111_1111_1111_1111).collect();
+        words.extend((0..64).map(|k| 1u64 << k));
+        let mut rng = crate::SplitMix64::new(7);
+        words.extend((0..1000).map(|_| rng.next_u64()));
+        for w in words {
+            let v = f64::from_bits(w);
+            let mut out = Vec::new();
+            push_hex_line(&mut out, b"P ", &[v, -v]);
+            let want = format!("P {w:016x} {:016x}\n", (-v).to_bits());
+            assert_eq!(String::from_utf8(out).unwrap(), want);
+            assert_eq!(hex16(format!("{w:016x}").as_bytes()), Some(w));
+        }
     }
 
     #[test]

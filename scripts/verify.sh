@@ -128,6 +128,10 @@
 #     multi-node DLB cluster and the statistics kept beside the
 #     arbiters' event logs (a run has one LeWI arbiter, whose log is
 #     its only record),
+#   * a blocking-accept gate: the daemon's HTTP acceptors block in
+#     accept() and a stop (kill, the end of a drain) wakes them with a
+#     connection, so nothing under crates/serve/src makes a socket
+#     non-blocking and accept_loop never sleeps,
 #   * a size ledger: the production code lines per crate (the rule of
 #     cfpd_testkit::loc) go to results/loc.json, with a provenance line
 #     appended to results/trajectory.jsonl.
@@ -617,6 +621,22 @@ if grep -rnE 'parallel_reduc[e]|parallel_for_stati[c]|parallel_do[t]|parallel_fo
 fi
 if grep -rnE 'DlbCluste[r]|new_bloc[k]|total_stat[s]|all_event[s]|JobLendStat[s]' crates tests examples; then
     echo "FAIL: a second DLB layer or record is back: a run has one DlbNode and its event log is the record" >&2
+    exit 1
+fi
+
+echo "== blocking-accept gate (the HTTP front end is woken, never polled) =="
+# The bracketed letters keep this script from matching itself.
+if grep -rn 'set_nonblockin[g]' crates/serve/src; then
+    echo "FAIL: a daemon socket is non-blocking again: acceptors block in accept() and are woken" >&2
+    exit 1
+fi
+accept_loop=$(awk '/^fn accept_loop\(/,/^}/' crates/serve/src/daemon.rs)
+if [ -z "$accept_loop" ]; then
+    echo "FAIL: fn accept_loop not found in crates/serve/src/daemon.rs: update this gate" >&2
+    exit 1
+fi
+if grep -n 'sleep(' <<<"$accept_loop"; then
+    echo "FAIL: accept_loop sleeps: a request would wait for the next tick" >&2
     exit 1
 fi
 

@@ -172,9 +172,10 @@ fn cfpd_golden_subcommand_is_byte_identical_across_runs() {
     assert_eq!(String::from_utf8(first).unwrap(), in_process);
 }
 
-/// A flag value that does not parse is a usage error like any other:
-/// exit 2 with a message naming the flag, before anything runs — not a
-/// panic, and not a silent fall-back to the default mode.
+/// A flag value that does not parse, a rank or thread count of zero and
+/// a flag the verb does not read are usage errors like any other: exit 2
+/// with a message naming the flag, before anything runs — not a panic,
+/// and not a silent fall-back to the default mode.
 #[test]
 fn cfpd_refuses_flag_values_that_do_not_parse() {
     for (args, flag) in [
@@ -184,6 +185,13 @@ fn cfpd_refuses_flag_values_that_do_not_parse() {
         (&["run", "--coupled", "1", "--dlb"][..], "--coupled"),
         (&["chaos", "--seed", "x"][..], "--seed"),
         (&["campaign", "run", "examples/campaigns/tiny.campaign", "--jobs", "-1"][..], "--jobs"),
+        (&["run", "--ranks", "0"][..], "--ranks"),
+        (&["run", "--threads", "0", "--steps", "1"][..], "--threads"),
+        (&["golden", "--ranks", "0"][..], "--ranks"),
+        // A flag the verb does not read, such as a misspelt `--ranks`.
+        (&["run", "--rank", "4", "--steps", "1"][..], "--rank"),
+        (&["golden", "--seed", "7"][..], "--seed"),
+        (&["campaign", "expand", "examples/campaigns/tiny.campaign", "--job", "2"][..], "--job"),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_cfpd"))
             .args(args)
@@ -192,7 +200,7 @@ fn cfpd_refuses_flag_values_that_do_not_parse() {
             .expect("spawn cfpd");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(stderr.contains(&format!("{flag}:")), "{args:?} must name {flag}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} ran before refusing");
     }
 }
