@@ -19,7 +19,7 @@
 //! subdomain graph, the 16-way partition (and, of it, one seed search
 //! and the refinement), the whole Multidep plan, the serial plan (the
 //! batch schedule with no partition in front), the deflation structure
-//! and its values, the particle locator and an injection — and, end to end on the optimized layout, `setup/prepare`
+//! and its values, the particle locator (complete, and as a run builds it) and an injection — and, end to end on the optimized layout, `setup/prepare`
 //! (everything a run derives from its mesh, built once per
 //! `PrepareKey`) against `setup/instantiate` (the values-only solver
 //! every further run on that `Prepared` allocates). `serve/boundary`
@@ -378,7 +378,15 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
             black_box(AssemblyPlan::new(mesh, elems, strategy, 1, &pattern, order));
         },
     );
+    // A complete geometry: `Locator::new` and one containment test per
+    // element, which builds every face-plane block. The injection gates
+    // of `scripts/verify.sh` divide by this row; `setup/locator-lazy`,
+    // `Locator::new` alone, is what a run pays before its first query.
     b.bench("setup/locator-build", || {
+        let locator = Locator::new(mesh);
+        black_box((0..mesh.num_elements()).filter(|&e| locator.contains(e, Vec3::ZERO, 0.0)).count());
+    });
+    b.bench("setup/locator-lazy", || {
         black_box(Locator::new(mesh).elem_size(0));
     });
     // One locator for every sample: the inlet's lazy candidate lists are

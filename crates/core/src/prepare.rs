@@ -164,10 +164,11 @@ macro_rules! stage {
 }
 
 /// Build everything a run on `key` needs before its first step. The
-/// locator and the fluid ranks' assembly schedules are built side by
-/// side on scoped threads, like the rank threads of a run would; what
-/// the mesh alone decides ([`MeshStructure`]) is built once, by the
-/// calling thread after its own schedule, and shared by every rank.
+/// fluid ranks' assembly schedules are built side by side on scoped
+/// threads, like the rank threads of a run would; beside them one more
+/// thread builds the locator geometry (whose face planes wait for the
+/// first query) and then what the mesh alone decides
+/// ([`MeshStructure`]), built once and shared by every rank.
 pub fn prepare(key: &PrepareKey) -> Result<Arc<Prepared>, String> {
     let (fluid_parts, particle_parts) = key.parts();
     if fluid_parts == 0 || particle_parts == 0 {
@@ -204,19 +205,22 @@ pub fn prepare(key: &PrepareKey) -> Result<Arc<Prepared>, String> {
         fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
             handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
         }
-        let locator = scope.spawn(|| {
+        let side = scope.spawn(|| {
             let faces = Arc::clone(&airway.face_neighbors);
-            stage!("locator", Arc::new(LocatorGeometry::new(mesh, faces, Arc::clone(&sizes))))
+            let locator =
+                stage!("locator", Arc::new(LocatorGeometry::new(mesh, faces, Arc::clone(&sizes))));
+            let shared = stage!("structure", Arc::new(MeshStructure::build(mesh, &pattern, &sizes)));
+            (locator, shared)
         });
         let mut members = members.into_iter();
         let first = members.next().expect("at least one fluid part");
         let rest: Vec<_> = members.map(|elems| scope.spawn(|| schedule(elems))).collect();
         let mut schedules = vec![schedule(first)];
-        let shared = stage!("structure", Arc::new(MeshStructure::build(mesh, &pattern, &sizes)));
         schedules.extend(rest.into_iter().map(join));
+        let (locator, shared) = join(side);
         let fluid: Vec<Arc<FluidStructure>> =
             schedules.into_iter().map(|own| Arc::new(own.on(Arc::clone(&shared)))).collect();
-        (join(locator), fluid)
+        (locator, fluid)
     });
 
     Ok(Arc::new(Prepared {

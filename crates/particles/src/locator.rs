@@ -10,6 +10,9 @@ use std::sync::{Arc, OnceLock};
 /// that `K·t` is exact in [`LocatorGeometry::cell_of`].
 const K: usize = 8;
 const SUB_BOXES: usize = K * K * K;
+/// Elements per block of face planes: [`LocatorGeometry::planes`] builds
+/// the planes of a block's elements together, the first time it reads one.
+const PLANE_BLOCK: usize = 64;
 
 /// Result of a walk from one element toward a point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,11 +51,15 @@ fn face_plane(coords: &[Vec3], nodes: &[u32], face: &[usize]) -> FacePlane {
 /// What a [`Locator`] knows of a mesh: face neighbors and element sizes
 /// (tables it shares), face planes, boundary classification and a uniform
 /// grid over element centroids for global lookups. Owns no reference to the
-/// mesh, so one geometry serves every locator over it.
+/// mesh, so one geometry serves every locator over it; what it builds on
+/// first use (face planes, candidate lists) it reads from the mesh of the
+/// locator that asks.
 pub struct LocatorGeometry {
     face_neighbors: Arc<FaceNeighbors>,
-    /// Per face slot of `face_neighbors`.
-    planes: Vec<FacePlane>,
+    /// Per block of [`PLANE_BLOCK`] elements, the planes of their face
+    /// slots in slot order, built by the first query that reads one of
+    /// them, on whichever thread asks ([`LocatorGeometry::planes`]).
+    planes: Vec<OnceLock<Box<[FacePlane]>>>,
     /// Per face slot of `face_neighbors`.
     boundary: Vec<Option<BoundaryKind>>,
     /// Characteristic size (volume cube root) per element.
@@ -86,15 +93,7 @@ impl LocatorGeometry {
     /// (`mesh.element_sizes()`).
     pub fn new(mesh: &Mesh, face_neighbors: Arc<FaceNeighbors>, size: Arc<[f64]>) -> Self {
         let boundary = mesh.boundary_table(&face_neighbors);
-        let mut planes = Vec::with_capacity(face_neighbors.num_slots());
-        let mut centroids = Vec::with_capacity(mesh.num_elements());
-        for e in 0..mesh.num_elements() {
-            let nodes = mesh.elem_nodes(e);
-            for face in mesh.kinds[e].faces() {
-                planes.push(face_plane(&mesh.coords, nodes, face));
-            }
-            centroids.push(mesh.centroid(e));
-        }
+        let centroids: Vec<Vec3> = (0..mesh.num_elements()).map(|e| mesh.centroid(e)).collect();
         // Bounding box of all nodes.
         let mut lo = Vec3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
         let mut hi = Vec3::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
@@ -112,7 +111,7 @@ impl LocatorGeometry {
         let num_cells = dims[0] * dims[1] * dims[2];
         let mut g = LocatorGeometry {
             face_neighbors,
-            planes,
+            planes: (0..mesh.num_elements().div_ceil(PLANE_BLOCK)).map(|_| OnceLock::new()).collect(),
             boundary,
             size,
             centroids,
@@ -176,17 +175,40 @@ impl LocatorGeometry {
             .copied()
     }
 
-    /// The face planes of element `e`, in local face order.
-    fn planes(&self, e: usize) -> &[FacePlane] {
-        let first = self.face_neighbors.slot(e, 0);
-        &self.planes[first..first + self.face_neighbors.faces(e).len()]
+    /// The face planes of element `e` of `mesh`, in local face order.
+    #[inline]
+    fn planes(&self, mesh: &Mesh, e: usize) -> &[FacePlane] {
+        let (fnb, b) = (&*self.face_neighbors, e / PLANE_BLOCK);
+        let block = match self.planes[b].get() {
+            Some(block) => block,
+            None => self.plane_block(mesh, b),
+        };
+        let at = fnb.slot(e, 0) - fnb.slot(b * PLANE_BLOCK, 0);
+        &block[at..at + fnb.faces(e).len()]
+    }
+
+    /// Block `b` of the face planes, built here by the first query that
+    /// reads one of its elements (another thread may win the race).
+    #[cold]
+    fn plane_block(&self, mesh: &Mesh, b: usize) -> &[FacePlane] {
+        self.planes[b].get_or_init(|| {
+            cfpd_telemetry::count!("particles.locator_plane_blocks_built");
+            let fnb = &*self.face_neighbors;
+            let (first, end) = (b * PLANE_BLOCK, ((b + 1) * PLANE_BLOCK).min(mesh.num_elements()));
+            let mut planes = Vec::with_capacity(fnb.slot(end, 0) - fnb.slot(first, 0));
+            for e in first..end {
+                let nodes = mesh.elem_nodes(e);
+                planes.extend(mesh.kinds[e].faces().iter().map(|f| face_plane(&mesh.coords, nodes, f)));
+            }
+            planes.into_boxed_slice()
+        })
     }
 
     /// Whether a face distance of `e` at `at(normal)` exceeds `1e-9·h +
     /// 1e-15` — at `|_| p`, exactly `!contains` (NaN planes exceed nothing).
-    fn beyond_a_face(&self, e: usize, at: impl Fn(Vec3) -> Vec3) -> bool {
+    fn beyond_a_face(&self, mesh: &Mesh, e: usize, at: impl Fn(Vec3) -> Vec3) -> bool {
         let eps = 1e-9 * self.size[e] + 1e-15;
-        self.planes(e).iter().any(|pl| (at(pl.normal) - pl.centroid).dot(pl.normal) > eps)
+        self.planes(mesh, e).iter().any(|pl| (at(pl.normal) - pl.centroid).dot(pl.normal) > eps)
     }
 
     /// Sub-box `sub` of `cell`, `[low, high]` per axis, inflated by
@@ -214,18 +236,18 @@ impl LocatorGeometry {
     /// corner: a dropped element fails pass 1 all over the box, and the
     /// list's first hit is the scan's. An infinite corner (`−∞` or NaN) or
     /// a degenerate face (NaN) never drops anything.
-    fn sub_box_list(&self, cell: [usize; 3], b: [[f64; 2]; 3]) -> Box<[u32]> {
+    fn sub_box_list(&self, mesh: &Mesh, cell: [usize; 3], b: [[f64; 2]; 3]) -> Box<[u32]> {
         let side = |n: f64| usize::from(n < 0.0);
         let corner = |n: Vec3| Vec3::new(b[0][side(n.x)], b[1][side(n.y)], b[2][side(n.z)]);
         cfpd_telemetry::count!("particles.locator_lists_built");
-        self.candidates(cell).filter(|&e| !self.beyond_a_face(e as usize, corner)).collect()
+        self.candidates(cell).filter(|&e| !self.beyond_a_face(mesh, e as usize, corner)).collect()
     }
 
     /// The candidate list of the sub-box of `cell` that holds `p`, or
     /// `None` when `p` is not finite or (rounding beyond the inflation)
     /// not inside that box — then the caller scans the whole
     /// neighbourhood, so the list is never trusted outside its box.
-    fn sub_box_candidates(&self, cell: [usize; 3], sub: usize, p: Vec3) -> Option<&[u32]> {
+    fn sub_box_candidates(&self, mesh: &Mesh, cell: [usize; 3], sub: usize, p: Vec3) -> Option<&[u32]> {
         let (b, x) = (self.sub_box(cell, sub), [p.x, p.y, p.z]);
         if !(0..3).all(|a| x[a].is_finite() && b[a][0] <= x[a] && x[a] <= b[a][1]) {
             return None;
@@ -234,7 +256,7 @@ impl LocatorGeometry {
             cfpd_telemetry::count!("particles.locator_cells_built");
             (0..SUB_BOXES).map(|_| OnceLock::new()).collect()
         });
-        Some(lists[sub].get_or_init(|| self.sub_box_list(cell, b)))
+        Some(lists[sub].get_or_init(|| self.sub_box_list(mesh, cell, b)))
     }
 }
 
@@ -263,7 +285,7 @@ impl<'m> Locator<'m> {
     /// (negative = strictly inside) and the face index achieving it.
     fn worst_face(&self, e: usize, p: Vec3) -> (f64, usize) {
         let mut worst = (f64::NEG_INFINITY, 0usize);
-        for (f, plane) in self.g.planes(e).iter().enumerate() {
+        for (f, plane) in self.g.planes(self.mesh, e).iter().enumerate() {
             let d = (p - plane.centroid).dot(plane.normal);
             if d > worst.0 {
                 worst = (d, f);
@@ -340,8 +362,8 @@ impl<'m> Locator<'m> {
         // face distance above eps, each left at its first violated face,
         // over the sub-box's list — a subsequence of the scan that drops
         // only elements failing this test everywhere in the box.
-        let inside = |&&e: &&u32| !g.beyond_a_face(e as usize, |_| p);
-        let found = match g.sub_box_candidates(cell, sub, p) {
+        let inside = |&&e: &&u32| !g.beyond_a_face(self.mesh, e as usize, |_| p);
+        let found = match g.sub_box_candidates(self.mesh, cell, sub, p) {
             Some(list) => list.iter().find(inside).copied(),
             None => g.candidates(cell).find(|e| inside(&e)),
         };
@@ -499,6 +521,44 @@ mod tests {
         a.0.to_bits() == b.0.to_bits() && a.1 == b.1
     }
 
+    fn bits(v: &Vec3) -> [u64; 3] {
+        [v.x, v.y, v.z].map(f64::to_bits)
+    }
+
+    fn plane_bits(p: &FacePlane) -> ([u64; 3], [u64; 3]) {
+        (bits(&p.centroid), bits(&p.normal))
+    }
+
+    /// Every block forced, in an order that starts mid-mesh: each face of
+    /// each element has the bits of a `face_plane` computed for it alone,
+    /// NaN normals of degenerate faces included, and every block is built.
+    fn assert_forced_planes_are_face_planes(mesh: &Mesh) -> usize {
+        let loc = Locator::new(mesh);
+        let ne = mesh.num_elements();
+        assert!(loc.g.planes.iter().all(|b| b.get().is_none()), "a new geometry builds no plane");
+        for e in (ne / 2..ne).chain(0..ne / 2) {
+            let (nodes, faces) = (mesh.elem_nodes(e), mesh.kinds[e].faces());
+            let direct: Vec<_> = faces.iter().map(|f| plane_bits(&face_plane(&mesh.coords, nodes, f))).collect();
+            assert_eq!(loc.g.planes(mesh, e).iter().map(plane_bits).collect::<Vec<_>>(), direct, "element {e}");
+        }
+        assert!(loc.g.planes.iter().all(|b| b.get().is_some()));
+        loc.g.planes.len()
+    }
+
+    #[test]
+    fn forced_plane_blocks_hold_the_planes_computed_one_by_one() {
+        let am = airway();
+        assert_eq!(am.mesh.num_elements(), 4_184);
+        assert_eq!(assert_forced_planes_are_face_planes(&am.mesh), 66);
+        let mut b = MeshBuilder::new();
+        let n: Vec<u32> = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)]
+            .map(|(x, y, z)| b.add_node(Vec3::new(x, y, z)))
+            .into();
+        b.add_tet([n[0], n[1], n[2], n[3]]);
+        b.add_tet([n[0], n[1], n[3], n[4]]);
+        assert_eq!(assert_forced_planes_are_face_planes(&b.finish()), 1, "the sliver's NaN normals too");
+    }
+
     /// 16 000 random points where the cached face planes or the pruned
     /// scan could go wrong, each walked to from another random element
     /// and located globally: within four element sizes of a random
@@ -590,8 +650,7 @@ mod tests {
         let mesh = b.finish();
         let loc = Locator::new(&mesh);
         let oracle = Oracle::new(&loc);
-        let first = loc.g.face_neighbors.slot(1, 0);
-        let skipped = loc.g.planes[first..first + 4].iter().filter(|pl| pl.normal.x.is_nan()).count();
+        let skipped = loc.g.planes(&mesh, 1).iter().filter(|pl| pl.normal.x.is_nan()).count();
         assert_eq!(skipped, 2, "faces through both coincident nodes have no area");
         let gen = (f64_range(-0.5, 1.5), f64_range(-0.5, 1.5), f64_range(-0.5, 1.5), usize_range(0, 18));
         check("degenerate faces", PropConfig::cases(2_000), &gen, |&(x, y, z, odd)| {
@@ -651,10 +710,12 @@ mod tests {
         let shared = LocatorGeometry::new(&am.mesh, Arc::clone(&am.face_neighbors), sizes);
         let alone = Locator::new(&am.mesh);
         let g = &*alone.g;
-        let bits = |v: &Vec3| [v.x, v.y, v.z].map(f64::to_bits);
-        let plane_bits = |p: &[FacePlane]| p.iter().map(|p| (bits(&p.centroid), bits(&p.normal))).collect::<Vec<_>>();
+        let forced = |g: &LocatorGeometry| {
+            let all = (0..am.mesh.num_elements()).flat_map(|e| g.planes(&am.mesh, e).iter());
+            all.map(plane_bits).collect::<Vec<_>>()
+        };
         assert_eq!(shared.face_neighbors, g.face_neighbors);
-        assert_eq!(plane_bits(&shared.planes), plane_bits(&g.planes));
+        assert_eq!(forced(&shared), forced(g));
         assert_eq!(shared.boundary, g.boundary);
         assert_eq!(shared.size.iter().map(|h| h.to_bits()).collect::<Vec<_>>(), g.size.iter().map(|h| h.to_bits()).collect::<Vec<_>>());
         assert_eq!(shared.centroids.iter().map(bits).collect::<Vec<_>>(), g.centroids.iter().map(bits).collect::<Vec<_>>());

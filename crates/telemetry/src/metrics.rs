@@ -149,9 +149,11 @@ pub fn bucket_hi(i: usize) -> u64 {
     }
 }
 
+/// No count of its own: a snapshot counts its buckets, so the `+Inf`
+/// bucket a scrape renders never falls below a finite one while another
+/// thread records.
 struct HistShard {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     /// Wrapping sum of recorded values (exact unless > u64::MAX total).
     sum: AtomicU64,
     /// Exact extrema via relaxed `fetch_min`/`fetch_max`.
@@ -163,7 +165,6 @@ impl HistShard {
     fn new() -> HistShard {
         HistShard {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -174,7 +175,6 @@ impl HistShard {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.min.store(u64::MAX, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
@@ -233,7 +233,6 @@ impl Histogram {
     pub fn record_unchecked(&self, v: u64) {
         let shard = &self.shards[shard_index()].0;
         shard.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
         shard.sum.fetch_add(v, Ordering::Relaxed);
         shard.min.fetch_min(v, Ordering::Relaxed);
         shard.max.fetch_max(v, Ordering::Relaxed);
@@ -250,7 +249,6 @@ impl Histogram {
         };
         for s in self.shards.iter() {
             let s = &s.0;
-            out.count = out.count.wrapping_add(s.count.load(Ordering::Relaxed));
             out.sum = out.sum.wrapping_add(s.sum.load(Ordering::Relaxed));
             out.min = out.min.min(s.min.load(Ordering::Relaxed));
             out.max = out.max.max(s.max.load(Ordering::Relaxed));
@@ -258,6 +256,7 @@ impl Histogram {
                 *dst = dst.wrapping_add(src.load(Ordering::Relaxed));
             }
         }
+        out.count = out.buckets.iter().fold(0, |n, &b| n.wrapping_add(b));
         out
     }
 

@@ -233,7 +233,7 @@ doc = json.load(open("results/BENCH_hotpath_quick.json"))
 rows = {r["name"]: r["median_ns"] for r in doc["rows"]}
 for name in ("setup/element-graph", "setup/seed-search", "setup/kway-16", "setup/refine",
              "setup/plan-multidep", "setup/plan-serial",
-             "setup/locator-build", "setup/inject-10k", "setup/inject-10k-cold",
+             "setup/locator-build", "setup/locator-lazy", "setup/inject-10k", "setup/inject-10k-cold",
              "setup/deflation-build",
              "solve/poisson-jacobi", "solve/poisson-deflated",
              "solve/poisson-deflated-native", "sgs/default", "sgs/batched-lanes", "sgs/iterating",
@@ -269,6 +269,15 @@ if inject > 2.5 * build:
 cold = rows["setup/inject-10k-cold"]
 if cold > 2.5 * build:
     sys.exit(f"FAIL: setup/inject-10k-cold {cold:.0f} ns > 2.5 x setup/locator-build {build:.0f} ns")
+# `Locator::new` alone builds no face plane: the first query that reads
+# an element's planes builds its block of 64. setup/locator-build forces
+# every block (one containment test per element). Five quick runs a side
+# read 0.34-0.51 x that complete build, and 0.90-0.96 with every plane
+# built in `new`. Both rows run on one thread; "above 0.7" means the
+# planes are built eagerly again.
+lazy = rows["setup/locator-lazy"]
+if lazy > 0.7 * build:
+    sys.exit(f"FAIL: setup/locator-lazy {lazy:.0f} ns > 0.7 x setup/locator-build {build:.0f} ns")
 # Same elements, same subdomains, same pool, the same lane kernels: the
 # reference layout cuts its batches in list order (runs of ~20 elements,
 # a scalar tail per run), the fast one grouped by kind. The ratio reads
