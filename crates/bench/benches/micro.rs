@@ -11,7 +11,7 @@ use cfpd_partition::{greedy_coloring, partition_kway, Graph};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_momentum, cg, AssemblyPlan, AssemblyStrategy, CsrMatrix, ElementOrder, FluidProps,
-    RefElement,
+    RefElement, SellMatrix,
 };
 use cfpd_testkit::bench::{Bench, BenchConfig};
 
@@ -19,15 +19,15 @@ fn bench_assembly_strategies(b: &mut Bench) {
     let am = generate_airway(&AirwaySpec::small()).unwrap();
     let mesh = &am.mesh;
     let n2e = mesh.node_to_elements();
-    let matrix = CsrMatrix::from_mesh(mesh, &n2e);
+    let matrix = SellMatrix::from_csr(&CsrMatrix::from_mesh(mesh, &n2e));
     let refs = RefElement::all();
     let pool = ThreadPool::new(2);
     let velocity: Vec<Vec3> = mesh.coords.iter().map(|p| Vec3::new(p.z, 0.0, -1.0)).collect();
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
 
     for strategy in AssemblyStrategy::ALL {
-        let plan =
-            AssemblyPlan::new(mesh, elems.clone(), strategy, 16, &matrix, ElementOrder::List);
+        let (sell, order) = (matrix.structure(), ElementOrder::List);
+        let plan = AssemblyPlan::new(mesh, elems.clone(), strategy, 16, sell, order);
         b.bench_batched(
             &format!("assembly/{}", strategy.label()),
             || (matrix.clone(), vec![vec![0.0; mesh.num_nodes()]; 3]),

@@ -64,8 +64,8 @@ use cfpd_serve::{CellAcc, CellSnapshot, CheckpointSection, PersistGate, Snapshot
 use cfpd_solver::{
     assemble_divergence, assemble_momentum, assemble_poisson, axpy_dot_fused, bicgstab3, cg,
     compute_sgs, oracle, spmm3_sweep, AssemblyPlan, AssemblyStrategy, Bicgstab3Workspace,
-    CsrMatrix, Deflation, ElementOrder, FluidProps, LayoutPlan, RefElement, SellMatrix, SgsField,
-    SolveStats,
+    CsrMatrix, Deflation, ElementOrder, FluidProps, LayoutPlan, RefElement, SellMatrix,
+    SellStructure, SgsField, SolveStats,
 };
 use cfpd_testkit::bench::{Bench, BenchConfig, BenchStats};
 use cfpd_testkit::json;
@@ -86,10 +86,10 @@ fn synthetic_velocity(mesh: &Mesh) -> Vec<Vec3> {
 /// its boundary node sets.
 fn pressure_system(mesh: &Mesh, pool: &ThreadPool) -> PressureSystem {
     let n2e = mesh.node_to_elements();
-    let mut matrix = CsrMatrix::from_mesh(mesh, &n2e);
+    let mut matrix = SellMatrix::from_csr(&CsrMatrix::from_mesh(mesh, &n2e));
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-    let plan =
-        AssemblyPlan::new(mesh, elems, AssemblyStrategy::Serial, 1, &matrix, ElementOrder::List);
+    let (strategy, order) = (AssemblyStrategy::Serial, ElementOrder::List);
+    let plan = AssemblyPlan::new(mesh, elems, strategy, 1, matrix.structure(), order);
     let refs = RefElement::all();
     let velocity = synthetic_velocity(mesh);
     let mut rhs = vec![0.0; mesh.num_nodes()];
@@ -100,18 +100,19 @@ fn pressure_system(mesh: &Mesh, pool: &ThreadPool) -> PressureSystem {
         matrix.set_dirichlet_row(v as usize);
         rhs[v as usize] = 0.0;
     }
-    (matrix, rhs, bc)
+    (matrix.to_csr(), rhs, bc)
 }
 
 fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
     let n2e = mesh.node_to_elements();
     let template = CsrMatrix::from_mesh(mesh, &n2e);
+    let sell = std::sync::Arc::new(SellStructure::from_csr(&template));
     let refs = RefElement::all();
     let velocity = synthetic_velocity(mesh);
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
     let multidep = |order| {
         let strategy = AssemblyStrategy::Multidep;
-        AssemblyPlan::new(mesh, elems.clone(), strategy, N_SUBDOMAINS, &template, order)
+        AssemblyPlan::new(mesh, elems.clone(), strategy, N_SUBDOMAINS, &sell, order)
     };
     let plan_default = multidep(ElementOrder::List);
     let plan_lanes = multidep(ElementOrder::KindGrouped);
@@ -123,35 +124,39 @@ fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
         elems.clone(),
         AssemblyStrategy::Serial,
         1,
-        &template,
+        &sell,
         ElementOrder::List,
     );
     let one_thread = ThreadPool::new(1);
+    let (props, dt, gravity) = (FluidProps::default(), 1e-4, Vec3::new(0.0, 0.0, -9.81));
+    let fresh_rhs = || vec![vec![0.0; mesh.num_nodes()]; 3];
 
-    // What a run does on either layout, then the element-at-a-time loops
-    // the reference layout ran before (`cfpd_solver::oracle`).
-    for (label, plan, pool, scalar) in [
-        ("assembly/default", &plan_default, pool, false),
-        ("assembly/batched-lanes", &plan_lanes, pool, false),
-        ("assembly/oracle", &plan_default, pool, true),
-        ("assembly/serial-pass", &plan_serial, &one_thread, true),
-    ] {
-        let sweep = if scalar { oracle::assemble_momentum } else { assemble_momentum };
+    // What a run does on either layout: scattered straight into SELL order.
+    let by_kind = ("assembly/batched-lanes", &plan_lanes);
+    for (label, plan) in [("assembly/default", &plan_default), by_kind] {
         b.bench_batched(
             label,
-            || (template.clone(), vec![vec![0.0; mesh.num_nodes()]; 3]),
+            || (SellMatrix::zeros(std::sync::Arc::clone(&sell)), fresh_rhs()),
             |(mut a, mut rhs)| {
-                let stats = sweep(
-                    pool,
-                    &refs,
-                    mesh,
-                    plan,
-                    &velocity,
-                    FluidProps::default(),
-                    1e-4,
-                    Vec3::new(0.0, 0.0, -9.81),
-                    &mut a,
-                    &mut rhs,
+                let stats = assemble_momentum(
+                    pool, &refs, mesh, plan, &velocity, props, dt, gravity, &mut a, &mut rhs,
+                );
+                black_box((a, rhs, stats.elements));
+            },
+        );
+    }
+    // The element-at-a-time loops the reference layout ran before
+    // (`cfpd_solver::oracle`), adding into CSR.
+    for (label, plan, pool) in [
+        ("assembly/oracle", &plan_default, pool),
+        ("assembly/serial-pass", &plan_serial, &one_thread),
+    ] {
+        b.bench_batched(
+            label,
+            || (template.clone(), fresh_rhs()),
+            |(mut a, mut rhs)| {
+                let stats = oracle::assemble_momentum(
+                    pool, &refs, mesh, plan, &velocity, props, dt, gravity, &mut a, &mut rhs,
                 );
                 black_box((a, rhs, stats.elements));
             },
@@ -160,7 +165,7 @@ fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
 }
 
 /// One SpMV in the CSR storage (serial: the reference every sweep is
-/// bit-compared with) and in the SELL mirror the solves sweep.
+/// bit-compared with) and in the SELL storage the solves sweep.
 fn bench_spmv(b: &mut Bench, label: &str, matrix: &CsrMatrix) {
     let n = matrix.n;
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
@@ -219,7 +224,7 @@ fn bench_solve(
     let mut deflation = Deflation::new(matrix, &bc.inlet_nodes, &bc.outlet_nodes);
     // The operator is constant: a run loads its values once, with the
     // first step, and every solve after that only solves.
-    b.bench("setup/deflation-refresh", || deflation.refresh(black_box(matrix)));
+    b.bench("setup/deflation-refresh", || deflation.refresh(black_box(&sell)));
     b.bench_batched(
         "solve/poisson-deflated",
         || vec![0.0; n],
@@ -233,7 +238,7 @@ fn bench_solve(
     let (matrix, rhs, bc) = native;
     let sell = SellMatrix::from_csr(matrix);
     let mut deflation = Deflation::new(matrix, &bc.inlet_nodes, &bc.outlet_nodes);
-    deflation.refresh(matrix);
+    deflation.refresh(&sell);
     b.bench_batched(
         "solve/poisson-deflated-native",
         || vec![0.0; n],
@@ -299,7 +304,7 @@ fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPoo
         elems,
         AssemblyStrategy::Multidep,
         N_SUBDOMAINS,
-        matrix,
+        &SellStructure::from_csr(matrix),
         ElementOrder::List,
     );
     let props = FluidProps::default();
@@ -353,7 +358,7 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
             black_box(grown.refine(&graph, 4));
         },
     );
-    let pattern = CsrMatrix::from_mesh(mesh, &n2e);
+    let sell = SellStructure::from_csr(&CsrMatrix::from_mesh(mesh, &n2e));
     b.bench_batched(
         "setup/plan-multidep",
         || elems.clone(),
@@ -363,7 +368,7 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
                 elems,
                 AssemblyStrategy::Multidep,
                 N_SUBDOMAINS,
-                &pattern,
+                &sell,
                 ElementOrder::List,
             ));
         },
@@ -375,7 +380,7 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
         || elems.clone(),
         |elems| {
             let (strategy, order) = (AssemblyStrategy::Serial, ElementOrder::KindGrouped);
-            black_box(AssemblyPlan::new(mesh, elems, strategy, 1, &pattern, order));
+            black_box(AssemblyPlan::new(mesh, elems, strategy, 1, &sell, order));
         },
     );
     // A complete geometry: `Locator::new` and one containment test per
@@ -519,8 +524,9 @@ fn bench_prepare_and_boundary(b: &mut Bench, spec: &AirwaySpec) {
 /// from rest on the optimized layout (by then the three components need
 /// different iteration counts), solved from that step's initial guess —
 /// by three scalar solves on the CSR matrix (`solver1/scalar-x3`, the
-/// oracle: what every step ran before) and by the block solve on the
-/// SELL mirror, value refresh included (`solver1/block`). `spmm3/sell`
+/// oracle: what every step ran before, on the CSR view of the matrix)
+/// and by the block solve on the SELL matrix the step assembled
+/// (`solver1/block`). `spmm3/sell`
 /// is one three-column sweep of that matrix, to be read against three
 /// `spmv-sell/rcm-order` sweeps.
 fn bench_solver1(b: &mut Bench, spec: &AirwaySpec) {
@@ -539,15 +545,14 @@ fn bench_solver1(b: &mut Bench, spec: &AirwaySpec) {
     }
     let start = fs.velocity.clone();
     fs.step(&pool);
-    let (matrix, rhs) = fs.momentum_system();
-    let n = matrix.n;
-    let mut sell = SellMatrix::from_csr(matrix);
+    let (sell, rhs) = fs.momentum_system();
+    let (n, matrix) = (sell.n, &sell.to_csr());
 
     let x3: Vec<f64> = (0..3 * n).map(|k| (k as f64 * 0.37).sin()).collect();
     let sweep = sell.chunk_ranges(64);
     b.bench("spmm3/sell", || {
         let mut y = vec![0.0; 3 * n];
-        spmm3_sweep(&sell, &pool, &sweep, black_box(&x3), &mut y);
+        spmm3_sweep(sell, &pool, &sweep, black_box(&x3), &mut y);
         black_box(y);
     });
 
@@ -570,9 +575,8 @@ fn bench_solver1(b: &mut Bench, spec: &AirwaySpec) {
         "solver1/block",
         || start.iter().flat_map(|v| [v.x, v.y, v.z]).collect::<Vec<f64>>(),
         |mut x| {
-            sell.update_values(&matrix.values);
             block = bicgstab3(
-                &sell,
+                sell,
                 &diag,
                 [&rhs[0], &rhs[1], &rhs[2]],
                 &mut x,

@@ -13,7 +13,9 @@
 
 use cfpd_mesh::{AirwayMesh, Vec3};
 use cfpd_runtime::ThreadPool;
-use cfpd_solver::{cg, AssemblyPlan, AssemblyStrategy, CsrMatrix, ElementOrder, RefElement};
+use cfpd_solver::{
+    cg, AssemblyPlan, AssemblyStrategy, CsrMatrix, ElementOrder, RefElement, SellMatrix,
+};
 
 /// Solve the potential flow and return the nodal velocity field with
 /// mean inlet speed `inlet_speed` [m/s] (flow directed from inlet to
@@ -22,11 +24,11 @@ pub fn potential_flow(airway: &AirwayMesh, inlet_speed: f64) -> Vec<Vec3> {
     let mesh = &airway.mesh;
     let n = mesh.num_nodes();
     let n2e = mesh.node_to_elements();
-    let mut lap = CsrMatrix::from_mesh(mesh, &n2e);
+    let mut lap = SellMatrix::from_csr(&CsrMatrix::from_mesh(mesh, &n2e));
     let mut rhs = vec![vec![0.0; n]];
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-    let plan =
-        AssemblyPlan::new(mesh, elems, AssemblyStrategy::Serial, 1, &lap, ElementOrder::List);
+    let (strategy, order) = (AssemblyStrategy::Serial, ElementOrder::List);
+    let plan = AssemblyPlan::new(mesh, elems, strategy, 1, lap.structure(), order);
     let pool = ThreadPool::new(1);
     let refs = RefElement::all();
     let zero_vel = vec![Vec3::ZERO; n];
@@ -42,7 +44,7 @@ pub fn potential_flow(airway: &AirwayMesh, inlet_speed: f64) -> Vec<Vec3> {
         rhs[0][v as usize] = 0.0;
     }
     let mut phi = vec![0.0; n];
-    let stats = cg(&lap, &rhs[0], &mut phi, 1e-10, 10 * n);
+    let stats = cg(&lap.to_csr(), &rhs[0], &mut phi, 1e-10, 10 * n);
     assert!(stats.converged, "potential solve failed: {stats:?}");
 
     // Nodal velocity u = −∇φ via lumped L2 projection.

@@ -8,9 +8,9 @@ use cfpd_mesh::{BoundaryKind, Csr, Mesh, Vec3};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_divergence, assemble_momentum, assemble_poisson, assemble_pressure_gradient,
-    bicgstab3, compute_sgs, AssemblyPlan, AssemblyStats, AssemblyStrategy, Bicgstab3Workspace,
-    CsrMatrix, Deflation, DeflationStructure, ElementOrder, FluidProps, LayoutPlan, RefElement,
-    SellMatrix, SellStructure, SgsField, SgsLayout, SgsStats, SolveStats,
+    bicgstab3, compute_sgs, AssemblyPlan, AssemblyStats, AssemblyStrategy, AssemblyUnits,
+    Bicgstab3Workspace, CsrMatrix, Deflation, DeflationStructure, ElementOrder, FluidProps,
+    LayoutPlan, RefElement, SellMatrix, SellStructure, SgsField, SgsLayout, SgsStats, SolveStats,
 };
 #[cfg(test)]
 use cfpd_solver::oracle;
@@ -70,20 +70,17 @@ pub struct FluidStepReport {
     pub sgs: Option<SgsStats>,
 }
 
-/// What a [`FluidStructure`] derives from the mesh alone — sparsity
-/// pattern, boundary sets, coarse space, lumped mass — and therefore the
-/// same for every rank and every strategy: `prepare` builds one and all
-/// its fluid ranks hold it.
+/// What a [`FluidStructure`] derives from the mesh alone — matrix
+/// structure, boundary sets, coarse space, lumped mass — and therefore
+/// the same for every rank and every strategy: `prepare` builds one and
+/// all its fluid ranks hold it.
 pub struct MeshStructure {
     refs: [RefElement; 3],
-    /// The sparsity pattern the momentum and pressure matrices share.
-    n: usize,
-    row_ptr: Arc<[u32]>,
-    col_idx: Arc<[u32]>,
+    /// The SELL structure the momentum and pressure matrices share:
+    /// assembly scatters into it and both Krylov solves sweep it.
+    sell: Arc<SellStructure>,
     /// Where each row's diagonal entry sits in the value array.
     diag_pos: Vec<u32>,
-    /// SELL shape of that pattern, which both Krylov solves sweep.
-    sell: Arc<SellStructure>,
     /// Coarse space of the pressure solve.
     deflation: Arc<DeflationStructure>,
     bc: BoundaryConditions,
@@ -93,36 +90,22 @@ pub struct MeshStructure {
 
 impl MeshStructure {
     /// `pattern` is `CsrMatrix::from_mesh(mesh, ..)`, whose values are not
-    /// read, and `sizes` `mesh.element_sizes()`.
-    pub fn build(mesh: &Mesh, pattern: &CsrMatrix, sizes: &[f64]) -> MeshStructure {
-        let sell = Arc::new(SellStructure::from_csr(pattern));
-        let diag_pos = (0..pattern.n).map(|i| pattern.entry_index(i, i) as u32).collect();
+    /// read, `sell` its SELL shape and `sizes` `mesh.element_sizes()`.
+    /// Nothing of `pattern` is kept.
+    pub fn build(
+        mesh: &Mesh,
+        pattern: &CsrMatrix,
+        sell: Arc<SellStructure>,
+        sizes: &[f64],
+    ) -> MeshStructure {
+        let diag = |i| sell.position(i, i).expect("the pattern lists the diagonal") as u32;
+        let diag_pos = (0..pattern.n).map(diag).collect();
         let bc = BoundaryConditions::from_mesh(mesh);
         let deflation =
             Arc::new(DeflationStructure::new(pattern, &bc.inlet_nodes, &bc.outlet_nodes));
         let refs = RefElement::all();
         let lumped_mass = cfpd_solver::batch::lumped_mass(&refs, mesh, sizes);
-        MeshStructure {
-            refs,
-            n: mesh.num_nodes(),
-            row_ptr: Arc::clone(&pattern.row_ptr),
-            col_idx: Arc::clone(&pattern.col_idx),
-            diag_pos,
-            sell,
-            deflation,
-            bc,
-            lumped_mass,
-        }
-    }
-
-    /// A zero matrix on the shared pattern.
-    fn zero_matrix(&self) -> CsrMatrix {
-        CsrMatrix {
-            n: self.n,
-            row_ptr: Arc::clone(&self.row_ptr),
-            col_idx: Arc::clone(&self.col_idx),
-            values: vec![0.0; self.col_idx.len()],
-        }
+        MeshStructure { refs, sell, diag_pos, deflation, bc, lumped_mass }
     }
 }
 
@@ -152,8 +135,10 @@ impl FluidStructure {
         layout: LayoutPlan,
     ) -> FluidStructure {
         let (pattern, sizes) = (CsrMatrix::from_mesh(mesh, n2e), mesh.element_sizes().into());
-        let own = Schedule::build(mesh, &pattern, &sizes, elems, strategy, n_subdomains, layout);
-        own.on(Arc::new(MeshStructure::build(mesh, &pattern, &sizes)))
+        let sell = Arc::new(SellStructure::from_csr(&pattern));
+        let units = AssemblyUnits::new(mesh, elems, strategy, n_subdomains);
+        let own = Schedule::build(mesh, units, &sell, &sizes, layout);
+        own.on(Arc::new(MeshStructure::build(mesh, &pattern, sell, &sizes)))
     }
 }
 
@@ -166,15 +151,13 @@ pub(crate) struct Schedule {
 }
 
 impl Schedule {
-    /// `pattern` is `CsrMatrix::from_mesh(mesh, ..)` and `sizes`
-    /// `mesh.element_sizes()`, which the plan and the SGS layout share.
+    /// The plan of `units` scattering into matrices on `sell`, and its
+    /// SGS layout; `sizes` is `mesh.element_sizes()`, which both share.
     pub(crate) fn build(
         mesh: &Mesh,
-        pattern: &CsrMatrix,
+        units: AssemblyUnits,
+        sell: &SellStructure,
         sizes: &Arc<[f64]>,
-        elems: Vec<u32>,
-        strategy: AssemblyStrategy,
-        n_subdomains: usize,
         layout: LayoutPlan,
     ) -> Schedule {
         // The one place a solver reads the layout (its node order is
@@ -183,8 +166,7 @@ impl Schedule {
         // downstream asks again — the plan's schedule is in that order.
         let order =
             if layout.is_default() { ElementOrder::List } else { ElementOrder::KindGrouped };
-        let plan =
-            AssemblyPlan::with_sizes(mesh, elems, strategy, n_subdomains, pattern, order, sizes);
+        let plan = AssemblyPlan::schedule(units, mesh, sell, order, sizes);
         let sgs = Arc::new(SgsLayout::new(mesh, &plan.elems, Arc::clone(sizes)));
         Schedule { plan, sgs }
     }
@@ -195,11 +177,11 @@ impl Schedule {
 }
 
 /// The pressure operator `∫∇N_i·∇N_j`, summed over all ranks, with
-/// identity rows at the outlets — in the SELL storage the solve sweeps —
-/// and the deflation values loaded from it. It depends on the
-/// geometry alone: the first step of the first solver over a mesh
-/// assembles it, and every later step, of that solver or of any other
-/// given the same `Arc`, only reads it.
+/// identity rows at the outlets — assembled straight into the SELL
+/// storage the solve sweeps — and the deflation values loaded from it.
+/// It depends on the geometry alone: the first step of the first solver
+/// over a mesh assembles it, and every later step, of that solver or of
+/// any other given the same `Arc`, only reads it.
 pub struct PressureOperator {
     matrix: SellMatrix,
     deflation: Deflation,
@@ -214,10 +196,9 @@ pub struct FluidSolver<'m> {
     dt: f64,
     tol: f64,
     max_iters: usize,
-    matrix_u: CsrMatrix,
-    /// SELL mirror of `matrix_u`, on the structure the pressure
-    /// operator's mirror uses; refreshed every step.
-    sell_u: SellMatrix,
+    /// The momentum matrix, on the structure the pressure operator uses:
+    /// assembly scatters into it and Solver1 sweeps it.
+    matrix_u: SellMatrix,
     /// Diagonal of `matrix_u` (Solver1's Jacobi preconditioner).
     diag_u: Vec<f64>,
     pressure_op: Option<Arc<PressureOperator>>,
@@ -316,17 +297,14 @@ impl<'m> FluidSolver<'m> {
         pressure_op: Option<Arc<PressureOperator>>,
     ) -> FluidSolver<'m> {
         let n = mesh.num_nodes();
-        assert_eq!(n, s.mesh.n, "structure of another mesh");
-        let matrix_u = s.mesh.zero_matrix();
-        let sell_u = SellMatrix::with_values(Arc::clone(&s.mesh.sell), &matrix_u.values);
+        assert_eq!(n, s.mesh.diag_pos.len(), "structure of another mesh");
         FluidSolver {
             mesh,
             props,
             dt,
             tol,
             max_iters,
-            matrix_u,
-            sell_u,
+            matrix_u: SellMatrix::zeros(Arc::clone(&s.mesh.sell)),
             diag_u: vec![0.0; n],
             pressure_op,
             rhs_u: vec![vec![0.0; n]; 3],
@@ -362,7 +340,7 @@ impl<'m> FluidSolver<'m> {
     /// The momentum system the last step assembled and solved: the
     /// matrix with its Dirichlet rows and the three right-hand sides
     /// (for inspection and benches).
-    pub fn momentum_system(&self) -> (&CsrMatrix, &[Vec<f64>]) {
+    pub fn momentum_system(&self) -> (&SellMatrix, &[Vec<f64>]) {
         (&self.matrix_u, &self.rhs_u)
     }
 
@@ -382,27 +360,25 @@ impl<'m> FluidSolver<'m> {
     }
 
     /// Assemble the pressure operator, sum it across ranks, pin the
-    /// outlets and load its values into the SELL mirror and the
-    /// deflation. Needs the caller's `reduce`, hence not in the
-    /// constructor.
+    /// outlets and load the deflation from it. Needs the caller's
+    /// `reduce`, hence not in the constructor.
     fn build_pressure_operator(
         &self,
         pool: &ThreadPool,
         reduce: &mut dyn FnMut(&mut [f64]),
     ) -> PressureOperator {
         let (s, m) = (&*self.s, &*self.s.mesh);
-        let mut matrix = m.zero_matrix();
+        let mut matrix = SellMatrix::zeros(Arc::clone(&m.sell));
         #[cfg(test)]
         let assemble_poisson =
-            if self.scalar_assembly { oracle::assemble_poisson } else { assemble_poisson };
+            if self.scalar_assembly { oracles::assemble_poisson } else { assemble_poisson };
         assemble_poisson(pool, &m.refs, self.mesh, &s.plan, &mut matrix);
-        reduce(&mut matrix.values);
+        reduce(matrix.values_mut());
         for &v in &m.bc.outlet_nodes {
             matrix.set_dirichlet_row(v as usize);
         }
         let mut deflation = Deflation::on(Arc::clone(&m.deflation));
         deflation.refresh(&matrix);
-        let matrix = SellMatrix::with_values(Arc::clone(&m.sell), &matrix.values);
         PressureOperator { matrix, deflation }
     }
 
@@ -416,23 +392,22 @@ impl<'m> FluidSolver<'m> {
 
     /// Solver1: `velocity` ← u*, the solution of the momentum system
     /// assembled in `matrix_u` / `rhs_u`, starting from `velocity`. One
-    /// block solve for the three components, sweeping the SELL mirror,
-    /// which is loaded from this step's values here.
+    /// block solve for the three components, sweeping the values this
+    /// step's assembly scattered.
     fn solve_momentum(&mut self, pool: &ThreadPool) -> [SolveStats; 3] {
         #[cfg(test)]
         if self.scalar_solver1 {
             return self.solve_momentum_scalar();
         }
-        let values = &self.matrix_u.values;
+        let values = self.matrix_u.values();
         for (d, &at) in self.diag_u.iter_mut().zip(&self.s.mesh.diag_pos) {
             *d = values[at as usize];
         }
-        self.sell_u.update_values(values);
         for (x, v) in self.ustar.chunks_exact_mut(3).zip(&self.velocity) {
             x.copy_from_slice(&[v.x, v.y, v.z]);
         }
         let stats = bicgstab3(
-            &self.sell_u,
+            &self.matrix_u,
             &self.diag_u,
             [&self.rhs_u[0], &self.rhs_u[1], &self.rhs_u[2]],
             &mut self.ustar,
@@ -452,11 +427,12 @@ impl<'m> FluidSolver<'m> {
     /// block solve is compared with.
     #[cfg(test)]
     fn solve_momentum_scalar(&mut self) -> [SolveStats; 3] {
+        let matrix = self.matrix_u.to_csr();
         let mut columns: [Vec<f64>; 3] =
             std::array::from_fn(|c| self.velocity.iter().map(|v| [v.x, v.y, v.z][c]).collect());
         let stats = std::array::from_fn(|c| {
             oracle::bicgstab(
-                &self.matrix_u,
+                &matrix,
                 &self.rhs_u[c],
                 &mut columns[c],
                 self.tol,
@@ -523,7 +499,7 @@ impl<'m> FluidSolver<'m> {
         // engine replaced: the names below then mean the oracle's.
         #[cfg(test)]
         let assemble_momentum =
-            if self.scalar_assembly { oracle::assemble_momentum } else { assemble_momentum };
+            if self.scalar_assembly { oracles::assemble_momentum } else { assemble_momentum };
         #[cfg(test)]
         let assemble_divergence =
             if self.scalar_assembly { oracle::assemble_divergence } else { assemble_divergence };
@@ -537,7 +513,7 @@ impl<'m> FluidSolver<'m> {
         // ---- Phase: matrix assembly (momentum; on the first step also
         // the pressure operator) ----------------------------------------
         let t0 = std::time::Instant::now();
-        self.matrix_u.clear();
+        self.matrix_u.values_mut().fill(0.0);
         for r in &mut self.rhs_u {
             r.iter_mut().for_each(|x| *x = 0.0);
         }
@@ -561,7 +537,7 @@ impl<'m> FluidSolver<'m> {
         );
         // Combine element-partial sums across ranks before applying
         // boundary conditions.
-        reduce(&mut self.matrix_u.values);
+        reduce(self.matrix_u.values_mut());
         for r in &mut self.rhs_u {
             reduce(r);
         }
@@ -659,6 +635,48 @@ impl<'m> FluidSolver<'m> {
     /// Maximum velocity magnitude (stability diagnostic).
     pub fn max_speed(&self) -> f64 {
         self.velocity.iter().map(|v| v.norm()).fold(0.0, f64::max)
+    }
+}
+
+/// The element-at-a-time assembly loops on the solver's SELL matrices,
+/// for the tests that hold a step to them: each adds into the matrix's
+/// CSR view and loads the sums back.
+#[cfg(test)]
+mod oracles {
+    use super::*;
+
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn assemble_momentum(
+        pool: &ThreadPool,
+        refs: &[RefElement; 3],
+        mesh: &Mesh,
+        plan: &AssemblyPlan,
+        velocity: &[Vec3],
+        props: FluidProps,
+        dt: f64,
+        body_force: Vec3,
+        matrix: &mut SellMatrix,
+        rhs: &mut [Vec<f64>],
+    ) -> AssemblyStats {
+        let mut csr = matrix.to_csr();
+        let stats = oracle::assemble_momentum(
+            pool, refs, mesh, plan, velocity, props, dt, body_force, &mut csr, rhs,
+        );
+        *matrix = SellMatrix::from_csr(&csr);
+        stats
+    }
+
+    pub(super) fn assemble_poisson(
+        pool: &ThreadPool,
+        refs: &[RefElement; 3],
+        mesh: &Mesh,
+        plan: &AssemblyPlan,
+        matrix: &mut SellMatrix,
+    ) -> AssemblyStats {
+        let mut csr = matrix.to_csr();
+        let stats = oracle::assemble_poisson(pool, refs, mesh, plan, &mut csr);
+        *matrix = SellMatrix::from_csr(&csr);
+        stats
     }
 }
 

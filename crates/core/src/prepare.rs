@@ -17,7 +17,7 @@ use crate::fluid::{FluidStructure, MeshStructure, PressureOperator, Schedule};
 use cfpd_mesh::{generate_airway, AirwayMesh, AirwaySpec, Csr, Mesh};
 use cfpd_particles::{Locator, LocatorGeometry};
 use cfpd_partition::{partition_kway_covered, Graph, NodeCliques};
-use cfpd_solver::{AssemblyStrategy, CsrMatrix, LayoutPlan};
+use cfpd_solver::{AssemblyStrategy, AssemblyUnits, CsrMatrix, LayoutPlan, SellStructure};
 use cfpd_testkit::digest::digest_bytes;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -166,9 +166,10 @@ macro_rules! stage {
 /// Build everything a run on `key` needs before its first step. The
 /// fluid ranks' assembly schedules are built side by side on scoped
 /// threads, like the rank threads of a run would; beside them one more
-/// thread builds the locator geometry (whose face planes wait for the
-/// first query) and then what the mesh alone decides
-/// ([`MeshStructure`]), built once and shared by every rank.
+/// thread shapes the SELL structure the schedules scatter into, then
+/// builds the locator geometry (whose face planes wait for the first
+/// query) and what the mesh alone decides ([`MeshStructure`]), built
+/// once and shared by every rank.
 pub fn prepare(key: &PrepareKey) -> Result<Arc<Prepared>, String> {
     let (fluid_parts, particle_parts) = key.parts();
     if fluid_parts == 0 || particle_parts == 0 {
@@ -197,19 +198,30 @@ pub fn prepare(key: &PrepareKey) -> Result<Arc<Prepared>, String> {
         stage!("structure", (CsrMatrix::from_adjacency(&adj, &perm), mesh.element_sizes().into()));
     // Freed before the plans are built, which then reuse the memory.
     drop((n2e, adj, perm));
+    // The SELL structure both matrices share, which the plans' scatter
+    // indices name. The side thread shapes it first; a plan reaches it
+    // only after its units (tens of milliseconds), so it rarely waits,
+    // and whichever thread asks first builds it.
+    let sell = OnceLock::new();
+    let shape = || sell.get_or_init(|| Arc::new(SellStructure::from_csr(&pattern)));
     let (strategy, n_sub) = (key.strategy, key.subdomains_per_rank);
     let schedule = |elems: Vec<u32>| {
-        stage!("plan", Schedule::build(mesh, &pattern, &sizes, elems, strategy, n_sub, key.layout))
+        stage!("plan", {
+            let units = AssemblyUnits::new(mesh, elems, strategy, n_sub);
+            Schedule::build(mesh, units, shape(), &sizes, key.layout)
+        })
     };
     let (locator, fluid) = std::thread::scope(|scope| {
         fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
             handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
         }
         let side = scope.spawn(|| {
+            let sell = stage!("structure", Arc::clone(shape()));
             let faces = Arc::clone(&airway.face_neighbors);
             let locator =
                 stage!("locator", Arc::new(LocatorGeometry::new(mesh, faces, Arc::clone(&sizes))));
-            let shared = stage!("structure", Arc::new(MeshStructure::build(mesh, &pattern, &sizes)));
+            let shared =
+                stage!("structure", Arc::new(MeshStructure::build(mesh, &pattern, sell, &sizes)));
             (locator, shared)
         });
         let mut members = members.into_iter();

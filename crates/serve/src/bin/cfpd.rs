@@ -41,25 +41,30 @@ fn main() {
     cfpd_telemetry::init_from_env();
     cfpd_flight::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // The one place a refused flag exits: every refusal is a message
+    // naming the flag, made before the verb runs anything.
+    if let Err(message) = dispatch(&args) {
+        eprintln!("{message}");
+        std::process::exit(2);
+    }
+}
+
+/// Run the verb `args` names, or return the refusal of its flags.
+fn dispatch(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let flags = |known: &[&str]| Flags::parse(&args[1.min(args.len())..], known);
+    let flags = |table: Table| Flags::parse(&args[1.min(args.len())..], table);
     match cmd {
-        "mesh" => cmd_mesh(&flags(&["--generations", "--vtk"])),
-        "run" => cmd_run(&flags(&[
-            "--ranks", "--threads", "--dlb", "--coupled", "--generations", "--particles",
-            "--steps", "--strategy", "--hetero",
-        ])),
-        "profile" => cmd_profile(&flags(&["--ranks", "--particles", "--generations"])),
-        "golden" => cmd_golden(&flags(&["--ranks", "--layout", "--trace"])),
-        "chaos" => cmd_chaos(&flags(&["--seed", "--ranks", "--dlb", "--storm", "--json", "--trace"])),
-        "report" => {
-            cmd_report(&flags(&["--ranks", "--json", "--trace", "--baseline", "--tolerance"]))
-        }
-        "trace" => cmd_trace(&args),
-        "campaign" => cmd_campaign(&args),
-        "serve" => cmd_serve(&args),
-        "flight" => cmd_flight(&args),
-        "watch" => cmd_watch(&args),
+        "mesh" => cmd_mesh(&flags(MESH)?),
+        "run" => cmd_run(&flags(RUN)?),
+        "profile" => cmd_profile(&flags(PROFILE)?),
+        "golden" => return cmd_golden(&flags(GOLDEN)?),
+        "chaos" => cmd_chaos(&flags(CHAOS)?),
+        "report" => cmd_report(&flags(REPORT)?),
+        "trace" => return cmd_trace(args),
+        "campaign" => return cmd_campaign(args),
+        "serve" => return cmd_serve(args),
+        "flight" => return cmd_flight(args),
+        "watch" => return cmd_watch(args),
         _ => {
             eprintln!(
                 "usage: cfpd <mesh|run|profile|golden|chaos|report|trace|campaign|serve|flight|watch> [flags]\n\
@@ -83,6 +88,7 @@ fn main() {
             std::process::exit(if cmd == "help" { 0 } else { 2 });
         }
     }
+    Ok(())
 }
 
 /// Load and validate a campaign file; exit 2 with a `file:line: message`
@@ -110,16 +116,16 @@ fn load_campaign(path: &str) -> CampaignSpec {
 /// * `report FILE --baseline PATH` runs the matrix and diffs the
 ///   canonical JSON report against the baseline under the campaign's
 ///   `[budget]`; exit 1 when any delta exceeds its budget.
-fn cmd_campaign(args: &[String]) {
+fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let verb = args.get(1).map(String::as_str).unwrap_or("help");
     let file = args.get(2).map(String::as_str);
-    let known: &[&str] = match verb {
-        "run" => &["--jobs", "--json", "--report", "--timing", "--cell-timeout"],
-        "report" => &["--baseline", "--jobs", "--cell-timeout"],
-        _ => &[],
+    let table = match verb {
+        "run" => CAMPAIGN_RUN,
+        "report" => CAMPAIGN_REPORT,
+        _ => CAMPAIGN_EXPAND,
     };
-    let flags = Flags::parse(&args[3.min(args.len())..], known);
-    let usage = || {
+    let flags = Flags::parse(&args[3.min(args.len())..], table)?;
+    let usage = || -> ! {
         eprintln!(
             "usage: cfpd campaign expand FILE\n\
              \x20      cfpd campaign run FILE [--jobs N] [--json] [--report PATH] [--timing]\n\
@@ -128,10 +134,10 @@ fn cmd_campaign(args: &[String]) {
         );
         std::process::exit(if verb == "help" { 0 } else { 2 });
     };
-    let Some(file) = file else { return usage() };
+    let Some(file) = file else { usage() };
     let spec = load_campaign(file);
-    let jobs: Option<usize> = flags.parsed("--jobs");
-    let cell_timeout = parse_secs_flag(&flags, "--cell-timeout");
+    let jobs = flags.int("--jobs").map(|n| n as usize);
+    let cell_timeout = flags.secs("--cell-timeout");
     match verb {
         "expand" => {
             let cells = expand(&spec).expect("validated spec expands");
@@ -168,8 +174,7 @@ fn cmd_campaign(args: &[String]) {
         }
         "report" => {
             let Some(baseline_path) = flags.get("--baseline") else {
-                eprintln!("campaign report: --baseline PATH is required");
-                std::process::exit(2);
+                return Err("--baseline: campaign report needs a baseline PATH".to_string());
             };
             let baseline = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
                 eprintln!("{baseline_path}: {e}");
@@ -189,17 +194,7 @@ fn cmd_campaign(args: &[String]) {
         }
         _ => usage(),
     }
-}
-
-/// Parse a `--flag SECS` duration (fractional seconds allowed).
-fn parse_secs_flag(flags: &Flags, name: &str) -> Option<std::time::Duration> {
-    flags.parsed::<f64>(name).map(|secs| {
-        if !(secs > 0.0) {
-            eprintln!("{name}: seconds must be > 0");
-            std::process::exit(2);
-        }
-        std::time::Duration::from_secs_f64(secs)
-    })
+    Ok(())
 }
 
 /// `cfpd serve <run|submit|status|result|cancel|metrics|drain>` — the
@@ -208,9 +203,9 @@ fn parse_secs_flag(flags: &Flags, name: &str) -> Option<std::time::Duration> {
 /// * `run` starts the daemon in the foreground (prints the bound
 ///   address, serves until drained or killed);
 /// * everything else is a thin HTTP client against `--addr`.
-fn cmd_serve(args: &[String]) {
+fn cmd_serve(args: &[String]) -> Result<(), String> {
     let verb = args.get(1).map(String::as_str).unwrap_or("help");
-    let usage = || {
+    let usage = || -> ! {
         eprintln!(
             "usage: cfpd serve run [--addr HOST:PORT] [--data DIR] [--workers N]\n\
              \x20         [--queue-cap N] [--ckpt-interval STEPS] [--cell-timeout SECS]\n\
@@ -228,23 +223,18 @@ fn cmd_serve(args: &[String]) {
     };
 
     if verb == "run" {
-        let known = [
-            "--addr", "--data", "--workers", "--queue-cap", "--ckpt-interval", "--cell-timeout",
-            "--retry-max", "--backoff-ms", "--deadline", "--http-threads", "--drift-factor",
-            "--fault-seed", "--fault-crash-first", "--fault-crash-per-mille",
-            "--fault-stall-first", "--fault-stall-ms", "--fault-freeze-wal-after",
-        ];
-        let flags = Flags::parse(&args[2.min(args.len())..], &known);
+        let flags = Flags::parse(&args[2.min(args.len())..], SERVE_RUN)?;
         // Seeded fault injection (off unless asked for): the same plan
         // the resilience suite drives in-process, exposed so a daemon
         // under external test can replay a chaos scenario from its seed.
         let fault = ServeFaultPlan {
-            seed: flags.usize_or("--fault-seed", 0) as u64,
-            crash_first_attempts: flags.usize_or("--fault-crash-first", 0) as u32,
-            crash_per_mille: flags.usize_or("--fault-crash-per-mille", 0) as u16,
-            stall_first_attempts: flags.usize_or("--fault-stall-first", 0) as u32,
-            stall_ms: flags.usize_or("--fault-stall-ms", 0) as u64,
-            freeze_wal_after: flags.parsed("--fault-freeze-wal-after"),
+            // The tables bound every value to its field's type.
+            seed: flags.int("--fault-seed").unwrap_or(0),
+            crash_first_attempts: flags.int("--fault-crash-first").unwrap_or(0) as u32,
+            crash_per_mille: flags.int("--fault-crash-per-mille").unwrap_or(0) as u16,
+            stall_first_attempts: flags.int("--fault-stall-first").unwrap_or(0) as u32,
+            stall_ms: flags.int("--fault-stall-ms").unwrap_or(0),
+            freeze_wal_after: flags.int("--fault-freeze-wal-after"),
         };
         let cfg = ServeConfig {
             addr: flags.get("--addr").unwrap_or("127.0.0.1:0").to_string(),
@@ -252,12 +242,12 @@ fn cmd_serve(args: &[String]) {
             workers: flags.usize_or("--workers", 2),
             queue_cap: flags.usize_or("--queue-cap", 8),
             ckpt_interval: flags.usize_or("--ckpt-interval", 1),
-            cell_timeout: parse_secs_flag(&flags, "--cell-timeout"),
+            cell_timeout: flags.secs("--cell-timeout"),
             retry_max: flags.usize_or("--retry-max", 2) as u32,
             backoff_base_ms: flags.usize_or("--backoff-ms", 25) as u64,
-            job_deadline: parse_secs_flag(&flags, "--deadline"),
+            job_deadline: flags.secs("--deadline"),
             http_threads: flags.usize_or("--http-threads", 2),
-            drift_factor: flags.f64_or("--drift-factor", 3.0),
+            drift_factor: flags.real("--drift-factor").unwrap_or(3.0),
             fault,
         };
         let daemon = Daemon::start(cfg).unwrap_or_else(|e| {
@@ -267,17 +257,19 @@ fn cmd_serve(args: &[String]) {
         println!("cfpd-serve listening on {}", daemon.addr());
         daemon.join();
         println!("cfpd-serve drained");
-        return;
+        return Ok(());
     }
 
     // Client verbs. Positional operand first, flags after.
     let operand = args.get(2).filter(|a| !a.starts_with("--")).map(String::as_str);
     let flag_start = if operand.is_some() { 3 } else { 2 };
-    let known: &[&str] = if verb == "metrics" { &["--addr", "--lint"] } else { &["--addr"] };
-    let flags = Flags::parse(&args[flag_start.min(args.len())..], known);
+    let table = if verb == "metrics" { SERVE_METRICS } else { SERVE_CLIENT };
+    let flags = Flags::parse(&args[flag_start.min(args.len())..], table)?;
+    if !matches!(verb, "submit" | "status" | "result" | "cancel" | "metrics" | "drain") {
+        usage();
+    }
     let Some(addr) = flags.get("--addr") else {
-        eprintln!("serve {verb}: --addr HOST:PORT is required");
-        return usage();
+        return Err(format!("--addr: serve {verb} needs the daemon's HOST:PORT"));
     };
     let call = |method: &str, path: &str, body: &str| -> (u16, String) {
         http_call(addr, method, path, body).unwrap_or_else(|e| {
@@ -318,7 +310,7 @@ fn cmd_serve(args: &[String]) {
             (status, body)
         }
         "drain" => call("POST", "/drain", ""),
-        _ => return usage(),
+        _ => usage(),
     };
     print!("{body}");
     if !body.ends_with('\n') {
@@ -327,6 +319,7 @@ fn cmd_serve(args: &[String]) {
     if status >= 400 {
         std::process::exit(1);
     }
+    Ok(())
 }
 
 /// `cfpd flight <dump|analyze>` — the post-mortem black box.
@@ -337,12 +330,12 @@ fn cmd_serve(args: &[String]) {
 /// * `analyze FILE` digest-verifies a dump, renders the last-N-events
 ///   timeline, and hands the phase events to the `cfpd_trace`
 ///   critical-path analysis. Exit 1 on a corrupt dump.
-fn cmd_flight(args: &[String]) {
+fn cmd_flight(args: &[String]) -> Result<(), String> {
     let verb = args.get(1).map(String::as_str).unwrap_or("help");
     match verb {
         "dump" => {
-            let flags = Flags::parse(&args[2.min(args.len())..], &["--ranks", "--out"]);
-            let ranks = flags.count_or("--ranks", 2);
+            let flags = Flags::parse(&args[2.min(args.len())..], FLIGHT_DUMP)?;
+            let ranks = flags.usize_or("--ranks", 2);
             cfpd_telemetry::set_enabled(true);
             cfpd_flight::set_enabled(true);
             cfpd_flight::reset();
@@ -364,7 +357,7 @@ fn cmd_flight(args: &[String]) {
                 eprintln!("usage: cfpd flight analyze FILE [--last N]");
                 std::process::exit(2);
             };
-            let flags = Flags::parse(&args[3.min(args.len())..], &["--last"]);
+            let flags = Flags::parse(&args[3.min(args.len())..], FLIGHT_ANALYZE)?;
             let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
                 eprintln!("{file}: {e}");
                 std::process::exit(2);
@@ -388,6 +381,7 @@ fn cmd_flight(args: &[String]) {
             std::process::exit(if verb == "help" { 0 } else { 2 });
         }
     }
+    Ok(())
 }
 
 /// Rebuild a [`cfpd_trace::Trace`] from a dump's phase events and run
@@ -426,17 +420,16 @@ fn analyze_flight_phases(events: &[cfpd_flight::FlightEvent]) {
 /// job: a progress line per interval plus any new supervisor feed
 /// events. Exits 0 when the job completes, 1 when it fails or is
 /// cancelled.
-fn cmd_watch(args: &[String]) {
+fn cmd_watch(args: &[String]) -> Result<(), String> {
     let Some(job) = args.get(1).filter(|a| !a.starts_with("--")) else {
         eprintln!("usage: cfpd watch JOB --addr HOST:PORT [--interval-ms MS]");
         std::process::exit(2);
     };
-    let flags = Flags::parse(&args[2.min(args.len())..], &["--addr", "--interval-ms"]);
+    let flags = Flags::parse(&args[2.min(args.len())..], WATCH)?;
     let Some(addr) = flags.get("--addr") else {
-        eprintln!("watch: --addr HOST:PORT is required");
-        std::process::exit(2);
+        return Err("--addr: watch needs the daemon's HOST:PORT".to_string());
     };
-    let interval = std::time::Duration::from_millis(flags.usize_or("--interval-ms", 500) as u64);
+    let interval = std::time::Duration::from_millis(flags.int("--interval-ms").unwrap_or(500));
     let mut since = 0u64;
     loop {
         // Drain the supervisor feed first (no long-poll: the progress
@@ -498,7 +491,7 @@ fn cmd_watch(args: &[String]) {
         }
         println!("{line}");
         match state.as_str() {
-            "done" => return,
+            "done" => return Ok(()),
             "failed" | "cancelled" => std::process::exit(1),
             _ => std::thread::sleep(interval),
         }
@@ -520,12 +513,12 @@ fn write_trace_dir(trace: &Trace, dir: &Path) -> std::io::Result<()> {
 
 /// `cfpd trace <export|analyze|diff>` — the Paraver-class trace
 /// pipeline on the canonical golden-config case.
-fn cmd_trace(args: &[String]) {
+fn cmd_trace(args: &[String]) -> Result<(), String> {
     let verb = args.get(1).map(String::as_str).unwrap_or("help");
-    let flags = |known: &[&str]| Flags::parse(&args[2.min(args.len())..], known);
+    let flags = |table: Table| Flags::parse(&args[2.min(args.len())..], table);
     match verb {
-        "export" => trace_export(&flags(&["--ranks", "--dlb", "--out"])),
-        "analyze" => trace_analyze(&flags(&["--ranks", "--threads", "--strategy", "--dlb"])),
+        "export" => trace_export(&flags(TRACE_EXPORT)?),
+        "analyze" => trace_analyze(&flags(TRACE_ANALYZE)?),
         "diff" => match (args.get(2), args.get(3)) {
             (Some(a), Some(b)) => trace_diff(a, b),
             _ => {
@@ -542,13 +535,14 @@ fn cmd_trace(args: &[String]) {
             std::process::exit(if verb == "help" { 0 } else { 2 });
         }
     }
+    Ok(())
 }
 
 /// Run the canonical case with full tracing and write every export
 /// format, then re-parse the JSON artifacts with the in-repo RFC 8259
 /// parser as a self-check.
 fn trace_export(flags: &Flags) {
-    let ranks = flags.count_or("--ranks", 2);
+    let ranks = flags.usize_or("--ranks", 2);
     let dlb = flags.has("--dlb");
     let out = PathBuf::from(flags.get("--out").unwrap_or("trace_out"));
     let config = golden_config();
@@ -581,8 +575,8 @@ fn trace_export(flags: &Flags) {
 /// run. Exits 1 if the critical path leaves its bounds (at least the
 /// busiest rank's useful time, at most the wall time).
 fn trace_analyze(flags: &Flags) {
-    let ranks = flags.count_or("--ranks", 2);
-    let threads = flags.count_or("--threads", 1);
+    let ranks = flags.usize_or("--ranks", 2);
+    let threads = flags.usize_or("--threads", 1);
     let dlb = flags.has("--dlb");
     let mut config = golden_config();
     config.strategy = strategy_of(flags);
@@ -659,78 +653,229 @@ fn telemetry_summary_to_stderr(trace: Option<&Trace>) {
     }
 }
 
-/// Minimal flag parser: `--name value` and boolean `--name`.
-struct Flags(Vec<String>);
+/// What a flag takes after it.
+#[derive(Debug, Clone, Copy)]
+enum Arg {
+    /// Nothing: a switch.
+    Switch,
+    /// One word that is not itself a flag (a path, an address, a name).
+    Text,
+    /// One of these words.
+    OneOf(&'static [&'static str]),
+    /// An integer in `min..=max`.
+    Int(u64, u64),
+    /// A finite number above zero (seconds, factors).
+    Positive,
+    /// A finite number, zero or above (tolerances).
+    NonNegative,
+    /// Two integers in `min..=max`.
+    Int2(u64, u64),
+}
+
+/// The flags a verb reads and what each takes.
+type Table = &'static [(&'static str, Arg)];
+
+/// Each rank and each worker is an operating-system thread.
+const THREADS_MAX: u64 = 256;
+const RANKS: Arg = Arg::Int(1, THREADS_MAX);
+const THREADS: Arg = Arg::Int(1, THREADS_MAX);
+/// `AirwaySpec` refuses more than ten.
+const GENERATIONS: Arg = Arg::Int(0, 10);
+const COUNT: Arg = Arg::Int(0, u32::MAX as u64);
+const STRATEGIES: Arg = Arg::OneOf(&["atomics", "coloring", "multidep", "serial"]);
+
+const MESH: Table = &[("--generations", GENERATIONS), ("--vtk", Arg::Text)];
+const RUN: Table = &[
+    ("--ranks", RANKS),
+    ("--threads", THREADS),
+    ("--dlb", Arg::Switch),
+    ("--coupled", Arg::Int2(1, THREADS_MAX)),
+    ("--generations", GENERATIONS),
+    ("--particles", COUNT),
+    ("--steps", COUNT),
+    ("--strategy", STRATEGIES),
+    ("--hetero", Arg::OneOf(&["uniform", "mn4_thunder", "thunder_tail"])),
+];
+const PROFILE: Table =
+    &[("--ranks", RANKS), ("--particles", COUNT), ("--generations", GENERATIONS)];
+const GOLDEN: Table = &[("--ranks", RANKS), ("--layout", Arg::Text), ("--trace", Arg::Text)];
+const CHAOS: Table = &[
+    ("--seed", Arg::Int(0, u64::MAX)),
+    ("--ranks", RANKS),
+    ("--dlb", Arg::Switch),
+    ("--storm", Arg::Switch),
+    ("--json", Arg::Switch),
+    ("--trace", Arg::Text),
+];
+const REPORT: Table = &[
+    ("--ranks", RANKS),
+    ("--json", Arg::Switch),
+    ("--trace", Arg::Text),
+    ("--baseline", Arg::Text),
+    ("--tolerance", Arg::NonNegative),
+];
+const TRACE_EXPORT: Table = &[("--ranks", RANKS), ("--dlb", Arg::Switch), ("--out", Arg::Text)];
+const TRACE_ANALYZE: Table = &[
+    ("--ranks", RANKS),
+    ("--threads", THREADS),
+    ("--strategy", STRATEGIES),
+    ("--dlb", Arg::Switch),
+];
+const CAMPAIGN_EXPAND: Table = &[];
+const CAMPAIGN_RUN: Table = &[
+    ("--jobs", THREADS),
+    ("--json", Arg::Switch),
+    ("--report", Arg::Text),
+    ("--timing", Arg::Switch),
+    ("--cell-timeout", Arg::Positive),
+];
+const CAMPAIGN_REPORT: Table =
+    &[("--baseline", Arg::Text), ("--jobs", THREADS), ("--cell-timeout", Arg::Positive)];
+const SERVE_RUN: Table = &[
+    ("--addr", Arg::Text),
+    ("--data", Arg::Text),
+    ("--workers", THREADS),
+    ("--queue-cap", Arg::Int(1, u32::MAX as u64)),
+    ("--ckpt-interval", Arg::Int(1, u32::MAX as u64)),
+    ("--cell-timeout", Arg::Positive),
+    ("--retry-max", COUNT),
+    ("--backoff-ms", COUNT),
+    ("--deadline", Arg::Positive),
+    ("--http-threads", THREADS),
+    ("--drift-factor", Arg::Positive),
+    ("--fault-seed", Arg::Int(0, u64::MAX)),
+    ("--fault-crash-first", COUNT),
+    ("--fault-crash-per-mille", Arg::Int(0, 1000)),
+    ("--fault-stall-first", COUNT),
+    ("--fault-stall-ms", COUNT),
+    ("--fault-freeze-wal-after", Arg::Int(0, u64::MAX)),
+];
+const SERVE_CLIENT: Table = &[("--addr", Arg::Text)];
+const SERVE_METRICS: Table = &[("--addr", Arg::Text), ("--lint", Arg::Switch)];
+const FLIGHT_DUMP: Table = &[("--ranks", RANKS), ("--out", Arg::Text)];
+const FLIGHT_ANALYZE: Table = &[("--last", COUNT)];
+const WATCH: Table = &[("--addr", Arg::Text), ("--interval-ms", Arg::Int(1, 3_600_000))];
+
+/// A flag's checked value.
+#[derive(Debug)]
+enum Value {
+    On,
+    Text(String),
+    Int(u64),
+    Real(f64),
+    Int2(u64, u64),
+}
+
+/// The flags of one invocation, each checked against the verb's
+/// [`Table`] before anything runs: reading a value cannot fail.
+#[derive(Debug)]
+struct Flags(Vec<(&'static str, Value)>);
 
 impl Flags {
-    /// The flags of a verb that reads the flags `known`; exit 2 naming
-    /// any other `--` argument, before anything runs.
-    fn parse(args: &[String], known: &[&str]) -> Flags {
-        if let Some(unknown) = args.iter().find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
-            eprintln!("{unknown}: not a flag this verb reads [{}]", known.join(" "));
-            std::process::exit(2);
-        }
-        Flags(args.to_vec())
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
-    }
-
-    /// The two values after `name`, parsed; exit 2 naming the flag when
-    /// either is missing or does not parse.
-    fn get2<T: std::str::FromStr>(&self, name: &str) -> Option<(T, T)> {
-        let i = self.0.iter().position(|a| a == name)?;
-        let parse = |k: usize| self.0.get(i + k).and_then(|v| v.parse().ok());
-        match (parse(1), parse(2)) {
-            (Some(a), Some(b)) => Some((a, b)),
-            _ => {
-                let given = self.0[i + 1..].iter().take(2).collect::<Vec<_>>();
-                eprintln!("{name}: expects two values, got {given:?}");
-                std::process::exit(2);
+    /// Check `args` against `table`. The refusal names the flag: one the
+    /// verb does not read, one given twice, a value that is missing or is
+    /// itself a flag, a word outside the flag's choices, a number that
+    /// does not parse, overflows or leaves its range, or that is NaN.
+    fn parse(args: &[String], table: Table) -> Result<Flags, String> {
+        let mut flags = Vec::new();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let Some(&(name, arg_kind)) = table.iter().find(|(name, _)| name == arg) else {
+                let names: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+                return Err(format!("{arg}: not a flag this verb reads [{}]", names.join(" ")));
+            };
+            if flags.iter().any(|(seen, _)| *seen == name) {
+                return Err(format!("{name}: given more than once"));
             }
+            let mut word = || match rest.next() {
+                Some(v) if v.starts_with("--") => Err(format!("{name}: expects a value, got {v}")),
+                Some(v) => Ok(v.as_str()),
+                None => Err(format!("{name}: expects a value")),
+            };
+            let int = |v: &str, (min, max): (u64, u64)| {
+                v.parse::<u64>().ok().filter(|n| (min..=max).contains(n)).ok_or_else(|| {
+                    format!("{name}: invalid value {v:?}: expects an integer in {min}..={max}")
+                })
+            };
+            let real = |v: &str, min_exclusive: bool| {
+                let ok = |x: &f64| x.is_finite() && (*x > 0.0 || (!min_exclusive && *x == 0.0));
+                let bound = if min_exclusive { "above 0" } else { "0 or above" };
+                v.parse::<f64>().ok().filter(ok).ok_or_else(|| {
+                    format!("{name}: invalid value {v:?}: expects a finite number {bound}")
+                })
+            };
+            let value = match arg_kind {
+                Arg::Switch => Value::On,
+                Arg::Text => Value::Text(word()?.to_string()),
+                Arg::OneOf(choices) => {
+                    let v = word()?;
+                    if !choices.contains(&v) {
+                        return Err(format!("{name}: invalid value {v:?}: one of {choices:?}"));
+                    }
+                    Value::Text(v.to_string())
+                }
+                Arg::Int(min, max) => Value::Int(int(word()?, (min, max))?),
+                Arg::Positive => Value::Real(real(word()?, true)?),
+                Arg::NonNegative => Value::Real(real(word()?, false)?),
+                Arg::Int2(min, max) => {
+                    let (a, b) = (word()?, word()?);
+                    Value::Int2(int(a, (min, max))?, int(b, (min, max))?)
+                }
+            };
+            flags.push((name, value));
         }
+        Ok(Flags(flags))
     }
 
-    /// The value after `name`, parsed; exit 2 naming the flag when it is
-    /// missing or does not parse.
-    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-        let i = self.0.iter().position(|a| a == name)?;
-        let v = self.0.get(i + 1).map(String::as_str);
-        match v.map(str::parse) {
-            Some(Ok(x)) => Some(x),
-            _ => {
-                eprintln!("{name}: invalid value {:?}", v.unwrap_or(""));
-                std::process::exit(2);
-            }
-        }
+    fn value(&self, name: &str) -> Option<&Value> {
+        self.0.iter().find(|(flag, _)| *flag == name).map(|(_, value)| value)
     }
 
     fn has(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
+        self.value(name).is_some()
     }
 
-    fn usize_or(&self, name: &str, default: usize) -> usize {
-        self.parsed(name).unwrap_or(default)
-    }
-
-    /// [`Flags::usize_or`] of a count that cannot be zero (ranks,
-    /// threads); exit 2 naming the flag when it is.
-    fn count_or(&self, name: &str, default: usize) -> usize {
-        let n = self.usize_or(name, default);
-        if n == 0 {
-            eprintln!("{name}: must be at least 1");
-            std::process::exit(2);
+    /// The word after `name` (a [`Arg::Text`] or [`Arg::OneOf`] flag).
+    fn get(&self, name: &str) -> Option<&str> {
+        match self.value(name)? {
+            Value::Text(v) => Some(v),
+            other => unreachable!("{name} read as a word: {other:?}"),
         }
-        n
     }
 
-    fn f64_or(&self, name: &str, default: f64) -> f64 {
-        self.parsed(name).unwrap_or(default)
+    /// The integer after `name` (an [`Arg::Int`] flag).
+    fn int(&self, name: &str) -> Option<u64> {
+        match self.value(name)? {
+            Value::Int(n) => Some(*n),
+            other => unreachable!("{name} read as an integer: {other:?}"),
+        }
+    }
+
+    /// [`Flags::int`] as a `usize`, `default` when absent.
+    fn usize_or(&self, name: &str, default: usize) -> usize {
+        self.int(name).map_or(default, |n| n as usize)
+    }
+
+    /// The number after `name` (an [`Arg::Positive`] or
+    /// [`Arg::NonNegative`] flag).
+    fn real(&self, name: &str) -> Option<f64> {
+        match self.value(name)? {
+            Value::Real(x) => Some(*x),
+            other => unreachable!("{name} read as a number: {other:?}"),
+        }
+    }
+
+    /// The two integers after `name` (an [`Arg::Int2`] flag).
+    fn int2(&self, name: &str) -> Option<(usize, usize)> {
+        match self.value(name)? {
+            Value::Int2(a, b) => Some((*a as usize, *b as usize)),
+            other => unreachable!("{name} read as two integers: {other:?}"),
+        }
+    }
+
+    /// A `--flag SECS` duration.
+    fn secs(&self, name: &str) -> Option<std::time::Duration> {
+        self.real(name).map(std::time::Duration::from_secs_f64)
     }
 }
 
@@ -738,12 +883,8 @@ fn strategy_of(flags: &Flags) -> AssemblyStrategy {
     match flags.get("--strategy").unwrap_or("multidep") {
         "atomics" => AssemblyStrategy::Atomics,
         "coloring" => AssemblyStrategy::Coloring,
-        "multidep" => AssemblyStrategy::Multidep,
         "serial" => AssemblyStrategy::Serial,
-        other => {
-            eprintln!("unknown strategy {other}");
-            std::process::exit(2);
-        }
+        _ => AssemblyStrategy::Multidep,
     }
 }
 
@@ -778,7 +919,7 @@ fn cmd_mesh(flags: &Flags) {
 }
 
 fn cmd_run(flags: &Flags) {
-    let mode = match flags.get2("--coupled") {
+    let mode = match flags.int2("--coupled") {
         Some((fluid, particles)) => ExecutionMode::Coupled { fluid, particles },
         None => ExecutionMode::Synchronous,
     };
@@ -790,14 +931,11 @@ fn cmd_run(flags: &Flags) {
         mode,
         ..Default::default()
     };
-    let ranks = flags.count_or("--ranks", 2);
-    let threads = flags.count_or("--threads", 1);
+    let ranks = flags.usize_or("--ranks", 2);
+    let threads = flags.usize_or("--threads", 1);
     let dlb = flags.has("--dlb");
     let hetero = flags.get("--hetero").map(|name| {
-        cfpd_hetero::profile_by_name(name, config.seed).unwrap_or_else(|e| {
-            eprintln!("--hetero: {e}");
-            std::process::exit(2);
-        })
+        cfpd_hetero::profile_by_name(name, config.seed).expect("the table lists the profiles")
     });
     println!(
         "running {:?} on {} ranks x {} threads, strategy {:?}, DLB {}",
@@ -846,14 +984,11 @@ fn cmd_run(flags: &Flags) {
 /// byte-identical output on every invocation with the same flags.
 /// `--layout opt` runs the fast layout, which is pinned by its own
 /// golden file; without the flag the run uses the reference layout.
-fn cmd_golden(flags: &Flags) {
-    let ranks = flags.count_or("--ranks", 2);
+fn cmd_golden(flags: &Flags) -> Result<(), String> {
+    let ranks = flags.usize_or("--ranks", 2);
     let mut config = golden_config();
     if let Some(name) = flags.get("--layout") {
-        config.layout = LayoutPlan::parse(name).unwrap_or_else(|e| {
-            eprintln!("--layout: {e}");
-            std::process::exit(2);
-        });
+        config.layout = LayoutPlan::parse(name).map_err(|e| format!("--layout: {e}"))?;
     }
     let trace = match flags.get("--trace") {
         // Traced run: stdout stays byte-identical to the untraced golden
@@ -874,6 +1009,7 @@ fn cmd_golden(flags: &Flags) {
         }
     };
     telemetry_summary_to_stderr(Some(&trace));
+    Ok(())
 }
 
 /// Run the canonical golden-config case under a seeded fault plan.
@@ -889,8 +1025,8 @@ fn cmd_golden(flags: &Flags) {
 /// hang; exit 3 when the report is produced, 4 if the run unexpectedly
 /// completes or fails without diagnostics.
 fn cmd_chaos(flags: &Flags) {
-    let seed: u64 = flags.parsed("--seed").unwrap_or(7);
-    let ranks = flags.count_or("--ranks", 2);
+    let seed = flags.int("--seed").unwrap_or(7);
+    let ranks = flags.usize_or("--ranks", 2);
     let dlb = flags.has("--dlb");
     let json = flags.has("--json");
     let trace_dir = flags.get("--trace").map(PathBuf::from);
@@ -1049,7 +1185,7 @@ fn storm_json(seed: u64, ranks: usize, deadlock: bool, fails: &[(usize, String)]
 /// the POP rollup of the run's own phase record, as a text table or
 /// (`--json`) one JSON document `{"telemetry":{...},"pop":{...}}`.
 fn cmd_report(flags: &Flags) {
-    let ranks = flags.count_or("--ranks", 2);
+    let ranks = flags.usize_or("--ranks", 2);
     let config = golden_config();
     let trace_dir = flags.get("--trace").map(PathBuf::from);
     cfpd_telemetry::set_enabled(true);
@@ -1078,7 +1214,7 @@ fn cmd_report(flags: &Flags) {
             eprintln!("{baseline_path}: {e}");
             std::process::exit(2);
         });
-        let tol = flags.f64_or("--tolerance", 0.25);
+        let tol = flags.real("--tolerance").unwrap_or(0.25);
         match diff_report_docs(&doc, &baseline, tol) {
             Ok((rendered, regressions)) => {
                 print!("{rendered}");
@@ -1190,7 +1326,7 @@ fn diff_report_docs(current: &str, baseline: &str, tol: f64) -> Result<(String, 
 }
 
 fn cmd_profile(flags: &Flags) {
-    let ranks = flags.count_or("--ranks", 16);
+    let ranks = flags.usize_or("--ranks", 16);
     let particles = flags.usize_or("--particles", 4000);
     let spec = AirwaySpec { generations: flags.usize_or("--generations", 3), ..AirwaySpec::default() };
     let airway = generate_airway(&spec).expect("valid spec");
@@ -1206,5 +1342,141 @@ fn cmd_profile(flags: &Flags) {
     println!("  sgs       L{} = {:.3}", ranks, cfpd_trace::load_balance(&w.sgs));
     for (s, _) in w.particles_per_step.iter().enumerate().take(3) {
         println!("  particles L{} = {:.4} (step {s})", ranks, w.particle_balance(s));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfpd_testkit::prop::{check, usize_range, PropConfig};
+    use cfpd_testkit::Rng;
+
+    /// Every verb's flag table.
+    const TABLES: &[Table] = &[
+        MESH, RUN, PROFILE, GOLDEN, CHAOS, REPORT, TRACE_EXPORT, TRACE_ANALYZE, CAMPAIGN_EXPAND,
+        CAMPAIGN_RUN, CAMPAIGN_REPORT, SERVE_RUN, SERVE_CLIENT, SERVE_METRICS, FLIGHT_DUMP,
+        FLIGHT_ANALYZE, WATCH,
+    ];
+
+    /// Words `arg` accepts after its flag.
+    fn valid(arg: Arg, rng: &mut Rng) -> Vec<String> {
+        let int = |min: u64, max: u64, rng: &mut Rng| {
+            [min, max, min.saturating_add(1).min(max)][rng.range_usize(0, 3)].to_string()
+        };
+        match arg {
+            Arg::Switch => vec![],
+            Arg::Text => vec!["some/path".to_string()],
+            Arg::OneOf(choices) => vec![choices[rng.range_usize(0, choices.len())].to_string()],
+            Arg::Int(min, max) => vec![int(min, max, rng)],
+            Arg::Positive => vec!["0.25".to_string()],
+            Arg::NonNegative => vec!["0".to_string()],
+            Arg::Int2(min, max) => vec![int(min, max, rng), int(min, max, rng)],
+        }
+    }
+
+    /// Words `arg` refuses after its flag: negative, NaN, infinite,
+    /// overflowing, fractional and out-of-range numbers, zero where the
+    /// least is one, and words outside a flag's choices.
+    fn refused(arg: Arg) -> Vec<Vec<String>> {
+        let words = |w: &[&str]| w.iter().map(|s| vec![s.to_string()]).collect::<Vec<_>>();
+        let ints = |min: u64, max: u64| {
+            let mut bad = words(&["-1", "NaN", "1.5", "abc", "18446744073709551616", ""]);
+            if min > 0 {
+                bad.push(vec![(min - 1).to_string()]);
+            }
+            if max < u64::MAX {
+                bad.push(vec![(max + 1).to_string()]);
+            }
+            bad
+        };
+        match arg {
+            Arg::Switch | Arg::Text => vec![],
+            Arg::OneOf(_) => words(&["bogus", "NaN"]),
+            Arg::Int(min, max) => ints(min, max),
+            Arg::Positive => words(&["0", "-1", "NaN", "inf", "1e400", "abc"]),
+            Arg::NonNegative => words(&["-0.5", "NaN", "-inf", "abc"]),
+            Arg::Int2(min, max) => {
+                let good = vec![min.to_string()];
+                let pairs = ints(min, max).into_iter().map(|bad| [bad.clone(), good.clone(), bad]);
+                pairs.flat_map(|[a, b, c]| [[a, b.clone()].concat(), [b, c].concat()]).collect()
+            }
+        }
+    }
+
+    /// The other flags of `table` with valid values, in random order.
+    fn valid_flags(table: Table, skip: usize, rng: &mut Rng) -> Vec<String> {
+        let mut order: Vec<usize> = (0..table.len()).filter(|&k| k != skip).collect();
+        rng.shuffle(&mut order);
+        order.truncate(rng.range_usize(0, order.len() + 1));
+        let mut argv = Vec::new();
+        for k in order {
+            argv.push(table[k].0.to_string());
+            argv.extend(valid(table[k].1, rng));
+        }
+        argv
+    }
+
+    // Every verb's table against argv that is valid but for one hostile
+    // part: a flag the verb does not read, a flag given twice, a value
+    // that is missing or is the next flag, or a value the flag refuses.
+    // Parsing never panics and the refusal names the flag; the same argv
+    // without the hostile part parses, and every value reads back.
+    #[test]
+    fn prop_hostile_argv_is_refused_naming_the_flag() {
+        let gen = (
+            usize_range(0, TABLES.len()),
+            usize_range(0, 64),
+            usize_range(0, 5),
+            usize_range(0, 1 << 30),
+        );
+        check(
+            "hostile argv is refused naming the flag",
+            PropConfig::cases(400),
+            &gen,
+            |&(t, f, hostility, seed)| {
+                let (table, rng) = (TABLES[t], &mut Rng::new(seed as u64));
+                let target = if table.is_empty() { None } else { Some(f % table.len()) };
+                let before = valid_flags(table, target.unwrap_or(usize::MAX), rng);
+                let parse = |argv: &[String]| Flags::parse(argv, table);
+
+                let good = parse(&before).unwrap_or_else(|e| panic!("{before:?} refused: {e}"));
+                for &(name, arg) in table {
+                    match arg {
+                        Arg::Switch => drop(good.has(name)),
+                        Arg::Text | Arg::OneOf(_) => drop(good.get(name)),
+                        Arg::Int(..) => drop(good.int(name)),
+                        Arg::Positive | Arg::NonNegative => drop(good.real(name)),
+                        Arg::Int2(..) => drop(good.int2(name)),
+                    }
+                }
+
+                let (name, arg) = target.map_or(("--bogus", Arg::Switch), |k| table[k]);
+                let bad_values = refused(arg);
+                let (hostile, flag): (Vec<String>, &str) = match (hostility, target) {
+                    (1, Some(_)) => {
+                        let once = [vec![name.to_string()], valid(arg, rng)].concat();
+                        ([once.clone(), once].concat(), name)
+                    }
+                    (2, Some(_)) if !matches!(arg, Arg::Switch) => (vec![name.to_string()], name),
+                    (3, Some(_)) if !matches!(arg, Arg::Switch) => {
+                        let mut names = table.iter().map(|(n, _)| *n);
+                        let next = names.find(|n| *n != name).unwrap_or("--x");
+                        (vec![name.to_string(), next.to_string(), "1".to_string()], name)
+                    }
+                    (4, Some(_)) if !bad_values.is_empty() => {
+                        let bad = &bad_values[rng.range_usize(0, bad_values.len())];
+                        ([vec![name.to_string()], bad.clone()].concat(), name)
+                    }
+                    _ => (vec!["--bogus".to_string(), "1".to_string()], "--bogus"),
+                };
+                // A missing value can only come last.
+                let argv =
+                    if hostility == 2 { [before, hostile] } else { [hostile, before] }.concat();
+                match parse(&argv) {
+                    Ok(flags) => panic!("{argv:?} parsed: {flags:?}"),
+                    Err(e) => assert!(e.starts_with(&format!("{flag}:")), "{argv:?}: {e}"),
+                }
+            },
+        );
     }
 }

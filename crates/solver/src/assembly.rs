@@ -33,8 +33,8 @@
 //! hold it to (`crate::oracle::assemble_momentum` and siblings).
 
 use crate::batch::{BatchSchedule, ElementOrder};
-use crate::csr::CsrMatrix;
-use cfpd_mesh::Mesh;
+use crate::sell::SellStructure;
+use cfpd_mesh::{Csr, Mesh};
 use cfpd_partition::{decompose_subdomains, greedy_coloring, local_element_graph};
 use cfpd_runtime::Dep;
 
@@ -69,6 +69,10 @@ impl AssemblyStrategy {
     }
 }
 
+/// Element ids per subdomain (colour-numbered) and per-subdomain
+/// dependence object lists (one object per adjacency edge).
+type Subdomains = (Vec<Vec<u32>>, Vec<Vec<usize>>);
+
 /// Precomputed schedule for assembling a fixed element set with a fixed
 /// strategy (built once, reused every time step — as a production code
 /// would).
@@ -79,10 +83,8 @@ pub struct AssemblyPlan {
     pub elems: Vec<u32>,
     /// Coloring schedule: element ids per color.
     color_classes: Option<Vec<Vec<u32>>>,
-    /// Multidep schedule: element ids per subdomain (colour-numbered) +
-    /// per-subdomain dependence object lists (one object per adjacency
-    /// edge).
-    subdomains: Option<(Vec<Vec<u32>>, Vec<Vec<usize>>)>,
+    /// Multidep schedule.
+    subdomains: Option<Subdomains>,
     /// Grain for the atomics parallel loop.
     grain: usize,
     /// Quadrature-weighted work of `elems` (Tet4 ≡ 1).
@@ -107,36 +109,33 @@ pub struct AssemblyStats {
     pub tasks: usize,
 }
 
-impl AssemblyPlan {
-    /// Build a plan for `elems` of `mesh` under `strategy`, its units
-    /// summed in `order`. `n_subdomains` controls the Multidep
-    /// decomposition (ignored by the other strategies); a good default is
-    /// several times the executor count. `pattern` is the sparsity the
-    /// assembled matrices have (`CsrMatrix::from_mesh`): gather lists,
-    /// scatter indices and element lengths are precomputed against it.
+/// Who sums which elements under a strategy — the whole list, colour
+/// classes, or ordered subdomains — which does not depend on how the
+/// assembled matrices store their values: the half of an
+/// [`AssemblyPlan`] that [`AssemblyPlan::schedule`] completes against a
+/// [`SellStructure`]. `prepare` builds it while another thread shapes
+/// that structure.
+#[derive(Debug)]
+pub struct AssemblyUnits {
+    strategy: AssemblyStrategy,
+    elems: Vec<u32>,
+    color_classes: Option<Vec<Vec<u32>>>,
+    subdomains: Option<Subdomains>,
+    weighted_ops: f64,
+    /// `mesh.node_to_listed(elems)`, which the scatter pass walks.
+    node_elems: Csr,
+}
+
+impl AssemblyUnits {
+    /// The units of `elems` of `mesh` under `strategy`. `n_subdomains`
+    /// controls the Multidep decomposition (ignored by the other
+    /// strategies); a good default is several times the executor count.
     pub fn new(
         mesh: &Mesh,
         elems: Vec<u32>,
         strategy: AssemblyStrategy,
         n_subdomains: usize,
-        pattern: &CsrMatrix,
-        order: ElementOrder,
-    ) -> AssemblyPlan {
-        let sizes = mesh.element_sizes();
-        AssemblyPlan::with_sizes(mesh, elems, strategy, n_subdomains, pattern, order, &sizes)
-    }
-
-    /// [`AssemblyPlan::new`] reading the element lengths from `sizes`
-    /// ([`Mesh::element_sizes`]), a table built once per mesh.
-    pub fn with_sizes(
-        mesh: &Mesh,
-        elems: Vec<u32>,
-        strategy: AssemblyStrategy,
-        n_subdomains: usize,
-        pattern: &CsrMatrix,
-        order: ElementOrder,
-        sizes: &[f64],
-    ) -> AssemblyPlan {
+    ) -> AssemblyUnits {
         let weights: Vec<f64> =
             elems.iter().map(|&e| mesh.kinds[e as usize].cost_weight()).collect();
         let (mut color_classes, mut subdomains, mut node_elems) = (None, None, None);
@@ -184,23 +183,57 @@ impl AssemblyPlan {
                 node_elems = Some(d.node_elems);
             }
         }
-        let n2l = node_elems.unwrap_or_else(|| mesh.node_to_listed(elems.iter().copied()));
-        let units: Vec<&[u32]> = match (&color_classes, &subdomains) {
+        let node_elems = node_elems.unwrap_or_else(|| mesh.node_to_listed(elems.iter().copied()));
+        AssemblyUnits {
+            strategy,
+            elems,
+            color_classes,
+            subdomains,
+            weighted_ops: weights.iter().sum(),
+            node_elems,
+        }
+    }
+}
+
+impl AssemblyPlan {
+    /// Build a plan for `elems` of `mesh` under `strategy` (see
+    /// [`AssemblyUnits::new`]), its units summed in `order`, scattering
+    /// into matrices on `sell`.
+    pub fn new(
+        mesh: &Mesh,
+        elems: Vec<u32>,
+        strategy: AssemblyStrategy,
+        n_subdomains: usize,
+        sell: &SellStructure,
+        order: ElementOrder,
+    ) -> AssemblyPlan {
+        let units = AssemblyUnits::new(mesh, elems, strategy, n_subdomains);
+        AssemblyPlan::schedule(units, mesh, sell, order, &mesh.element_sizes())
+    }
+
+    /// The plan of `units`, its batches cut in `order`: gather lists,
+    /// element lengths (read from `sizes`, [`Mesh::element_sizes`], a
+    /// table built once per mesh) and scatter indices into the value
+    /// array of a matrix on `sell`.
+    pub fn schedule(
+        units: AssemblyUnits,
+        mesh: &Mesh,
+        sell: &SellStructure,
+        order: ElementOrder,
+        sizes: &[f64],
+    ) -> AssemblyPlan {
+        let AssemblyUnits {
+            strategy, elems, color_classes, subdomains, weighted_ops, node_elems,
+        } = units;
+        let lists: Vec<&[u32]> = match (&color_classes, &subdomains) {
             (Some(classes), _) => classes.iter().map(Vec::as_slice).collect(),
             (_, Some((members, _))) => members.iter().map(Vec::as_slice).collect(),
             _ => vec![&elems],
         };
         let batches =
-            BatchSchedule::build(mesh, sizes, pattern, strategy, &elems, &n2l, &units, order);
-        AssemblyPlan {
-            strategy,
-            color_classes,
-            subdomains,
-            grain: 32,
-            weighted_ops: weights.iter().sum(),
-            batches,
-            elems,
-        }
+            BatchSchedule::build(mesh, sizes, sell, strategy, &elems, &node_elems, &lists, order);
+        let grain = 32;
+        AssemblyPlan { strategy, color_classes, subdomains, grain, weighted_ops, batches, elems }
     }
 
     /// Number of colors (0 unless Coloring).
@@ -272,10 +305,13 @@ mod tests {
     use crate::batch::{
         assemble_divergence, assemble_momentum, assemble_poisson, assemble_pressure_gradient,
     };
+    use crate::csr::CsrMatrix;
     use crate::kernels::FluidProps;
     use crate::oracle;
+    use crate::sell::SellMatrix;
     use crate::shape::RefElement;
     use cfpd_mesh::{generate_airway, AirwaySpec, ElementKind, Vec3};
+    use std::sync::Arc;
     use cfpd_runtime::ThreadPool;
     use cfpd_testkit::prop::{check, usize_range, PropConfig};
     use cfpd_testkit::Rng;
@@ -283,6 +319,7 @@ mod tests {
     struct Fixture {
         mesh: Mesh,
         pattern: CsrMatrix,
+        sell: Arc<SellStructure>,
         refs: [RefElement; 3],
         pool: ThreadPool,
         velocity: Vec<Vec3>,
@@ -299,6 +336,7 @@ mod tests {
         let pattern = CsrMatrix::from_mesh(&am.mesh, &am.mesh.node_to_elements());
         Fixture {
             mesh: am.mesh,
+            sell: Arc::new(SellStructure::from_csr(&pattern)),
             pattern,
             refs: RefElement::all(),
             pool: ThreadPool::new(4),
@@ -331,15 +369,17 @@ mod tests {
         strategy: AssemblyStrategy,
         order: ElementOrder,
     ) -> AssemblyPlan {
-        AssemblyPlan::new(&f.mesh, elems, strategy, 24, &f.pattern, order)
+        AssemblyPlan::new(&f.mesh, elems, strategy, 24, &f.sell, order)
     }
 
     fn plan_for(f: &Fixture, strategy: AssemblyStrategy, order: ElementOrder) -> AssemblyPlan {
         plan_of(f, all_elems(f), strategy, order)
     }
 
-    /// The [`ASSEMBLED`] vectors of `plan` on `pool`: through the batch
-    /// engine, or through the element-at-a-time loops it replaced.
+    /// The [`ASSEMBLED`] vectors of `plan` on `pool`, the matrices read
+    /// in CSR entry order: through the batch engine, which scatters into
+    /// SELL order, or through the element-at-a-time loops it replaced,
+    /// which add into CSR matrices.
     fn assemble_all(
         f: &Fixture,
         plan: &AssemblyPlan,
@@ -347,6 +387,8 @@ mod tests {
         through_oracle: bool,
     ) -> (Vec<Vec<f64>>, AssemblyStats) {
         let (mut a, mut l) = (f.pattern.clone(), f.pattern.clone());
+        let (mut sell_a, mut sell_l) =
+            (SellMatrix::zeros(Arc::clone(&f.sell)), SellMatrix::zeros(Arc::clone(&f.sell)));
         let n = f.mesh.num_nodes();
         let mut rhs = vec![vec![0.0; n]; 3];
         let (mut div, mut grad) = (vec![0.0; n], vec![0.0; 3 * n]);
@@ -362,12 +404,14 @@ mod tests {
                 pool, refs, mesh, plan, u, props, dt, gravity, &mut a, &mut rhs,
             )
         } else {
-            assemble_poisson(pool, refs, mesh, plan, &mut l);
+            assemble_poisson(pool, refs, mesh, plan, &mut sell_l);
             assemble_divergence(pool, refs, mesh, plan, u, props, dt, &mut div);
             assemble_pressure_gradient(pool, refs, mesh, plan, &pressure, &mut grad);
-            assemble_momentum(
-                pool, refs, mesh, plan, u, props, dt, gravity, &mut a, &mut rhs,
-            )
+            let stats = assemble_momentum(
+                pool, refs, mesh, plan, u, props, dt, gravity, &mut sell_a, &mut rhs,
+            );
+            (a, l) = (sell_a.to_csr(), sell_l.to_csr());
+            stats
         };
         let [x, y, z]: [Vec<f64>; 3] = rhs.try_into().unwrap();
         (vec![a.values, x, y, z, l.values, div, grad], stats)
@@ -543,8 +587,9 @@ mod tests {
             let mesh = generate_airway(&spec).unwrap().mesh;
             let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
             let pattern = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+            let sell = SellStructure::from_csr(&pattern);
             let (strategy, order) = (AssemblyStrategy::Multidep, ElementOrder::List);
-            let plan = AssemblyPlan::new(&mesh, elems, strategy, 16, &pattern, order);
+            let plan = AssemblyPlan::new(&mesh, elems, strategy, 16, &sell, order);
             let (members, objs) = plan.subdomains.as_ref().unwrap();
             let cost: Vec<f64> = members
                 .iter()
@@ -613,7 +658,7 @@ mod tests {
         let f = fixture();
         let elems: Vec<u32> = (0..f.mesh.num_elements() as u32).collect();
         let plan = |strategy| {
-            AssemblyPlan::new(&f.mesh, elems.clone(), strategy, 16, &f.pattern, ElementOrder::List)
+            AssemblyPlan::new(&f.mesh, elems.clone(), strategy, 16, &f.sell, ElementOrder::List)
         };
         let multidep = || plan(AssemblyStrategy::Multidep);
         let (a, b) = (multidep(), multidep());
@@ -639,8 +684,9 @@ mod tests {
     fn poisson_matrix_is_symmetric() {
         let f = fixture();
         let plan = plan_for(&f, AssemblyStrategy::Multidep, ElementOrder::List);
-        let mut a = f.pattern.clone();
-        assemble_poisson(&f.pool, &f.refs, &f.mesh, &plan, &mut a);
+        let mut sell = SellMatrix::zeros(Arc::clone(&f.sell));
+        assemble_poisson(&f.pool, &f.refs, &f.mesh, &plan, &mut sell);
+        let a = sell.to_csr();
         let pat = a.pattern();
         for row in 0..a.n {
             let lo = a.row_ptr[row] as usize;

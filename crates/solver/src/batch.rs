@@ -8,8 +8,10 @@
 //! by all runs of the set:
 //!
 //! * `gather`  — `nn` node ids per element (the gather list),
-//! * `scatter` — `nn²` flat CSR value indices per element (no pattern
-//!   search in the hot loop),
+//! * `scatter` — `nn²` value indices per element into the matrix's one
+//!   value array, in its SELL-C-σ order ([`crate::sell`]), so the solves
+//!   sweep what assembly wrote (no pattern search in the hot loop, no
+//!   second copy of the matrix),
 //! * `h`       — cached characteristic element lengths (no per-element
 //!   volume computation in the hot loop).
 //!
@@ -31,7 +33,7 @@
 //! golden.
 
 use crate::assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy};
-use crate::csr::{AtomicView, CsrMatrix, DisjointView};
+use crate::csr::{AtomicView, DisjointView};
 use crate::kernels::{
     divergence_kernel_n, lumped_mass_kernel, momentum_kernel_n, poisson_kernel_n,
     pressure_gradient_kernel_n, ElementScratch, FluidProps, LocalMomentum, LocalPoisson,
@@ -40,6 +42,7 @@ use crate::lanes::{
     divergence_kernel_lanes, lumped_mass_kernel_lanes, momentum_kernel_lanes,
     poisson_kernel_lanes, pressure_gradient_kernel_lanes, LaneScratch, LANES,
 };
+use crate::sell::{SellMatrix, SellStructure};
 use crate::shape::RefElement;
 use cfpd_mesh::{Csr, ElementKind, Mesh, Vec3};
 use cfpd_runtime::{parallel_for, TaskGraph, ThreadPool};
@@ -69,7 +72,7 @@ pub struct KindBatch<'a> {
     /// Flattened gather list: element `b` reads nodes
     /// `gather[b*nn .. (b+1)*nn]`.
     pub gather: &'a [u32],
-    /// Flattened scatter list: element `b`'s (i,j) entry adds into CSR
+    /// Flattened scatter list: element `b`'s (i,j) entry adds into SELL
     /// value index `scatter[b*nn*nn + i*nn + j]`. Empty in a set built
     /// without a pattern (right-hand-side sweeps only).
     pub scatter: &'a [u32],
@@ -124,8 +127,8 @@ pub struct BatchSet {
 impl BatchSet {
     /// Put `elems` in `order` and lay out the set: its runs, its gather
     /// list, `h` read from `sizes` ([`Mesh::element_sizes`]) and — when
-    /// the set is to scatter into a matrix — `nn²` zeroed CSR value
-    /// indices per element, which [`fill_scatter`] writes. One batch per
+    /// the set is to scatter into a matrix — `nn²` zeroed value indices
+    /// per element, which [`fill_scatter`] writes. One batch per
     /// maximal same-kind run: any number in list order, at most three when
     /// grouped by kind.
     pub(crate) fn cut(
@@ -200,15 +203,15 @@ pub struct BatchSchedule {
 
 impl BatchSchedule {
     /// The schedule of a plan over `elems` whose strategy sweeps
-    /// `unit_lists` (against `pattern`'s sparsity: the momentum and
-    /// Poisson matrices of a mesh share one pattern, so one schedule
+    /// `unit_lists`, scattering into matrices on `sell` (the momentum and
+    /// Poisson matrices of a mesh share one structure, so one schedule
     /// serves both systems). `sizes` is [`Mesh::element_sizes`] and
     /// `node_elems` is `mesh.node_to_listed(elems)`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn build(
         mesh: &Mesh,
         sizes: &[f64],
-        pattern: &CsrMatrix,
+        sell: &SellStructure,
         strategy: AssemblyStrategy,
         elems: &[u32],
         node_elems: &Csr,
@@ -226,7 +229,7 @@ impl BatchSchedule {
         };
         let cut = |list: &&[u32]| BatchSet::cut(mesh, sizes, list, unit_order, true);
         let mut units: Vec<BatchSet> = unit_lists.iter().map(cut).collect();
-        fill_scatter(mesh, pattern, elems, node_elems, &mut units);
+        fill_scatter(mesh, sell, elems, node_elems, &mut units);
         // The serial strategy's one unit already is the whole list.
         let rhs_list = (order == ElementOrder::List && strategy != AssemblyStrategy::Serial)
             .then(|| BatchSet::cut(mesh, sizes, elems, ElementOrder::List, false));
@@ -235,14 +238,14 @@ impl BatchSchedule {
 }
 
 /// Write the scatter indices of `sets`, which together hold each element
-/// of `elems` once, in one pass over the pattern rows of the nodes those
+/// of `elems` once, in one pass over the rows of `sell` of the nodes those
 /// elements touch (`node_elems` is `mesh.node_to_listed(elems)`): a row's
-/// column positions are stamped into a node-indexed scratch, and every
-/// element incident to the row copies its row of `nn` slots from there —
-/// no search of the pattern per index.
+/// value indices are stamped into a node-indexed scratch by column, and
+/// every element incident to the row copies its row of `nn` indices from
+/// there — no search of the pattern per index.
 fn fill_scatter(
     mesh: &Mesh,
-    pattern: &CsrMatrix,
+    sell: &SellStructure,
     elems: &[u32],
     node_elems: &Csr,
     sets: &mut [BatchSet],
@@ -257,14 +260,14 @@ fn fill_scatter(
             }
         }
     }
-    let mut at_col = vec![0u32; pattern.n];
+    let mut at_col = vec![0u32; mesh.num_nodes()];
     for row in 0..node_elems.len() {
         let incident = node_elems.row(row);
         if incident.is_empty() {
             continue;
         }
-        for k in pattern.row_ptr[row] as usize..pattern.row_ptr[row + 1] as usize {
-            at_col[pattern.col_idx[k] as usize] = k as u32;
+        for (p, col) in sell.row_entries(row) {
+            at_col[col as usize] = p as u32;
         }
         for &l in incident {
             let e = elems[l as usize] as usize;
@@ -277,7 +280,10 @@ fn fill_scatter(
                 }
                 for (slot, &v) in out.iter_mut().zip(nodes) {
                     *slot = at_col[v as usize];
-                    debug_assert_eq!(pattern.col_idx[*slot as usize], v, "({row},{v}) unlisted");
+                    debug_assert!(
+                        sell.position(row, v as usize) == Some(*slot as usize),
+                        "({row},{v}) unlisted"
+                    );
                 }
             }
         }
@@ -717,8 +723,8 @@ fn rhs_views<'a, R: AsMut<[f64]>, V>(
 /// The strategy-dispatched element sweep behind the four `assemble_*`
 /// entry points: adds `ctx`'s element contributions over `units` (the
 /// plan's [`matrix_sweep`] or [`rhs_sweep`]) into the matrix `values`
-/// (empty for a right-hand-side-only context) and the `C::RHS_DIM`
-/// vectors of `rhs`.
+/// (SELL order; empty for a right-hand-side-only context) and the
+/// `C::RHS_DIM` vectors of `rhs`.
 fn sweep<C: BatchCtx, R: AsMut<[f64]>>(
     pool: &ThreadPool,
     plan: &AssemblyPlan,
@@ -798,6 +804,7 @@ fn count_assembly(plan: &AssemblyPlan) {
 
 /// Assemble the momentum system (matrix + 3-component RHS) over
 /// `plan.elems`, on the plan's strategy units in the plan's order.
+/// `matrix` is on the [`SellStructure`] the plan was built against.
 #[allow(clippy::too_many_arguments)]
 pub fn assemble_momentum(
     pool: &ThreadPool,
@@ -808,12 +815,12 @@ pub fn assemble_momentum(
     props: FluidProps,
     dt: f64,
     body_force: Vec3,
-    matrix: &mut CsrMatrix,
+    matrix: &mut SellMatrix,
     rhs: &mut [Vec<f64>],
 ) -> AssemblyStats {
     count_assembly(plan);
     let ctx = MomentumCtx { refs, coords: &mesh.coords, velocity, props, dt, body_force };
-    sweep(pool, plan, matrix_sweep(plan), &ctx, &mut matrix.values, rhs)
+    sweep(pool, plan, matrix_sweep(plan), &ctx, matrix.values_mut(), rhs)
 }
 
 /// Assemble the pressure-Poisson matrix (the Laplacian; its right-hand
@@ -824,11 +831,11 @@ pub fn assemble_poisson(
     refs: &[RefElement; 3],
     mesh: &Mesh,
     plan: &AssemblyPlan,
-    matrix: &mut CsrMatrix,
+    matrix: &mut SellMatrix,
 ) -> AssemblyStats {
     count_assembly(plan);
     let ctx = PoissonCtx { refs, coords: &mesh.coords };
-    sweep::<_, Vec<f64>>(pool, plan, matrix_sweep(plan), &ctx, &mut matrix.values, &mut [])
+    sweep::<_, Vec<f64>>(pool, plan, matrix_sweep(plan), &ctx, matrix.values_mut(), &mut [])
 }
 
 /// Add the weak divergence right-hand side of the pressure-Poisson
@@ -868,8 +875,12 @@ pub fn assemble_pressure_gradient(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assembly::AssemblyUnits;
+    use crate::csr::CsrMatrix;
     use crate::oracle;
     use cfpd_mesh::{generate_airway, AirwaySpec};
+    use cfpd_testkit::Rng;
+    use std::sync::Arc;
 
     /// Either order cuts the list into maximal same-kind runs whose side
     /// arrays are what the mesh says, element by element, with room for
@@ -911,8 +922,9 @@ mod tests {
         }
     }
 
-    /// The one pass over the pattern rows writes, for every element of
-    /// every unit, the value index a search of the pattern finds: under
+    /// The one pass over the rows writes, for every element of every
+    /// unit, the value index a search of the CSR pattern finds, taken
+    /// through the slot map to its SELL position: under
     /// all four strategies, in either order, on 2 and 4 generations, over
     /// the whole mesh and over a rank's half of it. The shared size table
     /// is `|V|^(1/3)` bit for bit.
@@ -926,6 +938,8 @@ mod tests {
                 assert_eq!(h.to_bits(), mesh.volume(e).abs().cbrt().to_bits(), "element {e}");
             }
             let pattern = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+            let sell = SellStructure::from_csr(&pattern);
+            let slot_of: Vec<usize> = sell.csr_order().collect();
             let all: Vec<u32> = (0..mesh.num_elements() as u32).collect();
             for elems in [&all[..], &all[all.len() / 2..]] {
                 for (strategy, order) in AssemblyStrategy::ALL
@@ -933,9 +947,8 @@ mod tests {
                     .flat_map(|s| [(s, ElementOrder::List), (s, ElementOrder::KindGrouped)])
                 {
                     let list = elems.to_vec();
-                    let plan = AssemblyPlan::with_sizes(
-                        &mesh, list, strategy, 16, &pattern, order, &sizes,
-                    );
+                    let units = AssemblyUnits::new(&mesh, list, strategy, 16);
+                    let plan = AssemblyPlan::schedule(units, &mesh, &sell, order, &sizes);
                     let mut swept = 0;
                     for batch in plan.batch_schedule().units.iter().flat_map(BatchSet::batches) {
                         let nn = batch.nn();
@@ -944,7 +957,7 @@ mod tests {
                             let sc = &batch.scatter[b * nn * nn..(b + 1) * nn * nn];
                             for (k, &idx) in sc.iter().enumerate() {
                                 let (i, j) = (nodes[k / nn] as usize, nodes[k % nn] as usize);
-                                let want = pattern.entry_index(i, j);
+                                let want = slot_of[pattern.entry_index(i, j)];
                                 assert_eq!(idx as usize, want, "{strategy:?} {order:?}");
                             }
                         }
@@ -964,12 +977,12 @@ mod tests {
     fn list_order_keeps_the_airway_in_lane_blocks() {
         let spec = AirwaySpec { generations: 2, ..AirwaySpec::small() };
         let mesh = generate_airway(&spec).unwrap().mesh;
-        let pattern = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+        let sell = SellStructure::from_csr(&CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements()));
         let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
         let whole = BatchSet::cut(&mesh, &mesh.element_sizes(), &elems, ElementOrder::List, false);
         assert!(whole.batches().all(|b| b.len() % LANES == 0), "generator runs are whole blocks");
         let strategy = AssemblyStrategy::Multidep;
-        let plan = AssemblyPlan::new(&mesh, elems, strategy, 16, &pattern, ElementOrder::List);
+        let plan = AssemblyPlan::new(&mesh, elems, strategy, 16, &sell, ElementOrder::List);
         let units = &plan.batch_schedule().units;
         let in_lanes: usize =
             units.iter().flat_map(BatchSet::batches).map(|b| b.len() / LANES * LANES).sum();
@@ -1037,6 +1050,7 @@ mod tests {
     struct Fixture {
         mesh: Mesh,
         template: CsrMatrix,
+        sell: Arc<SellStructure>,
         velocity: Vec<Vec3>,
         pressure: Vec<f64>,
     }
@@ -1046,12 +1060,13 @@ mod tests {
         let template = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
         let velocity = mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
         let pressure = mesh.coords.iter().map(|p| p.x * 3.0 - p.y).collect();
-        Fixture { mesh, template, velocity, pressure }
+        let sell = Arc::new(SellStructure::from_csr(&template));
+        Fixture { mesh, template, sell, velocity, pressure }
     }
 
     fn plan(f: &Fixture, strategy: AssemblyStrategy, order: ElementOrder) -> AssemblyPlan {
         let elems: Vec<u32> = (0..f.mesh.num_elements() as u32).collect();
-        AssemblyPlan::new(&f.mesh, elems, strategy, 16, &f.template, order)
+        AssemblyPlan::new(&f.mesh, elems, strategy, 16, &f.sell, order)
     }
 
     /// Grouped by kind, every strategy sums what the serial element loop
@@ -1060,24 +1075,22 @@ mod tests {
     fn batched_momentum_matches_unbatched_serial() {
         let f = fixture();
         let (refs, pool) = (RefElement::all(), ThreadPool::new(4));
+        let (props, dt, gravity) = (FluidProps::default(), 1e-4, Vec3::new(0.0, 0.0, -9.81));
+        let fresh_rhs = || vec![vec![0.0; f.mesh.num_nodes()]; 3];
+        let (mesh, u) = (&f.mesh, &f.velocity[..]);
         let assemble = |strategy, order, through_oracle: bool| {
             let plan = plan(&f, strategy, order);
-            let mut a = f.template.clone();
-            let mut rhs = vec![vec![0.0; f.mesh.num_nodes()]; 3];
-            let sweep = if through_oracle { oracle::assemble_momentum } else { assemble_momentum };
-            sweep(
-                &pool,
-                &refs,
-                &f.mesh,
-                &plan,
-                &f.velocity,
-                FluidProps::default(),
-                1e-4,
-                Vec3::new(0.0, 0.0, -9.81),
-                &mut a,
-                &mut rhs,
-            );
-            (a, rhs)
+            let mut rhs = fresh_rhs();
+            if through_oracle {
+                let mut a = f.template.clone();
+                oracle::assemble_momentum(
+                    &pool, &refs, mesh, &plan, u, props, dt, gravity, &mut a, &mut rhs,
+                );
+                return (a, rhs);
+            }
+            let mut a = SellMatrix::zeros(Arc::clone(&f.sell));
+            assemble_momentum(&pool, &refs, mesh, &plan, u, props, dt, gravity, &mut a, &mut rhs);
+            (a.to_csr(), rhs)
         };
 
         let (a_ref, rhs_ref) = assemble(AssemblyStrategy::Serial, ElementOrder::List, true);
@@ -1115,6 +1128,107 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The first entry whose bits differ, if any.
+    fn first_bit_mismatch(got: &[f64], want: &[f64]) -> Option<usize> {
+        assert_eq!(got.len(), want.len());
+        got.iter().zip(want).position(|(g, w)| g.to_bits() != w.to_bits())
+    }
+
+    /// The matrices a plan scatters straight into SELL order, read back
+    /// through the slot map, against the element-at-a-time oracle adding
+    /// into CSR in the plan's own summation order — its units in index
+    /// order, each in sweep order, which is the order every shared entry
+    /// sees under `Serial`, `Coloring` and `Multidep` whatever the pool.
+    /// Bit for bit for those three at 1, 2 and 4 workers, on both
+    /// layouts (native node order summed in list order, RCM order grouped
+    /// by kind), over the whole mesh and a random half of it; `Atomics`
+    /// regroups and agrees to rounding. The negative control: read back
+    /// through a slot map with one swapped pair, the bits must differ.
+    #[test]
+    fn prop_scatter_through_the_slot_map_sums_the_csr_oracles_bits() {
+        use cfpd_testkit::prop::{check, usize_range, PropConfig};
+        let layouts: Vec<(Mesh, ElementOrder)> = [1, 2]
+            .into_iter()
+            .flat_map(|generations| {
+                let spec = AirwaySpec { generations, ..AirwaySpec::small() };
+                let native = generate_airway(&spec).unwrap().mesh;
+                let mut rcm = native.clone();
+                rcm.renumber_nodes(&cfpd_partition::rcm_perm(&rcm.node_adjacency()));
+                [(native, ElementOrder::List), (rcm, ElementOrder::KindGrouped)]
+            })
+            .collect();
+        let (refs, pools) = (RefElement::all(), [1, 2, 4].map(ThreadPool::new));
+        let (props, dt, gravity) = (FluidProps::default(), 1e-4, Vec3::new(0.0, 0.0, -9.81));
+        check(
+            "scatter through the slot map sums the CSR oracle's bits",
+            PropConfig::cases(8),
+            &(usize_range(0, layouts.len()), usize_range(0, 1 << 16)),
+            |&(layout, seed)| {
+                let (mesh, order) = (&layouts[layout].0, layouts[layout].1);
+                let pattern = CsrMatrix::from_mesh(mesh, &mesh.node_to_elements());
+                let sell = Arc::new(SellStructure::from_csr(&pattern));
+                let mut elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+                if seed % 2 == 1 {
+                    Rng::new(seed as u64).shuffle(&mut elems);
+                    elems.truncate(elems.len() / 2);
+                }
+                let u: Vec<Vec3> =
+                    mesh.coords.iter().map(|p| Vec3::new(p.z, 0.5 - p.x, p.y)).collect();
+                let fresh_rhs = || vec![vec![0.0; mesh.num_nodes()]; 3];
+                let momentum = |pool, plan: &AssemblyPlan, rhs: &mut [Vec<f64>]| {
+                    let mut a = SellMatrix::zeros(Arc::clone(&sell));
+                    assemble_momentum(pool, &refs, mesh, plan, &u, props, dt, gravity, &mut a, rhs);
+                    a
+                };
+                for strategy in AssemblyStrategy::ALL {
+                    let plan = AssemblyPlan::new(mesh, elems.clone(), strategy, 16, &sell, order);
+                    let units = &plan.batch_schedule().units;
+                    let swept: Vec<u32> = units.iter().flat_map(|set| set.elems.clone()).collect();
+                    let (serial, list) = (AssemblyStrategy::Serial, ElementOrder::List);
+                    let serial = AssemblyPlan::new(mesh, swept, serial, 1, &sell, list);
+                    let (mut a, mut l, mut rhs) = (pattern.clone(), pattern.clone(), fresh_rhs());
+                    let one = &pools[0];
+                    oracle::assemble_momentum(
+                        one, &refs, mesh, &serial, &u, props, dt, gravity, &mut a, &mut rhs,
+                    );
+                    oracle::assemble_poisson(one, &refs, mesh, &serial, &mut l);
+                    for pool in &pools {
+                        let mut srhs = fresh_rhs();
+                        let sa = momentum(pool, &plan, &mut srhs);
+                        let mut sl = SellMatrix::zeros(Arc::clone(&sell));
+                        assemble_poisson(pool, &refs, mesh, &plan, &mut sl);
+                        let (ma, ml): (Vec<f64>, Vec<f64>) =
+                            (sa.csr_values().collect(), sl.csr_values().collect());
+                        let pairs = [("momentum", &ma, &a.values), ("Poisson", &ml, &l.values)]
+                            .into_iter()
+                            .chain((0..3).map(|c| ("momentum rhs", &srhs[c], &rhs[c])));
+                        let workers = pool.max_workers();
+                        for (what, got, want) in pairs {
+                            if strategy == AssemblyStrategy::Atomics {
+                                for (g, w) in got.iter().zip(want.iter()) {
+                                    let scale = g.abs().max(w.abs()).max(1.0);
+                                    assert!((g - w).abs() <= 1e-9 * scale, "{what}");
+                                }
+                            } else if let Some(e) = first_bit_mismatch(got, want) {
+                                let at = format!("{strategy:?} {order:?}, {workers} workers");
+                                panic!("{at}: {what} entry {e} moved");
+                            }
+                        }
+                    }
+                    if strategy == AssemblyStrategy::Serial {
+                        let mut map: Vec<usize> = sell.csr_order().collect();
+                        let far = (1..map.len()).find(|&e| a.values[e] != a.values[0]).unwrap();
+                        map.swap(0, far);
+                        let sa = momentum(one, &plan, &mut fresh_rhs());
+                        let swapped: Vec<f64> = map.iter().map(|&p| sa.values()[p]).collect();
+                        let mismatch = first_bit_mismatch(&swapped, &a.values);
+                        assert_eq!(mismatch, Some(0), "one swapped slot must fail");
+                    }
+                }
+            },
+        );
     }
 
     /// Serial batched assembly — lane blocks and scalar tails — must be

@@ -175,7 +175,7 @@ impl CsrMatrix {
     /// Split into an immutable pattern handle and the mutable value
     /// slice — needed to look up entry indices while a concurrent
     /// scatter view over the values is live.
-    pub fn split_mut(&mut self) -> (CsrPattern<'_>, &mut [f64]) {
+    pub(crate) fn split_mut(&mut self) -> (CsrPattern<'_>, &mut [f64]) {
         (
             CsrPattern { n: self.n, row_ptr: &self.row_ptr, col_idx: &self.col_idx },
             &mut self.values,

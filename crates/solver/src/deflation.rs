@@ -79,8 +79,9 @@ pub struct DeflationStructure {
     aw_row: Vec<u32>,
     /// Entry-balanced group ranges for the parallel `(AW)ᵀz`.
     aw_ranges: Vec<Range<usize>>,
-    /// For each entry of the source CSR pattern, the `AW` entry it adds
-    /// into ([`NONE`]: Dirichlet row, or column in no group).
+    /// For each entry of the source CSR pattern, in CSR entry order, the
+    /// `AW` entry it adds into ([`NONE`]: Dirichlet row, or column in no
+    /// group).
     aw_slot: Vec<u32>,
     /// Skyline of the lower triangle of `E`: row `g` stores columns
     /// `e_first[g]..=g` from `e_ptr[g]`.
@@ -288,10 +289,9 @@ impl Deflation {
         (g < self.s.k).then_some(g)
     }
 
-    /// Solve `A x = b` to `‖r‖/‖b‖ < tol`, `A` being the matrix last
+    /// Solve `A x = b` to `‖r‖/‖b‖ < tol`, `op` being the matrix last
     /// passed to [`Deflation::refresh`]. `x` holds the initial guess on
-    /// entry and the solution on return; `op` is the [`SellMatrix`]
-    /// mirror holding `A`'s values, which the sweeps read.
+    /// entry and the solution on return.
     pub fn solve(
         &self,
         op: &SellMatrix,
@@ -407,15 +407,23 @@ impl Deflation {
     /// Load the values of `a` — `AW`, `E` and its factor, the Jacobi
     /// diagonal — for the solves that follow. `a` must have the pattern
     /// this structure was built from, with identity rows at the `fixed`
-    /// nodes. Call again whenever the values change.
-    pub fn refresh(&mut self, a: &CsrMatrix) {
+    /// nodes. Call again whenever the values change. The values are read
+    /// in CSR entry order, the order `AW` sums them in.
+    pub fn refresh(&mut self, a: &SellMatrix) {
         assert_eq!(a.n, self.s.n);
         assert_eq!(a.nnz(), self.s.aw_slot.len(), "matrix does not have the deflation's pattern");
-        self.diag = a.diagonal();
+        self.diag = vec![0.0; a.n];
         self.aw_val.fill(0.0);
-        for (&s, &v) in self.s.aw_slot.iter().zip(&a.values) {
-            if s != NONE {
-                self.aw_val[s as usize] += v;
+        let (values, mut aw_slot) = (a.values(), self.s.aw_slot.iter());
+        for row in 0..a.n {
+            for (p, col) in a.structure().row_entries(row) {
+                if col as usize == row {
+                    self.diag[row] = values[p];
+                }
+                let s = *aw_slot.next().expect("one slot per entry, checked above");
+                if s != NONE {
+                    self.aw_val[s as usize] += values[p];
+                }
             }
         }
         self.chol.fill(0.0);
@@ -638,10 +646,10 @@ mod tests {
     fn airway_system() -> (CsrMatrix, Vec<f64>, Vec<u32>, Vec<u32>) {
         let mesh = generate_airway(&AirwaySpec::small()).unwrap().mesh;
         let n2e = mesh.node_to_elements();
-        let mut a = CsrMatrix::from_mesh(&mesh, &n2e);
+        let mut a = SellMatrix::from_csr(&CsrMatrix::from_mesh(&mesh, &n2e));
         let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let plan =
-            AssemblyPlan::new(&mesh, elems, AssemblyStrategy::Serial, 1, &a, ElementOrder::List);
+        let (strategy, order) = (AssemblyStrategy::Serial, ElementOrder::List);
+        let plan = AssemblyPlan::new(&mesh, elems, strategy, 1, a.structure(), order);
         let (refs, pool) = (RefElement::all(), ThreadPool::new(1));
         let velocity: Vec<Vec3> =
             mesh.coords.iter().map(|p| Vec3::new(p.y, -p.z, 0.4 - p.x)).collect();
@@ -662,7 +670,7 @@ mod tests {
             a.set_dirichlet_row(v as usize);
             b[v as usize] = 0.0;
         }
-        (a, b, boundary_nodes(&mesh, BoundaryKind::Inlet), outlet)
+        (a.to_csr(), b, boundary_nodes(&mesh, BoundaryKind::Inlet), outlet)
     }
 
     fn max_abs(v: &[f64]) -> f64 {
@@ -688,11 +696,11 @@ mod tests {
                 let mut x: Vec<f64> = (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect();
                 let mut d = Deflation::new(&a, &[rng.range_usize(0, n) as u32], &[]);
                 assert!(d.num_groups() > 0);
-                d.refresh(&a);
+                let sell = SellMatrix::from_csr(&a);
+                d.refresh(&sell);
                 let probe = d.clone();
                 let bound = 1e-12 * max_abs(&b).max(1.0) * n as f64;
                 let mut checked = 0;
-                let sell = SellMatrix::from_csr(&a);
                 let stats =
                     d.solve_observed(&sell, &b, &mut x, 1e-10, 10 * n, &pool, &mut |it, r| {
                         let mut sums = vec![0.0; probe.s.k + 1];
@@ -726,9 +734,9 @@ mod tests {
                 assert!(cg(&a, &b, &mut x_ref, 1e-12, 20 * n).converged);
                 let mut x = vec![0.0; n];
                 let mut d = Deflation::new(&a, &seeds, &[]);
-                d.refresh(&a);
-                let stats =
-                    d.solve(&SellMatrix::from_csr(&a), &b, &mut x, 1e-12, 20 * n, &pool);
+                let sell = SellMatrix::from_csr(&a);
+                d.refresh(&sell);
+                let stats = d.solve(&sell, &b, &mut x, 1e-12, 20 * n, &pool);
                 assert!(stats.converged, "{stats:?}");
                 let scale = max_abs(&x_ref).max(1e-300);
                 for i in 0..n {
@@ -751,8 +759,9 @@ mod tests {
         let s_ref = cg(&a, &b, &mut x_ref, 1e-12, 5000);
         let mut x = vec![0.0; a.n];
         let mut d = Deflation::new(&a, &inlet, &outlet);
-        d.refresh(&a);
-        let s = d.solve(&SellMatrix::from_csr(&a), &b, &mut x, 1e-12, 5000, &pool);
+        let sell = SellMatrix::from_csr(&a);
+        d.refresh(&sell);
+        let s = d.solve(&sell, &b, &mut x, 1e-12, 5000, &pool);
         assert!(s_ref.converged && s.converged, "{s_ref:?} {s:?}");
         assert!(d.active);
         assert!(
@@ -819,7 +828,7 @@ mod tests {
         );
     }
 
-    // One storage since the CSR sweep path went: the SELL mirror, whose
+    // One storage since the CSR sweep path went: the SELL matrix, whose
     // rows carry the bits of the CSR matrix's serial SpMV
     // (`prop_sell_spmv_bit_identical_per_row`).
     #[test]
@@ -830,7 +839,7 @@ mod tests {
         for workers in [1usize, 2, 4] {
             let pool = ThreadPool::new(workers);
             let mut d = Deflation::new(&a, &inlet, &outlet);
-            d.refresh(&a);
+            d.refresh(&sell);
             let mut x = vec![0.0; a.n];
             let s = d.solve(&sell, &b, &mut x, 1e-8, 2000, &pool);
             runs.push((x, s));
@@ -857,9 +866,10 @@ mod tests {
         b.iter_mut().for_each(|v| *v -= mean);
         let mut d = Deflation::new(&a, &[0], &[]);
         assert!(d.num_groups() > 1);
-        d.refresh(&a);
+        let sell = SellMatrix::from_csr(&a);
+        d.refresh(&sell);
         let mut x = vec![0.0; n];
-        let s = d.solve(&SellMatrix::from_csr(&a), &b, &mut x, 1e-8, 50 * n, &pool);
+        let s = d.solve(&sell, &b, &mut x, 1e-8, 50 * n, &pool);
         assert!(!d.active, "a singular E must drop the deflation");
         assert!(s.converged, "{s:?}");
 
@@ -867,9 +877,10 @@ mod tests {
         let a = random_laplacian(n, &mut Rng::new(8), true);
         let mut d = Deflation::new(&a, &[], &[]);
         assert_eq!(d.num_groups(), 0);
-        d.refresh(&a);
+        let sell = SellMatrix::from_csr(&a);
+        d.refresh(&sell);
         let mut x = vec![0.0; n];
-        let s = d.solve(&SellMatrix::from_csr(&a), &b, &mut x, 1e-10, 50 * n, &pool);
+        let s = d.solve(&sell, &b, &mut x, 1e-10, 50 * n, &pool);
         assert!(!d.active);
         assert!(s.converged, "{s:?}");
         let mut x_ref = vec![0.0; n];

@@ -42,7 +42,7 @@ pub mod sgs;
 pub mod shape;
 pub mod simd;
 
-pub use assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy};
+pub use assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy, AssemblyUnits};
 pub use batch::{
     assemble_divergence, assemble_momentum, assemble_poisson, assemble_pressure_gradient,
     BatchSchedule, BatchSet, ElementOrder, KindBatch,

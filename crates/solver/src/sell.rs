@@ -38,16 +38,17 @@ pub const SELL_C: usize = 8;
 pub const SELL_SIGMA: usize = 64;
 
 /// The SELL-C-σ shape of one sparsity pattern: which row sits in which
-/// slot, the chunk layout, the column indices and the gather map into
-/// the source CSR value array. Built once per pattern and shared by
-/// every [`SellMatrix`] on it.
+/// slot, the chunk layout and the column indices. Built once per pattern
+/// and shared by every [`SellMatrix`] on it.
 #[derive(Debug)]
 pub struct SellStructure {
     n: usize,
     /// Row stored in each slot (`chunk * SELL_C + lane`); `u32::MAX`
     /// marks an empty tail slot.
     rows: Vec<u32>,
-    /// Entry offset of each chunk into `cols`/`src`/`vals`.
+    /// Slot of each row (the inverse of `rows`).
+    slot_of_row: Vec<u32>,
+    /// Entry offset of each chunk into `cols`/`vals`.
     chunk_ptr: Vec<u32>,
     /// Column-major ("common") length of each chunk: the shortest row.
     chunk_common: Vec<u32>,
@@ -56,14 +57,13 @@ pub struct SellStructure {
     /// Column indices (chunk layout: common part column-major, then the
     /// per-lane remainders contiguous per lane).
     cols: Vec<u32>,
-    /// Gather map into the source CSR value array (same layout).
-    src: Vec<u32>,
 }
 
-/// A [`CsrMatrix`] re-shaped into SELL-C-σ form: a shared
-/// [`SellStructure`] plus this matrix's own values, which are refreshed
-/// from the source CSR with [`SellMatrix::update_values`] whenever the
-/// matrix is re-assembled.
+/// A sparse matrix in SELL-C-σ form: a shared [`SellStructure`] plus
+/// this matrix's own values, the one value array it has. Assembly
+/// scatters into it directly ([`crate::batch`]); code that thinks in CSR
+/// entries reads it in their order ([`SellMatrix::csr_values`],
+/// [`SellMatrix::to_csr`]).
 #[derive(Debug, Clone)]
 pub struct SellMatrix {
     pub n: usize,
@@ -85,12 +85,15 @@ impl SellStructure {
             window.sort_by_key(|&r| std::cmp::Reverse(row_len(r)));
         }
         rows.resize(n_chunks * SELL_C, u32::MAX);
+        let mut slot_of_row = vec![0u32; n];
+        for (slot, &r) in rows.iter().enumerate().take(n) {
+            slot_of_row[r as usize] = slot as u32;
+        }
 
         let mut chunk_ptr = Vec::with_capacity(n_chunks + 1);
         let mut chunk_common = Vec::with_capacity(n_chunks);
         let mut slot_len = vec![0u32; n_chunks * SELL_C];
-        let mut cols = Vec::new();
-        let mut src = Vec::new();
+        let mut cols = Vec::with_capacity(a.nnz());
         chunk_ptr.push(0u32);
         for c in 0..n_chunks {
             let slots = &rows[c * SELL_C..(c + 1) * SELL_C];
@@ -105,9 +108,7 @@ impl SellStructure {
             // are emitted for them here.
             for k in 0..common {
                 for &r in slots {
-                    let e = a.row_ptr[r as usize] + k;
-                    cols.push(a.col_idx[e as usize]);
-                    src.push(e);
+                    cols.push(a.col_idx[(a.row_ptr[r as usize] + k) as usize]);
                 }
             }
             // Remainders: each lane's leftover entries, in CSR order.
@@ -117,37 +118,99 @@ impl SellStructure {
                 }
                 let lo = a.row_ptr[r as usize] + common;
                 let hi = a.row_ptr[r as usize] + slot_len[c * SELL_C + l];
-                for e in lo..hi {
-                    cols.push(a.col_idx[e as usize]);
-                    src.push(e);
-                }
+                cols.extend_from_slice(&a.col_idx[lo as usize..hi as usize]);
             }
             chunk_ptr.push(cols.len() as u32);
         }
-        SellStructure { n, rows, chunk_ptr, chunk_common, slot_len, cols, src }
+        SellStructure { n, rows, slot_of_row, chunk_ptr, chunk_common, slot_len, cols }
+    }
+
+    /// The entries of `row` — value index and column — in CSR entry
+    /// (ascending column) order: its first `common` entries column-major
+    /// in the chunk, then its remainder, which follows the remainders of
+    /// the lanes before it.
+    pub(crate) fn row_entries(&self, row: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let slot = self.slot_of_row[row] as usize;
+        let (c, lane) = (slot / SELL_C, slot % SELL_C);
+        let (base, common) = (self.chunk_ptr[c] as usize, self.chunk_common[c] as usize);
+        let before: usize =
+            self.slot_len[c * SELL_C..slot].iter().map(|&len| len as usize - common).sum();
+        let rest = base + common * SELL_C + before;
+        let extra = self.slot_len[slot] as usize - common;
+        let entries = (0..common).map(move |k| base + k * SELL_C + lane);
+        entries.chain(rest..rest + extra).map(|p| (p, self.cols[p]))
+    }
+
+    /// The slot map: the value index of every CSR entry, rows ascending
+    /// and each row in column order — CSR entry `e` is the `e`-th item.
+    /// A bijection onto `0..nnz`; walking it reads a [`SellMatrix`] in
+    /// the order its source CSR matrix stores its values.
+    pub(crate) fn csr_order(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n).flat_map(|row| self.row_entries(row).map(|(p, _)| p))
+    }
+
+    /// Value index of entry (`row`, `col`); `None` if it is not in the
+    /// pattern.
+    pub fn position(&self, row: usize, col: usize) -> Option<usize> {
+        self.row_entries(row).find(|&(_, c)| c as usize == col).map(|(p, _)| p)
     }
 }
 
 impl SellMatrix {
     /// Shape the sparsity pattern of `a` into SELL-C-σ and load its
-    /// current values.
+    /// values.
     pub fn from_csr(a: &CsrMatrix) -> SellMatrix {
-        SellMatrix::with_values(Arc::new(SellStructure::from_csr(a)), &a.values)
+        let mut m = SellMatrix::zeros(Arc::new(SellStructure::from_csr(a)));
+        let s = Arc::clone(&m.s);
+        for (p, &v) in s.csr_order().zip(&a.values) {
+            m.vals[p] = v;
+        }
+        m
     }
 
-    /// A matrix on an existing structure holding `csr_values`, the value
-    /// array of a CSR matrix with the pattern the structure was shaped
-    /// from.
-    pub fn with_values(s: Arc<SellStructure>, csr_values: &[f64]) -> SellMatrix {
-        let vals = s.src.iter().map(|&e| csr_values[e as usize]).collect();
-        SellMatrix { n: s.n, s, vals }
+    /// A zero matrix on an existing structure.
+    pub fn zeros(s: Arc<SellStructure>) -> SellMatrix {
+        SellMatrix { n: s.n, vals: vec![0.0; s.cols.len()], s }
     }
 
-    /// Refresh the values from the source CSR value array (one gather
-    /// pass; the pattern must be the one this structure was built from).
-    pub fn update_values(&mut self, csr_values: &[f64]) {
-        for (v, &s) in self.vals.iter_mut().zip(&self.s.src) {
-            *v = csr_values[s as usize];
+    /// The structure the values are laid out on.
+    pub fn structure(&self) -> &Arc<SellStructure> {
+        &self.s
+    }
+
+    /// The values, in SELL order (index them with the structure's
+    /// value indices).
+    pub fn values(&self) -> &[f64] {
+        &self.vals
+    }
+
+    /// The values, for scatter-assembly and cross-rank reduction.
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.vals
+    }
+
+    /// The values in CSR entry order ([`SellStructure::csr_order`]).
+    pub fn csr_values(&self) -> impl Iterator<Item = f64> + '_ {
+        self.s.csr_order().map(|p| self.vals[p])
+    }
+
+    /// The same matrix in CSR storage: the oracles' view of it.
+    pub fn to_csr(&self) -> CsrMatrix {
+        let s = &*self.s;
+        let mut row_ptr = Vec::with_capacity(s.n + 1);
+        row_ptr.push(0u32);
+        for &slot in &s.slot_of_row {
+            row_ptr.push(row_ptr[row_ptr.len() - 1] + s.slot_len[slot as usize]);
+        }
+        let col_idx: Vec<u32> = s.csr_order().map(|p| s.cols[p]).collect();
+        let values = self.csr_values().collect();
+        CsrMatrix { n: s.n, row_ptr: row_ptr.into(), col_idx: col_idx.into(), values }
+    }
+
+    /// Replace a row with the identity (Dirichlet boundary conditions).
+    pub fn set_dirichlet_row(&mut self, row: usize) {
+        for (p, col) in self.s.row_entries(row) {
+            self.vals[p] = if col as usize == row { 1.0 } else { 0.0 };
         }
     }
 
@@ -530,24 +593,142 @@ mod tests {
         );
     }
 
+    /// The gather map, the oracle of the slot map: for each value index,
+    /// the CSR entry it holds, laid out chunk by chunk as `from_csr` lays
+    /// out `cols` and without `row_entries`.
+    fn gather_map(a: &CsrMatrix) -> Vec<u32> {
+        let s = SellStructure::from_csr(a);
+        let mut src = Vec::with_capacity(a.nnz());
+        for c in 0..s.chunk_common.len() {
+            let slots = &s.rows[c * SELL_C..(c + 1) * SELL_C];
+            let common = s.chunk_common[c];
+            for k in 0..common {
+                src.extend(slots.iter().map(|&r| a.row_ptr[r as usize] + k));
+            }
+            for (l, &r) in slots.iter().enumerate() {
+                if r != u32::MAX {
+                    let lo = a.row_ptr[r as usize];
+                    src.extend(lo + common..lo + s.slot_len[c * SELL_C + l]);
+                }
+            }
+        }
+        src
+    }
+
+    /// What the slot map `map` (CSR entry → value index) must be for the
+    /// SELL shape `m` of `a`: a bijection onto `0..nnz`, the inverse of
+    /// the gather map, and the reading of `m`'s values in CSR order that
+    /// gives back `a`'s values bit for bit.
+    fn check_slot_map(a: &CsrMatrix, m: &SellMatrix, map: &[usize]) -> Result<(), String> {
+        let nnz = a.nnz();
+        if map.len() != nnz {
+            return Err(format!("{} entries mapped, {nnz} stored", map.len()));
+        }
+        let mut seen = vec![false; nnz];
+        for (e, &p) in map.iter().enumerate() {
+            if p >= nnz || std::mem::replace(&mut seen[p], true) {
+                return Err(format!("entry {e}: value index {p} out of range or taken twice"));
+            }
+        }
+        for (p, &e) in gather_map(a).iter().enumerate() {
+            if map[e as usize] != p {
+                let back = map[e as usize];
+                return Err(format!("value index {p} gathers entry {e}, which maps to {back}"));
+            }
+        }
+        for (e, &p) in map.iter().enumerate() {
+            if m.values()[p].to_bits() != a.values[e].to_bits() {
+                return Err(format!("entry {e} reads {:?}, not {:?}", m.values()[p], a.values[e]));
+            }
+        }
+        Ok(())
+    }
+
+    // The slot map on random shapes: `n` rarely a multiple of 8 or 64
+    // (empty tail slots, a short last σ-window), empty rows, and chunks
+    // whose rows are as long as the common part or longer. The run must
+    // meet each of those shapes, or it proves nothing about them.
     #[test]
-    fn update_values_tracks_reassembly() {
+    fn prop_slot_map_is_the_inverse_of_the_gather_map() {
+        use std::cell::Cell;
+        let (tails, windows, at_common, past_common) =
+            (Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0));
+        prop::check(
+            "slot map is a bijection onto 0..nnz and inverts the gather map",
+            PropConfig::cases(60),
+            &prop::usize_range(0, 1 << 30),
+            |&seed| {
+                let a = random_csr(&mut Rng::new(seed as u64));
+                let m = SellMatrix::from_csr(&a);
+                let map: Vec<usize> = m.structure().csr_order().collect();
+                check_slot_map(&a, &m, &map).unwrap();
+                // Row by row the columns come out in CSR order, and the
+                // CSR view is the source matrix.
+                for row in 0..a.n {
+                    let want = &a.col_idx[a.row_ptr[row] as usize..a.row_ptr[row + 1] as usize];
+                    let got: Vec<u32> = m.s.row_entries(row).map(|(_, col)| col).collect();
+                    assert_eq!(got, want, "row {row}");
+                }
+                let back = m.to_csr();
+                assert_eq!((&back.row_ptr, &back.col_idx), (&a.row_ptr, &a.col_idx));
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&back.values), bits(&a.values));
+
+                let s = &m.s;
+                tails.set(tails.get() + usize::from(!a.n.is_multiple_of(SELL_C)));
+                let short_window = a.n > SELL_SIGMA && !a.n.is_multiple_of(SELL_SIGMA);
+                windows.set(windows.get() + usize::from(short_window));
+                for (slot, &len) in s.slot_len.iter().enumerate() {
+                    let common = s.chunk_common[slot / SELL_C];
+                    if common > 0 {
+                        at_common.set(at_common.get() + usize::from(len == common));
+                        past_common.set(past_common.get() + usize::from(len > common));
+                    }
+                }
+            },
+        );
+        for (what, count) in [
+            ("empty tail slots", tails),
+            ("a short last σ-window", windows),
+            ("rows of the common length", at_common),
+            ("rows past the common length", past_common),
+        ] {
+            assert!(count.get() > 0, "no case had {what}");
+        }
+    }
+
+    // The negative control of the check above: one swapped pair of value
+    // indices must fail it, though the map stays a bijection.
+    #[test]
+    fn a_slot_map_with_one_swap_fails_the_check() {
+        let a = airway_matrix();
+        let m = SellMatrix::from_csr(&a);
+        let mut map: Vec<usize> = m.structure().csr_order().collect();
+        check_slot_map(&a, &m, &map).unwrap();
+        let last = map.len() - 1;
+        assert_ne!(a.values[0], a.values[last]);
+        map.swap(0, last);
+        let err = check_slot_map(&a, &m, &map).expect_err("a swapped slot must fail");
+        assert!(err.contains("gathers entry"), "{err}");
+    }
+
+    // What the solver reads and writes by row: the Dirichlet rows and the
+    // diagonal that `position` finds agree with the CSR ones.
+    #[test]
+    fn row_operations_match_the_csr_ones() {
         let mut a = airway_matrix();
-        let mut s = SellMatrix::from_csr(&a);
-        // "Reassemble" with different values, refresh, compare again.
-        let mut rng = Rng::new(77);
-        for v in &mut a.values {
-            *v = rng.range_f64(-1.0, 1.0);
+        let mut m = SellMatrix::from_csr(&a);
+        for row in [0, 7, a.n / 2, a.n - 1] {
+            a.set_dirichlet_row(row);
+            m.set_dirichlet_row(row);
         }
-        s.update_values(&a.values);
-        let x: Vec<f64> = (0..a.n).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
-        let mut y_csr = vec![0.0; a.n];
-        let mut y_sell = vec![0.0; a.n];
-        a.spmv(&x, &mut y_csr);
-        s.spmv(&x, &mut y_sell);
-        for r in 0..a.n {
-            assert_eq!(y_sell[r].to_bits(), y_csr[r].to_bits(), "row {r}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&m.to_csr().values), bits(&a.values));
+        for i in 0..a.n {
+            let diagonal = m.values()[m.structure().position(i, i).expect("diagonal listed")];
+            assert_eq!(diagonal.to_bits(), a.values[a.entry_index(i, i)].to_bits(), "row {i}");
         }
+        assert_eq!(m.structure().position(0, a.n), None);
     }
 
     #[test]

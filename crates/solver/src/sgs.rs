@@ -297,8 +297,9 @@ mod tests {
     fn run(strategy: AssemblyStrategy) -> (SgsField, SgsStats) {
         let (mesh, refs, pool, vel) = fixture();
         let pattern = crate::csr::CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+        let sell = crate::sell::SellStructure::from_csr(&pattern);
         let order = crate::batch::ElementOrder::List;
-        let plan = AssemblyPlan::new(&mesh, all_elems(&mesh), strategy, 16, &pattern, order);
+        let plan = AssemblyPlan::new(&mesh, all_elems(&mesh), strategy, 16, &sell, order);
         let mut field = SgsField::new(&mesh, &plan.elems);
         let stats = oracle::compute_sgs(
             &pool,

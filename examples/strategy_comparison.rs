@@ -12,14 +12,14 @@ use cfpd_mesh::{generate_airway, AirwaySpec, Vec3};
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_momentum, AssemblyPlan, AssemblyStrategy, CsrMatrix, ElementOrder, FluidProps,
-    RefElement,
+    RefElement, SellMatrix,
 };
 
 fn main() {
     let airway = generate_airway(&AirwaySpec::small()).expect("valid spec");
     let mesh = &airway.mesh;
     let n2e = mesh.node_to_elements();
-    let template = CsrMatrix::from_mesh(mesh, &n2e);
+    let template = SellMatrix::from_csr(&CsrMatrix::from_mesh(mesh, &n2e));
     let refs = RefElement::all();
     let pool = ThreadPool::new(4);
     let velocity: Vec<Vec3> =
@@ -40,8 +40,8 @@ fn main() {
 
     let mut reference: Option<Vec<f64>> = None;
     for strategy in AssemblyStrategy::ALL {
-        let plan =
-            AssemblyPlan::new(mesh, elems.clone(), strategy, 24, &template, ElementOrder::List);
+        let (sell, order) = (template.structure(), ElementOrder::List);
+        let plan = AssemblyPlan::new(mesh, elems.clone(), strategy, 24, sell, order);
         let mut a = template.clone();
         let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
         let t0 = std::time::Instant::now();
@@ -61,7 +61,7 @@ fn main() {
         let max_diff = reference
             .as_ref()
             .map(|r| {
-                a.values
+                a.values()
                     .iter()
                     .zip(r)
                     .map(|(x, y)| (x - y).abs())
@@ -69,7 +69,7 @@ fn main() {
             })
             .unwrap_or(0.0);
         if reference.is_none() {
-            reference = Some(a.values.clone());
+            reference = Some(a.values().to_vec());
         }
         println!(
             "{:<10} {:>10.2} {:>12} {:>8} {:>7} {:>14.3e}",

@@ -632,6 +632,11 @@ if grep -rnE 'DlbCluste[r]|new_bloc[k]|total_stat[s]|all_event[s]|JobLendStat[s]
     echo "FAIL: a second DLB layer or record is back: a run has one DlbNode and its event log is the record" >&2
     exit 1
 fi
+# The gather map's field was `src`, too common a name to grep for.
+if grep -rnE 'update_value[s]|with_value[s]|zero_matri[x]' crates tests examples; then
+    echo "FAIL: a second value array per assembled matrix is back: assembly scatters into SELL order" >&2
+    exit 1
+fi
 
 echo "== blocking-accept gate (the HTTP front end is woken, never polled) =="
 # The bracketed letters keep this script from matching itself.

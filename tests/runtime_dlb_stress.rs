@@ -9,7 +9,7 @@ use cfpd_runtime::{
 use cfpd_simmpi::{ReduceOp, Universe};
 use cfpd_solver::{
     assemble_divergence, assemble_momentum, assemble_pressure_gradient, AssemblyPlan,
-    AssemblyStrategy, CsrMatrix, ElementOrder, FluidProps, RefElement,
+    AssemblyStrategy, CsrMatrix, ElementOrder, FluidProps, RefElement, SellMatrix,
 };
 use cfpd_testkit::prop::{check, usize_range, vec_of, PropConfig};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -167,7 +167,7 @@ fn assembly_is_bit_identical_under_random_lend_reclaim_scripts() {
     let spec = AirwaySpec { generations: 2, ..AirwaySpec::small() };
     let mesh = generate_airway(&spec).unwrap().mesh;
     let refs = RefElement::all();
-    let template = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+    let template = SellMatrix::from_csr(&CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements()));
     let n = mesh.num_nodes();
     let velocity: Vec<Vec3> =
         mesh.coords.iter().map(|p| Vec3::new(p.z * 2.0, p.x, -p.y * 0.5)).collect();
@@ -177,7 +177,7 @@ fn assembly_is_bit_identical_under_random_lend_reclaim_scripts() {
         .into_iter()
         .map(|strategy| {
             let order = ElementOrder::KindGrouped;
-            AssemblyPlan::new(&mesh, elems.clone(), strategy, 64, &template, order)
+            AssemblyPlan::new(&mesh, elems.clone(), strategy, 64, template.structure(), order)
         })
         .collect();
     let assemble = |pool: &ThreadPool, plan: &AssemblyPlan| {
@@ -200,7 +200,7 @@ fn assembly_is_bit_identical_under_random_lend_reclaim_scripts() {
         assemble_divergence(pool, &refs, &mesh, plan, &velocity, props, dt, &mut div);
         let mut grad = vec![0.0; 3 * n];
         assemble_pressure_gradient(pool, &refs, &mesh, plan, &pressure, &mut grad);
-        (a.values, rhs, div, grad)
+        (a.values().to_vec(), rhs, div, grad)
     };
     let one = ThreadPool::new(1);
     let want: Vec<_> = plans.iter().map(|plan| assemble(&one, plan)).collect();

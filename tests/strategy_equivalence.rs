@@ -10,9 +10,10 @@ use cfpd_partition::{decompose_subdomains, greedy_coloring, local_element_graph,
 use cfpd_runtime::ThreadPool;
 use cfpd_solver::{
     assemble_momentum, oracle, AssemblyPlan, AssemblyStrategy, CsrMatrix, ElementOrder, FluidProps,
-    RefElement,
+    RefElement, SellMatrix, SellStructure,
 };
 use cfpd_testkit::prop::{check, f64_range, map, usize_range, Gen, PropConfig};
+use std::sync::Arc;
 
 /// Random (but valid) small airway specifications.
 fn arb_spec() -> impl Gen<Value = AirwaySpec> {
@@ -39,13 +40,14 @@ fn arb_spec() -> impl Gen<Value = AirwaySpec> {
     })
 }
 
-/// Momentum matrix and right-hand sides of one plan on `pool`, in
-/// `order` — or, with none, through the element-at-a-time oracle loops.
+/// Momentum matrix (in CSR entry order) and right-hand sides of one plan
+/// on `pool`, in `order` — or, with none, through the element-at-a-time
+/// oracle loops, which add into CSR.
 #[allow(clippy::too_many_arguments)]
 fn assemble(
     pool: &ThreadPool,
     mesh: &cfpd_mesh::Mesh,
-    template: &CsrMatrix,
+    (template, sell): (&CsrMatrix, &Arc<SellStructure>),
     velocity: &[Vec3],
     strategy: AssemblyStrategy,
     n_sub: usize,
@@ -53,23 +55,24 @@ fn assemble(
 ) -> (Vec<f64>, Vec<Vec<f64>>) {
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
     let cut = order.unwrap_or(ElementOrder::List);
-    let plan = AssemblyPlan::new(mesh, elems, strategy, n_sub, template, cut);
-    let mut a = template.clone();
+    let plan = AssemblyPlan::new(mesh, elems, strategy, n_sub, sell, cut);
     let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
-    let sweep = if order.is_some() { assemble_momentum } else { oracle::assemble_momentum };
-    sweep(
-        pool,
-        &RefElement::all(),
-        mesh,
-        &plan,
-        velocity,
-        FluidProps::default(),
-        1e-4,
-        Vec3::new(0.0, 0.0, -9.81),
-        &mut a,
-        &mut rhs,
-    );
-    (a.values, rhs)
+    let (refs, props, dt, gravity) =
+        (RefElement::all(), FluidProps::default(), 1e-4, Vec3::new(0.0, 0.0, -9.81));
+    let values = if order.is_some() {
+        let mut a = SellMatrix::zeros(Arc::clone(sell));
+        assemble_momentum(
+            pool, &refs, mesh, &plan, velocity, props, dt, gravity, &mut a, &mut rhs,
+        );
+        a.csr_values().collect()
+    } else {
+        let mut a = template.clone();
+        oracle::assemble_momentum(
+            pool, &refs, mesh, &plan, velocity, props, dt, gravity, &mut a, &mut rhs,
+        );
+        a.values
+    };
+    (values, rhs)
 }
 
 fn assert_close(what: &str, got: &[f64], want: &[f64]) {
@@ -85,11 +88,12 @@ fn check_strategies(spec: &AirwaySpec, n_sub: usize, order: ElementOrder) {
     let airway = generate_airway(spec).unwrap();
     let mesh = &airway.mesh;
     let template = CsrMatrix::from_mesh(mesh, &mesh.node_to_elements());
+    let sell = Arc::new(SellStructure::from_csr(&template));
     let (four, one) = (ThreadPool::new(4), ThreadPool::new(1));
     let velocity: Vec<Vec3> =
         mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
     let run = |pool: &ThreadPool, strategy, order| {
-        assemble(pool, mesh, &template, &velocity, strategy, n_sub, order)
+        assemble(pool, mesh, (&template, &sell), &velocity, strategy, n_sub, order)
     };
 
     let (vals_ref, rhs_ref) = run(&four, AssemblyStrategy::Serial, None);
