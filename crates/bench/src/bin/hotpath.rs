@@ -46,6 +46,8 @@
 //! `--quick` shrinks the mesh and sample count for the CI smoke in
 //! `scripts/verify.sh`.
 
+#![forbid(unsafe_code)]
+
 use std::hint::black_box;
 
 use cfpd_bench::{emit, emit_json, json_rows};
@@ -715,9 +717,9 @@ fn write_json(
         e2e.opt_ns,
         e2e.default_ns / e2e.opt_ns
     ));
-    let flat: Vec<(String, f64, usize, usize)> = rows
+    let flat: Vec<(String, [f64; 3], usize, usize)> = rows
         .iter()
-        .map(|(name, stats)| (name.clone(), stats.median * 1e9, stats.samples as usize, elements))
+        .map(|(n, s)| (n.clone(), [s.min, s.median, s.max].map(|t| t * 1e9), s.samples as usize, elements))
         .collect();
     body.push_str(&json_rows(&flat, 0));
     body.push_str("}\n");

@@ -18,6 +18,8 @@
 //! wins the spatial one, and CSR-row-serial vs SELL-chunk traversal
 //! pick opposite winners.
 
+#![forbid(unsafe_code)]
+
 use cfpd_mesh::{generate_airway, AirwaySpec};
 use cfpd_partition::rcm_perm;
 use cfpd_solver::CsrMatrix;

@@ -7,8 +7,11 @@
 //!
 //! Writes `results/BENCH_telemetry_overhead.json` plus a repo-root
 //! copy `BENCH_telemetry_overhead.json` (same row schema as
-//! `BENCH_hotpath.json`: `{ name, median_ns, iters, elements }`,
-//! where `median_ns` is per-op and `elements` is ops per sample).
+//! `BENCH_hotpath.json`: `{ name, median_ns, min_ns, max_ns, iters,
+//! elements }`, where the times are per-op and `elements` is ops per
+//! sample).
+
+#![forbid(unsafe_code)]
 
 use cfpd_telemetry::{self as tel, Span};
 use cfpd_testkit::bench::{Bench, BenchConfig, BenchStats};
@@ -112,11 +115,12 @@ fn write_json(rows: &[(String, BenchStats)], ops: usize, quick: bool) {
     body.push_str(&format!(
         "  \"bench\": \"telemetry_overhead\",\n  \"quick\": {quick},\n  \"ops_per_sample\": {ops},\n"
     ));
-    let flat: Vec<(String, f64, usize, usize)> = rows
+    let flat: Vec<(String, [f64; 3], usize, usize)> = rows
         .iter()
-        .map(|(name, stats)| {
+        .map(|(name, s)| {
             let n = ops_for(name, ops);
-            (name.clone(), per_op_ns(stats, n), stats.samples as usize, n)
+            let per_op = [s.min, s.median, s.max].map(|t| t * 1e9 / n as f64);
+            (name.clone(), per_op, s.samples as usize, n)
         })
         .collect();
     body.push_str(&cfpd_bench::json_rows(&flat, 3));

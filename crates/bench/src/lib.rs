@@ -7,6 +7,8 @@
 //! shared machinery: the figure-scale mesh, cached per-rank workload
 //! profiles, scenario construction and table formatting.
 
+#![forbid(unsafe_code)]
+
 use cfpd_core::{measure_workload, PhaseCostModel, WorkloadProfile};
 use cfpd_mesh::{generate_airway, AirwayMesh, AirwaySpec};
 use cfpd_perfmodel::{CoupledScenario, Mapping, PhaseSpec, Platform, Sensitivity, SyncScenario};
@@ -243,15 +245,16 @@ pub fn emit_json(stem: &str, quick: bool, body: &str) {
 }
 
 /// Render the shared `"rows": [...]` section of the bench JSON schema:
-/// one `{ name, median_ns, iters, elements }` object per row, with
-/// `median_ns` printed to `prec` decimals.
-pub fn json_rows(rows: &[(String, f64, usize, usize)], prec: usize) -> String {
+/// one `{ name, median_ns, min_ns, max_ns, iters, elements }` object per
+/// row — the median and the sample range, `[min, median, max]` in the
+/// tuple, printed to `prec` decimals.
+pub fn json_rows(rows: &[(String, [f64; 3], usize, usize)], prec: usize) -> String {
     let mut body = String::from("  \"rows\": [\n");
-    for (i, (name, median_ns, iters, elements)) in rows.iter().enumerate() {
+    for (i, (name, [min, median, max], iters, elements)) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
         body.push_str(&format!(
-            "    {{ \"name\": \"{name}\", \"median_ns\": {median_ns:.prec$}, \
-             \"iters\": {iters}, \"elements\": {elements} }}{sep}\n"
+            "    {{ \"name\": \"{name}\", \"median_ns\": {median:.prec$}, \"min_ns\": {min:.prec$}, \
+             \"max_ns\": {max:.prec$}, \"iters\": {iters}, \"elements\": {elements} }}{sep}\n"
         ));
     }
     body.push_str("  ]\n");

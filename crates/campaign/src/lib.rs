@@ -35,6 +35,8 @@
 //! serve scheduler depends on this crate's runner and aggregate layers,
 //! so the CLI rides with it to avoid a dependency cycle.
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod dsl;
 pub mod matrix;

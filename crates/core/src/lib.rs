@@ -11,6 +11,8 @@
 //! for the virtual-platform model (`cfpd-perfmodel`) that regenerates
 //! the paper's figures at 96/192-rank scale.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod deposition;

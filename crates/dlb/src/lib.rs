@@ -12,6 +12,8 @@
 //! simulation code never mentions DLB — the same "no source changes"
 //! property the paper highlights.
 
+#![forbid(unsafe_code)]
+
 pub mod joblend;
 pub mod lewi;
 

@@ -37,6 +37,8 @@
 //! suites pin this by running the goldens byte-identical with the
 //! recorder enabled.
 
+#![forbid(unsafe_code)]
+
 use cfpd_testkit::record::{self, parse_int};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;

@@ -9,6 +9,8 @@
 //! deterministically via [`cfpd_simmpi::ProfileHooks`], which affects
 //! timing only.
 
+#![forbid(unsafe_code)]
+
 pub mod profiles;
 
 pub use profiles::{profile_by_name, thunder_vs_mn4_speed, PROFILE_NAMES};

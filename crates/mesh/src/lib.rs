@@ -24,6 +24,8 @@
 //! assert!(stats.num_prisms > 0 && stats.num_tets > 0 && stats.num_pyramids > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod airway;
 pub mod builder;
 pub mod element;

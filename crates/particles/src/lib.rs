@@ -10,6 +10,8 @@
 //! inlet, so at injection the entire particle workload lands on the few
 //! ranks owning inlet elements — the paper's L₉₆ = 0.02 imbalance.
 
+#![forbid(unsafe_code)]
+
 pub mod forces;
 pub mod locator;
 pub mod oracle;

@@ -18,6 +18,8 @@
 //! * [`rcm`] — reverse Cuthill–McKee node reordering (CSR bandwidth
 //!   reduction for the locality-aware hot path).
 
+#![forbid(unsafe_code)]
+
 pub mod coloring;
 pub mod graph;
 pub mod kway;

@@ -15,6 +15,8 @@
 //! * [`scenario`] — builders mapping the paper's execution modes
 //!   (synchronous / coupled, Fig. 3) onto DES rank programs.
 
+#![forbid(unsafe_code)]
+
 pub mod des;
 pub mod energy;
 pub mod platform;

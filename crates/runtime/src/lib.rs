@@ -12,9 +12,13 @@
 //! Fig. 4 (atomics / coloring / multidependences) are built on these
 //! primitives in `cfpd-solver::assembly`.
 
+#![deny(unsafe_code)]
+
 pub mod chunk;
 pub mod parallel_for;
+#[allow(unsafe_code)]
 pub mod pool;
+#[allow(unsafe_code)]
 pub mod taskgraph;
 
 pub use chunk::{balanced_ranges, parallel_for_ranges, prefix_weights};

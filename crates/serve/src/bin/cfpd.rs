@@ -21,6 +21,8 @@
 //! telemetry summary to **stderr** — stdout stays byte-identical to the
 //! checked-in goldens.
 
+#![forbid(unsafe_code)]
+
 use cfpd_campaign::{expand, full_matrix_size, run_campaign_with, CampaignSpec};
 use cfpd_serve::{http_call, lint_prometheus, Daemon, ServeConfig, ServeFaultPlan};
 use cfpd_core::{

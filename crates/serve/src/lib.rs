@@ -37,6 +37,8 @@
 //! The `cfpd` binary lives here (top of the crate DAG) so `cfpd serve`
 //! can reach the campaign engine without a dependency cycle.
 
+#![forbid(unsafe_code)]
+
 pub mod daemon;
 pub mod fault;
 pub mod feed;

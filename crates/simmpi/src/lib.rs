@@ -18,6 +18,8 @@
 //! Tags at `u64::MAX - 5 ..= u64::MAX` are reserved for internal
 //! collectives; user code should use small tags.
 
+#![forbid(unsafe_code)]
+
 pub mod comm;
 pub mod diag;
 pub mod fault;

@@ -687,13 +687,12 @@ mod tests {
         let mut sell = SellMatrix::zeros(Arc::clone(&f.sell));
         assemble_poisson(&f.pool, &f.refs, &f.mesh, &plan, &mut sell);
         let a = sell.to_csr();
-        let pat = a.pattern();
         for row in 0..a.n {
             let lo = a.row_ptr[row] as usize;
             let hi = a.row_ptr[row + 1] as usize;
             for k in lo..hi {
                 let col = a.col_idx[k] as usize;
-                let tr = a.values[pat.entry_index(col, row)];
+                let tr = a.values[a.entry_index(col, row)];
                 let scale = a.values[k].abs().max(tr.abs()).max(1e-12);
                 assert!(
                     (a.values[k] - tr).abs() < 1e-9 * scale,

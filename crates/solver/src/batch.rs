@@ -33,7 +33,6 @@
 //! golden.
 
 use crate::assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy};
-use crate::csr::{AtomicView, DisjointView};
 use crate::kernels::{
     divergence_kernel_n, lumped_mass_kernel, momentum_kernel_n, poisson_kernel_n,
     pressure_gradient_kernel_n, ElementScratch, FluidProps, LocalMomentum, LocalPoisson,
@@ -44,6 +43,7 @@ use crate::lanes::{
 };
 use crate::sell::{SellMatrix, SellStructure};
 use crate::shape::RefElement;
+use crate::shared::{AtomicView, SharedOut};
 use cfpd_mesh::{Csr, ElementKind, Mesh, Vec3};
 use cfpd_runtime::{parallel_for, TaskGraph, ThreadPool};
 use std::ops::Range;
@@ -327,15 +327,15 @@ impl ScatterSink for AtomicSink<'_> {
 }
 
 struct DisjointSink<'a> {
-    matrix: DisjointView<'a>,
-    rhs: [DisjointView<'a>; 3],
+    matrix: SharedOut<'a, f64>,
+    rhs: [SharedOut<'a, f64>; 3],
 }
 
 impl<'a> DisjointSink<'a> {
     fn over<R: AsMut<[f64]>>(values: &'a mut [f64], rhs: &'a mut [R]) -> Self {
         DisjointSink {
-            matrix: DisjointView::from_slice(values),
-            rhs: rhs_views(rhs, DisjointView::from_slice),
+            matrix: SharedOut::new(values),
+            rhs: rhs_views(rhs, SharedOut::new),
         }
     }
 }
@@ -343,15 +343,13 @@ impl<'a> DisjointSink<'a> {
 impl ScatterSink for DisjointSink<'_> {
     #[inline]
     fn add_matrix(&self, idx: usize, v: f64) {
-        // SAFETY: the strategy schedule (serial order, color classes,
-        // or ordered subdomain tasks) guarantees no concurrent access
-        // to this entry — same contract as the unbatched path.
-        unsafe { self.matrix.add_at(idx, v) };
+        // The strategy schedule (serial order, color classes, or ordered
+        // subdomain tasks) keeps every other writer off this entry.
+        self.matrix.add(idx, v);
     }
     #[inline]
     fn add_rhs(&self, c: usize, node: usize, v: f64) {
-        // SAFETY: as above (the row is a node of the current element).
-        unsafe { self.rhs[c].add_at(node, v) };
+        self.rhs[c].add(node, v);
     }
 }
 
@@ -745,8 +743,8 @@ fn sweep<C: BatchCtx, R: AsMut<[f64]>>(
         }
         AssemblyStrategy::Atomics => {
             let sink = AtomicSink {
-                matrix: AtomicView::from_slice(values),
-                rhs: rhs_views(rhs, AtomicView::from_slice),
+                matrix: AtomicView::new(values),
+                rhs: rhs_views(rhs, AtomicView::new),
             };
             run_chunked(pool, plan, units, ctx, &sink, &lanes);
             stats.atomic_adds = sink.matrix.atomic_ops.load(Ordering::Relaxed)

@@ -1,10 +1,7 @@
-//! CSR sparse matrices with the three scatter-add disciplines the paper
-//! compares: atomic updates, and plain updates under an external
-//! no-conflict guarantee (coloring / multidependences).
+//! CSR sparse matrices: the serial reference storage and the pattern
+//! the SELL shape and the deflation structure are built from.
 
 use cfpd_mesh::{Csr, Mesh};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Square CSR matrix over mesh nodes. The sparsity pattern is shared
@@ -15,73 +12,6 @@ pub struct CsrMatrix {
     pub row_ptr: Arc<[u32]>,
     pub col_idx: Arc<[u32]>,
     pub values: Vec<f64>,
-}
-
-/// Shared view over an `f64` slice for concurrent scatter-add **with
-/// atomic adds** (the `omp atomic` strategy). Created from an exclusive
-/// borrow, so the cast to atomic words is sound.
-pub struct AtomicView<'a> {
-    values: &'a [AtomicU64],
-    /// Number of atomic adds performed (for the performance model's
-    /// atomic-penalty accounting).
-    pub atomic_ops: AtomicUsize,
-}
-
-impl<'a> AtomicView<'a> {
-    /// Wrap a mutable slice for concurrent atomic accumulation.
-    pub fn from_slice(s: &'a mut [f64]) -> AtomicView<'a> {
-        let ptr = s.as_mut_ptr() as *const AtomicU64;
-        // SAFETY: f64 and AtomicU64 have identical size/alignment; the
-        // exclusive borrow is converted into shared atomic access.
-        let values = unsafe { std::slice::from_raw_parts(ptr, s.len()) };
-        AtomicView { values, atomic_ops: AtomicUsize::new(0) }
-    }
-}
-
-/// Shared view over an `f64` slice for concurrent scatter-add **without
-/// atomics**, relying on an external guarantee that no two threads touch
-/// the same entry concurrently (coloring / multidependences). The
-/// guarantee is the caller's obligation; the strategy tests verify it by
-/// comparing the result against serial assembly.
-pub struct DisjointView<'a> {
-    values: &'a [UnsafeCell<f64>],
-}
-
-impl<'a> DisjointView<'a> {
-    /// Wrap a mutable slice for externally-synchronized accumulation.
-    pub fn from_slice(s: &'a mut [f64]) -> DisjointView<'a> {
-        let ptr = s.as_mut_ptr() as *const UnsafeCell<f64>;
-        // SAFETY: same layout; exclusivity delegated to the caller's
-        // coloring/multidependence guarantee.
-        let values = unsafe { std::slice::from_raw_parts(ptr, s.len()) };
-        DisjointView { values }
-    }
-}
-
-// SAFETY: concurrent access is governed by the no-conflict contract
-// documented above; entries touched by different threads are disjoint.
-unsafe impl Sync for DisjointView<'_> {}
-
-/// Immutable borrow of a CSR sparsity pattern, usable while the values
-/// are mutably viewed for concurrent scatter.
-#[derive(Clone, Copy)]
-pub struct CsrPattern<'a> {
-    pub n: usize,
-    row_ptr: &'a [u32],
-    col_idx: &'a [u32],
-}
-
-impl CsrPattern<'_> {
-    /// Flat index of entry (row, col); panics if not in the pattern.
-    #[inline]
-    pub fn entry_index(&self, row: usize, col: usize) -> usize {
-        let lo = self.row_ptr[row] as usize;
-        let hi = self.row_ptr[row + 1] as usize;
-        let cols = &self.col_idx[lo..hi];
-        lo + cols
-            .binary_search(&(col as u32))
-            .unwrap_or_else(|_| panic!("entry ({row},{col}) not in sparsity pattern"))
-    }
 }
 
 impl CsrMatrix {
@@ -122,7 +52,11 @@ impl CsrMatrix {
     /// Flat index of entry (row, col); panics if not in the pattern.
     #[inline]
     pub fn entry_index(&self, row: usize, col: usize) -> usize {
-        self.pattern().entry_index(row, col)
+        let lo = self.row_ptr[row] as usize;
+        let cols = &self.col_idx[lo..self.row_ptr[row + 1] as usize];
+        lo + cols
+            .binary_search(&(col as u32))
+            .unwrap_or_else(|_| panic!("entry ({row},{col}) not in sparsity pattern"))
     }
 
     /// Add `v` to entry (row, col) — serial scatter.
@@ -130,11 +64,6 @@ impl CsrMatrix {
     pub fn add(&mut self, row: usize, col: usize, v: f64) {
         let i = self.entry_index(row, col);
         self.values[i] += v;
-    }
-
-    /// Zero all values, keeping the pattern.
-    pub fn clear(&mut self) {
-        self.values.iter_mut().for_each(|v| *v = 0.0);
     }
 
     /// y = A x (serial).
@@ -159,34 +88,6 @@ impl CsrMatrix {
         (0..self.n).map(|i| self.values[self.entry_index(i, i)]).collect()
     }
 
-    /// Atomic concurrent-scatter view. Requires `&mut self`, so no other
-    /// access can alias the values while the view lives.
-    #[cfg(test)]
-    pub fn atomic_view(&mut self) -> AtomicView<'_> {
-        AtomicView::from_slice(&mut self.values)
-    }
-
-    /// Plain concurrent-scatter view (no-conflict contract on callers).
-    #[cfg(test)]
-    pub fn disjoint_view(&mut self) -> DisjointView<'_> {
-        DisjointView::from_slice(&mut self.values)
-    }
-
-    /// Split into an immutable pattern handle and the mutable value
-    /// slice — needed to look up entry indices while a concurrent
-    /// scatter view over the values is live.
-    pub(crate) fn split_mut(&mut self) -> (CsrPattern<'_>, &mut [f64]) {
-        (
-            CsrPattern { n: self.n, row_ptr: &self.row_ptr, col_idx: &self.col_idx },
-            &mut self.values,
-        )
-    }
-
-    /// Immutable pattern handle.
-    pub fn pattern(&self) -> CsrPattern<'_> {
-        CsrPattern { n: self.n, row_ptr: &self.row_ptr, col_idx: &self.col_idx }
-    }
-
     /// Replace a row with the identity (Dirichlet boundary conditions),
     /// returning the diagonal to 1.
     pub fn set_dirichlet_row(&mut self, row: usize) {
@@ -198,41 +99,12 @@ impl CsrMatrix {
     }
 }
 
-impl AtomicView<'_> {
-    /// Atomically add `v` at flat index `idx` (CAS loop on the bit
-    /// pattern — the portable equivalent of `omp atomic` on a double).
-    #[inline]
-    pub fn add_at(&self, idx: usize, v: f64) {
-        let cell = &self.values[idx];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let new = f64::to_bits(f64::from_bits(cur) + v);
-            match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-        self.atomic_ops.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl DisjointView<'_> {
-    /// Add `v` at flat index `idx` with a plain read-modify-write.
-    ///
-    /// # Safety
-    /// No other thread may access `idx` concurrently (guaranteed by the
-    /// coloring / multidependences schedule).
-    #[inline]
-    pub unsafe fn add_at(&self, idx: usize, v: f64) {
-        let p = self.values[idx].get();
-        unsafe { *p += v };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shared::{AtomicView, SharedOut};
     use cfpd_mesh::{generate_airway, AirwaySpec};
+    use std::sync::atomic::Ordering;
 
     fn demo_matrix() -> CsrMatrix {
         let am = generate_airway(&AirwaySpec::small()).unwrap();
@@ -318,7 +190,7 @@ mod tests {
             col_idx: vec![0].into(),
             values: vec![0.0],
         };
-        let view = a.atomic_view();
+        let view = AtomicView::new(&mut a.values);
         let pool = cfpd_runtime::ThreadPool::new(4);
         cfpd_runtime::parallel_for(&pool, 0..10_000, 16, |r| {
             for _ in r {
@@ -338,13 +210,12 @@ mod tests {
             col_idx: vec![0, 1, 2, 3].into(),
             values: vec![0.0; 4],
         };
-        let view = a.disjoint_view();
+        let view = SharedOut::new(&mut a.values);
         let pool = cfpd_runtime::ThreadPool::new(4);
         // Each index touched by exactly one chunk (grain 1, disjoint).
         cfpd_runtime::parallel_for(&pool, 0..4, 1, |r| {
             for i in r {
-                // SAFETY: indices are disjoint across chunks.
-                unsafe { view.add_at(i, (i + 1) as f64) };
+                view.add(i, (i + 1) as f64);
             }
         });
         drop(view);

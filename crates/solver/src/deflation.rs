@@ -44,9 +44,10 @@
 
 use crate::csr::CsrMatrix;
 use crate::krylov::SolveStats;
-use crate::parallel::{spmv_sweep, ChunkedDot, SharedOut};
+use crate::parallel::{spmv_sweep, ChunkedDot};
 use crate::sell::SellMatrix;
-use cfpd_runtime::{balanced_ranges, parallel_for_ranges, ThreadPool};
+use crate::shared::{for_ranges_mut, map_ranges_mut};
+use cfpd_runtime::{balanced_ranges, ThreadPool};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -68,6 +69,8 @@ const PIVOT_FLOOR: f64 = 1e-12;
 #[derive(Debug)]
 pub struct DeflationStructure {
     n: usize,
+    /// Stored entries of the pattern.
+    nnz: usize,
     /// Number of groups.
     k: usize,
     /// Group of each node; `k` for nodes in no group (`coarse[k]` is a
@@ -79,10 +82,6 @@ pub struct DeflationStructure {
     aw_row: Vec<u32>,
     /// Entry-balanced group ranges for the parallel `(AW)ᵀz`.
     aw_ranges: Vec<Range<usize>>,
-    /// For each entry of the source CSR pattern, in CSR entry order, the
-    /// `AW` entry it adds into ([`NONE`]: Dirichlet row, or column in no
-    /// group).
-    aw_slot: Vec<u32>,
     /// Skyline of the lower triangle of `E`: row `g` stores columns
     /// `e_first[g]..=g` from `e_ptr[g]`.
     e_first: Vec<u32>,
@@ -194,23 +193,16 @@ impl DeflationStructure {
             aw_ptr[g + 1] += aw_ptr[g];
         }
         let mut cursor = aw_ptr.clone();
-        let mut slot_of = vec![0u32; k];
         seen_by.fill(NONE);
         let mut aw_row = vec![0u32; aw_ptr[k] as usize];
-        let mut aw_slot = vec![NONE; pattern.nnz()];
         for i in (0..n).filter(|&i| !is_fixed[i]) {
-            for e in pattern.row_ptr[i] as usize..pattern.row_ptr[i + 1] as usize {
-                let g = group[pattern.col_idx[e] as usize] as usize;
-                if g == k {
-                    continue;
-                }
-                if seen_by[g] != i as u32 {
+            for &j in row(i) {
+                let g = group[j as usize] as usize;
+                if g < k && seen_by[g] != i as u32 {
                     seen_by[g] = i as u32;
-                    slot_of[g] = cursor[g];
                     aw_row[cursor[g] as usize] = i as u32;
                     cursor[g] += 1;
                 }
-                aw_slot[e] = slot_of[g];
             }
         }
 
@@ -241,12 +233,12 @@ impl DeflationStructure {
 
         DeflationStructure {
             n,
+            nnz: pattern.nnz(),
             k,
             group,
             aw_ranges: balanced_ranges(&aw_ptr, CG_CHUNKS),
             aw_ptr,
             aw_row,
-            aw_slot,
             e_first,
             e_ptr,
             e_slot,
@@ -328,7 +320,7 @@ impl Deflation {
         // Coarse right-hand side / solution, plus the always-zero slot
         // of the nodes in no group.
         let mut coarse = vec![0.0; self.s.k + 1];
-        let mut parts = [vec![0.0; dots.ranges().len()], vec![0.0; dots.ranges().len()]];
+        let mut parts = vec![(0.0, 0.0); dots.ranges().len()];
         // b_norm in serial order: bit-identical to the reference CG.
         let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1e-300);
 
@@ -410,19 +402,26 @@ impl Deflation {
     /// nodes. Call again whenever the values change. The values are read
     /// in CSR entry order, the order `AW` sums them in.
     pub fn refresh(&mut self, a: &SellMatrix) {
-        assert_eq!(a.n, self.s.n);
-        assert_eq!(a.nnz(), self.s.aw_slot.len(), "matrix does not have the deflation's pattern");
+        let s = &*self.s;
+        assert!(a.n == s.n && a.nnz() == s.nnz, "matrix does not have the deflation's pattern");
         self.diag = vec![0.0; a.n];
         self.aw_val.fill(0.0);
-        let (values, mut aw_slot) = (a.values(), self.s.aw_slot.iter());
-        for row in 0..a.n {
-            for (p, col) in a.structure().row_entries(row) {
-                if col as usize == row {
-                    self.diag[row] = values[p];
+        // `AW`'s entries of group `g` ascend by row, so the one of row `i`
+        // (none for a Dirichlet row) sits at or one past where the rows
+        // before it left group `g`'s cursor.
+        let (mut cursor, values) = (s.aw_ptr.clone(), a.values());
+        for i in 0..a.n {
+            for (p, col) in a.structure().row_entries(i) {
+                if col as usize == i {
+                    self.diag[i] = values[p];
                 }
-                let s = *aw_slot.next().expect("one slot per entry, checked above");
-                if s != NONE {
-                    self.aw_val[s as usize] += values[p];
+                let g = s.group[col as usize] as usize;
+                if g < s.k {
+                    let (t, end) = (&mut cursor[g], s.aw_ptr[g + 1]);
+                    *t += u32::from(*t < end && s.aw_row[*t as usize] < i as u32);
+                    if *t < end && s.aw_row[*t as usize] == i as u32 {
+                        self.aw_val[*t as usize] += values[p];
+                    }
                 }
             }
         }
@@ -505,31 +504,24 @@ impl Deflation {
         coarse: &mut [f64],
     ) {
         if self.active {
-            {
-                let out = SharedOut::new(coarse);
-                let (out, ptr, rows, vals) = (&out, &self.s.aw_ptr, &self.s.aw_row, &self.aw_val);
-                parallel_for_ranges(pool, &self.s.aw_ranges, |_c, groups| {
-                    for g in groups {
-                        let (lo, hi) = (ptr[g] as usize, ptr[g + 1] as usize);
-                        let mut acc = 0.0;
-                        for (&i, &v) in rows[lo..hi].iter().zip(&vals[lo..hi]) {
-                            acc += v * z[i as usize];
-                        }
-                        // SAFETY: group ranges are disjoint; slot `g`
-                        // (`< k`, in bounds) is ours.
-                        unsafe { out.set(g, acc) };
+            let (ptr, rows, vals) = (&self.s.aw_ptr, &self.s.aw_row, &self.aw_val);
+            for_ranges_mut(pool, &self.s.aw_ranges, [&mut *coarse], |groups, [out]| {
+                for (slot, g) in out.iter_mut().zip(groups) {
+                    let (lo, hi) = (ptr[g] as usize, ptr[g + 1] as usize);
+                    let mut acc = 0.0;
+                    for (&i, &v) in rows[lo..hi].iter().zip(&vals[lo..hi]) {
+                        acc += v * z[i as usize];
                     }
-                });
-            }
+                    *slot = acc;
+                }
+            });
             self.coarse_solve(coarse);
         }
         // Without deflation `coarse` is all zeros and this is z + βp.
-        let ps = SharedOut::new(p);
-        let (ps, mu, group) = (&ps, &*coarse, &self.s.group);
-        parallel_for_ranges(pool, ranges, |_c, range| {
-            for i in range {
-                // SAFETY: chunk ranges are disjoint; `i` is ours.
-                unsafe { ps.set(i, z[i] + beta * ps.get(i) - mu[group[i] as usize]) };
+        let (mu, group) = (&*coarse, &self.s.group);
+        for_ranges_mut(pool, ranges, [p], |range, [p]| {
+            for ((pi, &zi), &g) in p.iter_mut().zip(&z[range.clone()]).zip(&group[range]) {
+                *pi = zi + beta * *pi - mu[g as usize];
             }
         });
     }
@@ -549,36 +541,21 @@ fn update_fused(
     x: &mut [f64],
     r: &mut [f64],
     z: &mut [f64],
-    parts: &mut [Vec<f64>; 2],
+    parts: &mut [(f64, f64)],
 ) -> (f64, f64) {
-    let [rz_parts, rr_parts] = parts;
-    {
-        let (xs, rs, zs) = (SharedOut::new(x), SharedOut::new(r), SharedOut::new(z));
-        let (rzp, rrp) = (SharedOut::new(rz_parts), SharedOut::new(rr_parts));
-        let (xs, rs, zs, rzp, rrp) = (&xs, &rs, &zs, &rzp, &rrp);
-        parallel_for_ranges(pool, ranges, |c, range| {
-            let (mut rz_acc, mut rr_acc) = (0.0, 0.0);
-            for i in range {
-                // SAFETY: chunk ranges are disjoint, `i` is ours.
-                unsafe {
-                    xs.set(i, xs.get(i) + alpha * p[i]);
-                    let ri = rs.get(i) - alpha * ap[i];
-                    rs.set(i, ri);
-                    let d = diag[i];
-                    let zi = if d.abs() > 1e-300 { ri / d } else { ri };
-                    zs.set(i, zi);
-                    rz_acc += ri * zi;
-                    rr_acc += ri * ri;
-                }
-            }
-            // SAFETY: slot `c` belongs to this chunk alone.
-            unsafe {
-                rzp.set(c, rz_acc);
-                rrp.set(c, rr_acc);
-            }
-        });
-    }
-    (rz_parts.iter().sum(), rr_parts.iter().sum())
+    map_ranges_mut(pool, ranges, [x, r, z], parts, |range, [x, r, z]| {
+        let (mut rz_acc, mut rr_acc) = (0.0, 0.0);
+        let ins = p[range.clone()].iter().zip(&ap[range.clone()]).zip(&diag[range]);
+        for (((xi, ri), zi), ((&pi, &api), &d)) in x.iter_mut().zip(r).zip(z).zip(ins) {
+            *xi += alpha * pi;
+            *ri -= alpha * api;
+            *zi = if d.abs() > 1e-300 { *ri / d } else { *ri };
+            rz_acc += *ri * *zi;
+            rr_acc += *ri * *ri;
+        }
+        (rz_acc, rr_acc)
+    });
+    (parts.iter().map(|p| p.0).sum(), parts.iter().map(|p| p.1).sum())
 }
 
 #[cfg(test)]

@@ -12,9 +12,8 @@
 //! * **SGS** ([`sgs`]) — the per-element subgrid-scale sweep with no
 //!   global writes (the phase the paper uses to isolate scheduling
 //!   overhead), run in kind-grouped lane blocks;
-//! * [`csr`] — sparse storage with atomic and disjoint concurrent
-//!   scatter views; [`shape`] / [`kernels`] — isoparametric elements and
-//!   the local integrals;
+//! * [`csr`] — the reference sparse storage; [`shape`] / [`kernels`] —
+//!   isoparametric elements and the local integrals;
 //! * [`batch`] — the one engine behind every element sweep: same-kind
 //!   batches over precomputed gather / scatter arenas, lane kernels
 //!   ([`lanes`]) in every full block of eight;
@@ -27,6 +26,8 @@
 //!   assembly loops and their dynamically dispatched kernels among
 //!   them); no run reaches them.
 
+#![deny(unsafe_code)]
+
 pub mod assembly;
 pub mod batch;
 pub mod csr;
@@ -37,9 +38,13 @@ pub mod lanes;
 pub mod layout;
 pub mod oracle;
 pub mod parallel;
+#[allow(unsafe_code)]
 pub mod sell;
 pub mod sgs;
 pub mod shape;
+#[allow(unsafe_code)]
+mod shared;
+#[allow(unsafe_code)]
 pub mod simd;
 
 pub use assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy, AssemblyUnits};
@@ -47,7 +52,7 @@ pub use batch::{
     assemble_divergence, assemble_momentum, assemble_poisson, assemble_pressure_gradient,
     BatchSchedule, BatchSet, ElementOrder, KindBatch,
 };
-pub use csr::{AtomicView, CsrMatrix, CsrPattern, DisjointView};
+pub use csr::CsrMatrix;
 pub use kernels::{ElementScratch, FluidProps};
 pub use deflation::{Deflation, DeflationStructure};
 pub use krylov::{bicgstab3, cg, Bicgstab3Workspace, SolveStats};

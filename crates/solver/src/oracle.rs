@@ -26,13 +26,14 @@
 //! boundaries.
 
 use crate::assembly::{AssemblyPlan, AssemblyStats, AssemblyStrategy};
-use crate::csr::{AtomicView, CsrMatrix, DisjointView};
+use crate::csr::CsrMatrix;
 use crate::kernels::{
     divergence_kernel_n, pressure_gradient_kernel_n, sgs_kernel_on, ElementScratch, FluidProps,
     LocalMomentum, LocalPoisson,
 };
 use crate::krylov::SolveStats;
-use crate::sgs::{IterTally, SgsField, SgsStats, SgsView};
+use crate::sgs::{IterTally, SgsField, SgsStats};
+use crate::shared::{AtomicView, SharedOut};
 use crate::shape::{map_qp, MappedQp, RefElement, MAX_NODES};
 use cfpd_mesh::{ElementKind, Mesh, Vec3};
 use cfpd_runtime::{
@@ -149,7 +150,7 @@ pub fn compute_sgs(
 ) -> SgsStats {
     let SgsField { values, layout } = field;
     let (offsets, h) = (&layout.offsets, &layout.h);
-    let view = SgsView::new(values);
+    let view = SharedOut::new(values);
     let tally = IterTally::default();
 
     // One chunk, color-class slice or subdomain: elements in list order.
@@ -159,10 +160,10 @@ pub fn compute_sgs(
         for &e in list {
             let e = e as usize;
             let (kind, nn) = scratch.load(mesh, velocity, e);
-            // SAFETY: element ranges are disjoint; each element is
-            // processed by exactly one executor per sweep.
-            let slice = unsafe { view.range_mut(offsets[e] as usize, offsets[e + 1] as usize) };
-            let iters = sgs_kernel(refs, &scratch, kind, nn, props, h[e], slice, max_iters, tol);
+            // Element ranges are disjoint; each element is processed by
+            // exactly one executor per sweep.
+            let slice = view.claim(offsets[e] as usize..offsets[e + 1] as usize);
+            let iters = sgs_kernel(refs, &scratch, kind, nn, props, h[e], slice.0, max_iters, tol);
             total += iters as u64;
             max = max.max(iters);
         }
@@ -377,7 +378,9 @@ where
     assert!(rhs_dim <= 3 && rhs.len() == rhs_dim);
     let mut stats = plan.stats();
 
-    let (pattern, values) = matrix.split_mut();
+    // The values leave the matrix while the pattern names their entries.
+    let mut values = std::mem::take(&mut matrix.values);
+    let pattern = &*matrix;
     match plan.strategy {
         AssemblyStrategy::Serial => {
             let mut scratch = ElementScratch::default();
@@ -398,9 +401,8 @@ where
             }
         }
         AssemblyStrategy::Atomics => {
-            let av = AtomicView::from_slice(values);
-            let rvs: Vec<AtomicView> =
-                rhs.iter_mut().map(|r| AtomicView::from_slice(r)).collect();
+            let av = AtomicView::new(&mut values);
+            let rvs: Vec<AtomicView> = rhs.iter_mut().map(|r| AtomicView::new(r)).collect();
             let elems = &plan.elems;
             parallel_for(pool, 0..elems.len(), plan.atomics_grain(), |range| {
                 let mut scratch = ElementScratch::default();
@@ -424,9 +426,8 @@ where
                 + rvs.iter().map(|r| r.atomic_ops.load(Ordering::Relaxed)).sum::<usize>();
         }
         AssemblyStrategy::Coloring => {
-            let dv = DisjointView::from_slice(values);
-            let rvs: Vec<DisjointView> =
-                rhs.iter_mut().map(|r| DisjointView::from_slice(r)).collect();
+            let dv = SharedOut::new(&mut values);
+            let rvs: Vec<SharedOut<f64>> = rhs.iter_mut().map(|r| SharedOut::new(r)).collect();
             let classes = plan.color_classes().expect("coloring plan");
             for class in classes {
                 parallel_for(pool, 0..class.len(), plan.atomics_grain(), |range| {
@@ -439,14 +440,12 @@ where
                             let gi = nodes[i] as usize;
                             for j in 0..lb.nn {
                                 let idx = pattern.entry_index(gi, nodes[j] as usize);
-                                // SAFETY: same-color elements share no
-                                // node, so concurrent writes are disjoint.
-                                unsafe { dv.add_at(idx, lb.a[i][j]) };
+                                // Same-color elements share no node, so
+                                // concurrent writes are disjoint.
+                                dv.add(idx, lb.a[i][j]);
                             }
                             for (c, rv) in rvs.iter().enumerate() {
-                                // SAFETY: as above (row index is a node
-                                // of this element).
-                                unsafe { rv.add_at(gi, lb.b[i][c]) };
+                                rv.add(gi, lb.b[i][c]);
                             }
                         }
                     }
@@ -454,9 +453,8 @@ where
             }
         }
         AssemblyStrategy::Multidep => {
-            let dv = DisjointView::from_slice(values);
-            let rvs: Vec<DisjointView> =
-                rhs.iter_mut().map(|r| DisjointView::from_slice(r)).collect();
+            let dv = SharedOut::new(&mut values);
+            let rvs: Vec<SharedOut<f64>> = rhs.iter_mut().map(|r| SharedOut::new(r)).collect();
             let members = plan.subdomain_members().expect("multidep plan");
             let mut graph = TaskGraph::new();
             for (s, elems) in members.iter().enumerate() {
@@ -473,14 +471,13 @@ where
                             let gi = nodes[i] as usize;
                             for j in 0..lb.nn {
                                 let idx = pattern.entry_index(gi, nodes[j] as usize);
-                                // SAFETY: adjacent subdomains are ordered
-                                // by a dependence; non-adjacent ones
-                                // share no node.
-                                unsafe { dv.add_at(idx, lb.a[i][j]) };
+                                // Adjacent subdomains are ordered by a
+                                // dependence; non-adjacent ones share no
+                                // node.
+                                dv.add(idx, lb.a[i][j]);
                             }
                             for (c, rv) in rvs.iter().enumerate() {
-                                // SAFETY: as above.
-                                unsafe { rv.add_at(gi, lb.b[i][c]) };
+                                rv.add(gi, lb.b[i][c]);
                             }
                         }
                     }
@@ -489,6 +486,7 @@ where
             graph.execute(pool);
         }
     }
+    matrix.values = values;
     stats
 }
 

@@ -15,50 +15,14 @@
 //!   [`axpy_dot_fused`] write per-chunk partial sums to a chunk-indexed
 //!   slot array and sum the slots in chunk order, so a result depends
 //!   only on the chunk decomposition, never on the pool size.
+//!
+//! Every write goes through [`crate::shared`].
 
 use crate::csr::CsrMatrix;
 use crate::sell::SellMatrix;
+use crate::shared::{for_ranges_mut, map_ranges_mut, SharedOut};
 use cfpd_runtime::{parallel_for_ranges, ThreadPool};
-use std::cell::UnsafeCell;
 use std::ops::Range;
-
-/// Disjoint-write shared f64 slots: each index is written by exactly one
-/// chunk of a parallel region (output rows of an SpMV, per-chunk partial
-/// sums, or range-owned entries of an updated vector).
-pub(crate) struct SharedOut<'a>(&'a [UnsafeCell<f64>]);
-// SAFETY: callers only touch indices their chunk owns (disjoint ranges).
-unsafe impl Sync for SharedOut<'_> {}
-
-impl<'a> SharedOut<'a> {
-    pub(crate) fn new(v: &'a mut [f64]) -> SharedOut<'a> {
-        SharedOut(unsafe {
-            std::slice::from_raw_parts(v.as_mut_ptr() as *const UnsafeCell<f64>, v.len())
-        })
-    }
-
-    /// # Safety
-    /// `i` must be in bounds and owned by the calling chunk for the
-    /// whole region.
-    #[inline]
-    pub(crate) unsafe fn set(&self, i: usize, v: f64) {
-        unsafe { *self.0.get_unchecked(i).get() = v };
-    }
-
-    /// # Safety
-    /// As [`SharedOut::set`]: in bounds, and no other chunk may touch
-    /// `i`.
-    #[inline]
-    pub(crate) unsafe fn get(&self, i: usize) -> f64 {
-        unsafe { *self.0.get_unchecked(i).get() }
-    }
-
-    /// Base pointer for bulk raw writes (callers must stay within the
-    /// indices their chunk owns, as with [`SharedOut::set`]).
-    #[inline]
-    fn as_mut_ptr(&self) -> *mut f64 {
-        self.0.as_ptr() as *mut f64
-    }
-}
 
 impl CsrMatrix {
     /// At most `max_chunks` contiguous row ranges of ≈ equal nonzero
@@ -81,13 +45,7 @@ pub fn spmv_sweep(
     assert_eq!(y.len(), a.n);
     cfpd_telemetry::count!("solver.spmv_calls");
     let out = SharedOut::new(y);
-    let out_ref = &out;
-    parallel_for_ranges(pool, sweep, |_c, chunks| {
-        // SAFETY: the chunk ranges are disjoint and each SELL chunk owns
-        // its rows, so each region body owns the rows it writes; `y`
-        // spans all `n` rows.
-        unsafe { a.spmv_chunk_range_ptr(chunks.start, chunks.end, x, out_ref.as_mut_ptr()) };
-    });
+    parallel_for_ranges(pool, sweep, |_c, chunks| a.spmv_chunk_range(chunks, x, &out));
 }
 
 /// `Y = A X` for three interleaved columns (`x[3 j + c]`, `y[3 i + c]`)
@@ -104,12 +62,7 @@ pub fn spmm3_sweep(
     assert_eq!(y.len(), 3 * a.n);
     cfpd_telemetry::count!("solver.spmm3_calls");
     let out = SharedOut::new(y);
-    let out_ref = &out;
-    parallel_for_ranges(pool, sweep, |_c, chunks| {
-        // SAFETY: as in `spmv_sweep`, for the three entries of each row;
-        // `y` spans all `3 n`.
-        unsafe { a.spmm3_chunk_range_ptr(chunks.start, chunks.end, x, out_ref.as_mut_ptr()) };
-    });
+    parallel_for_ranges(pool, sweep, |_c, chunks| a.spmm3_chunk_range(chunks, x, &out));
 }
 
 /// xᵀy over a fixed set of index ranges, per-range partials summed in
@@ -146,55 +99,37 @@ impl ChunkedDot {
     pub fn dot(&mut self, pool: &ThreadPool, x: &[f64], y: &[f64]) -> f64 {
         assert_eq!(x.len(), y.len());
         let ranges = &self.ranges;
-        {
-            let parts_out = SharedOut::new(&mut self.parts);
-            let parts_ref = &parts_out;
-            parallel_for_ranges(pool, &self.quads, |_g, quad| {
-                let c0 = quad.start;
-                if quad.len() == 4 {
-                    let (a0, b0) = (&x[ranges[c0].clone()], &y[ranges[c0].clone()]);
-                    let (a1, b1) = (&x[ranges[c0 + 1].clone()], &y[ranges[c0 + 1].clone()]);
-                    let (a2, b2) = (&x[ranges[c0 + 2].clone()], &y[ranges[c0 + 2].clone()]);
-                    let (a3, b3) = (&x[ranges[c0 + 3].clone()], &y[ranges[c0 + 3].clone()]);
-                    // Lock-step over the common prefix (the balanced ranges
-                    // are near-equal, so this covers almost everything);
-                    // re-sliced so the indexing is provably in-bounds.
-                    let l = a0.len().min(a1.len()).min(a2.len()).min(a3.len());
-                    let (c_a0, c_b0) = (&a0[..l], &b0[..l]);
-                    let (c_a1, c_b1) = (&a1[..l], &b1[..l]);
-                    let (c_a2, c_b2) = (&a2[..l], &b2[..l]);
-                    let (c_a3, c_b3) = (&a3[..l], &b3[..l]);
-                    let mut accs = [0.0f64; 4];
-                    for k in 0..l {
-                        accs[0] += c_a0[k] * c_b0[k];
-                        accs[1] += c_a1[k] * c_b1[k];
-                        accs[2] += c_a2[k] * c_b2[k];
-                        accs[3] += c_a3[k] * c_b3[k];
-                    }
-                    // Per-range tails continue each chain past the prefix.
-                    for (s, (a, b)) in
-                        [(a0, b0), (a1, b1), (a2, b2), (a3, b3)].into_iter().enumerate()
-                    {
-                        let mut acc = accs[s];
-                        for k in l..a.len() {
-                            acc += a[k] * b[k];
-                        }
-                        // SAFETY: slot belongs to this quad alone.
-                        unsafe { parts_ref.set(c0 + s, acc) };
-                    }
-                } else {
-                    for c in quad {
-                        let (a, b) = (&x[ranges[c].clone()], &y[ranges[c].clone()]);
-                        let mut acc = 0.0;
-                        for k in 0..a.len() {
-                            acc += a[k] * b[k];
-                        }
-                        // SAFETY: slot `c` belongs to this quad alone.
-                        unsafe { parts_ref.set(c, acc) };
-                    }
+        for_ranges_mut(pool, &self.quads, [&mut self.parts], |quad, [slots]| {
+            // A quad short of four ranges runs empty ones in their place.
+            let pair = |s: usize| match quad.clone().nth(s) {
+                Some(c) => (&x[ranges[c].clone()], &y[ranges[c].clone()]),
+                None => (&x[..0], &y[..0]),
+            };
+            let [(a0, b0), (a1, b1), (a2, b2), (a3, b3)] = std::array::from_fn(pair);
+            // Lock-step over the common prefix (the balanced ranges are
+            // near-equal, so this covers almost everything); re-sliced so
+            // the indexing is provably in-bounds.
+            let l = a0.len().min(a1.len()).min(a2.len()).min(a3.len());
+            let (c_a0, c_b0) = (&a0[..l], &b0[..l]);
+            let (c_a1, c_b1) = (&a1[..l], &b1[..l]);
+            let (c_a2, c_b2) = (&a2[..l], &b2[..l]);
+            let (c_a3, c_b3) = (&a3[..l], &b3[..l]);
+            let mut accs = [0.0f64; 4];
+            for k in 0..l {
+                accs[0] += c_a0[k] * c_b0[k];
+                accs[1] += c_a1[k] * c_b1[k];
+                accs[2] += c_a2[k] * c_b2[k];
+                accs[3] += c_a3[k] * c_b3[k];
+            }
+            // Per-range tails continue each chain past the prefix.
+            let chains = [(a0, b0), (a1, b1), (a2, b2), (a3, b3)];
+            for ((slot, mut acc), (a, b)) in slots.iter_mut().zip(accs).zip(chains) {
+                for k in l..a.len() {
+                    acc += a[k] * b[k];
                 }
-            });
-        }
+                *slot = acc;
+            }
+        });
         self.parts.iter().sum()
     }
 }
@@ -209,24 +144,15 @@ pub fn axpy_dot_fused(
     y: &mut [f64],
 ) -> f64 {
     assert_eq!(x.len(), y.len());
-    let ys = SharedOut::new(y);
     let mut parts = vec![0.0; ranges.len()];
-    {
-        let parts_out = SharedOut::new(&mut parts);
-        let ys_ref = &ys;
-        let parts_ref = &parts_out;
-        parallel_for_ranges(pool, ranges, |c, range| {
-            let mut acc = 0.0;
-            for i in range {
-                // SAFETY: chunk ranges are disjoint; `i` is ours.
-                let yi = unsafe { ys_ref.get(i) } + alpha * x[i];
-                unsafe { ys_ref.set(i, yi) };
-                acc += yi * yi;
-            }
-            // SAFETY: slot `c` belongs to this chunk alone.
-            unsafe { parts_ref.set(c, acc) };
-        });
-    }
+    map_ranges_mut(pool, ranges, [y], &mut parts, |range, [y]| {
+        let mut acc = 0.0;
+        for (yi, &xi) in y.iter_mut().zip(&x[range]) {
+            *yi += alpha * xi;
+            acc += *yi * *yi;
+        }
+        acc
+    });
     parts.iter().sum()
 }
 

@@ -25,6 +25,8 @@
 //! computes which row — each row's own arithmetic is untouched.
 
 use crate::csr::CsrMatrix;
+use crate::shared::SharedOut;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Chunk height: number of rows (= independent accumulator chains)
@@ -76,6 +78,8 @@ impl SellStructure {
     /// Shape the sparsity pattern of `a` into SELL-C-σ.
     pub fn from_csr(a: &CsrMatrix) -> SellStructure {
         let n = a.n;
+        // The kernels' unchecked reads of `x` rest on this.
+        assert!(a.col_idx.iter().all(|&j| (j as usize) < n), "a column index is out of range");
         let n_chunks = n.div_ceil(SELL_C);
         // σ-sort: within each window, order rows by descending length
         // (stable, so equal-length rows keep their natural order).
@@ -226,44 +230,28 @@ impl SellMatrix {
         self.s.cols.len()
     }
 
-    /// y = A x over the chunk range `lo..hi` (each chunk writes only
-    /// its own rows, so disjoint chunk ranges may run concurrently).
+    /// y = A x over the chunks `chunks`, each row written once through
+    /// `y` (a chunk writes only its own rows, so disjoint chunk ranges may
+    /// run concurrently).
     ///
     /// Per row the accumulation order is exactly the CSR entry order,
     /// so each `y[row]` is bit-identical to [`CsrMatrix::spmv`].
-    pub fn spmv_chunk_range(&self, lo: usize, hi: usize, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.n);
-        debug_assert_eq!(y.len(), self.n);
-        // SAFETY: exclusive borrow of the full output slice.
-        unsafe { self.spmv_chunk_range_ptr(lo, hi, x, y.as_mut_ptr()) }
-    }
-
-    /// [`SellMatrix::spmv_chunk_range`] writing through a raw output
-    /// pointer, for concurrent sweeps where disjoint chunk ranges own
-    /// disjoint rows of `y`.
-    ///
-    /// # Safety
-    /// `y` must be valid for writes at every row index of chunks
-    /// `lo..hi`, and no other thread may access those rows concurrently.
-    pub unsafe fn spmv_chunk_range_ptr(&self, lo: usize, hi: usize, x: &[f64], y: *mut f64) {
-        // Raw pointers in the inner loops: the structure invariants
-        // (every `cols` entry < n, every chunk offset < nnz) make the
-        // accesses in-bounds, and eliding the checks lets the core
-        // pipeline the SELL_C independent chains (or the compiler
-        // vectorize them) — the whole point of the layout.
-        let vals = self.vals.as_ptr();
-        let cols = self.s.cols.as_ptr();
-        let xp = x.as_ptr();
-        for c in lo..hi {
+    pub(crate) fn spmv_chunk_range(&self, chunks: Range<usize>, x: &[f64], y: &SharedOut<f64>) {
+        // The gathers below read `x` at every `cols` entry, each `< n`.
+        assert_eq!(x.len(), self.n);
+        let (vals, cols) = (&self.vals[..], &self.s.cols[..]);
+        for c in chunks {
             let base = self.s.chunk_ptr[c] as usize;
             let common = self.s.chunk_common[c] as usize;
+            assert!(self.s.chunk_ptr[c + 1] as usize <= vals.len());
             let mut acc = [0.0f64; SELL_C];
             // Common part: SELL_C independent chains, column-major.
-            // SAFETY (both paths): `base + k * SELL_C + l <
-            // chunk_ptr[c+1] <= nnz` for `k < common`, and every `cols`
-            // entry indexes a valid row of the square matrix.
             #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-            unsafe {
+            {
+                // SAFETY: `base + k * SELL_C + 8 <= chunk_ptr[c + 1] <=
+                // nnz` for `k < common` (asserted), and every `cols` entry
+                // indexes `x` (asserted above).
+                //
                 // One full-width gather + mul + add per column. LLVM's
                 // autovectorizer caps AVX-512 codegen at 256 bits on
                 // server CPUs (`prefer-256-bit` tuning), so the 8-lane
@@ -272,25 +260,24 @@ impl SellMatrix {
                 // x[cols[off+l]]` — separate IEEE mul and add (never
                 // contracted to FMA), same `k` order — so each row's
                 // result is bit-identical to the scalar loop below.
-                use core::arch::x86_64::*;
-                const _: () = assert!(SELL_C == 8, "zmm path assumes 8 lanes");
-                let mut av = _mm512_setzero_pd();
-                for k in 0..common {
-                    let off = base + k * SELL_C;
-                    let idx = _mm256_loadu_si256(cols.add(off) as *const __m256i);
-                    let xv = _mm512_i32gather_pd::<8>(idx, xp);
-                    av = _mm512_add_pd(av, _mm512_mul_pd(_mm512_loadu_pd(vals.add(off)), xv));
+                unsafe {
+                    use core::arch::x86_64::*;
+                    const _: () = assert!(SELL_C == 8, "zmm path assumes 8 lanes");
+                    let mut av = _mm512_setzero_pd();
+                    for k in 0..common {
+                        let off = base + k * SELL_C;
+                        let idx = _mm256_loadu_si256(cols.as_ptr().add(off) as *const __m256i);
+                        let xv = _mm512_i32gather_pd::<8>(idx, x.as_ptr());
+                        av = _mm512_add_pd(av, _mm512_mul_pd(_mm512_loadu_pd(vals.as_ptr().add(off)), xv));
+                    }
+                    _mm512_storeu_pd(acc.as_mut_ptr(), av);
                 }
-                _mm512_storeu_pd(acc.as_mut_ptr(), av);
             }
             #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
             for k in 0..common {
                 let off = base + k * SELL_C;
                 for (l, a) in acc.iter_mut().enumerate() {
-                    unsafe {
-                        let col = *cols.add(off + l) as usize;
-                        *a += *vals.add(off + l) * *xp.add(col);
-                    }
+                    *a += vals[off + l] * x[cols[off + l] as usize];
                 }
             }
             // Per-lane remainders, then the row writes.
@@ -302,66 +289,70 @@ impl SellMatrix {
                 }
                 let extra = self.s.slot_len[c * SELL_C + l] as usize - common;
                 let mut a = a0;
-                for _ in 0..extra {
-                    // SAFETY: as above — remainder entries of chunk `c`.
-                    unsafe {
-                        a += *vals.add(off) * *xp.add(*cols.add(off) as usize);
-                    }
-                    off += 1;
+                for p in off..off + extra {
+                    // SAFETY: `p < chunk_ptr[c + 1] <= nnz` (asserted), every
+                    // `cols` entry is `< n` (asserted by `SellStructure::from_csr`)
+                    // and `x.len() == n`. Slice-checked reads made the
+                    // serial SpMV ≈ 11 % slower (13.1 → 14.6 µs, five
+                    // alternated 2 000-sweep runs on the quick mesh, 2-vCPU
+                    // AVX-512 host).
+                    a += unsafe { *vals.get_unchecked(p) * *x.get_unchecked(*cols.get_unchecked(p) as usize) };
                 }
-                unsafe { *y.add(row as usize) = a };
+                off += extra;
+                y.set(row as usize, a);
             }
         }
     }
 
     /// `Y = A X` for three interleaved columns (`x[3 j + c]` is entry
-    /// `j` of column `c`, and so is `y`) over the chunk range `lo..hi`:
-    /// one index load and one value load per stored entry serve all
-    /// three columns, whose entries of `x` sit side by side.
+    /// `j` of column `c`, and so is `y`) over the chunks `chunks`: one
+    /// index load and one value load per stored entry serve all three
+    /// columns, whose entries of `x` sit side by side.
     ///
     /// Per row and column the accumulation is the one of
-    /// [`SellMatrix::spmv_chunk_range_ptr`] on that column alone, so
+    /// [`SellMatrix::spmv_chunk_range`] on that column alone, so
     /// `y[3 row + c]` carries the bits of [`CsrMatrix::spmv`].
-    ///
-    /// # Safety
-    /// `y` must be valid for writes at `3 row .. 3 row + 3` for every
-    /// row of chunks `lo..hi`, and no other thread may access those
-    /// entries concurrently.
-    pub unsafe fn spmm3_chunk_range_ptr(&self, lo: usize, hi: usize, x: &[f64], y: *mut f64) {
-        // The raw reads below go up to `x[3 (n - 1) + 2]`.
+    pub(crate) fn spmm3_chunk_range(&self, chunks: Range<usize>, x: &[f64], y: &SharedOut<f64>) {
         assert_eq!(x.len(), 3 * self.n);
-        let vals = self.vals.as_ptr();
-        let cols = self.s.cols.as_ptr();
-        let xp = x.as_ptr();
-        for c in lo..hi {
+        let (vals, cols) = (&self.vals[..], &self.s.cols[..]);
+        // SAFETY: `p < nnz` for every entry `p` of a chunk (asserted per
+        // chunk below), and every `cols` entry is `< n` (asserted by
+        // `SellStructure::from_csr`),
+        // so `x[3 j .. 3 j + 3]` exists (`x.len() == 3 n`, asserted above).
+        // Checked reads made `spmm3/sell` 1.2–1.9× slower in eight
+        // alternated runs of a 1 000-sweep loop on the quick mesh (2-vCPU
+        // AVX-512 host).
+        let entry = |p: usize| unsafe {
+            let j = 3 * *cols.get_unchecked(p) as usize;
+            (*vals.get_unchecked(p), &*(x.as_ptr().add(j) as *const [f64; 3]))
+        };
+        for c in chunks {
             let base = self.s.chunk_ptr[c] as usize;
             let common = self.s.chunk_common[c] as usize;
+            assert!(self.s.chunk_ptr[c + 1] as usize <= vals.len());
             // Common part: SELL_C independent rows, column-major.
             let mut acc = [RowSums3::zero(); SELL_C];
             for k in 0..common {
-                let off = base + k * SELL_C;
                 for (l, a) in acc.iter_mut().enumerate() {
-                    // SAFETY: `off + l < chunk_ptr[c + 1] <= nnz` for
-                    // `k < common`; every `cols` entry is `< n`, so its
-                    // three entries of `x` exist by the assertion above.
-                    unsafe { a.add(*vals.add(off + l), xp.add(3 * *cols.add(off + l) as usize)) };
+                    let (v, x) = entry(base + k * SELL_C + l);
+                    a.add(v, x);
                 }
             }
             // Per-lane remainders, then the row writes.
             let mut off = base + common * SELL_C;
             for (l, a) in acc.iter_mut().enumerate() {
-                let row = self.s.rows[c * SELL_C + l];
-                if row == u32::MAX {
+                let row = self.s.rows[c * SELL_C + l] as usize;
+                if row == u32::MAX as usize {
                     continue;
                 }
                 let extra = self.s.slot_len[c * SELL_C + l] as usize - common;
-                for _ in 0..extra {
-                    // SAFETY: as above — remainder entries of chunk `c`.
-                    unsafe { a.add(*vals.add(off), xp.add(3 * *cols.add(off) as usize)) };
-                    off += 1;
+                for p in off..off + extra {
+                    let (v, x) = entry(p);
+                    a.add(v, x);
                 }
-                // SAFETY: the caller owns `y[3 row .. 3 row + 3]`.
-                unsafe { a.store(y.add(3 * row as usize)) };
+                off += extra;
+                let out = y.claim(3 * row..3 * row + 3);
+                a.store((&mut *out.0).try_into().expect("three columns"));
             }
         }
     }
@@ -371,12 +362,12 @@ impl SellMatrix {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
         cfpd_telemetry::count!("solver.sell_spmv_calls");
-        self.spmv_chunk_range(0, self.num_chunks(), x, y);
+        self.spmv_chunk_range(0..self.num_chunks(), x, &SharedOut::new(y));
     }
 
     /// Entry-balanced contiguous chunk ranges for parallel sweeps (the
     /// SELL analogue of [`CsrMatrix::row_chunks`]).
-    pub fn chunk_ranges(&self, max_ranges: usize) -> Vec<std::ops::Range<usize>> {
+    pub fn chunk_ranges(&self, max_ranges: usize) -> Vec<Range<usize>> {
         cfpd_runtime::balanced_ranges(&self.s.chunk_ptr, max_ranges)
     }
 }
@@ -405,22 +396,18 @@ impl RowSums3 {
         RowSums3(unsafe { core::arch::x86_64::_mm256_setzero_pd() })
     }
 
-    /// # Safety
-    /// `x` must be valid for reads of three `f64`.
     #[inline(always)]
-    unsafe fn add(&mut self, v: f64, x: *const f64) {
+    fn add(&mut self, v: f64, x: &[f64; 3]) {
         use core::arch::x86_64::*;
         unsafe {
-            let xv = _mm256_maskz_loadu_pd(Self::COLUMNS, x);
+            let xv = _mm256_maskz_loadu_pd(Self::COLUMNS, x.as_ptr());
             self.0 = _mm256_add_pd(self.0, _mm256_mul_pd(_mm256_set1_pd(v), xv));
         }
     }
 
-    /// # Safety
-    /// `y` must be valid for writes of three `f64`.
     #[inline(always)]
-    unsafe fn store(self, y: *mut f64) {
-        unsafe { core::arch::x86_64::_mm256_mask_storeu_pd(y, Self::COLUMNS, self.0) };
+    fn store(self, y: &mut [f64; 3]) {
+        unsafe { core::arch::x86_64::_mm256_mask_storeu_pd(y.as_mut_ptr(), Self::COLUMNS, self.0) };
     }
 }
 
@@ -435,20 +422,16 @@ impl RowSums3 {
         RowSums3([0.0; 3])
     }
 
-    /// # Safety
-    /// `x` must be valid for reads of three `f64`.
     #[inline(always)]
-    unsafe fn add(&mut self, v: f64, x: *const f64) {
-        for (c, sum) in self.0.iter_mut().enumerate() {
-            *sum += v * unsafe { *x.add(c) };
+    fn add(&mut self, v: f64, x: &[f64; 3]) {
+        for (sum, &xc) in self.0.iter_mut().zip(x) {
+            *sum += v * xc;
         }
     }
 
-    /// # Safety
-    /// `y` must be valid for writes of three `f64`.
     #[inline(always)]
-    unsafe fn store(self, y: *mut f64) {
-        unsafe { y.copy_from_nonoverlapping(self.0.as_ptr(), 3) };
+    fn store(self, y: &mut [f64; 3]) {
+        *y = self.0;
     }
 }
 

@@ -13,9 +13,9 @@ use crate::lanes::{
     get_lane_sgs, set_lane_sgs, sgs_kernel_lanes, LaneScratch, LaneSgs, LANES,
 };
 use crate::shape::{RefElement, MAX_QP};
+use crate::shared::{Claim, SharedOut};
 use cfpd_mesh::{ElementKind, Mesh, Vec3};
 use cfpd_runtime::{balanced_ranges, parallel_for_ranges, ThreadPool};
-use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -90,33 +90,6 @@ impl SgsField {
     }
 }
 
-/// Shared view over the SGS storage allowing each element's slice to be
-/// written by the thread processing that element.
-pub(crate) struct SgsView<'a> {
-    values: &'a [UnsafeCell<Vec3>],
-}
-// SAFETY: every element's range is written by exactly one task/iteration
-// (ranges are disjoint per element).
-unsafe impl Sync for SgsView<'_> {}
-
-impl<'a> SgsView<'a> {
-    pub(crate) fn new(values: &'a mut [Vec3]) -> SgsView<'a> {
-        let ptr = values.as_mut_ptr() as *const UnsafeCell<Vec3>;
-        // SAFETY: identical layout; exclusivity per element range.
-        SgsView { values: unsafe { std::slice::from_raw_parts(ptr, values.len()) } }
-    }
-
-    /// # Safety
-    /// The caller must be the only accessor of `lo..hi` for the duration
-    /// of the borrow.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [Vec3] {
-        unsafe {
-            std::slice::from_raw_parts_mut(self.values[lo].get(), hi - lo)
-        }
-    }
-}
-
 /// Result of one SGS sweep: per-element inner-iteration counts (a cost
 /// profile — elements in sheared flow iterate more, one of the organic
 /// imbalance sources) and the weighted total work.
@@ -157,21 +130,17 @@ struct BatchedSweep<'a> {
     coords: &'a [Vec3],
     velocity: &'a [Vec3],
     props: FluidProps,
-    view: SgsView<'a>,
+    view: SharedOut<'a, Vec3>,
     offsets: &'a [u32],
     max_iters: usize,
     tol: f64,
 }
 
 impl BatchedSweep<'_> {
-    /// Storage of batch row `b`.
-    ///
-    /// # Safety
-    /// The caller must be the only one working on row `b` of `kb`.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn row_values(&self, kb: &KindBatch, b: usize) -> &mut [Vec3] {
+    /// Storage of batch row `b`, the caller's until the claim drops.
+    fn row_values(&self, kb: &KindBatch, b: usize) -> Claim<'_, Vec3> {
         let e = kb.elems[b] as usize;
-        unsafe { self.view.range_mut(self.offsets[e] as usize, self.offsets[e + 1] as usize) }
+        self.view.claim(self.offsets[e] as usize..self.offsets[e + 1] as usize)
     }
 
     /// Rows `range` of `kb`, whose kind has `NN` nodes: full blocks of
@@ -188,33 +157,34 @@ impl BatchedSweep<'_> {
         };
         let mut scalar_row = |b: usize| {
             scratch.load_gather(self.coords, self.velocity, &kb.gather[b * NN..(b + 1) * NN]);
-            // SAFETY: chunk ranges are disjoint and a row belongs to
-            // one chunk, so this executor alone works on row `b`.
-            let values = unsafe { self.row_values(kb, b) };
-            sgs_kernel_on(re, &scratch, NN, self.props, kb.h[b], values, self.max_iters, self.tol)
+            let values = self.row_values(kb, b);
+            sgs_kernel_on(re, &scratch, NN, self.props, kb.h[b], values.0, self.max_iters, self.tol)
         };
         let mut b = range.start;
         let mut ls = LaneScratch::default();
         let mut usg: LaneSgs = [[[0.0; LANES]; 3]; MAX_QP];
         while b + LANES <= range.end {
             ls.load(self.coords, Some(self.velocity), None, kb.gather, kb.h, NN, b);
-            for l in 0..LANES {
-                // SAFETY: as in `scalar_row`, for row `b + l`.
-                set_lane_sgs(&mut usg, l, unsafe { self.row_values(kb, b + l) });
+            // The block holds its eight rows until it has written them.
+            let mut rows: [Claim<Vec3>; LANES] = std::array::from_fn(|l| self.row_values(kb, b + l));
+            for (l, values) in rows.iter().enumerate() {
+                set_lane_sgs(&mut usg, l, values.0);
             }
             let block =
                 sgs_kernel_lanes::<NN>(re, &ls, self.props, &mut usg, self.max_iters, self.tol);
             match block {
                 Some(iters) => {
-                    for l in 0..LANES {
-                        // SAFETY: as above.
-                        get_lane_sgs(&usg, l, unsafe { self.row_values(kb, b + l) });
+                    for (l, values) in rows.iter_mut().enumerate() {
+                        get_lane_sgs(&usg, l, values.0);
                         count(iters[l]);
                     }
                 }
                 // Nothing was stored: the scalar kernel redoes the
                 // block and skips the degenerate points itself.
-                None => (b..b + LANES).for_each(|bb| count(scalar_row(bb))),
+                None => {
+                    drop(rows);
+                    (b..b + LANES).for_each(|bb| count(scalar_row(bb)));
+                }
             }
             b += LANES;
         }
@@ -251,7 +221,7 @@ pub fn compute_sgs(
         coords: &mesh.coords,
         velocity,
         props,
-        view: SgsView::new(values),
+        view: SharedOut::new(values),
         offsets: &layout.offsets,
         max_iters,
         tol,
@@ -323,6 +293,20 @@ mod tests {
             .map(|e| mesh.kinds[e].num_quad_points())
             .sum();
         assert_eq!(field.values.len(), expected);
+    }
+
+    // A schedule that lists one element in two rows of a lane block, which
+    // would write it twice.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two writers met")]
+    fn an_element_in_two_batch_rows_panics() {
+        let (mesh, refs, _, vel) = fixture();
+        let mut elems = all_elems(&mesh);
+        elems.insert(1, elems[0]);
+        let mut field = SgsField::new(&mesh, &elems);
+        let props = FluidProps::default();
+        compute_sgs(&ThreadPool::new(1), &refs, &mesh, &vel, props, &mut field, 10, 1e-8);
     }
 
     #[test]
@@ -461,7 +445,7 @@ mod tests {
             coords: &mesh.coords,
             velocity: vel,
             props,
-            view: SgsView::new(&mut got.values),
+            view: SharedOut::new(&mut got.values),
             offsets: &layout.offsets,
             max_iters,
             tol,

@@ -38,6 +38,8 @@
 //! so two snapshots of identical recorded values render byte-identical
 //! documents.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod metrics;
 pub mod registry;

@@ -30,6 +30,7 @@ impl Default for BenchConfig {
 pub struct BenchStats {
     pub min: f64,
     pub median: f64,
+    pub max: f64,
     pub mean: f64,
     pub samples: u32,
 }
@@ -47,6 +48,7 @@ impl BenchStats {
         BenchStats {
             min: times[0],
             median,
+            max: times[n - 1],
             mean: times.iter().sum::<f64>() / n as f64,
             samples: n as u32,
         }

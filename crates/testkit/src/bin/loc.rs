@@ -6,6 +6,8 @@
 //! `ROOT/results/loc.json` and appends its provenance line to
 //! `ROOT/results/trajectory.jsonl`.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 
 fn main() {

@@ -38,6 +38,8 @@
 //! (`scripts/verify.sh`) builds with `--offline` and fails on any
 //! warning from this crate.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod digest;
 pub mod json;

@@ -11,6 +11,8 @@
 //! exporters ([`export`]), a critical-path / lost-cycles analysis
 //! engine ([`analysis`]), and a deterministic trace diff ([`diff`]).
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod balance;
 pub mod diff;

@@ -127,7 +127,12 @@
 #     appear nowhere under crates/, tests/ or examples/; nor do the
 #     multi-node DLB cluster and the statistics kept beside the
 #     arbiters' event logs (a run has one LeWI arbiter, whose log is
-#     its only record),
+#     its only record), nor a second disjoint-write wrapper, the
+#     raw-pointer SELL entry points or the deflation's nnz-long slot map,
+#   * an unsafe gate: `unsafe` appears under crates/*/src only in
+#     solver's simd.rs, shared.rs and sell.rs and runtime's pool.rs and
+#     taskgraph.rs; every other crate root and every binary forbids
+#     unsafe_code, and the solver and runtime roots deny it,
 #   * a blocking-accept gate: the daemon's HTTP acceptors block in
 #     accept() and a stop (kill, the end of a drain) wakes them with a
 #     connection, so nothing under crates/serve/src makes a socket
@@ -637,6 +642,28 @@ if grep -rnE 'update_value[s]|with_value[s]|zero_matri[x]' crates tests examples
     echo "FAIL: a second value array per assembled matrix is back: assembly scatters into SELL order" >&2
     exit 1
 fi
+
+if grep -rnE 'DisjointVie[w]|SgsVie[w]|spmv_chunk_range_pt[r]|spmm3_chunk_range_pt[r]|aw_slo[t]' \
+        crates tests examples; then
+    echo "FAIL: a second disjoint-write wrapper, a raw-pointer SELL entry point or the AW slot map is back" >&2
+    exit 1
+fi
+
+echo "== unsafe gate (disjoint writes go through cfpd_solver::shared) =="
+if grep -rnw 'unsafe' crates/*/src \
+        | grep -vE '^crates/solver/src/(simd|shared|sell)\.rs:|^crates/runtime/src/(pool|taskgraph)\.rs:'; then
+    echo "FAIL: unsafe outside simd.rs, shared.rs, sell.rs, pool.rs and taskgraph.rs" >&2
+    exit 1
+fi
+for root in crates/*/src/lib.rs crates/*/src/bin/*.rs; do
+    case "$root" in crates/solver/src/lib.rs|crates/runtime/src/lib.rs) continue ;; esac
+    grep -q '^#!\[forbid(unsafe_code)\]' "$root" \
+        || { echo "FAIL: $root does not forbid unsafe_code" >&2; exit 1; }
+done
+for root in crates/solver/src/lib.rs crates/runtime/src/lib.rs; do
+    grep -q '^#!\[deny(unsafe_code)\]' "$root" \
+        || { echo "FAIL: $root does not deny unsafe_code" >&2; exit 1; }
+done
 
 echo "== blocking-accept gate (the HTTP front end is woken, never polled) =="
 # The bracketed letters keep this script from matching itself.
