@@ -163,7 +163,7 @@ pub fn compute_sgs(
             // Element ranges are disjoint; each element is processed by
             // exactly one executor per sweep.
             let slice = view.claim(offsets[e] as usize..offsets[e + 1] as usize);
-            let iters = sgs_kernel(refs, &scratch, kind, nn, props, h[e], slice.0, max_iters, tol);
+            let iters = sgs_kernel(refs, &scratch, kind, nn, props, h[e], slice.slice, max_iters, tol);
             total += iters as u64;
             max = max.max(iters);
         }

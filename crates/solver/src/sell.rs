@@ -237,20 +237,25 @@ impl SellMatrix {
     /// Per row the accumulation order is exactly the CSR entry order,
     /// so each `y[row]` is bit-identical to [`CsrMatrix::spmv`].
     pub(crate) fn spmv_chunk_range(&self, chunks: Range<usize>, x: &[f64], y: &SharedOut<f64>) {
-        // The gathers below read `x` at every `cols` entry, each `< n`.
+        // The reads below are unchecked: they touch `x` at `cols` entries,
+        // each `< n`, and the entries of chunks `chunks`, all below
+        // `chunk_ptr[chunks.end]` (`from_csr` builds `chunk_ptr`
+        // ascending). Checking each chunk's end instead made the serial
+        // SpMV ≈ 10 % slower (20 alternated runs of a 400-sweep loop on
+        // the quick mesh, 2-vCPU AVX-512 host).
         assert_eq!(x.len(), self.n);
         let (vals, cols) = (&self.vals[..], &self.s.cols[..]);
+        assert!(self.s.chunk_ptr[chunks.end] as usize <= vals.len());
         for c in chunks {
             let base = self.s.chunk_ptr[c] as usize;
             let common = self.s.chunk_common[c] as usize;
-            assert!(self.s.chunk_ptr[c + 1] as usize <= vals.len());
             let mut acc = [0.0f64; SELL_C];
             // Common part: SELL_C independent chains, column-major.
             #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
             {
                 // SAFETY: `base + k * SELL_C + 8 <= chunk_ptr[c + 1] <=
-                // nnz` for `k < common` (asserted), and every `cols` entry
-                // indexes `x` (asserted above).
+                // nnz` for `k < common`, and every `cols` entry indexes
+                // `x` (see above).
                 //
                 // One full-width gather + mul + add per column. LLVM's
                 // autovectorizer caps AVX-512 codegen at 256 bits on
@@ -277,7 +282,12 @@ impl SellMatrix {
             for k in 0..common {
                 let off = base + k * SELL_C;
                 for (l, a) in acc.iter_mut().enumerate() {
-                    *a += vals[off + l] * x[cols[off + l] as usize];
+                    // SAFETY: `off + l < chunk_ptr[c + 1] <= nnz`, every
+                    // `cols` entry `< n` (see above). Slice-checked reads
+                    // here made the serial SpMV ≈ 1.7× slower (16
+                    // alternated runs of a 400-sweep loop on the quick
+                    // mesh, `target-cpu=x86-64-v3` build).
+                    *a += unsafe { *vals.get_unchecked(off + l) * *x.get_unchecked(*cols.get_unchecked(off + l) as usize) };
                 }
             }
             // Per-lane remainders, then the row writes.
@@ -290,8 +300,8 @@ impl SellMatrix {
                 let extra = self.s.slot_len[c * SELL_C + l] as usize - common;
                 let mut a = a0;
                 for p in off..off + extra {
-                    // SAFETY: `p < chunk_ptr[c + 1] <= nnz` (asserted), every
-                    // `cols` entry is `< n` (asserted by `SellStructure::from_csr`)
+                    // SAFETY: `p < chunk_ptr[c + 1] <= nnz`, every `cols`
+                    // entry is `< n` (asserted by `SellStructure::from_csr`)
                     // and `x.len() == n`. Slice-checked reads made the
                     // serial SpMV ≈ 11 % slower (13.1 → 14.6 µs, five
                     // alternated 2 000-sweep runs on the quick mesh, 2-vCPU
@@ -315,10 +325,11 @@ impl SellMatrix {
     pub(crate) fn spmm3_chunk_range(&self, chunks: Range<usize>, x: &[f64], y: &SharedOut<f64>) {
         assert_eq!(x.len(), 3 * self.n);
         let (vals, cols) = (&self.vals[..], &self.s.cols[..]);
-        // SAFETY: `p < nnz` for every entry `p` of a chunk (asserted per
-        // chunk below), and every `cols` entry is `< n` (asserted by
-        // `SellStructure::from_csr`),
-        // so `x[3 j .. 3 j + 3]` exists (`x.len() == 3 n`, asserted above).
+        assert!(self.s.chunk_ptr[chunks.end] as usize <= vals.len());
+        // SAFETY: `p < nnz` for every entry `p` of a chunk of `chunks`
+        // (asserted above: `chunk_ptr` ascends), and every `cols` entry is
+        // `< n` (asserted by `SellStructure::from_csr`), so
+        // `x[3 j .. 3 j + 3]` exists (`x.len() == 3 n`, asserted above).
         // Checked reads made `spmm3/sell` 1.2–1.9× slower in eight
         // alternated runs of a 1 000-sweep loop on the quick mesh (2-vCPU
         // AVX-512 host).
@@ -329,7 +340,6 @@ impl SellMatrix {
         for c in chunks {
             let base = self.s.chunk_ptr[c] as usize;
             let common = self.s.chunk_common[c] as usize;
-            assert!(self.s.chunk_ptr[c + 1] as usize <= vals.len());
             // Common part: SELL_C independent rows, column-major.
             let mut acc = [RowSums3::zero(); SELL_C];
             for k in 0..common {
@@ -352,7 +362,7 @@ impl SellMatrix {
                 }
                 off += extra;
                 let out = y.claim(3 * row..3 * row + 3);
-                a.store((&mut *out.0).try_into().expect("three columns"));
+                a.store((&mut *out.slice).try_into().expect("three columns"));
             }
         }
     }

@@ -158,7 +158,7 @@ impl BatchedSweep<'_> {
         let mut scalar_row = |b: usize| {
             scratch.load_gather(self.coords, self.velocity, &kb.gather[b * NN..(b + 1) * NN]);
             let values = self.row_values(kb, b);
-            sgs_kernel_on(re, &scratch, NN, self.props, kb.h[b], values.0, self.max_iters, self.tol)
+            sgs_kernel_on(re, &scratch, NN, self.props, kb.h[b], values.slice, self.max_iters, self.tol)
         };
         let mut b = range.start;
         let mut ls = LaneScratch::default();
@@ -168,14 +168,14 @@ impl BatchedSweep<'_> {
             // The block holds its eight rows until it has written them.
             let mut rows: [Claim<Vec3>; LANES] = std::array::from_fn(|l| self.row_values(kb, b + l));
             for (l, values) in rows.iter().enumerate() {
-                set_lane_sgs(&mut usg, l, values.0);
+                set_lane_sgs(&mut usg, l, values.slice);
             }
             let block =
                 sgs_kernel_lanes::<NN>(re, &ls, self.props, &mut usg, self.max_iters, self.tol);
             match block {
                 Some(iters) => {
                     for (l, values) in rows.iter_mut().enumerate() {
-                        get_lane_sgs(&usg, l, values.0);
+                        get_lane_sgs(&usg, l, values.slice);
                         count(iters[l]);
                     }
                 }

@@ -12,9 +12,9 @@
 //! * **atomic adds** — [`AtomicView`], the `omp atomic` strategy.
 
 use cfpd_runtime::{parallel_for_ranges, ThreadPool};
-use std::marker::PhantomData;
+use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Run `body(range, pieces)` once per range of `ranges` over the pool,
 /// `pieces[k]` being `data[k][range]`, and store what the body of range
@@ -66,90 +66,85 @@ struct Base<T>(*mut T);
 unsafe impl<T: Send> Sync for Base<T> {}
 
 /// An exclusively borrowed slice that concurrent writers share, each
-/// writing the entries its schedule gives it. The one invariant: the
-/// schedule's indices are in bounds and no two writers hold one entry at
-/// the same time. Debug builds check both: each write (or
-/// [`SharedOut::claim`]) marks its entries busy with an atomic swap and
-/// panics if another writer holds one. Release builds store unchecked,
-/// the cost of a bounds check on every scatter add (`assembly/batched-lanes`
-/// read ≈ 10 % slower with one); a claim checks its range in every build.
-pub(crate) struct SharedOut<'a, T: Copy> {
-    ptr: *mut T,
-    len: usize,
-    #[cfg(debug_assertions)]
-    busy: Box<[std::sync::atomic::AtomicBool]>,
-    _borrow: PhantomData<&'a mut [T]>,
+/// writing the entries its schedule gives it. The one invariant: no two
+/// writers hold one entry at the same time. Every access indexes the
+/// slice, so every build checks its bounds; debug builds also check the
+/// invariant: each write (or [`SharedOut::claim`]) marks its entries busy
+/// with an atomic swap and panics if another writer holds one.
+pub(crate) struct SharedOut<'a, T> {
+    cells: &'a [Cell<T>],
+    /// The busy marks, one per entry in debug builds, none in release.
+    busy: Box<[AtomicBool]>,
 }
-// SAFETY: writers reach an entry one at a time (the invariant above).
-unsafe impl<T: Copy + Send> Sync for SharedOut<'_, T> {}
+// SAFETY: writers reach an entry one at a time (the invariant above), so
+// no two threads ever race on one `Cell`.
+unsafe impl<T: Send> Sync for SharedOut<'_, T> {}
 
 impl<'a, T: Copy> SharedOut<'a, T> {
     pub(crate) fn new(v: &'a mut [T]) -> SharedOut<'a, T> {
+        let marks = if cfg!(debug_assertions) { v.len() } else { 0 };
         SharedOut {
-            ptr: v.as_mut_ptr(),
-            len: v.len(),
-            // SAFETY: `AtomicBool` has the size, alignment and bit
-            // validity of `u8`, and 0 is `false`.
-            #[cfg(debug_assertions)]
-            busy: unsafe { Box::from_raw(Box::into_raw(vec![0u8; v.len()].into_boxed_slice()) as _) },
-            _borrow: PhantomData,
+            busy: (0..marks).map(|_| AtomicBool::new(false)).collect(),
+            cells: Cell::from_mut(v).as_slice_of_cells(),
         }
     }
 
     /// Entries `range`, the caller's alone until the claim drops.
     pub(crate) fn claim(&self, range: Range<usize>) -> Claim<'_, T> {
-        assert!(range.start <= range.end && range.end <= self.len, "{range:?} out of ..{}", self.len);
-        #[cfg(debug_assertions)]
-        for (i, b) in self.busy[range.clone()].iter().enumerate() {
-            if b.swap(true, Ordering::Acquire) {
-                panic!("two writers met on entry {} of a shared output", range.start + i);
-            }
-        }
-        Claim(
-            // SAFETY: in bounds (asserted), and no other writer holds
+        let cells = &self.cells[range.clone()];
+        Claim {
+            // SAFETY: `Cell<T>` has the layout of `T` and lets its value
+            // be written through a shared borrow; no other writer holds
             // these entries (the invariant, checked in debug builds).
-            unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) },
-            #[cfg(debug_assertions)]
-            &self.busy[range],
-        )
-    }
-
-    /// `f(&mut out[i])`, as one writer of entry `i`.
-    #[inline]
-    fn write(&self, i: usize, f: impl FnOnce(&mut T)) {
-        #[cfg(debug_assertions)]
-        let _held = self.claim(i..i + 1);
-        // SAFETY: the invariant above; debug builds have checked it.
-        f(unsafe { &mut *self.ptr.add(i) });
+            slice: unsafe { std::slice::from_raw_parts_mut(cells.as_ptr() as *mut T, cells.len()) },
+            _held: self.hold(range),
+        }
     }
 
     /// `out[i] = v`.
     #[inline]
     pub(crate) fn set(&self, i: usize, v: T) {
-        self.write(i, |e| *e = v);
+        let (cell, _held) = (&self.cells[i], self.hold(i..i + 1));
+        cell.set(v);
     }
 
     /// `out[i] += v`.
     #[inline]
     pub(crate) fn add(&self, i: usize, v: T)
     where
-        T: std::ops::AddAssign,
+        T: std::ops::Add<Output = T>,
     {
-        self.write(i, |e| *e += v);
+        let (cell, _held) = (&self.cells[i], self.hold(i..i + 1));
+        cell.set(cell.get() + v);
+    }
+
+    /// Marks entries `range` busy until the guard drops (debug builds).
+    #[inline]
+    fn hold(&self, range: Range<usize>) -> Held<'_> {
+        if !cfg!(debug_assertions) {
+            return Held(&[]);
+        }
+        let busy = &self.busy[range.clone()];
+        for (i, b) in busy.iter().enumerate() {
+            let entry = range.start + i;
+            assert!(!b.swap(true, Ordering::Acquire), "two writers met on entry {entry} of a shared output");
+        }
+        Held(busy)
     }
 }
 
-/// Entries of a [`SharedOut`] held by one writer: the slice, and in
-/// debug builds their busy marks, cleared on drop.
-pub(crate) struct Claim<'s, T>(
-    pub(crate) &'s mut [T],
-    #[cfg(debug_assertions)] &'s [std::sync::atomic::AtomicBool],
-);
+/// Entries of a [`SharedOut`] held by one writer.
+pub(crate) struct Claim<'s, T> {
+    pub(crate) slice: &'s mut [T],
+    _held: Held<'s>,
+}
 
-#[cfg(debug_assertions)]
-impl<T> Drop for Claim<'_, T> {
+/// The busy marks of entries one writer holds, cleared on drop.
+struct Held<'s>(&'s [AtomicBool]);
+
+impl Drop for Held<'_> {
     fn drop(&mut self) {
-        self.1.iter().for_each(|b| b.store(false, Ordering::Release));
+        self.0.iter().for_each(|b| b.store(false, Ordering::Release));
     }
 }
 
@@ -237,6 +232,14 @@ mod tests {
     fn unsorted_ranges_are_refused() {
         let mut v = vec![0.0; 10];
         for_ranges_mut(&ThreadPool::new(1), &[5..10, 0..5], [&mut v], |_, _| {});
+    }
+
+    // A scatter index past the end of the output.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_write_past_the_end_panics() {
+        let mut v = vec![0.0; 4];
+        SharedOut::new(&mut v).add(4, 1.0);
     }
 
     // A schedule that lets a second writer reach an entry the first
