@@ -58,8 +58,7 @@ use cfpd_core::{
 use cfpd_mesh::{generate_airway, AirwayMesh, AirwaySpec, Mesh, Vec3};
 use cfpd_particles::{inject_at_inlet, step_particles, Locator, ParticleProps, ParticleSet};
 use cfpd_partition::{
-    bandwidth_under_perm, csr_bandwidth, kway, local_element_graph, partition_kway_covered,
-    rcm_perm, NodeCliques,
+    bandwidth_under_perm, csr_bandwidth, kway, local_element_graph, partition_kway, rcm_perm,
 };
 use cfpd_runtime::ThreadPool;
 use cfpd_serve::{CellAcc, CellSnapshot, CheckpointSection, PersistGate, SnapshotParts};
@@ -342,17 +341,15 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
     });
     let graph = local_element_graph(mesh, &elems, &weights);
     // The partition as `decompose_subdomains` runs it, and its two
-    // stages that are not growth: one seed search (there are
-    // `N_SUBDOMAINS - 1`) and the refinement of the grown parts.
-    let n2e = mesh.node_to_elements();
-    let cover = NodeCliques::of_mesh(mesh, &n2e);
+    // stages that are not growth: the one seed walk and the refinement
+    // of the grown parts.
     b.bench("setup/seed-search", || {
-        black_box(cover.pseudo_peripheral(0));
+        black_box(graph.pseudo_peripheral(0));
     });
     b.bench("setup/kway-16", || {
-        black_box(partition_kway_covered(&graph, &cover, N_SUBDOMAINS, 4));
+        black_box(partition_kway(&graph, N_SUBDOMAINS, 4));
     });
-    let grown = kway::grow_kway_covered(&graph, &cover, N_SUBDOMAINS);
+    let grown = kway::grow_kway(&graph, N_SUBDOMAINS);
     b.bench_batched(
         "setup/refine",
         || grown.clone(),
@@ -360,7 +357,7 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
             black_box(grown.refine(&graph, 4));
         },
     );
-    let sell = SellStructure::from_csr(&CsrMatrix::from_mesh(mesh, &n2e));
+    let sell = SellStructure::from_csr(&CsrMatrix::from_mesh(mesh, &mesh.node_to_elements()));
     b.bench_batched(
         "setup/plan-multidep",
         || elems.clone(),

@@ -63,8 +63,10 @@ pub struct Checkpoint {
 /// checkpoint cut before it is refused by digest (with
 /// [`Checkpoint::validate_for`]'s message) instead of being resumed into
 /// a document no uninterrupted run produces. Revision 2: shared rows are
-/// summed in colour-numbered subdomain order (PR 21).
-const SUMMATION_REVISION: u32 = 2;
+/// summed in colour-numbered subdomain order. Revision 3: the k-way
+/// partition seeds part 0 at the far end of one walk from vertex 0 and
+/// every later part at the lowest free vertex.
+const SUMMATION_REVISION: u32 = 3;
 
 /// Digest the configuration a checkpoint belongs to. Hashing the full
 /// `Debug` rendering covers every knob (mesh spec, solver tolerances,

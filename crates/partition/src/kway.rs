@@ -3,7 +3,7 @@
 //! both for MPI domain decomposition and for carving each MPI domain
 //! into the OpenMP-task subdomains of the multidependences scheme).
 
-use crate::graph::{Graph, NodeCliques};
+use crate::graph::Graph;
 
 /// Result of a k-way partition: `parts[v]` is the part of vertex `v`.
 #[derive(Debug, Clone)]
@@ -60,31 +60,17 @@ impl Partition {
 /// Partition `g` into `k` parts.
 ///
 /// Algorithm: greedy graph growing (Karypis-Kumar style initial phase) —
-/// parts are grown one at a time by a weight-bounded BFS from a
-/// pseudo-peripheral seed, preferring frontier vertices with the most
-/// neighbors already in the growing part (minimizes perimeter) — followed
-/// by `refine_passes` of greedy boundary refinement that moves boundary
-/// vertices to reduce edge cut without violating a 3 % balance tolerance.
+/// parts are grown one at a time by a weight-bounded BFS, preferring
+/// frontier vertices with the most neighbors already in the growing part
+/// (minimizes perimeter) — followed by `refine_passes` of greedy boundary
+/// refinement that moves boundary vertices to reduce edge cut without
+/// violating a 3 % balance tolerance.
+///
+/// Seed rule: part 0 starts at the far end of one breadth-first walk
+/// from vertex 0 ([`Graph::pseudo_peripheral`]); every later part starts
+/// at the lowest-numbered vertex no earlier part took.
 pub fn partition_kway(g: &Graph, k: usize, refine_passes: usize) -> Partition {
-    grow_seeded(g, k, |from| g.pseudo_peripheral(from)).refine(g, refine_passes)
-}
-
-/// [`partition_kway`] of a mesh's element graph `g`, with the seed
-/// searches walking `cover` (the node cliques `g` was built from)
-/// instead of `g`: the same partition from a tenth of the edge visits.
-pub fn partition_kway_covered(
-    g: &Graph,
-    cover: &NodeCliques,
-    k: usize,
-    refine_passes: usize,
-) -> Partition {
-    grow_kway_covered(g, cover, k).refine(g, refine_passes)
-}
-
-/// The growth stage of [`partition_kway_covered`] alone.
-pub fn grow_kway_covered(g: &Graph, cover: &NodeCliques, k: usize) -> Grown {
-    assert_eq!(cover.num_vertices(), g.num_vertices(), "cover of another graph");
-    grow_seeded(g, k, |from| cover.pseudo_peripheral(from))
+    grow_kway(g, k).refine(g, refine_passes)
 }
 
 /// A grown, not yet refined, partition.
@@ -96,8 +82,8 @@ pub struct Grown {
     boundary: Vec<bool>,
 }
 
-/// `far_from(v)` is `g.pseudo_peripheral(v)`, however computed.
-fn grow_seeded(g: &Graph, k: usize, far_from: impl Fn(usize) -> usize) -> Grown {
+/// The growth stage of [`partition_kway`] alone.
+pub fn grow_kway(g: &Graph, k: usize) -> Grown {
     assert!(k >= 1, "k must be >= 1");
     let n = g.num_vertices();
     if k == 1 || n == 0 {
@@ -106,7 +92,7 @@ fn grow_seeded(g: &Graph, k: usize, far_from: impl Fn(usize) -> usize) -> Grown 
             boundary: vec![false; n],
         };
     }
-    let (parts, boundary) = grow_parts(g, k, far_from);
+    let (parts, boundary) = grow_parts(g, k);
     Grown { part: Partition { parts, num_parts: k }, boundary }
 }
 
@@ -167,18 +153,12 @@ fn next_free(parts: &[u32], from: &mut usize) -> Option<usize> {
 /// simple undirected graph `g` to one of `k >= 2` parts, and which
 /// vertices ended up beside another part — every vertex looks at its
 /// neighbors when it is assigned, and of two neighbors in different
-/// parts the later one sees the earlier. `far_from` is the seed search,
-/// `g.pseudo_peripheral`.
-fn grow_parts(
-    g: &Graph,
-    k: usize,
-    far_from: impl Fn(usize) -> usize,
-) -> (Vec<u32>, Vec<bool>) {
+/// parts the later one sees the earlier.
+fn grow_parts(g: &Graph, k: usize) -> (Vec<u32>, Vec<bool>) {
     let n = g.num_vertices();
     let mut parts = vec![u32::MAX; n];
     let mut boundary = vec![false; n];
     let mut remaining = g.total_weight();
-    let mut seed = far_from(0);
     let mut free = 0usize;
     let mut frontier = Frontier { buckets: Vec::new(), top: 0 };
     // `in_part[w]` counts the neighbors of `w` inside part `counted_for[w]`.
@@ -205,13 +185,12 @@ fn grow_parts(
             break;
         }
         let mut grown = 0.0f64;
-        if parts[seed] != u32::MAX {
-            // Seed already taken — the common case from the third part
-            // on, see below: start at the lowest free vertex.
-            seed = next_free(&parts, &mut free).expect("earlier parts left a vertex to seed from");
-        }
         frontier.clear();
-        frontier.push(0, seed as u32);
+        if p == 0 {
+            // The one seed walk. A later part starts with an empty
+            // frontier, so its first vertex is the lowest free one.
+            frontier.push(0, g.pseudo_peripheral(0) as u32);
+        }
         while grown < target {
             let v = loop {
                 match frontier.pop() {
@@ -222,8 +201,8 @@ fn grow_parts(
             };
             let v = match v {
                 Some(v) => v,
-                // Frontier exhausted (disconnected component): restart
-                // from any unassigned vertex.
+                // Frontier exhausted (a new part, or a disconnected
+                // component): restart from the lowest unassigned vertex.
                 None => match next_free(&parts, &mut free) {
                     Some(v) => v,
                     None => break,
@@ -247,15 +226,6 @@ fn grow_parts(
             }
         }
         remaining -= grown;
-        if p + 2 < k as u32 {
-            // Next seed: the far end of a walk over the *whole* graph
-            // from this one (the last part is filled without one). The
-            // walk does not look at assignments, so it is not "far from
-            // what has been grown": on a tree-shaped mesh its answers
-            // alternate between the two ends of the tree, and once both
-            // are assigned every later part takes the branch above.
-            seed = far_from(seed);
-        }
     }
     (parts, boundary)
 }
@@ -342,11 +312,12 @@ mod tests {
     /// The growth loop [`grow_parts`] replaced, kept as the oracle: every
     /// push recounts the in-part neighbors of the pushed vertex, and a
     /// binary heap orders the frontier by (gain, insertion counter).
+    /// Part 0 is seeded by the one walk; a later part starts from an
+    /// empty heap, so at the lowest free vertex.
     fn grow_parts_oracle(g: &Graph, k: usize) -> Vec<u32> {
         let n = g.num_vertices();
         let mut parts = vec![u32::MAX; n];
         let mut remaining = g.total_weight();
-        let mut seed = g.pseudo_peripheral(0);
         for p in 0..k as u32 {
             let parts_left = k as u32 - p;
             let target = remaining / parts_left as f64;
@@ -361,10 +332,9 @@ mod tests {
             let mut heap: BinaryHeap<(i64, std::cmp::Reverse<u64>, u32)> = BinaryHeap::new();
             let mut counter = 0u64;
             let mut grown = 0.0f64;
-            if parts[seed] != u32::MAX {
-                seed = (0..n).find(|&v| parts[v] == u32::MAX).unwrap();
+            if p == 0 {
+                heap.push((0, std::cmp::Reverse(counter), g.pseudo_peripheral(0) as u32));
             }
-            heap.push((0, std::cmp::Reverse(counter), seed as u32));
             while grown < target {
                 let v = loop {
                     match heap.pop() {
@@ -395,7 +365,6 @@ mod tests {
                 }
             }
             remaining -= grown;
-            seed = g.pseudo_peripheral(seed);
         }
         parts
     }
@@ -453,19 +422,16 @@ mod tests {
         }
     }
 
-    /// Growth and the refined partition must equal the oracles'; where
-    /// the growth oracle gives up (mixed weights can let the early parts
-    /// eat every vertex, leaving a late part without a seed) so must we.
-    /// What growth reports as the part boundary must be exactly the
-    /// vertices with a neighbor in another part. Refinement is also held
-    /// to its oracle pass by pass, from a start that leaves it more to
-    /// move than a grown partition does.
+    /// Growth and the refined partition must equal the oracles' (mixed
+    /// weights can let the early parts eat every vertex and leave a late
+    /// part empty: in both). What growth reports as the part boundary
+    /// must be exactly the vertices with a neighbor in another part.
+    /// Refinement is also held to its oracle pass by pass, from a start
+    /// that leaves it more to move than a grown partition does.
     fn assert_same_as_oracle(g: &Graph, k: usize) {
-        let grow = |g: &Graph, k: usize| grow_parts(g, k, |from| g.pseudo_peripheral(from));
-        let grown = std::panic::catch_unwind(|| grow_parts_oracle(g, k)).ok();
-        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| grow(g, k))).ok();
-        assert_eq!(got.as_ref().map(|(parts, _)| parts), grown.as_ref(), "growth differs, k = {k}");
-        let (Some(parts), Some((_, boundary))) = (grown, got) else { return };
+        let parts = grow_parts_oracle(g, k);
+        let (got, boundary) = grow_parts(g, k);
+        assert_eq!(got, parts, "growth differs, k = {k}");
         for v in 0..g.num_vertices() {
             let beside = g.neighbors(v).iter().any(|&w| parts[w as usize] != parts[v]);
             assert_eq!(boundary[v], beside, "boundary flag of vertex {v} at k = {k}");
@@ -588,15 +554,8 @@ mod tests {
         for k in [2, 3, 16] {
             assert_same_as_oracle(&g, k);
         }
-        // The production growth: seed walks over the node cliques.
-        let mesh = generate_airway(&AirwaySpec::small()).unwrap().mesh;
-        let n2e = mesh.node_to_elements();
-        for k in [2, 3, 16] {
-            let grown = grow_kway_covered(&g, &NodeCliques::of_mesh(&mesh, &n2e), k);
-            assert_eq!(grown.part.parts, grow_parts_oracle(&g, k), "covered growth, k = {k}");
-        }
-        // One part per vertex costs one seed search per vertex: a
-        // single-generation airway keeps that affordable.
+        // One part per vertex costs the oracle one restart scan per
+        // part: a single-generation airway keeps that affordable.
         let g = element_graph(&AirwaySpec { generations: 1, ..AirwaySpec::small() }, false);
         assert_same_as_oracle(&g, g.num_vertices());
     }

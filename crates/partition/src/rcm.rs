@@ -18,7 +18,7 @@ use cfpd_mesh::Csr;
 /// component is swept from its own pseudo-peripheral start; components
 /// are taken in order of their minimum node index, so the result is
 /// deterministic.
-pub fn rcm_order(adj: &Csr) -> Vec<u32> {
+fn rcm_order(adj: &Csr) -> Vec<u32> {
     let n = adj.len();
     let degree = |v: usize| adj.row(v).len();
     let mut visited = vec![false; n];

@@ -24,8 +24,16 @@
 //! reclaimed is never burnt. Who takes part in a region is fixed by the
 //! participant count the caller publishes with it, never by `active`,
 //! which may change at any time.
+//!
+//! Panics: each executor runs its share of a region under
+//! `catch_unwind`, and a share counts as finished whether it returned or
+//! panicked. The caller waits for every participant to leave the body,
+//! whatever its own share did, and then resumes the first panic on its
+//! own thread; the workers live on for the next region.
 
 use cfpd_testkit::sync::{Condvar, Mutex};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -75,10 +83,14 @@ struct Shared {
     /// regions. Only participants of the published region dereference
     /// it, and the caller waits for all of them.
     region: AtomicPtr<RegionPtr>,
-    /// Participating workers that have left the current region's body
-    /// (`AcqRel` increments pair with the caller's `Acquire` loads, so
-    /// what the workers wrote is visible once the count is complete).
+    /// Participating workers that have left the current region's body,
+    /// by returning or by panicking (`AcqRel` increments pair with the
+    /// caller's `Acquire` loads, so what the workers wrote is visible
+    /// once the count is complete).
     finished: AtomicUsize,
+    /// The first panic payload of the current region, resumed on the
+    /// caller once every participant has left the body.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Number of executors (caller + workers) activated for the *next*
     /// region. Changed by `set_active` — the `omp_set_num_threads`
     /// equivalent that DLB drives.
@@ -113,6 +125,7 @@ impl ThreadPool {
             word: AtomicU64::new(0),
             region: AtomicPtr::new(std::ptr::null_mut()),
             finished: AtomicUsize::new(0),
+            panic: Mutex::new(None),
             active: AtomicUsize::new(max_workers),
             shutdown: AtomicBool::new(false),
             worker_spins: AtomicU64::new(0),
@@ -177,7 +190,8 @@ impl ThreadPool {
 
     /// Execute one parallel region: `body(executor_id)` runs once on
     /// each of the `active()` executors (caller = id 0). Returns when
-    /// all executors have left the body.
+    /// all executors have left the body; if one of them panicked, the
+    /// first panic is resumed here then.
     pub fn run_region<F>(&self, body: F)
     where
         F: Fn(usize) + Sync,
@@ -203,7 +217,8 @@ impl ThreadPool {
         let sh = &*self.shared;
         // SAFETY: we erase the lifetime; workers only dereference while
         // the region is live, and we wait below until `finished ==
-        // participants - 1`, so the borrow outlives all accesses.
+        // participants - 1` (our own share cannot unwind past the wait:
+        // `run_share` catches it), so the borrow outlives all accesses.
         let ptr = RegionPtr(unsafe {
             std::mem::transmute::<
                 *const (dyn Fn(usize, usize) + Sync + '_),
@@ -222,7 +237,7 @@ impl ThreadPool {
         if sh.state.lock().parked[1..participants].contains(&true) {
             sh.work_cv.notify_all();
         }
-        body(0, participants);
+        run_share(sh, || body(0, participants));
         let pending = || sh.finished.load(Ordering::Acquire) < participants - 1;
         let mut spins = 0u32;
         while pending() && spins < SPIN_LIMIT {
@@ -238,6 +253,17 @@ impl ThreadPool {
             st.parked[0] = false;
         }
         sh.region.store(std::ptr::null_mut(), Ordering::Relaxed);
+        if let Some(payload) = sh.panic.lock().take() {
+            resume_unwind(payload);
+        }
+    }
+}
+
+/// Run one executor's share of a region; a panic is kept (the region's
+/// first) instead of unwinding out of the executor.
+fn run_share(shared: &Shared, share: impl FnOnce()) {
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(share)) {
+        shared.panic.lock().get_or_insert(payload);
     }
 }
 
@@ -285,7 +311,7 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
         } else {
             None
         };
-        body(id, participants);
+        run_share(&shared, || body(id, participants));
         if let Some(t0) = t0 {
             let mut tr = shared.trace.lock();
             if let Some(t) = tr.as_mut() {
@@ -491,6 +517,70 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         flipper.join().unwrap();
+    }
+
+    /// `test` on a thread of its own, failed after 30 s instead of hung.
+    fn within_watchdog(test: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(test));
+            let _ = tx.send(outcome);
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(Ok(())) => {}
+            Ok(Err(payload)) => resume_unwind(payload),
+            Err(_) => panic!("the test hung for 30 s"),
+        }
+    }
+
+    /// A region on `pool` whose body is `body`, and the message it
+    /// panicked with.
+    fn panic_of(pool: &ThreadPool, body: impl Fn(usize) + Sync) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(|| pool.run_region(body)))
+            .expect_err("the region did not panic");
+        payload.downcast_ref::<&str>().expect("a literal panic message").to_string()
+    }
+
+    /// The region after a panic runs on every executor again.
+    fn assert_all_take_part(pool: &ThreadPool) {
+        let count = AtomicUsize::new(0);
+        pool.run_region(|_| {
+            count.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(count.load(Ordering::SeqCst), pool.max_workers());
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller() {
+        within_watchdog(|| {
+            let pool = ThreadPool::new(2);
+            assert_eq!(panic_of(&pool, |id| assert!(id != 1, "worker share")), "worker share");
+            assert_all_take_part(&pool);
+        });
+    }
+
+    /// The caller's own panic waits for the worker to leave the body
+    /// (which borrows the caller's stack) before it unwinds.
+    #[test]
+    fn a_caller_panic_waits_for_the_workers() {
+        within_watchdog(|| {
+            let pool = ThreadPool::new(2);
+            let (worker_in, worker_left) = (AtomicBool::new(false), AtomicBool::new(false));
+            let message = panic_of(&pool, |id| {
+                if id == 0 {
+                    // Panic while the worker is inside the body.
+                    wait_until("the worker enters", || worker_in.load(Ordering::SeqCst));
+                    panic!("caller share");
+                }
+                worker_in.store(true, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                worker_left.store(true, Ordering::SeqCst);
+            });
+            assert_eq!(message, "caller share");
+            assert!(worker_left.load(Ordering::SeqCst), "unwound before the worker left");
+            assert!(pool.shared.region.load(Ordering::Relaxed).is_null());
+            assert_all_take_part(&pool);
+        });
     }
 
     #[test]

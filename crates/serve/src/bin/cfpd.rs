@@ -10,9 +10,12 @@
 //! cfpd chaos    [--seed S] [--ranks N] [--dlb] [--storm] [--json]
 //!                                                   seeded fault-injection run
 //! cfpd report   [--ranks N] [--json]                telemetry + POP rollup
+//! cfpd trace    export|analyze|diff                 trace export and analysis
 //! cfpd campaign expand|run|report FILE              scenario matrix engine
 //! cfpd serve    run|submit|status|result|cancel|metrics|drain
 //!                                                   crash-safe job daemon
+//! cfpd flight   dump|analyze                        post-mortem black box
+//! cfpd watch    JOB --addr HOST:PORT                a served job's progress
 //! ```
 //!
 //! Argument parsing is deliberately dependency-free (tiny flag set).
