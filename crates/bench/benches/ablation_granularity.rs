@@ -58,7 +58,8 @@ fn main() {
     for (ti, &tasks) in task_counts.iter().enumerate() {
         // Real decomposition + real task-graph execution (counting the
         // work by touching each element's nodes).
-        let d = cfpd_partition::decompose_subdomains(mesh, &elems, &weights, tasks);
+        let faces = &ctx.airway.face_neighbors;
+        let d = cfpd_partition::decompose_subdomains(mesh, faces, &elems, &weights, tasks);
         let mut edge_ids = std::collections::HashMap::new();
         let mut next = 0usize;
         let mut graph = TaskGraph::new();

@@ -27,7 +27,8 @@ fn bench_assembly_strategies(b: &mut Bench) {
 
     for strategy in AssemblyStrategy::ALL {
         let (sell, order) = (matrix.structure(), ElementOrder::List);
-        let plan = AssemblyPlan::new(mesh, elems.clone(), strategy, 16, sell, order);
+        let listed = elems.clone();
+        let plan = AssemblyPlan::new(mesh, &am.face_neighbors, listed, strategy, 16, sell, order);
         b.bench_batched(
             &format!("assembly/{}", strategy.label()),
             || (matrix.clone(), vec![vec![0.0; mesh.num_nodes()]; 3]),

@@ -55,10 +55,10 @@ use cfpd_core::{
     prepare, BoundaryConditions, Checkpoint, FluidSolver, PrepareKey, Prepared, RankCheckpoint,
     SimulationConfig,
 };
-use cfpd_mesh::{generate_airway, AirwayMesh, AirwaySpec, Mesh, Vec3};
+use cfpd_mesh::{generate_airway, AirwayMesh, AirwaySpec, FaceNeighbors, Mesh, Vec3};
 use cfpd_particles::{inject_at_inlet, step_particles, Locator, ParticleProps, ParticleSet};
 use cfpd_partition::{
-    bandwidth_under_perm, csr_bandwidth, kway, local_element_graph, partition_kway, rcm_perm,
+    bandwidth_under_perm, csr_bandwidth, kway, partition_kway, rcm_perm, FaceGraphs,
 };
 use cfpd_runtime::ThreadPool;
 use cfpd_serve::{CellAcc, CellSnapshot, CheckpointSection, PersistGate, SnapshotParts};
@@ -84,13 +84,13 @@ fn synthetic_velocity(mesh: &Mesh) -> Vec<Vec3> {
 }
 
 /// Dirichlet-closed pressure Poisson system (the Solver2 workload) and
-/// its boundary node sets.
-fn pressure_system(mesh: &Mesh, pool: &ThreadPool) -> PressureSystem {
+/// its boundary node sets; `faces` is the mesh's face table.
+fn pressure_system(mesh: &Mesh, faces: &FaceNeighbors, pool: &ThreadPool) -> PressureSystem {
     let n2e = mesh.node_to_elements();
     let mut matrix = SellMatrix::from_csr(&CsrMatrix::from_mesh(mesh, &n2e));
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
     let (strategy, order) = (AssemblyStrategy::Serial, ElementOrder::List);
-    let plan = AssemblyPlan::new(mesh, elems, strategy, 1, matrix.structure(), order);
+    let plan = AssemblyPlan::new(mesh, faces, elems, strategy, 1, matrix.structure(), order);
     let refs = RefElement::all();
     let velocity = synthetic_velocity(mesh);
     let mut rhs = vec![0.0; mesh.num_nodes()];
@@ -104,7 +104,7 @@ fn pressure_system(mesh: &Mesh, pool: &ThreadPool) -> PressureSystem {
     (matrix.to_csr(), rhs, bc)
 }
 
-fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
+fn bench_assembly(b: &mut Bench, mesh: &Mesh, faces: &FaceNeighbors, pool: &ThreadPool) {
     let n2e = mesh.node_to_elements();
     let template = CsrMatrix::from_mesh(mesh, &n2e);
     let sell = std::sync::Arc::new(SellStructure::from_csr(&template));
@@ -113,7 +113,7 @@ fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
     let multidep = |order| {
         let strategy = AssemblyStrategy::Multidep;
-        AssemblyPlan::new(mesh, elems.clone(), strategy, N_SUBDOMAINS, &sell, order)
+        AssemblyPlan::new(mesh, faces, elems.clone(), strategy, N_SUBDOMAINS, &sell, order)
     };
     let plan_default = multidep(ElementOrder::List);
     let plan_lanes = multidep(ElementOrder::KindGrouped);
@@ -122,6 +122,7 @@ fn bench_assembly(b: &mut Bench, mesh: &Mesh, pool: &ThreadPool) {
     // `scripts/verify.sh` (host load moves one-thread rows together).
     let plan_serial = AssemblyPlan::new(
         mesh,
+        faces,
         elems.clone(),
         AssemblyStrategy::Serial,
         1,
@@ -257,7 +258,13 @@ fn bench_solve(
 /// axpy/dot (split vs fused) and the SGS sweep (the scalar oracle under
 /// the plan's strategy against the kind-batched lane sweep every run
 /// does).
-fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPool) {
+fn bench_phases(
+    b: &mut Bench,
+    mesh: &Mesh,
+    faces: &FaceNeighbors,
+    matrix: &CsrMatrix,
+    pool: &ThreadPool,
+) {
     let n = matrix.n;
     let diag = matrix.diagonal();
     let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos()).collect();
@@ -302,6 +309,7 @@ fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPoo
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
     let plan = AssemblyPlan::new(
         mesh,
+        faces,
         elems,
         AssemblyStrategy::Multidep,
         N_SUBDOMAINS,
@@ -335,26 +343,29 @@ fn bench_phases(b: &mut Bench, mesh: &Mesh, matrix: &CsrMatrix, pool: &ThreadPoo
 fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
     let mesh = &airway.mesh;
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-    let weights = mesh.cost_weights();
+    let (weights, faces) = (mesh.cost_weights(), &airway.face_neighbors);
+    // The graphs `decompose_subdomains` cuts on: the lane blocks' face
+    // graph and the elements' (the row keeps its old name).
     b.bench("setup/element-graph", || {
-        black_box(local_element_graph(mesh, &elems, &weights));
+        black_box(FaceGraphs::new(mesh.num_elements(), faces, &elems, &weights));
     });
-    let graph = local_element_graph(mesh, &elems, &weights);
-    // The partition as `decompose_subdomains` runs it, and its two
-    // stages that are not growth: the one seed walk and the refinement
-    // of the grown parts.
+    let graphs = FaceGraphs::new(mesh.num_elements(), faces, &elems, &weights);
+    // The partition as `decompose_subdomains` runs it, and two of its
+    // stages: the one seed walk on the blocks, and the fine level (the
+    // block parts projected onto the elements and refined once).
     b.bench("setup/seed-search", || {
-        black_box(graph.pseudo_peripheral(0));
+        black_box(graphs.blocks.pseudo_peripheral(0));
     });
     b.bench("setup/kway-16", || {
-        black_box(partition_kway(&graph, N_SUBDOMAINS, 4));
+        black_box(graphs.partition(N_SUBDOMAINS));
     });
-    let grown = kway::grow_kway(&graph, N_SUBDOMAINS);
+    let coarse = partition_kway(&graphs.blocks, N_SUBDOMAINS, 4);
+    let fine = &graphs.elements;
     b.bench_batched(
         "setup/refine",
-        || grown.clone(),
-        |grown| {
-            black_box(grown.refine(&graph, 4));
+        || graphs.block.iter().map(|&b| coarse.parts[b as usize]).collect(),
+        |projected| {
+            black_box(kway::Grown::from_parts(fine, projected, N_SUBDOMAINS).refine(fine, 1));
         },
     );
     let sell = SellStructure::from_csr(&CsrMatrix::from_mesh(mesh, &mesh.node_to_elements()));
@@ -364,6 +375,7 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
         |elems| {
             black_box(AssemblyPlan::new(
                 mesh,
+                faces,
                 elems,
                 AssemblyStrategy::Multidep,
                 N_SUBDOMAINS,
@@ -379,7 +391,7 @@ fn bench_setup(b: &mut Bench, airway: &AirwayMesh) {
         || elems.clone(),
         |elems| {
             let (strategy, order) = (AssemblyStrategy::Serial, ElementOrder::KindGrouped);
-            black_box(AssemblyPlan::new(mesh, elems, strategy, 1, &sell, order));
+            black_box(AssemblyPlan::new(mesh, faces, elems, strategy, 1, &sell, order));
         },
     );
     // A complete geometry: `Locator::new` and one containment test per
@@ -755,13 +767,14 @@ fn main() {
 
     let name = if quick { "BENCH_hotpath_quick" } else { "BENCH_hotpath" };
     let mut b = Bench::with_config(name, config);
-    bench_assembly(&mut b, mesh, &pool);
-    let native = pressure_system(mesh, &pool);
+    let faces = &airway.face_neighbors;
+    bench_assembly(&mut b, mesh, faces, &pool);
+    let native = pressure_system(mesh, faces, &pool);
     bench_spmv(&mut b, "native-order", &native.0);
-    let rcm = pressure_system(&mesh_rcm, &pool);
+    let rcm = pressure_system(&mesh_rcm, faces, &pool);
     bench_spmv(&mut b, "rcm-order", &rcm.0);
     let iters = bench_solve(&mut b, &native, &rcm, &pool);
-    bench_phases(&mut b, mesh, &native.0, &pool);
+    bench_phases(&mut b, mesh, faces, &native.0, &pool);
     bench_setup(&mut b, &airway);
     bench_prepare_and_boundary(&mut b, &spec);
     bench_solver1(&mut b, &spec);

@@ -65,8 +65,10 @@ pub struct Checkpoint {
 /// a document no uninterrupted run produces. Revision 2: shared rows are
 /// summed in colour-numbered subdomain order. Revision 3: the k-way
 /// partition seeds part 0 at the far end of one walk from vertex 0 and
-/// every later part at the lowest free vertex.
-const SUMMATION_REVISION: u32 = 3;
+/// every later part at the lowest free vertex. Revision 4: the Multidep
+/// subdomains are cut on the face graph of lane blocks, then of
+/// elements, not on the node-sharing element graph.
+const SUMMATION_REVISION: u32 = 4;
 
 /// Digest the configuration a checkpoint belongs to. Hashing the full
 /// `Debug` rendering covers every knob (mesh spec, solver tolerances,

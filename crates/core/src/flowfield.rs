@@ -28,7 +28,8 @@ pub fn potential_flow(airway: &AirwayMesh, inlet_speed: f64) -> Vec<Vec3> {
     let mut rhs = vec![vec![0.0; n]];
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
     let (strategy, order) = (AssemblyStrategy::Serial, ElementOrder::List);
-    let plan = AssemblyPlan::new(mesh, elems, strategy, 1, lap.structure(), order);
+    let faces = &airway.face_neighbors;
+    let plan = AssemblyPlan::new(mesh, faces, elems, strategy, 1, lap.structure(), order);
     let pool = ThreadPool::new(1);
     let refs = RefElement::all();
     let zero_vel = vec![Vec3::ZERO; n];

@@ -125,7 +125,9 @@ pub struct FluidStructure {
 
 impl FluidStructure {
     /// Build the structure for a solver assembling `elems` of `mesh`;
-    /// `n2e` is `mesh.node_to_elements()`.
+    /// `n2e` is `mesh.node_to_elements()`. For callers that hold only the
+    /// mesh: the face table the Multidep decomposition cuts on is built
+    /// here (`prepare` passes the generator's instead).
     pub fn build(
         mesh: &Mesh,
         n2e: &Csr,
@@ -136,7 +138,8 @@ impl FluidStructure {
     ) -> FluidStructure {
         let (pattern, sizes) = (CsrMatrix::from_mesh(mesh, n2e), mesh.element_sizes().into());
         let sell = Arc::new(SellStructure::from_csr(&pattern));
-        let units = AssemblyUnits::new(mesh, elems, strategy, n_subdomains);
+        let faces = mesh.face_neighbors();
+        let units = AssemblyUnits::new(mesh, &faces, elems, strategy, n_subdomains);
         let own = Schedule::build(mesh, units, &sell, &sizes, layout);
         own.on(Arc::new(MeshStructure::build(mesh, &pattern, sell, &sizes)))
     }

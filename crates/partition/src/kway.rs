@@ -231,10 +231,23 @@ fn grow_parts(g: &Graph, k: usize) -> (Vec<u32>, Vec<bool>) {
 }
 
 impl Grown {
+    /// `parts` (each below `k`) as a partition of `g` to refine, its
+    /// boundary flags read off the graph: how a partition of a coarser
+    /// graph, projected onto `g`, is handed to [`Grown::refine`].
+    pub fn from_parts(g: &Graph, parts: Vec<u32>, k: usize) -> Grown {
+        let boundary = (0..g.num_vertices())
+            .map(|v| g.neighbors(v).iter().any(|&w| parts[w as usize] != parts[v]))
+            .collect();
+        Grown { part: Partition { parts, num_parts: k }, boundary }
+    }
+
     /// Greedy boundary refinement: move boundary vertices to the
     /// neighboring part where they have strictly more connections, if
     /// the move keeps the destination part within `1 + TOL` of the
-    /// average weight and does not empty the source part.
+    /// average weight and does not empty the source part. A vertex that
+    /// makes no such move while its part is above `1 + TOL` of the
+    /// average moves to its lightest neighboring part that stays within
+    /// the bound: the balancing move.
     ///
     /// A vertex whose neighbors all share its part cannot move, so a
     /// pass looks only at the vertices growth or an earlier pass found
@@ -280,14 +293,29 @@ impl Grown {
                         best_part = p;
                     }
                 }
-                if best_part != pv
+                let vw = g.vwgt[v];
+                let to = if best_part != pv
                     && best > here
-                    && weights[best_part] + g.vwgt[v] <= max_w
-                    && weights[pv] - g.vwgt[v] > 0.0
+                    && weights[best_part] + vw <= max_w
+                    && weights[pv] - vw > 0.0
                 {
-                    part.parts[v] = best_part as u32;
-                    weights[pv] -= g.vwgt[v];
-                    weights[best_part] += g.vwgt[v];
+                    best_part
+                } else if weights[pv] > max_w {
+                    // The balancing move; the source keeps more than
+                    // `vw`, since it is heavier than any part with room.
+                    counts
+                        .iter()
+                        .map(|&(p, _)| p)
+                        .filter(|&p| weights[p] + vw <= max_w)
+                        .min_by(|&a, &b| weights[a].total_cmp(&weights[b]))
+                        .unwrap_or(pv)
+                } else {
+                    pv
+                };
+                if to != pv {
+                    part.parts[v] = to as u32;
+                    weights[pv] -= vw;
+                    weights[to] += vw;
                     moved += 1;
                     for &w in g.neighbors(v) {
                         boundary[w as usize] = true;
@@ -370,7 +398,7 @@ mod tests {
     }
 
     /// The refinement [`Grown::refine`] replaced, kept as the oracle:
-    /// every pass scans every vertex.
+    /// every pass scans every vertex. It makes the same two moves.
     fn refine_oracle(g: &Graph, part: &mut Partition, passes: usize) {
         const TOL: f64 = 0.03;
         let n = g.num_vertices();
@@ -405,14 +433,28 @@ mod tests {
                         best_part = p;
                     }
                 }
-                if best_part != pv
+                let vw = g.vwgt[v];
+                let gain = best_part != pv
                     && best > here
-                    && weights[best_part] + g.vwgt[v] <= max_w
-                    && weights[pv] - g.vwgt[v] > 0.0
-                {
+                    && weights[best_part] + vw <= max_w
+                    && weights[pv] - vw > 0.0;
+                if !gain && weights[pv] > max_w {
+                    // Balancing: the lightest neighboring part with room,
+                    // the first met of equal ones.
+                    best_part = pv;
+                    for &(p, _) in &counts {
+                        let room = weights[p] + vw <= max_w;
+                        if room && (best_part == pv || weights[p] < weights[best_part]) {
+                            best_part = p;
+                        }
+                    }
+                } else if !gain {
+                    continue;
+                }
+                if best_part != pv {
                     part.parts[v] = best_part as u32;
-                    weights[pv] -= g.vwgt[v];
-                    weights[best_part] += g.vwgt[v];
+                    weights[pv] -= vw;
+                    weights[best_part] += vw;
                     moved += 1;
                 }
             }
@@ -558,6 +600,40 @@ mod tests {
         // part: a single-generation airway keeps that affordable.
         let g = element_graph(&AirwaySpec { generations: 1, ..AirwaySpec::small() }, false);
         assert_same_as_oracle(&g, g.num_vertices());
+    }
+
+    /// Neither move raises the heaviest part above where it was or above
+    /// the bound, whichever is higher: a gain move needs room in its
+    /// destination and a balancing move leaves a part above the bound
+    /// for one within it. Starts from stripes and from a partition whose
+    /// part 0 holds half the vertices, so the balancing move has work.
+    #[test]
+    fn refinement_never_raises_the_heaviest_part() {
+        let heaviest = |g: &Graph, parts: &[u32], k: usize| {
+            let w = Partition { parts: parts.to_vec(), num_parts: k }.part_weights(g);
+            w.into_iter().fold(0.0, f64::max)
+        };
+        check(
+            "refinement never raises the heaviest part",
+            PropConfig::cases(200),
+            &RandomGraphs { components: 2 },
+            |case| {
+                let (g, k, n) = (case.graph(), case.k, case.n);
+                let bound = 1.03 * g.total_weight() / k as f64;
+                let skewed: Vec<u32> =
+                    (0..n).map(|v| if v < n / 2 { 0 } else { (v % k) as u32 }).collect();
+                let striped: Vec<u32> = (0..n).map(|v| (v % k) as u32).collect();
+                for start in [skewed, striped] {
+                    let before = heaviest(&g, &start, k);
+                    let mut want = Partition { parts: start.clone(), num_parts: k };
+                    refine_oracle(&g, &mut want, 4);
+                    let got = Grown::from_parts(&g, start, k).refine(&g, 4);
+                    assert_eq!(got.parts, want.parts, "refinement differs from its oracle");
+                    let after = heaviest(&g, &got.parts, k);
+                    assert!(after <= before.max(bound) * (1.0 + 1e-12), "{before} -> {after}");
+                }
+            },
+        );
     }
 
     /// Grid graph of `nx * ny` vertices (4-neighborhood).

@@ -11,9 +11,10 @@
 //! * [`kway`] — greedy graph-growing k-way partitioning with boundary
 //!   refinement,
 //! * [`coloring`] — greedy largest-degree-first coloring,
-//! * [`subdomain`] — subdomain decomposition + node-sharing adjacency
-//!   (the "incompatibility" relation behind the multidependences) and
-//!   its colour numbering,
+//! * [`subdomain`] — subdomain decomposition, cut on the face graph of
+//!   lane blocks and then of elements, + node-sharing adjacency (the
+//!   "incompatibility" relation behind the multidependences) and its
+//!   colour numbering,
 //! * [`rcm`] — reverse Cuthill–McKee node reordering (CSR bandwidth
 //!   reduction for the locality-aware hot path).
 
@@ -31,4 +32,6 @@ pub use graph::Graph;
 pub use kway::{partition_kway, Partition};
 pub use rcb::partition_rcb;
 pub use rcm::{bandwidth_under_perm, csr_bandwidth, invert_perm, rcm_perm};
-pub use subdomain::{decompose_subdomains, local_element_graph, SubdomainDecomposition};
+pub use subdomain::{
+    decompose_subdomains, local_element_graph, FaceGraphs, SubdomainDecomposition,
+};

@@ -34,7 +34,7 @@
 
 use crate::batch::{BatchSchedule, ElementOrder};
 use crate::sell::SellStructure;
-use cfpd_mesh::{Csr, Mesh};
+use cfpd_mesh::{Csr, FaceNeighbors, Mesh};
 use cfpd_partition::{decompose_subdomains, greedy_coloring, local_element_graph};
 use cfpd_runtime::Dep;
 
@@ -128,10 +128,12 @@ pub struct AssemblyUnits {
 
 impl AssemblyUnits {
     /// The units of `elems` of `mesh` under `strategy`. `n_subdomains`
-    /// controls the Multidep decomposition (ignored by the other
-    /// strategies); a good default is several times the executor count.
+    /// controls the Multidep decomposition, cut on the face table `faces`
+    /// ([`Mesh::face_neighbors`]; both ignored by the other strategies);
+    /// a good default is several times the executor count.
     pub fn new(
         mesh: &Mesh,
+        faces: &FaceNeighbors,
         elems: Vec<u32>,
         strategy: AssemblyStrategy,
         n_subdomains: usize,
@@ -158,7 +160,8 @@ impl AssemblyUnits {
             }
             AssemblyStrategy::Multidep => {
                 let n_sub = n_subdomains.max(1).min(elems.len().max(1));
-                let d = decompose_subdomains(mesh, &elems, &weights, n_sub).colour_numbered();
+                let d = decompose_subdomains(mesh, faces, &elems, &weights, n_sub);
+                let d = d.colour_numbered();
                 // One object per adjacency edge, numbered where its
                 // lower end lists it; the upper end looks the number up
                 // in the lower end's (ascending) neighbor list.
@@ -201,13 +204,14 @@ impl AssemblyPlan {
     /// into matrices on `sell`.
     pub fn new(
         mesh: &Mesh,
+        faces: &FaceNeighbors,
         elems: Vec<u32>,
         strategy: AssemblyStrategy,
         n_subdomains: usize,
         sell: &SellStructure,
         order: ElementOrder,
     ) -> AssemblyPlan {
-        let units = AssemblyUnits::new(mesh, elems, strategy, n_subdomains);
+        let units = AssemblyUnits::new(mesh, faces, elems, strategy, n_subdomains);
         AssemblyPlan::schedule(units, mesh, sell, order, &mesh.element_sizes())
     }
 
@@ -318,6 +322,7 @@ mod tests {
 
     struct Fixture {
         mesh: Mesh,
+        faces: Arc<FaceNeighbors>,
         pattern: CsrMatrix,
         sell: Arc<SellStructure>,
         refs: [RefElement; 3],
@@ -336,6 +341,7 @@ mod tests {
         let pattern = CsrMatrix::from_mesh(&am.mesh, &am.mesh.node_to_elements());
         Fixture {
             mesh: am.mesh,
+            faces: am.face_neighbors,
             sell: Arc::new(SellStructure::from_csr(&pattern)),
             pattern,
             refs: RefElement::all(),
@@ -369,7 +375,7 @@ mod tests {
         strategy: AssemblyStrategy,
         order: ElementOrder,
     ) -> AssemblyPlan {
-        AssemblyPlan::new(&f.mesh, elems, strategy, 24, &f.sell, order)
+        AssemblyPlan::new(&f.mesh, &f.faces, elems, strategy, 24, &f.sell, order)
     }
 
     fn plan_for(f: &Fixture, strategy: AssemblyStrategy, order: ElementOrder) -> AssemblyPlan {
@@ -584,12 +590,13 @@ mod tests {
     fn plan_longest_path_is_short() {
         for generations in [2, 4] {
             let spec = AirwaySpec { generations, ..AirwaySpec::small() };
-            let mesh = generate_airway(&spec).unwrap().mesh;
+            let airway = generate_airway(&spec).unwrap();
+            let (mesh, faces) = (&airway.mesh, &airway.face_neighbors);
             let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-            let pattern = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+            let pattern = CsrMatrix::from_mesh(mesh, &mesh.node_to_elements());
             let sell = SellStructure::from_csr(&pattern);
             let (strategy, order) = (AssemblyStrategy::Multidep, ElementOrder::List);
-            let plan = AssemblyPlan::new(&mesh, elems, strategy, 16, &sell, order);
+            let plan = AssemblyPlan::new(mesh, faces, elems, strategy, 16, &sell, order);
             let (members, objs) = plan.subdomains.as_ref().unwrap();
             let cost: Vec<f64> = members
                 .iter()
@@ -658,7 +665,8 @@ mod tests {
         let f = fixture();
         let elems: Vec<u32> = (0..f.mesh.num_elements() as u32).collect();
         let plan = |strategy| {
-            AssemblyPlan::new(&f.mesh, elems.clone(), strategy, 16, &f.sell, ElementOrder::List)
+            let order = ElementOrder::List;
+            AssemblyPlan::new(&f.mesh, &f.faces, elems.clone(), strategy, 16, &f.sell, order)
         };
         let multidep = || plan(AssemblyStrategy::Multidep);
         let (a, b) = (multidep(), multidep());

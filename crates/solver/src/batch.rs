@@ -876,7 +876,7 @@ mod tests {
     use crate::assembly::AssemblyUnits;
     use crate::csr::CsrMatrix;
     use crate::oracle;
-    use cfpd_mesh::{generate_airway, AirwaySpec};
+    use cfpd_mesh::{generate_airway, AirwaySpec, FaceNeighbors};
     use cfpd_testkit::Rng;
     use std::sync::Arc;
 
@@ -930,12 +930,13 @@ mod tests {
     fn one_pass_scatter_equals_the_pattern_search() {
         for generations in [2, 4] {
             let spec = AirwaySpec { generations, ..AirwaySpec::small() };
-            let mesh = generate_airway(&spec).unwrap().mesh;
+            let airway = generate_airway(&spec).unwrap();
+            let (mesh, faces) = (&airway.mesh, &airway.face_neighbors);
             let sizes = mesh.element_sizes();
             for (e, h) in sizes.iter().enumerate() {
                 assert_eq!(h.to_bits(), mesh.volume(e).abs().cbrt().to_bits(), "element {e}");
             }
-            let pattern = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
+            let pattern = CsrMatrix::from_mesh(mesh, &mesh.node_to_elements());
             let sell = SellStructure::from_csr(&pattern);
             let slot_of: Vec<usize> = sell.csr_order().collect();
             let all: Vec<u32> = (0..mesh.num_elements() as u32).collect();
@@ -945,8 +946,8 @@ mod tests {
                     .flat_map(|s| [(s, ElementOrder::List), (s, ElementOrder::KindGrouped)])
                 {
                     let list = elems.to_vec();
-                    let units = AssemblyUnits::new(&mesh, list, strategy, 16);
-                    let plan = AssemblyPlan::schedule(units, &mesh, &sell, order, &sizes);
+                    let units = AssemblyUnits::new(mesh, faces, list, strategy, 16);
+                    let plan = AssemblyPlan::schedule(units, mesh, &sell, order, &sizes);
                     let mut swept = 0;
                     for batch in plan.batch_schedule().units.iter().flat_map(BatchSet::batches) {
                         let nn = batch.nn();
@@ -969,23 +970,30 @@ mod tests {
 
     /// Aim 4's number, from the schedule itself: the generator lists
     /// elements in same-kind runs of multiples of eight, so cut into 16
-    /// subdomains the golden mesh still goes ≥ 97 % eight abreast in list
-    /// order — and a plan counts what its sweeps will report.
+    /// subdomains the golden mesh and the benchmark's 4- and 5-generation
+    /// airways still go ≥ 97 % eight abreast in list order — and a plan
+    /// counts what its sweeps will report.
     #[test]
     fn list_order_keeps_the_airway_in_lane_blocks() {
-        let spec = AirwaySpec { generations: 2, ..AirwaySpec::small() };
-        let mesh = generate_airway(&spec).unwrap().mesh;
-        let sell = SellStructure::from_csr(&CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements()));
-        let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
-        let whole = BatchSet::cut(&mesh, &mesh.element_sizes(), &elems, ElementOrder::List, false);
-        assert!(whole.batches().all(|b| b.len() % LANES == 0), "generator runs are whole blocks");
-        let strategy = AssemblyStrategy::Multidep;
-        let plan = AssemblyPlan::new(&mesh, elems, strategy, 16, &sell, ElementOrder::List);
-        let units = &plan.batch_schedule().units;
-        let in_lanes: usize =
-            units.iter().flat_map(BatchSet::batches).map(|b| b.len() / LANES * LANES).sum();
-        let share = in_lanes as f64 / mesh.num_elements() as f64;
-        assert!(share >= 0.97, "{share:.3} of the elements in full lane blocks");
+        for generations in [2, 4, 5] {
+            let spec = AirwaySpec { generations, ..AirwaySpec::small() };
+            let airway = generate_airway(&spec).unwrap();
+            let (mesh, faces) = (&airway.mesh, &airway.face_neighbors);
+            let pattern = CsrMatrix::from_mesh(mesh, &mesh.node_to_elements());
+            let sell = SellStructure::from_csr(&pattern);
+            let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+            let (sizes, list) = (mesh.element_sizes(), ElementOrder::List);
+            let whole = BatchSet::cut(mesh, &sizes, &elems, list, false);
+            let whole_blocks = whole.batches().all(|b| b.len() % LANES == 0);
+            assert!(whole_blocks, "generator runs are whole blocks at {generations}");
+            let strategy = AssemblyStrategy::Multidep;
+            let plan = AssemblyPlan::new(mesh, faces, elems, strategy, 16, &sell, list);
+            let units = &plan.batch_schedule().units;
+            let in_lanes: usize =
+                units.iter().flat_map(BatchSet::batches).map(|b| b.len() / LANES * LANES).sum();
+            let share = in_lanes as f64 / mesh.num_elements() as f64;
+            assert!(share >= 0.97, "{share:.3} in full lane blocks at {generations} generations");
+        }
     }
 
     /// The lane lumped mass is the scalar element loop's, bit for bit: on
@@ -1047,6 +1055,7 @@ mod tests {
 
     struct Fixture {
         mesh: Mesh,
+        faces: Arc<FaceNeighbors>,
         template: CsrMatrix,
         sell: Arc<SellStructure>,
         velocity: Vec<Vec3>,
@@ -1054,17 +1063,18 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
-        let mesh = generate_airway(&AirwaySpec::small()).unwrap().mesh;
+        let airway = generate_airway(&AirwaySpec::small()).unwrap();
+        let (mesh, faces) = (airway.mesh, airway.face_neighbors);
         let template = CsrMatrix::from_mesh(&mesh, &mesh.node_to_elements());
         let velocity = mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
         let pressure = mesh.coords.iter().map(|p| p.x * 3.0 - p.y).collect();
         let sell = Arc::new(SellStructure::from_csr(&template));
-        Fixture { mesh, template, sell, velocity, pressure }
+        Fixture { mesh, faces, template, sell, velocity, pressure }
     }
 
     fn plan(f: &Fixture, strategy: AssemblyStrategy, order: ElementOrder) -> AssemblyPlan {
         let elems: Vec<u32> = (0..f.mesh.num_elements() as u32).collect();
-        AssemblyPlan::new(&f.mesh, elems, strategy, 16, &f.sell, order)
+        AssemblyPlan::new(&f.mesh, &f.faces, elems, strategy, 16, &f.sell, order)
     }
 
     /// Grouped by kind, every strategy sums what the serial element loop
@@ -1180,12 +1190,14 @@ mod tests {
                     assemble_momentum(pool, &refs, mesh, plan, &u, props, dt, gravity, &mut a, rhs);
                     a
                 };
+                let faces = mesh.face_neighbors();
                 for strategy in AssemblyStrategy::ALL {
-                    let plan = AssemblyPlan::new(mesh, elems.clone(), strategy, 16, &sell, order);
+                    let listed = elems.clone();
+                    let plan = AssemblyPlan::new(mesh, &faces, listed, strategy, 16, &sell, order);
                     let units = &plan.batch_schedule().units;
                     let swept: Vec<u32> = units.iter().flat_map(|set| set.elems.clone()).collect();
                     let (serial, list) = (AssemblyStrategy::Serial, ElementOrder::List);
-                    let serial = AssemblyPlan::new(mesh, swept, serial, 1, &sell, list);
+                    let serial = AssemblyPlan::new(mesh, &faces, swept, serial, 1, &sell, list);
                     let (mut a, mut l, mut rhs) = (pattern.clone(), pattern.clone(), fresh_rhs());
                     let one = &pools[0];
                     oracle::assemble_momentum(

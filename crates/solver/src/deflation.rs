@@ -626,7 +626,8 @@ mod tests {
         let mut a = SellMatrix::from_csr(&CsrMatrix::from_mesh(&mesh, &n2e));
         let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
         let (strategy, order) = (AssemblyStrategy::Serial, ElementOrder::List);
-        let plan = AssemblyPlan::new(&mesh, elems, strategy, 1, a.structure(), order);
+        let faces = mesh.face_neighbors();
+        let plan = AssemblyPlan::new(&mesh, &faces, elems, strategy, 1, a.structure(), order);
         let (refs, pool) = (RefElement::all(), ThreadPool::new(1));
         let velocity: Vec<Vec3> =
             mesh.coords.iter().map(|p| Vec3::new(p.y, -p.z, 0.4 - p.x)).collect();

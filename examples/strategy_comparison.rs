@@ -41,7 +41,8 @@ fn main() {
     let mut reference: Option<Vec<f64>> = None;
     for strategy in AssemblyStrategy::ALL {
         let (sell, order) = (template.structure(), ElementOrder::List);
-        let plan = AssemblyPlan::new(mesh, elems.clone(), strategy, 24, sell, order);
+        let (faces, listed) = (&airway.face_neighbors, elems.clone());
+        let plan = AssemblyPlan::new(mesh, faces, listed, strategy, 24, sell, order);
         let mut a = template.clone();
         let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
         let t0 = std::time::Instant::now();

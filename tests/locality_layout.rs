@@ -221,7 +221,8 @@ fn deflated_pressure_is_no_further_from_a_tight_reference_than_jacobi_cg() {
     let n = mesh.num_nodes();
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
     let (strategy, order) = (AssemblyStrategy::Serial, ElementOrder::List);
-    let plan = AssemblyPlan::new(&mesh, elems, strategy, 1, sell.structure(), order);
+    let faces = mesh.face_neighbors();
+    let plan = AssemblyPlan::new(&mesh, &faces, elems, strategy, 1, sell.structure(), order);
     let refs = RefElement::all();
     let pool = ThreadPool::new(2);
     let velocity: Vec<Vec3> =

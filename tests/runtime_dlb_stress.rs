@@ -173,11 +173,13 @@ fn assembly_is_bit_identical_under_random_lend_reclaim_scripts() {
         mesh.coords.iter().map(|p| Vec3::new(p.z * 2.0, p.x, -p.y * 0.5)).collect();
     let pressure: Vec<f64> = mesh.coords.iter().map(|p| p.x - 2.0 * p.z).collect();
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
+    let faces = mesh.face_neighbors();
     let plans: Vec<AssemblyPlan> = [AssemblyStrategy::Multidep, AssemblyStrategy::Coloring]
         .into_iter()
         .map(|strategy| {
             let order = ElementOrder::KindGrouped;
-            AssemblyPlan::new(&mesh, elems.clone(), strategy, 64, template.structure(), order)
+            let (listed, sell) = (elems.clone(), template.structure());
+            AssemblyPlan::new(&mesh, &faces, listed, strategy, 64, sell, order)
         })
         .collect();
     let assemble = |pool: &ThreadPool, plan: &AssemblyPlan| {

@@ -46,7 +46,7 @@ fn arb_spec() -> impl Gen<Value = AirwaySpec> {
 #[allow(clippy::too_many_arguments)]
 fn assemble(
     pool: &ThreadPool,
-    mesh: &cfpd_mesh::Mesh,
+    (mesh, faces): (&cfpd_mesh::Mesh, &cfpd_mesh::FaceNeighbors),
     (template, sell): (&CsrMatrix, &Arc<SellStructure>),
     velocity: &[Vec3],
     strategy: AssemblyStrategy,
@@ -55,7 +55,7 @@ fn assemble(
 ) -> (Vec<f64>, Vec<Vec<f64>>) {
     let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
     let cut = order.unwrap_or(ElementOrder::List);
-    let plan = AssemblyPlan::new(mesh, elems, strategy, n_sub, sell, cut);
+    let plan = AssemblyPlan::new(mesh, faces, elems, strategy, n_sub, sell, cut);
     let mut rhs = vec![vec![0.0; mesh.num_nodes()]; 3];
     let (refs, props, dt, gravity) =
         (RefElement::all(), FluidProps::default(), 1e-4, Vec3::new(0.0, 0.0, -9.81));
@@ -93,7 +93,8 @@ fn check_strategies(spec: &AirwaySpec, n_sub: usize, order: ElementOrder) {
     let velocity: Vec<Vec3> =
         mesh.coords.iter().map(|p| Vec3::new(p.z, -p.x, p.y * 0.5)).collect();
     let run = |pool: &ThreadPool, strategy, order| {
-        assemble(pool, mesh, (&template, &sell), &velocity, strategy, n_sub, order)
+        let on = (mesh, &*airway.face_neighbors);
+        assemble(pool, on, (&template, &sell), &velocity, strategy, n_sub, order)
     };
 
     let (vals_ref, rhs_ref) = run(&four, AssemblyStrategy::Serial, None);
@@ -177,7 +178,8 @@ fn subdomains_partition_and_adjacency_correct() {
             let mesh = &airway.mesh;
             let elems: Vec<u32> = (0..mesh.num_elements() as u32).collect();
             let weights = mesh.cost_weights();
-            let d = decompose_subdomains(mesh, &elems, &weights, *n_sub);
+            let faces = &airway.face_neighbors;
+            let d = decompose_subdomains(mesh, faces, &elems, &weights, *n_sub);
             // Partition property.
             let mut seen = vec![false; elems.len()];
             for m in &d.members {
