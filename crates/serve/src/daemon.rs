@@ -12,10 +12,11 @@
 //! *before* its `ckpt` record. A daemon killed at any instant therefore
 //! restarts into a consistent prefix: completed cells keep their recorded
 //! metrics, the in-flight cell resumes from its last pinned snapshot
-//! (bit-identically — no step is recomputed), and at worst the
-//! not-yet-pinned segment since the last boundary is re-run from that
-//! boundary, which by the `stop_after` stitching contract produces the
-//! same bytes.
+//! (bit-identically — no step is recomputed), and at worst what ran
+//! since the last pinned boundary is re-run from it: the segment before
+//! a boundary whose snapshot was still being written beside the next
+//! one, and that next one. By the `stop_after` stitching contract the
+//! re-run produces the same bytes.
 //!
 //! ## Overload
 //!
@@ -43,6 +44,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 /// Daemon configuration. The defaults suit the test suite (ephemeral
@@ -537,12 +539,21 @@ enum SegmentsOutcome {
 /// failed or parked attempt leaves it where the next one finds it, and a
 /// boundary borrows the accumulator and the event text out of it only
 /// while it extends them.
+///
+/// A boundary at which no stop is requested is pipelined: a helper
+/// thread takes the boundary's resume point and the worker's snapshot
+/// buffer, renders, digests and writes the snapshot, and hands both back,
+/// while the worker runs the next segment from the same in-memory
+/// checkpoint. Whatever that segment returns, the worker first joins the
+/// helper and pins the boundary (its `ckpt` record, then its resume
+/// point), so the WAL reads as if the boundary had been synchronous. A
+/// boundary at which a stop is requested writes and pins before it stops.
 fn drive_segments(
     sh: &Shared,
     id: u64,
     cell: &Cell,
     attempt: u32,
-    mut fault: CellFault, // consumed by the first segment of the attempt
+    fault: CellFault, // hits the first segment of the attempt
     snap_buf: &mut Vec<u8>,
 ) -> SegmentsOutcome {
     let steps = cell.scenario.config.steps;
@@ -556,96 +567,90 @@ fn drive_segments(
         None => (0, None),
     };
     let mut cell_pop = PopTotals::default();
-
-    loop {
-        match std::mem::replace(&mut fault, CellFault::None) {
-            CellFault::Crash => {
-                return SegmentsOutcome::Cell(Err(
-                    "injected: seeded worker crash".to_string()
-                ));
-            }
-            CellFault::Stall => std::thread::sleep(Duration::from_millis(sh.cfg.fault.stall_ms)),
-            CellFault::None => {}
+    match fault {
+        CellFault::Crash => {
+            return SegmentsOutcome::Cell(Err("injected: seeded worker crash".to_string()))
         }
+        CellFault::Stall => std::thread::sleep(Duration::from_millis(sh.cfg.fault.stall_ms)),
+        CellFault::None => {}
+    }
 
-        let until = next_step + interval;
-        let stop_after = if until >= steps { None } else { Some(until) };
-        let (seg_prepared, scenario) = (Arc::clone(&prepared), cell.scenario.clone());
-        let seg_restore = restore.take();
-        let seg = run_bounded(
-            move || {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                    run_segment(&seg_prepared, &scenario, seg_restore, stop_after)
-                }))
-            },
-            sh.cfg.cell_timeout,
-        );
-        let seg = match seg {
-            None => {
-                return SegmentsOutcome::Cell(Err(format!(
-                    "timeout: segment exceeded its {:.3}s wall-clock budget \
-                     (worker abandoned)",
-                    sh.cfg.cell_timeout.expect("timeout fired").as_secs_f64()
-                )))
+    std::thread::scope(|scope| {
+        // The last boundary, while a helper writes its snapshot: unpinned.
+        let mut persisting: Option<ScopedJoinHandle<'_, (ResumePoint, Vec<u8>, u64)>> = None;
+        loop {
+            let until = next_step + interval;
+            let stop_after = if until >= steps { None } else { Some(until) };
+            let (seg_prepared, scenario) = (Arc::clone(&prepared), cell.scenario.clone());
+            let seg_restore = restore.take();
+            let seg = run_bounded(
+                move || {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                        run_segment(&seg_prepared, &scenario, seg_restore, stop_after)
+                    }))
+                },
+                sh.cfg.cell_timeout,
+            );
+            let boundary_t0 = Instant::now();
+            if let Some(helper) = persisting.take() {
+                let (point, buf, snap_digest) = helper
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                *snap_buf = buf;
+                pin(sh, &mut sh.store(), id, cell.index, point, snap_digest, boundary_t0);
             }
-            Some(Err(payload)) => {
-                return SegmentsOutcome::Cell(Err(panic_message(payload)))
-            }
-            Some(Ok(Err(reason))) => return SegmentsOutcome::Cell(Err(reason)),
-            Some(Ok(Ok(seg))) => seg,
-        };
-        cell_pop.add(&seg.pop);
-        sh.job_pop().entry(id).or_default().add(&seg.pop);
+            let seg = match seg {
+                None => {
+                    return SegmentsOutcome::Cell(Err(format!(
+                        "timeout: segment exceeded its {:.3}s wall-clock budget \
+                         (worker abandoned)",
+                        sh.cfg.cell_timeout.expect("timeout fired").as_secs_f64()
+                    )))
+                }
+                Some(Err(payload)) => return SegmentsOutcome::Cell(Err(panic_message(payload))),
+                Some(Ok(Err(reason))) => return SegmentsOutcome::Cell(Err(reason)),
+                Some(Ok(Ok(seg))) => seg,
+            };
+            cell_pop.add(&seg.pop);
+            sh.job_pop().entry(id).or_default().add(&seg.pop);
 
-        let boundary_t0 = Instant::now();
-        let (mut acc, mut events_text) = {
+            let (mut acc, mut events_text) = {
+                let mut store = sh.store();
+                match store.jobs.get_mut(&id).and_then(|j| j.resume.as_mut()) {
+                    Some(r) => (std::mem::take(&mut r.acc), std::mem::take(&mut r.events_text)),
+                    None => (CellAcc::default(), String::new()),
+                }
+            };
+            acc.absorb(&seg.logical);
+            events_text.push_str(&seg.events_text);
+
+            if seg.done {
+                let rec = finish_cell_metrics(cell, &prepared, &acc, &events_text, &seg.census);
+                return SegmentsOutcome::Cell(Ok((rec, cell_pop)));
+            }
+
+            let cp = Arc::new(seg.checkpoint.expect("parked segment yields a checkpoint"));
+            next_step = cp.next_step;
+            restore = Some(Arc::clone(&cp));
+            let point = ResumePoint { next_step, checkpoint: cp, acc, events_text };
+            if !stop_requested(sh, id) {
+                let mut buf = std::mem::take(snap_buf);
+                persisting = Some(scope.spawn(move || {
+                    let snap_digest = persist(sh, id, cell.index, attempt, &point, &mut buf);
+                    (point, buf, snap_digest)
+                }));
+                continue;
+            }
+
+            // A stop is pending: pin the progress, then honour it.
+            let boundary_t0 = Instant::now();
+            let snap_digest = persist(sh, id, cell.index, attempt, &point, snap_buf);
             let mut store = sh.store();
-            match store.jobs.get_mut(&id).and_then(|j| j.resume.as_mut()) {
-                Some(r) => (std::mem::take(&mut r.acc), std::mem::take(&mut r.events_text)),
-                None => (CellAcc::default(), String::new()),
-            }
-        };
-        acc.absorb(&seg.logical);
-        events_text.push_str(&seg.events_text);
-
-        if seg.done {
-            let rec = finish_cell_metrics(cell, &prepared, &acc, &events_text, &seg.census);
-            return SegmentsOutcome::Cell(Ok((rec, cell_pop)));
-        }
-
-        // Segment boundary: pin the progress, then honour control flags.
-        // The snapshot file goes first and outside the store lock; its
-        // `ckpt` record, which only then may point at it, under it.
-        let cp = seg.checkpoint.expect("parked segment yields a checkpoint");
-        next_step = cp.next_step;
-        let snap = SnapshotParts {
-            job: id,
-            cell: cell.index,
-            attempt,
-            next_step,
-            acc: &acc,
-            events_text: &events_text,
-            checkpoint: CheckpointSection::Live(&cp),
-        };
-        let path = wal::snap_path(&sh.cfg.data_dir, id, cell.index);
-        let (snap_digest, _) = snap.write(&path, &sh.gate, snap_buf);
-        let cp = Arc::new(cp);
-
-        {
-            let mut store = sh.store();
-            let pin = WalRecord::Ckpt { job: id, cell: cell.index, step: next_step, snap_digest };
-            commit(sh, &mut store, pin);
-            cfpd_telemetry::observe!("serve.boundary_us", boundary_t0.elapsed().as_micros() as u64);
-            let job = store.jobs.get_mut(&id).expect("running job exists");
-            job.resume = Some(ResumePoint {
-                next_step,
-                checkpoint: Arc::clone(&cp),
-                acc,
-                events_text,
-            });
+            pin(sh, &mut store, id, cell.index, point, snap_digest, boundary_t0);
             if sh.kill.load(Ordering::SeqCst) {
                 return SegmentsOutcome::Stopped(StopCause::Killed);
             }
+            let job = &store.jobs[&id];
             if job.cancel_requested {
                 commit(sh, &mut store, WalRecord::Cancel { job: id });
                 return SegmentsOutcome::Stopped(StopCause::Finished);
@@ -654,8 +659,61 @@ fn drive_segments(
                 return SegmentsOutcome::Stopped(park(sh, &mut store, id));
             }
         }
-        restore = Some(cp);
-    }
+    })
+}
+
+/// Is a kill, drain, cancellation or preemption pending for job `id`?
+fn stop_requested(sh: &Shared, id: u64) -> bool {
+    let store = sh.store();
+    let job = &store.jobs[&id];
+    sh.kill.load(Ordering::SeqCst)
+        || sh.drain.load(Ordering::SeqCst)
+        || job.cancel_requested
+        || job.preempt_requested
+}
+
+/// Render, digest and write the snapshot of a boundary's resume point
+/// into `buf` and the cell's snapshot file; returns the digest its
+/// `ckpt` record pins.
+fn persist(
+    sh: &Shared,
+    id: u64,
+    cell: usize,
+    attempt: u32,
+    point: &ResumePoint,
+    buf: &mut Vec<u8>,
+) -> u64 {
+    let t0 = Instant::now();
+    let snap = SnapshotParts {
+        job: id,
+        cell,
+        attempt,
+        next_step: point.next_step,
+        acc: &point.acc,
+        events_text: &point.events_text,
+        checkpoint: CheckpointSection::Live(&point.checkpoint),
+    };
+    let (snap_digest, _) = snap.write(&wal::snap_path(&sh.cfg.data_dir, id, cell), &sh.gate, buf);
+    cfpd_telemetry::observe!("serve.snapshot_persist_us", t0.elapsed().as_micros() as u64);
+    snap_digest
+}
+
+/// Pin a boundary whose snapshot `persist` wrote: its `ckpt` record,
+/// which only now may point at the file, then the resume point the
+/// store keeps for the cell. `boundary_t0` is when the worker started
+/// to wait for it.
+fn pin(
+    sh: &Shared,
+    store: &mut Store,
+    id: u64,
+    cell: usize,
+    point: ResumePoint,
+    snap_digest: u64,
+    boundary_t0: Instant,
+) {
+    commit(sh, store, WalRecord::Ckpt { job: id, cell, step: point.next_step, snap_digest });
+    cfpd_telemetry::observe!("serve.boundary_us", boundary_t0.elapsed().as_micros() as u64);
+    store.jobs.get_mut(&id).expect("running job exists").resume = Some(point);
 }
 
 /// Book a failed attempt of cell `cell`: retry with seeded exponential

@@ -86,7 +86,19 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         .set_read_timeout(Some(IO_TIMEOUT))
         .and_then(|_| stream.set_write_timeout(Some(IO_TIMEOUT)))
         .map_err(|e| format!("socket timeout: {e}"))?;
-    let mut reader = BufReader::new(stream);
+    read_from(stream)
+}
+
+/// Bytes the reader buffers ahead of what it has parsed.
+const READ_AHEAD: usize = 8 * 1024;
+
+/// [`read_request`]'s parse, on any byte source. It holds at most one
+/// line of [`MAX_REQUEST_LINE`] bytes (its terminator included) at a
+/// time, reads the request line and up to [`MAX_HEADERS`] header lines
+/// before the blank one, and allocates a body only once its declared
+/// length is known to be at most [`MAX_BODY`].
+fn read_from(source: impl Read) -> Result<Request, String> {
+    let mut reader = BufReader::with_capacity(READ_AHEAD, source);
     let mut line = String::new();
     read_limited_line(&mut reader, &mut line)?;
     let mut parts = line.split_whitespace();
@@ -94,7 +106,8 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let path = parts.next().ok_or("request line missing path")?.to_string();
 
     let mut content_length = 0usize;
-    for _ in 0..MAX_HEADERS {
+    // The header lines, then the blank line that ends them.
+    for _ in 0..=MAX_HEADERS {
         line.clear();
         read_limited_line(&mut reader, &mut line)?;
         let header = line.trim_end();
@@ -119,16 +132,11 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     Err(format!("more than {MAX_HEADERS} headers"))
 }
 
-fn read_limited_line(
-    reader: &mut BufReader<&mut TcpStream>,
-    line: &mut String,
-) -> Result<(), String> {
+fn read_limited_line(reader: &mut impl BufRead, line: &mut String) -> Result<(), String> {
     // An unbounded read_line would let a hostile peer grow the buffer
     // without limit; Take bounds it.
     let mut limited = reader.by_ref().take(MAX_REQUEST_LINE as u64 + 1);
-    limited
-        .read_line(line)
-        .map_err(|e| format!("read: {e}"))?;
+    limited.read_line(line).map_err(|e| format!("read: {e}"))?;
     if line.len() > MAX_REQUEST_LINE {
         return Err(format!("line exceeds the {MAX_REQUEST_LINE} byte cap"));
     }
@@ -138,10 +146,7 @@ fn read_limited_line(
     Ok(())
 }
 
-fn read_body(
-    reader: &mut BufReader<&mut TcpStream>,
-    len: usize,
-) -> Result<String, String> {
+fn read_body(reader: &mut impl BufRead, len: usize) -> Result<String, String> {
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body).map_err(|e| format!("body read: {e}"))?;
     String::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())
@@ -212,4 +217,240 @@ pub fn http_call_raw(
     let mut raw = String::new();
     BufReader::new(stream).read_to_string(&mut raw)?;
     Ok(raw)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfpd_testkit::prop::{check, Gen, PropConfig};
+    use cfpd_testkit::Rng;
+
+    /// A byte source that counts what the reader pulls from it.
+    struct Counted<'a> {
+        src: &'a [u8],
+        pulled: usize,
+    }
+
+    impl Read for Counted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.src.read(buf)?;
+            self.pulled += n;
+            Ok(n)
+        }
+    }
+
+    /// The most a request may make the reader pull: every line at its
+    /// cap (the refused one a byte over), the largest body, and the
+    /// buffer's read-ahead.
+    const MAX_PULLED: usize =
+        (1 + MAX_HEADERS + 1) * (MAX_REQUEST_LINE + 1) + MAX_BODY + READ_AHEAD;
+
+    /// Parse `wire` and check the caps, whatever the outcome.
+    fn read_capped(wire: &[u8]) -> Result<Request, String> {
+        let mut src = Counted { src: wire, pulled: 0 };
+        let got = read_from(&mut src);
+        assert!(src.pulled <= MAX_PULLED, "pulled {} bytes past the caps", src.pulled);
+        if let Ok(req) = &got {
+            assert!(req.body.len() <= MAX_BODY, "a {}-byte body", req.body.len());
+            assert!(req.method.len() + req.path.len() < MAX_REQUEST_LINE, "{req:?}");
+        }
+        got
+    }
+
+    /// A well-formed request inside every cap.
+    #[derive(Debug, Clone)]
+    struct Wellformed {
+        method: String,
+        path: String,
+        /// Header lines without their terminator; a `content-length`
+        /// line is added for a non-empty body.
+        headers: Vec<String>,
+        body: String,
+    }
+
+    impl Wellformed {
+        fn wire(&self) -> Vec<u8> {
+            let mut out = format!("{} {} HTTP/1.1\r\n", self.method, self.path);
+            for h in &self.headers {
+                out.push_str(h);
+                out.push_str("\r\n");
+            }
+            if !self.body.is_empty() {
+                out.push_str(&format!("content-length: {}\r\n", self.body.len()));
+            }
+            out.push_str("\r\n");
+            out.push_str(&self.body);
+            out.into_bytes()
+        }
+    }
+
+    fn token(rng: &mut Rng, len: usize) -> String {
+        const CHARS: &[u8] =
+            b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789/-_.~%?=&";
+        (0..len).map(|_| CHARS[rng.range_usize(0, CHARS.len())] as char).collect()
+    }
+
+    struct Wellformeds;
+
+    impl Gen for Wellformeds {
+        type Value = Wellformed;
+
+        fn generate(&self, rng: &mut Rng) -> Wellformed {
+            // A header line at the cap is its terminator short of it.
+            let at_cap = MAX_REQUEST_LINE - 2;
+            let body_len = match rng.bounded_u64(8) {
+                0 => 0,
+                1 => MAX_BODY,
+                _ => rng.range_usize(1, 300),
+            };
+            let body: String = match body_len {
+                MAX_BODY => "x".repeat(MAX_BODY),
+                n => (0..n).map(|_| char::from(rng.range_usize(0x20, 0x7f) as u8)).collect(),
+            };
+            // Room for the content-length line when there is a body.
+            let max_headers = MAX_HEADERS - usize::from(!body.is_empty());
+            let n_headers = match rng.bounded_u64(4) {
+                0 => max_headers,
+                _ => rng.range_usize(0, max_headers + 1),
+            };
+            let headers = (0..n_headers)
+                .map(|_| {
+                    let name_len = rng.range_usize(1, 12);
+                    let name = token(rng, name_len).replace(':', "");
+                    let name =
+                        if name.eq_ignore_ascii_case("content-length") { "x".into() } else { name };
+                    let len = match rng.bounded_u64(16) {
+                        0 => at_cap - name.len() - 2,
+                        _ => rng.range_usize(0, 40),
+                    };
+                    format!("x-{name}: {}", token(rng, len.saturating_sub(2)))
+                })
+                .collect();
+            let method = ["GET", "POST", "DELETE", "PUT"][rng.range_usize(0, 4)].to_string();
+            let path_len = match rng.bounded_u64(16) {
+                0 => at_cap - method.len() - " HTTP/1.1".len() - 1,
+                _ => rng.range_usize(1, 40),
+            };
+            Wellformed { path: format!("/{}", token(rng, path_len - 1)), method, headers, body }
+        }
+
+        fn shrink(&self, v: &Wellformed) -> Vec<Wellformed> {
+            let mut out = Vec::new();
+            if !v.headers.is_empty() {
+                out.push(Wellformed {
+                    headers: v.headers[..v.headers.len() / 2].to_vec(),
+                    ..v.clone()
+                });
+                out.push(Wellformed { headers: v.headers[1..].to_vec(), ..v.clone() });
+            }
+            if !v.body.is_empty() {
+                out.push(Wellformed { body: v.body[..v.body.len() / 2].to_string(), ..v.clone() });
+            }
+            out
+        }
+    }
+
+    /// Every request inside the stated caps reads back as sent: at most
+    /// [`MAX_HEADERS`] headers, lines of up to [`MAX_REQUEST_LINE`]
+    /// bytes, bodies of up to [`MAX_BODY`].
+    #[test]
+    fn prop_requests_inside_the_caps_read_back_as_sent() {
+        check("http wellformed", PropConfig::cases(200), &Wellformeds, |req| {
+            let got = read_capped(&req.wire()).unwrap_or_else(|e| panic!("refused: {e}"));
+            assert_eq!(
+                (got.method.as_str(), got.path.as_str()),
+                (req.method.as_str(), req.path.as_str())
+            );
+            assert!(
+                got.body == req.body,
+                "body of {} bytes read back as {}",
+                req.body.len(),
+                got.body.len()
+            );
+        });
+    }
+
+    /// Hostile wire bytes: a well-formed request cut anywhere, with bytes
+    /// flipped or spliced in, an oversized request line, header line,
+    /// header count or declared body, or plain noise.
+    struct Hostile;
+
+    impl Gen for Hostile {
+        type Value = Vec<u8>;
+
+        fn generate(&self, rng: &mut Rng) -> Vec<u8> {
+            let mut wire = match rng.bounded_u64(6) {
+                0 => (0..rng.range_usize(0, 300))
+                    .map(|_| match rng.bounded_u64(4) {
+                        0 => {
+                            let at = rng.range_usize(0, 4);
+                            b"\r\n: "[at]
+                        }
+                        _ => rng.next_u64() as u8,
+                    })
+                    .collect(),
+                // Lines longer than all the caps together: a reader that
+                // did not stop at the line cap would pull them whole.
+                1 => format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_PULLED)).into_bytes(),
+                2 => format!("GET / HTTP/1.1\r\nx: {}\r\n\r\n", "a".repeat(MAX_PULLED))
+                    .into_bytes(),
+                3 => format!("GET / HTTP/1.1\r\n{}\r\n", "x: y\r\n".repeat(MAX_HEADERS + 1))
+                    .into_bytes(),
+                4 => {
+                    let declared = match rng.bounded_u64(3) {
+                        0 => (MAX_BODY + 1).to_string(),
+                        1 => "18446744073709551616".to_string(),
+                        _ => ["-1", "", "0x10", "1 2"][rng.range_usize(0, 4)].to_string(),
+                    };
+                    format!("POST /jobs HTTP/1.1\r\ncontent-length: {declared}\r\n\r\nabc")
+                        .into_bytes()
+                }
+                _ => Wellformeds.generate(rng).wire(),
+            };
+            for _ in 0..rng.range_usize(0, 3) {
+                if !wire.is_empty() {
+                    let at = rng.range_usize(0, wire.len());
+                    let byte = rng.next_u64() as u8;
+                    wire[at] = byte;
+                }
+            }
+            if rng.bounded_u64(2) == 0 {
+                let cut = rng.range_usize(0, wire.len() + 1);
+                wire.truncate(cut);
+            }
+            wire
+        }
+
+        fn shrink(&self, v: &Vec<u8>) -> Vec<Vec<u8>> {
+            if v.is_empty() {
+                return Vec::new();
+            }
+            vec![v[..v.len() / 2].to_vec(), v[1..].to_vec(), v[..v.len() - 1].to_vec()]
+        }
+    }
+
+    /// Whatever the bytes, the reader answers (a request or a refusal),
+    /// never panics and never pulls or holds more than the caps allow.
+    #[test]
+    fn prop_hostile_bytes_never_panic_or_buffer_past_the_caps() {
+        check("http hostile", PropConfig::cases(300), &Hostile, |wire| {
+            let _ = read_capped(wire);
+        });
+    }
+
+    /// Each cap refuses its first byte over, by name.
+    #[test]
+    fn each_cap_refuses_one_past_it() {
+        let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_REQUEST_LINE));
+        assert!(read_capped(long_line.as_bytes()).unwrap_err().contains("byte cap"));
+        let many = format!("GET / HTTP/1.1\r\n{}\r\n", "x: y\r\n".repeat(MAX_HEADERS + 1));
+        assert!(read_capped(many.as_bytes()).unwrap_err().contains("headers"));
+        let exactly = format!("GET / HTTP/1.1\r\n{}\r\n", "x: y\r\n".repeat(MAX_HEADERS));
+        assert!(
+            read_capped(exactly.as_bytes()).is_ok(),
+            "{MAX_HEADERS} headers are inside the cap"
+        );
+        let big = format!("POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1);
+        assert!(read_capped(big.as_bytes()).unwrap_err().contains("exceeds"));
+    }
 }

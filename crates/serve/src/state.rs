@@ -100,11 +100,12 @@ pub struct Job {
     /// record (`None` before the first): what a restart verifies the
     /// file against before resuming from it.
     pinned: Option<u64>,
-    /// Progress of the current cell as of its last segment boundary
-    /// (`None` before the first): where a parked, retried or recovered
-    /// attempt resumes. The worker attaches it after committing `ckpt`
-    /// and borrows `acc` and `events_text` out of it while it extends
-    /// them at a boundary; a restart attaches it from the pinned file;
+    /// Progress of the current cell as of its last pinned segment
+    /// boundary (`None` before the first): where a parked, retried or
+    /// recovered attempt resumes. The worker attaches it after committing
+    /// `ckpt`, and at the next boundary borrows `acc` and `events_text`
+    /// out of it to extend them into that boundary's resume point, which
+    /// replaces it at its own pin; a restart attaches it from the pinned file;
     /// `apply` only ever drops it, with the pin, when the cell concludes.
     pub resume: Option<ResumePoint>,
     /// Step a crash-recovered job resumed from (status visibility: the

@@ -70,7 +70,9 @@
 #     strict Prometheus lint, a 2-seed x
 #     3-step job on one mesh costs exactly 1 set-up for its 6 segments
 #     (all counted on `/metrics`, so immune to host noise) and still
-#     serves the direct run's bytes, `serve drain` checkpoints and exits
+#     serves the direct run's bytes, every boundary pinned by then was
+#     persisted exactly once (`cfpd_serve_snapshot_persist_us_count`
+#     equals `cfpd_serve_boundary_us_count`), `serve drain` checkpoints and exits
 #     0, and a daemon restarted on the same data directory answers
 #     `serve status` of both jobs with the bytes the first one printed
 #     (replay and the live daemon write state through one function) and
@@ -462,6 +464,13 @@ hits=$(( $(metric cfpd_core_prepare_hits) - ${hits0:-0} ))
 bounds=$(( $(metric cfpd_serve_boundary_us_count) - ${bounds0:-0} ))
 if [ "$builds" -ne 1 ] || [ "$hits" -ne 1 ] || [ "$bounds" -ne 4 ]; then
     echo "FAIL: 2 cells x 3 segments cost $builds prepare builds, $hits memo hits, $bounds boundaries (want 1, 1, 4)" >&2
+    exit 1
+fi
+# A boundary's snapshot is written beside the next segment and joined
+# before its pin: every boundary pinned so far was persisted exactly once.
+persists=$(metric cfpd_serve_snapshot_persist_us_count); pinned=$(metric cfpd_serve_boundary_us_count)
+if [ -z "$persists" ] || [ "$persists" != "$pinned" ]; then
+    echo "FAIL: ${persists:-no} snapshot persists for ${pinned:-no} pinned boundaries (want equal counts)" >&2
     exit 1
 fi
 "$cfpd" serve result "$job" --addr "$addr" > "$tracedir/reuse-served.json"

@@ -12,8 +12,10 @@ use cfpd_campaign::{run_campaign, CampaignSpec};
 use cfpd_serve::http::{http_call, http_call_raw};
 use cfpd_serve::wal::{self, PersistGate, Wal, WalRecord};
 use cfpd_serve::{lint_prometheus, Daemon, ServeConfig, ServeFaultPlan};
+use cfpd_serve::CellSnapshot;
 use cfpd_testkit::digest_bytes;
-use std::path::PathBuf;
+use std::collections::{HashMap, HashSet};
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn campaign_text(name: &str, steps: usize) -> String {
@@ -80,6 +82,74 @@ fn result_of(addr: &str, job: u64) -> String {
     body
 }
 
+/// How a data directory's WAL ended.
+#[derive(Clone, Copy, Debug)]
+enum LogEnd {
+    /// Every append reached disk: a cell's open pin names the file on disk.
+    Clean,
+    /// A frozen persistence gate cut the log: the file may also be the
+    /// next boundary's, `interval` steps on, written before the gate
+    /// refused its own `ckpt` record.
+    Cut { interval: usize },
+}
+
+/// The WAL order invariant of `dir`, per (job, cell): `ckpt` steps
+/// strictly increase, no `ckpt` follows the cell's `celldone` or
+/// `cellfail`, and the last `ckpt` of a cell the log leaves open (parked
+/// by a `preempt`, cancelled, or cut) names a snapshot file that
+/// `CellSnapshot::from_pinned_text` accepts: a record is never written
+/// before its file. Returns how many open pins named the file on disk.
+fn assert_wal_order(dir: &Path, end: LogEnd) -> usize {
+    let records = wal::replay(&dir.join("wal.log")).records;
+    let mut pins: HashMap<(u64, usize), (usize, u64)> = HashMap::new();
+    let mut concluded: HashSet<(u64, usize)> = HashSet::new();
+    for rec in &records {
+        match *rec {
+            WalRecord::Ckpt { job, cell, step, snap_digest } => {
+                assert!(
+                    !concluded.contains(&(job, cell)),
+                    "job {job} cell {cell}: ckpt step={step} after the cell concluded"
+                );
+                if let Some(&(prev, _)) = pins.get(&(job, cell)) {
+                    assert!(step > prev, "job {job} cell {cell}: ckpt step {step} after step {prev}");
+                }
+                pins.insert((job, cell), (step, snap_digest));
+            }
+            WalRecord::CellDone { job, cell, .. } | WalRecord::CellFail { job, cell, .. } => {
+                concluded.insert((job, cell));
+            }
+            _ => {}
+        }
+    }
+    let mut pinned_files = 0;
+    for (&(job, cell), &(step, pin)) in pins.iter().filter(|(k, _)| !concluded.contains(k)) {
+        let path = dir.join(format!("job-{job}-cell-{cell}.snap"));
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("job {job} cell {cell}: ckpt step={step} pins {}: {e}", path.display()));
+        match (CellSnapshot::from_pinned_text(&text, pin), end) {
+            (Ok(snap), _) => {
+                assert_eq!(snap.next_step, step, "job {job} cell {cell}: the pinned file's step");
+                pinned_files += 1;
+            }
+            (Err(refused), LogEnd::Cut { interval }) => {
+                let snap = CellSnapshot::from_text(&text).unwrap_or_else(|e| {
+                    panic!("job {job} cell {cell}: pinned file refused ({refused}) and not whole: {e}")
+                });
+                assert_eq!(
+                    snap.next_step,
+                    step + interval,
+                    "job {job} cell {cell}: the file on disk is neither the pinned one ({refused}) \
+                     nor the next boundary's"
+                );
+            }
+            (Err(refused), LogEnd::Clean) => {
+                panic!("job {job} cell {cell}: ckpt step={step} names a file that is refused: {refused}")
+            }
+        }
+    }
+    pinned_files
+}
+
 #[test]
 fn served_results_are_byte_identical_to_direct_runs() {
     let text = format!(
@@ -128,6 +198,7 @@ fn kill_and_restart_converges_from_every_persistence_cut() {
 fn kill_sweep(tag: &str, text: &str) -> Vec<usize> {
     let expected = direct_json(text);
     let mut resumed_from: Vec<usize> = Vec::new();
+    let mut pinned_files = 0;
 
     for cut in 0..12u64 {
         let dir = tmp_dir(&format!("kill-{tag}-{cut}"));
@@ -154,6 +225,7 @@ fn kill_sweep(tag: &str, text: &str) -> Vec<usize> {
             std::thread::sleep(Duration::from_millis(5));
         }
         crashed.kill();
+        pinned_files += assert_wal_order(&dir, LogEnd::Cut { interval: 1 });
 
         // Restart from whatever reached disk.
         let revived = Daemon::start(ServeConfig {
@@ -188,6 +260,7 @@ fn kill_sweep(tag: &str, text: &str) -> Vec<usize> {
         revived.kill();
         let _ = std::fs::remove_dir_all(&dir);
     }
+    assert!(pinned_files > 0, "{tag}: no cut left an open pin on the file it names");
     resumed_from
 }
 
@@ -459,6 +532,11 @@ fn preemption_lets_a_short_job_jump_a_long_one_without_changing_bytes() {
             "preemption must be observable on /metrics"
         );
         daemon.kill();
+        let parked = wal::replay(&dir.join("wal.log")).records.iter().any(|r| {
+            matches!(r, WalRecord::Preempt { job, .. } if *job == long_job)
+        });
+        assert!(parked, "{tag}: the long job never parked");
+        assert_eq!(assert_wal_order(&dir, LogEnd::Clean), 0, "{tag}: every cell concluded");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -546,6 +624,7 @@ fn cancellation_is_honoured_at_segment_boundaries() {
     assert!(status.contains("\"cancelled\""), "{status}");
     let (code, _) = http_call(&addr, "DELETE", &format!("/jobs/{running}"), "").unwrap();
     assert_eq!(code, 409, "double cancel is a conflict");
+    assert_eq!(assert_wal_order(&dir, LogEnd::Clean), 1, "the cancelled cell keeps its pin");
     daemon.kill();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -660,6 +739,7 @@ fn metrics_lint_clean_with_supervisor_series() {
         "cfpd_core_prepare_us_structure",
         "cfpd_core_prepare_us_locator",
         "cfpd_serve_boundary_us_count",
+        "cfpd_serve_snapshot_persist_us_count",
     ] {
         assert!(metrics.contains(series), "missing {series}");
     }
@@ -692,6 +772,7 @@ fn drain_parks_running_jobs_and_a_restart_finishes_them() {
     let (code, body) = http_call(&addr, "POST", "/drain", "").unwrap();
     assert_eq!((code, body.as_str()), (200, "draining\n"));
     daemon.join(); // graceful: returns once workers have parked
+    assert_eq!(assert_wal_order(&dir, LogEnd::Clean), 1, "the parked cell keeps its pin");
 
     let revived =
         Daemon::start(ServeConfig { data_dir: dir.clone(), ..Default::default() }).unwrap();
@@ -700,6 +781,7 @@ fn drain_parks_running_jobs_and_a_restart_finishes_them() {
     assert_eq!(code, 200, "{status}");
     assert_eq!(result_of(&addr, job), direct_json(&text));
     revived.kill();
+    assert_eq!(assert_wal_order(&dir, LogEnd::Clean), 0, "every cell concluded");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
