@@ -13,10 +13,10 @@
 //! restarts into a consistent prefix: completed cells keep their recorded
 //! metrics, the in-flight cell resumes from its last pinned snapshot
 //! (bit-identically — no step is recomputed), and at worst what ran
-//! since the last pinned boundary is re-run from it: the segment before
-//! a boundary whose snapshot was still being written beside the next
-//! one, and that next one. By the `stop_after` stitching contract the
-//! re-run produces the same bytes.
+//! since the last pinned boundary is re-run from it: the not-yet-pinned
+//! segment, and the one started beside its boundary's write when the
+//! crash fell within that write. By the `stop_after` stitching contract
+//! the re-run produces the same bytes.
 //!
 //! ## Overload
 //!
@@ -44,7 +44,6 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 /// Daemon configuration. The defaults suit the test suite (ephemeral
@@ -540,14 +539,14 @@ enum SegmentsOutcome {
 /// boundary borrows the accumulator and the event text out of it only
 /// while it extends them.
 ///
-/// A boundary at which no stop is requested is pipelined: a helper
-/// thread takes the boundary's resume point and the worker's snapshot
-/// buffer, renders, digests and writes the snapshot, and hands both back,
-/// while the worker runs the next segment from the same in-memory
-/// checkpoint. Whatever that segment returns, the worker first joins the
-/// helper and pins the boundary (its `ckpt` record, then its resume
-/// point), so the WAL reads as if the boundary had been synchronous. A
-/// boundary at which a stop is requested writes and pins before it stops.
+/// Every segment runs on a scoped thread of its own. At a boundary at
+/// which no stop is requested the worker starts the next segment from
+/// the boundary's in-memory checkpoint first, and then renders, digests
+/// and writes the boundary's snapshot and pins it (its `ckpt` record,
+/// then its resume point) while that segment runs: the file goes before
+/// its record and both before the next boundary, so the WAL and the
+/// files read as if the boundary had been synchronous. A boundary at
+/// which a stop is requested writes and pins before it stops.
 fn drive_segments(
     sh: &Shared,
     id: u64,
@@ -576,29 +575,31 @@ fn drive_segments(
     }
 
     std::thread::scope(|scope| {
-        // The last boundary, while a helper writes its snapshot: unpinned.
-        let mut persisting: Option<ScopedJoinHandle<'_, (ResumePoint, Vec<u8>, u64)>> = None;
+        // The boundary the worker pins beside the next segment, and when
+        // the segment before it returned.
+        let mut boundary: Option<(ResumePoint, Instant)> = None;
         loop {
             let until = next_step + interval;
             let stop_after = if until >= steps { None } else { Some(until) };
             let (seg_prepared, scenario) = (Arc::clone(&prepared), cell.scenario.clone());
             let seg_restore = restore.take();
-            let seg = run_bounded(
-                move || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                        run_segment(&seg_prepared, &scenario, seg_restore, stop_after)
-                    }))
-                },
-                sh.cfg.cell_timeout,
-            );
-            let boundary_t0 = Instant::now();
-            if let Some(helper) = persisting.take() {
-                let (point, buf, snap_digest) = helper
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                *snap_buf = buf;
-                pin(sh, &mut sh.store(), id, cell.index, point, snap_digest, boundary_t0);
+            let segment = scope.spawn(move || {
+                run_bounded(
+                    move || {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                            run_segment(&seg_prepared, &scenario, seg_restore, stop_after)
+                        }))
+                    },
+                    sh.cfg.cell_timeout,
+                )
+            });
+            if let Some((point, returned)) = boundary.take() {
+                observe_boundary(returned);
+                let snap_digest = persist(sh, id, cell.index, attempt, &point, snap_buf);
+                pin(sh, &mut sh.store(), id, cell.index, point, snap_digest);
             }
+            let seg = segment.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            let returned = Instant::now();
             let seg = match seg {
                 None => {
                     return SegmentsOutcome::Cell(Err(format!(
@@ -634,19 +635,15 @@ fn drive_segments(
             restore = Some(Arc::clone(&cp));
             let point = ResumePoint { next_step, checkpoint: cp, acc, events_text };
             if !stop_requested(sh, id) {
-                let mut buf = std::mem::take(snap_buf);
-                persisting = Some(scope.spawn(move || {
-                    let snap_digest = persist(sh, id, cell.index, attempt, &point, &mut buf);
-                    (point, buf, snap_digest)
-                }));
+                boundary = Some((point, returned));
                 continue;
             }
 
             // A stop is pending: pin the progress, then honour it.
-            let boundary_t0 = Instant::now();
             let snap_digest = persist(sh, id, cell.index, attempt, &point, snap_buf);
             let mut store = sh.store();
-            pin(sh, &mut store, id, cell.index, point, snap_digest, boundary_t0);
+            pin(sh, &mut store, id, cell.index, point, snap_digest);
+            observe_boundary(returned);
             if sh.kill.load(Ordering::SeqCst) {
                 return SegmentsOutcome::Stopped(StopCause::Killed);
             }
@@ -660,6 +657,13 @@ fn drive_segments(
             }
         }
     })
+}
+
+/// What the cell waited for at a boundary: from the return of the
+/// segment before it to the start of the next one, or to its pin when a
+/// stop is pending.
+fn observe_boundary(returned: Instant) {
+    cfpd_telemetry::observe!("serve.boundary_us", returned.elapsed().as_micros() as u64);
 }
 
 /// Is a kill, drain, cancellation or preemption pending for job `id`?
@@ -700,19 +704,9 @@ fn persist(
 
 /// Pin a boundary whose snapshot `persist` wrote: its `ckpt` record,
 /// which only now may point at the file, then the resume point the
-/// store keeps for the cell. `boundary_t0` is when the worker started
-/// to wait for it.
-fn pin(
-    sh: &Shared,
-    store: &mut Store,
-    id: u64,
-    cell: usize,
-    point: ResumePoint,
-    snap_digest: u64,
-    boundary_t0: Instant,
-) {
+/// store keeps for the cell.
+fn pin(sh: &Shared, store: &mut Store, id: u64, cell: usize, point: ResumePoint, snap_digest: u64) {
     commit(sh, store, WalRecord::Ckpt { job: id, cell, step: point.next_step, snap_digest });
-    cfpd_telemetry::observe!("serve.boundary_us", boundary_t0.elapsed().as_micros() as u64);
     store.jobs.get_mut(&id).expect("running job exists").resume = Some(point);
 }
 

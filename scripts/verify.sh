@@ -466,8 +466,8 @@ if [ "$builds" -ne 1 ] || [ "$hits" -ne 1 ] || [ "$bounds" -ne 4 ]; then
     echo "FAIL: 2 cells x 3 segments cost $builds prepare builds, $hits memo hits, $bounds boundaries (want 1, 1, 4)" >&2
     exit 1
 fi
-# A boundary's snapshot is written beside the next segment and joined
-# before its pin: every boundary pinned so far was persisted exactly once.
+# A boundary's snapshot is written and pinned beside the next segment:
+# every boundary of the finished job was persisted exactly once.
 persists=$(metric cfpd_serve_snapshot_persist_us_count); pinned=$(metric cfpd_serve_boundary_us_count)
 if [ -z "$persists" ] || [ "$persists" != "$pinned" ]; then
     echo "FAIL: ${persists:-no} snapshot persists for ${pinned:-no} pinned boundaries (want equal counts)" >&2
