@@ -9,7 +9,8 @@
 //!   and malformed-value reports) and a canonical renderer that
 //!   round-trips;
 //! * [`scenario`] — the typed layer: the scenario key registry, the
-//!   mapping onto [`cfpd_core::Scenario`], and regression budgets;
+//!   mapping onto [`cfpd_core::Scenario`], regression budgets, and the
+//!   cap on a matrix's size ([`MAX_MATRIX_CELLS`]);
 //! * [`matrix`] — the expander: cross-product of `[matrix]` axes in
 //!   odometer order minus `[exclude]` constraints, each cell a fully
 //!   seeded deterministic run with a canonical id;
@@ -50,4 +51,4 @@ pub use aggregate::{
 pub use dsl::{parse, render, DslError, RawDoc, RawPair, RawSection};
 pub use matrix::{expand, full_matrix_size, Cell};
 pub use runner::{run_bounded, run_campaign, run_campaign_with};
-pub use scenario::{Axis, Budget, CampaignSpec, CellSettings, SCENARIO_KEYS};
+pub use scenario::{Axis, Budget, CampaignSpec, CellSettings, MAX_MATRIX_CELLS, SCENARIO_KEYS};

@@ -26,7 +26,9 @@ pub struct Cell {
     pub scenario: Scenario,
 }
 
-/// Number of cells the axes produce before exclusion.
+/// Number of cells the axes produce before exclusion: at most
+/// [`crate::MAX_MATRIX_CELLS`] for a spec `CampaignSpec::from_doc`
+/// accepted.
 pub fn full_matrix_size(spec: &CampaignSpec) -> usize {
     spec.axes.iter().map(|a| a.values.len()).product()
 }

@@ -15,6 +15,12 @@ pub const SCENARIO_KEYS: &[&str] = &[
     "max_iters", "inflow", "dt", "mode", "strategy", "layout", "dlb", "trace", "hetero",
 ];
 
+/// The most cells a `[matrix]` may ask for (the product of its axes'
+/// value counts, before `[exclude]`): a spec is refused before anything
+/// is expanded, so a short document cannot ask a daemon for millions of
+/// cells. The checked-in campaigns have at most 8.
+pub const MAX_MATRIX_CELLS: usize = 1024;
+
 /// The mutable settings a scenario cell is built from: the simulation
 /// configuration plus the run shape (`ranks`/`threads`) and the
 /// [`RunOptions`] toggles the DSL exposes.
@@ -300,6 +306,12 @@ impl CampaignSpec {
                     })?;
                 }
                 axes.push(Axis { key: p.key.clone(), values, line: p.line });
+            }
+            let cells = axes.iter().try_fold(1usize, |n, a| n.checked_mul(a.values.len()));
+            if cells.is_none_or(|n| n > MAX_MATRIX_CELLS) {
+                let cells = cells.map_or(format!("more than {}", usize::MAX), |n| n.to_string());
+                let why = format!("[matrix] asks for {cells} cells, more than {MAX_MATRIX_CELLS}");
+                return Err(DslError::at(matrix.line, why));
             }
         }
 

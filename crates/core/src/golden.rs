@@ -1,6 +1,9 @@
 //! Golden-trace serialization: render a simulation run's logical event
 //! log as a canonical text document that can be diffed byte-for-byte
-//! against a checked-in golden file.
+//! against a checked-in golden file. [`render_golden_document`] owns the
+//! document's layout; every document — a [`crate::run_scenario`]
+//! outcome, [`golden_trace_split`]'s stitched one, a served cell's,
+//! [`render_golden_doc`]'s re-render — is closed by it.
 //!
 //! Determinism contract: for any `threads_per_rank`, with DLB on or off,
 //! the trace is bit-reproducible across runs and machines. Collectives
@@ -19,9 +22,8 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::config::SimulationConfig;
-use crate::simulation::{
-    run_simulation, run_simulation_opts, LogicalEvent, RunOptions, SimulationResult,
-};
+use crate::scenario::{run_scenario, Scenario};
+use crate::simulation::{LogicalEvent, RunOptions};
 use cfpd_mesh::{generate_airway, AirwaySpec};
 use cfpd_particles::ParticleCensus;
 use std::fmt::Write;
@@ -52,25 +54,7 @@ fn hex(bits: u64) -> String {
 /// and serialize its logical trace — the document any other shape of the
 /// same configuration renders too.
 pub fn golden_trace(config: &SimulationConfig, n_ranks: usize) -> String {
-    render_run_doc(config, n_ranks, &run_simulation(config, n_ranks, 1, false))
-}
-
-/// [`golden_trace`] but with the structured wall-clock trace switched
-/// on: returns the golden document (identical to [`golden_trace`] —
-/// tracing never touches the logical event log) plus the full
-/// [`SimulationResult`], whose `trace` carries worker, message and DLB
-/// records ready for export.
-pub fn golden_trace_traced(
-    config: &SimulationConfig,
-    n_ranks: usize,
-) -> (String, SimulationResult) {
-    let result = run_simulation_opts(
-        config,
-        n_ranks,
-        1,
-        &RunOptions { trace: true, ..Default::default() },
-    );
-    (render_run_doc(config, n_ranks, &result), result)
+    run_scenario(&Scenario::deterministic(config.clone(), n_ranks)).doc
 }
 
 /// [`golden_trace`] but with the run *split in two*: execute steps
@@ -84,57 +68,23 @@ pub fn golden_trace_split(config: &SimulationConfig, n_ranks: usize, split_after
         split_after > 0 && split_after < config.steps,
         "split must fall strictly inside the run"
     );
-    let part1 = run_simulation_opts(
-        config,
-        n_ranks,
-        1,
-        &RunOptions { stop_after: Some(split_after), ..Default::default() },
-    );
+    let plain = Scenario::deterministic(config.clone(), n_ranks);
+    let run = |opts: RunOptions| run_scenario(&Scenario { opts, ..plain.clone() }).result;
+    let part1 = run(RunOptions { stop_after: Some(split_after), ..Default::default() });
     let cp = part1.checkpoint.expect("a stopped run captures its state");
     // Round-trip through the text codec so the gate also covers the
     // serialization path, not just the in-memory snapshot.
     let cp = Checkpoint::from_text(&cp.to_text()).expect("checkpoint text round-trip");
-    let part2 = run_simulation_opts(
-        config,
-        n_ranks,
-        1,
-        &RunOptions { restore: Some(Arc::new(cp)), ..Default::default() },
-    );
+    let part2 = run(RunOptions { restore: Some(Arc::new(cp)), ..Default::default() });
     let mut logical = part1.logical;
     logical.extend(part2.logical);
-    let mut out = render_golden_header_for(config, n_ranks, part2.elements, part2.nodes);
-    out.push_str(&render_golden_events(&logical));
-    out.push_str(&render_golden_summary(&part2.census));
-    out
-}
-
-/// The golden document of an executed run: [`render_golden_doc`] with
-/// the header's mesh size taken from the run, not from a second mesh
-/// generation.
-pub(crate) fn render_run_doc(
-    config: &SimulationConfig,
-    n_ranks: usize,
-    run: &SimulationResult,
-) -> String {
-    let mut out = render_golden_header_for(config, n_ranks, run.elements, run.nodes);
-    out.push_str(&render_golden_events(&run.logical));
-    out.push_str(&render_golden_summary(&run.census));
-    out
+    let size = (part2.elements, part2.nodes);
+    render_golden_document(config, n_ranks, size, &render_golden_events(&logical), &part2.census)
 }
 
 /// Serialize a logical event log + final census as the canonical golden
-/// document, for callers that hold no [`SimulationResult`] (the mesh
-/// is generated once more to size the header).
-///
-/// The document is `header ++ event lines ++ summary`, and the three
-/// parts are exposed individually ([`render_golden_header_for`],
-/// [`render_golden_events`], [`render_golden_summary`]) because the
-/// header depends only on the configuration, each event line depends
-/// only on events already executed, and the summary depends only on the
-/// final census — so a run executed as checkpointed *segments* can
-/// persist its partial event text per segment and stitch a document
-/// byte-identical to the uninterrupted run (`cfpd serve` relies on
-/// this).
+/// document, for callers that hold no [`crate::SimulationResult`] (the
+/// mesh is generated once more to size the header).
 pub fn render_golden_doc(
     config: &SimulationConfig,
     n_ranks: usize,
@@ -142,16 +92,35 @@ pub fn render_golden_doc(
     census: &ParticleCensus,
 ) -> String {
     let mesh = generate_airway(&config.airway).expect("valid airway spec").mesh;
-    let mut out = render_golden_header_for(config, n_ranks, mesh.num_elements(), mesh.num_nodes());
-    out.push_str(&render_golden_events(logical));
+    let size = (mesh.num_elements(), mesh.num_nodes());
+    render_golden_document(config, n_ranks, size, &render_golden_events(logical), census)
+}
+
+/// The golden document: `header ++ events_text ++ summary`, the one
+/// place its layout is written down. The header depends only on the
+/// configuration and the mesh size `(elements, nodes)` (a run reports
+/// them as `SimulationResult::{elements, nodes}`), each event line only
+/// on events already executed ([`render_golden_events`]), and the
+/// summary only on the final census — so a run executed as checkpointed
+/// *segments* can keep its event text per segment and close a document
+/// byte-identical to the uninterrupted run's (`cfpd serve` relies on
+/// this).
+pub fn render_golden_document(
+    config: &SimulationConfig,
+    n_ranks: usize,
+    (elements, nodes): (usize, usize),
+    events_text: &str,
+    census: &ParticleCensus,
+) -> String {
+    let mut out = render_golden_header(config, n_ranks, elements, nodes);
+    out.push_str(events_text);
     out.push_str(&render_golden_summary(census));
     out
 }
 
 /// The configuration-only header of the golden document (mesh + run
-/// lines) for a mesh of `elements` and `nodes` (a run reports its counts
-/// as `SimulationResult::{elements, nodes}`).
-pub fn render_golden_header_for(
+/// lines) for a mesh of `elements` and `nodes`.
+fn render_golden_header(
     config: &SimulationConfig,
     n_ranks: usize,
     elements: usize,
@@ -242,7 +211,7 @@ pub fn render_golden_events(logical: &[LogicalEvent]) -> String {
 }
 
 /// The trailing summary lines, a pure function of the final census.
-pub fn render_golden_summary(census: &ParticleCensus) -> String {
+fn render_golden_summary(census: &ParticleCensus) -> String {
     let mut out = String::new();
     let w = &mut out;
     let c = census;

@@ -34,14 +34,11 @@ pub use fluid::{
     BoundaryConditions, FluidSolver, FluidStepReport, FluidStructure, PressureOperator,
 };
 pub use golden::{
-    golden_config, golden_trace, golden_trace_split, golden_trace_traced, render_golden_doc,
-    render_golden_events, render_golden_header_for, render_golden_summary,
+    golden_config, golden_trace, golden_trace_split, render_golden_doc, render_golden_document,
+    render_golden_events,
 };
 pub use prepare::{prepare, PrepareKey, PrepareMemo, Prepared};
 pub use scenario::{run_scenario, run_scenario_prepared, Scenario, ScenarioOutcome};
-pub use simulation::{
-    rank_failures, run_prepared, run_simulation, run_simulation_fallible, run_simulation_opts,
-    LogicalEvent, RunOptions, SimulationResult,
-};
+pub use simulation::{rank_failures, run_prepared, LogicalEvent, RunOptions, SimulationResult};
 pub use deposition::{deposition_map, DepositionMap, GenerationRow};
 pub use workload::{measure_workload, PhaseCostModel, WorkloadProfile};

@@ -1,15 +1,17 @@
-//! The library-level scenario entry point shared by the `cfpd` CLI and
-//! the campaign engine (`cfpd-campaign`).
+//! The one run request, [`Scenario`], and the entry point that runs it
+//! and renders its golden document, shared by the `cfpd` CLI, the
+//! campaign engine (`cfpd-campaign`) and the job daemon (`cfpd-serve`).
 //!
-//! Historically `bin/cfpd.rs` was the only place that knew how to turn
-//! "a configuration plus run shape" into "a golden document": the
-//! campaign engine needs exactly that path, so it lives here now and
-//! the binary calls it. One code path means a campaign cell and a
-//! hand-rolled `cfpd golden` invocation of the same configuration are
-//! *the same run* — the foundation of the differential golden matrix.
+//! A scenario is run as [`crate::prepare::prepare`] of its
+//! [`Scenario::prepare_key`] followed by [`run_prepared`], which returns
+//! rank failures as an `Err`; [`run_scenario`] and
+//! [`run_scenario_prepared`] add the document and panic on a failure.
+//! One code path means a campaign cell and a hand-rolled `cfpd golden`
+//! invocation of the same configuration are *the same run* — the
+//! foundation of the differential golden matrix.
 
 use crate::config::SimulationConfig;
-use crate::golden::render_run_doc;
+use crate::golden::{render_golden_document, render_golden_events};
 use crate::prepare::{prepare, PrepareKey, Prepared};
 use crate::simulation::{rank_failures, run_prepared, RunOptions, SimulationResult};
 use std::sync::Arc;
@@ -72,9 +74,11 @@ pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
 /// [`Scenario::prepare_key`], for callers that run several scenarios on
 /// one set-up (see [`crate::prepare::PrepareMemo`]).
 pub fn run_scenario_prepared(prepared: &Arc<Prepared>, s: &Scenario) -> ScenarioOutcome {
-    let result = run_prepared(prepared, &s.config, s.threads, &s.opts)
-        .unwrap_or_else(|fails| panic!("{}", rank_failures(&fails)));
-    let doc = render_run_doc(&s.config, s.ranks, &result);
+    let result =
+        run_prepared(prepared, s).unwrap_or_else(|fails| panic!("{}", rank_failures(&fails)));
+    let size = (result.elements, result.nodes);
+    let events = render_golden_events(&result.logical);
+    let doc = render_golden_document(&s.config, s.ranks, size, &events, &result.census);
     let digest = digest_bytes(doc.as_bytes());
     ScenarioOutcome { doc, digest, result }
 }
@@ -93,5 +97,25 @@ mod tests {
         let out = run_scenario(&Scenario::deterministic(cfg.clone(), 2));
         assert_eq!(out.doc, golden_trace(&cfg, 2));
         assert_eq!(out.digest, digest_bytes(out.doc.as_bytes()));
+    }
+
+    /// A run with no fluid or no particle rank is refused by its set-up
+    /// before any rank starts: `prepare` + `run_prepared` return the
+    /// reason, and `run_scenario` panics with it.
+    #[test]
+    fn a_run_without_fluid_or_particle_ranks_is_refused() {
+        use crate::config::ExecutionMode;
+        let sync = ExecutionMode::Synchronous;
+        let coupled = |fluid, particles| ExecutionMode::Coupled { fluid, particles };
+        for mode in [sync, coupled(0, 1), coupled(1, 0)] {
+            let s = Scenario::deterministic(SimulationConfig { mode, ..golden_config() }, 0);
+            let refused = prepare(&s.prepare_key())
+                .and_then(|prepared| run_prepared(&prepared, &s).map_err(|f| rank_failures(&f)))
+                .expect_err("a run without ranks");
+            let want = format!("a run needs fluid and particle ranks, got {mode:?}");
+            assert_eq!(refused, want);
+            let panic = std::panic::catch_unwind(|| run_scenario(&s)).expect_err("a panic");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&want), "{mode:?}");
+        }
     }
 }

@@ -3,16 +3,19 @@
 //! solves, distributed particle tracking with migration, per-phase
 //! tracing, both execution modes of Fig. 3, and optional DLB.
 //!
-//! A run is [`prepare`] followed by [`run_prepared`]: everything derived
+//! A run is one [`Scenario`], and it is [`crate::prepare::prepare`] of
+//! the scenario's key followed by [`run_prepared`]: everything derived
 //! from the mesh lives in the [`Prepared`], and the rank functions here
 //! allocate and advance values only. What a run hands back is put
-//! together in [`crate::result`].
+//! together in [`crate::result`]; [`crate::run_scenario`] closes its
+//! golden document with [`crate::golden::render_golden_document`].
 
 use crate::checkpoint::{Checkpoint, RankCheckpoint};
 use crate::config::{ExecutionMode, SimulationConfig};
 use crate::fluid::{FluidSolver, PressureOperator};
-use crate::prepare::{prepare, PrepareKey, Prepared};
+use crate::prepare::Prepared;
 use crate::result::{assemble, finalize, log_fluid_step, RankOut};
+use crate::scenario::Scenario;
 pub use crate::result::{LogicalEvent, SimulationResult};
 use cfpd_dlb::DlbNode;
 use cfpd_mesh::Vec3;
@@ -28,9 +31,10 @@ use cfpd_trace::{ChaosKind, Phase, Trace};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Everything beyond the basic `(ranks, threads, dlb)` knobs of a run:
-/// chaos injection, segment stop and restart. The plain
-/// [`run_simulation`] entry point is `RunOptions::default()` plus `dlb`.
+/// Everything of a [`Scenario`] beyond its configuration and its
+/// `(ranks, threads)` shape: DLB, chaos injection, tracing, segment stop
+/// and restart. `RunOptions::default()` is the plain run the goldens are
+/// cut with.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Enable the LeWI arbiter.
@@ -78,73 +82,31 @@ struct Migrant {
 const TAG_MIGRATE: u64 = 10;
 const TAG_VELOCITY: u64 = 11;
 
-/// Run the configured simulation on `n_ranks` virtual MPI ranks with
-/// `threads_per_rank` OpenMP-style workers each. With `dlb`, a LeWI
-/// arbiter moves workers between co-resident ranks at blocking calls.
-///
-/// For `ExecutionMode::Coupled`, `n_ranks` is ignored in favor of
-/// `fluid + particles`.
-pub fn run_simulation(
-    config: &SimulationConfig,
-    n_ranks: usize,
-    threads_per_rank: usize,
-    dlb: bool,
-) -> SimulationResult {
-    run_simulation_opts(config, n_ranks, threads_per_rank, &RunOptions { dlb, ..Default::default() })
-}
-
-/// [`run_simulation`] with the full option set. Panics (with every
-/// failed rank's message) if any rank crashes or deadlocks — use
-/// [`run_simulation_fallible`] when failure is the expected outcome.
-pub fn run_simulation_opts(
-    config: &SimulationConfig,
-    n_ranks: usize,
-    threads_per_rank: usize,
-    opts: &RunOptions,
-) -> SimulationResult {
-    run_simulation_fallible(config, n_ranks, threads_per_rank, opts)
-        .unwrap_or_else(|fails| panic!("{}", rank_failures(&fails)))
-}
-
-/// The message [`run_simulation_opts`] panics with: every failed rank's
+/// The message [`crate::run_scenario`] panics with: every failed rank's
 /// own message.
 pub fn rank_failures(fails: &[(usize, String)]) -> String {
     let msgs: Vec<String> = fails.iter().map(|(r, m)| format!("rank {r}: {m}")).collect();
     format!("simulation failed on {} rank(s):\n{}", msgs.len(), msgs.join("\n"))
 }
 
-/// Run the simulation, surviving rank failures: returns `Err` with one
-/// `(rank, message)` entry per failed rank (crash unwinds, deadlock
-/// reports, panics) instead of propagating the panic — and a single
-/// `(0, message)` entry for a run refused before any rank started (an
-/// invalid airway spec, a checkpoint that does not belong to this run).
-/// The chaos subcommand's storm mode relies on this to print a
-/// structured deadlock report and exit instead of hanging or aborting.
-pub fn run_simulation_fallible(
-    config: &SimulationConfig,
-    n_ranks: usize,
-    threads_per_rank: usize,
-    opts: &RunOptions,
-) -> Result<SimulationResult, Vec<(usize, String)>> {
-    assert!(config.total_ranks(n_ranks) >= 1);
-    let prepared = prepare(&PrepareKey::of(config, n_ranks)).map_err(|e| vec![(0, e)])?;
-    run_prepared(&prepared, config, threads_per_rank, opts)
-}
-
-/// [`run_simulation_fallible`] on a [`Prepared`] the caller built (or
-/// kept) for this run's [`PrepareKey`]: allocates the run's values,
-/// runs its steps, and leaves `prepared` as it found it — except for
-/// publishing the pressure operator if this is the first run to
-/// assemble it.
+/// Run scenario `s` on `prepared`, a [`Prepared`] of
+/// [`Scenario::prepare_key`]: allocate the run's values, run its steps
+/// on `s.threads` workers per rank, and leave `prepared` as it was found,
+/// except for publishing the pressure operator if this is the first run
+/// to assemble it. Rank failures (crash unwinds, deadlock reports,
+/// panics) come back as `Err` with one `(rank, message)` entry each
+/// instead of propagating, and a run refused before any rank started (a
+/// checkpoint that does not belong to this run) as a single
+/// `(0, message)` entry: `cfpd chaos --storm` prints the structured
+/// deadlock report from it instead of hanging or aborting.
 pub fn run_prepared(
     prepared: &Arc<Prepared>,
-    config: &SimulationConfig,
-    threads_per_rank: usize,
-    opts: &RunOptions,
+    s: &Scenario,
 ) -> Result<SimulationResult, Vec<(usize, String)>> {
+    let (config, opts) = (&s.config, &s.opts);
     let n_ranks = prepared.ranks();
     assert_eq!(
-        PrepareKey::of(config, n_ranks).digest(),
+        s.prepare_key().digest(),
         prepared.key_digest(),
         "run_prepared: the Prepared was built for another key"
     );
@@ -171,7 +133,7 @@ pub fn run_prepared(
     // it lends every core it owns. Without DLB no arbiter exists and
     // each pool runs its own allotment.
     let dlb = opts.dlb.then(|| DlbNode::with_epoch(run_epoch));
-    let threads = threads_per_rank.max(1);
+    let threads = s.threads.max(1);
     let pools: Vec<Arc<ThreadPool>> =
         (0..n_ranks).map(|_| Arc::new(ThreadPool::new(threads * 2))).collect();
     for (r, pool) in pools.iter().enumerate() {
@@ -608,6 +570,8 @@ fn exchange_migrants(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepare::prepare;
+    use crate::scenario::run_scenario;
     use cfpd_mesh::AirwaySpec;
     use cfpd_particles::ParticleCensus;
     use cfpd_trace::{DlbMarkKind, WorkerState};
@@ -629,7 +593,7 @@ mod tests {
     #[test]
     fn sync_simulation_runs_on_two_ranks() {
         let cfg = tiny_config();
-        let r = run_simulation(&cfg, 2, 1, false);
+        let r = run_scenario(&Scenario::deterministic(cfg, 2)).result;
         assert!(r.total_time > 0.0);
         // All phases traced on both ranks.
         for phase in [Phase::Assembly, Phase::Solver1, Phase::Solver2, Phase::Sgs] {
@@ -647,8 +611,8 @@ mod tests {
     #[test]
     fn particle_count_conserved_across_migration() {
         let cfg = tiny_config();
-        let serial = run_simulation(&cfg, 1, 1, false);
-        let multi = run_simulation(&cfg, 3, 1, false);
+        let serial = run_scenario(&Scenario::deterministic(cfg.clone(), 1)).result;
+        let multi = run_scenario(&Scenario::deterministic(cfg, 3)).result;
         let total = |c: &ParticleCensus| c.active + c.deposited + c.escaped + c.lost;
         assert_eq!(total(&serial.census), total(&multi.census));
     }
@@ -657,7 +621,7 @@ mod tests {
     fn coupled_mode_runs() {
         let mut cfg = tiny_config();
         cfg.mode = ExecutionMode::Coupled { fluid: 2, particles: 1 };
-        let r = run_simulation(&cfg, 0, 1, false);
+        let r = run_scenario(&Scenario::deterministic(cfg, 0)).result;
         // Fluid phases on fluid ranks, particle phase on particle rank.
         let asm = r.trace.per_rank_time(Phase::Assembly);
         assert!(asm[0] > 0.0 && asm[1] > 0.0 && asm[2] == 0.0);
@@ -679,14 +643,15 @@ mod tests {
             ..sync.clone()
         };
         for (cfg, ranks, threads, dlb) in [(sync, 2, 1, false), (coupled, 0, 2, true)] {
-            let full = run_simulation(&cfg, ranks, 1, false);
+            let plain = Scenario::deterministic(cfg, ranks);
+            let full = run_scenario(&plain).result;
             let mut stitched: Vec<LogicalEvent> = Vec::new();
             let mut from: Option<Arc<Checkpoint>> = None;
             let mut last = None;
             for stop_after in [Some(1), Some(2), None] {
                 let restore = from.take();
                 let opts = RunOptions { dlb, restore, stop_after, ..Default::default() };
-                let seg = run_simulation_opts(&cfg, ranks, threads, &opts);
+                let seg = run_scenario(&Scenario { threads, opts, ..plain.clone() }).result;
                 stitched.extend(seg.logical.iter().cloned());
                 if let Some(cp) = &seg.checkpoint {
                     assert_eq!(Some(cp.next_step), stop_after);
@@ -699,21 +664,18 @@ mod tests {
             }
             // Segments are contiguous step ranges, each internally sorted
             // by (step, rank), so plain concatenation is the full log.
-            assert_eq!(stitched, full.logical, "{:?}", cfg.mode);
-            assert_eq!(last.unwrap().census, full.census, "{:?}", cfg.mode);
+            assert_eq!(stitched, full.logical, "{:?}", plain.config.mode);
+            assert_eq!(last.unwrap().census, full.census, "{:?}", plain.config.mode);
         }
     }
 
     #[test]
     fn stop_at_or_past_the_end_is_a_plain_full_run() {
         let cfg = tiny_config();
-        let full = run_simulation(&cfg, 2, 1, false);
-        let r = run_simulation_opts(
-            &cfg,
-            2,
-            1,
-            &RunOptions { stop_after: Some(cfg.steps), ..Default::default() },
-        );
+        let opts = RunOptions { stop_after: Some(cfg.steps), ..Default::default() };
+        let plain = Scenario::deterministic(cfg, 2);
+        let full = run_scenario(&plain).result;
+        let r = run_scenario(&Scenario { opts, ..plain }).result;
         assert!(r.checkpoint.is_none());
         assert_eq!(r.logical, full.logical);
         assert_eq!(r.census, full.census);
@@ -722,15 +684,13 @@ mod tests {
     #[test]
     fn benign_chaos_leaves_the_logical_trace_bit_identical() {
         let cfg = tiny_config();
-        let clean = run_simulation(&cfg, 2, 1, false);
+        let plain = Scenario::deterministic(cfg, 2);
+        let clean = run_scenario(&plain).result;
         let mut stalls = 0;
         for seed in [7, 8, 9] {
-            let chaotic = run_simulation_opts(
-                &cfg,
-                2,
-                1,
-                &RunOptions { fault: Some(FaultConfig::benign(seed)), trace: true, ..Default::default() },
-            );
+            let fault = Some(FaultConfig::benign(seed));
+            let opts = RunOptions { fault, trace: true, ..Default::default() };
+            let chaotic = run_scenario(&Scenario { opts, ..plain.clone() }).result;
             assert!(!chaotic.faults.is_empty(), "benign plan injected nothing");
             assert_eq!(clean.logical, chaotic.logical);
             assert_eq!(clean.census, chaotic.census);
@@ -757,13 +717,10 @@ mod tests {
     #[test]
     fn storm_chaos_yields_a_deadlock_report_not_a_hang() {
         let cfg = tiny_config();
-        let r = run_simulation_fallible(
-            &cfg,
-            2,
-            1,
-            &RunOptions { fault: Some(cfpd_simmpi::FaultConfig::storm(3)), ..Default::default() },
-        );
-        let fails = r.err().expect("storm run must fail");
+        let opts = RunOptions { fault: Some(FaultConfig::storm(3)), ..Default::default() };
+        let s = Scenario { opts, ..Scenario::deterministic(cfg, 2) };
+        let r = run_prepared(&prepare(&s.prepare_key()).unwrap(), &s);
+        let fails = r.expect_err("storm run must fail");
         assert!(
             fails.iter().any(|(_, m)| m.contains("DEADLOCK") || m.contains("deadlock")),
             "no deadlock diagnostics in {fails:?}"
@@ -773,8 +730,9 @@ mod tests {
     #[test]
     fn dlb_enabled_run_produces_stats() {
         let cfg = tiny_config();
-        let r = run_simulation(&cfg, 2, 2, true);
-        let stats = r.dlb.expect("dlb stats");
+        let opts = RunOptions { dlb: true, ..Default::default() };
+        let s = Scenario { threads: 2, opts, ..Scenario::deterministic(cfg, 2) };
+        let stats = run_scenario(&s).result.dlb.expect("dlb stats");
         // With blocking allreduces every step, lends must have happened.
         assert!(stats.lends > 0, "{stats:?}");
         assert_eq!(stats.lends, stats.reclaims);
@@ -783,12 +741,8 @@ mod tests {
     #[test]
     fn traced_run_captures_workers_and_messages() {
         let cfg = tiny_config();
-        let r = run_simulation_opts(
-            &cfg,
-            2,
-            1,
-            &RunOptions { trace: true, ..Default::default() },
-        );
+        let opts = RunOptions { trace: true, ..Default::default() };
+        let r = run_scenario(&Scenario { opts, ..Scenario::deterministic(cfg, 2) }).result;
         let tr = &r.trace;
         assert!(!tr.workers.is_empty(), "traced run must record worker events");
         assert!(!tr.messages.is_empty(), "collectives ride on p2p sends");
@@ -824,12 +778,9 @@ mod tests {
     #[test]
     fn traced_dlb_run_records_dlb_marks() {
         let cfg = tiny_config();
-        let r = run_simulation_opts(
-            &cfg,
-            2,
-            2,
-            &RunOptions { trace: true, dlb: true, ..Default::default() },
-        );
+        let opts = RunOptions { trace: true, dlb: true, ..Default::default() };
+        let s = Scenario { threads: 2, opts, ..Scenario::deterministic(cfg, 2) };
+        let r = run_scenario(&s).result;
         assert!(!r.trace.dlb.is_empty(), "DLB run must surface lend/reclaim marks");
         assert!(r.trace.dlb.iter().any(|m| m.kind == DlbMarkKind::Lend));
         assert!(r.trace.dlb.iter().any(|m| m.kind == DlbMarkKind::Reclaim));
@@ -844,7 +795,9 @@ mod tests {
             mode: ExecutionMode::Coupled { fluid: 1, particles: 1 },
             ..tiny_config()
         };
-        let r = run_simulation(&cfg, 0, 2, true);
+        let opts = RunOptions { dlb: true, ..Default::default() };
+        let s = Scenario { threads: 2, opts, ..Scenario::deterministic(cfg, 0) };
+        let r = run_scenario(&s).result;
         let stats = r.dlb.expect("dlb stats");
         let marks = |kind: DlbMarkKind| r.trace.dlb.iter().filter(move |m| m.kind == kind);
         assert!(stats.lends > 0 && stats.cores_lent_total > 0, "{stats:?}");
@@ -860,14 +813,11 @@ mod tests {
     #[test]
     fn hetero_profile_leaves_the_logical_trace_bit_identical() {
         let cfg = tiny_config();
-        let clean = run_simulation(&cfg, 2, 1, false);
+        let plain = Scenario::deterministic(cfg, 2);
+        let clean = run_scenario(&plain).result;
         let profile = cfpd_hetero::profile_by_name("mn4_thunder", 11).unwrap();
-        let skewed = run_simulation_opts(
-            &cfg,
-            2,
-            1,
-            &RunOptions { hetero: Some(profile), ..Default::default() },
-        );
+        let opts = RunOptions { hetero: Some(profile), ..Default::default() };
+        let skewed = run_scenario(&Scenario { opts, ..plain }).result;
         // The profile only stretches time: what was computed is
         // untouched, so both golden documents stay byte-identical.
         assert_eq!(clean.logical, skewed.logical);
@@ -877,7 +827,7 @@ mod tests {
     #[test]
     fn untraced_run_stays_clean() {
         let cfg = tiny_config();
-        let r = run_simulation(&cfg, 2, 1, false);
+        let r = run_scenario(&Scenario::deterministic(cfg, 2)).result;
         assert!(r.trace.workers.is_empty());
         assert!(r.trace.messages.is_empty());
         assert!(r.trace.dlb.is_empty());

@@ -1,22 +1,23 @@
 //! `cfpd` — command-line front end of the reproduction.
 //!
 //! ```text
-//! cfpd mesh     [--generations N] [--vtk FILE]      mesh stats / export
-//! cfpd run      [--ranks N] [--threads N] [--dlb] [--coupled F P]
-//!               [--particles N] [--steps N] [--strategy S]
-//!               [--hetero PROFILE]
-//! cfpd profile  [--ranks N] [--particles N]         Table-1-style profile
-//! cfpd golden   [--ranks N] [--layout opt]          deterministic trace
-//! cfpd chaos    [--seed S] [--ranks N] [--dlb] [--storm] [--json]
-//!                                                   seeded fault-injection run
-//! cfpd report   [--ranks N] [--json]                telemetry + POP rollup
-//! cfpd trace    export|analyze|diff                 trace export and analysis
-//! cfpd campaign expand|run|report FILE              scenario matrix engine
-//! cfpd serve    run|submit|status|result|cancel|metrics|drain
-//!                                                   crash-safe job daemon
-//! cfpd flight   dump|analyze                        post-mortem black box
-//! cfpd watch    JOB --addr HOST:PORT                a served job's progress
+//! cfpd mesh      mesh stats / export
+//! cfpd run       one simulation: timeline, phase breakdown, DLB, document digest
+//! cfpd profile   Table-1-style workload profile
+//! cfpd golden    deterministic trace
+//! cfpd chaos     seeded fault-injection run
+//! cfpd report    telemetry + POP rollup
+//! cfpd trace     export|analyze|diff: trace export and analysis
+//! cfpd campaign  expand|run|report FILE: scenario matrix engine
+//! cfpd serve     run|submit|status|result|cancel|metrics|drain: crash-safe job daemon
+//! cfpd flight    dump|analyze: post-mortem black box
+//! cfpd watch     a served job's progress
 //! ```
+//!
+//! Each verb's flags are a [`Verb`]: its usage text (what `cfpd help`
+//! prints) beside the table of the flags it reads, and a test checks
+//! that the two name the same flags. Every run a verb makes is one
+//! [`Scenario`].
 //!
 //! Argument parsing is deliberately dependency-free (tiny flag set).
 //!
@@ -29,9 +30,8 @@
 use cfpd_campaign::{expand, full_matrix_size, run_campaign_with, CampaignSpec};
 use cfpd_serve::{http_call, lint_prometheus, Daemon, ServeConfig, ServeFaultPlan};
 use cfpd_core::{
-    golden_config, golden_trace_traced, measure_workload, run_scenario, run_simulation,
-    run_simulation_fallible, run_simulation_opts, ExecutionMode, LayoutPlan, RunOptions, Scenario,
-    SimulationConfig, PhaseCostModel,
+    golden_config, measure_workload, prepare, run_prepared, run_scenario, ExecutionMode,
+    LayoutPlan, PhaseCostModel, RunOptions, Scenario, SimulationConfig,
 };
 use cfpd_mesh::{generate_airway, AirwaySpec};
 use cfpd_simmpi::FaultConfig;
@@ -57,7 +57,7 @@ fn main() {
 /// Run the verb `args` names, or return the refusal of its flags.
 fn dispatch(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let flags = |table: Table| Flags::parse(&args[1.min(args.len())..], table);
+    let flags = |verb: Verb| Flags::parse(&args[1.min(args.len())..], verb);
     match cmd {
         "mesh" => cmd_mesh(&flags(MESH)?),
         "run" => cmd_run(&flags(RUN)?),
@@ -70,28 +70,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         "serve" => return cmd_serve(args),
         "flight" => return cmd_flight(args),
         "watch" => return cmd_watch(args),
-        _ => {
-            eprintln!(
-                "usage: cfpd <mesh|run|profile|golden|chaos|report|trace|campaign|serve|flight|watch> [flags]\n\
-                 \n\
-                 mesh     --generations N  --vtk FILE\n\
-                 run      --ranks N  --threads N  --dlb  --coupled F P\n\
-                 \x20        --particles N  --steps N  --strategy atomics|coloring|multidep|serial\n\
-                 \x20        --hetero uniform|mn4_thunder|thunder_tail\n\
-                 profile  --ranks N  --particles N\n\
-                 golden   --ranks N  --layout opt|default  --trace DIR\n\
-                 chaos    --seed S  --ranks N  --dlb  --storm  --json  --trace DIR\n\
-                 report   --ranks N  --json  --trace DIR  --baseline JSON [--tolerance X]\n\
-                 trace    export --ranks N --dlb --out DIR | analyze [--threads N] [--strategy S] [--dlb] | diff A B\n\
-                 campaign expand FILE | run FILE [--jobs N] [--json] [--report PATH] [--timing]\n\
-                 \x20        [--cell-timeout SECS] | report FILE --baseline PATH [--jobs N]\n\
-                 serve    run [--addr A] [--data DIR] [--workers N] ... | submit FILE | status JOB\n\
-                 \x20        | result JOB | cancel JOB | metrics [--lint] | drain   (see cfpd serve)\n\
-                 flight   dump [--ranks N] [--out FILE] | analyze FILE [--last N]\n\
-                 watch    JOB --addr HOST:PORT [--interval-ms MS]"
-            );
-            std::process::exit(if cmd == "help" { 0 } else { 2 });
-        }
+        _ => usage_exit(VERBS, cmd == "help"),
     }
     Ok(())
 }
@@ -130,15 +109,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         _ => CAMPAIGN_EXPAND,
     };
     let flags = Flags::parse(&args[3.min(args.len())..], table)?;
-    let usage = || -> ! {
-        eprintln!(
-            "usage: cfpd campaign expand FILE\n\
-             \x20      cfpd campaign run FILE [--jobs N] [--json] [--report PATH] [--timing]\n\
-             \x20          [--cell-timeout SECS]\n\
-             \x20      cfpd campaign report FILE --baseline PATH [--jobs N] [--cell-timeout SECS]"
-        );
-        std::process::exit(if verb == "help" { 0 } else { 2 });
-    };
+    let usage = || usage_exit(&[CAMPAIGN_EXPAND, CAMPAIGN_RUN, CAMPAIGN_REPORT], verb == "help");
     let Some(file) = file else { usage() };
     let spec = load_campaign(file);
     let jobs = flags.int("--jobs").map(|n| n as usize);
@@ -210,22 +181,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
 /// * everything else is a thin HTTP client against `--addr`.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let verb = args.get(1).map(String::as_str).unwrap_or("help");
-    let usage = || -> ! {
-        eprintln!(
-            "usage: cfpd serve run [--addr HOST:PORT] [--data DIR] [--workers N]\n\
-             \x20         [--queue-cap N] [--ckpt-interval STEPS] [--cell-timeout SECS]\n\
-             \x20         [--retry-max N] [--deadline SECS] [--http-threads N] [--drift-factor X]\n\
-             \x20         [--fault-seed S] [--fault-crash-first N] [--fault-crash-per-mille X]\n\
-             \x20         [--fault-stall-first N] [--fault-stall-ms MS] [--fault-freeze-wal-after N]\n\
-             \x20      cfpd serve submit FILE --addr HOST:PORT\n\
-             \x20      cfpd serve status JOB --addr HOST:PORT\n\
-             \x20      cfpd serve result JOB --addr HOST:PORT\n\
-             \x20      cfpd serve cancel JOB --addr HOST:PORT\n\
-             \x20      cfpd serve metrics [--lint] --addr HOST:PORT\n\
-             \x20      cfpd serve drain --addr HOST:PORT"
-        );
-        std::process::exit(if verb == "help" { 0 } else { 2 });
-    };
+    let usage = || usage_exit(&[SERVE_RUN, SERVE_CLIENT, SERVE_METRICS], verb == "help");
 
     if verb == "run" {
         let flags = Flags::parse(&args[2.min(args.len())..], SERVE_RUN)?;
@@ -359,8 +315,7 @@ fn cmd_flight(args: &[String]) -> Result<(), String> {
         }
         "analyze" => {
             let Some(file) = args.get(2).filter(|a| !a.starts_with("--")) else {
-                eprintln!("usage: cfpd flight analyze FILE [--last N]");
-                std::process::exit(2);
+                usage_exit(&[FLIGHT_ANALYZE], false)
             };
             let flags = Flags::parse(&args[3.min(args.len())..], FLIGHT_ANALYZE)?;
             let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
@@ -380,11 +335,7 @@ fn cmd_flight(args: &[String]) -> Result<(), String> {
             print!("{}", cfpd_flight::render_timeline(&dump.events, flags.usize_or("--last", 40)));
             analyze_flight_phases(&dump.events);
         }
-        _ => {
-            eprintln!("usage: cfpd flight dump [--ranks N] [--out FILE]\n\
-                       \x20      cfpd flight analyze FILE [--last N]");
-            std::process::exit(if verb == "help" { 0 } else { 2 });
-        }
+        _ => usage_exit(&[FLIGHT_DUMP, FLIGHT_ANALYZE], verb == "help"),
     }
     Ok(())
 }
@@ -427,8 +378,7 @@ fn analyze_flight_phases(events: &[cfpd_flight::FlightEvent]) {
 /// cancelled.
 fn cmd_watch(args: &[String]) -> Result<(), String> {
     let Some(job) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: cfpd watch JOB --addr HOST:PORT [--interval-ms MS]");
-        std::process::exit(2);
+        usage_exit(&[WATCH], false)
     };
     let flags = Flags::parse(&args[2.min(args.len())..], WATCH)?;
     let Some(addr) = flags.get("--addr") else {
@@ -520,25 +470,15 @@ fn write_trace_dir(trace: &Trace, dir: &Path) -> std::io::Result<()> {
 /// pipeline on the canonical golden-config case.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     let verb = args.get(1).map(String::as_str).unwrap_or("help");
-    let flags = |table: Table| Flags::parse(&args[2.min(args.len())..], table);
+    let flags = |verb: Verb| Flags::parse(&args[2.min(args.len())..], verb);
     match verb {
         "export" => trace_export(&flags(TRACE_EXPORT)?),
         "analyze" => trace_analyze(&flags(TRACE_ANALYZE)?),
         "diff" => match (args.get(2), args.get(3)) {
             (Some(a), Some(b)) => trace_diff(a, b),
-            _ => {
-                eprintln!("usage: cfpd trace diff A B  (trace dirs or summary.json files)");
-                std::process::exit(2);
-            }
+            _ => usage_exit(&[TRACE_DIFF], false),
         },
-        _ => {
-            eprintln!(
-                "usage: cfpd trace export  [--ranks N] [--dlb] [--out DIR]\n\
-                 \x20      cfpd trace analyze [--ranks N] [--threads N] [--strategy S] [--dlb]\n\
-                 \x20      cfpd trace diff A B   (trace dirs or summary.json files)"
-            );
-            std::process::exit(if verb == "help" { 0 } else { 2 });
-        }
+        _ => usage_exit(&[TRACE_EXPORT, TRACE_ANALYZE, TRACE_DIFF], verb == "help"),
     }
     Ok(())
 }
@@ -550,9 +490,9 @@ fn trace_export(flags: &Flags) {
     let ranks = flags.usize_or("--ranks", 2);
     let dlb = flags.has("--dlb");
     let out = PathBuf::from(flags.get("--out").unwrap_or("trace_out"));
-    let config = golden_config();
     let opts = RunOptions { trace: true, dlb, ..Default::default() };
-    let r = run_simulation_opts(&config, ranks, 1, &opts);
+    let s = Scenario { opts, ..Scenario::deterministic(golden_config(), ranks) };
+    let r = run_scenario(&s).result;
     write_trace_dir(&r.trace, &out).expect("write trace dir");
     for name in ["chrome.json", "summary.json"] {
         let text = std::fs::read_to_string(out.join(name)).expect(name);
@@ -585,12 +525,8 @@ fn trace_analyze(flags: &Flags) {
     let dlb = flags.has("--dlb");
     let mut config = golden_config();
     config.strategy = strategy_of(flags);
-    let r = run_simulation_opts(
-        &config,
-        ranks,
-        threads,
-        &RunOptions { trace: true, dlb, ..Default::default() },
-    );
+    let opts = RunOptions { trace: true, dlb, ..Default::default() };
+    let r = run_scenario(&Scenario { config, ranks, threads, opts }).result;
 
     let cp = critical_path(&r.trace);
     println!(
@@ -680,6 +616,14 @@ enum Arg {
 /// The flags a verb reads and what each takes.
 type Table = &'static [(&'static str, Arg)];
 
+/// A verb's usage text beside the table of the flags it reads: the text
+/// names every flag of the table and no other (a test checks).
+#[derive(Clone, Copy)]
+struct Verb {
+    usage: &'static str,
+    flags: Table,
+}
+
 /// Each rank and each worker is an operating-system thread.
 const THREADS_MAX: u64 = 256;
 const RANKS: Arg = Arg::Int(1, THREADS_MAX);
@@ -689,77 +633,147 @@ const GENERATIONS: Arg = Arg::Int(0, 10);
 const COUNT: Arg = Arg::Int(0, u32::MAX as u64);
 const STRATEGIES: Arg = Arg::OneOf(&["atomics", "coloring", "multidep", "serial"]);
 
-const MESH: Table = &[("--generations", GENERATIONS), ("--vtk", Arg::Text)];
-const RUN: Table = &[
-    ("--ranks", RANKS),
-    ("--threads", THREADS),
-    ("--dlb", Arg::Switch),
-    ("--coupled", Arg::Int2(1, THREADS_MAX)),
-    ("--generations", GENERATIONS),
-    ("--particles", COUNT),
-    ("--steps", COUNT),
-    ("--strategy", STRATEGIES),
-    ("--hetero", Arg::OneOf(&["uniform", "mn4_thunder", "thunder_tail"])),
+const MESH: Verb = Verb {
+    usage: "cfpd mesh [--generations N] [--vtk FILE]",
+    flags: &[("--generations", GENERATIONS), ("--vtk", Arg::Text)],
+};
+const RUN: Verb = Verb {
+    usage: "cfpd run [--ranks N] [--threads N] [--dlb] [--coupled F P] [--generations N]\n\
+            \x20     [--particles N] [--steps N] [--strategy atomics|coloring|multidep|serial]\n\
+            \x20     [--hetero uniform|mn4_thunder|thunder_tail]",
+    flags: &[
+        ("--ranks", RANKS),
+        ("--threads", THREADS),
+        ("--dlb", Arg::Switch),
+        ("--coupled", Arg::Int2(1, THREADS_MAX)),
+        ("--generations", GENERATIONS),
+        ("--particles", COUNT),
+        ("--steps", COUNT),
+        ("--strategy", STRATEGIES),
+        ("--hetero", Arg::OneOf(&["uniform", "mn4_thunder", "thunder_tail"])),
+    ],
+};
+const PROFILE: Verb = Verb {
+    usage: "cfpd profile [--ranks N] [--particles N] [--generations N]",
+    flags: &[("--ranks", RANKS), ("--particles", COUNT), ("--generations", GENERATIONS)],
+};
+const GOLDEN: Verb = Verb {
+    usage: "cfpd golden [--ranks N] [--layout opt|default] [--trace DIR]",
+    flags: &[("--ranks", RANKS), ("--layout", Arg::Text), ("--trace", Arg::Text)],
+};
+const CHAOS: Verb = Verb {
+    usage: "cfpd chaos [--seed S] [--ranks N] [--dlb] [--storm] [--json] [--trace DIR]",
+    flags: &[
+        ("--seed", Arg::Int(0, u64::MAX)),
+        ("--ranks", RANKS),
+        ("--dlb", Arg::Switch),
+        ("--storm", Arg::Switch),
+        ("--json", Arg::Switch),
+        ("--trace", Arg::Text),
+    ],
+};
+const REPORT: Verb = Verb {
+    usage: "cfpd report [--ranks N] [--json] [--trace DIR] [--baseline JSON [--tolerance X]]",
+    flags: &[
+        ("--ranks", RANKS),
+        ("--json", Arg::Switch),
+        ("--trace", Arg::Text),
+        ("--baseline", Arg::Text),
+        ("--tolerance", Arg::NonNegative),
+    ],
+};
+const TRACE_EXPORT: Verb = Verb {
+    usage: "cfpd trace export [--ranks N] [--dlb] [--out DIR]",
+    flags: &[("--ranks", RANKS), ("--dlb", Arg::Switch), ("--out", Arg::Text)],
+};
+const TRACE_ANALYZE: Verb = Verb {
+    usage: "cfpd trace analyze [--ranks N] [--threads N] [--strategy S] [--dlb]",
+    flags: &[
+        ("--ranks", RANKS),
+        ("--threads", THREADS),
+        ("--strategy", STRATEGIES),
+        ("--dlb", Arg::Switch),
+    ],
+};
+const TRACE_DIFF: Verb =
+    Verb { usage: "cfpd trace diff A B   (trace dirs or summary.json files)", flags: &[] };
+const CAMPAIGN_EXPAND: Verb = Verb { usage: "cfpd campaign expand FILE", flags: &[] };
+const CAMPAIGN_RUN: Verb = Verb {
+    usage: "cfpd campaign run FILE [--jobs N] [--json] [--report PATH] [--timing]\n\
+            \x20     [--cell-timeout SECS]",
+    flags: &[
+        ("--jobs", THREADS),
+        ("--json", Arg::Switch),
+        ("--report", Arg::Text),
+        ("--timing", Arg::Switch),
+        ("--cell-timeout", Arg::Positive),
+    ],
+};
+const CAMPAIGN_REPORT: Verb = Verb {
+    usage: "cfpd campaign report FILE --baseline PATH [--jobs N] [--cell-timeout SECS]",
+    flags: &[("--baseline", Arg::Text), ("--jobs", THREADS), ("--cell-timeout", Arg::Positive)],
+};
+const SERVE_RUN: Verb = Verb {
+    usage: "cfpd serve run [--addr HOST:PORT] [--data DIR] [--workers N] [--queue-cap N]\n\
+            \x20     [--ckpt-interval STEPS] [--cell-timeout SECS] [--retry-max N]\n\
+            \x20     [--backoff-ms MS] [--deadline SECS] [--http-threads N] [--drift-factor X]\n\
+            \x20     [--fault-seed S] [--fault-crash-first N] [--fault-crash-per-mille X]\n\
+            \x20     [--fault-stall-first N] [--fault-stall-ms MS] [--fault-freeze-wal-after N]",
+    flags: &[
+        ("--addr", Arg::Text),
+        ("--data", Arg::Text),
+        ("--workers", THREADS),
+        ("--queue-cap", Arg::Int(1, u32::MAX as u64)),
+        ("--ckpt-interval", Arg::Int(1, u32::MAX as u64)),
+        ("--cell-timeout", Arg::Positive),
+        ("--retry-max", COUNT),
+        ("--backoff-ms", COUNT),
+        ("--deadline", Arg::Positive),
+        ("--http-threads", THREADS),
+        ("--drift-factor", Arg::Positive),
+        ("--fault-seed", Arg::Int(0, u64::MAX)),
+        ("--fault-crash-first", COUNT),
+        ("--fault-crash-per-mille", Arg::Int(0, 1000)),
+        ("--fault-stall-first", COUNT),
+        ("--fault-stall-ms", COUNT),
+        ("--fault-freeze-wal-after", Arg::Int(0, u64::MAX)),
+    ],
+};
+const SERVE_CLIENT: Verb = Verb {
+    usage: "cfpd serve submit FILE|status JOB|result JOB|cancel JOB|drain --addr HOST:PORT",
+    flags: &[("--addr", Arg::Text)],
+};
+const SERVE_METRICS: Verb = Verb {
+    usage: "cfpd serve metrics [--lint] --addr HOST:PORT",
+    flags: &[("--addr", Arg::Text), ("--lint", Arg::Switch)],
+};
+const FLIGHT_DUMP: Verb = Verb {
+    usage: "cfpd flight dump [--ranks N] [--out FILE]",
+    flags: &[("--ranks", RANKS), ("--out", Arg::Text)],
+};
+const FLIGHT_ANALYZE: Verb =
+    Verb { usage: "cfpd flight analyze FILE [--last N]", flags: &[("--last", COUNT)] };
+const WATCH: Verb = Verb {
+    usage: "cfpd watch JOB --addr HOST:PORT [--interval-ms MS]",
+    flags: &[("--addr", Arg::Text), ("--interval-ms", Arg::Int(1, 3_600_000))],
+};
+
+/// Every verb, in the order `cfpd help` lists them.
+const VERBS: &[Verb] = &[
+    MESH, RUN, PROFILE, GOLDEN, CHAOS, REPORT, TRACE_EXPORT, TRACE_ANALYZE, TRACE_DIFF,
+    CAMPAIGN_EXPAND, CAMPAIGN_RUN, CAMPAIGN_REPORT, SERVE_RUN, SERVE_CLIENT, SERVE_METRICS,
+    FLIGHT_DUMP, FLIGHT_ANALYZE, WATCH,
 ];
-const PROFILE: Table =
-    &[("--ranks", RANKS), ("--particles", COUNT), ("--generations", GENERATIONS)];
-const GOLDEN: Table = &[("--ranks", RANKS), ("--layout", Arg::Text), ("--trace", Arg::Text)];
-const CHAOS: Table = &[
-    ("--seed", Arg::Int(0, u64::MAX)),
-    ("--ranks", RANKS),
-    ("--dlb", Arg::Switch),
-    ("--storm", Arg::Switch),
-    ("--json", Arg::Switch),
-    ("--trace", Arg::Text),
-];
-const REPORT: Table = &[
-    ("--ranks", RANKS),
-    ("--json", Arg::Switch),
-    ("--trace", Arg::Text),
-    ("--baseline", Arg::Text),
-    ("--tolerance", Arg::NonNegative),
-];
-const TRACE_EXPORT: Table = &[("--ranks", RANKS), ("--dlb", Arg::Switch), ("--out", Arg::Text)];
-const TRACE_ANALYZE: Table = &[
-    ("--ranks", RANKS),
-    ("--threads", THREADS),
-    ("--strategy", STRATEGIES),
-    ("--dlb", Arg::Switch),
-];
-const CAMPAIGN_EXPAND: Table = &[];
-const CAMPAIGN_RUN: Table = &[
-    ("--jobs", THREADS),
-    ("--json", Arg::Switch),
-    ("--report", Arg::Text),
-    ("--timing", Arg::Switch),
-    ("--cell-timeout", Arg::Positive),
-];
-const CAMPAIGN_REPORT: Table =
-    &[("--baseline", Arg::Text), ("--jobs", THREADS), ("--cell-timeout", Arg::Positive)];
-const SERVE_RUN: Table = &[
-    ("--addr", Arg::Text),
-    ("--data", Arg::Text),
-    ("--workers", THREADS),
-    ("--queue-cap", Arg::Int(1, u32::MAX as u64)),
-    ("--ckpt-interval", Arg::Int(1, u32::MAX as u64)),
-    ("--cell-timeout", Arg::Positive),
-    ("--retry-max", COUNT),
-    ("--backoff-ms", COUNT),
-    ("--deadline", Arg::Positive),
-    ("--http-threads", THREADS),
-    ("--drift-factor", Arg::Positive),
-    ("--fault-seed", Arg::Int(0, u64::MAX)),
-    ("--fault-crash-first", COUNT),
-    ("--fault-crash-per-mille", Arg::Int(0, 1000)),
-    ("--fault-stall-first", COUNT),
-    ("--fault-stall-ms", COUNT),
-    ("--fault-freeze-wal-after", Arg::Int(0, u64::MAX)),
-];
-const SERVE_CLIENT: Table = &[("--addr", Arg::Text)];
-const SERVE_METRICS: Table = &[("--addr", Arg::Text), ("--lint", Arg::Switch)];
-const FLIGHT_DUMP: Table = &[("--ranks", RANKS), ("--out", Arg::Text)];
-const FLIGHT_ANALYZE: Table = &[("--last", COUNT)];
-const WATCH: Table = &[("--addr", Arg::Text), ("--interval-ms", Arg::Int(1, 3_600_000))];
+
+/// Print the usage of `verbs` on stderr and exit: 0 when help was asked
+/// for, 2 on a misuse.
+fn usage_exit(verbs: &[Verb], help: bool) -> ! {
+    eprintln!("usage:");
+    for verb in verbs {
+        eprintln!("  {}", verb.usage);
+    }
+    std::process::exit(if help { 0 } else { 2 });
+}
 
 /// A flag's checked value.
 #[derive(Debug)]
@@ -777,11 +791,13 @@ enum Value {
 struct Flags(Vec<(&'static str, Value)>);
 
 impl Flags {
-    /// Check `args` against `table`. The refusal names the flag: one the
-    /// verb does not read, one given twice, a value that is missing or is
-    /// itself a flag, a word outside the flag's choices, a number that
-    /// does not parse, overflows or leaves its range, or that is NaN.
-    fn parse(args: &[String], table: Table) -> Result<Flags, String> {
+    /// Check `args` against the flags `verb` reads. The refusal names the
+    /// flag: one the verb does not read, one given twice, a value that is
+    /// missing or is itself a flag, a word outside the flag's choices, a
+    /// number that does not parse, overflows or leaves its range, or that
+    /// is NaN.
+    fn parse(args: &[String], verb: Verb) -> Result<Flags, String> {
+        let table = verb.flags;
         let mut flags = Vec::new();
         let mut rest = args.iter();
         while let Some(arg) = rest.next() {
@@ -995,25 +1011,18 @@ fn cmd_golden(flags: &Flags) -> Result<(), String> {
     if let Some(name) = flags.get("--layout") {
         config.layout = LayoutPlan::parse(name).map_err(|e| format!("--layout: {e}"))?;
     }
-    let trace = match flags.get("--trace") {
-        // Traced run: stdout stays byte-identical to the untraced golden
-        // (tracing never touches the logical log); the structured trace
-        // goes to `DIR` and the note to stderr.
-        Some(dir) => {
-            let dir = PathBuf::from(dir);
-            let (doc, r) = golden_trace_traced(&config, ranks);
-            print!("{doc}");
-            write_trace_dir(&r.trace, &dir).expect("write trace dir");
-            eprintln!("trace: wrote {}", dir.display());
-            r.trace
-        }
-        None => {
-            let outcome = run_scenario(&Scenario::deterministic(config, ranks));
-            print!("{}", outcome.doc);
-            outcome.result.trace
-        }
-    };
-    telemetry_summary_to_stderr(Some(&trace));
+    // A traced run's stdout stays byte-identical to the untraced golden
+    // (tracing never touches the logical log); the structured trace goes
+    // to `DIR` and the note to stderr.
+    let trace_dir = flags.get("--trace").map(PathBuf::from);
+    let opts = RunOptions { trace: trace_dir.is_some(), ..Default::default() };
+    let outcome = run_scenario(&Scenario { opts, ..Scenario::deterministic(config, ranks) });
+    print!("{}", outcome.doc);
+    if let Some(dir) = &trace_dir {
+        write_trace_dir(&outcome.result.trace, dir).expect("write trace dir");
+        eprintln!("trace: wrote {}", dir.display());
+    }
+    telemetry_summary_to_stderr(Some(&outcome.result.trace));
     Ok(())
 }
 
@@ -1035,7 +1044,7 @@ fn cmd_chaos(flags: &Flags) {
     let dlb = flags.has("--dlb");
     let json = flags.has("--json");
     let trace_dir = flags.get("--trace").map(PathBuf::from);
-    let config = golden_config();
+    let plain = Scenario::deterministic(golden_config(), ranks);
 
     if flags.has("--storm") {
         if trace_dir.is_some() {
@@ -1045,7 +1054,9 @@ fn cmd_chaos(flags: &Flags) {
             println!("chaos storm: seed {seed}, {ranks} ranks — message loss beyond the redelivery bound");
         }
         let opts = RunOptions { dlb, fault: Some(FaultConfig::storm(seed)), ..Default::default() };
-        match run_simulation_fallible(&config, ranks, 1, &opts) {
+        let storm = Scenario { opts, ..plain };
+        let run = prepare(&storm.prepare_key()).map_err(|e| vec![(0, e)]);
+        match run.and_then(|prepared| run_prepared(&prepared, &storm)) {
             Err(fails) => {
                 let saw_report =
                     fails.iter().any(|(_, m)| m.to_lowercase().contains("deadlock"));
@@ -1082,14 +1093,14 @@ fn cmd_chaos(flags: &Flags) {
             if dlb { "on" } else { "off" }
         );
     }
-    let clean = run_simulation(&config, ranks, 1, false);
+    let clean = run_scenario(&plain).result;
     let opts = RunOptions {
         dlb,
         fault: Some(FaultConfig::benign(seed)),
         trace: trace_dir.is_some(),
         ..Default::default()
     };
-    let faulted = run_simulation_opts(&config, ranks, 1, &opts);
+    let faulted = run_scenario(&Scenario { opts, ..plain }).result;
     if let Some(dir) = &trace_dir {
         write_trace_dir(&faulted.trace, dir).expect("write trace dir");
         eprintln!("trace: wrote {}", dir.display());
@@ -1191,16 +1202,12 @@ fn storm_json(seed: u64, ranks: usize, deadlock: bool, fails: &[(usize, String)]
 /// (`--json`) one JSON document `{"telemetry":{...},"pop":{...}}`.
 fn cmd_report(flags: &Flags) {
     let ranks = flags.usize_or("--ranks", 2);
-    let config = golden_config();
     let trace_dir = flags.get("--trace").map(PathBuf::from);
+    let opts = RunOptions { trace: trace_dir.is_some(), ..Default::default() };
+    let s = Scenario { opts, ..Scenario::deterministic(golden_config(), ranks) };
     cfpd_telemetry::set_enabled(true);
     cfpd_telemetry::reset();
-    let r = run_simulation_opts(
-        &config,
-        ranks,
-        1,
-        &RunOptions { trace: trace_dir.is_some(), ..Default::default() },
-    );
+    let r = run_scenario(&s).result;
     cfpd_telemetry::set_enabled(false);
     let snap = cfpd_telemetry::snapshot();
     if let Some(dir) = &trace_dir {
@@ -1356,12 +1363,25 @@ mod tests {
     use cfpd_testkit::prop::{check, usize_range, PropConfig};
     use cfpd_testkit::Rng;
 
-    /// Every verb's flag table.
-    const TABLES: &[Table] = &[
-        MESH, RUN, PROFILE, GOLDEN, CHAOS, REPORT, TRACE_EXPORT, TRACE_ANALYZE, CAMPAIGN_EXPAND,
-        CAMPAIGN_RUN, CAMPAIGN_REPORT, SERVE_RUN, SERVE_CLIENT, SERVE_METRICS, FLIGHT_DUMP,
-        FLIGHT_ANALYZE, WATCH,
-    ];
+    /// Each verb's usage text names every flag of its table, as a whole
+    /// word, and names no flag the table lacks.
+    #[test]
+    fn usage_names_exactly_the_flags_of_its_verb() {
+        for verb in VERBS {
+            let named: Vec<&str> = verb
+                .usage
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|word| word.starts_with("--"))
+                .collect();
+            for (flag, _) in verb.flags {
+                assert!(named.contains(flag), "{flag} missing from {:?}", verb.usage);
+            }
+            for word in named {
+                let read = verb.flags.iter().any(|(flag, _)| *flag == word);
+                assert!(read, "{word} is not read, yet in {:?}", verb.usage);
+            }
+        }
+    }
 
     /// Words `arg` accepts after its flag.
     fn valid(arg: Arg, rng: &mut Rng) -> Vec<String> {
@@ -1429,7 +1449,7 @@ mod tests {
     #[test]
     fn prop_hostile_argv_is_refused_naming_the_flag() {
         let gen = (
-            usize_range(0, TABLES.len()),
+            usize_range(0, VERBS.len()),
             usize_range(0, 64),
             usize_range(0, 5),
             usize_range(0, 1 << 30),
@@ -1439,10 +1459,10 @@ mod tests {
             PropConfig::cases(400),
             &gen,
             |&(t, f, hostility, seed)| {
-                let (table, rng) = (TABLES[t], &mut Rng::new(seed as u64));
+                let (table, rng) = (VERBS[t].flags, &mut Rng::new(seed as u64));
                 let target = if table.is_empty() { None } else { Some(f % table.len()) };
                 let before = valid_flags(table, target.unwrap_or(usize::MAX), rng);
-                let parse = |argv: &[String]| Flags::parse(argv, table);
+                let parse = |argv: &[String]| Flags::parse(argv, VERBS[t]);
 
                 let good = parse(&before).unwrap_or_else(|e| panic!("{before:?} refused: {e}"));
                 for &(name, arg) in table {

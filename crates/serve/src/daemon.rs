@@ -34,7 +34,7 @@ use crate::wal::{self, PersistGate, Wal, WalRecord};
 use crate::watchdog::Watchdog;
 use crate::{http, ServeFaultPlan};
 use cfpd_campaign::{expand, run_bounded, CampaignSpec, CanonMetrics, Cell, CellAcc};
-use cfpd_core::{Checkpoint, PrepareMemo};
+use cfpd_core::{Checkpoint, PrepareMemo, RunOptions, Scenario};
 use cfpd_telemetry::JsonWriter;
 use cfpd_testkit::record::{check_digest, write_atomic};
 use cfpd_testkit::{digest_bytes, panic_message, SplitMix64};
@@ -581,13 +581,15 @@ fn drive_segments(
         loop {
             let until = next_step + interval;
             let stop_after = if until >= steps { None } else { Some(until) };
-            let (seg_prepared, scenario) = (Arc::clone(&prepared), cell.scenario.clone());
-            let seg_restore = restore.take();
+            let s = &cell.scenario;
+            let opts = RunOptions { restore: restore.take(), stop_after, ..s.opts.clone() };
+            let scenario = Scenario { opts, ..s.clone() };
+            let seg_prepared = Arc::clone(&prepared);
             let segment = scope.spawn(move || {
                 run_bounded(
                     move || {
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                            run_segment(&seg_prepared, &scenario, seg_restore, stop_after)
+                            run_segment(&seg_prepared, &scenario)
                         }))
                     },
                     sh.cfg.cell_timeout,
@@ -625,12 +627,11 @@ fn drive_segments(
             acc.absorb(&seg.logical);
             events_text.push_str(&seg.events_text);
 
-            if seg.done {
+            let Some(cp) = seg.checkpoint else {
                 let rec = finish_cell_metrics(cell, &prepared, &acc, &events_text, &seg.census);
                 return SegmentsOutcome::Cell(Ok((rec, cell_pop)));
-            }
-
-            let cp = Arc::new(seg.checkpoint.expect("parked segment yields a checkpoint"));
+            };
+            let cp = Arc::new(cp);
             next_step = cp.next_step;
             restore = Some(Arc::clone(&cp));
             let point = ResumePoint { next_step, checkpoint: cp, acc, events_text };

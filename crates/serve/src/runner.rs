@@ -1,18 +1,20 @@
 //! Segment execution for the daemon: run a slice `[start, stop_after)`
-//! of a scenario via `RunOptions::stop_after`, and stitch finished
+//! of a cell — its [`Scenario`] with `RunOptions::{restore, stop_after}`
+//! set, through [`run_prepared`] like every run — and stitch finished
 //! segments back into the canonical cell metrics.
 //!
 //! The byte-identity contract: for any segmentation of `0..steps`, the
 //! concatenated golden event text plus the final census render to the
 //! same document (and therefore the same digest) as one uninterrupted
 //! run. The core guarantees the event stream ([`cfpd_core::golden`]
-//! renders events segment-independently); this module is just careful
+//! renders events segment-independently) and closes the document
+//! ([`render_golden_document`]); this module is just careful
 //! bookkeeping on top.
 
 use cfpd_campaign::{CanonMetrics, Cell, CellAcc};
 use cfpd_core::{
-    rank_failures, render_golden_events, render_golden_header_for, render_golden_summary,
-    run_prepared, Checkpoint, Prepared, RunOptions, Scenario,
+    rank_failures, render_golden_document, render_golden_events, run_prepared, Checkpoint,
+    Prepared, Scenario,
 };
 use cfpd_particles::ParticleCensus;
 use cfpd_testkit::digest_bytes;
@@ -25,36 +27,27 @@ pub struct SegmentOut {
     pub events_text: String,
     /// The run's logical events (for the accumulator).
     pub logical: Vec<cfpd_core::LogicalEvent>,
-    /// Census after the segment (only meaningful when `done`).
+    /// Census after the segment (only meaningful when the cell finished).
     pub census: ParticleCensus,
     /// The parked physics state (`None` when the cell finished).
     pub checkpoint: Option<Checkpoint>,
-    pub done: bool,
     /// The segment's POP time totals, from its own phase record.
     pub pop: PopTotals,
 }
 
-/// Run steps `[restore.next_step, stop_after)` of the scenario (from
-/// step 0 when `restore` is `None`; to completion when `stop_after`
-/// is `None` or `>= steps`) on `prepared`, the set-up of the scenario's
-/// `prepare_key()` that all segments of the cell share. `Err` carries
-/// the reason a run was refused or every failed rank's message.
-pub fn run_segment(
-    prepared: &Arc<Prepared>,
-    s: &Scenario,
-    restore: Option<Arc<Checkpoint>>,
-    stop_after: Option<usize>,
-) -> Result<SegmentOut, String> {
-    let stop_after = stop_after.filter(|&k| k < s.config.steps);
-    let opts = RunOptions { restore, stop_after, ..s.opts.clone() };
-    let result = run_prepared(prepared, &s.config, s.threads, &opts)
-        .map_err(|fails| rank_failures(&fails))?;
+/// Run the segment `s` asks for — steps `[restore.next_step,
+/// stop_after)` of its `opts` (from step 0 without `restore`; to
+/// completion without `stop_after` or at `>= steps`) — on `prepared`,
+/// the set-up of `s.prepare_key()` that all segments of the cell share.
+/// `Err` carries the reason a run was refused or every failed rank's
+/// message.
+pub fn run_segment(prepared: &Arc<Prepared>, s: &Scenario) -> Result<SegmentOut, String> {
+    let result = run_prepared(prepared, s).map_err(|fails| rank_failures(&fails))?;
     Ok(SegmentOut {
         pop: PopTotals::of(&result.trace),
         events_text: render_golden_events(&result.logical),
         logical: result.logical,
         census: result.census,
-        done: stop_after.is_none(),
         checkpoint: result.checkpoint,
     })
 }
@@ -71,17 +64,9 @@ pub fn finish_cell_metrics(
     events_text: &str,
     census: &ParticleCensus,
 ) -> CanonMetrics {
-    let doc = format!(
-        "{}{}{}",
-        render_golden_header_for(
-            &cell.scenario.config,
-            cell.scenario.ranks,
-            prepared.elements(),
-            prepared.nodes(),
-        ),
-        events_text,
-        render_golden_summary(census),
-    );
+    let s = &cell.scenario;
+    let size = (prepared.elements(), prepared.nodes());
+    let doc = render_golden_document(&s.config, s.ranks, size, events_text, census);
     acc.finish(digest_bytes(doc.as_bytes()), census)
 }
 
@@ -89,7 +74,7 @@ pub fn finish_cell_metrics(
 mod tests {
     use super::*;
     use cfpd_campaign::{cell_metrics, expand, CampaignSpec};
-    use cfpd_core::{prepare, run_scenario};
+    use cfpd_core::{prepare, run_scenario, RunOptions};
 
     const TINY: &str = "\
 [campaign]
@@ -128,16 +113,18 @@ steps = 3
         let mut events = String::new();
         let mut restore: Option<Arc<Checkpoint>> = None;
         let mut last = None;
-        for stop in [Some(1), Some(2), None] {
-            let seg = run_segment(prepared, &cell.scenario, restore.take(), stop).unwrap();
+        for stop_after in [Some(1), Some(2), None] {
+            let s = &cell.scenario;
+            let opts = RunOptions { restore: restore.take(), stop_after, ..s.opts.clone() };
+            let seg = run_segment(prepared, &Scenario { opts, ..s.clone() }).unwrap();
             acc.absorb(&seg.logical);
             events.push_str(&seg.events_text);
-            if seg.done {
-                last = Some(seg);
-            } else {
-                let cp = seg.checkpoint.expect("parked segment yields a checkpoint");
-                let cp = Checkpoint::from_text(&cp.to_text()).expect("codec round-trip");
-                restore = Some(Arc::new(cp));
+            match &seg.checkpoint {
+                None => last = Some(seg),
+                Some(cp) => {
+                    let cp = Checkpoint::from_text(&cp.to_text()).expect("codec round-trip");
+                    restore = Some(Arc::new(cp));
+                }
             }
         }
         finish_cell_metrics(cell, prepared, &acc, &events, &last.unwrap().census)

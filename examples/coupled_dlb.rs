@@ -8,7 +8,7 @@
 //! cargo run --release --example coupled_dlb
 //! ```
 
-use cfpd_core::{run_simulation, ExecutionMode, SimulationConfig};
+use cfpd_core::{run_scenario, ExecutionMode, RunOptions, Scenario, SimulationConfig};
 use cfpd_mesh::AirwaySpec;
 use cfpd_trace::render_timeline;
 
@@ -24,7 +24,8 @@ fn main() {
 
     // --- synchronous mode, 3 ranks -----------------------------------
     println!("=== synchronous mode, 3 ranks x 2 threads ===");
-    let sync = run_simulation(&base, 3, 2, false);
+    let sync = run_scenario(&Scenario { threads: 2, ..Scenario::deterministic(base.clone(), 3) });
+    let sync = sync.result;
     println!("{}", render_timeline(&sync.trace, 100, 8));
     println!("per-phase load balance (eq. 9) and time share:");
     for row in &sync.breakdown {
@@ -47,13 +48,15 @@ fn main() {
         mode: ExecutionMode::Coupled { fluid: 2, particles: 1 },
         ..base.clone()
     };
-    let coupled = run_simulation(&coupled_cfg, 0, 2, false);
+    let coupled = Scenario { threads: 2, ..Scenario::deterministic(coupled_cfg, 0) };
+    let with_dlb = Scenario { opts: RunOptions { dlb: true, ..Default::default() }, ..coupled.clone() };
+    let coupled = run_scenario(&coupled).result;
     println!("{}", render_timeline(&coupled.trace, 100, 8));
     println!("particles: {:?}, total {:.3}s\n", coupled.census, coupled.total_time);
 
     // --- coupled mode with DLB ----------------------------------------
     println!("=== coupled mode + DLB (LeWI lending on blocking MPI calls) ===");
-    let with_dlb = run_simulation(&coupled_cfg, 0, 2, true);
+    let with_dlb = run_scenario(&with_dlb).result;
     let stats = with_dlb.dlb.expect("dlb stats");
     println!(
         "DLB activity: {} lends, {} grants, {} reclaims, {} core-loans",

@@ -132,6 +132,11 @@
 #     arbiters' event logs (a run has one LeWI arbiter, whose log is
 #     its only record), nor a second disjoint-write wrapper, the
 #     raw-pointer SELL entry points or the deflation's nnz-long slot map,
+#     nor a second front door for a run: a run is one Scenario, so the
+#     retired wrappers run_simulation, run_simulation_opts,
+#     run_simulation_fallible and golden_trace_traced, and the public
+#     header renderer render_golden_header_for (render_golden_document
+#     owns the document's layout), are named nowhere (word match),
 #   * an unsafe gate: `unsafe` appears under crates/*/src only in
 #     solver's simd.rs, shared.rs and sell.rs and runtime's pool.rs and
 #     taskgraph.rs; every other crate root and every binary forbids
@@ -664,6 +669,11 @@ fi
 if grep -rnE 'DisjointVie[w]|SgsVie[w]|spmv_chunk_range_pt[r]|spmm3_chunk_range_pt[r]|aw_slo[t]' \
         crates tests examples; then
     echo "FAIL: a second disjoint-write wrapper, a raw-pointer SELL entry point or the AW slot map is back" >&2
+    exit 1
+fi
+if grep -rnwE 'run_simulatio[n](_opts|_fallible)?|golden_trace_trace[d]|render_golden_header_fo[r]' \
+        crates tests examples; then
+    echo "FAIL: a second front door for a run is back: a run is one Scenario, its document render_golden_document's" >&2
     exit 1
 fi
 

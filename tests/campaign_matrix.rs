@@ -11,7 +11,10 @@
 //! `CFPD_BLESS=1 cargo test -p cfpd-campaign --test campaign_matrix`
 
 use cfpd_campaign::dsl::{self, RawDoc, RawPair, RawSection};
-use cfpd_campaign::{expand, full_matrix_size, run_campaign, CampaignSpec, CanonMetrics, CellMetrics};
+use cfpd_campaign::{
+    expand, full_matrix_size, run_campaign, CampaignSpec, CanonMetrics, CellMetrics,
+    MAX_MATRIX_CELLS,
+};
 use cfpd_core::{golden_config, run_scenario, ExecutionMode, LayoutPlan, Scenario};
 use cfpd_testkit::digest::digest_bytes;
 use cfpd_testkit::prop::{check, usize_range, Gen, PropConfig};
@@ -240,6 +243,73 @@ fn prop_expansion_count_is_product_minus_excludes() {
         ids.dedup();
         assert_eq!(ids.len(), cells.len(), "cell ids must be unique:\n{text}");
     });
+}
+
+/// A matrix of `axes` (key, value count), each axis counting from 1.
+fn matrix_text(axes: &[(&str, usize)]) -> String {
+    let mut text = String::from("[campaign]\nname = big\n\n[matrix]\n");
+    for (key, n) in axes {
+        let values: Vec<String> = (1..=*n).map(|v| v.to_string()).collect();
+        text.push_str(&format!("{key} = {}\n", values.join(", ")));
+    }
+    text
+}
+
+/// A matrix may ask for at most `MAX_MATRIX_CELLS` cells (the product
+/// of its axes, before excludes); one more and the spec is refused at
+/// its `[matrix]` line (line 4), before anything is expanded.
+#[test]
+fn a_matrix_above_the_cell_cap_is_refused_at_its_line() {
+    assert_eq!(MAX_MATRIX_CELLS, 1024);
+    let at_cap = CampaignSpec::from_text(&matrix_text(&[("seed", 32), ("particles", 32)]));
+    assert_eq!(expand(&at_cap.unwrap()).unwrap().len(), 1024);
+    for (axes, cells) in [
+        (&[("seed", 25), ("particles", 41)][..], "1025"),
+        (&[("seed", 40), ("particles", 40), ("steps", 40)][..], "64000"),
+    ] {
+        let err = CampaignSpec::from_text(&matrix_text(axes)).unwrap_err();
+        assert_eq!(err.line, 4, "{err}");
+        assert_eq!(err.message, format!("[matrix] asks for {cells} cells, more than 1024"));
+    }
+}
+
+/// The 64 000-cell spec (under 600 bytes) is refused by `cfpd campaign
+/// expand` (exit 2, naming the `[matrix]` line) and by `POST /jobs`
+/// (400): the daemon admits no job and logs nothing for it.
+#[test]
+fn an_oversized_matrix_is_refused_by_the_cli_and_the_daemon() {
+    use cfpd_serve::wal::{replay, WalRecord};
+    use cfpd_serve::{http_call, Daemon, ServeConfig};
+    let text = matrix_text(&[("seed", 40), ("particles", 40), ("steps", 40)]);
+    assert!(text.len() < 600, "{} bytes", text.len());
+    let dir = std::env::temp_dir().join(format!("cfpd-campaign-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let file = dir.join("big.campaign");
+    std::fs::write(&file, &text).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cfpd"))
+        .args(["campaign", "expand", file.to_str().unwrap()])
+        .output()
+        .expect("spawn cfpd");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("big.campaign:4: [matrix] asks for 64000 cells"), "{stderr}");
+    assert!(out.stdout.is_empty());
+
+    let data = dir.join("serve-data");
+    let daemon = Daemon::start(ServeConfig { data_dir: data.clone(), ..Default::default() });
+    let daemon = daemon.unwrap();
+    let addr = daemon.addr().to_string();
+    let (code, body) = http_call(&addr, "POST", "/jobs", &text).unwrap();
+    assert_eq!(code, 400, "{body}");
+    assert!(body.contains("64000 cells"), "{body}");
+    assert_eq!(http_call(&addr, "GET", "/jobs/1", "").unwrap().0, 404);
+    daemon.kill();
+    let log = replay(&data.join("wal.log"));
+    let submits = log.records.iter().filter(|r| matches!(r, WalRecord::Submit { .. }));
+    assert_eq!(submits.count(), 0, "{:?}", log.records);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------

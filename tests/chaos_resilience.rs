@@ -178,17 +178,13 @@ fn checkpoint_restart_split_matches_the_golden_file() {
 /// the digest spots single-character corruption anywhere in the body.
 #[test]
 fn checkpoint_codec_round_trips_through_the_real_simulation() {
-    use cfpd_core::{run_simulation_opts, RunOptions};
+    use cfpd_core::{run_scenario, RunOptions, Scenario};
     let mut cfg = golden_config();
     cfg.airway.generations = 1;
     cfg.num_particles = 50;
     cfg.steps = 2;
-    let r = run_simulation_opts(
-        &cfg,
-        2,
-        1,
-        &RunOptions { stop_after: Some(1), ..Default::default() },
-    );
+    let opts = RunOptions { stop_after: Some(1), ..Default::default() };
+    let r = run_scenario(&Scenario { opts, ..Scenario::deterministic(cfg, 2) }).result;
     let cp = r.checkpoint.expect("checkpoint captured");
     let text = cp.to_text();
     let once = Checkpoint::from_text(&text).expect("first round-trip");

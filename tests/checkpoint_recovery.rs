@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cfpd_core::{
-    golden_config, run_simulation_fallible, run_simulation_opts, Checkpoint, RunOptions,
+    golden_config, prepare, run_prepared, run_scenario, Checkpoint, RunOptions, Scenario,
     SimulationConfig,
 };
 
@@ -25,13 +25,9 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 fn capture_at(config: &SimulationConfig, step: usize) -> Checkpoint {
-    let r = run_simulation_opts(
-        config,
-        RANKS,
-        1,
-        &RunOptions { stop_after: Some(step), ..Default::default() },
-    );
-    r.checkpoint.expect("checkpoint captured")
+    let opts = RunOptions { stop_after: Some(step), ..Default::default() };
+    let r = run_scenario(&Scenario { opts, ..Scenario::deterministic(config.clone(), RANKS) });
+    r.result.checkpoint.expect("checkpoint captured")
 }
 
 /// A checkpoint file cut off at any byte offset parses to `Err`, never
@@ -142,11 +138,14 @@ fn wrong_step_and_wrong_config_restarts_are_errors() {
     cp.validate_for(&config, RANKS).expect("good checkpoint validates");
 
     // The fallible entry point keeps its promise for each of them: a
-    // refused restore is an `Err` with the validator's reason, not a
-    // panic (and so is a mesh the generator rejects).
+    // refused restore is an `Err` of `run_prepared` with the validator's
+    // reason, not a panic (and a mesh the generator rejects is an `Err`
+    // of `prepare`).
     let refused = |config: &SimulationConfig, ranks: usize, cp: &Checkpoint| {
         let opts = RunOptions { restore: Some(Arc::new(cp.clone())), ..Default::default() };
-        let fails = run_simulation_fallible(config, ranks, 1, &opts).expect_err("refused");
+        let s = Scenario { opts, ..Scenario::deterministic(config.clone(), ranks) };
+        let prepared = prepare(&s.prepare_key()).unwrap_or_else(|e| panic!("{e}"));
+        let fails = run_prepared(&prepared, &s).expect_err("refused");
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].1.contains("refusing to restore checkpoint"), "{fails:?}");
         fails[0].1.clone()
@@ -156,9 +155,8 @@ fn wrong_step_and_wrong_config_restarts_are_errors() {
     assert!(refused(&other, RANKS, &cp).contains("config digest"));
     let mut bad_mesh = config.clone();
     bad_mesh.airway.trachea_radius = -1.0;
-    let fails =
-        run_simulation_fallible(&bad_mesh, RANKS, 1, &RunOptions::default()).expect_err("refused");
-    assert!(fails[0].1.contains("invalid airway spec"), "{fails:?}");
+    let err = prepare(&Scenario::deterministic(bad_mesh, RANKS).prepare_key()).err();
+    assert!(err.as_deref().is_some_and(|e| e.contains("invalid airway spec")), "{err:?}");
 }
 
 /// The recovery story end to end: the newest checkpoint file is
@@ -169,7 +167,8 @@ fn run_resumes_from_previous_checkpoint_after_corruption() {
     let config = golden_config();
 
     // Uninterrupted reference run.
-    let full = run_simulation_opts(&config, RANKS, 1, &RunOptions::default());
+    let plain = Scenario::deterministic(config.clone(), RANKS);
+    let full = run_scenario(&plain).result;
 
     // Two generations of checkpoint files on disk: step 1 (older, good)
     // and step 2 (newer, corrupted in transit).
@@ -197,12 +196,8 @@ fn run_resumes_from_previous_checkpoint_after_corruption() {
 
     // Resume and stitch: steps before the split from the reference run,
     // the rest from the resumed run.
-    let resumed = run_simulation_opts(
-        &config,
-        RANKS,
-        1,
-        &RunOptions { restore: Some(Arc::new(restored)), ..Default::default() },
-    );
+    let opts = RunOptions { restore: Some(Arc::new(restored)), ..Default::default() };
+    let resumed = run_scenario(&Scenario { opts, ..plain }).result;
     assert_eq!(resumed.census, full.census, "restored run changed the particle census");
     let tail_expected: Vec<_> =
         full.logical.iter().filter(|e| e.step() >= 1).cloned().collect();

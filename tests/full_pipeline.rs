@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full CFPD simulation across
 //! execution modes, strategies, rank counts and DLB settings.
 
-use cfpd_core::{run_simulation, ExecutionMode, SimulationConfig};
+use cfpd_core::{run_scenario, ExecutionMode, RunOptions, Scenario, SimulationConfig};
 use cfpd_mesh::AirwaySpec;
 use cfpd_solver::AssemblyStrategy;
 use cfpd_trace::Phase;
@@ -25,7 +25,7 @@ fn total(census: &cfpd_particles::ParticleCensus) -> usize {
 fn every_strategy_runs_the_full_simulation() {
     for strategy in AssemblyStrategy::ALL {
         let cfg = SimulationConfig { strategy, ..tiny() };
-        let r = run_simulation(&cfg, 2, 1, false);
+        let r = run_scenario(&Scenario::deterministic(cfg, 2)).result;
         assert!(r.total_time > 0.0, "{strategy:?}");
         assert!(total(&r.census) > 0, "{strategy:?}");
         assert_eq!(r.census.lost, 0, "{strategy:?} lost particles");
@@ -37,7 +37,7 @@ fn rank_count_does_not_change_particle_fate_totals() {
     let cfg = tiny();
     let counts: Vec<usize> = [1usize, 2, 4]
         .iter()
-        .map(|&n| total(&run_simulation(&cfg, n, 1, false).census))
+        .map(|&n| total(&run_scenario(&Scenario::deterministic(cfg.clone(), n)).result.census))
         .collect();
     assert_eq!(counts[0], counts[1]);
     assert_eq!(counts[1], counts[2]);
@@ -46,20 +46,20 @@ fn rank_count_does_not_change_particle_fate_totals() {
 #[test]
 fn sync_and_coupled_agree_on_injection_totals() {
     let sync_cfg = tiny();
-    let sync = run_simulation(&sync_cfg, 2, 1, false);
+    let sync = run_scenario(&Scenario::deterministic(sync_cfg, 2)).result;
     let coupled_cfg = SimulationConfig {
         mode: ExecutionMode::Coupled { fluid: 2, particles: 2 },
         ..tiny()
     };
-    let coupled = run_simulation(&coupled_cfg, 0, 1, false);
+    let coupled = run_scenario(&Scenario::deterministic(coupled_cfg, 0)).result;
     assert_eq!(total(&sync.census), total(&coupled.census));
 }
 
 #[test]
 fn dlb_does_not_change_the_physics() {
-    let cfg = tiny();
-    let off = run_simulation(&cfg, 2, 2, false);
-    let on = run_simulation(&cfg, 2, 2, true);
+    let off = Scenario { threads: 2, ..Scenario::deterministic(tiny(), 2) };
+    let on = Scenario { opts: RunOptions { dlb: true, ..Default::default() }, ..off.clone() };
+    let (off, on) = (run_scenario(&off).result, run_scenario(&on).result);
     // Same particle outcomes (deterministic injection + same numerics).
     assert_eq!(off.census, on.census);
     assert!(on.dlb.unwrap().lends > 0);
@@ -67,7 +67,7 @@ fn dlb_does_not_change_the_physics() {
 
 #[test]
 fn trace_covers_all_fluid_phases_on_all_ranks() {
-    let r = run_simulation(&tiny(), 3, 1, false);
+    let r = run_scenario(&Scenario::deterministic(tiny(), 3)).result;
     for phase in [Phase::Assembly, Phase::Solver1, Phase::Solver2, Phase::Sgs] {
         let times = r.trace.per_rank_time(phase);
         assert_eq!(times.len(), 3);
@@ -84,7 +84,7 @@ fn coupled_mode_split_sizes_respected() {
         mode: ExecutionMode::Coupled { fluid: 3, particles: 2 },
         ..tiny()
     };
-    let r = run_simulation(&cfg, 0, 1, false);
+    let r = run_scenario(&Scenario::deterministic(cfg, 0)).result;
     let asm = r.trace.per_rank_time(Phase::Assembly);
     let par = r.trace.per_rank_time(Phase::Particles);
     assert_eq!(asm.len(), 5);
@@ -111,8 +111,8 @@ fn more_particles_increase_particle_phase_share() {
     let mut small_times = Vec::new();
     let mut big_times = Vec::new();
     for _ in 0..5 {
-        small_times.push(time(&run_simulation(&tiny(), 1, 1, false)));
-        big_times.push(time(&run_simulation(&big_cfg, 1, 1, false)));
+        small_times.push(time(&run_scenario(&Scenario::deterministic(tiny(), 1)).result));
+        big_times.push(time(&run_scenario(&Scenario::deterministic(big_cfg.clone(), 1)).result));
     }
     small_times.sort_by(f64::total_cmp);
     big_times.sort_by(f64::total_cmp);
@@ -147,7 +147,8 @@ fn particle_books_balance_at_every_step() {
     assert!(injected > cfg.num_particles / 2, "{injected} injected");
     let coupled = ExecutionMode::Coupled { fluid: 1, particles: 1 };
     for (mode, ranks, trackers) in [(ExecutionMode::Synchronous, 2, 2), (coupled, 0, 1)] {
-        let r = run_simulation(&SimulationConfig { mode, ..cfg.clone() }, ranks, 1, false);
+        let config = SimulationConfig { mode, ..cfg.clone() };
+        let r = run_scenario(&Scenario::deterministic(config, ranks)).result;
         // Per step: the ranks that reported and what they hold.
         let mut books = vec![(0, 0); cfg.steps];
         for e in &r.logical {

@@ -12,7 +12,9 @@
 //!   on the golden run, and at equal tolerance the pressure is at least
 //!   as close to a tight reference as the Jacobi CG's.
 
-use cfpd_core::{golden_config, run_simulation, BoundaryConditions, LayoutPlan, LogicalEvent};
+use cfpd_core::{
+    golden_config, run_scenario, BoundaryConditions, LayoutPlan, LogicalEvent, Scenario,
+};
 use cfpd_mesh::{generate_airway, AirwaySpec, TubeParams, Vec3};
 use cfpd_partition::{bandwidth_under_perm, csr_bandwidth, invert_perm, rcm_perm};
 use cfpd_runtime::ThreadPool;
@@ -183,7 +185,8 @@ fn batch_kernels_bit_identical_per_element() {
 fn golden_poisson_iterations(layout: LayoutPlan) -> Vec<usize> {
     let mut config = golden_config();
     config.layout = layout;
-    run_simulation(&config, 2, 1, false)
+    run_scenario(&Scenario::deterministic(config, 2))
+        .result
         .logical
         .iter()
         .filter_map(|e| match e {

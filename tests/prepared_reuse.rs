@@ -13,7 +13,7 @@
 
 use cfpd_campaign::{cell_metrics, expand, CampaignSpec, Cell};
 use cfpd_core::{
-    prepare, run_scenario, run_scenario_prepared, Checkpoint, PrepareMemo, Scenario,
+    prepare, run_scenario, run_scenario_prepared, Checkpoint, PrepareMemo, RunOptions, Scenario,
     SimulationConfig,
 };
 use cfpd_serve::runner::{finish_cell_metrics, run_segment};
@@ -75,17 +75,17 @@ fn stitched_digest(memo: &PrepareMemo, cell: &Cell, cuts: usize) -> u64 {
     let stops = (1..STEPS).filter(|k| cuts & (1 << (k - 1)) != 0).map(Some).chain([None]);
     let (mut acc, mut events) = (CellAcc::default(), String::new());
     let mut restore: Option<Arc<Checkpoint>> = None;
-    for stop in stops {
-        let seg = run_segment(&prepared, &cell.scenario, restore.take(), stop).unwrap();
+    for stop_after in stops {
+        let opts = RunOptions { restore: restore.take(), stop_after, ..cell.scenario.opts.clone() };
+        let seg = run_segment(&prepared, &Scenario { opts, ..cell.scenario.clone() }).unwrap();
         acc.absorb(&seg.logical);
         events.push_str(&seg.events_text);
         match seg.checkpoint {
             Some(cp) => {
-                assert_eq!(Some(cp.next_step), stop);
+                assert_eq!(Some(cp.next_step), stop_after);
                 restore = Some(Arc::new(Checkpoint::from_text(&cp.to_text()).unwrap()));
             }
             None => {
-                assert!(seg.done);
                 return finish_cell_metrics(cell, &prepared, &acc, &events, &seg.census).digest;
             }
         }

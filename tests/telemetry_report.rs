@@ -10,7 +10,7 @@
 
 use std::sync::Mutex;
 
-use cfpd_core::{golden_config, golden_trace, run_simulation};
+use cfpd_core::{golden_config, golden_trace, run_scenario, Scenario};
 use cfpd_trace::PopTotals;
 
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
@@ -22,7 +22,7 @@ fn with_telemetry_run<R>(f: impl FnOnce(&cfpd_core::SimulationResult) -> R) -> R
     let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     cfpd_telemetry::set_enabled(true);
     cfpd_telemetry::reset();
-    let r = run_simulation(&golden_config(), RANKS, 1, false);
+    let r = run_scenario(&Scenario::deterministic(golden_config(), RANKS)).result;
     cfpd_telemetry::set_enabled(false);
     let out = f(&r);
     cfpd_telemetry::reset();

@@ -10,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use cfpd_core::{golden_config, run_simulation_opts, RunOptions, SimulationResult};
+use cfpd_core::{golden_config, run_scenario, RunOptions, Scenario, SimulationResult};
 use cfpd_testkit::parse_json;
 use cfpd_trace::{
     critical_path, diff_summaries, export_chrome, export_pcf, export_prv, export_row,
@@ -21,12 +21,8 @@ const RANKS: usize = 2;
 const TOL: f64 = 1e-9;
 
 fn traced_run() -> SimulationResult {
-    run_simulation_opts(
-        &golden_config(),
-        RANKS,
-        1,
-        &RunOptions { trace: true, ..Default::default() },
-    )
+    let opts = RunOptions { trace: true, ..Default::default() };
+    run_scenario(&Scenario { opts, ..Scenario::deterministic(golden_config(), RANKS) }).result
 }
 
 /// The canonical small trace every exporter golden pins: two ranks, two
@@ -172,7 +168,7 @@ fn identical_seed_runs_diff_to_zero() {
 #[test]
 fn tracing_leaves_the_physics_untouched() {
     let traced = traced_run();
-    let plain = run_simulation_opts(&golden_config(), RANKS, 1, &RunOptions::default());
+    let plain = run_scenario(&Scenario::deterministic(golden_config(), RANKS)).result;
     assert_eq!(traced.logical, plain.logical, "tracing perturbed the logical log");
     assert_eq!(traced.census, plain.census);
 }
